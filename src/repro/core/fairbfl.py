@@ -10,6 +10,7 @@ round's global update and reward list.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Callable
 
 import numpy as np
@@ -41,7 +42,7 @@ from repro.fl.history import RoundRecord, TrainingHistory
 from repro.fl.selection import ContributionBasedSelector, RandomSelector
 from repro.incentive.rewards import RewardLedger
 from repro.incentive.strategies import make_strategy
-from repro.net.substrate import BeginRoundReport, GossipSubstrate
+from repro.net.substrate import GossipSubstrate
 from repro.nn.metrics import accuracy
 from repro.nn.models import ModelFactory
 from repro.nn.module import Module
@@ -130,10 +131,10 @@ class FairBFLTrainer(CheckpointMixin):
             )
 
         # -- network substrate -------------------------------------------------------
-        # With the default "global" topology no substrate exists and the
-        # replicated single-network path below runs bit-identically to
-        # earlier releases; any other topology gives every miner its own
-        # chain view, peer set, and mempool over seeded gossip.
+        # With the default "global" topology no substrate exists and every
+        # round settles over the whole replicated committee; any other
+        # topology gives every miner its own chain view, peer set, and
+        # mempool over seeded gossip, and rounds settle per component.
         self.net: GossipSubstrate | None = None
         if config.topology != "global":
             self.net = GossipSubstrate(
@@ -407,50 +408,46 @@ class FairBFLTrainer(CheckpointMixin):
             cid: total for cid, total in sorted(totals.items())
         }
 
-    def _run_net_procedures(
-        self, ctx: RoundContext, report: "BeginRoundReport", procedures
-    ) -> float:
-        """Procedures III-V per reachability component (the gossip-substrate path).
+    def _settle(self, ctx: RoundContext, members: list[Miner]) -> None:
+        """Procedures III-V over one miner set: exchange, aggregate, mine.
 
-        Each component exchanges gradient sets, aggregates, and mines on its
-        own chain view — under a partition the sides mine divergent forks.
-        The fork-choice-best view afterwards is the round's primary outcome:
-        its context fields are copied back into ``ctx`` so reward accounting
-        and the round record follow the canonical chain.  Components run in
-        deterministic (sorted) order, so the shared mining RNG stream stays
-        reproducible.  Returns the max block-propagation latency.
+        ``members`` is the whole committee on the ``global`` topology and one
+        reachability component on the gossip substrate, where each component
+        settles on its own chain views — under a partition the sides mine
+        divergent forks.
         """
         cfg = self.config
-        assert self.net is not None
-        miners_by_id = {m.miner_id: m for m in self.miners}
-        outcomes: list[tuple[tuple[str, ...], RoundContext]] = []
-        max_latency = 0.0
-        for component in report.state.components:
-            members = [miners_by_id[mid] for mid in component]
-            cctx = RoundContext(
-                round_index=ctx.round_index,
-                global_parameters=ctx.global_parameters,
-                selected_clients=list(ctx.selected_clients),
-                attacker_ids=list(ctx.attacker_ids),
+        procedures = procedures_for_mode(self.mode)
+        if Procedure.EXCHANGE in procedures:
+            procedure_exchange(ctx, members)
+        elif Procedure.UPLOAD in procedures:
+            # FL-only mode: no miner exchange, but the (single logical server)
+            # still needs the stacked gradient matrix from the first miner.
+            procedure_exchange(ctx, members[:1])
+        if Procedure.GLOBAL_UPDATE in procedures:
+            procedure_global_update(
+                ctx,
+                contribution_config=cfg.contribution,
+                strategy=self.strategy,
+                use_fair_aggregation=cfg.use_fair_aggregation,
+                run_incentive=self.mode is not OperatingMode.FL_ONLY,
+                defense=self.defense,
             )
-            if Procedure.EXCHANGE in procedures:
-                procedure_exchange(cctx, members)
-            if Procedure.GLOBAL_UPDATE in procedures:
-                procedure_global_update(
-                    cctx,
-                    contribution_config=cfg.contribution,
-                    strategy=self.strategy,
-                    use_fair_aggregation=cfg.use_fair_aggregation,
-                    run_incentive=True,
-                    defense=self.defense,
-                )
-            if cctx.new_global_parameters is None:
-                # Chain-only mode: the block records the unchanged parameters.
-                cctx.new_global_parameters = np.asarray(
-                    cctx.global_parameters, dtype=np.float64
+        if cfg.round_mode == "async":
+            # Late arrivals from earlier rounds join this aggregate with
+            # staleness-decayed weights.
+            self._apply_stale_updates(ctx, ctx.round_index)
+        if Procedure.MINING in procedures:
+            if ctx.new_global_parameters is None:
+                # Chain-only mode skips Procedure IV; the block still records
+                # the (unchanged) global parameters so the ledger keeps one
+                # block per round, exactly as the functional-scaling analysis
+                # assumes.
+                ctx.new_global_parameters = np.asarray(
+                    ctx.global_parameters, dtype=np.float64
                 ).copy()
             procedure_mining(
-                cctx,
+                ctx,
                 members,
                 self.keystore,
                 self._mining_rng,
@@ -458,42 +455,20 @@ class FairBFLTrainer(CheckpointMixin):
                 pow_difficulty=cfg.pow_difficulty,
                 timestamp=self.clock.now,
             )
-            latency = self.net.commit_block(
-                ctx.round_index, cctx.winning_miner, component, sim_time=self.clock.now
-            )
-            max_latency = max(max_latency, latency)
-            outcomes.append((component, cctx))
-        best = self.net.best_chain()
-        primary = outcomes[0][1]
-        for component, cctx in outcomes:
-            if any(miners_by_id[mid].chain is best for mid in component):
-                primary = cctx
-                break
-        for name in (
-            "gradient_matrix",
-            "gradient_client_ids",
-            "new_global_parameters",
-            "contribution_report",
-            "strategy_outcome",
-            "reward_list",
-            "winning_miner",
-            "mined_block",
-            "defense_rejected_ids",
-            "defense_clipped",
-        ):
-            setattr(ctx, name, getattr(primary, name))
-        return max_latency
+        elif ctx.new_global_parameters is not None:
+            # FL-only mode: keep the global model off-chain on the trainer.
+            set_flat_parameters(self.global_model, ctx.new_global_parameters)
 
     def run_round(self, round_index: int) -> RoundRecord:
         """Execute one communication round under the configured operating mode."""
         cfg = self.config
         procedures = procedures_for_mode(self.mode)
-        net_report: BeginRoundReport | None = None
-        if self.net is not None:
+        net, net_report = self.net, None
+        if net is not None:
             # Heal/churn reconciliation happens *before* Procedure I reads
             # the global parameters, so a round that follows a partition
             # trains against the post-reorg canonical view.
-            net_report = self.net.begin_round(round_index, sim_time=self.clock.now)
+            net_report = net.begin_round(round_index, sim_time=self.clock.now)
             if net_report.reorged:
                 self._reconcile_rewards()
         ctx = RoundContext(
@@ -505,7 +480,7 @@ class FairBFLTrainer(CheckpointMixin):
         ]
 
         if Procedure.LOCAL_UPDATE in procedures:
-            procedure_local_update(ctx, self.clients, cfg.local, executor=self.executor)
+            procedure_local_update(ctx, self.clients, cfg.local, self.executor)
             self._apply_attacks(ctx)
 
         # The event-driven simulation runs before Procedure II: the arrival
@@ -516,72 +491,47 @@ class FairBFLTrainer(CheckpointMixin):
 
         if Procedure.UPLOAD in procedures:
             procedure_upload(ctx, self.miners, self.keystore, self._upload_rng)
-        lost_uploads = 0
-        if self.net is not None and net_report is not None:
-            lost_uploads = self.net.absorb_uploads(
+        if net is None:
+            self._settle(ctx, self.miners)
+        else:
+            lost_uploads = net.absorb_uploads(
                 ctx.transactions, ctx.client_to_miner, net_report.state
             )
-        broadcast_latency = 0.0
-        resolved: dict[int, float] = {}
-        if self.net is not None and net_report is not None:
-            # The gossip-substrate path: Procedures III-V run once per
-            # reachability component on that component's own chain views.
-            # (Config validation restricts this path to sync BFL/chain-only
-            # modes, so the async/fl_only branches below cannot apply.)
-            resolved.update(net_report.resolved)
-            broadcast_latency = self._run_net_procedures(ctx, net_report, procedures)
-            resolved.update(
-                self.net.finish_round(
-                    round_index, sim_time=self.clock.now, latency=broadcast_latency
+            # Components settle in deterministic (sorted) order, each on its
+            # own copy of the round state, so the shared mining RNG stream
+            # stays reproducible.
+            miners_by_id = {m.miner_id: m for m in self.miners}
+            settled: list[tuple[list[Miner], RoundContext]] = []
+            broadcast_latency = 0.0
+            for component in net_report.state.components:
+                members = [miners_by_id[mid] for mid in component]
+                child = replace(ctx)
+                self._settle(child, members)
+                latency = net.commit_block(
+                    round_index, child.winning_miner, component, sim_time=self.clock.now
                 )
+                broadcast_latency = max(broadcast_latency, latency)
+                settled.append((members, child))
+            # The fork-choice-best view is the round's outcome: reward
+            # accounting and the round record follow the canonical chain.
+            best = net.best_chain()
+            ctx = next(
+                (c for members, c in settled if any(m.chain is best for m in members)),
+                settled[0][1],
             )
-        else:
-            if Procedure.EXCHANGE in procedures:
-                procedure_exchange(ctx, self.miners)
-            elif Procedure.UPLOAD in procedures:
-                # FL-only mode: no miner exchange, but the (single logical server)
-                # still needs the stacked gradient matrix from the first miner.
-                procedure_exchange(ctx, self.miners[:1])
-            if Procedure.GLOBAL_UPDATE in procedures:
-                procedure_global_update(
-                    ctx,
-                    contribution_config=cfg.contribution,
-                    strategy=self.strategy,
-                    use_fair_aggregation=cfg.use_fair_aggregation,
-                    run_incentive=self.mode is not OperatingMode.FL_ONLY,
-                    defense=self.defense,
-                )
-            if cfg.round_mode == "async":
-                # Late arrivals from earlier rounds join this aggregate with
-                # staleness-decayed weights; this round's own stragglers are
-                # buffered for the next one.  Extending (not replacing) keeps
-                # entries alive across rounds that cannot aggregate, so an update
-                # can accrue staleness > 1 before it is finally folded in.
-                self._apply_stale_updates(ctx, round_index)
-                self._stale_buffer.extend(
-                    (np.asarray(u.parameters, dtype=np.float64).copy(), round_index)
-                    for u in late_updates
-                )
-            if Procedure.MINING in procedures and ctx.new_global_parameters is None:
-                # Chain-only mode skips Procedure IV; the block still records the
-                # (unchanged) global parameters so the ledger keeps one block per
-                # round, exactly as the functional-scaling analysis assumes.
-                ctx.new_global_parameters = np.asarray(
-                    ctx.global_parameters, dtype=np.float64
-                ).copy()
-            if Procedure.MINING in procedures and ctx.new_global_parameters is not None:
-                procedure_mining(
-                    ctx,
-                    self.miners,
-                    self.keystore,
-                    self._mining_rng,
-                    use_real_pow=cfg.use_real_pow,
-                    pow_difficulty=cfg.pow_difficulty,
-                    timestamp=self.clock.now,
-                )
-            elif ctx.new_global_parameters is not None:
-                # FL-only mode: keep the global model off-chain on the trainer.
-                set_flat_parameters(self.global_model, ctx.new_global_parameters)
+            resolved = {
+                **net_report.resolved,
+                **net.finish_round(round_index, sim_time=self.clock.now, latency=broadcast_latency),
+            }
+        if cfg.round_mode == "async":
+            # This round's own stragglers are buffered for the next one.
+            # Extending (not replacing) keeps entries alive across rounds that
+            # cannot aggregate, so an update can accrue staleness > 1 before
+            # it is finally folded in.
+            self._stale_buffer.extend(
+                (np.asarray(u.parameters, dtype=np.float64).copy(), round_index)
+                for u in late_updates
+            )
 
         # -- incentive bookkeeping ------------------------------------------------
         discarded: list[int] = []
@@ -641,7 +591,7 @@ class FairBFLTrainer(CheckpointMixin):
                 "event_trace_digest": timing.trace_digest,
             },
         )
-        if self.net is not None and net_report is not None:
+        if net is not None:
             # One nested key keeps the global-path extras byte-identical.
             record.extras["net"] = {
                 "topology": cfg.topology,
@@ -649,8 +599,8 @@ class FairBFLTrainer(CheckpointMixin):
                 "components": [list(c) for c in net_report.state.components],
                 "partition_active": net_report.state.partition_active,
                 "reorged": net_report.reorged,
-                "total_reorgs": self.net.total_reorgs,
-                "chain_views": self.net.chain_views(),
+                "total_reorgs": net.total_reorgs,
+                "chain_views": net.chain_views(),
                 "lost_uploads": lost_uploads,
                 "broadcast_latency": broadcast_latency,
                 "consensus_resolved": {int(r): float(d) for r, d in resolved.items()},

@@ -81,25 +81,19 @@ def procedure_local_update(
     ctx: RoundContext,
     clients: dict[int, FLClient],
     local_config: LocalTrainingConfig,
-    executor: "ParallelExecutor | None" = None,
+    executor: "ParallelExecutor",
 ) -> RoundContext:
     """Every selected client trains locally starting from the latest global parameters.
 
-    With ``executor=None`` the clients run in the original serial loop; an
-    explicit :class:`~repro.runner.executor.ParallelExecutor` fans the same
-    per-client work out over its backend.  Updates are always returned in
-    selection order and every stochastic draw comes from the owning client's
-    private RNG stream, so the backend cannot change the numbers.
+    The :class:`~repro.runner.executor.ParallelExecutor` fans the per-client
+    work out over its backend (``serial`` is a plain loop).  Updates are
+    always returned in selection order and every stochastic draw comes from
+    the owning client's private RNG stream, so the backend cannot change the
+    numbers.
     """
-    if executor is None:
-        ctx.updates = [
-            clients[cid].local_update(ctx.global_parameters, local_config)
-            for cid in ctx.selected_clients
-        ]
-    else:
-        ctx.updates = executor.run_local_updates(
-            clients, ctx.selected_clients, ctx.global_parameters, local_config
-        )
+    ctx.updates = executor.run_local_updates(
+        clients, ctx.selected_clients, ctx.global_parameters, local_config
+    )
     return ctx
 
 
@@ -132,17 +126,14 @@ def procedure_upload(
     miners: list[Miner],
     keystore: KeyStore | None,
     rng: np.random.Generator,
-    *,
-    client_id_formatter=lambda cid: f"client-{cid}",
 ) -> RoundContext:
     """Each client signs its update and uploads it to a uniformly random miner."""
     for miner in miners:
         miner.reset_round()
     ctx.rejected_uploads = 0
     for update in ctx.updates:
-        sender = client_id_formatter(update.client_id)
         tx = make_gradient_transaction(
-            sender,
+            f"client-{update.client_id}",
             ctx.round_index,
             update.parameters,
             keystore=keystore,

@@ -158,24 +158,22 @@ class FedAvgTrainer(CheckpointMixin):
 
     def run_round(self, round_index: int, clock: SimulatedClock) -> RoundRecord:
         """Execute one communication round and return its record."""
-        selected = self.selector.select(len(self.clients), self._selection_rng)
+        selected_ids = [
+            int(cid) for cid in self.selector.select(len(self.clients), self._selection_rng)
+        ]
         local_cfg = self._local_config()
         if (
             self.executor.backend == "cohort"
-            and len(selected) >= self.STREAM_THRESHOLD
+            and len(selected_ids) >= self.STREAM_THRESHOLD
             and self._streaming_supported()
         ):
-            return self._run_round_streaming(round_index, clock, selected, local_cfg)
+            return self._run_round_streaming(round_index, clock, selected_ids, local_cfg)
         updates = self.executor.run_local_updates(
-            self._clients_by_id,
-            [int(cid) for cid in selected],
-            self.server.global_parameters,
-            local_cfg,
+            self._clients_by_id, selected_ids, self.server.global_parameters, local_cfg
         )
         updates = self._post_process_updates(updates, self._selection_rng)
         if not updates:
             # All selected clients were dropped; keep the previous global model.
-            updates = []
             avg_acc = self.server.evaluate(self.dataset.test_images, self.dataset.test_labels)
             train_loss = 0.0
         else:
@@ -186,17 +184,31 @@ class FedAvgTrainer(CheckpointMixin):
             avg_acc = float(
                 np.mean(
                     [
-                        self.clients[int(cid)].evaluate(self.server.global_parameters)
-                        for cid in selected
+                        self.clients[cid].evaluate(self.server.global_parameters)
+                        for cid in selected_ids
                     ]
                 )
             )
             train_loss = float(np.mean([u.train_loss for u in updates]))
+        return self._round_record(
+            round_index, clock, selected_ids, local_cfg, avg_acc, train_loss, {}
+        )
 
-        sizes = [self.clients[int(cid)].num_samples for cid in selected]
+    def _round_record(
+        self,
+        round_index: int,
+        clock: SimulatedClock,
+        selected_ids: list[int],
+        local_cfg: LocalTrainingConfig,
+        avg_acc: float,
+        train_loss: float,
+        extras: dict,
+    ) -> RoundRecord:
+        """Price the round on the delay model, advance the clock, build the record."""
+        sizes = [self.clients[cid].num_samples for cid in selected_ids]
         batches_per_epoch = float(np.mean([np.ceil(s / local_cfg.batch_size) for s in sizes]))
         breakdown = self.delay_model.fl_round(
-            num_participants=len(selected),
+            num_participants=len(selected_ids),
             batches_per_epoch=batches_per_epoch,
             epochs=local_cfg.epochs,
         )
@@ -207,15 +219,15 @@ class FedAvgTrainer(CheckpointMixin):
             accuracy=avg_acc,
             train_loss=train_loss,
             elapsed_time=clock.now,
-            participants=[int(c) for c in selected],
-            extras={"delay_breakdown": breakdown.as_dict()},
+            participants=selected_ids,
+            extras={"delay_breakdown": breakdown.as_dict(), **extras},
         )
 
     def _run_round_streaming(
         self,
         round_index: int,
         clock: SimulatedClock,
-        selected: np.ndarray,
+        selected_ids: list[int],
         local_cfg: LocalTrainingConfig,
     ) -> RoundRecord:
         """One round as a streaming fold over cohort blocks (bounded memory).
@@ -226,7 +238,6 @@ class FedAvgTrainer(CheckpointMixin):
         one cohort chunk of updates.  Per-client evaluation of the new global
         model runs batched through the cohort engine for the same reason.
         """
-        selected_ids = [int(cid) for cid in selected]
         weighted_sum = np.zeros_like(self.server.global_parameters)
         total_weight = 0.0
         train_losses: list[float] = []
@@ -246,28 +257,14 @@ class FedAvgTrainer(CheckpointMixin):
         accuracies = self.executor.evaluate_population(
             self._clients_by_id, selected_ids, new_global
         )
-        avg_acc = float(np.mean(accuracies))
-        train_loss = float(np.mean(train_losses))
-
-        sizes = [self.clients[cid].num_samples for cid in selected_ids]
-        batches_per_epoch = float(np.mean([np.ceil(s / local_cfg.batch_size) for s in sizes]))
-        breakdown = self.delay_model.fl_round(
-            num_participants=len(selected_ids),
-            batches_per_epoch=batches_per_epoch,
-            epochs=local_cfg.epochs,
-        )
-        clock.advance(breakdown.total)
-        return RoundRecord(
-            round_index=round_index,
-            delay=breakdown.total,
-            accuracy=avg_acc,
-            train_loss=train_loss,
-            elapsed_time=clock.now,
-            participants=selected_ids,
-            extras={
-                "delay_breakdown": breakdown.as_dict(),
-                "cohort_stream": {"blocks": blocks, "clients": len(selected_ids)},
-            },
+        return self._round_record(
+            round_index,
+            clock,
+            selected_ids,
+            local_cfg,
+            float(np.mean(accuracies)),
+            float(np.mean(train_losses)),
+            {"cohort_stream": {"blocks": blocks, "clients": len(selected_ids)}},
         )
 
     def run(self, *, num_rounds: int | None = None) -> TrainingHistory:

@@ -9,8 +9,9 @@ network into reachability components that mine divergent forks; and the
 :class:`~repro.net.substrate.GossipSubstrate` reconciles them with the
 deterministic fork-choice rule when connectivity returns.
 
-The ``topology="global"`` axis value is the migration sentinel: it builds no
-substrate and keeps the legacy single-network trainer path bit-identical.
+The ``topology="global"`` axis value builds no substrate: the trainer settles
+each round over the whole replicated committee, bit-identically to releases
+that predate this package.
 """
 
 from repro.net.gossip import GossipNetwork, GossipOutcome

@@ -15,17 +15,19 @@ protocol:
    reward balances from the adopted chain.
 2. :meth:`absorb_uploads` — uploads addressed to unreachable (offline) miners
    are lost; the rest land in the receiving node's mempool.
-3. The trainer runs Procedures III-V *per component* (each component mines
-   its own block on its own head), then calls :meth:`broadcast_block` to
-   flood the block inside the component and measure the propagation latency.
+3. The trainer settles Procedures III-V *per component* through the same
+   method the ``global`` topology runs once over the whole committee (each
+   component mines its own block on its own head), then calls
+   :meth:`commit_block` to settle the members' mempools, flood the block
+   inside the component and measure the propagation latency.
 4. :meth:`finish_round` — check whether every online node now shares one
    head; rounds whose block just reached network-wide agreement get their
    consensus delay resolved (simulated seconds from block creation to global
    agreement — a few gossip hops normally, whole rounds under a partition).
 
 The substrate never draws from the trainer's RNG streams and ``"global"``
-scenarios never construct one, which is what keeps the legacy single-network
-path bit-identical (the migration parity pin).
+scenarios never construct one, which is what keeps their histories
+bit-identical (the migration parity pin).
 """
 
 from __future__ import annotations

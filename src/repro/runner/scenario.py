@@ -405,15 +405,19 @@ class ScenarioSpec:
         )
 
 
+def _integer(value: object) -> int:
+    """The one integrality rule: an int or an integral float, never a bool or a string."""
+    integral = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    if isinstance(value, bool) or not integral:
+        raise TypeError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 def _coerce(key: str, value: object, annotation: str) -> object:
     """Coerce a JSON/TOML scalar to the annotated field type."""
     try:
         if annotation == "int":
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise TypeError(f"expected an integer, got {value!r}")
-            if float(value) != int(value):
-                raise TypeError(f"expected an integer, got {value!r}")
-            return int(value)
+            return _integer(value)
         if annotation == "float":
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise TypeError(f"expected a number, got {value!r}")
@@ -429,13 +433,9 @@ def _coerce(key: str, value: object, annotation: str) -> object:
         if annotation.startswith("tuple"):
             if not isinstance(value, (list, tuple)):
                 raise TypeError(f"expected a list, got {value!r}")
-            return tuple(int(v) for v in value)
+            return tuple(_integer(v) for v in value)
         if annotation == "int | None":
-            if value is None:
-                return None
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise TypeError(f"expected an integer or null, got {value!r}")
-            return int(value)
+            return None if value is None else _integer(value)
     except (TypeError, ValueError) as exc:
         raise ScenarioError(f"invalid value for scenario field {key!r}: {exc}") from exc
     return value

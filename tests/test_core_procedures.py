@@ -23,6 +23,7 @@ from repro.incentive.contribution import ContributionConfig
 from repro.incentive.strategies import DiscardStrategy, KeepAllStrategy
 from repro.nn.models import LogisticRegressionModel
 from repro.nn.parameters import get_flat_parameters
+from repro.runner.executor import ParallelExecutor
 from repro.utils.rng import new_rng
 
 
@@ -60,7 +61,7 @@ class TestProcedureLocalUpdate:
     def test_produces_one_update_per_selected_client(self, setup):
         clients, _, _, global_params = setup
         ctx = _context(global_params, [0, 2, 4])
-        procedure_local_update(ctx, clients, LOCAL_CFG)
+        procedure_local_update(ctx, clients, LOCAL_CFG, ParallelExecutor())
         assert [u.client_id for u in ctx.updates] == [0, 2, 4]
         for u in ctx.updates:
             assert u.parameters.shape == global_params.shape
@@ -71,7 +72,7 @@ class TestProcedureUpload:
     def test_signed_uploads_accepted_and_assigned(self, setup):
         clients, miners, keystore, global_params = setup
         ctx = _context(global_params, [0, 1, 2, 3])
-        procedure_local_update(ctx, clients, LOCAL_CFG)
+        procedure_local_update(ctx, clients, LOCAL_CFG, ParallelExecutor())
         procedure_upload(ctx, miners, keystore, new_rng(0, "upload"))
         assert ctx.rejected_uploads == 0
         assert sum(m.gradient_count for m in miners) == 4
@@ -81,7 +82,7 @@ class TestProcedureUpload:
     def test_unsigned_uploads_rejected_when_verification_on(self, setup):
         clients, miners, _, global_params = setup
         ctx = _context(global_params, [0, 1])
-        procedure_local_update(ctx, clients, LOCAL_CFG)
+        procedure_local_update(ctx, clients, LOCAL_CFG, ParallelExecutor())
         # Passing no keystore leaves the transactions unsigned; miners verify and reject.
         procedure_upload(ctx, miners, None, new_rng(0, "upload"))
         assert ctx.rejected_uploads == 2
@@ -92,7 +93,7 @@ class TestProcedureExchange:
     def test_all_miners_converge_to_same_set(self, setup):
         clients, miners, keystore, global_params = setup
         ctx = _context(global_params, [0, 1, 2, 3, 4])
-        procedure_local_update(ctx, clients, LOCAL_CFG)
+        procedure_local_update(ctx, clients, LOCAL_CFG, ParallelExecutor())
         procedure_upload(ctx, miners, keystore, new_rng(0, "upload"))
         procedure_exchange(ctx, miners)
         counts = {m.gradient_count for m in miners}
@@ -103,7 +104,7 @@ class TestProcedureExchange:
     def test_single_miner_exchange_is_noop(self, setup):
         clients, miners, keystore, global_params = setup
         ctx = _context(global_params, [0, 1])
-        procedure_local_update(ctx, clients, LOCAL_CFG)
+        procedure_local_update(ctx, clients, LOCAL_CFG, ParallelExecutor())
         procedure_upload(ctx, miners[:1], keystore, new_rng(0, "upload"))
         procedure_exchange(ctx, miners[:1])
         assert ctx.gradient_matrix.shape[0] == 2
@@ -113,7 +114,7 @@ class TestProcedureGlobalUpdate:
     def _prepared_ctx(self, setup, selected):
         clients, miners, keystore, global_params = setup
         ctx = _context(global_params, selected)
-        procedure_local_update(ctx, clients, LOCAL_CFG)
+        procedure_local_update(ctx, clients, LOCAL_CFG, ParallelExecutor())
         procedure_upload(ctx, miners, keystore, new_rng(0, "upload"))
         procedure_exchange(ctx, miners)
         return ctx
@@ -168,7 +169,7 @@ class TestProcedureMining:
     def test_mined_block_commits_on_all_replicas(self, setup):
         clients, miners, keystore, global_params = setup
         ctx = _context(global_params, [0, 1])
-        procedure_local_update(ctx, clients, LOCAL_CFG)
+        procedure_local_update(ctx, clients, LOCAL_CFG, ParallelExecutor())
         procedure_upload(ctx, miners, keystore, new_rng(0, "upload"))
         procedure_exchange(ctx, miners)
         procedure_global_update(

@@ -12,6 +12,10 @@ before the substrate existed.  Two pins enforce that:
 2. **No substrate on the global path** — a ``global`` trainer builds no
    :class:`~repro.net.substrate.GossipSubstrate`, draws nothing from its
    RNG streams, and emits no ``extras["net"]`` block.
+3. **One settlement path** — an unsplit gossip run (one reachability
+   component every round) settles through the same code as the ``global``
+   committee, so its history is the ``global`` history plus the
+   ``extras["net"]`` block and nothing else.
 """
 
 from __future__ import annotations
@@ -90,3 +94,28 @@ class TestGlobalPathBuildsNoSubstrate:
             {"system": "fairbfl", "topology": "global", "partition": "none", "churn": "none"}
         )
         assert bare.canonical_mapping() == explicit.canonical_mapping()
+
+
+class TestOneComponentEqualsGlobal:
+    """Guards the single settlement path: one component == the whole committee."""
+
+    @pytest.mark.parametrize("topology", ["full", "ring", "random_k"])
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"system": "fairbfl"},
+            {"system": "fairbfl-discard", "attacks": True, "defense": "norm_clip+multi_krum"},
+            {"system": "fairbfl", "mode": "chain_only"},
+        ],
+        ids=["fairbfl", "discard-attacked-defended", "chain_only"],
+    )
+    def test_unsplit_gossip_history_is_the_global_history(self, topology, overrides):
+        base = ScenarioSpec(
+            name="fold", num_clients=12, num_samples=480, num_rounds=4, miners=3, seed=5
+        ).with_overrides(**overrides)
+        gossip = base.with_overrides(topology=topology)
+        assert (gossip.partition, gossip.churn) == ("none", "none")
+        payload = history_to_payload(run_scenario(gossip))
+        for record in payload["rounds"]:
+            assert len(record["extras"].pop("net")["components"]) == 1
+        assert payload == history_to_payload(run_scenario(base))

@@ -143,6 +143,14 @@ class TestScenarioSpec:
             ({"mode": "half"}, "mode"),
             ({"max_workers": 0}, "max_workers"),
             ({"low_quality_fraction": 2.0}, "low_quality_fraction"),
+            # One integrality rule for every integer-typed field shape
+            # (`int`, `int | None`, `tuple[int, ...]`): no silent truncation,
+            # no bools or numeric strings standing in for integers.
+            ({"num_clients": float("inf")}, "num_clients"),
+            ({"max_workers": 2.7}, "max_workers"),
+            ({"hidden_sizes": [64.9]}, "hidden_sizes"),
+            ({"hidden_sizes": [True]}, "hidden_sizes"),
+            ({"hidden_sizes": ["64"]}, "hidden_sizes"),
         ],
     )
     def test_invalid_values_raise_scenario_error(self, overrides, match):

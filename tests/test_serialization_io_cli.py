@@ -1,29 +1,10 @@
-"""Tests for ledger serialisation, history export, and the command-line interface."""
+"""Tests for history export and the command-line interface."""
 
 from __future__ import annotations
-
-import json
 
 import numpy as np
 import pytest
 
-from repro.blockchain.block import Block
-from repro.blockchain.chain import Blockchain
-from repro.blockchain.serialization import (
-    block_from_dict,
-    block_to_dict,
-    chain_from_dict,
-    chain_to_dict,
-    load_chain,
-    save_chain,
-    transaction_from_dict,
-    transaction_to_dict,
-)
-from repro.blockchain.transaction import (
-    make_global_update_transaction,
-    make_gradient_transaction,
-    make_reward_transaction,
-)
 from repro.cli import build_parser, main
 from repro.core.io import (
     load_history_json,
@@ -32,90 +13,7 @@ from repro.core.io import (
     save_history_json,
 )
 from repro.core.results import ComparisonResult
-from repro.crypto.keystore import KeyStore
 from repro.fl.history import RoundRecord, TrainingHistory
-
-
-def _sample_chain():
-    chain = Blockchain(enforce_pow=False)
-    chain.add_genesis(Block.genesis())
-    keystore = KeyStore(seed=0, key_bits=128)
-    keystore.register("miner-0")
-    for r in range(3):
-        block = Block.create(
-            index=r + 1,
-            previous_hash=chain.last_block.block_hash,
-            round_index=r,
-            miner_id="miner-0",
-            transactions=[
-                make_global_update_transaction("miner-0", r, np.full(6, float(r)), keystore=keystore),
-                make_reward_transaction("miner-0", r, f"client-{r}", 0.5, keystore=keystore),
-            ],
-        )
-        chain.add_block(block)
-    return chain, keystore
-
-
-class TestTransactionSerialization:
-    def test_roundtrip_preserves_payload_and_signature(self):
-        keystore = KeyStore(seed=0, key_bits=128)
-        keystore.register("client-0")
-        tx = make_gradient_transaction("client-0", 2, np.arange(5, dtype=float), keystore=keystore)
-        restored = transaction_from_dict(transaction_to_dict(tx))
-        assert restored.tx_id == tx.tx_id
-        np.testing.assert_allclose(restored.payload, tx.payload)
-        assert restored.verify(keystore)
-
-    def test_roundtrip_is_json_compatible(self):
-        tx = make_reward_transaction("miner-0", 1, "client-3", 0.25)
-        as_json = json.dumps(transaction_to_dict(tx))
-        restored = transaction_from_dict(json.loads(as_json))
-        assert restored.metadata["client"] == "client-3"
-
-
-class TestBlockAndChainSerialization:
-    def test_block_roundtrip(self):
-        chain, _ = _sample_chain()
-        block = chain.blocks[2]
-        restored = block_from_dict(block_to_dict(block))
-        assert restored.block_hash == block.block_hash
-        assert restored.validate_merkle_root()
-        np.testing.assert_allclose(restored.global_update(), block.global_update())
-
-    def test_block_tamper_detected(self):
-        chain, _ = _sample_chain()
-        data = block_to_dict(chain.blocks[1])
-        data["header"]["round_index"] = 99
-        with pytest.raises(ValueError, match="hash mismatch|Merkle"):
-            block_from_dict(data)
-
-    def test_chain_roundtrip_revalidates(self):
-        chain, _ = _sample_chain()
-        restored = chain_from_dict(chain_to_dict(chain))
-        assert restored.height == chain.height
-        assert restored.is_valid()
-        assert restored.last_block.block_hash == chain.last_block.block_hash
-        totals = restored.total_rewards_by_client()
-        assert totals["client-1"] == pytest.approx(0.5)
-
-    def test_chain_tamper_detected(self):
-        chain, _ = _sample_chain()
-        data = chain_to_dict(chain)
-        # Swap two blocks: the hash links no longer match.
-        data["blocks"][1], data["blocks"][2] = data["blocks"][2], data["blocks"][1]
-        with pytest.raises(Exception):
-            chain_from_dict(data)
-
-    def test_save_and_load_file(self, tmp_path):
-        chain, _ = _sample_chain()
-        path = save_chain(chain, tmp_path / "ledger.json")
-        restored = load_chain(path)
-        assert restored.height == chain.height
-        assert restored.is_valid()
-
-    def test_empty_chain_roundtrip(self):
-        restored = chain_from_dict(chain_to_dict(Blockchain()))
-        assert restored.height == 0
 
 
 class TestHistoryIO:
