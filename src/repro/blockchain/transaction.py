@@ -21,6 +21,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from enum import Enum
+from types import MappingProxyType
 
 import numpy as np
 
@@ -36,6 +37,12 @@ __all__ = [
 
 #: Bytes per float64 element; used to estimate gradient-transaction sizes.
 _BYTES_PER_ELEMENT = 8
+
+#: The fields the canonical form (and therefore ``tx_id`` and the signature)
+#: covers.  ``payload`` and ``signature`` are not identity: they stay attachable.
+_IDENTITY_FIELDS = frozenset(
+    {"tx_type", "sender", "round_index", "payload_digest", "payload_size_bytes", "metadata"}
+)
 
 
 class TransactionType(str, Enum):
@@ -65,12 +72,18 @@ class Transaction:
     payload_size_bytes:
         Estimated wire size; feeds the block-size and queueing model.
     metadata:
-        Free-form extra fields (e.g. reward amount, contribution label).
+        Free-form extra fields (e.g. reward amount, contribution label) with
+        scalar values; held as a read-only mapping — assign a new dict to
+        change it.
     payload:
         In-simulation payload (a gradient vector or a dict); excluded from the
         signed canonical form, which covers only the digest.
     signature:
         RSA signature over :meth:`signing_bytes`.
+
+    The canonical bytes and :attr:`tx_id` are derived at most once per
+    object: they are sealed on first read and dropped whenever an identity
+    field is reassigned, so they can be neither recomputed per read nor stale.
     """
 
     tx_type: TransactionType
@@ -82,13 +95,35 @@ class Transaction:
     payload: object | None = None
     signature: int | None = None
 
+    def __setattr__(self, name: str, value: object) -> None:
+        if name in _IDENTITY_FIELDS:
+            if name == "metadata":
+                value = MappingProxyType(dict(value))
+            self.__dict__.pop("_sealed", None)
+        object.__setattr__(self, name, value)
+
+    def __reduce__(self):
+        # Through the constructor: a mappingproxy does not pickle, and the
+        # checkpoint blob (runner/checkpoint.py) carries whole chains.
+        return type(self), (
+            self.tx_type, self.sender, self.round_index, self.payload_digest,
+            self.payload_size_bytes, dict(self.metadata), self.payload, self.signature,
+        )
+
     @property
     def tx_id(self) -> str:
         """Deterministic transaction identifier (hash of the canonical form)."""
-        return hashlib.sha256(self.signing_bytes()).hexdigest()
+        return self._seal()[1]
 
     def signing_bytes(self) -> bytes:
         """Canonical byte string covered by the signature."""
+        return self._seal()[0]
+
+    def _seal(self) -> tuple[bytes, str]:
+        """The canonical bytes and their SHA-256, derived once per identity."""
+        sealed = self.__dict__.get("_sealed")
+        if sealed is not None:
+            return sealed
         canonical = json.dumps(
             {
                 "type": self.tx_type.value,
@@ -99,8 +134,9 @@ class Transaction:
                 "metadata": {k: repr(v) for k, v in sorted(self.metadata.items())},
             },
             sort_keys=True,
-        )
-        return canonical.encode("utf-8")
+        ).encode("utf-8")
+        sealed = self.__dict__["_sealed"] = (canonical, hashlib.sha256(canonical).hexdigest())
+        return sealed
 
     def sign(self, keystore: KeyStore) -> "Transaction":
         """Sign in place with the sender's private key and return ``self``."""

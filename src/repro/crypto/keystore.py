@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.crypto.rsa import RSAKeyPair, rsa_sign, rsa_verify
+from repro.crypto.rsa import RSAKeyPair, rsa_verify
 from repro.utils.rng import new_rng
 
 __all__ = ["KeyStore"]
@@ -49,6 +49,13 @@ class KeyStore:
         """True when a key pair has been registered for ``entity_id``."""
         return str(entity_id) in self._keys
 
+    def _pair(self, entity_id: str) -> RSAKeyPair:
+        """The registered key pair of ``entity_id``; ``KeyError`` when unknown."""
+        entity_id = str(entity_id)
+        if entity_id not in self._keys:
+            raise KeyError(f"no key registered for entity {entity_id!r}")
+        return self._keys[entity_id]
+
     def public_key(self, entity_id: str) -> tuple[int, int]:
         """The ``(n, e)`` public key of ``entity_id`` (miners' view).
 
@@ -57,21 +64,15 @@ class KeyStore:
         KeyError
             If the entity was never registered.
         """
-        entity_id = str(entity_id)
-        if entity_id not in self._keys:
-            raise KeyError(f"no key registered for entity {entity_id!r}")
-        return self._keys[entity_id].public_key
+        return self._pair(entity_id).public_key
 
     def private_key(self, entity_id: str) -> tuple[int, int]:
         """The ``(n, d)`` private key of ``entity_id`` (client's view)."""
-        entity_id = str(entity_id)
-        if entity_id not in self._keys:
-            raise KeyError(f"no key registered for entity {entity_id!r}")
-        return self._keys[entity_id].private_key
+        return self._pair(entity_id).private_key
 
     def sign(self, entity_id: str, message: bytes) -> int:
-        """Sign ``message`` with the private key of ``entity_id``."""
-        return rsa_sign(message, self.private_key(entity_id))
+        """Sign ``message`` with the private key of ``entity_id`` (CRT form)."""
+        return self._pair(entity_id).sign(message)
 
     def verify(self, entity_id: str, message: bytes, signature: int) -> bool:
         """Verify ``signature`` on ``message`` against the public key of ``entity_id``.

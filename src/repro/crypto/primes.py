@@ -90,9 +90,9 @@ def generate_prime(bits: int, rng: np.random.Generator) -> int:
         # Draw a random odd integer with the top bit set so the product of two
         # such primes has the expected modulus size.
         raw = rng.integers(0, 2, size=bits, dtype=np.int64)
-        candidate = 0
-        for bit in raw:
-            candidate = (candidate << 1) | int(bit)
+        # packbits pads the last byte with zeros on the right; shift them off.
+        packed = np.packbits(raw.astype(np.uint8)).tobytes()
+        candidate = int.from_bytes(packed, "big") >> (-bits % 8)
         candidate |= (1 << (bits - 1)) | 1
         if is_probable_prime(candidate, rng=rng):
             return candidate

@@ -9,7 +9,9 @@ The implementation is deliberately simple (no OAEP/PSS padding) because it
 runs inside a simulation where the adversary model is "malicious clients forge
 gradient *content*", not "adversaries attack the RSA padding".  Signatures are
 ``sig = H(message)^d mod n`` with SHA-256 as ``H``; verification recomputes the
-digest and checks ``sig^e mod n``.
+digest and checks ``sig^e mod n``.  A key pair signs by the Chinese Remainder
+Theorem (two half-width exponentiations); :func:`rsa_sign` is the
+plain-exponent reference the tests hold it bit-identical to.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ def _digest_int(message: bytes, modulus: int) -> int:
 
 @dataclass(frozen=True)
 class RSAKeyPair:
-    """An RSA key pair ``(n, e, d)``.
+    """An RSA key pair ``(n, e, d)`` with its CRT signing material.
 
     Attributes
     ----------
@@ -47,12 +49,23 @@ class RSAKeyPair:
         ``d = e^{-1} mod phi(n)``.
     bits:
         Modulus size in bits (informational).
+    prime_p, prime_q:
+        The factors of ``n``.
+    exponent_p, exponent_q:
+        ``d mod (p - 1)`` and ``d mod (q - 1)``.
+    coefficient:
+        ``q^{-1} mod p``.
     """
 
     modulus: int
     public_exponent: int
     private_exponent: int
     bits: int
+    prime_p: int
+    prime_q: int
+    exponent_p: int
+    exponent_q: int
+    coefficient: int
 
     @property
     def public_key(self) -> tuple[int, int]:
@@ -90,7 +103,17 @@ class RSAKeyPair:
             if gcd(e, phi) != 1:
                 continue
             d = pow(e, -1, phi)
-            return cls(modulus=n, public_exponent=e, private_exponent=d, bits=bits)
+            return cls(
+                modulus=n, public_exponent=e, private_exponent=d, bits=bits, prime_p=p, prime_q=q,
+                exponent_p=d % (p - 1), exponent_q=d % (q - 1), coefficient=pow(q, -1, p),
+            )
+
+    def sign(self, message: bytes) -> int:
+        """Hash-then-sign by CRT; equals ``rsa_sign(message, self.private_key)``."""
+        m = _digest_int(message, self.modulus)
+        s_p = pow(m, self.exponent_p, self.prime_p)
+        s_q = pow(m, self.exponent_q, self.prime_q)
+        return s_q + self.prime_q * ((s_p - s_q) * self.coefficient % self.prime_p)
 
 
 def rsa_sign(message: bytes, private_key: tuple[int, int]) -> int:
@@ -102,15 +125,15 @@ def rsa_sign(message: bytes, private_key: tuple[int, int]) -> int:
 
 
 def rsa_verify(message: bytes, signature: int, public_key: tuple[int, int]) -> bool:
-    """Verify a signature produced by :func:`rsa_sign` against ``(n, e)``."""
+    """Verify a signature produced by :func:`rsa_sign` against ``(n, e)``.
+
+    Only an ``int`` in ``[0, n)`` can verify: ``sig + k*n`` is congruent to
+    ``sig`` and would otherwise give one upload unboundedly many signatures.
+    """
     n, e = int(public_key[0]), int(public_key[1])
-    if n <= 1:
+    if n <= 1 or type(signature) is not int or not 0 <= signature < n:
         return False
-    try:
-        recovered = pow(int(signature), e, n)
-    except (TypeError, ValueError):
-        return False
-    return recovered == _digest_int(message, n)
+    return pow(signature, e, n) == _digest_int(message, n)
 
 
 def rsa_encrypt(plaintext_int: int, public_key: tuple[int, int]) -> int:

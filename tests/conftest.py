@@ -37,6 +37,12 @@ def pytest_configure(config) -> None:
         "fork choice, reorg convergence) — `pytest -m net` runs just the "
         "network layer",
     )
+    config.addinivalue_line(
+        "markers",
+        "ledger: ledger-identity soundness (sealed transaction ids and "
+        "canonical bytes, CRT signing vs the plain-exponent reference, golden "
+        "keys, the serialise-once count guard) — `pytest -m ledger`",
+    )
 
 
 @pytest.fixture(scope="session")

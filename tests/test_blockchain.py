@@ -2,17 +2,23 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.blockchain import transaction as transaction_module
 from repro.blockchain.block import Block, GENESIS_PREVIOUS_HASH
 from repro.blockchain.chain import Blockchain, BlockValidationError
 from repro.blockchain.mempool import Mempool
 from repro.blockchain.merkle import merkle_proof, merkle_root, verify_merkle_proof
 from repro.blockchain.pow import mine_block, sample_mining_time, sample_winner
 from repro.blockchain.transaction import (
+    Transaction,
     TransactionType,
     make_global_update_transaction,
     make_gradient_transaction,
@@ -420,3 +426,120 @@ def test_mempool_conservation_property(num_txs, capacity_txs):
         assert len(batch) <= capacity_txs
         drained.extend(batch)
     assert sorted(t.tx_id for t in drained) == sorted(t.tx_id for t in txs)
+
+
+# ---------------------------------------------------------------------------
+# Ledger identity: tx_id / canonical bytes are sealed once and never stale.
+
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-10**6, 10**6),
+    st.floats(allow_nan=False), st.text(max_size=8),
+)
+_IDENTITY_VALUES = {
+    "tx_type": st.sampled_from(list(TransactionType)),
+    "sender": st.sampled_from(["client-0", "client-1", "miner-0", "mallory"]),
+    "round_index": st.integers(0, 50),
+    "payload_digest": st.text("0123456789abcdef", min_size=0, max_size=64),
+    "payload_size_bytes": st.integers(0, 1 << 20),
+    "metadata": st.dictionaries(st.text(max_size=6), _SCALARS, max_size=4),
+}
+_EDITS = st.lists(
+    st.one_of(
+        *(st.tuples(st.just(name), values) for name, values in _IDENTITY_VALUES.items()),
+        st.tuples(st.just("payload"), st.one_of(st.none(), st.just({"k": 1}))),
+    ),
+    max_size=8,
+)
+
+
+def _fresh_equal(tx: Transaction) -> Transaction:
+    """A from-scratch transaction with ``tx``'s current identity fields."""
+    return Transaction(
+        tx.tx_type, tx.sender, tx.round_index, tx.payload_digest,
+        tx.payload_size_bytes, dict(tx.metadata),
+    )
+
+
+@pytest.mark.ledger
+class TestLedgerIdentity:
+    @given(initial=st.fixed_dictionaries(_IDENTITY_VALUES), edits=_EDITS, warm=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_identity_equals_from_scratch_after_any_permitted_edits(
+        self, keystore, initial, edits, warm
+    ):
+        tx = Transaction(**{**initial, "sender": "client-0"}).sign(keystore)
+        signed_bytes, signed_id = tx.signing_bytes(), tx.tx_id
+        assert tx.verify(keystore)
+        for name, value in edits:
+            if warm:
+                tx.tx_id  # seal before the edit, so a stale seal would show
+            setattr(tx, name, value)
+            fresh = _fresh_equal(tx)
+            assert tx.signing_bytes() == fresh.signing_bytes()
+            assert tx.tx_id == fresh.tx_id
+            # A tampered transaction never verifies and never keeps its old id.
+            untouched = tx.signing_bytes() == signed_bytes
+            assert (tx.tx_id == signed_id) == untouched
+            assert tx.verify(keystore) == untouched
+
+    def test_in_place_metadata_edit_is_not_permitted(self):
+        tx = make_reward_transaction("miner-0", 2, "client-1", 0.75)
+        before = tx.tx_id
+        with pytest.raises(TypeError):
+            tx.metadata["reward"] = 1e9
+        source = {"client": "client-1"}
+        tx.metadata = source
+        source["client"] = "mallory"  # the transaction took a copy
+        assert tx.metadata == {"client": "client-1"}
+        assert tx.tx_id == _fresh_equal(tx).tx_id != before
+
+    def test_signature_and_payload_are_not_identity(self, keystore):
+        tx = _gradient_tx()
+        before = (tx.signing_bytes(), tx.tx_id)
+        tx.sign(keystore)
+        tx.payload = None
+        assert (tx.signing_bytes(), tx.tx_id) == before
+        assert tx.verify(keystore)
+
+    @pytest.mark.parametrize(
+        "clone",
+        [copy.deepcopy, lambda tx: pickle.loads(pickle.dumps(tx))],
+        ids=["deepcopy", "pickle"],
+    )
+    def test_copies_keep_identity_and_the_contract(self, keystore, clone):
+        tx = make_reward_transaction("miner-0", 2, "client-1", 0.75, keystore=keystore)
+        tx.tx_id  # sealed before cloning
+        twin = clone(tx)
+        assert twin == tx and twin.tx_id == tx.tx_id and twin.verify(keystore)
+        with pytest.raises(TypeError):
+            twin.metadata["reward"] = 1e9
+        twin.round_index += 1
+        assert twin.tx_id == _fresh_equal(twin).tx_id != tx.tx_id
+        assert not twin.verify(keystore)
+
+    def test_round_serialises_each_transaction_at_most_once(self, monkeypatch):
+        """The quadratic re-hash (every chain tx, per member, per round) stays gone."""
+        from repro import api
+
+        counts = {"constructed": 0, "serialised": 0}
+        real_init, real_dumps = Transaction.__init__, transaction_module.json.dumps
+
+        def counting_init(self, *args, **kwargs):
+            counts["constructed"] += 1
+            real_init(self, *args, **kwargs)
+
+        def counting_dumps(obj, **kwargs):
+            # Reward transactions also dump their payload record; only the
+            # canonical form carries a digest.
+            counts["serialised"] += "digest" in obj
+            return real_dumps(obj, **kwargs)
+
+        monkeypatch.setattr(Transaction, "__init__", counting_init)
+        monkeypatch.setattr(transaction_module, "json", SimpleNamespace(dumps=counting_dumps))
+        api.run(
+            "fairbfl-discard", num_clients=48, num_samples=960, participation=1.0,
+            scheme="shard", model_name="logreg", epochs=1, miners=8, topology="ring",
+            num_rounds=3,
+        )
+        assert counts["constructed"] >= 3 * 48
+        assert 0 < counts["serialised"] <= counts["constructed"], counts

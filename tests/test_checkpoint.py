@@ -23,6 +23,7 @@ import json
 
 import pytest
 
+from repro.crypto.rsa import rsa_sign
 from repro.runner.checkpoint import CheckpointError, CheckpointMixin
 from repro.runner.engine import ExperimentEngine
 from repro.runner.executor import EXECUTOR_BACKENDS
@@ -159,6 +160,27 @@ class TestCheckpointGuards:
         engine = ExperimentEngine()
         with pytest.raises(ScenarioError, match="partial runs"):
             engine.run_partial(ScenarioSpec(system="toy-flat", num_rounds=2), 1)
+
+    @pytest.mark.ledger
+    def test_ledger_survives_stop_and_resume(self):
+        donor = self._trainer(small_spec())
+        donor.run(num_rounds=2)
+        resumed = self._trainer(small_spec())
+        resumed.restore_state(donor.checkpoint_state())
+        # Key pairs come back whole (CRT material included) and sign the same.
+        for entity in donor.keystore.registered_ids():
+            assert resumed.keystore.register(entity) == donor.keystore.register(entity)
+        assert resumed.keystore.sign("client-0", b"m") == rsa_sign(
+            b"m", donor.keystore.private_key("client-0")
+        )
+        # Transactions come back with the same identity and the same contract.
+        ledger = [tx for block in resumed.chain.blocks for tx in block.transactions]
+        assert [tx.tx_id for tx in ledger] == [
+            tx.tx_id for block in donor.chain.blocks for tx in block.transactions
+        ]
+        assert resumed.chain.is_valid()
+        with pytest.raises(TypeError):
+            ledger[-1].metadata["reward"] = 1e9
 
     def test_mixin_exclusions_documented_state_only(self):
         # The exclusion list is load-bearing: anything listed is rebuilt by

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -52,6 +55,26 @@ class TestPrimes:
         p = generate_prime(32, new_rng(1, "prime"))
         assert p % 2 == 1
 
+    @pytest.mark.ledger
+    @pytest.mark.parametrize("bits", [16, 17, 61, 128, 129])
+    def test_candidate_assembly_matches_per_bit_reference(self, bits):
+        """The packbits assembly consumes the same draw as the per-bit loop."""
+
+        def reference_prime(rng):
+            while True:
+                candidate = 0
+                for bit in rng.integers(0, 2, size=bits, dtype=np.int64):
+                    candidate = (candidate << 1) | int(bit)
+                candidate |= (1 << (bits - 1)) | 1
+                if is_probable_prime(candidate, rng=rng):
+                    return candidate
+
+        for seed in range(5):
+            fast, ref = new_rng(seed, "prime-ref"), new_rng(seed, "prime-ref")
+            assert generate_prime(bits, fast) == reference_prime(ref)
+            # Same stream position afterwards, so later keys are unchanged too.
+            assert fast.integers(0, 2**62) == ref.integers(0, 2**62)
+
 
 class TestRSA:
     @pytest.fixture(scope="class")
@@ -75,6 +98,23 @@ class TestRSA:
     def test_verify_rejects_tampered_signature(self, keypair):
         sig = rsa_sign(b"honest", keypair.private_key)
         assert not rsa_verify(b"honest", sig + 1, keypair.public_key)
+
+    @pytest.mark.parametrize("k", [1, -1, 7])
+    def test_verify_rejects_out_of_range_signature(self, keypair, k):
+        # sig + k*n is congruent to sig: without the range check one upload
+        # would have unboundedly many valid signatures.
+        sig = rsa_sign(b"honest", keypair.private_key)
+        assert rsa_verify(b"honest", sig, keypair.public_key)
+        assert not rsa_verify(b"honest", sig + k * keypair.modulus, keypair.public_key)
+
+    @pytest.mark.parametrize("bogus", [True, 1.0, np.int64(1), "1", None])
+    def test_verify_rejects_non_int_signature(self, bogus):
+        # A modulus one below the digest makes H(m) mod n == 1, which the
+        # integer 1 signs under any exponent — so only the type check stands
+        # between ``True``/``1.0`` and a valid signature.
+        n = int.from_bytes(hashlib.sha256(b"honest").digest(), "big") - 1
+        assert rsa_verify(b"honest", 1, (n, 65537))
+        assert not rsa_verify(b"honest", bogus, (n, 65537))
 
     def test_verify_rejects_wrong_key(self, keypair):
         other = RSAKeyPair.generate(new_rng(1, "rsa"), bits=128)
@@ -206,3 +246,38 @@ def test_rsa_sign_verify_property(message):
     sig = rsa_sign(message, keypair.private_key)
     assert rsa_verify(message, sig, keypair.public_key)
     assert not rsa_verify(message + b"x", sig, keypair.public_key)
+
+
+@pytest.mark.ledger
+class TestCRTSigning:
+    """KeyStore signs by CRT; ``rsa_sign`` with the plain exponent is the reference."""
+
+    @given(message=st.binary(min_size=0, max_size=200), seed=st.integers(0, 3))
+    @settings(max_examples=25, deadline=None)
+    @pytest.mark.parametrize("key_bits", [32, 33, 64, 256])
+    def test_keystore_sign_is_bit_identical_to_plain_exponent(self, key_bits, message, seed):
+        store = KeyStore(seed=seed, key_bits=key_bits)
+        pair = store.register("client-0")
+        signature = store.sign("client-0", message)
+        assert signature == rsa_sign(message, store.private_key("client-0"))
+        assert store.verify("client-0", message, signature)
+        assert pair.prime_p * pair.prime_q == pair.modulus
+
+    def test_sign_unknown_entity_raises(self):
+        with pytest.raises(KeyError):
+            KeyStore(seed=0, key_bits=64).sign("ghost", b"m")
+
+    def test_golden_keys_from_parent_commit(self):
+        """Recorded before the candidate assembly changed: keys must not move."""
+        pair = KeyStore(seed=0).register("client-0")
+        assert pair.public_key == (
+            41948747794924615534045945089667993648950090608416351104566594852818476509363,
+            65537,
+        )
+        assert pair.private_exponent == (
+            22004578355645184137654019871104967966942691866541708244505684207199483323793
+        )
+        small = KeyStore(seed=0, key_bits=33).register("client-0")
+        assert (small.modulus, small.public_exponent, small.private_exponent) == (
+            5038465609, 65537, 1604201037
+        )
