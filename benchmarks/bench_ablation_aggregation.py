@@ -11,10 +11,11 @@ from __future__ import annotations
 import pytest
 
 from benchmarks.conftest import emit
+from repro import api
 from repro.core.results import ComparisonResult
 
 
-def _run(suite):
+def _run(base, engine):
     results = {}
     for label, use_fair, attacks in (
         ("fair_agg/clean", True, False),
@@ -22,8 +23,10 @@ def _run(suite):
         ("fair_agg/attacked", True, True),
         ("simple_avg/attacked", False, True),
     ):
-        hist = suite.run(
-            "fairbfl",
+        hist = api.run(
+            base,
+            engine=engine,
+            system="fairbfl",
             name=label,
             use_fair_aggregation=use_fair,
             attacks=attacks,
@@ -34,8 +37,8 @@ def _run(suite):
     return results
 
 
-def test_ablation_aggregation_rule(benchmark, bench_suite):
-    results = benchmark.pedantic(_run, args=(bench_suite,), rounds=1, iterations=1)
+def test_ablation_aggregation_rule(benchmark, bench_spec, engine):
+    results = benchmark.pedantic(_run, args=(bench_spec, engine), rounds=1, iterations=1)
 
     table = ComparisonResult(
         title="Ablation -- fair aggregation (Eq. 1) vs simple averaging",
@@ -58,10 +61,10 @@ def test_ablation_aggregation_rule(benchmark, bench_suite):
 
 
 @pytest.mark.smoke
-def test_ablation_aggregation_smoke(smoke_suite):
+def test_ablation_aggregation_smoke(smoke_spec, engine):
     """Fast structural pass: both aggregation rules run at toy scale."""
-    fair = smoke_suite.run("fairbfl", name="fair_agg/smoke", use_fair_aggregation=True)
-    simple = smoke_suite.run("fairbfl", name="simple_avg/smoke", use_fair_aggregation=False)
-    assert len(fair) == len(simple) == smoke_suite.num_rounds
+    fair = api.run(smoke_spec, engine=engine, name="fair_agg/smoke", use_fair_aggregation=True)
+    simple = api.run(smoke_spec, engine=engine, name="simple_avg/smoke", use_fair_aggregation=False)
+    assert len(fair) == len(simple) == smoke_spec.num_rounds
     assert 0.0 <= fair.final_accuracy() <= 1.0
     assert 0.0 <= simple.final_accuracy() <= 1.0

@@ -27,7 +27,7 @@ import time
 import pytest
 
 from benchmarks.conftest import emit, emit_json
-from repro.core.experiment import run_fairbfl
+from repro.core.fairbfl import FairBFLTrainer
 from repro.core.results import ComparisonResult
 from repro.runner.engine import ExperimentEngine
 from repro.runner.scenario import ScenarioSpec
@@ -72,7 +72,8 @@ def _run_modes():
             spec.fairbfl_config(), delay_params=DelayParameters(**STRAGGLER_PARAMS)
         )
         start = time.perf_counter()
-        trainer, history = run_fairbfl(engine.dataset_for(spec), config=config)
+        trainer = FairBFLTrainer(engine.dataset_for(spec), config)
+        history = trainer.run()
         wall = time.perf_counter() - start
         trainer.close()
         stragglers = sum(len(r.extras.get("stragglers", [])) for r in history.rounds)

@@ -12,21 +12,22 @@ import numpy as np
 import pytest
 
 from benchmarks.conftest import emit
+from repro import api
 from repro.core.results import ComparisonResult
 
 
-def _run(suite):
-    # All systems drive through the suite's scenario engine (one wiring path
-    # shared with the CLI's run/compare/sweep subcommands).
-    fair = suite.run("fairbfl")
-    fedavg = suite.run("fedavg")
-    chain = suite.run("blockchain", num_clients=100)
+def _run(base, engine):
+    # All systems drive through the scenario engine (one wiring path shared
+    # with the CLI's run/compare/sweep subcommands).
+    fair = api.run(base, engine=engine, system="fairbfl")
+    fedavg = api.run(base, engine=engine, system="fedavg")
+    chain = api.run(base, engine=engine, system="blockchain", num_clients=100)
     return fair, fedavg, chain
 
 
-def test_fig4a_delay_comparison(benchmark, bench_suite):
+def test_fig4a_delay_comparison(benchmark, bench_spec, engine):
     fair, fedavg, chain = benchmark.pedantic(
-        _run, args=(bench_suite,), rounds=1, iterations=1
+        _run, args=(bench_spec, engine), rounds=1, iterations=1
     )
 
     table = ComparisonResult(
@@ -51,8 +52,8 @@ def test_fig4a_delay_comparison(benchmark, bench_suite):
 
 
 @pytest.mark.smoke
-def test_fig4a_delay_smoke(smoke_suite):
+def test_fig4a_delay_smoke(smoke_spec, engine):
     """Fast structural pass: FedAvg stays cheaper than the vanilla chain."""
-    fedavg = smoke_suite.run("fedavg")
-    chain = smoke_suite.run("blockchain", num_clients=20)
+    fedavg = api.run(smoke_spec, engine=engine, system="fedavg")
+    chain = api.run(smoke_spec, engine=engine, system="blockchain", num_clients=20)
     assert 0.0 < fedavg.average_delay() < chain.average_delay()

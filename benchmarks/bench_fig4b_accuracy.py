@@ -11,20 +11,21 @@ import numpy as np
 import pytest
 
 from benchmarks.conftest import emit
+from repro import api
 from repro.core.convergence import ConvergenceCriterion
 from repro.core.results import ComparisonResult
 
 
-def _run(suite):
-    fair = suite.run("fairbfl")
-    fedavg = suite.run("fedavg")
-    fedprox = suite.run("fedprox", proximal_mu=0.1)
+def _run(base, engine):
+    fair = api.run(base, engine=engine, system="fairbfl")
+    fedavg = api.run(base, engine=engine, system="fedavg")
+    fedprox = api.run(base, engine=engine, system="fedprox", proximal_mu=0.1)
     return fair, fedavg, fedprox
 
 
-def test_fig4b_accuracy_vs_time(benchmark, bench_suite):
+def test_fig4b_accuracy_vs_time(benchmark, bench_spec, engine):
     fair, fedavg, fedprox = benchmark.pedantic(
-        _run, args=(bench_suite,), rounds=1, iterations=1
+        _run, args=(bench_spec, engine), rounds=1, iterations=1
     )
 
     table = ComparisonResult(
@@ -53,10 +54,10 @@ def test_fig4b_accuracy_vs_time(benchmark, bench_suite):
 
 
 @pytest.mark.smoke
-def test_fig4b_accuracy_smoke(smoke_suite):
+def test_fig4b_accuracy_smoke(smoke_spec, engine):
     """Fast structural pass: the accuracy-vs-time series is well-formed."""
-    fair = smoke_suite.run("fairbfl")
+    fair = api.run(smoke_spec, engine=engine, system="fairbfl")
     times, accs = fair.accuracy_vs_time()
-    assert len(times) == len(accs) == smoke_suite.num_rounds
+    assert len(times) == len(accs) == smoke_spec.num_rounds
     assert np.all(np.diff(fair.elapsed_times) > 0)
     assert all(0.0 <= a <= 1.0 for a in accs)

@@ -11,25 +11,28 @@ import numpy as np
 import pytest
 
 from benchmarks.conftest import emit
+from repro import api
 from repro.core.results import ComparisonResult
 
 LEARNING_RATES = (0.01, 0.05, 0.10, 0.15, 0.20)
 
 
-def _sweep(suite):
+def _sweep(base, engine):
     rows = []
     for lr in LEARNING_RATES:
-        fair = suite.run("fairbfl", learning_rate=lr)
-        fedavg = suite.run("fedavg", learning_rate=lr)
-        fedprox = suite.run("fedprox", learning_rate=lr, proximal_mu=0.1)
+        fair = api.run(base, engine=engine, system="fairbfl", learning_rate=lr)
+        fedavg = api.run(base, engine=engine, system="fedavg", learning_rate=lr)
+        fedprox = api.run(
+            base, engine=engine, system="fedprox", learning_rate=lr, proximal_mu=0.1
+        )
         rows.append(
             (lr, fair.average_accuracy(), fedavg.average_accuracy(), fedprox.average_accuracy())
         )
     return rows
 
 
-def test_fig5b_learning_rate_accuracy(benchmark, bench_suite):
-    rows = benchmark.pedantic(_sweep, args=(bench_suite,), rounds=1, iterations=1)
+def test_fig5b_learning_rate_accuracy(benchmark, bench_spec, engine):
+    rows = benchmark.pedantic(_sweep, args=(bench_spec, engine), rounds=1, iterations=1)
 
     table = ComparisonResult(
         title="Figure 5b -- average accuracy under different learning rates",
@@ -55,8 +58,10 @@ def test_fig5b_learning_rate_accuracy(benchmark, bench_suite):
 
 
 @pytest.mark.smoke
-def test_fig5b_lr_accuracy_smoke(smoke_suite):
+def test_fig5b_lr_accuracy_smoke(smoke_spec, engine):
     """Fast structural pass: the lr axis yields valid accuracies per system."""
     for system, kwargs in (("fairbfl", {}), ("fedprox", {"proximal_mu": 0.1})):
-        hist = smoke_suite.run(system, learning_rate=LEARNING_RATES[1], **kwargs)
+        hist = api.run(
+            smoke_spec, engine=engine, system=system, learning_rate=LEARNING_RATES[1], **kwargs
+        )
         assert 0.0 <= hist.average_accuracy() <= 1.0

@@ -13,28 +13,22 @@ import numpy as np
 import pytest
 
 from benchmarks.conftest import emit
-from repro.core.experiment import ExperimentSuite
+from repro import api
 from repro.core.results import ComparisonResult
-from repro.fl.client import LocalTrainingConfig
 
 WORKER_COUNTS = (20, 60, 100, 140)
 
 
 def _sweep():
     rows = []
+    engine = api.ExperimentEngine()
     for n in WORKER_COUNTS:
-        suite = ExperimentSuite(
-            num_clients=n,
-            num_samples=max(600, 30 * n),
-            num_rounds=6,
-            participation_fraction=0.1,
-            model_name="logreg",
-            local=LocalTrainingConfig(epochs=2, batch_size=10, learning_rate=0.05),
-            seed=0,
+        base = api.ScenarioSpec(
+            num_clients=n, num_samples=max(600, 30 * n), num_rounds=6, participation=0.1
         )
-        fair = suite.run("fairbfl")
-        fedavg = suite.run("fedavg")
-        chain = suite.run("blockchain")
+        fair = api.run(base, engine=engine)
+        fedavg = api.run(base, engine=engine, system="fedavg")
+        chain = api.run(base, engine=engine, system="blockchain")
         rows.append((n, fair.average_delay(), chain.average_delay(), fedavg.average_delay()))
     return rows
 
@@ -67,14 +61,9 @@ def test_fig6a_delay_vs_workers(benchmark):
 @pytest.mark.smoke
 def test_fig6a_workers_smoke():
     """Fast structural pass: one population point of the worker sweep."""
-    suite = ExperimentSuite(
-        num_clients=12,
-        num_samples=600,
-        num_rounds=2,
-        participation_fraction=0.25,
-        model_name="logreg",
-        local=LocalTrainingConfig(epochs=1, batch_size=10, learning_rate=0.05),
-        seed=0,
+    base = api.ScenarioSpec(
+        num_clients=12, num_samples=600, num_rounds=2, participation=0.25, epochs=1
     )
-    assert suite.run("fairbfl").average_delay() > 0
-    assert suite.run("blockchain").average_delay() > 0
+    engine = api.ExperimentEngine()
+    assert api.run(base, engine=engine).average_delay() > 0
+    assert api.run(base, engine=engine, system="blockchain").average_delay() > 0

@@ -13,22 +13,23 @@ import numpy as np
 import pytest
 
 from benchmarks.conftest import emit
+from repro import api
 from repro.core.results import ComparisonResult
 
 MINER_COUNTS = (2, 4, 6, 8, 10)
 
 
-def _sweep(suite):
+def _sweep(base, engine):
     rows = []
     for m in MINER_COUNTS:
-        fair = suite.run("fairbfl", miners=m)
-        chain = suite.run("blockchain", num_clients=100, miners=m)
+        fair = api.run(base, engine=engine, system="fairbfl", miners=m)
+        chain = api.run(base, engine=engine, system="blockchain", num_clients=100, miners=m)
         rows.append((m, fair.average_delay(), chain.average_delay()))
     return rows
 
 
-def test_fig6b_delay_vs_miners(benchmark, bench_suite):
-    rows = benchmark.pedantic(_sweep, args=(bench_suite,), rounds=1, iterations=1)
+def test_fig6b_delay_vs_miners(benchmark, bench_spec, engine):
+    rows = benchmark.pedantic(_sweep, args=(bench_spec, engine), rounds=1, iterations=1)
 
     table = ComparisonResult(
         title="Figure 6b -- average delay (s) vs number of miners",
@@ -52,9 +53,9 @@ def test_fig6b_delay_vs_miners(benchmark, bench_suite):
 
 
 @pytest.mark.smoke
-def test_fig6b_miners_smoke(smoke_suite):
+def test_fig6b_miners_smoke(smoke_spec, engine):
     """Fast structural pass: the miner axis is wired through both systems."""
-    fair = smoke_suite.run("fairbfl", miners=3)
-    chain = smoke_suite.run("blockchain", num_clients=20, miners=3)
+    fair = api.run(smoke_spec, engine=engine, system="fairbfl", miners=3)
+    chain = api.run(smoke_spec, engine=engine, system="blockchain", num_clients=20, miners=3)
     assert fair.average_delay() > 0
     assert chain.average_delay() > 0

@@ -11,20 +11,21 @@ from __future__ import annotations
 import pytest
 
 from benchmarks.conftest import emit
+from repro import api
 from repro.core.results import ComparisonResult
 
 
-def _run(suite):
-    fair = suite.run("fairbfl")
-    fair_discard = suite.run("fairbfl", strategy="discard", dbscan_eps=0.6)
-    fedavg = suite.run("fedavg")
-    chain = suite.run("blockchain", num_clients=100)
+def _run(base, engine):
+    fair = api.run(base, engine=engine, system="fairbfl")
+    fair_discard = api.run(base, engine=engine, strategy="discard", dbscan_eps=0.6)
+    fedavg = api.run(base, engine=engine, system="fedavg")
+    chain = api.run(base, engine=engine, system="blockchain", num_clients=100)
     return fair, fair_discard, fedavg, chain
 
 
-def test_fig7a_discard_delay(benchmark, quality_suite):
+def test_fig7a_discard_delay(benchmark, quality_spec, engine):
     fair, fair_discard, fedavg, chain = benchmark.pedantic(
-        _run, args=(quality_suite,), rounds=1, iterations=1
+        _run, args=(quality_spec, engine), rounds=1, iterations=1
     )
 
     table = ComparisonResult(
@@ -58,8 +59,8 @@ def test_fig7a_discard_delay(benchmark, quality_suite):
 
 
 @pytest.mark.smoke
-def test_fig7a_discard_delay_smoke(smoke_quality_suite):
+def test_fig7a_discard_delay_smoke(smoke_quality_spec, engine):
     """Fast structural pass: the discard run completes with well-formed rounds."""
-    fair_discard = smoke_quality_suite.run("fairbfl", strategy="discard", dbscan_eps=0.6)
+    fair_discard = api.run(smoke_quality_spec, engine=engine, strategy="discard", dbscan_eps=0.6)
     assert fair_discard.average_delay() > 0
     assert all(isinstance(r.discarded, list) for r in fair_discard.rounds)

@@ -11,20 +11,23 @@ from __future__ import annotations
 import pytest
 
 from benchmarks.conftest import emit
+from repro import api
 from repro.core.results import ComparisonResult
 
 
-def _run(suite):
-    fair = suite.run("fairbfl")
-    fair_discard = suite.run("fairbfl", strategy="discard", dbscan_eps=0.6)
-    fedavg = suite.run("fedavg")
-    fedprox = suite.run("fedprox", proximal_mu=0.1, drop_percent=0.02)
+def _run(base, engine):
+    fair = api.run(base, engine=engine, system="fairbfl")
+    fair_discard = api.run(base, engine=engine, strategy="discard", dbscan_eps=0.6)
+    fedavg = api.run(base, engine=engine, system="fedavg")
+    fedprox = api.run(
+        base, engine=engine, system="fedprox", proximal_mu=0.1, drop_percent=0.02
+    )
     return fair, fair_discard, fedavg, fedprox
 
 
-def test_fig7b_discard_accuracy(benchmark, quality_suite):
+def test_fig7b_discard_accuracy(benchmark, quality_spec, engine):
     fair, fair_discard, fedavg, fedprox = benchmark.pedantic(
-        _run, args=(quality_suite,), rounds=1, iterations=1
+        _run, args=(quality_spec, engine), rounds=1, iterations=1
     )
 
     table = ComparisonResult(
@@ -58,9 +61,9 @@ def test_fig7b_discard_accuracy(benchmark, quality_suite):
 
 
 @pytest.mark.smoke
-def test_fig7b_discard_accuracy_smoke(smoke_quality_suite):
+def test_fig7b_discard_accuracy_smoke(smoke_quality_spec, engine):
     """Fast structural pass: discard and plain runs produce comparable series."""
-    fair = smoke_quality_suite.run("fairbfl")
-    fair_discard = smoke_quality_suite.run("fairbfl", strategy="discard", dbscan_eps=0.6)
+    fair = api.run(smoke_quality_spec, engine=engine, system="fairbfl")
+    fair_discard = api.run(smoke_quality_spec, engine=engine, strategy="discard", dbscan_eps=0.6)
     assert len(fair_discard) == len(fair)
     assert 0.0 <= fair_discard.final_accuracy() <= 1.0

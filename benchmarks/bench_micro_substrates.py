@@ -81,7 +81,7 @@ def test_micro_fair_aggregation(benchmark, gradient_set):
 
 def test_micro_local_sgd_epoch(benchmark, tiny_federated=None):
     """One client's local update (Procedure I) on a small shard."""
-    from repro.core.experiment import build_federated_dataset
+    from repro.datasets.federated import build_federated_dataset
 
     dataset = build_federated_dataset(num_clients=4, num_samples=300, seed=0)
     shard = dataset.client(0)

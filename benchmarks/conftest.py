@@ -25,9 +25,9 @@ _SRC = Path(__file__).resolve().parents[1] / "src"
 if str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
 
-from repro.core.experiment import ExperimentSuite  # noqa: E402
 from repro.core.results import ComparisonResult  # noqa: E402
-from repro.fl.client import LocalTrainingConfig  # noqa: E402
+from repro.runner.engine import ExperimentEngine  # noqa: E402
+from repro.runner.scenario import ScenarioSpec  # noqa: E402
 from repro.store.keys import spec_key  # noqa: E402
 from repro.store.records import write_json_record  # noqa: E402
 
@@ -144,62 +144,34 @@ def emit_json(
 
 
 @pytest.fixture(scope="session")
-def bench_suite() -> ExperimentSuite:
-    """The shared scaled-down experimental setup used by most benches."""
-    return ExperimentSuite(
-        num_clients=20,
-        num_samples=1500,
-        num_rounds=10,
-        participation_fraction=0.5,
-        scheme="dirichlet",
-        model_name="logreg",
-        local=LocalTrainingConfig(epochs=2, batch_size=10, learning_rate=0.05),
-        seed=0,
-    )
+def engine() -> ExperimentEngine:
+    """One dataset-memoising engine shared by every bench in the session."""
+    return ExperimentEngine()
 
 
 @pytest.fixture(scope="session")
-def smoke_suite() -> ExperimentSuite:
+def bench_spec() -> ScenarioSpec:
+    """The shared scaled-down experimental setup used by most benches.
+
+    This *is* the :class:`ScenarioSpec` default workload (20 clients, 1500
+    samples, 10 rounds, λ=0.5, Dirichlet, logreg, E=2/B=10/η=0.05, seed 0).
+    """
+    return ScenarioSpec()
+
+
+@pytest.fixture(scope="session")
+def smoke_spec() -> ScenarioSpec:
     """A minimal setup for the smoke tier: structural coverage in seconds."""
-    return ExperimentSuite(
-        num_clients=8,
-        num_samples=600,
-        num_rounds=2,
-        participation_fraction=0.5,
-        scheme="dirichlet",
-        model_name="logreg",
-        local=LocalTrainingConfig(epochs=1, batch_size=10, learning_rate=0.05),
-        seed=0,
-    )
+    return ScenarioSpec(num_clients=8, num_samples=600, num_rounds=2, epochs=1)
 
 
 @pytest.fixture(scope="session")
-def smoke_quality_suite() -> ExperimentSuite:
+def smoke_quality_spec(smoke_spec) -> ScenarioSpec:
     """Smoke-scale setup with low-quality clients for the discard benches."""
-    return ExperimentSuite(
-        num_clients=8,
-        num_samples=600,
-        num_rounds=3,
-        participation_fraction=0.5,
-        scheme="dirichlet",
-        low_quality_fraction=0.3,
-        model_name="logreg",
-        local=LocalTrainingConfig(epochs=1, batch_size=10, learning_rate=0.05),
-        seed=0,
-    )
+    return smoke_spec.with_overrides(num_rounds=3, low_quality_fraction=0.3)
 
 
 @pytest.fixture(scope="session")
-def quality_suite() -> ExperimentSuite:
+def quality_spec(bench_spec) -> ScenarioSpec:
     """Setup with low-quality (label-noise) clients for the Fig. 7 benches."""
-    return ExperimentSuite(
-        num_clients=20,
-        num_samples=1500,
-        num_rounds=16,
-        participation_fraction=0.5,
-        scheme="dirichlet",
-        low_quality_fraction=0.3,
-        model_name="logreg",
-        local=LocalTrainingConfig(epochs=2, batch_size=10, learning_rate=0.05),
-        seed=0,
-    )
+    return bench_spec.with_overrides(num_rounds=16, low_quality_fraction=0.3)

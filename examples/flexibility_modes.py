@@ -18,22 +18,14 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from repro.core import ExperimentSuite, run_fairbfl  # noqa: E402
+from repro import api  # noqa: E402
+from repro.core import FairBFLTrainer  # noqa: E402
 from repro.core.flexibility import OperatingMode, procedures_for_mode  # noqa: E402
-from repro.fl.client import LocalTrainingConfig  # noqa: E402
 
 
 def main() -> None:
-    suite = ExperimentSuite(
-        num_clients=12,
-        num_samples=1000,
-        num_rounds=6,
-        participation_fraction=0.5,
-        model_name="logreg",
-        local=LocalTrainingConfig(epochs=2, batch_size=10, learning_rate=0.05),
-        seed=0,
-    )
-    dataset = suite.dataset()
+    base = api.ScenarioSpec(num_clients=12, num_samples=1000, num_rounds=6).validate()
+    dataset = api.ExperimentEngine().dataset_for(base)
 
     print("Procedures per operating mode")
     for mode in OperatingMode:
@@ -42,7 +34,9 @@ def main() -> None:
 
     results = {}
     for mode in OperatingMode:
-        trainer, history = run_fairbfl(dataset, config=suite.fairbfl_config(mode=mode))
+        config = base.with_overrides(mode=mode.value).fairbfl_config()
+        trainer = FairBFLTrainer(dataset, config)
+        history = trainer.run()
         avg_breakdown = {
             key: sum(r.extras["delay_breakdown"][key] for r in history.rounds) / len(history)
             for key in ("t_local", "t_up", "t_ex", "t_gl", "t_bl")

@@ -20,8 +20,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import numpy as np  # noqa: E402
 
-from repro.core.experiment import build_federated_dataset, run_fairbfl  # noqa: E402
 from repro.core.config import FairBFLConfig  # noqa: E402
+from repro.core.fairbfl import FairBFLTrainer  # noqa: E402
 from repro.datasets.federated import inject_label_noise  # noqa: E402
 from repro.datasets.synthetic_mnist import load_synthetic_mnist  # noqa: E402
 from repro.datasets.federated import FederatedDataset  # noqa: E402
@@ -52,7 +52,8 @@ def run(strategy: str, dataset, seed: int = 0):
         contribution=ContributionConfig(eps=0.6, base_reward=1.0),
         seed=seed,
     )
-    return run_fairbfl(dataset, config=config)
+    trainer = FairBFLTrainer(dataset, config)
+    return trainer, trainer.run()
 
 
 def main() -> None:

@@ -19,7 +19,8 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from repro.core.config import FairBFLConfig  # noqa: E402
-from repro.core.experiment import build_federated_dataset, run_fairbfl  # noqa: E402
+from repro.core.fairbfl import FairBFLTrainer  # noqa: E402
+from repro.datasets.federated import build_federated_dataset  # noqa: E402
 from repro.fl.client import LocalTrainingConfig  # noqa: E402
 from repro.incentive.contribution import ContributionConfig  # noqa: E402
 
@@ -42,7 +43,8 @@ def run_scenario(scheme: str, *, strategy: str = "discard", seed: int = 0):
         contribution=ContributionConfig(eps=0.7),
         seed=seed,
     )
-    return run_fairbfl(dataset, config=config)
+    trainer = FairBFLTrainer(dataset, config)
+    return trainer, trainer.run()
 
 
 def main() -> None:

@@ -21,16 +21,9 @@ registry in :mod:`repro.systems` (see ``docs/api.md``).
 """
 
 from repro.core.config import FairBFLConfig
-from repro.core.experiment import (
-    ExperimentSuite,
-    build_federated_dataset,
-    run_fairbfl,
-    run_fedavg,
-    run_fedprox,
-    run_vanilla_blockchain,
-)
 from repro.core.fairbfl import FairBFLTrainer
 from repro.core.flexibility import OperatingMode
+from repro.datasets.federated import build_federated_dataset
 from repro.fl.fedavg import FedAvgConfig, FedAvgTrainer
 from repro.fl.fedprox import FedProxConfig, FedProxTrainer
 from repro.fl.history import TrainingHistory
@@ -51,12 +44,7 @@ __all__ = [
     "FairBFLConfig",
     "FairBFLTrainer",
     "OperatingMode",
-    "ExperimentSuite",
     "build_federated_dataset",
-    "run_fairbfl",
-    "run_fedavg",
-    "run_fedprox",
-    "run_vanilla_blockchain",
     "FedAvgConfig",
     "FedAvgTrainer",
     "FedProxConfig",

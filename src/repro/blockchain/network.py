@@ -4,8 +4,8 @@ Miners broadcast gradient sets (Procedure III) and newly mined blocks
 (Procedure V) to each other, and clients upload gradients to their associated
 miner (Procedure II).  The :class:`BroadcastNetwork` models those message
 exchanges with per-link latencies drawn from a configurable distribution; the
-topology is a complete graph over miners (built with :mod:`networkx` so
-alternative topologies can be swapped in).
+topology is a complete graph over its nodes (other shapes are the gossip
+substrate's job — :mod:`repro.net.topology`).
 
 Two delivery styles:
 
@@ -28,7 +28,6 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
-import networkx as nx
 import numpy as np
 
 from repro.utils.validation import check_non_negative
@@ -75,7 +74,7 @@ class BroadcastNetwork:
     base_latency: float = 0.05
     jitter: float = 0.25
     record_limit: int = 0
-    graph: nx.Graph = field(init=False, repr=False)
+    _known: frozenset[str] = field(init=False, repr=False)
     message_count: int = field(default=0, init=False)
     total_latency: float = field(default=0.0, init=False)
     recent_messages: deque[NetworkMessage] = field(init=False, repr=False)
@@ -89,7 +88,7 @@ class BroadcastNetwork:
         self.jitter = check_non_negative("jitter", self.jitter)
         if self.record_limit < 0:
             raise ValueError(f"record_limit must be >= 0, got {self.record_limit}")
-        self.graph = nx.complete_graph(self.node_ids)
+        self._known = frozenset(self.node_ids)
         self.recent_messages = deque(maxlen=self.record_limit or None)
 
     def _sample_latency(self) -> float:
@@ -192,7 +191,7 @@ class BroadcastNetwork:
         ]
 
     def _check_node(self, node_id: str) -> None:
-        if node_id not in self.graph:
+        if node_id not in self._known:
             raise KeyError(f"unknown network node {node_id!r}")
 
     @property

@@ -69,21 +69,17 @@ overrides apply each flag to the systems that can honour it.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import signal
 import sys
 
 from repro import api
-from repro.attacks.gradient_attacks import ATTACKS
 from repro.core.io import save_comparison_csv, save_history_csv
 from repro.core.results import ComparisonResult, summarize_history
 from repro.search import PROMOTION_METRICS
-from repro.fl.robust import DEFENSES
-from repro.net.topology import TOPOLOGIES
-from repro.runner.executor import EXECUTOR_BACKENDS
 from repro.runner.scenario import ScenarioError
 from repro.serve.client import ServeClient, ServeClientError
 from repro.serve.workers import ISOLATION_MODES
-from repro.sim.rounds import ROUND_MODES
 from repro.store import DEFAULT_STORE_ROOT, save_markdown
 from repro.systems import (
     SystemRegistryError,
@@ -92,11 +88,42 @@ from repro.systems import (
     system_names,
 )
 
-__all__ = ["build_parser", "main"]
+__all__ = ["add_spec_flags", "build_parser", "main"]
 
 #: System-specific spec overrides the CLI applies on top of the shared flags
 #: (the CLI's FedProx baseline keeps the paper's 2% straggler drop).
 _PER_SYSTEM_OVERRIDES = {"fedprox": {"drop_percent": 0.02}}
+
+#: The ScenarioSpec fields that declare a command-line flag, in declaration order.
+_FLAGGED = tuple(f for f in dataclasses.fields(api.ScenarioSpec) if "flag" in f.metadata)
+_FLAG_TYPES = {"int": int, "int | None": int, "float": float}
+
+
+def add_spec_flags(
+    parser: argparse.ArgumentParser, names=None, overriding: bool = False
+) -> None:
+    """Add the option of every flagged :class:`ScenarioSpec` field (or just ``names``).
+
+    Flag, help, choices and default all come from the field's declaration in
+    ``runner/scenario.py``, and the parsed value lands under the field's own
+    name, so :func:`_fields_from_args` needs no flag-to-field mapping.  With
+    ``overriding`` the options default to ``None`` ("not passed"): sweep and
+    search apply them on top of what a scenario file says.
+    """
+    for f in _FLAGGED:
+        if names is not None and f.name not in names:
+            continue
+        options = {"dest": f.name, "help": f.metadata["help"]}
+        if f.type == "bool":
+            options["action"] = "store_true"
+        else:
+            options["type"] = _FLAG_TYPES.get(f.type)
+            options["choices"] = f.metadata.get("choices")
+            options["default"] = f.metadata.get("cli_default", f.default)
+        if overriding:
+            options["default"] = None
+            options["help"] += "; overrides every scenario in the file that supports it"
+        parser.add_argument(f.metadata["flag"], **options)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -122,114 +149,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--clients", type=int, default=12, help="number of federated clients (n)")
-        p.add_argument("--miners", type=int, default=2, help="number of miners (m)")
-        p.add_argument("--rounds", type=int, default=8, help="communication rounds")
-        p.add_argument("--samples", type=int, default=1000, help="total synthetic samples")
-        p.add_argument("--participation", type=float, default=0.5, help="selection ratio lambda")
-        p.add_argument("--lr", type=float, default=0.05, help="local learning rate eta")
-        p.add_argument("--epochs", type=int, default=2, help="local epochs E")
-        p.add_argument("--batch-size", type=int, default=10, help="local batch size B")
-        p.add_argument("--scheme", default="dirichlet", choices=["iid", "shard", "dirichlet"])
-        add_round_mode(p)
-        p.add_argument("--attacks", action="store_true", help="enable 1-3 malicious clients per round")
-        p.add_argument(
-            "--attack-name",
-            default="sign_flip",
-            choices=list(ATTACKS),
-            help="forgery the malicious clients apply (with --attacks)",
-        )
-        add_defense(p)
-        add_net(p)
-        p.add_argument("--seed", type=int, default=0)
+        add_spec_flags(p)
         p.add_argument("--export", default=None, help="write the per-round series to this CSV file")
-        add_backend(p)
-
-    def add_round_mode(p: argparse.ArgumentParser, *, default: str | None = "sync") -> None:
-        p.add_argument(
-            "--round-mode",
-            default=default,
-            choices=list(ROUND_MODES),
-            help="round discipline: sync waits for every client, semi_sync drops "
-            "stragglers at a deadline, async proceeds on a quorum with "
-            "staleness-weighted late aggregation (round-mode capable systems)",
-        )
-        p.add_argument(
-            "--straggler-deadline",
-            type=float,
-            default=6.0,
-            help="semi_sync upload-window deadline in simulated seconds",
-        )
-        p.add_argument(
-            "--async-quorum",
-            type=float,
-            default=0.5,
-            help="async mode: arrival fraction that closes the upload window",
-        )
-        p.add_argument(
-            "--staleness-decay",
-            type=float,
-            default=0.5,
-            help="async mode: exponent of the (1+staleness)^-decay weight on late updates",
-        )
-
-    def add_defense(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--defense",
-            default="none",
-            help="robust-aggregation defense the gradient matrix passes through "
-            f"before aggregation: {', '.join(DEFENSES)}, or a '+'-chained "
-            "pipeline such as norm_clip+krum (see docs/threat_model.md)",
-        )
-        p.add_argument(
-            "--defense-fraction",
-            type=float,
-            default=0.2,
-            help="adversary fraction the defense is sized for, in [0, 0.5)",
-        )
-
-    def add_net(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--topology",
-            default="global",
-            choices=list(TOPOLOGIES),
-            help="committee network shape: 'global' keeps the replicated "
-            "single-network path, other values give each miner its own peer "
-            "set, mempool and chain view over seeded gossip (net-capable "
-            "systems; docs/scenarios.md)",
-        )
-        p.add_argument(
-            "--peer-k",
-            type=int,
-            default=2,
-            help="peers drawn per node under --topology random_k",
-        )
-        p.add_argument(
-            "--partition",
-            default="none",
-            help="timed network splits, e.g. '2-4:0|1' splits nodes 0 and 1 "
-            "apart for rounds 2-4 (requires a non-global --topology)",
-        )
-        p.add_argument(
-            "--churn",
-            default="none",
-            help="node departure/arrival trace, e.g. '1:-0;3:+0' takes node 0 "
-            "offline for rounds 1-2 (requires a non-global --topology)",
-        )
-
-    def add_backend(p: argparse.ArgumentParser, *, backend_default: str | None = "serial") -> None:
-        p.add_argument(
-            "--backend",
-            default=backend_default,
-            choices=list(EXECUTOR_BACKENDS),
-            help="how local updates fan out over clients (results are identical)",
-        )
-        p.add_argument(
-            "--workers",
-            type=int,
-            default=None,
-            help="worker count for the thread/process backends (default: CPU count)",
-        )
 
     def add_server(p: argparse.ArgumentParser) -> None:
         p.add_argument(
@@ -256,20 +177,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="scenario file (.json or .toml); repeatable",
     )
     sweep_p.add_argument("--export", default=None, help="write the sweep summary to this CSV file")
-    # For sweep the flags are *overrides* of what the scenario file says, so
-    # their defaults must be distinguishable from an explicit value.
-    add_backend(sweep_p, backend_default=None)
-    sweep_p.add_argument(
-        "--round-mode",
-        default=None,
-        choices=list(ROUND_MODES),
-        help="override the round discipline of every round-mode capable scenario in the sweep",
-    )
-    sweep_p.add_argument(
-        "--defense",
-        default=None,
-        help="override the robust-aggregation defense of every defense-capable scenario in the sweep",
-    )
+    # For sweep the flags are *overrides* of what the scenario file says
+    # (axis overrides reach only the scenarios whose systems support the axis).
+    add_spec_flags(sweep_p, ("backend", "max_workers", "round_mode", "defense"), overriding=True)
     sweep_p.add_argument(
         "--store",
         default=str(DEFAULT_STORE_ROOT),
@@ -327,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     search_p.add_argument(
         "--export", default=None, help="write the final leaderboard to this CSV file"
     )
-    add_backend(search_p, backend_default=None)
+    add_spec_flags(search_p, ("backend", "max_workers"), overriding=True)
     search_p.add_argument(
         "--store",
         default=str(DEFAULT_STORE_ROOT),
@@ -436,33 +346,9 @@ def _plugin_entries(argv: list[str]) -> list[str]:
 
 
 def _fields_from_args(args: argparse.Namespace) -> dict:
-    """Translate the shared run/compare flags into scenario fields."""
-    return dict(
-        num_clients=args.clients,
-        miners=args.miners,
-        num_rounds=args.rounds,
-        num_samples=args.samples,
-        participation=args.participation,
-        learning_rate=args.lr,
-        epochs=args.epochs,
-        batch_size=args.batch_size,
-        scheme=args.scheme,
-        round_mode=args.round_mode,
-        straggler_deadline=args.straggler_deadline,
-        async_quorum=args.async_quorum,
-        staleness_decay=args.staleness_decay,
-        attacks=args.attacks,
-        attack_name=args.attack_name,
-        defense=args.defense,
-        defense_fraction=args.defense_fraction,
-        topology=args.topology,
-        peer_k=args.peer_k,
-        partition=args.partition,
-        churn=args.churn,
-        seed=args.seed,
-        backend=args.backend,
-        model_name="logreg",
-    )
+    """The scenario fields the parsed spec flags carry (``None`` means "not passed")."""
+    values = ((f.name, getattr(args, f.name, None)) for f in _FLAGGED)
+    return {name: value for name, value in values if value is not None}
 
 
 def _print_history(name: str, hist) -> None:
@@ -561,7 +447,6 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "run":
         fields = _fields_from_args(args)
         fields["name"] = args.system
-        fields["max_workers"] = args.workers
         fields.update(_PER_SYSTEM_OVERRIDES.get(args.system, {}))
         try:
             if args.server:
@@ -582,7 +467,6 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.command == "compare":
         fields = _fields_from_args(args)
-        fields["max_workers"] = args.workers
         try:
             table, _results = api.compare(
                 engine=engine, per_system=_PER_SYSTEM_OVERRIDES, **fields
@@ -613,11 +497,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     if args.command == "search":
-        overrides = {}
-        if args.backend is not None:
-            overrides["backend"] = args.backend
-        if args.workers is not None:
-            overrides["max_workers"] = args.workers
+        overrides = _fields_from_args(args)
         # Unlike sweep, the store is read *and* written by default: rung
         # checkpoints are how promotions resume, and a killed search re-run
         # finishes bit-identically from whatever rungs already exist.
@@ -680,15 +560,7 @@ def main(argv: list[str] | None = None) -> int:
     # Apply only the flags the user actually passed; a scenario file's own
     # backend/max_workers settings are otherwise preserved, and axis overrides
     # reach only the scenarios whose systems support the axis.
-    overrides = {}
-    if args.backend is not None:
-        overrides["backend"] = args.backend
-    if args.workers is not None:
-        overrides["max_workers"] = args.workers
-    if args.round_mode is not None:
-        overrides["round_mode"] = args.round_mode
-    if args.defense is not None:
-        overrides["defense"] = args.defense
+    overrides = _fields_from_args(args)
     if args.server:
         try:
             table, health = _remote_sweep(args.server, args.scenario, overrides or None)

@@ -19,11 +19,19 @@ from repro.core.flexibility import OperatingMode
 from repro.fl.client import LocalTrainingConfig
 from repro.fl.robust import check_defense
 from repro.incentive.contribution import ContributionConfig
+from repro.incentive.strategies import STRATEGIES
 from repro.net.schedule import parse_churn, parse_partition
 from repro.net.topology import TOPOLOGIES
+from repro.runner.executor import check_executor_settings
 from repro.sim.delay import DelayParameters
 from repro.sim.rounds import ROUND_MODES
-from repro.utils.validation import check_executor_settings, check_probability
+from repro.utils.validation import (
+    check_choice,
+    check_fraction,
+    check_minority,
+    check_non_negative,
+    check_positive,
+)
 
 __all__ = ["FairBFLConfig"]
 
@@ -158,48 +166,26 @@ class FairBFLConfig:
 
     def __post_init__(self) -> None:
         check_executor_settings(self.executor_backend, self.executor_workers)
-        if self.num_miners <= 0:
-            raise ValueError(f"num_miners must be positive, got {self.num_miners}")
-        if self.num_rounds <= 0:
-            raise ValueError(f"num_rounds must be positive, got {self.num_rounds}")
-        check_probability("participation_fraction", self.participation_fraction)
-        if self.participation_fraction == 0.0:
-            raise ValueError("participation_fraction must be > 0")
-        if self.strategy not in {"keep", "discard"}:
-            raise ValueError(f"strategy must be 'keep' or 'discard', got {self.strategy!r}")
+        check_positive("num_miners", self.num_miners)
+        check_positive("num_rounds", self.num_rounds)
+        check_fraction("participation_fraction", self.participation_fraction)
+        check_choice("strategy", self.strategy, STRATEGIES)
         if self.pow_difficulty < 1.0:
             raise ValueError(f"pow_difficulty must be >= 1, got {self.pow_difficulty}")
         if self.min_attackers < 0 or self.max_attackers < self.min_attackers:
             raise ValueError(
                 f"invalid attacker bounds ({self.min_attackers}, {self.max_attackers})"
             )
-        if self.attack_name not in ATTACKS:
-            raise ValueError(
-                f"attack_name must be one of {', '.join(ATTACKS)}, got {self.attack_name!r}"
-            )
-        if not (0.0 <= self.defense_fraction < 0.5):
-            raise ValueError(
-                f"defense_fraction must lie in [0, 0.5), got {self.defense_fraction}"
-            )
+        check_choice("attack_name", self.attack_name, ATTACKS)
+        check_minority("defense_fraction", self.defense_fraction)
         check_defense(self.defense, self.defense_fraction)
-        if self.round_mode not in ROUND_MODES:
-            raise ValueError(
-                f"round_mode must be one of {', '.join(ROUND_MODES)}, got {self.round_mode!r}"
-            )
-        if self.straggler_deadline <= 0.0:
-            raise ValueError(
-                f"straggler_deadline must be positive, got {self.straggler_deadline}"
-            )
-        if not (0.0 < self.async_quorum <= 1.0):
-            raise ValueError(f"async_quorum must lie in (0, 1], got {self.async_quorum}")
-        if self.staleness_decay < 0.0:
-            raise ValueError(f"staleness_decay must be >= 0, got {self.staleness_decay}")
+        check_choice("round_mode", self.round_mode, ROUND_MODES)
+        check_positive("straggler_deadline", self.straggler_deadline)
+        check_fraction("async_quorum", self.async_quorum)
+        check_non_negative("staleness_decay", self.staleness_decay)
         # Validate the mode eagerly so misconfiguration fails at construction.
         mode = OperatingMode.parse(self.mode)
-        if self.topology not in TOPOLOGIES:
-            raise ValueError(
-                f"topology must be one of {', '.join(TOPOLOGIES)}, got {self.topology!r}"
-            )
+        check_choice("topology", self.topology, TOPOLOGIES)
         if self.topology == "global":
             if (self.partition or "none") != "none":
                 raise ValueError(

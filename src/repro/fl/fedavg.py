@@ -24,11 +24,11 @@ from repro.fl.server import CentralServer
 from repro.nn.models import ModelFactory
 from repro.nn.module import Module
 from repro.runner.checkpoint import CheckpointMixin
-from repro.runner.executor import ParallelExecutor
+from repro.runner.executor import ParallelExecutor, check_executor_settings
 from repro.sim.delay import DelayModel, DelayParameters
 from repro.utils.rng import new_rng
 from repro.utils.timer import SimulatedClock
-from repro.utils.validation import check_executor_settings, check_probability
+from repro.utils.validation import check_fraction, check_minority, check_positive
 
 __all__ = ["FedAvgConfig", "FedAvgTrainer"]
 
@@ -59,14 +59,10 @@ class FedAvgConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.num_rounds <= 0:
-            raise ValueError(f"num_rounds must be positive, got {self.num_rounds}")
-        check_probability("participation_fraction", self.participation_fraction)
+        check_positive("num_rounds", self.num_rounds)
+        check_fraction("participation_fraction", self.participation_fraction)
         check_executor_settings(self.executor_backend, self.executor_workers)
-        if not (0.0 <= self.defense_fraction < 0.5):
-            raise ValueError(
-                f"defense_fraction must lie in [0, 0.5), got {self.defense_fraction}"
-            )
+        check_minority("defense_fraction", self.defense_fraction)
         check_defense(self.defense, self.defense_fraction)
 
 

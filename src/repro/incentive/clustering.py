@@ -19,7 +19,10 @@ import numpy as np
 
 from repro.utils.vectors import pairwise_cosine_distance, pairwise_euclidean_distance
 
-__all__ = ["ClusteringResult", "DBSCAN", "KMeans", "make_clusterer"]
+__all__ = ["CLUSTERERS", "ClusteringResult", "DBSCAN", "KMeans", "make_clusterer"]
+
+#: Algorithm names accepted by :func:`make_clusterer`.
+CLUSTERERS = ("dbscan", "kmeans")
 
 NOISE_LABEL = -1
 
@@ -199,4 +202,4 @@ def make_clusterer(
         return DBSCAN(eps=eps, min_samples=min_samples, metric=metric)
     if key == "kmeans":
         return KMeans(num_clusters=num_clusters, metric=metric, seed=seed)
-    raise ValueError(f"unknown clustering algorithm {name!r}; expected 'dbscan' or 'kmeans'")
+    raise ValueError(f"unknown clustering algorithm {name!r}; expected one of {CLUSTERERS}")

@@ -24,7 +24,17 @@ import numpy as np
 from repro.fl.aggregation import fair_aggregate, simple_average
 from repro.incentive.contribution import ContributionReport
 
-__all__ = ["StrategyOutcome", "Strategy", "KeepAllStrategy", "DiscardStrategy", "make_strategy"]
+__all__ = [
+    "STRATEGIES",
+    "StrategyOutcome",
+    "Strategy",
+    "KeepAllStrategy",
+    "DiscardStrategy",
+    "make_strategy",
+]
+
+#: Canonical strategy names accepted by :func:`make_strategy`.
+STRATEGIES = ("keep", "discard")
 
 
 @dataclass(frozen=True)
@@ -193,4 +203,4 @@ def make_strategy(name: str) -> Strategy:
         return KeepAllStrategy()
     if key == "discard":
         return DiscardStrategy()
-    raise ValueError(f"unknown strategy {name!r}; expected 'keep' or 'discard'")
+    raise ValueError(f"unknown strategy {name!r}; expected one of {STRATEGIES}")

@@ -21,7 +21,10 @@ from repro.nn.layers import Flatten, Linear, ReLU
 from repro.nn.module import Module, Sequential
 from repro.utils.rng import new_rng
 
-__all__ = ["LogisticRegressionModel", "MLPClassifier", "build_model", "ModelFactory"]
+__all__ = ["MODELS", "LogisticRegressionModel", "MLPClassifier", "build_model", "ModelFactory"]
+
+#: Canonical architecture names accepted by :func:`build_model`.
+MODELS = ("logreg", "mlp")
 
 
 class LogisticRegressionModel(Sequential):
@@ -95,7 +98,7 @@ def build_model(
         return LogisticRegressionModel(input_dim, num_classes, rng)
     if key in {"mlp", "mlp_classifier"}:
         return MLPClassifier(input_dim, num_classes, rng, hidden_sizes=hidden_sizes)
-    raise ValueError(f"unknown model name {name!r}; expected 'logreg' or 'mlp'")
+    raise ValueError(f"unknown model name {name!r}; expected one of {MODELS}")
 
 
 @dataclass(frozen=True)

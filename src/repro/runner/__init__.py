@@ -25,7 +25,6 @@ __all__ = [
     "EXECUTOR_BACKENDS",
     "ParallelExecutor",
     "resolve_worker_count",
-    "SCENARIO_SYSTEMS",
     "ScenarioError",
     "ScenarioMatrix",
     "ScenarioSpec",
@@ -33,14 +32,12 @@ __all__ = [
     "scenarios_from_mapping",
     "ExperimentEngine",
     "ScenarioResult",
-    "run_scenario",
 ]
 
 _EXPORTS = {
     "EXECUTOR_BACKENDS": "repro.runner.executor",
     "ParallelExecutor": "repro.runner.executor",
     "resolve_worker_count": "repro.runner.executor",
-    "SCENARIO_SYSTEMS": "repro.runner.scenario",
     "ScenarioError": "repro.runner.scenario",
     "ScenarioMatrix": "repro.runner.scenario",
     "ScenarioSpec": "repro.runner.scenario",
@@ -48,7 +45,6 @@ _EXPORTS = {
     "scenarios_from_mapping": "repro.runner.scenario",
     "ExperimentEngine": "repro.runner.engine",
     "ScenarioResult": "repro.runner.engine",
-    "run_scenario": "repro.runner.engine",
 }
 
 

@@ -41,7 +41,7 @@ __all__ = ["CHECKPOINT_SCHEMA_VERSION", "CheckpointError", "CheckpointMixin"]
 #: Version stamped into every checkpoint blob.  Restoring a blob with a
 #: different version raises :class:`CheckpointError`, which resume paths
 #: treat as "no usable checkpoint" (the run recomputes from scratch).
-CHECKPOINT_SCHEMA_VERSION = 2
+CHECKPOINT_SCHEMA_VERSION = 3
 
 
 class CheckpointError(RuntimeError):

@@ -31,9 +31,8 @@ import threading
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.core.experiment import build_federated_dataset
 from repro.core.results import ComparisonResult, summarize_history
-from repro.datasets.federated import FederatedDataset
+from repro.datasets.federated import FederatedDataset, build_federated_dataset
 from repro.fl.history import TrainingHistory
 from repro.runner.checkpoint import CheckpointError
 from repro.runner.scenario import ScenarioError, ScenarioSpec
@@ -42,7 +41,7 @@ from repro.systems.registry import RunResult, get_system
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.store.runstore import RunStore
 
-__all__ = ["RunCancelled", "ScenarioResult", "ExperimentEngine", "run_scenario"]
+__all__ = ["RunCancelled", "ScenarioResult", "ExperimentEngine"]
 
 
 class RunCancelled(RuntimeError):
@@ -134,30 +133,18 @@ class ExperimentEngine:
 
     def dataset_for(self, spec: ScenarioSpec) -> FederatedDataset:
         """Build (or fetch the memoised) federated dataset for ``spec``."""
-        key = spec.dataset_key()
         if not self.cache_datasets:
-            return self._build_dataset(spec)
+            return build_federated_dataset(**spec.dataset_kwargs())
+        key = spec.dataset_key()
         with self._lock:
             dataset = self._dataset_cache.get(key)
         if dataset is None:
             # Built outside the lock (builds are slow and deterministic);
             # concurrent builders race benignly — setdefault keeps one winner.
-            built = self._build_dataset(spec)
+            built = build_federated_dataset(**spec.dataset_kwargs())
             with self._lock:
                 dataset = self._dataset_cache.setdefault(key, built)
         return dataset
-
-    @staticmethod
-    def _build_dataset(spec: ScenarioSpec) -> FederatedDataset:
-        return build_federated_dataset(
-            num_clients=spec.num_clients,
-            num_samples=spec.num_samples,
-            scheme=spec.scheme,
-            seed=spec.seed,
-            noise_std=spec.noise_std,
-            low_quality_fraction=spec.low_quality_fraction,
-            distinct_shards=spec.distinct_shards,
-        )
 
     # ------------------------------------------------------------------
     def run_result(self, spec: ScenarioSpec) -> RunResult:
@@ -381,8 +368,3 @@ class ExperimentEngine:
                 summary["final_accuracy"],
             )
         return table, results
-
-
-def run_scenario(spec: ScenarioSpec) -> TrainingHistory:
-    """Convenience wrapper: execute one scenario with a throwaway engine."""
-    return ExperimentEngine().run(spec)

@@ -39,12 +39,25 @@ import numpy as np
 
 from repro.fl.client import ClientUpdate, FLClient, LocalTrainingConfig
 from repro.fl.cohort import CohortTrainer
+from repro.utils.validation import check_choice, check_positive
 
-__all__ = ["EXECUTOR_BACKENDS", "ParallelExecutor", "resolve_worker_count"]
+__all__ = [
+    "EXECUTOR_BACKENDS",
+    "ParallelExecutor",
+    "check_executor_settings",
+    "resolve_worker_count",
+]
 
 #: The supported fan-out backends, in increasing order of isolation; the
 #: vectorized ``cohort`` backend replaces fan-out with stacked matrix ops.
 EXECUTOR_BACKENDS = ("serial", "thread", "process", "cohort")
+
+
+def check_executor_settings(backend: str, workers: int | None) -> None:
+    """Validate a (backend, worker-count) pair; the config dataclasses call this eagerly."""
+    check_choice("executor_backend", backend, EXECUTOR_BACKENDS)
+    if workers is not None:
+        check_positive("executor_workers", workers)
 
 
 def resolve_worker_count(max_workers: int | None) -> int:

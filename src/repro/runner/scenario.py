@@ -9,15 +9,20 @@ TOML files, swept as cartesian grids through :class:`ScenarioMatrix`, and
 executed by :class:`repro.runner.engine.ExperimentEngine` — so every benchmark
 and CLI subcommand drives through one engine instead of hand-rolled wiring.
 
-Validation is derived from the system registry
-(:mod:`repro.systems.registry`): :meth:`ScenarioSpec.validate` resolves the
-``system`` field through :func:`~repro.systems.registry.get_system`, applies
-the capability-derived axis checks (``round_mode``/``attacks``/``defense``
-only where the registered system supports them), and asks the system to
-build its authoritative config (:class:`repro.core.config.FairBFLConfig` and
-friends) — so a scenario file can never drift from what the registered
-systems accept, and a plugin-registered system validates exactly like a
-built-in.  All scenario problems are raised as :class:`ScenarioError` (a
+The :class:`ScenarioSpec` dataclass is also the one *table* of scenario
+fields: a field that has a validation rule or a command-line flag declares
+it in its own ``dataclasses.field(metadata=...)`` (see :func:`_declare`), and
+:meth:`ScenarioSpec.validate`, ``repro.cli.add_spec_flags`` and
+``tools/check_docs.py`` are loops over those declarations — adding a field is
+one declaration, not an edit per consumer.
+
+Validation has three layers: the declared per-field rules (applied for every
+system), the capability-derived axis checks of the system registry
+(:mod:`repro.systems.registry` — ``round_mode``/``attacks``/``defense`` only
+where the registered system supports them), and the registered system's own
+authoritative config (:class:`repro.core.config.FairBFLConfig` and friends),
+so a plugin-registered system validates exactly like a built-in.  All
+scenario problems are raised as :class:`ScenarioError` (a
 :class:`ValueError`) with the offending field named.
 
 See ``docs/scenarios.md`` for the field-by-field reference and
@@ -28,30 +33,37 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
+from functools import partial
 from pathlib import Path
 
 from repro.attacks.gradient_attacks import ATTACKS
 from repro.core.config import FairBFLConfig
 from repro.core.flexibility import OperatingMode
 from repro.fl.client import LocalTrainingConfig
-from repro.fl.robust import check_defense
+from repro.fl.robust import DEFENSES, check_defense
 from repro.fl.fedavg import FedAvgConfig
 from repro.fl.fedprox import FedProxConfig
+from repro.incentive.clustering import CLUSTERERS
 from repro.incentive.contribution import ContributionConfig
+from repro.incentive.strategies import STRATEGIES
 from repro.net.topology import TOPOLOGIES
+from repro.nn.models import MODELS
 from repro.runner.executor import EXECUTOR_BACKENDS
 from repro.sim.rounds import ROUND_MODES
 from repro.sim.vanilla_blockchain import VanillaBlockchainConfig
-from repro.systems.registry import (
-    SystemRegistryError,
-    check_spec_axes,
-    get_system,
-    system_names,
+from repro.systems.registry import SystemRegistryError, check_spec_axes, get_system
+from repro.utils.validation import (
+    check_choice,
+    check_finite,
+    check_fraction,
+    check_minority,
+    check_non_negative,
+    check_positive,
+    check_probability,
 )
 
 __all__ = [
-    "SCENARIO_SYSTEMS",
     "ScenarioError",
     "ScenarioSpec",
     "ScenarioMatrix",
@@ -59,88 +71,196 @@ __all__ = [
     "load_scenario_file",
 ]
 
-_PARTITION_SCHEMES = ("iid", "shard", "dirichlet")
-
-
-def __getattr__(name: str):
-    # Kept for backwards compatibility: the runnable systems used to be a
-    # hardcoded tuple here; they are now whatever the registry holds.
-    if name == "SCENARIO_SYSTEMS":
-        return system_names()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 
 class ScenarioError(ValueError):
     """A scenario file or mapping is malformed or fails validation."""
+
+
+def _declare(default, *, choices=None, check=None, flag=None, help=None, cli_default=None):
+    """Declare one :class:`ScenarioSpec` field's rule and command-line form, once.
+
+    ``choices`` (membership) or ``check`` (a :mod:`repro.utils.validation`
+    helper, called as ``check(field_name, value)``) is the field's validation
+    rule, applied by :meth:`ScenarioSpec.validate` for every system.
+    ``flag``/``help`` are its ``repro run``/``compare`` option, built by
+    ``repro.cli.add_spec_flags``; ``cli_default`` is a command-line-only
+    default (the CLI runs a smaller workload than a bare scenario file).
+    Name, type and default stay the dataclass field itself.
+    """
+    declared = dict(choices=choices, check=check, flag=flag, help=help, cli_default=cli_default)
+    return field(default=default, metadata={k: v for k, v in declared.items() if v is not None})
+
+
+def _check_each_positive(name: str, values: tuple) -> None:
+    for value in values:
+        check_positive(name, value)
+
+
+def _check_defense_chain(name: str, value: str) -> None:
+    # The '+'-chain grammar; sizing against defense_fraction is the configs' job.
+    check_defense(value)
 
 
 @dataclass(frozen=True)
 class ScenarioSpec:
     """One fully-specified experiment (see ``docs/scenarios.md``).
 
-    Field defaults deliberately match the laptop-scale defaults of
-    :class:`repro.core.experiment.ExperimentSuite`, so a scenario that sets
-    nothing but ``system`` reproduces the benchmark harness's baseline
-    workload.
+    The defaults are laptop-scale: a scenario that sets nothing but
+    ``system`` runs the benchmark harness's baseline workload.  A field's
+    rule and flag are declared on the field (:func:`_declare`).
     """
 
     # -- identity -------------------------------------------------------
     name: str = "scenario"
     system: str = "fairbfl"
-    seed: int = 0
+    seed: int = _declare(0, flag="--seed", help="master experiment seed")
     # -- workload shape -------------------------------------------------
-    num_clients: int = 20
-    num_samples: int = 1500
-    num_rounds: int = 10
-    participation: float = 0.5
-    scheme: str = "dirichlet"
+    num_clients: int = _declare(
+        20,
+        check=check_positive,
+        flag="--clients",
+        help="number of federated clients (n)",
+        cli_default=12,
+    )
+    num_samples: int = _declare(
+        1500,
+        check=check_positive,
+        flag="--samples",
+        help="total synthetic samples",
+        cli_default=1000,
+    )
+    num_rounds: int = _declare(
+        10, check=check_positive, flag="--rounds", help="communication rounds", cli_default=8
+    )
+    participation: float = _declare(
+        0.5, check=check_fraction, flag="--participation", help="selection ratio lambda"
+    )
+    scheme: str = _declare(
+        "dirichlet",
+        choices=("iid", "shard", "dirichlet"),
+        flag="--scheme",
+        help="how the dataset is partitioned across clients",
+    )
     noise_std: float = 0.4
-    low_quality_fraction: float = 0.0
+    low_quality_fraction: float = _declare(0.0, check=check_probability)
     #: Number of *distinct* client shards to synthesise; the remaining clients
     #: share them cyclically (array views, no copies), which is how 100k+-client
     #: populations fit in memory.  0 means every client gets its own shard.
     distinct_shards: int = 0
     # -- model / local training ----------------------------------------
-    model_name: str = "logreg"
-    hidden_sizes: tuple[int, ...] = (64,)
-    epochs: int = 2
-    batch_size: int = 10
-    learning_rate: float = 0.05
+    model_name: str = _declare("logreg", choices=MODELS)
+    hidden_sizes: tuple[int, ...] = _declare((64,), check=_check_each_positive)
+    epochs: int = _declare(2, check=check_positive, flag="--epochs", help="local epochs E")
+    batch_size: int = _declare(
+        10, check=check_positive, flag="--batch-size", help="local batch size B"
+    )
+    learning_rate: float = _declare(0.05, flag="--lr", help="local learning rate eta")
     proximal_mu: float = 0.01
     drop_percent: float = 0.0
     # -- blockchain / flexibility --------------------------------------
-    miners: int = 2
-    mode: str = "bfl"
-    round_mode: str = "sync"
-    straggler_deadline: float = 6.0
-    async_quorum: float = 0.5
-    staleness_decay: float = 0.5
+    miners: int = _declare(2, check=check_positive, flag="--miners", help="number of miners (m)")
+    mode: str = _declare("bfl", choices=tuple(m.value for m in OperatingMode))
+    round_mode: str = _declare(
+        "sync",
+        choices=ROUND_MODES,
+        flag="--round-mode",
+        help="round discipline: sync waits for every client, semi_sync drops "
+        "stragglers at a deadline, async proceeds on a quorum with "
+        "staleness-weighted late aggregation (round-mode capable systems)",
+    )
+    straggler_deadline: float = _declare(
+        6.0,
+        check=check_positive,
+        flag="--straggler-deadline",
+        help="semi_sync upload-window deadline in simulated seconds",
+    )
+    async_quorum: float = _declare(
+        0.5,
+        check=check_fraction,
+        flag="--async-quorum",
+        help="async mode: arrival fraction that closes the upload window",
+    )
+    staleness_decay: float = _declare(
+        0.5,
+        check=check_non_negative,
+        flag="--staleness-decay",
+        help="async mode: exponent of the (1+staleness)^-decay weight on late updates",
+    )
     verify_signatures: bool = True
     use_real_pow: bool = True
     pow_difficulty: float = 16.0
     # -- network substrate (see repro.net) ------------------------------
-    topology: str = "global"
-    peer_k: int = 2
-    partition: str = "none"
-    churn: str = "none"
+    topology: str = _declare(
+        "global",
+        choices=TOPOLOGIES,
+        flag="--topology",
+        help="committee network shape: 'global' keeps the replicated "
+        "single-network path, other values give each miner its own peer "
+        "set, mempool and chain view over seeded gossip (net-capable "
+        "systems; docs/scenarios.md)",
+    )
+    peer_k: int = _declare(
+        2, flag="--peer-k", help="peers drawn per node under --topology random_k"
+    )
+    partition: str = _declare(
+        "none",
+        flag="--partition",
+        help="timed network splits, e.g. '2-4:0|1' splits nodes 0 and 1 "
+        "apart for rounds 2-4 (requires a non-global --topology)",
+    )
+    churn: str = _declare(
+        "none",
+        flag="--churn",
+        help="node departure/arrival trace, e.g. '1:-0;3:+0' takes node 0 "
+        "offline for rounds 1-2 (requires a non-global --topology)",
+    )
     # -- incentive ------------------------------------------------------
-    strategy: str = "keep"
+    strategy: str = _declare("keep", choices=STRATEGIES)
     use_fair_aggregation: bool = True
-    clustering: str = "dbscan"
+    clustering: str = _declare("dbscan", choices=CLUSTERERS)
     dbscan_eps: float = 0.7
     dbscan_min_samples: int = 3
     base_reward: float = 1.0
     # -- attacks --------------------------------------------------------
-    attacks: bool = False
-    attack_name: str = "sign_flip"
+    attacks: bool = _declare(
+        False, flag="--attacks", help="enable 1-3 malicious clients per round"
+    )
+    attack_name: str = _declare(
+        "sign_flip",
+        choices=ATTACKS,
+        flag="--attack-name",
+        help="forgery the malicious clients apply (with --attacks)",
+    )
     min_attackers: int = 1
     max_attackers: int = 3
     # -- defenses -------------------------------------------------------
-    defense: str = "none"
-    defense_fraction: float = 0.2
+    defense: str = _declare(
+        "none",
+        check=_check_defense_chain,
+        flag="--defense",
+        help="robust-aggregation defense the gradient matrix passes through "
+        f"before aggregation: {', '.join(DEFENSES)}, or a '+'-chained "
+        "pipeline such as norm_clip+krum (see docs/threat_model.md)",
+    )
+    defense_fraction: float = _declare(
+        0.2,
+        check=check_minority,
+        flag="--defense-fraction",
+        help="adversary fraction the defense is sized for, in [0, 0.5)",
+    )
     # -- execution ------------------------------------------------------
-    backend: str = "serial"
-    max_workers: int | None = None
+    backend: str = _declare(
+        "serial",
+        choices=EXECUTOR_BACKENDS,
+        flag="--backend",
+        help="how local updates fan out over clients (results are identical)",
+    )
+    max_workers: int | None = _declare(
+        None,
+        check=check_positive,
+        flag="--workers",
+        help="worker count for the thread/process backends (default: CPU count)",
+    )
 
     # ------------------------------------------------------------------
     @classmethod
@@ -218,69 +338,24 @@ class ScenarioSpec:
             system = get_system(self.system)
         except SystemRegistryError as exc:
             raise ScenarioError(str(exc)) from exc
-        if self.scheme not in _PARTITION_SCHEMES:
-            raise ScenarioError(
-                f"unknown partition scheme {self.scheme!r}; expected one of: "
-                + ", ".join(_PARTITION_SCHEMES)
-            )
-        if self.backend not in EXECUTOR_BACKENDS:
-            raise ScenarioError(
-                f"unknown backend {self.backend!r}; expected one of: "
-                + ", ".join(EXECUTOR_BACKENDS)
-            )
-        if self.round_mode not in ROUND_MODES:
-            raise ScenarioError(
-                f"unknown round_mode {self.round_mode!r}; expected one of: "
-                + ", ".join(ROUND_MODES)
-            )
-        # Checked here (not only via FairBFLConfig) so scenarios for the
-        # baseline systems — including blockchain, whose config ignores the
-        # FL axes — fail fast too, with a clean ScenarioError.
-        if self.attack_name not in ATTACKS:
-            raise ScenarioError(
-                f"unknown attack {self.attack_name!r}; expected one of: "
-                + ", ".join(ATTACKS)
-            )
-        if not (0.0 <= self.defense_fraction < 0.5):
-            raise ScenarioError(
-                f"defense_fraction must lie in [0, 0.5), got {self.defense_fraction}"
-            )
         try:
-            check_defense(self.defense, self.defense_fraction)
-        except ValueError as exc:
+            # The declared per-field rules, applied for *every* system — so a
+            # baseline (incl. blockchain, whose config ignores the FL axes)
+            # fails fast with a clean error, not a deferred config crash.
+            for name, rule in _FIELD_RULES:
+                value = getattr(self, name)
+                if value is not None:  # only max_workers is optional
+                    rule(name, value)
+        except (ValueError, TypeError) as exc:
             raise ScenarioError(str(exc)) from exc
-        if self.straggler_deadline <= 0.0:
-            raise ScenarioError(
-                f"straggler_deadline must be positive, got {self.straggler_deadline}"
-            )
-        if not (0.0 < self.async_quorum <= 1.0):
-            raise ScenarioError(f"async_quorum must lie in (0, 1], got {self.async_quorum}")
-        if self.staleness_decay < 0.0:
-            raise ScenarioError(f"staleness_decay must be >= 0, got {self.staleness_decay}")
-        for field_name in ("num_clients", "num_samples"):
-            if int(getattr(self, field_name)) <= 0:
-                raise ScenarioError(
-                    f"{field_name} must be positive, got {getattr(self, field_name)}"
-                )
-        if self.max_workers is not None and int(self.max_workers) <= 0:
-            raise ScenarioError(f"max_workers must be positive, got {self.max_workers}")
         if not (0 <= int(self.distinct_shards) <= int(self.num_clients)):
             raise ScenarioError(
                 f"distinct_shards must lie in [0, num_clients={self.num_clients}], "
                 f"got {self.distinct_shards}"
             )
-        if not (0.0 <= self.low_quality_fraction <= 1.0):
-            raise ScenarioError(
-                f"low_quality_fraction must be in [0, 1], got {self.low_quality_fraction}"
-            )
-        # Checked here (not only via FairBFLConfig) so every system rejects a
-        # misspelt topology, and the non-net systems reject the net axes with
-        # a clean message before the capability check fires.
-        if self.topology not in TOPOLOGIES:
-            raise ScenarioError(
-                f"unknown topology {self.topology!r}; expected one of: "
-                + ", ".join(TOPOLOGIES)
-            )
+        # Checked here (not only via FairBFLConfig) so the non-net systems
+        # reject the net axes with a clean message before the capability
+        # check fires.
         if self.topology == "global":
             for axis in ("partition", "churn"):
                 if (getattr(self, axis) or "none") != "none":
@@ -392,17 +467,46 @@ class ScenarioSpec:
             seed=self.seed,
         )
 
+    def dataset_kwargs(self) -> dict:
+        """The fields that determine the federated dataset, as keyword arguments
+        of :func:`repro.datasets.federated.build_federated_dataset`."""
+        return {name: getattr(self, name) for name in _DATASET_FIELDS}
+
     def dataset_key(self) -> tuple:
-        """The fields that determine the federated dataset (cache key)."""
-        return (
-            self.num_clients,
-            self.num_samples,
-            self.scheme,
-            self.noise_std,
-            self.low_quality_fraction,
-            self.distinct_shards,
-            self.seed,
-        )
+        """The dataset-determining field values (the engine's memo key)."""
+        return tuple(self.dataset_kwargs().values())
+
+
+_DATASET_FIELDS = (
+    "num_clients",
+    "num_samples",
+    "scheme",
+    "noise_std",
+    "low_quality_fraction",
+    "distinct_shards",
+    "seed",
+)
+
+
+def _field_rules() -> tuple:
+    """Every declared ``(field name, rule)`` pair, resolved once at import.
+
+    A ``float`` field without a range check gets the finiteness rule (every
+    range helper already rejects NaN/inf): a non-finite value cannot be
+    content-hashed, so it must not validate.
+    """
+    rules = []
+    for f in fields(ScenarioSpec):
+        if f.type == "float" and "check" not in f.metadata:
+            rules.append((f.name, check_finite))
+        if "choices" in f.metadata:
+            rules.append((f.name, partial(check_choice, choices=f.metadata["choices"])))
+        if "check" in f.metadata:
+            rules.append((f.name, f.metadata["check"]))
+    return tuple(rules)
+
+
+_FIELD_RULES = _field_rules()
 
 
 def _integer(value: object) -> int:
@@ -421,7 +525,7 @@ def _coerce(key: str, value: object, annotation: str) -> object:
         if annotation == "float":
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise TypeError(f"expected a number, got {value!r}")
-            return float(value)
+            return check_finite(key, value)
         if annotation == "bool":
             if not isinstance(value, bool):
                 raise TypeError(f"expected a boolean, got {value!r}")
@@ -520,8 +624,8 @@ def scenarios_from_mapping(data: dict, *, default_name: str = "scenario") -> lis
             specs.append(ScenarioSpec.from_mapping(merged))
         return specs
     if "matrix" in data:
-        base_fields = dict(data.get("base", {}))
-        if not isinstance(data.get("base", {}), dict):
+        base_fields = data.get("base", {})
+        if not isinstance(base_fields, dict):
             raise ScenarioError("'base' must be a mapping of scenario fields")
         extra = {k: v for k, v in data.items() if k not in {"base", "matrix"}}
         base_fields = {**extra, **base_fields}

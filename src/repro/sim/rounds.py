@@ -45,6 +45,7 @@ from repro.blockchain.consensus import ForkModel
 from repro.blockchain.network import BroadcastNetwork
 from repro.sim.delay import DelayParameters, RoundDelayBreakdown
 from repro.sim.events import EventKernel
+from repro.utils.validation import check_choice, check_fraction, check_positive
 
 __all__ = [
     "ROUND_MODES",
@@ -152,14 +153,9 @@ class EventRoundSimulator:
         async_quorum: float = 0.5,
         record_trace: bool = False,
     ) -> None:
-        if round_mode not in ROUND_MODES:
-            raise ValueError(
-                f"unknown round_mode {round_mode!r}; expected one of: " + ", ".join(ROUND_MODES)
-            )
-        if straggler_deadline <= 0.0:
-            raise ValueError(f"straggler_deadline must be positive, got {straggler_deadline}")
-        if not (0.0 < async_quorum <= 1.0):
-            raise ValueError(f"async_quorum must lie in (0, 1], got {async_quorum}")
+        check_choice("round_mode", round_mode, ROUND_MODES)
+        check_positive("straggler_deadline", straggler_deadline)
+        check_fraction("async_quorum", async_quorum)
         self.params = params
         self.rng = rng
         self.round_mode = round_mode

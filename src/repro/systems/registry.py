@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Mapping
 
@@ -110,23 +110,16 @@ class SystemCapabilities:
     net: bool = False
 
 
-#: Scenario fields owned by each capability axis.  The guard defaults are
-#: fallbacks only: when the spec is a dataclass (ScenarioSpec is) the actual
-#: field default is read from it, so the values cannot drift (the registry
-#: deliberately does not import the scenario layer — it imports *us*).
+#: Scenario fields owned by each capability axis.  The *first* field of an axis
+#: is its guard: the axis counts as engaged when the guard leaves its default,
+#: which is read from the spec's own dataclass (the registry deliberately does
+#: not import the scenario layer — it imports *us*).
 _AXIS_FIELDS: dict[str, tuple[str, ...]] = {
     "round_modes": ("round_mode", "straggler_deadline", "async_quorum", "staleness_decay"),
     "attacks": ("attacks", "attack_name", "min_attackers", "max_attackers"),
     "defenses": ("defense", "defense_fraction"),
     "cohort": ("backend",),
     "net": ("topology", "peer_k", "partition", "churn"),
-}
-_AXIS_GUARDS: dict[str, tuple[str, object]] = {
-    "round_modes": ("round_mode", "sync"),
-    "attacks": ("attacks", False),
-    "defenses": ("defense", "none"),
-    "cohort": ("backend", "serial"),
-    "net": ("topology", "global"),
 }
 
 
@@ -143,16 +136,6 @@ def _axis_engaged(axis: str, value: object, default: object) -> bool:
     if axis == "net":
         return value != "global"
     return value != default
-
-
-def _guard_default(spec, guard_field: str, fallback: object) -> object:
-    """The spec type's own default for ``guard_field`` (fallback otherwise)."""
-    dataclass_fields = getattr(type(spec), "__dataclass_fields__", None)
-    if dataclass_fields and guard_field in dataclass_fields:
-        default = dataclass_fields[guard_field].default
-        if default is not MISSING:
-            return default
-    return fallback
 
 
 @dataclass(frozen=True)
@@ -383,12 +366,11 @@ def check_spec_axes(system: System, spec) -> None:
     one flag set across systems (the CLI's ``compare``) keeps working.
     """
     capabilities = system.capabilities
-    for axis, (guard_field, fallback) in _AXIS_GUARDS.items():
+    for axis, (guard_field, *_) in _AXIS_FIELDS.items():
         if getattr(capabilities, axis):
             continue
-        default = _guard_default(spec, guard_field, fallback)
-        value = getattr(spec, guard_field, default)
-        if _axis_engaged(axis, value, default):
+        value = getattr(spec, guard_field)
+        if _axis_engaged(axis, value, type(spec).__dataclass_fields__[guard_field].default):
             supported = systems_supporting(axis)
             raise SystemRegistryError(
                 f"system {system.name!r} does not support {guard_field}="

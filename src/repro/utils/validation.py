@@ -6,15 +6,19 @@ errors (the offending parameter name and value are always included).
 
 from __future__ import annotations
 
+import math
 from typing import Any
 
 __all__ = [
     "check_type",
+    "check_finite",
     "check_positive",
     "check_non_negative",
     "check_probability",
+    "check_fraction",
+    "check_minority",
+    "check_choice",
     "check_in_range",
-    "check_executor_settings",
 ]
 
 
@@ -28,6 +32,14 @@ def check_type(name: str, value: Any, expected: type | tuple[type, ...]) -> Any:
         )
         raise TypeError(f"{name} must be {expected_names}, got {type(value).__name__}")
     return value
+
+
+def check_finite(name: str, value: float) -> float:
+    """Raise ``ValueError`` when ``value`` is NaN or infinite."""
+    v = float(value)
+    if not math.isfinite(v):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    return v
 
 
 def check_positive(name: str, value: float) -> float:
@@ -54,22 +66,27 @@ def check_probability(name: str, value: float) -> float:
     return v
 
 
-def check_executor_settings(backend: str, workers: int | None) -> str:
-    """Validate a (backend, worker-count) pair for the parallel executor.
+def check_fraction(name: str, value: float) -> float:
+    """Raise ``ValueError`` unless ``value`` lies in ``(0, 1]`` (a non-empty share)."""
+    v = float(value)
+    if not (0.0 < v <= 1.0):
+        raise ValueError(f"{name} must lie in (0, 1], got {value!r}")
+    return v
 
-    Lives here (rather than in :mod:`repro.runner.executor`) so the frozen
-    config dataclasses can validate eagerly without importing the executor
-    machinery at module-import time.
-    """
-    valid = ("serial", "thread", "process", "cohort")
-    key = str(backend).strip().lower()
-    if key not in valid:
-        raise ValueError(
-            f"executor_backend must be one of {', '.join(valid)}, got {backend!r}"
-        )
-    if workers is not None and int(workers) <= 0:
-        raise ValueError(f"executor_workers must be positive or None, got {workers!r}")
-    return key
+
+def check_minority(name: str, value: float) -> float:
+    """Raise ``ValueError`` unless ``value`` lies in ``[0, 0.5)`` (a strict minority)."""
+    v = float(value)
+    if not (0.0 <= v < 0.5):
+        raise ValueError(f"{name} must lie in [0, 0.5), got {value!r}")
+    return v
+
+
+def check_choice(name: str, value: Any, choices: tuple[str, ...]) -> Any:
+    """Raise ``ValueError`` unless ``value`` is one of ``choices``."""
+    if value not in choices:
+        raise ValueError(f"{name} must be one of {', '.join(choices)}, got {value!r}")
+    return value
 
 
 def check_in_range(

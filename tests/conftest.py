@@ -18,9 +18,10 @@ _SRC = Path(__file__).resolve().parents[1] / "src"
 if str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
 
-from repro.core.experiment import ExperimentSuite, build_federated_dataset  # noqa: E402
+from repro.datasets.federated import build_federated_dataset  # noqa: E402
 from repro.datasets.synthetic_mnist import load_synthetic_mnist  # noqa: E402
 from repro.nn.models import MLPClassifier  # noqa: E402
+from repro.runner.scenario import ScenarioSpec  # noqa: E402
 from repro.utils.rng import new_rng  # noqa: E402
 
 
@@ -66,15 +67,9 @@ def tiny_federated():
 
 
 @pytest.fixture(scope="session")
-def tiny_suite() -> ExperimentSuite:
-    """A laptop-scale experiment suite shared across integration tests."""
-    return ExperimentSuite(
-        num_clients=6,
-        num_samples=400,
-        num_rounds=2,
-        participation_fraction=0.5,
-        seed=7,
-    )
+def tiny_spec() -> ScenarioSpec:
+    """A laptop-scale base scenario shared across integration tests."""
+    return ScenarioSpec(num_clients=6, num_samples=400, num_rounds=2, seed=7)
 
 
 @pytest.fixture()

@@ -7,7 +7,8 @@ Two guards that keep the docs truthful as the code grows:
   ``REGEN_SNAPSHOTS=1 PYTHONPATH=src python -m pytest tests/test_docs_tooling.py``;
 * ``tools/check_docs.py`` must pass: every public module has a docstring,
   README's benchmark map matches the ``benchmarks/`` directory, and
-  ``docs/scenarios.md`` documents every ``ScenarioSpec`` field.
+  ``docs/scenarios.md`` documents every ``ScenarioSpec`` field with the type
+  and default the dataclass declares.
 """
 
 from __future__ import annotations
@@ -105,6 +106,26 @@ class TestDocsFreshness:
         doc = (REPO_ROOT / "docs" / "scenarios.md").read_text(encoding="utf-8")
         missing = [f for f in ScenarioSpec.field_names() if f"`{f}`" not in doc]
         assert not missing, f"docs/scenarios.md missing fields: {missing}"
+
+    def test_scenario_reference_catches_a_drifted_default(self, tmp_path, monkeypatch):
+        import importlib.util
+
+        loader = importlib.util.spec_from_file_location(
+            "check_docs", REPO_ROOT / "tools" / "check_docs.py"
+        )
+        check_docs = importlib.util.module_from_spec(loader)
+        loader.loader.exec_module(check_docs)
+        assert check_docs.check_scenario_reference() == []
+        doc = (REPO_ROOT / "docs" / "scenarios.md").read_text(encoding="utf-8")
+        row = "| `num_rounds` | int | `10` |"
+        assert row in doc
+        (tmp_path / "docs").mkdir()
+        (tmp_path / "docs" / "scenarios.md").write_text(
+            doc.replace(row, "| `num_rounds` | int | `12` |"), encoding="utf-8"
+        )
+        monkeypatch.setattr(check_docs, "REPO_ROOT", tmp_path)
+        (problem,) = check_docs.check_scenario_reference()
+        assert "num_rounds" in problem and "12" in problem
 
     def test_readme_benchmark_map_is_fresh(self):
         import re

@@ -7,63 +7,59 @@ replicated ledgers) at a miniature scale.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.blockchain.transaction import TransactionType
 from repro.core.config import FairBFLConfig
-from repro.core.experiment import (
-    ExperimentSuite,
-    build_federated_dataset,
-    run_fairbfl,
-    run_fedavg,
-    run_fedprox,
-    run_vanilla_blockchain,
-)
 from repro.core.fairbfl import FairBFLTrainer
 from repro.core.flexibility import OperatingMode
+from repro.datasets.federated import build_federated_dataset
 from repro.fl.client import LocalTrainingConfig
 from repro.incentive.contribution import ContributionConfig
+from repro.runner.engine import ExperimentEngine
+from repro.runner.scenario import ScenarioSpec
 
 
 @pytest.fixture(scope="module")
-def suite():
-    return ExperimentSuite(
-        num_clients=6,
-        num_samples=400,
-        num_rounds=2,
-        participation_fraction=0.6,
-        seed=11,
-    )
+def base():
+    return ScenarioSpec(num_clients=6, num_samples=400, num_rounds=2, participation=0.6, seed=11)
 
 
 @pytest.fixture(scope="module")
-def dataset(suite):
-    return suite.dataset()
+def dataset(base):
+    return ExperimentEngine().dataset_for(base)
 
 
-def _small_config(suite, **overrides):
-    return suite.fairbfl_config(**overrides)
+def _small_config(base, **overrides):
+    return replace(base.fairbfl_config(), **overrides)
+
+
+def _run(dataset, *, config):
+    trainer = FairBFLTrainer(dataset, config)
+    return trainer, trainer.run()
 
 
 class TestFairBFLTrainer:
-    def test_run_appends_one_block_per_round(self, dataset, suite):
-        trainer = FairBFLTrainer(dataset, _small_config(suite))
+    def test_run_appends_one_block_per_round(self, dataset, base):
+        trainer = FairBFLTrainer(dataset, _small_config(base))
         trainer.run()
         # Genesis + one block per round (Assumption 2).
-        assert trainer.chain.height == 1 + suite.num_rounds
+        assert trainer.chain.height == 1 + base.num_rounds
         rounds_on_chain = [b.round_index for b in trainer.chain.blocks[1:]]
-        assert rounds_on_chain == list(range(suite.num_rounds))
+        assert rounds_on_chain == list(range(base.num_rounds))
 
-    def test_all_miner_replicas_identical(self, dataset, suite):
-        trainer = FairBFLTrainer(dataset, _small_config(suite))
+    def test_all_miner_replicas_identical(self, dataset, base):
+        trainer = FairBFLTrainer(dataset, _small_config(base))
         trainer.run()
         tips = {m.chain.last_block.block_hash for m in trainer.miners}
         assert len(tips) == 1
         assert all(m.chain.is_valid() for m in trainer.miners)
 
-    def test_blocks_contain_global_update_and_rewards(self, dataset, suite):
-        trainer = FairBFLTrainer(dataset, _small_config(suite))
+    def test_blocks_contain_global_update_and_rewards(self, dataset, base):
+        trainer = FairBFLTrainer(dataset, _small_config(base))
         trainer.run()
         block = trainer.chain.blocks[-1]
         types = {tx.tx_type for tx in block.transactions}
@@ -71,8 +67,8 @@ class TestFairBFLTrainer:
         assert TransactionType.REWARD in types
         assert block.global_update().shape == trainer.current_global_parameters().shape
 
-    def test_proof_of_work_enforced_on_chain(self, dataset, suite):
-        trainer = FairBFLTrainer(dataset, _small_config(suite))
+    def test_proof_of_work_enforced_on_chain(self, dataset, base):
+        trainer = FairBFLTrainer(dataset, _small_config(base))
         trainer.run()
         from repro.crypto.hashing import difficulty_to_target, meets_target
 
@@ -80,23 +76,23 @@ class TestFairBFLTrainer:
             target = difficulty_to_target(block.header.difficulty)
             assert meets_target(block.block_hash, target)
 
-    def test_history_records_delays_and_accuracy(self, dataset, suite):
-        _, history = run_fairbfl(dataset, config=_small_config(suite))
-        assert len(history) == suite.num_rounds
+    def test_history_records_delays_and_accuracy(self, dataset, base):
+        _, history = _run(dataset, config=_small_config(base))
+        assert len(history) == base.num_rounds
         assert all(r.delay > 0 for r in history.rounds)
         assert all(0.0 <= r.accuracy <= 1.0 for r in history.rounds)
         assert all("delay_breakdown" in r.extras for r in history.rounds)
         assert np.all(np.diff(history.elapsed_times) > 0)
 
-    def test_run_is_reproducible(self, dataset, suite):
-        cfg = _small_config(suite)
-        _, h1 = run_fairbfl(dataset, config=cfg)
-        _, h2 = run_fairbfl(dataset, config=cfg)
+    def test_run_is_reproducible(self, dataset, base):
+        cfg = _small_config(base)
+        _, h1 = _run(dataset, config=cfg)
+        _, h2 = _run(dataset, config=cfg)
         np.testing.assert_allclose(h1.accuracies, h2.accuracies)
         np.testing.assert_allclose(h1.delays, h2.delays)
 
-    def test_rewards_recorded_and_credited(self, dataset, suite):
-        trainer = FairBFLTrainer(dataset, _small_config(suite))
+    def test_rewards_recorded_and_credited(self, dataset, base):
+        trainer = FairBFLTrainer(dataset, _small_config(base))
         trainer.run()
         ledger_total = trainer.reward_ledger.total_issued()
         assert ledger_total > 0.0
@@ -107,9 +103,9 @@ class TestFairBFLTrainer:
         credited = sum(c.total_reward for c in trainer.clients.values())
         assert credited == pytest.approx(ledger_total)
 
-    def test_global_test_accuracy_improves(self, dataset, suite):
+    def test_global_test_accuracy_improves(self, dataset, base):
         cfg = _small_config(
-            suite,
+            base,
             num_rounds=6,
             participation_fraction=1.0,
             local=LocalTrainingConfig(epochs=2, batch_size=10, learning_rate=0.05),
@@ -119,64 +115,64 @@ class TestFairBFLTrainer:
         trainer.run()
         assert trainer.global_test_accuracy() > initial
 
-    def test_signature_verification_rejects_unregistered(self, dataset, suite):
-        trainer = FairBFLTrainer(dataset, _small_config(suite))
+    def test_signature_verification_rejects_unregistered(self, dataset, base):
+        trainer = FairBFLTrainer(dataset, _small_config(base))
         record = trainer.run_round(0)
         assert record.extras["rejected_uploads"] == 0
 
-    def test_without_signatures_and_without_pow(self, dataset, suite):
-        cfg = _small_config(suite, verify_signatures=False, use_real_pow=False)
-        trainer, history = run_fairbfl(dataset, config=cfg)
-        assert len(history) == suite.num_rounds
-        assert trainer.chain.height == 1 + suite.num_rounds
+    def test_without_signatures_and_without_pow(self, dataset, base):
+        cfg = _small_config(base, verify_signatures=False, use_real_pow=False)
+        trainer, history = _run(dataset, config=cfg)
+        assert len(history) == base.num_rounds
+        assert trainer.chain.height == 1 + base.num_rounds
 
 
 class TestOperatingModes:
-    def test_fl_only_mode_produces_no_new_blocks(self, dataset, suite):
-        cfg = _small_config(suite, mode="fl_only")
-        trainer, history = run_fairbfl(dataset, config=cfg)
+    def test_fl_only_mode_produces_no_new_blocks(self, dataset, base):
+        cfg = _small_config(base, mode="fl_only")
+        trainer, history = _run(dataset, config=cfg)
         assert trainer.chain.height == 1  # genesis only
         assert all(r.extras["delay_breakdown"]["t_bl"] == 0.0 for r in history.rounds)
         assert all(r.accuracy > 0.0 for r in history.rounds)
 
-    def test_fl_only_mode_still_learns(self, dataset, suite):
+    def test_fl_only_mode_still_learns(self, dataset, base):
         cfg = _small_config(
-            suite,
+            base,
             mode="fl_only",
             num_rounds=5,
             participation_fraction=1.0,
             local=LocalTrainingConfig(epochs=2, batch_size=10, learning_rate=0.05),
         )
-        trainer, history = run_fairbfl(dataset, config=cfg)
+        trainer, history = _run(dataset, config=cfg)
         assert history.accuracies[-1] > history.accuracies[0]
 
-    def test_chain_only_mode_mines_but_does_not_learn(self, dataset, suite):
-        cfg = _small_config(suite, mode="chain_only")
-        trainer, history = run_fairbfl(dataset, config=cfg)
-        assert trainer.chain.height == 1 + suite.num_rounds
+    def test_chain_only_mode_mines_but_does_not_learn(self, dataset, base):
+        cfg = _small_config(base, mode="chain_only")
+        trainer, history = _run(dataset, config=cfg)
+        assert trainer.chain.height == 1 + base.num_rounds
         assert all(r.extras["delay_breakdown"]["t_local"] == 0.0 for r in history.rounds)
         assert all(r.accuracy == 0.0 for r in history.rounds)
 
-    def test_mode_delay_ordering(self, dataset, suite):
+    def test_mode_delay_ordering(self, dataset, base):
         """Flexibility claim: FL-only < full BFL in delay; chain-only has no learning delay."""
         num_rounds = 4
-        _, h_bfl = run_fairbfl(dataset, config=_small_config(suite, num_rounds=num_rounds))
-        _, h_fl = run_fairbfl(
-            dataset, config=_small_config(suite, num_rounds=num_rounds, mode="fl_only")
+        _, h_bfl = _run(dataset, config=_small_config(base, num_rounds=num_rounds))
+        _, h_fl = _run(
+            dataset, config=_small_config(base, num_rounds=num_rounds, mode="fl_only")
         )
         assert h_fl.average_delay() < h_bfl.average_delay()
 
 
 class TestDiscardStrategyAndAttacks:
-    def test_discard_strategy_runs_and_logs(self, dataset, suite):
-        cfg = _small_config(suite, strategy="discard", num_rounds=3)
-        trainer, history = run_fairbfl(dataset, config=cfg)
+    def test_discard_strategy_runs_and_logs(self, dataset, base):
+        cfg = _small_config(base, strategy="discard", num_rounds=3)
+        trainer, history = _run(dataset, config=cfg)
         assert len(history) == 3
         # Discarded clients never appear among the same round's reward recipients.
         for record in history.rounds:
             assert not (set(record.discarded) & set(record.rewards.keys()))
 
-    def test_attacks_designated_and_mostly_detected(self, suite):
+    def test_attacks_designated_and_mostly_detected(self, base):
         dataset = build_federated_dataset(
             num_clients=10, num_samples=600, scheme="dirichlet", seed=3, noise_std=0.3
         )
@@ -190,7 +186,7 @@ class TestDiscardStrategyAndAttacks:
             contribution=ContributionConfig(eps=0.7),
             seed=5,
         )
-        trainer, history = run_fairbfl(dataset, config=cfg)
+        trainer, history = _run(dataset, config=cfg)
         logs = trainer.detection_logs()
         assert len(logs) == 5
         assert all(1 <= len(log.attacker_ids) <= 3 for log in logs)
@@ -200,7 +196,7 @@ class TestDiscardStrategyAndAttacks:
         for record, log in zip(history.rounds, logs):
             assert record.attackers == log.attacker_ids
 
-    def test_attack_damages_accuracy_without_discard(self, suite):
+    def test_attack_damages_accuracy_without_discard(self, base):
         dataset = build_federated_dataset(
             num_clients=10, num_samples=600, scheme="dirichlet", seed=3, noise_std=0.3
         )
@@ -211,14 +207,14 @@ class TestDiscardStrategyAndAttacks:
             model_name="logreg",
             seed=5,
         )
-        _, clean = run_fairbfl(dataset, config=FairBFLConfig(**base))
-        _, attacked = run_fairbfl(
+        _, clean = _run(dataset, config=FairBFLConfig(**base))
+        _, attacked = _run(
             dataset,
             config=FairBFLConfig(
                 **base, enable_attacks=True, attack_name="scaling", strategy="keep"
             ),
         )
-        _, defended = run_fairbfl(
+        _, defended = _run(
             dataset,
             config=FairBFLConfig(
                 **base, enable_attacks=True, attack_name="scaling", strategy="discard"
@@ -230,27 +226,6 @@ class TestDiscardStrategyAndAttacks:
 
 
 class TestExperimentHelpers:
-    def test_suite_dataset_memoised(self, suite):
-        assert suite.dataset() is suite.dataset()
-        assert suite.dataset(num_clients=4) is not suite.dataset()
-
-    def test_suite_config_overrides(self, suite):
-        cfg = suite.fairbfl_config(num_miners=5, strategy="discard")
-        assert cfg.num_miners == 5
-        assert cfg.strategy == "discard"
-        assert cfg.num_rounds == suite.num_rounds
-
-    def test_fedavg_and_fedprox_helpers(self, dataset, suite):
-        _, ha = run_fedavg(dataset, config=suite.fedavg_config(), num_rounds=1)
-        _, hp = run_fedprox(
-            dataset, config=suite.fedprox_config(drop_percent=0.02), num_rounds=1
-        )
-        assert len(ha) == 1 and len(hp) == 1
-
-    def test_vanilla_blockchain_helper(self, suite):
-        _, hist = run_vanilla_blockchain(config=suite.blockchain_config(num_workers=10))
-        assert len(hist) == suite.num_rounds
-
     def test_low_quality_fraction_corrupts_clients(self):
         clean = build_federated_dataset(num_clients=6, num_samples=400, seed=2)
         noisy = build_federated_dataset(

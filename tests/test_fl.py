@@ -352,6 +352,9 @@ class TestFedAvgTrainer:
             FedAvgConfig(num_rounds=0)
         with pytest.raises(ValueError):
             FedAvgConfig(participation_fraction=1.5)
+        # (0, 1], as FairBFLConfig: selecting nobody is not a round.
+        with pytest.raises(ValueError, match="participation_fraction"):
+            FedAvgConfig(participation_fraction=0.0)
 
 
 class TestFedProxTrainer:

@@ -26,9 +26,9 @@ from pathlib import Path
 import pytest
 
 from repro.core.config import FairBFLConfig
-from repro.core.experiment import build_federated_dataset
 from repro.core.fairbfl import FairBFLTrainer
-from repro.runner.engine import run_scenario
+from repro.datasets.federated import build_federated_dataset
+from repro.runner.engine import ExperimentEngine
 from repro.runner.scenario import ScenarioSpec
 from repro.store.records import history_to_payload
 
@@ -71,7 +71,7 @@ class TestGoldenReplay:
         # replay on the legacy path.
         assert spec.topology == "global"
         assert (spec.partition, spec.churn) == ("none", "none")
-        history = run_scenario(spec)
+        history = ExperimentEngine().run(spec)
         replayed = json.loads(json.dumps(history_to_payload(history), sort_keys=True))
         assert replayed == stored["history"]
 
@@ -115,7 +115,7 @@ class TestOneComponentEqualsGlobal:
         ).with_overrides(**overrides)
         gossip = base.with_overrides(topology=topology)
         assert (gossip.partition, gossip.churn) == ("none", "none")
-        payload = history_to_payload(run_scenario(gossip))
+        payload = history_to_payload(ExperimentEngine().run(gossip))
         for record in payload["rounds"]:
             assert len(record["extras"].pop("net")["components"]) == 1
-        assert payload == history_to_payload(run_scenario(base))
+        assert payload == history_to_payload(ExperimentEngine().run(base))

@@ -19,7 +19,8 @@ import pytest
 
 from repro.cli import main
 from repro.core.config import FairBFLConfig
-from repro.core.experiment import build_federated_dataset, run_fairbfl
+from repro.core.fairbfl import FairBFLTrainer
+from repro.datasets.federated import build_federated_dataset
 from repro.fl.aggregation import AggregationError, merge_stale_updates, staleness_weights
 from repro.fl.client import LocalTrainingConfig
 from repro.runner.scenario import ScenarioError, ScenarioSpec
@@ -144,9 +145,14 @@ def _config(mode, **overrides) -> FairBFLConfig:
     return FairBFLConfig(**defaults)
 
 
+def _run(dataset, *, config):
+    trainer = FairBFLTrainer(dataset, config)
+    return trainer, trainer.run()
+
+
 class TestTrainerRoundModes:
     def test_semi_sync_drops_stragglers_from_aggregation(self, small_dataset):
-        trainer, history = run_fairbfl(small_dataset, config=_config("semi_sync"))
+        trainer, history = _run(small_dataset, config=_config("semi_sync"))
         trainer.close()
         stragglers = [r.extras["stragglers"] for r in history.rounds]
         assert any(stragglers), "heavy jitter at a 3s deadline must produce stragglers"
@@ -158,7 +164,7 @@ class TestTrainerRoundModes:
                 assert cid not in record.rewards
 
     def test_async_applies_stale_updates_next_round(self, small_dataset):
-        trainer, history = run_fairbfl(small_dataset, config=_config("async", async_quorum=0.5))
+        trainer, history = _run(small_dataset, config=_config("async", async_quorum=0.5))
         trainer.close()
         stale = [r.extras["stale_applied"] for r in history.rounds]
         stragglers = [r.extras["stragglers"] for r in history.rounds]
@@ -178,7 +184,7 @@ class TestTrainerRoundModes:
         """
         from repro.core.procedures import RoundContext
 
-        trainer, _history = run_fairbfl(small_dataset, config=_config("async", num_rounds=1))
+        trainer, _history = _run(small_dataset, config=_config("async", num_rounds=1))
         previous = np.zeros(4)
         fresh = np.array([1.0, 1.0, 0.0, 0.0])  # consensus direction (1,1,0,0)
         aligned = previous + np.array([2.0, 1.5, 0.0, 0.0])
@@ -198,9 +204,9 @@ class TestTrainerRoundModes:
         np.testing.assert_allclose(ctx.new_global_parameters, expected)
 
     def test_sync_round_mode_matches_default_history(self, small_dataset):
-        _t1, h_default = run_fairbfl(small_dataset, config=_config("sync"))
+        _t1, h_default = _run(small_dataset, config=_config("sync"))
         _t1.close()
-        _t2, h_explicit = run_fairbfl(small_dataset, config=_config("sync"))
+        _t2, h_explicit = _run(small_dataset, config=_config("sync"))
         _t2.close()
         np.testing.assert_allclose(h_default.delays, h_explicit.delays)
         np.testing.assert_allclose(h_default.accuracies, h_explicit.accuracies)
@@ -209,7 +215,7 @@ class TestTrainerRoundModes:
         digests = {}
         delays = {}
         for backend in ("serial", "thread"):
-            trainer, history = run_fairbfl(
+            trainer, history = _run(
                 small_dataset, config=_config("semi_sync", executor_backend=backend)
             )
             trainer.close()
@@ -220,7 +226,7 @@ class TestTrainerRoundModes:
         assert all(d is not None for d in digests["serial"])
 
     def test_round_records_expose_simulation_extras(self, small_dataset):
-        trainer, history = run_fairbfl(small_dataset, config=_config("sync"))
+        trainer, history = _run(small_dataset, config=_config("sync"))
         trainer.close()
         for record in history.rounds:
             assert record.extras["sim_events"] > 0

@@ -7,9 +7,9 @@ The central claims under test:
 * **scenario layer** — JSON/TOML documents expand to validated specs, matrix
   grids multiply correctly, and malformed inputs fail with `ScenarioError`
   naming the problem;
-* **engine equivalence** — `ExperimentSuite.run()` (the path every benchmark
-  now drives through) reproduces the legacy hand-wired `run_fairbfl(...)`
-  histories exactly.
+* **engine equivalence** — `api.run()` (the path every benchmark drives
+  through) reproduces a hand-driven `FairBFLTrainer(...).run()` history
+  exactly.
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ import json
 import numpy as np
 import pytest
 
+from repro import api
 from repro.core.config import FairBFLConfig
-from repro.core.experiment import run_fairbfl
 from repro.core.fairbfl import FairBFLTrainer
 from repro.fl.aggregation import AggregationError, aggregate_client_updates, simple_average
 from repro.fl.client import ClientUpdate, LocalTrainingConfig
@@ -107,10 +107,10 @@ class TestBackendParity:
         assert finals["serial"].tobytes() == finals["thread"].tobytes()
         assert finals["serial"].tobytes() == finals["process"].tobytes()
 
-    def test_fedavg_backend_parity(self, tiny_suite):
+    def test_fedavg_backend_parity(self, tiny_spec):
         engine = ExperimentEngine()
-        serial = engine.run(tiny_suite.spec("fedavg", num_rounds=2))
-        threaded = engine.run(tiny_suite.spec("fedavg", num_rounds=2, backend="thread"))
+        serial = api.run(tiny_spec, engine=engine, system="fedavg")
+        threaded = api.run(tiny_spec, engine=engine, system="fedavg", backend="thread")
         assert _fingerprint(serial) == _fingerprint(threaded)
 
 
@@ -135,8 +135,10 @@ class TestScenarioSpec:
         "overrides, match",
         [
             ({"system": "fedsgd"}, "unknown system"),
-            ({"scheme": "zipf"}, "partition scheme"),
-            ({"backend": "gpu"}, "unknown backend"),
+            # (ids kept from before the uniform "<field> must be one of" wording,
+            # so the test names stay stable across the change)
+            pytest.param({"scheme": "zipf"}, "scheme", id="overrides1-partition scheme"),
+            pytest.param({"backend": "gpu"}, "backend", id="overrides2-unknown backend"),
             ({"num_clients": 0}, "num_clients"),
             ({"participation": 1.5}, "participation"),
             ({"strategy": "purge"}, "strategy"),
@@ -156,6 +158,31 @@ class TestScenarioSpec:
     def test_invalid_values_raise_scenario_error(self, overrides, match):
         with pytest.raises(ScenarioError, match=match):
             ScenarioSpec.from_mapping(overrides)
+
+    @pytest.mark.parametrize("system", ["fairbfl", "fedavg", "blockchain"])
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"participation": 0.0},
+            {"participation": 7.0},
+            {"model_name": "resnet"},
+            {"clustering": "optics"},
+            {"strategy": "purge"},
+            {"mode": "half"},
+            {"hidden_sizes": [0]},
+            {"num_rounds": 0},
+            {"miners": 0},
+            {"epochs": 0},
+            {"batch_size": 0},
+        ],
+        ids=lambda o: "-".join(f"{k}={v}" for k, v in o.items()),
+    )
+    def test_documented_rules_hold_for_every_system(self, system, overrides):
+        """docs/scenarios.md promises these for every system, not only where a
+        config happens to consume the field (a late failure inside a worker)."""
+        (name,) = overrides
+        with pytest.raises(ScenarioError, match=name):
+            ScenarioSpec.from_mapping({"system": system, **overrides})
 
     def test_scenario_error_is_value_error(self):
         assert issubclass(ScenarioError, ValueError)
@@ -223,6 +250,12 @@ class TestScenarioDocuments:
         with pytest.raises(ScenarioError, match="mapping"):
             scenarios_from_mapping([1, 2, 3])
 
+    @pytest.mark.parametrize("base", [[1], "x", 3])
+    @pytest.mark.parametrize("shape", [{"matrix": {"seed": [0]}}, {"scenarios": [{}]}])
+    def test_non_mapping_base_rejected(self, shape, base):
+        with pytest.raises(ScenarioError, match="'base' must be a mapping"):
+            scenarios_from_mapping({"base": base, **shape})
+
     def test_load_json_and_toml(self, tmp_path):
         jpath = tmp_path / "one.json"
         jpath.write_text(json.dumps({"system": "blockchain", "num_rounds": 2}))
@@ -262,24 +295,24 @@ class TestExperimentEngine:
         assert len(hist) == 2
         assert engine._dataset_cache == {}
 
-    def test_history_carries_scenario_name(self, tiny_suite):
-        hist = tiny_suite.run("fairbfl", name="custom-label", num_rounds=1)
+    def test_history_carries_scenario_name(self, tiny_spec):
+        hist = api.run(tiny_spec, name="custom-label", num_rounds=1)
         assert hist.label == "custom-label"
 
-    def test_suite_run_matches_legacy_wiring(self, tiny_suite):
-        """The engine path reproduces the hand-wired seed behaviour exactly."""
-        legacy_trainer, legacy = run_fairbfl(
-            tiny_suite.dataset(), config=tiny_suite.fairbfl_config()
-        )
+    def test_suite_run_matches_legacy_wiring(self, tiny_spec):
+        """The engine path reproduces a hand-driven trainer exactly."""
+        engine = ExperimentEngine()
+        legacy_trainer = FairBFLTrainer(engine.dataset_for(tiny_spec), tiny_spec.fairbfl_config())
+        legacy = legacy_trainer.run()
         legacy_trainer.close()
-        engine_hist = tiny_suite.run("fairbfl")
+        engine_hist = api.run(tiny_spec, engine=engine)
         assert _fingerprint(engine_hist) == _fingerprint(legacy)
 
-    def test_sweep_table_shape(self, tiny_suite):
-        engine = tiny_suite.engine
+    def test_sweep_table_shape(self, tiny_spec):
+        engine = ExperimentEngine()
         specs = [
-            tiny_suite.spec("fairbfl", name="a", num_rounds=1),
-            tiny_suite.spec("blockchain", name="b", num_rounds=1),
+            tiny_spec.with_overrides(name="a", num_rounds=1),
+            tiny_spec.with_overrides(system="blockchain", name="b", num_rounds=1),
         ]
         table, results = engine.sweep_table(specs, title="t")
         assert [row[0] for row in table.rows] == ["a", "b"]

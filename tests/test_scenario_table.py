@@ -1,0 +1,215 @@
+"""The scenario field table is declared once — as executable properties.
+
+``ScenarioSpec`` is the single table of scenario fields: validation rules and
+command-line flags are read from each field's own declaration
+(``runner/scenario.py::_declare``).  These tests pin what that derivation must
+never change — the literals below were recorded from the last commit that
+still wrote every flag, rule and mapping by hand — and what it must keep
+true: no hand-written spec flag beside the derived loop, every declared rule
+enforced for every system.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+from dataclasses import fields
+
+import pytest
+
+from repro.cli import build_parser
+from repro.runner import scenario
+from repro.runner.scenario import ScenarioError, ScenarioSpec
+from repro.store.keys import spec_key
+from repro.utils import validation
+
+#: ``(subcommand, --flag) -> (default, choices, argparse action)``; "" is the
+#: top-level parser.
+FLAG_TABLE = {
+    ('', '--help'): ('==SUPPRESS==', None, '_HelpAction'),
+    ('', '--plugins'): (None, None, '_AppendAction'),
+    ('run', '--help'): ('==SUPPRESS==', None, '_HelpAction'),
+    ('run', '--clients'): (12, None, '_StoreAction'),
+    ('run', '--miners'): (2, None, '_StoreAction'),
+    ('run', '--rounds'): (8, None, '_StoreAction'),
+    ('run', '--samples'): (1000, None, '_StoreAction'),
+    ('run', '--participation'): (0.5, None, '_StoreAction'),
+    ('run', '--lr'): (0.05, None, '_StoreAction'),
+    ('run', '--epochs'): (2, None, '_StoreAction'),
+    ('run', '--batch-size'): (10, None, '_StoreAction'),
+    ('run', '--scheme'): ('dirichlet', ('iid', 'shard', 'dirichlet'), '_StoreAction'),
+    ('run', '--round-mode'): ('sync', ('sync', 'semi_sync', 'async'), '_StoreAction'),
+    ('run', '--straggler-deadline'): (6.0, None, '_StoreAction'),
+    ('run', '--async-quorum'): (0.5, None, '_StoreAction'),
+    ('run', '--staleness-decay'): (0.5, None, '_StoreAction'),
+    ('run', '--attacks'): (False, None, '_StoreTrueAction'),
+    ('run', '--attack-name'): ('sign_flip', ('sign_flip', 'scaling', 'gaussian_noise', 'zero_gradient', 'label_flip', 'mixed', 'none'), '_StoreAction'),
+    ('run', '--defense'): ('none', None, '_StoreAction'),
+    ('run', '--defense-fraction'): (0.2, None, '_StoreAction'),
+    ('run', '--topology'): ('global', ('global', 'full', 'ring', 'random_k'), '_StoreAction'),
+    ('run', '--peer-k'): (2, None, '_StoreAction'),
+    ('run', '--partition'): ('none', None, '_StoreAction'),
+    ('run', '--churn'): ('none', None, '_StoreAction'),
+    ('run', '--seed'): (0, None, '_StoreAction'),
+    ('run', '--export'): (None, None, '_StoreAction'),
+    ('run', '--backend'): ('serial', ('serial', 'thread', 'process', 'cohort'), '_StoreAction'),
+    ('run', '--workers'): (None, None, '_StoreAction'),
+    ('run', '--server'): (None, None, '_StoreAction'),
+    ('compare', '--help'): ('==SUPPRESS==', None, '_HelpAction'),
+    ('compare', '--clients'): (12, None, '_StoreAction'),
+    ('compare', '--miners'): (2, None, '_StoreAction'),
+    ('compare', '--rounds'): (8, None, '_StoreAction'),
+    ('compare', '--samples'): (1000, None, '_StoreAction'),
+    ('compare', '--participation'): (0.5, None, '_StoreAction'),
+    ('compare', '--lr'): (0.05, None, '_StoreAction'),
+    ('compare', '--epochs'): (2, None, '_StoreAction'),
+    ('compare', '--batch-size'): (10, None, '_StoreAction'),
+    ('compare', '--scheme'): ('dirichlet', ('iid', 'shard', 'dirichlet'), '_StoreAction'),
+    ('compare', '--round-mode'): ('sync', ('sync', 'semi_sync', 'async'), '_StoreAction'),
+    ('compare', '--straggler-deadline'): (6.0, None, '_StoreAction'),
+    ('compare', '--async-quorum'): (0.5, None, '_StoreAction'),
+    ('compare', '--staleness-decay'): (0.5, None, '_StoreAction'),
+    ('compare', '--attacks'): (False, None, '_StoreTrueAction'),
+    ('compare', '--attack-name'): ('sign_flip', ('sign_flip', 'scaling', 'gaussian_noise', 'zero_gradient', 'label_flip', 'mixed', 'none'), '_StoreAction'),
+    ('compare', '--defense'): ('none', None, '_StoreAction'),
+    ('compare', '--defense-fraction'): (0.2, None, '_StoreAction'),
+    ('compare', '--topology'): ('global', ('global', 'full', 'ring', 'random_k'), '_StoreAction'),
+    ('compare', '--peer-k'): (2, None, '_StoreAction'),
+    ('compare', '--partition'): ('none', None, '_StoreAction'),
+    ('compare', '--churn'): ('none', None, '_StoreAction'),
+    ('compare', '--seed'): (0, None, '_StoreAction'),
+    ('compare', '--export'): (None, None, '_StoreAction'),
+    ('compare', '--backend'): ('serial', ('serial', 'thread', 'process', 'cohort'), '_StoreAction'),
+    ('compare', '--workers'): (None, None, '_StoreAction'),
+    ('sweep', '--help'): ('==SUPPRESS==', None, '_HelpAction'),
+    ('sweep', '--scenario'): (None, None, '_AppendAction'),
+    ('sweep', '--export'): (None, None, '_StoreAction'),
+    ('sweep', '--backend'): (None, ('serial', 'thread', 'process', 'cohort'), '_StoreAction'),
+    ('sweep', '--workers'): (None, None, '_StoreAction'),
+    ('sweep', '--round-mode'): (None, ('sync', 'semi_sync', 'async'), '_StoreAction'),
+    ('sweep', '--defense'): (None, None, '_StoreAction'),
+    ('sweep', '--store'): ('results/store', None, '_StoreAction'),
+    ('sweep', '--resume'): (False, None, '_StoreTrueAction'),
+    ('sweep', '--no-cache'): (False, None, '_StoreTrueAction'),
+    ('sweep', '--server'): (None, None, '_StoreAction'),
+    ('search', '--help'): ('==SUPPRESS==', None, '_HelpAction'),
+    ('search', '--scenario'): (None, None, '_AppendAction'),
+    ('search', '--metric'): ('final_accuracy', ('final_accuracy', 'avg_accuracy', 'delay'), '_StoreAction'),
+    ('search', '--eta'): (3, None, '_StoreAction'),
+    ('search', '--min-rounds'): (None, None, '_StoreAction'),
+    ('search', '--max-rounds'): (None, None, '_StoreAction'),
+    ('search', '--export'): (None, None, '_StoreAction'),
+    ('search', '--backend'): (None, ('serial', 'thread', 'process', 'cohort'), '_StoreAction'),
+    ('search', '--workers'): (None, None, '_StoreAction'),
+    ('search', '--store'): ('results/store', None, '_StoreAction'),
+    ('search', '--no-cache'): (False, None, '_StoreTrueAction'),
+    ('report', '--help'): ('==SUPPRESS==', None, '_HelpAction'),
+    ('report', '--store'): ('results/store', None, '_StoreAction'),
+    ('report', '--system'): (None, None, '_AppendAction'),
+    ('report', '--export'): (None, None, '_StoreAction'),
+    ('report', '--markdown'): (None, None, '_StoreAction'),
+    ('serve', '--help'): ('==SUPPRESS==', None, '_HelpAction'),
+    ('serve', '--host'): ('127.0.0.1', None, '_StoreAction'),
+    ('serve', '--port'): (8731, None, '_StoreAction'),
+    ('serve', '--workers'): (2, None, '_StoreAction'),
+    ('serve', '--isolation'): ('thread', ('thread', 'process'), '_StoreAction'),
+    ('serve', '--max-retries'): (1, None, '_StoreAction'),
+    ('serve', '--store'): ('results/store', None, '_StoreAction'),
+}
+
+DEFAULT_SPEC_KEYS = {
+    "fairbfl": "6fefed36926076bf10dce7feb845dd50209be72de0a03c173776063dd6b9d68e",
+    "fairbfl-discard": "59f12cdceadb2c773452e50c99d8db4d70b9cba15f0b433ac7fc2b96f8c57f53",
+    "fedavg": "d6c54a7ffc25a5b8ea2f9d8c80f95b8f14fee45ebb36385fb983a6fca285aa47",
+    "fedprox": "f33d7a74b903d0fafb5621ba410021acd4be3d39014c76e2948f87446b358a05",
+    "blockchain": "ff4484ac14b41d411e2517e8b087734cbbca8cd7e51d0c4179e842064fd97d37",
+}
+
+#: SHA-256 of the JSON list of ``[name, type, default]`` over all 45 fields.
+FIELD_TABLE_DIGEST = "e5addb17648c1bc2aa4787bd4a4e6edca172fed65605d7f443c5e0176ae5b8ba"
+
+#: One value each declared ``check`` must reject.
+BAD_VALUE = {
+    validation.check_positive: 0,
+    validation.check_fraction: 0.0,
+    validation.check_minority: 0.5,
+    validation.check_non_negative: -1.0,
+    validation.check_probability: 2.0,
+    scenario._check_each_positive: (0,),
+    scenario._check_defense_chain: "bogus",
+}
+
+SPEC_SUBCOMMANDS = ("run", "compare", "sweep", "search")
+FLAGGED = {f.metadata["flag"]: f.name for f in fields(ScenarioSpec) if "flag" in f.metadata}
+RULED = [f for f in fields(ScenarioSpec) if "check" in f.metadata or "choices" in f.metadata]
+
+
+def _subparsers() -> dict[str, argparse.ArgumentParser]:
+    parser = build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return {"": parser, **sub.choices}
+
+
+def test_no_flag_default_or_choice_moved():
+    table = {}
+    for command, parser in _subparsers().items():
+        for action in parser._actions:
+            choices = tuple(action.choices) if action.choices is not None else None
+            for option in action.option_strings:
+                if option.startswith("--"):
+                    table[(command, option)] = (action.default, choices, type(action).__name__)
+    assert table == FLAG_TABLE
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_every_flagged_field_is_exposed(command):
+    options = {o for a in _subparsers()[command]._actions for o in a.option_strings}
+    assert set(FLAGGED) <= options
+
+
+@pytest.mark.parametrize("command", SPEC_SUBCOMMANDS)
+def test_spec_flags_come_only_from_the_declaration(command):
+    """A declared flag lands under its field's name, and nothing else writes a field."""
+    names = set(ScenarioSpec.field_names())
+    for action in _subparsers()[command]._actions:
+        declared = [FLAGGED[o] for o in action.option_strings if o in FLAGGED]
+        if declared:
+            assert [action.dest] == declared, action.option_strings
+        elif action.option_strings:
+            assert action.dest not in names, f"hand-written spec flag {action.option_strings}"
+
+
+def test_field_table_unchanged():
+    table = [
+        [f.name, f.type, list(f.default) if isinstance(f.default, tuple) else f.default]
+        for f in fields(ScenarioSpec)
+    ]
+    assert len(table) == 45
+    assert hashlib.sha256(json.dumps(table).encode()).hexdigest() == FIELD_TABLE_DIGEST
+
+
+@pytest.mark.parametrize("system", sorted(DEFAULT_SPEC_KEYS))
+def test_default_spec_keys_unchanged(system):
+    assert spec_key(ScenarioSpec(system=system)) == DEFAULT_SPEC_KEYS[system]
+
+
+@pytest.mark.parametrize("system", ["fairbfl", "fedavg", "blockchain"])
+@pytest.mark.parametrize("field", RULED, ids=lambda f: f.name)
+def test_every_declared_rule_is_enforced_for_every_system(field, system):
+    bad = "__bogus__" if "choices" in field.metadata else BAD_VALUE[field.metadata["check"]]
+    with pytest.raises(ScenarioError, match=field.name):
+        ScenarioSpec(system=system, **{field.name: bad}).validate()
+
+
+FLOAT_FIELDS = [f.name for f in fields(ScenarioSpec) if f.type == "float"]
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("name", FLOAT_FIELDS)
+def test_non_finite_floats_are_rejected(name, value):
+    """NaN/inf slip past range comparisons and cannot be content-hashed."""
+    with pytest.raises(ScenarioError, match=name):
+        ScenarioSpec.from_mapping({"system": "blockchain", name: value})
+    with pytest.raises(ScenarioError, match=name):
+        ScenarioSpec(system="blockchain", **{name: value}).validate()

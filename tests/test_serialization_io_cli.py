@@ -69,8 +69,8 @@ class TestCLI:
     def test_parser_run_defaults(self):
         args = build_parser().parse_args(["run", "fedavg"])
         assert args.system == "fedavg"
-        assert args.clients == 12
-        assert args.rounds == 8
+        assert args.num_clients == 12
+        assert args.num_rounds == 8
 
     def test_run_blockchain(self, capsys):
         code = main(["run", "blockchain", "--clients", "8", "--rounds", "2", "--samples", "400"])

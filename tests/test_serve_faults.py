@@ -137,6 +137,23 @@ class TestBadInput:
         assert "does not support round_mode='async'" in message
         assert "systems supporting it" in message
 
+    @pytest.mark.parametrize(
+        "body, named",
+        [
+            (b'{"base": [1], "matrix": {"seed": [0]}}', "base"),
+            (b'{"base": "x", "matrix": {"seed": [0]}}', "base"),
+            (b'{"system": "blockchain", "noise_std": NaN}', "noise_std"),
+            (b'{"system": "fedavg", "model_name": "resnet"}', "model_name"),
+            (b'{"system": "fedavg", "participation": 0}', "participation"),
+        ],
+    )
+    def test_invalid_scenario_is_refused_422_not_accepted_or_crashed(self, server, body, named):
+        """Each of these answered 500 (raw exception) or 202 (accepted, then
+        failed inside the worker) before the rules were declared per field."""
+        status, payload = _post_raw(server.url + "/v1/runs", body)
+        assert status == 422
+        assert named in payload["error"]
+
     def test_non_object_document_answers_400(self, server):
         status, body = _post_raw(server.url + "/v1/runs", b'["not", "a", "mapping"]')
         assert status == 400

@@ -6,15 +6,16 @@ Fails (exit code 1) when the documentation has drifted from the code:
 2. ``README.md`` references a ``benchmarks/bench_*.py`` file that does not
    exist, or a benchmark file exists that the README's figure/table map does
    not mention;
-3. ``docs/scenarios.md`` is missing a ``ScenarioSpec`` field (the scenario
-   reference must cover every field, with its default);
+3. ``docs/scenarios.md`` is missing a ``ScenarioSpec`` field, or a field's
+   row states a type or default other than the one the dataclass declares;
 4. an example scenario file under ``scenarios/`` fails to load/validate;
 5. a configuration axis value (a round mode, an attack name, a defense name,
    a topology, or the ``partition`` / ``churn`` net axis names) is missing
    from the docs that must catalogue it (``docs/scenarios.md`` and
-   ``docs/threat_model.md``) — the axis lists are imported from the code
-   (``ROUND_MODES``, ``ATTACKS``, ``DEFENSES``, ``TOPOLOGIES``), so adding a
-   value without documenting it fails this check;
+   ``docs/threat_model.md``) — the value lists are the ``choices`` the
+   ``ScenarioSpec`` fields declare (plus ``DEFENSES``, the vocabulary of the
+   ``defense`` chain grammar), so adding a value without documenting it fails
+   this check;
 6. a *registered system* name (``repro.systems.system_names()``) is missing
    from ``docs/scenarios.md`` or the public-API reference ``docs/api.md`` —
    registering a system without documenting it fails this check;
@@ -46,6 +47,7 @@ Run from the repository root:
 from __future__ import annotations
 
 import ast
+import json
 import re
 import sys
 from pathlib import Path
@@ -85,16 +87,35 @@ def check_readme_benchmarks() -> list[str]:
     return problems
 
 
+#: How the reference table spells the two non-scalar field types.
+_DOC_TYPES = {"tuple[int, ...]": "list[int]", "int | None": "int or null"}
+
+
 def check_scenario_reference() -> list[str]:
-    """docs/scenarios.md must document every ScenarioSpec field."""
+    """docs/scenarios.md must carry every ScenarioSpec field's declared type and default."""
     _ensure_importable()
+    from dataclasses import fields
+
     from repro.runner.scenario import ScenarioSpec
 
     problems = []
     doc = (REPO_ROOT / "docs" / "scenarios.md").read_text(encoding="utf-8")
-    for field_name in ScenarioSpec.field_names():
-        if not re.search(rf"`{re.escape(field_name)}`", doc):
-            problems.append(f"docs/scenarios.md does not document ScenarioSpec field {field_name!r}")
+    rows = {
+        name: (type_.strip(), default)
+        for name, type_, default in re.findall(
+            r"^\| `(\w+)` \| ([^|]+) \| `([^`]*)` \|", doc, re.M
+        )
+    }
+    for f in fields(ScenarioSpec):
+        default = list(f.default) if isinstance(f.default, tuple) else f.default
+        declared = (_DOC_TYPES.get(f.type, f.type), json.dumps(default))
+        if f.name not in rows:
+            problems.append(f"docs/scenarios.md does not document ScenarioSpec field {f.name!r}")
+        elif rows[f.name] != declared:
+            problems.append(
+                f"docs/scenarios.md documents {f.name!r} as (type, default) = "
+                f"{rows[f.name]}, the declaration says {declared}"
+            )
     return problems
 
 
@@ -124,24 +145,23 @@ def check_example_scenarios() -> list[str]:
 def check_axis_coverage() -> list[str]:
     """Every round-mode, attack, defense, and topology name must appear in the axis docs.
 
-    The value lists come from the code (the ``partition`` / ``churn`` net
-    axis names are checked literally, in backticks), so a new axis value
-    cannot land without a mention in both the scenario reference and the
-    threat-model guide.
+    The value lists are the ``choices`` the axis fields declare on
+    ``ScenarioSpec`` — ``defense`` is a ``+``-chain grammar rather than a
+    choice, so its vocabulary is ``DEFENSES`` — and the ``partition`` /
+    ``churn`` net axis names are checked literally, in backticks; a new axis
+    value cannot land without a mention in both the scenario reference and
+    the threat-model guide.
     """
     _ensure_importable()
-    from repro.attacks.gradient_attacks import ATTACKS
     from repro.fl.robust import DEFENSES
-    from repro.net import TOPOLOGIES
-    from repro.sim.rounds import ROUND_MODES
+    from repro.runner.scenario import ScenarioSpec
 
+    declared = ScenarioSpec.__dataclass_fields__
     axes = {
-        "round_mode": ROUND_MODES,
-        "attack": ATTACKS,
-        "defense": DEFENSES,
-        "topology": TOPOLOGIES,
-        "net axis": ("`partition`", "`churn`"),
+        name: declared[name].metadata["choices"]
+        for name in ("round_mode", "attack_name", "topology")
     }
+    axes.update({"defense": DEFENSES, "net axis": ("`partition`", "`churn`")})
     required_docs = ("docs/scenarios.md", "docs/threat_model.md")
     problems = []
     for rel in required_docs:
