@@ -198,7 +198,7 @@ class FLClient:
                 optimizer.zero_grad()
                 logits = model.forward(x_batch)
                 loss = loss_fn.forward(logits, y_batch)
-                model.backward(loss_fn.backward())
+                model.backward(loss_fn.backward(), need_input_grad=False)
                 if config.proximal_mu > 0.0:
                     # FedProx: add mu * (w - w_global) to each parameter gradient.
                     for p, (lo, hi) in zip(params, offsets):

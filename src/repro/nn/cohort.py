@@ -53,7 +53,8 @@ class CohortUnsupportedError(TypeError):
 # Batched layer ops.  Each mirrors the forward/backward of the corresponding
 # serial layer with the batch axes extended from (batch, ...) to
 # (clients, batch, ...).  Parameters live in a shared flat (clients, P)
-# matrix; gradient accumulation writes into the matching flat slice.
+# matrix; each parametrised op *writes* its gradient into the matching flat
+# slice (no accumulation: ``grads`` is scratch, fully rewritten per backward).
 # ---------------------------------------------------------------------------
 
 
@@ -105,9 +106,10 @@ class _CohortLinear(_CohortOp):
         self.bias_slice = bias_slice
         self._input_cache: np.ndarray | None = None
 
-    def _weights(self, params: np.ndarray) -> np.ndarray:
+    def _weights(self, flat: np.ndarray) -> np.ndarray:
+        """The (clients, in, out) weight *view* of a C-contiguous flat matrix."""
         lo, hi = self.weight_slice
-        return params[:, lo:hi].reshape(-1, self.in_features, self.out_features)
+        return flat[:, lo:hi].reshape(-1, self.in_features, self.out_features)
 
     def forward(self, params: np.ndarray, x: np.ndarray) -> np.ndarray:
         if x.ndim != 3 or x.shape[2] != self.in_features:
@@ -119,19 +121,19 @@ class _CohortLinear(_CohortOp):
         out = np.matmul(x, self._weights(params))
         if self.bias_slice is not None:
             lo, hi = self.bias_slice
-            out = out + params[:, lo:hi][:, None, :]
+            out += params[:, lo:hi][:, None, :]
         return out
 
-    def backward(self, params, grads, grad_output):
+    def backward(self, params, grads, grad_output, need_input_grad=True):
         if self._input_cache is None:
             raise RuntimeError("backward called before forward on cohort Linear")
         x = self._input_cache
-        lo, hi = self.weight_slice
-        grad_w = np.matmul(x.transpose(0, 2, 1), grad_output)
-        grads[:, lo:hi] += grad_w.reshape(grad_w.shape[0], -1)
+        np.matmul(x.transpose(0, 2, 1), grad_output, out=self._weights(grads))
         if self.bias_slice is not None:
-            b_lo, b_hi = self.bias_slice
-            grads[:, b_lo:b_hi] += grad_output.sum(axis=1)
+            lo, hi = self.bias_slice
+            np.sum(grad_output, axis=1, out=grads[:, lo:hi])
+        if not need_input_grad:
+            return None
         return np.matmul(grad_output, self._weights(params).transpose(0, 2, 1))
 
 
@@ -208,11 +210,38 @@ class CohortModel:
     Instances are stateless apart from per-op forward caches, so one compiled
     model can be reused across rounds and cohort chunks (but not across
     threads).
+
+    The parameter slices of ``ops`` must tile ``[0, num_parameters)`` exactly:
+    :meth:`backward` writes each slice once and touches nothing else, so a
+    gap would be a column of uninitialised memory and an overlap a column
+    written twice.  The constructor checks it.
     """
 
     def __init__(self, ops: list[_CohortOp], num_parameters: int) -> None:
         self.ops = ops
         self.num_parameters = int(num_parameters)
+        linears = [op for op in ops if isinstance(op, _CohortLinear)]
+        slices = sorted(
+            s for op in linears for s in (op.weight_slice, op.bias_slice) if s is not None
+        )
+        cursor, tiles = 0, True
+        for lo, hi in slices:
+            tiles = tiles and lo == cursor and hi > lo
+            cursor = hi
+        if not tiles or cursor != self.num_parameters:
+            raise ValueError(
+                f"cohort parameter slices {slices} must tile [0, {self.num_parameters}) "
+                "without gap or overlap"
+            )
+        # The op whose input gradient nobody reads when the caller does not:
+        # the first Linear, if only shape ops (Flatten, identity) precede it.
+        self._input_op: _CohortOp | None = None
+        for op in ops:
+            if isinstance(op, (_CohortFlatten, _CohortIdentity)):
+                continue
+            if isinstance(op, _CohortLinear):
+                self._input_op = op
+            break
 
     @classmethod
     def from_module(cls, model: Module) -> "CohortModel":
@@ -272,11 +301,33 @@ class CohortModel:
         return out
 
     def backward(
-        self, params: np.ndarray, grads: np.ndarray, grad_output: np.ndarray
-    ) -> np.ndarray:
-        """Stacked backward pass; accumulates into the flat ``grads`` matrix."""
+        self,
+        params: np.ndarray,
+        grads: np.ndarray,
+        grad_output: np.ndarray,
+        *,
+        need_input_grad: bool = True,
+    ) -> np.ndarray | None:
+        """Stacked backward pass; overwrites the flat ``grads`` matrix.
+
+        ``grads`` is scratch: every column is written exactly once (it need
+        not be zeroed, and nothing accumulates across calls).  Returns the
+        gradient w.r.t. the input — unless ``need_input_grad=False`` says the
+        caller will not read it and the first parametrised op follows only
+        shape ops, in which case that op skips the product and the result is
+        ``None``.  Parameter gradients are the same bytes either way.
+        """
+        if grads.shape != params.shape or not grads.flags.c_contiguous:
+            raise ValueError(
+                f"grads must be a C-contiguous matrix of shape {params.shape}, "
+                f"got shape {grads.shape}"
+            )
         g = np.asarray(grad_output, dtype=np.float64)
+        skip = None if need_input_grad else self._input_op
         for op in reversed(self.ops):
+            if op is skip:
+                op.backward(params, grads, g, need_input_grad=False)
+                return None
             g = op.backward(params, grads, g)
         return g
 
@@ -338,10 +389,15 @@ def sgd_step(
     learning_rate: float,
     weight_decay: float = 0.0,
 ) -> None:
-    """In-place SGD step on the flat parameter matrix (mirrors ``SGD.step``)."""
+    """In-place SGD step on the flat parameter matrix (mirrors ``SGD.step``).
+
+    ``grads`` is consumed: it is turned into the applied step in place rather
+    than copied, so it holds ``learning_rate * gradient`` afterwards.
+    """
     if weight_decay > 0.0:
-        grads = grads + weight_decay * params
-    params -= learning_rate * grads
+        grads += weight_decay * params
+    grads *= learning_rate
+    params -= grads
 
 
 def add_proximal_term(

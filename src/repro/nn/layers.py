@@ -75,7 +75,14 @@ class Linear(Module):
             out = out + self.bias.value
         return out
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def backward(
+        self, grad_output: np.ndarray, *, need_input_grad: bool = True
+    ) -> np.ndarray | None:
+        """Accumulate the parameter gradients; return ``dL/dx``.
+
+        ``need_input_grad=False`` (the caller will not read the result) skips
+        the ``grad_output @ W.T`` product and returns ``None``.
+        """
         if self._input_cache is None:
             raise RuntimeError("backward called before forward on Linear layer")
         grad_output = np.asarray(grad_output, dtype=np.float64)
@@ -83,6 +90,8 @@ class Linear(Module):
         self.weight.grad += x.T @ grad_output
         if self.bias is not None:
             self.bias.grad += grad_output.sum(axis=0)
+        if not need_input_grad:
+            return None
         return grad_output @ self.weight.value.T
 
 

@@ -121,7 +121,12 @@ class Module:
         raise NotImplementedError
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        """Back-propagate ``grad_output`` and return the gradient w.r.t. the input."""
+        """Back-propagate ``grad_output`` and return the gradient w.r.t. the input.
+
+        A module that serves as a whole *model* (``Sequential``, ``Linear``)
+        also takes ``need_input_grad=False``, by which a training loop says it
+        will not read that gradient; layers inside a container never see it.
+        """
         raise NotImplementedError
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
@@ -153,11 +158,36 @@ class Sequential(Module):
             out = layer.forward(out)
         return out
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def backward(
+        self, grad_output: np.ndarray, *, need_input_grad: bool = True
+    ) -> np.ndarray | None:
+        """Back-propagate through the chain in reverse.
+
+        ``need_input_grad=False`` says the caller will not read the returned
+        gradient (a training step only reads the parameter gradients).  The
+        first parametrised layer then skips its input gradient — when only
+        ``Flatten`` precedes it, so that nothing else would have read it —
+        and the result is ``None``; parameter gradients are the same bytes.
+        """
         grad = np.asarray(grad_output, dtype=np.float64)
+        skip = None if need_input_grad else self._input_layer()
         for layer in reversed(self.layers):
+            if layer is skip:
+                layer.backward(grad, need_input_grad=False)
+                return None
             grad = layer.backward(grad)
         return grad
+
+    def _input_layer(self) -> Module | None:
+        """The first ``Linear`` if only ``Flatten`` layers precede it, else ``None``."""
+        from repro.nn.layers import Flatten, Linear  # layers imports this module
+
+        for layer in self.layers:
+            if isinstance(layer, Linear):
+                return layer
+            if not isinstance(layer, Flatten):
+                break
+        return None
 
     def __len__(self) -> int:
         return len(self.layers)

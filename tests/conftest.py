@@ -44,6 +44,12 @@ def pytest_configure(config) -> None:
         "canonical bytes, CRT signing vs the plain-exponent reference, golden "
         "keys, the serialise-once count guard) — `pytest -m ledger`",
     )
+    config.addinivalue_line(
+        "markers",
+        "cohort: byte parity of the batched cohort kernels (serial-vs-cohort "
+        "differential fuzz, cohort gradchecks, write-once/skip/distinct-shard "
+        "guards) — `pytest -m cohort`",
+    )
 
 
 @pytest.fixture(scope="session")

@@ -41,6 +41,8 @@ from repro.store.keys import spec_key
 from repro.store.records import history_to_payload, json_sanitize
 from repro.systems.registry import get_system, systems_supporting
 
+pytestmark = pytest.mark.cohort
+
 #: Number of randomized scenarios in the fuzz sweep (ISSUE floor: >= 25).
 FUZZ_COUNT = 28
 

@@ -238,6 +238,7 @@ def _cohort_setup(clients: int):
     return model, params, x
 
 
+@pytest.mark.cohort
 @pytest.mark.parametrize("clients", (1, 3))
 def test_cohort_model_gradients(clients):
     model, params, x = _cohort_setup(clients)
@@ -261,6 +262,7 @@ def test_cohort_model_gradients(clients):
     )
 
 
+@pytest.mark.cohort
 @pytest.mark.parametrize("clients", (1, 3))
 def test_batched_cross_entropy_gradient(clients):
     rng = np.random.default_rng(6)
@@ -281,6 +283,7 @@ def test_batched_cross_entropy_gradient(clients):
     )
 
 
+@pytest.mark.cohort
 def test_proximal_term_gradient():
     """`add_proximal_term` is d/dw of (mu/2)||w - w_global||^2, stacked."""
     rng = np.random.default_rng(8)
