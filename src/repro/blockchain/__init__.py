@@ -14,18 +14,16 @@ Implements the distributed-ledger machinery FAIR-BFL runs on top of:
   the deterministic fork-choice rule (longest chain, seeded hash tie-break)
   and reorg handling the gossip substrate (:mod:`repro.net`) builds on;
 * :mod:`repro.blockchain.miner` — miner nodes combining the above;
-* :mod:`repro.blockchain.network` — broadcast network with latency;
-* :mod:`repro.blockchain.consensus` — longest-chain consensus and the
-  fork-probability model that drives Fig. 6b.
+* :mod:`repro.blockchain.consensus` — the fork-probability model that drives
+  Fig. 6b.
 """
 
 from repro.blockchain.block import Block, BlockHeader, GENESIS_PREVIOUS_HASH
 from repro.blockchain.chain import Blockchain, BlockValidationError, ForkChoice
-from repro.blockchain.consensus import ForkModel, LongestChainConsensus
+from repro.blockchain.consensus import ForkModel
 from repro.blockchain.mempool import Mempool
 from repro.blockchain.merkle import merkle_root
 from repro.blockchain.miner import Miner
-from repro.blockchain.network import BroadcastNetwork, NetworkMessage
 from repro.blockchain.pow import MiningResult, mine_block, sample_mining_time
 from repro.blockchain.transaction import (
     Transaction,
@@ -43,12 +41,9 @@ __all__ = [
     "BlockValidationError",
     "ForkChoice",
     "ForkModel",
-    "LongestChainConsensus",
     "Mempool",
     "merkle_root",
     "Miner",
-    "BroadcastNetwork",
-    "NetworkMessage",
     "MiningResult",
     "mine_block",
     "sample_mining_time",

@@ -1,4 +1,4 @@
-"""Consensus: longest-chain rule and the fork-cost model.
+"""Consensus: the fork-cost model.
 
 FAIR-BFL avoids forks entirely (Assumptions 1 + 2 mean one block per round and
 all miners stop as soon as a valid block arrives), so its consensus step is a
@@ -16,48 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.blockchain.block import Block
-from repro.blockchain.chain import Blockchain
 from repro.utils.validation import check_non_negative, check_probability
 
-__all__ = ["LongestChainConsensus", "ForkModel"]
-
-
-class LongestChainConsensus:
-    """Validate-and-append consensus over replicated :class:`Blockchain` copies.
-
-    All miner ledgers are kept in lock-step: :meth:`commit` validates the
-    candidate block against each replica and appends it everywhere, raising if
-    any replica disagrees (which would indicate a bug in the simulation since
-    Assumption 1 synchronises all miners).
-    """
-
-    def __init__(self, replicas: dict[str, Blockchain]) -> None:
-        if not replicas:
-            raise ValueError("consensus requires at least one ledger replica")
-        self.replicas = dict(replicas)
-
-    def commit(self, block: Block) -> None:
-        """Append ``block`` to every replica after validating against each."""
-        errors = {
-            miner_id: err
-            for miner_id, chain in self.replicas.items()
-            if (err := chain.validate_candidate(block)) is not None
-        }
-        if errors:
-            detail = "; ".join(f"{mid}: {msg}" for mid, msg in errors.items())
-            raise ValueError(f"block rejected by replicas: {detail}")
-        for chain in self.replicas.values():
-            chain.add_block(block)
-
-    def heights(self) -> dict[str, int]:
-        """Chain height per replica."""
-        return {mid: chain.height for mid, chain in self.replicas.items()}
-
-    def in_sync(self) -> bool:
-        """True when all replicas have identical tip hashes."""
-        tips = {chain.last_block.block_hash for chain in self.replicas.values()}
-        return len(tips) == 1
+__all__ = ["ForkModel"]
 
 
 @dataclass

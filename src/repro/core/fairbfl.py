@@ -608,13 +608,6 @@ class FairBFLTrainer(CheckpointMixin):
         self.history.append(record)
         return record
 
-    def run(self, *, num_rounds: int | None = None) -> TrainingHistory:
-        """Run the configured number of communication rounds."""
-        rounds = self.config.num_rounds if num_rounds is None else int(num_rounds)
-        for r in range(len(self.history), len(self.history) + rounds):
-            self.run_round(r)
-        return self.history
-
     # ------------------------------------------------------------------
     def close(self) -> None:
         """Release any worker pools held by the parallel executor."""

@@ -152,8 +152,8 @@ class FedAvgTrainer(CheckpointMixin):
         """
         return self.server.defense is None and self.config.aggregation in ("simple", "samples")
 
-    def run_round(self, round_index: int, clock: SimulatedClock) -> RoundRecord:
-        """Execute one communication round and return its record."""
+    def run_round(self, round_index: int) -> RoundRecord:
+        """Execute one communication round; append and return its record."""
         selected_ids = [
             int(cid) for cid in self.selector.select(len(self.clients), self._selection_rng)
         ]
@@ -163,7 +163,7 @@ class FedAvgTrainer(CheckpointMixin):
             and len(selected_ids) >= self.STREAM_THRESHOLD
             and self._streaming_supported()
         ):
-            return self._run_round_streaming(round_index, clock, selected_ids, local_cfg)
+            return self._run_round_streaming(round_index, selected_ids, local_cfg)
         updates = self.executor.run_local_updates(
             self._clients_by_id, selected_ids, self.server.global_parameters, local_cfg
         )
@@ -186,21 +186,18 @@ class FedAvgTrainer(CheckpointMixin):
                 )
             )
             train_loss = float(np.mean([u.train_loss for u in updates]))
-        return self._round_record(
-            round_index, clock, selected_ids, local_cfg, avg_acc, train_loss, {}
-        )
+        return self._round_record(round_index, selected_ids, local_cfg, avg_acc, train_loss, {})
 
     def _round_record(
         self,
         round_index: int,
-        clock: SimulatedClock,
         selected_ids: list[int],
         local_cfg: LocalTrainingConfig,
         avg_acc: float,
         train_loss: float,
         extras: dict,
     ) -> RoundRecord:
-        """Price the round on the delay model, advance the clock, build the record."""
+        """Price the round on the delay model, advance the clock, append the record."""
         sizes = [self.clients[cid].num_samples for cid in selected_ids]
         batches_per_epoch = float(np.mean([np.ceil(s / local_cfg.batch_size) for s in sizes]))
         breakdown = self.delay_model.fl_round(
@@ -208,21 +205,22 @@ class FedAvgTrainer(CheckpointMixin):
             batches_per_epoch=batches_per_epoch,
             epochs=local_cfg.epochs,
         )
-        clock.advance(breakdown.total)
-        return RoundRecord(
+        self.clock.advance(breakdown.total)
+        record = RoundRecord(
             round_index=round_index,
             delay=breakdown.total,
             accuracy=avg_acc,
             train_loss=train_loss,
-            elapsed_time=clock.now,
+            elapsed_time=self.clock.now,
             participants=selected_ids,
             extras={"delay_breakdown": breakdown.as_dict(), **extras},
         )
+        self.history.append(record)
+        return record
 
     def _run_round_streaming(
         self,
         round_index: int,
-        clock: SimulatedClock,
         selected_ids: list[int],
         local_cfg: LocalTrainingConfig,
     ) -> RoundRecord:
@@ -255,26 +253,12 @@ class FedAvgTrainer(CheckpointMixin):
         )
         return self._round_record(
             round_index,
-            clock,
             selected_ids,
             local_cfg,
             float(np.mean(accuracies)),
             float(np.mean(train_losses)),
             {"cohort_stream": {"blocks": blocks, "clients": len(selected_ids)}},
         )
-
-    def run(self, *, num_rounds: int | None = None) -> TrainingHistory:
-        """Run ``num_rounds`` *additional* rounds and return the full history.
-
-        The clock and history are instance state (continuing from where a
-        previous call — or a restored checkpoint — left off), which is what
-        makes partial runs resumable; a fresh trainer behaves exactly as
-        before.
-        """
-        rounds = self.config.num_rounds if num_rounds is None else int(num_rounds)
-        for r in range(len(self.history), len(self.history) + rounds):
-            self.history.append(self.run_round(r, self.clock))
-        return self.history
 
     def test_accuracy(self) -> float:
         """Accuracy of the current global model on the held-out global test set."""

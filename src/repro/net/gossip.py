@@ -3,9 +3,9 @@
 One :meth:`GossipNetwork.propagate` call floods a single message (a mined
 block, a chain head announcement) from an origin node through the peer graph:
 each node forwards to its peers on first receipt, per-link latencies are
-drawn log-normally around a base latency (the same shape
-:class:`repro.blockchain.network.BroadcastNetwork` uses, calibrated from the
-scenario's :class:`~repro.sim.delay.DelayParameters`), and the whole cascade
+drawn log-normally around a base latency (calibrated from the scenario's
+:class:`~repro.sim.delay.DelayParameters`; this is the only message-latency
+model in the package), and the whole cascade
 runs as events on a :class:`~repro.sim.events.EventKernel` seeded for the
 call — so arrival times, duplicate counts, and the delivered set are
 bit-deterministic for a given seed regardless of host, dict order, or thread

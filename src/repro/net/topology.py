@@ -5,8 +5,9 @@ topologies are built deterministically from the experiment seed, so two
 processes (or two nodes) constructing the same scenario agree on every link:
 
 * ``global`` — the migration sentinel: no per-node substrate at all, the
-  trainer keeps today's single-``BroadcastNetwork`` path bit-identically
-  (see :mod:`repro.net.substrate`);
+  trainer keeps the single-committee path (a constant-latency all-pairs
+  exchange, :mod:`repro.sim.rounds`) bit-identically (see
+  :mod:`repro.net.substrate`);
 * ``full`` — complete graph, every node peers with every other;
 * ``ring`` — node ``i`` peers with ``i-1`` and ``i+1`` (mod ``n``);
 * ``random_k`` — every node draws ``peer_k`` seeded peers; the undirected

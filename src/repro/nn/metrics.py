@@ -3,7 +3,7 @@
 The paper reports "average accuracy" across clients per communication round
 (Section 5.1); these helpers compute the per-evaluation accuracy that feeds
 into that average (the averaging itself lives in
-:class:`repro.core.results.RoundRecord`).
+:class:`repro.fl.history.RoundRecord`).
 """
 
 from __future__ import annotations

@@ -20,9 +20,9 @@ restored onto the freshly-built client objects.
 
 Why pickling the whole graph in one blob matters: trainers share objects
 (FAIR-BFL's miners all reference the one :class:`~repro.crypto.keystore.KeyStore`;
-the event kernel's cached broadcast networks share the kernel's RNG).  A
-single ``pickle.dumps`` preserves that aliasing, so the restored graph has
-exactly the sharing structure of the live one.
+a :class:`~repro.sim.delay.DelayModel` and its kernel-backed round simulator
+draw from one generator).  A single ``pickle.dumps`` preserves that aliasing,
+so the restored graph has exactly the sharing structure of the live one.
 
 Determinism across executor backends comes for free: every stochastic draw in
 a round is made either from a trainer-owned RNG stream or from the owning
@@ -41,7 +41,9 @@ __all__ = ["CHECKPOINT_SCHEMA_VERSION", "CheckpointError", "CheckpointMixin"]
 #: Version stamped into every checkpoint blob.  Restoring a blob with a
 #: different version raises :class:`CheckpointError`, which resume paths
 #: treat as "no usable checkpoint" (the run recomputes from scratch).
-CHECKPOINT_SCHEMA_VERSION = 3
+#: 4: the pickled round simulator no longer carries per-miner-count exchange
+#: network objects (their class is gone, so a v3 FAIR-BFL blob cannot unpickle).
+CHECKPOINT_SCHEMA_VERSION = 4
 
 
 class CheckpointError(RuntimeError):
@@ -49,14 +51,18 @@ class CheckpointError(RuntimeError):
 
 
 class CheckpointMixin:
-    """Capture/restore the full resumable state of a round-based trainer.
+    """The round loop of a round-based trainer, plus capture/restore of its state.
 
-    Requirements on the host class:
+    The mixin owns :meth:`run` and :meth:`run_until`; the host class supplies
+    one round.  Requirements on the host class:
 
     * ``self.history`` is the :class:`~repro.fl.history.TrainingHistory`
-      accumulated so far (``rounds_completed()`` is its length);
-    * ``run(num_rounds=k)`` executes ``k`` *additional* rounds, continuing
-      the round indices from ``len(self.history)``;
+      accumulated so far (``rounds_completed()`` is its length) and
+      ``self.config.num_rounds`` the configured run length;
+    * ``run_round(round_index)`` executes one communication round, appends
+      its :class:`~repro.fl.history.RoundRecord` to ``self.history`` and
+      returns it, reading the clock and every RNG stream from instance state
+      (which is what makes partial runs resumable);
     * attributes listed in :attr:`CHECKPOINT_EXCLUDE` are rebuilt
       deterministically by ``__init__`` from the same spec/dataset.
     """
@@ -150,6 +156,18 @@ class CheckpointMixin:
                 client.total_reward = float(state["total_reward"])
 
     # ------------------------------------------------------------------
+    def run(self, *, num_rounds: int | None = None):
+        """Run ``num_rounds`` *additional* rounds and return the full history.
+
+        Defaults to the configured ``num_rounds``.  Round indices continue
+        from ``len(self.history)``, so a fresh trainer, a second call and a
+        restored checkpoint all step through the same loop.
+        """
+        rounds = self.config.num_rounds if num_rounds is None else int(num_rounds)
+        for r in range(len(self.history), len(self.history) + rounds):
+            self.run_round(r)
+        return self.history
+
     def run_until(self, total_rounds: int):
         """Continue running until ``total_rounds`` rounds exist in the history.
 

@@ -3,11 +3,12 @@
 The engine turns a validated :class:`~repro.runner.scenario.ScenarioSpec`
 into a run of the *registered* system it names: it resolves the spec's
 ``system`` through the registry (:mod:`repro.systems`), builds the federated
-dataset only when the system's capabilities declare it needs one, and
-executes ``system.build(spec, dataset).run()`` — so adding a system is a
-registration, not an engine patch.  Federated datasets are memoised by their
-generating fields, so a sweep that varies only algorithmic knobs (learning
-rate, strategy, miner count, ...) partitions the data exactly once.
+dataset only when the system's capabilities declare it needs one, and steps
+the trainer that ``system.build(spec, dataset)`` returns one round at a time
+— so adding a system is a registration, not an engine patch.  Federated
+datasets are memoised by their generating fields, so a sweep that varies only
+algorithmic knobs (learning rate, strategy, miner count, ...) partitions the
+data exactly once.
 
 The heavy lifting of a round stays in the trainers (e.g.
 :mod:`repro.core.procedures`); the engine's job is wiring (registry → dataset
@@ -154,20 +155,7 @@ class ExperimentEngine:
         record for the spec's content key exists (and ``reuse_cached`` is
         True), and persisted after computation otherwise.
         """
-        spec.validate()
-        if self.store is not None and self.reuse_cached:
-            cached = self.store.get(spec)
-            if cached is not None:
-                self.tally(hits=1)
-                return cached
-        system = get_system(spec.system)
-        dataset = self.dataset_for(spec) if system.capabilities.needs_dataset else None
-        result = system.build(spec, dataset).run()
-        result.history.label = spec.name
-        self.tally(runs=1, rounds=len(result.history))
-        if self.store is not None:
-            self.store.put(spec, result)
-        return result
+        return self._execute(spec, spec.validate())
 
     def run_partial(
         self,
@@ -203,59 +191,9 @@ class ExperimentEngine:
             if rounds is None or int(rounds) == spec.num_rounds
             else spec.with_overrides(num_rounds=int(rounds))
         )
-        if self.store is not None and self.reuse_cached:
-            cached = self.store.get(target)
-            if cached is not None:
-                self.tally(hits=1)
-                return cached
-        system = get_system(target.system)
-        dataset = self.dataset_for(target) if system.capabilities.needs_dataset else None
-        runner = system.build(target, dataset)
-        trainer = getattr(runner, "trainer", None)
-        if trainer is None or not callable(getattr(trainer, "run_until", None)):
-            raise ScenarioError(
-                f"system {target.system!r} does not support partial runs: its "
-                "build() result exposes no checkpointable trainer (see "
-                "repro.runner.checkpoint.CheckpointMixin)"
-            )
-        start = 0
-        if self.store is not None and self.reuse_cached:
-            candidates = sorted(
-                {int(r) for r in resume_from if 0 < int(r) < target.num_rounds},
-                reverse=True,
-            )
-            for prior in candidates:
-                blob = self.store.get_checkpoint(target.with_overrides(num_rounds=prior))
-                if blob is None:
-                    continue
-                try:
-                    trainer.restore_state(blob)
-                except CheckpointError:
-                    continue  # stale/foreign blob: fall through to lower rungs
-                start = trainer.rounds_completed()
-                break
-        try:
-            trainer.run_until(target.num_rounds)
-            blob = (
-                trainer.checkpoint_state()
-                if checkpoint and self.store is not None
-                else None
-            )
-        finally:
-            close = getattr(trainer, "close", None)
-            if callable(close):
-                close()
-        history = trainer.history
-        history.label = spec.name
-        result = RunResult(
-            system=system.name,
-            history=history,
-            extras=dict(getattr(runner, "extras", {})),
+        return self._execute(
+            spec, target, resume_from=resume_from, checkpoint=checkpoint, partial=True
         )
-        self.tally(runs=1, rounds=target.num_rounds - start)
-        if self.store is not None:
-            self.store.put(target, result, checkpoint=blob)
-        return result
 
     def run_streaming(
         self,
@@ -275,67 +213,112 @@ class ExperimentEngine:
         ``round_evaluations``, nothing is stored, and ``runs_computed`` does
         not move.
 
-        The stepping reuses the checkpoint machinery's ``run_until`` (the
+        The stepping is the one every engine verb uses (``run_until``, the
         same incremental path an ASHA promotion resumes through), so the
         resulting history is bit-identical to an uninterrupted
         :meth:`run_result` of the same spec.  Systems whose trainer does not
-        implement the checkpoint protocol fall back to one non-interruptible
-        :meth:`run_result` call with a single final progress report.
+        implement the checkpoint protocol run whole and non-interruptibly,
+        with a single final progress report.
         """
-        spec.validate()
-        total = int(spec.num_rounds)
-        if self.store is not None and self.reuse_cached:
-            cached = self.store.get(spec)
+        return self._execute(
+            spec, spec.validate(), progress=progress, should_stop=should_stop
+        )
+
+    def _execute(
+        self,
+        spec: ScenarioSpec,
+        target: ScenarioSpec,
+        *,
+        resume_from: tuple[int, ...] = (),
+        checkpoint: bool = False,
+        partial: bool = False,
+        progress=None,
+        should_stop=None,
+    ) -> RunResult:
+        """The one body behind :meth:`run_result`/:meth:`run_partial`/:meth:`run_streaming`.
+
+        ``target`` is the validated spec actually run and stored (``spec``
+        with its ``num_rounds`` lowered to the requested fidelity); ``spec``
+        only labels the history.  Store read-through → ``system.build`` →
+        optional checkpoint restore → one ``run_until`` step per round →
+        optional ``checkpoint_state()`` → ``close()`` → tally → ``store.put``.
+        """
+        total = int(target.num_rounds)
+        read_through = self.store is not None and self.reuse_cached
+        if read_through:
+            cached = self.store.get(target)
             if cached is not None:
                 self.tally(hits=1)
                 if progress is not None:
                     progress(total, total)
                 return cached
-        system = get_system(spec.system)
-        dataset = self.dataset_for(spec) if system.capabilities.needs_dataset else None
-        runner = system.build(spec, dataset)
+        system = get_system(target.system)
+        dataset = self.dataset_for(target) if system.capabilities.needs_dataset else None
+        runner = system.build(target, dataset)
         trainer = getattr(runner, "trainer", None)
+        blob = None
         if trainer is None or not callable(getattr(trainer, "run_until", None)):
-            result = self._run_prebuilt(spec, runner)
+            if partial:
+                raise ScenarioError(
+                    f"system {target.system!r} does not support partial runs: its "
+                    "build() result exposes no checkpointable trainer (see "
+                    "repro.runner.checkpoint.CheckpointMixin)"
+                )
+            # A plugin runner without the checkpoint protocol runs whole.
+            result = runner.run()
+            self.tally(rounds=len(result.history))
             if progress is not None:
                 progress(total, total)
-            return result
-        done = 0
-        try:
-            for target_round in range(1, total + 1):
-                if should_stop is not None and should_stop():
-                    raise RunCancelled(
-                        f"run of {spec.name!r} cancelled after {done}/{total} rounds"
-                    )
-                trainer.run_until(target_round)
-                done = target_round
-                if progress is not None:
-                    progress(done, total)
-        finally:
-            self.tally(rounds=done)
-            close = getattr(trainer, "close", None)
-            if callable(close):
-                close()
-        history = trainer.history
-        history.label = spec.name
-        result = RunResult(
-            system=system.name,
-            history=history,
-            extras=dict(getattr(runner, "extras", {})),
-        )
+        else:
+            start = done = 0
+            try:
+                if read_through:
+                    start = done = self._restore_highest(trainer, target, resume_from)
+                for target_round in range(start + 1, total + 1):
+                    if should_stop is not None and should_stop():
+                        raise RunCancelled(
+                            f"run of {spec.name!r} cancelled after {done}/{total} rounds"
+                        )
+                    trainer.run_until(target_round)
+                    done = target_round
+                    if progress is not None:
+                        progress(done, total)
+                if checkpoint and self.store is not None:
+                    blob = trainer.checkpoint_state()
+            finally:
+                self.tally(rounds=done - start)
+                close = getattr(trainer, "close", None)
+                if callable(close):
+                    close()
+            result = RunResult(
+                system=system.name,
+                history=trainer.history,
+                extras=dict(getattr(runner, "extras", {})),
+            )
+        result.history.label = spec.name
         self.tally(runs=1)
         if self.store is not None:
-            self.store.put(spec, result)
+            self.store.put(target, result, checkpoint=blob)
         return result
 
-    def _run_prebuilt(self, spec: ScenarioSpec, runner) -> RunResult:
-        """Execute an already-built run object with the standard accounting."""
-        result = runner.run()
-        result.history.label = spec.name
-        self.tally(runs=1, rounds=len(result.history))
-        if self.store is not None:
-            self.store.put(spec, result)
-        return result
+    def _restore_highest(
+        self, trainer, target: ScenarioSpec, resume_from: tuple[int, ...]
+    ) -> int:
+        """Restore ``trainer`` from the highest usable rung; rounds restored (0 = none)."""
+        candidates = sorted(
+            {int(r) for r in resume_from if 0 < int(r) < target.num_rounds},
+            reverse=True,
+        )
+        for prior in candidates:
+            blob = self.store.get_checkpoint(target.with_overrides(num_rounds=prior))
+            if blob is None:
+                continue
+            try:
+                trainer.restore_state(blob)
+            except CheckpointError:
+                continue  # stale/foreign blob: fall through to lower rungs
+            return trainer.rounds_completed()
+        return 0
 
     def run(self, spec: ScenarioSpec) -> TrainingHistory:
         """Execute one scenario end-to-end and return its history."""

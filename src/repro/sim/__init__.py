@@ -9,8 +9,8 @@ package provides:
   (priority-queue scheduler, simulated clock, named processes, seeded
   tie-breaking) that owns every simulated second in the repository;
 * :mod:`repro.sim.rounds` — event-driven round simulation: clients, miners,
-  the broadcast network, and the mempool act as kernel processes, with
-  ``sync`` / ``semi_sync`` / ``async`` round modes;
+  the miners' gradient-set exchange, and the mempool act as kernel
+  processes, with ``sync`` / ``semi_sync`` / ``async`` round modes;
 * :mod:`repro.sim.delay` — the calibrated per-component samplers and the
   :class:`~repro.sim.delay.DelayModel` adapter that reports kernel rounds as
   the paper's ``T(n, m)`` breakdown (plus the closed-form

@@ -3,7 +3,7 @@
 All simulated time in the repository flows through one scheduler: the
 :class:`EventKernel` owns a priority queue of timestamped events and a
 simulated clock that only advances when an event fires.  Domain objects
-(miners, the broadcast network, the mempool, federated clients) act as
+(miners, their gradient-set exchange, the mempool, federated clients) act as
 *processes* that schedule work on the kernel instead of sampling scalar
 delays, so "what happened when" is a single, inspectable event trace rather
 than three timing models that can silently disagree.

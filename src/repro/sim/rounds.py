@@ -8,10 +8,11 @@ schedule their work on it —
 * every selected **client** is a named process that finishes local SGD after a
   sampled compute time and then uploads its gradient (a delivery event);
 * the receiving **miner** verifies uploads as serialised events;
-* **miners** exchange gradient sets through a
-  :class:`~repro.blockchain.network.BroadcastNetwork` whose deliveries are
-  kernel events, compute the global update, and race to solve the proof of
-  work (the earliest solve event wins and cancels the runners-up);
+* **miners** exchange gradient sets as ``m(m-1)`` kernel delivery events at
+  one constant latency (per-link, topology-aware latencies are the gossip
+  substrate's job — :class:`~repro.net.gossip.GossipNetwork`), compute the
+  global update, and race to solve the proof of work (the earliest solve
+  event wins and cancels the runners-up);
 * in the vanilla baseline the **mempool** is drained one
   :meth:`~repro.blockchain.mempool.Mempool.take_block` per solve event, and
   fork merges are scheduled as serialised reorganisation events.
@@ -42,7 +43,6 @@ from typing import Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from repro.blockchain.consensus import ForkModel
-from repro.blockchain.network import BroadcastNetwork
 from repro.sim.delay import DelayParameters, RoundDelayBreakdown
 from repro.sim.events import EventKernel
 from repro.utils.validation import check_choice, check_fraction, check_positive
@@ -162,9 +162,6 @@ class EventRoundSimulator:
         self.straggler_deadline = float(straggler_deadline)
         self.async_quorum = float(async_quorum)
         self.record_trace = bool(record_trace)
-        # Miner exchange topologies are deterministic per miner count; build
-        # each complete graph once per simulator, not once per round.
-        self._exchange_networks: dict[int, BroadcastNetwork] = {}
 
     # -- public compositions --------------------------------------------------
     def fairbfl_round(
@@ -469,26 +466,22 @@ class EventRoundSimulator:
                 state["exchange_end"] = kernel.now
                 start_global()
                 return
-            network = self._exchange_networks.get(num_miners)
-            if network is None:
-                latency = params.exchange_base + params.exchange_per_miner * (num_miners - 1)
-                network = BroadcastNetwork(
-                    node_ids=[f"miner-{k}" for k in range(num_miners)],
-                    rng=self.rng,
-                    base_latency=latency,
-                    jitter=0.0,
-                )
-                self._exchange_networks[num_miners] = network
+            # Every miner broadcasts its gradient set to every other; all
+            # m(m-1) deliveries share one constant latency, so the stage
+            # draws nothing from the simulator stream.
+            latency = params.exchange_base + params.exchange_per_miner * (num_miners - 1)
             remaining = {"count": num_miners * (num_miners - 1)}
 
-            def delivered(_msg) -> None:
+            def delivered() -> None:
                 remaining["count"] -= 1
                 if remaining["count"] == 0:
                     state["exchange_end"] = kernel.now
                     start_global()
 
-            for name in network.node_ids:
-                network.broadcast_via(kernel, name, payload="gradient-set", on_deliver=delivered)
+            for a in range(num_miners):
+                for b in range(num_miners):
+                    if a != b:
+                        kernel.schedule(latency, delivered, name=f"net:miner-{a}->miner-{b}")
 
         # -- Procedure IV: global update -------------------------------------
         def start_global() -> None:

@@ -141,7 +141,7 @@ class VanillaBlockchainSimulator(CheckpointMixin):
             )
         return txs
 
-    def run_round(self, round_index: int, clock: SimulatedClock) -> RoundRecord:
+    def run_round(self, round_index: int) -> RoundRecord:
         """Execute one round on the event kernel: every block is mined at a solve event."""
         cfg = self.config
         txs = self._make_round_transactions(round_index)
@@ -153,7 +153,7 @@ class VanillaBlockchainSimulator(CheckpointMixin):
             block = winner.build_block(
                 round_index,
                 batch,
-                timestamp=clock.now,
+                timestamp=self.clock.now,
                 difficulty=1.0,
             )
             for miner in self.miners:
@@ -167,12 +167,12 @@ class VanillaBlockchainSimulator(CheckpointMixin):
             miners=self.miners,
         )
         self.total_forks += timing.fork_count
-        clock.advance(timing.total)
-        return RoundRecord(
+        self.clock.advance(timing.total)
+        record = RoundRecord(
             round_index=round_index,
             delay=timing.total,
             accuracy=0.0,
-            elapsed_time=clock.now,
+            elapsed_time=self.clock.now,
             participants=list(range(cfg.num_workers)),
             extras={
                 "delay_breakdown": timing.breakdown.as_dict(),
@@ -182,17 +182,8 @@ class VanillaBlockchainSimulator(CheckpointMixin):
                 "chain_height": self.miners[0].chain.height,
             },
         )
-
-    def run(self, *, num_rounds: int | None = None) -> TrainingHistory:
-        """Run ``num_rounds`` *additional* rounds and return the full history.
-
-        Like the FL trainers, the clock and history are instance state so a
-        restored checkpoint continues exactly where it stopped.
-        """
-        rounds = self.config.num_rounds if num_rounds is None else int(num_rounds)
-        for r in range(len(self.history), len(self.history) + rounds):
-            self.history.append(self.run_round(r, self.clock))
-        return self.history
+        self.history.append(record)
+        return record
 
     @property
     def chain_height(self) -> int:

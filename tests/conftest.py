@@ -87,3 +87,40 @@ def small_model(rng) -> MLPClassifier:
 def assert_vectors_close(a, b, *, atol=1e-9):
     """Convenience assertion reused by several test modules."""
     np.testing.assert_allclose(np.asarray(a), np.asarray(b), atol=atol)
+
+
+@pytest.fixture
+def toy_system_no_trainer():
+    """Registers ``toy-flat``: a plugin whose run object exposes no trainer."""
+    from repro.fl.history import RoundRecord, TrainingHistory
+    from repro.systems.registry import (
+        RunResult,
+        System,
+        SystemCapabilities,
+        register_system,
+        unregister_system,
+    )
+
+    class FlatRun:
+        def __init__(self, rounds: int) -> None:
+            self.rounds = rounds
+
+        def run(self) -> RunResult:
+            history = TrainingHistory(label="flat")
+            for r in range(self.rounds):
+                history.append(RoundRecord(round_index=r, delay=1.0, accuracy=0.5))
+            return RunResult(system="toy-flat", history=history)
+
+    class FlatSystem(System):
+        name = "toy-flat"
+        description = "no trainer attribute: not checkpointable"
+        capabilities = SystemCapabilities(needs_dataset=False)
+
+        def build(self, spec, dataset):
+            return FlatRun(spec.num_rounds)
+
+    register_system(FlatSystem())
+    try:
+        yield
+    finally:
+        unregister_system("toy-flat")

@@ -1,4 +1,4 @@
-"""Tests for miner nodes, the broadcast network, and the consensus layer."""
+"""Tests for miner nodes and the transaction-type identifiers."""
 
 from __future__ import annotations
 
@@ -7,16 +7,13 @@ import pytest
 
 from repro.blockchain.block import Block
 from repro.blockchain.chain import Blockchain
-from repro.blockchain.consensus import LongestChainConsensus
 from repro.blockchain.miner import Miner
-from repro.blockchain.network import BroadcastNetwork
 from repro.blockchain.transaction import (
     TransactionType,
     make_global_update_transaction,
     make_gradient_transaction,
 )
 from repro.crypto.keystore import KeyStore
-from repro.utils.rng import new_rng
 
 
 @pytest.fixture()
@@ -125,94 +122,6 @@ class TestMiner:
         block = miner.build_block(0, [], difficulty=2.0**220)
         with pytest.raises(RuntimeError, match="failed to find a nonce"):
             miner.mine(block, difficulty=2.0**220, max_attempts=2)
-
-
-class TestBroadcastNetwork:
-    def _network(self, nodes=("a", "b", "c"), base_latency=0.1, jitter=0.0):
-        return BroadcastNetwork(
-            node_ids=list(nodes),
-            rng=new_rng(0, "net"),
-            base_latency=base_latency,
-            jitter=jitter,
-        )
-
-    def test_send_records_message(self):
-        net = self._network()
-        msg = net.send("a", "b", payload={"x": 1})
-        assert msg.sender == "a" and msg.receiver == "b"
-        assert msg.latency == pytest.approx(0.1)
-        assert net.message_count == 1
-
-    def test_self_send_has_zero_latency(self):
-        net = self._network()
-        assert net.send("a", "a", None).latency == 0.0
-
-    def test_broadcast_reaches_everyone_else(self):
-        net = self._network(nodes=("a", "b", "c", "d"))
-        msgs = net.broadcast("a", "hello")
-        assert {m.receiver for m in msgs} == {"b", "c", "d"}
-        assert net.broadcast_latency(msgs) == pytest.approx(0.1)
-
-    def test_all_pairs_exchange_latency(self):
-        net = self._network()
-        latency = net.all_pairs_exchange({"a": 1, "b": 2, "c": 3})
-        assert latency == pytest.approx(0.1)
-        # 3 senders x 2 receivers = 6 deliveries.
-        assert net.message_count == 6
-
-    def test_jitter_produces_variable_latency(self):
-        net = self._network(jitter=0.5)
-        latencies = {net.send("a", "b", None).latency for _ in range(10)}
-        assert len(latencies) > 1
-
-    def test_unknown_node_rejected(self):
-        net = self._network()
-        with pytest.raises(KeyError):
-            net.send("a", "zz", None)
-        with pytest.raises(KeyError):
-            net.broadcast("zz", None)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            BroadcastNetwork(node_ids=[], rng=new_rng(0, "n"))
-        with pytest.raises(ValueError):
-            BroadcastNetwork(node_ids=["a", "a"], rng=new_rng(0, "n"))
-
-
-class TestLongestChainConsensus:
-    def _replicas(self, count=3):
-        genesis = Block.genesis()
-        replicas = {}
-        for i in range(count):
-            chain = Blockchain(enforce_pow=False)
-            chain.add_genesis(genesis)
-            replicas[f"miner-{i}"] = chain
-        return replicas
-
-    def test_commit_appends_everywhere(self):
-        replicas = self._replicas()
-        consensus = LongestChainConsensus(replicas)
-        tip = replicas["miner-0"].last_block
-        block = Block.create(
-            index=1, previous_hash=tip.block_hash, round_index=0, miner_id="miner-0",
-            transactions=[],
-        )
-        consensus.commit(block)
-        assert consensus.heights() == {"miner-0": 2, "miner-1": 2, "miner-2": 2}
-        assert consensus.in_sync()
-
-    def test_commit_rejects_invalid_block(self):
-        consensus = LongestChainConsensus(self._replicas())
-        bad = Block.create(
-            index=1, previous_hash="00" * 32, round_index=0, miner_id="m", transactions=[]
-        )
-        with pytest.raises(ValueError, match="rejected"):
-            consensus.commit(bad)
-        assert consensus.in_sync()
-
-    def test_requires_replicas(self):
-        with pytest.raises(ValueError):
-            LongestChainConsensus({})
 
 
 class TestTransactionTypesEnum:

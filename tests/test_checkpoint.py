@@ -20,11 +20,16 @@ satellite (built on first use, maintained by ``put``, invalidated by ``gc``).
 from __future__ import annotations
 
 import json
+import pickle
 
 import pytest
 
 from repro.crypto.rsa import rsa_sign
-from repro.runner.checkpoint import CheckpointError, CheckpointMixin
+from repro.runner.checkpoint import (
+    CHECKPOINT_SCHEMA_VERSION,
+    CheckpointError,
+    CheckpointMixin,
+)
 from repro.runner.engine import ExperimentEngine
 from repro.runner.executor import EXECUTOR_BACKENDS
 from repro.runner.scenario import ScenarioError, ScenarioSpec
@@ -50,6 +55,22 @@ def canonical(result) -> str:
 def straight_run(spec: ScenarioSpec):
     """The uninterrupted reference run (no store, no checkpointing)."""
     return ExperimentEngine().run_partial(spec, checkpoint=False)
+
+
+def _previous_schema_version(blob: bytes) -> bytes:
+    """``blob`` re-stamped as written by the previous checkpoint schema."""
+    payload = pickle.loads(blob)
+    payload["version"] = CHECKPOINT_SCHEMA_VERSION - 1
+    return pickle.dumps(payload)
+
+
+def _names_a_deleted_class(_blob: bytes) -> bytes:
+    """A pickle referencing a class that no longer imports (GLOBAL opcode).
+
+    Every schema-3 blob of a FAIR-BFL run with two or more miners pickled the
+    round simulator's ``repro.blockchain.network.BroadcastNetwork`` objects.
+    """
+    return b"\x80\x04crepro.blockchain.network\nBroadcastNetwork\n."
 
 
 class TestResumeParity:
@@ -117,6 +138,19 @@ class TestResumeParity:
         resumed = engine.run_partial(spec, 6, resume_from=(3,))
         assert canonical(resumed) == canonical(straight_run(spec))
         assert engine.round_evaluations == 6  # no prefix was reusable
+
+    @pytest.mark.parametrize("doctor", [_previous_schema_version, _names_a_deleted_class])
+    def test_stale_checkpoint_is_a_miss_through_the_engine(self, doctor, tmp_path):
+        # A sidecar written by older code must cost a recompute, never a crash.
+        spec = small_spec()
+        prior = spec.with_overrides(num_rounds=3)
+        store = RunStore(tmp_path)
+        rung = ExperimentEngine(store=store).run_partial(spec, 3)
+        store.put(prior, rung, checkpoint=doctor(store.get_checkpoint(prior)))
+        engine = ExperimentEngine(store=store, reuse_cached=True)
+        resumed = engine.run_partial(spec, 6, resume_from=(3,))
+        assert canonical(resumed) == canonical(straight_run(spec))
+        assert engine.round_evaluations == 6  # the doctored rung was not reused
 
 
 class TestCheckpointGuards:
@@ -187,42 +221,6 @@ class TestCheckpointGuards:
         # system.build(), everything else must pickle.
         assert "dataset" in CheckpointMixin.CHECKPOINT_EXCLUDE
         assert "executor" in CheckpointMixin.CHECKPOINT_EXCLUDE
-
-
-@pytest.fixture
-def toy_system_no_trainer():
-    from repro.fl.history import RoundRecord, TrainingHistory
-    from repro.systems.registry import (
-        RunResult,
-        System,
-        SystemCapabilities,
-        register_system,
-        unregister_system,
-    )
-
-    class FlatRun:
-        def __init__(self, rounds: int) -> None:
-            self.rounds = rounds
-
-        def run(self) -> RunResult:
-            history = TrainingHistory(label="flat")
-            for r in range(self.rounds):
-                history.append(RoundRecord(round_index=r, delay=1.0, accuracy=0.5))
-            return RunResult(system="toy-flat", history=history)
-
-    class FlatSystem(System):
-        name = "toy-flat"
-        description = "no trainer attribute: not checkpointable"
-        capabilities = SystemCapabilities(needs_dataset=False)
-
-        def build(self, spec, dataset):
-            return FlatRun(spec.num_rounds)
-
-    register_system(FlatSystem())
-    try:
-        yield
-    finally:
-        unregister_system("toy-flat")
 
 
 class TestStorePlumbing:

@@ -107,7 +107,8 @@ class TestDocsFreshness:
         missing = [f for f in ScenarioSpec.field_names() if f"`{f}`" not in doc]
         assert not missing, f"docs/scenarios.md missing fields: {missing}"
 
-    def test_scenario_reference_catches_a_drifted_default(self, tmp_path, monkeypatch):
+    @staticmethod
+    def _load_check_docs():
         import importlib.util
 
         loader = importlib.util.spec_from_file_location(
@@ -115,6 +116,10 @@ class TestDocsFreshness:
         )
         check_docs = importlib.util.module_from_spec(loader)
         loader.loader.exec_module(check_docs)
+        return check_docs
+
+    def test_scenario_reference_catches_a_drifted_default(self, tmp_path, monkeypatch):
+        check_docs = self._load_check_docs()
         assert check_docs.check_scenario_reference() == []
         doc = (REPO_ROOT / "docs" / "scenarios.md").read_text(encoding="utf-8")
         row = "| `num_rounds` | int | `10` |"
@@ -126,6 +131,25 @@ class TestDocsFreshness:
         monkeypatch.setattr(check_docs, "REPO_ROOT", tmp_path)
         (problem,) = check_docs.check_scenario_reference()
         assert "num_rounds" in problem and "12" in problem
+
+    def test_cross_references_catch_a_deleted_target(self, tmp_path, monkeypatch):
+        check_docs = self._load_check_docs()
+        assert check_docs.check_cross_references() == []
+        (tmp_path / "docs").mkdir()
+        (tmp_path / "src").mkdir()
+        (tmp_path / "README.md").write_text(
+            "Flooding is :class:`~repro.net.gossip.GossipNetwork` (see :mod:`repro.net`), "
+            "runs go through :meth:`repro.runner.engine.ExperimentEngine.run_result`, and "
+            "miners once used :class:`~repro.blockchain.network.BroadcastNetwork` and "
+            ":meth:`~repro.net.gossip.GossipNetwork.teleport`.\n",
+            encoding="utf-8",
+        )
+        monkeypatch.setattr(check_docs, "REPO_ROOT", tmp_path)
+        monkeypatch.setattr(check_docs, "SRC_ROOT", tmp_path / "src")
+        problems = check_docs.check_cross_references()
+        assert len(problems) == 2 and all(p.startswith("README.md:") for p in problems)
+        assert "'repro.blockchain.network.BroadcastNetwork'" in problems[0]
+        assert "'repro.net.gossip.GossipNetwork.teleport'" in problems[1]
 
     def test_readme_benchmark_map_is_fresh(self):
         import re

@@ -1,10 +1,9 @@
 """Tests for the discrete-event kernel and its blockchain-layer actors.
 
 Covers the kernel contract (ordering, cancellation, bounded runs, generator
-processes, seeded tie-breaking, trace digests), the event-driven delivery
-paths of :class:`~repro.blockchain.network.BroadcastNetwork` with its bounded
-message recording, and the :class:`~repro.blockchain.mempool.Mempool`
-oversized-transaction / byte-accounting edge cases.
+processes, seeded tie-breaking, trace digests) and the
+:class:`~repro.blockchain.mempool.Mempool` oversized-transaction /
+byte-accounting edge cases.
 """
 
 from __future__ import annotations
@@ -12,10 +11,8 @@ from __future__ import annotations
 import pytest
 
 from repro.blockchain.mempool import Mempool, pack_block_counts
-from repro.blockchain.network import BroadcastNetwork
 from repro.blockchain.transaction import make_gradient_transaction
 from repro.sim.events import EventKernel, EventKernelError
-from repro.utils.rng import new_rng
 
 
 class TestEventKernel:
@@ -164,55 +161,6 @@ class TestEventKernel:
 
         assert digest() == digest()
         assert len(digest()) == 64
-
-
-class TestEventDrivenNetwork:
-    def _network(self, **kwargs):
-        return BroadcastNetwork(
-            node_ids=["a", "b", "c"], rng=new_rng(0, "net"), base_latency=0.2, jitter=0.0, **kwargs
-        )
-
-    def test_send_via_delivers_at_latency(self):
-        kernel = EventKernel(seed=0)
-        net = self._network()
-        seen = []
-        net.send_via(kernel, "a", "b", payload="hi", on_deliver=lambda m: seen.append((kernel.now, m)))
-        assert net.message_count == 0  # not delivered yet
-        kernel.run()
-        assert net.message_count == 1
-        (t, msg), = seen
-        assert t == pytest.approx(0.2)
-        assert msg.payload == "hi" and msg.latency == pytest.approx(0.2)
-
-    def test_broadcast_via_reaches_all_peers(self):
-        kernel = EventKernel(seed=0)
-        net = self._network()
-        receivers = []
-        net.broadcast_via(kernel, "a", on_deliver=lambda m: receivers.append(m.receiver))
-        kernel.run()
-        assert sorted(receivers) == ["b", "c"]
-        assert net.message_count == 2
-        assert net.total_latency == pytest.approx(0.4)
-        assert net.mean_latency == pytest.approx(0.2)
-
-    def test_recording_is_off_by_default(self):
-        net = self._network()
-        for _ in range(5):
-            net.send("a", "b", None)
-        assert net.message_count == 5
-        assert len(net.recent_messages) == 0
-
-    def test_recording_is_bounded_when_enabled(self):
-        net = self._network(record_limit=3)
-        for i in range(10):
-            net.send("a", "b", i)
-        assert net.message_count == 10
-        assert len(net.recent_messages) == 3
-        assert [m.payload for m in net.recent_messages] == [7, 8, 9]
-
-    def test_negative_record_limit_rejected(self):
-        with pytest.raises(ValueError):
-            self._network(record_limit=-1)
 
 
 def _tx(sender: str, elements: int):

@@ -24,7 +24,9 @@ from repro.datasets.federated import build_federated_dataset
 from repro.fl.aggregation import AggregationError, merge_stale_updates, staleness_weights
 from repro.fl.client import LocalTrainingConfig
 from repro.runner.scenario import ScenarioError, ScenarioSpec
-from repro.sim.delay import DelayParameters
+from repro.sim import rounds as sim_rounds
+from repro.sim.delay import DelayModel, DelayParameters
+from repro.sim.events import EventKernel
 from repro.sim.rounds import EventRoundSimulator
 from repro.utils.rng import new_rng
 
@@ -122,6 +124,75 @@ class TestSimulatorRoundModes:
             EventRoundSimulator(HEAVY_JITTER, new_rng(0, "x"), straggler_deadline=0.0)
         with pytest.raises(ValueError, match="async_quorum"):
             EventRoundSimulator(HEAVY_JITTER, new_rng(0, "x"), async_quorum=1.5)
+
+
+class TestCommitteeExchange:
+    """Procedure III on the global committee: ``m(m-1)`` constant-latency deliveries."""
+
+    PARAMS = DelayParameters()
+    ALL_STAGES = ("local", "upload", "exchange", "global", "mining")
+
+    def _round(self, monkeypatch, num_miners, stages=ALL_STAGES):
+        """Run one traced round; returns ``(timing, the round's kernel, simulator)``."""
+        kernels = []
+
+        class RecordingKernel(EventKernel):
+            def __init__(self, **kwargs):
+                super().__init__(**kwargs)
+                self.scheduled: list[str] = []
+                kernels.append(self)
+
+            def schedule_at(self, time, action=None, *, name="event", priority=0):
+                self.scheduled.append(name)
+                return super().schedule_at(time, action, name=name, priority=priority)
+
+        monkeypatch.setattr(sim_rounds, "EventKernel", RecordingKernel)
+        sim = EventRoundSimulator(self.PARAMS, new_rng(0, "exchange"), record_trace=True)
+        timing = sim.fairbfl_round(
+            client_ids=list(range(6)),
+            num_miners=num_miners,
+            batches_per_epoch=5,
+            epochs=2,
+            stages=stages,
+        )
+        (kernel,) = kernels
+        return timing, kernel, sim
+
+    @pytest.mark.parametrize("num_miners", [1, 2, 4, 8])
+    def test_every_ordered_pair_delivers_once_at_one_constant_latency(
+        self, monkeypatch, num_miners
+    ):
+        timing, kernel, _sim = self._round(monkeypatch, num_miners)
+        pairs = [
+            f"net:miner-{a}->miner-{b}"
+            for a in range(num_miners)
+            for b in range(num_miners)
+            if a != b
+        ]
+        # Scheduled sender-major: the order fixes the kernel's tie-break draws
+        # and therefore every event_trace_digest.
+        assert [name for name in kernel.scheduled if name.startswith("net:")] == pairs
+        deliveries = [(time, name) for time, name in kernel.trace if name.startswith("net:")]
+        assert sorted(name for _time, name in deliveries) == sorted(pairs)
+        expected = DelayModel(self.PARAMS, new_rng(0, "unused")).exchange_delay(num_miners)
+        assert timing.breakdown.t_ex == pytest.approx(expected, abs=1e-12)
+        if deliveries:
+            # The exchange opens at the event that closes upload verification.
+            verify_end = kernel.trace[kernel.trace.index(deliveries[0]) - 1][0]
+            assert verify_end == pytest.approx(timing.breakdown.t_local + timing.breakdown.t_up)
+            latency = self.PARAMS.exchange_base + self.PARAMS.exchange_per_miner * (num_miners - 1)
+            assert {time for time, _name in deliveries} == {verify_end + latency}
+
+    def test_skipping_the_stage_fires_nothing_and_draws_nothing(self, monkeypatch):
+        with_exchange, kernel_with, sim_with = self._round(monkeypatch, 4)
+        stages = tuple(s for s in self.ALL_STAGES if s != "exchange")
+        without, kernel_without, sim_without = self._round(monkeypatch, 4, stages)
+        assert any(name.startswith("net:") for name in kernel_with.scheduled)
+        assert not any(name.startswith("net:") for name in kernel_without.scheduled)
+        assert without.breakdown.t_ex == 0.0 < with_exchange.breakdown.t_ex
+        # The stage reads nothing from the simulator stream: both simulators
+        # end the round at the same generator position.
+        assert sim_with.rng.bit_generator.state == sim_without.rng.bit_generator.state
 
 
 @pytest.fixture(scope="module")

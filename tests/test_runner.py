@@ -25,7 +25,7 @@ from repro.core.fairbfl import FairBFLTrainer
 from repro.fl.aggregation import AggregationError, aggregate_client_updates, simple_average
 from repro.fl.client import ClientUpdate, LocalTrainingConfig
 from repro.fl.server import CentralServer
-from repro.runner.engine import ExperimentEngine
+from repro.runner.engine import ExperimentEngine, RunCancelled
 from repro.runner.executor import EXECUTOR_BACKENDS, ParallelExecutor, resolve_worker_count
 from repro.runner.scenario import (
     ScenarioError,
@@ -34,6 +34,8 @@ from repro.runner.scenario import (
     load_scenario_file,
     scenarios_from_mapping,
 )
+from repro.store import RunStore
+from repro.systems.registry import get_system
 
 
 def _fingerprint(history):
@@ -355,8 +357,6 @@ class TestExperimentEngine:
         assert seen == [(1, 3), (2, 3), (3, 3)]
 
     def test_run_streaming_cancellation_raises_and_counts_partial_rounds(self):
-        from repro.runner.engine import RunCancelled
-
         engine = ExperimentEngine()
         spec = ScenarioSpec(system="blockchain", num_clients=8, num_rounds=5)
         done_rounds: list[int] = []
@@ -369,6 +369,100 @@ class TestExperimentEngine:
         assert engine.runs_computed == 0  # a cancelled run is not a computed run
         assert engine.round_evaluations == 2  # ...but its partial rounds are costed
         assert done_rounds == [1, 2]
+
+
+def _stored_record(store: RunStore, spec: ScenarioSpec) -> str | None:
+    """The record stored for ``spec`` minus its wall-clock stamp (None = absent)."""
+    path = store.path_for(store.key_for(spec))
+    if not path.exists():
+        return None
+    record = json.loads(path.read_text(encoding="utf-8"))
+    del record["created_at"]
+    return json.dumps(record, sort_keys=True)
+
+
+#: The three public engine verbs, called so that each asks for the same thing.
+ENGINE_VERBS = {
+    "run_result": lambda engine, spec, **watch: engine.run_result(spec),
+    "run_partial": lambda engine, spec, **watch: engine.run_partial(spec, checkpoint=False),
+    "run_streaming": lambda engine, spec, **watch: engine.run_streaming(spec, **watch),
+}
+
+
+class TestEngineVerbsAreOneBody:
+    @pytest.mark.parametrize(
+        "system", ["fairbfl", "fairbfl-discard", "fedavg", "fedprox", "blockchain"]
+    )
+    def test_same_run_same_record_same_counters(self, system, tmp_path, monkeypatch):
+        spec = ScenarioSpec(
+            system=system, name="verbs", num_clients=6, num_samples=240, num_rounds=5, seed=5
+        )
+        outcomes = {}
+        for verb, call in ENGINE_VERBS.items():
+            store = RunStore(tmp_path / verb)
+            engine = ExperimentEngine(store=store)
+            seen: list[tuple[int, int]] = []
+            watch = dict(progress=lambda done, total: seen.append((done, total)))
+            history = call(engine, spec, **watch).history
+            counters = (engine.runs_computed, engine.round_evaluations, engine.cache_hits)
+            assert counters == (1, 5, 0)
+            outcomes[verb] = (_fingerprint(history), _stored_record(store, spec))
+            # A second call is a pure hit, reported as one finished step.
+            del seen[:]
+            again = call(engine, spec, **watch).history
+            assert _fingerprint(again) == _fingerprint(history)
+            counters = (engine.runs_computed, engine.round_evaluations, engine.cache_hits)
+            assert counters == (1, 5, 1)
+            assert seen == ([(5, 5)] if verb == "run_streaming" else [])
+        assert outcomes["run_partial"] == outcomes["run_result"]
+        assert outcomes["run_streaming"] == outcomes["run_result"]
+
+        # Cancelled at round 2 of 5: nothing stored, the rounds costed, the
+        # trainer closed — and the next run computes all five.
+        closed: list[bool] = []
+        registered = get_system(system)
+        build = registered.build
+
+        def spying_build(spec, dataset):
+            run = build(spec, dataset)
+            close = getattr(run.trainer, "close", lambda: None)
+            run.trainer.close = lambda: (closed.append(True), close())
+            return run
+
+        monkeypatch.setattr(registered, "build", spying_build)
+        store = RunStore(tmp_path / "cancelled")
+        engine = ExperimentEngine(store=store)
+        done_rounds: list[int] = []
+        with pytest.raises(RunCancelled):
+            engine.run_streaming(
+                spec,
+                progress=lambda done, total: done_rounds.append(done),
+                should_stop=lambda: bool(done_rounds and done_rounds[-1] >= 2),
+            )
+        assert (engine.runs_computed, engine.round_evaluations) == (0, 2)
+        assert closed == [True] and _stored_record(store, spec) is None
+        engine.run_result(spec)
+        assert (engine.runs_computed, engine.round_evaluations, engine.cache_hits) == (1, 7, 0)
+        assert _stored_record(store, spec) == outcomes["run_result"][1]
+
+    def test_runner_without_a_trainer_runs_whole(self, toy_system_no_trainer, tmp_path):
+        spec = ScenarioSpec(system="toy-flat", num_rounds=4)
+        plain_engine = ExperimentEngine(store=RunStore(tmp_path / "plain"))
+        plain = plain_engine.run_result(spec)
+        seen: list[tuple[int, int]] = []
+        streaming_engine = ExperimentEngine(store=RunStore(tmp_path / "streamed"))
+        streamed = streaming_engine.run_streaming(
+            spec,
+            progress=lambda done, total: seen.append((done, total)),
+            should_stop=lambda: True,  # never polled: the fallback is not interruptible
+        )
+        assert _fingerprint(streamed.history) == _fingerprint(plain.history)
+        assert len(plain.history) == 4 and seen == [(4, 4)]
+        for engine in (plain_engine, streaming_engine):
+            assert (engine.runs_computed, engine.round_evaluations, engine.cache_hits) == (1, 4, 0)
+            assert _stored_record(engine.store, spec) is not None
+        with pytest.raises(ScenarioError, match="partial runs"):
+            ExperimentEngine().run_partial(spec)
 
 
 class TestVectorisedAggregationPath:

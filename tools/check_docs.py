@@ -35,7 +35,12 @@ Fails (exit code 1) when the documentation has drifted from the code:
 11. an HTTP endpoint declared in ``repro.serve.protocol.ENDPOINTS`` is
     missing from the service reference ``docs/serve.md`` — the endpoint
     table is imported from the code, so adding a route without documenting
-    its method and path fails this check.
+    its method and path fails this check;
+12. a Sphinx cross-reference role (``:class:``, ``:mod:``, ``:func:``,
+    ``:meth:``, ``:attr:``, ``:data:``, ``:exc:``) in a ``src/`` docstring,
+    ``docs/*.md`` or ``README.md`` names a ``repro.…`` target that no longer
+    resolves by import + ``getattr`` — deleting or moving a module, class or
+    method without rewriting the prose that points at it fails this check.
 
 Run from the repository root:
 
@@ -48,6 +53,7 @@ from __future__ import annotations
 
 import ast
 import json
+import pkgutil
 import re
 import sys
 from pathlib import Path
@@ -345,6 +351,44 @@ def check_serve_endpoint_docs() -> list[str]:
     return problems
 
 
+_ROLE_TARGET = re.compile(r":(?:class|mod|func|meth|attr|data|exc):`~?(repro(?:\.\w+)*)`")
+
+
+def _resolves(target: str) -> bool:
+    """Whether dotted ``target`` names an importable module or an attribute chain on one."""
+    try:
+        pkgutil.resolve_name(target)
+    except (ImportError, AttributeError):
+        return False
+    return True
+
+
+def check_cross_references() -> list[str]:
+    """Every ``:role:`repro.…``` target in src docstrings and the docs must resolve.
+
+    The targets are resolved the way Sphinx would — import the longest module
+    prefix, then ``getattr`` the rest — so prose that still points at a
+    deleted class, a moved function or a renamed method is caught here
+    instead of rotting silently (nothing else in the repo renders the roles).
+    """
+    _ensure_importable()
+    sources = (
+        sorted(SRC_ROOT.glob("**/*.py"))
+        + sorted((REPO_ROOT / "docs").glob("*.md"))
+        + [REPO_ROOT / "README.md"]
+    )
+    problems = []
+    for path in sources:
+        targets = set(_ROLE_TARGET.findall(path.read_text(encoding="utf-8")))
+        for target in sorted(targets):
+            if not _resolves(target):
+                problems.append(
+                    f"{path.relative_to(REPO_ROOT)}: cross-reference target {target!r} "
+                    "does not resolve"
+                )
+    return problems
+
+
 def main() -> int:
     problems = (
         check_module_docstrings()
@@ -358,6 +402,7 @@ def main() -> int:
         + check_api_reference()
         + check_cli_subcommand_docs()
         + check_serve_endpoint_docs()
+        + check_cross_references()
     )
     for problem in problems:
         print(f"docs-check: {problem}", file=sys.stderr)
