@@ -24,11 +24,11 @@ from repro.core.config import FairBFLConfig
 from repro.core.fairbfl import FairBFLTrainer
 from repro.core.flexibility import OperatingMode
 from repro.datasets.federated import build_federated_dataset
+from repro.fl.executor import ParallelExecutor
 from repro.fl.fedavg import FedAvgConfig, FedAvgTrainer
 from repro.fl.fedprox import FedProxConfig, FedProxTrainer
 from repro.fl.history import TrainingHistory
 from repro.runner.engine import ExperimentEngine
-from repro.runner.executor import ParallelExecutor
 from repro.runner.scenario import ScenarioMatrix, ScenarioSpec
 from repro.systems import System, SystemCapabilities, register_system, system_names
 from repro import api

@@ -3,7 +3,7 @@
 Under Assumption 1 + 2, FAIR-BFL produces exactly one block per communication
 round and never forks, so every miner's :class:`Blockchain` copy stays
 identical.  The class still implements full validation (hash links, Merkle
-roots, PoW targets, monotonically increasing rounds) so that tampering is
+roots, PoW targets, non-decreasing rounds) so that tampering is
 detectable, and fork bookkeeping so the vanilla-blockchain baseline can reuse
 the same type.
 
@@ -145,14 +145,44 @@ class Blockchain:
         return totals
 
     # -- validation / mutation ----------------------------------------------
+    def _link_error(self, parent: Block | None, block: Block) -> str | None:
+        """The block rulebook: why ``block`` may not follow ``parent``, or None if it may.
+
+        ``parent=None`` asks whether ``block`` is a well-formed genesis.  Every
+        path that admits a block — :meth:`add_genesis`, :meth:`add_block` /
+        :meth:`validate_candidate`, and the full-chain validation behind
+        :meth:`is_valid` and :meth:`reorg_to` — goes through these rules.
+        """
+        if parent is None:
+            if block.index != 0 or block.header.previous_hash != GENESIS_PREVIOUS_HASH:
+                return "invalid genesis block (index/previous hash)"
+        else:
+            if block.index != parent.index + 1:
+                return f"expected block index {parent.index + 1}, got {block.index}"
+            if block.header.previous_hash != parent.block_hash:
+                return "previous-hash link does not match the parent block"
+            if block.round_index < parent.round_index:
+                # Non-decreasing, not strictly increasing: the vanilla baseline
+                # mines several blocks per round.
+                return (
+                    f"round index {block.round_index} goes back before the "
+                    f"parent's round {parent.round_index}"
+                )
+        if not block.validate_merkle_root():
+            return "Merkle root does not match the block body"
+        if parent is not None and self.enforce_pow:
+            target = difficulty_to_target(block.header.difficulty)
+            if not meets_target(block.block_hash, target):
+                return "block hash does not satisfy its difficulty target"
+        return None
+
     def add_genesis(self, block: Block) -> Block:
         """Install the genesis block (index 0, null previous hash)."""
         if self.blocks:
             raise BlockValidationError("genesis block already present")
-        if block.index != 0 or block.header.previous_hash != GENESIS_PREVIOUS_HASH:
-            raise BlockValidationError("invalid genesis block (index/previous hash)")
-        if not block.validate_merkle_root():
-            raise BlockValidationError("genesis block has an inconsistent Merkle root")
+        error = self._link_error(None, block)
+        if error is not None:
+            raise BlockValidationError(error)
         self.blocks.append(block)
         return block
 
@@ -168,18 +198,7 @@ class Blockchain:
         """Return None if ``block`` may extend the tip, else a description of the problem."""
         if not self.blocks:
             return "chain has no genesis block"
-        tip = self.last_block
-        if block.index != tip.index + 1:
-            return f"expected block index {tip.index + 1}, got {block.index}"
-        if block.header.previous_hash != tip.block_hash:
-            return "previous-hash link does not match the chain tip"
-        if not block.validate_merkle_root():
-            return "Merkle root does not match the block body"
-        if self.enforce_pow:
-            target = difficulty_to_target(block.header.difficulty)
-            if not meets_target(block.block_hash, target):
-                return "block hash does not satisfy its difficulty target"
-        return None
+        return self._link_error(self.last_block, block)
 
     def is_valid(self) -> bool:
         """Re-validate the whole chain (used after deserialisation or tampering tests)."""
@@ -190,24 +209,12 @@ class Blockchain:
         return True
 
     def _validate_full_chain(self, blocks: list[Block]) -> None:
-        if not blocks:
-            return
-        first = blocks[0]
-        if first.index != 0 or first.header.previous_hash != GENESIS_PREVIOUS_HASH:
-            raise BlockValidationError("invalid genesis block")
-        if not first.validate_merkle_root():
-            raise BlockValidationError("genesis Merkle root mismatch")
-        for parent, child in zip(blocks, blocks[1:]):
-            if child.index != parent.index + 1:
-                raise BlockValidationError(f"non-contiguous block index at height {child.index}")
-            if child.header.previous_hash != parent.block_hash:
-                raise BlockValidationError(f"broken hash link at height {child.index}")
-            if not child.validate_merkle_root():
-                raise BlockValidationError(f"Merkle root mismatch at height {child.index}")
-            if self.enforce_pow:
-                target = difficulty_to_target(child.header.difficulty)
-                if not meets_target(child.block_hash, target):
-                    raise BlockValidationError(f"insufficient proof of work at height {child.index}")
+        parent = None
+        for height, block in enumerate(blocks):
+            error = self._link_error(parent, block)
+            if error is not None:
+                raise BlockValidationError(f"{error} (at height {height})")
+            parent = block
 
     def has_block(self, block_hash: str) -> bool:
         """Whether a block with this hash is part of the chain.
@@ -221,9 +228,9 @@ class Blockchain:
         """Replace this chain with the (winning) candidate chain ``blocks``.
 
         The candidate is validated in full *before* anything is discarded —
-        genesis shape, hash links, Merkle roots, and (when ``enforce_pow``)
-        difficulty targets — and must share this chain's genesis block, so a
-        node can never be reorged onto a different ledger.  Returns
+        every block against the one rulebook (:meth:`_link_error`) — and must
+        share this chain's genesis block, so a node can never be reorged onto
+        a different ledger.  Returns
         ``(rolled_back, applied)``: how many tip blocks were discarded and how
         many candidate blocks replaced or extended them past the common
         prefix.  A reorg that actually discards blocks counts one fork event.

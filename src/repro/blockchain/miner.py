@@ -21,7 +21,7 @@ from repro.blockchain.pow import mine_block
 from repro.blockchain.transaction import Transaction, TransactionType
 from repro.crypto.keystore import KeyStore
 
-__all__ = ["Miner"]
+__all__ = ["Miner", "replicated_committee"]
 
 
 @dataclass
@@ -182,3 +182,27 @@ class Miner:
     def gradient_count(self) -> int:
         """Number of distinct gradient uploads currently held."""
         return len(self.gradient_set)
+
+
+def replicated_committee(
+    miner_ids: list[str],
+    genesis: Block,
+    *,
+    enforce_pow: bool,
+    keystore: KeyStore | None,
+    verify_signatures: bool,
+) -> list[Miner]:
+    """One :class:`Miner` per id, each on its own ledger replica of ``genesis``."""
+    miners = []
+    for miner_id in miner_ids:
+        chain = Blockchain(enforce_pow=enforce_pow)
+        chain.add_genesis(genesis)
+        miners.append(
+            Miner(
+                miner_id=miner_id,
+                chain=chain,
+                keystore=keystore,
+                verify_signatures=verify_signatures,
+            )
+        )
+    return miners

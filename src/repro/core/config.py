@@ -17,12 +17,12 @@ from dataclasses import dataclass, field
 from repro.attacks.gradient_attacks import ATTACKS
 from repro.core.flexibility import OperatingMode
 from repro.fl.client import LocalTrainingConfig
+from repro.fl.executor import check_executor_settings
 from repro.fl.robust import check_defense
 from repro.incentive.contribution import ContributionConfig
 from repro.incentive.strategies import STRATEGIES
 from repro.net.schedule import parse_churn, parse_partition
 from repro.net.topology import TOPOLOGIES
-from repro.runner.executor import check_executor_settings
 from repro.sim.delay import DelayParameters
 from repro.sim.rounds import ROUND_MODES
 from repro.utils.validation import (
@@ -108,7 +108,7 @@ class FairBFLConfig:
         (default; bit-identical to the original loop), ``"thread"`` or
         ``"process"``.  All backends are deterministic because every client
         draws from its own seeded RNG stream; see
-        :class:`repro.runner.executor.ParallelExecutor`.
+        :class:`repro.fl.executor.ParallelExecutor`.
     executor_workers:
         Worker count for the thread/process backends (``None`` = CPU count).
     topology:

@@ -11,7 +11,6 @@ round's global update and reward list.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Callable
 
 import numpy as np
 
@@ -19,7 +18,7 @@ from repro.attacks.gradient_attacks import make_attack
 from repro.attacks.scheduler import AttackScheduler
 from repro.blockchain.block import Block
 from repro.blockchain.chain import Blockchain
-from repro.blockchain.miner import Miner
+from repro.blockchain.miner import Miner, replicated_committee
 from repro.blockchain.transaction import make_global_update_transaction
 from repro.core.config import FairBFLConfig
 from repro.core.flexibility import OperatingMode, Procedure, procedures_for_mode
@@ -33,30 +32,29 @@ from repro.core.procedures import (
     procedure_upload,
 )
 from repro.fl.aggregation import merge_stale_updates
-from repro.fl.client import ClientUpdate, FLClient
+from repro.fl.client import ClientUpdate
 from repro.fl.robust import make_defense
 from repro.incentive.distance import cosine_distance_to_reference
 from repro.crypto.keystore import KeyStore
 from repro.datasets.federated import FederatedDataset
-from repro.fl.history import RoundRecord, TrainingHistory
+from repro.fl.history import RoundRecord
 from repro.fl.selection import ContributionBasedSelector, RandomSelector
+from repro.fl.trainer import Trainer
 from repro.incentive.rewards import RewardLedger
 from repro.incentive.strategies import make_strategy
 from repro.net.substrate import GossipSubstrate
-from repro.nn.metrics import accuracy
-from repro.nn.models import ModelFactory
-from repro.nn.module import Module
-from repro.runner.checkpoint import CheckpointMixin
-from repro.runner.executor import ParallelExecutor
-from repro.nn.parameters import get_flat_parameters, set_flat_parameters
+from repro.nn.parameters import (
+    accuracy_of_parameters,
+    get_flat_parameters,
+    set_flat_parameters,
+)
 from repro.sim.rounds import EventRoundSimulator, RoundTiming
 from repro.utils.rng import new_rng
-from repro.utils.timer import SimulatedClock
 
 __all__ = ["FairBFLTrainer"]
 
 
-class FairBFLTrainer(CheckpointMixin):
+class FairBFLTrainer(Trainer):
     """Runs FAIR-BFL over a federated dataset.
 
     Parameters
@@ -70,8 +68,7 @@ class FairBFLTrainer(CheckpointMixin):
     label = "fair-bfl"
 
     def __init__(self, dataset: FederatedDataset, config: FairBFLConfig) -> None:
-        self.dataset = dataset
-        self.config = config
+        super().__init__(config, dataset)
         self.mode: OperatingMode = config.operating_mode
         seed = config.seed
 
@@ -84,51 +81,20 @@ class FairBFLTrainer(CheckpointMixin):
             for mid in self.miner_ids:
                 self.keystore.register(mid)
 
-        # -- model / clients -----------------------------------------------------
-        input_dim = int(dataset.clients[0].images.shape[1])
-        num_classes = max(
-            10, int(max(int(c.labels.max(initial=0)) for c in dataset.clients) + 1)
-        )
-        # A value-typed (picklable) factory: required so whole clients can be
-        # shipped to the process-backend workers of the parallel executor.
-        self._model_factory: Callable[[], Module] = ModelFactory(
-            model_name=config.model_name,
-            input_dim=input_dim,
-            num_classes=num_classes,
-            seed=seed,
-            label=self.label,
-            hidden_sizes=tuple(config.hidden_sizes),
-        )
+        # -- global model / blockchain ---------------------------------------------
         self.global_model = self._model_factory()
-        initial_parameters = get_flat_parameters(self.global_model)
-        self.clients: dict[int, FLClient] = {
-            shard.client_id: FLClient(
-                shard,
-                self._model_factory,
-                new_rng(seed, self.label, "client", shard.client_id),
-            )
-            for shard in dataset.clients
-        }
-
-        # -- blockchain ------------------------------------------------------------
-        enforce_pow = config.use_real_pow
         genesis = Block.genesis(
             initial_global_update=make_global_update_transaction(
-                "genesis", -1, initial_parameters, keystore=None
+                "genesis", -1, get_flat_parameters(self.global_model), keystore=None
             )
         )
-        self.miners: list[Miner] = []
-        for mid in self.miner_ids:
-            chain = Blockchain(enforce_pow=enforce_pow)
-            chain.add_genesis(genesis)
-            self.miners.append(
-                Miner(
-                    miner_id=mid,
-                    chain=chain,
-                    keystore=self.keystore,
-                    verify_signatures=config.verify_signatures,
-                )
-            )
+        self.miners: list[Miner] = replicated_committee(
+            self.miner_ids,
+            genesis,
+            enforce_pow=config.use_real_pow,
+            keystore=self.keystore,
+            verify_signatures=config.verify_signatures,
+        )
 
         # -- network substrate -------------------------------------------------------
         # With the default "global" topology no substrate exists and every
@@ -171,11 +137,6 @@ class FairBFLTrainer(CheckpointMixin):
             config.defense, attacker_fraction=config.defense_fraction
         )
 
-        # -- execution -------------------------------------------------------------------
-        self.executor = ParallelExecutor(
-            config.executor_backend, config.executor_workers
-        )
-
         # -- timing / rng ----------------------------------------------------------------
         # One discrete-event simulation per round owns the timing: client
         # uploads, miner exchanges, and block solves are scheduled events, and
@@ -191,17 +152,11 @@ class FairBFLTrainer(CheckpointMixin):
         )
         #: Async-mode carry-over: (parameter vector, origin round) per late update.
         self._stale_buffer: list[tuple[np.ndarray, int]] = []
-        self._selection_rng = new_rng(seed, self.label, "selection")
         self._upload_rng = new_rng(seed, self.label, "upload")
         self._mining_rng = new_rng(seed, self.label, "mining")
         self._attack_rng = new_rng(seed, self.label, "attack")
-        self.clock = SimulatedClock()
-        self.history = TrainingHistory(label=self.label)
 
     # ------------------------------------------------------------------
-    def _checkpoint_client_map(self) -> dict:
-        return self.clients
-
     @property
     def chain(self) -> Blockchain:
         """The canonical ledger view.
@@ -232,11 +187,12 @@ class FairBFLTrainer(CheckpointMixin):
 
     def global_test_accuracy(self) -> float:
         """Accuracy of the on-chain global model on the held-out test set."""
-        params = self.current_global_parameters()
-        set_flat_parameters(self.global_model, params)
-        self.global_model.eval()
-        logits = self.global_model.forward(self.dataset.test_images)
-        return accuracy(logits, self.dataset.test_labels)
+        return accuracy_of_parameters(
+            self.global_model,
+            self.current_global_parameters(),
+            self.dataset.test_images,
+            self.dataset.test_labels,
+        )
 
     # ------------------------------------------------------------------
     def _apply_attacks(self, ctx: RoundContext) -> None:
@@ -267,20 +223,10 @@ class FairBFLTrainer(CheckpointMixin):
         ctx.updates = forged_updates
 
     def _round_accuracy(self, ctx: RoundContext) -> float:
-        """Average verification accuracy of the new global model across participants.
-
-        The paper averages per-client verification accuracies; evaluating the
-        *new global parameters* on each participant's verification split makes
-        the metric sensitive to aggregation quality (fairness weighting,
-        discarding, poisoning) rather than to purely local fits.
-        """
+        """The participants' mean accuracy under the round's new global model."""
         if ctx.new_global_parameters is None or not ctx.selected_clients:
             return self.global_test_accuracy()
-        accs = [
-            self.clients[cid].evaluate(ctx.new_global_parameters)
-            for cid in ctx.selected_clients
-        ]
-        return float(np.mean(accs))
+        return self.mean_accuracy(ctx.selected_clients, ctx.new_global_parameters)
 
     #: Procedure → simulation-stage name (Procedures I-V on the event kernel).
     _PROCEDURE_STAGES = {
@@ -554,46 +500,29 @@ class FairBFLTrainer(CheckpointMixin):
             self.attack_scheduler.record_round(round_index, ctx.attacker_ids, dropped)
 
         # -- measurement --------------------------------------------------------------
-        breakdown = timing.breakdown.as_dict()
-        self.clock.advance(timing.total)
-        acc = self._round_accuracy(ctx) if Procedure.LOCAL_UPDATE in procedures else 0.0
-        train_loss = (
-            float(np.mean([u.train_loss for u in ctx.updates])) if ctx.updates else 0.0
-        )
-        record = RoundRecord(
-            round_index=round_index,
-            delay=timing.total,
-            accuracy=acc,
-            train_loss=train_loss,
-            elapsed_time=self.clock.now,
-            participants=list(ctx.selected_clients),
-            discarded=discarded,
-            attackers=list(ctx.attacker_ids),
-            rewards=rewards,
-            extras={
-                "delay_breakdown": breakdown,
-                "winning_miner": ctx.winning_miner,
-                "chain_height": self.chain.height,
-                "rejected_uploads": ctx.rejected_uploads,
-                "used_clustering_fallback": (
-                    ctx.contribution_report.used_fallback
-                    if ctx.contribution_report is not None
-                    else False
-                ),
-                "round_mode": cfg.round_mode,
-                "stragglers": list(ctx.straggler_ids),
-                "stale_applied": ctx.stale_applied,
-                "stale_rejected": ctx.stale_rejected,
-                "defense": cfg.defense,
-                "defense_rejected": list(ctx.defense_rejected_ids),
-                "defense_clipped": ctx.defense_clipped,
-                "sim_events": timing.events_processed,
-                "event_trace_digest": timing.trace_digest,
-            },
-        )
+        extras = {
+            "delay_breakdown": timing.breakdown.as_dict(),
+            "winning_miner": ctx.winning_miner,
+            "chain_height": self.chain.height,
+            "rejected_uploads": ctx.rejected_uploads,
+            "used_clustering_fallback": (
+                ctx.contribution_report.used_fallback
+                if ctx.contribution_report is not None
+                else False
+            ),
+            "round_mode": cfg.round_mode,
+            "stragglers": list(ctx.straggler_ids),
+            "stale_applied": ctx.stale_applied,
+            "stale_rejected": ctx.stale_rejected,
+            "defense": cfg.defense,
+            "defense_rejected": list(ctx.defense_rejected_ids),
+            "defense_clipped": ctx.defense_clipped,
+            "sim_events": timing.events_processed,
+            "event_trace_digest": timing.trace_digest,
+        }
         if net is not None:
             # One nested key keeps the global-path extras byte-identical.
-            record.extras["net"] = {
+            extras["net"] = {
                 "topology": cfg.topology,
                 "online": list(net_report.state.online),
                 "components": [list(c) for c in net_report.state.components],
@@ -605,19 +534,19 @@ class FairBFLTrainer(CheckpointMixin):
                 "broadcast_latency": broadcast_latency,
                 "consensus_resolved": {int(r): float(d) for r, d in resolved.items()},
             }
-        self.history.append(record)
-        return record
-
-    # ------------------------------------------------------------------
-    def close(self) -> None:
-        """Release any worker pools held by the parallel executor."""
-        self.executor.close()
-
-    def __enter__(self) -> "FairBFLTrainer":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
+        return self._emit(
+            round_index,
+            timing.total,
+            self._round_accuracy(ctx) if Procedure.LOCAL_UPDATE in procedures else 0.0,
+            train_loss=(
+                float(np.mean([u.train_loss for u in ctx.updates])) if ctx.updates else 0.0
+            ),
+            participants=list(ctx.selected_clients),
+            discarded=discarded,
+            attackers=list(ctx.attacker_ids),
+            rewards=rewards,
+            extras=extras,
+        )
 
     # ------------------------------------------------------------------
     def detection_logs(self):

@@ -1,88 +1,19 @@
 """Exporting run results.
 
-Training histories and comparison tables can be exported to JSON or CSV so
-downstream analysis (plotting, statistics) does not need to re-run the
-simulation.
+Training histories and comparison tables can be exported to CSV so downstream
+analysis (plotting, statistics) does not need to re-run the simulation; the
+full-fidelity JSON form of a history is :mod:`repro.store.records`.
 """
 
 from __future__ import annotations
 
 import csv
-import json
 from pathlib import Path
 
 from repro.core.results import ComparisonResult
-from repro.fl.history import RoundRecord, TrainingHistory
+from repro.fl.history import TrainingHistory
 
-__all__ = [
-    "history_to_records",
-    "save_history_json",
-    "load_history_json",
-    "save_history_csv",
-    "save_comparison_csv",
-]
-
-_ROUND_FIELDS = (
-    "round_index",
-    "delay",
-    "accuracy",
-    "train_loss",
-    "elapsed_time",
-    "participants",
-    "discarded",
-    "attackers",
-    "rewards",
-)
-
-
-def history_to_records(history: TrainingHistory) -> list[dict]:
-    """Plain-dict rows (one per round) for a training history."""
-    rows = []
-    for record in history.rounds:
-        rows.append(
-            {
-                "round_index": record.round_index,
-                "delay": record.delay,
-                "accuracy": record.accuracy,
-                "train_loss": record.train_loss,
-                "elapsed_time": record.elapsed_time,
-                "participants": list(record.participants),
-                "discarded": list(record.discarded),
-                "attackers": list(record.attackers),
-                "rewards": {str(k): float(v) for k, v in record.rewards.items()},
-            }
-        )
-    return rows
-
-
-def save_history_json(history: TrainingHistory, path: str | Path) -> Path:
-    """Write a training history to ``path`` as JSON; returns the path."""
-    path = Path(path)
-    payload = {"label": history.label, "rounds": history_to_records(history)}
-    path.write_text(json.dumps(payload, indent=2), encoding="utf-8")
-    return path
-
-
-def load_history_json(path: str | Path) -> TrainingHistory:
-    """Load a training history written by :func:`save_history_json`."""
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
-    history = TrainingHistory(label=data.get("label", "run"))
-    for row in data.get("rounds", []):
-        history.append(
-            RoundRecord(
-                round_index=int(row["round_index"]),
-                delay=float(row["delay"]),
-                accuracy=float(row["accuracy"]),
-                train_loss=float(row.get("train_loss", 0.0)),
-                elapsed_time=float(row.get("elapsed_time", 0.0)),
-                participants=[int(x) for x in row.get("participants", [])],
-                discarded=[int(x) for x in row.get("discarded", [])],
-                attackers=[int(x) for x in row.get("attackers", [])],
-                rewards={int(k): float(v) for k, v in row.get("rewards", {}).items()},
-            )
-        )
-    return history
-
+__all__ = ["save_history_csv", "save_comparison_csv"]
 
 def save_history_csv(history: TrainingHistory, path: str | Path) -> Path:
     """Write the per-round scalar series of a history to a CSV file."""

@@ -26,6 +26,7 @@ from repro.blockchain.transaction import (
 from repro.crypto.keystore import KeyStore
 from repro.fl.aggregation import simple_average
 from repro.fl.client import ClientUpdate, FLClient, LocalTrainingConfig
+from repro.fl.executor import ParallelExecutor
 from repro.incentive.contribution import ContributionConfig, ContributionReport, identify_contributions
 from repro.incentive.distance import cosine_distance_to_reference
 from repro.incentive.rewards import RewardEntry
@@ -35,7 +36,6 @@ from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.fl.robust import RobustAggregator
-    from repro.runner.executor import ParallelExecutor
     from repro.sim.rounds import RoundTiming
 
 __all__ = [
@@ -81,11 +81,11 @@ def procedure_local_update(
     ctx: RoundContext,
     clients: dict[int, FLClient],
     local_config: LocalTrainingConfig,
-    executor: "ParallelExecutor",
+    executor: ParallelExecutor,
 ) -> RoundContext:
     """Every selected client trains locally starting from the latest global parameters.
 
-    The :class:`~repro.runner.executor.ParallelExecutor` fans the per-client
+    The :class:`~repro.fl.executor.ParallelExecutor` fans the per-client
     work out over its backend (``serial`` is a plain loop).  Updates are
     always returned in selection order and every stochastic draw comes from
     the owning client's private RNG stream, so the backend cannot change the

@@ -7,8 +7,7 @@ from scratch on Python integers and :mod:`hashlib`:
 
 * :mod:`repro.crypto.primes` — Miller-Rabin primality testing and prime
   generation;
-* :mod:`repro.crypto.rsa` — key generation, hash-then-sign signatures, and
-  textbook encryption;
+* :mod:`repro.crypto.rsa` — key generation and hash-then-sign signatures;
 * :mod:`repro.crypto.hashing` — SHA-256 helpers and proof-of-work target
   arithmetic;
 * :mod:`repro.crypto.keystore` — the per-client key registry miners use to
@@ -27,7 +26,7 @@ from repro.crypto.hashing import (
 )
 from repro.crypto.keystore import KeyStore
 from repro.crypto.primes import generate_prime, is_probable_prime
-from repro.crypto.rsa import RSAKeyPair, rsa_decrypt, rsa_encrypt, rsa_sign, rsa_verify
+from repro.crypto.rsa import RSAKeyPair, rsa_sign, rsa_verify
 
 __all__ = [
     "difficulty_to_target",
@@ -38,8 +37,6 @@ __all__ = [
     "generate_prime",
     "is_probable_prime",
     "RSAKeyPair",
-    "rsa_decrypt",
-    "rsa_encrypt",
     "rsa_sign",
     "rsa_verify",
 ]

@@ -92,13 +92,3 @@ class KeyStore:
 
     def __len__(self) -> int:
         return len(self._keys)
-
-    @staticmethod
-    def batch_register(store: "KeyStore", count: int, prefix: str = "client") -> list[str]:
-        """Register ``count`` entities named ``{prefix}-{i}`` and return their IDs."""
-        if count < 0:
-            raise ValueError(f"count must be non-negative, got {count}")
-        ids = [f"{prefix}-{i}" for i in range(count)]
-        for entity_id in ids:
-            store.register(entity_id)
-        return ids

@@ -1,4 +1,4 @@
-"""Schoolbook RSA: key generation, hash-then-sign signatures, encryption.
+"""Schoolbook RSA: key generation and hash-then-sign signatures.
 
 FAIR-BFL (paper Figure 2) assigns every client a private key derived from its
 ID; the miners hold the corresponding public keys and verify the signature on
@@ -24,7 +24,7 @@ import numpy as np
 
 from repro.crypto.primes import generate_prime
 
-__all__ = ["RSAKeyPair", "rsa_sign", "rsa_verify", "rsa_encrypt", "rsa_decrypt"]
+__all__ = ["RSAKeyPair", "rsa_sign", "rsa_verify"]
 
 _DEFAULT_PUBLIC_EXPONENT = 65537
 
@@ -134,21 +134,3 @@ def rsa_verify(message: bytes, signature: int, public_key: tuple[int, int]) -> b
     if n <= 1 or type(signature) is not int or not 0 <= signature < n:
         return False
     return pow(signature, e, n) == _digest_int(message, n)
-
-
-def rsa_encrypt(plaintext_int: int, public_key: tuple[int, int]) -> int:
-    """Textbook RSA encryption of an integer smaller than the modulus."""
-    n, e = int(public_key[0]), int(public_key[1])
-    m = int(plaintext_int)
-    if not (0 <= m < n):
-        raise ValueError(f"plaintext must lie in [0, modulus), got {m} for modulus {n}")
-    return pow(m, e, n)
-
-
-def rsa_decrypt(ciphertext_int: int, private_key: tuple[int, int]) -> int:
-    """Textbook RSA decryption of an integer ciphertext."""
-    n, d = int(private_key[0]), int(private_key[1])
-    c = int(ciphertext_int)
-    if not (0 <= c < n):
-        raise ValueError(f"ciphertext must lie in [0, modulus), got {c} for modulus {n}")
-    return pow(c, d, n)

@@ -14,6 +14,10 @@ paper's evaluation:
   contribution-based selection (the discard strategy's side effect);
 * :mod:`repro.fl.server` — the centralised parameter server used by the
   FedAvg / FedProx baselines;
+* :mod:`repro.fl.executor` — the serial / thread / process / cohort fan-out of
+  Procedure I;
+* :mod:`repro.fl.trainer` — the one round-based :class:`Trainer` every system
+  subclasses (population, lifecycle, evaluation, emission, checkpoints);
 * :mod:`repro.fl.fedavg`, :mod:`repro.fl.fedprox` — the baseline trainers;
 * :mod:`repro.fl.history` — per-round records shared by all trainers.
 """
@@ -25,7 +29,9 @@ from repro.fl.aggregation import (
     weighted_average,
 )
 from repro.fl.client import ClientUpdate, FLClient, LocalTrainingConfig
+from repro.fl.executor import ParallelExecutor
 from repro.fl.robust import DEFENSES, RobustAggregator, RobustOutcome, make_defense
+from repro.fl.trainer import Trainer
 from repro.fl.fedavg import FedAvgConfig, FedAvgTrainer
 from repro.fl.fedprox import FedProxConfig, FedProxTrainer
 from repro.fl.history import RoundRecord, TrainingHistory
@@ -44,6 +50,8 @@ __all__ = [
     "RobustAggregator",
     "RobustOutcome",
     "make_defense",
+    "ParallelExecutor",
+    "Trainer",
     "FedAvgConfig",
     "FedAvgTrainer",
     "FedProxConfig",

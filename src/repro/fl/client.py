@@ -22,10 +22,13 @@ import numpy as np
 from repro.datasets.federated import ClientDataset
 from repro.datasets.loaders import BatchIterator
 from repro.nn.losses import SoftmaxCrossEntropyLoss
-from repro.nn.metrics import accuracy
 from repro.nn.module import Module
 from repro.nn.optim import SGD
-from repro.nn.parameters import get_flat_parameters, set_flat_parameters
+from repro.nn.parameters import (
+    accuracy_of_parameters,
+    get_flat_parameters,
+    set_flat_parameters,
+)
 from repro.utils.validation import check_non_negative, check_positive
 
 __all__ = ["LocalTrainingConfig", "ClientUpdate", "FLClient"]
@@ -221,11 +224,9 @@ class FLClient:
 
     def evaluate(self, parameters: np.ndarray) -> float:
         """Accuracy of ``parameters`` on the client's local verification split."""
-        model = self.model
-        set_flat_parameters(model, parameters)
-        model.eval()
-        logits = model.forward(self.dataset.val_images)
-        return accuracy(logits, self.dataset.val_labels)
+        return accuracy_of_parameters(
+            self.model, parameters, self.dataset.val_images, self.dataset.val_labels
+        )
 
     def grant_reward(self, amount: float) -> float:
         """Credit a reward issued by the incentive mechanism; returns the new total."""

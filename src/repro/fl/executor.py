@@ -54,7 +54,7 @@ EXECUTOR_BACKENDS = ("serial", "thread", "process", "cohort")
 
 
 def check_executor_settings(backend: str, workers: int | None) -> None:
-    """Validate a (backend, worker-count) pair; the config dataclasses call this eagerly."""
+    """Validate a (backend, worker-count) pair: the one rule behind configs and the executor."""
     check_choice("executor_backend", backend, EXECUTOR_BACKENDS)
     if workers is not None:
         check_positive("executor_workers", workers)
@@ -64,10 +64,7 @@ def resolve_worker_count(max_workers: int | None) -> int:
     """Resolve ``max_workers`` (``None`` means one worker per available CPU)."""
     if max_workers is None:
         return max(1, os.cpu_count() or 1)
-    workers = int(max_workers)
-    if workers <= 0:
-        raise ValueError(f"max_workers must be positive, got {max_workers}")
-    return workers
+    return int(check_positive("executor_workers", max_workers))
 
 
 # -- process-backend worker side ---------------------------------------------
@@ -114,13 +111,8 @@ class ParallelExecutor:
     """
 
     def __init__(self, backend: str = "serial", max_workers: int | None = None) -> None:
-        key = str(backend).strip().lower()
-        if key not in EXECUTOR_BACKENDS:
-            raise ValueError(
-                f"unknown executor backend {backend!r}; expected one of: "
-                + ", ".join(EXECUTOR_BACKENDS)
-            )
-        self.backend = key
+        check_executor_settings(backend, max_workers)
+        self.backend = backend
         self.max_workers = resolve_worker_count(max_workers)
         self._pool: Executor | None = None
         self._pool_clients_key: int | None = None

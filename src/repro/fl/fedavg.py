@@ -11,23 +11,19 @@ the same discrete-event timing substrate.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
 from repro.datasets.federated import FederatedDataset
-from repro.fl.client import FLClient, LocalTrainingConfig
-from repro.fl.history import RoundRecord, TrainingHistory
+from repro.fl.client import LocalTrainingConfig
+from repro.fl.executor import check_executor_settings
+from repro.fl.history import RoundRecord
 from repro.fl.robust import check_defense
 from repro.fl.selection import RandomSelector
 from repro.fl.server import CentralServer
-from repro.nn.models import ModelFactory
-from repro.nn.module import Module
-from repro.runner.checkpoint import CheckpointMixin
-from repro.runner.executor import ParallelExecutor, check_executor_settings
+from repro.fl.trainer import Trainer
 from repro.sim.delay import DelayModel, DelayParameters
 from repro.utils.rng import new_rng
-from repro.utils.timer import SimulatedClock
 from repro.utils.validation import check_fraction, check_minority, check_positive
 
 __all__ = ["FedAvgConfig", "FedAvgTrainer"]
@@ -39,7 +35,7 @@ class FedAvgConfig:
 
     ``executor_backend`` / ``executor_workers`` select how the round's local
     updates fan out (serial by default; see
-    :class:`repro.runner.executor.ParallelExecutor`).  ``defense`` routes the
+    :class:`repro.fl.executor.ParallelExecutor`).  ``defense`` routes the
     server's aggregation through a robust-aggregation pipeline
     (:mod:`repro.fl.robust`; ``"none"`` keeps classic FedAvg) sized for a
     ``defense_fraction`` adversary share.
@@ -66,7 +62,7 @@ class FedAvgConfig:
         check_defense(self.defense, self.defense_fraction)
 
 
-class FedAvgTrainer(CheckpointMixin):
+class FedAvgTrainer(Trainer):
     """Runs federated averaging over a :class:`~repro.datasets.federated.FederatedDataset`."""
 
     label = "fedavg"
@@ -81,48 +77,15 @@ class FedAvgTrainer(CheckpointMixin):
     STREAM_THRESHOLD = 4096
 
     def __init__(self, dataset: FederatedDataset, config: FedAvgConfig) -> None:
-        self.dataset = dataset
-        self.config = config
+        super().__init__(config, dataset)
         self.selector = RandomSelector(config.participation_fraction)
         self.delay_model = DelayModel(config.delay_params, new_rng(config.seed, self.label, "delay"))
-        self._selection_rng = new_rng(config.seed, self.label, "selection")
-
-        input_dim = int(dataset.clients[0].images.shape[1])
-        num_classes = int(
-            max(int(c.labels.max(initial=0)) for c in dataset.clients) + 1
-        )
-        num_classes = max(num_classes, 10)
-        # Value-typed factory so clients can cross a process boundary when the
-        # executor uses the process backend.
-        self._model_factory: Callable[[], Module] = ModelFactory(
-            model_name=config.model_name,
-            input_dim=input_dim,
-            num_classes=num_classes,
-            seed=config.seed,
-            label=self.label,
-            hidden_sizes=tuple(config.hidden_sizes),
-        )
         self.server = CentralServer(
             self._model_factory,
             aggregation=config.aggregation,
             defense=config.defense,
             defense_fraction=config.defense_fraction,
         )
-        self.clients = [
-            FLClient(
-                shard,
-                self._model_factory,
-                new_rng(config.seed, self.label, "client", shard.client_id),
-            )
-            for shard in dataset.clients
-        ]
-        self._clients_by_id = {client.client_id: client for client in self.clients}
-        self.executor = ParallelExecutor(config.executor_backend, config.executor_workers)
-        self.clock = SimulatedClock()
-        self.history = TrainingHistory(label=self.label)
-
-    def _checkpoint_client_map(self) -> dict:
-        return self._clients_by_id
 
     # ------------------------------------------------------------------
     def _local_config(self) -> LocalTrainingConfig:
@@ -165,7 +128,7 @@ class FedAvgTrainer(CheckpointMixin):
         ):
             return self._run_round_streaming(round_index, selected_ids, local_cfg)
         updates = self.executor.run_local_updates(
-            self._clients_by_id, selected_ids, self.server.global_parameters, local_cfg
+            self.clients, selected_ids, self.server.global_parameters, local_cfg
         )
         updates = self._post_process_updates(updates, self._selection_rng)
         if not updates:
@@ -174,17 +137,7 @@ class FedAvgTrainer(CheckpointMixin):
             train_loss = 0.0
         else:
             self._aggregate(updates)
-            # Average verification accuracy of the *new global model* across the
-            # round's participants -- the same metric the FAIR-BFL trainer uses,
-            # so the accuracy comparisons of Figs. 4b/5b/7b are apples-to-apples.
-            avg_acc = float(
-                np.mean(
-                    [
-                        self.clients[cid].evaluate(self.server.global_parameters)
-                        for cid in selected_ids
-                    ]
-                )
-            )
+            avg_acc = self.mean_accuracy(selected_ids, self.server.global_parameters)
             train_loss = float(np.mean([u.train_loss for u in updates]))
         return self._round_record(round_index, selected_ids, local_cfg, avg_acc, train_loss, {})
 
@@ -197,7 +150,7 @@ class FedAvgTrainer(CheckpointMixin):
         train_loss: float,
         extras: dict,
     ) -> RoundRecord:
-        """Price the round on the delay model, advance the clock, append the record."""
+        """Price the round on the delay model and emit its record."""
         sizes = [self.clients[cid].num_samples for cid in selected_ids]
         batches_per_epoch = float(np.mean([np.ceil(s / local_cfg.batch_size) for s in sizes]))
         breakdown = self.delay_model.fl_round(
@@ -205,18 +158,14 @@ class FedAvgTrainer(CheckpointMixin):
             batches_per_epoch=batches_per_epoch,
             epochs=local_cfg.epochs,
         )
-        self.clock.advance(breakdown.total)
-        record = RoundRecord(
-            round_index=round_index,
-            delay=breakdown.total,
-            accuracy=avg_acc,
+        return self._emit(
+            round_index,
+            breakdown.total,
+            avg_acc,
             train_loss=train_loss,
-            elapsed_time=self.clock.now,
             participants=selected_ids,
             extras={"delay_breakdown": breakdown.as_dict(), **extras},
         )
-        self.history.append(record)
-        return record
 
     def _run_round_streaming(
         self,
@@ -237,7 +186,7 @@ class FedAvgTrainer(CheckpointMixin):
         train_losses: list[float] = []
         blocks = 0
         for block in self.executor.iter_update_blocks(
-            self._clients_by_id, selected_ids, self.server.global_parameters, local_cfg
+            self.clients, selected_ids, self.server.global_parameters, local_cfg
         ):
             if self.config.aggregation == "samples":
                 weights = np.full(len(block.client_ids), float(block.num_samples))
@@ -248,14 +197,11 @@ class FedAvgTrainer(CheckpointMixin):
             train_losses.extend(block.train_losses)
             blocks += 1
         new_global = self.server.commit_global(weighted_sum / total_weight)
-        accuracies = self.executor.evaluate_population(
-            self._clients_by_id, selected_ids, new_global
-        )
         return self._round_record(
             round_index,
             selected_ids,
             local_cfg,
-            float(np.mean(accuracies)),
+            self.mean_accuracy(selected_ids, new_global),
             float(np.mean(train_losses)),
             {"cohort_stream": {"blocks": blocks, "clients": len(selected_ids)}},
         )
@@ -263,13 +209,3 @@ class FedAvgTrainer(CheckpointMixin):
     def test_accuracy(self) -> float:
         """Accuracy of the current global model on the held-out global test set."""
         return self.server.evaluate(self.dataset.test_images, self.dataset.test_labels)
-
-    def close(self) -> None:
-        """Release any worker pools held by the parallel executor."""
-        self.executor.close()
-
-    def __enter__(self) -> "FedAvgTrainer":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()

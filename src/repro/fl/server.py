@@ -20,9 +20,12 @@ from repro.fl.aggregation import (
 )
 from repro.fl.client import ClientUpdate
 from repro.fl.robust import RobustOutcome, make_defense
-from repro.nn.metrics import accuracy
 from repro.nn.module import Module
-from repro.nn.parameters import get_flat_parameters, set_flat_parameters
+from repro.nn.parameters import (
+    accuracy_of_parameters,
+    get_flat_parameters,
+    set_flat_parameters,
+)
 
 __all__ = ["CentralServer"]
 
@@ -125,7 +128,4 @@ class CentralServer:
 
     def evaluate(self, images: np.ndarray, labels: np.ndarray) -> float:
         """Accuracy of the current global parameters on a held-out test set."""
-        set_flat_parameters(self.model, self.global_parameters)
-        self.model.eval()
-        logits = self.model.forward(images)
-        return accuracy(logits, labels)
+        return accuracy_of_parameters(self.model, self.global_parameters, images, labels)

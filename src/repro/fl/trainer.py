@@ -1,0 +1,286 @@
+"""The one round-based trainer every system subclasses.
+
+FAIR-BFL, the FL baselines and the vanilla blockchain are one round loop with
+different procedures switched on, so what they share lives once, here:
+
+* the lifecycle — the simulated clock and the history, :meth:`Trainer.run` /
+  :meth:`Trainer.run_until`, :meth:`Trainer.close` and the context manager;
+* the federated population — model factory, id-keyed clients, parallel
+  executor and selection stream — built when a dataset is passed;
+* evaluation — the participants' mean verification accuracy;
+* emission — the single step that advances the clock by a round's delay and
+  appends its :class:`~repro.fl.history.RoundRecord`;
+* partial-run checkpointing, described below.
+
+A subclass supplies ``run_round(round_index)`` (and extends ``close`` when it
+owns more than the executor).
+
+Checkpointing
+-------------
+The ASHA search scheduler (:mod:`repro.search`) promotes a scenario from a
+low-fidelity rung (few rounds) to a higher one without replaying the rounds it
+already ran.  That requires every trainer to be able to (a) serialise its
+*complete* resumable state after round ``r`` and (b) restore that state onto a
+freshly-built instance so that continuing to round ``R`` is **bit-identical**
+to an uninterrupted ``R``-round run.
+
+The state capture is deliberately *exclusion-based* — it pickles everything in
+the trainer's ``__dict__`` except the attributes named by
+:attr:`Trainer.CHECKPOINT_EXCLUDE` (the dataset, worker pools, and other
+objects the constructor rebuilds deterministically) — so a subclass that adds
+state (e.g. the momentum buffer of ``examples/custom_system.py``) is
+checkpointed correctly without opting in.  Clients are the one special case:
+an ``FLClient`` holds a data shard (large, rebuildable), so only its
+*evolving* state travels — the private RNG stream state, the participation
+counter, and the accumulated reward — and is restored onto the freshly-built
+client objects.
+
+Why pickling the whole graph in one blob matters: trainers share objects
+(FAIR-BFL's miners all reference the one :class:`~repro.crypto.keystore.KeyStore`;
+a :class:`~repro.sim.delay.DelayModel` and its kernel-backed round simulator
+draw from one generator).  A single ``pickle.dumps`` preserves that aliasing,
+so the restored graph has exactly the sharing structure of the live one.
+
+Determinism across executor backends comes for free: every stochastic draw in
+a round is made either from a trainer-owned RNG stream or from the owning
+client's private stream, and the process backend ships/restores client RNG
+states onto the coordinator after each round — so the coordinator-side state
+captured here is authoritative for ``serial``/``thread``/``process``/``cohort``
+alike (see ``tests/test_checkpoint.py``).
+"""
+
+from __future__ import annotations
+
+import pickle
+
+import numpy as np
+
+from repro.datasets.federated import FederatedDataset
+from repro.fl.client import FLClient
+from repro.fl.executor import ParallelExecutor
+from repro.fl.history import RoundRecord, TrainingHistory
+from repro.nn.models import ModelFactory
+from repro.utils.rng import new_rng
+from repro.utils.timer import SimulatedClock
+
+__all__ = ["CHECKPOINT_SCHEMA_VERSION", "CheckpointError", "Trainer"]
+
+#: Version stamped into every checkpoint blob.  Restoring a blob with a
+#: different version raises :class:`CheckpointError`, which resume paths
+#: treat as "no usable checkpoint" (the run recomputes from scratch).
+#: 4: the pickled round simulator no longer carries per-miner-count exchange
+#: network objects (their class is gone, so a v3 FAIR-BFL blob cannot unpickle).
+CHECKPOINT_SCHEMA_VERSION = 4
+
+
+class CheckpointError(RuntimeError):
+    """A checkpoint blob cannot be restored onto this trainer."""
+
+
+class Trainer:
+    """A round-based trainer: population, lifecycle, evaluation, emission, checkpoints.
+
+    Parameters
+    ----------
+    config:
+        The run configuration; ``config.num_rounds`` is the default run length
+        and ``config.seed`` seeds every stream.
+    dataset:
+        The partitioned dataset of a *federated* trainer, or ``None`` for one
+        without clients (the vanilla blockchain).  With a dataset the
+        constructor builds the population from ``config.model_name`` /
+        ``hidden_sizes`` / ``executor_backend`` / ``executor_workers``.
+
+    ``run_round`` must read the clock and every RNG stream from instance state
+    (which is what makes partial runs resumable) and finish through
+    :meth:`_emit`; attributes listed in :attr:`CHECKPOINT_EXCLUDE` must be
+    rebuilt deterministically by ``__init__`` from the same config/dataset.
+    """
+
+    label = "trainer"
+
+    #: Attributes rebuilt by the constructor (or unpicklable) and therefore
+    #: excluded from the state blob.  Subclasses may extend it.
+    CHECKPOINT_EXCLUDE: tuple[str, ...] = (
+        "dataset",
+        "clients",
+        "executor",
+        "_model_factory",
+        "config",
+    )
+
+    #: ``client_id -> FLClient``; None on a trainer without federated clients.
+    clients: dict[int, FLClient] | None = None
+    executor: ParallelExecutor | None = None
+
+    def __init__(self, config, dataset: FederatedDataset | None = None) -> None:
+        self.config = config
+        self.dataset = dataset
+        if dataset is not None:
+            seed = config.seed
+            # A value-typed (picklable) factory: required so whole clients can
+            # be shipped to the process-backend workers of the executor.
+            self._model_factory = ModelFactory(
+                model_name=config.model_name,
+                input_dim=int(dataset.clients[0].images.shape[1]),
+                num_classes=max(
+                    10, int(max(int(c.labels.max(initial=0)) for c in dataset.clients) + 1)
+                ),
+                seed=seed,
+                label=self.label,
+                hidden_sizes=tuple(config.hidden_sizes),
+            )
+            self.clients = {
+                shard.client_id: FLClient(
+                    shard,
+                    self._model_factory,
+                    new_rng(seed, self.label, "client", shard.client_id),
+                )
+                for shard in dataset.clients
+            }
+            self.executor = ParallelExecutor(config.executor_backend, config.executor_workers)
+            self._selection_rng = new_rng(seed, self.label, "selection")
+        self.clock = SimulatedClock()
+        self.history = TrainingHistory(label=self.label)
+
+    # -- one round ------------------------------------------------------
+    def run_round(self, round_index: int) -> RoundRecord:
+        """Execute one communication round; append and return its record."""
+        raise NotImplementedError
+
+    def mean_accuracy(self, client_ids: list[int], parameters: np.ndarray) -> float:
+        """Mean verification accuracy of ``parameters`` across ``client_ids``.
+
+        The paper averages per-client verification accuracies; evaluating the
+        *new global parameters* on each participant's verification split makes
+        the metric sensitive to aggregation quality (fairness weighting,
+        discarding, poisoning) rather than to purely local fits, and keeps the
+        accuracy comparisons of Figs. 4b/5b/7b apples-to-apples across
+        systems.  The cohort backend scores the population batched (per-client
+        scratch models would defeat its bounded-memory goal); the floats are
+        bit-identical either way.
+        """
+        if self.executor.backend == "cohort":
+            accuracies = self.executor.evaluate_population(self.clients, client_ids, parameters)
+        else:
+            accuracies = [self.clients[cid].evaluate(parameters) for cid in client_ids]
+        return float(np.mean(accuracies))
+
+    def _emit(self, round_index: int, delay: float, accuracy: float, **fields) -> RoundRecord:
+        """Advance the clock by ``delay``; build, append and return the round's record."""
+        self.clock.advance(delay)
+        record = RoundRecord(
+            round_index=round_index,
+            delay=delay,
+            accuracy=accuracy,
+            elapsed_time=self.clock.now,
+            **fields,
+        )
+        self.history.append(record)
+        return record
+
+    # -- lifecycle ------------------------------------------------------
+    def rounds_completed(self) -> int:
+        """Number of communication rounds this trainer has executed."""
+        return len(self.history)
+
+    def run(self, *, num_rounds: int | None = None) -> TrainingHistory:
+        """Run ``num_rounds`` *additional* rounds and return the full history.
+
+        Defaults to the configured ``num_rounds``.  Round indices continue
+        from ``len(self.history)``, so a fresh trainer, a second call and a
+        restored checkpoint all step through the same loop.
+        """
+        rounds = self.config.num_rounds if num_rounds is None else int(num_rounds)
+        for r in range(len(self.history), len(self.history) + rounds):
+            self.run_round(r)
+        return self.history
+
+    def run_until(self, total_rounds: int) -> TrainingHistory:
+        """Continue running until ``total_rounds`` rounds exist in the history.
+
+        A no-op when the trainer is already there; raises
+        :class:`CheckpointError` when asked to run *backwards* (the caller
+        resumed from a rung beyond the requested fidelity).
+        """
+        total_rounds = int(total_rounds)
+        done = self.rounds_completed()
+        if total_rounds < done:
+            raise CheckpointError(
+                f"cannot run to round {total_rounds}: trainer already completed {done}"
+            )
+        if total_rounds > done:
+            self.run(num_rounds=total_rounds - done)
+        return self.history
+
+    def close(self) -> None:
+        """Release any worker pools held by the parallel executor (idempotent)."""
+        if self.executor is not None:
+            self.executor.close()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    # -- checkpointing --------------------------------------------------
+    def checkpoint_state(self) -> bytes:
+        """Serialise the trainer's complete resumable state into one blob."""
+        exclude = set(self.CHECKPOINT_EXCLUDE)
+        attrs = {k: v for k, v in self.__dict__.items() if k not in exclude}
+        client_state = None
+        if self.clients is not None:
+            client_state = {
+                int(cid): {
+                    "rng": client.rng.bit_generator.state,
+                    "rounds_participated": int(client.rounds_participated),
+                    "total_reward": float(client.total_reward),
+                }
+                for cid, client in self.clients.items()
+            }
+        payload = {
+            "version": CHECKPOINT_SCHEMA_VERSION,
+            "trainer": type(self).__qualname__,
+            "rounds": self.rounds_completed(),
+            "attrs": attrs,
+            "clients": client_state,
+        }
+        return pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+
+    def restore_state(self, blob: bytes) -> None:
+        """Restore a :meth:`checkpoint_state` blob onto this (fresh) instance.
+
+        Raises :class:`CheckpointError` on a version/trainer-class mismatch or
+        a client population that no longer matches — all signatures of a blob
+        produced by different code or a different spec, which resume paths
+        treat as a miss rather than a corruption to propagate.
+        """
+        try:
+            payload = pickle.loads(blob)
+        except Exception as exc:  # pickle raises a zoo of types
+            raise CheckpointError(f"checkpoint blob cannot be unpickled: {exc}") from exc
+        if not isinstance(payload, dict) or payload.get("version") != CHECKPOINT_SCHEMA_VERSION:
+            raise CheckpointError(
+                f"checkpoint schema version {payload.get('version') if isinstance(payload, dict) else '?'!r} "
+                f"does not match {CHECKPOINT_SCHEMA_VERSION}"
+            )
+        if payload.get("trainer") != type(self).__qualname__:
+            raise CheckpointError(
+                f"checkpoint was written by {payload.get('trainer')!r}, "
+                f"cannot restore onto {type(self).__qualname__!r}"
+            )
+        clients = self.clients
+        client_state = payload.get("clients")
+        if (clients is None) != (client_state is None):
+            raise CheckpointError("checkpoint client state does not match this trainer")
+        if clients is not None and set(client_state) != {int(c) for c in clients}:
+            raise CheckpointError("checkpoint client population does not match this trainer")
+        for name, value in payload["attrs"].items():
+            setattr(self, name, value)
+        if clients is not None:
+            for cid, state in client_state.items():
+                client = clients[cid]
+                client.rng.bit_generator.state = state["rng"]
+                client.rounds_participated = int(state["rounds_participated"])
+                client.total_reward = float(state["total_reward"])

@@ -18,23 +18,21 @@ Design notes
   clusters it, Equation (1) averages it).
 """
 
-from repro.nn.initializers import he_init, normal_init, xavier_init, zeros_init
+from repro.nn.initializers import he_init, xavier_init, zeros_init
 from repro.nn.layers import Dropout, Flatten, Linear, ReLU, Sigmoid, Softmax, Tanh
 from repro.nn.losses import Loss, MSELoss, SoftmaxCrossEntropyLoss
 from repro.nn.metrics import accuracy, confusion_matrix, top_k_accuracy
 from repro.nn.models import build_model, LogisticRegressionModel, MLPClassifier
 from repro.nn.module import Module, Parameter, Sequential
-from repro.nn.optim import SGD, ConstantLR, InverseTimeDecayLR, LRSchedule, StepDecayLR
+from repro.nn.optim import SGD, ConstantLR, InverseTimeDecayLR, LRSchedule
 from repro.nn.parameters import (
-    get_flat_gradients,
+    accuracy_of_parameters,
     get_flat_parameters,
-    parameter_shapes,
     set_flat_parameters,
 )
 
 __all__ = [
     "he_init",
-    "normal_init",
     "xavier_init",
     "zeros_init",
     "Dropout",
@@ -60,9 +58,7 @@ __all__ = [
     "ConstantLR",
     "InverseTimeDecayLR",
     "LRSchedule",
-    "StepDecayLR",
-    "get_flat_gradients",
+    "accuracy_of_parameters",
     "get_flat_parameters",
-    "parameter_shapes",
     "set_flat_parameters",
 ]

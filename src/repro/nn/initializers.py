@@ -12,24 +12,12 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["zeros_init", "normal_init", "xavier_init", "he_init"]
+__all__ = ["zeros_init", "xavier_init", "he_init"]
 
 
 def zeros_init(shape: tuple[int, ...], rng: np.random.Generator | None = None) -> np.ndarray:
     """All-zeros initialisation (used for biases)."""
     return np.zeros(shape, dtype=np.float64)
-
-
-def normal_init(
-    shape: tuple[int, ...],
-    rng: np.random.Generator,
-    *,
-    std: float = 0.01,
-) -> np.ndarray:
-    """Gaussian initialisation with standard deviation ``std``."""
-    if std < 0:
-        raise ValueError(f"std must be non-negative, got {std}")
-    return rng.normal(0.0, std, size=shape).astype(np.float64)
 
 
 def xavier_init(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:

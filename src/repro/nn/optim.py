@@ -16,7 +16,7 @@ import numpy as np
 from repro.nn.module import Parameter
 from repro.utils.validation import check_non_negative, check_positive
 
-__all__ = ["LRSchedule", "ConstantLR", "StepDecayLR", "InverseTimeDecayLR", "SGD"]
+__all__ = ["LRSchedule", "ConstantLR", "InverseTimeDecayLR", "SGD"]
 
 
 class LRSchedule:
@@ -37,20 +37,6 @@ class ConstantLR(LRSchedule):
 
     def learning_rate(self, step: int) -> float:
         return self.lr
-
-
-class StepDecayLR(LRSchedule):
-    """Multiply the learning rate by ``gamma`` every ``step_size`` steps."""
-
-    def __init__(self, lr: float, step_size: int, gamma: float = 0.5) -> None:
-        self.lr = check_positive("lr", lr)
-        if step_size <= 0:
-            raise ValueError(f"step_size must be positive, got {step_size}")
-        self.step_size = int(step_size)
-        self.gamma = check_positive("gamma", gamma)
-
-    def learning_rate(self, step: int) -> float:
-        return self.lr * (self.gamma ** (step // self.step_size))
 
 
 class InverseTimeDecayLR(LRSchedule):

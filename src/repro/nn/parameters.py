@@ -11,30 +11,16 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.nn.metrics import accuracy
 from repro.nn.module import Module
 from repro.utils.vectors import flatten_arrays, unflatten_array
 
-__all__ = [
-    "parameter_shapes",
-    "get_flat_parameters",
-    "set_flat_parameters",
-    "get_flat_gradients",
-]
-
-
-def parameter_shapes(model: Module) -> list[tuple[int, ...]]:
-    """Shapes of all parameters of ``model`` in traversal order."""
-    return [p.shape for p in model.parameters()]
+__all__ = ["get_flat_parameters", "set_flat_parameters", "accuracy_of_parameters"]
 
 
 def get_flat_parameters(model: Module) -> np.ndarray:
     """Concatenate all parameters of ``model`` into one 1-D ``float64`` vector."""
     return flatten_arrays(p.value for p in model.parameters())
-
-
-def get_flat_gradients(model: Module) -> np.ndarray:
-    """Concatenate all parameter *gradients* of ``model`` into one flat vector."""
-    return flatten_arrays(p.grad for p in model.parameters())
 
 
 def set_flat_parameters(model: Module, vector: np.ndarray) -> None:
@@ -50,3 +36,15 @@ def set_flat_parameters(model: Module, vector: np.ndarray) -> None:
     arrays = unflatten_array(vector, shapes)
     for param, arr in zip(params, arrays):
         param.value[...] = arr
+
+
+def accuracy_of_parameters(
+    model: Module, vector: np.ndarray, images: np.ndarray, labels: np.ndarray
+) -> float:
+    """Accuracy of ``model`` on ``(images, labels)`` under the flat parameters ``vector``.
+
+    Loads ``vector`` into ``model`` and leaves it in evaluation mode.
+    """
+    set_flat_parameters(model, vector)
+    model.eval()
+    return accuracy(model.forward(images), labels)

@@ -1,10 +1,7 @@
 """Parallel, config-driven experiment engine.
 
-Three layers (see ``docs/architecture.md``):
+Two layers (see ``docs/architecture.md``), above the trainers they drive:
 
-* :mod:`repro.runner.executor` — :class:`ParallelExecutor`, the fan-out for
-  Procedure I (serial / thread / process backends with deterministic
-  per-client RNG streams);
 * :mod:`repro.runner.scenario` — :class:`ScenarioSpec` /
   :class:`ScenarioMatrix`, the declarative JSON/TOML experiment layer;
 * :mod:`repro.runner.engine` — :class:`ExperimentEngine`, which executes
@@ -12,14 +9,19 @@ Three layers (see ``docs/architecture.md``):
   registry (:mod:`repro.systems`); systems that declare
   ``needs_dataset=False`` never trigger a dataset build.
 
-All symbols are re-exported lazily (PEP 562): the trainers import
-``repro.runner.executor`` while the scenario/engine layers import the
-trainers, so an eager package ``__init__`` would create an import cycle.
+:class:`ParallelExecutor`, the fan-out for Procedure I, lives below the
+trainers in :mod:`repro.fl.executor` and is re-exported here.
 """
 
-from __future__ import annotations
-
-import importlib
+from repro.fl.executor import EXECUTOR_BACKENDS, ParallelExecutor, resolve_worker_count
+from repro.runner.engine import ExperimentEngine, ScenarioResult
+from repro.runner.scenario import (
+    ScenarioError,
+    ScenarioMatrix,
+    ScenarioSpec,
+    load_scenario_file,
+    scenarios_from_mapping,
+)
 
 __all__ = [
     "EXECUTOR_BACKENDS",
@@ -33,27 +35,3 @@ __all__ = [
     "ExperimentEngine",
     "ScenarioResult",
 ]
-
-_EXPORTS = {
-    "EXECUTOR_BACKENDS": "repro.runner.executor",
-    "ParallelExecutor": "repro.runner.executor",
-    "resolve_worker_count": "repro.runner.executor",
-    "ScenarioError": "repro.runner.scenario",
-    "ScenarioMatrix": "repro.runner.scenario",
-    "ScenarioSpec": "repro.runner.scenario",
-    "load_scenario_file": "repro.runner.scenario",
-    "scenarios_from_mapping": "repro.runner.scenario",
-    "ExperimentEngine": "repro.runner.engine",
-    "ScenarioResult": "repro.runner.engine",
-}
-
-
-def __getattr__(name: str):
-    module_name = _EXPORTS.get(name)
-    if module_name is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(importlib.import_module(module_name), name)
-
-
-def __dir__() -> list[str]:
-    return sorted(set(globals()) | set(__all__))

@@ -35,7 +35,7 @@ from typing import TYPE_CHECKING
 from repro.core.results import ComparisonResult, summarize_history
 from repro.datasets.federated import FederatedDataset, build_federated_dataset
 from repro.fl.history import TrainingHistory
-from repro.runner.checkpoint import CheckpointError
+from repro.fl.trainer import CheckpointError, Trainer
 from repro.runner.scenario import ScenarioError, ScenarioSpec
 from repro.systems.registry import RunResult, get_system
 
@@ -182,8 +182,7 @@ class ExperimentEngine:
         own resumable state is persisted for the next promotion.
 
         Raises :class:`~repro.runner.scenario.ScenarioError` for systems
-        whose trainer does not implement the checkpoint protocol
-        (:class:`~repro.runner.checkpoint.CheckpointMixin`).
+        whose ``build()`` result exposes no :class:`~repro.fl.trainer.Trainer`.
         """
         spec.validate()
         target = (
@@ -216,8 +215,8 @@ class ExperimentEngine:
         The stepping is the one every engine verb uses (``run_until``, the
         same incremental path an ASHA promotion resumes through), so the
         resulting history is bit-identical to an uninterrupted
-        :meth:`run_result` of the same spec.  Systems whose trainer does not
-        implement the checkpoint protocol run whole and non-interruptibly,
+        :meth:`run_result` of the same spec.  Systems whose ``build()`` result
+        exposes no :class:`~repro.fl.trainer.Trainer` run whole and non-interruptibly,
         with a single final progress report.
         """
         return self._execute(
@@ -257,14 +256,14 @@ class ExperimentEngine:
         runner = system.build(target, dataset)
         trainer = getattr(runner, "trainer", None)
         blob = None
-        if trainer is None or not callable(getattr(trainer, "run_until", None)):
+        if not isinstance(trainer, Trainer):
             if partial:
                 raise ScenarioError(
                     f"system {target.system!r} does not support partial runs: its "
                     "build() result exposes no checkpointable trainer (see "
-                    "repro.runner.checkpoint.CheckpointMixin)"
+                    "repro.fl.trainer.Trainer)"
                 )
-            # A plugin runner without the checkpoint protocol runs whole.
+            # A plugin runner that exposes no Trainer runs whole.
             result = runner.run()
             self.tally(rounds=len(result.history))
             if progress is not None:
@@ -287,9 +286,7 @@ class ExperimentEngine:
                     blob = trainer.checkpoint_state()
             finally:
                 self.tally(rounds=done - start)
-                close = getattr(trainer, "close", None)
-                if callable(close):
-                    close()
+                trainer.close()
             result = RunResult(
                 system=system.name,
                 history=trainer.history,

@@ -41,6 +41,7 @@ from repro.attacks.gradient_attacks import ATTACKS
 from repro.core.config import FairBFLConfig
 from repro.core.flexibility import OperatingMode
 from repro.fl.client import LocalTrainingConfig
+from repro.fl.executor import EXECUTOR_BACKENDS
 from repro.fl.robust import DEFENSES, check_defense
 from repro.fl.fedavg import FedAvgConfig
 from repro.fl.fedprox import FedProxConfig
@@ -49,7 +50,6 @@ from repro.incentive.contribution import ContributionConfig
 from repro.incentive.strategies import STRATEGIES
 from repro.net.topology import TOPOLOGIES
 from repro.nn.models import MODELS
-from repro.runner.executor import EXECUTOR_BACKENDS
 from repro.sim.rounds import ROUND_MODES
 from repro.sim.vanilla_blockchain import VanillaBlockchainConfig
 from repro.systems.registry import SystemRegistryError, check_spec_axes, get_system

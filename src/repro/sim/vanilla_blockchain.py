@@ -29,17 +29,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.blockchain.block import Block
-from repro.blockchain.chain import Blockchain
 from repro.blockchain.mempool import Mempool
-from repro.blockchain.miner import Miner
+from repro.blockchain.miner import Miner, replicated_committee
 from repro.blockchain.transaction import make_gradient_transaction
 from repro.crypto.keystore import KeyStore
-from repro.fl.history import RoundRecord, TrainingHistory
-from repro.runner.checkpoint import CheckpointMixin
+from repro.fl.history import RoundRecord
+from repro.fl.trainer import Trainer
 from repro.sim.delay import DelayParameters
 from repro.sim.rounds import EventRoundSimulator
 from repro.utils.rng import new_rng
-from repro.utils.timer import SimulatedClock
 
 __all__ = ["VanillaBlockchainConfig", "VanillaBlockchainSimulator"]
 
@@ -88,13 +86,13 @@ class VanillaBlockchainConfig:
             raise ValueError(f"payload_elements must be positive, got {self.payload_elements}")
 
 
-class VanillaBlockchainSimulator(CheckpointMixin):
+class VanillaBlockchainSimulator(Trainer):
     """Runs the vanilla-blockchain baseline and records per-round delays."""
 
     label = "blockchain"
 
     def __init__(self, config: VanillaBlockchainConfig) -> None:
-        self.config = config
+        super().__init__(config)
         self.rng = new_rng(config.seed, "vanilla-blockchain")
         self.round_sim = EventRoundSimulator(config.delay_params, new_rng(config.seed, "vb-delay"))
         self.keystore = KeyStore(seed=config.seed) if config.verify_signatures else None
@@ -103,26 +101,18 @@ class VanillaBlockchainSimulator(CheckpointMixin):
             for wid in self.worker_ids:
                 self.keystore.register(wid)
 
-        genesis = Block.genesis()
-        self.miners: list[Miner] = []
-        for k in range(config.num_miners):
-            chain = Blockchain(enforce_pow=False)
-            chain.add_genesis(genesis)
-            self.miners.append(
-                Miner(
-                    miner_id=f"miner-{k}",
-                    chain=chain,
-                    keystore=self.keystore,
-                    verify_signatures=config.verify_signatures,
-                )
-            )
+        self.miners: list[Miner] = replicated_committee(
+            [f"miner-{k}" for k in range(config.num_miners)],
+            Block.genesis(),
+            enforce_pow=False,
+            keystore=self.keystore,
+            verify_signatures=config.verify_signatures,
+        )
         # The mempool size is expressed in bytes; convert the configured
         # transactions-per-block capacity using the payload size.
         tx_bytes = config.payload_elements * 8
         self.mempool = Mempool(block_size_bytes=tx_bytes * config.delay_params.transactions_per_block)
         self.total_forks = 0
-        self.clock = SimulatedClock()
-        self.history = TrainingHistory(label=self.label)
 
     # ------------------------------------------------------------------
     def _make_round_transactions(self, round_index: int) -> list:
@@ -167,12 +157,10 @@ class VanillaBlockchainSimulator(CheckpointMixin):
             miners=self.miners,
         )
         self.total_forks += timing.fork_count
-        self.clock.advance(timing.total)
-        record = RoundRecord(
-            round_index=round_index,
-            delay=timing.total,
-            accuracy=0.0,
-            elapsed_time=self.clock.now,
+        return self._emit(
+            round_index,
+            timing.total,
+            0.0,
             participants=list(range(cfg.num_workers)),
             extras={
                 "delay_breakdown": timing.breakdown.as_dict(),
@@ -182,8 +170,6 @@ class VanillaBlockchainSimulator(CheckpointMixin):
                 "chain_height": self.miners[0].chain.height,
             },
         )
-        self.history.append(record)
-        return record
 
     @property
     def chain_height(self) -> int:

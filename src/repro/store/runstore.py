@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import json
 import os
-import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping
@@ -70,7 +69,7 @@ class StoredRun:
         ISO-8601 UTC timestamp of when the record was written.
     checkpoint:
         The trainer's resumable-state blob
-        (:meth:`repro.runner.checkpoint.CheckpointMixin.checkpoint_state`)
+        (:meth:`repro.fl.trainer.Trainer.checkpoint_state`)
         persisted alongside the run, or ``None`` — partial-rung records
         written by :meth:`repro.runner.engine.ExperimentEngine.run_partial`
         carry one so a promoted ASHA trial continues instead of replaying.
@@ -105,18 +104,14 @@ class RunStore:
     ----------
     root:
         Directory the records live under (created lazily on first write).
-    compress:
-        When True, each :meth:`put` also writes ``<key>.npz`` with the
-        per-round scalar series (delays, accuracies, elapsed times, train
-        losses) via :func:`numpy.savez_compressed` — a plotting-friendly
-        side artifact; the JSON record stays authoritative for those.
 
-    Regardless of ``compress``, a record whose rounds carry at least
-    :attr:`OFFLOAD_TOTAL_THRESHOLD` membership entries in total (a 100k-client
-    cohort run lists every participant every round) *offloads* the huge
-    per-round lists into the same ``.npz`` sidecar instead of inlining them as
-    JSON integers; the JSON keeps ``{"__npz__": ...}`` references that
-    :meth:`load` resolves transparently.
+    A record whose rounds carry at least :attr:`OFFLOAD_TOTAL_THRESHOLD`
+    membership entries in total (a 100k-client cohort run lists every
+    participant every round) *offloads* the huge per-round lists into a
+    compressed ``<key>.npz`` sidecar instead of inlining them as JSON
+    integers; the JSON keeps ``{"__npz__": ...}`` references that :meth:`load`
+    resolves transparently.  The sidecar holds exactly what a reader resolves:
+    those lists and, for partial-rung records, the trainer checkpoint.
     """
 
     #: Records whose rounds carry at least this many membership entries in
@@ -124,26 +119,11 @@ class RunStore:
     #: the large lists to the compressed sidecar rather than the JSON record.
     OFFLOAD_TOTAL_THRESHOLD = 10_000
 
-    def __init__(self, root: str | Path = DEFAULT_STORE_ROOT, *, compress: bool = False):
+    def __init__(self, root: str | Path = DEFAULT_STORE_ROOT):
         self.root = Path(root)
-        self.compress = bool(compress)
-        #: Lazily-built set of record keys under the root.  ``keys()`` (and
-        #: therefore ``runs()``/``query()``) would otherwise rescan the 2-hex
-        #: shard directories on every call; the index is built on first use,
-        #: updated incrementally by :meth:`put`, and invalidated by
-        #: :meth:`gc`/:meth:`refresh_index`.  Because *other processes* write
-        #: to the same root (``repro serve`` worker processes, concurrent
-        #: sweeps), every index read re-validates against the on-disk shard
-        #: directories first: :meth:`_shard_stamp` fingerprints their names
-        #: and mtimes (at most 256 ``stat`` calls), and a stamp mismatch
-        #: triggers a rescan — so a record put by another process is visible
-        #: to ``query()`` without any manual refresh.
-        self._key_index: set[str] | None = None
-        self._index_stamp: tuple | None = None
-        self._index_lock = threading.Lock()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging nicety
-        return f"RunStore(root={str(self.root)!r}, compress={self.compress})"
+        return f"RunStore(root={str(self.root)!r})"
 
     # -- addressing -----------------------------------------------------
     def key_for(self, spec: ScenarioSpec) -> str:
@@ -164,76 +144,49 @@ class RunStore:
         spec: ScenarioSpec,
         result: RunResult,
         *,
-        overwrite: bool = True,
         checkpoint: bytes | None = None,
     ) -> StoredRun:
         """Persist ``result`` under ``spec``'s content key and return the entry.
 
-        With ``overwrite=False`` an existing record is left untouched (the
-        stored entry is returned instead) — identical inputs produce
-        identical histories, so rewriting is never required for correctness.
-
-        ``checkpoint`` attaches a trainer resumable-state blob to the record
-        (stored as a ``uint8`` array in the ``.npz`` sidecar, which the
-        existing orphan-sidecar ``gc`` already covers); partial-rung records
-        use this so a later, higher-fidelity run continues from round ``r``
-        instead of replaying it.
+        An existing record is overwritten.  ``checkpoint`` attaches a trainer
+        resumable-state blob to the record (stored as a ``uint8`` array in the
+        ``.npz`` sidecar, which the orphan-sidecar ``gc`` covers); partial-rung
+        records use this so a later, higher-fidelity run continues from round
+        ``r`` instead of replaying it.
         """
         key = self.key_for(spec)
         path = self.path_for(key)
-        if path.exists() and not overwrite:
-            return self.load(key)
         fingerprint = capability_fingerprint(spec.system)
         history = result.history
         total_members = sum(
             len(r.participants) + len(r.discarded) + len(r.attackers)
             for r in history.rounds
         )
-        use_sidecar = (
-            self.compress
-            or total_members >= self.OFFLOAD_TOTAL_THRESHOLD
-            or checkpoint is not None
-        )
-        offload: dict | None = {} if use_sidecar else None
+        arrays: dict[str, np.ndarray] = {}
         payload = run_record_payload(
-            spec, result, key=key, fingerprint=fingerprint, offload=offload
+            spec,
+            result,
+            key=key,
+            fingerprint=fingerprint,
+            offload=arrays if total_members >= self.OFFLOAD_TOTAL_THRESHOLD else None,
         )
+        if checkpoint is not None:
+            arrays["checkpoint"] = np.frombuffer(checkpoint, dtype=np.uint8)
+            payload["checkpoint"] = {"rounds": len(history), "bytes": len(checkpoint)}
         arrays_path = path.with_suffix(".npz")
-        if use_sidecar:
-            extra_arrays = dict(offload or {})
-            if checkpoint is not None:
-                extra_arrays["checkpoint"] = np.frombuffer(checkpoint, dtype=np.uint8)
-                payload["checkpoint"] = {
-                    "rounds": len(history),
-                    "bytes": len(checkpoint),
-                }
+        if arrays:
             # Written atomically and *before* the JSON record, so a record
             # never advertises arrays that do not exist; a kill in between
             # leaves an orphan .npz that gc() reclaims.
             path.parent.mkdir(parents=True, exist_ok=True)
             tmp = arrays_path.with_name(arrays_path.name + ".tmp")
             with open(tmp, "wb") as handle:
-                np.savez_compressed(
-                    handle,
-                    delays=history.delays,
-                    accuracies=history.accuracies,
-                    elapsed_times=history.elapsed_times,
-                    train_losses=np.array(
-                        [r.train_loss for r in history.rounds], dtype=np.float64
-                    ),
-                    **extra_arrays,
-                )
+                np.savez_compressed(handle, **arrays)
             os.replace(tmp, arrays_path)
             payload["arrays"] = arrays_path.name
         else:
             arrays_path.unlink(missing_ok=True)  # drop a stale sidecar on rewrite
         write_json_record(path, payload, kind="run")
-        with self._index_lock:
-            if self._key_index is not None:
-                # The write also changed the shard's mtime, so the next
-                # _index() call re-validates; adding eagerly just keeps
-                # same-process readers coherent without waiting for it.
-                self._key_index.add(key)
         return StoredRun(
             key=key,
             spec=spec,
@@ -332,56 +285,9 @@ class RunStore:
         )
 
     # -- querying -------------------------------------------------------
-    def _shard_stamp(self) -> tuple:
-        """A cheap fingerprint of the on-disk shard state (names + mtimes).
-
-        A new record — written by this process or any other — either creates
-        a shard directory (changing the name set) or updates an existing
-        one's mtime, so comparing stamps detects external writes without
-        enumerating every record file.
-        """
-        try:
-            with os.scandir(self.root) as entries:
-                return tuple(
-                    sorted(
-                        (entry.name, entry.stat().st_mtime_ns)
-                        for entry in entries
-                        if entry.is_dir() and len(entry.name) == 2
-                    )
-                )
-        except FileNotFoundError:
-            return ()
-
-    def _index(self) -> set[str]:
-        """The in-memory key index, re-validated against the on-disk shards.
-
-        On every call the shard stamp is recomputed; a mismatch (first use,
-        an external writer, or this store's own :meth:`put`) rescans the
-        shard directories, so concurrent ``put`` from other processes —
-        ``repro serve`` worker processes share one store root — cannot leave
-        ``query()``/``keys()`` serving a stale index.
-        """
-        with self._index_lock:
-            stamp = self._shard_stamp()
-            if self._key_index is None or stamp != self._index_stamp:
-                self._key_index = {p.stem for p in self.root.glob("??/*.json")}
-                self._index_stamp = stamp
-            return set(self._key_index)
-
-    def refresh_index(self) -> None:
-        """Drop the in-memory key index (next ``keys()`` rescans the shards).
-
-        Kept for compatibility; external writes are already detected by the
-        shard-stamp re-validation in :meth:`_index`, so calling this is only
-        needed to force a rescan when a writer bypassed the shard layout.
-        """
-        with self._index_lock:
-            self._key_index = None
-            self._index_stamp = None
-
     def keys(self) -> tuple[str, ...]:
-        """Every record key under the root, sorted (served from the index)."""
-        return tuple(sorted(self._index()))
+        """Every record key under the root, sorted (one scan of the shard directories)."""
+        return tuple(sorted(p.stem for p in self.root.glob("??/*.json")))
 
     def runs(self) -> list[StoredRun]:
         """Every *loadable* record, sorted by (system, scenario name, key).
@@ -459,8 +365,6 @@ class RunStore:
                 removed.append(arrays_path.stem)
                 if not dry_run:
                     arrays_path.unlink(missing_ok=True)
-        if removed and not dry_run:
-            self.refresh_index()  # invalidate; next keys() rescans
         return tuple(removed)
 
     @staticmethod

@@ -1,7 +1,7 @@
 """The five built-in systems, re-homed as registered plugins.
 
-Each class wraps one trainer/simulator behind the :class:`~repro.systems.registry.System`
-protocol: ``build_config`` delegates to the scenario's authoritative config
+Each class wraps one :class:`~repro.fl.trainer.Trainer` behind the
+:class:`~repro.systems.registry.System` protocol: ``build_config`` delegates to the scenario's authoritative config
 builder (``spec.fairbfl_config()`` and friends — duck-typed, so this module
 never imports the scenario layer), and ``build`` instantiates the trainer
 inside a :class:`~repro.systems.registry.TrainerRun` that closes it after the

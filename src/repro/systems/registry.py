@@ -33,6 +33,7 @@ from typing import TYPE_CHECKING, Mapping
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.fl.history import TrainingHistory
+    from repro.fl.trainer import Trainer
 
 __all__ = [
     "SystemRegistryError",
@@ -88,7 +89,7 @@ class SystemCapabilities:
     cohort:
         Whether the system can run local updates on the vectorized cohort
         backend (``backend="cohort"``), i.e. its trainer fans Procedure I
-        out through a :class:`~repro.runner.executor.ParallelExecutor`.
+        out through a :class:`~repro.fl.executor.ParallelExecutor`.
         Unlike the other axes this one is engaged by a *specific value*:
         ``backend="thread"``/``"process"`` stay valid for every system (a
         system that ignores the executor simply ignores them), only
@@ -197,23 +198,21 @@ class System:
 
 @dataclass
 class TrainerRun:
-    """Adapts a trainer/simulator (``.run() -> TrainingHistory``) to a system run.
+    """Adapts a :class:`~repro.fl.trainer.Trainer` to a system run.
 
     Closes the trainer (releasing executor worker pools) even when the run
     raises, then wraps the history in a :class:`RunResult`.
     """
 
     system: str
-    trainer: object
+    trainer: Trainer
     extras: Mapping[str, object] = field(default_factory=dict)
 
     def run(self) -> RunResult:
         try:
             history = self.trainer.run()
         finally:
-            close = getattr(self.trainer, "close", None)
-            if callable(close):
-                close()
+            self.trainer.close()
         return RunResult(system=self.system, history=history, extras=dict(self.extras))
 
 

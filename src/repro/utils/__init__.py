@@ -10,11 +10,11 @@ every other subsystem:
   mechanism, and the blockchain.
 * :mod:`repro.utils.validation` -- argument-checking helpers with consistent
   error messages.
-* :mod:`repro.utils.timer` -- simulated-clock and wall-clock timers.
+* :mod:`repro.utils.timer` -- the simulated clock.
 """
 
 from repro.utils.rng import RngRegistry, derive_seed, new_rng, spawn_rngs
-from repro.utils.timer import SimulatedClock, WallClockTimer
+from repro.utils.timer import SimulatedClock
 from repro.utils.validation import (
     check_in_range,
     check_non_negative,
@@ -26,8 +26,6 @@ from repro.utils.vectors import (
     cosine_distance,
     cosine_similarity,
     flatten_arrays,
-    l2_distance,
-    l2_norm,
     unflatten_array,
 )
 
@@ -37,7 +35,6 @@ __all__ = [
     "new_rng",
     "spawn_rngs",
     "SimulatedClock",
-    "WallClockTimer",
     "check_in_range",
     "check_non_negative",
     "check_positive",
@@ -46,7 +43,5 @@ __all__ = [
     "cosine_distance",
     "cosine_similarity",
     "flatten_arrays",
-    "l2_distance",
-    "l2_norm",
     "unflatten_array",
 ]

@@ -8,12 +8,11 @@ measurement is only used by the benchmark harness.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 from repro.utils.validation import check_non_negative
 
-__all__ = ["SimulatedClock", "WallClockTimer"]
+__all__ = ["SimulatedClock"]
 
 
 @dataclass
@@ -49,19 +48,3 @@ class SimulatedClock:
     def total_elapsed(self) -> float:
         """Total simulated time elapsed (equals ``now`` when starting at 0)."""
         return float(sum(self._history))
-
-
-class WallClockTimer:
-    """Context-manager measuring wall-clock duration of a code block."""
-
-    def __init__(self) -> None:
-        self.start: float | None = None
-        self.elapsed: float = 0.0
-
-    def __enter__(self) -> "WallClockTimer":
-        self.start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        if self.start is not None:
-            self.elapsed = time.perf_counter() - self.start

@@ -19,8 +19,6 @@ import numpy as np
 __all__ = [
     "flatten_arrays",
     "unflatten_array",
-    "l2_norm",
-    "l2_distance",
     "cosine_similarity",
     "cosine_distance",
     "pairwise_cosine_distance",
@@ -70,20 +68,6 @@ def unflatten_array(vector: np.ndarray, shapes: Sequence[tuple[int, ...]]) -> li
         out.append(vector[offset : offset + size].reshape(shape).copy())
         offset += size
     return out
-
-
-def l2_norm(vector: np.ndarray) -> float:
-    """Euclidean norm of a vector."""
-    return float(np.linalg.norm(np.asarray(vector, dtype=np.float64)))
-
-
-def l2_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Euclidean distance between two vectors of equal length."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return float(np.linalg.norm(a - b))
 
 
 def cosine_similarity(a: np.ndarray, b: np.ndarray, *, eps: float = 1e-12) -> float:

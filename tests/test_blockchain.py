@@ -304,6 +304,33 @@ class TestBlockchain:
         chain.blocks[2].transactions[0] = make_global_update_transaction("m", 1, np.full(4, 99.0))
         assert not chain.is_valid()
 
+    def test_round_index_may_repeat_but_never_go_back(self):
+        # The one rulebook on every path: append, full validation, reorg.
+        def block_after(tip, round_index):
+            return Block.create(
+                index=tip.index + 1, previous_hash=tip.block_hash,
+                round_index=round_index, miner_id="m", transactions=[],
+            )
+
+        chain = self._chain_with_genesis()
+        chain.add_block(block_after(chain.last_block, 3))
+        chain.add_block(block_after(chain.last_block, 3))  # several blocks per round
+        stale = block_after(chain.last_block, 2)
+        assert "round index 2 goes back" in chain.validate_candidate(stale)
+        with pytest.raises(BlockValidationError, match="round index 2 goes back"):
+            chain.add_block(stale)
+        # Smuggled past add_block, the tampered view fails re-validation and
+        # can neither be constructed nor adopted by an honest replica.
+        tampered = [*chain.blocks, stale]
+        chain.blocks.append(stale)
+        assert not chain.is_valid()
+        with pytest.raises(BlockValidationError, match=r"goes back .*\(at height 3\)"):
+            Blockchain(enforce_pow=False, blocks=tampered)
+        honest = self._chain_with_genesis()
+        with pytest.raises(BlockValidationError, match="round index"):
+            honest.reorg_to(tampered)
+        assert honest.height == 1
+
     def test_latest_global_update(self):
         chain = self._chain_with_genesis()
         assert chain.latest_global_update() is None

@@ -1,4 +1,4 @@
-"""Tests for partial-run checkpointing (`repro.runner.checkpoint`).
+"""Tests for partial-run checkpointing (`repro.fl.trainer`).
 
 The contract under test is **bit-identical resumption**: a run stopped at
 round ``r`` and continued to round ``R`` through
@@ -11,10 +11,10 @@ the kernel's simulated clock, detection/reward accounting, and FedProx's
 straggler-drop selection stream.
 
 Also covered: the checkpoint's validation guards (foreign blobs are rejected
-as :class:`~repro.runner.checkpoint.CheckpointError`, which the engine treats
+as :class:`~repro.fl.trainer.CheckpointError`, which the engine treats
 as a miss), the store-side plumbing (checkpoints ride the ``.npz`` sidecar
-and are reclaimed by the existing ``gc`` orphan sweep), and the key-index
-satellite (built on first use, maintained by ``put``, invalidated by ``gc``).
+and are reclaimed by the existing ``gc`` orphan sweep), and ``keys()``
+coherence (it follows ``put``, ``gc`` and foreign writers).
 """
 
 from __future__ import annotations
@@ -25,13 +25,9 @@ import pickle
 import pytest
 
 from repro.crypto.rsa import rsa_sign
-from repro.runner.checkpoint import (
-    CHECKPOINT_SCHEMA_VERSION,
-    CheckpointError,
-    CheckpointMixin,
-)
+from repro.fl.executor import EXECUTOR_BACKENDS
+from repro.fl.trainer import CHECKPOINT_SCHEMA_VERSION, CheckpointError, Trainer
 from repro.runner.engine import ExperimentEngine
-from repro.runner.executor import EXECUTOR_BACKENDS
 from repro.runner.scenario import ScenarioError, ScenarioSpec
 from repro.store import RunStore
 from repro.store.records import history_to_payload, json_sanitize
@@ -219,8 +215,8 @@ class TestCheckpointGuards:
     def test_mixin_exclusions_documented_state_only(self):
         # The exclusion list is load-bearing: anything listed is rebuilt by
         # system.build(), everything else must pickle.
-        assert "dataset" in CheckpointMixin.CHECKPOINT_EXCLUDE
-        assert "executor" in CheckpointMixin.CHECKPOINT_EXCLUDE
+        assert "dataset" in Trainer.CHECKPOINT_EXCLUDE
+        assert "executor" in Trainer.CHECKPOINT_EXCLUDE
 
 
 class TestStorePlumbing:
@@ -279,12 +275,9 @@ class TestKeyIndex:
     def test_index_built_on_first_use_and_updated_by_put(self, tmp_path):
         spec = ScenarioSpec(system="blockchain", name="idx", num_clients=5, num_rounds=2)
         store = RunStore(tmp_path)
-        assert store._key_index is None
         assert store.keys() == ()
-        assert store._key_index is not None
         result = ExperimentEngine().run_partial(spec, checkpoint=False)
         store.put(spec, result)
-        # No rescan needed: put() maintained the live index.
         assert store.keys() == (store.key_for(spec),)
         assert store.query(system="blockchain")[0].key == store.key_for(spec)
 
@@ -296,7 +289,6 @@ class TestKeyIndex:
         path = store.path_for(store.key_for(spec))
         path.write_text("corrupt", encoding="utf-8")
         assert store.gc()
-        assert store._key_index is None
         assert store.keys() == ()
 
     def test_index_picks_up_external_writers(self, tmp_path):
@@ -305,8 +297,6 @@ class TestKeyIndex:
         assert reader.keys() == ()
         writer = RunStore(tmp_path)  # a "different process"
         writer.put(spec, ExperimentEngine().run_partial(spec, checkpoint=False))
-        # The shard-stamp check spots the foreign write without an explicit
-        # refresh; refresh_index() stays as the force-rescan escape hatch.
+        # keys() scans the shards, so the foreign write needs no refresh.
         assert reader.keys() == (reader.key_for(spec),)
-        reader.refresh_index()
-        assert reader.keys() == (reader.key_for(spec),)
+        assert reader.query(system="blockchain")[0].key == reader.key_for(spec)

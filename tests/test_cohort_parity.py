@@ -31,10 +31,10 @@ import numpy as np
 import pytest
 
 from repro.attacks.gradient_attacks import ATTACKS
+from repro.fl.executor import EXECUTOR_BACKENDS
 from repro.fl.fedavg import FedAvgTrainer
 from repro.fl.robust import DEFENSES
 from repro.runner.engine import ExperimentEngine
-from repro.runner.executor import EXECUTOR_BACKENDS
 from repro.runner.scenario import ScenarioSpec
 from repro.sim.rounds import ROUND_MODES
 from repro.store.keys import spec_key

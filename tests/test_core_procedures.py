@@ -19,11 +19,11 @@ from repro.core.procedures import (
 )
 from repro.crypto.keystore import KeyStore
 from repro.fl.client import FLClient, LocalTrainingConfig
+from repro.fl.executor import ParallelExecutor
 from repro.incentive.contribution import ContributionConfig
 from repro.incentive.strategies import DiscardStrategy, KeepAllStrategy
 from repro.nn.models import LogisticRegressionModel
 from repro.nn.parameters import get_flat_parameters
-from repro.runner.executor import ParallelExecutor
 from repro.utils.rng import new_rng
 
 

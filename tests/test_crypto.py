@@ -18,7 +18,7 @@ from repro.crypto.hashing import (
 )
 from repro.crypto.keystore import KeyStore
 from repro.crypto.primes import generate_prime, is_probable_prime
-from repro.crypto.rsa import RSAKeyPair, rsa_decrypt, rsa_encrypt, rsa_sign, rsa_verify
+from repro.crypto.rsa import RSAKeyPair, rsa_sign, rsa_verify
 from repro.utils.rng import new_rng
 
 
@@ -121,20 +121,6 @@ class TestRSA:
         sig = rsa_sign(b"msg", keypair.private_key)
         assert not rsa_verify(b"msg", sig, other.public_key)
 
-    def test_encrypt_decrypt_roundtrip(self, keypair):
-        plaintext = 123456789
-        cipher = rsa_encrypt(plaintext, keypair.public_key)
-        assert cipher != plaintext
-        assert rsa_decrypt(cipher, keypair.private_key) == plaintext
-
-    def test_encrypt_rejects_oversized_plaintext(self, keypair):
-        with pytest.raises(ValueError):
-            rsa_encrypt(keypair.modulus, keypair.public_key)
-
-    def test_decrypt_rejects_oversized_ciphertext(self, keypair):
-        with pytest.raises(ValueError):
-            rsa_decrypt(keypair.modulus + 1, keypair.private_key)
-
     def test_generate_rejects_tiny_modulus(self):
         with pytest.raises(ValueError):
             RSAKeyPair.generate(new_rng(0, "rsa"), bits=16)
@@ -220,12 +206,6 @@ class TestKeyStore:
     def test_different_entities_different_keys(self):
         store = KeyStore(seed=0, key_bits=128)
         assert store.register("a").modulus != store.register("b").modulus
-
-    def test_batch_register(self):
-        store = KeyStore(seed=0, key_bits=128)
-        ids = KeyStore.batch_register(store, 4, prefix="node")
-        assert ids == ["node-0", "node-1", "node-2", "node-3"]
-        assert len(store) == 4
 
     def test_invalid_key_bits(self):
         with pytest.raises(ValueError):

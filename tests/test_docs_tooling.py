@@ -151,6 +151,36 @@ class TestDocsFreshness:
         assert "'repro.blockchain.network.BroadcastNetwork'" in problems[0]
         assert "'repro.net.gossip.GossipNetwork.teleport'" in problems[1]
 
+    def test_layering_catches_an_upward_import(self, tmp_path, monkeypatch):
+        check_docs = self._load_check_docs()
+        assert check_docs.check_layering() == []
+        fl = tmp_path / "src" / "repro" / "fl"
+        fl.mkdir(parents=True)
+        (fl / "planted.py").write_text(
+            "from typing import TYPE_CHECKING\n"
+            "from repro.fl.client import FLClient\n"
+            "from repro import api\n"
+            "if TYPE_CHECKING:\n"
+            "    from repro.runner.engine import ExperimentEngine, ScenarioResult\n"
+            "def late():\n"
+            "    import repro.store.runstore\n",
+            encoding="utf-8",
+        )
+        runner = tmp_path / "src" / "repro" / "runner"
+        runner.mkdir()
+        (runner / "fine.py").write_text("from repro.store import RunStore\n", encoding="utf-8")
+        monkeypatch.setattr(check_docs, "REPO_ROOT", tmp_path)
+        monkeypatch.setattr(check_docs, "SRC_ROOT", tmp_path / "src")
+        problems = check_docs.check_layering()
+        assert [p.split(": ")[0] for p in problems] == [
+            "src/repro/fl/planted.py:3",
+            "src/repro/fl/planted.py:5",
+            "src/repro/fl/planted.py:7",
+        ]
+        assert problems[1].endswith(
+            "repro.runner.engine.ExperimentEngine, repro.runner.engine.ScenarioResult"
+        )
+
     def test_readme_benchmark_map_is_fresh(self):
         import re
 

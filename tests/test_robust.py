@@ -17,6 +17,7 @@ from repro.core.config import FairBFLConfig
 from repro.core.fairbfl import FairBFLTrainer
 from repro.fl.aggregation import AggregationError
 from repro.fl.client import ClientUpdate, LocalTrainingConfig
+from repro.fl.executor import EXECUTOR_BACKENDS
 from repro.fl.robust import (
     DEFENSES,
     DefensePipeline,
@@ -35,7 +36,6 @@ from repro.fl.robust import (
 )
 from repro.fl.server import CentralServer
 from repro.nn.models import ModelFactory
-from repro.runner.executor import EXECUTOR_BACKENDS
 from repro.runner.scenario import ScenarioError, ScenarioSpec
 
 

@@ -24,9 +24,10 @@ from repro.core.config import FairBFLConfig
 from repro.core.fairbfl import FairBFLTrainer
 from repro.fl.aggregation import AggregationError, aggregate_client_updates, simple_average
 from repro.fl.client import ClientUpdate, LocalTrainingConfig
+from repro.fl.executor import EXECUTOR_BACKENDS, ParallelExecutor, resolve_worker_count
 from repro.fl.server import CentralServer
+from repro.fl.trainer import Trainer
 from repro.runner.engine import ExperimentEngine, RunCancelled
-from repro.runner.executor import EXECUTOR_BACKENDS, ParallelExecutor, resolve_worker_count
 from repro.runner.scenario import (
     ScenarioError,
     ScenarioMatrix,
@@ -46,13 +47,27 @@ def _fingerprint(history):
 
 
 class TestParallelExecutor:
+    @staticmethod
+    def _message(build) -> str:
+        with pytest.raises(ValueError) as info:
+            build()
+        return str(info.value)
+
     def test_rejects_unknown_backend(self):
-        with pytest.raises(ValueError, match="unknown executor backend"):
-            ParallelExecutor("fibers")
+        # One rule (check_executor_settings): constructor, config and spec
+        # reject a bad backend with the same text, up to the field's own name.
+        direct = self._message(lambda: ParallelExecutor("fibers"))
+        assert direct == "executor_backend must be one of serial, thread, process, cohort, got 'fibers'"
+        assert self._message(lambda: FairBFLConfig(executor_backend="fibers")) == direct
+        spec = self._message(lambda: ScenarioSpec(backend="fibers").validate())
+        assert spec == direct.replace("executor_backend", "backend")
 
     def test_rejects_bad_worker_count(self):
-        with pytest.raises(ValueError, match="max_workers"):
-            ParallelExecutor("thread", max_workers=0)
+        direct = self._message(lambda: ParallelExecutor("thread", max_workers=0))
+        assert direct == "executor_workers must be a positive finite number, got 0"
+        assert self._message(lambda: FairBFLConfig(executor_workers=0)) == direct
+        spec = self._message(lambda: ScenarioSpec(max_workers=0).validate())
+        assert spec == direct.replace("executor_workers", "max_workers")
 
     def test_resolve_worker_count(self):
         assert resolve_worker_count(3) == 3
@@ -463,6 +478,38 @@ class TestEngineVerbsAreOneBody:
             assert _stored_record(engine.store, spec) is not None
         with pytest.raises(ScenarioError, match="partial runs"):
             ExperimentEngine().run_partial(spec)
+
+
+class TestTrainerContract:
+    """What every built-in system's trainer inherits from the one ``Trainer``."""
+
+    @pytest.mark.parametrize(
+        "system", ["fairbfl", "fairbfl-discard", "fedavg", "fedprox", "blockchain"]
+    )
+    def test_lifecycle_emission_and_population(self, system):
+        spec = ScenarioSpec(
+            system=system, name="contract", num_clients=6, num_samples=240, num_rounds=3, seed=5
+        ).validate()
+        registered = get_system(system)
+        needs_dataset = registered.capabilities.needs_dataset
+        dataset = ExperimentEngine().dataset_for(spec) if needs_dataset else None
+        trainer = registered.build(spec, dataset).trainer
+        assert isinstance(trainer, Trainer)
+        with trainer as entered:
+            assert entered is trainer
+            for r in range(2):
+                before = trainer.clock.now
+                record = trainer.run_round(r)
+                assert record is trainer.history.rounds[-1] and record.round_index == r
+                assert trainer.clock.now == before + record.delay == record.elapsed_time
+            assert trainer.rounds_completed() == 2
+            if needs_dataset:
+                assert isinstance(trainer.clients, dict)
+                assert list(trainer.clients) == [shard.client_id for shard in dataset.clients]
+                assert all(cid == c.client_id for cid, c in trainer.clients.items())
+            else:
+                assert trainer.clients is None
+        trainer.close()  # the context manager closed it; closing twice is harmless
 
 
 class TestVectorisedAggregationPath:

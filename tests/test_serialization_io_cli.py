@@ -2,16 +2,10 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.cli import build_parser, main
-from repro.core.io import (
-    load_history_json,
-    save_comparison_csv,
-    save_history_csv,
-    save_history_json,
-)
+from repro.core.io import save_comparison_csv, save_history_csv
 from repro.core.results import ComparisonResult
 from repro.fl.history import RoundRecord, TrainingHistory
 
@@ -34,18 +28,6 @@ class TestHistoryIO:
                 )
             )
         return hist
-
-    def test_json_roundtrip(self, tmp_path):
-        hist = self._history()
-        path = save_history_json(hist, tmp_path / "hist.json")
-        restored = load_history_json(path)
-        assert restored.label == "x"
-        assert len(restored) == 4
-        np.testing.assert_allclose(restored.accuracies, hist.accuracies)
-        np.testing.assert_allclose(restored.delays, hist.delays)
-        assert restored.rounds[2].discarded == [2]
-        assert restored.rounds[1].attackers == [3]
-        assert restored.total_rewards() == hist.total_rewards()
 
     def test_csv_export(self, tmp_path):
         path = save_history_csv(self._history(), tmp_path / "hist.csv")

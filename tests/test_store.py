@@ -287,15 +287,6 @@ class TestRunStore:
         with pytest.raises(RunStoreError, match="unknown scenario field"):
             store.query(minerz=3)
 
-    def test_compress_writes_npz_sibling(self, tmp_path):
-        store = RunStore(tmp_path, compress=True)
-        spec = _blockchain_spec()
-        stored = store.put(spec, ExperimentEngine().run_result(spec))
-        arrays = np.load(stored.path.with_suffix(".npz"))
-        np.testing.assert_allclose(arrays["delays"], stored.result.history.delays)
-        record = json.loads(stored.path.read_text())
-        assert record["arrays"] == stored.path.with_suffix(".npz").name
-
     def test_gc_collects_corrupt_and_mismatched_records(self, tmp_path):
         store = RunStore(tmp_path)
         spec = _blockchain_spec()
@@ -316,9 +307,9 @@ class TestRunStore:
         assert store.gc() == ()
 
     def test_gc_reclaims_orphan_npz_sidecars(self, tmp_path):
-        store = RunStore(tmp_path, compress=True)
+        store = RunStore(tmp_path)
         spec = _blockchain_spec()
-        stored = store.put(spec, ExperimentEngine().run_result(spec))
+        stored = store.put(spec, ExperimentEngine().run_result(spec), checkpoint=b"blob")
         orphan = tmp_path / "ef" / ("ef" + "2" * 62 + ".npz")
         orphan.parent.mkdir(parents=True)
         orphan.write_bytes(b"not-an-npz")
@@ -327,13 +318,18 @@ class TestRunStore:
         assert not orphan.exists()
         assert stored.path.with_suffix(".npz").exists()  # paired sidecar survives
 
-    def test_rewrite_without_compress_drops_stale_sidecar(self, tmp_path):
+    def test_rewrite_without_arrays_drops_stale_sidecar(self, tmp_path):
         spec = _blockchain_spec()
         result = ExperimentEngine().run_result(spec)
-        stored = RunStore(tmp_path, compress=True).put(spec, result)
-        assert stored.path.with_suffix(".npz").exists()
-        RunStore(tmp_path).put(spec, result)
-        assert not stored.path.with_suffix(".npz").exists()
+        store = RunStore(tmp_path)
+        stored = store.put(spec, result, checkpoint=b"blob")
+        sidecar = stored.path.with_suffix(".npz")
+        # The sidecar holds exactly what a reader resolves, nothing else.
+        assert np.load(sidecar).files == ["checkpoint"]
+        assert json.loads(stored.path.read_text())["arrays"] == sidecar.name
+        store.put(spec, result)
+        assert not sidecar.exists()
+        assert "arrays" not in json.loads(stored.path.read_text())
 
     def test_gc_predicate_drops_valid_records(self, tmp_path):
         store = RunStore(tmp_path)
@@ -345,18 +341,18 @@ class TestRunStore:
         assert [r.spec.miners for r in store.runs()] == [2]
 
     def test_index_sees_records_written_by_another_process(self, tmp_path):
-        """The in-memory key index re-validates against the on-disk shards.
+        """A long-lived store sees what other processes wrote under its root.
 
         The serve daemon's process-isolation workers (and any concurrent
         sweep) write records through *separate* RunStore instances; a store
-        whose index was already built must still answer ``contains``/
+        that already answered queries must still answer ``contains``/
         ``query``/``keys`` for them without an explicit refresh.
         """
         store = RunStore(tmp_path)
         local = _blockchain_spec(name="local", miners=2)
         store.put(local, ExperimentEngine().run_result(local))
         other = _blockchain_spec(name="other", miners=3)
-        assert not store.contains(other)  # the index is now built and warm
+        assert not store.contains(other) and len(store.keys()) == 1
 
         script = (
             "from repro.runner.engine import ExperimentEngine\n"

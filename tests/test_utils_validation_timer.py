@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.utils.timer import SimulatedClock, WallClockTimer
+from repro.utils.timer import SimulatedClock
 from repro.utils.validation import (
     check_in_range,
     check_non_negative,
@@ -94,13 +94,3 @@ class TestSimulatedClock:
     def test_advance_returns_new_time(self):
         clock = SimulatedClock()
         assert clock.advance(1.5) == pytest.approx(1.5)
-
-
-class TestWallClockTimer:
-    def test_measures_nonnegative_duration(self):
-        with WallClockTimer() as t:
-            sum(range(1000))
-        assert t.elapsed >= 0.0
-
-    def test_elapsed_zero_before_use(self):
-        assert WallClockTimer().elapsed == 0.0

@@ -12,8 +12,6 @@ from repro.utils.vectors import (
     cosine_distance,
     cosine_similarity,
     flatten_arrays,
-    l2_distance,
-    l2_norm,
     pairwise_cosine_distance,
     pairwise_euclidean_distance,
     unflatten_array,
@@ -48,16 +46,6 @@ class TestFlattenUnflatten:
 
 
 class TestNormsAndDistances:
-    def test_l2_norm(self):
-        assert l2_norm(np.array([3.0, 4.0])) == pytest.approx(5.0)
-
-    def test_l2_distance(self):
-        assert l2_distance(np.array([1.0, 1.0]), np.array([4.0, 5.0])) == pytest.approx(5.0)
-
-    def test_l2_distance_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            l2_distance(np.zeros(3), np.zeros(4))
-
     def test_cosine_similarity_identical(self):
         v = np.array([1.0, 2.0, 3.0])
         assert cosine_similarity(v, 2 * v) == pytest.approx(1.0)

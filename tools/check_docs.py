@@ -40,7 +40,13 @@ Fails (exit code 1) when the documentation has drifted from the code:
     ``:meth:``, ``:attr:``, ``:data:``, ``:exc:``) in a ``src/`` docstring,
     ``docs/*.md`` or ``README.md`` names a ``repro.…`` target that no longer
     resolves by import + ``getattr`` — deleting or moving a module, class or
-    method without rewriting the prose that points at it fails this check.
+    method without rewriting the prose that points at it fails this check;
+13. a module of a *lower* layer (``utils nn datasets crypto sim blockchain net
+    fl incentive attacks core``) imports an *upper* one (``repro.runner``,
+    ``repro.systems``, ``repro.store``, ``repro.search``, ``repro.serve``,
+    ``repro.api``, ``repro.cli``), ``TYPE_CHECKING`` blocks included — the
+    layering ``docs/architecture.md`` states in prose is checked from the
+    import statements themselves.
 
 Run from the repository root:
 
@@ -389,6 +395,40 @@ def check_cross_references() -> list[str]:
     return problems
 
 
+#: Packages the trainers are built from, and the packages that drive trainers.
+LOWER_LAYERS = (
+    "utils", "nn", "datasets", "crypto", "sim", "blockchain", "net", "fl",
+    "incentive", "attacks", "core",
+)
+UPPER_LAYERS = ("runner", "systems", "store", "search", "serve", "api", "cli")
+
+
+def check_layering() -> list[str]:
+    """No module of a lower layer may import an upper one (``TYPE_CHECKING`` included).
+
+    Parsed from the source, not imported: a guarded or function-local import
+    is still a dependency of the layer, and still the start of a cycle.
+    """
+    upper = re.compile(rf"repro\.({'|'.join(UPPER_LAYERS)})(\.|$)")
+    problems = []
+    for layer in LOWER_LAYERS:
+        for path in sorted((SRC_ROOT / "repro" / layer).glob("**/*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Import):
+                    imported = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    imported = [f"{node.module}.{alias.name}" for alias in node.names]
+                else:
+                    continue
+                offending = [name for name in imported if upper.match(name)]
+                if offending:  # one problem per import statement
+                    problems.append(
+                        f"{path.relative_to(REPO_ROOT)}:{node.lineno}: lower layer "
+                        f"{layer!r} imports upper layer {', '.join(offending)}"
+                    )
+    return problems
+
+
 def main() -> int:
     problems = (
         check_module_docstrings()
@@ -403,6 +443,7 @@ def main() -> int:
         + check_cli_subcommand_docs()
         + check_serve_endpoint_docs()
         + check_cross_references()
+        + check_layering()
     )
     for problem in problems:
         print(f"docs-check: {problem}", file=sys.stderr)
