@@ -9,12 +9,31 @@ and exposes only public keys to miners.
 
 from __future__ import annotations
 
-import numpy as np
+from functools import lru_cache
 
 from repro.crypto.rsa import RSAKeyPair, rsa_verify
 from repro.utils.rng import new_rng
 
-__all__ = ["KeyStore"]
+__all__ = ["KeyStore", "derive_key_pair"]
+
+# Sweeps, searches and the serve daemon rebuild the same population once per
+# cell; the bound keeps a long-lived process flat.  4096 pairs cover the
+# largest signing population any shipped scenario or benchmark enrols
+# (~250 entities) times a dozen seeds, at ~1.4 KiB per 256-bit pair (nine
+# ints, the key tuple and the cache link) -- under 6 MiB when full.
+_DERIVED_PAIRS_MAXSIZE = 4096
+
+
+@lru_cache(maxsize=_DERIVED_PAIRS_MAXSIZE)
+def derive_key_pair(seed: int, key_bits: int, entity_id: str) -> RSAKeyPair:
+    """The key pair of ``entity_id`` under ``seed`` -- a pure function, memoised per process.
+
+    The three arguments are everything the pair depends on and the pair is
+    immutable, so sharing one object between stores is unobservable.  Only the
+    derivation is shared: which entities a store has *registered* stays in
+    that store.
+    """
+    return RSAKeyPair.generate(new_rng(seed, "rsa-key", entity_id), bits=key_bits)
 
 
 class KeyStore:
@@ -41,8 +60,7 @@ class KeyStore:
         """Generate (or return the existing) key pair for ``entity_id``."""
         entity_id = str(entity_id)
         if entity_id not in self._keys:
-            rng = new_rng(self.seed, "rsa-key", entity_id)
-            self._keys[entity_id] = RSAKeyPair.generate(rng, bits=self.key_bits)
+            self._keys[entity_id] = derive_key_pair(self.seed, self.key_bits, entity_id)
         return self._keys[entity_id]
 
     def has(self, entity_id: str) -> bool:

@@ -21,7 +21,7 @@ Design notes
 from repro.nn.initializers import he_init, xavier_init, zeros_init
 from repro.nn.layers import Dropout, Flatten, Linear, ReLU, Sigmoid, Softmax, Tanh
 from repro.nn.losses import Loss, MSELoss, SoftmaxCrossEntropyLoss
-from repro.nn.metrics import accuracy, confusion_matrix, top_k_accuracy
+from repro.nn.metrics import accuracy
 from repro.nn.models import build_model, LogisticRegressionModel, MLPClassifier
 from repro.nn.module import Module, Parameter, Sequential
 from repro.nn.optim import SGD, ConstantLR, InverseTimeDecayLR, LRSchedule
@@ -46,8 +46,6 @@ __all__ = [
     "MSELoss",
     "SoftmaxCrossEntropyLoss",
     "accuracy",
-    "confusion_matrix",
-    "top_k_accuracy",
     "build_model",
     "LogisticRegressionModel",
     "MLPClassifier",

@@ -25,8 +25,9 @@ process), then reports the terminal state back through :meth:`JobQueue.finish`.
 from __future__ import annotations
 
 import threading
+import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.runner.scenario import ScenarioSpec
 from repro.serve.protocol import JOB_STATES, TERMINAL_STATES
@@ -55,7 +56,6 @@ class Job:
     worker_pid: int | None = None
     #: Set by :meth:`JobQueue.cancel`; workers observe it between rounds.
     cancel_requested: bool = False
-    done_event: threading.Event = field(default_factory=threading.Event, repr=False)
 
     @property
     def finished(self) -> bool:
@@ -107,7 +107,6 @@ class JobQueue:
                 job.state = "done"
                 job.cached = True
                 job.rounds_done = job.total_rounds
-                job.done_event.set()
                 self.readthrough_hits += 1
                 return job, False
             self._inflight[key] = job
@@ -158,7 +157,6 @@ class JobQueue:
             job.worker_pid = None
             if self._inflight.get(job.key) is job:
                 del self._inflight[job.key]
-            job.done_event.set()
             self._not_empty.notify_all()
 
     # -- client side ----------------------------------------------------
@@ -191,7 +189,6 @@ class JobQueue:
                     job.state = "cancelled"
                     if self._inflight.get(job.key) is job:
                         del self._inflight[job.key]
-                    job.done_event.set()
                     self._not_empty.notify_all()
                     return "cancelled"
             return "cancelling"
@@ -218,20 +215,13 @@ class JobQueue:
         instead of hanging the suite.
         """
         deadline = threading.TIMEOUT_MAX if timeout is None else timeout
-        waiter = threading.Event()
-        end = _monotonic() + deadline
-        while _monotonic() < end:
+        end = time.monotonic() + deadline
+        while time.monotonic() < end:
             with self._lock:
                 active = self._pending or any(
                     j.state in ("queued", "running") for j in self._jobs.values()
                 )
             if not active:
                 return True
-            waiter.wait(0.02)
+            time.sleep(0.02)
         return False
-
-
-def _monotonic() -> float:
-    import time
-
-    return time.monotonic()

@@ -13,14 +13,12 @@ every other subsystem:
 * :mod:`repro.utils.timer` -- the simulated clock.
 """
 
-from repro.utils.rng import RngRegistry, derive_seed, new_rng, spawn_rngs
+from repro.utils.rng import RngRegistry, derive_seed, new_rng
 from repro.utils.timer import SimulatedClock
 from repro.utils.validation import (
-    check_in_range,
     check_non_negative,
     check_positive,
     check_probability,
-    check_type,
 )
 from repro.utils.vectors import (
     cosine_distance,
@@ -33,13 +31,10 @@ __all__ = [
     "RngRegistry",
     "derive_seed",
     "new_rng",
-    "spawn_rngs",
     "SimulatedClock",
-    "check_in_range",
     "check_non_negative",
     "check_positive",
     "check_probability",
-    "check_type",
     "cosine_distance",
     "cosine_similarity",
     "flatten_arrays",

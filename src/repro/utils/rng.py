@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["derive_seed", "new_rng", "spawn_rngs", "RngRegistry"]
+__all__ = ["derive_seed", "new_rng", "RngRegistry"]
 
 
 def derive_seed(base_seed: int, *labels: object) -> int:
@@ -49,13 +49,6 @@ def derive_seed(base_seed: int, *labels: object) -> int:
 def new_rng(base_seed: int, *labels: object) -> np.random.Generator:
     """Create an independent :class:`numpy.random.Generator` for a component."""
     return np.random.default_rng(derive_seed(base_seed, *labels))
-
-
-def spawn_rngs(base_seed: int, count: int, *labels: object) -> list[np.random.Generator]:
-    """Create ``count`` independent generators labelled ``labels + (index,)``."""
-    if count < 0:
-        raise ValueError(f"count must be non-negative, got {count}")
-    return [new_rng(base_seed, *labels, i) for i in range(count)]
 
 
 @dataclass

@@ -10,7 +10,6 @@ import math
 from typing import Any
 
 __all__ = [
-    "check_type",
     "check_finite",
     "check_positive",
     "check_non_negative",
@@ -18,20 +17,7 @@ __all__ = [
     "check_fraction",
     "check_minority",
     "check_choice",
-    "check_in_range",
 ]
-
-
-def check_type(name: str, value: Any, expected: type | tuple[type, ...]) -> Any:
-    """Raise ``TypeError`` unless ``value`` is an instance of ``expected``."""
-    if not isinstance(value, expected):
-        expected_names = (
-            expected.__name__
-            if isinstance(expected, type)
-            else " or ".join(t.__name__ for t in expected)
-        )
-        raise TypeError(f"{name} must be {expected_names}, got {type(value).__name__}")
-    return value
 
 
 def check_finite(name: str, value: float) -> float:
@@ -87,22 +73,3 @@ def check_choice(name: str, value: Any, choices: tuple[str, ...]) -> Any:
     if value not in choices:
         raise ValueError(f"{name} must be one of {', '.join(choices)}, got {value!r}")
     return value
-
-
-def check_in_range(
-    name: str,
-    value: float,
-    low: float,
-    high: float,
-    *,
-    inclusive: bool = True,
-) -> float:
-    """Raise ``ValueError`` unless ``value`` lies within ``[low, high]`` (or ``(low, high)``)."""
-    v = float(value)
-    ok = (low <= v <= high) if inclusive else (low < v < high)
-    if not ok:
-        bracket = "[]" if inclusive else "()"
-        raise ValueError(
-            f"{name} must lie in {bracket[0]}{low}, {high}{bracket[1]}, got {value!r}"
-        )
-    return v

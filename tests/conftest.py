@@ -42,7 +42,8 @@ def pytest_configure(config) -> None:
         "markers",
         "ledger: ledger-identity soundness (sealed transaction ids and "
         "canonical bytes, CRT signing vs the plain-exponent reference, golden "
-        "keys, the serialise-once count guard) — `pytest -m ledger`",
+        "keys, the serialise-once count guard, the key-derivation memo guards) "
+        "— `pytest -m ledger`",
     )
     config.addinivalue_line(
         "markers",

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import hashlib
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -16,9 +18,12 @@ from repro.crypto.hashing import (
     meets_target,
     sha256_hex,
 )
-from repro.crypto.keystore import KeyStore
+from repro.crypto.keystore import KeyStore, derive_key_pair
 from repro.crypto.primes import generate_prime, is_probable_prime
 from repro.crypto.rsa import RSAKeyPair, rsa_sign, rsa_verify
+from repro.runner.engine import ExperimentEngine
+from repro.runner.scenario import ScenarioMatrix, ScenarioSpec
+from repro.store.records import history_to_payload
 from repro.utils.rng import new_rng
 
 
@@ -199,9 +204,11 @@ class TestKeyStore:
         assert not store.verify("b", b"msg", sig)
 
     def test_keys_reproducible_across_stores(self):
-        s1 = KeyStore(seed=9, key_bits=128)
-        s2 = KeyStore(seed=9, key_bits=128)
-        assert s1.register("x").modulus == s2.register("x").modulus
+        first = KeyStore(seed=9, key_bits=128).register("x")
+        derive_key_pair.cache_clear()  # or the second store is handed `first` itself
+        second = KeyStore(seed=9, key_bits=128).register("x")
+        assert second is not first
+        assert second == first
 
     def test_different_entities_different_keys(self):
         store = KeyStore(seed=0, key_bits=128)
@@ -261,3 +268,111 @@ class TestCRTSigning:
         assert (small.modulus, small.public_exponent, small.private_exponent) == (
             5038465609, 65537, 1604201037
         )
+
+
+@pytest.mark.ledger
+class TestDerivationMemo:
+    """`derive_key_pair` shares the derivation between stores and nothing else."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2**31])
+    @pytest.mark.parametrize("key_bits", [32, 33, 64, 256])
+    def test_warm_pair_equals_undecorated_derivation(self, key_bits, seed):
+        for entity in ("client-0", "miner-1"):
+            derive_key_pair(seed, key_bits, entity)  # warm
+            served = KeyStore(seed=seed, key_bits=key_bits).register(entity)
+            assert served is derive_key_pair(seed, key_bits, entity)
+            assert served == derive_key_pair.__wrapped__(seed, key_bits, entity)
+
+    def test_golden_keys_hold_warm_and_cold(self):
+        golden = TestCRTSigning().test_golden_keys_from_parent_commit
+        golden()
+        golden()  # served from the memo the first call filled
+        derive_key_pair.cache_clear()
+        golden()
+
+    def test_registration_is_not_shared(self):
+        a = KeyStore(seed=4, key_bits=64)
+        a.register("client-0")
+        signature = a.sign("client-0", b"upload")
+        assert a.verify("client-0", b"upload", signature)
+        b = KeyStore(seed=4, key_bits=64)
+        assert b.has("client-0") is False
+        assert b.verify("client-0", b"upload", signature) is False
+        with pytest.raises(KeyError):
+            b.sign("client-0", b"upload")
+        with pytest.raises(KeyError):
+            b.public_key("client-0")
+        assert len(b) == 0 and b.registered_ids() == []
+
+    def test_racing_registrations_agree(self):
+        derive_key_pair.cache_clear()
+        ids = [f"client-{i}" for i in range(50)]
+        stores = [KeyStore(seed=12, key_bits=64) for _ in range(8)]
+        barrier = threading.Barrier(len(stores))
+
+        def enrol(store):
+            barrier.wait(timeout=30)
+            for entity in ids:
+                store.register(entity)
+
+        threads = [threading.Thread(target=enrol, args=(store,)) for store in stores]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for entity in ids:
+            expected = derive_key_pair.__wrapped__(12, 64, entity)
+            assert all(store.register(entity) == expected for store in stores)
+
+    def test_memo_is_bounded_and_eviction_is_invisible(self):
+        derive_key_pair.cache_clear()
+        maxsize = derive_key_pair.cache_info().maxsize
+        first = derive_key_pair(0, 32, "entity-0")
+        for i in range(1, maxsize + 100):
+            derive_key_pair(0, 32, f"entity-{i}")
+        info = derive_key_pair.cache_info()
+        assert info.currsize == maxsize
+        assert info.misses == maxsize + 100
+        again = derive_key_pair(0, 32, "entity-0")  # evicted: derived afresh
+        assert derive_key_pair.cache_info().misses == maxsize + 101
+        assert again is not first
+        assert again == first
+
+    def test_a_grid_derives_each_seeds_population_once(self, monkeypatch):
+        """Count guard: 4 cells over 2 seeds execute keygen for 2 populations."""
+        base = ScenarioSpec(name="memo", num_clients=4, num_samples=160, num_rounds=1, miners=2)
+        cells = ScenarioMatrix(base, {"seed": [0, 1], "learning_rate": [0.05, 0.1]}).expand()
+        assert len(cells) == 4 and all(cell.verify_signatures for cell in cells)
+
+        executions = []
+        generate = RSAKeyPair.generate
+
+        def counting_generate(rng, *, bits=256):
+            executions.append(bits)
+            return generate(rng, bits=bits)
+
+        monkeypatch.setattr(RSAKeyPair, "generate", counting_generate)
+
+        def histories(clear_before_every_cell):
+            engine = ExperimentEngine()
+            derive_key_pair.cache_clear()
+            out = []
+            for cell in cells:
+                if clear_before_every_cell:
+                    derive_key_pair.cache_clear()
+                out.append(history_to_payload(engine.run(cell)))
+            return out
+
+        population = base.num_clients + base.miners
+        shared = histories(clear_before_every_cell=False)
+        assert len(executions) == 2 * population
+        executions.clear()
+        cold = histories(clear_before_every_cell=True)
+        assert len(executions) == 4 * population  # what every cell cost before the memo
+        assert shared == cold

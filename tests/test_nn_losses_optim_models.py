@@ -8,7 +8,7 @@ import pytest
 from repro.nn.initializers import he_init, xavier_init, zeros_init
 from repro.nn.layers import Linear
 from repro.nn.losses import MSELoss, SoftmaxCrossEntropyLoss
-from repro.nn.metrics import accuracy, confusion_matrix, top_k_accuracy
+from repro.nn.metrics import accuracy
 from repro.nn.models import LogisticRegressionModel, MLPClassifier, build_model
 from repro.nn.module import Parameter, Sequential
 from repro.nn.optim import SGD, ConstantLR, InverseTimeDecayLR
@@ -220,21 +220,3 @@ class TestMetrics:
             accuracy(np.zeros(3), np.zeros(3, dtype=int))
         with pytest.raises(ValueError):
             accuracy(np.zeros((3, 2)), np.zeros(4, dtype=int))
-
-    def test_top_k(self):
-        logits = np.array([[0.1, 0.5, 0.4], [0.9, 0.05, 0.02]])
-        assert top_k_accuracy(logits, np.array([2, 2]), k=2) == 0.5
-        assert top_k_accuracy(logits, np.array([2, 2]), k=3) == 1.0
-
-    def test_top_k_invalid(self):
-        with pytest.raises(ValueError):
-            top_k_accuracy(np.zeros((2, 3)), np.zeros(2, dtype=int), k=4)
-
-    def test_confusion_matrix(self):
-        logits = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-        cm = confusion_matrix(logits, np.array([0, 1, 1]), num_classes=2)
-        np.testing.assert_array_equal(cm, [[1, 0], [1, 1]])
-
-    def test_confusion_matrix_invalid_classes(self):
-        with pytest.raises(ValueError):
-            confusion_matrix(np.zeros((1, 2)), np.zeros(1, dtype=int), num_classes=0)

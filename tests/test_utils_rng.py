@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.utils.rng import RngRegistry, derive_seed, new_rng, spawn_rngs
+from repro.utils.rng import RngRegistry, derive_seed, new_rng
 
 
 class TestDeriveSeed:
@@ -40,23 +40,6 @@ class TestNewRng:
         a = new_rng(9, "x").random(5)
         b = new_rng(9, "y").random(5)
         assert not np.allclose(a, b)
-
-
-class TestSpawnRngs:
-    def test_count(self):
-        assert len(spawn_rngs(0, 7, "clients")) == 7
-
-    def test_zero_count(self):
-        assert spawn_rngs(0, 0) == []
-
-    def test_negative_count_raises(self):
-        with pytest.raises(ValueError):
-            spawn_rngs(0, -1)
-
-    def test_streams_are_distinct(self):
-        rngs = spawn_rngs(3, 4, "m")
-        draws = [r.random(3).tolist() for r in rngs]
-        assert len({tuple(d) for d in draws}) == 4
 
 
 class TestRngRegistry:

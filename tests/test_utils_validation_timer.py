@@ -6,25 +6,13 @@ import pytest
 
 from repro.utils.timer import SimulatedClock
 from repro.utils.validation import (
-    check_in_range,
     check_non_negative,
     check_positive,
     check_probability,
-    check_type,
 )
 
 
 class TestValidation:
-    def test_check_type_passes(self):
-        assert check_type("x", 3, int) == 3
-
-    def test_check_type_tuple(self):
-        assert check_type("x", 3.0, (int, float)) == 3.0
-
-    def test_check_type_fails(self):
-        with pytest.raises(TypeError, match="x must be int"):
-            check_type("x", "nope", int)
-
     def test_check_positive(self):
         assert check_positive("x", 2.5) == 2.5
 
@@ -50,17 +38,6 @@ class TestValidation:
     def test_check_probability_rejects(self, value):
         with pytest.raises(ValueError):
             check_probability("p", value)
-
-    def test_check_in_range_inclusive(self):
-        assert check_in_range("x", 5, 5, 10) == 5
-
-    def test_check_in_range_exclusive(self):
-        with pytest.raises(ValueError):
-            check_in_range("x", 5, 5, 10, inclusive=False)
-
-    def test_check_in_range_rejects_outside(self):
-        with pytest.raises(ValueError, match="x must lie in"):
-            check_in_range("x", 11, 0, 10)
 
 
 class TestSimulatedClock:
