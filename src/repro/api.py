@@ -58,7 +58,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Iterable, Mapping
 
-from repro.core.results import ComparisonResult, summarize_history
+from repro.core.results import SUMMARY_COLUMNS, ComparisonResult, summary_table
 from repro.fl.history import TrainingHistory
 from repro.runner.engine import ExperimentEngine, ScenarioResult
 from repro.runner.scenario import (
@@ -230,11 +230,9 @@ def _expand_sources(
         else:
             specs.extend(load_scenario_file(source))
     if overrides:
-        applied: list[ScenarioSpec] = []
-        for spec in specs:
-            filtered = filter_unsupported_axes(spec.system, overrides)
-            applied.append(spec.with_overrides(**filtered) if filtered else spec)
-        specs = applied
+        specs = [
+            spec.with_overrides(**filter_unsupported_axes(spec.system, overrides)) for spec in specs
+        ]
     return specs
 
 
@@ -285,29 +283,13 @@ def compare(
     per_system = per_system or {}
     specs: list[ScenarioSpec] = []
     for name in names:
-        get_system(name)  # fail fast with the registry's actionable message
-        mapping = filter_unsupported_axes(name, fields)
-        mapping.update(per_system.get(name, {}))
-        mapping.setdefault("name", name)
-        mapping["system"] = name
-        specs.append(ScenarioSpec.from_mapping(mapping))
-    shared_engine = _engine_for(engine, cache)
-    table = ComparisonResult(
-        title=title,
-        columns=["system", "avg_delay_s", "avg_accuracy", "final_accuracy"],
-    )
-    results: list[ScenarioResult] = []
-    for spec in specs:
-        history = shared_engine.run(spec)
-        results.append(ScenarioResult(spec=spec, history=history))
-        summary = summarize_history(history)
-        table.add_row(
-            spec.system,
-            summary["average_delay"],
-            summary["average_accuracy"],
-            summary["final_accuracy"],
-        )
-    return table, results
+        # An unknown name fails here, with the registry's actionable message.
+        shared = filter_unsupported_axes(name, fields)
+        specs.append(_as_spec(name, {**shared, **per_system.get(name, {})}))
+    results = _engine_for(engine, cache).run_many(specs)
+    # One shared workload: the system names the row and the round count is common.
+    columns = tuple(c for c in SUMMARY_COLUMNS if c not in ("scenario", "rounds"))
+    return summary_table(title, results, columns), results
 
 
 def search(

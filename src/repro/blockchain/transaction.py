@@ -104,7 +104,7 @@ class Transaction:
 
     def __reduce__(self):
         # Through the constructor: a mappingproxy does not pickle, and the
-        # checkpoint blob (runner/checkpoint.py) carries whole chains.
+        # checkpoint blob (fl/trainer.py) carries whole chains.
         return type(self), (
             self.tx_type, self.sender, self.round_index, self.payload_digest,
             self.payload_size_bytes, dict(self.metadata), self.payload, self.signature,

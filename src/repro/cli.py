@@ -75,18 +75,13 @@ import sys
 
 from repro import api
 from repro.core.io import save_comparison_csv, save_history_csv
-from repro.core.results import ComparisonResult, summarize_history
+from repro.core.results import ComparisonResult, summarize_history, summary_table
 from repro.search import PROMOTION_METRICS
 from repro.runner.scenario import ScenarioError
 from repro.serve.client import ServeClient, ServeClientError
 from repro.serve.workers import ISOLATION_MODES
 from repro.store import DEFAULT_STORE_ROOT, save_markdown
-from repro.systems import (
-    SystemRegistryError,
-    filter_unsupported_axes,
-    load_plugins,
-    system_names,
-)
+from repro.systems import SystemRegistryError, load_plugins, system_names
 
 __all__ = ["add_spec_flags", "build_parser", "main"]
 
@@ -126,12 +121,33 @@ def add_spec_flags(
         parser.add_argument(f.metadata["flag"], **options)
 
 
+#: The options several subcommands share: everything but the per-verb help
+#: text, which :func:`_shared` takes from the caller.
+_SHARED = {
+    "--export": {"default": None},
+    "--scenario": {"required": True, "action": "append"},
+    "--store": {"default": str(DEFAULT_STORE_ROOT), "metavar": "DIR"},
+    "--no-cache": {"action": "store_true"},
+    "--server": {"default": None, "metavar": "URL"},
+}
+_SERVER_HELP = (
+    "submit to a running experiment server (repro serve) instead of "
+    "computing locally; histories are bit-identical either way"
+)
+
+
+def _shared(parser, flag: str, help: str) -> None:  # noqa: A002 - argparse's own name
+    """Declare the shared option ``flag`` on ``parser`` with this verb's help text."""
+    parser.add_argument(flag, help=help, **_SHARED[flag])
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Build the argument parser (exposed separately for testing).
 
     The ``run`` choices and the ``compare`` roster come from the system
     registry, so plugins loaded before this call (``--plugins`` /
-    ``REPRO_PLUGINS``) appear automatically.
+    ``REPRO_PLUGINS``) appear automatically.  Every subcommand binds the
+    function that executes it as ``handler``; :func:`main` calls it.
     """
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -148,43 +164,27 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser) -> None:
-        add_spec_flags(p)
-        p.add_argument("--export", default=None, help="write the per-round series to this CSV file")
-
-    def add_server(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--server",
-            default=None,
-            metavar="URL",
-            help="submit to a running experiment server (repro serve) instead of "
-            "computing locally; histories are bit-identical either way",
-        )
-
     run_p = sub.add_parser("run", help="run a single registered system")
+    run_p.set_defaults(handler=_run)
     run_p.add_argument("system", choices=list(system_names()))
-    add_common(run_p)
-    add_server(run_p)
+    add_spec_flags(run_p)
+    _shared(run_p, "--export", "write the per-round series to this CSV file")
+    _shared(run_p, "--server", _SERVER_HELP)
 
     cmp_p = sub.add_parser("compare", help="run every registered system on the same workload")
-    add_common(cmp_p)
+    cmp_p.set_defaults(handler=_compare)
+    add_spec_flags(cmp_p)
+    _shared(cmp_p, "--export", "write the per-round series to this CSV file")
 
     sweep_p = sub.add_parser("sweep", help="run every scenario in a JSON/TOML scenario file")
-    sweep_p.add_argument(
-        "--scenario",
-        required=True,
-        action="append",
-        help="scenario file (.json or .toml); repeatable",
-    )
-    sweep_p.add_argument("--export", default=None, help="write the sweep summary to this CSV file")
+    sweep_p.set_defaults(handler=_sweep)
+    _shared(sweep_p, "--scenario", "scenario file (.json or .toml); repeatable")
+    _shared(sweep_p, "--export", "write the sweep summary to this CSV file")
     # For sweep the flags are *overrides* of what the scenario file says
     # (axis overrides reach only the scenarios whose systems support the axis).
     add_spec_flags(sweep_p, ("backend", "max_workers", "round_mode", "defense"), overriding=True)
-    sweep_p.add_argument(
-        "--store",
-        default=str(DEFAULT_STORE_ROOT),
-        metavar="DIR",
-        help="content-addressed run store the sweep persists to (docs/results.md)",
+    _shared(
+        sweep_p, "--store", "content-addressed run store the sweep persists to (docs/results.md)"
     )
     cache_group = sweep_p.add_mutually_exclusive_group()
     cache_group.add_argument(
@@ -193,22 +193,18 @@ def build_parser() -> argparse.ArgumentParser:
         help="load grid points already in the run store and compute only the "
         "missing ones (bit-identical to an uncached sweep)",
     )
-    cache_group.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="neither read nor write the run store; recompute everything",
-    )
-    add_server(sweep_p)
+    _shared(cache_group, "--no-cache", "neither read nor write the run store; recompute everything")
+    _shared(sweep_p, "--server", _SERVER_HELP)
 
     search_p = sub.add_parser(
         "search",
         help="adaptively search a scenario cohort with successive halving (ASHA)",
     )
-    search_p.add_argument(
+    search_p.set_defaults(handler=_search)
+    _shared(
+        search_p,
         "--scenario",
-        required=True,
-        action="append",
-        help="scenario file (.json or .toml) whose expansion is the trial cohort; repeatable",
+        "scenario file (.json or .toml) whose expansion is the trial cohort; repeatable",
     )
     search_p.add_argument(
         "--metric",
@@ -234,32 +230,25 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="final rung's fidelity (default: the largest num_rounds in the cohort)",
     )
-    search_p.add_argument(
-        "--export", default=None, help="write the final leaderboard to this CSV file"
-    )
+    _shared(search_p, "--export", "write the final leaderboard to this CSV file")
     add_spec_flags(search_p, ("backend", "max_workers"), overriding=True)
-    search_p.add_argument(
+    _shared(
+        search_p,
         "--store",
-        default=str(DEFAULT_STORE_ROOT),
-        metavar="DIR",
-        help="content-addressed run store rung records and checkpoints live in "
+        "content-addressed run store rung records and checkpoints live in "
         "(the resume mechanism — docs/search.md)",
     )
-    search_p.add_argument(
+    _shared(
+        search_p,
         "--no-cache",
-        action="store_true",
-        help="neither read nor write the run store; every rung recomputes from round zero",
+        "neither read nor write the run store; every rung recomputes from round zero",
     )
 
     report_p = sub.add_parser(
         "report", help="summarise the runs persisted in the content-addressed store"
     )
-    report_p.add_argument(
-        "--store",
-        default=str(DEFAULT_STORE_ROOT),
-        metavar="DIR",
-        help="run store directory to summarise (default: results/store)",
-    )
+    report_p.set_defaults(handler=_report)
+    _shared(report_p, "--store", "run store directory to summarise (default: results/store)")
     report_p.add_argument(
         "--system",
         action="append",
@@ -267,9 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="NAME",
         help="restrict the report to this system; repeatable",
     )
-    report_p.add_argument(
-        "--export", default=None, help="write the summary table to this CSV file"
-    )
+    _shared(report_p, "--export", "write the summary table to this CSV file")
     report_p.add_argument(
         "--markdown", default=None, help="write the summary as a Markdown table to this file"
     )
@@ -278,6 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
         "serve",
         help="serve experiments over HTTP: job queue, worker pool, dedup (docs/serve.md)",
     )
+    serve_p.set_defaults(handler=_serve)
     serve_p.add_argument("--host", default="127.0.0.1", help="bind address")
     serve_p.add_argument(
         "--port", type=int, default=8731, help="bind port (0 picks an ephemeral port)"
@@ -298,11 +286,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         help="requeues granted to a job whose worker process died (process isolation)",
     )
-    serve_p.add_argument(
-        "--store",
-        default=str(DEFAULT_STORE_ROOT),
-        metavar="DIR",
-        help="content-addressed run store results are served from and persisted to",
+    _shared(
+        serve_p, "--store", "content-addressed run store results are served from and persisted to"
     )
     return parser
 
@@ -365,247 +350,187 @@ def _print_history(name: str, hist) -> None:
     )
 
 
-def _remote_sweep(server_url: str, sources, overrides) -> tuple[ComparisonResult, dict]:
-    """Run a sweep as a thin client of a running experiment server.
+def _export(args, what: str, artefact, save=save_comparison_csv) -> None:
+    """Honour ``--export``: write the CSV and say where it went."""
+    if args.export:
+        print(f"{what} written to {save(artefact, args.export)}")
 
-    The scenario files expand locally (same capability-gated override rules
-    as a local sweep), every grid point is submitted up front so the server
-    pipelines them across its workers, and the summaries are tabulated from
-    the returned full-fidelity records.  Returns the table plus the server's
-    healthz payload (for the counters line).
-    """
-    client = ServeClient(server_url)
-    specs = []
-    for source in sources:
-        specs.extend(api.load_scenario(source))
-    if overrides:
-        applied = []
-        for spec in specs:
-            filtered = filter_unsupported_axes(spec.system, overrides)
-            applied.append(spec.with_overrides(**filtered) if filtered else spec)
-        specs = applied
-    jobs = [client.submit(spec)[0] for spec in specs]
-    table = ComparisonResult(
-        title=f"Scenario sweep ({len(specs)} scenario{'s' if len(specs) != 1 else ''}, remote)",
-        columns=["scenario", "system", "rounds", "avg_delay_s", "avg_accuracy", "final_accuracy"],
+
+def _print_counters(where: str, hits: int, computed: int, rest: str) -> None:
+    print(f"{where}: {hits} loaded, {computed} computed, {rest}")
+
+
+def _print_store_counters(args: argparse.Namespace, engine, hint: str = "") -> None:
+    """What the run store saved this invocation; nothing to say under ``--no-cache``."""
+    if engine.store is not None:
+        rest = f"{engine.round_evaluations} round-evaluations simulated{hint}"
+        _print_counters(f"run store {args.store}", engine.cache_hits, engine.runs_computed, rest)
+
+
+def _serve(args: argparse.Namespace) -> int:
+    server = api.ReproServer(
+        args.host,
+        args.port,
+        store=api.RunStore(args.store),
+        workers=args.workers,
+        isolation=args.isolation,
+        max_retries=args.max_retries,
     )
-    for spec, job in zip(specs, jobs):
-        final = client.wait(job["job_id"], timeout=600.0)
-        if final["state"] != "done":
-            raise ServeClientError(
-                f"job {final['job_id']} ({final['name']}) finished as "
-                f"{final['state']}: {final.get('error') or 'no error recorded'}"
-            )
-        summary = summarize_history(client.history(final["result_key"]))
-        table.add_row(
-            spec.name,
-            spec.system,
-            summary["rounds"],
-            summary["average_delay"],
-            summary["average_accuracy"],
-            summary["final_accuracy"],
-        )
-    return table, client.health()
-
-
-def main(argv: list[str] | None = None) -> int:
-    """CLI entry point; returns the process exit code."""
-    argv = list(sys.argv[1:]) if argv is None else list(argv)
+    # SIGTERM gets the same clean shutdown as Ctrl-C: backgrounded shells
+    # (and CI) often can't deliver SIGINT to a non-interactive child.
+    signal.signal(signal.SIGTERM, signal.default_int_handler)
+    print(
+        f"experiment server listening on {server.url} "
+        f"({args.workers} {args.isolation} worker(s), store {args.store})",
+        flush=True,
+    )
     try:
-        load_plugins(_plugin_entries(argv), include_env=True)
-    except SystemRegistryError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    args = build_parser().parse_args(argv)
-    engine = api.ExperimentEngine()
+        server.serve_forever()
+    except KeyboardInterrupt:
+        print("shutting down", flush=True)
+    finally:
+        server.close()
+    return 0
 
-    if args.command == "serve":
-        server = api.ReproServer(
-            args.host,
-            args.port,
-            store=api.RunStore(args.store),
-            workers=args.workers,
-            isolation=args.isolation,
-            max_retries=args.max_retries,
-        )
-        # SIGTERM gets the same clean shutdown as Ctrl-C: backgrounded shells
-        # (and CI) often can't deliver SIGINT to a non-interactive child.
-        signal.signal(signal.SIGTERM, signal.default_int_handler)
-        print(
-            f"experiment server listening on {server.url} "
-            f"({args.workers} {args.isolation} worker(s), store {args.store})",
-            flush=True,
-        )
-        try:
-            server.serve_forever()
-        except KeyboardInterrupt:
-            print("shutting down", flush=True)
-        finally:
-            server.close()
-        return 0
 
-    if args.command == "run":
-        fields = _fields_from_args(args)
-        fields["name"] = args.system
-        fields.update(_PER_SYSTEM_OVERRIDES.get(args.system, {}))
-        try:
-            if args.server:
-                hist = api.submit(args.system, server=args.server, **fields)
-            else:
-                hist = api.run(args.system, engine=engine, **fields)
-        except ScenarioError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        except ServeClientError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        _print_history(args.system, hist)
-        if args.export:
-            path = save_history_csv(hist, args.export)
-            print(f"per-round series written to {path}")
-        return 0
+def _run(args: argparse.Namespace) -> int:
+    fields = _fields_from_args(args)
+    fields["name"] = args.system
+    fields.update(_PER_SYSTEM_OVERRIDES.get(args.system, {}))
+    if args.server:
+        hist = api.submit(args.system, server=args.server, **fields)
+    else:
+        hist = api.run(args.system, **fields)
+    _print_history(args.system, hist)
+    _export(args, "per-round series", hist, save_history_csv)
+    return 0
 
-    if args.command == "compare":
-        fields = _fields_from_args(args)
-        try:
-            table, _results = api.compare(
-                engine=engine, per_system=_PER_SYSTEM_OVERRIDES, **fields
-            )
-        except ScenarioError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        print(table.to_text())
-        if args.export:
-            path = save_comparison_csv(table, args.export)
-            print(f"comparison written to {path}")
-        return 0
 
-    if args.command == "report":
-        store = api.RunStore(args.store)
-        table = api.report(store, systems=args.system)
-        if not table.rows:
-            wanted = f" for system(s) {', '.join(args.system)}" if args.system else ""
-            print(f"error: no stored runs{wanted} under {args.store}", file=sys.stderr)
-            return 1
-        print(table.to_text())
-        if args.export:
-            path = save_comparison_csv(table, args.export)
-            print(f"report written to {path}")
-        if args.markdown:
-            path = save_markdown(table, args.markdown)
-            print(f"markdown report written to {path}")
-        return 0
+def _compare(args: argparse.Namespace) -> int:
+    table, _results = api.compare(per_system=_PER_SYSTEM_OVERRIDES, **_fields_from_args(args))
+    print(table.to_text())
+    _export(args, "comparison", table)
+    return 0
 
-    if args.command == "search":
-        overrides = _fields_from_args(args)
-        # Unlike sweep, the store is read *and* written by default: rung
-        # checkpoints are how promotions resume, and a killed search re-run
-        # finishes bit-identically from whatever rungs already exist.
-        if not args.no_cache:
-            engine = api.ExperimentEngine(store=api.RunStore(args.store), reuse_cached=True)
-        try:
-            result = api.search(
-                *args.scenario,
-                engine=engine,
-                metric=args.metric,
-                eta=args.eta,
-                min_rounds=args.min_rounds,
-                max_rounds=args.max_rounds,
-                overrides=overrides or None,
-            )
-        except ScenarioError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        rung_text = " -> ".join(str(r) for r in result.rungs)
-        print(
-            f"ASHA search: metric {result.metric} ({result.mode}), "
-            f"eta {result.eta}, rungs {rung_text}"
-        )
-        for rung in result.rung_results:
-            if rung.promoted:
-                print(
-                    f"rung {rung.rounds:>4} rounds: {len(rung.trials)} trials, "
-                    f"promoted {len(rung.promoted)}: {', '.join(rung.promoted)}"
-                )
-            else:
-                print(f"rung {rung.rounds:>4} rounds: {len(rung.trials)} trials (final)")
-        table = ComparisonResult(
-            title="Search leaderboard",
-            columns=["rank", "scenario", "system", "rounds", result.metric],
-        )
-        for rank, trial in enumerate(result.leaderboard, start=1):
-            table.add_row(rank, trial.name, trial.spec.system, trial.rounds, trial.score)
-        print(table.to_text())
-        print(
-            f"best: {result.best.name} "
-            f"({result.metric} {result.best.score:.3f} at {result.best.rounds} rounds)"
-        )
-        print(
-            f"search budget: {result.round_evaluations} round-evaluations vs "
-            f"{result.grid_round_evaluations} exhaustive grid "
-            f"({result.evaluation_fraction:.0%})"
-        )
-        if engine.store is not None:
+
+def _report(args: argparse.Namespace) -> int:
+    table = api.report(api.RunStore(args.store), systems=args.system)
+    if not table.rows:
+        wanted = f" for system(s) {', '.join(args.system)}" if args.system else ""
+        print(f"error: no stored runs{wanted} under {args.store}", file=sys.stderr)
+        return 1
+    print(table.to_text())
+    _export(args, "report", table)
+    if args.markdown:
+        print(f"markdown report written to {save_markdown(table, args.markdown)}")
+    return 0
+
+
+def _search(args: argparse.Namespace) -> int:
+    # Unlike sweep, the store is read *and* written by default: rung
+    # checkpoints are how promotions resume, and a killed search re-run
+    # finishes bit-identically from whatever rungs already exist.
+    store = None if args.no_cache else api.RunStore(args.store)
+    engine = api.ExperimentEngine(store=store, reuse_cached=True)
+    result = api.search(
+        *args.scenario,
+        engine=engine,
+        metric=args.metric,
+        eta=args.eta,
+        min_rounds=args.min_rounds,
+        max_rounds=args.max_rounds,
+        overrides=_fields_from_args(args) or None,
+    )
+    rung_text = " -> ".join(str(r) for r in result.rungs)
+    print(
+        f"ASHA search: metric {result.metric} ({result.mode}), "
+        f"eta {result.eta}, rungs {rung_text}"
+    )
+    for rung in result.rung_results:
+        if rung.promoted:
             print(
-                f"run store {args.store}: {engine.cache_hits} loaded, "
-                f"{engine.runs_computed} computed, "
-                f"{engine.round_evaluations} round-evaluations simulated"
+                f"rung {rung.rounds:>4} rounds: {len(rung.trials)} trials, "
+                f"promoted {len(rung.promoted)}: {', '.join(rung.promoted)}"
             )
-        if args.export:
-            path = save_comparison_csv(table, args.export)
-            print(f"leaderboard written to {path}")
-        return 0
+        else:
+            print(f"rung {rung.rounds:>4} rounds: {len(rung.trials)} trials (final)")
+    table = ComparisonResult(
+        title="Search leaderboard",
+        columns=["rank", "scenario", "system", "rounds", result.metric],
+    )
+    for rank, trial in enumerate(result.leaderboard, start=1):
+        table.add_row(rank, trial.name, trial.spec.system, trial.rounds, trial.score)
+    print(table.to_text())
+    print(
+        f"best: {result.best.name} "
+        f"({result.metric} {result.best.score:.3f} at {result.best.rounds} rounds)"
+    )
+    print(
+        f"search budget: {result.round_evaluations} round-evaluations vs "
+        f"{result.grid_round_evaluations} exhaustive grid "
+        f"({result.evaluation_fraction:.0%})"
+    )
+    _print_store_counters(args, engine)
+    _export(args, "leaderboard", table)
+    return 0
 
-    # sweep
+
+def _sweep(args: argparse.Namespace) -> int:
     # Apply only the flags the user actually passed; a scenario file's own
     # backend/max_workers settings are otherwise preserved, and axis overrides
     # reach only the scenarios whose systems support the axis.
-    overrides = _fields_from_args(args)
+    overrides = _fields_from_args(args) or None
     if args.server:
-        try:
-            table, health = _remote_sweep(args.server, args.scenario, overrides or None)
-        except ScenarioError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        except ServeClientError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+        # Expansion, override fan-out and tabulation are the local sweep's own
+        # steps (so the two cannot drift); only the run step differs: every grid
+        # point is submitted up front so the server pipelines them across its workers.
+        client = ServeClient(args.server)
+        specs = api._expand_sources(args.scenario, overrides=overrides)
+        jobs = [client.submit(spec)[0] for spec in specs]
+        results = [
+            api.ScenarioResult(spec=spec, history=client.collect(job["job_id"], timeout=600.0))
+            for spec, job in zip(specs, jobs)
+        ]
+        plural = "s" if len(specs) != 1 else ""
+        table = summary_table(f"Scenario sweep ({len(specs)} scenario{plural}, remote)", results)
         print(table.to_text())
-        engine_counts = health["engine"]
-        print(
-            f"server {args.server}: {engine_counts['cache_hits']} loaded, "
-            f"{engine_counts['runs_computed']} computed, "
+        health = client.health()
+        _print_counters(
+            f"server {args.server}",
+            health["engine"]["cache_hits"],
+            health["engine"]["runs_computed"],
             f"{health['readthrough_hits']} served read-through, "
-            f"{health['singleflight_hits']} deduped in flight"
+            f"{health['singleflight_hits']} deduped in flight",
         )
-        if args.export:
-            path = save_comparison_csv(table, args.export)
-            print(f"sweep summary written to {path}")
-        return 0
-    # The store is write-through by default (every completed grid point is
-    # persisted as the sweep goes, so a killed sweep loses nothing); --resume
-    # additionally *reads* it, and --no-cache disables it entirely.
-    if not args.no_cache:
-        engine = api.ExperimentEngine(store=api.RunStore(args.store), reuse_cached=args.resume)
-    try:
-        table, _results = api.sweep(
-            *args.scenario, engine=engine, overrides=overrides or None
+    else:
+        # The store is write-through by default (every completed grid point is
+        # persisted as the sweep goes, so a killed sweep loses nothing); --resume
+        # additionally *reads* it, and --no-cache disables it entirely.
+        store = None if args.no_cache else api.RunStore(args.store)
+        engine = api.ExperimentEngine(store=store, reuse_cached=args.resume)
+        table, _results = api.sweep(*args.scenario, engine=engine, overrides=overrides)
+        print(table.to_text())
+        _print_store_counters(
+            args, engine, "" if args.resume else " (re-run with --resume to reuse them)"
         )
-    except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    print(table.to_text())
-    if engine.store is not None:
-        hint = "" if args.resume else " (re-run with --resume to reuse them)"
-        print(
-            f"run store {args.store}: {engine.cache_hits} loaded, "
-            f"{engine.runs_computed} computed, "
-            f"{engine.round_evaluations} round-evaluations simulated{hint}"
-        )
-    if args.export:
-        path = save_comparison_csv(table, args.export)
-        print(f"sweep summary written to {path}")
+    _export(args, "sweep summary", table)
     return 0
+
+
+def main(argv: list[str] | None = None) -> int:
+    """CLI entry point; returns the process exit code.
+
+    The one error boundary: a bad scenario, flag value or plugin exits 2 (like
+    argparse's own errors), an unreachable server or a job that failed there 1.
+    """
+    argv = list(sys.argv[1:]) if argv is None else list(argv)
+    try:
+        load_plugins(_plugin_entries(argv), include_env=True)
+        args = build_parser().parse_args(argv)
+        return args.handler(args)
+    except (ScenarioError, SystemRegistryError, ServeClientError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1 if isinstance(exc, ServeClientError) else 2
 
 
 if __name__ == "__main__":  # pragma: no cover

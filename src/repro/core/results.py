@@ -15,7 +15,10 @@ import numpy as np
 from repro.core.convergence import ConvergenceCriterion
 from repro.fl.history import TrainingHistory
 
-__all__ = ["summarize_history", "ComparisonResult"]
+__all__ = ["summarize_history", "format_cell", "ComparisonResult", "SUMMARY_COLUMNS", "summary_table"]
+
+#: Columns of the run-summary table, in order (``repro report`` appends ``key``).
+SUMMARY_COLUMNS = ("scenario", "system", "rounds", "avg_delay_s", "avg_accuracy", "final_accuracy")
 
 
 def summarize_history(history: TrainingHistory, *, convergence: ConvergenceCriterion | None = None) -> dict:
@@ -38,6 +41,13 @@ def summarize_history(history: TrainingHistory, *, convergence: ConvergenceCrite
         "converged_round": converged_round,
         "converged_time": converged_time,
     }
+
+
+def format_cell(value: object) -> str:
+    """How every rendering of a table (text, Markdown) prints one cell."""
+    if isinstance(value, (float, np.floating)):
+        return f"{float(value):.4f}"
+    return str(value)
 
 
 @dataclass
@@ -79,13 +89,8 @@ class ComparisonResult:
 
     def to_text(self) -> str:
         """Render as an aligned plain-text table (what the bench targets print)."""
-        def fmt(value: object) -> str:
-            if isinstance(value, float) or isinstance(value, np.floating):
-                return f"{float(value):.4f}"
-            return str(value)
-
         header = [self.title, "=" * len(self.title)]
-        str_rows = [[fmt(v) for v in row] for row in self.rows]
+        str_rows = [[format_cell(v) for v in row] for row in self.rows]
         widths = [
             max(len(col), *(len(r[i]) for r in str_rows)) if str_rows else len(col)
             for i, col in enumerate(self.columns)
@@ -98,3 +103,30 @@ class ComparisonResult:
 
     def __str__(self) -> str:  # pragma: no cover - convenience
         return self.to_text()
+
+
+def summary_table(title: str, runs, columns=SUMMARY_COLUMNS) -> ComparisonResult:
+    """The one run-summary table: a row per run, projected onto ``columns``.
+
+    ``runs`` are executed or stored runs — anything with ``.spec`` and the
+    :func:`summarize_history` dict as ``.summary``
+    (:class:`~repro.runner.engine.ScenarioResult`,
+    :class:`~repro.store.runstore.StoredRun`).  A local sweep, a ``--server``
+    sweep, ``compare`` (no scenario/rounds columns) and ``report`` (a ``key``
+    column: the first 12 hex digits of ``run.key``, enough to locate the
+    record file) all print this table, so their cells cannot drift apart.
+    """
+    table = ComparisonResult(title=title, columns=list(columns))
+    for run in runs:
+        summary = run.summary
+        cells = {
+            "scenario": run.spec.name,
+            "system": run.spec.system,
+            "rounds": summary["rounds"],
+            "avg_delay_s": summary["average_delay"],
+            "avg_accuracy": summary["average_accuracy"],
+            "final_accuracy": summary["final_accuracy"],
+            "key": getattr(run, "key", "")[:12],  # only stored runs have one
+        }
+        table.add_row(*(cells[column] for column in columns))
+    return table

@@ -8,7 +8,7 @@ compute the per-client accuracy that the paper averages every round.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -294,18 +294,6 @@ def _replicate_shards(fed: FederatedDataset, num_clients: int) -> FederatedDatas
     """
     archetypes = fed.clients
     clients = [
-        ClientDataset(
-            client_id=cid,
-            images=archetypes[cid % len(archetypes)].images,
-            labels=archetypes[cid % len(archetypes)].labels,
-            val_images=archetypes[cid % len(archetypes)].val_images,
-            val_labels=archetypes[cid % len(archetypes)].val_labels,
-        )
-        for cid in range(num_clients)
+        replace(archetypes[cid % len(archetypes)], client_id=cid) for cid in range(num_clients)
     ]
-    return FederatedDataset(
-        clients=clients,
-        test_images=fed.test_images,
-        test_labels=fed.test_labels,
-        scheme=fed.scheme,
-    )
+    return replace(fed, clients=clients)

@@ -14,7 +14,7 @@ of the data/model plumbing with FAIR-BFL.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -102,13 +102,9 @@ class ClientUpdate:
 
     def copy_with_parameters(self, parameters: np.ndarray) -> "ClientUpdate":
         """Return a copy of this update carrying different parameters."""
-        return ClientUpdate(
-            client_id=self.client_id,
+        return replace(
+            self,
             parameters=np.asarray(parameters, dtype=np.float64),
-            num_samples=self.num_samples,
-            train_loss=self.train_loss,
-            val_accuracy=self.val_accuracy,
-            is_malicious=self.is_malicious,
             metadata=dict(self.metadata),
         )
 

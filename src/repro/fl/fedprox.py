@@ -16,7 +16,7 @@ FedProx differs from FedAvg in two ways the paper's comparison relies on:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -49,22 +49,8 @@ class FedProxConfig(FedAvgConfig):
         drop_percent: float = 0.0,
     ) -> "FedProxConfig":
         """Clone a FedAvg configuration, adding the FedProx parameters."""
-        return cls(
-            num_rounds=base.num_rounds,
-            participation_fraction=base.participation_fraction,
-            local=base.local,
-            aggregation=base.aggregation,
-            defense=base.defense,
-            defense_fraction=base.defense_fraction,
-            model_name=base.model_name,
-            hidden_sizes=base.hidden_sizes,
-            delay_params=base.delay_params,
-            executor_backend=base.executor_backend,
-            executor_workers=base.executor_workers,
-            seed=base.seed,
-            proximal_mu=proximal_mu,
-            drop_percent=drop_percent,
-        )
+        shared = {f.name: getattr(base, f.name) for f in fields(FedAvgConfig)}
+        return cls(**shared, proximal_mu=proximal_mu, drop_percent=drop_percent)
 
 
 class FedProxTrainer(FedAvgTrainer):
@@ -79,14 +65,7 @@ class FedProxTrainer(FedAvgTrainer):
         self.config: FedProxConfig = config
 
     def _local_config(self) -> LocalTrainingConfig:
-        base = self.config.local
-        return LocalTrainingConfig(
-            epochs=base.epochs,
-            batch_size=base.batch_size,
-            learning_rate=base.learning_rate,
-            proximal_mu=self.config.proximal_mu,
-            weight_decay=base.weight_decay,
-        )
+        return replace(self.config.local, proximal_mu=self.config.proximal_mu)
 
     def _streaming_supported(self) -> bool:
         """Straggler dropping needs the materialised update list (and an RNG draw)."""

@@ -15,8 +15,11 @@ to the per-client code in :mod:`repro.nn.layers`, :mod:`repro.nn.losses` and
 * reductions (``max``, ``sum``, ``mean``, ``argmax``) are taken over the
   last, contiguous axis, which NumPy reduces with the same pairwise
   summation as the per-client axis-1 reductions;
-* everything else (bias add, activations, the SGD / weight-decay / FedProx
-  proximal update) is elementwise, where stacking cannot change the result.
+* the activations are the serial layer classes themselves: elementwise, or
+  (``Softmax``) reducing over the last axis, they take the extra leading
+  ``clients`` axis unchanged, so there is no batched twin to keep in parity;
+* everything else (bias add, the SGD / weight-decay / FedProx proximal
+  update) is elementwise, where stacking cannot change the result.
 
 :meth:`CohortModel.from_module` compiles a template
 :class:`~repro.nn.module.Module` (the factory-built ``Flatten`` / ``Linear``
@@ -50,9 +53,10 @@ class CohortUnsupportedError(TypeError):
 
 
 # ---------------------------------------------------------------------------
-# Batched layer ops.  Each mirrors the forward/backward of the corresponding
+# Batched layer ops.  Flatten and Linear mirror the forward/backward of their
 # serial layer with the batch axes extended from (batch, ...) to
-# (clients, batch, ...).  Parameters live in a shared flat (clients, P)
+# (clients, batch, ...); the activations *are* the serial layers
+# (``_CohortLayer``).  Parameters live in a shared flat (clients, P)
 # matrix; each parametrised op *writes* its gradient into the matching flat
 # slice (no accumulation: ``grads`` is scratch, fully rewritten per backward).
 # ---------------------------------------------------------------------------
@@ -80,16 +84,6 @@ class _CohortFlatten(_CohortOp):
         if self._input_shape is None:
             raise RuntimeError("backward called before forward on cohort Flatten")
         return grad_output.reshape(self._input_shape)
-
-
-class _CohortIdentity(_CohortOp):
-    """Stand-in for layers that are a no-op in this configuration (Dropout p=0)."""
-
-    def forward(self, params, x):
-        return x
-
-    def backward(self, params, grads, grad_output):
-        return grad_output
 
 
 class _CohortLinear(_CohortOp):
@@ -137,71 +131,23 @@ class _CohortLinear(_CohortOp):
         return np.matmul(grad_output, self._weights(params).transpose(0, 2, 1))
 
 
-class _CohortReLU(_CohortOp):
-    def __init__(self) -> None:
-        self._mask: np.ndarray | None = None
+class _CohortLayer(_CohortOp):
+    """A parameter-free serial layer applied to the stacked activations as is.
+
+    The activations of :mod:`repro.nn.layers` are elementwise or reduce over
+    the last axis, so one instance serves ``(batch, features)`` and
+    ``(clients, batch, features)`` inputs with the same expressions — the
+    cohort path runs the serial math instead of a twin of it.
+    """
+
+    def __init__(self, layer: Module) -> None:
+        self.layer = layer
 
     def forward(self, params, x):
-        self._mask = x > 0
-        return np.where(self._mask, x, 0.0)
+        return self.layer.forward(x)
 
     def backward(self, params, grads, grad_output):
-        if self._mask is None:
-            raise RuntimeError("backward called before forward on cohort ReLU")
-        return np.where(self._mask, grad_output, 0.0)
-
-
-class _CohortTanh(_CohortOp):
-    def __init__(self) -> None:
-        self._output: np.ndarray | None = None
-
-    def forward(self, params, x):
-        self._output = np.tanh(x)
-        return self._output
-
-    def backward(self, params, grads, grad_output):
-        if self._output is None:
-            raise RuntimeError("backward called before forward on cohort Tanh")
-        return grad_output * (1.0 - self._output**2)
-
-
-class _CohortSigmoid(_CohortOp):
-    def __init__(self) -> None:
-        self._output: np.ndarray | None = None
-
-    def forward(self, params, x):
-        # Numerically stable piecewise formulation (same as the serial layer).
-        out = np.empty_like(x)
-        pos = x >= 0
-        out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-        exp_x = np.exp(x[~pos])
-        out[~pos] = exp_x / (1.0 + exp_x)
-        self._output = out
-        return out
-
-    def backward(self, params, grads, grad_output):
-        if self._output is None:
-            raise RuntimeError("backward called before forward on cohort Sigmoid")
-        s = self._output
-        return grad_output * s * (1.0 - s)
-
-
-class _CohortSoftmax(_CohortOp):
-    def __init__(self) -> None:
-        self._output: np.ndarray | None = None
-
-    def forward(self, params, x):
-        shifted = x - x.max(axis=2, keepdims=True)
-        exp = np.exp(shifted)
-        self._output = exp / exp.sum(axis=2, keepdims=True)
-        return self._output
-
-    def backward(self, params, grads, grad_output):
-        if self._output is None:
-            raise RuntimeError("backward called before forward on cohort Softmax")
-        s = self._output
-        dot = np.sum(grad_output * s, axis=2, keepdims=True)
-        return s * (grad_output - dot)
+        return self.layer.backward(grad_output)
 
 
 class CohortModel:
@@ -234,10 +180,10 @@ class CohortModel:
                 "without gap or overlap"
             )
         # The op whose input gradient nobody reads when the caller does not:
-        # the first Linear, if only shape ops (Flatten, identity) precede it.
+        # the first Linear, if only shape ops (Flatten) precede it.
         self._input_op: _CohortOp | None = None
         for op in ops:
-            if isinstance(op, (_CohortFlatten, _CohortIdentity)):
+            if isinstance(op, _CohortFlatten):
                 continue
             if isinstance(op, _CohortLinear):
                 self._input_op = op
@@ -271,16 +217,12 @@ class CohortModel:
                 )
             elif isinstance(layer, Flatten):
                 ops.append(_CohortFlatten())
-            elif isinstance(layer, ReLU):
-                ops.append(_CohortReLU())
-            elif isinstance(layer, Tanh):
-                ops.append(_CohortTanh())
-            elif isinstance(layer, Sigmoid):
-                ops.append(_CohortSigmoid())
-            elif isinstance(layer, Softmax):
-                ops.append(_CohortSoftmax())
+            elif isinstance(layer, (ReLU, Tanh, Sigmoid, Softmax)):
+                # Rank-agnostic serial layers, each a fresh instance: the forward
+                # cache must not alias the template's.
+                ops.append(_CohortLayer(type(layer)()))
             elif isinstance(layer, Dropout) and layer.rate == 0.0:
-                ops.append(_CohortIdentity())
+                continue  # the identity in this configuration: no op at all
             else:
                 raise CohortUnsupportedError(
                     f"layer {type(layer).__name__} has no bit-exact batched "

@@ -156,7 +156,10 @@ class Sigmoid(Module):
 
 
 class Softmax(Module):
-    """Row-wise softmax.
+    """Softmax over the last axis (row-wise on a ``(batch, classes)`` input).
+
+    The leading axes are free, which is what lets the cohort engine apply
+    this same layer to ``(clients, batch, classes)`` activations.
 
     Normally the fused :class:`repro.nn.losses.SoftmaxCrossEntropyLoss` is
     preferred during training; this standalone layer exists for inference-time
@@ -169,9 +172,9 @@ class Softmax(Module):
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
-        shifted = x - x.max(axis=1, keepdims=True)
+        shifted = x - x.max(axis=-1, keepdims=True)
         exp = np.exp(shifted)
-        self._output = exp / exp.sum(axis=1, keepdims=True)
+        self._output = exp / exp.sum(axis=-1, keepdims=True)
         return self._output
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
@@ -180,7 +183,7 @@ class Softmax(Module):
         s = self._output
         grad_output = np.asarray(grad_output, dtype=np.float64)
         # Jacobian-vector product per row: s * (g - sum(g * s)).
-        dot = np.sum(grad_output * s, axis=1, keepdims=True)
+        dot = np.sum(grad_output * s, axis=-1, keepdims=True)
         return s * (grad_output - dot)
 
 

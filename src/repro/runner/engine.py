@@ -32,7 +32,7 @@ import threading
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.core.results import ComparisonResult, summarize_history
+from repro.core.results import ComparisonResult, summarize_history, summary_table
 from repro.datasets.federated import FederatedDataset, build_federated_dataset
 from repro.fl.history import TrainingHistory
 from repro.fl.trainer import CheckpointError, Trainer
@@ -74,12 +74,6 @@ class ExperimentEngine:
 
     Attributes
     ----------
-    cache_datasets:
-        When True (default) federated datasets are reused across scenarios
-        that share the same generating fields (clients, samples, scheme,
-        noise, seed), matching the benchmark suite's behaviour.  Systems
-        whose registered capabilities set ``needs_dataset=False`` (the
-        vanilla blockchain) never trigger a dataset build at all.
     store:
         Optional content-addressed :class:`~repro.store.runstore.RunStore`.
         When set, every computed run is persisted under its spec's content
@@ -107,7 +101,6 @@ class ExperimentEngine:
         exhaustive grid.
     """
 
-    cache_datasets: bool = True
     store: "RunStore | None" = None
     reuse_cached: bool = True
     runs_computed: int = 0
@@ -134,8 +127,6 @@ class ExperimentEngine:
 
     def dataset_for(self, spec: ScenarioSpec) -> FederatedDataset:
         """Build (or fetch the memoised) federated dataset for ``spec``."""
-        if not self.cache_datasets:
-            return build_federated_dataset(**spec.dataset_kwargs())
         key = spec.dataset_key()
         with self._lock:
             dataset = self._dataset_cache.get(key)
@@ -333,18 +324,4 @@ class ExperimentEngine:
     ) -> tuple[ComparisonResult, list[ScenarioResult]]:
         """Run ``specs`` and tabulate the per-scenario summaries."""
         results = self.run_many(specs)
-        table = ComparisonResult(
-            title=title,
-            columns=["scenario", "system", "rounds", "avg_delay_s", "avg_accuracy", "final_accuracy"],
-        )
-        for result in results:
-            summary = result.summary
-            table.add_row(
-                result.spec.name,
-                result.spec.system,
-                summary["rounds"],
-                summary["average_delay"],
-                summary["average_accuracy"],
-                summary["final_accuracy"],
-            )
-        return table, results
+        return summary_table(title, results), results

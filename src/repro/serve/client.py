@@ -20,7 +20,7 @@ from typing import Mapping
 
 from repro.fl.history import TrainingHistory
 from repro.runner.scenario import ScenarioSpec
-from repro.serve.protocol import TERMINAL_STATES
+from repro.serve.protocol import ENDPOINTS, TERMINAL_STATES
 from repro.store.records import history_from_payload
 
 __all__ = ["ServeClientError", "JobFailed", "ServeClient"]
@@ -81,29 +81,33 @@ class ServeClient:
                 f"connection to experiment server at {self.base_url} failed: {exc}"
             ) from exc
 
+    def _call(self, name: str, payload: Mapping | None = None, **params: str) -> dict:
+        """Request the endpoint ``name`` of the protocol's table, its path parameters filled in."""
+        endpoint = ENDPOINTS[name]
+        return self._request(endpoint.method, endpoint.path.format(**params), payload)
+
     # -- protocol verbs -------------------------------------------------
     def submit(self, document: "Mapping | ScenarioSpec") -> list[dict]:
         """Submit a scenario document (or one spec); returns the job payloads."""
         if isinstance(document, ScenarioSpec):
             document = document.to_mapping()
-        response = self._request("POST", "/v1/runs", dict(document))
-        return list(response["jobs"])
+        return list(self._call("submit", dict(document))["jobs"])
 
     def status(self, job_id: str) -> dict:
         """The current job payload for ``job_id``."""
-        return self._request("GET", f"/v1/jobs/{job_id}")
+        return self._call("job_status", job_id=job_id)
 
     def cancel(self, job_id: str) -> dict:
         """Request cancellation of ``job_id`` (raises 409 via ServeClientError if finished)."""
-        return self._request("POST", f"/v1/jobs/{job_id}/cancel", {})
+        return self._call("job_cancel", {}, job_id=job_id)
 
     def result(self, key: str) -> dict:
         """The full-fidelity run record stored under content ``key``."""
-        return self._request("GET", f"/v1/results/{key}")
+        return self._call("result", key=key)
 
     def health(self) -> dict:
         """The healthz payload (queue depth, worker liveness, counters)."""
-        return self._request("GET", "/v1/healthz")
+        return self._call("healthz")
 
     # -- conveniences ---------------------------------------------------
     def wait(self, job_id: str, *, timeout: float = 120.0, poll: float = 0.05) -> dict:
@@ -124,6 +128,16 @@ class ServeClient:
                     f"{payload['rounds_done']}/{payload['total_rounds']} rounds)"
                 )
             time.sleep(poll)
+
+    def collect(self, job_id: str, *, timeout: float = 120.0) -> TrainingHistory:
+        """Wait for ``job_id`` and return its history (:class:`JobFailed` unless ``done``)."""
+        job = self.wait(job_id, timeout=timeout)
+        if job["state"] != "done":
+            raise JobFailed(
+                f"job {job['job_id']} ({job['name']}) finished as {job['state']}: "
+                f"{job.get('error') or 'no error recorded'}"
+            )
+        return self.history(job["result_key"])
 
     def history(self, key: str) -> TrainingHistory:
         """The :class:`TrainingHistory` reconstructed from the record at ``key``."""
@@ -146,10 +160,4 @@ class ServeClient:
                 f"run() submits exactly one scenario, but the document expanded "
                 f"to {len(jobs)} jobs; use submit() for batches"
             )
-        job = self.wait(jobs[0]["job_id"], timeout=timeout)
-        if job["state"] != "done":
-            raise JobFailed(
-                f"job {job['job_id']} ({job['name']}) finished as {job['state']}: "
-                f"{job.get('error') or 'no error recorded'}"
-            )
-        return self.history(job["result_key"])
+        return self.collect(jobs[0]["job_id"], timeout=timeout)

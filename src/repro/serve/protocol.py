@@ -4,9 +4,9 @@ One module owns everything both sides of the wire must agree on: the
 endpoint table (:data:`ENDPOINTS` — ``tools/check_docs.py`` fails CI when an
 endpoint is missing from ``docs/serve.md``), the job lifecycle states
 (:data:`JOB_STATES`), the request parsers, and the response payload
-builders.  The server (:mod:`repro.serve.server`) routes by this table and
-the client (:mod:`repro.serve.client`) addresses it, so neither can drift
-from the documented surface.
+builders.  The server (:mod:`repro.serve.server`) compiles this table into
+its route patterns and the client (:mod:`repro.serve.client`) formats its
+path templates, so neither holds a path of its own to drift with.
 
 Request bodies and responses are plain JSON.  A submission body is any of
 the three scenario document shapes the rest of the repository already

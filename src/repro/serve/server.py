@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import re
 import threading
 from collections import OrderedDict
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -41,6 +42,7 @@ from repro.systems.registry import (
 )
 from repro.serve.jobs import JobQueue
 from repro.serve.protocol import (
+    ENDPOINTS,
     PROTOCOL_VERSION,
     ProtocolError,
     error_payload,
@@ -56,6 +58,14 @@ __all__ = ["ReproServer"]
 
 #: Rendered result payloads kept in memory (immutable, content-addressed).
 _RESULT_CACHE_SIZE = 256
+
+#: The protocol's endpoint table compiled for routing: each path template as a
+#: pattern over the normalised request path, a ``{parameter}`` matching one
+#: segment.  ``ReproServer.handle_<endpoint name>`` answers the match.
+_ROUTES = tuple(
+    (endpoint, re.compile(re.sub(r"\{\w+\}", "([^/]+)", endpoint.path)))
+    for endpoint in ENDPOINTS.values()
+)
 
 
 class ReproServer:
@@ -193,14 +203,14 @@ class ReproServer:
         body["cancel"] = outcome
         return 202, body
 
-    def handle_result(self, key: str) -> bytes:
+    def handle_result(self, key: str) -> tuple[int, bytes]:
         """The rendered record for ``key`` (bytes, served from the hot cache)."""
         validate_result_key(key)
         with self._cache_lock:
             cached = self._result_cache.get(key)
             if cached is not None:
                 self._result_cache.move_to_end(key)
-                return cached
+                return 200, cached
         try:
             stored = self.store.load(key)
         except RunStoreError as exc:
@@ -220,7 +230,7 @@ class ReproServer:
             self._result_cache[key] = rendered
             while len(self._result_cache) > _RESULT_CACHE_SIZE:
                 self._result_cache.popitem(last=False)
-        return rendered
+        return 200, rendered
 
     def handle_healthz(self) -> tuple[int, dict]:
         counts = self.queue.counts()
@@ -281,19 +291,22 @@ class _RequestHandler(BaseHTTPRequestHandler):
     def log_message(self, format: str, *args) -> None:  # noqa: A002
         pass  # request logging is the caller's business, not stderr's
 
-    def _send_json(self, status: int, body: dict) -> None:
-        self._send_bytes(status, json.dumps(body).encode("utf-8"))
-
-    def _send_bytes(self, status: int, rendered: bytes) -> None:
+    def _send(self, status: int, body: "dict | bytes") -> None:
+        """Answer ``body`` as JSON; ``bytes`` are a document rendered earlier (the result cache)."""
+        rendered = body if isinstance(body, bytes) else json.dumps(body).encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(rendered)))
         self.end_headers()
         self.wfile.write(rendered)
 
-    def _read_json_body(self) -> object:
+    def _read_body(self) -> bytes:
+        """The request body; read even when ignored (cancel), so keep-alive stays in sync."""
         length = int(self.headers.get("Content-Length") or 0)
-        raw = self.rfile.read(length) if length else b""
+        return self.rfile.read(length) if length else b""
+
+    def _read_json_body(self) -> object:
+        raw = self._read_body()
         if not raw:
             raise ProtocolError("request body is empty; expected a JSON object", status=400)
         try:
@@ -303,43 +316,30 @@ class _RequestHandler(BaseHTTPRequestHandler):
 
     def _dispatch(self, method: str) -> None:
         app = self.server_app
-        parts = [p for p in self.path.split("?")[0].split("/") if p]
+        # The query string and empty segments (a trailing or doubled slash) are ignored.
+        path = "/" + "/".join(p for p in self.path.split("?")[0].split("/") if p)
         try:
-            if method == "GET" and parts == ["v1", "healthz"]:
-                status, body = app.handle_healthz()
-            elif method == "GET" and len(parts) == 3 and parts[:2] == ["v1", "jobs"]:
-                status, body = app.handle_job_status(parts[2])
-            elif (
-                method == "POST"
-                and len(parts) == 4
-                and parts[:2] == ["v1", "jobs"]
-                and parts[3] == "cancel"
-            ):
-                self._read_optional_body()
-                status, body = app.handle_job_cancel(parts[2])
-            elif method == "GET" and len(parts) == 3 and parts[:2] == ["v1", "results"]:
-                self._send_bytes(200, app.handle_result(parts[2]))
-                return
-            elif method == "POST" and parts == ["v1", "runs"]:
-                status, body = app.handle_submit(self._read_json_body())
+            for endpoint, pattern in _ROUTES:
+                match = pattern.fullmatch(path) if endpoint.method == method else None
+                if match is not None:
+                    break
             else:
                 raise ProtocolError(
                     f"no such endpoint: {method} {self.path} (see docs/serve.md)",
                     status=404,
                 )
+            handler = getattr(app, f"handle_{endpoint.name}")
+            if endpoint.name == "submit":
+                status, body = handler(self._read_json_body())
+            else:
+                if method == "POST":
+                    self._read_body()
+                status, body = handler(*match.groups())
         except ProtocolError as exc:
-            self._send_json(exc.status, error_payload(str(exc), status=exc.status))
-            return
+            status, body = exc.status, error_payload(str(exc), status=exc.status)
         except Exception as exc:  # noqa: BLE001 - a handler bug must answer 500, not hang
-            self._send_json(500, error_payload(f"{type(exc).__name__}: {exc}", status=500))
-            return
-        self._send_json(status, body)
-
-    def _read_optional_body(self) -> None:
-        """Drain a cancel request's (ignored) body so keep-alive stays in sync."""
-        length = int(self.headers.get("Content-Length") or 0)
-        if length:
-            self.rfile.read(length)
+            status, body = 500, error_payload(f"{type(exc).__name__}: {exc}", status=500)
+        self._send(status, body)
 
     # -- verbs ----------------------------------------------------------
     def do_GET(self) -> None:  # noqa: N802 - BaseHTTPRequestHandler contract

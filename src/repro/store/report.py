@@ -16,23 +16,13 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Iterable, Sequence
 
-import numpy as np
-
-from repro.core.results import ComparisonResult
+from repro.core.results import SUMMARY_COLUMNS, ComparisonResult, format_cell, summary_table
 from repro.store.runstore import RunStore, StoredRun
 
 __all__ = ["REPORT_COLUMNS", "report_table", "to_markdown", "save_markdown"]
 
-#: Columns of the stored-run summary table, in order.
-REPORT_COLUMNS = (
-    "scenario",
-    "system",
-    "rounds",
-    "avg_delay_s",
-    "avg_accuracy",
-    "final_accuracy",
-    "key",
-)
+#: Columns of the stored-run summary table: the shared summary plus the content key.
+REPORT_COLUMNS = (*SUMMARY_COLUMNS, "key")
 
 
 def report_table(
@@ -55,19 +45,7 @@ def report_table(
         entries = [run for run in entries if run.result.system in wanted]
     if title is None:
         title = f"Stored runs ({len(entries)} record{'s' if len(entries) != 1 else ''})"
-    table = ComparisonResult(title=title, columns=list(REPORT_COLUMNS))
-    for run in entries:
-        summary = run.summary
-        table.add_row(
-            run.spec.name,
-            run.result.system,
-            summary["rounds"],
-            summary["average_delay"],
-            summary["average_accuracy"],
-            summary["final_accuracy"],
-            run.key[:12],
-        )
-    return table
+    return summary_table(title, entries, REPORT_COLUMNS)
 
 
 def to_markdown(table: ComparisonResult) -> str:
@@ -76,17 +54,11 @@ def to_markdown(table: ComparisonResult) -> str:
     Pipes inside cell values are escaped — bench-style scenario names such
     as ``matrix[sign_flip|krum]`` must not split their cell.
     """
-
-    def fmt(value: object) -> str:
-        if isinstance(value, (float, np.floating)):
-            return f"{float(value):.4f}"
-        return str(value).replace("|", "\\|")
-
     lines = [f"# {table.title}", ""]
     lines.append("| " + " | ".join(table.columns) + " |")
     lines.append("| " + " | ".join("---" for _ in table.columns) + " |")
     for row in table.rows:
-        lines.append("| " + " | ".join(fmt(v) for v in row) + " |")
+        lines.append("| " + " | ".join(format_cell(v).replace("|", "\\|") for v in row) + " |")
     if table.notes:
         lines.append("")
         lines.extend(f"- {note}" for note in table.notes)

@@ -124,6 +124,10 @@ _AXIS_FIELDS: dict[str, tuple[str, ...]] = {
 }
 
 
+#: Stands in for the spec default where there is no spec: equal to no value.
+_NO_DEFAULT = object()
+
+
 def _axis_engaged(axis: str, value: object, default: object) -> bool:
     """Whether a guard-field value actually engages the capability axis.
 
@@ -390,10 +394,11 @@ def filter_unsupported_axes(system: System | str, mapping: Mapping[str, object])
     for axis, axis_fields in _AXIS_FIELDS.items():
         if getattr(system.capabilities, axis):
             continue
-        if axis == "cohort" and out.get("backend") != "cohort":
-            continue  # thread/process are valid everywhere; only "cohort" engages
-        if axis == "net" and out.get("topology", "global") == "global":
-            continue  # topology="global" is valid everywhere; nothing engaged
+        # A mapping carries no spec to read the guard's default from, and a
+        # system without the axis has no use for any default either: only a
+        # guard value that is valid everywhere (thread/process, global) stays.
+        if not _axis_engaged(axis, out.get(axis_fields[0]), _NO_DEFAULT):
+            continue
         for field_name in axis_fields:
             out.pop(field_name, None)
     return out

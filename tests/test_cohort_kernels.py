@@ -14,6 +14,10 @@ garbage:
   private-copy twin must yield byte-identical blocks, and the work counts
   (``np.matmul`` calls per step, arrays handed to ``np.stack``) must stay at
   the floor.
+
+And one structural promise: the cohort path has no activation math of its own
+— ``from_module`` wraps instances of the *serial* layer classes, so the two
+training paths cannot disagree on an activation.
 """
 
 from __future__ import annotations
@@ -27,8 +31,8 @@ from repro.datasets.federated import ClientDataset, build_federated_dataset
 from repro.fl.client import FLClient, LocalTrainingConfig
 from repro.fl.cohort import CohortTrainer
 from repro.nn import cohort as nn_cohort
-from repro.nn.cohort import CohortModel, _CohortFlatten, _CohortLinear
-from repro.nn.layers import Flatten, Linear, ReLU, Sigmoid, Softmax, Tanh
+from repro.nn.cohort import CohortModel, CohortUnsupportedError, _CohortFlatten, _CohortLinear
+from repro.nn.layers import Dropout, Flatten, Linear, ReLU, Sigmoid, Softmax, Tanh
 from repro.nn.models import ModelFactory, build_model
 from repro.nn.module import Sequential
 from repro.nn.parameters import get_flat_parameters
@@ -358,3 +362,44 @@ def test_one_training_step_does_the_minimum_work(monkeypatch, model_name, linear
     assert len(matmuls) == (3 * linears - 1) + validation_forward, matmuls
     train_stacks = [arrays for arrays in stacked if len(arrays[0]) == shard.num_samples]
     assert [len(arrays) for arrays in train_stacks] == [3, 3]  # images, labels
+
+
+# ---------------------------------------------------------------------------
+# One set of activation kernels: the cohort ops *are* the serial layers.
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("name", sorted(ACTIVATIONS))
+def test_activation_ops_wrap_the_serial_layer_classes(name):
+    template = _stack(name)
+    model = CohortModel.from_module(template)
+    (wrapped,) = [op.layer for op in model.ops if hasattr(op, "layer")]
+    assert type(wrapped) is ACTIVATIONS[name]
+    # A fresh instance: training a cohort must not touch the template's caches.
+    assert all(wrapped is not layer for layer in template.layers)
+
+
+def test_dropout_is_compiled_away_or_refused():
+    rng = np.random.default_rng(3)
+    layers = [Flatten(), Linear(6, 5, rng), ReLU(), Linear(5, 4, rng)]
+    plain = CohortModel.from_module(Sequential(*layers))
+    with_dropout = CohortModel.from_module(
+        Sequential(*layers[:3], Dropout(0.0, rng), layers[3])
+    )
+    assert [type(op) for op in with_dropout.ops] == [type(op) for op in plain.ops]
+    with pytest.raises(CohortUnsupportedError, match="Dropout"):
+        CohortModel.from_module(Sequential(*layers[:3], Dropout(0.25, rng), layers[3]))
+
+
+def test_softmax_on_a_matrix_still_reduces_over_axis_one():
+    """``axis=-1`` is ``axis=1`` for the serial 2-D input: byte-equal to the old expression."""
+    rng = np.random.default_rng(2024)
+    layer = Softmax()
+    for _ in range(200):
+        x = rng.normal(scale=rng.uniform(0.1, 30.0), size=(rng.integers(1, 9), rng.integers(1, 12)))
+        g = rng.normal(size=x.shape)
+        shifted = x - x.max(axis=1, keepdims=True)
+        exp = np.exp(shifted)
+        expected = exp / exp.sum(axis=1, keepdims=True)
+        assert layer.forward(x).tobytes() == expected.tobytes()
+        dot = np.sum(g * expected, axis=1, keepdims=True)
+        assert layer.backward(g).tobytes() == (expected * (g - dot)).tobytes()

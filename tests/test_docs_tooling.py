@@ -181,6 +181,33 @@ class TestDocsFreshness:
             "repro.runner.engine.ExperimentEngine, repro.runner.engine.ScenarioResult"
         )
 
+    def test_path_references_catch_a_deleted_file(self, tmp_path, monkeypatch):
+        check_docs = self._load_check_docs()
+        assert check_docs.check_path_references() == []
+        package = tmp_path / "src" / "repro" / "blockchain"
+        package.mkdir(parents=True)
+        (tmp_path / "docs").mkdir()
+        (tmp_path / "src" / "repro" / "fl").mkdir()
+        (tmp_path / "src" / "repro" / "fl" / "trainer.py").write_text("", encoding="utf-8")
+        (tmp_path / "README.md").write_text(
+            "See `fl/trainer.py` and `src/repro/fl/trainer.py`; `runner/executor.py`\n"
+            "(moved) became `fl/executor.py` (historical name).\n",
+            encoding="utf-8",
+        )
+        # The line PR 18 left behind in blockchain/transaction.py, verbatim.
+        (package / "transaction.py").write_text(
+            "def f():\n"
+            "    # Through the constructor: a mappingproxy does not pickle, and the\n"
+            "    # checkpoint blob (runner/checkpoint.py) carries whole chains.\n"
+            "    return None\n",
+            encoding="utf-8",
+        )
+        monkeypatch.setattr(check_docs, "REPO_ROOT", tmp_path)
+        monkeypatch.setattr(check_docs, "SRC_ROOT", tmp_path / "src")
+        (problem,) = check_docs.check_path_references()
+        assert problem.startswith("src/repro/blockchain/transaction.py:3: ")
+        assert "'runner/checkpoint.py'" in problem
+
     def test_readme_benchmark_map_is_fresh(self):
         import re
 

@@ -101,3 +101,54 @@ class TestCLI:
         assert export.exists()
         header = export.read_text().splitlines()[0]
         assert header == "system,avg_delay_s,avg_accuracy,final_accuracy"
+
+
+def _closed_port_url() -> str:
+    """A localhost URL nothing listens on (bind an ephemeral port, then release it)."""
+    import socket
+
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        return f"http://127.0.0.1:{sock.getsockname()[1]}"
+
+
+BAD_RUN = ["run", "fedavg", "--round-mode", "async"]  # fedavg has no round-mode capability
+BAD_FILE = "bad.toml"  # written by the test: an unknown scenario field
+GOOD_FILE = "good.toml"
+
+
+class TestExitCodePolicy:
+    """One boundary in ``main``: the user's mistake is 2, the server's failure is 1."""
+
+    @pytest.mark.parametrize(
+        "argv, code, message",
+        [
+            # ScenarioError -> 2, from every subcommand that validates a scenario.
+            (BAD_RUN, 2, "round_mode"),
+            ([*BAD_RUN, "--server", "DEAD"], 2, "round_mode"),  # refused before any request
+            (["compare", "--defense", "bogus"], 2, "bogus"),
+            (["sweep", "--scenario", BAD_FILE, "--no-cache"], 2, "no_such_field"),
+            (["sweep", "--scenario", BAD_FILE, "--server", "DEAD"], 2, "no_such_field"),
+            (["search", "--scenario", BAD_FILE, "--no-cache"], 2, "no_such_field"),
+            # ServeClientError -> 1, from both thin clients.
+            (["run", "fedavg", "--server", "DEAD"], 1, "cannot reach experiment server"),
+            (["sweep", "--scenario", GOOD_FILE, "--server", "DEAD"], 1, "cannot reach"),
+            # A plugin that cannot load is the user's to fix.
+            (["--plugins", "no_such_plugin_module_xyz", "run", "fedavg"], 2, "no_such_plugin"),
+            # Nothing to report is a failure, not a usage error.
+            (["report", "--store", "EMPTY"], 1, "no stored runs"),
+        ],
+    )
+    def test_exit_code_and_message(self, tmp_path, capsys, argv, code, message):
+        (tmp_path / BAD_FILE).write_text('system = "fedavg"\nno_such_field = 1\n')
+        (tmp_path / GOOD_FILE).write_text('system = "fedavg"\nnum_rounds = 1\n')
+        substitutions = {
+            "DEAD": _closed_port_url(),
+            "EMPTY": str(tmp_path / "empty-store"),
+            BAD_FILE: str(tmp_path / BAD_FILE),
+            GOOD_FILE: str(tmp_path / GOOD_FILE),
+        }
+        assert main([substitutions.get(arg, arg) for arg in argv]) == code
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and message in captured.err
+        assert captured.out == ""

@@ -11,7 +11,10 @@ real (ephemeral-port) HTTP server:
   history :func:`repro.api.run` computes locally for the same spec, field
   for field;
 * **liveness** — the queue drains under a watchdog; no submission pattern
-  wedges a worker.
+  wedges a worker;
+* **one sweep, two transports** — ``repro sweep`` prints the same table
+  whether it runs locally or as a ``--server`` thin client, sweep-wide
+  overrides and their capability gating included.
 
 Everything runs against a tmp-path store, so the suite neither reads nor
 pollutes ``results/store/``.
@@ -20,13 +23,17 @@ pollutes ``results/store/``.
 from __future__ import annotations
 
 import threading
+from pathlib import Path
 
 import pytest
 
 from repro import api
+from repro.cli import main
 from repro.serve.client import ServeClient
 
 pytestmark = pytest.mark.serve
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
 
 #: Watchdog for every blocking wait in this module (the ISSUE's liveness bar).
 WATCHDOG_S = 60.0
@@ -136,3 +143,44 @@ class TestConcurrentSubmission:
         health = client.health()
         assert health["queue_depth"] == 0
         assert health["jobs"]["done"] == 8
+
+
+MIXED_SWEEP = """
+name = "mixed"
+[base]
+num_clients = 6
+num_samples = 300
+num_rounds = 2
+[matrix]
+system = ["fairbfl", "fedavg", "blockchain"]
+"""
+
+
+class TestRemoteSweepPrintsTheLocalTable:
+    @pytest.mark.parametrize(
+        "scenario, overrides",
+        [
+            ("scenarios/example_sweep.toml", []),
+            ("scenarios/example_sweep.toml", ["--round-mode", "semi_sync", "--defense", "median"]),
+            # Capability gating: fedavg keeps only the defense, blockchain neither.
+            (None, ["--round-mode", "async", "--defense", "trimmed_mean"]),
+        ],
+    )
+    def test_rows_and_columns_match(self, server, tmp_path, capsys, scenario, overrides):
+        if scenario is None:
+            path = tmp_path / "mixed.toml"
+            path.write_text(MIXED_SWEEP, encoding="utf-8")
+        else:
+            path = REPO_ROOT / scenario
+        command = ["sweep", "--scenario", str(path), *overrides]
+
+        assert main([*command, "--no-cache"]) == 0
+        local = capsys.readouterr().out.splitlines()
+        assert main([*command, "--server", server.url]) == 0
+        remote = capsys.readouterr().out.splitlines()
+
+        assert local[0].startswith("Scenario sweep (") and remote[0].endswith(", remote)")
+        assert remote[-1].startswith(f"server {server.url}: ")
+        # Title and its underline aside, the remote table is the local one.
+        assert remote[2:-1] == local[2:]
+        assert len(local) > 4

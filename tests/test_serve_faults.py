@@ -30,6 +30,7 @@ import pytest
 
 from repro import api
 from repro.serve.client import ServeClient, ServeClientError
+from repro.serve.protocol import ENDPOINTS, error_payload
 
 pytestmark = pytest.mark.serve
 
@@ -62,16 +63,21 @@ def _wait_for_running(client: ServeClient, job_id: str, *, need_pid: bool = Fals
     raise AssertionError(f"job {job_id} never reached running state")
 
 
-def _post_raw(url: str, body: bytes) -> tuple[int, dict]:
-    """POST raw bytes (for malformed payloads the client would never send)."""
+def _raw(method: str, url: str, body: bytes | None = None) -> tuple[int, dict]:
+    """One request with no client in between: (status, decoded JSON body)."""
     request = urllib.request.Request(
-        url, data=body, method="POST", headers={"Content-Type": "application/json"}
+        url, data=body, method=method, headers={"Content-Type": "application/json"}
     )
     try:
         with urllib.request.urlopen(request, timeout=30) as response:
             return response.status, json.loads(response.read().decode("utf-8"))
     except urllib.error.HTTPError as exc:
         return exc.code, json.loads(exc.read().decode("utf-8"))
+
+
+def _post_raw(url: str, body: bytes) -> tuple[int, dict]:
+    """POST raw bytes (for malformed payloads the client would never send)."""
+    return _raw("POST", url, body)
 
 
 class TestWorkerDeath:
@@ -183,6 +189,89 @@ class TestBadInput:
         assert health["workers"]["alive"] == health["workers"]["total"]
         history = client.run(_spec_mapping(), timeout=WATCHDOG_S)
         assert len(history.accuracies) == 2
+
+
+class TestRouteTable:
+    """Server and client both route by ``protocol.ENDPOINTS`` — nothing else."""
+
+    PARAMS = {"job_id": "J-1", "key": "K-1"}
+
+    @pytest.fixture()
+    def server(self, tmp_path):
+        with api.serve(workers=1, store=tmp_path / "store") as srv:
+            # Stub the handlers: the test is about which handler a request
+            # reaches and with what, not about what the handler then does.
+            # (``result`` answers rendered bytes, so it stays real: its 400 for
+            # a malformed key names the key it was handed.)
+            for name in set(ENDPOINTS) - {"result"}:
+                stub = lambda *args, _n=name: (200, {"handler": _n, "args": list(args)})
+                setattr(srv, f"handle_{name}", stub)
+            yield srv
+
+    @pytest.mark.parametrize("name", sorted(ENDPOINTS))
+    def test_documented_method_reaches_the_named_handler(self, server, name):
+        endpoint = ENDPOINTS[name]
+        path = endpoint.path.format(**self.PARAMS)
+        body = b'{"doc": 1}' if endpoint.method == "POST" else None
+        expected_args = [{"doc": 1}] if name == "submit" else [
+            self.PARAMS[field] for field in ("job_id", "key") if "{" + field + "}" in endpoint.path
+        ]
+        expected = (200, {"handler": name, "args": expected_args})
+        if name == "result":
+            expected = (400, error_payload(
+                "malformed result key 'K-1': expected 64 lowercase hex digits "
+                "(a repro.api.spec_key content address)", status=400,
+            ))
+        doubled = path.replace("/", "//")
+        for variant in (path, path + "?x=1", path + "/", doubled, doubled + "/?x=1&y=2"):
+            assert _raw(endpoint.method, server.url + variant, body) == expected, variant
+
+    @pytest.mark.parametrize("name", sorted(ENDPOINTS))
+    def test_the_other_method_answers_404(self, server, name):
+        endpoint = ENDPOINTS[name]
+        other = "GET" if endpoint.method == "POST" else "POST"
+        path = endpoint.path.format(**self.PARAMS)
+        status, answer = _raw(other, server.url + path, b"{}" if other == "POST" else None)
+        assert status == 404 and answer["status"] == 404
+        assert answer["error"] == f"no such endpoint: {other} {path} (see docs/serve.md)"
+
+    @pytest.mark.parametrize(
+        "method, path",
+        [
+            ("GET", "/"),
+            ("GET", "/v1"),
+            ("GET", "/v2/healthz"),
+            ("GET", "/v1/healthz/extra"),
+            ("GET", "/v1/jobs"),
+            ("GET", "/v1/jobs/J-1/cancel/again"),
+            ("POST", "/v1/jobs/J-1/stop"),
+            ("GET", "/healthz"),
+        ],
+    )
+    def test_unknown_paths_answer_404_with_the_docs_hint(self, server, method, path):
+        status, answer = _raw(method, server.url + path, b"{}" if method == "POST" else None)
+        assert status == 404
+        assert answer["error"] == f"no such endpoint: {method} {path} (see docs/serve.md)"
+
+    def test_client_issues_exactly_the_tables_paths(self):
+        client = ServeClient("http://unused.invalid")
+        issued = []
+
+        def record(method, path, payload=None):
+            issued.append((method, path))
+            return {"jobs": []}
+
+        client._request = record
+        client.submit({"system": "fedavg"})
+        client.status("J-1")
+        client.cancel("J-1")
+        client.result("K-1")
+        client.health()
+        order = ("submit", "job_status", "job_cancel", "result", "healthz")
+        assert issued == [
+            (ENDPOINTS[name].method, ENDPOINTS[name].path.format(**self.PARAMS)) for name in order
+        ]
+        assert set(order) == set(ENDPOINTS)
 
 
 class TestCancellation:

@@ -235,6 +235,24 @@ class TestCapabilityValidation:
         fedavg = filter_unsupported_axes("fedavg", fields)
         assert fedavg == {"defense": "krum", "defense_fraction": 0.3, "num_rounds": 3}
 
+    def test_filter_keeps_guard_values_that_are_valid_everywhere(self):
+        """cohort/net are engaged by *value*: thread/process and global reach every system."""
+        shared = {"backend": "thread", "topology": "global", "peer_k": 2, "num_rounds": 3}
+        assert filter_unsupported_axes("blockchain", shared) == shared
+        ScenarioSpec.from_mapping({**shared, "system": "blockchain"})  # and it validates
+        engaged = {
+            "backend": "cohort",
+            "topology": "ring",
+            "peer_k": 2,
+            "partition": "split",
+            "churn": 0.1,
+            "num_rounds": 3,
+        }
+        assert filter_unsupported_axes("blockchain", engaged) == {"num_rounds": 3}
+        # fedavg has the cohort capability but no gossip substrate.
+        assert filter_unsupported_axes("fedavg", engaged) == {"backend": "cohort", "num_rounds": 3}
+        assert filter_unsupported_axes("fairbfl", engaged) == engaged
+
 
 class TestEngineRegistryDispatch:
     def test_needs_dataset_false_skips_dataset_build(self, toy_system):

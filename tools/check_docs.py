@@ -46,7 +46,13 @@ Fails (exit code 1) when the documentation has drifted from the code:
     ``repro.systems``, ``repro.store``, ``repro.search``, ``repro.serve``,
     ``repro.api``, ``repro.cli``), ``TYPE_CHECKING`` blocks included — the
     layering ``docs/architecture.md`` states in prose is checked from the
-    import statements themselves.
+    import statements themselves;
+14. a ``package/file.py`` path written in a ``src/`` comment or docstring,
+    ``docs/*.md`` or ``README.md`` exists neither under the repository root
+    nor under ``src/repro/`` — unless the mention itself says the file is gone
+    (``(deleted…``, ``(moved…`` or ``(historical…`` right after the path).
+    ``CHANGES.md`` and ``ROADMAP.md`` are logs of what used to be and are not
+    scanned.
 
 Run from the repository root:
 
@@ -369,6 +375,15 @@ def _resolves(target: str) -> bool:
     return True
 
 
+def _prose_sources() -> list[Path]:
+    """Where prose can point at code: every ``src/`` module, ``docs/*.md`` and the README."""
+    return (
+        sorted(SRC_ROOT.glob("**/*.py"))
+        + sorted((REPO_ROOT / "docs").glob("*.md"))
+        + [REPO_ROOT / "README.md"]
+    )
+
+
 def check_cross_references() -> list[str]:
     """Every ``:role:`repro.…``` target in src docstrings and the docs must resolve.
 
@@ -378,19 +393,42 @@ def check_cross_references() -> list[str]:
     instead of rotting silently (nothing else in the repo renders the roles).
     """
     _ensure_importable()
-    sources = (
-        sorted(SRC_ROOT.glob("**/*.py"))
-        + sorted((REPO_ROOT / "docs").glob("*.md"))
-        + [REPO_ROOT / "README.md"]
-    )
     problems = []
-    for path in sources:
+    for path in _prose_sources():
         targets = set(_ROLE_TARGET.findall(path.read_text(encoding="utf-8")))
         for target in sorted(targets):
             if not _resolves(target):
                 problems.append(
                     f"{path.relative_to(REPO_ROOT)}: cross-reference target {target!r} "
                     "does not resolve"
+                )
+    return problems
+
+
+#: A ``dir/…/file.py`` mention, and whether the text right after it marks it historical.
+_PY_PATH = re.compile(r"(?<![\w/.-])((?:[\w.-]+/)+[\w-]+\.py)\b`?(\s*\((?:deleted|moved|historical)\b)?")
+
+
+def check_path_references() -> list[str]:
+    """Every ``dir/file.py`` the prose names must exist (repo root or ``src/repro/``).
+
+    Deleting or moving a module leaves comments and docs pointing at the old
+    file; nothing renders or imports those mentions, so this is the only
+    thing that notices.  A mention that says so itself — ``(deleted``,
+    ``(moved`` or ``(historical`` directly after the path — is history, not
+    a dangling pointer.
+    """
+    problems = []
+    roots = (REPO_ROOT, SRC_ROOT / "repro")
+    for path in _prose_sources():
+        text = path.read_text(encoding="utf-8")
+        for match in _PY_PATH.finditer(text):  # whole text: the marker may wrap onto the next line
+            mentioned, historical = match.groups()
+            if not historical and not any((root / mentioned).exists() for root in roots):
+                lineno = text.count("\n", 0, match.start()) + 1
+                problems.append(
+                    f"{path.relative_to(REPO_ROOT)}:{lineno}: path {mentioned!r} does not "
+                    "exist (fix the pointer, or mark it '(deleted …)' / '(moved …)')"
                 )
     return problems
 
@@ -444,6 +482,7 @@ def main() -> int:
         + check_serve_endpoint_docs()
         + check_cross_references()
         + check_layering()
+        + check_path_references()
     )
     for problem in problems:
         print(f"docs-check: {problem}", file=sys.stderr)
