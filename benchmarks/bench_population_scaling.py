@@ -18,11 +18,15 @@ Three scales:
   cannot amortise its setup.
 * ``n=1024`` — serial runs for real one last time; its per-client rate is the
   extrapolation basis for the scales where running serial would take minutes.
-* ``n=20_000`` and ``n=100_000`` — cohort only (above the trainer's
-  ``STREAM_THRESHOLD``, so these rounds stream per-cohort blocks into a
-  running aggregate instead of materialising 100k ``ClientUpdate`` objects).
-  The population is synthesised with ``distinct_shards=64`` archetype shards
-  shared cyclically as array views, which is how 100k clients fit in memory.
+* ``n=20_000``, ``n=100_000`` and ``n=250_000`` — cohort only (above the
+  trainer's ``STREAM_THRESHOLD``, so these rounds stream per-cohort blocks
+  into a running aggregate instead of materialising 100k ``ClientUpdate``
+  objects).  The population is synthesised with ``distinct_shards=64``
+  archetype shards shared cyclically as array views, which is how 100k
+  clients fit in memory.  250 000 is the first size above the ceiling the
+  round pricing used to impose (five kernel events per client against a
+  1 000 000-event budget); it is measured and reported, the assertions stay
+  on the 100k cell.
 
 The headline assertion: ``speedup(100k) > 2`` **and**
 ``speedup(100k) > 2 x speedup(64)`` — the ratio must grow with n, not merely
@@ -50,7 +54,8 @@ from repro.store.records import history_to_payload
 
 SMALL_N = 64  # both backends, byte parity + measured speed-up
 RATE_N = 1024  # last scale where serial runs for real (per-client rate basis)
-LARGE_NS = (20_000, 100_000)  # cohort only, streaming rounds
+HEADLINE_N = 100_000  # the cell the speed-up assertions are about
+LARGE_NS = (20_000, HEADLINE_N, 250_000)  # cohort only, streaming rounds
 SMALL_ROUNDS = 3  # tiny runs get extra rounds so their timings are stable
 MIN_SPEEDUP_AT_100K = 2.0
 GROWTH_FACTOR = 2.0  # speedup(100k) must exceed this multiple of speedup(64)
@@ -182,23 +187,22 @@ def test_population_scaling(benchmark):
         ],
     )
 
-    # -- the 100k round really streamed ------------------------------------
-    large_history, _ = runs[(LARGE_NS[-1], "cohort")]
-    record = large_history.rounds[-1]
-    assert len(record.participants) == LARGE_NS[-1]
-    stream = record.extras.get("cohort_stream")
-    assert stream is not None, "100k round did not take the streaming path"
-    assert stream["clients"] == LARGE_NS[-1]
+    # -- the large rounds really streamed, every client priced ---------------
+    for n in LARGE_NS:
+        record = runs[(n, "cohort")][0].rounds[-1]
+        assert len(record.participants) == n
+        stream = record.extras.get("cohort_stream")
+        assert stream is not None, f"n={n} round did not take the streaming path"
+        assert stream["clients"] == n
 
     # -- superlinear scaling ------------------------------------------------
-    assert speedups[LARGE_NS[-1]] > MIN_SPEEDUP_AT_100K, (
-        f"cohort engine too slow at n={LARGE_NS[-1]}: "
-        f"{speedups[LARGE_NS[-1]]:.2f}x serial"
+    assert speedups[HEADLINE_N] > MIN_SPEEDUP_AT_100K, (
+        f"cohort engine too slow at n={HEADLINE_N}: {speedups[HEADLINE_N]:.2f}x serial"
     )
-    assert speedups[LARGE_NS[-1]] > GROWTH_FACTOR * speedups[SMALL_N], (
+    assert speedups[HEADLINE_N] > GROWTH_FACTOR * speedups[SMALL_N], (
         "speed-up did not grow with the population: "
         f"{speedups[SMALL_N]:.2f}x at n={SMALL_N} vs "
-        f"{speedups[LARGE_NS[-1]]:.2f}x at n={LARGE_NS[-1]}"
+        f"{speedups[HEADLINE_N]:.2f}x at n={HEADLINE_N}"
     )
 
 

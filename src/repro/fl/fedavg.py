@@ -3,9 +3,10 @@
 The baseline the paper labels "FedAvg": random client selection, local
 mini-batch SGD, and central aggregation.  The per-round delay comes from the
 shared :class:`~repro.sim.delay.DelayModel` adapter — i.e. one event-kernel
-round of local training + upload + server aggregation, with no ledger costs —
-so the delay comparisons of Figures 4a, 5a, 6a and 7a pit all systems against
-the same discrete-event timing substrate.
+round of local training + upload + server aggregation, with no ledger costs,
+priced in closed form in the kernel's own arithmetic (only the breakdown is
+read here) — so the delay comparisons of Figures 4a, 5a, 6a and 7a pit all
+systems against the same discrete-event timing substrate.
 """
 
 from __future__ import annotations
@@ -151,8 +152,8 @@ class FedAvgTrainer(Trainer):
         extras: dict,
     ) -> RoundRecord:
         """Price the round on the delay model and emit its record."""
-        sizes = [self.clients[cid].num_samples for cid in selected_ids]
-        batches_per_epoch = float(np.mean([np.ceil(s / local_cfg.batch_size) for s in sizes]))
+        sizes = np.array([self.clients[cid].num_samples for cid in selected_ids], dtype=np.float64)
+        batches_per_epoch = float(np.ceil(sizes / local_cfg.batch_size).mean())
         breakdown = self.delay_model.fl_round(
             num_participants=len(selected_ids),
             batches_per_epoch=batches_per_epoch,

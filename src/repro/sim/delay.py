@@ -28,12 +28,20 @@ the *shape* conclusions are insensitive to the exact constants.
 
 Since the discrete-event refactor, :class:`DelayModel` is a thin adapter over
 the event kernel: the per-component *samplers* stay here (they are the
-calibrated primitives), but the round *compositions* (``fairbfl_round``,
-``fl_round``, ``vanilla_blockchain_round``) run one
+calibrated primitives), but the round *compositions* that anybody reads event
+by event (``fairbfl_round``, ``vanilla_blockchain_round``) run one
 :class:`~repro.sim.rounds.EventRoundSimulator` round and report its stage
-boundaries as the familiar :class:`RoundDelayBreakdown`.  The original
-closed-form compositions live on in :class:`AnalyticDelayModel`, which the
-parity tests hold the kernel against (``tests/test_delay_parity.py``).
+boundaries as the familiar :class:`RoundDelayBreakdown` — FAIR-BFL acts on
+the per-client arrivals and pins the event trace in its history, the vanilla
+chain mines real blocks at solve events.  ``fl_round`` is the exception: the
+FedAvg/FedProx trainers read nothing but the breakdown, which depends only on
+two maxima and a count, so it is priced in closed form *in the kernel's own
+floating-point order* — same draws from the same stream, same additions — and
+``tests/test_delay_parity.py`` holds it to
+:meth:`EventRoundSimulator.fl_round <repro.sim.rounds.EventRoundSimulator.fl_round>`
+bit for bit (every field ``==``, generator state equal after every round).
+The original Section 4.6 compositions live on in :class:`AnalyticDelayModel`,
+which the same file holds the kernel against statistically.
 """
 
 from __future__ import annotations
@@ -146,10 +154,12 @@ class DelayModel:
     """Samples per-round delays for FAIR-BFL, the FL baselines, and vanilla blockchain.
 
     The component samplers below are the calibrated primitives of Section 4.6;
-    the round compositions delegate to the discrete-event kernel
-    (:class:`~repro.sim.rounds.EventRoundSimulator`), so one scheduler owns
-    every simulated second.  Use :class:`AnalyticDelayModel` for the original
-    closed-form compositions.
+    ``fairbfl_round`` and ``vanilla_blockchain_round`` delegate to the
+    discrete-event kernel (:class:`~repro.sim.rounds.EventRoundSimulator`),
+    whose arrivals and event trace their callers read; ``fl_round`` computes
+    what that kernel would report, bit for bit, without running it (see the
+    module docstring).  Use :class:`AnalyticDelayModel` for the original
+    Section 4.6 compositions.
 
     Parameters
     ----------
@@ -224,7 +234,7 @@ class DelayModel:
         """Sample (fork_count, merge_delay) for one vanilla-chain mining competition."""
         return self.params.fork_model.sample_fork_delay(self.rng, num_miners)
 
-    # -- per-protocol round compositions (kernel-backed) -------------------------
+    # -- per-protocol round compositions ----------------------------------------
     def fairbfl_round(
         self,
         *,
@@ -250,12 +260,38 @@ class DelayModel:
         batches_per_epoch: float,
         epochs: int,
     ) -> RoundDelayBreakdown:
-        """One FedAvg/FedProx round: local training + upload + server aggregation."""
-        return self.simulator.fl_round(
-            client_ids=num_participants,
-            batches_per_epoch=batches_per_epoch,
-            epochs=epochs,
-        ).breakdown
+        """One FedAvg/FedProx round: local training + upload + server aggregation.
+
+        The closed form of one synchronous kernel round, in the kernel's
+        arithmetic.  Every client waits for the slowest one (``cmax``) and
+        then uploads, and ``fl(cmax + u)`` is monotone in ``u``, so the last
+        arrival is ``fl(cmax + umax)`` whatever order ties fire in; the
+        receiver then verifies the ``n`` uploads as ``n`` sequential events
+        and the server aggregates.  Nothing else reaches the breakdown, so no
+        actor per client (five events each, which also capped a round at
+        200 000 clients) is needed to get the same bits.
+        """
+        params = self.params
+        # The kernel's tie-break seed: drawn and discarded so the stream stays
+        # where the simulated round leaves it.
+        self.rng.integers(0, 2**63)
+        t_local = self.local_training_delay(num_participants, batches_per_epoch, epochs)
+        verify_end = 0.0
+        if num_participants > 0:
+            upload = params.upload_mean * self.rng.lognormal(
+                0.0, params.upload_jitter, size=num_participants
+            )
+            # n back-to-back verify events: n sequential additions, not p * n
+            # (which is why upload_delay() is not the same bits).
+            clock = np.full(num_participants + 1, float(params.upload_processing_per_client))
+            clock[0] = t_local + float(upload.max())
+            verify_end = float(np.add.accumulate(clock)[-1])
+        global_end = verify_end + params.server_aggregation_time
+        return RoundDelayBreakdown(
+            t_local=t_local,
+            t_up=max(0.0, verify_end - t_local),
+            t_gl=max(0.0, global_end - verify_end),
+        )
 
     def vanilla_blockchain_round(
         self,

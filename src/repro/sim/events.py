@@ -36,6 +36,7 @@ from __future__ import annotations
 import hashlib
 import heapq
 import itertools
+import math
 from typing import Callable, Generator, Iterable
 
 import numpy as np
@@ -158,7 +159,7 @@ class EventKernel:
         priority: int = 0,
     ) -> ScheduledEvent:
         """Schedule ``action`` to fire ``delay`` simulated seconds from now."""
-        if not np.isfinite(delay) or delay < 0.0:
+        if not math.isfinite(delay) or delay < 0.0:
             raise EventKernelError(
                 f"event {name!r} scheduled with invalid delay {delay!r}"
             )
@@ -173,7 +174,7 @@ class EventKernel:
         priority: int = 0,
     ) -> ScheduledEvent:
         """Schedule ``action`` at an absolute simulated time (>= now)."""
-        if not np.isfinite(time) or time < self.now:
+        if not math.isfinite(time) or time < self.now:
             raise EventKernelError(
                 f"event {name!r} scheduled in the past (t={time!r} < now={self.now!r})"
             )

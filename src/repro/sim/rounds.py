@@ -200,7 +200,12 @@ class EventRoundSimulator:
         batches_per_epoch: float | Mapping[int, float],
         epochs: int,
     ) -> RoundTiming:
-        """One FedAvg/FedProx round: local training, upload, server aggregation."""
+        """One FedAvg/FedProx round: local training, upload, server aggregation.
+
+        No ``src/`` caller since :meth:`DelayModel.fl_round
+        <repro.sim.delay.DelayModel.fl_round>` prices the round in closed form;
+        kept as the reference ``tests/test_delay_parity.py`` holds that to.
+        """
         return self._simulate(
             client_ids=client_ids,
             num_miners=0,

@@ -51,6 +51,12 @@ def pytest_configure(config) -> None:
         "differential fuzz, cohort gradchecks, write-once/skip/distinct-shard "
         "guards) — `pytest -m cohort`",
     )
+    config.addinivalue_line(
+        "markers",
+        "sim: simulated-time parity (the event kernel's contract, the round "
+        "modes, kernel-vs-analytic calibration, and the closed-form "
+        "`DelayModel.fl_round` held bit for bit to the kernel) — `pytest -m sim`",
+    )
 
 
 @pytest.fixture(scope="session")

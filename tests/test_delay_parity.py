@@ -10,15 +10,33 @@ error at these sample sizes, tight against structural drift).
 
 The paper's headline delay ordering (Fig. 4a) and the kernel's seed
 determinism are asserted on the same samples.
+
+The second half pins :meth:`DelayModel.fl_round` — priced in closed form since
+PR 21 — to the kernel it replaced, *bit for bit*: every breakdown field ``==``
+(no ``approx``) and the generator left in the same state after every round,
+from the sampler up to whole ``fedavg``/``fedprox`` histories.  It also pins
+the bug the closed form removes: a round above 200 000 participants used to
+exhaust the kernel's event budget.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import json
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro import api
 from repro.sim.delay import AnalyticDelayModel, DelayModel, DelayParameters
+from repro.sim.rounds import EventRoundSimulator
+from repro.store.records import history_to_payload
 from repro.utils.rng import new_rng
+
+pytestmark = pytest.mark.sim
 
 PARTICIPANT_COUNTS = (20, 100)
 MINER_COUNTS = (2, 4)
@@ -115,3 +133,113 @@ def test_kernel_rounds_are_seed_deterministic():
         ]
 
     assert series() == series()
+
+
+# ---------------------------------------------------------------------------
+# DelayModel.fl_round (closed form) == the event kernel, bit for bit.
+# ---------------------------------------------------------------------------
+
+def _kernel_fl_round(self, *, num_participants, batches_per_epoch, epochs):
+    """``DelayModel.fl_round`` as it was before PR 21: one simulated kernel round."""
+    return self.simulator.fl_round(
+        client_ids=num_participants, batches_per_epoch=batches_per_epoch, epochs=epochs
+    ).breakdown
+
+
+def _assert_fl_round_is_the_kernel(params, seed, n, batches_per_epoch, epochs, rounds=3):
+    model = DelayModel(params, new_rng(seed, "fl-parity"))
+    reference = EventRoundSimulator(params, new_rng(seed, "fl-parity"))
+    for round_index in range(rounds):
+        got = model.fl_round(
+            num_participants=n, batches_per_epoch=batches_per_epoch, epochs=epochs
+        )
+        want = reference.fl_round(
+            client_ids=n, batches_per_epoch=batches_per_epoch, epochs=epochs
+        ).breakdown
+        for name, value in dataclasses.asdict(want).items():
+            assert getattr(got, name) == value, f"round {round_index}: {name}"
+        assert model.rng.bit_generator.state == reference.rng.bit_generator.state, (
+            f"round {round_index}: generator left in a different state"
+        )
+
+
+_JITTER = st.one_of(st.just(0.0), st.floats(0.0, 2.0))
+_SERVICE_TIME = st.one_of(st.just(0.0), st.floats(0.0, 3.0))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(0, 300),
+    batches_per_epoch=st.one_of(st.integers(1, 64), st.floats(0.25, 64.0)),
+    epochs=st.integers(1, 5),
+    compute_jitter=_JITTER,
+    upload_jitter=_JITTER,
+    upload_processing=_SERVICE_TIME,
+    server_aggregation=_SERVICE_TIME,
+)
+def test_fl_round_equals_the_kernel_bit_for_bit(
+    seed, n, batches_per_epoch, epochs, compute_jitter, upload_jitter,
+    upload_processing, server_aggregation,
+):
+    params = DelayParameters(
+        compute_jitter=compute_jitter,
+        upload_jitter=upload_jitter,
+        upload_processing_per_client=upload_processing,
+        server_aggregation_time=server_aggregation,
+    )
+    _assert_fl_round_is_the_kernel(params, seed, n, batches_per_epoch, epochs)
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        DelayParameters(),
+        # Zero jitter: every client finishes and arrives at the same instant.
+        DelayParameters(compute_jitter=0.0, upload_jitter=0.0),
+    ],
+    ids=["default", "all-ties"],
+)
+def test_fl_round_equals_the_kernel_at_the_cohort_benchmark_size(params):
+    _assert_fl_round_is_the_kernel(params, seed=0, n=4608, batches_per_epoch=1.0, epochs=1, rounds=2)
+
+
+@pytest.mark.parametrize("n", (200_001, 1_000_000))
+def test_fl_round_prices_rounds_above_the_kernel_event_budget(n):
+    """Five events per client against ``max_events=1_000_000`` used to raise here."""
+    params = DelayParameters()
+    b = DelayModel(params, new_rng(0, "fl-scale")).fl_round(
+        num_participants=n, batches_per_epoch=2.0, epochs=1
+    )
+    assert all(math.isfinite(v) for v in b.as_dict().values())
+    assert b.t_up >= n * params.upload_processing_per_client
+    assert b.t_local > 0.0 and b.t_gl > 0.0 and b.t_ex == b.t_bl == 0.0
+
+
+_TINY = dict(num_clients=8, num_samples=400, num_rounds=2, seed=3)
+#: The ``cohort_population`` benchmark's smoke cell: 4 096 clients is exactly
+#: ``FedAvgTrainer.STREAM_THRESHOLD``, so the round takes the streaming fold.
+_COHORT_STREAM = dict(
+    backend="cohort", num_clients=4096, num_samples=64, distinct_shards=8, participation=1.0,
+    scheme="shard", model_name="logreg", epochs=1, batch_size=32, num_rounds=1, seed=0,
+)
+
+
+@pytest.mark.parametrize(
+    "system, fields",
+    [
+        ("fedavg", _TINY),
+        ("fedprox", dict(_TINY, drop_percent=0.25, participation=1.0)),
+        ("fedavg", _COHORT_STREAM),
+    ],
+    ids=["fedavg-serial", "fedprox-drops", "fedavg-cohort-stream"],
+)
+def test_trainer_histories_equal_the_kernel_priced_ones(monkeypatch, system, fields):
+    def payload() -> str:
+        return json.dumps(history_to_payload(api.run(system, **fields)), sort_keys=True)
+
+    closed_form = payload()
+    monkeypatch.setattr(DelayModel, "fl_round", _kernel_fl_round)
+    assert closed_form == payload()
+    if "backend" in fields:
+        assert "cohort_stream" in closed_form

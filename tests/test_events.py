@@ -8,11 +8,14 @@ byte-accounting edge cases.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.blockchain.mempool import Mempool, pack_block_counts
 from repro.blockchain.transaction import make_gradient_transaction
 from repro.sim.events import EventKernel, EventKernelError
+
+pytestmark = pytest.mark.sim
 
 
 class TestEventKernel:
@@ -84,6 +87,19 @@ class TestEventKernel:
         kernel.run()
         with pytest.raises(EventKernelError):
             kernel.schedule_at(0.5, lambda: None)
+
+    @pytest.mark.parametrize("method", ("schedule", "schedule_at"))
+    @pytest.mark.parametrize("as_type", (float, np.float64, np.float32))
+    def test_non_finite_times_rejected_whatever_the_float_type(self, method, as_type):
+        kernel = EventKernel(seed=0)
+        for bad in ("nan", "inf", "-inf"):
+            with pytest.raises(EventKernelError):
+                getattr(kernel, method)(as_type(bad), lambda: None)
+        assert kernel.pending == 0
+        # A finite numpy scalar is a perfectly good time.
+        event = getattr(kernel, method)(as_type(1.5), lambda: None)
+        assert event.time == 1.5 and type(event.time) is float
+        assert kernel.run() == 1.5
 
     def test_max_events_guards_runaway_processes(self):
         kernel = EventKernel(seed=0)

@@ -30,6 +30,8 @@ from repro.sim.events import EventKernel
 from repro.sim.rounds import EventRoundSimulator
 from repro.utils.rng import new_rng
 
+pytestmark = pytest.mark.sim
+
 HEAVY_JITTER = DelayParameters(compute_jitter=0.8, upload_jitter=1.0)
 
 
