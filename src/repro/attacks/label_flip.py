@@ -70,7 +70,7 @@ class LabelFlipAttack(Attack):
             val_images=client.dataset.val_images,
             val_labels=client.dataset.val_labels,
         )
-        poisoned_client = FLClient(poisoned_shard, lambda: client.model, rng)
+        poisoned_client = FLClient(poisoned_shard, client.workspace, rng)
         forged = poisoned_client.local_update(global_parameters, config)
         forged.client_id = client.client_id
         return self._mark(forged)

@@ -38,9 +38,12 @@ def minibatches(
         raise ValueError(f"batch_size must be positive, got {batch_size}")
     n = images.shape[0]
     order = rng.permutation(n) if rng is not None else np.arange(n)
+    # One gather per epoch, then contiguous slices of it: the same rows in the
+    # same C layout as a fancy index per batch (and still copies, never views
+    # of the caller's arrays).
+    images, labels = images[order], labels[order]
     for start in range(0, n, batch_size):
-        sel = order[start : start + batch_size]
-        yield images[sel], labels[sel]
+        yield images[start : start + batch_size], labels[start : start + batch_size]
 
 
 class BatchIterator:

@@ -10,10 +10,16 @@ The same client type also implements the FedProx local objective (an added
 proximal term ``(μ/2)·||w - w_global||²``), selected through
 :class:`LocalTrainingConfig.proximal_mu`, so the FedProx baseline shares all
 of the data/model plumbing with FAIR-BFL.
+
+Clients own data, not models.  A local update overwrites every parameter from
+``w_r`` on entry, so the model it trains is scratch: a :class:`ModelWorkspace`
+— one per trainer, shared by all of its clients — keeps one *packed* scratch
+model per worker thread, and every vector that leaves it is a copy.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -23,15 +29,16 @@ from repro.datasets.federated import ClientDataset
 from repro.datasets.loaders import BatchIterator
 from repro.nn.losses import SoftmaxCrossEntropyLoss
 from repro.nn.module import Module
-from repro.nn.optim import SGD
+from repro.nn.optim import SGD, add_proximal_term
 from repro.nn.parameters import (
     accuracy_of_parameters,
     get_flat_parameters,
+    pack_parameters,
     set_flat_parameters,
 )
 from repro.utils.validation import check_non_negative, check_positive
 
-__all__ = ["LocalTrainingConfig", "ClientUpdate", "FLClient"]
+__all__ = ["LocalTrainingConfig", "ClientUpdate", "ModelWorkspace", "FLClient"]
 
 
 @dataclass(frozen=True)
@@ -109,17 +116,48 @@ class ClientUpdate:
         )
 
 
+class ModelWorkspace:
+    """The scratch models of one trainer: one packed model per worker thread.
+
+    ``factory`` is a zero-argument model builder.  :meth:`model` returns the
+    *calling thread's* model, built and packed
+    (:func:`~repro.nn.parameters.pack_parameters`) the first time that thread
+    asks — so a serial run holds one model however many clients it has, the
+    thread backend one per pool worker, and concurrent local updates never
+    share buffers.  The models live and die with the workspace (there is no
+    module-level cache) and do not travel: a pickled workspace (the process
+    backend shipping its clients) carries the factory and builds again.
+    """
+
+    def __init__(self, factory: Callable[[], Module]) -> None:
+        self.factory = factory
+        self._models: dict[int, Module] = {}
+
+    def model(self) -> Module:
+        """The calling thread's scratch model (created on first use)."""
+        ident = threading.get_ident()
+        model = self._models.get(ident)
+        if model is None:
+            model = self._models[ident] = pack_parameters(self.factory())
+        return model
+
+    def __getstate__(self) -> dict:
+        return {"factory": self.factory, "_models": {}}
+
+
 class FLClient:
-    """A federated client owning a local data shard and a scratch model.
+    """A federated client owning a local data shard and a private RNG stream.
 
     Parameters
     ----------
     dataset:
         The client's :class:`~repro.datasets.federated.ClientDataset`.
     model_factory:
-        Zero-argument callable building a fresh model instance; called lazily
-        the first time the client trains (each client keeps one scratch model
-        and re-loads the global parameters into it every round).
+        The :class:`ModelWorkspace` this client trains in (a trainer hands the
+        same one to all of its clients), or a zero-argument callable building
+        a model, which gets a workspace of its own.  Either way the model is
+        built lazily and is scratch: every local update and evaluation loads
+        the parameters it is given first.
     rng:
         The client's private generator (mini-batch shuffling).
     """
@@ -127,13 +165,16 @@ class FLClient:
     def __init__(
         self,
         dataset: ClientDataset,
-        model_factory: Callable[[], Module],
+        model_factory: Callable[[], Module] | ModelWorkspace,
         rng: np.random.Generator,
     ) -> None:
         self.dataset = dataset
         self.client_id = int(dataset.client_id)
-        self._model_factory = model_factory
-        self._model: Module | None = None
+        self.workspace = (
+            model_factory
+            if isinstance(model_factory, ModelWorkspace)
+            else ModelWorkspace(model_factory)
+        )
         self.rng = rng
         self.rounds_participated = 0
         self.total_reward = 0.0
@@ -141,10 +182,8 @@ class FLClient:
     # -- model management ----------------------------------------------------
     @property
     def model(self) -> Module:
-        """The client's scratch model (created on first use)."""
-        if self._model is None:
-            self._model = self._model_factory()
-        return self._model
+        """The calling thread's scratch model of this client's workspace."""
+        return self.workspace.model()
 
     @property
     def num_samples(self) -> int:
@@ -167,12 +206,9 @@ class FLClient:
         set_flat_parameters(model, global_parameters)
         model.train()
         loss_fn = SoftmaxCrossEntropyLoss()
-        optimizer = SGD(
-            model.parameters(),
-            lr=config.learning_rate,
-            weight_decay=config.weight_decay,
-        )
-        global_ref = np.asarray(global_parameters, dtype=np.float64)
+        optimizer = SGD(model, lr=config.learning_rate, weight_decay=config.weight_decay)
+        values, grads = model.packed
+        global_ref = np.asarray(global_parameters, dtype=np.float64).ravel()
 
         batches = BatchIterator(
             self.dataset.images,
@@ -182,28 +218,16 @@ class FLClient:
             shuffle=True,
         )
 
+        # One step per backward: the gradients are written, never accumulated
+        # (no zero_grad), and the step consumes them in place.
         losses: list[float] = []
-        params = list(model.parameters())
-        # Pre-compute the per-parameter slices of the global reference vector so
-        # the proximal-gradient term can be added without re-flattening.
-        offsets: list[tuple[int, int]] = []
-        cursor = 0
-        for p in params:
-            offsets.append((cursor, cursor + p.size))
-            cursor += p.size
-
         for _epoch in range(config.epochs):
             for x_batch, y_batch in batches.epoch():
-                optimizer.zero_grad()
                 logits = model.forward(x_batch)
                 loss = loss_fn.forward(logits, y_batch)
-                model.backward(loss_fn.backward(), need_input_grad=False)
+                model.backward(loss_fn.backward(), need_input_grad=False, accumulate=False)
                 if config.proximal_mu > 0.0:
-                    # FedProx: add mu * (w - w_global) to each parameter gradient.
-                    for p, (lo, hi) in zip(params, offsets):
-                        p.grad += config.proximal_mu * (
-                            p.value - global_ref[lo:hi].reshape(p.shape)
-                        )
+                    add_proximal_term(grads, values, global_ref, config.proximal_mu)
                 optimizer.step()
                 losses.append(loss)
 

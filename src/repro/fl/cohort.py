@@ -112,12 +112,7 @@ class CohortTrainer:
 
     # -- model compilation ----------------------------------------------
     def _compiled_model(self, client: FLClient, num_parameters: int) -> CohortModel:
-        factory = getattr(client, "_model_factory", None)
-        if factory is None:
-            raise CohortUnsupportedError(
-                f"client {type(client).__name__} exposes no model factory; "
-                "the cohort backend needs one to compile a batched model"
-            )
+        factory = client.workspace.factory
         try:
             key: object = factory
             model = self._models.get(key)
@@ -139,7 +134,7 @@ class CohortTrainer:
     def _group_key(client: FLClient) -> tuple:
         dataset = client.dataset
         return (
-            getattr(client, "_model_factory", None),
+            client.workspace.factory,
             np.asarray(dataset.images).shape,
             np.asarray(dataset.val_images).shape,
         )
@@ -270,8 +265,8 @@ class CohortTrainer:
     ) -> list[float]:
         """Batched ``client.evaluate(parameters)`` for every selected client.
 
-        Used by the streaming round path, where per-client scratch models
-        would defeat the bounded-memory goal.  Returns accuracies in
+        One stacked forward per distinct validation shard, where the serial
+        path runs one forward per client.  Returns accuracies in
         ``selected`` order, each bit-identical to the serial
         ``FLClient.evaluate``.
         """

@@ -9,8 +9,10 @@ a pluggable backend:
 * ``thread`` — a :class:`concurrent.futures.ThreadPoolExecutor`; NumPy releases
   the GIL inside large kernels, so threads overlap the matrix work;
 * ``process`` — a :class:`concurrent.futures.ProcessPoolExecutor`; client
-  objects (data shard, scratch model, RNG) are shipped to the workers once at
-  pool creation and only the per-round inputs travel per task;
+  objects (data shard, RNG, and the shared model workspace, which travels as
+  its factory and builds one scratch model per worker on first use) are
+  shipped to the workers once at pool creation and only the per-round inputs
+  travel per task;
 * ``cohort`` — no fan-out at all: the selected clients are grouped into
   same-shape cohorts and trained as stacked ``(clients, batch, features)``
   matrix ops by :class:`~repro.fl.cohort.CohortTrainer`, which removes the

@@ -5,8 +5,9 @@ different procedures switched on, so what they share lives once, here:
 
 * the lifecycle — the simulated clock and the history, :meth:`Trainer.run` /
   :meth:`Trainer.run_until`, :meth:`Trainer.close` and the context manager;
-* the federated population — model factory, id-keyed clients, parallel
-  executor and selection stream — built when a dataset is passed;
+* the federated population — model factory, the workspace of scratch models,
+  id-keyed clients, parallel executor and selection stream — built when a
+  dataset is passed;
 * evaluation — the participants' mean verification accuracy;
 * emission — the single step that advances the clock by a round's delay and
   appends its :class:`~repro.fl.history.RoundRecord`;
@@ -56,7 +57,7 @@ import pickle
 import numpy as np
 
 from repro.datasets.federated import FederatedDataset
-from repro.fl.client import FLClient
+from repro.fl.client import FLClient, ModelWorkspace
 from repro.fl.executor import ParallelExecutor
 from repro.fl.history import RoundRecord, TrainingHistory
 from repro.nn.models import ModelFactory
@@ -106,6 +107,7 @@ class Trainer:
         "clients",
         "executor",
         "_model_factory",
+        "_workspace",
         "config",
     )
 
@@ -130,10 +132,13 @@ class Trainer:
                 label=self.label,
                 hidden_sizes=tuple(config.hidden_sizes),
             )
+            # The scratch models of local training: one per worker thread, not
+            # one per client, and gone when this trainer is.
+            self._workspace = ModelWorkspace(self._model_factory)
             self.clients = {
                 shard.client_id: FLClient(
                     shard,
-                    self._model_factory,
+                    self._workspace,
                     new_rng(seed, self.label, "client", shard.client_id),
                 )
                 for shard in dataset.clients
@@ -156,8 +161,9 @@ class Trainer:
         the metric sensitive to aggregation quality (fairness weighting,
         discarding, poisoning) rather than to purely local fits, and keeps the
         accuracy comparisons of Figs. 4b/5b/7b apples-to-apples across
-        systems.  The cohort backend scores the population batched (per-client
-        scratch models would defeat its bounded-memory goal); the floats are
+        systems.  The cohort backend scores the population batched — one
+        stacked forward per distinct validation shard instead of one forward
+        per participant through the caller's scratch model; the floats are
         bit-identical either way.
         """
         if self.executor.backend == "cohort":

@@ -36,6 +36,7 @@ import numpy as np
 
 from repro.nn.layers import Dropout, Flatten, Linear, ReLU, Sigmoid, Softmax, Tanh
 from repro.nn.module import Module
+from repro.nn.optim import add_proximal_term, sgd_step  # one definition; re-exported here
 
 __all__ = [
     "CohortUnsupportedError",
@@ -275,7 +276,7 @@ class CohortModel:
 
 
 # ---------------------------------------------------------------------------
-# Batched loss / metric / optimiser kernels.
+# Batched loss / metric kernels (the optimiser kernels are :mod:`repro.nn.optim`'s).
 # ---------------------------------------------------------------------------
 
 
@@ -322,31 +323,3 @@ def batched_accuracy(logits: np.ndarray, labels: np.ndarray) -> list[float]:
     preds = np.argmax(logits, axis=2)
     means = np.mean(preds == labels, axis=1)
     return [float(m) for m in means]
-
-
-def sgd_step(
-    params: np.ndarray,
-    grads: np.ndarray,
-    *,
-    learning_rate: float,
-    weight_decay: float = 0.0,
-) -> None:
-    """In-place SGD step on the flat parameter matrix (mirrors ``SGD.step``).
-
-    ``grads`` is consumed: it is turned into the applied step in place rather
-    than copied, so it holds ``learning_rate * gradient`` afterwards.
-    """
-    if weight_decay > 0.0:
-        grads += weight_decay * params
-    grads *= learning_rate
-    params -= grads
-
-
-def add_proximal_term(
-    grads: np.ndarray,
-    params: np.ndarray,
-    global_ref: np.ndarray,
-    proximal_mu: float,
-) -> None:
-    """Add the FedProx proximal gradient ``mu * (w - w_global)`` in place."""
-    grads += proximal_mu * (params - global_ref[None, :])

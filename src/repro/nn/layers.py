@@ -76,20 +76,31 @@ class Linear(Module):
         return out
 
     def backward(
-        self, grad_output: np.ndarray, *, need_input_grad: bool = True
+        self,
+        grad_output: np.ndarray,
+        *,
+        need_input_grad: bool = True,
+        accumulate: bool = True,
     ) -> np.ndarray | None:
         """Accumulate the parameter gradients; return ``dL/dx``.
 
         ``need_input_grad=False`` (the caller will not read the result) skips
         the ``grad_output @ W.T`` product and returns ``None``.
+        ``accumulate=False`` writes the products straight into the gradient
+        buffers instead of adding them through a weight-sized temporary.
         """
         if self._input_cache is None:
             raise RuntimeError("backward called before forward on Linear layer")
         grad_output = np.asarray(grad_output, dtype=np.float64)
         x = self._input_cache
-        self.weight.grad += x.T @ grad_output
-        if self.bias is not None:
-            self.bias.grad += grad_output.sum(axis=0)
+        if accumulate:
+            self.weight.grad += x.T @ grad_output
+            if self.bias is not None:
+                self.bias.grad += grad_output.sum(axis=0)
+        else:
+            np.matmul(x.T, grad_output, out=self.weight.grad)
+            if self.bias is not None:
+                np.sum(grad_output, axis=0, out=self.bias.grad)
         if not need_input_grad:
             return None
         return grad_output @ self.weight.value.T

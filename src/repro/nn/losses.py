@@ -40,6 +40,7 @@ class SoftmaxCrossEntropyLoss(Loss):
     def __init__(self) -> None:
         self._probs: np.ndarray | None = None
         self._targets: np.ndarray | None = None
+        self._rows = np.arange(0)  # row index of the widest batch seen, sliced per batch
 
     def forward(self, predictions: np.ndarray, targets: np.ndarray) -> float:
         logits = np.asarray(predictions, dtype=np.float64)
@@ -50,7 +51,7 @@ class SoftmaxCrossEntropyLoss(Loss):
             raise ValueError(
                 f"expected integer labels of shape ({logits.shape[0]},), got {labels.shape}"
             )
-        labels = labels.astype(np.int64)
+        labels = labels.astype(np.int64, copy=False)
         if labels.min(initial=0) < 0 or labels.max(initial=0) >= logits.shape[1]:
             raise ValueError(
                 f"labels must lie in [0, {logits.shape[1]}), got range "
@@ -61,7 +62,9 @@ class SoftmaxCrossEntropyLoss(Loss):
         probs = exp / exp.sum(axis=1, keepdims=True)
         self._probs = probs
         self._targets = labels
-        picked = probs[np.arange(labels.shape[0]), labels]
+        if self._rows.shape[0] < labels.shape[0]:
+            self._rows = np.arange(labels.shape[0])
+        picked = probs[self._rows[: labels.shape[0]], labels]
         return float(-np.mean(np.log(np.clip(picked, 1e-12, None))))
 
     def backward(self) -> np.ndarray:
@@ -69,7 +72,7 @@ class SoftmaxCrossEntropyLoss(Loss):
             raise RuntimeError("backward called before forward on SoftmaxCrossEntropyLoss")
         batch = self._targets.shape[0]
         grad = self._probs.copy()
-        grad[np.arange(batch), self._targets] -= 1.0
+        grad[self._rows[:batch], self._targets] -= 1.0
         return grad / batch
 
 

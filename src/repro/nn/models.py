@@ -105,11 +105,13 @@ def build_model(
 class ModelFactory:
     """Picklable zero-argument model builder.
 
-    The trainers hand every :class:`~repro.fl.client.FLClient` a factory for
-    its scratch model.  A plain ``lambda`` cannot cross a process boundary, so
-    the parallel executor's process backend requires this value-typed factory:
-    it derives the (deterministic) init RNG from ``(seed, label,
-    "model-init")`` on every call, exactly as the trainers' former lambdas did.
+    The trainers build their clients' shared
+    :class:`~repro.fl.client.ModelWorkspace` (the scratch models of local
+    training) over this factory.  A plain ``lambda`` cannot cross a process
+    boundary, so the parallel executor's process backend requires this
+    value-typed factory: it derives the (deterministic) init RNG from
+    ``(seed, label, "model-init")`` on every call, exactly as the trainers'
+    former lambdas did.
 
     Attributes
     ----------

@@ -11,8 +11,9 @@ scale this reproduction needs:
 
 ``backward`` takes the gradient of the loss with respect to the module output
 and returns the gradient with respect to the module input, accumulating
-parameter gradients as a side effect — exactly what the per-client SGD loop in
-Algorithm 1 needs.
+parameter gradients as a side effect; the per-client SGD loop of Algorithm 1,
+which takes one step per backward, asks it to *write* them instead
+(``accumulate=False``) and so never zeroes them.
 """
 
 from __future__ import annotations
@@ -53,10 +54,22 @@ class Parameter:
 class Module:
     """Base class for all layers and models."""
 
+    #: ``(values, grads)`` once :func:`repro.nn.parameters.pack_parameters` has
+    #: re-homed every parameter of this tree as views of two flat buffers.
+    packed: tuple[np.ndarray, np.ndarray] | None = None
+
     def __init__(self) -> None:
         self._parameters: dict[str, Parameter] = {}
         self._modules: dict[str, "Module"] = {}
         self.training: bool = True
+
+    def __getstate__(self) -> dict:
+        # Pickling (or deep-copying) turns views into independent arrays, so a
+        # copy of a packed model is a correct *unpacked* one, never a packed
+        # model whose buffers its parameters no longer share.
+        state = self.__dict__.copy()
+        state.pop("packed", None)
+        return state
 
     # -- registration -----------------------------------------------------
     def register_parameter(self, name: str, param: Parameter) -> Parameter:
@@ -126,6 +139,12 @@ class Module:
         A module that serves as a whole *model* (``Sequential``, ``Linear``)
         also takes ``need_input_grad=False``, by which a training loop says it
         will not read that gradient; layers inside a container never see it.
+
+        A module that holds parameters (its own or its children's) also takes
+        ``accumulate=False``: every parameter gradient is then *overwritten*
+        with this call's gradient — the same bytes as ``zero_grad()`` followed
+        by an accumulating backward — so a loop that steps after every
+        backward need not zero anything.  The default accumulates.
         """
         raise NotImplementedError
 
@@ -146,11 +165,30 @@ class Sequential(Module):
         self.layers: list[Module] = []
         for i, layer in enumerate(layers):
             self.layers.append(self.register_module(f"layer{i}", layer))
+        self._resolve()
 
     def append(self, layer: Module) -> "Sequential":
         """Append one more layer to the chain."""
         self.layers.append(self.register_module(f"layer{len(self.layers)}", layer))
+        self._resolve()
         return self
+
+    def _resolve(self) -> None:
+        """Work out, once per chain, what ``backward`` asks of which layer."""
+        from repro.nn.layers import Flatten, Linear  # layers imports this module
+
+        #: The layers that hold parameters, i.e. take ``accumulate``.
+        self._parametrised = {
+            layer for layer in self.layers if next(layer.parameters(), None) is not None
+        }
+        #: The first ``Linear`` if only ``Flatten`` layers precede it, else ``None``:
+        #: the one layer whose input gradient nobody inside the chain reads.
+        self._input: Module | None = None
+        for layer in self.layers:
+            if isinstance(layer, Linear):
+                self._input = layer
+            if not isinstance(layer, Flatten):
+                break
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         out = np.asarray(x, dtype=np.float64)
@@ -159,7 +197,11 @@ class Sequential(Module):
         return out
 
     def backward(
-        self, grad_output: np.ndarray, *, need_input_grad: bool = True
+        self,
+        grad_output: np.ndarray,
+        *,
+        need_input_grad: bool = True,
+        accumulate: bool = True,
     ) -> np.ndarray | None:
         """Back-propagate through the chain in reverse.
 
@@ -168,26 +210,20 @@ class Sequential(Module):
         first parametrised layer then skips its input gradient — when only
         ``Flatten`` precedes it, so that nothing else would have read it —
         and the result is ``None``; parameter gradients are the same bytes.
+
+        ``accumulate=False`` reaches every layer that holds parameters, which
+        then overwrites its gradients instead of adding to them.
         """
         grad = np.asarray(grad_output, dtype=np.float64)
-        skip = None if need_input_grad else self._input_layer()
+        skip = None if need_input_grad else self._input
+        write = {} if accumulate else {"accumulate": False}
         for layer in reversed(self.layers):
+            kwargs = write if layer in self._parametrised else {}
             if layer is skip:
-                layer.backward(grad, need_input_grad=False)
+                layer.backward(grad, need_input_grad=False, **kwargs)
                 return None
-            grad = layer.backward(grad)
+            grad = layer.backward(grad, **kwargs)
         return grad
-
-    def _input_layer(self) -> Module | None:
-        """The first ``Linear`` if only ``Flatten`` layers precede it, else ``None``."""
-        from repro.nn.layers import Flatten, Linear  # layers imports this module
-
-        for layer in self.layers:
-            if isinstance(layer, Linear):
-                return layer
-            if not isinstance(layer, Flatten):
-                break
-        return None
 
     def __len__(self) -> int:
         return len(self.layers)

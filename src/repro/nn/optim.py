@@ -5,6 +5,11 @@ swept over [0.01, 0.20] in Figure 5).  The convergence proof (Theorem 3.1)
 relies on a decaying step size η_r = 2 / (μ(γ + r)); the
 :class:`InverseTimeDecayLR` schedule implements exactly that family so the
 theoretical benchmark can exercise the same schedule.
+
+:func:`sgd_step` and :func:`add_proximal_term` are the one definition of the
+momentum-free step and of the FedProx term over flat buffers: the serial path
+applies them to a packed model's ``(P,)`` plane, the cohort engine to its
+``(clients, P)`` matrix.
 """
 
 from __future__ import annotations
@@ -13,10 +18,49 @@ from collections.abc import Iterable
 
 import numpy as np
 
-from repro.nn.module import Parameter
+from repro.nn.module import Module, Parameter
 from repro.utils.validation import check_non_negative, check_positive
 
-__all__ = ["LRSchedule", "ConstantLR", "InverseTimeDecayLR", "SGD"]
+__all__ = [
+    "LRSchedule",
+    "ConstantLR",
+    "InverseTimeDecayLR",
+    "SGD",
+    "sgd_step",
+    "add_proximal_term",
+]
+
+
+def sgd_step(
+    params: np.ndarray,
+    grads: np.ndarray,
+    *,
+    learning_rate: float,
+    weight_decay: float = 0.0,
+) -> None:
+    """In-place momentum-free SGD step on flat parameters (one plane or a cohort matrix).
+
+    ``grads`` is consumed: it is turned into the applied step in place rather
+    than copied, so it holds ``learning_rate * gradient`` afterwards.
+    """
+    if weight_decay > 0.0:
+        grads += weight_decay * params
+    grads *= learning_rate
+    params -= grads
+
+
+def add_proximal_term(
+    grads: np.ndarray,
+    params: np.ndarray,
+    global_ref: np.ndarray,
+    proximal_mu: float,
+) -> None:
+    """Add the FedProx proximal gradient ``mu * (w - w_global)`` in place.
+
+    ``global_ref`` is the ``(P,)`` global vector; ``grads`` / ``params`` are
+    ``(P,)`` or ``(clients, P)``.
+    """
+    grads += proximal_mu * (params - global_ref)
 
 
 class LRSchedule:
@@ -62,7 +106,11 @@ class SGD:
     Parameters
     ----------
     parameters:
-        The parameters to update (typically ``model.parameters()``).
+        The parameters to update: ``model.parameters()``, or the model itself.
+        Given a *packed* model (:func:`repro.nn.parameters.pack_parameters`)
+        and no momentum, :meth:`step` is one :func:`sgd_step` over the two flat
+        buffers — the same bytes in the values, with the gradients consumed
+        (they hold ``lr * gradient`` afterwards) instead of preserved.
     lr:
         Either a float (constant rate) or an :class:`LRSchedule`.
     momentum:
@@ -74,12 +122,15 @@ class SGD:
 
     def __init__(
         self,
-        parameters: Iterable[Parameter],
+        parameters: Iterable[Parameter] | Module,
         lr: float | LRSchedule = 0.01,
         *,
         momentum: float = 0.0,
         weight_decay: float = 0.0,
     ) -> None:
+        packed = None
+        if isinstance(parameters, Module):
+            packed, parameters = parameters.packed, parameters.parameters()
         self.parameters: list[Parameter] = list(parameters)
         if not self.parameters:
             raise ValueError("SGD requires at least one parameter to optimise")
@@ -92,6 +143,8 @@ class SGD:
         self._velocity: list[np.ndarray] | None = None
         if self.momentum > 0.0:
             self._velocity = [np.zeros_like(p.value) for p in self.parameters]
+        # The flat step has no velocity term: momentum keeps the per-parameter loop.
+        self._packed = packed if self._velocity is None else None
 
     @property
     def current_lr(self) -> float:
@@ -106,6 +159,11 @@ class SGD:
     def step(self) -> float:
         """Apply one update using the accumulated gradients; returns the lr used."""
         lr = self.schedule.learning_rate(self.step_count)
+        self.step_count += 1
+        if self._packed is not None:
+            values, grads = self._packed
+            sgd_step(values, grads, learning_rate=lr, weight_decay=self.weight_decay)
+            return lr
         for i, p in enumerate(self.parameters):
             grad = p.grad
             if self.weight_decay > 0.0:
@@ -115,5 +173,4 @@ class SGD:
                 p.value += self._velocity[i]
             else:
                 p.value -= lr * grad
-        self.step_count += 1
         return lr

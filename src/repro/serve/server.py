@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import logging
 import re
 import threading
 from collections import OrderedDict
@@ -55,6 +56,9 @@ from repro.store.records import run_record_payload
 from repro.store.runstore import RunStore, RunStoreError
 
 __all__ = ["ReproServer"]
+
+#: Access lines go here at DEBUG; no handler is installed by this package.
+_LOG = logging.getLogger("repro.serve")
 
 #: Rendered result payloads kept in memory (immutable, content-addressed).
 _RESULT_CACHE_SIZE = 256
@@ -289,7 +293,13 @@ class _RequestHandler(BaseHTTPRequestHandler):
 
     # -- plumbing -------------------------------------------------------
     def log_message(self, format: str, *args) -> None:  # noqa: A002
-        pass  # request logging is the caller's business, not stderr's
+        """The access line, to the ``repro.serve`` logger at DEBUG instead of stderr.
+
+        No handler is installed here: whoever runs the daemon configures
+        logging.  Off (the default), a request pays this one level check.
+        """
+        if _LOG.isEnabledFor(logging.DEBUG):
+            _LOG.debug("%s " + format, self.address_string(), *args)
 
     def _send(self, status: int, body: "dict | bytes") -> None:
         """Answer ``body`` as JSON; ``bytes`` are a document rendered earlier (the result cache)."""

@@ -12,6 +12,7 @@ vectors are computed with a single matrix product.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable, Sequence
 
 import numpy as np
@@ -55,8 +56,8 @@ def unflatten_array(vector: np.ndarray, shapes: Sequence[tuple[int, ...]]) -> li
         implied by ``shapes``.
     """
     vector = np.asarray(vector, dtype=np.float64).ravel()
-    sizes = [int(np.prod(s)) if len(s) else 1 for s in shapes]
-    total = int(sum(sizes))
+    sizes = [int(math.prod(s)) for s in shapes]
+    total = sum(sizes)
     if vector.size != total:
         raise ValueError(
             f"vector of length {vector.size} cannot be unflattened into shapes "

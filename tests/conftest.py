@@ -47,9 +47,10 @@ def pytest_configure(config) -> None:
     )
     config.addinivalue_line(
         "markers",
-        "cohort: byte parity of the batched cohort kernels (serial-vs-cohort "
-        "differential fuzz, cohort gradchecks, write-once/skip/distinct-shard "
-        "guards) — `pytest -m cohort`",
+        "cohort: training-kernel byte parity (serial plane and cohort): "
+        "serial-vs-cohort differential fuzz, cohort gradchecks, "
+        "write-once/skip/distinct-shard guards, and the packed serial plane "
+        "against the per-parameter code it replaced — `pytest -m cohort`",
     )
     config.addinivalue_line(
         "markers",

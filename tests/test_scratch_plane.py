@@ -1,0 +1,401 @@
+"""The serial training path's shared scratch plane: aliasing, lifetime, byte parity.
+
+Local training runs on one *packed* scratch model per worker thread, owned by
+the trainer's :class:`~repro.fl.client.ModelWorkspace` and shared by all of its
+clients; a step writes the gradients instead of accumulating them and consumes
+them in place.  Three things can go wrong, and each is pinned here:
+
+* **aliasing** — a vector handed out (``ClientUpdate.parameters``,
+  ``get_flat_parameters``) must be a copy, or the next client to train would
+  overwrite an update already uploaded;
+* **lifetime** — scratch models are O(workers), not O(clients), die with their
+  trainer, and do not travel in a pickle or a checkpoint;
+* **bytes** — every trimmed kernel is held to the accumulating, per-parameter,
+  gather-per-batch code it replaced, kept below as the oracle
+  (``-m cohort`` runs these with the cohort engine's own parity suite).
+
+Stop/resume parity on all four backends is ``tests/test_checkpoint.py``'s, and
+serial == thread == process == cohort histories ``tests/test_cohort_parity.py``'s.
+"""
+
+from __future__ import annotations
+
+import gc
+import pickle
+import weakref
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.fairbfl import FairBFLTrainer
+from repro.datasets.federated import ClientDataset
+from repro.datasets.loaders import minibatches
+from repro.fl.client import ClientUpdate, FLClient, LocalTrainingConfig, ModelWorkspace
+from repro.fl.trainer import CHECKPOINT_SCHEMA_VERSION
+from repro.nn.layers import Flatten, Linear, ReLU, Sigmoid, Tanh
+from repro.nn.losses import SoftmaxCrossEntropyLoss
+from repro.nn.models import ModelFactory
+from repro.nn.module import Module, Sequential
+from repro.nn.optim import SGD
+from repro.nn.parameters import (
+    accuracy_of_parameters,
+    get_flat_parameters,
+    pack_parameters,
+    set_flat_parameters,
+)
+from repro.runner.engine import ExperimentEngine
+from repro.runner.scenario import ScenarioSpec
+from repro.utils.rng import new_rng
+
+FACTORY = ModelFactory("mlp", 784, 10, seed=3, label="plane", hidden_sizes=(8,))
+CONFIG = LocalTrainingConfig(epochs=2, batch_size=7, learning_rate=0.05)
+
+
+def _global_vector(seed: int = 3) -> np.ndarray:
+    return new_rng(seed, "plane-global").standard_normal(FACTORY().num_parameters()) * 0.05
+
+
+# ---------------------------------------------------------------------------
+# (a) aliasing
+# ---------------------------------------------------------------------------
+
+
+def test_no_vector_that_leaves_the_plane_aliases_it(tiny_federated):
+    workspace = ModelWorkspace(FACTORY)
+    first = FLClient(tiny_federated.client(0), workspace, new_rng(3, "plane", 0))
+    second = FLClient(tiny_federated.client(1), workspace, new_rng(3, "plane", 1))
+    assert first.model is second.model
+
+    update_a = first.local_update(_global_vector(), CONFIG)
+    uploaded = update_a.parameters.copy()
+    update_b = second.local_update(_global_vector(), CONFIG)
+    second.evaluate(_global_vector(4))
+
+    np.testing.assert_array_equal(update_a.parameters, uploaded)
+    assert not np.array_equal(update_a.parameters, update_b.parameters)
+    values, grads = workspace.model().packed
+    for vector in (update_a.parameters, update_b.parameters, get_flat_parameters(first.model)):
+        assert not np.shares_memory(vector, values)
+        assert not np.shares_memory(vector, grads)
+
+
+def test_a_client_without_a_workspace_gets_a_private_one(tiny_federated):
+    shard = tiny_federated.client(0)
+    alone = FLClient(shard, FACTORY, new_rng(3, "plane", 0))
+    other = FLClient(shard, FACTORY, new_rng(3, "plane", 0))
+    assert isinstance(alone.workspace, ModelWorkspace)
+    assert alone.workspace is not other.workspace and alone.model is not other.model
+    shared = FLClient(shard, alone.workspace, new_rng(3, "plane", 0))
+    want = other.local_update(_global_vector(), CONFIG)
+    got = shared.local_update(_global_vector(), CONFIG)
+    assert got.parameters.tobytes() == want.parameters.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# (b) lifetime: O(workers) models, none outlives its trainer
+# ---------------------------------------------------------------------------
+
+
+def _trainer(backend: str, workers: int | None = None) -> FairBFLTrainer:
+    spec = ScenarioSpec(
+        num_clients=100, num_samples=1000, num_rounds=1, seed=3, model_name="mlp",
+        hidden_sizes=(8,), epochs=1, verify_signatures=False, backend=backend, max_workers=workers,
+    )
+    return FairBFLTrainer(ExperimentEngine().dataset_for(spec), spec.fairbfl_config())
+
+
+@pytest.mark.parametrize("backend, workers, most", [("serial", None, 1), ("thread", 2, 3)])
+def test_scratch_models_are_per_worker_and_die_with_the_trainer(backend, workers, most):
+    """One model per thread that trains or evaluates: the caller's, plus the pool's."""
+    trainer = _trainer(backend, workers)
+    assert len({id(c.workspace) for c in trainer.clients.values()}) == 1
+    trainer.run()
+    models = list(trainer._workspace._models.values())
+    assert 1 <= len(models) <= most
+    assert all(m.packed is not None for m in models)
+
+    payload = pickle.loads(trainer.checkpoint_state())
+    assert payload["version"] == CHECKPOINT_SCHEMA_VERSION == 4
+    assert "_workspace" not in payload["attrs"]
+
+    refs = [weakref.ref(m) for m in models]
+    del models
+    trainer.close()
+    del trainer
+    gc.collect()
+    assert [r() for r in refs] == [None] * len(refs)
+
+
+def _live_models() -> int:
+    gc.collect()
+    return sum(isinstance(o, Module) for o in gc.get_objects())
+
+
+def test_engine_runs_on_distinct_seeds_leave_no_model_behind():
+    engine = ExperimentEngine()
+    spec = dict(system="fedavg", num_clients=4, num_samples=200, num_rounds=1, model_name="mlp")
+    engine.run(ScenarioSpec(seed=100, **spec))  # warm every lazy import first
+    before = _live_models()
+    for seed in range(20):
+        engine.run(ScenarioSpec(seed=seed, **spec))
+    assert _live_models() == before
+
+
+# ---------------------------------------------------------------------------
+# (c) pickling: models do not travel, the shared workspace stays shared
+# ---------------------------------------------------------------------------
+
+
+def test_a_pickled_workspace_builds_lazily_again(tiny_federated):
+    workspace = ModelWorkspace(FACTORY)
+    clients = {
+        cid: FLClient(tiny_federated.client(cid), workspace, new_rng(3, "plane", cid))
+        for cid in range(3)
+    }
+    built = workspace.model()
+    shipped = pickle.loads(pickle.dumps(clients))
+
+    spaces = {id(c.workspace) for c in shipped.values()}
+    assert len(spaces) == 1
+    restored = shipped[0].workspace
+    assert restored is not workspace and restored.factory == FACTORY
+    assert restored._models == {}
+    assert restored.model() is not built and restored.model().packed is not None
+
+    want = clients[1].local_update(_global_vector(), CONFIG)
+    got = shipped[1].local_update(_global_vector(), CONFIG)
+    assert got.parameters.tobytes() == want.parameters.tobytes()
+    assert (got.train_loss, got.val_accuracy) == (want.train_loss, want.val_accuracy)
+
+
+# ---------------------------------------------------------------------------
+# Byte parity with the code these kernels replaced
+# ---------------------------------------------------------------------------
+
+ACTIVATIONS = {"none": None, "relu": ReLU, "tanh": Tanh, "sigmoid": Sigmoid}
+
+stacks = st.fixed_dictionaries(
+    {
+        "seed": st.integers(0, 2**16),
+        "features": st.sampled_from([(6,), (2, 3)]),
+        "hidden": st.lists(
+            st.tuples(st.integers(1, 6), st.sampled_from(sorted(ACTIVATIONS)), st.booleans()),
+            max_size=2,
+        ),
+        "classes": st.integers(2, 5),
+        "flatten": st.booleans(),
+    }
+)
+
+
+def build_stack(spec: dict) -> Sequential:
+    """A ``Flatten`` / ``Linear`` / activation stack; the same ``spec`` builds a twin."""
+    rng = np.random.default_rng(spec["seed"])
+    flatten = spec["flatten"] or len(spec["features"]) > 1
+    layers: list[Module] = [Flatten()] if flatten else []
+    width = int(np.prod(spec["features"]))
+    for out, activation, bias in spec["hidden"]:
+        layers.append(Linear(width, out, rng, init="he", bias=bias))
+        if ACTIVATIONS[activation] is not None:
+            layers.append(ACTIVATIONS[activation]())
+        width = out
+    layers.append(Linear(width, spec["classes"], rng))
+    return Sequential(*layers)
+
+
+def make_shard(spec: dict, rows: int, client_id: int = 0) -> ClientDataset:
+    rng = np.random.default_rng(spec["seed"] + 1)
+    shape = spec["features"]
+    return ClientDataset(
+        client_id,
+        rng.standard_normal((rows, *shape)),
+        rng.integers(0, spec["classes"], rows),
+        rng.standard_normal((5, *shape)),
+        rng.integers(0, spec["classes"], 5),
+    )
+
+
+def reference_minibatches(images, labels, batch_size, rng):
+    """The per-batch fancy index ``minibatches`` used to do."""
+    order = rng.permutation(images.shape[0])
+    for start in range(0, images.shape[0], batch_size):
+        sel = order[start : start + batch_size]
+        yield images[sel], labels[sel]
+
+
+def reference_local_update(
+    model: Module, dataset: ClientDataset, rng, global_parameters, config
+) -> ClientUpdate:
+    """Procedure I as it ran before the shared plane: a private unpacked model,
+    ``zero_grad`` + accumulating backward, per-parameter proximal term and step."""
+    set_flat_parameters(model, global_parameters)
+    model.train()
+    loss_fn = SoftmaxCrossEntropyLoss()
+    optimizer = SGD(model.parameters(), lr=config.learning_rate, weight_decay=config.weight_decay)
+    params = list(model.parameters())
+    offsets, cursor = [], 0
+    for p in params:
+        offsets.append((cursor, cursor + p.size))
+        cursor += p.size
+    losses = []
+    for _epoch in range(config.epochs):
+        for x, y in reference_minibatches(dataset.images, dataset.labels, config.batch_size, rng):
+            optimizer.zero_grad()
+            loss = loss_fn.forward(model.forward(x), y)
+            model.backward(loss_fn.backward(), need_input_grad=False)
+            if config.proximal_mu > 0.0:
+                for p, (lo, hi) in zip(params, offsets):
+                    p.grad += config.proximal_mu * (
+                        p.value - global_parameters[lo:hi].reshape(p.shape)
+                    )
+            optimizer.step()
+            losses.append(loss)
+    updated = get_flat_parameters(model)
+    return ClientUpdate(
+        client_id=dataset.client_id,
+        parameters=updated,
+        num_samples=dataset.num_samples,
+        train_loss=float(np.mean(losses)) if losses else 0.0,
+        val_accuracy=accuracy_of_parameters(model, updated, dataset.val_images, dataset.val_labels),
+    )
+
+
+def _grads(model: Module) -> list[np.ndarray]:
+    return [p.grad.copy() for p in model.parameters()]
+
+
+@pytest.mark.cohort
+@settings(max_examples=40, deadline=None)
+@given(spec=stacks, batch=st.integers(1, 9), need_input_grad=st.booleans())
+def test_writing_gradients_equals_zeroing_then_accumulating(spec, batch, need_input_grad):
+    shard = make_shard(spec, batch)
+    upstream = np.random.default_rng(spec["seed"] + 2).standard_normal((batch, spec["classes"]))
+    want_model, got_model = build_stack(spec), pack_parameters(build_stack(spec))
+    for p in got_model.parameters():
+        p.grad.fill(np.nan)  # scratch: whatever an earlier step left behind
+
+    want_model.zero_grad()
+    want_model.forward(shard.images)
+    want_dx = want_model.backward(upstream, need_input_grad=need_input_grad)
+    got_model.forward(shard.images)
+    got_dx = got_model.backward(upstream, need_input_grad=need_input_grad, accumulate=False)
+
+    for want, got in zip(_grads(want_model), _grads(got_model)):
+        np.testing.assert_array_equal(got, want)
+    if want_dx is None:
+        assert got_dx is None
+    else:
+        np.testing.assert_array_equal(got_dx, want_dx)
+
+
+@pytest.mark.cohort
+@settings(max_examples=40, deadline=None)
+@given(
+    spec=stacks,
+    weight_decay=st.sampled_from([0.0, 0.01]),
+    momentum=st.sampled_from([0.0, 0.9]),
+    steps=st.integers(1, 3),
+)
+def test_the_flat_step_equals_the_per_parameter_step(spec, weight_decay, momentum, steps):
+    plain, packed = build_stack(spec), pack_parameters(build_stack(spec))
+    rng = np.random.default_rng(spec["seed"] + 3)
+    optimizers = [
+        SGD(plain.parameters(), lr=0.1, weight_decay=weight_decay, momentum=momentum),
+        SGD(packed, lr=0.1, weight_decay=weight_decay, momentum=momentum),
+    ]
+    for _ in range(steps):
+        for p, q in zip(plain.parameters(), packed.parameters()):
+            p.grad[...] = rng.standard_normal(p.shape)
+            q.grad[...] = p.grad
+        for optimizer in optimizers:
+            optimizer.step()
+        assert get_flat_parameters(packed).tobytes() == get_flat_parameters(plain).tobytes()
+    assert optimizers[0].step_count == optimizers[1].step_count == steps
+
+
+@pytest.mark.cohort
+@settings(max_examples=25, deadline=None)
+@given(spec=stacks)
+def test_flat_access_on_a_packed_model_equals_the_unpacked_path(spec):
+    plain, packed = build_stack(spec), pack_parameters(build_stack(spec))
+    assert get_flat_parameters(packed).tobytes() == get_flat_parameters(plain).tobytes()
+    for p, q in zip(plain.parameters(), packed.parameters()):
+        assert q.shape == p.shape and q.value.flags.c_contiguous
+        assert np.shares_memory(q.value, packed.packed[0])
+        assert np.shares_memory(q.grad, packed.packed[1])
+
+    vector = np.random.default_rng(spec["seed"] + 4).standard_normal(plain.num_parameters())
+    for model in (plain, packed):
+        set_flat_parameters(model, vector)
+    for p, q in zip(plain.parameters(), packed.parameters()):
+        assert q.value.tobytes() == p.value.tobytes()
+    read = get_flat_parameters(packed)
+    assert read.tobytes() == vector.tobytes() and not np.shares_memory(read, packed.packed[0])
+    copied = pickle.loads(pickle.dumps(packed))  # views do not survive: a copy is unpacked
+    assert copied.packed is None and packed.packed is not None
+    assert get_flat_parameters(copied).tobytes() == vector.tobytes()
+    single = vector.astype(np.float32)
+    set_flat_parameters(packed, single.reshape(1, -1))  # coerced like the unpacked path
+    for bad in (vector[:-1], np.append(vector, 0.0)):
+        with pytest.raises(ValueError, match="vector of length"):
+            set_flat_parameters(packed, bad)
+    assert get_flat_parameters(packed).tobytes() == single.astype(np.float64).tobytes()
+
+
+@pytest.mark.cohort
+@settings(max_examples=40, deadline=None)
+@given(
+    rows=st.integers(0, 40),
+    batch_size=st.integers(1, 12),
+    seed=st.integers(0, 2**16),
+    epochs=st.integers(1, 3),
+)
+def test_one_gather_per_epoch_yields_the_per_batch_gather(rows, batch_size, seed, epochs):
+    data = np.random.default_rng(seed)
+    images, labels = data.standard_normal((rows, 2, 3)), data.integers(0, 9, rows)
+    want_rng, got_rng = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+    for _ in range(epochs):
+        want = list(reference_minibatches(images, labels, batch_size, want_rng))
+        got = list(minibatches(images, labels, batch_size, got_rng))
+        assert len(got) == len(want)
+        for (gx, gy), (wx, wy) in zip(got, want):
+            assert gx.shape == wx.shape and gx.flags.c_contiguous
+            assert gx.tobytes() == wx.tobytes() and gy.tobytes() == wy.tobytes()
+            assert not np.shares_memory(gx, images) and not np.shares_memory(gy, labels)
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+@pytest.mark.cohort
+@settings(max_examples=40, deadline=None)
+@given(
+    spec=stacks,
+    rows=st.integers(1, 23),
+    batch_size=st.sampled_from([1, 4, 10]),
+    epochs=st.integers(1, 2),
+    weight_decay=st.sampled_from([0.0, 0.01]),
+    proximal_mu=st.sampled_from([0.0, 0.1]),
+)
+def test_local_update_on_a_shared_plane_equals_the_private_unpacked_model(
+    spec, rows, batch_size, epochs, weight_decay, proximal_mu
+):
+    config = LocalTrainingConfig(
+        epochs=epochs, batch_size=batch_size, learning_rate=0.1,
+        weight_decay=weight_decay, proximal_mu=proximal_mu,
+    )
+    shards = [make_shard(spec, rows, 0), make_shard({**spec, "seed": spec["seed"] + 9}, rows, 1)]
+    global_parameters = get_flat_parameters(build_stack(spec)) * 0.5
+    workspace = ModelWorkspace(lambda: build_stack(spec))
+    for shard in shards:  # the second client trains on the plane the first one left behind
+        client = FLClient(shard, workspace, np.random.default_rng(spec["seed"] + 5))
+        want_rng = np.random.default_rng(spec["seed"] + 5)
+        want = reference_local_update(build_stack(spec), shard, want_rng, global_parameters, config)
+        got = client.local_update(global_parameters, config)
+        assert got.parameters.tobytes() == want.parameters.tobytes()
+        assert (got.client_id, got.num_samples, got.train_loss, got.val_accuracy) == (
+            want.client_id, want.num_samples, want.train_loss, want.val_accuracy,
+        )
+        assert (got.is_malicious, got.metadata) == (want.is_malicious, want.metadata)
+        assert client.rng.bit_generator.state == want_rng.bit_generator.state
+    assert len(workspace._models) == 1

@@ -20,6 +20,7 @@ pytest's importable ``__main__``.
 from __future__ import annotations
 
 import json
+import logging
 import os
 import signal
 import time
@@ -120,6 +121,18 @@ class TestBadInput:
         status, body = _post_raw(server.url + "/v1/runs", b"{not json")
         assert status == 400
         assert "not valid JSON" in body["error"]
+
+    def test_access_lines_reach_the_serve_logger_at_debug_only(self, server, caplog):
+        with caplog.at_level(logging.INFO, logger="repro.serve"):
+            assert _raw("GET", server.url + "/v1/healthz")[0] == 200
+        assert caplog.records == []  # off by default: nothing is formatted or emitted
+        with caplog.at_level(logging.DEBUG, logger="repro.serve"):
+            assert _raw("GET", server.url + "/v1/healthz")[0] == 200
+            assert _post_raw(server.url + "/v1/runs", b"{not json")[0] == 400
+        lines = [r.getMessage() for r in caplog.records if r.name == "repro.serve"]
+        assert [r.levelno for r in caplog.records] == [logging.DEBUG] * 2
+        assert '"GET /v1/healthz HTTP/1.1" 200' in lines[0]
+        assert '"POST /v1/runs HTTP/1.1" 400' in lines[1]
 
     def test_empty_body_answers_400(self, server):
         status, body = _post_raw(server.url + "/v1/runs", b"")
