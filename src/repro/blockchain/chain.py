@@ -116,10 +116,6 @@ class Blockchain:
             raise IndexError("blockchain is empty; add a genesis block first")
         return self.blocks[-1]
 
-    def block_at(self, index: int) -> Block:
-        """Block at height ``index``."""
-        return self.blocks[index]
-
     def block_for_round(self, round_index: int) -> Block | None:
         """Return the block finalising communication round ``round_index``, if any."""
         for block in reversed(self.blocks):
@@ -257,10 +253,6 @@ class Blockchain:
         if rolled_back:
             self.fork_events += 1
         return rolled_back, applied
-
-    def record_fork(self) -> None:
-        """Count a fork event (vanilla-blockchain baseline bookkeeping)."""
-        self.fork_events += 1
 
     def copy(self) -> "Blockchain":
         """Shallow copy sharing block objects (miners' replicated ledgers)."""

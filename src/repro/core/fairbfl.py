@@ -249,9 +249,7 @@ class FairBFLTrainer(Trainer):
         priced over the upload-window arrivals rather than the
         post-signature-check gradient count the analytic model used.  The two
         differ only when a signed upload is rejected, which the calibrated
-        scenarios never produce; callers that know a different gradient count
-        can pass ``num_gradients`` to
-        :meth:`~repro.sim.rounds.EventRoundSimulator.fairbfl_round`.
+        scenarios never produce.
         """
         cfg = self.config
         batches = {
@@ -263,7 +261,6 @@ class FairBFLTrainer(Trainer):
             num_miners=cfg.num_miners,
             batches_per_epoch=batches,
             epochs=cfg.local.epochs,
-            with_clustering=True,
             stages=frozenset(self._PROCEDURE_STAGES[p] for p in procedures),
         )
 

@@ -1,10 +1,10 @@
 """Cohort execution of Procedure I: whole-population local updates at once.
 
-:class:`CohortTrainer` replaces the per-client Python loop with the batched
-kernels of :mod:`repro.nn.cohort`.  Selected clients are grouped into
-*cohorts* of statistically identical shape (same model factory, same train
-and validation shard shapes) and each cohort trains as a handful of stacked
-``(clients, batch, features)`` matrix ops.
+:class:`CohortTrainer` replaces the per-client Python loop with one loop over
+stacked operands (:class:`repro.nn.cohort.CohortModel`).  Selected clients
+are grouped into *cohorts* of statistically identical shape (same model
+factory, same train and validation shard shapes) and each cohort trains as a
+handful of stacked ``(clients, batch, features)`` matrix ops.
 
 Bit-exactness contract
 ----------------------
@@ -15,8 +15,11 @@ to what ``FLClient.local_update`` returns on the serial path:
   permutations are drawn from *its own* ``client.rng``, one per epoch, in
   epoch order, exactly as ``BatchIterator`` would (streams are private per
   client, so drawing them up front cannot change any value);
-* every numeric kernel matches the serial op (see :mod:`repro.nn.cohort`),
-  including the FedProx proximal term and weight decay;
+* there is no second set of numeric kernels to keep in parity: the layers,
+  the loss, ``accuracy``, the SGD step and the FedProx term are the serial
+  path's own objects and functions run on ``(clients, ...)`` operands, and
+  each yields per client the bytes of that client's 2-D call (the two NumPy
+  properties this rests on are stated in :mod:`repro.nn.cohort`);
 * bookkeeping side effects (``rounds_participated``) are applied to the
   coordinator's client objects just like the other executor backends.
 
@@ -44,15 +47,9 @@ from typing import Iterator, Mapping
 import numpy as np
 
 from repro.fl.client import ClientUpdate, FLClient, LocalTrainingConfig
-from repro.nn.cohort import (
-    CohortModel,
-    CohortUnsupportedError,
-    add_proximal_term,
-    batched_accuracy,
-    batched_softmax_cross_entropy,
-    batched_softmax_cross_entropy_grad,
-    sgd_step,
-)
+from repro.nn.cohort import CohortModel, CohortUnsupportedError, add_proximal_term, sgd_step
+from repro.nn.losses import SoftmaxCrossEntropyLoss
+from repro.nn.metrics import accuracy
 
 __all__ = ["CohortBlock", "CohortTrainer", "DEFAULT_MAX_COHORT_SIZE"]
 
@@ -112,16 +109,10 @@ class CohortTrainer:
 
     # -- model compilation ----------------------------------------------
     def _compiled_model(self, client: FLClient, num_parameters: int) -> CohortModel:
-        factory = client.workspace.factory
-        try:
-            key: object = factory
-            model = self._models.get(key)
-        except TypeError:  # unhashable custom factory
-            key = id(factory)
-            model = self._models.get(key)
+        factory = client.workspace.factory  # hashable: ``_group_key`` hashed it first
+        model = self._models.get(factory)
         if model is None:
-            model = CohortModel.from_module(factory())
-            self._models[key] = model
+            model = self._models[factory] = CohortModel.from_module(factory())
         if model.num_parameters != int(num_parameters):
             raise CohortUnsupportedError(
                 f"compiled cohort model has {model.num_parameters} parameters "
@@ -215,6 +206,7 @@ class CohortTrainer:
         grads = np.empty_like(params)  # scratch: backward rewrites every column
         starts = range(0, num_samples, config.batch_size)
         losses = np.empty((size, config.epochs * len(starts)))
+        loss = SoftmaxCrossEntropyLoss()
 
         for epoch in range(config.epochs):
             for step, start in enumerate(starts, epoch * len(starts)):
@@ -222,10 +214,8 @@ class CohortTrainer:
                 x_batch = images[image_of[:, None], sel]
                 y_batch = labels[label_of[:, None], sel]
                 logits = model.forward(params, x_batch)
-                step_losses, probs = batched_softmax_cross_entropy(logits, y_batch)
-                losses[:, step] = step_losses
-                grad_logits = batched_softmax_cross_entropy_grad(probs, y_batch)
-                model.backward(params, grads, grad_logits, need_input_grad=False)
+                losses[:, step] = loss.forward(logits, y_batch)
+                model.backward(params, grads, loss.backward(), need_input_grad=False)
                 if config.proximal_mu > 0.0:
                     add_proximal_term(grads, params, global_ref, config.proximal_mu)
                 sgd_step(
@@ -242,8 +232,10 @@ class CohortTrainer:
         # needs one validation operand per client; stacking copies each byte once.
         val_images = np.stack([c.dataset.val_images for c in cohort])
         val_labels = np.stack([c.dataset.val_labels for c in cohort])
-        val_logits = model.forward(params, val_images)
-        accuracies = batched_accuracy(val_logits, val_labels)
+        accuracies = accuracy(model.forward(params, val_images), val_labels).tolist()
+        # The template's parameters are views of ``params`` / ``grads`` by now:
+        # release them, or it pins both matrices until the next chunk.
+        model.release()
         # One contiguous last-axis reduction per client: the same pairwise sum
         # as the serial ``np.mean`` over that client's list of step losses.
         train_losses = losses.mean(axis=1).tolist()
@@ -288,6 +280,7 @@ class CohortTrainer:
                 val_labels = np.stack([d.val_labels for d in fresh.values()])
                 params = np.repeat(global_ref[None, :], len(fresh), axis=0)
                 logits = model.forward(params, val_images)
-                scored.update(zip(fresh, batched_accuracy(logits, val_labels)))
+                scored.update(zip(fresh, accuracy(logits, val_labels).tolist()))
+                model.release()
             by_id.update((cid, scored[k]) for cid, k in zip(chunk, keys))
         return [by_id[int(cid)] for cid in selected]

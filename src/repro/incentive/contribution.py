@@ -99,15 +99,6 @@ class ContributionReport:
     used_fallback: bool = False
     extras: dict = field(default_factory=dict)
 
-    @property
-    def all_clients(self) -> list[int]:
-        """Every client considered this round, high first then low."""
-        return list(self.high_contributors) + list(self.low_contributors)
-
-    def is_high(self, client_id: int) -> bool:
-        """True when ``client_id`` was labelled high contribution."""
-        return int(client_id) in set(self.high_contributors)
-
 
 def identify_contributions(
     updates: np.ndarray,

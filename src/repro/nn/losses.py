@@ -3,7 +3,8 @@
 Both losses return the scalar mean loss over the batch from ``forward`` and
 the gradient of that mean with respect to the model output from ``backward``,
 so the SGD step in Procedure I of Algorithm 1 sees gradients already scaled by
-``1/batch_size``.
+``1/batch_size``.  :class:`SoftmaxCrossEntropyLoss` also takes leading axes
+ahead of ``(batch, classes)`` and then returns one mean per leading index.
 """
 
 from __future__ import annotations
@@ -31,49 +32,60 @@ class Loss:
 class SoftmaxCrossEntropyLoss(Loss):
     """Fused softmax + cross-entropy over integer class labels.
 
-    ``predictions`` are raw logits of shape ``(batch, classes)``; ``targets``
-    are integer labels of shape ``(batch,)``.  Fusing the two operations keeps
-    the backward pass numerically stable (``softmax - one_hot``) and avoids the
-    explicit Jacobian product of a standalone softmax layer.
+    ``predictions`` are raw logits of shape ``(..., batch, classes)``;
+    ``targets`` are integer labels of shape ``(..., batch)``.  Every reduction
+    is over the last axis, so one ``(batch, classes)`` batch yields a float
+    and a stack of batches (the cohort engine's ``(clients, batch, classes)``)
+    one mean loss per leading index — each the same bytes as that slice run
+    alone.  Fusing the two operations keeps the backward pass numerically
+    stable (``softmax - one_hot``) and avoids the explicit Jacobian product of
+    a standalone softmax layer.
     """
 
     def __init__(self) -> None:
         self._probs: np.ndarray | None = None
         self._targets: np.ndarray | None = None
-        self._rows = np.arange(0)  # row index of the widest batch seen, sliced per batch
+        self._grids: dict[tuple[int, ...], tuple[np.ndarray, ...]] = {}
 
-    def forward(self, predictions: np.ndarray, targets: np.ndarray) -> float:
+    def _picks(self, labels: np.ndarray) -> tuple[np.ndarray, ...]:
+        """The index selecting each row's labelled class (open grid cached per shape)."""
+        grid = self._grids.get(labels.shape)
+        if grid is None:
+            grid = self._grids[labels.shape] = np.indices(labels.shape, sparse=True)
+        return (*grid, labels)
+
+    def forward(self, predictions: np.ndarray, targets: np.ndarray) -> float | np.ndarray:
         logits = np.asarray(predictions, dtype=np.float64)
         labels = np.asarray(targets)
-        if logits.ndim != 2:
-            raise ValueError(f"expected logits of shape (batch, classes), got {logits.shape}")
-        if labels.ndim != 1 or labels.shape[0] != logits.shape[0]:
+        if logits.ndim < 2:
             raise ValueError(
-                f"expected integer labels of shape ({logits.shape[0]},), got {labels.shape}"
+                f"expected logits of shape (..., batch, classes), got {logits.shape}"
+            )
+        if labels.shape != logits.shape[:-1]:
+            raise ValueError(
+                f"expected integer labels of shape {logits.shape[:-1]}, got {labels.shape}"
             )
         labels = labels.astype(np.int64, copy=False)
-        if labels.min(initial=0) < 0 or labels.max(initial=0) >= logits.shape[1]:
+        if labels.min(initial=0) < 0 or labels.max(initial=0) >= logits.shape[-1]:
             raise ValueError(
-                f"labels must lie in [0, {logits.shape[1]}), got range "
+                f"labels must lie in [0, {logits.shape[-1]}), got range "
                 f"[{labels.min()}, {labels.max()}]"
             )
-        shifted = logits - logits.max(axis=1, keepdims=True)
+        shifted = logits - logits.max(axis=-1, keepdims=True)
         exp = np.exp(shifted)
-        probs = exp / exp.sum(axis=1, keepdims=True)
+        probs = exp / exp.sum(axis=-1, keepdims=True)
         self._probs = probs
         self._targets = labels
-        if self._rows.shape[0] < labels.shape[0]:
-            self._rows = np.arange(labels.shape[0])
-        picked = probs[self._rows[: labels.shape[0]], labels]
-        return float(-np.mean(np.log(np.clip(picked, 1e-12, None))))
+        picked = probs[self._picks(labels)]
+        losses = -np.mean(np.log(np.clip(picked, 1e-12, None)), axis=-1)
+        return float(losses) if losses.ndim == 0 else losses
 
     def backward(self) -> np.ndarray:
         if self._probs is None or self._targets is None:
             raise RuntimeError("backward called before forward on SoftmaxCrossEntropyLoss")
-        batch = self._targets.shape[0]
         grad = self._probs.copy()
-        grad[self._rows[:batch], self._targets] -= 1.0
-        return grad / batch
+        grad[self._picks(self._targets)] -= 1.0
+        return grad / self._targets.shape[-1]
 
 
 class MSELoss(Loss):

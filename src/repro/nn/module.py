@@ -54,9 +54,10 @@ class Parameter:
 class Module:
     """Base class for all layers and models."""
 
-    #: ``(values, grads)`` once :func:`repro.nn.parameters.pack_parameters` has
-    #: re-homed every parameter of this tree as views of two flat buffers.
-    packed: tuple[np.ndarray, np.ndarray] | None = None
+    #: ``(values, grads)`` once :func:`repro.nn.parameters.bind_parameters` has
+    #: re-homed every parameter of this tree as views of flat buffers (``grads``
+    #: is ``None`` under a forward-only binding).
+    packed: tuple[np.ndarray, np.ndarray | None] | None = None
 
     def __init__(self) -> None:
         self._parameters: dict[str, Parameter] = {}

@@ -211,12 +211,10 @@ class DelayModel:
             return 0.0
         return self.params.exchange_base + self.params.exchange_per_miner * (num_miners - 1)
 
-    def aggregation_delay(self, num_gradients: int, *, with_clustering: bool = True) -> float:
-        """T_gl: global update computation, optionally including Algorithm 2 clustering."""
-        delay = self.params.aggregation_base
-        if with_clustering:
-            delay += self.params.clustering_per_gradient * max(0, int(num_gradients))
-        return delay
+    def aggregation_delay(self, num_gradients: int) -> float:
+        """T_gl: global update computation, including Algorithm 2 clustering."""
+        params = self.params
+        return params.aggregation_base + params.clustering_per_gradient * max(0, int(num_gradients))
 
     def mining_delay(self, num_miners: int) -> float:
         """T_bl: winner solve time plus block broadcast/verification.
@@ -242,7 +240,6 @@ class DelayModel:
         num_miners: int,
         batches_per_epoch: float,
         epochs: int,
-        with_clustering: bool = True,
     ) -> RoundDelayBreakdown:
         """One FAIR-BFL round: all five components, one block, no forks (Assumptions 1+2)."""
         return self.simulator.fairbfl_round(
@@ -250,7 +247,6 @@ class DelayModel:
             num_miners=num_miners,
             batches_per_epoch=batches_per_epoch,
             epochs=epochs,
-            with_clustering=with_clustering,
         ).breakdown
 
     def fl_round(
@@ -294,30 +290,17 @@ class DelayModel:
         )
 
     def vanilla_blockchain_round(
-        self,
-        *,
-        num_transactions: int,
-        num_miners: int,
-        include_learning: bool = False,
-        num_participants: int = 0,
-        batches_per_epoch: float = 0.0,
-        epochs: int = 0,
+        self, *, num_transactions: int, num_miners: int
     ) -> RoundDelayBreakdown:
         """One vanilla-blockchain round recording every gradient on-chain.
 
         The round must mine ``ceil(num_transactions / transactions_per_block)``
         blocks (queueing, Section 3.1), pays per-transaction processing, and
-        risks a fork on every mined block.  When ``include_learning`` is True
-        (vanilla *BFL*), the FL-side components are added as well; the pure
-        blockchain baseline of Fig. 4a leaves them out.
+        risks a fork on every mined block.  This is the pure blockchain
+        baseline of Fig. 4a: no FL-side component is priced.
         """
         return self.simulator.vanilla_round(
-            num_transactions=num_transactions,
-            num_miners=num_miners,
-            include_learning=include_learning,
-            client_ids=num_participants,
-            batches_per_epoch=batches_per_epoch,
-            epochs=epochs,
+            num_transactions=num_transactions, num_miners=num_miners
         ).breakdown
 
 
@@ -337,14 +320,13 @@ class AnalyticDelayModel(DelayModel):
         num_miners: int,
         batches_per_epoch: float,
         epochs: int,
-        with_clustering: bool = True,
     ) -> RoundDelayBreakdown:
         """Closed form: the five components summed independently."""
         return RoundDelayBreakdown(
             t_local=self.local_training_delay(num_participants, batches_per_epoch, epochs),
             t_up=self.upload_delay(num_participants),
             t_ex=self.exchange_delay(num_miners),
-            t_gl=self.aggregation_delay(num_participants, with_clustering=with_clustering),
+            t_gl=self.aggregation_delay(num_participants),
             t_bl=self.mining_delay(num_miners),
         )
 
@@ -363,14 +345,7 @@ class AnalyticDelayModel(DelayModel):
         )
 
     def vanilla_blockchain_round(
-        self,
-        *,
-        num_transactions: int,
-        num_miners: int,
-        include_learning: bool = False,
-        num_participants: int = 0,
-        batches_per_epoch: float = 0.0,
-        epochs: int = 0,
+        self, *, num_transactions: int, num_miners: int
     ) -> RoundDelayBreakdown:
         """Closed form: queued blocks, per-transaction handling, fork merges."""
         if num_transactions < 0:
@@ -384,8 +359,4 @@ class AnalyticDelayModel(DelayModel):
             _forks, merge_delay = self.fork_delay(num_miners)
             t_bl += merge_delay
         t_up = self.params.tx_processing_time * num_transactions
-        t_local = 0.0
-        if include_learning:
-            t_local = self.local_training_delay(num_participants, batches_per_epoch, epochs)
-            t_up += self.upload_delay(num_participants)
-        return RoundDelayBreakdown(t_local=t_local, t_up=t_up, t_bl=t_bl)
+        return RoundDelayBreakdown(t_up=t_up, t_bl=t_bl)

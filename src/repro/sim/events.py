@@ -37,7 +37,7 @@ import hashlib
 import heapq
 import itertools
 import math
-from typing import Callable, Generator, Iterable
+from typing import Callable, Generator
 
 import numpy as np
 
@@ -266,13 +266,5 @@ class EventKernel:
         """SHA-256 hex digest of the fired-event trace (requires record_trace)."""
         h = hashlib.sha256()
         for time, name in self.trace:
-            h.update(f"{time:.9f}|{name}\n".encode("utf-8"))
-        return h.hexdigest()
-
-    @staticmethod
-    def digest_of(traces: Iterable[tuple[float, str]]) -> str:
-        """Digest an explicit ``(time, name)`` iterable (for stitched traces)."""
-        h = hashlib.sha256()
-        for time, name in traces:
             h.update(f"{time:.9f}|{name}\n".encode("utf-8"))
         return h.hexdigest()

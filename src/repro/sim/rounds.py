@@ -171,18 +171,14 @@ class EventRoundSimulator:
         num_miners: int,
         batches_per_epoch: float | Mapping[int, float],
         epochs: int,
-        with_clustering: bool = True,
         stages: Iterable[str] = _STAGES,
-        num_gradients: int | None = None,
     ) -> RoundTiming:
         """One FAIR-BFL round (any subset of Procedures I-V via ``stages``)."""
 
         def global_duration(on_time_count: int) -> float:
-            count = on_time_count if num_gradients is None else int(num_gradients)
-            duration = self.params.aggregation_base
-            if with_clustering:
-                duration += self.params.clustering_per_gradient * max(0, count)
-            return duration
+            """Aggregation plus Algorithm 2 clustering over the on-time uploads."""
+            params = self.params
+            return params.aggregation_base + params.clustering_per_gradient * max(0, on_time_count)
 
         return self._simulate(
             client_ids=client_ids,
@@ -220,10 +216,6 @@ class EventRoundSimulator:
         *,
         num_transactions: int,
         num_miners: int,
-        include_learning: bool = False,
-        client_ids: Sequence[int] | int = 0,
-        batches_per_epoch: float | Mapping[int, float] = 0.0,
-        epochs: int = 0,
         mempool=None,
         on_block: Callable[[list, int], None] | None = None,
         miners: Sequence | None = None,
@@ -246,11 +238,11 @@ class EventRoundSimulator:
         if num_transactions < 0:
             raise ValueError(f"num_transactions must be >= 0, got {num_transactions}")
         return self._simulate(
-            client_ids=client_ids if include_learning else 0,
+            client_ids=0,  # the pure-blockchain baseline of Fig. 4a trains nothing
             num_miners=num_miners,
-            batches_per_epoch=batches_per_epoch,
-            epochs=epochs,
-            stages=frozenset(("local", "upload") if include_learning else ()),
+            batches_per_epoch=0.0,
+            epochs=0,
+            stages=frozenset(),
             global_duration=None,
             vanilla_tx_count=int(num_transactions),
             mempool=mempool,

@@ -47,8 +47,9 @@ def pytest_configure(config) -> None:
     )
     config.addinivalue_line(
         "markers",
-        "cohort: training-kernel byte parity (serial plane and cohort): "
-        "serial-vs-cohort differential fuzz, cohort gradchecks, "
+        "cohort: one set of layers held to itself across ranks: "
+        "serial-vs-cohort differential fuzz, stacked-operand == per-slice "
+        "properties, cohort gradchecks, bind_parameters view/lifetime guards, "
         "write-once/skip/distinct-shard guards, and the packed serial plane "
         "against the per-parameter code it replaced — `pytest -m cohort`",
     )

@@ -1,7 +1,14 @@
-"""Executable properties of the write-once cohort kernels.
+"""Executable properties of the cohort container and the layers it walks.
 
-The batched training step has three mechanisms that each trade a safety net
-for speed, so each gets a guard that fails loudly instead of training on
+The cohort engine has no math of its own: ``CohortModel`` binds a ``(clients,
+P)`` matrix onto a template's serial layers and runs them on stacked operands.
+What makes that sound is held here as properties — every layer, the loss and
+``accuracy`` on a stacked operand equal themselves run slice by slice;
+``bind_parameters`` hands out views, never copies; a finished chunk pins
+nothing it was lent.
+
+The batched training step also has three mechanisms that each trade a safety
+net for speed, so each gets a guard that fails loudly instead of training on
 garbage:
 
 * **write, don't accumulate** — ``CohortModel.backward`` overwrites the flat
@@ -15,12 +22,14 @@ garbage:
   (``np.matmul`` calls per step, arrays handed to ``np.stack``) must stay at
   the floor.
 
-And one structural promise: the cohort path has no activation math of its own
-— ``from_module`` wraps instances of the *serial* layer classes, so the two
-training paths cannot disagree on an activation.
+And one structural promise: every cohort layer *is* a serial layer instance —
+``from_module`` adopts the template's own objects — so the two training paths
+cannot disagree on a layer.
 """
 
 from __future__ import annotations
+
+import weakref
 
 import numpy as np
 import pytest
@@ -31,11 +40,13 @@ from repro.datasets.federated import ClientDataset, build_federated_dataset
 from repro.fl.client import FLClient, LocalTrainingConfig
 from repro.fl.cohort import CohortTrainer
 from repro.nn import cohort as nn_cohort
-from repro.nn.cohort import CohortModel, CohortUnsupportedError, _CohortFlatten, _CohortLinear
+from repro.nn.cohort import CohortModel, CohortUnsupportedError
 from repro.nn.layers import Dropout, Flatten, Linear, ReLU, Sigmoid, Softmax, Tanh
+from repro.nn.losses import SoftmaxCrossEntropyLoss
+from repro.nn.metrics import accuracy
 from repro.nn.models import ModelFactory, build_model
 from repro.nn.module import Sequential
-from repro.nn.parameters import get_flat_parameters
+from repro.nn.parameters import bind_parameters, get_flat_parameters
 from repro.utils.rng import new_rng
 
 pytestmark = pytest.mark.cohort
@@ -47,21 +58,28 @@ pytestmark = pytest.mark.cohort
 # ---------------------------------------------------------------------------
 
 def reference_backward(model: CohortModel, params: np.ndarray, grad_output: np.ndarray):
+    """Accumulate into zeros, reading the bound layers' caches but slicing
+    ``params`` / ``grads`` by its own column count, not through their views."""
     grads = np.zeros_like(params)
     g = np.asarray(grad_output, dtype=np.float64)
-    for op in reversed(model.ops):
-        if isinstance(op, _CohortLinear):
-            x = op._input_cache
-            lo, hi = op.weight_slice
+    hi = model.num_parameters
+    for layer in reversed(model.layers):
+        if isinstance(layer, Linear):
+            x = layer._input_cache
+            bias = layer.out_features if layer.bias is not None else 0
+            mid = hi - bias
+            lo = mid - layer.in_features * layer.out_features
             grad_w = np.matmul(x.transpose(0, 2, 1), g)
-            grads[:, lo:hi] += grad_w.reshape(grad_w.shape[0], -1)
-            if op.bias_slice is not None:
-                b_lo, b_hi = op.bias_slice
-                grads[:, b_lo:b_hi] += g.sum(axis=1)
-            g = np.matmul(g, op._weights(params).transpose(0, 2, 1))
+            grads[:, lo:mid] += grad_w.reshape(grad_w.shape[0], -1)
+            if bias:
+                grads[:, mid:hi] += g.sum(axis=1)
+            weights = params[:, lo:mid].reshape(-1, layer.in_features, layer.out_features)
+            g = np.matmul(g, weights.transpose(0, 2, 1))
+            hi = lo
         else:
-            g = op.backward(params, grads, g)
-    return g, grads
+            g = layer.backward(g)
+    assert hi == 0
+    return g.reshape(model._input_shape), grads
 
 
 def reference_sgd_step(params, grads, *, learning_rate, weight_decay=0.0):
@@ -147,20 +165,19 @@ def test_backward_rejects_a_scratch_it_cannot_write_through():
         model.backward(params, np.empty((2, model.num_parameters + 1)), upstream)
 
 
-@pytest.mark.parametrize(
-    "weight_slice, bias_slice, total",
-    [
-        ((0, 12), (13, 16), 16),  # gap: column 12 would never be written
-        ((0, 12), (11, 14), 14),  # overlap: column 11 written twice
-        ((1, 13), (13, 16), 16),  # does not start at 0
-        ((0, 12), (12, 15), 16),  # stops short of num_parameters
-        ((0, 12), (12, 12), 12),  # empty slice
-    ],
-)
-def test_compile_rejects_slices_that_do_not_tile(weight_slice, bias_slice, total):
-    ops = [_CohortFlatten(), _CohortLinear(4, 3, weight_slice, bias_slice)]
-    with pytest.raises(ValueError, match="slices"):
-        CohortModel(ops, total)
+@pytest.mark.parametrize("lead", ((), (3,)))
+@pytest.mark.parametrize("off_by", (-1, 1))
+def test_bind_rejects_a_buffer_of_the_wrong_width(lead, off_by):
+    """The columns tile ``[0, P)`` by construction, so the one way left to get
+    an unwritten or twice-written column is a buffer that is not ``P`` wide."""
+    model = _stack("mlp")
+    total = model.num_parameters()
+    good, bad = np.zeros((*lead, total)), np.zeros((*lead, total + off_by))
+    with pytest.raises(ValueError, match=f"model of {total} parameters"):
+        bind_parameters(model, bad, good)
+    with pytest.raises(ValueError, match=f"model of {total} parameters"):
+        bind_parameters(model, good, bad)
+    assert model.packed is None  # refused before anything was re-homed
 
 
 # ---------------------------------------------------------------------------
@@ -365,17 +382,29 @@ def test_one_training_step_does_the_minimum_work(monkeypatch, model_name, linear
 
 
 # ---------------------------------------------------------------------------
-# One set of activation kernels: the cohort ops *are* the serial layers.
+# One set of layers: the cohort layers *are* the template's serial layers.
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("name", sorted(ACTIVATIONS))
-def test_activation_ops_wrap_the_serial_layer_classes(name):
+def test_the_cohort_module_exports_no_math():
+    """A batched twin of a layer, loss or metric cannot quietly come back."""
+    assert nn_cohort.__all__ == [
+        "CohortUnsupportedError", "CohortModel", "sgd_step", "add_proximal_term"
+    ]
+
+
+@pytest.mark.parametrize("name", STACKS)
+def test_every_cohort_layer_is_a_template_layer(name):
+    """``from_module`` takes ownership: it walks the template's own ``Linear``
+    and activation objects (``Flatten`` hoisted into one reshape) and packs the
+    template, whose storage is what ``release`` returns the layers to."""
     template = _stack(name)
+    before = get_flat_parameters(template)
     model = CohortModel.from_module(template)
-    (wrapped,) = [op.layer for op in model.ops if hasattr(op, "layer")]
-    assert type(wrapped) is ACTIVATIONS[name]
-    # A fresh instance: training a cohort must not touch the template's caches.
-    assert all(wrapped is not layer for layer in template.layers)
+    kept = [layer for layer in template.layers if not isinstance(layer, Flatten)]
+    assert len(model.layers) == len(kept)
+    assert all(ours is theirs for ours, theirs in zip(model.layers, kept))
+    assert model.template is template and template.packed is not None
+    assert get_flat_parameters(template).tobytes() == before.tobytes()
 
 
 def test_dropout_is_compiled_away_or_refused():
@@ -385,9 +414,18 @@ def test_dropout_is_compiled_away_or_refused():
     with_dropout = CohortModel.from_module(
         Sequential(*layers[:3], Dropout(0.0, rng), layers[3])
     )
-    assert [type(op) for op in with_dropout.ops] == [type(op) for op in plain.ops]
+    assert with_dropout.layers == plain.layers == [layers[1], layers[2], layers[3]]
     with pytest.raises(CohortUnsupportedError, match="Dropout"):
         CohortModel.from_module(Sequential(*layers[:3], Dropout(0.25, rng), layers[3]))
+
+
+def test_flatten_is_hoisted_only_where_that_is_the_same_bytes():
+    """One up-front reshape replaces every ``Flatten`` — sound unless a
+    ``Softmax`` already reduced over the last axis of the unflattened input."""
+    rng = np.random.default_rng(4)
+    CohortModel.from_module(Sequential(ReLU(), Flatten(), Linear(6, 4, rng), Softmax(), Flatten()))
+    with pytest.raises(CohortUnsupportedError, match="Flatten after a Softmax"):
+        CohortModel.from_module(Sequential(Softmax(), Flatten(), Linear(6, 4, rng)))
 
 
 def test_softmax_on_a_matrix_still_reduces_over_axis_one():
@@ -403,3 +441,146 @@ def test_softmax_on_a_matrix_still_reduces_over_axis_one():
         assert layer.forward(x).tobytes() == expected.tobytes()
         dot = np.sum(g * expected, axis=1, keepdims=True)
         assert layer.backward(g).tobytes() == (expected * (g - dot)).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# One set of math held to itself across ranks.
+# ---------------------------------------------------------------------------
+
+def _bound(layer, values, grads):
+    """``layer`` with its parameters bound to the given buffers (``Linear`` only)."""
+    if isinstance(layer, Linear):
+        bind_parameters(layer, values, grads)
+    return layer
+
+
+def _layer_pass(layer, values, x, upstream):
+    """Forward, the writing backward, then the accumulating one into zeros."""
+    written, summed = np.full_like(values, np.nan), np.zeros_like(values)
+    params = isinstance(layer, Linear)
+    out = _bound(layer, values, written).forward(x)
+    first = layer.backward(upstream, accumulate=False) if params else layer.backward(upstream)
+    skipped = layer.backward(upstream, need_input_grad=False) if params else None
+    _bound(layer, values, summed)
+    second = layer.backward(upstream) if params else first
+    assert skipped is None
+    return [out, first, second, written, summed]
+
+
+@pytest.mark.cohort
+@settings(max_examples=40, deadline=None)
+@given(
+    kinds=st.lists(st.sampled_from(["linear", *ACTIVATIONS]), min_size=1, max_size=5),
+    widths=st.lists(st.integers(1, 6), min_size=6, max_size=6),
+    clients=st.sampled_from([1, 3]),
+    batch=st.integers(1, 9),
+    bias=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+def test_stacked_operands_equal_their_slices(kinds, widths, clients, batch, bias, seed):
+    """Each layer, the loss and ``accuracy`` on ``(clients, batch, ...)`` are,
+    per client, the bytes of the same object run on that ``(batch, ...)`` slice:
+    stacked ``matmul`` and last-axis reductions do not see the leading axis."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((clients, batch, widths[0])) * 2.0
+    for kind, width in zip(kinds, widths[1:]):
+        if kind == "linear":
+            layer = Linear(x.shape[-1], width, rng, bias=bias)
+            size = layer.num_parameters()
+        else:
+            layer, width, size = ACTIVATIONS[kind](), x.shape[-1], 0
+        values = rng.standard_normal((clients, size))
+        upstream = rng.standard_normal((clients, batch, width))
+        stacked = _layer_pass(layer, values, x, upstream)
+        for i in range(clients):
+            alone = _layer_pass(layer, values[i], x[i], upstream[i])
+            for whole, part in zip(stacked, alone):
+                assert whole[i].tobytes() == part.tobytes(), (kind, i)
+        x = stacked[0]
+
+    labels = rng.integers(0, x.shape[-1], size=(clients, batch))
+    loss = SoftmaxCrossEntropyLoss()
+    losses, scores = loss.forward(x, labels), accuracy(x, labels)
+    grad = loss.backward()
+    assert losses.shape == scores.shape == (clients,)
+    for i in range(clients):
+        assert isinstance(loss.forward(x[i], labels[i]), float)
+        assert loss.forward(x[i], labels[i]) == losses[i]
+        assert loss.backward().tobytes() == grad[i].tobytes()
+        assert accuracy(x[i], labels[i]) == scores[i]
+
+
+@pytest.mark.parametrize(
+    "carve",
+    [
+        lambda big, total: big[:, :total],  # a plain (clients, P) matrix
+        lambda big, total: big[:, 5 : 5 + total],  # a column range: rows not contiguous
+        lambda big, total: big[1, 5 : 5 + total],  # one (P,) plane of it
+        lambda big, total: big[:, : 2 * total : 2],  # every other column
+    ],
+)
+def test_bound_parameters_are_views_of_the_buffers(carve):
+    """Writes through a bound ``value`` / ``grad`` land in the buffer — also for
+    a non-contiguous one, where a careless ``reshape`` would silently copy."""
+    model = _stack("mlp")
+    total = model.num_parameters()
+    shapes = [p.shape for p in model.parameters()]
+    big_values, big_grads = np.zeros((3, 2 * total + 9)), np.zeros((3, 2 * total + 9))
+    values, grads = carve(big_values, total), carve(big_grads, total)
+    assert bind_parameters(model, values, grads) is model
+    assert model.packed[0] is values and model.packed[1] is grads
+
+    lo = 0
+    for k, (p, shape) in enumerate(zip(model.parameters(), shapes), 1):
+        assert p.value.shape == p.grad.shape == values.shape[:-1] + shape
+        assert np.shares_memory(p.value, big_values) and np.shares_memory(p.grad, big_grads)
+        p.value[...] = k
+        p.grad[...] = -k
+        hi = lo + int(np.prod(shape))
+        assert (values[..., lo:hi] == k).all() and (grads[..., lo:hi] == -k).all()
+        lo = hi
+    assert lo == total and (values != 0).all() and (grads != 0).all()
+    assert np.count_nonzero(big_values) == values.size  # and nothing beyond the carve
+
+
+def test_a_finished_chunk_pins_nothing_it_was_lent(monkeypatch):
+    """The template's parameters are views of a chunk's ``params`` / ``grads``
+    while it trains; once the block is out (and once an evaluation returns)
+    they are back on the template's own storage, so the scratch is freed and a
+    returned ``CohortBlock.parameters`` is nobody else's to write."""
+    dataset = build_federated_dataset(
+        num_clients=7, num_samples=140, scheme="iid", seed=5, distinct_shards=3
+    )
+    clients = _clients(dataset, private=False, model_name="mlp")
+    config = LocalTrainingConfig(epochs=1, batch_size=16, learning_rate=0.05)
+    start = get_flat_parameters(clients[0].model)
+
+    lent = []
+    forward, backward = CohortModel.forward, CohortModel.backward
+
+    def spy_forward(self, params, x):
+        lent.append(weakref.ref(params))
+        return forward(self, params, x)
+
+    def spy_backward(self, params, grads, grad_output, **kwargs):
+        lent.append(weakref.ref(grads))
+        return backward(self, params, grads, grad_output, **kwargs)
+
+    monkeypatch.setattr(CohortModel, "forward", spy_forward)
+    monkeypatch.setattr(CohortModel, "backward", spy_backward)
+
+    trainer = CohortTrainer(max_cohort_size=4)
+    blocks = list(trainer.iter_update_blocks(clients, list(clients), start, config))
+    assert len(blocks) >= 2 and len(lent) > 4
+    kept = {id(block.parameters) for block in blocks}
+    assert all(ref() is None or id(ref()) in kept for ref in lent)  # every grads scratch is dead
+    (model,) = trainer._models.values()
+    for block in blocks:
+        for p in model.template.parameters():
+            assert not np.shares_memory(p.value, block.parameters)
+            assert not np.shares_memory(p.grad, block.parameters)
+
+    del lent[:]
+    trainer.evaluate_population(clients, list(clients), start)
+    assert lent and all(ref() is None for ref in lent)
+    assert model.template.packed[0].shape == start.shape  # back on its own (P,) plane

@@ -1,9 +1,9 @@
-"""Finite-difference gradient checks for every layer, loss, and cohort kernel.
+"""Finite-difference gradient checks for every layer, loss, and the cohort container.
 
 The analytic backward passes are the foundation both execution paths share:
 the serial per-client loop uses the :mod:`repro.nn.layers` modules directly,
-and the vectorized cohort engine re-implements the same math as batched
-``(clients, batch, features)`` kernels (:mod:`repro.nn.cohort`).  A wrong
+and the vectorized cohort engine runs the same objects on stacked
+``(clients, batch, features)`` operands (:mod:`repro.nn.cohort`).  A wrong
 gradient would not crash anything — training would just quietly converge to
 the wrong place — so every backward is checked against a central-difference
 numerical gradient here, in both the single-sample and stacked shapes.
@@ -166,18 +166,22 @@ def test_every_loss_has_a_gradcheck():
     assert set(nn_losses.__all__) == {"Loss", "SoftmaxCrossEntropyLoss", "MSELoss"}
 
 
+@pytest.mark.cohort
+@pytest.mark.parametrize("lead", ((), (1,), (3,), (2, 2)))
 @pytest.mark.parametrize("batch", (1, 5))
-def test_softmax_cross_entropy_gradient(batch):
+def test_softmax_cross_entropy_gradient(batch, lead):
     rng = np.random.default_rng(2)
-    logits = rng.standard_normal((batch, 4))
-    labels = rng.integers(0, 4, size=batch)
+    logits = rng.standard_normal((*lead, batch, 4))
+    labels = rng.integers(0, 4, size=(*lead, batch))
     loss = SoftmaxCrossEntropyLoss()
 
-    loss.forward(logits, labels)
+    assert np.shape(loss.forward(logits, labels)) == lead
     analytic = loss.backward()
 
+    # Per-index losses are independent, so the gradient of their *sum* is
+    # exactly the stacked per-index gradient.
     def objective() -> float:
-        return SoftmaxCrossEntropyLoss().forward(logits, labels)
+        return float(np.sum(SoftmaxCrossEntropyLoss().forward(logits, labels)))
 
     np.testing.assert_allclose(
         analytic, numerical_grad(objective, logits), rtol=RTOL, atol=ATOL
@@ -203,7 +207,7 @@ def test_mse_gradient(shape):
 
 
 # ---------------------------------------------------------------------------
-# Cohort kernels: the batched counterparts used by the vectorized engine
+# The cohort container: the same layers walked over a (clients, P) matrix
 # ---------------------------------------------------------------------------
 
 class _Stack(Module):
@@ -217,7 +221,7 @@ class _Stack(Module):
 
 
 def _cohort_setup(clients: int):
-    """A stack covering every cohort op, with per-client flat parameters."""
+    """A stack covering every layer the cohort takes, with per-client flat parameters."""
     rng = np.random.default_rng(4)
     template = _Stack(
         [
@@ -229,7 +233,7 @@ def _cohort_setup(clients: int):
             Sigmoid(),
             Linear(3, 2, rng, bias=False),
             Softmax(),
-            Dropout(0.0, rng),  # rate-0 dropout compiles to the identity op
+            Dropout(0.0, rng),  # rate-0 dropout is the identity: not walked at all
         ]
     )
     model = nn_cohort.CohortModel.from_module(template)
@@ -259,27 +263,6 @@ def test_cohort_model_gradients(clients):
     np.testing.assert_allclose(
         grads, numerical_grad(objective, params), rtol=RTOL, atol=ATOL,
         err_msg=f"cohort stack: parameter gradient mismatch at clients={clients}",
-    )
-
-
-@pytest.mark.cohort
-@pytest.mark.parametrize("clients", (1, 3))
-def test_batched_cross_entropy_gradient(clients):
-    rng = np.random.default_rng(6)
-    logits = rng.standard_normal((clients, 3, 4))
-    labels = rng.integers(0, 4, size=(clients, 3))
-
-    _, probs = nn_cohort.batched_softmax_cross_entropy(logits, labels)
-    analytic = nn_cohort.batched_softmax_cross_entropy_grad(probs, labels)
-
-    # Per-client losses are independent, so the gradient of their *sum* is
-    # exactly the stacked per-client gradient.
-    def objective() -> float:
-        losses, _ = nn_cohort.batched_softmax_cross_entropy(logits, labels)
-        return float(sum(losses))
-
-    np.testing.assert_allclose(
-        analytic, numerical_grad(objective, logits), rtol=RTOL, atol=ATOL
     )
 
 

@@ -84,6 +84,8 @@ class TestLinear:
     def test_forward_wrong_dim_raises(self, rng):
         with pytest.raises(ValueError):
             Linear(5, 3, rng).forward(np.zeros((7, 4)))
+        with pytest.raises(ValueError):  # leading axes must be the weight's own
+            Linear(5, 3, rng).forward(np.zeros((2, 7, 5)))
 
     def test_backward_before_forward_raises(self, rng):
         with pytest.raises(RuntimeError):

@@ -215,6 +215,20 @@ class TestMetrics:
     def test_accuracy_empty(self):
         assert accuracy(np.zeros((0, 3)), np.zeros(0, dtype=int)) == 0.0
 
+    @pytest.mark.parametrize("lead", ((2,), (1,), (2, 3)))
+    def test_accuracy_per_leading_index(self, lead):
+        """A stack of batches scores each batch alone: one value per leading index."""
+        logits = np.broadcast_to(np.array([[1.0, 0.0], [1.0, 0.0]]), (*lead, 2, 2))
+        labels = np.zeros((*lead, 2), dtype=int)
+        labels[0, ..., 1] = 1  # the first slice gets one row wrong
+        got = accuracy(logits, labels)
+        assert got.shape == lead
+        np.testing.assert_array_equal(got[0], 0.5)
+        np.testing.assert_array_equal(got[1:], 1.0)
+        np.testing.assert_array_equal(
+            accuracy(np.zeros((*lead, 0, 3)), np.zeros((*lead, 0), dtype=int)), np.zeros(lead)
+        )
+
     def test_accuracy_shape_checks(self):
         with pytest.raises(ValueError):
             accuracy(np.zeros(3), np.zeros(3, dtype=int))
