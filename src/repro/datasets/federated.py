@@ -25,6 +25,24 @@ __all__ = [
 ]
 
 
+def _check_fraction(name: str, value: float) -> None:
+    if not (0.0 < value < 1.0):
+        raise ValueError(f"{name} must lie in (0, 1), got {value}")
+
+
+def _split_indices(
+    n: int, fraction: float, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """The one split rule: shuffle ``range(n)`` and hold out
+    ``max(1, round(n * fraction))`` indices, keeping at least one on the
+    other side.  Returns ``(kept, held_out)``."""
+    if n < 2:
+        raise ValueError(f"cannot split {n} sample(s) into two non-empty parts")
+    held = min(max(1, int(round(n * fraction))), n - 1)
+    perm = rng.permutation(n)
+    return perm[held:], perm[:held]
+
+
 def train_test_split(
     dataset: SyntheticMNIST,
     rng: np.random.Generator,
@@ -32,17 +50,8 @@ def train_test_split(
     test_fraction: float = 0.2,
 ) -> tuple[SyntheticMNIST, SyntheticMNIST]:
     """Split ``dataset`` into train/test subsets (shuffled, disjoint)."""
-    if not (0.0 < test_fraction < 1.0):
-        raise ValueError(f"test_fraction must lie in (0, 1), got {test_fraction}")
-    n = len(dataset)
-    perm = rng.permutation(n)
-    n_test = max(1, int(round(n * test_fraction)))
-    if n_test >= n:
-        raise ValueError(
-            f"test_fraction={test_fraction} leaves no training data for {n} samples"
-        )
-    test_idx = perm[:n_test]
-    train_idx = perm[n_test:]
+    _check_fraction("test_fraction", test_fraction)
+    train_idx, test_idx = _split_indices(len(dataset), test_fraction, rng)
     return dataset.subset(train_idx), dataset.subset(test_idx)
 
 
@@ -143,15 +152,14 @@ class FederatedDataset:
         The flat dataset is first split into a global train/test pair; the
         training part is then partitioned across clients with the requested
         scheme, and each client shard is further split into local train /
-        verification subsets.
+        verification subsets.  Only index arrays are composed along the way:
+        every array the result holds is one gather from ``dataset``.
         """
-        if not (0.0 < client_val_fraction < 1.0):
-            raise ValueError(
-                f"client_val_fraction must lie in (0, 1), got {client_val_fraction}"
-            )
-        train, test = train_test_split(dataset, rng, test_fraction=test_fraction)
+        _check_fraction("client_val_fraction", client_val_fraction)
+        _check_fraction("test_fraction", test_fraction)
+        train_idx, test_idx = _split_indices(len(dataset), test_fraction, rng)
         partitions = partition_dataset(
-            train,
+            dataset.labels[train_idx],
             num_clients,
             rng,
             scheme=scheme,
@@ -160,28 +168,21 @@ class FederatedDataset:
         )
         clients: list[ClientDataset] = []
         for cid, idx in enumerate(partitions):
-            shard_images = train.images[idx]
-            shard_labels = train.labels[idx]
-            n = idx.shape[0]
-            n_val = max(1, int(round(n * client_val_fraction)))
-            if n_val >= n:
-                n_val = max(1, n - 1)
-            perm = rng.permutation(n)
-            val_sel = perm[:n_val]
-            train_sel = perm[n_val:]
+            kept, held = _split_indices(idx.shape[0], client_val_fraction, rng)
+            train_rows, val_rows = train_idx[idx[kept]], train_idx[idx[held]]
             clients.append(
                 ClientDataset(
                     client_id=cid,
-                    images=shard_images[train_sel],
-                    labels=shard_labels[train_sel],
-                    val_images=shard_images[val_sel],
-                    val_labels=shard_labels[val_sel],
+                    images=dataset.images[train_rows],
+                    labels=dataset.labels[train_rows],
+                    val_images=dataset.images[val_rows],
+                    val_labels=dataset.labels[val_rows],
                 )
             )
         return cls(
             clients=clients,
-            test_images=test.images,
-            test_labels=test.labels,
+            test_images=dataset.images[test_idx],
+            test_labels=dataset.labels[test_idx],
             scheme=scheme,
         )
 
@@ -262,6 +263,8 @@ def build_federated_dataset(
             f"distinct_shards must lie in [0, num_clients={num_clients}], "
             f"got {distinct_shards}"
         )
+    if not (0.0 <= low_quality_fraction <= 1.0):
+        raise ValueError(f"low_quality_fraction must lie in [0, 1], got {low_quality_fraction}")
     shard_count = int(distinct_shards) or int(num_clients)
     dataset = load_synthetic_mnist(num_samples, seed=seed, noise_std=noise_std)
     fed = FederatedDataset.from_dataset(

@@ -16,9 +16,9 @@ dataset without overlap, and all draw randomness from an explicit generator.
 
 from __future__ import annotations
 
-import numpy as np
+import math
 
-from repro.datasets.synthetic_mnist import SyntheticMNIST
+import numpy as np
 
 __all__ = [
     "iid_partition",
@@ -99,8 +99,8 @@ def dirichlet_partition(
     """
     labels = np.asarray(labels)
     _check_args(labels.shape[0], num_clients)
-    if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
+    if not (math.isfinite(alpha) and alpha > 0):
+        raise ValueError(f"alpha must be finite and positive, got {alpha}")
     if min_samples_per_client < 1:
         raise ValueError(
             f"min_samples_per_client must be >= 1, got {min_samples_per_client}"
@@ -130,7 +130,7 @@ def dirichlet_partition(
 
 
 def partition_dataset(
-    dataset: SyntheticMNIST,
+    labels: np.ndarray,
     num_clients: int,
     rng: np.random.Generator,
     *,
@@ -138,7 +138,7 @@ def partition_dataset(
     shards_per_client: int = 2,
     alpha: float = 0.5,
 ) -> list[np.ndarray]:
-    """Partition ``dataset`` by the named scheme and return per-client index arrays.
+    """Partition sample ``labels`` by the named scheme and return per-client index arrays.
 
     Parameters
     ----------
@@ -148,13 +148,11 @@ def partition_dataset(
     """
     key = scheme.strip().lower()
     if key == "iid":
-        return iid_partition(dataset.labels, num_clients, rng)
+        return iid_partition(labels, num_clients, rng)
     if key in {"shard", "non-iid", "noniid"}:
-        return shard_partition(
-            dataset.labels, num_clients, rng, shards_per_client=shards_per_client
-        )
+        return shard_partition(labels, num_clients, rng, shards_per_client=shards_per_client)
     if key == "dirichlet":
-        return dirichlet_partition(dataset.labels, num_clients, rng, alpha=alpha)
+        return dirichlet_partition(labels, num_clients, rng, alpha=alpha)
     raise ValueError(
         f"unknown partition scheme {scheme!r}; expected 'iid', 'shard', or 'dirichlet'"
     )

@@ -14,10 +14,20 @@ image dataset with the properties that matter to FAIR-BFL's evaluation:
 
 The public API mirrors a conventional MNIST loader: ``images`` with shape
 ``(num_samples, 784)`` scaled to ``[0, 1]`` and integer ``labels``.
+
+Memory: the per-sample draws (label, shift, mix, contrast, brightness) are
+made for all rows first, then the one ``(n, 28, 28)`` output is filled in
+place, ``_BLOCK_ROWS`` rows at a time — prototype mix, contrast, brightness,
+pixel noise, clip — so the temporaries are a block's, not the dataset's.
+Each element sees the same floating-point operations in the same order as a
+whole-array expression would apply, and ``Generator.normal`` drawn block by
+block yields the same stream as one whole-array draw, so the bytes do not
+depend on the block size.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +39,7 @@ __all__ = ["SyntheticMNIST", "load_synthetic_mnist"]
 IMAGE_SIDE = 28
 IMAGE_PIXELS = IMAGE_SIDE * IMAGE_SIDE
 NUM_CLASSES = 10
+_BLOCK_ROWS = 512
 
 
 def _class_prototype(label: int, rng: np.random.Generator) -> np.ndarray:
@@ -99,9 +110,9 @@ class SyntheticMNIST:
         return IMAGE_PIXELS
 
     def subset(self, indices: np.ndarray) -> "SyntheticMNIST":
-        """Return a new dataset holding only ``indices`` (copies the data)."""
+        """Return a new dataset holding only ``indices`` (a gather: copies the data)."""
         idx = np.asarray(indices, dtype=np.int64)
-        return SyntheticMNIST(self.images[idx].copy(), self.labels[idx].copy())
+        return SyntheticMNIST(self.images[idx], self.labels[idx])
 
     def class_counts(self) -> np.ndarray:
         """Per-class sample counts (length 10)."""
@@ -140,8 +151,8 @@ def load_synthetic_mnist(
     """
     if num_samples <= 0:
         raise ValueError(f"num_samples must be positive, got {num_samples}")
-    if noise_std < 0:
-        raise ValueError(f"noise_std must be non-negative, got {noise_std}")
+    if not (math.isfinite(noise_std) and noise_std >= 0):
+        raise ValueError(f"noise_std must be finite and non-negative, got {noise_std}")
     if not (0.0 <= deformation <= 1.0):
         raise ValueError(f"deformation must lie in [0, 1], got {deformation}")
 
@@ -160,8 +171,8 @@ def load_synthetic_mnist(
             raise ValueError(
                 f"class_proportions must have shape ({NUM_CLASSES},), got {proportions.shape}"
             )
-        if np.any(proportions < 0) or proportions.sum() <= 0:
-            raise ValueError("class_proportions must be non-negative and sum to > 0")
+        if not np.all(np.isfinite(proportions)) or np.any(proportions < 0) or proportions.sum() <= 0:
+            raise ValueError("class_proportions must be finite, non-negative and sum to > 0")
         proportions = proportions / proportions.sum()
 
     labels = sample_rng.choice(NUM_CLASSES, size=num_samples, p=proportions).astype(np.int64)
@@ -181,14 +192,18 @@ def load_synthetic_mnist(
 
     shift_choice = sample_rng.integers(0, len(shifts), size=num_samples)
     mix = deformation * sample_rng.uniform(0.2, 0.8, size=(num_samples, 1, 1))
-    base = prototypes[labels]  # (n, 28, 28)
-    variant = shifted_protos[shift_choice, labels]  # (n, 28, 28)
-    images = (1.0 - mix) * base + mix * variant
-
     contrast = sample_rng.uniform(0.7, 1.3, size=(num_samples, 1, 1))
     brightness = sample_rng.uniform(-0.05, 0.05, size=(num_samples, 1, 1))
-    images = images * contrast + brightness
-    images += sample_rng.normal(0.0, noise_std, size=images.shape)
-    np.clip(images, 0.0, 1.0, out=images)
+
+    images = np.empty((num_samples, IMAGE_SIDE, IMAGE_SIDE))
+    for lo in range(0, num_samples, _BLOCK_ROWS):
+        rows = slice(lo, lo + _BLOCK_ROWS)
+        block, block_labels, block_mix = images[rows], labels[rows], mix[rows]
+        np.multiply(1.0 - block_mix, prototypes[block_labels], out=block)
+        block += block_mix * shifted_protos[shift_choice[rows], block_labels]
+        block *= contrast[rows]
+        block += brightness[rows]
+        block += sample_rng.normal(0.0, noise_std, size=block.shape)
+        np.clip(block, 0.0, 1.0, out=block)
 
     return SyntheticMNIST(images.reshape(num_samples, IMAGE_PIXELS), labels)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 from repro.datasets.federated import (
     ClientDataset,
     FederatedDataset,
+    build_federated_dataset,
     inject_label_noise,
     train_test_split,
 )
@@ -155,10 +158,10 @@ class TestPartitioning:
 
     def test_partition_dataset_dispatch(self, tiny_dataset):
         for scheme in ("iid", "shard", "dirichlet"):
-            parts = partition_dataset(tiny_dataset, 4, new_rng(0, scheme), scheme=scheme)
+            parts = partition_dataset(tiny_dataset.labels, 4, new_rng(0, scheme), scheme=scheme)
             assert len(parts) == 4
         with pytest.raises(ValueError):
-            partition_dataset(tiny_dataset, 4, new_rng(0, "x"), scheme="bogus")
+            partition_dataset(tiny_dataset.labels, 4, new_rng(0, "x"), scheme="bogus")
 
     def test_invalid_args(self):
         labels = self._labels(20)
@@ -181,6 +184,21 @@ class TestTrainTestSplit:
     def test_invalid_fraction(self, tiny_dataset):
         with pytest.raises(ValueError):
             train_test_split(tiny_dataset, new_rng(0, "split"), test_fraction=0.0)
+
+    def test_split_rule_keeps_one_training_row(self, tiny_dataset):
+        # The rule the client-local split uses: hold out at least one row, keep at least one.
+        train, test = train_test_split(
+            tiny_dataset.subset(np.arange(3)), new_rng(0, "split"), test_fraction=0.9
+        )
+        assert (len(train), len(test)) == (1, 2)
+        with pytest.raises(ValueError):
+            train_test_split(tiny_dataset.subset(np.arange(1)), new_rng(0, "split"))
+
+    def test_subsets_own_their_rows(self, tiny_dataset):
+        train, test = train_test_split(tiny_dataset, new_rng(0, "split"))
+        for part in (train, test):
+            assert not np.shares_memory(part.images, tiny_dataset.images)
+            assert not np.shares_memory(part.labels, tiny_dataset.labels)
 
 
 class TestFederatedDataset:
@@ -243,6 +261,35 @@ class TestFederatedDataset:
             inject_label_noise(tiny_federated, new_rng(0, "x"), noise_level=-0.1)
 
 
+class TestNonFiniteInputs:
+    """A non-finite knob is refused at the dataset boundary, naming the parameter."""
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_noise_std(self, value):
+        with pytest.raises(ValueError, match="noise_std"):
+            load_synthetic_mnist(10, noise_std=value)
+
+    def test_class_proportions(self):
+        props = np.ones(10)
+        props[4] = np.nan
+        with pytest.raises(ValueError, match="class_proportions"):
+            load_synthetic_mnist(10, class_proportions=props)
+
+    def test_low_quality_fraction(self):
+        with pytest.raises(ValueError, match="low_quality_fraction"):
+            build_federated_dataset(num_clients=4, num_samples=100, low_quality_fraction=np.nan)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_alpha(self, value):
+        # Refused up front: no retry loop, no cast warning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="alpha"):
+                build_federated_dataset(
+                    num_clients=4, num_samples=100, scheme="dirichlet", alpha=value
+                )
+
+
 class TestLoaders:
     def test_minibatches_cover_everything(self):
         x = np.arange(25, dtype=float).reshape(25, 1)
@@ -286,10 +333,7 @@ def test_partition_property_no_overlap_full_cover(num_clients, num_samples):
     labels = load_synthetic_mnist(num_samples, seed=0).labels
     for scheme in ("iid", "dirichlet"):
         parts = partition_dataset(
-            SyntheticMNIST(np.zeros((num_samples, IMAGE_PIXELS)), labels),
-            num_clients,
-            new_rng(5, scheme, num_clients, num_samples),
-            scheme=scheme,
+            labels, num_clients, new_rng(5, scheme, num_clients, num_samples), scheme=scheme
         )
         combined = np.concatenate(parts)
         assert combined.shape[0] == num_samples
