@@ -303,9 +303,6 @@ class FairBFLTrainer(Trainer):
             ctx.stale_rejected += stale_matrix.shape[0] - len(outcome.kept_indices)
             stale_matrix = previous[None, :] + outcome.deltas
             origins = origins[list(outcome.kept_indices)]
-            if stale_matrix.shape[0] == 0:  # pragma: no cover - filters keep >= 1 row
-                self._stale_buffer = []
-                return
         fresh_delta = fresh - previous
         if float(np.linalg.norm(fresh_delta)) > 1e-12:
             thetas = cosine_distance_to_reference(

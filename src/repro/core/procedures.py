@@ -35,7 +35,7 @@ from repro.incentive.strategies import Strategy, StrategyOutcome
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.fl.robust import RobustAggregator
+    from repro.fl.robust import DefensePipeline
     from repro.sim.rounds import RoundTiming
 
 __all__ = [
@@ -178,7 +178,7 @@ def procedure_global_update(
     strategy: Strategy | None,
     use_fair_aggregation: bool = True,
     run_incentive: bool = True,
-    defense: "RobustAggregator | None" = None,
+    defense: "DefensePipeline | None" = None,
 ) -> RoundContext:
     """Aggregate the gradient set, identify contributions, apply the strategy.
 
@@ -237,16 +237,12 @@ def procedure_global_update(
     # nearly uniform, which reproduces the paper's observation that FAIR-BFL's
     # accuracy tracks FedAvg.  The direction-space θ above drive detection,
     # discarding, and rewards, where discrimination between clients is the point.
-    agg_theta_values = cosine_distance_to_reference(matrix, base_global)
     outcome = strategy.apply(
         matrix,
         client_ids,
-        base_global,
         report,
+        cosine_distance_to_reference(matrix, base_global),
         use_fair_aggregation=use_fair_aggregation,
-        # Row-aligned θ vector: the strategies consume it directly, without a
-        # per-client dict round-trip.
-        aggregation_thetas=agg_theta_values,
     )
     ctx.contribution_report = report
     ctx.strategy_outcome = outcome

@@ -5,8 +5,8 @@ paper's evaluation:
 
 * :mod:`repro.fl.client` — per-client local SGD update (Algorithm 1,
   Procedure I), including FedProx's proximal variant;
-* :mod:`repro.fl.aggregation` — simple averaging, sample-size weighting, and
-  the paper's contribution-weighted *fair aggregation* (Equation 1);
+* :mod:`repro.fl.aggregation` — simple averaging and the paper's
+  contribution-weighted *fair aggregation* (Equation 1);
 * :mod:`repro.fl.robust` — robust-aggregation defenses (norm clipping,
   Krum/multi-Krum, coordinate-wise median, trimmed mean) composable as
   clip → filter → aggregate pipelines (see ``docs/threat_model.md``);
@@ -30,7 +30,7 @@ from repro.fl.aggregation import (
 )
 from repro.fl.client import ClientUpdate, FLClient, LocalTrainingConfig
 from repro.fl.executor import ParallelExecutor
-from repro.fl.robust import DEFENSES, RobustAggregator, RobustOutcome, make_defense
+from repro.fl.robust import DEFENSES, RobustOutcome, make_defense
 from repro.fl.trainer import Trainer
 from repro.fl.fedavg import FedAvgConfig, FedAvgTrainer
 from repro.fl.fedprox import FedProxConfig, FedProxTrainer
@@ -47,7 +47,6 @@ __all__ = [
     "FLClient",
     "LocalTrainingConfig",
     "DEFENSES",
-    "RobustAggregator",
     "RobustOutcome",
     "make_defense",
     "ParallelExecutor",

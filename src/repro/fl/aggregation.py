@@ -1,15 +1,16 @@
 """Aggregation rules.
 
-Three aggregation schemes appear in the paper:
+Two aggregation schemes are implemented:
 
 * *simple averaging* (Algorithm 1 line 24): every uploaded vector gets weight
   ``1/n`` regardless of contribution;
-* *sample-size weighting* (classic FedAvg): weights proportional to each
-  client's self-reported data size — exactly the self-reporting the paper
-  argues cannot be trusted;
 * *fair aggregation* (Equation 1): weights ``p_i = θ_i / Σθ_k`` derived from
   the cosine-distance contributions produced by Algorithm 2, requiring no
   self-reported information.
+
+Classic FedAvg's sample-size weighting is deliberately absent: it weights
+each client by its self-reported data size, exactly the self-reporting the
+paper argues cannot be trusted, and no system here uses it.
 
 All functions take a ``(k, d)`` matrix of stacked parameter vectors and return
 the aggregated ``(d,)`` vector; they are pure and vectorised.
@@ -26,7 +27,6 @@ __all__ = [
     "contribution_weights",
     "fair_aggregate",
     "stack_updates",
-    "aggregate_client_updates",
     "staleness_weights",
     "merge_stale_updates",
 ]
@@ -174,36 +174,3 @@ def stack_updates(updates: list) -> np.ndarray:
     ]
     return np.stack(rows, axis=0)
 
-
-def aggregate_client_updates(
-    updates: list,
-    *,
-    scheme: str = "simple",
-    weights: np.ndarray | None = None,
-) -> np.ndarray:
-    """Aggregate a list of client updates in one stacked, vectorised pass.
-
-    Parameters
-    ----------
-    updates:
-        Client updates (or raw vectors); see :func:`stack_updates`.
-    scheme:
-        ``"simple"`` (unweighted mean), ``"samples"`` (weight by each update's
-        ``num_samples`` attribute — classic FedAvg), or ``"weighted"``
-        (explicit ``weights``).
-    weights:
-        Required for ``scheme="weighted"``; ignored otherwise.
-    """
-    matrix = stack_updates(updates)
-    if scheme == "simple":
-        return simple_average(matrix)
-    if scheme == "samples":
-        sizes = np.array([float(getattr(u, "num_samples", 1.0)) for u in updates])
-        return weighted_average(matrix, sizes)
-    if scheme == "weighted":
-        if weights is None:
-            raise AggregationError("scheme='weighted' requires explicit weights")
-        return weighted_average(matrix, weights)
-    raise AggregationError(
-        f"unknown aggregation scheme {scheme!r}; expected 'simple', 'samples' or 'weighted'"
-    )

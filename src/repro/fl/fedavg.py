@@ -45,7 +45,6 @@ class FedAvgConfig:
     num_rounds: int = 100
     participation_fraction: float = 0.1
     local: LocalTrainingConfig = field(default_factory=LocalTrainingConfig)
-    aggregation: str = "simple"
     defense: str = "none"
     defense_fraction: float = 0.2
     model_name: str = "mlp"
@@ -83,7 +82,6 @@ class FedAvgTrainer(Trainer):
         self.delay_model = DelayModel(config.delay_params, new_rng(config.seed, self.label, "delay"))
         self.server = CentralServer(
             self._model_factory,
-            aggregation=config.aggregation,
             defense=config.defense,
             defense_fraction=config.defense_fraction,
         )
@@ -110,11 +108,10 @@ class FedAvgTrainer(Trainer):
     def _streaming_supported(self) -> bool:
         """Whether this round can use the bounded-memory streaming fold.
 
-        Defenses and non-mean aggregation schemes need the full update matrix
-        at once; subclasses with update post-processing (FedProx straggler
-        drops) extend this check.
+        Defenses need the full update matrix at once; subclasses with update
+        post-processing (FedProx straggler drops) extend this check.
         """
-        return self.server.defense is None and self.config.aggregation in ("simple", "samples")
+        return self.server.defense is None
 
     def run_round(self, round_index: int) -> RoundRecord:
         """Execute one communication round; append and return its record."""
@@ -177,27 +174,23 @@ class FedAvgTrainer(Trainer):
         """One round as a streaming fold over cohort blocks (bounded memory).
 
         Equivalent to the materialising round up to float-summation order:
-        the weighted sum accumulates block by block instead of reducing one
+        the sum accumulates block by block instead of reducing one
         ``(n, params)`` matrix, so a 100k-client round never holds more than
         one cohort chunk of updates.  Per-client evaluation of the new global
         model runs batched through the cohort engine for the same reason.
         """
-        weighted_sum = np.zeros_like(self.server.global_parameters)
-        total_weight = 0.0
+        total = np.zeros_like(self.server.global_parameters)
         train_losses: list[float] = []
         blocks = 0
         for block in self.executor.iter_update_blocks(
             self.clients, selected_ids, self.server.global_parameters, local_cfg
         ):
-            if self.config.aggregation == "samples":
-                weights = np.full(len(block.client_ids), float(block.num_samples))
-            else:
-                weights = np.ones(len(block.client_ids))
-            weighted_sum += weights @ block.parameters
-            total_weight += float(weights.sum())
+            # A ones-vector product, not ``.sum(axis=0)``: the two sum in a
+            # different order, and the histories are pinned to this one.
+            total += np.ones(len(block.client_ids)) @ block.parameters
             train_losses.extend(block.train_losses)
             blocks += 1
-        new_global = self.server.commit_global(weighted_sum / total_weight)
+        new_global = self.server.commit_global(total / float(len(selected_ids)))
         return self._round_record(
             round_index,
             selected_ids,

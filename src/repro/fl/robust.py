@@ -6,8 +6,8 @@ discard strategy drops the rest.  This module adds the complementary family
 from the robust-FL literature — aggregation rules that bound what any single
 forged gradient can do to the global update, independent of clustering:
 
-* **norm clipping** — rescale update directions whose ℓ2 norm exceeds a
-  multiple of the round's median norm (defuses scaled forgeries);
+* **norm clipping** — rescale update directions whose ℓ2 norm exceeds the
+  round's median norm (defuses scaled forgeries);
 * **Krum / multi-Krum** (Blanchard et al., 2017) — score each row by the sum
   of squared distances to its nearest neighbours and keep the best-scoring
   row (Krum) or the ``n - m`` best rows (multi-Krum);
@@ -16,23 +16,21 @@ forged gradient can do to the global update, independent of clustering:
 * **trimmed mean** (Yin et al., 2018) — drop the largest and smallest
   ``ceil(f·n)`` values per coordinate and average the rest.
 
-Every defense implements the :class:`RobustAggregator` protocol: it takes the
-``(k, d)`` matrix of *update directions* (rows minus the previous global
+Every defense is a :class:`DefensePipeline`, built from a name or a
+``"+"``-chain such as ``"norm_clip+krum"`` by :func:`make_defense`.  It takes
+the ``(k, d)`` matrix of *update directions* (rows minus the previous global
 parameters — the space where the shared starting point cancels) and returns a
 :class:`RobustOutcome` naming the surviving rows, the possibly-clipped
-matrix, and the robust aggregate direction.  Defenses compose left-to-right
-through :class:`DefensePipeline` (clip → filter → aggregate), built from a
-``"+"``-chained name such as ``"norm_clip+krum"`` by :func:`make_defense`.
+matrix, and the robust aggregate direction.  Its stages are of two kinds, and
+the distinction matters downstream:
 
-Two kinds of defense exist and the distinction matters downstream:
-
-* *filtering* defenses (norm clipping, Krum) remove or shrink rows but leave
-  aggregation to the caller — they compose with the paper's Equation (1) fair
-  aggregation over the survivors;
-* *aggregate-replacing* defenses (median, trimmed mean;
-  ``replaces_aggregation = True``) are themselves the aggregation rule — the
-  robust aggregate **is** the round's global update, and Procedure II runs
-  only for its detection/reward side effects.
+* *filters* (norm clipping, Krum) implement ``filter(m)`` and clip or select
+  rows; the pipeline averages their survivors once, and the caller may
+  re-weight them with the paper's Equation (1);
+* *aggregate-replacing* rules (median, trimmed mean;
+  ``replaces_aggregation = True``) implement ``aggregate(m)`` and may only end
+  a chain — their aggregate **is** the round's global update, and Procedure
+  II runs only for its detection/reward side effects.
 
 All kernels are pure, vectorised, and deterministic (stable argsort
 tie-breaking), so they preserve the repository's bit-identical-across-backends
@@ -50,8 +48,6 @@ from repro.fl.aggregation import AggregationError
 __all__ = [
     "DEFENSES",
     "RobustOutcome",
-    "RobustAggregator",
-    "NoDefense",
     "NormClipDefense",
     "KrumDefense",
     "MedianDefense",
@@ -147,10 +143,10 @@ def trimmed_mean(matrix: np.ndarray, trim: int) -> np.ndarray:
     return ordered[t : k - t].mean(axis=0)
 
 
-# -- the protocol -------------------------------------------------------------
+# -- the pipeline -------------------------------------------------------------
 @dataclass(frozen=True)
 class RobustOutcome:
-    """What one defense (or pipeline) did to a round's direction matrix.
+    """What a :class:`DefensePipeline` did to a round's direction matrix.
 
     Attributes
     ----------
@@ -162,83 +158,42 @@ class RobustOutcome:
         The robust aggregate direction over the survivors.
     clipped:
         Number of rows whose norm was reduced by a clipping stage.
-    replaces_aggregation:
-        True when :attr:`aggregate` is the final aggregation rule itself
-        (median / trimmed mean) rather than a reference the caller may
-        re-weight (Equation 1) over the survivors.
     """
 
     deltas: np.ndarray
     kept_indices: tuple[int, ...]
     aggregate: np.ndarray
     clipped: int = 0
-    replaces_aggregation: bool = False
 
 
-class RobustAggregator:
-    """Protocol for robust-aggregation defenses over the stacked direction matrix."""
-
-    name: str = "robust"
-    #: True when the rule's aggregate is the round's global update itself.
-    replaces_aggregation: bool = False
-
-    def apply(self, deltas: np.ndarray) -> RobustOutcome:
-        """Filter/transform the ``(k, d)`` direction matrix and aggregate it."""
-        raise NotImplementedError
-
-
-class NoDefense(RobustAggregator):
-    """Identity defense: keep every row, aggregate with the plain mean."""
-
-    name = "none"
-
-    def apply(self, deltas: np.ndarray) -> RobustOutcome:
-        m = _check_matrix(deltas)
-        return RobustOutcome(
-            deltas=m,
-            kept_indices=tuple(range(m.shape[0])),
-            aggregate=m.mean(axis=0),
-        )
-
-
-class NormClipDefense(RobustAggregator):
-    """Clip direction norms to ``multiplier`` times the round's median norm.
+class NormClipDefense:
+    """Clip direction norms to the round's median norm.
 
     A scaled forgery (model-replacement style) relies on one row's magnitude
     dominating the mean; clipping to the median norm bounds every row's pull
-    without rejecting anyone.  Keeps all rows; aggregate = mean of the clipped
-    matrix.
+    without rejecting anyone.
     """
 
     name = "norm_clip"
+    replaces_aggregation = False
 
-    def __init__(self, multiplier: float = 1.0) -> None:
-        if multiplier <= 0.0:
-            raise ValueError(f"clip multiplier must be positive, got {multiplier}")
-        self.multiplier = float(multiplier)
-
-    def apply(self, deltas: np.ndarray) -> RobustOutcome:
-        m = _check_matrix(deltas)
-        max_norm = self.multiplier * float(np.median(np.linalg.norm(m, axis=1)))
-        clipped, count = clip_rows(m, max_norm)
-        return RobustOutcome(
-            deltas=clipped,
-            kept_indices=tuple(range(m.shape[0])),
-            aggregate=clipped.mean(axis=0),
-            clipped=count,
-        )
+    def filter(self, m: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+        """Return ``(clipped rows, kept row indices, rows clipped)``."""
+        clipped, count = clip_rows(m, float(np.median(np.linalg.norm(m, axis=1))))
+        return clipped, np.arange(m.shape[0]), count
 
 
-class KrumDefense(RobustAggregator):
+class KrumDefense:
     """Krum / multi-Krum selection (Blanchard et al., 2017).
 
     Sizes itself for ``ceil(attacker_fraction · k)`` adversaries among ``k``
     rows.  Classic Krum (``multi=False``) keeps the single best-scoring row;
-    multi-Krum keeps the ``k - m`` best rows (never fewer than one).  The
-    aggregate is the mean of the selected rows; the caller may re-weight the
-    survivors (Equation 1) since selection, not averaging, carries the
-    robustness.
+    multi-Krum keeps the ``k - m`` best rows (never fewer than one).
+    Selection, not averaging, carries the robustness, so the survivors may be
+    re-weighted downstream (Equation 1).
     """
+
+    replaces_aggregation = False
 
     def __init__(self, attacker_fraction: float = 0.2, *, multi: bool = False) -> None:
         if not (0.0 <= attacker_fraction < 0.5):
@@ -249,39 +204,27 @@ class KrumDefense(RobustAggregator):
         self.multi = bool(multi)
         self.name = "multi_krum" if multi else "krum"
 
-    def apply(self, deltas: np.ndarray) -> RobustOutcome:
-        m = _check_matrix(deltas)
+    def filter(self, m: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+        """Return ``(selected rows, their indices in input order, 0)``."""
         k = m.shape[0]
         num_attackers = int(np.ceil(self.attacker_fraction * k))
         scores = krum_scores(m, num_attackers)
         select = max(1, k - num_attackers) if self.multi else 1
-        order = np.argsort(scores, kind="stable")
-        kept = tuple(sorted(int(i) for i in order[:select]))
-        survivors = m[list(kept)]
-        return RobustOutcome(
-            deltas=survivors,
-            kept_indices=kept,
-            aggregate=survivors.mean(axis=0),
-        )
+        kept = np.sort(np.argsort(scores, kind="stable")[:select])
+        return m[kept], kept, 0
 
 
-class MedianDefense(RobustAggregator):
+class MedianDefense:
     """Coordinate-wise median (Yin et al., 2018): the aggregate IS the rule."""
 
     name = "median"
     replaces_aggregation = True
 
-    def apply(self, deltas: np.ndarray) -> RobustOutcome:
-        m = _check_matrix(deltas)
-        return RobustOutcome(
-            deltas=m,
-            kept_indices=tuple(range(m.shape[0])),
-            aggregate=coordinate_median(m),
-            replaces_aggregation=True,
-        )
+    def aggregate(self, m: np.ndarray) -> np.ndarray:
+        return coordinate_median(m)
 
 
-class TrimmedMeanDefense(RobustAggregator):
+class TrimmedMeanDefense:
     """Coordinate-wise trimmed mean sized for ``ceil(attacker_fraction · k)`` outliers."""
 
     name = "trimmed_mean"
@@ -294,28 +237,22 @@ class TrimmedMeanDefense(RobustAggregator):
             )
         self.attacker_fraction = float(attacker_fraction)
 
-    def apply(self, deltas: np.ndarray) -> RobustOutcome:
-        m = _check_matrix(deltas)
-        trim = int(np.ceil(self.attacker_fraction * m.shape[0]))
-        return RobustOutcome(
-            deltas=m,
-            kept_indices=tuple(range(m.shape[0])),
-            aggregate=trimmed_mean(m, trim),
-            replaces_aggregation=True,
-        )
+    def aggregate(self, m: np.ndarray) -> np.ndarray:
+        return trimmed_mean(m, int(np.ceil(self.attacker_fraction * m.shape[0])))
 
 
-class DefensePipeline(RobustAggregator):
-    """Compose defenses left-to-right: each stage sees the previous survivors.
+class DefensePipeline:
+    """Chain defenses left-to-right and aggregate the survivors once.
 
-    The canonical shape is clip → filter → aggregate (e.g.
-    ``"norm_clip+krum"``): clipping bounds magnitudes, filtering removes
-    rows, and the *last* stage's aggregate (and its
-    ``replaces_aggregation`` flag) is the pipeline's.  Kept indices are
-    composed back into input-row indices; clip counts accumulate.
+    Every stage but an aggregate-replacing last one is a filter that clips or
+    selects rows (e.g. ``"norm_clip+krum"``); each sees the previous stage's
+    survivors.  The aggregate is the last stage's rule when it replaces
+    aggregation (median / trimmed mean), else the plain mean of the
+    survivors.  Kept indices are composed back into input-row indices; clip
+    counts accumulate.
     """
 
-    def __init__(self, stages: list[RobustAggregator]) -> None:
+    def __init__(self, stages: list) -> None:
         if not stages:
             raise ValueError("a defense pipeline needs at least one stage")
         self.stages = list(stages)
@@ -323,29 +260,29 @@ class DefensePipeline(RobustAggregator):
         self.replaces_aggregation = self.stages[-1].replaces_aggregation
 
     def apply(self, deltas: np.ndarray) -> RobustOutcome:
+        """Filter the ``(k, d)`` direction matrix and aggregate the survivors."""
         m = _check_matrix(deltas)
-        kept = list(range(m.shape[0]))
+        kept = np.arange(m.shape[0])
         clipped = 0
-        outcome: RobustOutcome | None = None
-        for stage in self.stages:
-            outcome = stage.apply(m)
-            kept = [kept[i] for i in outcome.kept_indices]
-            clipped += outcome.clipped
-            m = outcome.deltas
-        assert outcome is not None
+        filters = self.stages[:-1] if self.replaces_aggregation else self.stages
+        for stage in filters:
+            m, stage_kept, count = stage.filter(m)
+            kept = kept[stage_kept]
+            clipped += count
+        if self.replaces_aggregation:
+            aggregate = self.stages[-1].aggregate(m)
+        else:
+            aggregate = m.mean(axis=0)
         return RobustOutcome(
             deltas=m,
-            kept_indices=tuple(kept),
-            aggregate=outcome.aggregate,
+            kept_indices=tuple(int(i) for i in kept),
+            aggregate=aggregate,
             clipped=clipped,
-            replaces_aggregation=self.replaces_aggregation,
         )
 
 
 # -- factory ------------------------------------------------------------------
-def _make_primitive(name: str, attacker_fraction: float) -> RobustAggregator:
-    if name == "none":
-        return NoDefense()
+def _make_primitive(name: str, attacker_fraction: float):
     if name == "norm_clip":
         return NormClipDefense()
     if name == "krum":
@@ -361,10 +298,8 @@ def _make_primitive(name: str, attacker_fraction: float) -> RobustAggregator:
     )
 
 
-def make_defense(
-    name: str, *, attacker_fraction: float = 0.2
-) -> RobustAggregator | None:
-    """Resolve a defense by name; ``"none"`` returns ``None`` (no defense layer).
+def make_defense(name: str, *, attacker_fraction: float = 0.2) -> DefensePipeline | None:
+    """Resolve a defense to a pipeline; ``"none"`` returns ``None`` (no defense layer).
 
     ``name`` may chain primitives with ``"+"`` (applied left to right), e.g.
     ``"norm_clip+multi_krum"``.  ``attacker_fraction`` sizes Krum's selection
@@ -379,8 +314,6 @@ def make_defense(
     if "none" in parts:
         raise ValueError(f"'none' cannot be combined with other defenses: {name!r}")
     stages = [_make_primitive(part, attacker_fraction) for part in parts]
-    if len(stages) == 1:
-        return stages[0]
     for stage in stages[:-1]:
         if stage.replaces_aggregation:
             raise ValueError(

@@ -12,12 +12,7 @@ from typing import Callable
 
 import numpy as np
 
-from repro.fl.aggregation import (
-    AggregationError,
-    aggregate_client_updates,
-    stack_updates,
-    weighted_average,
-)
+from repro.fl.aggregation import simple_average, stack_updates
 from repro.fl.client import ClientUpdate
 from repro.fl.robust import RobustOutcome, make_defense
 from repro.nn.module import Module
@@ -38,9 +33,6 @@ class CentralServer:
     model_factory:
         Zero-argument callable building the global model; the server keeps one
         instance for parameter storage and test-set evaluation.
-    aggregation:
-        ``"simple"`` (unweighted mean) or ``"samples"`` (weight by each
-        client's reported sample count, classic FedAvg).
     defense:
         Optional robust-aggregation defense (``repro.fl.robust`` name or
         ``"+"``-chain) the stacked update matrix passes through before
@@ -53,77 +45,47 @@ class CentralServer:
         self,
         model_factory: Callable[[], Module],
         *,
-        aggregation: str = "simple",
         defense: str = "none",
         defense_fraction: float = 0.2,
     ) -> None:
-        if aggregation not in {"simple", "samples"}:
-            raise ValueError(
-                f"aggregation must be 'simple' or 'samples', got {aggregation!r}"
-            )
         self.model = model_factory()
-        self.aggregation = aggregation
         self.defense = make_defense(defense, attacker_fraction=defense_fraction)
         #: The defense's outcome for the most recent round (None when no
         #: defense is configured or no round has run yet).
         self.last_defense_outcome: RobustOutcome | None = None
         self.global_parameters = get_flat_parameters(self.model)
-        self.round_count = 0
 
     def aggregate(self, updates: list[ClientUpdate]) -> np.ndarray:
         """Aggregate the round's client updates into new global parameters.
 
-        Routes through the vectorised
-        :func:`~repro.fl.aggregation.aggregate_client_updates` path (one
-        stacked matrix, no per-client Python loops) and raises the same
-        :class:`~repro.fl.aggregation.AggregationError` as ``simple_average``
-        does on empty input.  With a defense configured the stacked matrix
-        first passes through the robust pipeline in direction space (rows
-        minus the current global parameters): an aggregate-replacing defense
-        (median / trimmed mean) supplies the new global directly, a filtering
-        defense hands its clipped survivors to the configured aggregation
-        scheme.
+        Without a defense this is the simple average of the stacked updates
+        (an empty list raises :class:`~repro.fl.aggregation.AggregationError`).
+        With one, the stacked matrix first passes through the robust pipeline
+        in direction space (rows minus the current global parameters): an
+        aggregate-replacing defense (median / trimmed mean) supplies the new
+        global directly, a filtering defense's clipped survivors are averaged.
         """
-        if not updates:
-            raise AggregationError("cannot aggregate an empty list of client updates")
+        matrix = stack_updates(updates)
         if self.defense is None:
-            new_global = aggregate_client_updates(updates, scheme=self.aggregation)
-        else:
-            matrix = stack_updates(updates)
-            outcome = self.defense.apply(matrix - self.global_parameters[None, :])
-            self.last_defense_outcome = outcome
-            if outcome.replaces_aggregation:
-                new_global = self.global_parameters + outcome.aggregate
-            else:
-                rows = self.global_parameters[None, :] + outcome.deltas
-                if self.aggregation == "samples":
-                    sizes = np.array(
-                        [
-                            float(getattr(updates[i], "num_samples", 1.0))
-                            for i in outcome.kept_indices
-                        ]
-                    )
-                    new_global = weighted_average(rows, sizes)
-                else:
-                    new_global = rows.mean(axis=0)
-        self.global_parameters = new_global
-        set_flat_parameters(self.model, new_global)
-        self.round_count += 1
-        return new_global
+            return self.commit_global(simple_average(matrix))
+        outcome = self.defense.apply(matrix - self.global_parameters[None, :])
+        self.last_defense_outcome = outcome
+        if self.defense.replaces_aggregation:
+            return self.commit_global(self.global_parameters + outcome.aggregate)
+        rows = self.global_parameters[None, :] + outcome.deltas
+        return self.commit_global(rows.mean(axis=0))
 
     def commit_global(self, new_global: np.ndarray) -> np.ndarray:
-        """Install an externally aggregated global parameter vector.
+        """Install an aggregated global parameter vector on the server's model.
 
-        The streaming cohort round (see ``FedAvgTrainer._run_round_streaming``)
-        folds client updates into a weighted sum as they are produced instead
-        of handing the server a materialised update list; this is its hook to
-        publish the result while keeping the server's bookkeeping (model
-        weights, round counter) identical to :meth:`aggregate`.
+        :meth:`aggregate` ends here, and so does the streaming cohort round
+        (see ``FedAvgTrainer._run_round_streaming``), which folds client
+        updates into a running sum as they are produced instead of handing
+        the server a materialised update list.
         """
         new_global = np.asarray(new_global, dtype=np.float64)
         self.global_parameters = new_global
         set_flat_parameters(self.model, new_global)
-        self.round_count += 1
         return new_global
 
     def evaluate(self, images: np.ndarray, labels: np.ndarray) -> float:

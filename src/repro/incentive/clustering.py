@@ -50,12 +50,6 @@ class ClusteringResult:
         """Label of the vector at ``index``."""
         return int(self.labels[int(index)])
 
-    def same_cluster(self, index_a: int, index_b: int) -> bool:
-        """True when both indices share a (non-noise) cluster."""
-        la = self.cluster_of(index_a)
-        lb = self.cluster_of(index_b)
-        return la == lb and la != NOISE_LABEL
-
 
 def _distance_matrix(vectors: np.ndarray, metric: str) -> np.ndarray:
     v = np.asarray(vectors, dtype=np.float64)

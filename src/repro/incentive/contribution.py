@@ -22,7 +22,7 @@ every client — and record the fallback in the report.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -79,10 +79,8 @@ class ContributionReport:
     ----------
     high_contributors / low_contributors:
         Client IDs labelled high / low contribution.
-    thetas:
-        Mapping from high-contributor client ID to its cosine distance θ_i.
     reward_list:
-        The round's ⟨client, reward⟩ entries (high contributors only).
+        The round's ⟨client, reward, θ_i⟩ entries (high contributors only).
     clustering:
         The raw clustering result over ``W ∪ {w_{r+1}}`` (the global update is
         the final row).
@@ -93,11 +91,9 @@ class ContributionReport:
 
     high_contributors: list[int]
     low_contributors: list[int]
-    thetas: dict[int, float]
     reward_list: list[RewardEntry]
     clustering: ClusteringResult
     used_fallback: bool = False
-    extras: dict = field(default_factory=dict)
 
 
 def identify_contributions(
@@ -176,16 +172,12 @@ def identify_contributions(
     low_ids = [int(c) for c in ids_arr[~high_mask]]
 
     thetas_all = cosine_distance_to_reference(m, g)
-    high_thetas = thetas_all[high_mask]
-    thetas = {cid: float(t) for cid, t in zip(high_ids, high_thetas)}
-    reward_list = apportion_rewards(high_ids, high_thetas, base_reward=cfg.base_reward)
+    reward_list = apportion_rewards(high_ids, thetas_all[high_mask], base_reward=cfg.base_reward)
 
     return ContributionReport(
         high_contributors=high_ids,
         low_contributors=low_ids,
-        thetas=thetas,
         reward_list=reward_list,
         clustering=clustering,
         used_fallback=used_fallback,
-        extras={"global_cluster_label": int(global_label)},
     )

@@ -71,14 +71,6 @@ class RewardLedger:
             self.totals[entry.client_id] = self.totals.get(entry.client_id, 0.0) + entry.reward
             self.history.append((int(round_index), entry))
 
-    def total_for(self, client_id: int) -> float:
-        """Total reward accumulated by ``client_id``."""
-        return float(self.totals.get(int(client_id), 0.0))
-
-    def total_issued(self) -> float:
-        """Total reward issued across all clients and rounds."""
-        return float(sum(self.totals.values()))
-
     def top_clients(self, k: int = 5) -> list[tuple[int, float]]:
         """The ``k`` clients with the largest accumulated rewards."""
         ranked = sorted(self.totals.items(), key=lambda kv: kv[1], reverse=True)

@@ -10,9 +10,9 @@ Algorithm 2 ends by applying a "predetermined strategy" to the gradient set:
   effect, handled by
   :class:`repro.fl.selection.ContributionBasedSelector`).
 
-Both strategies operate on the stacked update matrix and the contribution
-report, returning the (possibly re-aggregated) global update together with the
-indices that survived.
+Both strategies operate on the stacked update matrix, the contribution report
+and a row-aligned θ vector, returning the re-aggregated global update together
+with the client ids that survived.
 """
 
 from __future__ import annotations
@@ -65,52 +65,54 @@ class Strategy:
         self,
         updates: np.ndarray,
         client_ids: list[int],
-        global_update: np.ndarray,
         report: ContributionReport,
+        thetas: np.ndarray,
         *,
         use_fair_aggregation: bool = True,
-        aggregation_thetas: dict[int, float] | np.ndarray | None = None,
     ) -> StrategyOutcome:
         """Apply the strategy to one round's gradient set.
 
-        ``aggregation_thetas`` optionally supplies the θ values used for the
-        Equation (1) weights; when omitted the report's (reward) θ values are
-        reused.  The orchestrator passes θ computed on the uploaded parameter
-        vectors here while the report's θ come from the update directions —
-        see :mod:`repro.core.procedures` for the rationale.
+        ``thetas`` is the length-``k`` vector of θ values, row-aligned with
+        ``updates``, that weights Equation (1).  The orchestrator computes them
+        on the uploaded parameter vectors while the report's θ come from the
+        update directions — see :mod:`repro.core.procedures` for the rationale.
         """
         raise NotImplementedError
 
 
-def _aggregate(
+def _keep(
     updates: np.ndarray,
     client_ids: list[int],
-    report: ContributionReport,
+    thetas: np.ndarray,
+    keep_mask: np.ndarray | None,
     *,
     use_fair_aggregation: bool,
-    aggregation_thetas: dict[int, float] | np.ndarray | None = None,
-) -> np.ndarray:
-    """Aggregate ``updates`` with Equation (1) weights (or plain averaging).
+) -> StrategyOutcome:
+    """Aggregate the rows ``keep_mask`` selects (all of them for ``None``).
 
-    ``aggregation_thetas`` may be a length-``k`` vector row-aligned with
-    ``client_ids`` (the vectorised fast path used by the orchestrator) or a
-    ``{client_id: θ}`` mapping; absent entries default to 0.
+    Equation (1) weights the survivors by their θ; plain averaging is used
+    when fair aggregation is off or every θ is zero.  Keeping everything never
+    indexes ``updates``, so it never copies the round's matrix.
     """
-    if not use_fair_aggregation:
-        return simple_average(updates)
-    source = aggregation_thetas if aggregation_thetas is not None else report.thetas
-    if isinstance(source, np.ndarray):
-        thetas = np.asarray(source, dtype=np.float64).ravel()
-        if thetas.shape[0] != len(client_ids):
-            raise ValueError(
-                f"aggregation_thetas must align with client_ids, got {thetas.shape[0]} "
-                f"values for {len(client_ids)} clients"
-            )
+    m = np.asarray(updates, dtype=np.float64)
+    t = np.asarray(thetas, dtype=np.float64).ravel()
+    ids = np.asarray(client_ids, dtype=np.int64)
+    if t.shape[0] != ids.shape[0]:
+        raise ValueError(
+            f"thetas must align with client_ids, got {t.shape[0]} values "
+            f"for {ids.shape[0]} clients"
+        )
+    dropped: list[int] = []
+    if keep_mask is not None:
+        m, t, dropped = m[keep_mask], t[keep_mask], ids[~keep_mask].tolist()
+        ids = ids[keep_mask]
+    if not use_fair_aggregation or t.sum() <= 0:
+        new_global = simple_average(m)
     else:
-        thetas = np.array([source.get(int(cid), 0.0) for cid in client_ids], dtype=np.float64)
-    if thetas.sum() <= 0:
-        return simple_average(updates)
-    return fair_aggregate(updates, thetas)
+        new_global = fair_aggregate(m, t)
+    return StrategyOutcome(
+        global_update=new_global, kept_client_ids=ids.tolist(), discarded_client_ids=dropped
+    )
 
 
 class KeepAllStrategy(Strategy):
@@ -118,27 +120,8 @@ class KeepAllStrategy(Strategy):
 
     name = "keep"
 
-    def apply(
-        self,
-        updates: np.ndarray,
-        client_ids: list[int],
-        global_update: np.ndarray,
-        report: ContributionReport,
-        *,
-        use_fair_aggregation: bool = True,
-        aggregation_thetas: dict[int, float] | np.ndarray | None = None,
-    ) -> StrategyOutcome:
-        ids = [int(c) for c in client_ids]
-        new_global = _aggregate(
-            np.asarray(updates, dtype=np.float64),
-            ids,
-            report,
-            use_fair_aggregation=use_fair_aggregation,
-            aggregation_thetas=aggregation_thetas,
-        )
-        return StrategyOutcome(
-            global_update=new_global, kept_client_ids=ids, discarded_client_ids=[]
-        )
+    def apply(self, updates, client_ids, report, thetas, *, use_fair_aggregation=True):
+        return _keep(updates, client_ids, thetas, None, use_fair_aggregation=use_fair_aggregation)
 
 
 class DiscardStrategy(Strategy):
@@ -151,55 +134,22 @@ class DiscardStrategy(Strategy):
 
     name = "discard"
 
-    def apply(
-        self,
-        updates: np.ndarray,
-        client_ids: list[int],
-        global_update: np.ndarray,
-        report: ContributionReport,
-        *,
-        use_fair_aggregation: bool = True,
-        aggregation_thetas: dict[int, float] | np.ndarray | None = None,
-    ) -> StrategyOutcome:
-        m = np.asarray(updates, dtype=np.float64)
-        ids = [int(c) for c in client_ids]
+    def apply(self, updates, client_ids, report, thetas, *, use_fair_aggregation=True):
         high = set(report.high_contributors)
-        keep_mask = np.array([cid in high for cid in ids], dtype=bool)
-        if not keep_mask.any():
-            outcome = KeepAllStrategy().apply(
-                m,
-                ids,
-                global_update,
-                report,
-                use_fair_aggregation=use_fair_aggregation,
-                aggregation_thetas=aggregation_thetas,
-            )
-            return outcome
-        ids_arr = np.asarray(ids, dtype=np.int64)
-        kept_ids = [int(c) for c in ids_arr[keep_mask]]
-        dropped_ids = [int(c) for c in ids_arr[~keep_mask]]
-        kept_thetas = aggregation_thetas
-        if isinstance(kept_thetas, np.ndarray):
-            # Row-aligned vector: subset it alongside the update matrix.
-            kept_thetas = np.asarray(kept_thetas, dtype=np.float64).ravel()[keep_mask]
-        new_global = _aggregate(
-            m[keep_mask],
-            kept_ids,
-            report,
+        keep_mask = np.array([int(cid) in high for cid in client_ids], dtype=bool)
+        return _keep(
+            updates,
+            client_ids,
+            thetas,
+            keep_mask if keep_mask.any() else None,
             use_fair_aggregation=use_fair_aggregation,
-            aggregation_thetas=kept_thetas,
-        )
-        return StrategyOutcome(
-            global_update=new_global,
-            kept_client_ids=kept_ids,
-            discarded_client_ids=dropped_ids,
         )
 
 
 def make_strategy(name: str) -> Strategy:
     """Factory resolving a strategy by name (``"keep"`` or ``"discard"``)."""
     key = name.strip().lower()
-    if key in {"keep", "keep_all", "keepall"}:
+    if key == "keep":
         return KeepAllStrategy()
     if key == "discard":
         return DiscardStrategy()

@@ -59,6 +59,13 @@ def pytest_configure(config) -> None:
         "modes, kernel-vs-analytic calibration, and the closed-form "
         "`DelayModel.fl_round` held bit for bit to the kernel) — `pytest -m sim`",
     )
+    config.addinivalue_line(
+        "markers",
+        "aggregation: the gradient-set -> global-update path (defense "
+        "pipelines, simple/fair aggregation, the central server, the keep / "
+        "discard strategies) and its byte-parity properties — "
+        "`pytest -m aggregation`",
+    )
 
 
 @pytest.fixture(scope="session")

@@ -94,7 +94,7 @@ class TestFairBFLTrainer:
     def test_rewards_recorded_and_credited(self, dataset, base):
         trainer = FairBFLTrainer(dataset, _small_config(base))
         trainer.run()
-        ledger_total = trainer.reward_ledger.total_issued()
+        ledger_total = sum(trainer.reward_ledger.totals.values())
         assert ledger_total > 0.0
         # On-chain rewards match the ledger total.
         on_chain = sum(trainer.chain.total_rewards_by_client().values())

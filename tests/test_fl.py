@@ -108,6 +108,7 @@ class TestFLClient:
         np.testing.assert_array_equal(upd.parameters, np.zeros(4))
 
 
+@pytest.mark.aggregation
 class TestAggregation:
     def test_simple_average(self):
         m = np.array([[1.0, 2.0], [3.0, 4.0]])
@@ -204,12 +205,13 @@ class TestSelection:
         assert len(chosen) >= 1
 
 
+@pytest.mark.aggregation
 class TestCentralServer:
     def _factory(self):
         return lambda: LogisticRegressionModel(784, 10, new_rng(0, "server-model"))
 
     def test_aggregate_simple(self):
-        server = CentralServer(self._factory(), aggregation="simple")
+        server = CentralServer(self._factory())
         dim = server.global_parameters.shape[0]
         updates = [
             ClientUpdate(0, np.zeros(dim), 10, 0.0, 0.0),
@@ -218,23 +220,9 @@ class TestCentralServer:
         new = server.aggregate(updates)
         np.testing.assert_allclose(new, np.full(dim, 0.5))
 
-    def test_aggregate_sample_weighted(self):
-        server = CentralServer(self._factory(), aggregation="samples")
-        dim = server.global_parameters.shape[0]
-        updates = [
-            ClientUpdate(0, np.zeros(dim), 10, 0.0, 0.0),
-            ClientUpdate(1, np.ones(dim), 30, 0.0, 0.0),
-        ]
-        new = server.aggregate(updates)
-        np.testing.assert_allclose(new, np.full(dim, 0.75))
-
     def test_aggregate_empty_raises(self):
         with pytest.raises(ValueError):
             CentralServer(self._factory()).aggregate([])
-
-    def test_invalid_aggregation_name(self):
-        with pytest.raises(ValueError):
-            CentralServer(self._factory(), aggregation="median")
 
     def test_evaluate_returns_probability(self, tiny_federated):
         server = CentralServer(self._factory())

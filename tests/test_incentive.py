@@ -67,12 +67,6 @@ class TestDBSCAN:
         result = DBSCAN(eps=0.3, min_samples=3, metric="cosine").fit(m)
         assert result.labels[-1] == NOISE_LABEL
 
-    def test_same_cluster_helper(self):
-        a, _, m = _two_cluster_data()
-        result = DBSCAN(eps=0.3, min_samples=3).fit(m)
-        assert result.same_cluster(0, 1)
-        assert not result.same_cluster(0, len(a))
-
     def test_members(self):
         a, b, m = _two_cluster_data(n_per=4)
         result = DBSCAN(eps=0.3, min_samples=2).fit(m)
@@ -168,10 +162,8 @@ class TestRewards:
         ledger = RewardLedger()
         ledger.record_round(0, apportion_rewards([1, 2], np.array([0.5, 0.5]), base_reward=1.0))
         ledger.record_round(1, apportion_rewards([1], np.array([1.0]), base_reward=1.0))
-        assert ledger.total_for(1) == pytest.approx(1.5)
-        assert ledger.total_for(2) == pytest.approx(0.5)
-        assert ledger.total_for(99) == 0.0
-        assert ledger.total_issued() == pytest.approx(2.0)
+        assert ledger.totals == {1: pytest.approx(1.5), 2: pytest.approx(0.5)}
+        assert sum(ledger.totals.values()) == pytest.approx(2.0)
         assert ledger.top_clients(1) == [(1, pytest.approx(1.5))]
 
 
@@ -201,8 +193,8 @@ class TestIdentifyContributions:
     def test_thetas_only_for_high(self):
         updates, ids, g, _ = self._setup()
         report = identify_contributions(updates, ids, g, ContributionConfig(eps=0.5))
-        assert set(report.thetas.keys()) == set(report.high_contributors)
-        assert all(0.0 <= t <= 2.0 for t in report.thetas.values())
+        assert [e.client_id for e in report.reward_list] == report.high_contributors
+        assert all(0.0 <= e.theta <= 2.0 for e in report.reward_list)
 
     def test_all_identical_updates(self):
         updates = np.tile(np.ones(8), (5, 1))
@@ -235,16 +227,23 @@ class TestIdentifyContributions:
             identify_contributions(np.zeros((2, 3)), [0, 1], np.zeros(4))
 
 
+@pytest.mark.aggregation
 class TestStrategies:
     def _report(self, updates, ids, g, eps=0.5):
         return identify_contributions(updates, ids, g, ContributionConfig(eps=eps))
+
+    @staticmethod
+    def _thetas(updates, g):
+        return cosine_distance_to_reference(updates, g)
 
     def test_keep_all_keeps_everyone(self):
         rng = new_rng(0, "strategy")
         updates = np.ones((4, 6)) + 0.01 * rng.normal(size=(4, 6))
         ids = [0, 1, 2, 3]
         g = simple_average(updates)
-        outcome = KeepAllStrategy().apply(updates, ids, g, self._report(updates, ids, g))
+        outcome = KeepAllStrategy().apply(
+            updates, ids, self._report(updates, ids, g), self._thetas(updates, g)
+        )
         assert outcome.kept_client_ids == ids
         assert outcome.discarded_client_ids == []
 
@@ -256,7 +255,7 @@ class TestStrategies:
         ids = list(range(7))
         g = simple_average(updates)
         report = self._report(updates, ids, g)
-        outcome = DiscardStrategy().apply(updates, ids, g, report)
+        outcome = DiscardStrategy().apply(updates, ids, report, self._thetas(updates, g))
         assert 6 in outcome.discarded_client_ids
         assert 6 not in outcome.kept_client_ids
         # Recomputed global update should move toward the honest mean.
@@ -269,7 +268,7 @@ class TestStrategies:
         ids = [0, 1, 2, 3]
         g = np.array([1.0, 1.0, -1.0, -1.0])  # orthogonal-ish to both groups
         report = identify_contributions(updates, ids, g, ContributionConfig(eps=0.05, min_samples=2))
-        outcome = DiscardStrategy().apply(updates, ids, g, report)
+        outcome = DiscardStrategy().apply(updates, ids, report, self._thetas(updates, g))
         assert set(outcome.kept_client_ids) | set(outcome.discarded_client_ids) == set(ids)
         assert outcome.global_update.shape == (4,)
 
@@ -278,18 +277,20 @@ class TestStrategies:
         ids = [0, 1]
         g = simple_average(updates)
         report = self._report(updates, ids, g, eps=2.5)
-        outcome = KeepAllStrategy().apply(updates, ids, g, report, use_fair_aggregation=False)
+        outcome = KeepAllStrategy().apply(
+            updates, ids, report, self._thetas(updates, g), use_fair_aggregation=False
+        )
         np.testing.assert_allclose(outcome.global_update, [1.0, 1.0])
 
-    def test_aggregation_thetas_override(self):
+    def test_thetas_weight_equation_one(self):
         updates = np.array([[0.0, 0.0], [2.0, 2.0]])
         ids = [0, 1]
         g = simple_average(updates)
         report = self._report(updates, ids, g, eps=2.5)
-        outcome = KeepAllStrategy().apply(
-            updates, ids, g, report, aggregation_thetas={0: 3.0, 1: 1.0}
-        )
+        outcome = KeepAllStrategy().apply(updates, ids, report, np.array([3.0, 1.0]))
         np.testing.assert_allclose(outcome.global_update, [0.5, 0.5])
+        with pytest.raises(ValueError, match="align"):
+            KeepAllStrategy().apply(updates, ids, report, np.array([1.0]))
 
     def test_make_strategy(self):
         assert isinstance(make_strategy("keep"), KeepAllStrategy)

@@ -22,9 +22,6 @@ from repro.fl.robust import (
     DEFENSES,
     DefensePipeline,
     KrumDefense,
-    MedianDefense,
-    NoDefense,
-    NormClipDefense,
     TrimmedMeanDefense,
     check_defense,
     clip_rows,
@@ -37,6 +34,8 @@ from repro.fl.robust import (
 from repro.fl.server import CentralServer
 from repro.nn.models import ModelFactory
 from repro.runner.scenario import ScenarioError, ScenarioSpec
+
+pytestmark = pytest.mark.aggregation
 
 
 def _honest_vs_attackers(honest: int = 6, attackers: int = 2, dim: int = 4):
@@ -118,18 +117,11 @@ class TestKernels:
 
 
 class TestDefenses:
-    def test_no_defense_is_identity(self):
-        m = _honest_vs_attackers()
-        o = NoDefense().apply(m)
-        assert o.kept_indices == tuple(range(8))
-        np.testing.assert_allclose(o.aggregate, m.mean(axis=0))
-        assert not o.replaces_aggregation
-
     def test_norm_clip_bounds_scaled_forgery(self):
         honest = np.ones((4, 3))
         forged = 50.0 * np.ones((1, 3))
         m = np.vstack([honest, forged])
-        o = NormClipDefense().apply(m)
+        o = make_defense("norm_clip").apply(m)
         assert o.clipped == 1
         assert o.kept_indices == tuple(range(5))
         # The forged row's pull is bounded by the median honest norm.
@@ -137,13 +129,13 @@ class TestDefenses:
 
     def test_krum_selects_honest_row(self):
         m = _honest_vs_attackers()
-        o = KrumDefense(0.25).apply(m)
+        o = make_defense("krum", attacker_fraction=0.25).apply(m)
         assert len(o.kept_indices) == 1
         assert o.kept_indices[0] < 6  # an honest row
 
     def test_multi_krum_rejects_attackers(self):
         m = _honest_vs_attackers()
-        o = KrumDefense(0.25, multi=True).apply(m)
+        o = make_defense("multi_krum", attacker_fraction=0.25).apply(m)
         assert o.kept_indices == tuple(range(6))
         assert np.dot(o.aggregate, np.ones(4)) > 0
 
@@ -152,22 +144,24 @@ class TestDefenses:
         # and here the majority is malicious).  The defense must still return
         # a valid outcome — the documented degenerate regime, not a crash.
         m = _honest_vs_attackers(honest=2, attackers=4)
-        o = KrumDefense(0.4, multi=True).apply(m)
+        o = make_defense("multi_krum", attacker_fraction=0.4).apply(m)
         assert 1 <= len(o.kept_indices) <= 6
         assert np.all(np.isfinite(o.aggregate))
 
     def test_median_replaces_aggregation(self):
         m = _honest_vs_attackers()
-        o = MedianDefense().apply(m)
-        assert o.replaces_aggregation
+        defense = make_defense("median")
+        assert defense.replaces_aggregation
+        o = defense.apply(m)
         assert o.kept_indices == tuple(range(8))
         # 6-vs-2 sign split: the median lands in the honest half-space.
         assert np.all(o.aggregate > 0)
 
     def test_trimmed_mean_defense(self):
         m = _honest_vs_attackers()
-        o = TrimmedMeanDefense(0.25).apply(m)
-        assert o.replaces_aggregation
+        defense = make_defense("trimmed_mean", attacker_fraction=0.25)
+        assert defense.replaces_aggregation
+        o = defense.apply(m)
         # Trimming 2 per side removes the attacker extremes.
         assert np.all(o.aggregate > 0.5)
 
@@ -186,8 +180,6 @@ class TestDefenses:
             KrumDefense(0.5)
         with pytest.raises(ValueError):
             TrimmedMeanDefense(-0.1)
-        with pytest.raises(ValueError):
-            NormClipDefense(multiplier=0.0)
 
 
 class TestPipelineAndFactory:
@@ -268,8 +260,9 @@ class TestCentralServerDefense:
         assert np.all(new_global > start)
         assert len(server.last_defense_outcome.kept_indices) == 2
 
-    def test_samples_scheme_weights_survivors(self):
-        server = self._server(aggregation="samples", defense="multi_krum", defense_fraction=0.3)
+    def test_krum_survivors_are_averaged(self):
+        # Self-reported sample counts carry no weight: the survivors' plain mean.
+        server = self._server(defense="multi_krum", defense_fraction=0.3)
         start = server.global_parameters.copy()
         updates = [
             _update(0, start + 1.0, n=30),
@@ -277,7 +270,7 @@ class TestCentralServerDefense:
             _update(2, start - 9.0, n=10),
         ]
         new_global = server.aggregate(updates)
-        np.testing.assert_allclose(new_global, start + (30 * 1.0 + 10 * 2.0) / 40.0)
+        np.testing.assert_allclose(new_global, start + 1.5)
 
     def test_no_defense_path_unchanged(self):
         server = self._server()

@@ -22,7 +22,7 @@ import pytest
 from repro import api
 from repro.core.config import FairBFLConfig
 from repro.core.fairbfl import FairBFLTrainer
-from repro.fl.aggregation import AggregationError, aggregate_client_updates, simple_average
+from repro.fl.aggregation import AggregationError, simple_average, stack_updates
 from repro.fl.client import ClientUpdate, LocalTrainingConfig
 from repro.fl.executor import EXECUTOR_BACKENDS, ParallelExecutor, resolve_worker_count
 from repro.fl.server import CentralServer
@@ -512,6 +512,7 @@ class TestTrainerContract:
         trainer.close()  # the context manager closed it; closing twice is harmless
 
 
+@pytest.mark.aggregation
 class TestVectorisedAggregationPath:
     def _updates(self, dim=3):
         return [
@@ -529,26 +530,18 @@ class TestVectorisedAggregationPath:
         assert issubclass(AggregationError, ValueError)
 
     def test_server_routes_through_stacked_path(self, rng):
-        server = CentralServer(lambda: _tiny_model(rng), aggregation="samples")
+        server = CentralServer(lambda: _tiny_model(rng))
         dim = server.global_parameters.size
         new_global = server.aggregate(self._updates(dim=dim))
-        expected = np.average(
-            np.stack([np.full(dim, float(i)) for i in range(3)]), axis=0, weights=[10, 20, 30]
-        )
+        expected = np.stack([np.full(dim, float(i)) for i in range(3)]).mean(axis=0)
         np.testing.assert_allclose(new_global, expected)
         np.testing.assert_allclose(server.global_parameters, expected)
 
-    def test_aggregate_client_updates_schemes(self):
+    def test_simple_average_of_stacked_updates(self):
         updates = self._updates()
-        np.testing.assert_allclose(aggregate_client_updates(updates), np.full(3, 1.0))
-        np.testing.assert_allclose(
-            aggregate_client_updates(updates, scheme="weighted", weights=np.array([1.0, 0.0, 0.0])),
-            np.zeros(3),
-        )
-        with pytest.raises(AggregationError, match="unknown aggregation scheme"):
-            aggregate_client_updates(updates, scheme="median")
+        np.testing.assert_allclose(simple_average(stack_updates(updates)), np.full(3, 1.0))
         with pytest.raises(AggregationError, match="empty"):
-            aggregate_client_updates([])
+            stack_updates([])
 
 
 def _tiny_model(rng):
