@@ -27,7 +27,12 @@ from repro.crypto.keystore import KeyStore
 from repro.fl.aggregation import simple_average
 from repro.fl.client import ClientUpdate, FLClient, LocalTrainingConfig
 from repro.fl.executor import ParallelExecutor
-from repro.incentive.contribution import ContributionConfig, ContributionReport, identify_contributions
+from repro.incentive.contribution import ContributionConfig, ContributionReport
+from repro.incentive.contribution import (
+    # Procedure IV's Algorithm 2 step takes the round's own direction buffer;
+    # the repo benchmark times it under this name.
+    identify_contributions_in_place as identify_contributions,
+)
 from repro.incentive.distance import cosine_distance_to_reference
 from repro.incentive.rewards import RewardEntry
 from repro.incentive.strategies import Strategy, StrategyOutcome
@@ -162,10 +167,13 @@ def procedure_exchange(ctx: RoundContext, miners: list[Miner]) -> RoundContext:
                     miner.merge_gradient_set(other_set)
     reference = miners[0]
     senders, matrix = reference.gradient_vectors()
-    ctx.gradient_client_ids = [
-        int(tx.metadata.get("client_index", -1))
-        for tx in sorted(reference.gradient_set.values(), key=lambda t: t.sender)
-    ]
+    # Rows follow the one sender-sorted pass; each row's client id is its
+    # sender's ``client_index``.
+    index_of = {
+        tx.sender: int(tx.metadata.get("client_index", -1))
+        for tx in reference.gradient_set.values()
+    }
+    ctx.gradient_client_ids = [index_of[sender] for sender in senders]
     ctx.gradient_matrix = matrix
     return ctx
 
@@ -229,9 +237,14 @@ def procedure_global_update(
     # w^i_{r+1} - w_r (the paper calls the uploaded quantities "gradients"):
     # the shared starting point w_r would otherwise dominate the cosine
     # geometry and hide the per-client differences Algorithm 2 relies on.
-    deltas = matrix - previous[None, :]
-    global_delta = base_global - previous
-    report = identify_contributions(deltas, client_ids, global_delta, contribution_config)
+    # They and the global direction are written once into the round's one
+    # direction buffer W ∪ {w_{r+1}}, which Algorithm 2 reads θ from and then
+    # clusters in place; it is dropped before Equation (1) runs.
+    directions = np.empty((matrix.shape[0] + 1, matrix.shape[1]))
+    np.subtract(matrix, previous[None, :], out=directions[:-1])
+    np.subtract(base_global, previous, out=directions[-1])
+    report = identify_contributions(directions, client_ids, contribution_config)
+    del directions
     # Equation (1) weights use θ computed on the uploaded vectors themselves
     # (the literal W^k_{r+1} of Algorithm 2); those distances are small and
     # nearly uniform, which reproduces the paper's observation that FAIR-BFL's

@@ -31,6 +31,10 @@ __all__ = [
     "merge_stale_updates",
 ]
 
+#: Columns :func:`weighted_average` weights and sums at a time: its one
+#: temporary is ``k`` rows by this many columns.
+AVERAGE_BLOCK_COLUMNS = 1024
+
 
 class AggregationError(ValueError):
     """An aggregation was asked to operate on invalid (e.g. empty) input.
@@ -71,7 +75,17 @@ def weighted_average(updates: np.ndarray, weights: np.ndarray) -> np.ndarray:
     total = w.sum()
     if total <= 0:
         raise AggregationError("aggregation weights must not all be zero")
-    return (w[:, None] / total * m).sum(axis=0)
+    # (w[:, None] / total * m).sum(axis=0), one block of columns at a time: the
+    # same products summed down each column in the same row order, without a
+    # (k, d) temporary.  The last block is never one column wide, because
+    # numpy sums a lone column pairwise, unlike the row-by-row sum of a wider one.
+    coefficients = w[:, None] / total
+    d = m.shape[1]
+    out = np.empty(d)
+    bounds = [0, *range(AVERAGE_BLOCK_COLUMNS, d - 1, AVERAGE_BLOCK_COLUMNS), d]
+    for start, stop in zip(bounds, bounds[1:]):
+        np.add.reduce(coefficients * m[:, start:stop], axis=0, out=out[start:stop])
+    return out
 
 
 def contribution_weights(thetas: np.ndarray, *, eps: float = 1e-12) -> np.ndarray:

@@ -44,6 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.fl.aggregation import AggregationError
+from repro.utils.vectors import row_norms
 
 __all__ = [
     "DEFENSES",
@@ -114,7 +115,7 @@ def clip_rows(matrix: np.ndarray, max_norm: float) -> tuple[np.ndarray, int]:
     m = _check_matrix(matrix)
     if max_norm <= 0.0:
         return m.copy(), 0
-    norms = np.linalg.norm(m, axis=1)
+    norms = row_norms(m)
     over = norms > max_norm
     clipped = m.copy()
     if over.any():
@@ -179,7 +180,7 @@ class NormClipDefense:
 
     def filter(self, m: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
         """Return ``(clipped rows, kept row indices, rows clipped)``."""
-        clipped, count = clip_rows(m, float(np.median(np.linalg.norm(m, axis=1))))
+        clipped, count = clip_rows(m, float(np.median(row_norms(m))))
         return clipped, np.arange(m.shape[0]), count
 
 

@@ -8,7 +8,10 @@ Euclidean distances on the stacked gradient vectors.
 
 The clusterers return a :class:`ClusteringResult` with integer labels
 (`-1` marks DBSCAN noise points) so downstream code is independent of which
-algorithm produced the grouping.
+algorithm produced the grouping.  ``fit`` never writes to a caller's matrix:
+it copies its input before the cosine metric normalises the rows, unless the
+matrix is handed over as :class:`OwnedRows` — which is how Algorithm 2 clusters
+the round's own direction buffer in place.
 """
 
 from __future__ import annotations
@@ -17,9 +20,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.utils.vectors import pairwise_cosine_distance, pairwise_euclidean_distance
+from repro.utils.vectors import (
+    normalise_rows_in_place,
+    pairwise_cosine_distance_in_place,
+    pairwise_euclidean_distance,
+)
 
-__all__ = ["CLUSTERERS", "ClusteringResult", "DBSCAN", "KMeans", "make_clusterer"]
+__all__ = ["CLUSTERERS", "ClusteringResult", "DBSCAN", "KMeans", "OwnedRows", "make_clusterer"]
 
 #: Algorithm names accepted by :func:`make_clusterer`.
 CLUSTERERS = ("dbscan", "kmeans")
@@ -51,12 +58,29 @@ class ClusteringResult:
         return int(self.labels[int(index)])
 
 
-def _distance_matrix(vectors: np.ndarray, metric: str) -> np.ndarray:
-    v = np.asarray(vectors, dtype=np.float64)
+@dataclass(frozen=True)
+class OwnedRows:
+    """A ``float64`` row matrix handed over to a clusterer's ``fit`` to overwrite.
+
+    ``fit`` copies any other input first.  Algorithm 2 hands over its
+    ``W ∪ {w_{r+1}}`` buffer this way once it has read θ from it, so the
+    cosine metric normalises that buffer instead of a copy of it.
+    """
+
+    rows: np.ndarray
+
+
+def _owned_vectors(vectors) -> np.ndarray:
+    """The matrix ``fit`` may overwrite: the handed-over rows, else a copy."""
+    v = vectors.rows if isinstance(vectors, OwnedRows) else np.array(vectors, dtype=np.float64)
     if v.ndim != 2 or v.shape[0] == 0:
         raise ValueError(f"expected a non-empty (k, d) matrix, got shape {v.shape}")
+    return v
+
+
+def _distance_matrix(v: np.ndarray, metric: str) -> np.ndarray:
     if metric == "cosine":
-        return pairwise_cosine_distance(v)
+        return pairwise_cosine_distance_in_place(v)
     if metric == "euclidean":
         return pairwise_euclidean_distance(v)
     raise ValueError(f"unknown metric {metric!r}; expected 'cosine' or 'euclidean'")
@@ -85,9 +109,9 @@ class DBSCAN:
         self.min_samples = int(min_samples)
         self.metric = metric
 
-    def fit(self, vectors: np.ndarray) -> ClusteringResult:
+    def fit(self, vectors: np.ndarray | OwnedRows) -> ClusteringResult:
         """Cluster the rows of ``vectors`` and return the labelling."""
-        distances = _distance_matrix(vectors, self.metric)
+        distances = _distance_matrix(_owned_vectors(vectors), self.metric)
         n = distances.shape[0]
         neighbours = [np.flatnonzero(distances[i] <= self.eps) for i in range(n)]
         is_core = np.array([len(nb) >= self.min_samples for nb in neighbours])
@@ -141,14 +165,11 @@ class KMeans:
         self.max_iterations = int(max_iterations)
         self.seed = int(seed)
 
-    def fit(self, vectors: np.ndarray) -> ClusteringResult:
+    def fit(self, vectors: np.ndarray | OwnedRows) -> ClusteringResult:
         """Cluster the rows of ``vectors`` and return the labelling."""
-        v = np.asarray(vectors, dtype=np.float64)
-        if v.ndim != 2 or v.shape[0] == 0:
-            raise ValueError(f"expected a non-empty (k, d) matrix, got shape {v.shape}")
+        v = _owned_vectors(vectors)
         if self.metric == "cosine":
-            norms = np.linalg.norm(v, axis=1, keepdims=True)
-            v = v / np.where(norms < 1e-12, 1.0, norms)
+            normalise_rows_in_place(v)
         n = v.shape[0]
         k = min(self.num_clusters, n)
         rng = np.random.default_rng(self.seed)

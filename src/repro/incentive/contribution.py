@@ -26,11 +26,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.incentive.clustering import ClusteringResult, DBSCAN, NOISE_LABEL, make_clusterer
+from repro.incentive.clustering import ClusteringResult, NOISE_LABEL, OwnedRows, make_clusterer
 from repro.incentive.distance import cosine_distance_to_reference
 from repro.incentive.rewards import RewardEntry, apportion_rewards
 
-__all__ = ["ContributionConfig", "ContributionReport", "identify_contributions"]
+__all__ = [
+    "ContributionConfig",
+    "ContributionReport",
+    "identify_contributions",
+    "identify_contributions_in_place",
+]
 
 
 @dataclass(frozen=True)
@@ -121,26 +126,46 @@ def identify_contributions(
     -------
     ContributionReport
     """
-    cfg = config or ContributionConfig()
     m = np.asarray(updates, dtype=np.float64)
-    ids = [int(c) for c in np.asarray(client_ids).ravel()]
     g = np.asarray(global_update, dtype=np.float64).ravel()
     if m.ndim != 2 or m.shape[0] == 0:
         raise ValueError(f"expected a non-empty (k, d) update matrix, got shape {m.shape}")
-    if len(ids) != m.shape[0]:
-        raise ValueError(
-            f"client_ids must align with updates rows, got {len(ids)} ids for {m.shape[0]} rows"
-        )
     if m.shape[1] != g.shape[0]:
         raise ValueError(
             f"global_update dimension {g.shape[0]} does not match updates dimension {m.shape[1]}"
         )
+    # W ∪ {w_{r+1}}: the global update is the last row (Algorithm 1 line 25 /
+    # Algorithm 2 line 1).
+    stacked = np.empty((m.shape[0] + 1, m.shape[1]))
+    stacked[:-1] = m
+    stacked[-1] = g
+    return identify_contributions_in_place(stacked, client_ids, config)
 
-    # Cluster W ∪ {w_{r+1}}; the global update is appended as the last row
-    # (Algorithm 1 line 25 / Algorithm 2 line 1).
-    stacked = np.vstack([m, g[None, :]])
-    clusterer = cfg.make_clusterer()
-    clustering = clusterer.fit(stacked)
+
+def identify_contributions_in_place(
+    stacked: np.ndarray,
+    client_ids: list[int] | np.ndarray,
+    config: ContributionConfig | None = None,
+) -> ContributionReport:
+    """:func:`identify_contributions` on an owned ``W ∪ {w_{r+1}}`` buffer.
+
+    ``stacked`` is the ``(k + 1, d)`` ``float64`` matrix of the ``k`` uploaded
+    vectors with the global update as its last row.  The θ_i are read from it
+    first; it is then handed over to the clusterer (the cosine metric
+    normalises its rows in place), so the round needs no copy of it.
+    """
+    cfg = config or ContributionConfig()
+    ids = [int(c) for c in np.asarray(client_ids).ravel()]
+    if stacked.ndim != 2 or stacked.shape[0] < 2:
+        raise ValueError(f"expected a (k + 1, d) matrix with k >= 1, got shape {stacked.shape}")
+    if len(ids) != stacked.shape[0] - 1:
+        raise ValueError(
+            f"client_ids must align with updates rows, got {len(ids)} ids for "
+            f"{stacked.shape[0] - 1} rows"
+        )
+
+    thetas_all = cosine_distance_to_reference(stacked[:-1], stacked[-1])
+    clustering = cfg.make_clusterer().fit(OwnedRows(stacked))
     global_label = clustering.cluster_of(stacked.shape[0] - 1)
 
     used_fallback = False
@@ -171,7 +196,6 @@ def identify_contributions(
     high_ids = [int(c) for c in ids_arr[high_mask]]
     low_ids = [int(c) for c in ids_arr[~high_mask]]
 
-    thetas_all = cosine_distance_to_reference(m, g)
     reward_list = apportion_rewards(high_ids, thetas_all[high_mask], base_reward=cfg.base_reward)
 
     return ContributionReport(

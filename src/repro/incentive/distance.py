@@ -2,12 +2,14 @@
 
 Algorithm 2 scores each high-contributing client by the cosine distance
 θ_i between its uploaded vector and the global update.  The helper below
-computes all θ_i in one vectorised pass.
+computes all θ_i in one vectorised pass and never copies the matrix.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from repro.utils.vectors import row_norms
 
 __all__ = ["cosine_distance_to_reference"]
 
@@ -39,13 +41,13 @@ def cosine_distance_to_reference(
             f"dimension mismatch: matrix has {m.shape[1]} columns, reference has "
             f"{r.shape[0]} elements"
         )
-    row_norms = np.linalg.norm(m, axis=1)
+    norms = row_norms(m)
     ref_norm = np.linalg.norm(r)
     sims = np.zeros(m.shape[0], dtype=np.float64)
     if ref_norm >= eps:
         # One mat-vec over the full stacked matrix (no fancy-index copy);
         # near-zero rows keep similarity 0 ("orthogonal") via the mask.
-        valid = row_norms >= eps
+        valid = norms >= eps
         dots = m @ r
-        sims[valid] = np.clip(dots[valid] / (row_norms[valid] * ref_norm), -1.0, 1.0)
+        sims[valid] = np.clip(dots[valid] / (norms[valid] * ref_norm), -1.0, 1.0)
     return 1.0 - sims

@@ -7,7 +7,10 @@ distance primitives shared by all of those components.
 
 All functions operate on ``numpy.ndarray`` of ``float64`` and avoid Python
 loops over elements (see the repository HPC guides): distances over a batch of
-vectors are computed with a single matrix product.
+vectors are computed with a single matrix product.  No public function writes
+to its argument; the ``*_in_place`` bodies they share overwrite a buffer the
+caller owns, which is how one round's direction buffer is normalised without
+a second copy.
 """
 
 from __future__ import annotations
@@ -22,9 +25,14 @@ __all__ = [
     "unflatten_array",
     "cosine_similarity",
     "cosine_distance",
+    "row_norms",
     "pairwise_cosine_distance",
     "pairwise_euclidean_distance",
 ]
+
+#: Rows :func:`row_norms` squares and reduces at a time: its one temporary is
+#: this many rows, whatever the height of the matrix.
+NORM_BLOCK_ROWS = 8
 
 
 def flatten_arrays(arrays: Iterable[np.ndarray]) -> np.ndarray:
@@ -93,22 +101,60 @@ def cosine_distance(a: np.ndarray, b: np.ndarray, *, eps: float = 1e-12) -> floa
     return 1.0 - cosine_similarity(a, b, eps=eps)
 
 
+def _check_rows(matrix: np.ndarray) -> np.ndarray:
+    m = np.asarray(matrix, dtype=np.float64)
+    if m.ndim != 2:
+        raise ValueError(f"expected a 2-D matrix of row vectors, got ndim={m.ndim}")
+    return m
+
+
+def row_norms(matrix: np.ndarray) -> np.ndarray:
+    """ℓ2 norm of every row, byte-equal to ``np.linalg.norm(matrix, axis=1)``.
+
+    Runs numpy's own expression (square, add along the row, square root) on
+    :data:`NORM_BLOCK_ROWS` rows at a time, so every row goes through the same
+    IEEE operations in the same order while the temporary stays a few rows
+    instead of two copies of the matrix.
+    """
+    m = _check_rows(matrix)
+    norms = np.empty(m.shape[0])
+    for start in range(0, m.shape[0], NORM_BLOCK_ROWS):
+        block = m[start : start + NORM_BLOCK_ROWS]
+        np.sqrt(np.add.reduce(block * block, axis=1), out=norms[start : start + NORM_BLOCK_ROWS])
+    return norms
+
+
+def normalise_rows_in_place(m: np.ndarray, *, eps: float = 1e-12) -> np.ndarray:
+    """Divide every row of the owned ``float64`` matrix ``m`` by its ℓ2 norm.
+
+    Rows with norm below ``eps`` are left as they are; the mask of those rows
+    is returned.
+    """
+    norms = row_norms(m)
+    m /= np.where(norms < eps, 1.0, norms)[:, None]
+    return norms < eps
+
+
 def pairwise_cosine_distance(matrix: np.ndarray, *, eps: float = 1e-12) -> np.ndarray:
     """Pairwise cosine-distance matrix for the rows of ``matrix``.
 
     Implemented as a single normalised Gram-matrix product (no Python loops),
     which is the dominant cost in Algorithm 2 at scale.
     """
-    m = np.asarray(matrix, dtype=np.float64)
-    if m.ndim != 2:
-        raise ValueError(f"expected a 2-D matrix of row vectors, got ndim={m.ndim}")
-    norms = np.linalg.norm(m, axis=1, keepdims=True)
-    safe = np.where(norms < eps, 1.0, norms)
-    unit = m / safe
-    sims = np.clip(unit @ unit.T, -1.0, 1.0)
+    return pairwise_cosine_distance_in_place(np.array(matrix, dtype=np.float64), eps=eps)
+
+
+def pairwise_cosine_distance_in_place(m: np.ndarray, *, eps: float = 1e-12) -> np.ndarray:
+    """:func:`pairwise_cosine_distance` of the owned ``float64`` matrix ``m``.
+
+    Normalises ``m``'s rows in place (see :func:`normalise_rows_in_place`)
+    and takes their Gram matrix, so it needs no copy of ``m``.
+    """
+    m = _check_rows(m)
+    zero_mask = normalise_rows_in_place(m, eps=eps)
+    sims = np.clip(m @ m.T, -1.0, 1.0)
     # Rows that were (near-)zero vectors are defined as orthogonal to everything
     # but identical to themselves.
-    zero_mask = (norms.ravel() < eps)
     if zero_mask.any():
         sims[zero_mask, :] = 0.0
         sims[:, zero_mask] = 0.0
@@ -119,9 +165,7 @@ def pairwise_cosine_distance(matrix: np.ndarray, *, eps: float = 1e-12) -> np.nd
 
 def pairwise_euclidean_distance(matrix: np.ndarray) -> np.ndarray:
     """Pairwise Euclidean-distance matrix for the rows of ``matrix``."""
-    m = np.asarray(matrix, dtype=np.float64)
-    if m.ndim != 2:
-        raise ValueError(f"expected a 2-D matrix of row vectors, got ndim={m.ndim}")
+    m = _check_rows(matrix)
     sq = np.sum(m * m, axis=1)
     d2 = sq[:, None] + sq[None, :] - 2.0 * (m @ m.T)
     np.maximum(d2, 0.0, out=d2)

@@ -8,7 +8,7 @@ import pytest
 from repro.blockchain.block import Block
 from repro.blockchain.chain import Blockchain
 from repro.blockchain.miner import Miner
-from repro.blockchain.transaction import TransactionType
+from repro.blockchain.transaction import TransactionType, make_gradient_transaction
 from repro.core.procedures import (
     RoundContext,
     procedure_exchange,
@@ -100,6 +100,25 @@ class TestProcedureExchange:
         assert counts == {5}
         assert ctx.gradient_matrix.shape[0] == 5
         assert sorted(ctx.gradient_client_ids) == [0, 1, 2, 3, 4]
+
+    def test_ids_follow_rows_when_sender_order_is_not_numeric(self):
+        # Rows are sorted by sender, so "client-10" comes before "client-2":
+        # each row's client id must still be the client that uploaded it.
+        miners = []
+        for k in range(2):
+            chain = Blockchain(enforce_pow=False)
+            chain.add_genesis(Block.genesis())
+            miners.append(Miner(f"miner-{k}", chain, verify_signatures=False))
+        vectors = {cid: np.full(3, float(cid)) for cid in (2, 10, 1, 11, 3)}
+        for i, (cid, vector) in enumerate(vectors.items()):
+            miners[i % 2].receive_upload(
+                make_gradient_transaction(f"client-{cid}", 0, vector, client_index=cid)
+            )
+        ctx = _context(np.zeros(3), list(vectors))
+        procedure_exchange(ctx, miners)
+        assert ctx.gradient_client_ids == [1, 10, 11, 2, 3]
+        for cid, row in zip(ctx.gradient_client_ids, ctx.gradient_matrix):
+            assert row.tobytes() == vectors[cid].tobytes()
 
     def test_single_miner_exchange_is_noop(self, setup):
         clients, miners, keystore, global_params = setup
