@@ -25,18 +25,22 @@ to what ``FLClient.local_update`` returns on the serial path:
 
 Memory contract
 ---------------
-Cohorts are chunked to at most ``max_cohort_size`` clients, so peak memory is
-``O(max_cohort_size · (params + batch) + distinct shards)`` regardless of the
-population size: a chunk holds its ``(chunk, P)`` parameter matrix, one
-``grads`` scratch of the same shape (fully rewritten by every backward, never
-zeroed), the gathered mini-batch, and each *distinct* training shard once —
-replicated populations share archetype arrays, which is observed by object
-identity and gathered through a per-client shard index.  The 4 608-client
-``cohort_population`` benchmark workload peaks at ~290 MiB of process RSS.
+Cohorts are chunked to at most ``max_cohort_size`` clients, and a chunk trains
+in parts of as many clients as keep a gathered operand within
+:data:`GATHER_ROWS` rows, so peak memory is
+``O(max_cohort_size · P + GATHER_ROWS · features + distinct shards)``
+regardless of the population size: a chunk holds its ``(chunk, P)`` parameter
+matrix, one part's ``grads`` scratch (fully rewritten by every backward, never
+zeroed), one part's gathered mini-batch or validation stack, and each
+*distinct* training shard once — replicated populations share archetype
+arrays, which is observed by object identity and gathered through a
+per-client shard index.  The 4 608-client ``cohort_population`` benchmark
+workload peaks at ~133 MiB of process RSS (~281 MiB with whole-chunk operands).
 :meth:`CohortTrainer.iter_update_blocks` streams these chunks to the caller
 without ever materialising one ``ClientUpdate`` per client, which is what
 lets a 100k-client round fit in bounded memory (see
-``FedAvgTrainer._run_round_streaming``).
+``FedAvgTrainer._run_round_streaming``), as long as the caller drops each
+:class:`CohortBlock` before asking for the next one.
 """
 
 from __future__ import annotations
@@ -53,16 +57,26 @@ from repro.nn.metrics import accuracy
 
 __all__ = ["CohortBlock", "CohortTrainer", "DEFAULT_MAX_COHORT_SIZE"]
 
-#: Default cohort chunk width: large enough that the stacked matmuls dominate
-#: the Python overhead, small enough that a chunk of MNIST-scale logreg clients
-#: (two 32 MB (chunk, params) matrices, an 80 MB gathered mini-batch, the
-#: distinct shards) keeps the whole process under ~300 MiB.
+#: Default cohort chunk width, the clients of one streamed :class:`CohortBlock`:
+#: a chunk of MNIST-scale logreg clients holds one 32 MB ``(chunk, P)`` matrix
+#: beside its ``GATHER_ROWS``-bounded operands and the distinct shards.
 DEFAULT_MAX_COHORT_SIZE = 512
+
+#: Gathered operand rows a training or validation step holds at a time: a
+#: chunk trains ``GATHER_ROWS // rows-per-client`` clients at a time, so its
+#: mini-batch, validation stack and ``grads`` scratch do not grow with
+#: ``max_cohort_size``.
+GATHER_ROWS = 1024
 
 
 @dataclass
 class CohortBlock:
     """One trained cohort chunk, streamed before any aggregation.
+
+    Consumer contract: drop the block (``del block`` at the end of a ``for``
+    body) before asking the stream for the next one.  A kept block keeps its
+    ``(chunk, P)`` parameter matrix alive while the next chunk trains; copy
+    out whatever must outlive it.
 
     Attributes
     ----------
@@ -152,8 +166,9 @@ class CohortTrainer:
     ) -> Iterator[CohortBlock]:
         """Train the selected clients cohort by cohort, yielding each block.
 
-        Peak memory is bounded by ``max_cohort_size`` regardless of
-        ``len(selected)``.
+        Peak memory is bounded by ``max_cohort_size`` and
+        :data:`GATHER_ROWS` regardless of ``len(selected)``, provided the
+        caller keeps the :class:`CohortBlock` consumer contract.
         """
         global_ref = np.asarray(global_parameters, dtype=np.float64)
         for chunk in self._cohort_chunks(clients, selected):
@@ -177,6 +192,7 @@ class CohortTrainer:
                     train_loss=block.train_losses[i],
                     val_accuracy=block.val_accuracies[i],
                 )
+            del block  # the CohortBlock contract: drop it before the next chunk trains
         return [by_id[int(cid)] for cid in selected]
 
     def _train_chunk(
@@ -203,36 +219,41 @@ class CohortTrainer:
                 orders[i, epoch] = client.rng.permutation(num_samples)
 
         params = np.repeat(global_ref[None, :], size, axis=0)
-        grads = np.empty_like(params)  # scratch: backward rewrites every column
         starts = range(0, num_samples, config.batch_size)
         losses = np.empty((size, config.epochs * len(starts)))
+        accuracies: list[float] = []
         loss = SoftmaxCrossEntropyLoss()
+        # Clients train ``width`` at a time, so a gathered mini-batch or
+        # validation operand holds at most GATHER_ROWS rows (or one client's)
+        # whatever the chunk width; no client's bytes depend on its part.
+        rows = max(1, min(config.batch_size, num_samples), len(cohort[0].dataset.val_labels))
+        width = min(size, max(1, GATHER_ROWS // rows))
+        grads = np.empty((width, params.shape[1]))  # scratch: backward rewrites every column
 
-        for epoch in range(config.epochs):
-            for step, start in enumerate(starts, epoch * len(starts)):
-                sel = orders[:, epoch, start : start + config.batch_size]
-                x_batch = images[image_of[:, None], sel]
-                y_batch = labels[label_of[:, None], sel]
-                logits = model.forward(params, x_batch)
-                losses[:, step] = loss.forward(logits, y_batch)
-                model.backward(params, grads, loss.backward(), need_input_grad=False)
-                if config.proximal_mu > 0.0:
-                    add_proximal_term(grads, params, global_ref, config.proximal_mu)
-                sgd_step(
-                    params,
-                    grads,
-                    learning_rate=config.learning_rate,
-                    weight_decay=config.weight_decay,
-                )
+        for lo in range(0, size, width):
+            part = slice(lo, lo + width)
+            p = params[part]
+            g = grads[: p.shape[0]]
+            for epoch in range(config.epochs):
+                for step, start in enumerate(starts, epoch * len(starts)):
+                    sel = orders[part, epoch, start : start + config.batch_size]
+                    logits = model.forward(p, images[image_of[part, None], sel])
+                    losses[part, step] = loss.forward(logits, labels[label_of[part, None], sel])
+                    model.backward(p, g, loss.backward(), need_input_grad=False)
+                    if config.proximal_mu > 0.0:
+                        add_proximal_term(g, p, global_ref, config.proximal_mu)
+                    sgd_step(
+                        p, g, learning_rate=config.learning_rate, weight_decay=config.weight_decay
+                    )
+            # After training every client has its own parameters, so the forward
+            # needs one validation operand per client; stacking copies each byte once.
+            members = cohort[part]
+            val_images = np.stack([c.dataset.val_images for c in members])
+            val_labels = np.stack([c.dataset.val_labels for c in members])
+            accuracies.extend(accuracy(model.forward(p, val_images), val_labels).tolist())
 
         for client in cohort:
             client.rounds_participated += 1
-
-        # After training every client has its own parameters, so the forward
-        # needs one validation operand per client; stacking copies each byte once.
-        val_images = np.stack([c.dataset.val_images for c in cohort])
-        val_labels = np.stack([c.dataset.val_labels for c in cohort])
-        accuracies = accuracy(model.forward(params, val_images), val_labels).tolist()
         # The template's parameters are views of ``params`` / ``grads`` by now:
         # release them, or it pins both matrices until the next chunk.
         model.release()

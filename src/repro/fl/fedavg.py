@@ -190,6 +190,7 @@ class FedAvgTrainer(Trainer):
             total += np.ones(len(block.client_ids)) @ block.parameters
             train_losses.extend(block.train_losses)
             blocks += 1
+            del block  # the CohortBlock contract: drop it before the next chunk trains
         new_global = self.server.commit_global(total / float(len(selected_ids)))
         return self._round_record(
             round_index,

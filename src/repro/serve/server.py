@@ -311,8 +311,19 @@ class _RequestHandler(BaseHTTPRequestHandler):
         self.wfile.write(rendered)
 
     def _read_body(self) -> bytes:
-        """The request body; read even when ignored (cancel), so keep-alive stays in sync."""
-        length = int(self.headers.get("Content-Length") or 0)
+        """The request body; read even when ignored (cancel), so keep-alive stays in sync.
+
+        A ``Content-Length`` that is not a decimal byte count is refused
+        before anything is read (``rfile.read(-1)`` would block until the
+        peer closes), and the connection is closed: its framing is unknown.
+        """
+        declared = (self.headers.get("Content-Length") or "0").strip()
+        if not (declared.isascii() and declared.isdigit()):
+            self.close_connection = True
+            raise ProtocolError(
+                f"Content-Length must be a non-negative integer, got {declared!r}", status=400
+            )
+        length = int(declared)
         return self.rfile.read(length) if length else b""
 
     def _read_json_body(self) -> object:

@@ -1,0 +1,193 @@
+"""A cohort chunk trains part by part, with the serial path's bytes.
+
+``CohortTrainer._train_chunk`` trains ``GATHER_ROWS // rows-per-client``
+clients at a time: each part gathers only its own mini-batch and validation
+rows, steps its rows of the chunk's ``(chunk, P)`` parameter matrix, and uses
+a ``grads`` scratch one part wide.  A client's bytes do not depend on the part
+it trains in, so every update must equal ``FLClient.local_update`` run alone —
+whatever the width: a last part that is cut short, a chunk narrower than one
+part, one client at a time.
+
+``TestRoundMemory`` bounds the tracemalloc peak of one streaming round at the
+``cohort_population`` shape (512-client chunks of ``logreg``) by 2.0× one
+chunk's ``(512, P)`` parameter matrix.  Whole-chunk operands (the gathered
+mini-batch and validation stack, a full-width ``grads``) plus a kept previous
+block read 5.99× on the full workload round.
+"""
+
+from __future__ import annotations
+
+import tracemalloc
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.datasets.federated import ClientDataset, build_federated_dataset
+from repro.fl import cohort as fl_cohort
+from repro.fl.client import FLClient, LocalTrainingConfig
+from repro.fl.cohort import DEFAULT_MAX_COHORT_SIZE, CohortTrainer
+from repro.nn.cohort import CohortModel
+from repro.nn.models import ModelFactory
+from repro.runner.engine import ExperimentEngine
+from repro.runner.scenario import ScenarioSpec
+from repro.systems import get_system
+from repro.utils.rng import new_rng
+
+pytestmark = pytest.mark.cohort
+
+MiB = 2**20
+
+
+def _population(dataset, *, private: bool, model_name: str) -> dict[int, FLClient]:
+    """Fresh clients (fresh RNG streams) over ``dataset``; ``private`` copies each shard."""
+    factory = ModelFactory(model_name, 784, 10, seed=7, label="blocks", hidden_sizes=(6,))
+    clients = {}
+    for shard in dataset.clients:
+        if private:
+            shard = ClientDataset(
+                shard.client_id,
+                shard.images.copy(),
+                shard.labels.copy(),
+                shard.val_images.copy(),
+                shard.val_labels.copy(),
+            )
+        clients[shard.client_id] = FLClient(shard, factory, new_rng(7, "blocks", shard.client_id))
+    return clients
+
+
+def _parts_equal_serial(monkeypatch, *, gather_rows, chunk, config, distinct, private,
+                        model_name="logreg"):
+    """Train 9 clients part by part and serially; return each forward's client count."""
+    dataset = build_federated_dataset(
+        num_clients=9, num_samples=360, scheme="iid", seed=7, distinct_shards=distinct
+    )
+    cohort = _population(dataset, private=private, model_name=model_name)
+    serial = _population(dataset, private=private, model_name=model_name)
+    selected = [shard.client_id for shard in dataset.clients][::-1]
+    start = new_rng(7, "global").standard_normal(cohort[0].workspace.model().num_parameters())
+    start *= 0.01
+
+    widths = []
+    forward = CohortModel.forward
+    monkeypatch.setattr(fl_cohort, "GATHER_ROWS", gather_rows)
+    monkeypatch.setattr(
+        CohortModel,
+        "forward",
+        lambda self, params, x: widths.append(x.shape[:2]) or forward(self, params, x),
+    )
+    updates = CohortTrainer(max_cohort_size=chunk).run_local_updates(
+        cohort, selected, start, config
+    )
+    monkeypatch.undo()
+
+    assert [u.client_id for u in updates] == selected
+    for update in updates:
+        want = serial[update.client_id].local_update(start, config)
+        assert update.parameters.tobytes() == want.parameters.tobytes()
+        assert update.train_loss == want.train_loss
+        assert update.val_accuracy == want.val_accuracy
+        assert update.num_samples == want.num_samples
+        assert cohort[update.client_id].rounds_participated == 1
+        assert cohort[update.client_id].rng.bit_generator.state == (
+            serial[update.client_id].rng.bit_generator.state
+        )
+    # The memory contract: no operand gathers more than GATHER_ROWS rows,
+    # unless one client's rows alone exceed it.
+    assert all(clients * rows <= max(gather_rows, rows) for clients, rows in widths), widths
+    return [clients for clients, _ in widths]
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    gather_rows=st.sampled_from([1, 40, 64, 100, 10**6]),
+    chunk=st.sampled_from([1, 4, 9]),
+    batch_size=st.sampled_from([5, 7, 64]),
+    epochs=st.integers(1, 2),
+    proximal_mu=st.sampled_from([0.0, 0.1]),
+    weight_decay=st.sampled_from([0.0, 0.01]),
+    distinct=st.sampled_from([0, 3]),
+    private=st.booleans(),
+    model_name=st.sampled_from(["logreg", "mlp"]),
+)
+def test_chunk_trained_in_parts_equals_serial_local_update(
+    gather_rows, chunk, batch_size, epochs, proximal_mu, weight_decay, distinct, private,
+    model_name,
+):
+    config = LocalTrainingConfig(
+        epochs=epochs, batch_size=batch_size, learning_rate=0.05,
+        proximal_mu=proximal_mu, weight_decay=weight_decay,
+    )
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _parts_equal_serial(
+            monkeypatch, gather_rows=gather_rows, chunk=chunk, config=config,
+            distinct=distinct, private=private, model_name=model_name,
+        )
+
+
+# Shards here hold 82 training and 20 validation rows, so with batch_size=25
+# (a short last batch of 7) a client gathers max(25, 20) = 25 rows a step:
+# GATHER_ROWS=75 trains 3 clients at a time.
+SHORT_BATCH = LocalTrainingConfig(
+    epochs=2, batch_size=25, learning_rate=0.05, proximal_mu=0.1, weight_decay=0.01
+)
+
+
+@pytest.mark.parametrize("private", [False, True])
+@pytest.mark.parametrize(
+    "gather_rows, chunk, parts",
+    [
+        (75, 9, [3, 3, 3]),  # the width divides the chunk
+        (75, 7, [3, 3, 1, 2]),  # a short last part, then a short last chunk
+        (75, 2, [2, 2, 2, 2, 1]),  # chunks narrower than one part
+        (1, 9, [1] * 9),  # a one-row budget: one client at a time
+        (10**6, 9, [9]),  # the whole chunk at once
+    ],
+)
+def test_parts_tile_the_chunk(monkeypatch, private, gather_rows, chunk, parts):
+    widths = _parts_equal_serial(
+        monkeypatch, gather_rows=gather_rows, chunk=chunk, config=SHORT_BATCH, distinct=3,
+        private=private,
+    )
+    # Per part: 2 epochs x ceil(82 / 25) = 8 training forwards, then one validation.
+    per_part = 2 * 4 + 1
+    assert widths[::per_part] == parts
+    assert len(widths) == per_part * len(parts)
+
+
+# ---------------------------------------------------------------------------
+# One streaming round's memory
+# ---------------------------------------------------------------------------
+
+class TestRoundMemory:
+    """Deterministic round memory bound (numpy reports its buffers to tracemalloc)."""
+
+    def test_streaming_round_peak_is_bounded_by_one_chunk(self):
+        # cohort_population's shards and model at 1 024 clients, which the
+        # shard shapes still split into three chunks (496, 368, 160): the
+        # streaming fold is entered directly, below STREAM_THRESHOLD.
+        spec = ScenarioSpec(
+            system="fedavg", backend="cohort", num_clients=2 * DEFAULT_MAX_COHORT_SIZE,
+            num_samples=2048, distinct_shards=64, participation=1.0, scheme="shard",
+            model_name="logreg", epochs=1, batch_size=32, num_rounds=1, seed=0,
+        ).validate()
+        trainer = get_system("fedavg").build(spec, ExperimentEngine().dataset_for(spec)).trainer
+        try:
+            selected = list(range(spec.num_clients))
+            chunk_bytes = DEFAULT_MAX_COHORT_SIZE * trainer.server.global_parameters.nbytes
+            tracemalloc.start()
+            try:
+                trainer._run_round_streaming(0, selected, trainer._local_config())
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        finally:
+            trainer.close()
+        print(
+            f"cohort_population-shaped streaming round: peak {peak / MiB:.1f} MiB, "
+            f"one chunk's parameters {chunk_bytes / MiB:.1f} MiB ({peak / chunk_bytes:.2f}x)"
+        )
+        assert trainer.history.rounds[-1].extras["cohort_stream"]["blocks"] >= 2
+        # Reads 1.49x.  Gathering the whole chunk at once reads 4.75x, and
+        # keeping the previous block through the next chunk's training 2.20x.
+        assert peak <= 2.0 * chunk_bytes

@@ -7,7 +7,9 @@ What must survive here:
   its error; it is *never* left hanging in ``running``;
 * **bad input** — malformed JSON, an unknown system, and a
   capability-invalid axis each answer a 4xx whose body carries the
-  registry's actionable message, and the server stays healthy afterwards;
+  registry's actionable message, a ``Content-Length`` that is no byte
+  count answers 400 before anything is read, and the server stays healthy
+  afterwards;
 * **cancellation** — queued jobs cancel immediately, running jobs stop
   cooperatively, finished jobs answer 409;
 * **restart recovery** — a fresh server over the same store serves the old
@@ -19,12 +21,15 @@ pytest's importable ``__main__``.
 
 from __future__ import annotations
 
+import http.client
 import json
 import logging
 import os
 import signal
+import socket
 import time
 import urllib.error
+import urllib.parse
 import urllib.request
 
 import pytest
@@ -79,6 +84,25 @@ def _raw(method: str, url: str, body: bytes | None = None) -> tuple[int, dict]:
 def _post_raw(url: str, body: bytes) -> tuple[int, dict]:
     """POST raw bytes (for malformed payloads the client would never send)."""
     return _raw("POST", url, body)
+
+
+def _post_declaring(url: str, content_length: str, body: bytes = b"") -> tuple[int, dict]:
+    """POST /v1/runs over a bare socket with a hand-written ``Content-Length``.
+
+    The socket times out after 3 s, so a server that waits for bytes the
+    header promised (or for the peer to close) fails the test instead of
+    hanging it.
+    """
+    address = urllib.parse.urlsplit(url)
+    with socket.create_connection((address.hostname, address.port), timeout=3.0) as sock:
+        sock.sendall(
+            b"POST /v1/runs HTTP/1.1\r\nHost: repro\r\nContent-Type: application/json\r\n"
+            + f"Content-Length: {content_length}\r\n\r\n".encode("latin-1")
+            + body
+        )
+        response = http.client.HTTPResponse(sock)
+        response.begin()
+        return response.status, json.loads(response.read().decode("utf-8"))
 
 
 class TestWorkerDeath:
@@ -172,6 +196,21 @@ class TestBadInput:
         status, payload = _post_raw(server.url + "/v1/runs", body)
         assert status == 422
         assert named in payload["error"]
+
+    @pytest.mark.parametrize("declared", ["-1", "abc", "1e3", "+5", "\u00b2"])
+    def test_a_content_length_that_is_no_byte_count_answers_400_at_once(self, server, declared):
+        """``-1`` used to pin the handler thread (``rfile.read(-1)`` reads until
+        the peer closes) and ``abc`` to answer 500 ``ValueError``."""
+        status, body = _post_declaring(server.url, declared)
+        assert status == 400
+        assert "Content-Length" in body["error"]
+        assert ServeClient(server.url).health()["status"] == "ok"
+
+    def test_a_well_formed_body_with_a_hand_written_length_is_accepted(self, server):
+        body = json.dumps(_spec_mapping(name="declared")).encode("utf-8")
+        status, payload = _post_declaring(server.url, str(len(body)), body)
+        assert status == 202
+        assert payload["jobs"]
 
     def test_non_object_document_answers_400(self, server):
         status, body = _post_raw(server.url + "/v1/runs", b'["not", "a", "mapping"]')
