@@ -110,7 +110,9 @@ class FairBFLConfig:
         draws from its own seeded RNG stream; see
         :class:`repro.fl.executor.ParallelExecutor`.
     executor_workers:
-        Worker count for the thread/process backends (``None`` = CPU count).
+        Worker count for the thread/process backends (``None`` = the usable
+        CPU count), and the process count a cohort chunk is sharded over
+        (``None`` = the usable CPUs divided by the BLAS thread count).
     topology:
         Committee network shape (see :data:`repro.net.topology.TOPOLOGIES`):
         ``"global"`` keeps the single committee with its constant-latency

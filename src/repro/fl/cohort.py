@@ -23,19 +23,40 @@ to what ``FLClient.local_update`` returns on the serial path:
 * bookkeeping side effects (``rounds_participated``) are applied to the
   coordinator's client objects just like the other executor backends.
 
+Process sharding
+----------------
+With ``max_workers`` W > 1, a chunk of two or more parts (see below) is split
+into W contiguous groups of parts.  The coordinator trains the first group
+and W − 1 forked helper processes train the others concurrently, each writing
+its rows of the chunk's ``(chunk, P)`` parameter matrix in place.  That matrix
+lives in one of two anonymous ``MAP_SHARED`` mappings of
+``max_cohort_size × P`` float64s, mapped once before the helpers fork and
+reused for every chunk, so no chunk allocates or faults in a parameter
+matrix.  The helpers inherit the client map at fork; a task carries only its
+rows' permutations (drawn on the coordinator, which alone touches client RNG
+streams and ``rounds_participated``) and the global vector, and a helper
+answers with its rows' losses and accuracies.  A part's bytes do not depend
+on the process that trains it.  A chunk trains into whichever mapping no kept
+:class:`CohortBlock` (or row view of one) references, and in a private array
+on the coordinator alone when both are referenced, so a kept block is never
+overwritten.  W = 1, a one-part chunk, or a platform without ``fork`` trains
+in-process.  :meth:`CohortTrainer.close` stops the helpers and unmaps the
+buffers; a helper that dies fails the chunk with :class:`RuntimeError`.
+
 Memory contract
 ---------------
 Cohorts are chunked to at most ``max_cohort_size`` clients, and a chunk trains
 in parts of as many clients as keep a gathered operand within
 :data:`GATHER_ROWS` rows, so peak memory is
-``O(max_cohort_size · P + GATHER_ROWS · features + distinct shards)``
-regardless of the population size: a chunk holds its ``(chunk, P)`` parameter
-matrix, one part's ``grads`` scratch (fully rewritten by every backward, never
-zeroed), one part's gathered mini-batch or validation stack, and each
+``O(max_cohort_size · P + W · GATHER_ROWS · features + distinct shards)``
+regardless of the population size: one ``(max_cohort_size, P)`` parameter
+mapping shared by all W processes (the second is touched only while a block
+is kept), one part's ``grads`` scratch (fully rewritten by every backward,
+never zeroed), gathered mini-batch or validation stack per process, and each
 *distinct* training shard once — replicated populations share archetype
 arrays, which is observed by object identity and gathered through a
 per-client shard index.  The 4 608-client ``cohort_population`` benchmark
-workload peaks at ~133 MiB of process RSS (~281 MiB with whole-chunk operands).
+workload peaks at ~119 MiB of process RSS (~281 MiB with whole-chunk operands).
 :meth:`CohortTrainer.iter_update_blocks` streams these chunks to the caller
 without ever materialising one ``ClientUpdate`` per client, which is what
 lets a 100k-client round fit in bounded memory (see
@@ -45,6 +66,13 @@ lets a 100k-client round fit in bounded memory (see
 
 from __future__ import annotations
 
+import mmap
+import multiprocessing
+import os
+import signal
+import sys
+import traceback
+import weakref
 from dataclasses import dataclass
 from typing import Iterator, Mapping
 
@@ -54,6 +82,7 @@ from repro.fl.client import ClientUpdate, FLClient, LocalTrainingConfig
 from repro.nn.cohort import CohortModel, CohortUnsupportedError, add_proximal_term, sgd_step
 from repro.nn.losses import SoftmaxCrossEntropyLoss
 from repro.nn.metrics import accuracy
+from repro.utils.validation import check_positive
 
 __all__ = ["CohortBlock", "CohortTrainer", "DEFAULT_MAX_COHORT_SIZE"]
 
@@ -75,8 +104,8 @@ class CohortBlock:
 
     Consumer contract: drop the block (``del block`` at the end of a ``for``
     body) before asking the stream for the next one.  A kept block keeps its
-    ``(chunk, P)`` parameter matrix alive while the next chunk trains; copy
-    out whatever must outlive it.
+    ``(chunk, P)`` parameter matrix alive while the next chunk trains (into
+    another buffer, or a private one); copy out whatever must outlive it.
 
     Attributes
     ----------
@@ -112,27 +141,233 @@ def _stack_distinct(arrays: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     return np.stack(list(distinct.values())), index
 
 
-class CohortTrainer:
-    """Runs Procedure I for many clients at once with stacked numpy kernels."""
+def _compiled_model(
+    models: dict[object, CohortModel], client: FLClient, num_parameters: int
+) -> CohortModel:
+    """The cohort model of ``client``'s factory, compiled once into ``models``."""
+    factory = client.workspace.factory  # hashable: ``_group_key`` hashed it first
+    model = models.get(factory)
+    if model is None:
+        model = models[factory] = CohortModel.from_module(factory())
+    if model.num_parameters != int(num_parameters):
+        raise CohortUnsupportedError(
+            f"compiled cohort model has {model.num_parameters} parameters "
+            f"but the global vector has {num_parameters}"
+        )
+    return model
 
-    def __init__(self, max_cohort_size: int = DEFAULT_MAX_COHORT_SIZE) -> None:
+
+def _train_rows(
+    model: CohortModel,
+    cohort: list[FLClient],
+    orders: np.ndarray,
+    params: np.ndarray,
+    global_ref: np.ndarray,
+    config: LocalTrainingConfig,
+    width: int,
+) -> tuple[list[float], list[float]]:
+    """Train ``cohort`` into ``params`` (one row per client), ``width`` clients at a time.
+
+    ``orders[i, epoch]`` is client ``i``'s mini-batch permutation.  Returns
+    the clients' mean step losses and validation accuracies.  Clients train
+    ``width`` at a time, so a gathered mini-batch or validation operand holds
+    at most GATHER_ROWS rows (or one client's) whatever the row count; no
+    client's bytes depend on its part, nor on the process running it.
+    """
+    images, image_of = _stack_distinct([c.dataset.images for c in cohort])
+    labels, label_of = _stack_distinct([c.dataset.labels for c in cohort])
+    size, num_samples = len(cohort), int(images.shape[1])
+    params[...] = global_ref
+    starts = range(0, num_samples, config.batch_size)
+    losses = np.empty((size, config.epochs * len(starts)))
+    accuracies: list[float] = []
+    loss = SoftmaxCrossEntropyLoss()
+    grads = np.empty((min(width, size), params.shape[1]))  # scratch: backward rewrites every column
+
+    for lo in range(0, size, width):
+        part = slice(lo, lo + width)
+        p = params[part]
+        g = grads[: p.shape[0]]
+        for epoch in range(config.epochs):
+            for step, start in enumerate(starts, epoch * len(starts)):
+                sel = orders[part, epoch, start : start + config.batch_size]
+                logits = model.forward(p, images[image_of[part, None], sel])
+                losses[part, step] = loss.forward(logits, labels[label_of[part, None], sel])
+                model.backward(p, g, loss.backward(), need_input_grad=False)
+                if config.proximal_mu > 0.0:
+                    add_proximal_term(g, p, global_ref, config.proximal_mu)
+                sgd_step(p, g, learning_rate=config.learning_rate, weight_decay=config.weight_decay)
+        # After training every client has its own parameters, so the forward
+        # needs one validation operand per client; stacking copies each byte once.
+        members = cohort[part]
+        val_images = np.stack([c.dataset.val_images for c in members])
+        val_labels = np.stack([c.dataset.val_labels for c in members])
+        accuracies.extend(accuracy(model.forward(p, val_images), val_labels).tolist())
+
+    # One contiguous last-axis reduction per client: the same pairwise sum
+    # as the serial ``np.mean`` over that client's list of step losses.
+    return losses.mean(axis=1).tolist(), accuracies
+
+
+def _helper_loop(conn, clients, models, buffers, parent_pid: int) -> None:
+    """A helper process: train the row groups it is sent until told to stop."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the coordinator's to handle
+    while True:
+        if not conn.poll(1.0):
+            if os.getppid() != parent_pid:
+                return  # the coordinator died without stopping us
+            continue
+        try:
+            task = conn.recv()
+        except EOFError:
+            return
+        if task is None:
+            return
+        index, lo, chunk, orders, global_ref, config, width = task
+        try:
+            cohort = [clients[cid] for cid in chunk]
+            model = _compiled_model(models, cohort[0], global_ref.shape[0])
+            try:
+                params = buffers[index][lo : lo + len(chunk)]
+                result = _train_rows(model, cohort, orders, params, global_ref, config, width)
+            finally:
+                model.release()
+        except Exception:  # noqa: BLE001 - reported to the coordinator, which raises it
+            result = traceback.format_exc()
+        conn.send(result)
+
+
+def _stop_helpers(procs: list, conns: list) -> None:
+    """Ask the helpers to stop, and reap them (terminating any that do not)."""
+    for conn in conns:
+        try:
+            conn.send(None)
+        except OSError:
+            pass  # already gone
+    for proc, conn in zip(procs, conns):
+        proc.join(5.0)
+        if proc.exitcode is None:
+            proc.terminate()
+            proc.join()
+        conn.close()
+
+
+class _Helpers:
+    """``count`` forked helper processes and the two shared buffers they write.
+
+    Each buffer is an anonymous ``MAP_SHARED`` mapping of ``rows × P``
+    float64s, mapped before the fork, so a helper's writes land in the
+    coordinator's pages.  The helpers inherit ``clients`` (and its shards) at
+    fork.  Unreferenced helpers are stopped when the pool is collected.
+    """
+
+    def __init__(self, clients, models, rows: int, num_parameters: int, count: int) -> None:
+        ctx = multiprocessing.get_context("fork")
+        self.clients = clients
+        self.num_parameters = num_parameters
+        self._maps = [mmap.mmap(-1, rows * num_parameters * 8) for _ in range(2)]
+        # ``np.ndarray(buffer=...)``, not ``np.frombuffer(...).reshape``: every
+        # view of a buffer then holds the buffer itself as its ``.base``.
+        self.buffers = [
+            np.ndarray((rows, num_parameters), dtype=np.float64, buffer=m) for m in self._maps
+        ]
+        #: Per buffer, the most rows a chunk has written (pages ever touched).
+        self.touched = [0, 0]
+        self.procs: list = []
+        self.conns: list = []
+        self._stop = weakref.finalize(self, _stop_helpers, self.procs, self.conns)
+        for _ in range(count):
+            conn, child = ctx.Pipe()
+            proc = ctx.Process(
+                target=_helper_loop,
+                args=(child, clients, models, self.buffers, os.getpid()),
+                name="repro-cohort-helper",
+                daemon=True,
+            )
+            proc.start()
+            child.close()  # so a dead helper reads as EOF here
+            self.procs.append(proc)
+            self.conns.append(conn)
+
+    def free_buffer(self) -> int | None:
+        """A buffer no block or row view references (``None`` if both are kept)."""
+        for index in (0, 1):
+            # Two references are the list's and getrefcount's own argument.
+            if sys.getrefcount(self.buffers[index]) <= 2:
+                return index
+        return None
+
+    def train(
+        self,
+        index: int,
+        model: CohortModel,
+        chunk: list[int],
+        cohort: list[FLClient],
+        orders: np.ndarray,
+        global_ref: np.ndarray,
+        config: LocalTrainingConfig,
+        width: int,
+    ) -> tuple[np.ndarray, list[float], list[float]]:
+        """Train ``cohort`` into buffer ``index`` across the coordinator and helpers."""
+        size = len(cohort)
+        params = self.buffers[index][:size]
+        self.touched[index] = max(self.touched[index], size)
+        parts, processes = -(-size // width), len(self.conns) + 1
+        bounds = [min(size, -(-g * parts // processes) * width) for g in range(processes + 1)]
+        busy = []
+        try:
+            for conn, lo, hi in zip(self.conns, bounds[1:], bounds[2:]):
+                if lo < hi:
+                    conn.send((index, lo, chunk[lo:hi], orders[lo:hi], global_ref, config, width))
+                    busy.append(conn)
+            own = slice(0, bounds[1])
+            losses, accuracies = _train_rows(
+                model, cohort[own], orders[own], params[own], global_ref, config, width
+            )
+            for conn in busy:
+                result = conn.recv()
+                if isinstance(result, str):
+                    raise RuntimeError(f"a cohort helper process failed:\n{result}")
+                losses += result[0]
+                accuracies += result[1]
+        except (EOFError, OSError) as exc:
+            codes = [proc.exitcode for proc in self.procs]
+            raise RuntimeError(
+                f"a cohort helper process died while training a chunk (exit codes {codes})"
+            ) from exc
+        return params, losses, accuracies
+
+    def close(self, *, kill: bool = False) -> None:
+        """Stop the helpers and unmap the buffers (a kept view defers its mapping's unmap)."""
+        if kill:
+            for proc in self.procs:
+                proc.terminate()
+        self._stop()
+        self.buffers.clear()  # the helpers' ``args`` hold this very list
+        for m in self._maps:
+            try:
+                m.close()
+            except BufferError:
+                pass  # a kept view: the mapping goes with its last view
+
+
+class CohortTrainer:
+    """Runs Procedure I for many clients at once with stacked numpy kernels.
+
+    ``max_workers`` is the process count W a multi-part chunk is sharded
+    over (the coordinator plus ``W - 1`` helpers, forked on first use);
+    call :meth:`close` to stop them.
+    """
+
+    def __init__(
+        self, max_cohort_size: int = DEFAULT_MAX_COHORT_SIZE, max_workers: int = 1
+    ) -> None:
         if int(max_cohort_size) <= 0:
             raise ValueError(f"max_cohort_size must be positive, got {max_cohort_size}")
         self.max_cohort_size = int(max_cohort_size)
+        self.max_workers = int(check_positive("executor_workers", max_workers))
         self._models: dict[object, CohortModel] = {}
-
-    # -- model compilation ----------------------------------------------
-    def _compiled_model(self, client: FLClient, num_parameters: int) -> CohortModel:
-        factory = client.workspace.factory  # hashable: ``_group_key`` hashed it first
-        model = self._models.get(factory)
-        if model is None:
-            model = self._models[factory] = CohortModel.from_module(factory())
-        if model.num_parameters != int(num_parameters):
-            raise CohortUnsupportedError(
-                f"compiled cohort model has {model.num_parameters} parameters "
-                f"but the global vector has {num_parameters}"
-            )
-        return model
+        self._helpers: _Helpers | None = None
 
     # -- grouping -------------------------------------------------------
     @staticmethod
@@ -155,6 +390,39 @@ class CohortTrainer:
         for members in groups.values():
             for start in range(0, len(members), self.max_cohort_size):
                 yield members[start : start + self.max_cohort_size]
+
+    # -- helper processes -----------------------------------------------
+    def _helpers_for(self, clients: Mapping[int, FLClient], num_parameters: int) -> _Helpers | None:
+        """The helpers for this client map, forked on first use (``None``: train in-process)."""
+        if (
+            self.max_workers < 2
+            or "fork" not in multiprocessing.get_all_start_methods()
+            or multiprocessing.current_process().daemon  # may not have children
+        ):
+            return None
+        helpers = self._helpers
+        if helpers is not None and (
+            helpers.clients is not clients or helpers.num_parameters != num_parameters
+        ):
+            self.close()  # the helpers' inherited clients or buffers are stale
+            helpers = None
+        if helpers is None:
+            helpers = self._helpers = _Helpers(
+                clients, self._models, self.max_cohort_size, num_parameters, self.max_workers - 1
+            )
+        return helpers
+
+    @property
+    def shared_bytes(self) -> int:
+        """Bytes of the shared parameter buffers that chunks have written so far."""
+        helpers = self._helpers
+        return 0 if helpers is None else sum(helpers.touched) * helpers.num_parameters * 8
+
+    def close(self) -> None:
+        """Stop the helper processes and unmap their buffers (idempotent)."""
+        if self._helpers is not None:
+            self._helpers.close()
+            self._helpers = None
 
     # -- training -------------------------------------------------------
     def iter_update_blocks(
@@ -203,12 +471,10 @@ class CohortTrainer:
         config: LocalTrainingConfig,
     ) -> CohortBlock:
         cohort = [clients[cid] for cid in chunk]
-        model = self._compiled_model(cohort[0], global_ref.shape[0])
+        model = _compiled_model(self._models, cohort[0], global_ref.shape[0])
         size = len(cohort)
-
-        images, image_of = _stack_distinct([c.dataset.images for c in cohort])
-        labels, label_of = _stack_distinct([c.dataset.labels for c in cohort])
-        num_samples = int(images.shape[1])
+        dataset = cohort[0].dataset
+        num_samples = int(np.shape(dataset.images)[0])
 
         # Per-client mini-batch permutations: one draw per epoch from each
         # client's private stream, in epoch order — the exact draws
@@ -218,49 +484,33 @@ class CohortTrainer:
             for epoch in range(config.epochs):
                 orders[i, epoch] = client.rng.permutation(num_samples)
 
-        params = np.repeat(global_ref[None, :], size, axis=0)
-        starts = range(0, num_samples, config.batch_size)
-        losses = np.empty((size, config.epochs * len(starts)))
-        accuracies: list[float] = []
-        loss = SoftmaxCrossEntropyLoss()
-        # Clients train ``width`` at a time, so a gathered mini-batch or
-        # validation operand holds at most GATHER_ROWS rows (or one client's)
-        # whatever the chunk width; no client's bytes depend on its part.
-        rows = max(1, min(config.batch_size, num_samples), len(cohort[0].dataset.val_labels))
+        # A part gathers at most GATHER_ROWS rows (or one client's).
+        rows = max(1, min(config.batch_size, num_samples), len(dataset.val_labels))
         width = min(size, max(1, GATHER_ROWS // rows))
-        grads = np.empty((width, params.shape[1]))  # scratch: backward rewrites every column
-
-        for lo in range(0, size, width):
-            part = slice(lo, lo + width)
-            p = params[part]
-            g = grads[: p.shape[0]]
-            for epoch in range(config.epochs):
-                for step, start in enumerate(starts, epoch * len(starts)):
-                    sel = orders[part, epoch, start : start + config.batch_size]
-                    logits = model.forward(p, images[image_of[part, None], sel])
-                    losses[part, step] = loss.forward(logits, labels[label_of[part, None], sel])
-                    model.backward(p, g, loss.backward(), need_input_grad=False)
-                    if config.proximal_mu > 0.0:
-                        add_proximal_term(g, p, global_ref, config.proximal_mu)
-                    sgd_step(
-                        p, g, learning_rate=config.learning_rate, weight_decay=config.weight_decay
-                    )
-            # After training every client has its own parameters, so the forward
-            # needs one validation operand per client; stacking copies each byte once.
-            members = cohort[part]
-            val_images = np.stack([c.dataset.val_images for c in members])
-            val_labels = np.stack([c.dataset.val_labels for c in members])
-            accuracies.extend(accuracy(model.forward(p, val_images), val_labels).tolist())
+        helpers = self._helpers_for(clients, global_ref.shape[0]) if size > width else None
+        index = None if helpers is None else helpers.free_buffer()
+        try:
+            if index is None:
+                params = np.empty((size, global_ref.shape[0]))
+                train_losses, accuracies = _train_rows(
+                    model, cohort, orders, params, global_ref, config, width
+                )
+            else:
+                params, train_losses, accuracies = helpers.train(
+                    index, model, chunk, cohort, orders, global_ref, config, width
+                )
+        except BaseException:
+            if index is not None:  # helpers may be mid-task: no answer may reach the next chunk
+                self._helpers = None
+                helpers.close(kill=True)
+            raise
+        finally:
+            # The template's parameters are views of ``params`` / ``grads`` by now:
+            # release them, or it pins both matrices until the next chunk.
+            model.release()
 
         for client in cohort:
             client.rounds_participated += 1
-        # The template's parameters are views of ``params`` / ``grads`` by now:
-        # release them, or it pins both matrices until the next chunk.
-        model.release()
-        # One contiguous last-axis reduction per client: the same pairwise sum
-        # as the serial ``np.mean`` over that client's list of step losses.
-        train_losses = losses.mean(axis=1).tolist()
-
         return CohortBlock(
             client_ids=list(chunk),
             parameters=params,
@@ -291,7 +541,7 @@ class CohortTrainer:
         scored: dict[tuple[int, int, int], float] = {}
         for chunk in self._cohort_chunks(clients, selected):
             cohort = [clients[cid] for cid in chunk]
-            model = self._compiled_model(cohort[0], global_ref.shape[0])
+            model = _compiled_model(self._models, cohort[0], global_ref.shape[0])
             keys = [
                 (id(model), id(c.dataset.val_images), id(c.dataset.val_labels)) for c in cohort
             ]

@@ -259,7 +259,9 @@ class ScenarioSpec:
         None,
         check=check_positive,
         flag="--workers",
-        help="worker count for the thread/process backends (default: CPU count)",
+        help="worker count for the thread/process backends (default: usable CPU "
+        "count), and the processes a cohort chunk is sharded over (default: the "
+        "usable CPUs per BLAS thread count)",
     )
 
     # ------------------------------------------------------------------

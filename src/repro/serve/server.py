@@ -55,13 +55,16 @@ from repro.serve.workers import WorkerPool
 from repro.store.records import run_record_payload
 from repro.store.runstore import RunStore, RunStoreError
 
-__all__ = ["ReproServer"]
+__all__ = ["MAX_BODY_BYTES", "ReproServer"]
 
 #: Access lines go here at DEBUG; no handler is installed by this package.
 _LOG = logging.getLogger("repro.serve")
 
 #: Rendered result payloads kept in memory (immutable, content-addressed).
 _RESULT_CACHE_SIZE = 256
+
+#: The largest request body read, in bytes: a scenario document is a few KB.
+MAX_BODY_BYTES = 1 << 20
 
 #: The protocol's endpoint table compiled for routing: each path template as a
 #: pattern over the normalised request path, a ``{parameter}`` matching one
@@ -313,9 +316,12 @@ class _RequestHandler(BaseHTTPRequestHandler):
     def _read_body(self) -> bytes:
         """The request body; read even when ignored (cancel), so keep-alive stays in sync.
 
-        A ``Content-Length`` that is not a decimal byte count is refused
-        before anything is read (``rfile.read(-1)`` would block until the
-        peer closes), and the connection is closed: its framing is unknown.
+        A ``Content-Length`` that is not a decimal byte count (400;
+        ``rfile.read(-1)`` would block until the peer closes) or exceeds
+        :data:`MAX_BODY_BYTES` (413; the read would allocate it, or wait for
+        bytes that never come) is refused before anything is read, and the
+        connection is closed: its framing is unknown.  A body shorter than a
+        declared length within the cap still waits for the missing bytes.
         """
         declared = (self.headers.get("Content-Length") or "0").strip()
         if not (declared.isascii() and declared.isdigit()):
@@ -324,6 +330,12 @@ class _RequestHandler(BaseHTTPRequestHandler):
                 f"Content-Length must be a non-negative integer, got {declared!r}", status=400
             )
         length = int(declared)
+        if length > MAX_BODY_BYTES:
+            self.close_connection = True
+            raise ProtocolError(
+                f"request body of {length} bytes exceeds the {MAX_BODY_BYTES}-byte limit",
+                status=413,
+            )
         return self.rfile.read(length) if length else b""
 
     def _read_json_body(self) -> object:

@@ -50,8 +50,10 @@ def pytest_configure(config) -> None:
         "cohort: one set of layers held to itself across ranks: "
         "serial-vs-cohort differential fuzz, stacked-operand == per-slice "
         "properties, cohort gradchecks, bind_parameters view/lifetime guards, "
-        "write-once/skip/distinct-shard guards, and the packed serial plane "
-        "against the per-parameter code it replaced — `pytest -m cohort`",
+        "write-once/skip/distinct-shard guards, the packed serial plane "
+        "against the per-parameter code it replaced, and process-sharded "
+        "chunks with their kept-block and helper-lifetime guards — "
+        "`pytest -m cohort`",
     )
     config.addinivalue_line(
         "markers",

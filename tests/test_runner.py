@@ -15,6 +15,7 @@ The central claims under test:
 from __future__ import annotations
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -74,6 +75,31 @@ class TestParallelExecutor:
         assert resolve_worker_count(None) >= 1
         with pytest.raises(ValueError):
             resolve_worker_count(-1)
+
+    def test_default_worker_count_honours_cpu_affinity(self, monkeypatch):
+        """A process pinned to one CPU of 64 (taskset, a cpuset) gets one worker."""
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
+        assert resolve_worker_count(None) == 1
+        assert resolve_worker_count(4) == 4  # an explicit count is taken as given
+        monkeypatch.delattr(os, "sched_getaffinity")  # platforms without affinity masks
+        assert resolve_worker_count(None) == 64
+
+    def test_cohort_processes_default_to_the_cpus_blas_leaves(self, monkeypatch):
+        """Each cohort process runs BLAS, so by default W x BLAS threads <= CPUs."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+        for name in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
+            monkeypatch.delenv(name, raising=False)
+
+        def processes(max_workers=None):
+            return ParallelExecutor("cohort", max_workers)._ensure_cohort().max_workers
+
+        assert processes() == 1  # unpinned BLAS runs one thread per CPU already
+        monkeypatch.setenv("OMP_NUM_THREADS", "2")
+        assert processes() == 2
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")  # takes precedence over OMP
+        assert processes() == 4
+        assert processes(3) == 3  # an explicit count is taken as given
 
     def test_context_manager_closes_pool(self, tiny_federated):
         cfg = FairBFLConfig(

@@ -8,8 +8,8 @@ What must survive here:
 * **bad input** — malformed JSON, an unknown system, and a
   capability-invalid axis each answer a 4xx whose body carries the
   registry's actionable message, a ``Content-Length`` that is no byte
-  count answers 400 before anything is read, and the server stays healthy
-  afterwards;
+  count answers 400 and one above ``MAX_BODY_BYTES`` 413, both before
+  anything is read, and the server stays healthy afterwards;
 * **cancellation** — queued jobs cancel immediately, running jobs stop
   cooperatively, finished jobs answer 409;
 * **restart recovery** — a fresh server over the same store serves the old
@@ -37,6 +37,7 @@ import pytest
 from repro import api
 from repro.serve.client import ServeClient, ServeClientError
 from repro.serve.protocol import ENDPOINTS, error_payload
+from repro.serve.server import MAX_BODY_BYTES
 
 pytestmark = pytest.mark.serve
 
@@ -204,6 +205,15 @@ class TestBadInput:
         status, body = _post_declaring(server.url, declared)
         assert status == 400
         assert "Content-Length" in body["error"]
+        assert ServeClient(server.url).health()["status"] == "ok"
+
+    @pytest.mark.parametrize("declared", [10**12, 10**8, MAX_BODY_BYTES + 1])
+    def test_an_oversized_content_length_answers_413_before_any_read(self, server, declared):
+        """``10**12`` answered 500 (``MemoryError`` from ``rfile.read``), and
+        ``10**8`` followed by a 2-byte body got no answer at all."""
+        status, body = _post_declaring(server.url, str(declared), b"{}")
+        assert status == 413
+        assert f"{declared} bytes" in body["error"]
         assert ServeClient(server.url).health()["status"] == "ok"
 
     def test_a_well_formed_body_with_a_hand_written_length_is_accepted(self, server):
