@@ -1,19 +1,16 @@
-"""Runner scaling: serial vs parallel wall-clock for Procedure I fan-out.
+"""Runner scaling: serial vs cohort wall-clock for Procedure I.
 
 Measures the wall-clock of full FAIR-BFL rounds at 10 / 50 / 200 clients under
-the ``serial``, ``thread`` and ``process`` executor backends, and verifies the
-engine's central determinism claim: **per-round histories are bit-identical
-across backends** (every stochastic draw comes from the owning client's
-private RNG stream, and the process backend ships/restores those streams).
-Because the serial backend is the original list-comprehension loop, backend
-parity also pins the parallel paths to the seed implementation's output.
+the ``serial`` and ``cohort`` executor backends, and verifies the engine's
+central determinism claim: **per-round histories are bit-identical across
+backends** (every stochastic draw comes from the owning client's private RNG
+stream, which only the coordinator draws from).  Because the serial backend
+is the original per-client loop, backend parity also pins the cohort path to
+the seed implementation's output.
 
-The speed-up assertion (parallel ≤ 0.6× serial wall-clock at 200 clients) is
-made only when the machine exposes ≥ 4 CPUs to this process: on one CPU a
-process pool cannot beat the serial loop at all, and on two the ideal ratio is
-already 0.5× before pool overhead (client shipping, per-task parameter and
-RNG-state transfer), which makes a hard 0.6× gate flaky.  Below that threshold
-the bench still reports the measured ratio without asserting it.
+The cohort backend uses its default process count (the usable CPUs divided by
+the BLAS thread pin).  The bench reports the cohort/serial wall-clock ratio;
+only parity is asserted.
 """
 
 from __future__ import annotations
@@ -28,9 +25,7 @@ from repro.core.results import ComparisonResult
 from repro.runner.scenario import ScenarioSpec
 
 CLIENT_COUNTS = (10, 50, 200)
-BACKENDS = ("serial", "thread", "process")
-SPEEDUP_TARGET = 0.6
-MIN_CPUS_FOR_SPEEDUP_ASSERT = 4
+BACKENDS = ("serial", "cohort")
 
 
 def _scaling_spec(num_clients: int, backend: str) -> ScenarioSpec:
@@ -84,16 +79,15 @@ def test_runner_scaling(benchmark):
 
     table = ComparisonResult(
         title="Runner scaling -- wall-clock (s) of 2 FAIR-BFL rounds per backend",
-        columns=["clients", "serial_s", "thread_s", "process_s", "process/serial"],
+        columns=["clients", "serial_s", "cohort_s", "cohort/serial"],
     )
     measurements = []
     for n, timings, _prints, sim_delays in rows:
         table.add_row(
             n,
             timings["serial"],
-            timings["thread"],
-            timings["process"],
-            timings["process"] / timings["serial"],
+            timings["cohort"],
+            timings["cohort"] / timings["serial"],
         )
         for backend in BACKENDS:
             measurements.append(
@@ -106,10 +100,6 @@ def test_runner_scaling(benchmark):
                 }
             )
     table.notes.append(f"CPUs visible to this process: {cpus}")
-    table.notes.append(
-        f"speed-up target (process <= {SPEEDUP_TARGET}x serial at {CLIENT_COUNTS[-1]} clients) "
-        + ("asserted" if cpus >= MIN_CPUS_FOR_SPEEDUP_ASSERT else f"not asserted with only {cpus} CPU(s)")
-    )
     emit(table, "runner_scaling.txt")
     emit_json(
         "runner_scaling",
@@ -126,24 +116,16 @@ def test_runner_scaling(benchmark):
 
     # Determinism: every backend produced the exact same history at every scale.
     for n, _timings, fingerprints, _delays in rows:
-        assert fingerprints["serial"] == fingerprints["thread"] == fingerprints["process"], (
+        assert fingerprints["serial"] == fingerprints["cohort"], (
             f"backend histories diverged at {n} clients"
-        )
-    # Speed: with real parallel hardware the process backend must win big.
-    if cpus >= MIN_CPUS_FOR_SPEEDUP_ASSERT:
-        _n, timings, _prints, _delays = rows[-1]
-        ratio = timings["process"] / timings["serial"]
-        assert ratio <= SPEEDUP_TARGET, (
-            f"process backend too slow: {ratio:.2f}x serial at {CLIENT_COUNTS[-1]} clients"
         )
 
 
 @pytest.mark.smoke
 def test_runner_scaling_smoke():
-    """Fast structural pass: serial/thread parity at the smallest scale."""
+    """Fast structural pass: serial/cohort parity at the smallest scale."""
     engine = api.ExperimentEngine()
     histories = {
-        backend: api.run(_scaling_spec(10, backend), engine=engine)
-        for backend in ("serial", "thread")
+        backend: api.run(_scaling_spec(10, backend), engine=engine) for backend in BACKENDS
     }
-    assert _fingerprint(histories["serial"]) == _fingerprint(histories["thread"])
+    assert _fingerprint(histories["serial"]) == _fingerprint(histories["cohort"])

@@ -6,7 +6,7 @@ Run the reproduced systems without writing any Python:
 
    python -m repro.cli run fairbfl --clients 12 --rounds 8
    python -m repro.cli run fedavg  --clients 12 --rounds 8
-   python -m repro.cli run fairbfl --backend process --workers 4
+   python -m repro.cli run fedavg  --backend cohort --workers 2
    python -m repro.cli run fairbfl --round-mode semi_sync --straggler-deadline 4
    python -m repro.cli run fairbfl --attacks --attack-name scaling --defense krum
    python -m repro.cli compare --clients 12 --rounds 8 --export results.csv
@@ -55,9 +55,9 @@ no CLI changes.  All three subcommands drive through the stable
 :mod:`repro.api` facade, so a CLI run, a benchmark, and a scenario file with
 the same parameters produce identical histories.
 
-The ``--backend`` flag selects how each round's local updates fan out
-(``serial`` | ``thread`` | ``process``); results are bit-identical across
-backends.  ``--round-mode`` selects the round discipline (``sync`` |
+The ``--backend`` flag selects how each round's local updates run
+(``serial`` | ``cohort``); results are bit-identical across backends.
+``--round-mode`` selects the round discipline (``sync`` |
 ``semi_sync`` | ``async``; see ``docs/scenarios.md``) and
 ``--attacks``/``--attack-name``/``--defense`` configure the threat model
 (``docs/threat_model.md``).  Axis flags apply only to systems whose

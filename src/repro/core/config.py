@@ -104,15 +104,14 @@ class FairBFLConfig:
     delay_params:
         Calibration constants of the delay model.
     executor_backend:
-        How Procedure I fans out over the selected clients: ``"serial"``
-        (default; bit-identical to the original loop), ``"thread"`` or
-        ``"process"``.  All backends are deterministic because every client
-        draws from its own seeded RNG stream; see
+        How Procedure I runs over the selected clients: ``"serial"``
+        (default; the original per-client loop) or ``"cohort"`` (stacked
+        matrix ops).  Both are bit-identical because every client draws from
+        its own seeded RNG stream; see
         :class:`repro.fl.executor.ParallelExecutor`.
     executor_workers:
-        Worker count for the thread/process backends (``None`` = the usable
-        CPU count), and the process count a cohort chunk is sharded over
-        (``None`` = the usable CPUs divided by the BLAS thread count).
+        The process count a cohort chunk is sharded over (``None`` = the
+        usable CPUs divided by the BLAS thread count); serial ignores it.
     topology:
         Committee network shape (see :data:`repro.net.topology.TOPOLOGIES`):
         ``"global"`` keeps the single committee with its constant-latency

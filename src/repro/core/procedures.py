@@ -90,8 +90,8 @@ def procedure_local_update(
 ) -> RoundContext:
     """Every selected client trains locally starting from the latest global parameters.
 
-    The :class:`~repro.fl.executor.ParallelExecutor` fans the per-client
-    work out over its backend (``serial`` is a plain loop).  Updates are
+    The :class:`~repro.fl.executor.ParallelExecutor` runs the per-client
+    work on its backend (``serial`` is a plain loop).  Updates are
     always returned in selection order and every stochastic draw comes from
     the owning client's private RNG stream, so the backend cannot change the
     numbers.

@@ -14,8 +14,7 @@ paper's evaluation:
   contribution-based selection (the discard strategy's side effect);
 * :mod:`repro.fl.server` — the centralised parameter server used by the
   FedAvg / FedProx baselines;
-* :mod:`repro.fl.executor` — the serial / thread / process / cohort fan-out of
-  Procedure I;
+* :mod:`repro.fl.executor` — the serial / cohort executor of Procedure I;
 * :mod:`repro.fl.trainer` — the one round-based :class:`Trainer` every system
   subclasses (population, lifecycle, evaluation, emission, checkpoints);
 * :mod:`repro.fl.fedavg`, :mod:`repro.fl.fedprox` — the baseline trainers;

@@ -14,12 +14,11 @@ of the data/model plumbing with FAIR-BFL.
 Clients own data, not models.  A local update overwrites every parameter from
 ``w_r`` on entry, so the model it trains is scratch: a :class:`ModelWorkspace`
 — one per trainer, shared by all of its clients — keeps one *packed* scratch
-model per worker thread, and every vector that leaves it is a copy.
+model, and every vector that leaves it is a copy.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -117,32 +116,24 @@ class ClientUpdate:
 
 
 class ModelWorkspace:
-    """The scratch models of one trainer: one packed model per worker thread.
+    """The scratch model of one trainer, shared by all of its clients.
 
-    ``factory`` is a zero-argument model builder.  :meth:`model` returns the
-    *calling thread's* model, built and packed
-    (:func:`~repro.nn.parameters.pack_parameters`) the first time that thread
-    asks — so a serial run holds one model however many clients it has, the
-    thread backend one per pool worker, and concurrent local updates never
-    share buffers.  The models live and die with the workspace (there is no
-    module-level cache) and do not travel: a pickled workspace (the process
-    backend shipping its clients) carries the factory and builds again.
+    ``factory`` is a zero-argument model builder.  :meth:`model` builds and
+    packs (:func:`~repro.nn.parameters.pack_parameters`) one model the first
+    time it is asked — so a run holds one model however many clients it has.
+    The model lives and dies with the workspace (there is no module-level
+    cache).
     """
 
     def __init__(self, factory: Callable[[], Module]) -> None:
         self.factory = factory
-        self._models: dict[int, Module] = {}
+        self._model: Module | None = None
 
     def model(self) -> Module:
-        """The calling thread's scratch model (created on first use)."""
-        ident = threading.get_ident()
-        model = self._models.get(ident)
-        if model is None:
-            model = self._models[ident] = pack_parameters(self.factory())
-        return model
-
-    def __getstate__(self) -> dict:
-        return {"factory": self.factory, "_models": {}}
+        """The scratch model (created on first use)."""
+        if self._model is None:
+            self._model = pack_parameters(self.factory())
+        return self._model
 
 
 class FLClient:
@@ -182,7 +173,7 @@ class FLClient:
     # -- model management ----------------------------------------------------
     @property
     def model(self) -> Module:
-        """The calling thread's scratch model of this client's workspace."""
+        """The scratch model of this client's workspace."""
         return self.workspace.model()
 
     @property

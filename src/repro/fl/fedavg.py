@@ -35,7 +35,7 @@ class FedAvgConfig:
     """Configuration of a FedAvg run (defaults follow the paper's Section 5.1).
 
     ``executor_backend`` / ``executor_workers`` select how the round's local
-    updates fan out (serial by default; see
+    updates run (serial by default; see
     :class:`repro.fl.executor.ParallelExecutor`).  ``defense`` routes the
     server's aggregation through a robust-aggregation pipeline
     (:mod:`repro.fl.robust`; ``"none"`` keeps classic FedAvg) sized for a

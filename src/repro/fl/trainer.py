@@ -27,7 +27,7 @@ to an uninterrupted ``R``-round run.
 
 The state capture is deliberately *exclusion-based* — it pickles everything in
 the trainer's ``__dict__`` except the attributes named by
-:attr:`Trainer.CHECKPOINT_EXCLUDE` (the dataset, worker pools, and other
+:attr:`Trainer.CHECKPOINT_EXCLUDE` (the dataset, the executor, and other
 objects the constructor rebuilds deterministically) — so a subclass that adds
 state (e.g. the momentum buffer of ``examples/custom_system.py``) is
 checkpointed correctly without opting in.  Clients are the one special case:
@@ -44,10 +44,10 @@ so the restored graph has exactly the sharing structure of the live one.
 
 Determinism across executor backends comes for free: every stochastic draw in
 a round is made either from a trainer-owned RNG stream or from the owning
-client's private stream, and the process backend ships/restores client RNG
-states onto the coordinator after each round — so the coordinator-side state
-captured here is authoritative for ``serial``/``thread``/``process``/``cohort``
-alike (see ``tests/test_checkpoint.py``).
+client's private stream, and only the coordinator draws from either (the
+cohort backend's helper processes receive their permutations) — so the
+coordinator-side state captured here is authoritative for ``serial`` and
+``cohort`` alike (see ``tests/test_checkpoint.py``).
 """
 
 from __future__ import annotations
@@ -120,8 +120,8 @@ class Trainer:
         self.dataset = dataset
         if dataset is not None:
             seed = config.seed
-            # A value-typed (picklable) factory: required so whole clients can
-            # be shipped to the process-backend workers of the executor.
+            # A value-typed (hashable) factory: the cohort backend groups
+            # clients by it.
             self._model_factory = ModelFactory(
                 model_name=config.model_name,
                 input_dim=int(dataset.clients[0].images.shape[1]),
@@ -132,8 +132,8 @@ class Trainer:
                 label=self.label,
                 hidden_sizes=tuple(config.hidden_sizes),
             )
-            # The scratch models of local training: one per worker thread, not
-            # one per client, and gone when this trainer is.
+            # The scratch model of local training: one, not one per client,
+            # and gone when this trainer is.
             self._workspace = ModelWorkspace(self._model_factory)
             self.clients = {
                 shard.client_id: FLClient(
@@ -220,7 +220,7 @@ class Trainer:
         return self.history
 
     def close(self) -> None:
-        """Release any worker pools held by the parallel executor (idempotent)."""
+        """Stop any helper processes the executor started (idempotent)."""
         if self.executor is not None:
             self.executor.close()
 

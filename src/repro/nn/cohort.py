@@ -83,7 +83,7 @@ class CohortModel:
             elif not (isinstance(layer, Dropout) and layer.rate == 0.0):
                 raise CohortUnsupportedError(
                     f"layer {type(layer).__name__} has no bit-exact batched "
-                    "counterpart; use a serial/thread/process backend instead"
+                    "counterpart; use the serial backend instead"
                 )
         return cls(model, layers)
 

@@ -103,13 +103,13 @@ def build_model(
 
 @dataclass(frozen=True)
 class ModelFactory:
-    """Picklable zero-argument model builder.
+    """Value-typed zero-argument model builder.
 
     The trainers build their clients' shared
-    :class:`~repro.fl.client.ModelWorkspace` (the scratch models of local
-    training) over this factory.  A plain ``lambda`` cannot cross a process
-    boundary, so the parallel executor's process backend requires this
-    value-typed factory: it derives the (deterministic) init RNG from
+    :class:`~repro.fl.client.ModelWorkspace` (the scratch model of local
+    training) over this factory, and the cohort backend groups clients by it:
+    two equal factories build the same model, which a ``lambda`` cannot
+    promise.  It derives the (deterministic) init RNG from
     ``(seed, label, "model-init")`` on every call, exactly as the trainers'
     former lambdas did.
 

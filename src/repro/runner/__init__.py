@@ -9,7 +9,7 @@ Two layers (see ``docs/architecture.md``), above the trainers they drive:
   registry (:mod:`repro.systems`); systems that declare
   ``needs_dataset=False`` never trigger a dataset build.
 
-:class:`ParallelExecutor`, the fan-out for Procedure I, lives below the
+:class:`ParallelExecutor`, the executor of Procedure I, lives below the
 trainers in :mod:`repro.fl.executor` and is re-exported here.
 """
 

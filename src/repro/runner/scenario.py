@@ -253,15 +253,15 @@ class ScenarioSpec:
         "serial",
         choices=EXECUTOR_BACKENDS,
         flag="--backend",
-        help="how local updates fan out over clients (results are identical)",
+        help="how local updates run: per client or as a stacked cohort "
+        "(results are identical)",
     )
     max_workers: int | None = _declare(
         None,
         check=check_positive,
         flag="--workers",
-        help="worker count for the thread/process backends (default: usable CPU "
-        "count), and the processes a cohort chunk is sharded over (default: the "
-        "usable CPUs per BLAS thread count)",
+        help="processes a cohort chunk is sharded over (default: the usable "
+        "CPUs per BLAS thread count)",
     )
 
     # ------------------------------------------------------------------

@@ -9,16 +9,16 @@ delays, so "what happened when" is a single, inspectable event trace rather
 than three timing models that can silently disagree.
 
 Determinism is a hard requirement — the repository's central claim is that
-per-round histories are bit-identical across the serial/thread/process
+per-round histories are bit-identical across the serial and cohort
 executor backends.  The kernel guarantees it structurally:
 
 * events are ordered by ``(time, priority, tie_break, sequence)``;
 * ``tie_break`` is drawn from the kernel's own seeded RNG stream at
   *scheduling* time, so simultaneous events are ordered by the seed, not by
   accidental insertion order;
-* the kernel is single-threaded by construction — parallel executors fan out
-  *numeric* work (local SGD), never kernel time, so the event trace cannot
-  depend on the backend.
+* the kernel is single-threaded by construction — the cohort backend's helper
+  processes share *numeric* work (local SGD), never kernel time, so the event
+  trace cannot depend on the backend.
 
 The optional trace records ``(time, name)`` per fired event;
 :meth:`EventKernel.trace_digest` condenses it into a SHA-256 hex digest that

@@ -10,7 +10,7 @@ that answer:
   fields that provably never change the numbers: the presentation-only
   ``name``, and the execution-only ``backend``/``max_workers`` (the
   executor backends produce bit-identical histories — the repository's
-  pinned determinism invariant — so a sweep run with ``--backend process``
+  pinned determinism invariant — so a sweep run with ``--backend cohort``
   resumes cleanly under ``--backend serial`` and vice versa);
 * the **capability fingerprint** of the registered system the spec names
   (:func:`repro.systems.registry.capability_fingerprint`) — so replacing a

@@ -91,9 +91,9 @@ class SystemCapabilities:
         backend (``backend="cohort"``), i.e. its trainer fans Procedure I
         out through a :class:`~repro.fl.executor.ParallelExecutor`.
         Unlike the other axes this one is engaged by a *specific value*:
-        ``backend="thread"``/``"process"`` stay valid for every system (a
-        system that ignores the executor simply ignores them), only
-        ``backend="cohort"`` requires the capability.
+        ``backend="serial"`` stays valid for every system (a system that
+        ignores the executor simply ignores it), only ``backend="cohort"``
+        requires the capability.
     net:
         Whether the system runs on the per-node gossip substrate
         (:mod:`repro.net`): ``topology`` values other than ``"global"`` plus
@@ -132,9 +132,10 @@ def _axis_engaged(axis: str, value: object, default: object) -> bool:
     """Whether a guard-field value actually engages the capability axis.
 
     The cohort axis is engaged only by the literal ``"cohort"`` backend —
-    ``thread``/``process`` are valid for every system (those that ignore the
-    executor simply ignore them), so they must not trip the check.  The net
-    axis mirrors it: only a non-``"global"`` topology engages the substrate.
+    ``serial`` is valid for every system (those that ignore the executor
+    simply ignore it), so it must not trip the check, even where there is no
+    default to compare with.  The net axis mirrors it: only a non-``"global"``
+    topology engages the substrate.
     """
     if axis == "cohort":
         return value == "cohort"
@@ -396,7 +397,7 @@ def filter_unsupported_axes(system: System | str, mapping: Mapping[str, object])
             continue
         # A mapping carries no spec to read the guard's default from, and a
         # system without the axis has no use for any default either: only a
-        # guard value that is valid everywhere (thread/process, global) stays.
+        # guard value that is valid everywhere (serial, global) stays.
         if not _axis_engaged(axis, out.get(axis_fields[0]), _NO_DEFAULT):
             continue
         for field_name in axis_fields:

@@ -361,10 +361,8 @@ class TestTrainerIntegration:
                 (r.accuracy, r.train_loss, tuple(r.extras["defense_rejected"]))
                 for r in history.rounds
             ]
-        assert fingerprints["thread"] == fingerprints["serial"]
-        assert fingerprints["process"] == fingerprints["serial"]
-        assert finals["thread"].tobytes() == finals["serial"].tobytes()
-        assert finals["process"].tobytes() == finals["serial"].tobytes()
+        assert fingerprints["cohort"] == fingerprints["serial"]
+        assert finals["cohort"].tobytes() == finals["serial"].tobytes()
 
 
 class TestScenarioAndConfigValidation:

@@ -287,15 +287,16 @@ class TestTrainerRoundModes:
     def test_event_trace_identical_across_executor_backends(self, small_dataset):
         digests = {}
         delays = {}
-        for backend in ("serial", "thread"):
+        for backend in ("serial", "cohort"):
             trainer, history = _run(
-                small_dataset, config=_config("semi_sync", executor_backend=backend)
+                small_dataset,
+                config=_config("semi_sync", executor_backend=backend, executor_workers=2),
             )
             trainer.close()
             digests[backend] = [r.extras["event_trace_digest"] for r in history.rounds]
             delays[backend] = list(history.delays)
-        assert digests["serial"] == digests["thread"]
-        assert delays["serial"] == delays["thread"]
+        assert digests["serial"] == digests["cohort"]
+        assert delays["serial"] == delays["cohort"]
         assert all(d is not None for d in digests["serial"])
 
     def test_round_records_expose_simulation_extras(self, small_dataset):

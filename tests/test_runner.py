@@ -2,8 +2,8 @@
 
 The central claims under test:
 
-* **backend parity** — serial, thread and process executors produce
-  bit-identical training histories for the same seed;
+* **backend parity** — the serial and cohort executors (the latter across
+  two processes) produce bit-identical training histories for the same seed;
 * **scenario layer** — JSON/TOML documents expand to validated specs, matrix
   grids multiply correctly, and malformed inputs fail with `ScenarioError`
   naming the problem;
@@ -15,6 +15,7 @@ The central claims under test:
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 
 import numpy as np
@@ -23,6 +24,8 @@ import pytest
 from repro import api
 from repro.core.config import FairBFLConfig
 from repro.core.fairbfl import FairBFLTrainer
+from repro.datasets.federated import build_federated_dataset
+from repro.fl import cohort as cohort_module
 from repro.fl.aggregation import AggregationError, simple_average, stack_updates
 from repro.fl.client import ClientUpdate, LocalTrainingConfig
 from repro.fl.executor import EXECUTOR_BACKENDS, ParallelExecutor, resolve_worker_count
@@ -38,6 +41,14 @@ from repro.runner.scenario import (
 )
 from repro.store import RunStore
 from repro.systems.registry import get_system
+
+
+@pytest.fixture(scope="module")
+def iid_federated():
+    """Six equal-shape shards: the cohort backend trains them as one chunk."""
+    return build_federated_dataset(
+        num_clients=6, num_samples=480, scheme="iid", seed=7, noise_std=0.3
+    )
 
 
 def _fingerprint(history):
@@ -58,13 +69,23 @@ class TestParallelExecutor:
         # One rule (check_executor_settings): constructor, config and spec
         # reject a bad backend with the same text, up to the field's own name.
         direct = self._message(lambda: ParallelExecutor("fibers"))
-        assert direct == "executor_backend must be one of serial, thread, process, cohort, got 'fibers'"
+        assert direct == "executor_backend must be one of serial, cohort, got 'fibers'"
         assert self._message(lambda: FairBFLConfig(executor_backend="fibers")) == direct
         spec = self._message(lambda: ScenarioSpec(backend="fibers").validate())
         assert spec == direct.replace("executor_backend", "backend")
 
+    @pytest.mark.parametrize("removed", ["thread", "process"])
+    def test_rejects_removed_backends(self, removed):
+        # The pool backends are gone, not aliased: every entry point refuses
+        # them and names the two that remain.
+        direct = self._message(lambda: ParallelExecutor(removed, max_workers=2))
+        assert direct == f"executor_backend must be one of serial, cohort, got {removed!r}"
+        assert self._message(lambda: FairBFLConfig(executor_backend=removed)) == direct
+        with pytest.raises(ScenarioError, match="backend must be one of serial, cohort"):
+            ScenarioSpec(backend=removed).validate()
+
     def test_rejects_bad_worker_count(self):
-        direct = self._message(lambda: ParallelExecutor("thread", max_workers=0))
+        direct = self._message(lambda: ParallelExecutor("cohort", max_workers=0))
         assert direct == "executor_workers must be a positive finite number, got 0"
         assert self._message(lambda: FairBFLConfig(executor_workers=0)) == direct
         spec = self._message(lambda: ScenarioSpec(max_workers=0).validate())
@@ -92,7 +113,9 @@ class TestParallelExecutor:
             monkeypatch.delenv(name, raising=False)
 
         def processes(max_workers=None):
-            return ParallelExecutor("cohort", max_workers)._ensure_cohort().max_workers
+            executor = ParallelExecutor("cohort", max_workers)
+            assert executor._ensure_cohort().max_workers == executor.max_workers
+            return executor.max_workers
 
         assert processes() == 1  # unpinned BLAS runs one thread per CPU already
         monkeypatch.setenv("OMP_NUM_THREADS", "2")
@@ -101,60 +124,69 @@ class TestParallelExecutor:
         assert processes() == 4
         assert processes(3) == 3  # an explicit count is taken as given
 
-    def test_context_manager_closes_pool(self, tiny_federated):
+    def test_context_manager_closes_pool(self, iid_federated, monkeypatch):
+        # One-client parts make every chunk multi-part, so the helpers fork.
+        monkeypatch.setattr(cohort_module, "GATHER_ROWS", 1)
         cfg = FairBFLConfig(
             num_rounds=1,
             participation_fraction=0.5,
             local=LocalTrainingConfig(epochs=1, batch_size=10, learning_rate=0.05),
             model_name="logreg",
-            executor_backend="thread",
+            executor_backend="cohort",
+            executor_workers=2,
             seed=7,
         )
-        with FairBFLTrainer(tiny_federated, cfg) as trainer:
+        with FairBFLTrainer(iid_federated, cfg) as trainer:
             trainer.run()
-            assert trainer.executor._pool is not None
-        assert trainer.executor._pool is None
+            helpers = trainer.executor._cohort._helpers
+            assert helpers is not None and all(p.is_alive() for p in helpers.procs)
+        assert trainer.executor._cohort._helpers is None
+        assert not any(p.is_alive() for p in helpers.procs)
+        assert not [p for p in multiprocessing.active_children() if p.name == "repro-cohort-helper"]
 
 
 class TestBackendParity:
-    """Serial vs thread vs process histories are bit-identical."""
+    """Serial and two-process cohort histories are bit-identical."""
 
     @pytest.fixture(scope="class")
-    def parity_histories(self, tiny_federated):
+    def parity_histories(self, iid_federated):
         histories = {}
         finals = {}
-        for backend in EXECUTOR_BACKENDS:
-            cfg = FairBFLConfig(
-                num_rounds=2,
-                participation_fraction=0.5,
-                local=LocalTrainingConfig(epochs=2, batch_size=10, learning_rate=0.05),
-                model_name="logreg",
-                enable_attacks=True,
-                executor_backend=backend,
-                executor_workers=2,
-                seed=7,
-            )
-            with FairBFLTrainer(tiny_federated, cfg) as trainer:
-                histories[backend] = trainer.run()
-                finals[backend] = trainer.current_global_parameters()
+        # One-client parts: every chunk is sharded, so the helper process's
+        # rows are among those compared against serial.
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cohort_module, "GATHER_ROWS", 1)
+            for backend in EXECUTOR_BACKENDS:
+                cfg = FairBFLConfig(
+                    num_rounds=2,
+                    participation_fraction=0.5,
+                    local=LocalTrainingConfig(epochs=2, batch_size=10, learning_rate=0.05),
+                    model_name="logreg",
+                    enable_attacks=True,
+                    executor_backend=backend,
+                    executor_workers=2,
+                    seed=7,
+                )
+                with FairBFLTrainer(iid_federated, cfg) as trainer:
+                    histories[backend] = trainer.run()
+                    finals[backend] = trainer.current_global_parameters()
+                    if backend == "cohort":  # the helper did train rows into the buffers
+                        assert trainer.executor._cohort.shared_bytes > 0
         return histories, finals
 
     def test_round_records_identical(self, parity_histories):
         histories, _ = parity_histories
-        serial = _fingerprint(histories["serial"])
-        assert _fingerprint(histories["thread"]) == serial
-        assert _fingerprint(histories["process"]) == serial
+        assert _fingerprint(histories["cohort"]) == _fingerprint(histories["serial"])
 
     def test_final_parameters_bitwise_identical(self, parity_histories):
         _, finals = parity_histories
-        assert finals["serial"].tobytes() == finals["thread"].tobytes()
-        assert finals["serial"].tobytes() == finals["process"].tobytes()
+        assert finals["serial"].tobytes() == finals["cohort"].tobytes()
 
     def test_fedavg_backend_parity(self, tiny_spec):
         engine = ExperimentEngine()
         serial = api.run(tiny_spec, engine=engine, system="fedavg")
-        threaded = api.run(tiny_spec, engine=engine, system="fedavg", backend="thread")
-        assert _fingerprint(serial) == _fingerprint(threaded)
+        cohort = api.run(tiny_spec, engine=engine, system="fedavg", backend="cohort", max_workers=2)
+        assert _fingerprint(serial) == _fingerprint(cohort)
 
 
 class TestScenarioSpec:

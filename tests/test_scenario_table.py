@@ -53,7 +53,7 @@ FLAG_TABLE = {
     ('run', '--churn'): ('none', None, '_StoreAction'),
     ('run', '--seed'): (0, None, '_StoreAction'),
     ('run', '--export'): (None, None, '_StoreAction'),
-    ('run', '--backend'): ('serial', ('serial', 'thread', 'process', 'cohort'), '_StoreAction'),
+    ('run', '--backend'): ('serial', ('serial', 'cohort'), '_StoreAction'),
     ('run', '--workers'): (None, None, '_StoreAction'),
     ('run', '--server'): (None, None, '_StoreAction'),
     ('compare', '--help'): ('==SUPPRESS==', None, '_HelpAction'),
@@ -80,12 +80,12 @@ FLAG_TABLE = {
     ('compare', '--churn'): ('none', None, '_StoreAction'),
     ('compare', '--seed'): (0, None, '_StoreAction'),
     ('compare', '--export'): (None, None, '_StoreAction'),
-    ('compare', '--backend'): ('serial', ('serial', 'thread', 'process', 'cohort'), '_StoreAction'),
+    ('compare', '--backend'): ('serial', ('serial', 'cohort'), '_StoreAction'),
     ('compare', '--workers'): (None, None, '_StoreAction'),
     ('sweep', '--help'): ('==SUPPRESS==', None, '_HelpAction'),
     ('sweep', '--scenario'): (None, None, '_AppendAction'),
     ('sweep', '--export'): (None, None, '_StoreAction'),
-    ('sweep', '--backend'): (None, ('serial', 'thread', 'process', 'cohort'), '_StoreAction'),
+    ('sweep', '--backend'): (None, ('serial', 'cohort'), '_StoreAction'),
     ('sweep', '--workers'): (None, None, '_StoreAction'),
     ('sweep', '--round-mode'): (None, ('sync', 'semi_sync', 'async'), '_StoreAction'),
     ('sweep', '--defense'): (None, None, '_StoreAction'),
@@ -100,7 +100,7 @@ FLAG_TABLE = {
     ('search', '--min-rounds'): (None, None, '_StoreAction'),
     ('search', '--max-rounds'): (None, None, '_StoreAction'),
     ('search', '--export'): (None, None, '_StoreAction'),
-    ('search', '--backend'): (None, ('serial', 'thread', 'process', 'cohort'), '_StoreAction'),
+    ('search', '--backend'): (None, ('serial', 'cohort'), '_StoreAction'),
     ('search', '--workers'): (None, None, '_StoreAction'),
     ('search', '--store'): ('results/store', None, '_StoreAction'),
     ('search', '--no-cache'): (False, None, '_StoreTrueAction'),

@@ -1,21 +1,20 @@
 """The serial training path's shared scratch plane: aliasing, lifetime, byte parity.
 
-Local training runs on one *packed* scratch model per worker thread, owned by
-the trainer's :class:`~repro.fl.client.ModelWorkspace` and shared by all of its
-clients; a step writes the gradients instead of accumulating them and consumes
+Local training runs on one *packed* scratch model, owned by the trainer's
+:class:`~repro.fl.client.ModelWorkspace` and shared by all of its clients; a step writes the gradients instead of accumulating them and consumes
 them in place.  Three things can go wrong, and each is pinned here:
 
 * **aliasing** — a vector handed out (``ClientUpdate.parameters``,
   ``get_flat_parameters``) must be a copy, or the next client to train would
   overwrite an update already uploaded;
-* **lifetime** — scratch models are O(workers), not O(clients), die with their
-  trainer, and do not travel in a pickle or a checkpoint;
+* **lifetime** — a trainer holds one scratch model, not one per client; it
+  dies with its trainer and does not travel in a checkpoint;
 * **bytes** — every trimmed kernel is held to the accumulating, per-parameter,
   gather-per-batch code it replaced, kept below as the oracle
   (``-m cohort`` runs these with the cohort engine's own parity suite).
 
-Stop/resume parity on all four backends is ``tests/test_checkpoint.py``'s, and
-serial == thread == process == cohort histories ``tests/test_cohort_parity.py``'s.
+Stop/resume parity on both backends is ``tests/test_checkpoint.py``'s, and
+serial == cohort histories ``tests/test_cohort_parity.py``'s.
 """
 
 from __future__ import annotations
@@ -94,38 +93,32 @@ def test_a_client_without_a_workspace_gets_a_private_one(tiny_federated):
 
 
 # ---------------------------------------------------------------------------
-# (b) lifetime: O(workers) models, none outlives its trainer
+# (b) lifetime: one model, which does not outlive its trainer
 # ---------------------------------------------------------------------------
 
 
-def _trainer(backend: str, workers: int | None = None) -> FairBFLTrainer:
+def test_one_scratch_model_dies_with_the_trainer():
     spec = ScenarioSpec(
         num_clients=100, num_samples=1000, num_rounds=1, seed=3, model_name="mlp",
-        hidden_sizes=(8,), epochs=1, verify_signatures=False, backend=backend, max_workers=workers,
+        hidden_sizes=(8,), epochs=1, verify_signatures=False,
     )
-    return FairBFLTrainer(ExperimentEngine().dataset_for(spec), spec.fairbfl_config())
-
-
-@pytest.mark.parametrize("backend, workers, most", [("serial", None, 1), ("thread", 2, 3)])
-def test_scratch_models_are_per_worker_and_die_with_the_trainer(backend, workers, most):
-    """One model per thread that trains or evaluates: the caller's, plus the pool's."""
-    trainer = _trainer(backend, workers)
+    trainer = FairBFLTrainer(ExperimentEngine().dataset_for(spec), spec.fairbfl_config())
     assert len({id(c.workspace) for c in trainer.clients.values()}) == 1
     trainer.run()
-    models = list(trainer._workspace._models.values())
-    assert 1 <= len(models) <= most
-    assert all(m.packed is not None for m in models)
+    model = trainer._workspace._model
+    assert model is not None and model.packed is not None
+    assert all(c.model is model for c in trainer.clients.values())
 
     payload = pickle.loads(trainer.checkpoint_state())
     assert payload["version"] == CHECKPOINT_SCHEMA_VERSION == 4
     assert "_workspace" not in payload["attrs"]
 
-    refs = [weakref.ref(m) for m in models]
-    del models
+    ref = weakref.ref(model)
+    del model
     trainer.close()
     del trainer
     gc.collect()
-    assert [r() for r in refs] == [None] * len(refs)
+    assert ref() is None
 
 
 def _live_models() -> int:
@@ -141,33 +134,6 @@ def test_engine_runs_on_distinct_seeds_leave_no_model_behind():
     for seed in range(20):
         engine.run(ScenarioSpec(seed=seed, **spec))
     assert _live_models() == before
-
-
-# ---------------------------------------------------------------------------
-# (c) pickling: models do not travel, the shared workspace stays shared
-# ---------------------------------------------------------------------------
-
-
-def test_a_pickled_workspace_builds_lazily_again(tiny_federated):
-    workspace = ModelWorkspace(FACTORY)
-    clients = {
-        cid: FLClient(tiny_federated.client(cid), workspace, new_rng(3, "plane", cid))
-        for cid in range(3)
-    }
-    built = workspace.model()
-    shipped = pickle.loads(pickle.dumps(clients))
-
-    spaces = {id(c.workspace) for c in shipped.values()}
-    assert len(spaces) == 1
-    restored = shipped[0].workspace
-    assert restored is not workspace and restored.factory == FACTORY
-    assert restored._models == {}
-    assert restored.model() is not built and restored.model().packed is not None
-
-    want = clients[1].local_update(_global_vector(), CONFIG)
-    got = shipped[1].local_update(_global_vector(), CONFIG)
-    assert got.parameters.tobytes() == want.parameters.tobytes()
-    assert (got.train_loss, got.val_accuracy) == (want.train_loss, want.val_accuracy)
 
 
 # ---------------------------------------------------------------------------
@@ -398,4 +364,4 @@ def test_local_update_on_a_shared_plane_equals_the_private_unpacked_model(
         )
         assert (got.is_malicious, got.metadata) == (want.is_malicious, want.metadata)
         assert client.rng.bit_generator.state == want_rng.bit_generator.state
-    assert len(workspace._models) == 1
+    assert workspace._model is not None and workspace._model.packed is not None

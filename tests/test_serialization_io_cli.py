@@ -152,3 +152,19 @@ class TestExitCodePolicy:
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and message in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize("removed", ["thread", "process"])
+    def test_a_removed_backend_is_a_usage_error(self, tmp_path, capsys, removed):
+        # From a flag, argparse refuses the choice; from a scenario file, the
+        # spec's validation does.  Both are the user's to fix: exit 2.
+        with pytest.raises(SystemExit) as info:
+            main(["run", "fedavg", "--backend", removed])
+        assert info.value.code == 2
+        assert f"invalid choice: '{removed}'" in capsys.readouterr().err
+
+        scenario = tmp_path / "removed.toml"
+        scenario.write_text(f'system = "fedavg"\nnum_rounds = 1\nbackend = "{removed}"\n')
+        assert main(["sweep", "--scenario", str(scenario), "--no-cache"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "serial, cohort" in captured.err
+        assert captured.out == ""

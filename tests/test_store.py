@@ -122,11 +122,11 @@ class TestSpecKey:
 
     def test_execution_fields_do_not_change_key(self):
         # Backends produce bit-identical histories (the repo's determinism
-        # invariant), so a sweep run with --backend process must resume
+        # invariant), so a sweep run with --backend cohort must resume
         # cleanly under --backend serial.
         base = spec_key(_blockchain_spec())
-        assert spec_key(_blockchain_spec(backend="thread")) == base
-        assert spec_key(_blockchain_spec(backend="process", max_workers=4)) == base
+        assert spec_key(_blockchain_spec(max_workers=4)) == base
+        assert spec_key(_blockchain_spec(backend="cohort", max_workers=4)) == base
 
     @pytest.mark.parametrize(
         "override",
@@ -384,6 +384,27 @@ class TestRunStore:
         stored.path.write_text(json.dumps(record))
         assert store.get(spec) is None
         assert store.gc() == (stored.key,)
+
+    @pytest.mark.parametrize("removed", ["thread", "process"])
+    def test_records_naming_a_removed_backend_miss_and_are_recomputed(self, tmp_path, removed):
+        # ``backend`` is outside the key, but a record re-validates its spec
+        # on read: one written by a backend that no longer exists is a miss
+        # (never an alias for another backend), and the engine overwrites it.
+        store = RunStore(tmp_path)
+        spec = _blockchain_spec()
+        stored = store.put(spec, ExperimentEngine().run_result(spec))
+        record = json.loads(stored.path.read_text())
+        record["spec"]["backend"] = removed
+        stored.path.write_text(json.dumps(record))
+
+        assert store.get(spec) is None
+        with pytest.raises(RunStoreError, match="unloadable spec: backend must be one of"):
+            store.load(stored.key)
+
+        engine = ExperimentEngine(store=store)
+        engine.run_result(spec)
+        assert engine.runs_computed == 1 and engine.cache_hits == 0
+        assert store.load(stored.key).spec.backend == "serial"
 
 
 class TestEngineResume:

@@ -236,8 +236,8 @@ class TestCapabilityValidation:
         assert fedavg == {"defense": "krum", "defense_fraction": 0.3, "num_rounds": 3}
 
     def test_filter_keeps_guard_values_that_are_valid_everywhere(self):
-        """cohort/net are engaged by *value*: thread/process and global reach every system."""
-        shared = {"backend": "thread", "topology": "global", "peer_k": 2, "num_rounds": 3}
+        """cohort/net are engaged by *value*: serial and global reach every system."""
+        shared = {"backend": "serial", "topology": "global", "peer_k": 2, "num_rounds": 3}
         assert filter_unsupported_axes("blockchain", shared) == shared
         ScenarioSpec.from_mapping({**shared, "system": "blockchain"})  # and it validates
         engaged = {
