@@ -140,8 +140,10 @@ class Mempool:
 
         Per-node mempools accumulate gossiped transactions for rounds the
         node's adopted chain has since finalised; those can never be mined
-        again (one block settles a round), so they expire once the chain tip
-        passes their round.  Returns the number of transactions evicted.
+        again (one block settles a round).  A node that commits round ``r``'s
+        block passes ``r + 1``, so the round's own uploads go with it; a node
+        that adopts a chain whose tip is round ``r`` passes ``r``.  Returns
+        the number of transactions evicted.
         """
         cutoff = int(round_index)
         return self._evict(lambda tx: tx.round_index < cutoff)

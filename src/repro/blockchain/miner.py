@@ -49,7 +49,13 @@ class Miner:
     rejected_transactions: int = 0
 
     def reset_round(self) -> None:
-        """Clear the per-round gradient set (called at the start of each round)."""
+        """Clear the per-round gradient set.
+
+        The orchestrator calls this once the round's block has committed (the
+        set is spent, and holding it would keep the round's uploads alive
+        through the next round's local training); the gossip substrate also
+        calls it to void an offline miner's set.
+        """
         self.gradient_set.clear()
 
     # -- Procedure II: receive uploads from associated clients ---------------

@@ -301,7 +301,8 @@ class FairBFLTrainer(Trainer):
         if self.defense is not None:
             outcome = self.defense.apply(stale_matrix - previous[None, :])
             ctx.stale_rejected += stale_matrix.shape[0] - len(outcome.kept_indices)
-            stale_matrix = previous[None, :] + outcome.deltas
+            stale_matrix = outcome.deltas
+            stale_matrix += previous
             origins = origins[list(outcome.kept_indices)]
         fresh_delta = fresh - previous
         if float(np.linalg.norm(fresh_delta)) > 1e-12:
@@ -463,6 +464,9 @@ class FairBFLTrainer(Trainer):
                 **net_report.resolved,
                 **net.finish_round(round_index, sim_time=self.clock.now, latency=broadcast_latency),
             }
+        # The round's block is committed: its gradient sets are spent.
+        for miner in self.miners:
+            miner.reset_round()
         if cfg.round_mode == "async":
             # This round's own stragglers are buffered for the next one.
             # Extending (not replacing) keeps entries alive across rounds that

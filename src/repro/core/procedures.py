@@ -36,6 +36,7 @@ from repro.incentive.contribution import (
 from repro.incentive.distance import cosine_distance_to_reference
 from repro.incentive.rewards import RewardEntry
 from repro.incentive.strategies import Strategy, StrategyOutcome
+from repro.utils.vectors import compact_rows_in_place, finite_rows
 
 from typing import TYPE_CHECKING
 
@@ -132,9 +133,12 @@ def procedure_upload(
     keystore: KeyStore | None,
     rng: np.random.Generator,
 ) -> RoundContext:
-    """Each client signs its update and uploads it to a uniformly random miner."""
-    for miner in miners:
-        miner.reset_round()
+    """Each client signs its update and uploads it to a uniformly random miner.
+
+    The miners start the round with empty gradient sets: the orchestrator
+    clears them (:meth:`~repro.blockchain.miner.Miner.reset_round`) when the
+    previous round ends.
+    """
     ctx.rejected_uploads = 0
     for update in ctx.updates:
         tx = make_gradient_transaction(
@@ -179,6 +183,12 @@ def procedure_exchange(ctx: RoundContext, miners: list[Miner]) -> RoundContext:
 
 
 # -- Procedure IV ------------------------------------------------------------
+def _keep_global(ctx: RoundContext) -> RoundContext:
+    """No gradients arrived, or none survived: the global model is unchanged."""
+    ctx.new_global_parameters = np.asarray(ctx.global_parameters, dtype=np.float64).copy()
+    return ctx
+
+
 def procedure_global_update(
     ctx: RoundContext,
     *,
@@ -193,40 +203,49 @@ def procedure_global_update(
     Mirrors Algorithm 1 lines 23-27: first the simple average (line 24), then
     Algorithm 2 (line 26), then fair aggregation / the strategy (line 27).
 
-    When a ``defense`` is configured the stacked matrix first passes through
-    the robust-aggregation pipeline (clip → filter → aggregate) in direction
-    space: rows the defense rejects leave the round entirely (no contribution,
-    no reward; recorded in ``ctx.defense_rejected_ids``), clipped rows replace
-    their originals, and the robust aggregate stands in for the line-24 simple
-    average as Algorithm 2's reference.  Filtering defenses then compose with
+    The round's stacked matrix ``ctx.gradient_matrix`` is owned by the round
+    and consumed in place; afterwards it holds the surviving rows.  First a
+    row with any NaN or ±Inf entry leaves the round (an upload that would
+    poison every aggregate below).  When a ``defense`` is configured the
+    rows then pass through the robust-aggregation pipeline (clip → filter →
+    aggregate) in direction space: rows the defense rejects leave the round
+    entirely (no contribution, no reward), clipped rows replace their
+    originals, and the robust aggregate stands in for the line-24 simple
+    average as Algorithm 2's reference.  Both kinds of rejection are recorded
+    in ``ctx.defense_rejected_ids``.  Filtering defenses then compose with
     Equation (1) over the survivors; aggregate-replacing defenses (median,
     trimmed mean) fix the global update themselves while Procedure II keeps
     its detection/reward side effects.
     """
-    if ctx.gradient_matrix is None or ctx.gradient_matrix.shape[0] == 0:
-        # No gradients arrived (all rejected); the global model is unchanged.
-        ctx.new_global_parameters = np.asarray(ctx.global_parameters, dtype=np.float64).copy()
-        return ctx
-
     matrix = ctx.gradient_matrix
-    client_ids = ctx.gradient_client_ids
+    if matrix is None or matrix.shape[0] == 0:
+        return _keep_global(ctx)
     previous = np.asarray(ctx.global_parameters, dtype=np.float64)
-
-    if defense is not None:
-        outcome = defense.apply(matrix - previous[None, :])
-        kept = set(outcome.kept_indices)
-        ctx.defense_rejected_ids = [
-            int(cid) for i, cid in enumerate(client_ids) if i not in kept
-        ]
+    # Survivors move up to the leading rows, so the round keeps one copy of
+    # its gradients; ``rows`` is each survivor's input row.
+    rows = np.flatnonzero(finite_rows(matrix))
+    matrix = compact_rows_in_place(matrix, rows)
+    if defense is not None and rows.size:
+        np.subtract(matrix, previous, out=matrix)
+        outcome = defense.apply(matrix)
+        rows = rows[list(outcome.kept_indices)]
         ctx.defense_clipped = outcome.clipped
-        matrix = previous[None, :] + outcome.deltas
-        client_ids = [int(client_ids[i]) for i in outcome.kept_indices]
-        # Downstream consumers (rewards, detection accounting, async
-        # bookkeeping) must see the post-defense gradient set.
-        ctx.gradient_matrix = matrix
-        ctx.gradient_client_ids = client_ids
+        matrix = outcome.deltas
+        matrix += previous
         base_global = previous + outcome.aggregate
-    else:
+    if rows.size < len(ctx.gradient_client_ids):
+        # Downstream consumers (rewards, detection accounting, async
+        # bookkeeping) must see the post-screen, post-defense gradient set.
+        kept = set(rows.tolist())
+        ctx.defense_rejected_ids = [
+            int(cid) for i, cid in enumerate(ctx.gradient_client_ids) if i not in kept
+        ]
+        ctx.gradient_client_ids = [int(ctx.gradient_client_ids[i]) for i in rows]
+    ctx.gradient_matrix = matrix
+    if not rows.size:
+        return _keep_global(ctx)
+    client_ids = ctx.gradient_client_ids
+    if defense is None:
         base_global = simple_average(matrix)
 
     if not run_incentive or contribution_config is None or strategy is None:

@@ -32,9 +32,15 @@ the distinction matters downstream:
   a chain — their aggregate **is** the round's global update, and Procedure
   II runs only for its detection/reward side effects.
 
-All kernels are pure, vectorised, and deterministic (stable argsort
-tie-breaking), so they preserve the repository's bit-identical-across-backends
-guarantee.  See ``docs/threat_model.md`` for the attack↔defense catalogue.
+A pipeline *consumes* the matrix it is given: clipping rescales rows in
+place and Krum moves its survivors up to the leading rows, so the outcome's
+``deltas`` is a view of the input and a round keeps one copy of its gradients
+(every caller hands over a matrix it owns).  :func:`clip_rows` is in place for
+the same reason; the scoring and aggregating kernels (distances, Krum scores,
+median, trimmed mean) never write their input.  Every kernel is vectorised
+and deterministic (stable argsort tie-breaking), so the repository's
+bit-identical-across-backends guarantee holds.  See ``docs/threat_model.md``
+for the attack↔defense catalogue.
 """
 
 from __future__ import annotations
@@ -44,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.fl.aggregation import AggregationError
-from repro.utils.vectors import row_norms
+from repro.utils.vectors import compact_rows_in_place, row_norms
 
 __all__ = [
     "DEFENSES",
@@ -76,7 +82,7 @@ def _check_matrix(deltas: np.ndarray) -> np.ndarray:
     return m
 
 
-# -- pure kernels -------------------------------------------------------------
+# -- kernels ------------------------------------------------------------------
 def pairwise_sq_distances(matrix: np.ndarray) -> np.ndarray:
     """Squared euclidean distance between every pair of rows, as a ``(k, k)`` matrix."""
     m = _check_matrix(matrix)
@@ -107,20 +113,20 @@ def krum_scores(matrix: np.ndarray, num_attackers: int) -> np.ndarray:
 
 
 def clip_rows(matrix: np.ndarray, max_norm: float) -> tuple[np.ndarray, int]:
-    """Scale rows with ℓ2 norm above ``max_norm`` down to it.
+    """Scale rows with ℓ2 norm above ``max_norm`` down to it, in place.
 
-    Returns the clipped copy and the number of rows that were rescaled.
+    Returns the clipped matrix (``matrix`` itself when it is already a
+    ``float64`` array) and the number of rows that were rescaled.
     ``max_norm <= 0`` (an all-zero round) leaves the matrix untouched.
     """
     m = _check_matrix(matrix)
     if max_norm <= 0.0:
-        return m.copy(), 0
+        return m, 0
     norms = row_norms(m)
-    over = norms > max_norm
-    clipped = m.copy()
-    if over.any():
-        clipped[over] *= (max_norm / norms[over])[:, None]
-    return clipped, int(np.count_nonzero(over))
+    over = np.flatnonzero(norms > max_norm)
+    for row, scale in zip(over, max_norm / norms[over]):
+        m[row] *= scale
+    return m, int(over.size)
 
 
 def coordinate_median(matrix: np.ndarray) -> np.ndarray:
@@ -152,7 +158,8 @@ class RobustOutcome:
     Attributes
     ----------
     deltas:
-        The surviving (possibly clipped) direction rows, in input order.
+        The surviving (possibly clipped) direction rows, in input order: the
+        leading rows of the pipeline's input, which it overwrote.
     kept_indices:
         Indices into the *input* rows that survived filtering.
     aggregate:
@@ -179,7 +186,7 @@ class NormClipDefense:
     replaces_aggregation = False
 
     def filter(self, m: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-        """Return ``(clipped rows, kept row indices, rows clipped)``."""
+        """Return ``(m clipped in place, kept row indices, rows clipped)``."""
         clipped, count = clip_rows(m, float(np.median(row_norms(m))))
         return clipped, np.arange(m.shape[0]), count
 
@@ -206,13 +213,13 @@ class KrumDefense:
         self.name = "multi_krum" if multi else "krum"
 
     def filter(self, m: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-        """Return ``(selected rows, their indices in input order, 0)``."""
+        """Return ``(selected rows moved to m's top, their input indices, 0)``."""
         k = m.shape[0]
         num_attackers = int(np.ceil(self.attacker_fraction * k))
         scores = krum_scores(m, num_attackers)
         select = max(1, k - num_attackers) if self.multi else 1
         kept = np.sort(np.argsort(scores, kind="stable")[:select])
-        return m[kept], kept, 0
+        return compact_rows_in_place(m, kept), kept, 0
 
 
 class MedianDefense:
@@ -250,7 +257,9 @@ class DefensePipeline:
     survivors.  The aggregate is the last stage's rule when it replaces
     aggregation (median / trimmed mean), else the plain mean of the
     survivors.  Kept indices are composed back into input-row indices; clip
-    counts accumulate.
+    counts accumulate.  Filters work in place, so :meth:`apply` overwrites
+    its input: callers pass a matrix they own and read the survivors back
+    from ``outcome.deltas``.
     """
 
     def __init__(self, stages: list) -> None:
@@ -261,7 +270,7 @@ class DefensePipeline:
         self.replaces_aggregation = self.stages[-1].replaces_aggregation
 
     def apply(self, deltas: np.ndarray) -> RobustOutcome:
-        """Filter the ``(k, d)`` direction matrix and aggregate the survivors."""
+        """Filter the ``(k, d)`` direction matrix in place and aggregate the survivors."""
         m = _check_matrix(deltas)
         kept = np.arange(m.shape[0])
         clipped = 0

@@ -51,7 +51,9 @@ class CentralServer:
         self.model = model_factory()
         self.defense = make_defense(defense, attacker_fraction=defense_fraction)
         #: The defense's outcome for the most recent round (None when no
-        #: defense is configured or no round has run yet).
+        #: defense is configured or no round has run yet).  Its ``deltas``
+        #: are the surviving rows: :meth:`aggregate` adds the global
+        #: parameters back onto them in place.
         self.last_defense_outcome: RobustOutcome | None = None
         self.global_parameters = get_flat_parameters(self.model)
 
@@ -68,11 +70,14 @@ class CentralServer:
         matrix = stack_updates(updates)
         if self.defense is None:
             return self.commit_global(simple_average(matrix))
-        outcome = self.defense.apply(matrix - self.global_parameters[None, :])
+        # The stacked matrix is the server's own: the defense consumes it.
+        matrix -= self.global_parameters
+        outcome = self.defense.apply(matrix)
         self.last_defense_outcome = outcome
         if self.defense.replaces_aggregation:
             return self.commit_global(self.global_parameters + outcome.aggregate)
-        rows = self.global_parameters[None, :] + outcome.deltas
+        rows = outcome.deltas
+        rows += self.global_parameters
         return self.commit_global(rows.mean(axis=0))
 
     def commit_global(self, new_global: np.ndarray) -> np.ndarray:

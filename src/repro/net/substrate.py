@@ -222,13 +222,14 @@ class GossipSubstrate:
         Every member's chain already holds the block (Procedure V appends on
         each replica it ran over); what remains is mempool hygiene, the
         consensus-delay bookkeeping, and the flood that measures propagation
-        latency.  Returns the flood's max delivery latency in simulated
-        seconds.
+        latency.  One block settles a round, so the members' mempools drop
+        the round's own uploads along with everything older.  Returns the
+        flood's max delivery latency in simulated seconds.
         """
         for member in component:
             node = self.nodes[member]
             node.mempool.evict_included(node.chain)
-            node.mempool.evict_older_than(round_index)
+            node.mempool.evict_older_than(round_index + 1)
         self.note_block(round_index, sim_time=sim_time)
         return self.broadcast_block(origin, component)
 

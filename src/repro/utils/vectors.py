@@ -26,12 +26,13 @@ __all__ = [
     "cosine_similarity",
     "cosine_distance",
     "row_norms",
+    "finite_rows",
     "pairwise_cosine_distance",
     "pairwise_euclidean_distance",
 ]
 
-#: Rows :func:`row_norms` squares and reduces at a time: its one temporary is
-#: this many rows, whatever the height of the matrix.
+#: Rows :func:`row_norms` and :func:`finite_rows` read at a time: their one
+#: temporary is this many rows, whatever the height of the matrix.
 NORM_BLOCK_ROWS = 8
 
 
@@ -122,6 +123,33 @@ def row_norms(matrix: np.ndarray) -> np.ndarray:
         block = m[start : start + NORM_BLOCK_ROWS]
         np.sqrt(np.add.reduce(block * block, axis=1), out=norms[start : start + NORM_BLOCK_ROWS])
     return norms
+
+
+def finite_rows(matrix: np.ndarray) -> np.ndarray:
+    """Boolean mask of the rows whose every entry is finite (no NaN, no ±Inf).
+
+    Tests :data:`NORM_BLOCK_ROWS` rows at a time, so its one temporary is a
+    few rows of booleans instead of a ``(k, d)`` mask.
+    """
+    m = _check_rows(matrix)
+    finite = np.empty(m.shape[0], dtype=bool)
+    for start in range(0, m.shape[0], NORM_BLOCK_ROWS):
+        block = m[start : start + NORM_BLOCK_ROWS]
+        np.isfinite(block).all(axis=1, out=finite[start : start + NORM_BLOCK_ROWS])
+    return finite
+
+
+def compact_rows_in_place(m: np.ndarray, rows: Sequence[int]) -> np.ndarray:
+    """Move the rows ``rows`` (ascending, distinct) of the owned matrix ``m`` to its top.
+
+    Row ``rows[j]`` is copied onto row ``j``; since ``j <= rows[j]`` and the
+    sources ascend, no source is overwritten before it is read.  Returns the
+    leading-rows view ``m[:len(rows)]``; the rows below it are left stale.
+    """
+    for dst, src in enumerate(rows):
+        if dst != src:
+            m[dst] = m[src]
+    return m[: len(rows)]
 
 
 def normalise_rows_in_place(m: np.ndarray, *, eps: float = 1e-12) -> np.ndarray:

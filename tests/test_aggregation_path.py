@@ -4,7 +4,8 @@ Every defense is one :class:`~repro.fl.robust.DefensePipeline` whose filter
 stages clip or select rows and which aggregates the survivors once, and both
 Algorithm 2 strategies share one keep-mask aggregation.  The oracles below are
 the per-stage composition and the strategy formulas those replaced, written
-out here so the pipeline and the strategies are held to them byte for byte:
+out here (on their own copies: the pipeline consumes its input) so the
+pipeline and the strategies are held to them byte for byte:
 on every chain :func:`~repro.fl.robust.make_defense` accepts, on round sizes
 ``k`` in {1, 2, 3, 7, 25}, and on matrices with duplicate and all-zero rows.
 """
@@ -21,7 +22,6 @@ from hypothesis import strategies as st
 
 from repro.fl.aggregation import fair_aggregate, simple_average
 from repro.fl.robust import (
-    clip_rows,
     coordinate_median,
     krum_scores,
     make_defense,
@@ -41,8 +41,13 @@ def _oracle_stage(name: str, fraction: float, m: np.ndarray):
     k = m.shape[0]
     everyone = list(range(k))
     if name == "norm_clip":
-        clipped, count = clip_rows(m, 1.0 * float(np.median(np.linalg.norm(m, axis=1))))
-        return clipped, everyone, clipped.mean(axis=0), count
+        # The pipeline's clip_rows works in place; the oracle clips its own copy.
+        norms = np.linalg.norm(m, axis=1)
+        max_norm = 1.0 * float(np.median(norms))
+        over = norms > max_norm if max_norm > 0.0 else np.zeros(k, dtype=bool)
+        clipped = m.copy()
+        clipped[over] *= (max_norm / norms[over])[:, None]
+        return clipped, everyone, clipped.mean(axis=0), int(np.count_nonzero(over))
     if name in ("krum", "multi_krum"):
         attackers = int(np.ceil(fraction * k))
         scores = krum_scores(m, attackers)
@@ -92,7 +97,8 @@ chains = st.builds(
 @settings(max_examples=300, deadline=None)
 @given(m=direction_matrices(), chain=chains, fraction=st.sampled_from(FRACTIONS))
 def test_pipeline_equals_per_stage_composition(m, chain, fraction):
-    outcome = make_defense(chain, attacker_fraction=fraction).apply(m)
+    consumed = m.copy()
+    outcome = make_defense(chain, attacker_fraction=fraction).apply(consumed)
     rows, kept, aggregate, clipped = _oracle_pipeline(chain, fraction, m)
     assert outcome.aggregate.tobytes() == aggregate.tobytes()
     assert outcome.deltas.tobytes() == rows.tobytes()
@@ -100,6 +106,8 @@ def test_pipeline_equals_per_stage_composition(m, chain, fraction):
     assert outcome.clipped == clipped
     # Every pipeline keeps a row, so the async stale screen never empties.
     assert len(outcome.kept_indices) >= 1
+    # The survivors are the input's own leading rows: no copy of the round.
+    assert np.shares_memory(outcome.deltas, consumed)
 
 
 def _oracle_aggregate(m, thetas, fair):

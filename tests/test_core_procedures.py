@@ -20,6 +20,7 @@ from repro.core.procedures import (
 from repro.crypto.keystore import KeyStore
 from repro.fl.client import FLClient, LocalTrainingConfig
 from repro.fl.executor import ParallelExecutor
+from repro.fl.robust import make_defense
 from repro.incentive.contribution import ContributionConfig
 from repro.incentive.strategies import DiscardStrategy, KeepAllStrategy
 from repro.nn.models import LogisticRegressionModel
@@ -182,6 +183,52 @@ class TestProcedureGlobalUpdate:
         assert set(outcome.kept_client_ids) | set(outcome.discarded_client_ids) == set(
             ctx.gradient_client_ids
         )
+
+
+class TestNonFiniteScreen:
+    """A NaN or ±Inf upload leaves the round before any aggregate reads it."""
+
+    def _round(self, matrix, previous, defense, ids=None):
+        ctx = RoundContext(
+            round_index=0, global_parameters=previous, gradient_matrix=matrix,
+            gradient_client_ids=ids or list(range(10, 10 + matrix.shape[0])),
+        )
+        return procedure_global_update(
+            ctx,
+            contribution_config=ContributionConfig(eps=0.8),
+            strategy=KeepAllStrategy(),
+            defense=None if defense is None else make_defense(defense),
+        )
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("defense", [None, "norm_clip+multi_krum"])
+    def test_poisoned_row_is_rejected(self, bad, defense):
+        rng = np.random.default_rng(3)
+        previous = rng.normal(size=6)
+        matrix = previous + 0.1 * rng.normal(size=(9, 6))
+        ids = [10, 11, 12, 13, 15, 16, 17, 18]
+        clean = self._round(np.delete(matrix, 4, axis=0), previous, defense, ids)
+        matrix[4, 2] = bad
+        ctx = self._round(matrix, previous, defense)
+        assert np.all(np.isfinite(ctx.new_global_parameters))
+        assert 14 in ctx.defense_rejected_ids
+        assert 14 not in ctx.gradient_client_ids
+        assert 14 not in {entry.client_id for entry in ctx.reward_list}
+        # The screened round is the round the poisoned upload never joined.
+        assert ctx.new_global_parameters.tobytes() == clean.new_global_parameters.tobytes()
+        assert ctx.gradient_client_ids == clean.gradient_client_ids
+        assert ctx.gradient_matrix.tobytes() == clean.gradient_matrix.tobytes()
+
+    @pytest.mark.parametrize("defense", [None, "norm_clip+multi_krum"])
+    def test_all_rows_poisoned_keeps_previous_global(self, defense):
+        previous = np.arange(4.0)
+        matrix = np.full((3, 4), np.nan)
+        matrix[1, 0] = np.inf
+        ctx = self._round(matrix, previous, defense)
+        assert ctx.new_global_parameters.tobytes() == previous.tobytes()
+        assert ctx.defense_rejected_ids == [10, 11, 12]
+        assert ctx.gradient_client_ids == []
+        assert ctx.strategy_outcome is None
 
 
 class TestProcedureMining:
