@@ -29,6 +29,7 @@ import pytest
 from benchmarks.conftest import emit, emit_json
 from repro.core.fairbfl import FairBFLTrainer
 from repro.core.results import ComparisonResult
+from repro.incentive.fairness import jains_index
 from repro.runner.engine import ExperimentEngine
 from repro.runner.scenario import ScenarioSpec
 
@@ -67,17 +68,6 @@ def _spec(num_rounds: int = NUM_ROUNDS, partition: str = PARTITION) -> ScenarioS
     )
 
 
-def jain_index(values: list[float]) -> float:
-    """Jain's fairness index over ``values`` (1 = perfectly even, 1/n = one winner)."""
-    if not values:
-        return 0.0
-    total = sum(values)
-    squares = sum(v * v for v in values)
-    if squares == 0.0:
-        return 0.0
-    return (total * total) / (len(values) * squares)
-
-
 def _phase_fairness(chain) -> dict[str, float]:
     """Jain index over per-client canonical-chain rewards, one value per phase."""
     by_phase: dict[str, dict[str, float]] = {phase: {} for phase in PHASES}
@@ -87,7 +77,7 @@ def _phase_fairness(chain) -> dict[str, float]:
             client = str(record.get("client"))
             rewards[client] = rewards.get(client, 0.0) + float(record.get("reward", 0.0))
     return {
-        phase: jain_index(list(rewards.values())) for phase, rewards in by_phase.items()
+        phase: jains_index(list(rewards.values())) for phase, rewards in by_phase.items()
     }
 
 

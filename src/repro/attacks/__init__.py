@@ -14,28 +14,17 @@ the global model".  This package provides:
 """
 
 from repro.attacks.base import Attack, NoAttack
-from repro.attacks.gradient_attacks import (
-    ATTACKS,
-    GaussianNoiseAttack,
-    ScalingAttack,
-    SignFlipAttack,
-    ZeroGradientAttack,
-    make_attack,
-)
+from repro.attacks.gradient_attacks import ATTACKS, SignFlipAttack, make_attack
 from repro.attacks.label_flip import LabelFlipAttack
-from repro.attacks.scheduler import AttackRoundLog, AttackScheduler, detection_rate
+from repro.attacks.scheduler import AttackScheduler, detection_rate
 
 __all__ = [
     "ATTACKS",
     "Attack",
     "NoAttack",
-    "GaussianNoiseAttack",
-    "ScalingAttack",
     "SignFlipAttack",
-    "ZeroGradientAttack",
     "make_attack",
     "LabelFlipAttack",
-    "AttackRoundLog",
     "AttackScheduler",
     "detection_rate",
 ]

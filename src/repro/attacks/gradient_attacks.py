@@ -23,10 +23,6 @@ from repro.utils.validation import check_non_negative, check_positive
 __all__ = [
     "ATTACKS",
     "SignFlipAttack",
-    "ScalingAttack",
-    "GaussianNoiseAttack",
-    "ZeroGradientAttack",
-    "MixedAttack",
     "make_attack",
 ]
 

@@ -18,7 +18,7 @@ from repro.attacks.base import Attack
 from repro.attacks.gradient_attacks import SignFlipAttack
 from repro.utils.validation import check_probability
 
-__all__ = ["AttackScheduler", "AttackRoundLog", "detection_rate"]
+__all__ = ["AttackScheduler", "detection_rate"]
 
 
 @dataclass

@@ -18,13 +18,13 @@ Implements the distributed-ledger machinery FAIR-BFL runs on top of:
   Fig. 6b.
 """
 
-from repro.blockchain.block import Block, BlockHeader, GENESIS_PREVIOUS_HASH
-from repro.blockchain.chain import Blockchain, BlockValidationError, ForkChoice
+from repro.blockchain.block import Block, GENESIS_PREVIOUS_HASH
+from repro.blockchain.chain import Blockchain, ForkChoice
 from repro.blockchain.consensus import ForkModel
 from repro.blockchain.mempool import Mempool
 from repro.blockchain.merkle import merkle_root
 from repro.blockchain.miner import Miner
-from repro.blockchain.pow import MiningResult, mine_block, sample_mining_time
+from repro.blockchain.pow import mine_block
 from repro.blockchain.transaction import (
     Transaction,
     TransactionType,
@@ -35,18 +35,14 @@ from repro.blockchain.transaction import (
 
 __all__ = [
     "Block",
-    "BlockHeader",
     "GENESIS_PREVIOUS_HASH",
     "Blockchain",
-    "BlockValidationError",
     "ForkChoice",
     "ForkModel",
     "Mempool",
     "merkle_root",
     "Miner",
-    "MiningResult",
     "mine_block",
-    "sample_mining_time",
     "Transaction",
     "TransactionType",
     "make_global_update_transaction",

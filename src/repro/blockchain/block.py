@@ -18,7 +18,7 @@ from repro.blockchain.merkle import merkle_root
 from repro.blockchain.transaction import Transaction, TransactionType
 from repro.crypto.hashing import sha256_hex
 
-__all__ = ["BlockHeader", "Block", "GENESIS_PREVIOUS_HASH"]
+__all__ = ["Block", "GENESIS_PREVIOUS_HASH"]
 
 #: Previous-hash value of the genesis block.
 GENESIS_PREVIOUS_HASH = "0" * 64

@@ -25,7 +25,7 @@ import numpy as np
 from repro.blockchain.block import Block, GENESIS_PREVIOUS_HASH
 from repro.crypto.hashing import difficulty_to_target, meets_target
 
-__all__ = ["Blockchain", "BlockValidationError", "ForkChoice"]
+__all__ = ["Blockchain", "ForkChoice"]
 
 
 class BlockValidationError(ValueError):

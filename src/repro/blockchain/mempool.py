@@ -20,7 +20,7 @@ from typing import Iterable, Iterator
 
 from repro.blockchain.transaction import Transaction
 
-__all__ = ["Mempool", "pack_block_counts"]
+__all__ = ["Mempool"]
 
 
 def pack_block_counts(sizes: Iterable[int], capacity: int) -> Iterator[int]:

@@ -1,15 +1,14 @@
 """Merkle tree over transaction identifiers.
 
 Blocks commit to their transaction set through a Merkle root, exactly as a
-conventional blockchain does; the proof helpers are used by the tests to show
-membership verification works end-to-end.
+conventional blockchain does.
 """
 
 from __future__ import annotations
 
 from repro.crypto.hashing import sha256_hex
 
-__all__ = ["merkle_root", "merkle_proof", "verify_merkle_proof"]
+__all__ = ["merkle_root"]
 
 #: Root used for an empty transaction list (a block with no transactions is
 #: legal in vanilla blockchain — the "empty block" problem of Section 3.1).
@@ -35,40 +34,3 @@ def merkle_root(tx_ids: list[str]) -> str:
     if not tx_ids:
         return EMPTY_ROOT
     return _build_levels([sha256_hex(t) for t in tx_ids])[-1][0]
-
-
-def merkle_proof(tx_ids: list[str], index: int) -> list[tuple[str, str]]:
-    """Audit path for the transaction at ``index``.
-
-    Returns a list of ``(sibling_hash, side)`` pairs where ``side`` is
-    ``"left"`` or ``"right"`` describing where the sibling sits relative to the
-    running hash.
-    """
-    if not tx_ids:
-        raise ValueError("cannot build a proof over an empty transaction list")
-    if not (0 <= index < len(tx_ids)):
-        raise IndexError(f"index must lie in [0, {len(tx_ids)}), got {index}")
-    levels = _build_levels([sha256_hex(t) for t in tx_ids])
-    proof: list[tuple[str, str]] = []
-    pos = index
-    for level in levels[:-1]:
-        if pos % 2 == 0:
-            sibling = level[pos + 1] if pos + 1 < len(level) else level[pos]
-            proof.append((sibling, "right"))
-        else:
-            proof.append((level[pos - 1], "left"))
-        pos //= 2
-    return proof
-
-
-def verify_merkle_proof(tx_id: str, proof: list[tuple[str, str]], root: str) -> bool:
-    """Check that ``tx_id`` is committed under ``root`` via ``proof``."""
-    running = sha256_hex(tx_id)
-    for sibling, side in proof:
-        if side == "right":
-            running = sha256_hex(running + sibling)
-        elif side == "left":
-            running = sha256_hex(sibling + running)
-        else:
-            raise ValueError(f"proof side must be 'left' or 'right', got {side!r}")
-    return running == root

@@ -22,7 +22,7 @@ import numpy as np
 from repro.blockchain.block import Block
 from repro.crypto.hashing import difficulty_to_target, meets_target
 
-__all__ = ["MiningResult", "mine_block", "sample_mining_time", "sample_winner"]
+__all__ = ["mine_block", "sample_winner"]
 
 
 @dataclass(frozen=True)

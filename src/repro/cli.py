@@ -83,7 +83,7 @@ from repro.serve.workers import ISOLATION_MODES
 from repro.store import DEFAULT_STORE_ROOT, save_markdown
 from repro.systems import SystemRegistryError, load_plugins, system_names
 
-__all__ = ["add_spec_flags", "build_parser", "main"]
+__all__ = ["build_parser", "main"]
 
 #: System-specific spec overrides the CLI applies on top of the shared flags
 #: (the CLI's FedProx baseline keeps the paper's 2% straggler drop).

@@ -18,24 +18,17 @@ scale); this is an educational/simulation implementation, not hardened
 production cryptography.
 """
 
-from repro.crypto.hashing import (
-    difficulty_to_target,
-    hash_to_int,
-    meets_target,
-    sha256_hex,
-)
+from repro.crypto.hashing import difficulty_to_target, meets_target, sha256_hex
 from repro.crypto.keystore import KeyStore
-from repro.crypto.primes import generate_prime, is_probable_prime
+from repro.crypto.primes import generate_prime
 from repro.crypto.rsa import RSAKeyPair, rsa_sign, rsa_verify
 
 __all__ = [
     "difficulty_to_target",
-    "hash_to_int",
     "meets_target",
     "sha256_hex",
     "KeyStore",
     "generate_prime",
-    "is_probable_prime",
     "RSAKeyPair",
     "rsa_sign",
     "rsa_verify",

@@ -12,8 +12,6 @@ import hashlib
 
 __all__ = [
     "sha256_hex",
-    "hash_to_int",
-    "MAX_TARGET",
     "difficulty_to_target",
     "meets_target",
 ]

@@ -14,7 +14,7 @@ from functools import lru_cache
 from repro.crypto.rsa import RSAKeyPair, rsa_verify
 from repro.utils.rng import new_rng
 
-__all__ = ["KeyStore", "derive_key_pair"]
+__all__ = ["KeyStore"]
 
 # Sweeps, searches and the serve daemon rebuild the same population once per
 # cell; the bound keeps a long-lived process flat.  4096 pairs cover the

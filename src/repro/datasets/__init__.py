@@ -14,15 +14,9 @@ from repro.datasets.federated import (
     FederatedDataset,
     build_federated_dataset,
     inject_label_noise,
-    train_test_split,
 )
-from repro.datasets.loaders import BatchIterator, minibatches
-from repro.datasets.partition import (
-    dirichlet_partition,
-    iid_partition,
-    partition_dataset,
-    shard_partition,
-)
+from repro.datasets.loaders import BatchIterator
+from repro.datasets.partition import partition_dataset
 from repro.datasets.synthetic_mnist import SyntheticMNIST, load_synthetic_mnist
 
 __all__ = [
@@ -30,13 +24,8 @@ __all__ = [
     "FederatedDataset",
     "build_federated_dataset",
     "inject_label_noise",
-    "train_test_split",
     "BatchIterator",
-    "minibatches",
-    "dirichlet_partition",
-    "iid_partition",
     "partition_dataset",
-    "shard_partition",
     "SyntheticMNIST",
     "load_synthetic_mnist",
 ]

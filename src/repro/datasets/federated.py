@@ -19,7 +19,6 @@ from repro.utils.rng import new_rng
 __all__ = [
     "ClientDataset",
     "FederatedDataset",
-    "train_test_split",
     "inject_label_noise",
     "build_federated_dataset",
 ]
@@ -41,18 +40,6 @@ def _split_indices(
     held = min(max(1, int(round(n * fraction))), n - 1)
     perm = rng.permutation(n)
     return perm[held:], perm[:held]
-
-
-def train_test_split(
-    dataset: SyntheticMNIST,
-    rng: np.random.Generator,
-    *,
-    test_fraction: float = 0.2,
-) -> tuple[SyntheticMNIST, SyntheticMNIST]:
-    """Split ``dataset`` into train/test subsets (shuffled, disjoint)."""
-    _check_fraction("test_fraction", test_fraction)
-    train_idx, test_idx = _split_indices(len(dataset), test_fraction, rng)
-    return dataset.subset(train_idx), dataset.subset(test_idx)
 
 
 @dataclass

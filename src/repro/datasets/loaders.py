@@ -12,7 +12,7 @@ from collections.abc import Iterator
 
 import numpy as np
 
-__all__ = ["minibatches", "BatchIterator"]
+__all__ = ["BatchIterator"]
 
 
 def minibatches(

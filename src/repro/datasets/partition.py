@@ -21,9 +21,6 @@ import math
 import numpy as np
 
 __all__ = [
-    "iid_partition",
-    "shard_partition",
-    "dirichlet_partition",
     "partition_dataset",
 ]
 

@@ -109,11 +109,6 @@ class SyntheticMNIST:
     def input_dim(self) -> int:
         return IMAGE_PIXELS
 
-    def subset(self, indices: np.ndarray) -> "SyntheticMNIST":
-        """Return a new dataset holding only ``indices`` (a gather: copies the data)."""
-        idx = np.asarray(indices, dtype=np.int64)
-        return SyntheticMNIST(self.images[idx], self.labels[idx])
-
     def class_counts(self) -> np.ndarray:
         """Per-class sample counts (length 10)."""
         return np.bincount(self.labels, minlength=NUM_CLASSES)

@@ -21,12 +21,7 @@ paper's evaluation:
 * :mod:`repro.fl.history` — per-round records shared by all trainers.
 """
 
-from repro.fl.aggregation import (
-    contribution_weights,
-    fair_aggregate,
-    simple_average,
-    weighted_average,
-)
+from repro.fl.aggregation import contribution_weights, fair_aggregate, simple_average
 from repro.fl.client import ClientUpdate, FLClient, LocalTrainingConfig
 from repro.fl.executor import ParallelExecutor
 from repro.fl.robust import DEFENSES, RobustOutcome, make_defense
@@ -41,7 +36,6 @@ __all__ = [
     "contribution_weights",
     "fair_aggregate",
     "simple_average",
-    "weighted_average",
     "ClientUpdate",
     "FLClient",
     "LocalTrainingConfig",

@@ -23,11 +23,9 @@ import numpy as np
 __all__ = [
     "AggregationError",
     "simple_average",
-    "weighted_average",
     "contribution_weights",
     "fair_aggregate",
     "stack_updates",
-    "staleness_weights",
     "merge_stale_updates",
 ]
 

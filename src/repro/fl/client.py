@@ -195,7 +195,6 @@ class FLClient:
         """
         model = self.model
         set_flat_parameters(model, global_parameters)
-        model.train()
         loss_fn = SoftmaxCrossEntropyLoss()
         optimizer = SGD(model, lr=config.learning_rate, weight_decay=config.weight_decay)
         values, grads = model.packed

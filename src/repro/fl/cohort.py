@@ -79,12 +79,12 @@ from typing import Iterator, Mapping
 import numpy as np
 
 from repro.fl.client import ClientUpdate, FLClient, LocalTrainingConfig
-from repro.nn.cohort import CohortModel, CohortUnsupportedError, add_proximal_term, sgd_step
+from repro.nn.cohort import CohortModel, add_proximal_term, sgd_step
 from repro.nn.losses import SoftmaxCrossEntropyLoss
 from repro.nn.metrics import accuracy
 from repro.utils.validation import check_positive
 
-__all__ = ["CohortBlock", "CohortTrainer", "DEFAULT_MAX_COHORT_SIZE"]
+__all__ = ["CohortTrainer"]
 
 #: Default cohort chunk width, the clients of one streamed :class:`CohortBlock`:
 #: a chunk of MNIST-scale logreg clients holds one 32 MB ``(chunk, P)`` matrix
@@ -150,7 +150,7 @@ def _compiled_model(
     if model is None:
         model = models[factory] = CohortModel.from_module(factory())
     if model.num_parameters != int(num_parameters):
-        raise CohortUnsupportedError(
+        raise ValueError(
             f"compiled cohort model has {model.num_parameters} parameters "
             f"but the global vector has {num_parameters}"
         )

@@ -35,7 +35,6 @@ __all__ = [
     "EXECUTOR_BACKENDS",
     "ParallelExecutor",
     "check_executor_settings",
-    "resolve_worker_count",
 ]
 
 #: The supported backends: the per-client loop and the vectorized cohort.

@@ -55,16 +55,7 @@ from repro.utils.vectors import compact_rows_in_place, row_norms
 __all__ = [
     "DEFENSES",
     "RobustOutcome",
-    "NormClipDefense",
-    "KrumDefense",
-    "MedianDefense",
-    "TrimmedMeanDefense",
     "DefensePipeline",
-    "pairwise_sq_distances",
-    "krum_scores",
-    "clip_rows",
-    "coordinate_median",
-    "trimmed_mean",
     "make_defense",
     "check_defense",
 ]

@@ -21,6 +21,7 @@ from repro.nn.parameters import (
     get_flat_parameters,
     set_flat_parameters,
 )
+from repro.utils.vectors import compact_rows_in_place, finite_rows
 
 __all__ = ["CentralServer"]
 
@@ -60,14 +61,22 @@ class CentralServer:
     def aggregate(self, updates: list[ClientUpdate]) -> np.ndarray:
         """Aggregate the round's client updates into new global parameters.
 
-        Without a defense this is the simple average of the stacked updates
-        (an empty list raises :class:`~repro.fl.aggregation.AggregationError`).
-        With one, the stacked matrix first passes through the robust pipeline
-        in direction space (rows minus the current global parameters): an
+        First an update with any NaN or ±Inf entry leaves the round (it would
+        poison every aggregate below); if none is left, the current global
+        parameters stay.  Without a defense the result is the simple average
+        of the stacked updates (an empty list raises
+        :class:`~repro.fl.aggregation.AggregationError`).  With one, the
+        stacked matrix first passes through the robust pipeline in direction
+        space (rows minus the current global parameters): an
         aggregate-replacing defense (median / trimmed mean) supplies the new
         global directly, a filtering defense's clipped survivors are averaged.
         """
         matrix = stack_updates(updates)
+        # Survivors move up in place; an all-finite matrix is the same array.
+        rows = np.flatnonzero(finite_rows(matrix))
+        if not rows.size:
+            return self.global_parameters
+        matrix = compact_rows_in_place(matrix, rows)
         if self.defense is None:
             return self.commit_global(simple_average(matrix))
         # The stacked matrix is the server's own: the defense consumes it.

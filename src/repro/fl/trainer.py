@@ -64,7 +64,7 @@ from repro.nn.models import ModelFactory
 from repro.utils.rng import new_rng
 from repro.utils.timer import SimulatedClock
 
-__all__ = ["CHECKPOINT_SCHEMA_VERSION", "CheckpointError", "Trainer"]
+__all__ = ["CheckpointError", "Trainer"]
 
 #: Version stamped into every checkpoint blob.  Restoring a blob with a
 #: different version raises :class:`CheckpointError`, which resume paths

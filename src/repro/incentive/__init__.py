@@ -16,40 +16,29 @@ Modules
 * :mod:`repro.incentive.strategies` — the keep / discard strategies.
 """
 
-from repro.incentive.clustering import ClusteringResult, DBSCAN, KMeans, make_clusterer
+from repro.incentive.clustering import ClusteringResult, DBSCAN, make_clusterer
 from repro.incentive.contribution import (
     ContributionConfig,
     ContributionReport,
     identify_contributions,
 )
 from repro.incentive.distance import cosine_distance_to_reference
-from repro.incentive.fairness import (
-    fairness_report,
-    gini_coefficient,
-    jains_index,
-    reward_contribution_correlation,
-)
+from repro.incentive.fairness import jains_index
 from repro.incentive.rewards import RewardEntry, RewardLedger, apportion_rewards
-from repro.incentive.strategies import DiscardStrategy, KeepAllStrategy, Strategy, make_strategy
+from repro.incentive.strategies import Strategy, make_strategy
 
 __all__ = [
     "ClusteringResult",
     "DBSCAN",
-    "KMeans",
     "make_clusterer",
     "ContributionConfig",
     "ContributionReport",
     "identify_contributions",
     "cosine_distance_to_reference",
-    "fairness_report",
-    "gini_coefficient",
     "jains_index",
-    "reward_contribution_correlation",
     "RewardEntry",
     "RewardLedger",
     "apportion_rewards",
-    "DiscardStrategy",
-    "KeepAllStrategy",
     "Strategy",
     "make_strategy",
 ]

@@ -26,7 +26,7 @@ from repro.utils.vectors import (
     pairwise_euclidean_distance,
 )
 
-__all__ = ["CLUSTERERS", "ClusteringResult", "DBSCAN", "KMeans", "OwnedRows", "make_clusterer"]
+__all__ = ["CLUSTERERS", "ClusteringResult", "DBSCAN", "OwnedRows", "make_clusterer"]
 
 #: Algorithm names accepted by :func:`make_clusterer`.
 CLUSTERERS = ("dbscan", "kmeans")

@@ -1,108 +1,31 @@
-"""Fairness metrics over the reward distribution.
+"""Fairness of the reward distribution.
 
 The paper claims its aggregation and incentive redesign comes "with guaranteed
-fairness".  These metrics quantify the fairness of the rewards actually issued
-by the mechanism:
-
-* :func:`jains_index` — Jain's fairness index in ``(0, 1]``; 1 means perfectly
-  equal allocations, ``1/k`` means one participant captured everything;
-* :func:`gini_coefficient` — Gini inequality coefficient in ``[0, 1)``;
-  0 means perfect equality;
-* :func:`reward_contribution_correlation` — Pearson correlation between the
-  per-client contribution scores (θ) and the rewards received; a fair
-  contribution-based mechanism should correlate strongly, while a self-reported
-  data-size mechanism need not.
+fairness".  :func:`jains_index` quantifies how evenly the rewards actually
+issued by the mechanism are spread: 1 means perfectly equal allocations,
+``1/k`` means one of ``k`` participants captured everything.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = [
-    "jains_index",
-    "gini_coefficient",
-    "reward_contribution_correlation",
-    "fairness_report",
-]
-
-
-def _as_rewards(values) -> np.ndarray:
-    arr = np.asarray(list(values) if not isinstance(values, np.ndarray) else values, dtype=np.float64).ravel()
-    if arr.size == 0:
-        raise ValueError("at least one reward value is required")
-    if np.any(arr < 0):
-        raise ValueError("rewards must be non-negative")
-    return arr
+__all__ = ["jains_index"]
 
 
 def jains_index(rewards) -> float:
-    """Jain's fairness index ``(Σx)² / (k·Σx²)``.
+    """Jain's fairness index ``(Σx)² / (k·Σx²)`` of non-negative ``rewards``.
 
     Returns 1.0 for an all-zero allocation (no reward was issued, so nobody was
     treated unequally).
     """
-    x = _as_rewards(rewards)
+    values = rewards if isinstance(rewards, np.ndarray) else list(rewards)
+    x = np.asarray(values, dtype=np.float64).ravel()
+    if x.size == 0:
+        raise ValueError("at least one reward value is required")
+    if np.any(x < 0):
+        raise ValueError("rewards must be non-negative")
     sum_sq = float(np.sum(x * x))
     if sum_sq == 0.0:
         return 1.0
     return float(np.sum(x)) ** 2 / (x.size * sum_sq)
-
-
-def gini_coefficient(rewards) -> float:
-    """Gini coefficient of the reward distribution (0 = perfectly equal)."""
-    x = np.sort(_as_rewards(rewards))
-    total = float(x.sum())
-    if total == 0.0:
-        return 0.0
-    n = x.size
-    # Standard formulation via the order statistics.
-    index = np.arange(1, n + 1)
-    return float((2.0 * np.sum(index * x)) / (n * total) - (n + 1.0) / n)
-
-
-def reward_contribution_correlation(contributions, rewards) -> float:
-    """Pearson correlation between contribution scores and issued rewards.
-
-    Degenerate inputs (constant contributions or constant rewards) return 0.0,
-    since no linear association is measurable.
-    """
-    c = np.asarray(list(contributions), dtype=np.float64).ravel()
-    r = _as_rewards(rewards)
-    if c.shape != r.shape:
-        raise ValueError(
-            f"contributions and rewards must align, got {c.shape} vs {r.shape}"
-        )
-    if c.size < 2 or np.std(c) == 0.0 or np.std(r) == 0.0:
-        return 0.0
-    return float(np.corrcoef(c, r)[0, 1])
-
-
-def fairness_report(rewards_by_client: dict[int, float], contributions_by_client: dict[int, float] | None = None) -> dict:
-    """Summarise the fairness of an accumulated reward distribution.
-
-    Parameters
-    ----------
-    rewards_by_client:
-        Mapping of client ID to total reward (e.g.
-        ``RewardLedger.totals`` or ``TrainingHistory.total_rewards()``).
-    contributions_by_client:
-        Optional mapping of client ID to an aggregate contribution score; when
-        provided, the reward/contribution correlation is included.
-    """
-    if not rewards_by_client:
-        raise ValueError("rewards_by_client must not be empty")
-    clients = sorted(rewards_by_client)
-    rewards = [float(rewards_by_client[c]) for c in clients]
-    report = {
-        "num_clients": len(clients),
-        "total_reward": float(sum(rewards)),
-        "jains_index": jains_index(rewards),
-        "gini_coefficient": gini_coefficient(rewards),
-        "max_share": float(max(rewards) / sum(rewards)) if sum(rewards) > 0 else 0.0,
-    }
-    if contributions_by_client is not None:
-        contributions = [float(contributions_by_client.get(c, 0.0)) for c in clients]
-        report["reward_contribution_correlation"] = reward_contribution_correlation(
-            contributions, rewards
-        )
-    return report

@@ -28,8 +28,6 @@ __all__ = [
     "STRATEGIES",
     "StrategyOutcome",
     "Strategy",
-    "KeepAllStrategy",
-    "DiscardStrategy",
     "make_strategy",
 ]
 

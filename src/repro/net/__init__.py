@@ -14,37 +14,20 @@ each round over the whole replicated committee, bit-identically to releases
 that predate this package.
 """
 
-from repro.net.gossip import GossipNetwork, GossipOutcome
+from repro.net.gossip import GossipNetwork
 from repro.net.node import Node
-from repro.net.schedule import (
-    ChurnEvent,
-    NetSchedule,
-    PartitionWindow,
-    parse_churn,
-    parse_partition,
-)
-from repro.net.substrate import BeginRoundReport, GossipSubstrate, NetRoundState
-from repro.net.topology import (
-    TOPOLOGIES,
-    build_peer_sets,
-    connected_components,
-    is_connected,
-)
+from repro.net.schedule import NetSchedule, parse_churn, parse_partition
+from repro.net.substrate import GossipSubstrate
+from repro.net.topology import TOPOLOGIES, build_peer_sets, connected_components
 
 __all__ = [
     "TOPOLOGIES",
-    "BeginRoundReport",
-    "ChurnEvent",
     "GossipNetwork",
-    "GossipOutcome",
     "GossipSubstrate",
-    "NetRoundState",
     "NetSchedule",
     "Node",
-    "PartitionWindow",
     "build_peer_sets",
     "connected_components",
-    "is_connected",
     "parse_churn",
     "parse_partition",
 ]

@@ -27,7 +27,7 @@ from repro.sim.events import EventKernel
 from repro.utils.rng import new_rng
 from repro.utils.validation import check_non_negative
 
-__all__ = ["GossipNetwork", "GossipOutcome"]
+__all__ = ["GossipNetwork"]
 
 
 @dataclass(frozen=True)

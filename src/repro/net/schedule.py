@@ -23,8 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 __all__ = [
-    "PartitionWindow",
-    "ChurnEvent",
     "NetSchedule",
     "parse_partition",
     "parse_churn",

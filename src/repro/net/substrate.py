@@ -47,7 +47,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.blockchain.miner import Miner
     from repro.blockchain.transaction import Transaction
 
-__all__ = ["GossipSubstrate", "NetRoundState", "BeginRoundReport"]
+__all__ = ["GossipSubstrate"]
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from typing import Iterable, Mapping, Sequence
 
 from repro.utils.rng import new_rng
 
-__all__ = ["TOPOLOGIES", "build_peer_sets", "connected_components", "is_connected"]
+__all__ = ["TOPOLOGIES", "build_peer_sets", "connected_components"]
 
 #: Recognised values of the ``topology`` scenario axis.
 TOPOLOGIES = ("global", "full", "ring", "random_k")
@@ -116,8 +116,3 @@ def connected_components(
                     stack.append(peer)
         components.append(tuple(sorted(component)))
     return tuple(sorted(components))
-
-
-def is_connected(peers: Mapping[str, tuple[str, ...]]) -> bool:
-    """Whether the whole peer graph is a single component."""
-    return len(connected_components(peers, peers.keys())) <= 1

@@ -3,9 +3,10 @@
 The paper trains small MNIST models with mini-batch SGD on every federated
 client (Algorithm 1, Procedure I).  This package provides the minimal deep
 learning framework needed for that: composable modules with explicit
-forward/backward passes, softmax cross-entropy and MSE losses, an SGD
-optimizer with momentum and learning-rate schedules, and flat parameter-vector
-access used by the incentive mechanism and the blockchain.
+forward/backward passes (``Flatten``, ``Linear``, ``ReLU`` — what the shipped
+models build), the softmax cross-entropy loss, a constant-rate SGD optimizer
+with weight decay, and flat parameter-vector access used by the incentive
+mechanism and the blockchain.
 
 Design notes
 ------------
@@ -19,12 +20,12 @@ Design notes
 """
 
 from repro.nn.initializers import he_init, xavier_init, zeros_init
-from repro.nn.layers import Dropout, Flatten, Linear, ReLU, Sigmoid, Softmax, Tanh
-from repro.nn.losses import Loss, MSELoss, SoftmaxCrossEntropyLoss
+from repro.nn.layers import Flatten, Linear, ReLU
+from repro.nn.losses import SoftmaxCrossEntropyLoss
 from repro.nn.metrics import accuracy
-from repro.nn.models import build_model, LogisticRegressionModel, MLPClassifier
+from repro.nn.models import LogisticRegressionModel
 from repro.nn.module import Module, Parameter, Sequential
-from repro.nn.optim import SGD, ConstantLR, InverseTimeDecayLR, LRSchedule
+from repro.nn.optim import SGD
 from repro.nn.parameters import (
     accuracy_of_parameters,
     get_flat_parameters,
@@ -35,27 +36,16 @@ __all__ = [
     "he_init",
     "xavier_init",
     "zeros_init",
-    "Dropout",
     "Flatten",
     "Linear",
     "ReLU",
-    "Sigmoid",
-    "Softmax",
-    "Tanh",
-    "Loss",
-    "MSELoss",
     "SoftmaxCrossEntropyLoss",
     "accuracy",
-    "build_model",
     "LogisticRegressionModel",
-    "MLPClassifier",
     "Module",
     "Parameter",
     "Sequential",
     "SGD",
-    "ConstantLR",
-    "InverseTimeDecayLR",
-    "LRSchedule",
     "accuracy_of_parameters",
     "get_flat_parameters",
     "set_flat_parameters",

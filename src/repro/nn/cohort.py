@@ -18,26 +18,20 @@ rests on two properties of NumPy, everything else being elementwise:
   ``argmax``) use the same pairwise summation whatever the leading axes.
 
 ``tests/test_cohort_kernels.py::test_stacked_operands_equal_their_slices``
-holds every layer, the loss and ``accuracy`` to both.  Models containing a
-layer that cannot take the leading axis (e.g. an active ``Dropout``, whose
-per-client RNG draws cannot be stacked) raise :class:`CohortUnsupportedError`
-so callers can fall back to the serial path.
+holds every layer, the loss and ``accuracy`` to both.  The layers are the
+ones every shipped model is built from: ``Flatten``, ``Linear`` and ``ReLU``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.nn.layers import Dropout, Flatten, Linear, ReLU, Sigmoid, Softmax, Tanh
+from repro.nn.layers import Flatten, Linear
 from repro.nn.module import Module
 from repro.nn.optim import add_proximal_term, sgd_step  # one definition; re-exported here
 from repro.nn.parameters import bind_parameters, pack_parameters
 
-__all__ = ["CohortUnsupportedError", "CohortModel", "sgd_step", "add_proximal_term"]
-
-
-class CohortUnsupportedError(TypeError):
-    """The model (or layer) cannot run bit-exactly on stacked operands."""
+__all__ = ["CohortModel", "sgd_step", "add_proximal_term"]
 
 
 class CohortModel:
@@ -58,33 +52,19 @@ class CohortModel:
 
     @classmethod
     def from_module(cls, model: Module) -> "CohortModel":
-        """Adopt ``model`` (a Flatten/Linear/activation stack) as the template.
+        """Adopt ``model`` (a Flatten/Linear/ReLU stack) as the template.
 
         The flat parameter layout follows ``model.parameters()`` order (per
         ``Linear``: weight then bias), i.e. the exact layout of
-        :func:`~repro.nn.parameters.get_flat_parameters`.  ``Flatten`` and a
-        rate-0 ``Dropout`` are not walked: the input is flattened to
-        ``(clients, batch, -1)`` once, the other is the identity.
+        :func:`~repro.nn.parameters.get_flat_parameters`.  ``Flatten`` is not
+        walked: the input is flattened to ``(clients, batch, -1)`` once (every
+        shipped model starts with it).
         """
-        layers: list[Module] = []
-        flat = False
-        for layer in getattr(model, "layers", [model]):
-            if isinstance(layer, Flatten):
-                # Flattening up front instead is the same bytes only if nothing
-                # before this layer read the last axis of an unflattened input.
-                if not flat and any(isinstance(kept, Softmax) for kept in layers):
-                    raise CohortUnsupportedError(
-                        "a Flatten after a Softmax on unflattened input cannot be hoisted"
-                    )
-                flat = True
-            elif isinstance(layer, (Linear, ReLU, Tanh, Sigmoid, Softmax)):
-                flat = flat or isinstance(layer, Linear)
-                layers.append(layer)
-            elif not (isinstance(layer, Dropout) and layer.rate == 0.0):
-                raise CohortUnsupportedError(
-                    f"layer {type(layer).__name__} has no bit-exact batched "
-                    "counterpart; use the serial backend instead"
-                )
+        layers = [
+            layer
+            for layer in getattr(model, "layers", [model])
+            if not isinstance(layer, Flatten)
+        ]
         return cls(model, layers)
 
     def release(self) -> None:

@@ -1,15 +1,15 @@
-"""Layers: Linear, activations, Dropout, Flatten, Softmax.
+"""Layers: Linear, ReLU and Flatten — all the shipped models build.
 
 Every layer implements the ``forward``/``backward`` contract of
 :class:`repro.nn.module.Module`.  Caches required for the backward pass are
 stored on the layer between the two calls (single-threaded per client, which
 matches the sequential per-client training loop of Algorithm 1).
 
-Leading axes: ``Linear`` and the four activations work on ``(..., batch,
-features)`` — the serial loop passes ``(batch, features)``, the cohort engine
+Leading axes: ``Linear`` and ``ReLU`` work on ``(..., batch, features)`` —
+the serial loop passes ``(batch, features)``, the cohort engine
 ``(clients, batch, features)`` to the *same* objects — and each leading index
 gets the bytes of its slice run alone (:mod:`repro.nn.cohort` says why).
-``Flatten`` and an active ``Dropout`` are batch-first only.
+``Flatten`` is batch-first only.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 from repro.nn.initializers import he_init, xavier_init, zeros_init
 from repro.nn.module import Module, Parameter
 
-__all__ = ["Linear", "ReLU", "Tanh", "Sigmoid", "Softmax", "Dropout", "Flatten"]
+__all__ = ["Linear", "ReLU", "Flatten"]
 
 
 class Linear(Module):
@@ -137,107 +137,6 @@ class ReLU(Module):
         if self._mask is None:
             raise RuntimeError("backward called before forward on ReLU layer")
         return np.where(self._mask, np.asarray(grad_output, dtype=np.float64), 0.0)
-
-
-class Tanh(Module):
-    """Hyperbolic-tangent activation."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._output: np.ndarray | None = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._output = np.tanh(np.asarray(x, dtype=np.float64))
-        return self._output
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._output is None:
-            raise RuntimeError("backward called before forward on Tanh layer")
-        return np.asarray(grad_output, dtype=np.float64) * (1.0 - self._output**2)
-
-
-class Sigmoid(Module):
-    """Logistic sigmoid activation."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._output: np.ndarray | None = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        # Numerically stable piecewise formulation.
-        out = np.empty_like(x)
-        pos = x >= 0
-        out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-        exp_x = np.exp(x[~pos])
-        out[~pos] = exp_x / (1.0 + exp_x)
-        self._output = out
-        return out
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._output is None:
-            raise RuntimeError("backward called before forward on Sigmoid layer")
-        s = self._output
-        return np.asarray(grad_output, dtype=np.float64) * s * (1.0 - s)
-
-
-class Softmax(Module):
-    """Softmax over the last axis (row-wise on a ``(batch, classes)`` input).
-
-    The leading axes are free, which is what lets the cohort engine apply
-    this same layer to ``(clients, batch, classes)`` activations.
-
-    Normally the fused :class:`repro.nn.losses.SoftmaxCrossEntropyLoss` is
-    preferred during training; this standalone layer exists for inference-time
-    probability outputs and for models that need explicit probabilities.
-    """
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._output: np.ndarray | None = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        shifted = x - x.max(axis=-1, keepdims=True)
-        exp = np.exp(shifted)
-        self._output = exp / exp.sum(axis=-1, keepdims=True)
-        return self._output
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._output is None:
-            raise RuntimeError("backward called before forward on Softmax layer")
-        s = self._output
-        grad_output = np.asarray(grad_output, dtype=np.float64)
-        # Jacobian-vector product per row: s * (g - sum(g * s)).
-        dot = np.sum(grad_output * s, axis=-1, keepdims=True)
-        return s * (grad_output - dot)
-
-
-class Dropout(Module):
-    """Inverted dropout; identity in evaluation mode."""
-
-    def __init__(self, rate: float, rng: np.random.Generator) -> None:
-        super().__init__()
-        if not (0.0 <= rate < 1.0):
-            raise ValueError(f"dropout rate must lie in [0, 1), got {rate}")
-        self.rate = float(rate)
-        self._rng = rng
-        self._mask: np.ndarray | None = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        if not self.training or self.rate == 0.0:
-            self._mask = None
-            return x
-        keep = 1.0 - self.rate
-        self._mask = (self._rng.random(x.shape) < keep) / keep
-        return x * self._mask
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        grad_output = np.asarray(grad_output, dtype=np.float64)
-        if self._mask is None:
-            return grad_output
-        return grad_output * self._mask
 
 
 class Flatten(Module):

@@ -1,6 +1,6 @@
-"""Loss functions.
+"""The training loss.
 
-Both losses return the scalar mean loss over the batch from ``forward`` and
+The loss returns the scalar mean loss over the batch from ``forward`` and
 the gradient of that mean with respect to the model output from ``backward``,
 so the SGD step in Procedure I of Algorithm 1 sees gradients already scaled by
 ``1/batch_size``.  :class:`SoftmaxCrossEntropyLoss` also takes leading axes
@@ -11,25 +11,10 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["Loss", "SoftmaxCrossEntropyLoss", "MSELoss"]
+__all__ = ["SoftmaxCrossEntropyLoss"]
 
 
-class Loss:
-    """Base class for losses used by the per-client training loop."""
-
-    def forward(self, predictions: np.ndarray, targets: np.ndarray) -> float:
-        """Return the mean loss over the batch."""
-        raise NotImplementedError
-
-    def backward(self) -> np.ndarray:
-        """Return d(mean loss)/d(predictions) for the last ``forward`` call."""
-        raise NotImplementedError
-
-    def __call__(self, predictions: np.ndarray, targets: np.ndarray) -> float:
-        return self.forward(predictions, targets)
-
-
-class SoftmaxCrossEntropyLoss(Loss):
+class SoftmaxCrossEntropyLoss:
     """Fused softmax + cross-entropy over integer class labels.
 
     ``predictions`` are raw logits of shape ``(..., batch, classes)``;
@@ -86,25 +71,3 @@ class SoftmaxCrossEntropyLoss(Loss):
         grad = self._probs.copy()
         grad[self._picks(self._targets)] -= 1.0
         return grad / self._targets.shape[-1]
-
-
-class MSELoss(Loss):
-    """Mean-squared-error loss over arbitrary-shaped predictions/targets."""
-
-    def __init__(self) -> None:
-        self._diff: np.ndarray | None = None
-        self._count: int = 0
-
-    def forward(self, predictions: np.ndarray, targets: np.ndarray) -> float:
-        preds = np.asarray(predictions, dtype=np.float64)
-        targs = np.asarray(targets, dtype=np.float64)
-        if preds.shape != targs.shape:
-            raise ValueError(f"shape mismatch: predictions {preds.shape} vs targets {targs.shape}")
-        self._diff = preds - targs
-        self._count = int(preds.size)
-        return float(np.mean(self._diff**2))
-
-    def backward(self) -> np.ndarray:
-        if self._diff is None:
-            raise RuntimeError("backward called before forward on MSELoss")
-        return 2.0 * self._diff / self._count

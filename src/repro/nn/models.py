@@ -21,7 +21,7 @@ from repro.nn.layers import Flatten, Linear, ReLU
 from repro.nn.module import Module, Sequential
 from repro.utils.rng import new_rng
 
-__all__ = ["MODELS", "LogisticRegressionModel", "MLPClassifier", "build_model", "ModelFactory"]
+__all__ = ["MODELS", "LogisticRegressionModel", "ModelFactory"]
 
 #: Canonical architecture names accepted by :func:`build_model`.
 MODELS = ("logreg", "mlp")

@@ -4,9 +4,8 @@ The design mirrors the familiar ``torch.nn.Module`` contract at the small
 scale this reproduction needs:
 
 * a :class:`Parameter` couples a value array with its gradient accumulator;
-* a :class:`Module` exposes ``forward``/``backward``, enumerates its
-  parameters (recursively through registered sub-modules), and supports
-  train/eval modes (used by :class:`repro.nn.layers.Dropout`);
+* a :class:`Module` exposes ``forward``/``backward`` and enumerates its
+  parameters (recursively through registered sub-modules);
 * a :class:`Sequential` chains modules and propagates gradients in reverse.
 
 ``backward`` takes the gradient of the loss with respect to the module output
@@ -62,7 +61,6 @@ class Module:
     def __init__(self) -> None:
         self._parameters: dict[str, Parameter] = {}
         self._modules: dict[str, "Module"] = {}
-        self.training: bool = True
 
     def __getstate__(self) -> dict:
         # Pickling (or deep-copying) turns views into independent arrays, so a
@@ -101,33 +99,15 @@ class Module:
         for child_name, child in self._modules.items():
             yield from child.named_parameters(prefix=f"{prefix}{child_name}.")
 
-    def modules(self) -> Iterator["Module"]:
-        """Yield this module and all descendants."""
-        yield self
-        for child in self._modules.values():
-            yield from child.modules()
-
     def num_parameters(self) -> int:
         """Total number of scalar parameters."""
         return sum(p.size for p in self.parameters())
 
-    # -- gradient / mode management ----------------------------------------
+    # -- gradient management ------------------------------------------------
     def zero_grad(self) -> None:
         """Reset every parameter gradient of this module tree."""
         for p in self.parameters():
             p.zero_grad()
-
-    def train(self) -> "Module":
-        """Switch this module tree to training mode."""
-        for m in self.modules():
-            m.training = True
-        return self
-
-    def eval(self) -> "Module":
-        """Switch this module tree to evaluation mode."""
-        for m in self.modules():
-            m.training = False
-        return self
 
     # -- computation --------------------------------------------------------
     def forward(self, x: np.ndarray) -> np.ndarray:

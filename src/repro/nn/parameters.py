@@ -119,8 +119,7 @@ def accuracy_of_parameters(
 ) -> float:
     """Accuracy of ``model`` on ``(images, labels)`` under the flat parameters ``vector``.
 
-    Loads ``vector`` into ``model`` and leaves it in evaluation mode.
+    Loads ``vector`` into ``model`` and leaves it there.
     """
     set_flat_parameters(model, vector)
-    model.eval()
     return accuracy(model.forward(images), labels)

@@ -13,7 +13,7 @@ Two layers (see ``docs/architecture.md``), above the trainers they drive:
 trainers in :mod:`repro.fl.executor` and is re-exported here.
 """
 
-from repro.fl.executor import EXECUTOR_BACKENDS, ParallelExecutor, resolve_worker_count
+from repro.fl.executor import EXECUTOR_BACKENDS, ParallelExecutor
 from repro.runner.engine import ExperimentEngine, ScenarioResult
 from repro.runner.scenario import (
     ScenarioError,
@@ -26,7 +26,6 @@ from repro.runner.scenario import (
 __all__ = [
     "EXECUTOR_BACKENDS",
     "ParallelExecutor",
-    "resolve_worker_count",
     "ScenarioError",
     "ScenarioMatrix",
     "ScenarioSpec",

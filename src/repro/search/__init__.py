@@ -11,26 +11,10 @@ promoted trial from its stored checkpoint instead of replaying it.  See
 
 from __future__ import annotations
 
-from repro.search.asha import (
-    PROMOTION_METRICS,
-    PromotionMetric,
-    RungResult,
-    SearchResult,
-    TrialScore,
-    check_metric_supported,
-    resolve_metric,
-    run_search,
-    rung_schedule,
-)
+from repro.search.asha import PROMOTION_METRICS, SearchResult, run_search
 
 __all__ = [
     "PROMOTION_METRICS",
-    "PromotionMetric",
-    "RungResult",
     "SearchResult",
-    "TrialScore",
-    "check_metric_supported",
-    "resolve_metric",
     "run_search",
-    "rung_schedule",
 ]

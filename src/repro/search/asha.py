@@ -40,13 +40,7 @@ if TYPE_CHECKING:  # pragma: no cover - types only
 
 __all__ = [
     "PROMOTION_METRICS",
-    "PromotionMetric",
-    "TrialScore",
-    "RungResult",
     "SearchResult",
-    "resolve_metric",
-    "check_metric_supported",
-    "rung_schedule",
     "run_search",
 ]
 

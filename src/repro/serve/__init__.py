@@ -13,7 +13,7 @@ Layout: ``protocol`` (wire contract), ``jobs`` (queue + lifecycle),
 See ``docs/serve.md``.
 """
 
-from repro.serve.client import JobFailed, ServeClient, ServeClientError
+from repro.serve.client import ServeClient, ServeClientError
 from repro.serve.jobs import Job, JobQueue
 from repro.serve.protocol import ENDPOINTS, JOB_STATES, PROTOCOL_VERSION, ProtocolError
 from repro.serve.server import ReproServer
@@ -25,7 +25,6 @@ __all__ = [
     "JOB_STATES",
     "PROTOCOL_VERSION",
     "Job",
-    "JobFailed",
     "JobQueue",
     "ProtocolError",
     "ReproServer",

@@ -23,7 +23,7 @@ from repro.runner.scenario import ScenarioSpec
 from repro.serve.protocol import ENDPOINTS, TERMINAL_STATES
 from repro.store.records import history_from_payload
 
-__all__ = ["ServeClientError", "JobFailed", "ServeClient"]
+__all__ = ["ServeClientError", "ServeClient"]
 
 
 class ServeClientError(RuntimeError):

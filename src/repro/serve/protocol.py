@@ -28,7 +28,6 @@ from repro.runner.scenario import ScenarioError, ScenarioSpec, scenarios_from_ma
 
 __all__ = [
     "PROTOCOL_VERSION",
-    "Endpoint",
     "ENDPOINTS",
     "JOB_STATES",
     "TERMINAL_STATES",

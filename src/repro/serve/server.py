@@ -55,7 +55,7 @@ from repro.serve.workers import WorkerPool
 from repro.store.records import run_record_payload
 from repro.store.runstore import RunStore, RunStoreError
 
-__all__ = ["MAX_BODY_BYTES", "ReproServer"]
+__all__ = ["ReproServer"]
 
 #: Access lines go here at DEBUG; no handler is installed by this package.
 _LOG = logging.getLogger("repro.serve")

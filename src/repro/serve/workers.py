@@ -33,7 +33,7 @@ import threading
 from repro.runner.engine import ExperimentEngine, RunCancelled
 from repro.serve.jobs import Job, JobQueue
 
-__all__ = ["ISOLATION_MODES", "WorkerCrash", "WorkerPool"]
+__all__ = ["ISOLATION_MODES", "WorkerPool"]
 
 #: How a worker executes a job: inline in its thread, or in a child process.
 ISOLATION_MODES = ("thread", "process")

@@ -27,13 +27,8 @@ from repro.sim.delay import (
     DelayParameters,
     RoundDelayBreakdown,
 )
-from repro.sim.events import EventKernel, EventKernelError, ScheduledEvent, Signal
-from repro.sim.rounds import (
-    ROUND_MODES,
-    ClientArrival,
-    EventRoundSimulator,
-    RoundTiming,
-)
+from repro.sim.events import EventKernel
+from repro.sim.rounds import ROUND_MODES, EventRoundSimulator, RoundTiming
 from repro.sim.vanilla_blockchain import VanillaBlockchainConfig, VanillaBlockchainSimulator
 
 __all__ = [
@@ -42,11 +37,7 @@ __all__ = [
     "DelayParameters",
     "RoundDelayBreakdown",
     "EventKernel",
-    "EventKernelError",
-    "ScheduledEvent",
-    "Signal",
     "ROUND_MODES",
-    "ClientArrival",
     "EventRoundSimulator",
     "RoundTiming",
     "VanillaBlockchainConfig",

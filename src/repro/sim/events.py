@@ -41,7 +41,7 @@ from typing import Callable, Generator
 
 import numpy as np
 
-__all__ = ["EventKernelError", "ScheduledEvent", "Signal", "EventKernel"]
+__all__ = ["EventKernel"]
 
 
 class EventKernelError(RuntimeError):

@@ -49,7 +49,6 @@ from repro.utils.validation import check_choice, check_fraction, check_positive
 
 __all__ = [
     "ROUND_MODES",
-    "ClientArrival",
     "RoundTiming",
     "EventRoundSimulator",
 ]

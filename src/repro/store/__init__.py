@@ -17,22 +17,19 @@ adds ``sweep --resume/--no-cache`` plus the ``report`` subcommand.  See
 ``docs/results.md`` for layout, key semantics, and a walkthrough.
 """
 
-from repro.store.keys import KEY_SCHEMA_VERSION, canonical_json, spec_key
+from repro.store.keys import canonical_json, spec_key
 from repro.store.records import (
     STORE_SCHEMA_VERSION,
     history_from_payload,
     history_to_payload,
-    json_sanitize,
     run_record_payload,
     write_json_record,
 )
-from repro.store.report import REPORT_COLUMNS, report_table, save_markdown, to_markdown
+from repro.store.report import report_table, save_markdown
 from repro.store.runstore import DEFAULT_STORE_ROOT, RunStore, RunStoreError, StoredRun
 
 __all__ = [
     "DEFAULT_STORE_ROOT",
-    "KEY_SCHEMA_VERSION",
-    "REPORT_COLUMNS",
     "RunStore",
     "RunStoreError",
     "STORE_SCHEMA_VERSION",
@@ -40,11 +37,9 @@ __all__ = [
     "canonical_json",
     "history_from_payload",
     "history_to_payload",
-    "json_sanitize",
     "report_table",
     "run_record_payload",
     "save_markdown",
     "spec_key",
-    "to_markdown",
     "write_json_record",
 ]

@@ -32,7 +32,7 @@ import json
 from repro.runner.scenario import ScenarioSpec
 from repro.systems.registry import capability_fingerprint
 
-__all__ = ["KEY_SCHEMA_VERSION", "NON_SEMANTIC_FIELDS", "canonical_json", "spec_key"]
+__all__ = ["canonical_json", "spec_key"]
 
 #: Version of the hashed payload layout.  Bumping it invalidates every
 #: existing store entry at once (``RunStore.gc`` collects them as stale).

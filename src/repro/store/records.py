@@ -31,7 +31,6 @@ from repro.fl.history import RoundRecord, TrainingHistory
 
 __all__ = [
     "STORE_SCHEMA_VERSION",
-    "json_sanitize",
     "write_json_record",
     "history_to_payload",
     "history_from_payload",

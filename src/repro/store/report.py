@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 from repro.core.results import SUMMARY_COLUMNS, ComparisonResult, format_cell, summary_table
 from repro.store.runstore import RunStore, StoredRun
 
-__all__ = ["REPORT_COLUMNS", "report_table", "to_markdown", "save_markdown"]
+__all__ = ["report_table", "save_markdown"]
 
 #: Columns of the stored-run summary table: the shared summary plus the content key.
 REPORT_COLUMNS = (*SUMMARY_COLUMNS, "key")

@@ -4,7 +4,7 @@ The package splits into:
 
 * :mod:`repro.systems.registry` — the :class:`System` protocol,
   :class:`SystemCapabilities`, the typed :class:`RunResult`, and the
-  registry (:func:`register_system` / :func:`get_system` / ``SYSTEMS``);
+  registry (:func:`register_system` / :func:`get_system`);
 * :mod:`repro.systems.builtin` — the five shipped systems (``fairbfl``,
   ``fairbfl-discard``, ``fedavg``, ``fedprox``, ``blockchain``), registered
   on import;
@@ -16,35 +16,27 @@ See ``docs/api.md`` for the extension guide and
 """
 
 from repro.systems.registry import (
-    SYSTEMS,
-    DuplicateSystemError,
     RunResult,
     System,
     SystemCapabilities,
     SystemRegistryError,
     TrainerRun,
-    UnknownSystemError,
     capability_fingerprint,
     check_spec_axes,
     filter_unsupported_axes,
     get_system,
     register_system,
     system_names,
-    systems_supporting,
     unregister_system,
 )
-from repro.systems.plugins import PLUGIN_ENV_VAR, load_plugins
+from repro.systems.plugins import load_plugins
 
 __all__ = [
-    "SYSTEMS",
-    "DuplicateSystemError",
-    "PLUGIN_ENV_VAR",
     "RunResult",
     "System",
     "SystemCapabilities",
     "SystemRegistryError",
     "TrainerRun",
-    "UnknownSystemError",
     "capability_fingerprint",
     "check_spec_axes",
     "filter_unsupported_axes",
@@ -52,7 +44,6 @@ __all__ = [
     "load_plugins",
     "register_system",
     "system_names",
-    "systems_supporting",
     "unregister_system",
 ]
 

@@ -42,11 +42,6 @@ from repro.systems.registry import (
 )
 
 __all__ = [
-    "FairBFLSystem",
-    "FairBFLDiscardSystem",
-    "FedAvgSystem",
-    "FedProxSystem",
-    "VanillaBlockchainSystem",
 ]
 
 

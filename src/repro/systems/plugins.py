@@ -25,7 +25,7 @@ from types import ModuleType
 
 from repro.systems.registry import SystemRegistryError
 
-__all__ = ["PLUGIN_ENV_VAR", "load_plugins"]
+__all__ = ["load_plugins"]
 
 #: Environment variable holding extra plugin entries (os.pathsep-separated).
 PLUGIN_ENV_VAR = "REPRO_PLUGINS"

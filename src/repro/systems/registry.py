@@ -28,7 +28,6 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field, fields
-from types import MappingProxyType
 from typing import TYPE_CHECKING, Mapping
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
@@ -37,18 +36,14 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
 
 __all__ = [
     "SystemRegistryError",
-    "DuplicateSystemError",
-    "UnknownSystemError",
     "SystemCapabilities",
     "RunResult",
     "System",
     "TrainerRun",
-    "SYSTEMS",
     "register_system",
     "unregister_system",
     "get_system",
     "system_names",
-    "systems_supporting",
     "check_spec_axes",
     "filter_unsupported_axes",
     "capability_fingerprint",
@@ -226,9 +221,6 @@ class TrainerRun:
 # ---------------------------------------------------------------------------
 
 _REGISTRY: dict[str, System] = {}
-
-#: Read-only live view of the registry, in registration order.
-SYSTEMS: Mapping[str, System] = MappingProxyType(_REGISTRY)
 
 _BUILTINS_LOADED = False
 _BUILTINS_LOADING = False

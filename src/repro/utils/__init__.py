@@ -13,30 +13,21 @@ every other subsystem:
 * :mod:`repro.utils.timer` -- the simulated clock.
 """
 
-from repro.utils.rng import RngRegistry, derive_seed, new_rng
+from repro.utils.rng import new_rng
 from repro.utils.timer import SimulatedClock
 from repro.utils.validation import (
     check_non_negative,
     check_positive,
     check_probability,
 )
-from repro.utils.vectors import (
-    cosine_distance,
-    cosine_similarity,
-    flatten_arrays,
-    unflatten_array,
-)
+from repro.utils.vectors import flatten_arrays, unflatten_array
 
 __all__ = [
-    "RngRegistry",
-    "derive_seed",
     "new_rng",
     "SimulatedClock",
     "check_non_negative",
     "check_positive",
     "check_probability",
-    "cosine_distance",
-    "cosine_similarity",
     "flatten_arrays",
     "unflatten_array",
 ]

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["derive_seed", "new_rng", "RngRegistry"]
+__all__ = ["new_rng"]
 
 
 def derive_seed(base_seed: int, *labels: object) -> int:

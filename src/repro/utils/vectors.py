@@ -7,10 +7,10 @@ distance primitives shared by all of those components.
 
 All functions operate on ``numpy.ndarray`` of ``float64`` and avoid Python
 loops over elements (see the repository HPC guides): distances over a batch of
-vectors are computed with a single matrix product.  No public function writes
-to its argument; the ``*_in_place`` bodies they share overwrite a buffer the
-caller owns, which is how one round's direction buffer is normalised without
-a second copy.
+vectors are computed with a single matrix product.  Only the ``*_in_place``
+functions write to their argument: they overwrite a buffer the caller owns,
+which is how one round's direction buffer is normalised without a second
+copy.
 """
 
 from __future__ import annotations
@@ -23,11 +23,9 @@ import numpy as np
 __all__ = [
     "flatten_arrays",
     "unflatten_array",
-    "cosine_similarity",
-    "cosine_distance",
     "row_norms",
     "finite_rows",
-    "pairwise_cosine_distance",
+    "pairwise_cosine_distance_in_place",
     "pairwise_euclidean_distance",
 ]
 
@@ -78,28 +76,6 @@ def unflatten_array(vector: np.ndarray, shapes: Sequence[tuple[int, ...]]) -> li
         out.append(vector[offset : offset + size].reshape(shape).copy())
         offset += size
     return out
-
-
-def cosine_similarity(a: np.ndarray, b: np.ndarray, *, eps: float = 1e-12) -> float:
-    """Cosine similarity in ``[-1, 1]``; zero vectors are treated as orthogonal."""
-    a = np.asarray(a, dtype=np.float64).ravel()
-    b = np.asarray(b, dtype=np.float64).ravel()
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    na = np.linalg.norm(a)
-    nb = np.linalg.norm(b)
-    if na < eps or nb < eps:
-        return 0.0
-    return float(np.clip(np.dot(a, b) / (na * nb), -1.0, 1.0))
-
-
-def cosine_distance(a: np.ndarray, b: np.ndarray, *, eps: float = 1e-12) -> float:
-    """Cosine distance ``1 - cos(a, b)`` in ``[0, 2]``.
-
-    This is the :math:`\\theta_i` used by Algorithm 2 of the paper ("the larger
-    the θ, the farther the distance").
-    """
-    return 1.0 - cosine_similarity(a, b, eps=eps)
 
 
 def _check_rows(matrix: np.ndarray) -> np.ndarray:
@@ -163,17 +139,8 @@ def normalise_rows_in_place(m: np.ndarray, *, eps: float = 1e-12) -> np.ndarray:
     return norms < eps
 
 
-def pairwise_cosine_distance(matrix: np.ndarray, *, eps: float = 1e-12) -> np.ndarray:
-    """Pairwise cosine-distance matrix for the rows of ``matrix``.
-
-    Implemented as a single normalised Gram-matrix product (no Python loops),
-    which is the dominant cost in Algorithm 2 at scale.
-    """
-    return pairwise_cosine_distance_in_place(np.array(matrix, dtype=np.float64), eps=eps)
-
-
 def pairwise_cosine_distance_in_place(m: np.ndarray, *, eps: float = 1e-12) -> np.ndarray:
-    """:func:`pairwise_cosine_distance` of the owned ``float64`` matrix ``m``.
+    """Pairwise cosine-distance matrix for the rows of the owned ``float64`` matrix ``m``.
 
     Normalises ``m``'s rows in place (see :func:`normalise_rows_in_place`)
     and takes their Gram matrix, so it needs no copy of ``m``.

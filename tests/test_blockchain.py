@@ -15,7 +15,7 @@ from repro.blockchain import transaction as transaction_module
 from repro.blockchain.block import Block, GENESIS_PREVIOUS_HASH
 from repro.blockchain.chain import Blockchain, BlockValidationError
 from repro.blockchain.mempool import Mempool
-from repro.blockchain.merkle import merkle_proof, merkle_root, verify_merkle_proof
+from repro.blockchain.merkle import merkle_root
 from repro.blockchain.pow import mine_block, sample_mining_time, sample_winner
 from repro.blockchain.transaction import (
     Transaction,
@@ -99,25 +99,21 @@ class TestMerkle:
     def test_single_leaf(self):
         assert len(merkle_root(["only"])) == 64
 
-    @pytest.mark.parametrize("count", [1, 2, 3, 5, 8, 13])
-    def test_proofs_verify(self, count):
-        tx_ids = [f"tx-{i}" for i in range(count)]
-        root = merkle_root(tx_ids)
-        for i, tx in enumerate(tx_ids):
-            proof = merkle_proof(tx_ids, i)
-            assert verify_merkle_proof(tx, proof, root)
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13])
+    def test_root_commits_to_every_leaf(self, n):
+        leaves = [f"tx-{i}" for i in range(n)]
+        root = merkle_root(leaves)
+        for i in range(n):
+            tampered = list(leaves)
+            tampered[i] = "forged"
+            assert merkle_root(tampered) != root, i
 
-    def test_proof_fails_for_wrong_leaf(self):
-        tx_ids = ["a", "b", "c", "d"]
-        root = merkle_root(tx_ids)
-        proof = merkle_proof(tx_ids, 0)
-        assert not verify_merkle_proof("z", proof, root)
-
-    def test_proof_index_out_of_range(self):
-        with pytest.raises(IndexError):
-            merkle_proof(["a"], 3)
-        with pytest.raises(ValueError):
-            merkle_proof([], 0)
+    @pytest.mark.parametrize("n", [3, 5, 13])
+    def test_odd_level_pairs_its_last_node_with_itself(self, n):
+        """The documented pairing rule: an odd level's last node is hashed with
+        a copy of itself, so repeating the last leaf gives the same root."""
+        leaves = [f"tx-{i}" for i in range(n)]
+        assert merkle_root(leaves + leaves[-1:]) == merkle_root(leaves)
 
 
 class TestBlocks:
@@ -428,15 +424,6 @@ class TestMempool:
     def test_invalid_block_size(self):
         with pytest.raises(ValueError):
             Mempool(block_size_bytes=0)
-
-
-@given(st.lists(st.text(min_size=1, max_size=12), min_size=1, max_size=20, unique=True))
-@settings(max_examples=30, deadline=None)
-def test_merkle_proof_property(tx_ids):
-    """Property: every leaf of any transaction list has a verifying audit path."""
-    root = merkle_root(tx_ids)
-    for i, tx in enumerate(tx_ids):
-        assert verify_merkle_proof(tx, merkle_proof(tx_ids, i), root)
 
 
 @given(st.integers(1, 30), st.integers(1, 12))

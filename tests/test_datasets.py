@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 from repro.datasets.federated import (
     ClientDataset,
     FederatedDataset,
+    _split_indices,
     build_federated_dataset,
     inject_label_noise,
-    train_test_split,
 )
 from repro.datasets.loaders import BatchIterator, minibatches
 from repro.datasets.partition import (
@@ -84,11 +84,6 @@ class TestSyntheticMNIST:
             load_synthetic_mnist(10, deformation=2.0)
         with pytest.raises(ValueError):
             load_synthetic_mnist(10, class_proportions=np.ones(5))
-
-    def test_subset(self, tiny_dataset):
-        sub = tiny_dataset.subset(np.arange(10))
-        assert len(sub) == 10
-        np.testing.assert_array_equal(sub.labels, tiny_dataset.labels[:10])
 
     def test_class_counts(self, tiny_dataset):
         counts = tiny_dataset.class_counts()
@@ -176,29 +171,25 @@ class TestPartitioning:
 
 
 class TestTrainTestSplit:
-    def test_sizes(self, tiny_dataset):
-        train, test = train_test_split(tiny_dataset, new_rng(0, "split"), test_fraction=0.25)
-        assert len(train) + len(test) == len(tiny_dataset)
-        assert len(test) == pytest.approx(0.25 * len(tiny_dataset), abs=1)
-
-    def test_invalid_fraction(self, tiny_dataset):
+    def test_split_rule_keeps_one_training_row(self):
+        # The rule the test and client-local splits use: hold out at least one
+        # row, keep at least one.
+        kept, held = _split_indices(3, 0.9, new_rng(0, "split"))
+        assert (len(kept), len(held)) == (1, 2)
         with pytest.raises(ValueError):
-            train_test_split(tiny_dataset, new_rng(0, "split"), test_fraction=0.0)
+            _split_indices(1, 0.2, new_rng(0, "split"))
 
-    def test_split_rule_keeps_one_training_row(self, tiny_dataset):
-        # The rule the client-local split uses: hold out at least one row, keep at least one.
-        train, test = train_test_split(
-            tiny_dataset.subset(np.arange(3)), new_rng(0, "split"), test_fraction=0.9
-        )
-        assert (len(train), len(test)) == (1, 2)
-        with pytest.raises(ValueError):
-            train_test_split(tiny_dataset.subset(np.arange(1)), new_rng(0, "split"))
+    @pytest.mark.parametrize(
+        "n, fraction, held",
+        [(10, 0.2, 2), (7, 0.3, 2), (2, 0.5, 1), (5, 0.0, 1), (4, 1.0, 3)],
+    )
+    def test_split_sizes(self, n, fraction, held):
+        kept, held_out = _split_indices(n, fraction, new_rng(0, "split"))
+        assert (len(kept), len(held_out)) == (n - held, held)
 
-    def test_subsets_own_their_rows(self, tiny_dataset):
-        train, test = train_test_split(tiny_dataset, new_rng(0, "split"))
-        for part in (train, test):
-            assert not np.shares_memory(part.images, tiny_dataset.images)
-            assert not np.shares_memory(part.labels, tiny_dataset.labels)
+    def test_split_partitions_the_rows(self):
+        kept, held_out = _split_indices(20, 0.3, new_rng(1, "split"))
+        assert sorted(np.concatenate([kept, held_out]).tolist()) == list(range(20))
 
 
 class TestFederatedDataset:

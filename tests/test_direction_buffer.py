@@ -39,7 +39,7 @@ from repro.incentive.contribution import ContributionConfig, identify_contributi
 from repro.incentive.distance import cosine_distance_to_reference
 from repro.incentive.rewards import apportion_rewards
 from repro.incentive.strategies import DiscardStrategy, KeepAllStrategy
-from repro.utils.vectors import NORM_BLOCK_ROWS, pairwise_cosine_distance, row_norms
+from repro.utils.vectors import NORM_BLOCK_ROWS, pairwise_cosine_distance_in_place, row_norms
 
 pytestmark = pytest.mark.aggregation
 
@@ -147,7 +147,8 @@ def test_weighted_average_and_fair_aggregate_equal_parent(m, data):
 @given(m=matrices())
 def test_pairwise_cosine_distance_equals_parent(m):
     before = m.tobytes()
-    assert pairwise_cosine_distance(m).tobytes() == _parent_pairwise_cosine_distance(m).tobytes()
+    got = pairwise_cosine_distance_in_place(m.copy())
+    assert got.tobytes() == _parent_pairwise_cosine_distance(m).tobytes()
     labels = DBSCAN(eps=0.7, min_samples=2).fit(m).labels
     assert m.tobytes() == before
     # A handed-over buffer is clustered in place, to the same labels.

@@ -208,6 +208,110 @@ class TestDocsFreshness:
         assert problem.startswith("src/repro/blockchain/transaction.py:3: ")
         assert "'runner/checkpoint.py'" in problem
 
+    def _export_tree(self, tmp_path, monkeypatch):
+        """A repo whose ``repro.pkg.mod`` exports ``used`` (imported by a
+        sibling module) and ``unused`` (re-exported by the package only)."""
+        check_docs = self._load_check_docs()
+        assert check_docs.check_exports() == []
+        package = tmp_path / "src" / "repro" / "pkg"
+        package.mkdir(parents=True)
+        (tmp_path / "src" / "repro" / "api.py").write_text("__all__ = []\n", encoding="utf-8")
+        (package / "__init__.py").write_text(
+            "from repro.pkg.mod import unused, used\n__all__ = ['unused', 'used']\n",
+            encoding="utf-8",
+        )
+        (package / "mod.py").write_text(
+            '__all__ = ["used", "unused"]\n\ndef used():\n    return unused()\n\n'
+            "def unused():\n    return 0\n",
+            encoding="utf-8",
+        )
+        (package / "other.py").write_text("from repro.pkg.mod import used\n", encoding="utf-8")
+        monkeypatch.setattr(check_docs, "REPO_ROOT", tmp_path)
+        monkeypatch.setattr(check_docs, "SRC_ROOT", tmp_path / "src")
+        monkeypatch.setattr(check_docs, "EXPORT_ALLOWLIST", {})
+        return check_docs
+
+    def test_exports_catch_a_callerless_name(self, tmp_path, monkeypatch):
+        check_docs = self._export_tree(tmp_path, monkeypatch)
+        (problem,) = check_docs.check_exports()
+        assert problem.startswith("src/repro/pkg/mod.py: 'unused' is in __all__")
+
+    def test_exports_do_not_count_a_use_from_tests(self, tmp_path, monkeypatch):
+        check_docs = self._export_tree(tmp_path, monkeypatch)
+        (tmp_path / "tests").mkdir()
+        (tmp_path / "tests" / "test_mod.py").write_text(
+            "from repro.pkg.mod import unused\n", encoding="utf-8"
+        )
+        (problem,) = check_docs.check_exports()
+        assert "'unused'" in problem
+
+    def test_exports_count_a_use_from_benchmarks(self, tmp_path, monkeypatch):
+        check_docs = self._export_tree(tmp_path, monkeypatch)
+        (tmp_path / "benchmarks").mkdir()
+        (tmp_path / "benchmarks" / "bench_mod.py").write_text(
+            "from repro.pkg import mod\nmod.unused()\n", encoding="utf-8"
+        )
+        assert check_docs.check_exports() == []
+
+    def test_exports_count_a_use_from_examples(self, tmp_path, monkeypatch):
+        check_docs = self._export_tree(tmp_path, monkeypatch)
+        (tmp_path / "examples").mkdir()
+        (tmp_path / "examples" / "demo.py").write_text(
+            "import repro.pkg.mod as m\nprint(m.unused)\n", encoding="utf-8"
+        )
+        assert check_docs.check_exports() == []
+
+    def test_exports_count_an_aliased_import_from_tools(self, tmp_path, monkeypatch):
+        check_docs = self._export_tree(tmp_path, monkeypatch)
+        (tmp_path / "tools").mkdir()
+        (tmp_path / "tools" / "tool.py").write_text(
+            "from repro.pkg.mod import unused as u\n", encoding="utf-8"
+        )
+        assert check_docs.check_exports() == []
+
+    def test_exports_do_not_count_a_string_mention(self, tmp_path, monkeypatch):
+        check_docs = self._export_tree(tmp_path, monkeypatch)
+        (tmp_path / "src" / "repro" / "pkg" / "other.py").write_text(
+            '"""Calls unused() by name."""\nfrom repro.pkg import mod\n'
+            'from repro.pkg.mod import used\ngetattr(mod, "unused")\n',
+            encoding="utf-8",
+        )
+        (problem,) = check_docs.check_exports()
+        assert "'unused'" in problem
+
+    def test_exports_do_not_count_a_binding_of_the_name(self, tmp_path, monkeypatch):
+        check_docs = self._export_tree(tmp_path, monkeypatch)
+        (tmp_path / "benchmarks").mkdir()
+        (tmp_path / "benchmarks" / "bench_mod.py").write_text(
+            "unused = 3\n\ndef f(unused=None):\n    pass\n", encoding="utf-8"
+        )
+        (problem,) = check_docs.check_exports()
+        assert "'unused'" in problem
+
+    def test_exports_pass_a_facade_name(self, tmp_path, monkeypatch):
+        check_docs = self._export_tree(tmp_path, monkeypatch)
+        (tmp_path / "src" / "repro" / "api.py").write_text(
+            "__all__ = ['unused']\n", encoding="utf-8"
+        )
+        assert check_docs.check_exports() == []
+
+    def test_exports_catch_a_stale_allow_list_entry(self, tmp_path, monkeypatch):
+        check_docs = self._export_tree(tmp_path, monkeypatch)
+        monkeypatch.setattr(
+            check_docs,
+            "EXPORT_ALLOWLIST",
+            {
+                "repro.pkg.mod:unused": "kept on purpose",
+                "repro.pkg.mod:used": "no longer needed: other.py uses it",
+                "repro.pkg.mod:gone": "deleted since",
+            },
+        )
+        problems = check_docs.check_exports()
+        assert problems == [
+            "export allow-list entry 'repro.pkg.mod:used' is stale: the name is used",
+            "export allow-list entry 'repro.pkg.mod:gone' is stale: no module exports that name",
+        ]
+
     def test_readme_benchmark_map_is_fresh(self):
         import re
 

@@ -18,18 +18,16 @@ from repro.blockchain.miner import Miner
 from repro.blockchain.transaction import make_gradient_transaction
 from repro.net import (
     TOPOLOGIES,
-    ChurnEvent,
     GossipNetwork,
     GossipSubstrate,
     NetSchedule,
     Node,
-    PartitionWindow,
     build_peer_sets,
     connected_components,
-    is_connected,
     parse_churn,
     parse_partition,
 )
+from repro.net.schedule import ChurnEvent, PartitionWindow
 
 pytestmark = pytest.mark.net
 
@@ -78,7 +76,7 @@ class TestTopology:
             a = build_peer_sets(IDS, "random_k", peer_k=1, seed=seed)
             b = build_peer_sets(IDS, "random_k", peer_k=1, seed=seed)
             assert a == b
-            assert is_connected(a)
+            assert len(connected_components(a, a)) == 1
 
     def test_random_k_seed_changes_graph(self):
         graphs = {
@@ -92,6 +90,18 @@ class TestTopology:
         for nid, ps in peers.items():
             for peer in ps:
                 assert nid in peers[peer]
+
+    @pytest.mark.parametrize("topology", TOPOLOGIES)
+    def test_every_topology_is_one_component(self, topology):
+        peers = build_peer_sets(IDS, topology, peer_k=1, seed=2)
+        assert connected_components(peers, IDS) == (tuple(sorted(IDS)),)
+
+    @pytest.mark.parametrize("topology", TOPOLOGIES)
+    def test_every_topology_is_undirected_without_self_links(self, topology):
+        peers = build_peer_sets(IDS, topology, peer_k=2, seed=4)
+        for nid, ps in peers.items():
+            assert nid not in ps
+            assert all(nid in peers[peer] for peer in ps)
 
     def test_validation_errors(self):
         with pytest.raises(ValueError, match="unknown topology"):

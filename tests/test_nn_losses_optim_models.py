@@ -1,4 +1,4 @@
-"""Tests for losses, optimizers, schedules, models, metrics, initializers."""
+"""Tests for the loss, the optimizer, models, metrics, initializers."""
 
 from __future__ import annotations
 
@@ -7,11 +7,11 @@ import pytest
 
 from repro.nn.initializers import he_init, xavier_init, zeros_init
 from repro.nn.layers import Linear
-from repro.nn.losses import MSELoss, SoftmaxCrossEntropyLoss
+from repro.nn.losses import SoftmaxCrossEntropyLoss
 from repro.nn.metrics import accuracy
 from repro.nn.models import LogisticRegressionModel, MLPClassifier, build_model
 from repro.nn.module import Parameter, Sequential
-from repro.nn.optim import SGD, ConstantLR, InverseTimeDecayLR
+from repro.nn.optim import SGD
 from repro.utils.rng import new_rng
 
 
@@ -68,50 +68,6 @@ class TestSoftmaxCrossEntropy:
         assert last < first
 
 
-class TestMSELoss:
-    def test_zero_for_equal(self):
-        loss = MSELoss()
-        assert loss.forward(np.ones((3, 2)), np.ones((3, 2))) == 0.0
-
-    def test_value(self):
-        loss = MSELoss()
-        assert loss.forward(np.array([[2.0]]), np.array([[0.0]])) == pytest.approx(4.0)
-
-    def test_gradient(self):
-        loss = MSELoss()
-        loss.forward(np.array([[2.0, 0.0]]), np.array([[0.0, 0.0]]))
-        np.testing.assert_allclose(loss.backward(), [[2.0, 0.0]])
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            MSELoss().forward(np.zeros((2, 2)), np.zeros((2, 3)))
-
-
-class TestSchedules:
-    def test_constant(self):
-        assert ConstantLR(0.05).learning_rate(100) == 0.05
-
-    def test_constant_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            ConstantLR(0.0)
-
-    def test_inverse_time_decay_matches_theorem_form(self):
-        # eta_r = 2 / (mu * (gamma + r)) with mu = 0.5, gamma = 8.
-        mu, gamma = 0.5, 8.0
-        sched = InverseTimeDecayLR(beta=2.0 / mu, gamma=gamma)
-        for r in (0, 1, 5, 50):
-            assert sched.learning_rate(r) == pytest.approx(2.0 / (mu * (gamma + r)))
-
-    def test_inverse_time_decay_is_decreasing(self):
-        sched = InverseTimeDecayLR(1.0, 1.0)
-        rates = [sched.learning_rate(r) for r in range(20)]
-        assert all(a > b for a, b in zip(rates, rates[1:]))
-
-    def test_inverse_time_negative_step_rejected(self):
-        with pytest.raises(ValueError):
-            InverseTimeDecayLR(1.0, 1.0).learning_rate(-1)
-
-
 class TestSGD:
     def test_basic_step(self):
         p = Parameter(np.array([1.0, 2.0]))
@@ -124,32 +80,24 @@ class TestSGD:
         with pytest.raises(ValueError):
             SGD([], lr=0.1)
 
-    def test_momentum_accumulates(self):
-        p = Parameter(np.array([0.0]))
-        opt = SGD([p], lr=0.1, momentum=0.9)
-        for _ in range(3):
-            p.grad[:] = [1.0]
-            opt.step()
-        # With momentum the total displacement exceeds 3 * lr * grad.
-        assert p.value[0] < -0.3
-
-    def test_invalid_momentum(self):
+    def test_rejects_nonpositive_lr(self):
         with pytest.raises(ValueError):
-            SGD([Parameter(np.zeros(1))], momentum=1.0)
+            SGD([Parameter(np.zeros(1))], lr=0.0)
+
+    @pytest.mark.parametrize("lr", [-0.1, float("nan"), float("inf")])
+    def test_rejects_invalid_lr(self, lr):
+        with pytest.raises(ValueError, match="lr"):
+            SGD([Parameter(np.zeros(1))], lr=lr)
+
+    def test_rejects_negative_weight_decay(self):
+        with pytest.raises(ValueError, match="weight_decay"):
+            SGD([Parameter(np.zeros(1))], lr=0.1, weight_decay=-0.01)
 
     def test_weight_decay_shrinks_weights(self):
         p = Parameter(np.array([10.0]))
         p.grad[:] = [0.0]
         SGD([p], lr=0.1, weight_decay=0.5).step()
         assert p.value[0] < 10.0
-
-    def test_schedule_used(self):
-        p = Parameter(np.zeros(1))
-        opt = SGD([p], lr=InverseTimeDecayLR(beta=1.0, gamma=1.0))
-        assert opt.current_lr == 1.0
-        p.grad[:] = [1.0]
-        opt.step()
-        assert opt.current_lr == pytest.approx(0.5)
 
     def test_zero_grad(self):
         p = Parameter(np.zeros(2))

@@ -37,6 +37,9 @@ from repro.runner.scenario import ScenarioError, ScenarioSpec
 
 pytestmark = pytest.mark.aggregation
 
+#: Every primitive defense, and two chains, for the server's non-finite screen.
+SCREENED_DEFENSES = (*DEFENSES, "norm_clip+multi_krum", "norm_clip+median")
+
 
 def _honest_vs_attackers(honest: int = 6, attackers: int = 2, dim: int = 4):
     """A direction matrix: a tight honest cluster plus sign-flipped outliers."""
@@ -279,6 +282,45 @@ class TestCentralServerDefense:
         new_global = server.aggregate([_update(0, start + 2.0), _update(1, start + 4.0)])
         np.testing.assert_allclose(new_global, start + 3.0)
         assert server.last_defense_outcome is None
+
+    def _screened_round(self, defense, poisoned, bad):
+        """The round with ``bad`` written into rows ``poisoned``, and the round
+        those uploads never joined."""
+        start = self._server().global_parameters
+        rows = start + 0.1 * np.random.default_rng(5).normal(size=(7, start.size))
+        without = np.delete(rows, poisoned, axis=0)
+        clean = self._server(defense=defense).aggregate(
+            [_update(i, r) for i, r in enumerate(without)]
+        )
+        rows[poisoned, 1] = bad
+        got = self._server(defense=defense).aggregate(
+            [_update(i, r) for i, r in enumerate(rows)]
+        )
+        return got, clean
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("defense", SCREENED_DEFENSES)
+    def test_non_finite_upload_leaves_the_round(self, bad, defense):
+        """The screened round is the round the poisoned upload never joined."""
+        got, clean = self._screened_round(defense, [3], bad)
+        assert np.all(np.isfinite(got))
+        assert got.tobytes() == clean.tobytes()
+
+    @pytest.mark.parametrize("defense", SCREENED_DEFENSES)
+    def test_non_finite_first_and_last_uploads_leave_the_round(self, defense):
+        """Compaction keeps the survivors' order when the first and the last
+        rows go (NaN in one, +Inf in the other)."""
+        got, clean = self._screened_round(defense, [0, 6], np.array([np.nan, np.inf]))
+        assert np.all(np.isfinite(got))
+        assert got.tobytes() == clean.tobytes()
+
+    @pytest.mark.parametrize("defense", SCREENED_DEFENSES)
+    def test_all_uploads_non_finite_keeps_the_global(self, defense):
+        server = self._server(defense=defense)
+        start = server.global_parameters.copy()
+        updates = [_update(0, np.full_like(start, np.nan)), _update(1, start + np.inf)]
+        assert server.aggregate(updates).tobytes() == start.tobytes()
+        assert server.global_parameters.tobytes() == start.tobytes()
 
 
 def _trainer_config(**overrides) -> FairBFLConfig:

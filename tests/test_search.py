@@ -31,13 +31,8 @@ from repro import api
 from repro.cli import main
 from repro.runner.engine import ExperimentEngine
 from repro.runner.scenario import ScenarioError, ScenarioSpec
-from repro.search import (
-    PROMOTION_METRICS,
-    check_metric_supported,
-    resolve_metric,
-    run_search,
-    rung_schedule,
-)
+from repro.search import PROMOTION_METRICS, run_search
+from repro.search.asha import check_metric_supported, resolve_metric, rung_schedule
 from repro.store import RunStore
 
 SMALL = dict(system="fairbfl", num_clients=6, num_samples=240, num_rounds=6, seed=3)

@@ -41,12 +41,11 @@ from repro.store import (
     RunStoreError,
     history_from_payload,
     history_to_payload,
-    json_sanitize,
     spec_key,
-    to_markdown,
     write_json_record,
 )
-from repro.store.records import STORE_SCHEMA_VERSION
+from repro.store.records import STORE_SCHEMA_VERSION, json_sanitize
+from repro.store.report import to_markdown
 from repro.systems import (
     RunResult,
     System,

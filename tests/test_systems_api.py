@@ -3,8 +3,7 @@
 The central claims under test:
 
 * **registry semantics** — duplicate and unknown names fail with actionable
-  messages, registrations satisfy the ``System`` protocol, and the ``SYSTEMS``
-  view is read-only;
+  messages, and registrations satisfy the ``System`` protocol;
 * **capability-derived validation** — engaging ``round_mode``/``attacks``/
   ``defense`` on a system whose registration lacks the axis is a
   ``ScenarioError``, and ``filter_unsupported_axes`` drops exactly those
@@ -30,21 +29,18 @@ from repro.fl.history import RoundRecord, TrainingHistory
 from repro.runner.engine import ExperimentEngine
 from repro.runner.scenario import ScenarioError, ScenarioSpec
 from repro.systems import (
-    SYSTEMS,
-    DuplicateSystemError,
     RunResult,
     System,
     SystemCapabilities,
     SystemRegistryError,
-    UnknownSystemError,
     filter_unsupported_axes,
     get_system,
     load_plugins,
     register_system,
     system_names,
-    systems_supporting,
     unregister_system,
 )
+from repro.systems.registry import DuplicateSystemError, UnknownSystemError, systems_supporting
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 BUILTINS = ("fairbfl", "fairbfl-discard", "fedavg", "fedprox", "blockchain")
@@ -182,11 +178,6 @@ class TestRegistry:
 
         with pytest.raises(SystemRegistryError, match="SystemCapabilities"):
             register_system(BadCapabilities())
-
-    def test_systems_view_is_readonly_and_live(self, toy_system):
-        assert SYSTEMS["toy"] is toy_system
-        with pytest.raises(TypeError):
-            SYSTEMS["sneaky"] = toy_system  # type: ignore[index]
 
     def test_systems_supporting(self):
         assert set(systems_supporting("round_modes")) == {"fairbfl", "fairbfl-discard"}

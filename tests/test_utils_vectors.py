@@ -9,13 +9,16 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.utils.vectors import (
-    cosine_distance,
-    cosine_similarity,
     flatten_arrays,
-    pairwise_cosine_distance,
+    pairwise_cosine_distance_in_place,
     pairwise_euclidean_distance,
     unflatten_array,
 )
+
+
+def pairwise_cosine_distance(m):
+    """The pairwise cosine distances of a private copy of ``m``."""
+    return pairwise_cosine_distance_in_place(np.array(m, dtype=np.float64))
 
 
 class TestFlattenUnflatten:
@@ -45,32 +48,6 @@ class TestFlattenUnflatten:
         np.testing.assert_allclose(flat, [1.0, 2.0, 3.0])
 
 
-class TestNormsAndDistances:
-    def test_cosine_similarity_identical(self):
-        v = np.array([1.0, 2.0, 3.0])
-        assert cosine_similarity(v, 2 * v) == pytest.approx(1.0)
-
-    def test_cosine_similarity_opposite(self):
-        v = np.array([1.0, -1.0])
-        assert cosine_similarity(v, -v) == pytest.approx(-1.0)
-
-    def test_cosine_similarity_orthogonal(self):
-        assert cosine_similarity(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == pytest.approx(0.0)
-
-    def test_cosine_zero_vector_treated_as_orthogonal(self):
-        assert cosine_similarity(np.zeros(3), np.ones(3)) == 0.0
-        assert cosine_distance(np.zeros(3), np.ones(3)) == pytest.approx(1.0)
-
-    def test_cosine_distance_range(self):
-        v = np.array([1.0, 2.0])
-        assert cosine_distance(v, v) == pytest.approx(0.0)
-        assert cosine_distance(v, -v) == pytest.approx(2.0)
-
-    def test_cosine_shape_mismatch_raises(self):
-        with pytest.raises(ValueError):
-            cosine_similarity(np.zeros(2), np.zeros(3))
-
-
 class TestPairwiseDistances:
     def test_cosine_matrix_diagonal_zero(self):
         m = np.random.default_rng(0).normal(size=(5, 8))
@@ -87,13 +64,26 @@ class TestPairwiseDistances:
         d = pairwise_cosine_distance(m)
         for i in range(4):
             for j in range(4):
-                assert d[i, j] == pytest.approx(cosine_distance(m[i], m[j]), abs=1e-9)
+                cos = m[i] @ m[j] / (np.linalg.norm(m[i]) * np.linalg.norm(m[j]))
+                assert d[i, j] == pytest.approx(1.0 - cos, abs=1e-9)
 
     def test_cosine_matrix_zero_rows(self):
         m = np.array([[0.0, 0.0], [1.0, 0.0]])
         d = pairwise_cosine_distance(m)
         assert d[0, 1] == pytest.approx(1.0)
         assert d[0, 0] == pytest.approx(0.0)
+
+    def test_cosine_parallel_rows_are_at_zero(self):
+        m = np.array([[1.0, -2.0, 0.5], [3.0, -6.0, 1.5]])
+        assert pairwise_cosine_distance(m)[0, 1] == pytest.approx(0.0, abs=1e-12)
+
+    def test_cosine_opposite_rows_are_at_two(self):
+        m = np.array([[1.0, 2.0], [-1.0, -2.0]])
+        assert pairwise_cosine_distance(m)[0, 1] == pytest.approx(2.0)
+
+    def test_cosine_orthogonal_rows_are_at_one(self):
+        m = np.array([[1.0, 0.0, 0.0], [0.0, 5.0, 0.0]])
+        assert pairwise_cosine_distance(m)[0, 1] == pytest.approx(1.0)
 
     def test_euclidean_matrix(self):
         m = np.array([[0.0, 0.0], [3.0, 4.0]])
@@ -120,21 +110,6 @@ def test_flatten_unflatten_roundtrip_property(v):
     np.testing.assert_allclose(restored, v)
 
 
-@given(_vec)
-@settings(max_examples=50, deadline=None)
-def test_cosine_distance_bounds_property(v):
-    w = np.roll(v, 1)
-    d = cosine_distance(v, w)
-    assert -1e-9 <= d <= 2.0 + 1e-9
-
-
-@given(_vec)
-@settings(max_examples=50, deadline=None)
-def test_cosine_distance_self_is_zero_property(v):
-    if np.linalg.norm(v) > 1e-6:
-        assert cosine_distance(v, v) == pytest.approx(0.0, abs=1e-9)
-
-
 @given(st.integers(2, 8), st.integers(2, 10))
 @settings(max_examples=30, deadline=None)
 def test_pairwise_cosine_bounds_property(rows, cols):
@@ -142,3 +117,15 @@ def test_pairwise_cosine_bounds_property(rows, cols):
     d = pairwise_cosine_distance(m)
     assert np.all(d >= -1e-9)
     assert np.all(d <= 2.0 + 1e-9)
+
+
+@given(st.integers(2, 8), st.integers(2, 10), st.floats(1e-3, 1e3))
+@settings(max_examples=30, deadline=None)
+def test_pairwise_cosine_scale_invariance_property(rows, cols, scale):
+    """Scaling one row by a positive factor leaves every distance in place."""
+    m = np.random.default_rng(rows * 17 + cols).normal(size=(rows, cols))
+    scaled = m.copy()
+    scaled[0] *= scale
+    np.testing.assert_allclose(
+        pairwise_cosine_distance(scaled), pairwise_cosine_distance(m), atol=1e-9
+    )

@@ -52,7 +52,14 @@ Fails (exit code 1) when the documentation has drifted from the code:
     nor under ``src/repro/`` — unless the mention itself says the file is gone
     (``(deleted…``, ``(moved…`` or ``(historical…`` right after the path).
     ``CHANGES.md`` and ``ROADMAP.md`` are logs of what used to be and are not
-    scanned.
+    scanned;
+15. a name in the ``__all__`` of a ``src/repro`` module (package
+    ``__init__`` files aside) has no use outside that module — no ``ast.Name``,
+    ``ast.Attribute`` or import of it in ``src/``, ``examples/``,
+    ``benchmarks/`` or ``tools/``; a package ``__init__``'s re-export and
+    anything under ``tests/`` do not count.  ``repro.api.__all__`` (the pinned
+    facade) passes as is; every other exception is an ``EXPORT_ALLOWLIST``
+    entry with its reason, and an entry whose name is gone or now used fails.
 
 Run from the repository root:
 
@@ -467,6 +474,93 @@ def check_layering() -> list[str]:
     return problems
 
 
+#: Where a reference to an exported name counts as a use.  ``tests/`` is not
+#: here: a name that only tests reach is dead code with a test attached.
+USE_ROOTS = ("src", "examples", "benchmarks", "tools")
+
+#: ``"module:name"`` → why an ``__all__`` name with no use outside its module
+#: stays exported.  An entry whose name is gone or has gained a use is stale.
+EXPORT_ALLOWLIST: dict[str, str] = {
+    "repro.crypto.rsa:rsa_sign": (
+        "plain-exponent reference that tests hold the CRT signing of KeyStore to"
+    ),
+    "repro.sim.delay:AnalyticDelayModel": (
+        "Section 4.6 calibration reference that tests compare DelayModel against"
+    ),
+}
+
+
+def _module_all(tree: ast.Module) -> list[str]:
+    """The string entries of a module-level ``__all__`` list or tuple."""
+    for node in tree.body:
+        if (
+            isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+            and isinstance(node.value, (ast.List, ast.Tuple))
+        ):
+            return [elt.value for elt in node.value.elts if isinstance(elt, ast.Constant)]
+    return []
+
+
+def _referenced_names(tree: ast.Module, *, package_init: bool) -> set[str]:
+    """Names a module reads, by ``ast.Name``, ``ast.Attribute`` or import.
+
+    Bindings (a definition, an assignment target) are not reads, and a
+    package ``__init__``'s imports are re-exports, not uses.
+    """
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom) and not package_init:
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def check_exports() -> list[str]:
+    """Every ``__all__`` name of a ``src/repro`` module must have a use outside that module.
+
+    A use is a reference from ``src/``, ``examples/``, ``benchmarks/`` or
+    ``tools/`` (see :data:`USE_ROOTS`) in any file but the defining one.
+    ``repro.api.__all__`` is the pinned facade and passes as is; any other
+    exception is an :data:`EXPORT_ALLOWLIST` entry with its reason.
+    """
+    api = SRC_ROOT / "repro" / "api.py"
+    facade = set(_module_all(ast.parse(api.read_text(encoding="utf-8"))))
+    uses: dict[Path, set[str]] = {}
+    for root in USE_ROOTS:
+        for path in sorted((REPO_ROOT / root).glob("**/*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            uses[path] = _referenced_names(tree, package_init=path.name == "__init__.py")
+
+    problems = []
+    exported = set()
+    for path in sorted(SRC_ROOT.glob("repro/**/*.py")):
+        if path.name == "__init__.py":
+            continue
+        module = ".".join(path.relative_to(SRC_ROOT).with_suffix("").parts)
+        for name in _module_all(ast.parse(path.read_text(encoding="utf-8"))):
+            key = f"{module}:{name}"
+            exported.add(key)
+            used = name in facade or any(
+                name in names for other, names in uses.items() if other != path
+            )
+            if key in EXPORT_ALLOWLIST:
+                if used:
+                    problems.append(f"export allow-list entry {key!r} is stale: the name is used")
+            elif not used:
+                problems.append(
+                    f"{path.relative_to(REPO_ROOT)}: {name!r} is in __all__ but nothing in "
+                    f"{', '.join(USE_ROOTS)} outside its module uses it (use it, delete it, "
+                    "or allow-list it with a reason)"
+                )
+    for key in sorted(EXPORT_ALLOWLIST.keys() - exported):
+        problems.append(f"export allow-list entry {key!r} is stale: no module exports that name")
+    return problems
+
+
 def main() -> int:
     problems = (
         check_module_docstrings()
@@ -483,6 +577,7 @@ def main() -> int:
         + check_cross_references()
         + check_layering()
         + check_path_references()
+        + check_exports()
     )
     for problem in problems:
         print(f"docs-check: {problem}", file=sys.stderr)
