@@ -11,8 +11,8 @@ Implements the distributed-ledger machinery FAIR-BFL runs on top of:
 * :mod:`repro.blockchain.mempool` — block-size-limited transaction queue (the
   source of vanilla BFL's queueing delay, Fig. 6a);
 * :mod:`repro.blockchain.chain` — append/validate/fork-tracking ledger plus
-  the deterministic fork-choice rule (longest chain, seeded hash tie-break)
-  and reorg handling the gossip substrate (:mod:`repro.net`) builds on;
+  the deterministic fork-choice rule (most cumulative work, seeded hash
+  tie-break) and reorg handling the gossip substrate (:mod:`repro.net`) builds on;
 * :mod:`repro.blockchain.miner` — miner nodes combining the above;
 * :mod:`repro.blockchain.consensus` — the fork-probability model that drives
   Fig. 6b.

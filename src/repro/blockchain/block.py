@@ -80,10 +80,22 @@ class BlockHeader:
 
 @dataclass
 class Block:
-    """A full block: header plus transaction body."""
+    """A full block: header plus transaction body.
+
+    Every replica of a committee validates the same block object, so the
+    body's Merkle root is memoised by the tuple of its transactions' ids
+    (:meth:`validate_merkle_root`): editing the body, or any
+    transaction's identity, changes the tuple and forces a recomputation.
+    The memo is a cache, not state, and is never pickled.
+    """
 
     header: BlockHeader
     transactions: list[Transaction] = field(default_factory=list)
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("_merkle_memo", None)
+        return state
 
     @property
     def block_hash(self) -> str:
@@ -121,7 +133,15 @@ class Block:
 
     def validate_merkle_root(self) -> bool:
         """Check the header's Merkle root against the body."""
-        return self.header.merkle_root == merkle_root([tx.tx_id for tx in self.transactions])
+        return self.header.merkle_root == self._body_root()
+
+    def _body_root(self) -> str:
+        """The body's Merkle root, recomputed only when its ``tx_id`` tuple changes."""
+        tx_ids = tuple(tx.tx_id for tx in self.transactions)
+        memo = self.__dict__.get("_merkle_memo")
+        if memo is None or memo[0] != tx_ids:
+            memo = self.__dict__["_merkle_memo"] = (tx_ids, merkle_root(list(tx_ids)))
+        return memo[1]
 
     @classmethod
     def create(
@@ -139,13 +159,15 @@ class Block:
         header = BlockHeader(
             index=int(index),
             previous_hash=previous_hash,
-            merkle_root=merkle_root([tx.tx_id for tx in transactions]),
+            merkle_root="",
             round_index=int(round_index),
             miner_id=miner_id,
             timestamp=float(timestamp),
             difficulty=float(difficulty),
         )
-        return cls(header=header, transactions=list(transactions))
+        block = cls(header=header, transactions=list(transactions))
+        header.merkle_root = block._body_root()  # seeds the memo every replica reads
+        return block
 
     @classmethod
     def genesis(cls, *, initial_global_update: Transaction | None = None) -> "Block":

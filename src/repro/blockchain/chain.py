@@ -9,9 +9,9 @@ the same type.
 
 Once the gossip substrate (:mod:`repro.net`) partitions the miner committee,
 views *do* diverge: :class:`ForkChoice` is the deterministic rule every node
-applies to pick between competing chains (longest chain, with a seeded hash
-tie-break for equal lengths), and :meth:`Blockchain.reorg_to` swaps a losing
-view onto the winning chain after validating it in full.
+applies to pick between competing chains (most cumulative proof-of-work,
+with a seeded hash tie-break for equal work), and :meth:`Blockchain.reorg_to`
+swaps a losing view onto the winning chain after validating it in full.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from repro.blockchain.block import Block, GENESIS_PREVIOUS_HASH
-from repro.crypto.hashing import difficulty_to_target, meets_target
+from repro.crypto.hashing import difficulty_to_target, meets_target, target_work
 
 __all__ = ["Blockchain", "ForkChoice"]
 
@@ -34,21 +34,23 @@ class BlockValidationError(ValueError):
 
 @dataclass(frozen=True)
 class ForkChoice:
-    """Deterministic longest-chain fork choice with a seeded hash tie-break.
+    """Deterministic most-work fork choice with a seeded hash tie-break.
 
-    The longer chain always wins.  Equal-length forks are resolved by
-    comparing the SHA-256 digest of ``salt || tip hash``: the chain whose
-    salted tip digest is lexicographically smaller wins.  Every node that
-    shares the same ``salt`` (the experiment seed) therefore picks the same
-    winner from the same candidate set — no dependence on message arrival
-    order, dict iteration, or node identity — which is what lets divergent
-    views reconverge bit-deterministically when a partition heals.
+    The chain with more cumulative work (:attr:`Blockchain.total_work`: each
+    header's difficulty as Bitcoin counts work, summed) always wins; with
+    equal difficulties that is the longer chain.  Equal-work forks are
+    resolved by comparing the SHA-256 digest of ``salt || tip hash``: the
+    chain whose salted tip digest is lexicographically smaller wins.  Every
+    node that shares the same ``salt`` (the experiment seed) therefore picks
+    the same winner from the same candidate set — no dependence on message
+    arrival order, dict iteration, or node identity — which is what lets
+    divergent views reconverge bit-deterministically when a partition heals.
     """
 
     salt: int = 0
 
     def tie_break(self, tip_hash: str) -> str:
-        """The salted digest equal-length forks are compared by (lower wins)."""
+        """The salted digest equal-work forks are compared by (lower wins)."""
         payload = f"fork-choice|{int(self.salt)}|{tip_hash}".encode("utf-8")
         return hashlib.sha256(payload).hexdigest()
 
@@ -58,8 +60,9 @@ class ForkChoice:
             return False
         if not current.blocks:
             return True
-        if candidate.height != current.height:
-            return candidate.height > current.height
+        current_work, candidate_work = current.total_work, candidate.total_work
+        if candidate_work != current_work:
+            return candidate_work > current_work
         current_tip = current.last_block.block_hash
         candidate_tip = candidate.last_block.block_hash
         if candidate_tip == current_tip:
@@ -102,6 +105,13 @@ class Blockchain:
     def height(self) -> int:
         """Number of blocks in the chain."""
         return len(self.blocks)
+
+    @property
+    def total_work(self) -> int:
+        """Cumulative proof-of-work of every block (what :class:`ForkChoice` compares)."""
+        return sum(
+            target_work(difficulty_to_target(block.header.difficulty)) for block in self.blocks
+        )
 
     @property
     def last_block(self) -> Block:
@@ -148,6 +158,8 @@ class Blockchain:
         path that admits a block — :meth:`add_genesis`, :meth:`add_block` /
         :meth:`validate_candidate`, and the full-chain validation behind
         :meth:`is_valid` and :meth:`reorg_to` — goes through these rules.
+        Every header check (index, link, round, proof of work) runs before
+        the body check, so a bad header is rejected before its body is hashed.
         """
         if parent is None:
             if block.index != 0 or block.header.previous_hash != GENESIS_PREVIOUS_HASH:
@@ -164,12 +176,12 @@ class Blockchain:
                     f"round index {block.round_index} goes back before the "
                     f"parent's round {parent.round_index}"
                 )
-        if not block.validate_merkle_root():
-            return "Merkle root does not match the block body"
         if parent is not None and self.enforce_pow:
             target = difficulty_to_target(block.header.difficulty)
             if not meets_target(block.block_hash, target):
                 return "block hash does not satisfy its difficulty target"
+        if not block.validate_merkle_root():
+            return "Merkle root does not match the block body"
         return None
 
     def add_genesis(self, block: Block) -> Block:

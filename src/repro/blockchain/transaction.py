@@ -84,6 +84,10 @@ class Transaction:
     The canonical bytes and :attr:`tx_id` are derived at most once per
     object: they are sealed on first read and dropped whenever an identity
     field is reassigned, so they can be neither recomputed per read nor stale.
+    A positive :meth:`verify` verdict is sealed the same way, bound to the
+    key store object and the signature it was reached with: the miners of a
+    committee share one transaction object, so RSA runs once per upload, not
+    once per miner that receives it.
     """
 
     tx_type: TransactionType
@@ -100,11 +104,13 @@ class Transaction:
             if name == "metadata":
                 value = MappingProxyType(dict(value))
             self.__dict__.pop("_sealed", None)
+            self.__dict__.pop("_verdict", None)
         object.__setattr__(self, name, value)
 
     def __reduce__(self):
-        # Through the constructor: a mappingproxy does not pickle, and the
-        # checkpoint blob (fl/trainer.py) carries whole chains.
+        # Through the constructor: a mappingproxy does not pickle, the
+        # checkpoint blob (fl/trainer.py) carries whole chains, and a copy
+        # must earn its own verify verdict.
         return type(self), (
             self.tx_type, self.sender, self.round_index, self.payload_digest,
             self.payload_size_bytes, dict(self.metadata), self.payload, self.signature,
@@ -144,16 +150,34 @@ class Transaction:
         return self
 
     def verify(self, keystore: KeyStore) -> bool:
-        """Verify the signature against the sender's registered public key."""
-        if self.signature is None:
+        """Verify the signature against the sender's registered public key.
+
+        A ``True`` verdict is sealed with ``keystore`` and the signature object
+        it held; it is reused only while both are the same objects (a store
+        never replaces a registered key) and no identity field has been
+        reassigned.  A ``False`` verdict is never sealed.
+        """
+        signature = self.signature
+        if signature is None:
             return False
-        return keystore.verify(self.sender, self.signing_bytes(), self.signature)
+        verdict = self.__dict__.get("_verdict")
+        # Identity, not equality: ``True`` or ``1.0`` must not stand in for a
+        # sealed ``1`` (``rsa_verify`` refuses anything but an ``int``).
+        if verdict is not None and verdict[0] is keystore and verdict[1] is signature:
+            return True
+        if not keystore.verify(self.sender, self.signing_bytes(), signature):
+            return False
+        self.__dict__["_verdict"] = (keystore, signature)
+        return True
 
 
 def _digest_vector(vector: np.ndarray) -> str:
-    """SHA-256 digest of a float64 vector's raw bytes."""
-    arr = np.ascontiguousarray(np.asarray(vector, dtype=np.float64))
-    return hashlib.sha256(arr.tobytes()).hexdigest()
+    """SHA-256 digest of a float64 vector's raw bytes.
+
+    A contiguous float64 input is hashed through the buffer protocol, without
+    a ``tobytes()`` copy; anything else is converted once first.
+    """
+    return hashlib.sha256(np.ascontiguousarray(vector, dtype=np.float64)).hexdigest()
 
 
 def make_gradient_transaction(

@@ -14,6 +14,7 @@ __all__ = [
     "sha256_hex",
     "difficulty_to_target",
     "meets_target",
+    "target_work",
 ]
 
 #: ``Target_1`` in the paper's Equation (4): the largest possible 256-bit value,
@@ -47,6 +48,16 @@ def difficulty_to_target(difficulty: float) -> int:
         # on 256-bit targets (difficulty 1 must map to exactly MAX_TARGET).
         return max(1, MAX_TARGET // int(difficulty))
     return max(1, min(MAX_TARGET, int(MAX_TARGET / float(difficulty))))
+
+
+def target_work(target: int) -> int:
+    """Expected hash evaluations to find a block under ``target``.
+
+    Bitcoin's chain-work measure, ``2**256 // (target + 1)``: difficulty 1
+    is worth exactly 1 and a power-of-two difficulty ``d`` exactly ``d``;
+    other difficulties round down.  It is never below 1.
+    """
+    return (1 << 256) // (int(target) + 1)
 
 
 def meets_target(hex_digest: str, target: int) -> bool:

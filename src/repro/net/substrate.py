@@ -10,9 +10,9 @@ protocol:
    reachability components (peer graph ∩ partition groups ∩ online set), and
    let every component converge internally: each member adopts the
    fork-choice-best chain among its reachable peers.  This is where a healed
-   partition reconciles — the losing side reorgs onto the winner (longest
-   chain, seeded hash tie-break), and the caller is told so it can rebuild
-   reward balances from the adopted chain.
+   partition reconciles — the losing side reorgs onto the winner (most
+   cumulative work, seeded hash tie-break), and the caller is told so it can
+   rebuild reward balances from the adopted chain.
 2. :meth:`absorb_uploads` — uploads addressed to unreachable (offline) miners
    are lost; the rest land in the receiving node's mempool.
 3. The trainer settles Procedures III-V *per component* through the same
@@ -223,13 +223,12 @@ class GossipSubstrate:
         each replica it ran over); what remains is mempool hygiene, the
         consensus-delay bookkeeping, and the flood that measures propagation
         latency.  One block settles a round, so the members' mempools drop
-        the round's own uploads along with everything older.  Returns the
-        flood's max delivery latency in simulated seconds.
+        the round's own uploads along with everything older — which covers
+        everything their chains include, as no block is from a later round.
+        Returns the flood's max delivery latency in simulated seconds.
         """
         for member in component:
-            node = self.nodes[member]
-            node.mempool.evict_included(node.chain)
-            node.mempool.evict_older_than(round_index + 1)
+            self.nodes[member].mempool.evict_older_than(round_index + 1)
         self.note_block(round_index, sim_time=sim_time)
         return self.broadcast_block(origin, component)
 

@@ -557,3 +557,221 @@ class TestLedgerIdentity:
         )
         assert counts["constructed"] >= 3 * 48
         assert 0 < counts["serialised"] <= counts["constructed"], counts
+
+
+# ---------------------------------------------------------------------------
+# Verify once per object: the sealed verdict and the Merkle memo stay sound.
+
+
+@pytest.fixture()
+def verify_calls(monkeypatch):
+    """Every ``KeyStore.verify`` call, as ``(store, entity, message)``."""
+    calls = []
+    real_verify = KeyStore.verify
+
+    def counting_verify(self, entity_id, message, signature):
+        calls.append((self, entity_id, message))
+        return real_verify(self, entity_id, message, signature)
+
+    monkeypatch.setattr(KeyStore, "verify", counting_verify)
+    return calls
+
+
+def _verified_reward(keystore):
+    tx = make_reward_transaction("miner-0", 2, "client-1", 0.75, keystore=keystore)
+    assert tx.verify(keystore)
+    return tx
+
+
+@pytest.mark.ledger
+class TestVerifyOnce:
+    def test_positive_verdict_is_reused(self, keystore, verify_calls):
+        tx = _verified_reward(keystore)
+        assert tx.verify(keystore) and tx.verify(keystore)
+        assert len(verify_calls) == 1
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("metadata", {"client": "client-1", "reward": 1e9, "label": "high"}),
+            ("round_index", 3),
+            ("payload_digest", "0" * 64),
+            ("payload_size_bytes", 1),
+            ("sender", "miner-1"),
+            ("tx_type", TransactionType.GLOBAL_UPDATE),
+        ],
+    )
+    def test_identity_edit_drops_the_verdict(self, keystore, verify_calls, name, value):
+        tx = _verified_reward(keystore)
+        setattr(tx, name, value)
+        assert not tx.verify(keystore)
+        assert len(verify_calls) == 2  # recomputed, not served from the seal
+
+    def test_signature_change_recomputes(self, keystore, verify_calls):
+        tx = _verified_reward(keystore)
+        good = tx.signature
+        tx.signature = good + 1
+        assert not tx.verify(keystore)
+        assert len(verify_calls) == 2
+        tx.signature = good  # the very signature the verdict was sealed with
+        assert tx.verify(keystore)
+        assert len(verify_calls) == 2
+
+    def test_an_equal_non_int_signature_does_not_inherit_the_verdict(self, verify_calls):
+        # Under a 33-bit modulus every signature is exactly representable as a float.
+        store = KeyStore(seed=0, key_bits=33)
+        store.register("miner-0")
+        tx = _verified_reward(store)
+        tx.signature = float(tx.signature)
+        assert tx.signature == int(tx.signature)
+        assert not tx.verify(store)
+        assert len(verify_calls) == 2
+
+    def test_another_store_recomputes(self, keystore, verify_calls):
+        tx = _verified_reward(keystore)
+        stranger = KeyStore(seed=1, key_bits=128)
+        stranger.register("miner-0")
+        assert not tx.verify(stranger)
+        twin = KeyStore(seed=0, key_bits=128)
+        twin.register("miner-0")
+        assert tx.verify(twin)
+        assert [store for store, _, _ in verify_calls] == [keystore, stranger, twin]
+
+    def test_false_verdict_is_never_sealed(self, keystore, verify_calls):
+        tx = make_reward_transaction("miner-0", 2, "client-1", 0.75)
+        tx.signature = 12345
+        assert not tx.verify(keystore) and not tx.verify(keystore)
+        tx.sign(keystore)
+        assert tx.verify(keystore)
+        assert len(verify_calls) == 3
+
+    @pytest.mark.parametrize(
+        "clone",
+        [copy.deepcopy, lambda tx: pickle.loads(pickle.dumps(tx))],
+        ids=["deepcopy", "pickle"],
+    )
+    def test_a_copy_reverifies(self, keystore, verify_calls, clone):
+        tx = _verified_reward(keystore)
+        twin = clone(tx)
+        assert "_verdict" not in twin.__dict__
+        assert twin.verify(keystore)
+        assert len(verify_calls) == 2
+
+    def test_committee_round_verifies_each_upload_once(self, verify_calls):
+        from repro import api
+
+        api.run(
+            "fairbfl", num_clients=48, num_samples=960, participation=1.0,
+            scheme="shard", model_name="logreg", epochs=1, miners=4, topology="ring",
+            num_rounds=1,
+        )
+        uploads = [(entity, message) for _, entity, message in verify_calls]
+        assert len(uploads) == len(set(uploads)) == 48
+        assert {entity for entity, _ in uploads} == {f"client-{i}" for i in range(48)}
+
+
+def _block_on(chain, transactions):
+    return Block.create(
+        index=chain.last_block.index + 1,
+        previous_hash=chain.last_block.block_hash,
+        round_index=chain.last_block.round_index + 1,
+        miner_id="miner-0",
+        transactions=transactions,
+    )
+
+
+def _body_edits():
+    """Ways to edit a validated block's body; each must break its Merkle root."""
+
+    def replace(block):
+        block.transactions[0] = _gradient_tx("client-1", seed=9)
+
+    def append(block):
+        block.transactions.append(_gradient_tx("client-1", seed=9))
+
+    def drop(block):
+        block.transactions.pop()
+
+    def reorder(block):
+        block.transactions.reverse()
+
+    def retag(block):
+        block.transactions[0].metadata = {"client_index": 99}
+
+    return [replace, append, drop, reorder, retag]
+
+
+@pytest.mark.ledger
+class TestMerkleMemo:
+    @pytest.fixture()
+    def chain(self):
+        chain = Blockchain(enforce_pow=False)
+        chain.add_genesis(Block.genesis())
+        return chain
+
+    @pytest.mark.parametrize("edit", _body_edits(), ids=lambda f: f.__name__)
+    def test_body_edited_after_validation_fails(self, chain, edit):
+        candidate = _block_on(chain, [_gradient_tx("client-0", seed=s) for s in range(3)])
+        assert chain.validate_candidate(candidate) is None
+        edit(candidate)
+        assert chain.validate_candidate(candidate) == "Merkle root does not match the block body"
+        with pytest.raises(BlockValidationError, match="Merkle"):
+            chain.add_block(candidate)
+
+    @pytest.mark.parametrize("edit", _body_edits(), ids=lambda f: f.__name__)
+    def test_chain_edited_after_append_is_invalid(self, chain, edit):
+        block = chain.add_block(
+            _block_on(chain, [_gradient_tx("client-0", seed=s) for s in range(3)])
+        )
+        assert chain.is_valid()
+        edit(block)
+        assert not chain.is_valid()
+
+    def test_replicas_hash_a_body_once(self, chain, monkeypatch):
+        from repro.blockchain import block as block_module
+
+        calls = []
+        real_root = block_module.merkle_root
+        monkeypatch.setattr(
+            block_module, "merkle_root", lambda ids: calls.append(1) or real_root(ids)
+        )
+        block = _block_on(chain, [_gradient_tx("client-0", seed=s) for s in range(5)])
+        replicas = [chain.copy() for _ in range(8)]
+        for replica in replicas:
+            replica.add_block(block)
+        assert all(replica.is_valid() for replica in replicas)
+        assert len(calls) == 1  # Block.create's, served to every replica
+
+    def test_header_is_checked_before_the_body(self, chain, monkeypatch):
+        from repro.blockchain import block as block_module
+
+        candidate = _block_on(chain, [_gradient_tx("client-0")])
+        candidate.transactions.append(_gradient_tx("client-1"))  # stale memo
+        candidate.header.previous_hash = "f" * 64
+        monkeypatch.setattr(
+            block_module, "merkle_root", lambda ids: pytest.fail("body hashed first")
+        )
+        assert "previous-hash" in chain.validate_candidate(candidate)
+
+    def test_memo_is_not_pickled(self, chain):
+        block = chain.add_block(_block_on(chain, [_gradient_tx("client-0")]))
+        twin = pickle.loads(pickle.dumps(block))
+        assert "_merkle_memo" in block.__dict__ and "_merkle_memo" not in twin.__dict__
+        assert twin.block_hash == block.block_hash and twin.validate_merkle_root()
+
+
+class TestPayloadDigest:
+    @pytest.mark.parametrize(
+        "vector",
+        [
+            np.linspace(-1.0, 1.0, 17),
+            np.arange(40, dtype=np.float64).reshape(8, 5)[:, 1],
+            np.linspace(-1.0, 1.0, 17, dtype=np.float32),
+        ],
+        ids=["contiguous", "strided", "float32"],
+    )
+    def test_digest_equals_the_copied_bytes(self, vector):
+        import hashlib
+
+        expected = hashlib.sha256(np.asarray(vector, dtype=np.float64).tobytes()).hexdigest()
+        assert transaction_module._digest_vector(vector) == expected

@@ -1,10 +1,10 @@
 """Fork choice, reorg validation edges, and mempool eviction.
 
-Satellite coverage for the gossip-substrate PR: the seeded hash tie-break
-that resolves equal-length forks identically on every node, the
-``Blockchain.reorg_to`` validation edges (duplicate insertion, orphan
-ordering, Merkle tampering on a reorged candidate), and the mempool's two
-eviction paths (chain-included and round-expired transactions).
+The most-work rule and the seeded hash tie-break that resolves equal-work
+forks identically on every node, the ``Blockchain.reorg_to`` validation
+edges (duplicate insertion, orphan ordering, Merkle tampering on a reorged
+candidate), and the mempool's two eviction paths (chain-included and
+round-expired transactions).
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from repro.net import Node
 pytestmark = pytest.mark.net
 
 
-def _chain(rounds=0, miner_id="m", transactions_for=None):
+def _chain(rounds=0, miner_id="m", transactions_for=None, difficulty=1.0):
     chain = Blockchain(enforce_pow=False)
     chain.add_genesis(Block.genesis())
     for r in range(rounds):
@@ -33,6 +33,7 @@ def _chain(rounds=0, miner_id="m", transactions_for=None):
                 round_index=r,
                 miner_id=miner_id,
                 transactions=txs,
+                difficulty=difficulty,
             )
         )
     return chain
@@ -57,6 +58,34 @@ class TestForkChoice:
         short, long = _chain(1, "a"), _chain(3, "b")
         assert rule.prefer(short, long)
         assert not rule.prefer(long, short)
+
+    def test_more_work_beats_more_blocks(self):
+        rule = ForkChoice(salt=0)
+        hard, easy = _chain(2, "a", difficulty=16.0), _chain(5, "b", difficulty=4.0)
+        assert hard.height < easy.height
+        assert hard.total_work == 1 + 2 * 16 and easy.total_work == 1 + 5 * 4
+        assert rule.prefer(easy, hard)
+        assert not rule.prefer(hard, easy)
+        assert rule.best([easy, hard]) is hard
+
+    def test_equal_difficulties_order_by_height(self):
+        for difficulty in (1.0, 16.0, 2.5):
+            chains = [_chain(n, "m", difficulty=difficulty) for n in range(4)]
+            works = [chain.total_work for chain in chains]
+            assert works == sorted(set(works))
+            assert ForkChoice(salt=0).best(reversed(chains)) is chains[-1]
+
+    def test_equal_work_at_unequal_heights_goes_to_the_tie_break(self):
+        rule = ForkChoice(salt=0)
+        one_hard, two_easy = _chain(1, "a", difficulty=2.0), _chain(2, "b")
+        assert one_hard.total_work == two_easy.total_work
+        assert rule.prefer(one_hard, two_easy) != rule.prefer(two_easy, one_hard)
+        winner = rule.best([one_hard, two_easy])
+        assert winner is rule.best([two_easy, one_hard])
+        loser = two_easy if winner is one_hard else one_hard
+        assert rule.tie_break(winner.last_block.block_hash) < rule.tie_break(
+            loser.last_block.block_hash
+        )
 
     def test_equal_length_resolved_by_salted_digest(self):
         rule = ForkChoice(salt=0)

@@ -2,7 +2,7 @@
 
 Two miner groups, split by a timed partition window, each mine their own
 fork of the ledger with their own reward history.  When the partition heals
-the fork-choice rule (longest chain, seeded hash tie-break) must bring every
+the fork-choice rule (most cumulative work, seeded hash tie-break) must bring every
 node onto one head, reward accounting must be rebuilt from the adopted
 chain, and the whole trajectory must be bit-deterministic across repeats.
 """
@@ -131,3 +131,46 @@ class TestChurnTrace:
         # Uploads addressed to the absent miner were lost, not silently kept.
         assert sum(r["lost_uploads"] for r in net) >= 0
         assert trainer.chain.is_valid()
+
+
+class TestMempoolChainDisjoint:
+    def test_no_mempool_holds_a_transaction_its_chain_includes(self, dataset, monkeypatch):
+        """Partition -> heal -> churn, checked after every commit and every round start.
+
+        ``commit_block`` expires whole rounds instead of scanning each chain
+        for included ids; this is the invariant that makes that enough.
+        """
+        trainer = FairBFLTrainer(
+            dataset,
+            _config(num_rounds=6, participation_fraction=1.0, churn="3:-3;5:+3"),
+        )
+        net = trainer.net
+        seen = {"checks": 0, "offline": 0, "pending": 0}
+
+        def check():
+            seen["checks"] += 1
+            seen["offline"] += len(net.nodes) - len(net.online_nodes())
+            for node in net.online_nodes():
+                included = {tx.tx_id for b in node.chain.blocks for tx in b.transactions}
+                pending = {tx.tx_id for tx in node.mempool._queue}
+                assert not pending & included, node.node_id
+
+        def checked(method):
+            def wrapper(*args, **kwargs):
+                if method.__name__ == "commit_block":
+                    seen["pending"] += net.mempool_pending()
+                result = method(*args, **kwargs)
+                check()
+                return result
+
+            return wrapper
+
+        monkeypatch.setattr(net, "commit_block", checked(net.commit_block))
+        monkeypatch.setattr(net, "begin_round", checked(net.begin_round))
+        history = trainer.run()
+        views = [record.extras["net"]["chain_views"] for record in history.rounds]
+        assert max(views) > 1 and views[-1] == 1  # split, then healed
+        assert net.total_reorgs > 0 and seen["offline"] > 0  # a reorg, and churn
+        assert seen["pending"] > 0  # commits had uploads to settle
+        assert seen["checks"] >= 2 * 6
+        assert net.mempool_pending() == 0
