@@ -6,9 +6,8 @@ the global model".  This package provides:
 
 * :mod:`repro.attacks.gradient_attacks` — concrete gradient-forging attacks
   (sign flipping, scaling, additive Gaussian noise, zeroing);
-* :mod:`repro.attacks.label_flip` — data poisoning through label flipping
-  (the attack happens *before* training, so the forged gradient is a real
-  gradient of poisoned data);
+* :mod:`repro.attacks.label_flip` — label flipping, approximated in
+  direction space (a partial reversal of the honest direction plus noise);
 * :mod:`repro.attacks.scheduler` — per-round random attacker designation
   reproducing Table 2's protocol, plus detection-rate accounting.
 """

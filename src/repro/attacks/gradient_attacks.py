@@ -17,6 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.attacks.base import Attack
+from repro.attacks.label_flip import LabelFlipAttack
 from repro.fl.client import ClientUpdate
 from repro.utils.validation import check_non_negative, check_positive
 
@@ -175,9 +176,9 @@ class MixedAttack(Attack):
 def make_attack(name: str, **kwargs) -> Attack:
     """Factory resolving an attack by name (see :data:`ATTACKS`).
 
-    ``"label_flip"`` resolves to the direction-space approximation of
-    :class:`~repro.attacks.label_flip.LabelFlipAttack` (imported lazily — the
-    retraining variant needs client objects this factory does not have).
+    ``"label_flip"`` resolves to
+    :class:`~repro.attacks.label_flip.LabelFlipAttack`'s direction-space
+    approximation.
     """
     from repro.attacks.base import NoAttack
 
@@ -191,8 +192,6 @@ def make_attack(name: str, **kwargs) -> Attack:
     if key == "zero_gradient":
         return ZeroGradientAttack(**kwargs)
     if key == "label_flip":
-        from repro.attacks.label_flip import LabelFlipAttack
-
         return LabelFlipAttack(**kwargs)
     if key == "mixed":
         return MixedAttack(**kwargs)

@@ -110,12 +110,6 @@ class Block:
     def round_index(self) -> int:
         return self.header.round_index
 
-    @property
-    def size_bytes(self) -> int:
-        """Approximate wire size of the block (header + payload sizes)."""
-        header_size = len(self.header.serialize())
-        return header_size + sum(tx.payload_size_bytes for tx in self.transactions)
-
     def global_update(self) -> np.ndarray | None:
         """Return the global-gradient payload if this block records one."""
         for tx in self.transactions:

@@ -126,13 +126,6 @@ class Blockchain:
             raise IndexError("blockchain is empty; add a genesis block first")
         return self.blocks[-1]
 
-    def block_for_round(self, round_index: int) -> Block | None:
-        """Return the block finalising communication round ``round_index``, if any."""
-        for block in reversed(self.blocks):
-            if block.round_index == round_index:
-                return block
-        return None
-
     def latest_global_update(self) -> np.ndarray | None:
         """The most recent global gradient recorded on-chain (Procedure I reads this)."""
         for block in reversed(self.blocks):
@@ -223,14 +216,6 @@ class Blockchain:
             if error is not None:
                 raise BlockValidationError(f"{error} (at height {height})")
             parent = block
-
-    def has_block(self, block_hash: str) -> bool:
-        """Whether a block with this hash is part of the chain.
-
-        Chains are one block per round, so the linear scan is bounded by the
-        round count; per-node gossip handlers use this for duplicate detection.
-        """
-        return any(b.block_hash == block_hash for b in self.blocks)
 
     def reorg_to(self, blocks: Sequence[Block]) -> tuple[int, int]:
         """Replace this chain with the (winning) candidate chain ``blocks``.

@@ -49,19 +49,6 @@ class ForkModel:
         )
         self.merge_cost = check_non_negative("merge_cost", self.merge_cost)
 
-    def fork_probability(self, num_miners: int) -> float:
-        """Probability that at least one fork occurs in a mining competition.
-
-        With ``m`` miners there are ``m - 1`` runners-up that can collide with
-        the winner; each collides independently with probability
-        ``base_fork_probability``, giving
-        ``1 - (1 - p)**(m - 1)`` — convex and increasing in ``m``, matching the
-        paper's observation that more miners sharply increase forking.
-        """
-        if num_miners <= 1:
-            return 0.0
-        return 1.0 - (1.0 - self.base_fork_probability) ** (num_miners - 1)
-
     def sample_collisions(self, rng: np.random.Generator, num_miners: int) -> int:
         """Sample how many runner-ups collide with the winner in one competition."""
         if num_miners <= 1:

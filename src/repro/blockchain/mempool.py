@@ -9,8 +9,8 @@ pops as many as fit under the size limit in FIFO order.
 
 In the event-driven simulation (:mod:`repro.sim.rounds`) the mempool is the
 queueing actor of the chain layer: every block-solve event drains one
-:meth:`take_block` batch, so the number of mining competitions a round pays is
-exactly :meth:`blocks_required` — both methods share one packing rule.
+:meth:`take_block` batch, so a round pays one mining competition per block
+:func:`pack_block_counts` packs its transactions into.
 """
 
 from __future__ import annotations
@@ -26,9 +26,8 @@ __all__ = ["Mempool"]
 def pack_block_counts(sizes: Iterable[int], capacity: int) -> Iterator[int]:
     """Yield how many FIFO transactions each successive block takes.
 
-    One packing rule shared by :meth:`Mempool.take_block` (which materialises
-    only the first count) and :meth:`Mempool.blocks_required` (which sums all
-    of them): a block closes when adding the next transaction would exceed
+    The packing rule of :meth:`Mempool.take_block` (which materialises only
+    the first count): a block closes when adding the next transaction would exceed
     ``capacity``, except that a block always takes at least one transaction —
     an oversized transaction occupies a block by itself (a real chain would
     reject it; for the simulation a too-large gradient simply misses sharing a
@@ -66,7 +65,6 @@ class Mempool:
         self.block_size_bytes = int(block_size_bytes)
         self._queue: deque[Transaction] = deque()
         self._seen_ids: set[str] = set()
-        self._pending_bytes = 0
 
     def submit(self, tx: Transaction) -> bool:
         """Add a transaction to the pool; duplicates (same tx_id) are ignored.
@@ -78,7 +76,6 @@ class Mempool:
             return False
         self._seen_ids.add(tx_id)
         self._queue.append(tx)
-        self._pending_bytes += tx.payload_size_bytes
         return True
 
     def submit_many(self, txs: list[Transaction]) -> int:
@@ -99,23 +96,7 @@ class Mempool:
         taken = [self._queue.popleft() for _ in range(count)]
         for tx in taken:
             self._seen_ids.discard(tx.tx_id)
-            self._pending_bytes -= tx.payload_size_bytes
         return taken
-
-    def blocks_required(self, txs: list[Transaction] | None = None) -> int:
-        """How many blocks are needed to drain ``txs`` (or the current pool).
-
-        This is the quantity that determines vanilla BFL's per-round block
-        count: a round only completes once *all* gradient transactions are
-        on-chain (Section 3.1), so the round delay scales with this number.
-        """
-        source = self._queue if txs is None else txs
-        return sum(
-            1
-            for _ in pack_block_counts(
-                (tx.payload_size_bytes for tx in source), self.block_size_bytes
-            )
-        )
 
     def evict_included(self, included: "Iterable[str] | object") -> int:
         """Drop queued transactions already recorded in an adopted chain.
@@ -158,7 +139,6 @@ class Mempool:
             if should_drop(tx):
                 evicted += 1
                 self._seen_ids.discard(tx.tx_id)
-                self._pending_bytes -= tx.payload_size_bytes
             else:
                 kept.append(tx)
         self._queue = kept
@@ -169,16 +149,10 @@ class Mempool:
         """Number of queued transactions."""
         return len(self._queue)
 
-    @property
-    def pending_bytes(self) -> int:
-        """Total payload bytes currently queued (maintained incrementally)."""
-        return self._pending_bytes
-
     def clear(self) -> None:
         """Drop every queued transaction."""
         self._queue.clear()
         self._seen_ids.clear()
-        self._pending_bytes = 0
 
     def __len__(self) -> int:
         return len(self._queue)

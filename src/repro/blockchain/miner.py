@@ -184,11 +184,6 @@ class Miner:
         """
         self.chain.add_block(block)
 
-    @property
-    def gradient_count(self) -> int:
-        """Number of distinct gradient uploads currently held."""
-        return len(self.gradient_set)
-
 
 def replicated_committee(
     miner_ids: list[str],

@@ -63,10 +63,6 @@ class KeyStore:
             self._keys[entity_id] = derive_key_pair(self.seed, self.key_bits, entity_id)
         return self._keys[entity_id]
 
-    def has(self, entity_id: str) -> bool:
-        """True when a key pair has been registered for ``entity_id``."""
-        return str(entity_id) in self._keys
-
     def _pair(self, entity_id: str) -> RSAKeyPair:
         """The registered key pair of ``entity_id``; ``KeyError`` when unknown."""
         entity_id = str(entity_id)
@@ -84,10 +80,6 @@ class KeyStore:
         """
         return self._pair(entity_id).public_key
 
-    def private_key(self, entity_id: str) -> tuple[int, int]:
-        """The ``(n, d)`` private key of ``entity_id`` (client's view)."""
-        return self._pair(entity_id).private_key
-
     def sign(self, entity_id: str, message: bytes) -> int:
         """Sign ``message`` with the private key of ``entity_id`` (CRT form)."""
         return self._pair(entity_id).sign(message)
@@ -103,10 +95,6 @@ class KeyStore:
         if entity_id not in self._keys:
             return False
         return rsa_verify(message, signature, self._keys[entity_id].public_key)
-
-    def registered_ids(self) -> list[str]:
-        """All registered entity IDs, in registration order."""
-        return list(self._keys.keys())
 
     def __len__(self) -> int:
         return len(self._keys)

@@ -72,11 +72,6 @@ class RSAKeyPair:
         """``(n, e)`` — safe to share with miners."""
         return (self.modulus, self.public_exponent)
 
-    @property
-    def private_key(self) -> tuple[int, int]:
-        """``(n, d)`` — held only by the owning client."""
-        return (self.modulus, self.private_exponent)
-
     @classmethod
     def generate(cls, rng: np.random.Generator, *, bits: int = 256) -> "RSAKeyPair":
         """Generate a fresh key pair with a ``bits``-bit modulus.
@@ -109,7 +104,7 @@ class RSAKeyPair:
             )
 
     def sign(self, message: bytes) -> int:
-        """Hash-then-sign by CRT; equals ``rsa_sign(message, self.private_key)``."""
+        """Hash-then-sign by CRT; equals :func:`rsa_sign` with the plain ``(n, d)`` key."""
         m = _digest_int(message, self.modulus)
         s_p = pow(m, self.exponent_p, self.prime_p)
         s_q = pow(m, self.exponent_q, self.prime_q)

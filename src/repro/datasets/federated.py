@@ -8,7 +8,7 @@ compute the per-client accuracy that the paper averages every round.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -80,12 +80,6 @@ class ClientDataset:
         """Number of local training samples (the self-reported 'data size')."""
         return int(self.images.shape[0])
 
-    def label_distribution(self, num_classes: int = 10) -> np.ndarray:
-        """Normalised label histogram of the local training data."""
-        counts = np.bincount(self.labels, minlength=num_classes).astype(np.float64)
-        total = counts.sum()
-        return counts / total if total > 0 else counts
-
 
 @dataclass
 class FederatedDataset:
@@ -95,23 +89,16 @@ class FederatedDataset:
     test_images: np.ndarray
     test_labels: np.ndarray
     scheme: str = "shard"
-    _partition_sizes: list[int] = field(default_factory=list, repr=False)
 
     def __post_init__(self) -> None:
         if not self.clients:
             raise ValueError("FederatedDataset requires at least one client shard")
         self.test_images = np.asarray(self.test_images, dtype=np.float64)
         self.test_labels = np.asarray(self.test_labels, dtype=np.int64)
-        self._partition_sizes = [c.num_samples for c in self.clients]
 
     @property
     def num_clients(self) -> int:
         return len(self.clients)
-
-    @property
-    def partition_sizes(self) -> list[int]:
-        """Training-sample count per client."""
-        return list(self._partition_sizes)
 
     def client(self, client_id: int) -> ClientDataset:
         """Return the shard of ``client_id``."""

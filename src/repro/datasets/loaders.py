@@ -77,11 +77,6 @@ class BatchIterator:
     def num_samples(self) -> int:
         return int(self.images.shape[0])
 
-    @property
-    def batches_per_epoch(self) -> int:
-        """Number of batches per epoch, i.e. ``ceil(D_i / B)``."""
-        return int(np.ceil(self.num_samples / self.batch_size))
-
     def epoch(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """Iterate once over the data in (possibly shuffled) batches."""
         return minibatches(

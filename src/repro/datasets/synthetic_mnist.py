@@ -109,10 +109,6 @@ class SyntheticMNIST:
     def input_dim(self) -> int:
         return IMAGE_PIXELS
 
-    def class_counts(self) -> np.ndarray:
-        """Per-class sample counts (length 10)."""
-        return np.bincount(self.labels, minlength=NUM_CLASSES)
-
 
 def load_synthetic_mnist(
     num_samples: int = 6000,

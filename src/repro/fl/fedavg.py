@@ -25,6 +25,7 @@ from repro.fl.server import CentralServer
 from repro.fl.trainer import Trainer
 from repro.sim.delay import DelayModel, DelayParameters
 from repro.utils.rng import new_rng
+from repro.utils.vectors import finite_rows
 from repro.utils.validation import check_fraction, check_minority, check_positive
 
 __all__ = ["FedAvgConfig", "FedAvgTrainer"]
@@ -178,8 +179,15 @@ class FedAvgTrainer(Trainer):
         ``(n, params)`` matrix, so a 100k-client round never holds more than
         one cohort chunk of updates.  Per-client evaluation of the new global
         model runs batched through the cohort engine for the same reason.
+
+        Like :meth:`CentralServer.aggregate <repro.fl.server.CentralServer.aggregate>`,
+        an update with a NaN or ±Inf entry leaves the round: a block whose
+        partial sum is not finite is summed again over its finite rows only,
+        the mean divides by the survivors, and with none the current global
+        parameters stay.
         """
         total = np.zeros_like(self.server.global_parameters)
+        survivors = 0
         train_losses: list[float] = []
         blocks = 0
         for block in self.executor.iter_update_blocks(
@@ -187,11 +195,21 @@ class FedAvgTrainer(Trainer):
         ):
             # A ones-vector product, not ``.sum(axis=0)``: the two sum in a
             # different order, and the histories are pinned to this one.
-            total += np.ones(len(block.client_ids)) @ block.parameters
+            partial = np.ones(len(block.client_ids)) @ block.parameters
+            if np.isfinite(partial).all():
+                survivors += len(block.client_ids)
+            else:
+                finite = finite_rows(block.parameters)
+                partial = np.ones(int(finite.sum())) @ block.parameters[finite]
+                survivors += int(finite.sum())
+            total += partial
             train_losses.extend(block.train_losses)
             blocks += 1
             del block  # the CohortBlock contract: drop it before the next chunk trains
-        new_global = self.server.commit_global(total / float(len(selected_ids)))
+        if survivors:
+            new_global = self.server.commit_global(total / float(survivors))
+        else:
+            new_global = self.server.global_parameters
         return self._round_record(
             round_index,
             selected_ids,
@@ -200,7 +218,3 @@ class FedAvgTrainer(Trainer):
             float(np.mean(train_losses)),
             {"cohort_stream": {"blocks": blocks, "clients": len(selected_ids)}},
         )
-
-    def test_accuracy(self) -> float:
-        """Accuracy of the current global model on the held-out global test set."""
-        return self.server.evaluate(self.dataset.test_images, self.dataset.test_labels)

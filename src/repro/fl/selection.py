@@ -56,11 +56,6 @@ class ContributionBasedSelector(RandomSelector):
         """Mark ``client_ids`` as excluded from the next selection."""
         self._excluded = {int(c) for c in np.asarray(client_ids, dtype=np.int64).ravel()}
 
-    @property
-    def currently_excluded(self) -> set[int]:
-        """The client indices that will be skipped by the next ``select`` call."""
-        return set(self._excluded)
-
     def select(self, num_clients: int, rng: np.random.Generator) -> np.ndarray:
         k = self.num_selected(num_clients)
         excluded = self._excluded

@@ -49,10 +49,6 @@ class ClusteringResult:
     labels: np.ndarray
     num_clusters: int
 
-    def members(self, cluster_label: int) -> np.ndarray:
-        """Indices of the vectors assigned to ``cluster_label``."""
-        return np.flatnonzero(self.labels == cluster_label)
-
     def cluster_of(self, index: int) -> int:
         """Label of the vector at ``index``."""
         return int(self.labels[int(index)])

@@ -40,11 +40,6 @@ class GossipOutcome:
     duplicates: int
 
     @property
-    def delivered(self) -> frozenset[str]:
-        """Every node the message reached (origin included)."""
-        return frozenset(self.arrivals)
-
-    @property
     def max_latency(self) -> float:
         """Simulated seconds until the slowest delivery (0 for a lone origin)."""
         return max(self.arrivals.values(), default=0.0)

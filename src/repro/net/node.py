@@ -3,18 +3,16 @@
 In the gossip substrate every miner is a :class:`Node`: it holds its *own*
 :class:`~repro.blockchain.chain.Blockchain` view (no more lock-step
 replication), its own :class:`~repro.blockchain.mempool.Mempool`, its peer
-set, and an online flag driven by the churn trace.  Blocks arrive out of
-band (gossip) and possibly out of order, so the node keeps an orphan pool
-for blocks whose parent has not arrived yet, and resolves competing views
-with the shared :class:`~repro.blockchain.chain.ForkChoice` rule — adopting
-a better chain evicts the newly-settled transactions from its mempool.
+set, and an online flag driven by the churn trace.  Gossip moves whole
+chains: :meth:`Node.sync_with` resolves competing views with the shared
+:class:`~repro.blockchain.chain.ForkChoice` rule, and adopting a better chain
+evicts the newly-settled transactions from its mempool.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.blockchain.block import Block
 from repro.blockchain.chain import Blockchain, ForkChoice
 from repro.blockchain.mempool import Mempool
 
@@ -33,37 +31,12 @@ class Node:
     mempool: Mempool = field(default_factory=lambda: Mempool(_DEFAULT_BLOCK_BYTES))
     peers: tuple[str, ...] = ()
     online: bool = True
-    orphans: dict[str, Block] = field(default_factory=dict)
     reorgs: int = 0
 
     @property
     def head_hash(self) -> str:
         """The hash of this node's chain tip (empty string for an empty view)."""
         return self.chain.last_block.block_hash if self.chain.blocks else ""
-
-    def receive_block(self, block: Block) -> str:
-        """Handle one gossiped block; returns what happened to it.
-
-        * ``"appended"`` — it extended the tip (orphans waiting on it were
-          connected too, and settled transactions left the mempool);
-        * ``"duplicate"`` — already part of the view;
-        * ``"orphaned"`` — its parent has not arrived yet; parked until it does;
-        * ``"stale"`` — it builds on a non-tip ancestor (a competing fork at or
-          below our height); fork resolution happens chain-against-chain in
-          :meth:`sync_with`, not block-by-block.
-        """
-        if self.chain.has_block(block.block_hash):
-            return "duplicate"
-        if self.chain.validate_candidate(block) is None:
-            self.chain.add_block(block)
-            self._settle(block.round_index)
-            self._connect_orphans()
-            return "appended"
-        parent_known = self.chain.has_block(block.header.previous_hash)
-        if not parent_known:
-            self.orphans[block.block_hash] = block
-            return "orphaned"
-        return "stale"
 
     def sync_with(self, other: "Node", fork_choice: ForkChoice) -> bool:
         """Adopt ``other``'s chain when the fork-choice rule prefers it.
@@ -78,28 +51,9 @@ class Node:
         if rolled_back:
             self.reorgs += 1
         self._settle(self.chain.last_block.round_index)
-        self._connect_orphans()
         return True
 
     def _settle(self, tip_round: int) -> None:
         """Mempool hygiene after the view advanced to ``tip_round``."""
         self.mempool.evict_included(self.chain)
         self.mempool.evict_older_than(tip_round)
-
-    def _connect_orphans(self) -> None:
-        """Attach parked blocks that now extend the tip (cascading)."""
-        attached = True
-        while attached and self.orphans:
-            attached = False
-            for block_hash in sorted(self.orphans):
-                block = self.orphans[block_hash]
-                if self.chain.validate_candidate(block) is None:
-                    del self.orphans[block_hash]
-                    self.chain.add_block(block)
-                    self._settle(block.round_index)
-                    attached = True
-                    break
-                if self.chain.has_block(block_hash):
-                    del self.orphans[block_hash]
-                    attached = True
-                    break

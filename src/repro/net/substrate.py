@@ -276,7 +276,3 @@ class GossipSubstrate:
         """Number of distinct chain heads among online nodes."""
         nodes = self.online_nodes() or list(self.nodes.values())
         return len({n.head_hash for n in nodes})
-
-    def mempool_pending(self) -> int:
-        """Transactions queued across every node's mempool."""
-        return sum(n.mempool.pending_count for n in self.nodes.values())

@@ -92,13 +92,6 @@ class Module:
         for child in self._modules.values():
             yield from child.parameters()
 
-    def named_parameters(self, prefix: str = "") -> Iterator[tuple[str, Parameter]]:
-        """Yield ``(qualified_name, parameter)`` pairs, depth-first."""
-        for name, param in self._parameters.items():
-            yield (f"{prefix}{name}", param)
-        for child_name, child in self._modules.items():
-            yield from child.named_parameters(prefix=f"{prefix}{child_name}.")
-
     def num_parameters(self) -> int:
         """Total number of scalar parameters."""
         return sum(p.size for p in self.parameters())

@@ -25,7 +25,6 @@ process), then reports the terminal state back through :meth:`JobQueue.finish`.
 from __future__ import annotations
 
 import threading
-import time
 from collections import deque
 from dataclasses import dataclass
 
@@ -206,22 +205,3 @@ class JobQueue:
             for job in self._jobs.values():
                 out[job.state] += 1
         return out
-
-    def drain(self, timeout: float) -> bool:
-        """Wait until no job is queued or running; True on success.
-
-        The 60-second watchdogs of the stress tests are ``drain(60)`` — a
-        deadlock anywhere in the queue/worker handshake fails the call
-        instead of hanging the suite.
-        """
-        deadline = threading.TIMEOUT_MAX if timeout is None else timeout
-        end = time.monotonic() + deadline
-        while time.monotonic() < end:
-            with self._lock:
-                active = self._pending or any(
-                    j.state in ("queued", "running") for j in self._jobs.values()
-                )
-            if not active:
-                return True
-            time.sleep(0.02)
-        return False

@@ -30,6 +30,7 @@ import json
 import logging
 import re
 import threading
+import time
 from collections import OrderedDict
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
@@ -65,6 +66,10 @@ _RESULT_CACHE_SIZE = 256
 
 #: The largest request body read, in bytes: a scenario document is a few KB.
 MAX_BODY_BYTES = 1 << 20
+
+#: Seconds a declared request body may take to arrive once its headers have:
+#: a body shorter than its ``Content-Length`` must not pin a handler thread.
+BODY_DEADLINE_S = 10.0
 
 #: The protocol's endpoint table compiled for routing: each path template as a
 #: pattern over the normalised request path, a ``{parameter}`` matching one
@@ -320,8 +325,10 @@ class _RequestHandler(BaseHTTPRequestHandler):
         ``rfile.read(-1)`` would block until the peer closes) or exceeds
         :data:`MAX_BODY_BYTES` (413; the read would allocate it, or wait for
         bytes that never come) is refused before anything is read, and the
-        connection is closed: its framing is unknown.  A body shorter than a
-        declared length within the cap still waits for the missing bytes.
+        connection is closed: its framing is unknown.  A body that has not
+        arrived :data:`BODY_DEADLINE_S` seconds after its headers answers 408
+        and closes the connection too; the socket's own timeout is restored
+        after the read, so an idle keep-alive connection is untouched.
         """
         declared = (self.headers.get("Content-Length") or "0").strip()
         if not (declared.isascii() and declared.isdigit()):
@@ -336,7 +343,28 @@ class _RequestHandler(BaseHTTPRequestHandler):
                 f"request body of {length} bytes exceeds the {MAX_BODY_BYTES}-byte limit",
                 status=413,
             )
-        return self.rfile.read(length) if length else b""
+        deadline = time.monotonic() + BODY_DEADLINE_S
+        idle_timeout = self.connection.gettimeout()
+        parts = []
+        try:
+            while length:
+                left = deadline - time.monotonic()
+                if left <= 0:
+                    raise TimeoutError
+                self.connection.settimeout(left)
+                part = self.rfile.read1(length)
+                if not part:
+                    break  # the peer closed early: a short body, refused by its parser
+                parts.append(part)
+                length -= len(part)
+        except TimeoutError:
+            self.close_connection = True
+            raise ProtocolError(
+                f"request body did not arrive within {BODY_DEADLINE_S:g} s", status=408
+            ) from None
+        finally:
+            self.connection.settimeout(idle_timeout)
+        return b"".join(parts)
 
     def _read_json_body(self) -> object:
         raw = self._read_body()

@@ -26,15 +26,13 @@ the headline numbers land in the paper's reported ranges (FedAvg ≈ 5–7 s,
 FAIR-BFL ≈ 9–11 s, vanilla blockchain ≈ 14–16 s per round for n=100, m=2);
 the *shape* conclusions are insensitive to the exact constants.
 
-Since the discrete-event refactor, :class:`DelayModel` is a thin adapter over
-the event kernel: the per-component *samplers* stay here (they are the
-calibrated primitives), but the round *compositions* that anybody reads event
-by event (``fairbfl_round``, ``vanilla_blockchain_round``) run one
-:class:`~repro.sim.rounds.EventRoundSimulator` round and report its stage
-boundaries as the familiar :class:`RoundDelayBreakdown` — FAIR-BFL acts on
-the per-client arrivals and pins the event trace in its history, the vanilla
-chain mines real blocks at solve events.  ``fl_round`` is the exception: the
-FedAvg/FedProx trainers read nothing but the breakdown, which depends only on
+Since the discrete-event refactor, the round *compositions* that anybody
+reads event by event run on :class:`~repro.sim.rounds.EventRoundSimulator`
+directly — FAIR-BFL acts on the per-client arrivals and pins the event trace
+in its history, the vanilla chain mines real blocks at solve events.  The
+per-component *samplers* stay here on :class:`DelayModel` (they are the
+calibrated primitives), with one composition: ``fl_round``.  The
+FedAvg/FedProx trainers read nothing but its breakdown, which depends only on
 two maxima and a count, so it is priced in closed form *in the kernel's own
 floating-point order* — same draws from the same stream, same additions — and
 ``tests/test_delay_parity.py`` holds it to
@@ -151,15 +149,15 @@ class RoundDelayBreakdown:
 
 
 class DelayModel:
-    """Samples per-round delays for FAIR-BFL, the FL baselines, and vanilla blockchain.
+    """Samples the Section 4.6 delay components and prices FL-baseline rounds.
 
     The component samplers below are the calibrated primitives of Section 4.6;
-    ``fairbfl_round`` and ``vanilla_blockchain_round`` delegate to the
-    discrete-event kernel (:class:`~repro.sim.rounds.EventRoundSimulator`),
-    whose arrivals and event trace their callers read; ``fl_round`` computes
-    what that kernel would report, bit for bit, without running it (see the
-    module docstring).  Use :class:`AnalyticDelayModel` for the original
-    Section 4.6 compositions.
+    ``fl_round`` computes what the discrete-event kernel
+    (:class:`~repro.sim.rounds.EventRoundSimulator`) would report for a
+    FedAvg/FedProx round, bit for bit, without running it (see the module
+    docstring).  FAIR-BFL and vanilla-blockchain rounds run on the kernel
+    itself.  Use :class:`AnalyticDelayModel` for the original Section 4.6
+    compositions.
 
     Parameters
     ----------
@@ -172,17 +170,6 @@ class DelayModel:
     def __init__(self, params: DelayParameters, rng: np.random.Generator) -> None:
         self.params = params
         self.rng = rng
-        self._simulator = None
-
-    @property
-    def simulator(self):
-        """The kernel-backed round simulator (lazily built, shares ``rng``)."""
-        if self._simulator is None:
-            # Imported here: repro.sim.rounds imports this module's dataclasses.
-            from repro.sim.rounds import EventRoundSimulator
-
-            self._simulator = EventRoundSimulator(self.params, self.rng)
-        return self._simulator
 
     # -- individual components -------------------------------------------------
     def local_training_delay(
@@ -232,23 +219,7 @@ class DelayModel:
         """Sample (fork_count, merge_delay) for one vanilla-chain mining competition."""
         return self.params.fork_model.sample_fork_delay(self.rng, num_miners)
 
-    # -- per-protocol round compositions ----------------------------------------
-    def fairbfl_round(
-        self,
-        *,
-        num_participants: int,
-        num_miners: int,
-        batches_per_epoch: float,
-        epochs: int,
-    ) -> RoundDelayBreakdown:
-        """One FAIR-BFL round: all five components, one block, no forks (Assumptions 1+2)."""
-        return self.simulator.fairbfl_round(
-            client_ids=num_participants,
-            num_miners=num_miners,
-            batches_per_epoch=batches_per_epoch,
-            epochs=epochs,
-        ).breakdown
-
+    # -- round composition ----------------------------------------------------
     def fl_round(
         self,
         *,
@@ -289,27 +260,14 @@ class DelayModel:
             t_gl=max(0.0, global_end - verify_end),
         )
 
-    def vanilla_blockchain_round(
-        self, *, num_transactions: int, num_miners: int
-    ) -> RoundDelayBreakdown:
-        """One vanilla-blockchain round recording every gradient on-chain.
-
-        The round must mine ``ceil(num_transactions / transactions_per_block)``
-        blocks (queueing, Section 3.1), pays per-transaction processing, and
-        risks a fork on every mined block.  This is the pure blockchain
-        baseline of Fig. 4a: no FL-side component is priced.
-        """
-        return self.simulator.vanilla_round(
-            num_transactions=num_transactions, num_miners=num_miners
-        ).breakdown
-
 
 class AnalyticDelayModel(DelayModel):
     """The original closed-form compositions of Section 4.6.
 
     Kept as the calibration reference: ``tests/test_delay_parity.py`` asserts
-    the kernel-simulated means of :class:`DelayModel` land inside the ranges
-    this model defines.  Use it when a cheap scalar sample is enough and no
+    the kernel-simulated means of
+    :class:`~repro.sim.rounds.EventRoundSimulator` (and of
+    :meth:`DelayModel.fl_round`) land inside the ranges this model defines.  Use it when a cheap scalar sample is enough and no
     per-client arrival information is needed.
     """
 

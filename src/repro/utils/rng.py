@@ -14,8 +14,6 @@ components get statistically independent streams.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
-
 import numpy as np
 
 __all__ = ["new_rng"]
@@ -49,44 +47,3 @@ def derive_seed(base_seed: int, *labels: object) -> int:
 def new_rng(base_seed: int, *labels: object) -> np.random.Generator:
     """Create an independent :class:`numpy.random.Generator` for a component."""
     return np.random.default_rng(derive_seed(base_seed, *labels))
-
-
-@dataclass
-class RngRegistry:
-    """Central registry handing out named, reproducible random generators.
-
-    The registry memoises generators by name so that repeated lookups within a
-    simulation return the *same* stream (preserving sequential draws), while
-    different names always map to independent streams.
-
-    Examples
-    --------
-    >>> reg = RngRegistry(seed=7)
-    >>> a = reg.get("client", 0)
-    >>> b = reg.get("client", 1)
-    >>> a is reg.get("client", 0)
-    True
-    >>> a is b
-    False
-    """
-
-    seed: int
-    _streams: dict[tuple, np.random.Generator] = field(default_factory=dict, repr=False)
-
-    def get(self, *labels: object) -> np.random.Generator:
-        """Return (creating if needed) the generator registered under ``labels``."""
-        key = tuple(repr(x) for x in labels)
-        if key not in self._streams:
-            self._streams[key] = new_rng(self.seed, *labels)
-        return self._streams[key]
-
-    def reset(self) -> None:
-        """Drop all memoised streams; subsequent ``get`` calls start fresh."""
-        self._streams.clear()
-
-    def fork(self, *labels: object) -> "RngRegistry":
-        """Create a child registry whose seed is derived from this one."""
-        return RngRegistry(seed=derive_seed(self.seed, "fork", *labels))
-
-    def __len__(self) -> int:
-        return len(self._streams)

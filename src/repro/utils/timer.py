@@ -8,7 +8,7 @@ measurement is only used by the benchmark harness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.utils.validation import check_non_negative
 
@@ -25,26 +25,9 @@ class SimulatedClock:
     """
 
     now: float = 0.0
-    _history: list[float] = field(default_factory=list, repr=False)
 
     def advance(self, seconds: float) -> float:
         """Advance the clock by ``seconds`` and return the new time."""
         seconds = check_non_negative("seconds", seconds)
         self.now += seconds
-        self._history.append(seconds)
         return self.now
-
-    def reset(self) -> None:
-        """Reset the clock to zero and clear the recorded increments."""
-        self.now = 0.0
-        self._history.clear()
-
-    @property
-    def increments(self) -> list[float]:
-        """All increments applied so far (a copy)."""
-        return list(self._history)
-
-    @property
-    def total_elapsed(self) -> float:
-        """Total simulated time elapsed (equals ``now`` when starting at 0)."""
-        return float(sum(self._history))

@@ -20,6 +20,7 @@ from repro.attacks.scheduler import AttackRoundLog, AttackScheduler, detection_r
 from repro.blockchain.consensus import ForkModel
 from repro.fl.client import ClientUpdate
 from repro.sim.delay import DelayModel, DelayParameters, RoundDelayBreakdown
+from repro.sim.rounds import EventRoundSimulator
 from repro.sim.vanilla_blockchain import VanillaBlockchainConfig, VanillaBlockchainSimulator
 from repro.utils.rng import new_rng
 
@@ -98,47 +99,34 @@ class TestGradientAttacks:
 
 
 class TestLabelFlip:
-    def test_poison_labels_rotates(self):
-        attack = LabelFlipAttack(flip_fraction=1.0, num_classes=10)
-        labels = np.arange(10)
-        poisoned = attack.poison_labels(labels, new_rng(0, "lf"))
-        np.testing.assert_array_equal(poisoned, (labels + 1) % 10)
-
-    def test_poison_labels_fraction(self):
-        attack = LabelFlipAttack(flip_fraction=0.5, num_classes=10)
-        labels = np.zeros(100, dtype=int)
-        poisoned = attack.poison_labels(labels, new_rng(0, "lf"))
-        assert np.sum(poisoned != labels) == 50
-
     def test_direction_space_approximation(self):
         forged = LabelFlipAttack().apply(_update(), new_rng(0, "lf"), global_parameters=GLOBAL)
         assert forged.is_malicious
         assert forged.parameters.shape == (8,)
 
-    def test_retraining_variant(self, tiny_federated):
-        from repro.fl.client import FLClient, LocalTrainingConfig
-        from repro.nn.models import LogisticRegressionModel
-        from repro.nn.parameters import get_flat_parameters
+    def test_without_global_parameters_negates(self):
+        forged = LabelFlipAttack().apply(_update(np.arange(8.0)), new_rng(0, "lf"))
+        np.testing.assert_array_equal(forged.parameters, -np.arange(8.0))
+        assert forged.metadata["attack"] == "label_flip"
 
-        shard = tiny_federated.client(0)
-        client = FLClient(
-            shard, lambda: LogisticRegressionModel(784, 10, new_rng(0, "m")), new_rng(0, "c")
+    def test_forged_direction_opposes_the_honest_one(self):
+        honest = np.linspace(-1.0, 2.0, 64)
+        forged = LabelFlipAttack().apply(
+            _update(honest), new_rng(0, "lf"), global_parameters=np.zeros(64)
         )
-        attack = LabelFlipAttack(flip_fraction=1.0)
-        global_params = get_flat_parameters(client.model)
-        forged = attack.apply_with_retraining(
-            client, global_params, LocalTrainingConfig(epochs=1), new_rng(0, "lf")
+        cosine = forged.parameters @ honest / (
+            np.linalg.norm(forged.parameters) * np.linalg.norm(honest)
         )
-        assert forged.is_malicious
-        assert forged.client_id == shard.client_id
-        # The poisoning must not modify the client's real shard.
-        assert shard.labels.max() <= 9
+        # Anti-correlated, but not the mirror image a sign flip would upload.
+        assert -1.0 + 1e-3 < cosine < 0.0
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            LabelFlipAttack(flip_fraction=1.5)
-        with pytest.raises(ValueError):
-            LabelFlipAttack(num_classes=1)
+    def test_forgery_is_seeded_and_leaves_the_honest_update_alone(self):
+        honest = _update(np.arange(8.0))
+        first = LabelFlipAttack().apply(honest, new_rng(4, "lf"), global_parameters=GLOBAL)
+        second = LabelFlipAttack().apply(honest, new_rng(4, "lf"), global_parameters=GLOBAL)
+        np.testing.assert_array_equal(first.parameters, second.parameters)
+        np.testing.assert_array_equal(honest.parameters, np.arange(8.0))
+        assert not honest.is_malicious
 
 
 class TestAttackScheduler:
@@ -273,9 +261,9 @@ class TestDelayModel:
         assert model.mining_delay(2) > 0.0
 
     def test_fairbfl_round_has_all_components(self, model):
-        b = model.fairbfl_round(
-            num_participants=10, num_miners=2, batches_per_epoch=5, epochs=5
-        )
+        b = EventRoundSimulator(model.params, model.rng).fairbfl_round(
+            client_ids=10, num_miners=2, batches_per_epoch=5, epochs=5
+        ).breakdown
         assert b.t_local > 0 and b.t_up > 0 and b.t_ex > 0 and b.t_gl > 0 and b.t_bl > 0
 
     def test_fl_round_has_no_chain_components(self, model):
@@ -285,37 +273,40 @@ class TestDelayModel:
 
     def test_vanilla_round_queueing_adds_blocks(self):
         params = DelayParameters(transactions_per_block=10)
-        model = DelayModel(params, new_rng(1, "delay"))
+        kernel = EventRoundSimulator(params, new_rng(1, "delay"))
         few = np.mean(
-            [model.vanilla_blockchain_round(num_transactions=5, num_miners=2).t_bl for _ in range(200)]
+            [kernel.vanilla_round(num_transactions=5, num_miners=2).breakdown.t_bl for _ in range(200)]
         )
         many = np.mean(
-            [model.vanilla_blockchain_round(num_transactions=50, num_miners=2).t_bl for _ in range(200)]
+            [kernel.vanilla_round(num_transactions=50, num_miners=2).breakdown.t_bl for _ in range(200)]
         )
         assert many > 3 * few
 
     def test_vanilla_round_validation(self, model):
         with pytest.raises(ValueError):
-            model.vanilla_blockchain_round(num_transactions=-1, num_miners=2)
+            EventRoundSimulator(model.params, model.rng).vanilla_round(
+                num_transactions=-1, num_miners=2
+            )
 
     def test_ordering_fedavg_fair_blockchain(self):
         """The headline ordering of Fig. 4a: FedAvg < FAIR-BFL < vanilla blockchain."""
         params = DelayParameters()
         model = DelayModel(params, new_rng(2, "delay"))
+        kernel = EventRoundSimulator(params, model.rng)
         fl = np.mean(
             [model.fl_round(num_participants=10, batches_per_epoch=5, epochs=5).total for _ in range(300)]
         )
         fair = np.mean(
             [
-                model.fairbfl_round(
-                    num_participants=10, num_miners=2, batches_per_epoch=5, epochs=5
-                ).total
+                kernel.fairbfl_round(
+                    client_ids=10, num_miners=2, batches_per_epoch=5, epochs=5
+                ).breakdown.total
                 for _ in range(300)
             ]
         )
         chain = np.mean(
             [
-                model.vanilla_blockchain_round(num_transactions=100, num_miners=2).total
+                kernel.vanilla_round(num_transactions=100, num_miners=2).breakdown.total
                 for _ in range(300)
             ]
         )
@@ -331,12 +322,6 @@ class TestDelayModel:
 
 
 class TestForkModel:
-    def test_probability_increases_with_miners(self):
-        fm = ForkModel(base_fork_probability=0.1)
-        probs = [fm.fork_probability(m) for m in (1, 2, 5, 10)]
-        assert probs[0] == 0.0
-        assert all(a < b for a, b in zip(probs, probs[1:]))
-
     def test_sample_fork_delay(self):
         fm = ForkModel(base_fork_probability=0.5, merge_cost=2.0)
         rng = new_rng(0, "fork")
@@ -409,10 +394,10 @@ class TestVanillaBlockchainSimulator:
 @settings(max_examples=25, deadline=None)
 def test_delay_breakdown_nonnegative_property(participants, miners):
     """Property: every sampled delay component is non-negative and the total adds up."""
-    model = DelayModel(DelayParameters(), new_rng(participants * 10 + miners, "prop"))
-    b = model.fairbfl_round(
-        num_participants=participants, num_miners=miners, batches_per_epoch=3, epochs=2
-    )
+    kernel = EventRoundSimulator(DelayParameters(), new_rng(participants * 10 + miners, "prop"))
+    b = kernel.fairbfl_round(
+        client_ids=participants, num_miners=miners, batches_per_epoch=3, epochs=2
+    ).breakdown
     parts = [b.t_local, b.t_up, b.t_ex, b.t_gl, b.t_bl]
     assert all(p >= 0 for p in parts)
     assert b.total == pytest.approx(sum(parts))

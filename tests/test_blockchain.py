@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from repro.blockchain import transaction as transaction_module
 from repro.blockchain.block import Block, GENESIS_PREVIOUS_HASH
 from repro.blockchain.chain import Blockchain, BlockValidationError
-from repro.blockchain.mempool import Mempool
+from repro.blockchain.mempool import Mempool, pack_block_counts
 from repro.blockchain.merkle import merkle_root
 from repro.blockchain.pow import mine_block, sample_mining_time, sample_winner
 from repro.blockchain.transaction import (
@@ -160,16 +160,6 @@ class TestBlocks:
         )
         records = block.reward_records()
         assert records == [{"client": "client-3", "reward": 0.5, "label": "high"}]
-
-    def test_size_bytes_counts_payloads(self, keystore):
-        block = Block.create(
-            index=1,
-            previous_hash="ab" * 32,
-            round_index=0,
-            miner_id="m",
-            transactions=[_gradient_tx(size=100)],
-        )
-        assert block.size_bytes >= 800
 
 
 class TestProofOfWork:
@@ -339,8 +329,6 @@ class TestBlockchain:
                 )
             )
         np.testing.assert_array_equal(chain.latest_global_update(), [1.0, 1.0, 1.0])
-        assert chain.block_for_round(0).round_index == 0
-        assert chain.block_for_round(7) is None
 
     def test_total_rewards_by_client(self):
         chain = self._chain_with_genesis()
@@ -406,18 +394,17 @@ class TestMempool:
         pool.submit(self._tx(100, 0))
         assert len(pool.take_block()) == 1
 
-    def test_blocks_required(self):
-        pool = Mempool(block_size_bytes=100)
-        txs = [self._tx(12, i) for i in range(5)]  # 96 bytes each -> one block per tx
-        assert pool.blocks_required(txs) == 5
-        assert pool.blocks_required([]) == 0
-        small = [self._tx(4, i) for i in range(6)]  # 32 bytes -> 3 per block
-        assert pool.blocks_required(small) == 2
+    def test_block_count_of_a_drain(self):
+        sizes = [tx.payload_size_bytes for tx in (self._tx(12, i) for i in range(5))]
+        assert list(pack_block_counts(sizes, 100)) == [1] * 5  # 96 bytes: one tx a block
+        assert list(pack_block_counts([], 100)) == []
+        small = [self._tx(4, i).payload_size_bytes for i in range(6)]
+        assert list(pack_block_counts(small, 100)) == [3, 3]  # 32 bytes: three a block
 
-    def test_pending_bytes_and_clear(self):
+    def test_pending_count_and_clear(self):
         pool = Mempool(block_size_bytes=1000)
         pool.submit_many([self._tx(4, i) for i in range(3)])
-        assert pool.pending_bytes == 3 * 32
+        assert pool.pending_count == 3
         pool.clear()
         assert pool.pending_count == 0
 

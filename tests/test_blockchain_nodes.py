@@ -40,7 +40,7 @@ class TestMiner:
     def test_receive_valid_upload(self, keystore):
         miner = _miner(keystore=keystore)
         assert miner.receive_upload(_upload("client-0", keystore))
-        assert miner.gradient_count == 1
+        assert len(miner.gradient_set) == 1
 
     def test_reject_unsigned_upload(self, keystore):
         miner = _miner(keystore=keystore)
@@ -64,7 +64,7 @@ class TestMiner:
         tx = _upload("client-0", keystore)
         assert miner.receive_upload(tx)
         assert not miner.receive_upload(tx)
-        assert miner.gradient_count == 1
+        assert len(miner.gradient_set) == 1
 
     def test_unverified_mode_accepts_unsigned(self):
         miner = _miner(keystore=None, verify=False)
@@ -77,7 +77,7 @@ class TestMiner:
         b.receive_upload(_upload("client-1", keystore, value=2.0, client_index=1))
         added = a.merge_gradient_set(b.gradient_set)
         assert added == 1
-        assert a.gradient_count == 2
+        assert len(a.gradient_set) == 2
         # Re-merging adds nothing (Algorithm 1 lines 20-22 idempotence).
         assert a.merge_gradient_set(b.gradient_set) == 0
 
@@ -106,7 +106,7 @@ class TestMiner:
         miner = _miner(keystore=keystore)
         miner.receive_upload(_upload("client-0", keystore))
         miner.reset_round()
-        assert miner.gradient_count == 0
+        assert len(miner.gradient_set) == 0
 
     def test_build_mine_accept_block(self, keystore):
         miner = _miner(keystore=keystore)

@@ -200,10 +200,14 @@ class TestCheckpointGuards:
         resumed = self._trainer(small_spec())
         resumed.restore_state(donor.checkpoint_state())
         # Key pairs come back whole (CRT material included) and sign the same.
-        for entity in donor.keystore.registered_ids():
+        entities = [f"client-{cid}" for cid in range(donor.dataset.num_clients)]
+        entities += donor.miner_ids
+        assert len(resumed.keystore) == len(donor.keystore) == len(entities)
+        for entity in entities:
             assert resumed.keystore.register(entity) == donor.keystore.register(entity)
+        pair = donor.keystore.register("client-0")
         assert resumed.keystore.sign("client-0", b"m") == rsa_sign(
-            b"m", donor.keystore.private_key("client-0")
+            b"m", (pair.modulus, pair.private_exponent)
         )
         # Transactions come back with the same identity and the same contract.
         ledger = [tx for block in resumed.chain.blocks for tx in block.transactions]

@@ -261,10 +261,10 @@ class TestStreamingFold:
     materializing path.  Forcing a tiny threshold exercises it at test scale.
     """
 
-    def _spec(self, backend: str) -> ScenarioSpec:
+    def _spec(self, backend: str, system: str = "fedavg", **overrides) -> ScenarioSpec:
         return ScenarioSpec(
             name="streaming",
-            system="fedavg",
+            system=system,
             seed=3,
             num_clients=12,
             num_samples=360,
@@ -276,6 +276,7 @@ class TestStreamingFold:
             batch_size=10,
             learning_rate=0.05,
             backend=backend,
+            **overrides,
         ).validate()
 
     def test_streaming_matches_materialized(self, engine, monkeypatch):
@@ -296,3 +297,44 @@ class TestStreamingFold:
         first = canonical_result(engine.run_result(self._spec("cohort")))
         second = canonical_result(engine.run_result(self._spec("cohort")))
         assert first == second
+
+    def _first_round_global(
+        self, monkeypatch, threshold, poisoned, system="fedavg", **overrides
+    ):
+        """The global parameters after one cohort round, with the clients in
+        ``poisoned`` trained on NaN images (a fresh dataset: the shared
+        engine's memo stays clean)."""
+        spec = self._spec("cohort", system, **overrides)
+        dataset = ExperimentEngine().dataset_for(spec)
+        for cid in poisoned:
+            dataset.clients[cid].images = np.full_like(dataset.clients[cid].images, np.nan)
+        monkeypatch.setattr(FedAvgTrainer, "STREAM_THRESHOLD", threshold)
+        trainer = get_system(system).build(spec, dataset).trainer
+        try:
+            before = trainer.server.global_parameters.copy()
+            record = trainer.run_round(0)
+            return before, trainer.server.global_parameters.copy(), record
+        finally:
+            trainer.close()
+
+    def test_streaming_screens_a_non_finite_update(self, monkeypatch):
+        _, streamed, record = self._first_round_global(monkeypatch, 4, poisoned=[5])
+        _, materialised, reference = self._first_round_global(monkeypatch, 10**9, poisoned=[5])
+        assert record.extras["cohort_stream"]["clients"] == 12
+        assert "cohort_stream" not in reference.extras
+        assert set(record.extras) == set(reference.extras) | {"cohort_stream"}
+        assert np.isfinite(streamed).all()
+        np.testing.assert_allclose(streamed, materialised, rtol=0.0, atol=1e-12)
+
+    def test_fedprox_streaming_screens_a_non_finite_update(self, monkeypatch):
+        prox = dict(system="fedprox", proximal_mu=0.1)
+        _, streamed, record = self._first_round_global(monkeypatch, 4, [2, 7], **prox)
+        _, materialised, _ = self._first_round_global(monkeypatch, 10**9, [2, 7], **prox)
+        assert record.extras["cohort_stream"]["clients"] == 12
+        assert np.isfinite(streamed).all()
+        np.testing.assert_allclose(streamed, materialised, rtol=0.0, atol=1e-12)
+
+    def test_streaming_without_survivors_keeps_the_global(self, monkeypatch):
+        before, after, record = self._first_round_global(monkeypatch, 4, poisoned=range(12))
+        assert "cohort_stream" in record.extras
+        np.testing.assert_array_equal(after, before)

@@ -76,7 +76,7 @@ class TestProcedureUpload:
         procedure_local_update(ctx, clients, LOCAL_CFG, ParallelExecutor())
         procedure_upload(ctx, miners, keystore, new_rng(0, "upload"))
         assert ctx.rejected_uploads == 0
-        assert sum(m.gradient_count for m in miners) == 4
+        assert sum(len(m.gradient_set) for m in miners) == 4
         assert set(ctx.client_to_miner.keys()) == {0, 1, 2, 3}
         assert all(tx.tx_type is TransactionType.GRADIENT_UPLOAD for tx in ctx.transactions)
 
@@ -87,7 +87,7 @@ class TestProcedureUpload:
         # Passing no keystore leaves the transactions unsigned; miners verify and reject.
         procedure_upload(ctx, miners, None, new_rng(0, "upload"))
         assert ctx.rejected_uploads == 2
-        assert sum(m.gradient_count for m in miners) == 0
+        assert sum(len(m.gradient_set) for m in miners) == 0
 
 
 class TestProcedureExchange:
@@ -97,7 +97,7 @@ class TestProcedureExchange:
         procedure_local_update(ctx, clients, LOCAL_CFG, ParallelExecutor())
         procedure_upload(ctx, miners, keystore, new_rng(0, "upload"))
         procedure_exchange(ctx, miners)
-        counts = {m.gradient_count for m in miners}
+        counts = {len(m.gradient_set) for m in miners}
         assert counts == {5}
         assert ctx.gradient_matrix.shape[0] == 5
         assert sorted(ctx.gradient_client_ids) == [0, 1, 2, 3, 4]

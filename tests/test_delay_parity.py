@@ -47,22 +47,32 @@ BATCHES_PER_EPOCH = 5
 EPOCHS = 5
 
 
-def _mean(model, system: str, n: int, m: int) -> float:
-    def sample() -> float:
-        if system == "fedavg":
-            return model.fl_round(
-                num_participants=n, batches_per_epoch=BATCHES_PER_EPOCH, epochs=EPOCHS
-            ).total
+def _round(model, system: str, n: int, m: int):
+    """One round's breakdown: ``AnalyticDelayModel``'s closed form, or the
+    event kernel drawing from a ``DelayModel``'s stream."""
+    if system == "fedavg":
+        return model.fl_round(
+            num_participants=n, batches_per_epoch=BATCHES_PER_EPOCH, epochs=EPOCHS
+        )
+    if isinstance(model, AnalyticDelayModel):
         if system == "fairbfl":
             return model.fairbfl_round(
                 num_participants=n,
                 num_miners=m,
                 batches_per_epoch=BATCHES_PER_EPOCH,
                 epochs=EPOCHS,
-            ).total
-        return model.vanilla_blockchain_round(num_transactions=n, num_miners=m).total
+            )
+        return model.vanilla_blockchain_round(num_transactions=n, num_miners=m)
+    kernel = EventRoundSimulator(model.params, model.rng)
+    if system == "fairbfl":
+        return kernel.fairbfl_round(
+            client_ids=n, num_miners=m, batches_per_epoch=BATCHES_PER_EPOCH, epochs=EPOCHS
+        ).breakdown
+    return kernel.vanilla_round(num_transactions=n, num_miners=m).breakdown
 
-    return float(np.mean([sample() for _ in range(REPS)]))
+
+def _mean(model, system: str, n: int, m: int) -> float:
+    return float(np.mean([_round(model, system, n, m).total for _ in range(REPS)]))
 
 
 @pytest.mark.parametrize("n", PARTICIPANT_COUNTS)
@@ -89,12 +99,7 @@ def test_kernel_preserves_component_structure():
     analytic = AnalyticDelayModel(params, new_rng(0, "parity-components-analytic"))
 
     def component_means(model) -> dict[str, float]:
-        draws = [
-            model.fairbfl_round(
-                num_participants=100, num_miners=2, batches_per_epoch=5, epochs=5
-            ).as_dict()
-            for _ in range(REPS)
-        ]
+        draws = [_round(model, "fairbfl", 100, 2).as_dict() for _ in range(REPS)]
         return {key: float(np.mean([d[key] for d in draws])) for key in ("t_local", "t_up", "t_ex", "t_gl", "t_bl")}
 
     ev = component_means(event)
@@ -124,11 +129,11 @@ def test_kernel_rounds_are_seed_deterministic():
     params = DelayParameters()
 
     def series() -> list[float]:
-        model = DelayModel(params, new_rng(7, "parity-determinism"))
+        kernel = EventRoundSimulator(params, new_rng(7, "parity-determinism"))
         return [
-            model.fairbfl_round(
-                num_participants=20, num_miners=2, batches_per_epoch=5, epochs=2
-            ).total
+            kernel.fairbfl_round(
+                client_ids=20, num_miners=2, batches_per_epoch=5, epochs=2
+            ).breakdown.total
             for _ in range(10)
         ]
 
@@ -141,7 +146,7 @@ def test_kernel_rounds_are_seed_deterministic():
 
 def _kernel_fl_round(self, *, num_participants, batches_per_epoch, epochs):
     """``DelayModel.fl_round`` as it was before PR 21: one simulated kernel round."""
-    return self.simulator.fl_round(
+    return EventRoundSimulator(self.params, self.rng).fl_round(
         client_ids=num_participants, batches_per_epoch=batches_per_epoch, epochs=epochs
     ).breakdown
 

@@ -312,6 +312,134 @@ class TestDocsFreshness:
             "export allow-list entry 'repro.pkg.mod:gone' is stale: no module exports that name",
         ]
 
+    def _definition_tree(self, tmp_path, monkeypatch):
+        """A repo whose ``repro.pkg.mod`` exports ``Store`` (used by a sibling
+        module through ``put``) and ``Reference`` (used by nothing), and
+        defines the module-level function ``stray`` (read by nothing)."""
+        check_docs = self._load_check_docs()
+        package = tmp_path / "src" / "repro" / "pkg"
+        package.mkdir(parents=True)
+        (tmp_path / "src" / "repro" / "api.py").write_text("__all__ = []\n", encoding="utf-8")
+        (package / "mod.py").write_text(
+            '__all__ = ["Store", "Reference"]\n\n'
+            "class Store:\n"
+            "    def __len__(self):\n        return 0\n\n"
+            "    def put(self):\n        return self.helper()\n\n"
+            "    @property\n    def helper(self):\n        return 1\n\n"
+            "    def unused(self):\n        return self.unused() + self.only_dead_code_calls()\n\n"
+            "    def only_dead_code_calls(self):\n        return 2\n\n"
+            "class Reference:\n    def compute(self):\n        return 3\n\n"
+            "class _Private:\n    def hidden(self):\n        return 4\n\n"
+            "def stray():\n    return stray()\n",
+            encoding="utf-8",
+        )
+        (package / "other.py").write_text(
+            "from repro.pkg.mod import Store\n\nunused = 0\nprint(Store().put(), unused)\n",
+            encoding="utf-8",
+        )
+        monkeypatch.setattr(check_docs, "REPO_ROOT", tmp_path)
+        monkeypatch.setattr(check_docs, "SRC_ROOT", tmp_path / "src")
+        monkeypatch.setattr(
+            check_docs, "EXPORT_ALLOWLIST", {"repro.pkg.mod:Reference": "kept on purpose"}
+        )
+        return check_docs
+
+    def test_definitions_catch_an_unused_method_and_what_only_it_reads(
+        self, tmp_path, monkeypatch
+    ):
+        check_docs = self._definition_tree(tmp_path, monkeypatch)
+        problems = check_docs.check_exports()
+        # Neither its own recursive call nor a same-named variable reads a
+        # method; the helper only the unused method calls goes with it.
+        assert [p.split(": ")[1].split(" ")[0] for p in problems] == [
+            "'Store.unused'", "'Store.only_dead_code_calls'", "'stray'"
+        ]
+        assert problems[0].startswith("src/repro/pkg/mod.py:14: 'Store.unused' is public")
+
+    def test_definitions_do_not_count_a_read_from_tests(self, tmp_path, monkeypatch):
+        check_docs = self._definition_tree(tmp_path, monkeypatch)
+        (tmp_path / "tests").mkdir()
+        (tmp_path / "tests" / "test_mod.py").write_text(
+            "from repro.pkg.mod import Store, stray\nStore().unused()\nstray()\n",
+            encoding="utf-8",
+        )
+        assert len(check_docs.check_exports()) == 3
+
+    def test_definitions_count_a_span_table_string(self, tmp_path, monkeypatch):
+        check_docs = self._definition_tree(tmp_path, monkeypatch)
+        (tmp_path / "benchmarks").mkdir()
+        (tmp_path / "benchmarks" / "spans.py").write_text(
+            'TARGETS = ("repro.pkg.mod:Store.unused", "repro.pkg.mod:stray")\n',
+            encoding="utf-8",
+        )
+        assert check_docs.check_exports() == []
+
+    def test_definitions_pass_a_facade_class_and_an_allow_listed_class(
+        self, tmp_path, monkeypatch
+    ):
+        check_docs = self._definition_tree(tmp_path, monkeypatch)
+        (tmp_path / "src" / "repro" / "api.py").write_text(
+            "__all__ = ['Store', 'stray']\n", encoding="utf-8"
+        )
+        # Reference.compute has no read either: the class's entry covers it.
+        assert check_docs.check_exports() == []
+
+    def test_definitions_catch_a_stale_allow_list_entry(self, tmp_path, monkeypatch):
+        check_docs = self._definition_tree(tmp_path, monkeypatch)
+        monkeypatch.setitem(check_docs.EXPORT_ALLOWLIST, "repro.pkg.mod:Store.unused", "kept")
+        monkeypatch.setitem(check_docs.EXPORT_ALLOWLIST, "repro.pkg.mod:Store.put", "used now")
+        monkeypatch.setitem(check_docs.EXPORT_ALLOWLIST, "repro.pkg.mod:Store.gone", "deleted")
+        problems = check_docs.check_exports()
+        assert problems == [
+            "export allow-list entry 'repro.pkg.mod:Store.put' is stale: the name is used",
+            "src/repro/pkg/mod.py:28: 'stray' is public but nothing in src, examples, "
+            "benchmarks, tools reads it outside its own body or dead code (use it, "
+            "delete it, or allow-list it with a reason)",
+            "export allow-list entry 'repro.pkg.mod:Store.gone' is stale: no module "
+            "exports that name",
+        ]
+
+    def test_definitions_count_a_getattr_name(self, tmp_path, monkeypatch):
+        check_docs = self._definition_tree(tmp_path, monkeypatch)
+        (tmp_path / "tools").mkdir()
+        (tmp_path / "tools" / "probe.py").write_text(
+            'from repro.pkg.mod import Store\nprint(getattr(Store(), "unused")())\n',
+            encoding="utf-8",
+        )
+        # The live method keeps the helper it calls alive too.
+        (problem,) = check_docs.check_exports()
+        assert "'stray' is public" in problem
+
+    def test_definitions_count_a_read_in_the_defining_module(self, tmp_path, monkeypatch):
+        check_docs = self._definition_tree(tmp_path, monkeypatch)
+        mod = tmp_path / "src" / "repro" / "pkg" / "mod.py"
+        mod.write_text(mod.read_text(encoding="utf-8") + "\nVALUE = stray()\n", encoding="utf-8")
+        problems = check_docs.check_exports()
+        assert [p.split(": ")[1].split(" ")[0] for p in problems] == [
+            "'Store.unused'", "'Store.only_dead_code_calls'"
+        ]
+
+    def test_definitions_count_a_method_call_from_examples(self, tmp_path, monkeypatch):
+        check_docs = self._definition_tree(tmp_path, monkeypatch)
+        (tmp_path / "examples").mkdir()
+        (tmp_path / "examples" / "demo.py").write_text(
+            "from repro.pkg.mod import Store, stray\nStore().unused()\nstray()\n",
+            encoding="utf-8",
+        )
+        assert check_docs.check_exports() == []
+
+    def test_definitions_report_an_unused_class_but_not_its_methods(
+        self, tmp_path, monkeypatch
+    ):
+        check_docs = self._definition_tree(tmp_path, monkeypatch)
+        monkeypatch.setattr(check_docs, "EXPORT_ALLOWLIST", {})
+        problems = check_docs.check_exports()
+        assert [p for p in problems if "Reference" in p] == [
+            "src/repro/pkg/mod.py: 'Reference' is in __all__ but nothing in src, examples, "
+            "benchmarks, tools outside its module uses it (use it, delete it, or allow-list "
+            "it with a reason)"
+        ]
+
     def test_readme_benchmark_map_is_fresh(self):
         import re
 

@@ -205,27 +205,16 @@ class TestMempoolEdgeCases:
         pool.submit(_tx("s1", 3))  # 24 bytes
         pool.submit(_tx("big", 100))
         pool.submit(_tx("s2", 3))
-        assert pool.blocks_required() == 3
         assert [t.sender for t in pool.take_block()] == ["s1"]
         assert [t.sender for t in pool.take_block()] == ["big"]
         assert [t.sender for t in pool.take_block()] == ["s2"]
-
-    def test_pending_bytes_is_tracked_incrementally(self):
-        pool = Mempool(block_size_bytes=64)
-        txs = [_tx(f"w{i}", 4) for i in range(5)]  # 32 bytes each
-        pool.submit_many(txs)
-        assert pool.pending_bytes == 5 * 32
-        pool.take_block()  # takes two (64 bytes)
-        assert pool.pending_bytes == 3 * 32
-        pool.clear()
-        assert pool.pending_bytes == 0 and pool.pending_count == 0
 
     def test_duplicate_submission_does_not_double_count_bytes(self):
         pool = Mempool(block_size_bytes=64)
         tx = _tx("w", 4)
         assert pool.submit(tx) is True
         assert pool.submit(tx) is False
-        assert pool.pending_bytes == 32 and pool.pending_count == 1
+        assert pool.pending_count == 1
 
     def test_take_block_then_resubmit_same_id_allowed(self):
         pool = Mempool(block_size_bytes=64)
@@ -233,13 +222,13 @@ class TestMempoolEdgeCases:
         pool.submit(tx)
         pool.take_block()
         assert pool.submit(tx) is True  # mined txs leave the seen set
-        assert pool.pending_bytes == 32
+        assert pool.pending_count == 1
 
-    def test_blocks_required_matches_take_block_drain(self):
+    def test_pack_block_counts_matches_take_block_drain(self):
         pool = Mempool(block_size_bytes=80)
         txs = [_tx(f"w{i}", 1 + (i % 7)) for i in range(40)]
         pool.submit_many(txs)
-        predicted = pool.blocks_required()
+        predicted = len(list(pack_block_counts((tx.payload_size_bytes for tx in txs), 80)))
         drained = 0
         while pool.pending_count:
             assert pool.take_block()

@@ -2,7 +2,7 @@
 
 The most-work rule and the seeded hash tie-break that resolves equal-work
 forks identically on every node, the ``Blockchain.reorg_to`` validation
-edges (duplicate insertion, orphan ordering, Merkle tampering on a reorged
+edges (duplicate insertion, a broken link, Merkle tampering on a reorged
 candidate), and the mempool's two eviction paths (chain-included and
 round-expired transactions).
 """
@@ -202,19 +202,30 @@ class TestReorgEdges:
         chain = _chain(2, "a")
         with pytest.raises(BlockValidationError, match="index"):
             chain.add_block(chain.blocks[-1])
-        assert Node(node_id="n", chain=chain).receive_block(chain.blocks[-1]) == "duplicate"
 
-    def test_orphan_block_before_parent(self):
-        donor = _chain(3, "b")
+    def test_block_before_its_parent_is_refused_until_the_parent_lands(self):
+        donor = _chain(2, "b")
+        parent, child = donor.blocks[1], donor.blocks[2]
+        chain = _chain(0)
+        assert chain.validate_candidate(child) is not None
+        with pytest.raises(BlockValidationError):
+            chain.add_block(child)
+        assert chain.height == 1
+        chain.add_block(parent)
+        assert chain.validate_candidate(child) is None
+        chain.add_block(child)
+        assert chain.last_block.block_hash == donor.last_block.block_hash
+        assert chain.is_valid()
+
+    def test_sync_brings_in_blocks_whose_parents_the_node_never_saw(self):
+        # Gossip moves whole chains: a node three blocks behind takes the
+        # missing ancestry in order, with no pool of parked blocks.
+        donor = Node(node_id="d", chain=_chain(3, "b"))
         node = Node(node_id="n", chain=_chain(0))
-        grandchild, child, parent = donor.blocks[3], donor.blocks[2], donor.blocks[1]
-        assert node.receive_block(grandchild) == "orphaned"
-        assert node.receive_block(child) == "orphaned"
-        assert node.chain.height == 1
-        # The missing parent arrives: both orphans cascade in order.
-        assert node.receive_block(parent) == "appended"
+        assert node.sync_with(donor, ForkChoice(salt=0))
         assert node.chain.height == 4
-        assert node.orphans == {}
+        assert node.head_hash == donor.head_hash
+        assert node.reorgs == 0
         assert node.chain.is_valid()
 
 
@@ -254,14 +265,13 @@ class TestMempoolEviction:
         pool = self._pool()
         tx = _tx(client=0)
         pool.submit(tx)
-        bytes_before = pool.pending_bytes
-        assert bytes_before > 0
+        assert pool.pending_count == 1
         assert pool.evict_included([tx.tx_id]) == 1
-        assert pool.pending_bytes == 0
+        assert pool.pending_count == 0
         # The id was released: the same tx may be resubmitted (a reorg can
         # return a discarded fork's transactions to circulation).
         assert pool.submit(tx)
-        assert pool.pending_bytes == bytes_before
+        assert pool.pending_count == 1
 
     def test_evict_on_empty_pool(self):
         pool = self._pool()

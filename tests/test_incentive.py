@@ -71,7 +71,7 @@ class TestDBSCAN:
         a, b, m = _two_cluster_data(n_per=4)
         result = DBSCAN(eps=0.3, min_samples=2).fit(m)
         label0 = result.cluster_of(0)
-        assert set(result.members(label0).tolist()) == set(range(4))
+        assert set(np.flatnonzero(result.labels == label0).tolist()) == set(range(4))
 
     def test_min_samples_one_every_point_core(self):
         m = np.eye(4)

@@ -208,7 +208,7 @@ class TestGossip:
     def test_flood_reaches_every_active_node(self):
         net = self._net("ring")
         outcome = net.propagate("miner-0", seed=1)
-        assert outcome.delivered == frozenset(IDS)
+        assert frozenset(outcome.arrivals) == frozenset(IDS)
         assert outcome.arrivals["miner-0"] == 0.0
         assert outcome.max_latency > 0.0
         assert net.floods == 1
@@ -217,7 +217,7 @@ class TestGossip:
         net = self._net("full")
         active = {"miner-0", "miner-1", "miner-2"}
         outcome = net.propagate("miner-0", active=active, seed=1)
-        assert outcome.delivered == frozenset(active)
+        assert frozenset(outcome.arrivals) == frozenset(active)
 
     def test_flood_deterministic_for_seed(self):
         a = self._net("ring").propagate("miner-2", seed=77)
@@ -234,7 +234,7 @@ class TestGossip:
         b = limited.propagate("miner-0", seed=5)
         assert b.messages < a.messages
         # Flooding with fanout=None delivers to the whole component.
-        assert a.delivered == frozenset(IDS)
+        assert frozenset(a.arrivals) == frozenset(IDS)
 
     def test_zero_latency_and_jitter(self):
         net = self._net("ring", base_latency=0.0, jitter=0.0)
@@ -253,43 +253,6 @@ class TestNode:
     def _node(self, rounds=0):
         return Node(node_id="n0", chain=_chain_with_blocks(rounds))
 
-    def test_receive_appended_and_duplicate(self):
-        node = self._node()
-        block = Block.create(
-            index=1,
-            previous_hash=node.chain.last_block.block_hash,
-            round_index=0,
-            miner_id="m",
-            transactions=[],
-        )
-        assert node.receive_block(block) == "appended"
-        assert node.receive_block(block) == "duplicate"
-        assert node.chain.height == 2
-
-    def test_receive_orphan_then_parent_connects(self):
-        node = self._node()
-        donor = _chain_with_blocks(2)
-        parent, child = donor.blocks[1], donor.blocks[2]
-        assert node.receive_block(child) == "orphaned"
-        assert child.block_hash in node.orphans
-        assert node.chain.height == 1
-        # The parent arrives: it appends and the orphan cascades on top.
-        assert node.receive_block(parent) == "appended"
-        assert node.chain.height == 3
-        assert not node.orphans
-
-    def test_receive_stale_competing_block(self):
-        node = self._node(rounds=1)
-        rival = Block.create(
-            index=1,
-            previous_hash=node.chain.blocks[0].block_hash,
-            round_index=0,
-            miner_id="rival",
-            transactions=[],
-        )
-        assert node.receive_block(rival) == "stale"
-        assert node.chain.height == 2
-
     def test_sync_with_adopts_longer_chain_and_counts_reorg(self):
         fork_choice = ForkChoice(salt=0)
         a = Node(node_id="a", chain=_chain_with_blocks(1, miner_id="a"))
@@ -300,6 +263,35 @@ class TestNode:
         # Already in agreement: nothing changes.
         assert not a.sync_with(b, fork_choice)
         assert not b.sync_with(a, fork_choice)
+
+    def test_sync_with_a_pure_extension_appends_without_a_reorg(self):
+        fork_choice = ForkChoice(salt=0)
+        node = self._node(rounds=1)
+        donor = Blockchain(enforce_pow=False)
+        donor.blocks = list(node.chain.blocks)
+        donor.add_block(
+            Block.create(
+                index=2,
+                previous_hash=donor.last_block.block_hash,
+                round_index=1,
+                miner_id="m",
+                transactions=[],
+            )
+        )
+        assert node.sync_with(Node(node_id="d", chain=donor), fork_choice)
+        assert node.chain.height == 3
+        assert node.reorgs == 0
+        assert node.chain.fork_events == 0
+
+    def test_sync_with_a_shorter_competing_view_changes_nothing(self):
+        fork_choice = ForkChoice(salt=0)
+        node = self._node(rounds=2)
+        head = node.head_hash
+        rival = Node(node_id="rival", chain=_chain_with_blocks(1, miner_id="rival"))
+        assert not node.sync_with(rival, fork_choice)
+        assert node.head_hash == head
+        assert node.chain.height == 3
+        assert node.reorgs == 0
 
     def test_sync_settles_mempool(self):
         fork_choice = ForkChoice(salt=0)
@@ -441,7 +433,7 @@ class TestSubstrate:
             )
         latency = sub.commit_block(0, "miner-0", component, sim_time=1.0)
         assert latency > 0.0
-        assert sub.mempool_pending() == 0
+        assert sum(n.mempool.pending_count for n in sub.nodes.values()) == 0
 
     def test_broadcast_block_singleton_component(self):
         sub = self._substrate()

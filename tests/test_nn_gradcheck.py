@@ -119,10 +119,10 @@ def test_layer_gradients(case, batch):
         input_grad, numerical_grad(objective, x), rtol=RTOL, atol=ATOL,
         err_msg=f"{case}: d(objective)/d(input) mismatch at batch={batch}",
     )
-    for pname, param in layer.named_parameters():
+    for param in layer.parameters():
         np.testing.assert_allclose(
             param.grad, numerical_grad(objective, param.value), rtol=RTOL, atol=ATOL,
-            err_msg=f"{case}: d(objective)/d({pname}) mismatch at batch={batch}",
+            err_msg=f"{case}: d(objective)/d({param.name}) mismatch at batch={batch}",
         )
 
 

@@ -39,9 +39,9 @@ class TestParameter:
 
 class TestModuleTraversal:
     def test_parameters_recursive(self, rng):
-        model = Sequential(Linear(4, 3, rng), ReLU(), Linear(3, 2, rng))
-        names = [n for n, _ in model.named_parameters()]
-        assert names == ["layer0.weight", "layer0.bias", "layer2.weight", "layer2.bias"]
+        first, second = Linear(4, 3, rng), Linear(3, 2, rng)
+        model = Sequential(first, ReLU(), second)
+        assert list(model.parameters()) == [first.weight, first.bias, second.weight, second.bias]
 
     def test_num_parameters(self, rng):
         model = Sequential(Linear(4, 3, rng), Linear(3, 2, rng))

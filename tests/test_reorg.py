@@ -158,7 +158,7 @@ class TestMempoolChainDisjoint:
         def checked(method):
             def wrapper(*args, **kwargs):
                 if method.__name__ == "commit_block":
-                    seen["pending"] += net.mempool_pending()
+                    seen["pending"] += sum(n.mempool.pending_count for n in net.nodes.values())
                 result = method(*args, **kwargs)
                 check()
                 return result
@@ -173,4 +173,4 @@ class TestMempoolChainDisjoint:
         assert net.total_reorgs > 0 and seen["offline"] > 0  # a reorg, and churn
         assert seen["pending"] > 0  # commits had uploads to settle
         assert seen["checks"] >= 2 * 6
-        assert net.mempool_pending() == 0
+        assert sum(n.mempool.pending_count for n in net.nodes.values()) == 0

@@ -37,6 +37,7 @@ import pytest
 from repro import api
 from repro.serve.client import ServeClient, ServeClientError
 from repro.serve.protocol import ENDPOINTS, error_payload
+from repro.serve import server as serve_server
 from repro.serve.server import MAX_BODY_BYTES
 
 pytestmark = pytest.mark.serve
@@ -214,6 +215,72 @@ class TestBadInput:
         status, body = _post_declaring(server.url, str(declared), b"{}")
         assert status == 413
         assert f"{declared} bytes" in body["error"]
+        assert ServeClient(server.url).health()["status"] == "ok"
+
+    def test_a_body_short_of_its_content_length_answers_408_and_closes(
+        self, server, monkeypatch
+    ):
+        """The handler used to wait for the missing bytes forever."""
+        monkeypatch.setattr(serve_server, "BODY_DEADLINE_S", 0.2)
+        address = urllib.parse.urlsplit(server.url)
+        with socket.create_connection((address.hostname, address.port), timeout=3.0) as sock:
+            sock.sendall(
+                b"POST /v1/runs HTTP/1.1\r\nHost: repro\r\nContent-Type: application/json\r\n"
+                b'Content-Length: 100\r\n\r\n{"name": "trunc'
+            )
+            response = http.client.HTTPResponse(sock)
+            response.begin()
+            assert response.status == 408
+            assert "did not arrive within 0.2 s" in json.loads(response.read())["error"]
+            assert sock.recv(1) == b""  # closed by the server, not left to time out
+        assert ServeClient(server.url).health()["status"] == "ok"
+
+    def test_a_keep_alive_connection_idles_past_the_body_deadline(self, server, monkeypatch):
+        monkeypatch.setattr(serve_server, "BODY_DEADLINE_S", 0.2)
+        address = urllib.parse.urlsplit(server.url)
+        connection = http.client.HTTPConnection(address.hostname, address.port, timeout=3.0)
+        try:
+            for _ in range(2):  # a body read, then an idle gap longer than its deadline
+                connection.request("POST", "/v1/jobs/job-999999/cancel", body=b"{}")
+                response = connection.getresponse()
+                response.read()
+                assert response.status == 404
+                time.sleep(0.5)
+            connection.request("GET", "/v1/healthz")
+            assert connection.getresponse().status == 200
+        finally:
+            connection.close()
+
+    def test_a_body_arriving_in_pieces_inside_its_deadline_is_accepted(
+        self, server, monkeypatch
+    ):
+        monkeypatch.setattr(serve_server, "BODY_DEADLINE_S", 2.0)
+        body = json.dumps(_spec_mapping(name="pieces")).encode("utf-8")
+        address = urllib.parse.urlsplit(server.url)
+        with socket.create_connection((address.hostname, address.port), timeout=3.0) as sock:
+            sock.sendall(
+                b"POST /v1/runs HTTP/1.1\r\nHost: repro\r\nContent-Type: application/json\r\n"
+                + f"Content-Length: {len(body)}\r\n\r\n".encode("latin-1")
+                + body[:10]
+            )
+            time.sleep(0.3)
+            sock.sendall(body[10:])
+            response = http.client.HTTPResponse(sock)
+            response.begin()
+            assert response.status == 202
+            assert json.loads(response.read())["jobs"]
+
+    def test_a_body_cut_short_by_a_half_close_answers_400(self, server):
+        address = urllib.parse.urlsplit(server.url)
+        with socket.create_connection((address.hostname, address.port), timeout=3.0) as sock:
+            sock.sendall(
+                b"POST /v1/runs HTTP/1.1\r\nHost: repro\r\nContent-Type: application/json\r\n"
+                b'Content-Length: 100\r\n\r\n{"name": "trunc'
+            )
+            sock.shutdown(socket.SHUT_WR)  # no deadline needed: the peer is done sending
+            response = http.client.HTTPResponse(sock)
+            response.begin()
+            assert response.status == 400
         assert ServeClient(server.url).health()["status"] == "ok"
 
     def test_a_well_formed_body_with_a_hand_written_length_is_accepted(self, server):

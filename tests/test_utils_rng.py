@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
-from repro.utils.rng import RngRegistry, derive_seed, new_rng
+from repro.utils.rng import derive_seed, new_rng
 
 
 class TestDeriveSeed:
@@ -40,38 +39,3 @@ class TestNewRng:
         a = new_rng(9, "x").random(5)
         b = new_rng(9, "y").random(5)
         assert not np.allclose(a, b)
-
-
-class TestRngRegistry:
-    def test_memoises_streams(self):
-        reg = RngRegistry(seed=5)
-        assert reg.get("client", 0) is reg.get("client", 0)
-
-    def test_distinct_names_distinct_streams(self):
-        reg = RngRegistry(seed=5)
-        assert reg.get("a") is not reg.get("b")
-
-    def test_len_counts_streams(self):
-        reg = RngRegistry(seed=5)
-        reg.get("a")
-        reg.get("b")
-        reg.get("a")
-        assert len(reg) == 2
-
-    def test_reset_clears(self):
-        reg = RngRegistry(seed=5)
-        first = reg.get("a").random()
-        reg.reset()
-        assert len(reg) == 0
-        assert reg.get("a").random() == pytest.approx(first)
-
-    def test_fork_gives_independent_registry(self):
-        reg = RngRegistry(seed=5)
-        child = reg.fork("worker", 1)
-        assert child.seed != reg.seed
-        assert child.get("a").random() != pytest.approx(reg.get("a").random())
-
-    def test_registry_reproducible_across_instances(self):
-        a = RngRegistry(seed=11).get("x").random(4)
-        b = RngRegistry(seed=11).get("x").random(4)
-        np.testing.assert_array_equal(a, b)

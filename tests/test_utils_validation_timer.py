@@ -49,24 +49,22 @@ class TestSimulatedClock:
         clock.advance(2.0)
         clock.advance(3.5)
         assert clock.now == pytest.approx(5.5)
-        assert clock.total_elapsed == pytest.approx(5.5)
-
-    def test_advance_records_increments(self):
-        clock = SimulatedClock()
-        clock.advance(1.0)
-        clock.advance(2.0)
-        assert clock.increments == [1.0, 2.0]
 
     def test_negative_advance_rejected(self):
         with pytest.raises(ValueError):
             SimulatedClock().advance(-1.0)
 
-    def test_reset(self):
+    def test_rejected_advance_leaves_the_time(self):
         clock = SimulatedClock()
-        clock.advance(4.0)
-        clock.reset()
-        assert clock.now == 0.0
-        assert clock.increments == []
+        clock.advance(2.0)
+        with pytest.raises(ValueError):
+            clock.advance(-0.5)
+        assert clock.now == pytest.approx(2.0)
+
+    def test_zero_advance_keeps_the_time(self):
+        clock = SimulatedClock(now=3.0)
+        assert clock.advance(0.0) == 3.0
+        assert clock.now == 3.0
 
     def test_advance_returns_new_time(self):
         clock = SimulatedClock()

@@ -53,13 +53,19 @@ Fails (exit code 1) when the documentation has drifted from the code:
     (``(deleted…``, ``(moved…`` or ``(historical…`` right after the path).
     ``CHANGES.md`` and ``ROADMAP.md`` are logs of what used to be and are not
     scanned;
-15. a name in the ``__all__`` of a ``src/repro`` module (package
-    ``__init__`` files aside) has no use outside that module — no ``ast.Name``,
-    ``ast.Attribute`` or import of it in ``src/``, ``examples/``,
-    ``benchmarks/`` or ``tools/``; a package ``__init__``'s re-export and
-    anything under ``tests/`` do not count.  ``repro.api.__all__`` (the pinned
-    facade) passes as is; every other exception is an ``EXPORT_ALLOWLIST``
-    entry with its reason, and an entry whose name is gone or now used fails.
+15. a public definition in ``src/repro`` has no read in ``src/``,
+    ``examples/``, ``benchmarks/`` or ``tools/`` — a package ``__init__``'s
+    re-export and anything under ``tests/`` do not count.  A name in a
+    module's ``__all__`` (package ``__init__`` files aside) needs an
+    ``ast.Name``, ``ast.Attribute`` or import of it outside that module; any
+    other public module-level function or class, and every public method or
+    property of a public class, needs a read outside its own body, an
+    identifier-shaped string (``getattr``'s ``"attr"``, the perf span table's
+    ``"module:Class.attr"``) included.  A read inside rejected code does not
+    count.  ``repro.api.__all__`` (the pinned facade) and those classes'
+    methods pass as is; every other exception is an ``EXPORT_ALLOWLIST``
+    entry with its reason (a class's entry covers its methods), and an entry
+    whose name is gone or now used fails.
 
 Run from the repository root:
 
@@ -75,7 +81,9 @@ import json
 import pkgutil
 import re
 import sys
+from collections.abc import Iterator
 from pathlib import Path
+from typing import NamedTuple
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 SRC_ROOT = REPO_ROOT / "src"
@@ -474,89 +482,237 @@ def check_layering() -> list[str]:
     return problems
 
 
-#: Where a reference to an exported name counts as a use.  ``tests/`` is not
+#: Where a reference to a definition counts as a use.  ``tests/`` is not
 #: here: a name that only tests reach is dead code with a test attached.
 USE_ROOTS = ("src", "examples", "benchmarks", "tools")
 
-#: ``"module:name"`` → why an ``__all__`` name with no use outside its module
-#: stays exported.  An entry whose name is gone or has gained a use is stale.
+#: ``"module:name"`` or ``"module:Class.attr"`` → why a definition with no use
+#: stays.  An allow-listed class's methods pass too.  An entry whose name is
+#: gone or has gained a use is stale.
 EXPORT_ALLOWLIST: dict[str, str] = {
     "repro.crypto.rsa:rsa_sign": (
         "plain-exponent reference that tests hold the CRT signing of KeyStore to"
     ),
+    "repro.fl.cohort:CohortTrainer.shared_bytes": (
+        "CI's streaming-round memory bound counts the helpers' shared buffers "
+        "through it; tracemalloc cannot see them"
+    ),
     "repro.sim.delay:AnalyticDelayModel": (
-        "Section 4.6 calibration reference that tests compare DelayModel against"
+        "Section 4.6 closed forms that tests hold the event kernel's delay means to"
     ),
 }
+
+#: Module-level assignments that list names rather than read them.
+_DECLARATIONS = ("__all__", "EXPORT_ALLOWLIST")
+
+#: A string constant that names code: ``getattr``'s ``"attr"``, a dotted
+#: module, or the perf span table's ``"module:Class.attr"``.
+_CODE_STRING = re.compile(r"[A-Za-z_]\w*(?:[.:][A-Za-z_]\w*)*")
+
+
+def _declaration(node: ast.stmt) -> str | None:
+    """The one name a module-level ``x = …`` or ``x: T = …`` statement binds."""
+    if isinstance(node, ast.Assign) and len(node.targets) == 1:
+        target = node.targets[0]
+    elif isinstance(node, ast.AnnAssign) and node.value is not None:
+        target = node.target
+    else:
+        return None
+    return target.id if isinstance(target, ast.Name) else None
 
 
 def _module_all(tree: ast.Module) -> list[str]:
     """The string entries of a module-level ``__all__`` list or tuple."""
     for node in tree.body:
-        if (
-            isinstance(node, ast.Assign)
-            and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
-            and isinstance(node.value, (ast.List, ast.Tuple))
-        ):
+        if _declaration(node) == "__all__" and isinstance(node.value, (ast.List, ast.Tuple)):
             return [elt.value for elt in node.value.elts if isinstance(elt, ast.Constant)]
     return []
 
 
-def _referenced_names(tree: ast.Module, *, package_init: bool) -> set[str]:
-    """Names a module reads, by ``ast.Name``, ``ast.Attribute`` or import.
+#: A name → the ``(line, kind)`` of each read of it in one file.
+Reads = dict[str, list[tuple[int, str]]]
 
-    Bindings (a definition, an assignment target) are not reads, and a
-    package ``__init__``'s imports are re-exports, not uses.
+#: The read kinds that reach a definition: an ``__all__`` name is named,
+#: imported or read as an attribute; any other module-level definition is
+#: reached any way; a method only as an attribute or by string.
+_EXPORT_READS = frozenset({"name", "attribute", "import"})
+_DEFINITION_READS = _EXPORT_READS | {"string"}
+_METHOD_READS = frozenset({"attribute", "string"})
+
+
+def _reads(tree: ast.Module, *, package_init: bool) -> Reads:
+    """Every read in a module: an ``ast.Name`` or ``ast.Attribute`` load, an
+    import, or each part of an identifier-shaped string constant.
+
+    Bindings (a definition, an assignment target) are not reads, nor are the
+    entries of :data:`_DECLARATIONS`, and a package ``__init__``'s imports
+    are re-exports, not uses.
     """
-    names = set()
+    declared = {
+        id(const)
+        for node in tree.body
+        if _declaration(node) in _DECLARATIONS
+        for const in ast.walk(node.value)
+    }
+    reads: Reads = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            names.add(node.id)
+            names, kind = [node.id], "name"
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            names.add(node.attr)
+            names, kind = [node.attr], "attribute"
         elif isinstance(node, ast.ImportFrom) and not package_init:
-            names.update(alias.name for alias in node.names)
-    return names
+            names, kind = [alias.name for alias in node.names], "import"
+        elif (
+            isinstance(node, ast.Constant)
+            and isinstance(node.value, str)
+            and id(node) not in declared
+            and _CODE_STRING.fullmatch(node.value)
+        ):
+            names, kind = re.split(r"[.:]", node.value), "string"
+        else:
+            continue
+        for name in names:
+            reads.setdefault(name, []).append((node.lineno, kind))
+    return reads
+
+
+def _span(node: ast.stmt) -> range:
+    """The lines a definition covers, its decorators included."""
+    first = min([node.lineno] + [d.lineno for d in node.decorator_list])
+    return range(first, node.end_lineno + 1)
+
+
+class _Definition(NamedTuple):
+    """One public definition the use rules check."""
+
+    module: str
+    qualname: str  # ``name`` or ``Class.attr``
+    path: Path
+    spans: list[range]  # its lines; none for an ``__all__`` name bound by assignment
+    kinds: frozenset[str]  # the read kinds that reach it
+    own_file: bool  # whether a read in its own file, outside ``spans``, counts
+
+    @property
+    def key(self) -> str:
+        return f"{self.module}:{self.qualname}"
+
+    @property
+    def owner(self) -> str | None:
+        """The key of the class a method belongs to."""
+        cls = self.qualname.rpartition(".")[0]
+        return f"{self.module}:{cls}" if cls else None
+
+
+def _definitions(path: Path, module: str, facade: set[str]) -> Iterator[_Definition]:
+    """The definitions of one ``src/repro`` module that need a read.
+
+    Each ``__all__`` name (package ``__init__`` files aside); each other
+    public module-level function and class; and each public method or
+    property of a public class outside the facade (a method defined twice, a
+    property and its setter, has two spans).
+    """
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    exported = [] if path.name == "__init__.py" else _module_all(tree)
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef)
+    spans: dict[str, list[range]] = {}
+    for node in tree.body:
+        if not isinstance(node, (*kinds, ast.ClassDef)) or node.name.startswith("_"):
+            continue
+        spans[node.name] = [_span(node)]
+        if isinstance(node, ast.ClassDef) and node.name not in facade:
+            for item in node.body:
+                if isinstance(item, kinds) and not item.name.startswith("_"):
+                    spans.setdefault(f"{node.name}.{item.name}", []).append(_span(item))
+    for name in exported:
+        if name not in facade:
+            yield _Definition(module, name, path, spans.get(name, []), _EXPORT_READS, False)
+    for qualname, lines in spans.items():
+        if qualname not in exported and qualname not in facade:
+            reads = _METHOD_READS if "." in qualname else _DEFINITION_READS
+            yield _Definition(module, qualname, path, lines, reads, True)
 
 
 def check_exports() -> list[str]:
-    """Every ``__all__`` name of a ``src/repro`` module must have a use outside that module.
+    """Every public definition in ``src/repro`` needs a live read outside its own body.
 
-    A use is a reference from ``src/``, ``examples/``, ``benchmarks/`` or
-    ``tools/`` (see :data:`USE_ROOTS`) in any file but the defining one.
-    ``repro.api.__all__`` is the pinned facade and passes as is; any other
-    exception is an :data:`EXPORT_ALLOWLIST` entry with its reason.
+    Reads come from ``src/``, ``examples/``, ``benchmarks/`` and ``tools/``
+    (see :data:`USE_ROOTS`), one index for three rules:
+
+    * an ``__all__`` name (package ``__init__`` files aside) needs a read by
+      name, attribute or import in a file other than its module;
+    * any other public module-level function or class needs a read of any
+      kind outside its own body, an identifier-shaped string included
+      (``getattr``'s ``"attr"``, the perf span table's ``"module:Class.attr"``);
+    * a public method or property of a public class needs an attribute or
+      string read outside its own body.
+
+    A read inside a definition these rules reject is not live, so a helper
+    only dead code calls is rejected with it.  ``repro.api.__all__`` is the
+    pinned facade: those names, and the methods of those classes, pass as is.
+    Any other exception is an :data:`EXPORT_ALLOWLIST` entry with its reason;
+    an allow-listed class's methods pass too.
     """
     api = SRC_ROOT / "repro" / "api.py"
     facade = set(_module_all(ast.parse(api.read_text(encoding="utf-8"))))
-    uses: dict[Path, set[str]] = {}
+    uses: dict[Path, Reads] = {}
     for root in USE_ROOTS:
         for path in sorted((REPO_ROOT / root).glob("**/*.py")):
             tree = ast.parse(path.read_text(encoding="utf-8"))
-            uses[path] = _referenced_names(tree, package_init=path.name == "__init__.py")
+            uses[path] = _reads(tree, package_init=path.name == "__init__.py")
+    definitions = [
+        definition
+        for path in sorted(SRC_ROOT.glob("repro/**/*.py"))
+        for definition in _definitions(
+            path, ".".join(path.relative_to(SRC_ROOT).with_suffix("").parts), facade
+        )
+    ]
+
+    def allowed(d: _Definition) -> bool:
+        return d.key in EXPORT_ALLOWLIST or d.owner in EXPORT_ALLOWLIST
+
+    def used(d: _Definition, dead: dict[Path, list[range]]) -> bool:
+        name = d.qualname.rpartition(".")[2]
+        return any(
+            kind in d.kinds
+            and (other != d.path or (d.own_file and not any(line in s for s in d.spans)))
+            and not any(line in s for s in dead.get(other, ()))
+            for other, reads in uses.items()
+            for line, kind in reads.get(name, ())
+        )
+
+    # Dead code does not keep what it reads alive: iterate to a fixed point.
+    unused: set[str] = set()
+    while True:
+        dead: dict[Path, list[range]] = {}
+        for d in definitions:
+            if d.key in unused:
+                dead.setdefault(d.path, []).extend(d.spans)
+        found = {d.key for d in definitions if not allowed(d) and not used(d, dead)}
+        if found == unused:
+            break
+        unused = found
 
     problems = []
-    exported = set()
-    for path in sorted(SRC_ROOT.glob("repro/**/*.py")):
-        if path.name == "__init__.py":
-            continue
-        module = ".".join(path.relative_to(SRC_ROOT).with_suffix("").parts)
-        for name in _module_all(ast.parse(path.read_text(encoding="utf-8"))):
-            key = f"{module}:{name}"
-            exported.add(key)
-            used = name in facade or any(
-                name in names for other, names in uses.items() if other != path
+    for d in definitions:
+        where = d.path.relative_to(REPO_ROOT)
+        if d.key in EXPORT_ALLOWLIST:
+            if used(d, dead):
+                problems.append(f"export allow-list entry {d.key!r} is stale: the name is used")
+        elif d.key not in unused or d.owner in unused:
+            continue  # a method of an unused class goes with it
+        elif not d.own_file:
+            problems.append(
+                f"{where}: {d.qualname!r} is in __all__ but nothing in "
+                f"{', '.join(USE_ROOTS)} outside its module uses it (use it, delete it, "
+                "or allow-list it with a reason)"
             )
-            if key in EXPORT_ALLOWLIST:
-                if used:
-                    problems.append(f"export allow-list entry {key!r} is stale: the name is used")
-            elif not used:
-                problems.append(
-                    f"{path.relative_to(REPO_ROOT)}: {name!r} is in __all__ but nothing in "
-                    f"{', '.join(USE_ROOTS)} outside its module uses it (use it, delete it, "
-                    "or allow-list it with a reason)"
-                )
-    for key in sorted(EXPORT_ALLOWLIST.keys() - exported):
+        else:
+            problems.append(
+                f"{where}:{d.spans[0].start}: {d.qualname!r} is public but nothing in "
+                f"{', '.join(USE_ROOTS)} reads it outside its own body or dead code "
+                "(use it, delete it, or allow-list it with a reason)"
+            )
+    for key in sorted(EXPORT_ALLOWLIST.keys() - {d.key for d in definitions}):
         problems.append(f"export allow-list entry {key!r} is stale: no module exports that name")
     return problems
 
