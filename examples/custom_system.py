@@ -88,7 +88,7 @@ class MomentumFedAvgSystem(System):
         trainer = MomentumFedAvgTrainer(
             dataset, self.build_config(spec), momentum=self.momentum
         )
-        return TrainerRun(self.name, trainer)
+        return TrainerRun(trainer)
 
 
 # replace=True keeps repeated imports of this file (e.g. CLI --plugins in the

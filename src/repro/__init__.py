@@ -24,7 +24,6 @@ from repro.core.config import FairBFLConfig
 from repro.core.fairbfl import FairBFLTrainer
 from repro.core.flexibility import OperatingMode
 from repro.datasets.federated import build_federated_dataset
-from repro.fl.executor import ParallelExecutor
 from repro.fl.fedavg import FedAvgConfig, FedAvgTrainer
 from repro.fl.fedprox import FedProxConfig, FedProxTrainer
 from repro.fl.history import TrainingHistory
@@ -51,7 +50,6 @@ __all__ = [
     "FedProxTrainer",
     "TrainingHistory",
     "ExperimentEngine",
-    "ParallelExecutor",
     "ScenarioMatrix",
     "ScenarioSpec",
     "__version__",

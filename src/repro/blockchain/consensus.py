@@ -67,13 +67,3 @@ class ForkModel:
             return []
         per_merge = float(self.merge_cost * (1.0 + 0.25 * (collisions - 1)))
         return [per_merge] * collisions
-
-    def sample_fork_delay(self, rng: np.random.Generator, num_miners: int) -> tuple[int, float]:
-        """Sample ``(fork_count, extra_delay_seconds)`` for one mining competition.
-
-        Every runner-up independently collides with the winner with probability
-        ``base_fork_probability``; each collision costs one serialised merge
-        from :meth:`merge_schedule`.
-        """
-        collisions = self.sample_collisions(rng, num_miners)
-        return collisions, float(sum(self.merge_schedule(collisions)))

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from repro.attacks.gradient_attacks import ATTACKS
 from repro.core.flexibility import OperatingMode
 from repro.fl.client import LocalTrainingConfig
-from repro.fl.executor import check_executor_settings
+from repro.fl.cohort import check_executor_settings
 from repro.fl.robust import check_defense
 from repro.incentive.contribution import ContributionConfig
 from repro.incentive.strategies import STRATEGIES
@@ -108,7 +108,7 @@ class FairBFLConfig:
         (default; the original per-client loop) or ``"cohort"`` (stacked
         matrix ops).  Both are bit-identical because every client draws from
         its own seeded RNG stream; see
-        :class:`repro.fl.executor.ParallelExecutor`.
+        :meth:`repro.fl.trainer.Trainer.local_updates`.
     executor_workers:
         The process count a cohort chunk is sharded over (``None`` = the
         usable CPUs divided by the BLAS thread count); serial ignores it.

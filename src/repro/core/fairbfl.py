@@ -421,7 +421,7 @@ class FairBFLTrainer(Trainer):
         ]
 
         if Procedure.LOCAL_UPDATE in procedures:
-            procedure_local_update(ctx, self.clients, cfg.local, self.executor)
+            procedure_local_update(ctx, self.local_updates, cfg.local)
             self._apply_attacks(ctx)
 
         # The event-driven simulation runs before Procedure II: the arrival

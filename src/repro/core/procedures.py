@@ -25,8 +25,7 @@ from repro.blockchain.transaction import (
 )
 from repro.crypto.keystore import KeyStore
 from repro.fl.aggregation import simple_average
-from repro.fl.client import ClientUpdate, FLClient, LocalTrainingConfig
-from repro.fl.executor import ParallelExecutor
+from repro.fl.client import ClientUpdate, LocalTrainingConfig
 from repro.incentive.contribution import ContributionConfig, ContributionReport
 from repro.incentive.contribution import (
     # Procedure IV's Algorithm 2 step takes the round's own direction buffer;
@@ -38,7 +37,7 @@ from repro.incentive.rewards import RewardEntry
 from repro.incentive.strategies import Strategy, StrategyOutcome
 from repro.utils.vectors import compact_rows_in_place, finite_rows
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.fl.robust import DefensePipeline
@@ -85,21 +84,18 @@ class RoundContext:
 # -- Procedure I ------------------------------------------------------------
 def procedure_local_update(
     ctx: RoundContext,
-    clients: dict[int, FLClient],
+    local_updates: Callable[[list[int], np.ndarray, LocalTrainingConfig], list[ClientUpdate]],
     local_config: LocalTrainingConfig,
-    executor: ParallelExecutor,
 ) -> RoundContext:
     """Every selected client trains locally starting from the latest global parameters.
 
-    The :class:`~repro.fl.executor.ParallelExecutor` runs the per-client
-    work on its backend (``serial`` is a plain loop).  Updates are
+    ``local_updates`` is the trainer's :meth:`~repro.fl.trainer.Trainer.local_updates`,
+    which runs the per-client work on the configured backend.  Updates are
     always returned in selection order and every stochastic draw comes from
     the owning client's private RNG stream, so the backend cannot change the
     numbers.
     """
-    ctx.updates = executor.run_local_updates(
-        clients, ctx.selected_clients, ctx.global_parameters, local_config
-    )
+    ctx.updates = local_updates(ctx.selected_clients, ctx.global_parameters, local_config)
     return ctx
 
 

@@ -14,16 +14,16 @@ paper's evaluation:
   contribution-based selection (the discard strategy's side effect);
 * :mod:`repro.fl.server` — the centralised parameter server used by the
   FedAvg / FedProx baselines;
-* :mod:`repro.fl.executor` — the serial / cohort executor of Procedure I;
+* :mod:`repro.fl.cohort` — the vectorized cohort engine of Procedure I;
 * :mod:`repro.fl.trainer` — the one round-based :class:`Trainer` every system
-  subclasses (population, lifecycle, evaluation, emission, checkpoints);
+  subclasses (population, Procedure I on the serial or cohort backend,
+  lifecycle, evaluation, emission, checkpoints);
 * :mod:`repro.fl.fedavg`, :mod:`repro.fl.fedprox` — the baseline trainers;
 * :mod:`repro.fl.history` — per-round records shared by all trainers.
 """
 
 from repro.fl.aggregation import contribution_weights, fair_aggregate, simple_average
 from repro.fl.client import ClientUpdate, FLClient, LocalTrainingConfig
-from repro.fl.executor import ParallelExecutor
 from repro.fl.robust import DEFENSES, RobustOutcome, make_defense
 from repro.fl.trainer import Trainer
 from repro.fl.fedavg import FedAvgConfig, FedAvgTrainer
@@ -42,7 +42,6 @@ __all__ = [
     "DEFENSES",
     "RobustOutcome",
     "make_defense",
-    "ParallelExecutor",
     "Trainer",
     "FedAvgConfig",
     "FedAvgTrainer",

@@ -21,7 +21,7 @@ to what ``FLClient.local_update`` returns on the serial path:
   each yields per client the bytes of that client's 2-D call (the two NumPy
   properties this rests on are stated in :mod:`repro.nn.cohort`);
 * bookkeeping side effects (``rounds_participated``) are applied to the
-  coordinator's client objects just like the other executor backends.
+  coordinator's client objects just like on the serial path.
 
 Process sharding
 ----------------
@@ -82,9 +82,37 @@ from repro.fl.client import ClientUpdate, FLClient, LocalTrainingConfig
 from repro.nn.cohort import CohortModel, add_proximal_term, sgd_step
 from repro.nn.losses import SoftmaxCrossEntropyLoss
 from repro.nn.metrics import accuracy
-from repro.utils.validation import check_positive
+from repro.utils.validation import check_choice, check_positive
 
-__all__ = ["CohortTrainer"]
+__all__ = ["EXECUTOR_BACKENDS", "CohortTrainer", "check_executor_settings"]
+
+#: The supported backends of Procedure I: the per-client loop and the cohort.
+EXECUTOR_BACKENDS = ("serial", "cohort")
+
+
+def check_executor_settings(backend: str, workers: int | None) -> None:
+    """Validate a (backend, worker-count) pair: the one rule behind every config."""
+    check_choice("executor_backend", backend, EXECUTOR_BACKENDS)
+    if workers is not None:
+        check_positive("executor_workers", workers)
+
+
+def _default_workers() -> int:
+    """The CPUs this process may run on divided by the threads one BLAS call may use.
+
+    Every cohort process runs BLAS, so W processes must not run more BLAS
+    threads than there are CPUs (two of two-thread OpenBLAS ran a 100k-client
+    round 10 % slower than one).  Unpinned BLAS runs one thread per CPU: W = 1.
+    The CPUs are the affinity mask's, not ``os.cpu_count()``: a pinned process
+    (taskset, a container's cpuset) must not start more processes than it has.
+    """
+    has_mask = hasattr(os, "sched_getaffinity")
+    cpus = len(os.sched_getaffinity(0)) if has_mask else os.cpu_count() or 1
+    for name in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
+        value = os.environ.get(name, "").strip()
+        if value.isdigit() and int(value) > 0:
+            return max(1, cpus // int(value))
+    return 1
 
 #: Default cohort chunk width, the clients of one streamed :class:`CohortBlock`:
 #: a chunk of MNIST-scale logreg clients holds one 32 MB ``(chunk, P)`` matrix
@@ -356,16 +384,18 @@ class CohortTrainer:
 
     ``max_workers`` is the process count W a multi-part chunk is sharded
     over (the coordinator plus ``W - 1`` helpers, forked on first use);
-    call :meth:`close` to stop them.
+    call :meth:`close` to stop them.  ``None`` picks the CPUs this process
+    may run on divided by the threads each BLAS call may use.
     """
 
     def __init__(
-        self, max_cohort_size: int = DEFAULT_MAX_COHORT_SIZE, max_workers: int = 1
+        self, max_cohort_size: int = DEFAULT_MAX_COHORT_SIZE, max_workers: int | None = 1
     ) -> None:
         if int(max_cohort_size) <= 0:
             raise ValueError(f"max_cohort_size must be positive, got {max_cohort_size}")
         self.max_cohort_size = int(max_cohort_size)
-        self.max_workers = int(check_positive("executor_workers", max_workers))
+        workers = _default_workers() if max_workers is None else max_workers
+        self.max_workers = int(check_positive("executor_workers", workers))
         self._models: dict[object, CohortModel] = {}
         self._helpers: _Helpers | None = None
 
@@ -449,7 +479,7 @@ class CohortTrainer:
         global_parameters: np.ndarray,
         local_config: LocalTrainingConfig,
     ) -> list[ClientUpdate]:
-        """Drop-in for ``ParallelExecutor.run_local_updates`` (selection order)."""
+        """``FLClient.local_update`` for every selected client, in selection order."""
         by_id: dict[int, ClientUpdate] = {}
         for block in self.iter_update_blocks(clients, selected, global_parameters, local_config):
             for i, cid in enumerate(block.client_ids):

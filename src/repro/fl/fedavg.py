@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.datasets.federated import FederatedDataset
 from repro.fl.client import LocalTrainingConfig
-from repro.fl.executor import check_executor_settings
+from repro.fl.cohort import check_executor_settings
 from repro.fl.history import RoundRecord
 from repro.fl.robust import check_defense
 from repro.fl.selection import RandomSelector
@@ -37,7 +37,7 @@ class FedAvgConfig:
 
     ``executor_backend`` / ``executor_workers`` select how the round's local
     updates run (serial by default; see
-    :class:`repro.fl.executor.ParallelExecutor`).  ``defense`` routes the
+    :meth:`repro.fl.trainer.Trainer.local_updates`).  ``defense`` routes the
     server's aggregation through a robust-aggregation pipeline
     (:mod:`repro.fl.robust`; ``"none"`` keeps classic FedAvg) sized for a
     ``defense_fraction`` adversary share.
@@ -72,7 +72,7 @@ class FedAvgTrainer(Trainer):
     #: per-cohort blocks into a running aggregate instead of materialising one
     #: ``ClientUpdate`` per client (100k updates of a logreg model would be
     #: ~6 GB).  Below the threshold the materialising path keeps the byte-exact
-    #: parity contract with the serial executor; the streaming fold adds float
+    #: parity contract with the serial backend; the streaming fold adds float
     #: additions in a different association order, so it is equivalent only to
     #: ~1e-12 (and still fully deterministic).
     STREAM_THRESHOLD = 4096
@@ -121,14 +121,12 @@ class FedAvgTrainer(Trainer):
         ]
         local_cfg = self._local_config()
         if (
-            self.executor.backend == "cohort"
+            self.cohort is not None
             and len(selected_ids) >= self.STREAM_THRESHOLD
             and self._streaming_supported()
         ):
             return self._run_round_streaming(round_index, selected_ids, local_cfg)
-        updates = self.executor.run_local_updates(
-            self.clients, selected_ids, self.server.global_parameters, local_cfg
-        )
+        updates = self.local_updates(selected_ids, self.server.global_parameters, local_cfg)
         updates = self._post_process_updates(updates, self._selection_rng)
         if not updates:
             # All selected clients were dropped; keep the previous global model.
@@ -190,7 +188,7 @@ class FedAvgTrainer(Trainer):
         survivors = 0
         train_losses: list[float] = []
         blocks = 0
-        for block in self.executor.iter_update_blocks(
+        for block in self.cohort.iter_update_blocks(
             self.clients, selected_ids, self.server.global_parameters, local_cfg
         ):
             # A ones-vector product, not ``.sum(axis=0)``: the two sum in a

@@ -6,15 +6,17 @@ different procedures switched on, so what they share lives once, here:
 * the lifecycle — the simulated clock and the history, :meth:`Trainer.run` /
   :meth:`Trainer.run_until`, :meth:`Trainer.close` and the context manager;
 * the federated population — model factory, the workspace of scratch models,
-  id-keyed clients, parallel executor and selection stream — built when a
+  id-keyed clients, cohort trainer and selection stream — built when a
   dataset is passed;
+* Procedure I — :meth:`Trainer.local_updates` runs it on the ``serial``
+  per-client loop or the ``cohort`` engine (:class:`~repro.fl.cohort.CohortTrainer`);
 * evaluation — the participants' mean verification accuracy;
 * emission — the single step that advances the clock by a round's delay and
   appends its :class:`~repro.fl.history.RoundRecord`;
 * partial-run checkpointing, described below.
 
 A subclass supplies ``run_round(round_index)`` (and extends ``close`` when it
-owns more than the executor).
+owns more than the cohort trainer).
 
 Checkpointing
 -------------
@@ -27,7 +29,7 @@ to an uninterrupted ``R``-round run.
 
 The state capture is deliberately *exclusion-based* — it pickles everything in
 the trainer's ``__dict__`` except the attributes named by
-:attr:`Trainer.CHECKPOINT_EXCLUDE` (the dataset, the executor, and other
+:attr:`Trainer.CHECKPOINT_EXCLUDE` (the dataset, the cohort trainer, and other
 objects the constructor rebuilds deterministically) — so a subclass that adds
 state (e.g. the momentum buffer of ``examples/custom_system.py``) is
 checkpointed correctly without opting in.  Clients are the one special case:
@@ -42,7 +44,7 @@ a :class:`~repro.sim.delay.DelayModel` and its kernel-backed round simulator
 draw from one generator).  A single ``pickle.dumps`` preserves that aliasing,
 so the restored graph has exactly the sharing structure of the live one.
 
-Determinism across executor backends comes for free: every stochastic draw in
+Determinism across backends comes for free: every stochastic draw in
 a round is made either from a trainer-owned RNG stream or from the owning
 client's private stream, and only the coordinator draws from either (the
 cohort backend's helper processes receive their permutations) — so the
@@ -57,8 +59,8 @@ import pickle
 import numpy as np
 
 from repro.datasets.federated import FederatedDataset
-from repro.fl.client import FLClient, ModelWorkspace
-from repro.fl.executor import ParallelExecutor
+from repro.fl.client import ClientUpdate, FLClient, LocalTrainingConfig, ModelWorkspace
+from repro.fl.cohort import CohortTrainer
 from repro.fl.history import RoundRecord, TrainingHistory
 from repro.nn.models import ModelFactory
 from repro.utils.rng import new_rng
@@ -105,7 +107,7 @@ class Trainer:
     CHECKPOINT_EXCLUDE: tuple[str, ...] = (
         "dataset",
         "clients",
-        "executor",
+        "cohort",
         "_model_factory",
         "_workspace",
         "config",
@@ -113,7 +115,8 @@ class Trainer:
 
     #: ``client_id -> FLClient``; None on a trainer without federated clients.
     clients: dict[int, FLClient] | None = None
-    executor: ParallelExecutor | None = None
+    #: The cohort engine of a ``cohort``-backend population; None otherwise.
+    cohort: CohortTrainer | None = None
 
     def __init__(self, config, dataset: FederatedDataset | None = None) -> None:
         self.config = config
@@ -143,7 +146,9 @@ class Trainer:
                 )
                 for shard in dataset.clients
             }
-            self.executor = ParallelExecutor(config.executor_backend, config.executor_workers)
+            if config.executor_backend == "cohort":
+                # Cheap: nothing forks until the first multi-part chunk.
+                self.cohort = CohortTrainer(max_workers=config.executor_workers)
             self._selection_rng = new_rng(seed, self.label, "selection")
         self.clock = SimulatedClock()
         self.history = TrainingHistory(label=self.label)
@@ -152,6 +157,20 @@ class Trainer:
     def run_round(self, round_index: int) -> RoundRecord:
         """Execute one communication round; append and return its record."""
         raise NotImplementedError
+
+    def local_updates(
+        self,
+        selected: list[int],
+        global_parameters: np.ndarray,
+        config: LocalTrainingConfig,
+    ) -> list[ClientUpdate]:
+        """Run Procedure I for ``selected`` and return their updates in that order.
+
+        The one place that chooses the backend; both yield the same bytes.
+        """
+        if self.cohort is not None:
+            return self.cohort.run_local_updates(self.clients, selected, global_parameters, config)
+        return [self.clients[cid].local_update(global_parameters, config) for cid in selected]
 
     def mean_accuracy(self, client_ids: list[int], parameters: np.ndarray) -> float:
         """Mean verification accuracy of ``parameters`` across ``client_ids``.
@@ -166,8 +185,8 @@ class Trainer:
         per participant through the caller's scratch model; the floats are
         bit-identical either way.
         """
-        if self.executor.backend == "cohort":
-            accuracies = self.executor.evaluate_population(self.clients, client_ids, parameters)
+        if self.cohort is not None:
+            accuracies = self.cohort.evaluate_population(self.clients, client_ids, parameters)
         else:
             accuracies = [self.clients[cid].evaluate(parameters) for cid in client_ids]
         return float(np.mean(accuracies))
@@ -220,9 +239,9 @@ class Trainer:
         return self.history
 
     def close(self) -> None:
-        """Stop any helper processes the executor started (idempotent)."""
-        if self.executor is not None:
-            self.executor.close()
+        """Stop any helper processes the cohort trainer started (idempotent)."""
+        if self.cohort is not None:
+            self.cohort.close()
 
     def __enter__(self):
         return self

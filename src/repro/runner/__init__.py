@@ -9,11 +9,9 @@ Two layers (see ``docs/architecture.md``), above the trainers they drive:
   registry (:mod:`repro.systems`); systems that declare
   ``needs_dataset=False`` never trigger a dataset build.
 
-:class:`ParallelExecutor`, the executor of Procedure I, lives below the
-trainers in :mod:`repro.fl.executor` and is re-exported here.
+The backends of Procedure I live below them, in :class:`repro.fl.trainer.Trainer`.
 """
 
-from repro.fl.executor import EXECUTOR_BACKENDS, ParallelExecutor
 from repro.runner.engine import ExperimentEngine, ScenarioResult
 from repro.runner.scenario import (
     ScenarioError,
@@ -24,8 +22,6 @@ from repro.runner.scenario import (
 )
 
 __all__ = [
-    "EXECUTOR_BACKENDS",
-    "ParallelExecutor",
     "ScenarioError",
     "ScenarioMatrix",
     "ScenarioSpec",

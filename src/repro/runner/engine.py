@@ -37,7 +37,7 @@ from repro.datasets.federated import FederatedDataset, build_federated_dataset
 from repro.fl.history import TrainingHistory
 from repro.fl.trainer import CheckpointError, Trainer
 from repro.runner.scenario import ScenarioError, ScenarioSpec
-from repro.systems.registry import RunResult, get_system
+from repro.systems.registry import RunResult, TrainerRun, get_system
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.store.runstore import RunStore
@@ -171,9 +171,6 @@ class ExperimentEngine:
         rounds are computed (``round_evaluations`` counts exactly those).
         With ``checkpoint=True`` (default, store attached) the finished run's
         own resumable state is persisted for the next promotion.
-
-        Raises :class:`~repro.runner.scenario.ScenarioError` for systems
-        whose ``build()`` result exposes no :class:`~repro.fl.trainer.Trainer`.
         """
         spec.validate()
         target = (
@@ -181,9 +178,7 @@ class ExperimentEngine:
             if rounds is None or int(rounds) == spec.num_rounds
             else spec.with_overrides(num_rounds=int(rounds))
         )
-        return self._execute(
-            spec, target, resume_from=resume_from, checkpoint=checkpoint, partial=True
-        )
+        return self._execute(spec, target, resume_from=resume_from, checkpoint=checkpoint)
 
     def run_streaming(
         self,
@@ -206,9 +201,7 @@ class ExperimentEngine:
         The stepping is the one every engine verb uses (``run_until``, the
         same incremental path an ASHA promotion resumes through), so the
         resulting history is bit-identical to an uninterrupted
-        :meth:`run_result` of the same spec.  Systems whose ``build()`` result
-        exposes no :class:`~repro.fl.trainer.Trainer` run whole and non-interruptibly,
-        with a single final progress report.
+        :meth:`run_result` of the same spec.
         """
         return self._execute(
             spec, spec.validate(), progress=progress, should_stop=should_stop
@@ -221,7 +214,6 @@ class ExperimentEngine:
         *,
         resume_from: tuple[int, ...] = (),
         checkpoint: bool = False,
-        partial: bool = False,
         progress=None,
         should_stop=None,
     ) -> RunResult:
@@ -232,6 +224,10 @@ class ExperimentEngine:
         only labels the history.  Store read-through → ``system.build`` →
         optional checkpoint restore → one ``run_until`` step per round →
         optional ``checkpoint_state()`` → ``close()`` → tally → ``store.put``.
+
+        Raises :class:`~repro.runner.scenario.ScenarioError`, before round 0,
+        when ``build()`` returns anything but a ``TrainerRun`` whose
+        ``.trainer`` is a :class:`~repro.fl.trainer.Trainer`.
         """
         total = int(target.num_rounds)
         read_through = self.store is not None and self.reuse_cached
@@ -244,45 +240,34 @@ class ExperimentEngine:
                 return cached
         system = get_system(target.system)
         dataset = self.dataset_for(target) if system.capabilities.needs_dataset else None
-        runner = system.build(target, dataset)
-        trainer = getattr(runner, "trainer", None)
-        blob = None
+        run = system.build(target, dataset)
+        trainer = run.trainer if isinstance(run, TrainerRun) else None
         if not isinstance(trainer, Trainer):
-            if partial:
-                raise ScenarioError(
-                    f"system {target.system!r} does not support partial runs: its "
-                    "build() result exposes no checkpointable trainer (see "
-                    "repro.fl.trainer.Trainer)"
-                )
-            # A plugin runner that exposes no Trainer runs whole.
-            result = runner.run()
-            self.tally(rounds=len(result.history))
-            if progress is not None:
-                progress(total, total)
-        else:
-            start = done = 0
-            try:
-                if read_through:
-                    start = done = self._restore_highest(trainer, target, resume_from)
-                for target_round in range(start + 1, total + 1):
-                    if should_stop is not None and should_stop():
-                        raise RunCancelled(
-                            f"run of {spec.name!r} cancelled after {done}/{total} rounds"
-                        )
-                    trainer.run_until(target_round)
-                    done = target_round
-                    if progress is not None:
-                        progress(done, total)
-                if checkpoint and self.store is not None:
-                    blob = trainer.checkpoint_state()
-            finally:
-                self.tally(rounds=done - start)
-                trainer.close()
-            result = RunResult(
-                system=system.name,
-                history=trainer.history,
-                extras=dict(getattr(runner, "extras", {})),
+            got = type(run).__name__ if trainer is None else f"TrainerRun({type(trainer).__name__})"
+            raise ScenarioError(
+                f"system {target.system!r}: build() must return a TrainerRun over a "
+                f"repro.fl.trainer.Trainer, got {got}"
             )
+        blob = None
+        start = done = 0
+        try:
+            if read_through:
+                start = done = self._restore_highest(trainer, target, resume_from)
+            for target_round in range(start + 1, total + 1):
+                if should_stop is not None and should_stop():
+                    raise RunCancelled(
+                        f"run of {spec.name!r} cancelled after {done}/{total} rounds"
+                    )
+                trainer.run_until(target_round)
+                done = target_round
+                if progress is not None:
+                    progress(done, total)
+            if checkpoint and self.store is not None:
+                blob = trainer.checkpoint_state()
+        finally:
+            self.tally(rounds=done - start)
+            trainer.close()
+        result = RunResult(system=system.name, history=trainer.history)
         result.history.label = spec.name
         self.tally(runs=1)
         if self.store is not None:

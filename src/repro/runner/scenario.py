@@ -41,7 +41,7 @@ from repro.attacks.gradient_attacks import ATTACKS
 from repro.core.config import FairBFLConfig
 from repro.core.flexibility import OperatingMode
 from repro.fl.client import LocalTrainingConfig
-from repro.fl.executor import EXECUTOR_BACKENDS
+from repro.fl.cohort import EXECUTOR_BACKENDS
 from repro.fl.robust import DEFENSES, check_defense
 from repro.fl.fedavg import FedAvgConfig
 from repro.fl.fedprox import FedProxConfig

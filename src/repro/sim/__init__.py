@@ -11,28 +11,21 @@ package provides:
 * :mod:`repro.sim.rounds` — event-driven round simulation: clients, miners,
   the miners' gradient-set exchange, and the mempool act as kernel
   processes, with ``sync`` / ``semi_sync`` / ``async`` round modes;
-* :mod:`repro.sim.delay` — the calibrated per-component samplers and the
-  :class:`~repro.sim.delay.DelayModel` adapter that reports kernel rounds as
-  the paper's ``T(n, m)`` breakdown (plus the closed-form
-  :class:`~repro.sim.delay.AnalyticDelayModel` calibration reference);
+* :mod:`repro.sim.delay` — the calibration constants and
+  :class:`~repro.sim.delay.DelayModel`, which prices a FedAvg/FedProx round
+  as the paper's ``T(n, m)`` breakdown in the kernel's own arithmetic;
 * :mod:`repro.sim.vanilla_blockchain` — the vanilla-blockchain baseline used
   in Figures 4a, 6a, 6b and 7a: every local gradient becomes an on-chain
   transaction, blocks have a fixed size, and rounds only finish when all
   transactions are recorded.
 """
 
-from repro.sim.delay import (
-    AnalyticDelayModel,
-    DelayModel,
-    DelayParameters,
-    RoundDelayBreakdown,
-)
+from repro.sim.delay import DelayModel, DelayParameters, RoundDelayBreakdown
 from repro.sim.events import EventKernel
 from repro.sim.rounds import ROUND_MODES, EventRoundSimulator, RoundTiming
 from repro.sim.vanilla_blockchain import VanillaBlockchainConfig, VanillaBlockchainSimulator
 
 __all__ = [
-    "AnalyticDelayModel",
     "DelayModel",
     "DelayParameters",
     "RoundDelayBreakdown",

@@ -29,17 +29,13 @@ the *shape* conclusions are insensitive to the exact constants.
 Since the discrete-event refactor, the round *compositions* that anybody
 reads event by event run on :class:`~repro.sim.rounds.EventRoundSimulator`
 directly — FAIR-BFL acts on the per-client arrivals and pins the event trace
-in its history, the vanilla chain mines real blocks at solve events.  The
-per-component *samplers* stay here on :class:`DelayModel` (they are the
-calibrated primitives), with one composition: ``fl_round``.  The
-FedAvg/FedProx trainers read nothing but its breakdown, which depends only on
-two maxima and a count, so it is priced in closed form *in the kernel's own
-floating-point order* — same draws from the same stream, same additions — and
-``tests/test_delay_parity.py`` holds it to
-:meth:`EventRoundSimulator.fl_round <repro.sim.rounds.EventRoundSimulator.fl_round>`
-bit for bit (every field ``==``, generator state equal after every round).
-The original Section 4.6 compositions live on in :class:`AnalyticDelayModel`,
-which the same file holds the kernel against statistically.
+in its history, the vanilla chain mines real blocks at solve events.
+:class:`DelayModel` keeps the two samplers read outside the kernel (local
+training, mining) and one composition, ``fl_round``: the FedAvg/FedProx
+breakdown depends only on two maxima and a count, so it is priced in closed
+form *in the kernel's own floating-point order*.  ``tests/test_delay_parity.py``
+holds it bit for bit to one kernel round, and the kernel statistically to the
+original Section 4.6 compositions (both references: ``tests/delay_oracles.py``).
 """
 
 from __future__ import annotations
@@ -55,7 +51,6 @@ __all__ = [
     "DelayParameters",
     "RoundDelayBreakdown",
     "DelayModel",
-    "AnalyticDelayModel",
 ]
 
 
@@ -149,15 +144,14 @@ class RoundDelayBreakdown:
 
 
 class DelayModel:
-    """Samples the Section 4.6 delay components and prices FL-baseline rounds.
+    """Samples Section 4.6 delay components and prices FL-baseline rounds.
 
-    The component samplers below are the calibrated primitives of Section 4.6;
+    The component samplers below are calibrated primitives of Section 4.6;
     ``fl_round`` computes what the discrete-event kernel
     (:class:`~repro.sim.rounds.EventRoundSimulator`) would report for a
     FedAvg/FedProx round, bit for bit, without running it (see the module
     docstring).  FAIR-BFL and vanilla-blockchain rounds run on the kernel
-    itself.  Use :class:`AnalyticDelayModel` for the original Section 4.6
-    compositions.
+    itself.
 
     Parameters
     ----------
@@ -182,27 +176,6 @@ class DelayModel:
         draws = mean * self.rng.lognormal(0.0, self.params.compute_jitter, size=num_participants)
         return float(draws.max())
 
-    def upload_delay(self, num_participants: int) -> float:
-        """T_up: slowest parallel client->miner upload plus receiver-side handling."""
-        if num_participants <= 0:
-            return 0.0
-        draws = self.params.upload_mean * self.rng.lognormal(
-            0.0, self.params.upload_jitter, size=num_participants
-        )
-        processing = self.params.upload_processing_per_client * num_participants
-        return float(draws.max()) + processing
-
-    def exchange_delay(self, num_miners: int) -> float:
-        """T_ex: all-pairs gradient-set exchange among the miners."""
-        if num_miners <= 1:
-            return 0.0
-        return self.params.exchange_base + self.params.exchange_per_miner * (num_miners - 1)
-
-    def aggregation_delay(self, num_gradients: int) -> float:
-        """T_gl: global update computation, including Algorithm 2 clustering."""
-        params = self.params
-        return params.aggregation_base + params.clustering_per_gradient * max(0, int(num_gradients))
-
     def mining_delay(self, num_miners: int) -> float:
         """T_bl: winner solve time plus block broadcast/verification.
 
@@ -214,10 +187,6 @@ class DelayModel:
         solve = float(self.rng.exponential(self.params.block_interval))
         broadcast = self.params.block_broadcast_per_miner * max(0, num_miners - 1)
         return solve + broadcast
-
-    def fork_delay(self, num_miners: int) -> tuple[int, float]:
-        """Sample (fork_count, merge_delay) for one vanilla-chain mining competition."""
-        return self.params.fork_model.sample_fork_delay(self.rng, num_miners)
 
     # -- round composition ----------------------------------------------------
     def fl_round(
@@ -248,8 +217,7 @@ class DelayModel:
             upload = params.upload_mean * self.rng.lognormal(
                 0.0, params.upload_jitter, size=num_participants
             )
-            # n back-to-back verify events: n sequential additions, not p * n
-            # (which is why upload_delay() is not the same bits).
+            # n back-to-back verify events: n sequential additions, not p * n.
             clock = np.full(num_participants + 1, float(params.upload_processing_per_client))
             clock[0] = t_local + float(upload.max())
             verify_end = float(np.add.accumulate(clock)[-1])
@@ -259,62 +227,3 @@ class DelayModel:
             t_up=max(0.0, verify_end - t_local),
             t_gl=max(0.0, global_end - verify_end),
         )
-
-
-class AnalyticDelayModel(DelayModel):
-    """The original closed-form compositions of Section 4.6.
-
-    Kept as the calibration reference: ``tests/test_delay_parity.py`` asserts
-    the kernel-simulated means of
-    :class:`~repro.sim.rounds.EventRoundSimulator` (and of
-    :meth:`DelayModel.fl_round`) land inside the ranges this model defines.  Use it when a cheap scalar sample is enough and no
-    per-client arrival information is needed.
-    """
-
-    def fairbfl_round(
-        self,
-        *,
-        num_participants: int,
-        num_miners: int,
-        batches_per_epoch: float,
-        epochs: int,
-    ) -> RoundDelayBreakdown:
-        """Closed form: the five components summed independently."""
-        return RoundDelayBreakdown(
-            t_local=self.local_training_delay(num_participants, batches_per_epoch, epochs),
-            t_up=self.upload_delay(num_participants),
-            t_ex=self.exchange_delay(num_miners),
-            t_gl=self.aggregation_delay(num_participants),
-            t_bl=self.mining_delay(num_miners),
-        )
-
-    def fl_round(
-        self,
-        *,
-        num_participants: int,
-        batches_per_epoch: float,
-        epochs: int,
-    ) -> RoundDelayBreakdown:
-        """Closed form: local training + upload + fixed server aggregation."""
-        return RoundDelayBreakdown(
-            t_local=self.local_training_delay(num_participants, batches_per_epoch, epochs),
-            t_up=self.upload_delay(num_participants),
-            t_gl=self.params.server_aggregation_time,
-        )
-
-    def vanilla_blockchain_round(
-        self, *, num_transactions: int, num_miners: int
-    ) -> RoundDelayBreakdown:
-        """Closed form: queued blocks, per-transaction handling, fork merges."""
-        if num_transactions < 0:
-            raise ValueError(f"num_transactions must be >= 0, got {num_transactions}")
-        blocks_required = max(
-            1, int(np.ceil(num_transactions / self.params.transactions_per_block))
-        )
-        t_bl = 0.0
-        for _ in range(blocks_required):
-            t_bl += self.mining_delay(num_miners)
-            _forks, merge_delay = self.fork_delay(num_miners)
-            t_bl += merge_delay
-        t_up = self.params.tx_processing_time * num_transactions
-        return RoundDelayBreakdown(t_up=t_up, t_bl=t_bl)

@@ -10,7 +10,7 @@ than three timing models that can silently disagree.
 
 Determinism is a hard requirement — the repository's central claim is that
 per-round histories are bit-identical across the serial and cohort
-executor backends.  The kernel guarantees it structurally:
+backends.  The kernel guarantees it structurally:
 
 * events are ordered by ``(time, priority, tie_break, sequence)``;
 * ``tie_break`` is drawn from the kernel's own seeded RNG stream at

@@ -188,28 +188,6 @@ class EventRoundSimulator:
             global_duration=global_duration,
         )
 
-    def fl_round(
-        self,
-        *,
-        client_ids: Sequence[int] | int,
-        batches_per_epoch: float | Mapping[int, float],
-        epochs: int,
-    ) -> RoundTiming:
-        """One FedAvg/FedProx round: local training, upload, server aggregation.
-
-        No ``src/`` caller since :meth:`DelayModel.fl_round
-        <repro.sim.delay.DelayModel.fl_round>` prices the round in closed form;
-        kept as the reference ``tests/test_delay_parity.py`` holds that to.
-        """
-        return self._simulate(
-            client_ids=client_ids,
-            num_miners=0,
-            batches_per_epoch=batches_per_epoch,
-            epochs=epochs,
-            stages=frozenset(("local", "upload", "global")),
-            global_duration=lambda _count: self.params.server_aggregation_time,
-        )
-
     def vanilla_round(
         self,
         *,

@@ -20,9 +20,11 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import uuid
+from contextlib import contextmanager
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Mapping
+from typing import BinaryIO, Iterator, Mapping
 
 import numpy as np
 
@@ -99,11 +101,29 @@ def write_json_record(path: str | Path, payload: Mapping[str, object], *, kind: 
         "record_kind": kind,
     }
     record.update(json_sanitize(dict(payload)))
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    os.replace(tmp, path)
+    with atomic_writer(path) as handle:
+        handle.write((json.dumps(record, indent=2, sort_keys=True) + "\n").encode("utf-8"))
     return path
+
+
+@contextmanager
+def atomic_writer(path: Path) -> Iterator[BinaryIO]:
+    """A binary handle whose contents replace ``path`` atomically on success.
+
+    Each writer creates its own ``<name>.<random>.tmp`` beside ``path`` (with
+    the umask's mode: ``mkstemp``'s 0600 would lock others out of a shared
+    store), so concurrent writers never collide and a reader sees one whole
+    record.  A failed write removes its temp file; ``RunStore.gc`` a killed one's.
+    """
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f"{path.name}.{uuid.uuid4().hex}.tmp")
+    try:
+        with open(tmp, "xb") as handle:
+            yield handle
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def history_to_payload(history: TrainingHistory, *, offload: dict | None = None) -> dict:
@@ -209,6 +229,5 @@ def run_record_payload(
         "spec": spec.to_mapping(),
         "summary": summarize_history(result.history),
         "history": history_to_payload(result.history, offload=offload),
-        "extras": json_sanitize(dict(result.extras)),
         "created_at": datetime.now(timezone.utc).isoformat(timespec="seconds"),
     }

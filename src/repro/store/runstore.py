@@ -20,7 +20,6 @@ records from old code are reclaimed by :meth:`RunStore.gc`.  See
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping
@@ -32,6 +31,7 @@ from repro.runner.scenario import ScenarioError, ScenarioSpec
 from repro.store.keys import spec_key
 from repro.store.records import (
     STORE_SCHEMA_VERSION,
+    atomic_writer,
     history_from_payload,
     run_record_payload,
     write_json_record,
@@ -178,11 +178,8 @@ class RunStore:
             # Written atomically and *before* the JSON record, so a record
             # never advertises arrays that do not exist; a kill in between
             # leaves an orphan .npz that gc() reclaims.
-            path.parent.mkdir(parents=True, exist_ok=True)
-            tmp = arrays_path.with_name(arrays_path.name + ".tmp")
-            with open(tmp, "wb") as handle:
+            with atomic_writer(arrays_path) as handle:
                 np.savez_compressed(handle, **arrays)
-            os.replace(tmp, arrays_path)
             payload["arrays"] = arrays_path.name
         else:
             arrays_path.unlink(missing_ok=True)  # drop a stale sidecar on rewrite
@@ -265,11 +262,7 @@ class RunStore:
             history = history_from_payload(record["history"], arrays=arrays)
         except (KeyError, TypeError, ValueError) as exc:
             raise RunStoreError(f"run record {path} has an unloadable history: {exc}") from exc
-        result = RunResult(
-            system=str(record.get("system", spec.system)),
-            history=history,
-            extras=dict(record.get("extras", {})),
-        )
+        result = RunResult(system=str(record.get("system", spec.system)), history=history)
         checkpoint: bytes | None = None
         if record.get("checkpoint") and arrays is not None and "checkpoint" in arrays:
             checkpoint = bytes(np.asarray(arrays["checkpoint"], dtype=np.uint8).tobytes())
@@ -359,12 +352,13 @@ class RunStore:
                 if not dry_run:
                     self._remove(path)
         # Orphaned array sidecars (a kill between the .npz and JSON writes,
-        # or leftovers of externally deleted records) have no paired record.
-        for arrays_path in sorted(self.root.glob("??/*.npz")):
-            if not arrays_path.with_suffix(".json").exists():
-                removed.append(arrays_path.stem)
-                if not dry_run:
-                    arrays_path.unlink(missing_ok=True)
+        # or leftovers of externally deleted records) have no paired record,
+        # and a temp file outlives only a writer killed mid-write.
+        orphans = [p for p in self.root.glob("??/*.npz") if not p.with_suffix(".json").exists()]
+        for leftover in sorted(orphans + list(self.root.glob("??/*.tmp"))):
+            removed.append(leftover.name.partition(".")[0])  # the record's key
+            if not dry_run:
+                leftover.unlink(missing_ok=True)
         return tuple(removed)
 
     @staticmethod

@@ -4,8 +4,8 @@ Each class wraps one :class:`~repro.fl.trainer.Trainer` behind the
 :class:`~repro.systems.registry.System` protocol: ``build_config`` delegates to the scenario's authoritative config
 builder (``spec.fairbfl_config()`` and friends — duck-typed, so this module
 never imports the scenario layer), and ``build`` instantiates the trainer
-inside a :class:`~repro.systems.registry.TrainerRun` that closes it after the
-run.  Importing this module registers all five; everything else (CLI choices,
+inside a :class:`~repro.systems.registry.TrainerRun` for the engine to
+step.  Importing this module registers all five; everything else (CLI choices,
 scenario validation, the engine's dispatch and dataset skipping) derives from
 the registrations.
 
@@ -63,7 +63,7 @@ class FairBFLSystem(System):
         return spec.fairbfl_config()
 
     def build(self, spec, dataset):
-        return TrainerRun(self.name, FairBFLTrainer(dataset, self.build_config(spec)))
+        return TrainerRun(FairBFLTrainer(dataset, self.build_config(spec)))
 
 
 class FairBFLDiscardSystem(FairBFLSystem):
@@ -88,7 +88,7 @@ class FedAvgSystem(System):
         return spec.fedavg_config()
 
     def build(self, spec, dataset):
-        return TrainerRun(self.name, FedAvgTrainer(dataset, self.build_config(spec)))
+        return TrainerRun(FedAvgTrainer(dataset, self.build_config(spec)))
 
 
 class FedProxSystem(System):
@@ -102,7 +102,7 @@ class FedProxSystem(System):
         return spec.fedprox_config()
 
     def build(self, spec, dataset):
-        return TrainerRun(self.name, FedProxTrainer(dataset, self.build_config(spec)))
+        return TrainerRun(FedProxTrainer(dataset, self.build_config(spec)))
 
 
 class VanillaBlockchainSystem(System):
@@ -116,7 +116,7 @@ class VanillaBlockchainSystem(System):
         return spec.blockchain_config()
 
     def build(self, spec, dataset):
-        return TrainerRun(self.name, VanillaBlockchainSimulator(self.build_config(spec)))
+        return TrainerRun(VanillaBlockchainSimulator(self.build_config(spec)))
 
 
 # Registration order defines the CLI's choice order and compare's roster;

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, Mapping
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
@@ -83,11 +83,11 @@ class SystemCapabilities:
         pipeline (``defense``, ``defense_fraction``).
     cohort:
         Whether the system can run local updates on the vectorized cohort
-        backend (``backend="cohort"``), i.e. its trainer fans Procedure I
-        out through a :class:`~repro.fl.executor.ParallelExecutor`.
+        backend (``backend="cohort"``), i.e. its trainer runs Procedure I
+        through :meth:`~repro.fl.trainer.Trainer.local_updates`.
         Unlike the other axes this one is engaged by a *specific value*:
-        ``backend="serial"`` stays valid for every system (a system that
-        ignores the executor simply ignores it), only ``backend="cohort"``
+        ``backend="serial"`` stays valid for every system (a system without
+        local updates simply ignores it), only ``backend="cohort"``
         requires the capability.
     net:
         Whether the system runs on the per-node gossip substrate
@@ -127,7 +127,7 @@ def _axis_engaged(axis: str, value: object, default: object) -> bool:
     """Whether a guard-field value actually engages the capability axis.
 
     The cohort axis is engaged only by the literal ``"cohort"`` backend —
-    ``serial`` is valid for every system (those that ignore the executor
+    ``serial`` is valid for every system (those without local updates
     simply ignore it), so it must not trip the check, even where there is no
     default to compare with.  The net axis mirrors it: only a non-``"global"``
     topology engages the substrate.
@@ -149,22 +149,19 @@ class RunResult:
         Name of the registered system that produced the run.
     history:
         The per-round :class:`~repro.fl.history.TrainingHistory`.
-    extras:
-        System-specific side products (e.g. a chain height) for callers that
-        want more than the history; empty for the built-ins.
     """
 
     system: str
     history: "TrainingHistory"
-    extras: Mapping[str, object] = field(default_factory=dict)
 
 
 class System:
     """Base class / protocol for a registered system.
 
     A system is any object with a unique ``name``, a ``capabilities``
-    declaration, and a ``build(spec, dataset)`` method returning an object
-    whose ``run()`` yields a :class:`RunResult`.  Subclassing this base is
+    declaration, and a ``build(spec, dataset)`` method returning a
+    :class:`TrainerRun` over a :class:`~repro.fl.trainer.Trainer`, which the
+    engine steps one round at a time.  Subclassing this base is
     the convenient way to get there; duck-typed objects satisfying the same
     protocol register fine too.
 
@@ -187,8 +184,8 @@ class System:
         """Reject specs this system cannot run (default: build the config)."""
         self.build_config(spec)
 
-    def build(self, spec, dataset):
-        """Return a run object (``.run() -> RunResult``) for ``spec``.
+    def build(self, spec, dataset) -> "TrainerRun":
+        """Return the :class:`TrainerRun` of ``spec``.
 
         ``dataset`` is the memoised federated dataset, or ``None`` when
         ``capabilities.needs_dataset`` is False.
@@ -198,22 +195,13 @@ class System:
 
 @dataclass
 class TrainerRun:
-    """Adapts a :class:`~repro.fl.trainer.Trainer` to a system run.
+    """What :meth:`System.build` returns: the :class:`~repro.fl.trainer.Trainer` to step.
 
-    Closes the trainer (releasing executor worker pools) even when the run
-    raises, then wraps the history in a :class:`RunResult`.
+    The engine runs it round by round, closes it even when a round raises
+    (releasing cohort helper processes), and wraps its history in a :class:`RunResult`.
     """
 
-    system: str
-    trainer: Trainer
-    extras: Mapping[str, object] = field(default_factory=dict)
-
-    def run(self) -> RunResult:
-        try:
-            history = self.trainer.run()
-        finally:
-            self.trainer.close()
-        return RunResult(system=self.system, history=history, extras=dict(self.extras))
+    trainer: "Trainer"
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +252,7 @@ def register_system(system: System, *, replace: bool = False) -> System:
     if not callable(getattr(system, "build", None)):
         raise SystemRegistryError(
             f"cannot register system {name!r}: it must define build(spec, dataset) "
-            "returning an object whose run() yields a RunResult"
+            "returning a TrainerRun"
         )
     capabilities = getattr(system, "capabilities", None)
     if not isinstance(capabilities, SystemCapabilities):

@@ -68,6 +68,12 @@ def pytest_configure(config) -> None:
         "discard strategies) and its byte-parity properties — "
         "`pytest -m aggregation`",
     )
+    config.addinivalue_line(
+        "markers",
+        "store: run-store durability (concurrent writers of one record, "
+        "torn reads, temp-file clean-up, orphan-sidecar gc, interrupted-sweep "
+        "resume) — `pytest -m store`",
+    )
 
 
 @pytest.fixture(scope="session")
@@ -108,37 +114,32 @@ def assert_vectors_close(a, b, *, atol=1e-9):
 
 
 @pytest.fixture
-def toy_system_no_trainer():
-    """Registers ``toy-flat``: a plugin whose run object exposes no trainer."""
-    from repro.fl.history import RoundRecord, TrainingHistory
+def register_toy_system():
+    """Register a dataset-free toy system named ``name`` whose ``build(spec, dataset)``
+    returns ``build(spec)``; every registration is undone after the test."""
     from repro.systems.registry import (
-        RunResult,
         System,
         SystemCapabilities,
         register_system,
         unregister_system,
     )
 
-    class FlatRun:
-        def __init__(self, rounds: int) -> None:
-            self.rounds = rounds
+    names: list[str] = []
 
-        def run(self) -> RunResult:
-            history = TrainingHistory(label="flat")
-            for r in range(self.rounds):
-                history.append(RoundRecord(round_index=r, delay=1.0, accuracy=0.5))
-            return RunResult(system="toy-flat", history=history)
+    def register(name: str, build):
+        class ToySystem(System):
+            capabilities = SystemCapabilities(needs_dataset=False)
 
-    class FlatSystem(System):
-        name = "toy-flat"
-        description = "no trainer attribute: not checkpointable"
-        capabilities = SystemCapabilities(needs_dataset=False)
+            def build(self, spec, dataset):
+                assert dataset is None, "needs_dataset=False systems must not receive a dataset"
+                return build(spec)
 
-        def build(self, spec, dataset):
-            return FlatRun(spec.num_rounds)
+        ToySystem.name = name
+        names.append(name)
+        return register_system(ToySystem())
 
-    register_system(FlatSystem())
     try:
-        yield
+        yield register
     finally:
-        unregister_system("toy-flat")
+        for name in names:
+            unregister_system(name)

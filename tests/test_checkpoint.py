@@ -4,8 +4,7 @@ The contract under test is **bit-identical resumption**: a run stopped at
 round ``r`` and continued to round ``R`` through
 :meth:`~repro.runner.engine.ExperimentEngine.run_partial` must produce
 exactly the history — every accuracy, delay, reward map, and extras
-diagnostic — of an uninterrupted ``R``-round run, across all four executor
-backends.  That only holds if the checkpoint blob captures *every* piece of
+diagnostic — of an uninterrupted ``R``-round run, on both backends.  That only holds if the checkpoint blob captures *every* piece of
 trainer state a later round reads: model parameters, per-client RNG streams,
 the kernel's simulated clock, detection/reward accounting, and FedProx's
 straggler-drop selection stream.
@@ -26,14 +25,16 @@ import pytest
 
 from repro.crypto.keystore import derive_key_pair
 from repro.crypto.rsa import rsa_sign
-from repro.fl.executor import EXECUTOR_BACKENDS
+from repro.fl.cohort import EXECUTOR_BACKENDS
 from repro.fl.trainer import CHECKPOINT_SCHEMA_VERSION, CheckpointError, Trainer
 from repro.runner.engine import ExperimentEngine
 from repro.runner.scenario import ScenarioError, ScenarioSpec
 from repro.sim.vanilla_blockchain import VanillaBlockchainConfig, VanillaBlockchainSimulator
 from repro.store import RunStore
-from repro.store.records import history_to_payload, json_sanitize
+from repro.store.records import history_to_payload
 from repro.systems.registry import get_system
+
+from toy_trainer import ToyTrainer
 
 SMALL = dict(num_clients=6, num_samples=240, num_rounds=6, seed=3)
 
@@ -43,10 +44,9 @@ def small_spec(system: str = "fairbfl", **overrides) -> ScenarioSpec:
 
 
 def canonical(result) -> str:
-    """Byte-comparable rendering of a run (history minus the label + extras)."""
+    """Byte-comparable rendering of a run (history minus the label)."""
     payload = history_to_payload(result.history)
     payload.pop("label", None)
-    payload["run_extras"] = json_sanitize(dict(result.extras))
     return json.dumps(payload, sort_keys=True)
 
 
@@ -188,10 +188,13 @@ class TestCheckpointGuards:
         with pytest.raises(CheckpointError):
             trainer.restore_state(b"not a pickle")
 
-    def test_engine_rejects_uncheckpointable_systems(self, toy_system_no_trainer):
+    def test_engine_rejects_uncheckpointable_systems(self, register_toy_system):
+        # A bare Trainer is not a TrainerRun: refused before round 0.
+        register_toy_system("toy-bare", ToyTrainer)
         engine = ExperimentEngine()
-        with pytest.raises(ScenarioError, match="partial runs"):
-            engine.run_partial(ScenarioSpec(system="toy-flat", num_rounds=2), 1)
+        with pytest.raises(ScenarioError, match="build\\(\\) must return a TrainerRun") as info:
+            engine.run_partial(ScenarioSpec(system="toy-bare", num_rounds=2), 1)
+        assert str(info.value).endswith("got ToyTrainer")
 
     @pytest.mark.ledger
     def test_ledger_survives_stop_and_resume(self):
@@ -255,7 +258,7 @@ class TestCheckpointGuards:
         # The exclusion list is load-bearing: anything listed is rebuilt by
         # system.build(), everything else must pickle.
         assert "dataset" in Trainer.CHECKPOINT_EXCLUDE
-        assert "executor" in Trainer.CHECKPOINT_EXCLUDE
+        assert "cohort" in Trainer.CHECKPOINT_EXCLUDE
 
 
 class TestStorePlumbing:
@@ -284,6 +287,7 @@ class TestStorePlumbing:
         assert sweep_engine.cache_hits == 1 and sweep_engine.runs_computed == 0
         assert len(history) == 3
 
+    @pytest.mark.store
     def test_gc_reclaims_orphaned_partial_rung_sidecars(self, tmp_path):
         spec = small_spec()
         store = RunStore(tmp_path)

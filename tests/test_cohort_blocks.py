@@ -270,7 +270,7 @@ def test_close_reaps_every_helper(monkeypatch):
     assert len(_helpers_alive()) == 1
     trainer.close()
     assert _helpers_alive() == []
-    trainer.run_round(1)  # a closed executor forks afresh on demand
+    trainer.run_round(1)  # a closed cohort engine forks afresh on demand
     trainer.close()
     assert _helpers_alive() == []
 
@@ -349,7 +349,7 @@ class TestRoundMemory:
                 tracemalloc.stop()
             # tracemalloc cannot see the shared parameter mapping the helper
             # writes: count every byte of it a chunk has written.
-            shared = trainer.executor._cohort.shared_bytes
+            shared = trainer.cohort.shared_bytes
         finally:
             trainer.close()
         peak = traced + shared

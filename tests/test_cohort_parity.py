@@ -31,14 +31,14 @@ import numpy as np
 import pytest
 
 from repro.attacks.gradient_attacks import ATTACKS
-from repro.fl.executor import EXECUTOR_BACKENDS
+from repro.fl.cohort import EXECUTOR_BACKENDS
 from repro.fl.fedavg import FedAvgTrainer
 from repro.fl.robust import DEFENSES
 from repro.runner.engine import ExperimentEngine
 from repro.runner.scenario import ScenarioSpec
 from repro.sim.rounds import ROUND_MODES
 from repro.store.keys import spec_key
-from repro.store.records import history_to_payload, json_sanitize
+from repro.store.records import history_to_payload
 from repro.systems.registry import get_system, systems_supporting
 
 pytestmark = pytest.mark.cohort
@@ -51,7 +51,7 @@ COHORT_SYSTEMS = systems_supporting("cohort")
 
 
 def canonical_result(result) -> str:
-    """A byte-comparable rendering of a run: full history + trainer extras.
+    """A byte-comparable rendering of a run: its full history.
 
     The history label is excluded — it carries the spec *name* (presentation
     only); everything else, including per-round ``extras`` and reward maps,
@@ -59,7 +59,6 @@ def canonical_result(result) -> str:
     """
     payload = history_to_payload(result.history)
     payload.pop("label", None)
-    payload["run_extras"] = json_sanitize(dict(result.extras))
     return json.dumps(payload, sort_keys=True)
 
 

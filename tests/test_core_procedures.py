@@ -19,7 +19,6 @@ from repro.core.procedures import (
 )
 from repro.crypto.keystore import KeyStore
 from repro.fl.client import FLClient, LocalTrainingConfig
-from repro.fl.executor import ParallelExecutor
 from repro.fl.robust import make_defense
 from repro.incentive.contribution import ContributionConfig
 from repro.incentive.strategies import DiscardStrategy, KeepAllStrategy
@@ -58,11 +57,18 @@ def _context(global_params, selected):
 LOCAL_CFG = LocalTrainingConfig(epochs=1, batch_size=10, learning_rate=0.05)
 
 
+def serial_updates(clients):
+    """``Trainer.local_updates`` on the serial backend, over a bare client map."""
+    return lambda selected, global_params, config: [
+        clients[cid].local_update(global_params, config) for cid in selected
+    ]
+
+
 class TestProcedureLocalUpdate:
     def test_produces_one_update_per_selected_client(self, setup):
         clients, _, _, global_params = setup
         ctx = _context(global_params, [0, 2, 4])
-        procedure_local_update(ctx, clients, LOCAL_CFG, ParallelExecutor())
+        procedure_local_update(ctx, serial_updates(clients), LOCAL_CFG)
         assert [u.client_id for u in ctx.updates] == [0, 2, 4]
         for u in ctx.updates:
             assert u.parameters.shape == global_params.shape
@@ -73,7 +79,7 @@ class TestProcedureUpload:
     def test_signed_uploads_accepted_and_assigned(self, setup):
         clients, miners, keystore, global_params = setup
         ctx = _context(global_params, [0, 1, 2, 3])
-        procedure_local_update(ctx, clients, LOCAL_CFG, ParallelExecutor())
+        procedure_local_update(ctx, serial_updates(clients), LOCAL_CFG)
         procedure_upload(ctx, miners, keystore, new_rng(0, "upload"))
         assert ctx.rejected_uploads == 0
         assert sum(len(m.gradient_set) for m in miners) == 4
@@ -83,7 +89,7 @@ class TestProcedureUpload:
     def test_unsigned_uploads_rejected_when_verification_on(self, setup):
         clients, miners, _, global_params = setup
         ctx = _context(global_params, [0, 1])
-        procedure_local_update(ctx, clients, LOCAL_CFG, ParallelExecutor())
+        procedure_local_update(ctx, serial_updates(clients), LOCAL_CFG)
         # Passing no keystore leaves the transactions unsigned; miners verify and reject.
         procedure_upload(ctx, miners, None, new_rng(0, "upload"))
         assert ctx.rejected_uploads == 2
@@ -94,7 +100,7 @@ class TestProcedureExchange:
     def test_all_miners_converge_to_same_set(self, setup):
         clients, miners, keystore, global_params = setup
         ctx = _context(global_params, [0, 1, 2, 3, 4])
-        procedure_local_update(ctx, clients, LOCAL_CFG, ParallelExecutor())
+        procedure_local_update(ctx, serial_updates(clients), LOCAL_CFG)
         procedure_upload(ctx, miners, keystore, new_rng(0, "upload"))
         procedure_exchange(ctx, miners)
         counts = {len(m.gradient_set) for m in miners}
@@ -124,7 +130,7 @@ class TestProcedureExchange:
     def test_single_miner_exchange_is_noop(self, setup):
         clients, miners, keystore, global_params = setup
         ctx = _context(global_params, [0, 1])
-        procedure_local_update(ctx, clients, LOCAL_CFG, ParallelExecutor())
+        procedure_local_update(ctx, serial_updates(clients), LOCAL_CFG)
         procedure_upload(ctx, miners[:1], keystore, new_rng(0, "upload"))
         procedure_exchange(ctx, miners[:1])
         assert ctx.gradient_matrix.shape[0] == 2
@@ -134,7 +140,7 @@ class TestProcedureGlobalUpdate:
     def _prepared_ctx(self, setup, selected):
         clients, miners, keystore, global_params = setup
         ctx = _context(global_params, selected)
-        procedure_local_update(ctx, clients, LOCAL_CFG, ParallelExecutor())
+        procedure_local_update(ctx, serial_updates(clients), LOCAL_CFG)
         procedure_upload(ctx, miners, keystore, new_rng(0, "upload"))
         procedure_exchange(ctx, miners)
         return ctx
@@ -235,7 +241,7 @@ class TestProcedureMining:
     def test_mined_block_commits_on_all_replicas(self, setup):
         clients, miners, keystore, global_params = setup
         ctx = _context(global_params, [0, 1])
-        procedure_local_update(ctx, clients, LOCAL_CFG, ParallelExecutor())
+        procedure_local_update(ctx, serial_updates(clients), LOCAL_CFG)
         procedure_upload(ctx, miners, keystore, new_rng(0, "upload"))
         procedure_exchange(ctx, miners)
         procedure_global_update(

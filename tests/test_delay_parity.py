@@ -31,10 +31,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import api
-from repro.sim.delay import AnalyticDelayModel, DelayModel, DelayParameters
+from repro.sim.delay import DelayModel, DelayParameters
 from repro.sim.rounds import EventRoundSimulator
 from repro.store.records import history_to_payload
 from repro.utils.rng import new_rng
+
+from delay_oracles import AnalyticDelayModel, kernel_fl_round
 
 pytestmark = pytest.mark.sim
 
@@ -146,8 +148,11 @@ def test_kernel_rounds_are_seed_deterministic():
 
 def _kernel_fl_round(self, *, num_participants, batches_per_epoch, epochs):
     """``DelayModel.fl_round`` as it was before PR 21: one simulated kernel round."""
-    return EventRoundSimulator(self.params, self.rng).fl_round(
-        client_ids=num_participants, batches_per_epoch=batches_per_epoch, epochs=epochs
+    return kernel_fl_round(
+        EventRoundSimulator(self.params, self.rng),
+        client_ids=num_participants,
+        batches_per_epoch=batches_per_epoch,
+        epochs=epochs,
     ).breakdown
 
 
@@ -158,8 +163,8 @@ def _assert_fl_round_is_the_kernel(params, seed, n, batches_per_epoch, epochs, r
         got = model.fl_round(
             num_participants=n, batches_per_epoch=batches_per_epoch, epochs=epochs
         )
-        want = reference.fl_round(
-            client_ids=n, batches_per_epoch=batches_per_epoch, epochs=epochs
+        want = kernel_fl_round(
+            reference, client_ids=n, batches_per_epoch=batches_per_epoch, epochs=epochs
         ).breakdown
         for name, value in dataclasses.asdict(want).items():
             assert getattr(got, name) == value, f"round {round_index}: {name}"

@@ -17,7 +17,7 @@ from repro.core.config import FairBFLConfig
 from repro.core.fairbfl import FairBFLTrainer
 from repro.fl.aggregation import AggregationError
 from repro.fl.client import ClientUpdate, LocalTrainingConfig
-from repro.fl.executor import EXECUTOR_BACKENDS
+from repro.fl.cohort import EXECUTOR_BACKENDS
 from repro.fl.robust import (
     DEFENSES,
     DefensePipeline,

@@ -25,10 +25,12 @@ from repro.fl.aggregation import AggregationError, merge_stale_updates, stalenes
 from repro.fl.client import LocalTrainingConfig
 from repro.runner.scenario import ScenarioError, ScenarioSpec
 from repro.sim import rounds as sim_rounds
-from repro.sim.delay import DelayModel, DelayParameters
+from repro.sim.delay import DelayParameters
 from repro.sim.events import EventKernel
 from repro.sim.rounds import EventRoundSimulator
 from repro.utils.rng import new_rng
+
+from delay_oracles import AnalyticDelayModel
 
 pytestmark = pytest.mark.sim
 
@@ -176,7 +178,7 @@ class TestCommitteeExchange:
         assert [name for name in kernel.scheduled if name.startswith("net:")] == pairs
         deliveries = [(time, name) for time, name in kernel.trace if name.startswith("net:")]
         assert sorted(name for _time, name in deliveries) == sorted(pairs)
-        expected = DelayModel(self.PARAMS, new_rng(0, "unused")).exchange_delay(num_miners)
+        expected = AnalyticDelayModel(self.PARAMS, new_rng(0, "unused")).exchange_delay(num_miners)
         assert timing.breakdown.t_ex == pytest.approx(expected, abs=1e-12)
         if deliveries:
             # The exchange opens at the event that closes upload verification.

@@ -1,15 +1,17 @@
-"""Tests for the runner subsystem: executor backends, scenarios, engine.
+"""Tests for the runner subsystem: backends, scenarios, engine.
 
 The central claims under test:
 
-* **backend parity** — the serial and cohort executors (the latter across
+* **backend parity** — the serial and cohort backends (the latter across
   two processes) produce bit-identical training histories for the same seed;
 * **scenario layer** — JSON/TOML documents expand to validated specs, matrix
   grids multiply correctly, and malformed inputs fail with `ScenarioError`
   naming the problem;
 * **engine equivalence** — `api.run()` (the path every benchmark drives
   through) reproduces a hand-driven `FairBFLTrainer(...).run()` history
-  exactly.
+  exactly;
+* **build contract** — the engine steps only a `TrainerRun` over a `Trainer`
+  and refuses anything else before round 0.
 """
 
 from __future__ import annotations
@@ -28,7 +30,8 @@ from repro.datasets.federated import build_federated_dataset
 from repro.fl import cohort as cohort_module
 from repro.fl.aggregation import AggregationError, simple_average, stack_updates
 from repro.fl.client import ClientUpdate, LocalTrainingConfig
-from repro.fl.executor import EXECUTOR_BACKENDS, ParallelExecutor, resolve_worker_count
+from repro.fl.cohort import EXECUTOR_BACKENDS, CohortTrainer, check_executor_settings
+from repro.fl.fedavg import FedAvgConfig, FedAvgTrainer
 from repro.fl.server import CentralServer
 from repro.fl.trainer import Trainer
 from repro.runner.engine import ExperimentEngine, RunCancelled
@@ -40,7 +43,9 @@ from repro.runner.scenario import (
     scenarios_from_mapping,
 )
 from repro.store import RunStore
-from repro.systems.registry import get_system
+from repro.systems.registry import TrainerRun, get_system
+
+from toy_trainer import ToyTrainer
 
 
 @pytest.fixture(scope="module")
@@ -58,7 +63,7 @@ def _fingerprint(history):
     ]
 
 
-class TestParallelExecutor:
+class TestExecutorSettings:
     @staticmethod
     def _message(build) -> str:
         with pytest.raises(ValueError) as info:
@@ -66,9 +71,9 @@ class TestParallelExecutor:
         return str(info.value)
 
     def test_rejects_unknown_backend(self):
-        # One rule (check_executor_settings): constructor, config and spec
+        # One rule (check_executor_settings): the rule itself, config and spec
         # reject a bad backend with the same text, up to the field's own name.
-        direct = self._message(lambda: ParallelExecutor("fibers"))
+        direct = self._message(lambda: check_executor_settings("fibers", None))
         assert direct == "executor_backend must be one of serial, cohort, got 'fibers'"
         assert self._message(lambda: FairBFLConfig(executor_backend="fibers")) == direct
         spec = self._message(lambda: ScenarioSpec(backend="fibers").validate())
@@ -78,44 +83,46 @@ class TestParallelExecutor:
     def test_rejects_removed_backends(self, removed):
         # The pool backends are gone, not aliased: every entry point refuses
         # them and names the two that remain.
-        direct = self._message(lambda: ParallelExecutor(removed, max_workers=2))
+        direct = self._message(lambda: check_executor_settings(removed, 2))
         assert direct == f"executor_backend must be one of serial, cohort, got {removed!r}"
         assert self._message(lambda: FairBFLConfig(executor_backend=removed)) == direct
         with pytest.raises(ScenarioError, match="backend must be one of serial, cohort"):
             ScenarioSpec(backend=removed).validate()
 
     def test_rejects_bad_worker_count(self):
-        direct = self._message(lambda: ParallelExecutor("cohort", max_workers=0))
+        direct = self._message(lambda: check_executor_settings("cohort", 0))
         assert direct == "executor_workers must be a positive finite number, got 0"
+        assert self._message(lambda: CohortTrainer(max_workers=0)) == direct
         assert self._message(lambda: FairBFLConfig(executor_workers=0)) == direct
         spec = self._message(lambda: ScenarioSpec(max_workers=0).validate())
         assert spec == direct.replace("executor_workers", "max_workers")
 
-    def test_resolve_worker_count(self):
-        assert resolve_worker_count(3) == 3
-        assert resolve_worker_count(None) >= 1
+    def test_worker_count(self):
+        assert CohortTrainer(max_workers=3).max_workers == 3
+        assert CohortTrainer(max_workers=None).max_workers >= 1
         with pytest.raises(ValueError):
-            resolve_worker_count(-1)
+            CohortTrainer(max_workers=-1)
 
     def test_default_worker_count_honours_cpu_affinity(self, monkeypatch):
         """A process pinned to one CPU of 64 (taskset, a cpuset) gets one worker."""
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
-        assert resolve_worker_count(None) == 1
-        assert resolve_worker_count(4) == 4  # an explicit count is taken as given
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")  # one BLAS thread: W = usable CPUs
+        assert CohortTrainer(max_workers=None).max_workers == 1
+        assert CohortTrainer(max_workers=4).max_workers == 4  # an explicit count is taken as given
         monkeypatch.delattr(os, "sched_getaffinity")  # platforms without affinity masks
-        assert resolve_worker_count(None) == 64
+        assert CohortTrainer(max_workers=None).max_workers == 64
 
-    def test_cohort_processes_default_to_the_cpus_blas_leaves(self, monkeypatch):
+    def test_cohort_processes_default_to_the_cpus_blas_leaves(self, monkeypatch, iid_federated):
         """Each cohort process runs BLAS, so by default W x BLAS threads <= CPUs."""
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
         for name in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
             monkeypatch.delenv(name, raising=False)
 
         def processes(max_workers=None):
-            executor = ParallelExecutor("cohort", max_workers)
-            assert executor._ensure_cohort().max_workers == executor.max_workers
-            return executor.max_workers
+            cfg = FedAvgConfig(executor_backend="cohort", executor_workers=max_workers)
+            with FedAvgTrainer(iid_federated, cfg) as trainer:
+                return trainer.cohort.max_workers
 
         assert processes() == 1  # unpinned BLAS runs one thread per CPU already
         monkeypatch.setenv("OMP_NUM_THREADS", "2")
@@ -138,9 +145,9 @@ class TestParallelExecutor:
         )
         with FairBFLTrainer(iid_federated, cfg) as trainer:
             trainer.run()
-            helpers = trainer.executor._cohort._helpers
+            helpers = trainer.cohort._helpers
             assert helpers is not None and all(p.is_alive() for p in helpers.procs)
-        assert trainer.executor._cohort._helpers is None
+        assert trainer.cohort._helpers is None
         assert not any(p.is_alive() for p in helpers.procs)
         assert not [p for p in multiprocessing.active_children() if p.name == "repro-cohort-helper"]
 
@@ -171,7 +178,7 @@ class TestBackendParity:
                     histories[backend] = trainer.run()
                     finals[backend] = trainer.current_global_parameters()
                     if backend == "cohort":  # the helper did train rows into the buffers
-                        assert trainer.executor._cohort.shared_bytes > 0
+                        assert trainer.cohort.shared_bytes > 0
         return histories, finals
 
     def test_round_records_identical(self, parity_histories):
@@ -518,24 +525,48 @@ class TestEngineVerbsAreOneBody:
         assert (engine.runs_computed, engine.round_evaluations, engine.cache_hits) == (1, 7, 0)
         assert _stored_record(store, spec) == outcomes["run_result"][1]
 
-    def test_runner_without_a_trainer_runs_whole(self, toy_system_no_trainer, tmp_path):
-        spec = ScenarioSpec(system="toy-flat", num_rounds=4)
-        plain_engine = ExperimentEngine(store=RunStore(tmp_path / "plain"))
-        plain = plain_engine.run_result(spec)
-        seen: list[tuple[int, int]] = []
-        streaming_engine = ExperimentEngine(store=RunStore(tmp_path / "streamed"))
-        streamed = streaming_engine.run_streaming(
-            spec,
-            progress=lambda done, total: seen.append((done, total)),
-            should_stop=lambda: True,  # never polled: the fallback is not interruptible
+
+class TestBuildContract:
+    """``System.build`` returns a ``TrainerRun`` over a ``Trainer``, or nothing runs."""
+
+    @pytest.mark.parametrize("verb", ENGINE_VERBS)
+    @pytest.mark.parametrize(
+        "build, got",
+        [
+            (ToyTrainer, "ToyTrainer"),  # the bare trainer, unwrapped
+            (lambda spec: ToyTrainer(spec).history, "TrainingHistory"),  # no .trainer
+            (lambda spec: TrainerRun(ToyTrainer(spec).history), "TrainerRun(TrainingHistory)"),
+        ],
+        ids=["bare-trainer", "no-trainer", "trainer-run-over-a-non-trainer"],
+    )
+    def test_refused_before_round_0(
+        self, register_toy_system, monkeypatch, tmp_path, build, got, verb
+    ):
+        register_toy_system("toy-contract", build)
+        rounds: list[int] = []
+        monkeypatch.setattr(ToyTrainer, "run_round", lambda self, r: rounds.append(r))
+        store = RunStore(tmp_path)
+        engine = ExperimentEngine(store=store)
+        spec = ScenarioSpec(system="toy-contract", num_rounds=3)
+        seen: list[int] = []
+        with pytest.raises(ScenarioError) as info:
+            ENGINE_VERBS[verb](engine, spec, progress=lambda done, total: seen.append(done))
+        assert str(info.value) == (
+            "system 'toy-contract': build() must return a TrainerRun over a "
+            f"repro.fl.trainer.Trainer, got {got}"
         )
-        assert _fingerprint(streamed.history) == _fingerprint(plain.history)
-        assert len(plain.history) == 4 and seen == [(4, 4)]
-        for engine in (plain_engine, streaming_engine):
-            assert (engine.runs_computed, engine.round_evaluations, engine.cache_hits) == (1, 4, 0)
-            assert _stored_record(engine.store, spec) is not None
-        with pytest.raises(ScenarioError, match="partial runs"):
-            ExperimentEngine().run_partial(spec)
+        assert rounds == [] and seen == []
+        assert (engine.runs_computed, engine.round_evaluations, engine.cache_hits) == (0, 0, 0)
+        assert store.keys() == ()
+
+    def test_a_trainer_run_is_stepped_and_closed(self, register_toy_system, monkeypatch):
+        register_toy_system("toy-contract", lambda spec: TrainerRun(ToyTrainer(spec)))
+        closed: list[bool] = []
+        monkeypatch.setattr(ToyTrainer, "close", lambda self: closed.append(True))
+        result = ExperimentEngine().run_result(ScenarioSpec(system="toy-contract", num_rounds=3))
+        assert result.system == "toy-contract"
+        assert [r.round_index for r in result.history.rounds] == [0, 1, 2]
+        assert closed == [True]
 
 
 class TestTrainerContract:

@@ -12,6 +12,9 @@ The central claims under test:
   computes only the missing scenarios (counted via the engine's
   ``runs_computed``/``cache_hits``) and yields bit-identical histories to an
   uncached sweep;
+* **durability** — concurrent writers of one record never collide and a
+  concurrent reader never sees a torn record; a failed write leaves no temp
+  file, and ``gc`` reclaims what a killed writer leaves (``-m store``);
 * **CLI surface** — ``sweep`` is write-through by default, ``--resume``
   reuses records, ``--no-cache`` opts out, and ``repro report`` renders the
   store as text/CSV/Markdown;
@@ -26,6 +29,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -47,13 +51,15 @@ from repro.store import (
 from repro.store.records import STORE_SCHEMA_VERSION, json_sanitize
 from repro.store.report import to_markdown
 from repro.systems import (
-    RunResult,
     System,
     SystemCapabilities,
+    TrainerRun,
     capability_fingerprint,
     register_system,
     unregister_system,
 )
+
+from toy_trainer import ToyTrainer
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -64,29 +70,13 @@ def _blockchain_spec(**overrides) -> ScenarioSpec:
     return ScenarioSpec(**{**BLOCKCHAIN_FIELDS, "name": "store-test", **overrides})
 
 
-class StoreToyRun:
-    """Deterministic two-round run used where real training is overkill."""
-
-    def __init__(self, name: str, num_rounds: int) -> None:
-        self.name = name
-        self.num_rounds = num_rounds
-
-    def run(self) -> RunResult:
-        history = TrainingHistory(label=self.name)
-        for r in range(self.num_rounds):
-            history.append(
-                RoundRecord(round_index=r, delay=1.0, accuracy=0.5, elapsed_time=float(r + 1))
-            )
-        return RunResult(system=self.name, history=history, extras={"toy": True})
-
-
 class StoreToySystem(System):
     name = "toy-store"
     description = "fixed-history system for store tests"
     capabilities = SystemCapabilities(needs_dataset=False)
 
     def build(self, spec, dataset):
-        return StoreToyRun(self.name, spec.num_rounds)
+        return TrainerRun(ToyTrainer(spec))
 
 
 @pytest.fixture()
@@ -207,6 +197,10 @@ class TestRecords:
         assert record["record_kind"] == "run"
         assert record["payload"] == 1
         assert not list(tmp_path.glob("*.tmp"))
+        # The umask's permissions, like any other file the writer creates.
+        reference = tmp_path / "plain.txt"
+        reference.write_text("")
+        assert path.stat().st_mode & 0o777 == reference.stat().st_mode & 0o777
 
     def test_history_payload_round_trip_keeps_extras(self):
         history = TrainingHistory(label="h")
@@ -305,6 +299,7 @@ class TestRunStore:
         assert not stale.exists() and not corrupt.exists() and stored.path.exists()
         assert store.gc() == ()
 
+    @pytest.mark.store
     def test_gc_reclaims_orphan_npz_sidecars(self, tmp_path):
         store = RunStore(tmp_path)
         spec = _blockchain_spec()
@@ -316,6 +311,87 @@ class TestRunStore:
         assert store.gc() == (orphan.stem,)
         assert not orphan.exists()
         assert stored.path.with_suffix(".npz").exists()  # paired sidecar survives
+
+    @pytest.mark.store
+    def test_gc_reclaims_temp_files_a_killed_writer_leaves(self, tmp_path):
+        store = RunStore(tmp_path)
+        spec = _blockchain_spec()
+        stored = store.put(spec, ExperimentEngine().run_result(spec), checkpoint=b"blob")
+        leftovers = [
+            stored.path.with_name(stored.path.name + ".k1ll3d.tmp"),
+            stored.path.with_suffix(".npz.k1ll3d.tmp"),
+        ]
+        for leftover in leftovers:
+            leftover.write_bytes(b"half a rec")
+        assert store.gc(dry_run=True) == (stored.key, stored.key)
+        assert store.gc() == (stored.key, stored.key)
+        assert not any(p.exists() for p in leftovers)
+        assert store.get(spec) is not None  # the record and its sidecar survive
+
+    @pytest.mark.store
+    def test_a_failed_write_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        store = RunStore(tmp_path)
+        spec = _blockchain_spec()
+        result = ExperimentEngine().run_result(spec)
+
+        def full_disk(handle, **arrays):
+            handle.write(b"partial")
+            raise OSError("No space left on device")
+
+        monkeypatch.setattr(np, "savez_compressed", full_disk)
+        with pytest.raises(OSError, match="No space left"):
+            store.put(spec, result, checkpoint=b"blob")
+        assert list(tmp_path.glob("??/*")) == []
+
+    @pytest.mark.store
+    def test_concurrent_writes_of_one_record_never_collide(self, tmp_path):
+        # `repro sweep` and `repro serve` sharing a store, two searches
+        # sharing rungs, or process-isolation children: several writers put
+        # one key while readers load it.
+        store = RunStore(tmp_path)
+        spec = _blockchain_spec()
+        result = ExperimentEngine().run_result(spec)
+        key = store.put(spec, result, checkpoint=b"blob").key
+        writers_n, writes = 4, 150
+        errors: list[BaseException] = []
+        torn: list[str] = []
+        reads = 0
+        done = threading.Event()
+
+        def write() -> None:
+            try:
+                for _ in range(writes):
+                    store.put(spec, result, checkpoint=b"blob")
+            except BaseException as exc:  # noqa: BLE001 - every failure is the finding
+                errors.append(exc)
+
+        def read() -> None:
+            nonlocal reads
+            while not done.is_set():
+                try:
+                    store.load(key)
+                except RunStoreError as exc:
+                    torn.append(str(exc))
+                reads += 1
+
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # force aggressive interleaving
+        try:
+            writers = [threading.Thread(target=write) for _ in range(writers_n)]
+            reader = threading.Thread(target=read)
+            reader.start()
+            for thread in writers:
+                thread.start()
+            for thread in writers:
+                thread.join()
+            done.set()
+            reader.join()
+        finally:
+            sys.setswitchinterval(old_interval)
+        assert errors == []
+        assert torn == [] and reads > 0
+        assert store.get(spec) is not None
+        assert sorted(p.name for p in tmp_path.glob("??/*")) == [f"{key}.json", f"{key}.npz"]
 
     def test_rewrite_without_arrays_drops_stale_sidecar(self, tmp_path):
         spec = _blockchain_spec()
@@ -414,6 +490,7 @@ class TestEngineResume:
             _blockchain_spec(name="grid"), {"miners": [2, 3], "seed": [0, 1]}
         ).expand()
 
+    @pytest.mark.store
     def test_interrupted_sweep_resumes_only_missing_cells(self, tmp_path):
         specs = self._matrix()
         assert len(specs) == 4

@@ -25,14 +25,13 @@ import pytest
 
 from repro import api
 from repro.cli import main
-from repro.fl.history import RoundRecord, TrainingHistory
 from repro.runner.engine import ExperimentEngine
 from repro.runner.scenario import ScenarioError, ScenarioSpec
 from repro.systems import (
-    RunResult,
     System,
     SystemCapabilities,
     SystemRegistryError,
+    TrainerRun,
     filter_unsupported_axes,
     get_system,
     load_plugins,
@@ -41,6 +40,8 @@ from repro.systems import (
     unregister_system,
 )
 from repro.systems.registry import DuplicateSystemError, UnknownSystemError, systems_supporting
+
+from toy_trainer import ToyTrainer
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 BUILTINS = ("fairbfl", "fairbfl-discard", "fedavg", "fedprox", "blockchain")
@@ -81,28 +82,6 @@ PINNED_API = [
 ]
 
 
-class ToyRun:
-    """A trivial system run: two synthetic rounds, no dataset, no training."""
-
-    def __init__(self, name: str, num_rounds: int) -> None:
-        self.name = name
-        self.num_rounds = num_rounds
-
-    def run(self) -> RunResult:
-        history = TrainingHistory(label=self.name)
-        for r in range(self.num_rounds):
-            history.append(
-                RoundRecord(
-                    round_index=r,
-                    delay=1.0,
-                    accuracy=0.5,
-                    train_loss=0.1,
-                    elapsed_time=float(r + 1),
-                )
-            )
-        return RunResult(system=self.name, history=history, extras={"toy": True})
-
-
 class ToySystem(System):
     name = "toy"
     description = "synthetic fixed-history system for registry tests"
@@ -110,7 +89,7 @@ class ToySystem(System):
 
     def build(self, spec, dataset):
         assert dataset is None, "needs_dataset=False systems must not receive a dataset"
-        return ToyRun(self.name, spec.num_rounds)
+        return TrainerRun(ToyTrainer(spec))
 
 
 @pytest.fixture()
@@ -253,10 +232,9 @@ class TestEngineRegistryDispatch:
         assert history.label == "toy-run"
         assert engine._dataset_cache == {}
 
-    def test_run_result_carries_system_and_extras(self, toy_system):
+    def test_run_result_carries_system(self, toy_system):
         result = ExperimentEngine().run_result(ScenarioSpec(system="toy", num_rounds=1))
         assert result.system == "toy"
-        assert result.extras == {"toy": True}
         assert len(result.history) == 1
 
 

@@ -497,9 +497,6 @@ EXPORT_ALLOWLIST: dict[str, str] = {
         "CI's streaming-round memory bound counts the helpers' shared buffers "
         "through it; tracemalloc cannot see them"
     ),
-    "repro.sim.delay:AnalyticDelayModel": (
-        "Section 4.6 closed forms that tests hold the event kernel's delay means to"
-    ),
 }
 
 #: Module-level assignments that list names rather than read them.
