@@ -5,9 +5,9 @@ all miners stop as soon as a valid block arrives), so its consensus step is a
 simple validate-and-append.  The vanilla-blockchain baseline, however, pays a
 fork-resolution cost that grows with the number of miners — the paper observes
 an "approximately exponential" delay growth in Figure 6b.  :class:`ForkModel`
-captures that effect: the probability that two miners solve within one
-propagation window of each other grows with the miner count, and each fork
-costs extra merge time.
+captures that effect: each of the ``m - 1`` runners-up collides with the
+winner with a fixed probability, so forks grow with the miner count, and each
+fork costs extra merge time.
 """
 
 from __future__ import annotations
@@ -27,23 +27,18 @@ class ForkModel:
 
     Parameters
     ----------
-    propagation_window:
-        Seconds within which two competing solutions cause a fork.
     base_fork_probability:
-        Per-pair probability that a second miner solves inside the window
-        (calibrated constant; the pairwise structure makes the overall fork
-        probability grow super-linearly in the miner count).
+        Per-runner-up probability that its solution collides with the
+        winner's (calibrated constant).
     merge_cost:
         Seconds of extra delay incurred to resolve one fork (orphaned work,
         re-broadcast, chain reorganisation).
     """
 
-    propagation_window: float = 0.5
     base_fork_probability: float = 0.05
     merge_cost: float = 2.0
 
     def __post_init__(self) -> None:
-        self.propagation_window = check_non_negative("propagation_window", self.propagation_window)
         self.base_fork_probability = check_probability(
             "base_fork_probability", self.base_fork_probability
         )

@@ -152,29 +152,6 @@ class Miner:
             )
         return block
 
-    def schedule_solve(
-        self,
-        kernel,
-        solve_time: float,
-        *,
-        on_solve,
-        priority: int = 0,
-    ):
-        """Register this miner's PoW solve as a discrete event on ``kernel``.
-
-        ``on_solve`` is called with this miner when the solve event fires;
-        the returned :class:`~repro.sim.events.ScheduledEvent` handle lets the
-        competition cancel the runners-up once a winner's block propagates
-        (Algorithm 1 lines 34-38: miners stop mining on receiving a valid
-        block).
-        """
-        return kernel.schedule(
-            solve_time,
-            (lambda: on_solve(self)),
-            name=f"{self.miner_id}:pow-solve",
-            priority=priority,
-        )
-
     def accept_block(self, block: Block) -> None:
         """Validate a received block and append it to the local replica.
 

@@ -57,16 +57,14 @@ class GossipNetwork:
         Mean one-way per-link latency in simulated seconds.
     jitter:
         Sigma of the log-normal multiplicative jitter (0 disables it).
-    fanout:
-        Forward to at most this many (seeded-sampled) peers per receipt;
-        ``None`` floods to every peer — with flooding the delivered set is
-        exactly the origin's connected component of the active subgraph.
+
+    Every receipt is forwarded to every active peer, so the delivered set is
+    exactly the origin's connected component of the active subgraph.
     """
 
     peers: Mapping[str, tuple[str, ...]]
     base_latency: float = 0.05
     jitter: float = 0.25
-    fanout: int | None = None
     floods: int = field(default=0, init=False)
 
     def __post_init__(self) -> None:
@@ -74,8 +72,6 @@ class GossipNetwork:
             raise ValueError("GossipNetwork requires at least one node")
         self.base_latency = check_non_negative("base_latency", self.base_latency)
         self.jitter = check_non_negative("jitter", self.jitter)
-        if self.fanout is not None and self.fanout < 1:
-            raise ValueError(f"fanout must be >= 1 (or None), got {self.fanout}")
 
     def propagate(
         self,
@@ -96,13 +92,9 @@ class GossipNetwork:
         stats = {"messages": 0, "duplicates": 0}
 
         def forward(node: str) -> None:
-            targets = [p for p in self.peers[node] if p in active_set]
-            if self.fanout is not None and len(targets) > self.fanout:
-                picked = rng.choice(len(targets), size=self.fanout, replace=False)
-                targets = [targets[i] for i in sorted(int(p) for p in picked)]
-            for peer in targets:
-                if peer in arrivals:
-                    continue  # the peer already holds the message; skip the send
+            for peer in self.peers[node]:
+                if peer not in active_set or peer in arrivals:
+                    continue  # offline, partitioned away, or already holds the message
                 stats["messages"] += 1
                 kernel.schedule(
                     self._latency(rng),

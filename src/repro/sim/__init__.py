@@ -5,12 +5,12 @@ The paper's latency results are driven by five delay components
 T_ex, global-update computation T_gl, and block mining/consensus T_bl.  This
 package provides:
 
-* :mod:`repro.sim.events` — the deterministic discrete-event kernel
-  (priority-queue scheduler, simulated clock, named processes, seeded
-  tie-breaking) that owns every simulated second in the repository;
+* :mod:`repro.sim.events` — the deterministic discrete-event kernel (timed
+  callbacks on a simulated clock, seeded tie-breaking) that owns every
+  simulated second in the repository;
 * :mod:`repro.sim.rounds` — event-driven round simulation: clients, miners,
-  the miners' gradient-set exchange, and the mempool act as kernel
-  processes, with ``sync`` / ``semi_sync`` / ``async`` round modes;
+  the miners' gradient-set exchange, and the mempool schedule their work as
+  kernel callbacks, with ``sync`` / ``semi_sync`` / ``async`` round modes;
 * :mod:`repro.sim.delay` — the calibration constants and
   :class:`~repro.sim.delay.DelayModel`, which prices a FedAvg/FedProx round
   as the paper's ``T(n, m)`` breakdown in the kernel's own arithmetic;

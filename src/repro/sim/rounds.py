@@ -5,17 +5,21 @@ model with an actual simulation: one :class:`EventRoundSimulator` builds an
 :class:`~repro.sim.events.EventKernel` per round and lets the system's actors
 schedule their work on it —
 
-* every selected **client** is a named process that finishes local SGD after a
-  sampled compute time and then uploads its gradient (a delivery event);
+* every selected **client** is a chain of timed callbacks: it finishes local
+  SGD after a sampled compute time, then uploads its gradient (a delivery
+  event);
 * the receiving **miner** verifies uploads as serialised events;
 * **miners** exchange gradient sets as ``m(m-1)`` kernel delivery events at
   one constant latency (per-link, topology-aware latencies are the gossip
   substrate's job — :class:`~repro.net.gossip.GossipNetwork`), compute the
   global update, and race to solve the proof of work (the earliest solve
-  event wins and cancels the runners-up);
-* in the vanilla baseline the **mempool** is drained one
-  :meth:`~repro.blockchain.mempool.Mempool.take_block` per solve event, and
-  fork merges are scheduled as serialised reorganisation events.
+  event wins and cancels the runners-up).
+
+The vanilla baseline has its own, shorter round
+(:meth:`EventRoundSimulator.vanilla_round`): the **mempool**'s transactions
+are handled one event each, then competitions repeat until it is empty —
+each winner drains one :meth:`~repro.blockchain.mempool.Mempool.take_block`
+batch, and the competition's forks merge as serialised reorganisation events.
 
 The per-component distributions are exactly those of
 :class:`~repro.sim.delay.DelayParameters`, so under the synchronous round mode
@@ -42,7 +46,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from repro.blockchain.consensus import ForkModel
+from repro.blockchain.mempool import Mempool
 from repro.sim.delay import DelayParameters, RoundDelayBreakdown
 from repro.sim.events import EventKernel
 from repro.utils.validation import check_choice, check_fraction, check_positive
@@ -82,6 +86,38 @@ def _schedule_serial_chain(kernel: EventKernel, durations, name: str, on_done) -
     kernel.schedule(queue[0], (lambda: step(0)), name=name)
 
 
+def _compete(
+    kernel: EventKernel,
+    rng: np.random.Generator,
+    params: DelayParameters,
+    num_miners: int,
+    on_won: Callable[[int], None],
+) -> None:
+    """One Procedure V race: ``m`` solve events, the earliest wins.
+
+    The winner's solve cancels the runners-up (Algorithm 1 lines 34-38:
+    miners stop on receiving a valid block), its block is broadcast to the
+    ``m - 1`` peers as serialised events, and ``on_won(winner_index)`` runs
+    once the broadcast is done.
+    """
+    solves = rng.exponential(params.block_interval * num_miners, size=num_miners)
+
+    def solved(winner: int) -> None:
+        for event in events:
+            event.cancel()
+        _schedule_serial_chain(
+            kernel,
+            [params.block_broadcast_per_miner] * (num_miners - 1),
+            "block:broadcast",
+            (lambda: on_won(winner)),
+        )
+
+    events = [
+        kernel.schedule(float(solves[k]), (lambda k=k: solved(k)), name=f"miner-{k}:pow-solve")
+        for k in range(num_miners)
+    ]
+
+
 @dataclass(frozen=True)
 class ClientArrival:
     """When one client's gradient became available to its miner."""
@@ -105,7 +141,6 @@ class RoundTiming:
     arrivals: tuple[ClientArrival, ...]
     on_time_ids: tuple[int, ...]
     late_ids: tuple[int, ...]
-    winning_miner: int | None
     blocks_mined: int
     fork_count: int
     events_processed: int
@@ -191,44 +226,98 @@ class EventRoundSimulator:
     def vanilla_round(
         self,
         *,
-        num_transactions: int,
+        mempool: Mempool,
         num_miners: int,
-        mempool=None,
-        on_block: Callable[[list, int], None] | None = None,
-        miners: Sequence | None = None,
+        on_block: Callable[[list, int], None],
     ) -> RoundTiming:
-        """One vanilla-blockchain round: drain the transaction queue into blocks.
+        """One vanilla-blockchain round: drain ``mempool`` into blocks.
 
-        When ``mempool`` is given it must already hold the round's
-        transactions; each solve event drains one ``take_block`` batch and
-        ``on_block`` receives ``(batch, winner_index)`` (this is how
+        ``mempool`` already holds the round's transactions.  Each is handled as
+        one serialised ``mempool:process-tx`` event; then mining competitions
+        repeat until the mempool is empty.  Each winner drains one
+        ``take_block`` batch and ``on_block(batch, winner_index)`` builds the
+        block at event time (how
         :class:`~repro.sim.vanilla_blockchain.VanillaBlockchainSimulator`
-        builds real blocks at event time).  Without a mempool the queueing is
-        simulated with uniformly sized stand-in transactions, reproducing the
-        analytic ``ceil(n / transactions_per_block)`` block count.  Passing
-        real ``miners`` makes each of them schedule its own solve event via
-        :meth:`~repro.blockchain.miner.Miner.schedule_solve`.
+        grows its chains); the competition's forks merge before the next one.
 
         Vanilla rounds are always synchronous — the baseline has no straggler
         handling; that is FAIR-BFL's advantage to demonstrate.
         """
-        if num_transactions < 0:
-            raise ValueError(f"num_transactions must be >= 0, got {num_transactions}")
-        return self._simulate(
-            client_ids=0,  # the pure-blockchain baseline of Fig. 4a trains nothing
-            num_miners=num_miners,
-            batches_per_epoch=0.0,
-            epochs=0,
-            stages=frozenset(),
-            global_duration=None,
-            vanilla_tx_count=int(num_transactions),
-            mempool=mempool,
-            on_block=on_block,
-            miners=miners,
-            force_sync=True,
+        params = self.params
+        fork_model = params.fork_model
+        kernel = self._kernel()
+        state = {"handled": 0.0, "mined": 0.0, "blocks": 0, "forks": 0}
+
+        def mine_next_block() -> None:
+            _compete(kernel, self.rng, params, num_miners, block_won)
+
+        def handled() -> None:
+            state["handled"] = kernel.now
+            mine_next_block()
+
+        def block_won(winner: int) -> None:
+            on_block(mempool.take_block(), winner)
+            more = mempool.pending_count > 0
+            state["blocks"] += 1
+            collisions = fork_model.sample_collisions(self.rng, num_miners)
+            state["forks"] += collisions
+            _schedule_serial_chain(
+                kernel,
+                fork_model.merge_schedule(collisions),
+                "fork:merge",
+                mine_next_block if more else mined,
+            )
+
+        def mined() -> None:
+            state["mined"] = kernel.now
+
+        tx_times = [params.tx_processing_time] * mempool.pending_count
+        kernel.schedule(
+            0.0,
+            (lambda: _schedule_serial_chain(kernel, tx_times, "mempool:process-tx", handled)),
+            name="round:start",
+        )
+        kernel.run()
+        breakdown = RoundDelayBreakdown(
+            t_local=0.0,
+            t_up=state["handled"],
+            t_ex=0.0,
+            t_gl=0.0,
+            t_bl=max(0.0, state["mined"] - state["handled"]),
+        )
+        return self._timing(
+            kernel, breakdown, blocks_mined=state["blocks"], fork_count=state["forks"]
         )
 
-    # -- the simulation -------------------------------------------------------
+    def _kernel(self) -> EventKernel:
+        """A fresh kernel for one round, seeded from the simulator stream."""
+        return EventKernel(
+            seed=int(self.rng.integers(0, 2**63)), record_trace=self.record_trace
+        )
+
+    def _timing(
+        self,
+        kernel: EventKernel,
+        breakdown: RoundDelayBreakdown,
+        *,
+        blocks_mined: int,
+        fork_count: int,
+        arrivals: tuple[ClientArrival, ...] = (),
+        on_time_ids: tuple[int, ...] = (),
+        late_ids: tuple[int, ...] = (),
+    ) -> RoundTiming:
+        return RoundTiming(
+            breakdown=breakdown,
+            arrivals=arrivals,
+            on_time_ids=on_time_ids,
+            late_ids=late_ids,
+            blocks_mined=int(blocks_mined),
+            fork_count=int(fork_count),
+            events_processed=kernel.events_processed,
+            trace_digest=kernel.trace_digest() if self.record_trace else None,
+        )
+
+    # -- the simulations ------------------------------------------------------
     def _simulate(
         self,
         *,
@@ -237,27 +326,22 @@ class EventRoundSimulator:
         batches_per_epoch: float | Mapping[int, float],
         epochs: int,
         stages: frozenset,
-        global_duration: Callable[[int], float] | None,
-        vanilla_tx_count: int | None = None,
-        mempool=None,
-        on_block: Callable[[list, int], None] | None = None,
-        miners: Sequence | None = None,
-        force_sync: bool = False,
+        global_duration: Callable[[int], float],
     ) -> RoundTiming:
-        unknown = stages - set(_STAGES)
-        if unknown:
-            raise ValueError(f"unknown simulation stages: {sorted(unknown)}")
+        """The FAIR-BFL / FL pipeline: clients, upload window, then Procedures II-V."""
+        if stages - set(_STAGES) or "upload" not in stages:
+            raise ValueError(
+                f"simulation stages must include 'upload' and come from {_STAGES}, "
+                f"got {sorted(stages)}"
+            )
         params = self.params
-        mode = "sync" if force_sync else self.round_mode
+        mode = self.round_mode
         ids = list(range(client_ids)) if isinstance(client_ids, int) else [int(c) for c in client_ids]
         n = len(ids)
-
-        kernel = EventKernel(
-            seed=int(self.rng.integers(0, 2**63)), record_trace=self.record_trace
-        )
+        kernel = self._kernel()
 
         # -- per-client draws (vectorised, like the analytic model) ----------
-        if "local" in stages and n:
+        if "local" in stages:
             if isinstance(batches_per_epoch, Mapping):
                 means = np.array(
                     [
@@ -272,167 +356,89 @@ class EventRoundSimulator:
             compute = means * self.rng.lognormal(0.0, params.compute_jitter, size=n)
         else:
             compute = np.zeros(n)
-        if "upload" in stages and n:
-            upload = params.upload_mean * self.rng.lognormal(0.0, params.upload_jitter, size=n)
-        else:
-            upload = np.zeros(n)
+        upload = params.upload_mean * self.rng.lognormal(0.0, params.upload_jitter, size=n)
 
         # Mutable round state shared by the event callbacks below.
         state = {
             "arrived": [],  # list[(client_id, compute_done, arrival)]
+            "window_open": mode != "sync",
             "window_closed": False,
             "awaiting_first": False,
             "verify_end": 0.0,
             "exchange_end": 0.0,
             "global_end": 0.0,
             "mining_end": 0.0,
-            "winner": None,
             "blocks": 0,
-            "forks": 0,
             "on_time": [],
         }
-        quorum = max(1, int(np.ceil(self.async_quorum * n))) if n else 0
-        barrier = kernel.signal("upload-window-open")
+        quorum = max(1, int(np.ceil(self.async_quorum * n)))
+        held: list[Callable[[], None]] = []  # sync: uploads waiting for the window
 
-        # -- Procedure I + II: client processes ------------------------------
-        def client_process(index: int, cid: int):
-            yield float(compute[index])
+        # -- Procedure I + II: each client computes, then uploads ------------
+        def start_client(index: int, cid: int) -> None:
+            kernel.schedule(
+                float(compute[index]), (lambda: computed(index, cid)), name=f"client-{cid}"
+            )
+
+        def computed(index: int, cid: int) -> None:
             done = kernel.now
-            if "upload" not in stages:
-                state["arrived"].append((cid, done, done))
-                maybe_close_window()
-                return
-            if mode == "sync":
-                yield barrier
-            yield float(upload[index])
-            state["arrived"].append((cid, done, kernel.now))
-            maybe_close_window()
 
-        def maybe_close_window() -> None:
-            if state["window_closed"] or not n:
+            def upload_now() -> None:
+                kernel.schedule(
+                    float(upload[index]), (lambda: arrive(cid, done)), name=f"client-{cid}"
+                )
+
+            if mode != "sync":
+                upload_now()
+            elif state["window_open"]:
+                kernel.schedule(0.0, upload_now, name="upload-window-open:wake")
+            else:
+                held.append(upload_now)
+
+        def open_window() -> None:
+            # The slowest client finished Procedure I: release the held uploads
+            # (the barrier behind the paper's additive decomposition).
+            state["window_open"] = True
+            for upload_now in held:
+                kernel.schedule(0.0, upload_now, name="upload-window-open:wake")
+
+        def arrive(cid: int, done: float) -> None:
+            state["arrived"].append((cid, done, kernel.now))
+            if state["window_closed"]:
                 return
             arrived = len(state["arrived"])
-            if mode == "sync":
-                if arrived == n:
-                    close_window()
-            elif mode == "async":
-                if arrived >= quorum:
-                    close_window()
-            else:  # semi_sync
-                if arrived == n or (state["awaiting_first"] and arrived >= 1):
-                    close_window()
+            if (
+                arrived == n
+                or (mode == "async" and arrived >= quorum)
+                or (mode == "semi_sync" and state["awaiting_first"])
+            ):
+                close_window()
 
         def close_window() -> None:
             state["window_closed"] = True
             state["on_time"] = [cid for cid, _done, _arr in state["arrived"]]
             start_verification()
 
-        if n:
-            for index, cid in enumerate(ids):
-                kernel.spawn(f"client-{cid}", client_process(index, cid))
-            if mode == "sync":
-                # The window opens when the slowest client finishes Procedure I
-                # (the barrier behind the paper's additive decomposition).
-                kernel.schedule_at(
-                    float(compute.max()), barrier.fire, name="local-phase:complete"
-                )
-            elif mode == "semi_sync":
-                barrier.fire()
-
-                def deadline_hit() -> None:
-                    if state["window_closed"]:
-                        return
-                    if state["arrived"]:
-                        close_window()
-                    else:
-                        state["awaiting_first"] = True
-
-                kernel.schedule(
-                    self.straggler_deadline, deadline_hit, name="straggler-deadline"
-                )
+        def deadline_hit() -> None:
+            if state["window_closed"]:
+                return
+            if state["arrived"]:
+                close_window()
             else:
-                barrier.fire()
-        else:
-            state["window_closed"] = True
+                state["awaiting_first"] = True
 
         # -- Procedure II (receiver side): serialised upload verification ----
         def start_verification() -> None:
-            count = len(state["on_time"]) if "upload" in stages else 0
-
             def done() -> None:
                 state["verify_end"] = kernel.now
-                after_uploads()
+                start_exchange()
 
             _schedule_serial_chain(
                 kernel,
-                [params.upload_processing_per_client] * count,
+                [params.upload_processing_per_client] * len(state["on_time"]),
                 "miner:verify-upload",
                 done,
             )
-
-        def after_uploads() -> None:
-            if vanilla_tx_count is not None:
-                start_tx_processing()
-            else:
-                start_exchange()
-
-        # -- vanilla: per-transaction handling then block mining --------------
-        def start_tx_processing() -> None:
-            def done() -> None:
-                state["verify_end"] = kernel.now
-                start_vanilla_mining()
-
-            _schedule_serial_chain(
-                kernel,
-                [params.tx_processing_time] * vanilla_tx_count,
-                "mempool:process-tx",
-                done,
-            )
-
-        fork_model: ForkModel = params.fork_model
-
-        def start_vanilla_mining() -> None:
-            state["exchange_end"] = kernel.now
-            state["global_end"] = kernel.now
-            pool = mempool
-            if pool is None:
-                # Uniform stand-in transactions reproduce the analytic
-                # ceil(n / transactions_per_block) queueing behaviour.
-                pending = {"blocks": max(1, -(-vanilla_tx_count // params.transactions_per_block))}
-
-                def take_batch() -> bool:
-                    pending["blocks"] -= 1
-                    return pending["blocks"] > 0
-
-            else:
-
-                def take_batch() -> bool:
-                    batch = pool.take_block()
-                    if on_block is not None:
-                        on_block(batch, int(state["winner"] or 0))
-                    return pool.pending_count > 0
-
-            def mine_next_block() -> None:
-                run_competition(on_won=lambda: after_block(take_batch()))
-
-            def after_block(more: bool) -> None:
-                state["blocks"] += 1
-                collisions = fork_model.sample_collisions(self.rng, num_miners)
-                state["forks"] += collisions
-                _schedule_serial_chain(
-                    kernel,
-                    fork_model.merge_schedule(collisions),
-                    "fork:merge",
-                    (lambda: finish_or_continue(more)),
-                )
-
-            def finish_or_continue(more: bool) -> None:
-                if more:
-                    mine_next_block()
-                else:
-                    state["mining_end"] = kernel.now
-
-            mine_next_block()
 
         # -- Procedure III: gradient-set exchange over the network ------------
         def start_exchange() -> None:
@@ -459,121 +465,62 @@ class EventRoundSimulator:
 
         # -- Procedure IV: global update -------------------------------------
         def start_global() -> None:
-            if "global" not in stages or global_duration is None:
+            if "global" not in stages:
                 state["global_end"] = kernel.now
                 start_mining()
                 return
-            duration = float(global_duration(len(state["on_time"])))
 
             def done() -> None:
                 state["global_end"] = kernel.now
                 start_mining()
 
+            duration = float(global_duration(len(state["on_time"])))
             kernel.schedule(duration, done, name="miner:global-update")
 
-        # -- Procedure V: mining competition ----------------------------------
-        def run_competition(on_won: Callable[[], None]) -> None:
-            solves = self.rng.exponential(params.block_interval * num_miners, size=num_miners)
-            events = []
-            race = {"decided": False}
-
-            def solved(winner_index: int) -> None:
-                if race["decided"]:
-                    return
-                race["decided"] = True
-                state["winner"] = winner_index
-                for event in events:
-                    event.cancel()
-                broadcast_block(on_won)
-
-            if miners is not None:
-                # Real miner actors register their own solve events.
-                for k, miner in enumerate(miners):
-                    events.append(
-                        miner.schedule_solve(
-                            kernel, float(solves[k]), on_solve=(lambda _m, k=k: solved(k))
-                        )
-                    )
-            else:
-                for k in range(num_miners):
-                    events.append(
-                        kernel.schedule(
-                            float(solves[k]),
-                            (lambda k=k: solved(k)),
-                            name=f"miner-{k}:pow-solve",
-                        )
-                    )
-
-        def broadcast_block(on_done: Callable[[], None]) -> None:
-            peers = max(0, num_miners - 1)
-            _schedule_serial_chain(
-                kernel,
-                [params.block_broadcast_per_miner] * peers,
-                "block:broadcast",
-                on_done,
-            )
-
+        # -- Procedure V: one block, no forks (Assumptions 1 + 2) -------------
         def start_mining() -> None:
             if "mining" not in stages or num_miners <= 0:
                 state["mining_end"] = kernel.now
                 return
-            run_competition(on_won=lambda: _finish_single_block())
+            _compete(kernel, self.rng, params, num_miners, block_won)
 
-        def _finish_single_block() -> None:
+        def block_won(_winner: int) -> None:
             state["blocks"] += 1
             state["mining_end"] = kernel.now
 
-        # Kick the pipeline off for client-less rounds (pure chain timing);
-        # rounds with clients start via the client arrivals above.
+        # -- kick off: every client starts at 0, then the window's own event --
+        for index, cid in enumerate(ids):
+            kernel.schedule(
+                0.0, (lambda index=index, cid=cid: start_client(index, cid)), name=f"client-{cid}"
+            )
         if not n:
-            kernel.schedule(0.0, after_uploads, name="round:start")
-
+            kernel.schedule(0.0, start_verification, name="round:start")
+        elif mode == "sync":
+            kernel.schedule_at(float(compute.max()), open_window, name="local-phase:complete")
+        elif mode == "semi_sync":
+            kernel.schedule(self.straggler_deadline, deadline_hit, name="straggler-deadline")
         kernel.run()
 
         # -- assemble the timing result ---------------------------------------
-        arrived_ids = {cid for cid, _d, _a in state["arrived"]}
-        on_time = list(state["on_time"]) if n else []
-        on_time_set = set(on_time)
+        on_time_set = set(state["on_time"])
         arrival_by_id = {cid: (done, arr) for cid, done, arr in state["arrived"]}
-        arrivals = []
-        for index, cid in enumerate(ids):
-            if cid in arrival_by_id:
-                done, arr = arrival_by_id[cid]
-            else:  # event-budget edge: never arrived (should not happen)
-                done, arr = float(compute[index]), float("inf")
-            arrivals.append(
-                ClientArrival(
-                    client_id=cid,
-                    compute_done=done,
-                    arrival=arr,
-                    on_time=cid in on_time_set,
-                )
-            )
-        late = [cid for cid in ids if cid not in on_time_set and cid in arrived_ids]
-
-        t_local = max(
-            (a.compute_done for a in arrivals if a.on_time), default=0.0
-        ) if "local" in stages else 0.0
-        if "upload" in stages:
-            t_up = max(0.0, state["verify_end"] - t_local)
-        elif vanilla_tx_count is not None:
-            t_up = state["verify_end"]
-        else:
-            t_up = 0.0
-        t_ex = max(0.0, state["exchange_end"] - state["verify_end"])
-        t_gl = max(0.0, state["global_end"] - state["exchange_end"])
-        t_bl = max(0.0, state["mining_end"] - state["global_end"])
-        breakdown = RoundDelayBreakdown(
-            t_local=t_local, t_up=t_up, t_ex=t_ex, t_gl=t_gl, t_bl=t_bl
+        arrivals = tuple(
+            ClientArrival(cid, *arrival_by_id[cid], on_time=cid in on_time_set) for cid in ids
         )
-        return RoundTiming(
-            breakdown=breakdown,
-            arrivals=tuple(arrivals),
-            on_time_ids=tuple(on_time),
-            late_ids=tuple(late),
-            winning_miner=state["winner"],
-            blocks_mined=int(state["blocks"]),
-            fork_count=int(state["forks"]),
-            events_processed=kernel.events_processed,
-            trace_digest=kernel.trace_digest() if self.record_trace else None,
+        t_local = max((a.compute_done for a in arrivals if a.on_time), default=0.0)
+        breakdown = RoundDelayBreakdown(
+            t_local=t_local,
+            t_up=max(0.0, state["verify_end"] - t_local),
+            t_ex=max(0.0, state["exchange_end"] - state["verify_end"]),
+            t_gl=max(0.0, state["global_end"] - state["exchange_end"]),
+            t_bl=max(0.0, state["mining_end"] - state["global_end"]),
+        )
+        return self._timing(
+            kernel,
+            breakdown,
+            arrivals=arrivals,
+            on_time_ids=tuple(state["on_time"]),
+            late_ids=tuple(cid for cid in ids if cid not in on_time_set),
+            blocks_mined=state["blocks"],
+            fork_count=0,
         )

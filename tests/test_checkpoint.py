@@ -29,7 +29,6 @@ from repro.fl.cohort import EXECUTOR_BACKENDS
 from repro.fl.trainer import CHECKPOINT_SCHEMA_VERSION, CheckpointError, Trainer
 from repro.runner.engine import ExperimentEngine
 from repro.runner.scenario import ScenarioError, ScenarioSpec
-from repro.sim.vanilla_blockchain import VanillaBlockchainConfig, VanillaBlockchainSimulator
 from repro.store import RunStore
 from repro.store.records import history_to_payload
 from repro.systems.registry import get_system
@@ -223,32 +222,24 @@ class TestCheckpointGuards:
 
     @pytest.mark.ledger
     @pytest.mark.parametrize("written_warm", [True, False], ids=["warm-to-cold", "cold-to-warm"])
-    @pytest.mark.parametrize("system", ["fairbfl", "blockchain"])
-    def test_checkpoint_ignores_where_key_pairs_came_from(self, system, written_warm):
+    def test_checkpoint_ignores_where_key_pairs_came_from(self, written_warm):
         # The blob pickles the keystore's pairs by value, so it must not matter
         # whether the writer or the restorer was handed memoised objects.
-        def build():
-            if system == "fairbfl":
-                return self._trainer(small_spec())
-            return VanillaBlockchainSimulator(
-                VanillaBlockchainConfig(num_workers=5, num_rounds=6, seed=2, verify_signatures=True)
-            )
-
         def rendered(trainer) -> str:
             return json.dumps(history_to_payload(trainer.history), sort_keys=True)
 
         assert CHECKPOINT_SCHEMA_VERSION == 4
         derive_key_pair.cache_clear()
-        reference = build()  # leaves the memo warm
+        reference = self._trainer(small_spec())  # leaves the memo warm
         reference.run_until(6)
         if not written_warm:
             derive_key_pair.cache_clear()
-        donor = build()  # a cold writer re-warms the memo for the restorer
+        donor = self._trainer(small_spec())  # a cold writer re-warms the memo for the restorer
         donor.run_until(3)
         blob = donor.checkpoint_state()
         if written_warm:
             derive_key_pair.cache_clear()
-        resumed = build()
+        resumed = self._trainer(small_spec())
         assert len(resumed.keystore) > 0
         resumed.restore_state(blob)
         resumed.run_until(6)

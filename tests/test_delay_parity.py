@@ -36,7 +36,7 @@ from repro.sim.rounds import EventRoundSimulator
 from repro.store.records import history_to_payload
 from repro.utils.rng import new_rng
 
-from delay_oracles import AnalyticDelayModel, kernel_fl_round
+from delay_oracles import AnalyticDelayModel, kernel_fl_round, kernel_vanilla_round
 
 pytestmark = pytest.mark.sim
 
@@ -70,7 +70,7 @@ def _round(model, system: str, n: int, m: int):
         return kernel.fairbfl_round(
             client_ids=n, num_miners=m, batches_per_epoch=BATCHES_PER_EPOCH, epochs=EPOCHS
         ).breakdown
-    return kernel.vanilla_round(num_transactions=n, num_miners=m).breakdown
+    return kernel_vanilla_round(kernel, num_transactions=n, num_miners=m).breakdown
 
 
 def _mean(model, system: str, n: int, m: int) -> float:

@@ -212,7 +212,6 @@ class TestDocsFreshness:
         """A repo whose ``repro.pkg.mod`` exports ``used`` (imported by a
         sibling module) and ``unused`` (re-exported by the package only)."""
         check_docs = self._load_check_docs()
-        assert check_docs.check_exports() == []
         package = tmp_path / "src" / "repro" / "pkg"
         package.mkdir(parents=True)
         (tmp_path / "src" / "repro" / "api.py").write_text("__all__ = []\n", encoding="utf-8")

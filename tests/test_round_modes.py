@@ -129,6 +129,14 @@ class TestSimulatorRoundModes:
         with pytest.raises(ValueError, match="async_quorum"):
             EventRoundSimulator(HEAVY_JITTER, new_rng(0, "x"), async_quorum=1.5)
 
+    @pytest.mark.parametrize("stages", [("local", "global"), ("upload", "bogus")])
+    def test_stage_set_needs_upload_and_known_names(self, stages):
+        # Every operating mode runs Procedure II, so a round without it is a caller bug.
+        with pytest.raises(ValueError, match="stages"):
+            self._sim("sync").fairbfl_round(
+                client_ids=3, num_miners=2, batches_per_epoch=1, epochs=1, stages=stages
+            )
+
 
 class TestCommitteeExchange:
     """Procedure III on the global committee: ``m(m-1)`` constant-latency deliveries."""
@@ -146,9 +154,9 @@ class TestCommitteeExchange:
                 self.scheduled: list[str] = []
                 kernels.append(self)
 
-            def schedule_at(self, time, action=None, *, name="event", priority=0):
+            def schedule_at(self, time, action=None, *, name="event"):
                 self.scheduled.append(name)
-                return super().schedule_at(time, action, name=name, priority=priority)
+                return super().schedule_at(time, action, name=name)
 
         monkeypatch.setattr(sim_rounds, "EventKernel", RecordingKernel)
         sim = EventRoundSimulator(self.PARAMS, new_rng(0, "exchange"), record_trace=True)
