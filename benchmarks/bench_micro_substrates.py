@@ -44,7 +44,7 @@ def test_micro_pow_mining(benchmark):
 
 def test_micro_rsa_sign_verify(benchmark):
     """One sign + verify cycle over a gradient-sized payload digest (Figure 2)."""
-    store = KeyStore(seed=0, key_bits=256)
+    store = KeyStore(key_bits=256)
     store.register("client-0")
     payload = np.ones(1024).tobytes()
 
@@ -99,7 +99,7 @@ def test_micro_local_sgd_epoch(benchmark, tiny_federated=None):
 def test_micro_substrates_smoke(gradient_set):
     """Fast structural pass over the substrates, without benchmark timing."""
     assert mine_block(Block.genesis(), difficulty=16.0, max_attempts=100_000).success
-    store = KeyStore(seed=0, key_bits=256)
+    store = KeyStore(key_bits=256)
     store.register("client-0")
     payload = np.ones(16).tobytes()
     assert store.verify("client-0", payload, store.sign("client-0", payload))

@@ -130,8 +130,9 @@ class FairBFLConfig:
         :func:`repro.net.schedule.parse_churn`.  Requires a non-``global``
         topology.
     seed:
-        Experiment seed (controls everything: data split, selection, attacks,
-        delays, mining winners).
+        Experiment seed (controls every random draw: data split, selection,
+        attacks, delays, mining winners).  Not the RSA keys: an entity's pair
+        follows its ID alone (:mod:`repro.crypto.keystore`).
     """
 
     num_miners: int = 2

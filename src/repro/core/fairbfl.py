@@ -73,7 +73,7 @@ class FairBFLTrainer(Trainer):
         seed = config.seed
 
         # -- crypto / identities ------------------------------------------------
-        self.keystore: KeyStore | None = KeyStore(seed=seed) if config.verify_signatures else None
+        self.keystore: KeyStore | None = KeyStore() if config.verify_signatures else None
         self.miner_ids = [f"miner-{k}" for k in range(config.num_miners)]
         if self.keystore is not None:
             for cid in range(dataset.num_clients):

@@ -5,10 +5,17 @@ its ID, and the corresponding public key will be held by the miners"
 (paper Section 4.2).  The :class:`KeyStore` implements exactly that contract:
 it generates one key pair per client ID, hands the private key to the client
 and exposes only public keys to miners.
+
+A key is an identity, not experiment randomness: the pair of ``client-3`` is
+a function of its ID and the modulus size alone, the same under every
+experiment seed.  No history, ``tx_id``, Merkle root or PoW nonce reads a
+key (signatures sit outside ``tx_id``), so which pair an entity holds changes
+no result.
 """
 
 from __future__ import annotations
 
+import threading
 from functools import lru_cache
 
 from repro.crypto.rsa import RSAKeyPair, rsa_verify
@@ -17,42 +24,55 @@ from repro.utils.rng import new_rng
 __all__ = ["KeyStore"]
 
 # Sweeps, searches and the serve daemon rebuild the same population once per
-# cell; the bound keeps a long-lived process flat.  4096 pairs cover the
-# largest signing population any shipped scenario or benchmark enrols
-# (~250 entities) times a dozen seeds, at ~1.4 KiB per 256-bit pair (nine
-# ints, the key tuple and the cache link) -- under 6 MiB when full.
+# cell; the bound keeps a long-lived process flat.  4096 pairs cover 4096
+# entities across any number of seeds -- well over the largest signing
+# population any shipped scenario or benchmark enrols (~250 entities) -- at
+# ~1.4 KiB per 256-bit pair (nine ints, the key tuple and the cache link),
+# under 6 MiB when full.
 _DERIVED_PAIRS_MAXSIZE = 4096
+
+# The root seed of every key stream, whatever the experiment seed.  0 keeps
+# the keys seed-0 runs have always held (the golden keys in
+# tests/test_crypto.py).
+_KEY_NAMESPACE_SEED = 0
+
+# ``lru_cache`` does not hold a lock while it computes, so two threads that
+# enrol one entity at once (the serve daemon's workers) would both derive it.
+# Key generation holds the GIL throughout, so serialising it costs nothing.
+_DERIVE_LOCK = threading.Lock()
 
 
 @lru_cache(maxsize=_DERIVED_PAIRS_MAXSIZE)
-def derive_key_pair(seed: int, key_bits: int, entity_id: str) -> RSAKeyPair:
-    """The key pair of ``entity_id`` under ``seed`` -- a pure function, memoised per process.
+def derive_key_pair(key_bits: int, entity_id: str) -> RSAKeyPair:
+    """The key pair of ``entity_id`` -- a pure function, memoised per process.
 
-    The three arguments are everything the pair depends on and the pair is
-    immutable, so sharing one object between stores is unobservable.  Only the
-    derivation is shared: which entities a store has *registered* stays in
-    that store.
+    The two arguments are everything the pair depends on (the experiment seed
+    is not one of them) and the pair is immutable, so sharing one object
+    between stores is unobservable.  Only the derivation is shared: which
+    entities a store has *registered* stays in that store.
     """
-    return RSAKeyPair.generate(new_rng(seed, "rsa-key", entity_id), bits=key_bits)
+    return RSAKeyPair.generate(
+        new_rng(_KEY_NAMESPACE_SEED, "rsa-key", entity_id), bits=key_bits
+    )
 
 
 class KeyStore:
     """Registry mapping client IDs to RSA key pairs.
 
+    Entity ``i``'s pair comes from :func:`derive_key_pair` on ``(key_bits,
+    i)``: two stores of one modulus size hand an entity the same pair,
+    whatever run or seed they serve.
+
     Parameters
     ----------
-    seed:
-        Experiment seed; key generation for client ``i`` uses an independent
-        stream derived from ``(seed, "rsa-key", i)``.
     key_bits:
         RSA modulus size.  The default (256) keeps key generation fast at
         simulation scale while exercising the full sign/verify code path.
     """
 
-    def __init__(self, seed: int = 0, *, key_bits: int = 256) -> None:
+    def __init__(self, *, key_bits: int = 256) -> None:
         if key_bits < 32:
             raise ValueError(f"key_bits must be >= 32, got {key_bits}")
-        self.seed = int(seed)
         self.key_bits = int(key_bits)
         self._keys: dict[str, RSAKeyPair] = {}
 
@@ -60,7 +80,8 @@ class KeyStore:
         """Generate (or return the existing) key pair for ``entity_id``."""
         entity_id = str(entity_id)
         if entity_id not in self._keys:
-            self._keys[entity_id] = derive_key_pair(self.seed, self.key_bits, entity_id)
+            with _DERIVE_LOCK:
+                self._keys[entity_id] = derive_key_pair(self.key_bits, entity_id)
         return self._keys[entity_id]
 
     def _pair(self, entity_id: str) -> RSAKeyPair:

@@ -31,7 +31,7 @@ from repro.utils.rng import new_rng
 
 @pytest.fixture(scope="module")
 def keystore():
-    store = KeyStore(seed=0, key_bits=128)
+    store = KeyStore(key_bits=128)
     for name in ("client-0", "client-1", "miner-0", "miner-1"):
         store.register(name)
     return store
@@ -606,7 +606,7 @@ class TestVerifyOnce:
 
     def test_an_equal_non_int_signature_does_not_inherit_the_verdict(self, verify_calls):
         # Under a 33-bit modulus every signature is exactly representable as a float.
-        store = KeyStore(seed=0, key_bits=33)
+        store = KeyStore(key_bits=33)
         store.register("miner-0")
         tx = _verified_reward(store)
         tx.signature = float(tx.signature)
@@ -616,10 +616,10 @@ class TestVerifyOnce:
 
     def test_another_store_recomputes(self, keystore, verify_calls):
         tx = _verified_reward(keystore)
-        stranger = KeyStore(seed=1, key_bits=128)
+        stranger = KeyStore(key_bits=256)  # another modulus size: another miner-0 key
         stranger.register("miner-0")
         assert not tx.verify(stranger)
-        twin = KeyStore(seed=0, key_bits=128)
+        twin = KeyStore(key_bits=128)
         twin.register("miner-0")
         assert tx.verify(twin)
         assert [store for store, _, _ in verify_calls] == [keystore, stranger, twin]

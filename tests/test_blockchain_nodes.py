@@ -18,7 +18,7 @@ from repro.crypto.keystore import KeyStore
 
 @pytest.fixture()
 def keystore():
-    store = KeyStore(seed=0, key_bits=128)
+    store = KeyStore(key_bits=128)
     for name in ("client-0", "client-1", "client-2", "miner-0", "miner-1"):
         store.register(name)
     return store
@@ -49,7 +49,7 @@ class TestMiner:
 
     def test_reject_unknown_sender(self, keystore):
         miner = _miner(keystore=keystore)
-        ghost_store = KeyStore(seed=1, key_bits=128)
+        ghost_store = KeyStore(key_bits=128)
         ghost_store.register("ghost")
         tx = _upload("ghost", ghost_store)
         assert not miner.receive_upload(tx)

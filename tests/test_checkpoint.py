@@ -21,10 +21,13 @@ from __future__ import annotations
 import json
 import pickle
 
+import numpy as np
 import pytest
 
+from repro.blockchain.transaction import make_gradient_transaction
+from repro.crypto import keystore as keystore_module
 from repro.crypto.keystore import derive_key_pair
-from repro.crypto.rsa import rsa_sign
+from repro.crypto.rsa import RSAKeyPair, rsa_sign
 from repro.fl.cohort import EXECUTOR_BACKENDS
 from repro.fl.trainer import CHECKPOINT_SCHEMA_VERSION, CheckpointError, Trainer
 from repro.runner.engine import ExperimentEngine
@@ -32,6 +35,7 @@ from repro.runner.scenario import ScenarioError, ScenarioSpec
 from repro.store import RunStore
 from repro.store.records import history_to_payload
 from repro.systems.registry import get_system
+from repro.utils.rng import new_rng
 
 from toy_trainer import ToyTrainer
 
@@ -244,6 +248,45 @@ class TestCheckpointGuards:
         resumed.restore_state(blob)
         resumed.run_until(6)
         assert rendered(resumed) == rendered(reference)
+
+    @pytest.mark.ledger
+    def test_a_blob_written_under_seed_keyed_derivation_resumes(self, monkeypatch):
+        # Before keys became identities, a pair was derived from the experiment
+        # seed as well.  Such a blob carries those pairs by value; the restored
+        # trainer keeps signing and verifying with them, so it resumes as is and
+        # the schema version stays.
+        spec = small_spec()
+        assert spec.seed != 0  # seed 0's keys never changed
+
+        def seed_keyed(key_bits, entity_id):
+            return RSAKeyPair.generate(new_rng(spec.seed, "rsa-key", entity_id), bits=key_bits)
+
+        assert CHECKPOINT_SCHEMA_VERSION == 4
+        reference = self._trainer(spec)
+        reference.run_until(6)
+        with monkeypatch.context() as patch:
+            patch.setattr(keystore_module, "derive_key_pair", seed_keyed)
+            donor = self._trainer(spec)
+            donor.run_until(3)
+            blob = donor.checkpoint_state()
+        old_pair = seed_keyed(256, "client-0")
+        assert old_pair != derive_key_pair(256, "client-0")
+
+        resumed = self._trainer(spec)
+        resumed.restore_state(blob)
+        assert resumed.keystore.register("client-0") == old_pair
+        resumed.run_until(6)
+        payload = history_to_payload(resumed.history)
+        assert json.dumps(payload, sort_keys=True) == json.dumps(
+            history_to_payload(reference.history), sort_keys=True
+        )
+        assert all(r["extras"]["rejected_uploads"] == 0 for r in payload["rounds"])
+        assert resumed.chain.is_valid()
+        upload = make_gradient_transaction(
+            "client-0", 6, np.ones(3), keystore=resumed.keystore, client_index=0
+        )
+        assert upload.verify(resumed.keystore)
+        assert resumed.miners[0].receive_upload(upload)
 
     def test_mixin_exclusions_documented_state_only(self):
         # The exclusion list is load-bearing: anything listed is rebuilt by

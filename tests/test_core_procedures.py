@@ -30,7 +30,7 @@ from repro.utils.rng import new_rng
 @pytest.fixture()
 def setup(tiny_federated):
     """Clients, miners, key store, and a starting global parameter vector."""
-    keystore = KeyStore(seed=0, key_bits=128)
+    keystore = KeyStore(key_bits=128)
     clients = {}
     for shard in tiny_federated.clients:
         keystore.register(f"client-{shard.client_id}")

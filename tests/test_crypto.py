@@ -24,6 +24,7 @@ from repro.crypto.rsa import RSAKeyPair, rsa_sign, rsa_verify
 from repro.runner.engine import ExperimentEngine
 from repro.runner.scenario import ScenarioMatrix, ScenarioSpec
 from repro.store.records import history_to_payload
+from repro.systems.registry import get_system
 from repro.utils.rng import new_rng
 
 
@@ -178,43 +179,43 @@ class TestHashing:
 
 class TestKeyStore:
     def test_register_and_verify(self):
-        store = KeyStore(seed=0, key_bits=128)
+        store = KeyStore(key_bits=128)
         store.register("client-1")
         sig = store.sign("client-1", b"payload")
         assert store.verify("client-1", b"payload", sig)
 
     def test_register_idempotent(self):
-        store = KeyStore(seed=0, key_bits=128)
+        store = KeyStore(key_bits=128)
         a = store.register("c")
         b = store.register("c")
         assert a is b
         assert len(store) == 1
 
     def test_unknown_entity_verify_false(self):
-        store = KeyStore(seed=0, key_bits=128)
+        store = KeyStore(key_bits=128)
         assert not store.verify("ghost", b"x", 123)
 
     def test_unknown_entity_keys_raise(self):
-        store = KeyStore(seed=0, key_bits=128)
+        store = KeyStore(key_bits=128)
         with pytest.raises(KeyError):
             store.public_key("ghost")
 
     def test_cross_entity_signature_rejected(self):
-        store = KeyStore(seed=0, key_bits=128)
+        store = KeyStore(key_bits=128)
         store.register("a")
         store.register("b")
         sig = store.sign("a", b"msg")
         assert not store.verify("b", b"msg", sig)
 
     def test_keys_reproducible_across_stores(self):
-        first = KeyStore(seed=9, key_bits=128).register("x")
+        first = KeyStore(key_bits=128).register("x")
         derive_key_pair.cache_clear()  # or the second store is handed `first` itself
-        second = KeyStore(seed=9, key_bits=128).register("x")
+        second = KeyStore(key_bits=128).register("x")
         assert second is not first
         assert second == first
 
     def test_different_entities_different_keys(self):
-        store = KeyStore(seed=0, key_bits=128)
+        store = KeyStore(key_bits=128)
         assert store.register("a").modulus != store.register("b").modulus
 
     def test_invalid_key_bits(self):
@@ -236,24 +237,24 @@ def test_rsa_sign_verify_property(message):
 class TestCRTSigning:
     """KeyStore signs by CRT; ``rsa_sign`` with the plain exponent is the reference."""
 
-    @given(message=st.binary(min_size=0, max_size=200), seed=st.integers(0, 3))
+    @given(message=st.binary(min_size=0, max_size=200), entity=st.integers(0, 3))
     @settings(max_examples=25, deadline=None)
     @pytest.mark.parametrize("key_bits", [32, 33, 64, 256])
-    def test_keystore_sign_is_bit_identical_to_plain_exponent(self, key_bits, message, seed):
-        store = KeyStore(seed=seed, key_bits=key_bits)
-        pair = store.register("client-0")
-        signature = store.sign("client-0", message)
+    def test_keystore_sign_is_bit_identical_to_plain_exponent(self, key_bits, message, entity):
+        store = KeyStore(key_bits=key_bits)
+        pair = store.register(f"client-{entity}")
+        signature = store.sign(f"client-{entity}", message)
         assert signature == rsa_sign(message, _private_key(pair))
-        assert store.verify("client-0", message, signature)
+        assert store.verify(f"client-{entity}", message, signature)
         assert pair.prime_p * pair.prime_q == pair.modulus
 
     def test_sign_unknown_entity_raises(self):
         with pytest.raises(KeyError):
-            KeyStore(seed=0, key_bits=64).sign("ghost", b"m")
+            KeyStore(key_bits=64).sign("ghost", b"m")
 
     def test_golden_keys_from_parent_commit(self):
         """Recorded before the candidate assembly changed: keys must not move."""
-        pair = KeyStore(seed=0).register("client-0")
+        pair = KeyStore().register("client-0")
         assert pair.public_key == (
             41948747794924615534045945089667993648950090608416351104566594852818476509363,
             65537,
@@ -261,7 +262,7 @@ class TestCRTSigning:
         assert pair.private_exponent == (
             22004578355645184137654019871104967966942691866541708244505684207199483323793
         )
-        small = KeyStore(seed=0, key_bits=33).register("client-0")
+        small = KeyStore(key_bits=33).register("client-0")
         assert (small.modulus, small.public_exponent, small.private_exponent) == (
             5038465609, 65537, 1604201037
         )
@@ -271,14 +272,13 @@ class TestCRTSigning:
 class TestDerivationMemo:
     """`derive_key_pair` shares the derivation between stores and nothing else."""
 
-    @pytest.mark.parametrize("seed", [0, 1, 7, 2**31])
+    @pytest.mark.parametrize("entity", ["client-0", "client-7", "client-2147483648", "miner-1"])
     @pytest.mark.parametrize("key_bits", [32, 33, 64, 256])
-    def test_warm_pair_equals_undecorated_derivation(self, key_bits, seed):
-        for entity in ("client-0", "miner-1"):
-            derive_key_pair(seed, key_bits, entity)  # warm
-            served = KeyStore(seed=seed, key_bits=key_bits).register(entity)
-            assert served is derive_key_pair(seed, key_bits, entity)
-            assert served == derive_key_pair.__wrapped__(seed, key_bits, entity)
+    def test_warm_pair_equals_undecorated_derivation(self, key_bits, entity):
+        derive_key_pair(key_bits, entity)  # warm
+        served = KeyStore(key_bits=key_bits).register(entity)
+        assert served is derive_key_pair(key_bits, entity)
+        assert served == derive_key_pair.__wrapped__(key_bits, entity)
 
     def test_golden_keys_hold_warm_and_cold(self):
         golden = TestCRTSigning().test_golden_keys_from_parent_commit
@@ -288,11 +288,11 @@ class TestDerivationMemo:
         golden()
 
     def test_registration_is_not_shared(self):
-        a = KeyStore(seed=4, key_bits=64)
+        a = KeyStore(key_bits=64)
         a.register("client-0")
         signature = a.sign("client-0", b"upload")
         assert a.verify("client-0", b"upload", signature)
-        b = KeyStore(seed=4, key_bits=64)
+        b = KeyStore(key_bits=64)
         assert b.verify("client-0", b"upload", signature) is False
         with pytest.raises(KeyError):
             b.sign("client-0", b"upload")
@@ -303,7 +303,7 @@ class TestDerivationMemo:
     def test_racing_registrations_agree(self):
         derive_key_pair.cache_clear()
         ids = [f"client-{i}" for i in range(50)]
-        stores = [KeyStore(seed=12, key_bits=64) for _ in range(8)]
+        stores = [KeyStore(key_bits=64) for _ in range(8)]
         barrier = threading.Barrier(len(stores))
 
         def enrol(store):
@@ -322,26 +322,27 @@ class TestDerivationMemo:
         finally:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
+        assert derive_key_pair.cache_info().misses == len(ids)  # single-flight
         for entity in ids:
-            expected = derive_key_pair.__wrapped__(12, 64, entity)
+            expected = derive_key_pair.__wrapped__(64, entity)
             assert all(store.register(entity) == expected for store in stores)
 
     def test_memo_is_bounded_and_eviction_is_invisible(self):
         derive_key_pair.cache_clear()
         maxsize = derive_key_pair.cache_info().maxsize
-        first = derive_key_pair(0, 32, "entity-0")
+        first = derive_key_pair(32, "entity-0")
         for i in range(1, maxsize + 100):
-            derive_key_pair(0, 32, f"entity-{i}")
+            derive_key_pair(32, f"entity-{i}")
         info = derive_key_pair.cache_info()
         assert info.currsize == maxsize
         assert info.misses == maxsize + 100
-        again = derive_key_pair(0, 32, "entity-0")  # evicted: derived afresh
+        again = derive_key_pair(32, "entity-0")  # evicted: derived afresh
         assert derive_key_pair.cache_info().misses == maxsize + 101
         assert again is not first
         assert again == first
 
-    def test_a_grid_derives_each_seeds_population_once(self, monkeypatch):
-        """Count guard: 4 cells over 2 seeds execute keygen for 2 populations."""
+    def test_a_grid_derives_each_entity_once(self, monkeypatch):
+        """Count guard: 4 cells over 2 seeds execute keygen once per entity."""
         base = ScenarioSpec(name="memo", num_clients=4, num_samples=160, num_rounds=1, miners=2)
         cells = ScenarioMatrix(base, {"seed": [0, 1], "learning_rate": [0.05, 0.1]}).expand()
         assert len(cells) == 4 and all(cell.verify_signatures for cell in cells)
@@ -367,8 +368,29 @@ class TestDerivationMemo:
 
         population = base.num_clients + base.miners
         shared = histories(clear_before_every_cell=False)
-        assert len(executions) == 2 * population
+        assert len(executions) == population
         executions.clear()
         cold = histories(clear_before_every_cell=True)
         assert len(executions) == 4 * population  # what every cell cost before the memo
         assert shared == cold
+
+    def test_keys_differ_across_entities_not_seeds(self):
+        """A key is an identity: one pair per entity, the same under every seed."""
+        engine = ExperimentEngine()
+        keystores = []
+        for seed in (0, 1, 1001):
+            spec = ScenarioSpec(
+                name="identity", num_clients=4, num_samples=160, num_rounds=1, miners=2, seed=seed
+            ).validate()
+            trainer = get_system("fairbfl").build(spec, engine.dataset_for(spec)).trainer
+            trainer.close()
+            keystores.append(trainer.keystore)
+        entities = [f"client-{cid}" for cid in range(4)] + ["miner-0", "miner-1"]
+        derive_key_pair.cache_clear()
+        for entity in entities:
+            fresh = derive_key_pair.__wrapped__(256, entity)
+            assert all(store.register(entity) == fresh for store in keystores)
+        moduli = {keystores[0].public_key(entity)[0] for entity in entities}
+        assert len(moduli) == len(entities)
+        # A different modulus size is a different key for the same entity.
+        assert derive_key_pair(64, "client-0").modulus != keystores[0].public_key("client-0")[0]

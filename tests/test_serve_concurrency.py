@@ -29,7 +29,9 @@ import pytest
 
 from repro import api
 from repro.cli import main
+from repro.crypto.keystore import derive_key_pair
 from repro.serve.client import ServeClient
+from repro.store.records import history_to_payload
 
 pytestmark = pytest.mark.serve
 
@@ -51,6 +53,13 @@ def _spec(seed: int) -> api.ScenarioSpec:
             "seed": seed,
         }
     )
+
+
+def _payload(history) -> dict:
+    """A history's canonical payload without its presentation label."""
+    payload = history_to_payload(history)
+    payload.pop("label", None)
+    return payload
 
 
 def _history_fields(history) -> tuple:
@@ -143,6 +152,37 @@ class TestConcurrentSubmission:
         health = client.health()
         assert health["queue_depth"] == 0
         assert health["jobs"]["done"] == 8
+
+
+class TestServedKeyDerivation:
+    def test_jobs_on_unseen_seeds_derive_each_entity_once(self, tmp_path):
+        """Count guard: K signing jobs on K seeds derive one population, not K."""
+        specs = [
+            api.ScenarioSpec.from_mapping(
+                {
+                    "name": f"keys-{seed}",
+                    "system": "fairbfl",
+                    "num_clients": 4,
+                    "num_samples": 160,
+                    "num_rounds": 1,
+                    "miners": 2,
+                    "seed": seed,
+                }
+            )
+            for seed in (501, 502, 503, 504)
+        ]
+        assert all(spec.verify_signatures for spec in specs)
+        derive_key_pair.cache_clear()
+        with api.serve(workers=2, isolation="thread", store=tmp_path / "store") as server:
+            client = ServeClient(server.url)
+            jobs = [client.submit(spec)[0] for spec in specs]
+            finals = [client.wait(job["job_id"], timeout=WATCHDOG_S) for job in jobs]
+            assert all(final["state"] == "done" for final in finals)
+            remote = [client.run(spec, timeout=WATCHDOG_S) for spec in specs]
+        population = specs[0].num_clients + specs[0].miners
+        assert derive_key_pair.cache_info().misses == population
+        for spec, history in zip(specs, remote):
+            assert _payload(history) == _payload(api.run(spec))
 
 
 MIXED_SWEEP = """
