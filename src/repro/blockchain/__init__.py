@@ -2,10 +2,11 @@
 
 Implements the distributed-ledger machinery FAIR-BFL runs on top of:
 
-* :mod:`repro.blockchain.transaction` — signed transactions (gradient uploads,
-  reward payouts, global-update records);
+* :mod:`repro.blockchain.transaction` — transactions (client-signed gradient
+  uploads, reward payouts, global-update records);
 * :mod:`repro.blockchain.merkle` — Merkle trees over transaction IDs;
-* :mod:`repro.blockchain.block` — block headers/bodies with SHA-256 linking;
+* :mod:`repro.blockchain.block` — block headers/bodies with SHA-256 linking,
+  each mined header signed by its miner;
 * :mod:`repro.blockchain.pow` — proof-of-work nonce search (paper Eq. 4) plus
   the stochastic mining-time model used at simulation scale;
 * :mod:`repro.blockchain.mempool` — block-size-limited transaction queue (the

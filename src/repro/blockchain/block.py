@@ -17,6 +17,7 @@ import numpy as np
 from repro.blockchain.merkle import merkle_root
 from repro.blockchain.transaction import Transaction, TransactionType
 from repro.crypto.hashing import sha256_hex
+from repro.crypto.keystore import KeyStore
 
 __all__ = ["Block", "GENESIS_PREVIOUS_HASH"]
 
@@ -26,7 +27,7 @@ GENESIS_PREVIOUS_HASH = "0" * 64
 
 @dataclass
 class BlockHeader:
-    """The mined portion of a block.
+    """The mined and signed portion of a block.
 
     Attributes
     ----------
@@ -46,6 +47,13 @@ class BlockHeader:
         Simulated time at which the block was created.
     difficulty:
         Mining difficulty in force when the block was mined.
+    signature:
+        The winning miner's RSA signature over :meth:`serialize`, made once
+        the proof of work is found (:meth:`Block.sign`).  It is not part of
+        the serialisation, so the block hash, the PoW and every ``tx_id``
+        are the same signed or not.  The header commits to the body through
+        the Merkle root, so this one signature covers the block's global
+        update and reward transactions, which carry none of their own.
     """
 
     index: int
@@ -56,6 +64,7 @@ class BlockHeader:
     nonce: int = 0
     timestamp: float = 0.0
     difficulty: float = 1.0
+    signature: int | None = None
 
     def serialize(self) -> bytes:
         """Canonical byte serialisation hashed by the proof of work."""
@@ -136,6 +145,19 @@ class Block:
         if memo is None or memo[0] != tx_ids:
             memo = self.__dict__["_merkle_memo"] = (tx_ids, merkle_root(list(tx_ids)))
         return memo[1]
+
+    def sign(self, keystore: KeyStore) -> "Block":
+        """Sign the finished header with its miner's private key and return ``self``."""
+        header = self.header
+        header.signature = keystore.sign(header.miner_id, header.serialize())
+        return self
+
+    def verify_signature(self, keystore: KeyStore) -> bool:
+        """Whether the header signature verifies against the miner's registered key."""
+        header = self.header
+        return header.signature is not None and keystore.verify(
+            header.miner_id, header.serialize(), header.signature
+        )
 
     @classmethod
     def create(

@@ -3,9 +3,9 @@
 Under Assumption 1 + 2, FAIR-BFL produces exactly one block per communication
 round and never forks, so every miner's :class:`Blockchain` copy stays
 identical.  The class still implements full validation (hash links, Merkle
-roots, PoW targets, non-decreasing rounds) so that tampering is
-detectable, and fork bookkeeping so the vanilla-blockchain baseline can reuse
-the same type.
+roots, PoW targets, non-decreasing rounds and, on a keyed chain, the winning
+miner's header signature) so that tampering is detectable, and fork
+bookkeeping so the vanilla-blockchain baseline can reuse the same type.
 
 Once the gossip substrate (:mod:`repro.net`) partitions the miner committee,
 views *do* diverge: :class:`ForkChoice` is the deterministic rule every node
@@ -24,6 +24,7 @@ import numpy as np
 
 from repro.blockchain.block import Block, GENESIS_PREVIOUS_HASH
 from repro.crypto.hashing import difficulty_to_target, meets_target, target_work
+from repro.crypto.keystore import KeyStore
 
 __all__ = ["Blockchain", "ForkChoice"]
 
@@ -90,11 +91,18 @@ class Blockchain:
         When True, appended non-genesis blocks must satisfy their stated
         difficulty target.  FAIR-BFL simulations that use the stochastic
         timing model (rather than actually grinding nonces) set this to False.
+    keystore:
+        The keys of the entities allowed to mine.  When set, every
+        non-genesis block's header signature must verify against the key
+        registered under its ``miner_id``, so an id missing from the store is
+        refused.  ``None`` (the vanilla baseline, or a run with
+        ``verify_signatures=False``) accepts unsigned blocks.
     """
 
     enforce_pow: bool = True
     blocks: list[Block] = field(default_factory=list)
     fork_events: int = 0
+    keystore: KeyStore | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.blocks:
@@ -151,8 +159,10 @@ class Blockchain:
         path that admits a block — :meth:`add_genesis`, :meth:`add_block` /
         :meth:`validate_candidate`, and the full-chain validation behind
         :meth:`is_valid` and :meth:`reorg_to` — goes through these rules.
-        Every header check (index, link, round, proof of work) runs before
-        the body check, so a bad header is rejected before its body is hashed.
+        The tiers run in order: the header checks (index, link, round, proof
+        of work), then the Merkle body, then — on a keyed chain, genesis
+        exempt — the miner's header signature.  A bad header is rejected
+        before its body is hashed, and a bad body before any RSA runs.
         """
         if parent is None:
             if block.index != 0 or block.header.previous_hash != GENESIS_PREVIOUS_HASH:
@@ -175,6 +185,15 @@ class Blockchain:
                 return "block hash does not satisfy its difficulty target"
         if not block.validate_merkle_root():
             return "Merkle root does not match the block body"
+        if (
+            parent is not None
+            and self.keystore is not None
+            and not block.verify_signature(self.keystore)
+        ):
+            return (
+                f"header signature does not verify against the registered key "
+                f"of miner {block.header.miner_id!r}"
+            )
         return None
 
     def add_genesis(self, block: Block) -> Block:
@@ -253,7 +272,7 @@ class Blockchain:
 
     def copy(self) -> "Blockchain":
         """Shallow copy sharing block objects (miners' replicated ledgers)."""
-        clone = Blockchain(enforce_pow=self.enforce_pow)
+        clone = Blockchain(enforce_pow=self.enforce_pow, keystore=self.keystore)
         clone.blocks = list(self.blocks)
         clone.fork_events = self.fork_events
         return clone

@@ -156,8 +156,8 @@ class Miner:
         """Validate a received block and append it to the local replica.
 
         Mirrors Algorithm 1 lines 34-38: on receiving a block, verify the proof
-        of work / links, stop local mining (implicit in the synchronous
-        simulation), and append.
+        of work / links / header signature, stop local mining (implicit in the
+        synchronous simulation), and append.
         """
         self.chain.add_block(block)
 
@@ -170,10 +170,21 @@ def replicated_committee(
     keystore: KeyStore | None,
     verify_signatures: bool,
 ) -> list[Miner]:
-    """One :class:`Miner` per id, each on its own ledger replica of ``genesis``."""
+    """One :class:`Miner` per id, each on its own ledger replica of ``genesis``.
+
+    With a ``keystore`` the replicas share a store of the committee's keys
+    alone, so they admit only blocks whose header a member of ``miner_ids``
+    signed under its own id: a client's key in ``keystore`` signs its
+    uploads, never a block.
+    """
+    committee_keys = None
+    if keystore is not None:
+        committee_keys = KeyStore(key_bits=keystore.key_bits)
+        for miner_id in miner_ids:
+            committee_keys.register(miner_id)
     miners = []
     for miner_id in miner_ids:
-        chain = Blockchain(enforce_pow=enforce_pow)
+        chain = Blockchain(enforce_pow=enforce_pow, keystore=committee_keys)
         chain.add_genesis(genesis)
         miners.append(
             Miner(

@@ -10,9 +10,12 @@ Three transaction kinds appear in FAIR-BFL:
 * ``REWARD`` — one ⟨client, reward⟩ entry of the reward list produced by
   Algorithm 2, appended to the block as a transaction.
 
-Every transaction carries the sender ID, a payload digest, an optional
-payload size (bytes) used by the block-size/queueing model, and an RSA
-signature over the canonical serialisation (paper Figure 2).
+Every transaction carries the sender ID, a payload digest and an optional
+payload size (bytes) used by the block-size/queueing model.  A gradient
+upload also carries its client's RSA signature over the canonical
+serialisation, which miners verify (paper Figure 2).  Global-update and
+reward transactions are not signed one by one: the winning miner signs the
+block header that commits to them (:meth:`repro.blockchain.block.Block.sign`).
 """
 
 from __future__ import annotations
@@ -55,7 +58,7 @@ class TransactionType(str, Enum):
 
 @dataclass
 class Transaction:
-    """A signed ledger transaction.
+    """A ledger transaction.
 
     Attributes
     ----------
@@ -79,7 +82,8 @@ class Transaction:
         In-simulation payload (a gradient vector or a dict); excluded from the
         signed canonical form, which covers only the digest.
     signature:
-        RSA signature over :meth:`signing_bytes`.
+        RSA signature over :meth:`signing_bytes` (gradient uploads; the
+        block header signature covers the transactions inside a block).
 
     The canonical bytes and :attr:`tx_id` are derived at most once per
     object: they are sealed on first read and dropped whenever an identity
@@ -205,15 +209,11 @@ def make_gradient_transaction(
 
 
 def make_global_update_transaction(
-    sender: str,
-    round_index: int,
-    global_gradient: np.ndarray,
-    *,
-    keystore: KeyStore | None = None,
+    sender: str, round_index: int, global_gradient: np.ndarray
 ) -> Transaction:
-    """Build (and optionally sign) the global-update transaction for a round."""
+    """Build the (unsigned) global-update transaction for a round."""
     global_gradient = np.asarray(global_gradient, dtype=np.float64)
-    tx = Transaction(
+    return Transaction(
         tx_type=TransactionType.GLOBAL_UPDATE,
         sender=sender,
         round_index=int(round_index),
@@ -221,9 +221,6 @@ def make_global_update_transaction(
         payload_size_bytes=int(global_gradient.size) * _BYTES_PER_ELEMENT,
         payload=global_gradient,
     )
-    if keystore is not None:
-        tx.sign(keystore)
-    return tx
 
 
 def make_reward_transaction(
@@ -233,24 +230,18 @@ def make_reward_transaction(
     reward: float,
     *,
     contribution_label: str = "high",
-    keystore: KeyStore | None = None,
 ) -> Transaction:
-    """Build (and optionally sign) one reward-list entry ⟨client, reward⟩."""
+    """Build one (unsigned) reward-list entry ⟨client, reward⟩."""
     record = {"client": client_id, "reward": float(reward), "label": contribution_label}
-    digest = hashlib.sha256(json.dumps(record, sort_keys=True).encode("utf-8")).hexdigest()
-    tx = Transaction(
+    # Sorting the keys reorders them without changing the dump's length, so
+    # the one encoding gives both the digest and the wire size.
+    encoded = json.dumps(record, sort_keys=True)
+    return Transaction(
         tx_type=TransactionType.REWARD,
         sender=sender,
         round_index=int(round_index),
-        payload_digest=digest,
-        payload_size_bytes=len(json.dumps(record)),
-        metadata={
-            "client": client_id,
-            "reward": float(reward),
-            "label": contribution_label,
-        },
+        payload_digest=hashlib.sha256(encoded.encode("utf-8")).hexdigest(),
+        payload_size_bytes=len(encoded),
+        metadata=record,
         payload=record,
     )
-    if keystore is not None:
-        tx.sign(keystore)
-    return tx

@@ -94,7 +94,8 @@ class FairBFLConfig:
         Adversary fraction the defense is sized for (Krum's selection count,
         the trimmed mean's trim width); must lie in [0, 0.5).
     verify_signatures:
-        Whether gradient uploads are RSA-signed and verified (Figure 2 path).
+        Whether gradient uploads and mined block headers are RSA-signed and
+        verified (Figure 2 path).
     use_real_pow:
         When True, the winning miner actually grinds a nonce at
         ``pow_difficulty`` (functional proof of work); the round *timing*

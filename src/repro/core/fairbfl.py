@@ -85,7 +85,7 @@ class FairBFLTrainer(Trainer):
         self.global_model = self._model_factory()
         genesis = Block.genesis(
             initial_global_update=make_global_update_transaction(
-                "genesis", -1, get_flat_parameters(self.global_model), keystore=None
+                "genesis", -1, get_flat_parameters(self.global_model)
             )
         )
         self.miners: list[Miner] = replicated_committee(

@@ -299,7 +299,8 @@ def procedure_mining(
 
     The block carries exactly the global update and the reward list
     (Assumption 2), so one block finalises the round on all replicas and no
-    fork can arise.
+    fork can arise.  With a ``keystore`` the winner signs the mined header
+    once, and each keyed replica checks that signature as it appends.
     """
     if ctx.new_global_parameters is None:
         raise RuntimeError("procedure_mining called before procedure_global_update")
@@ -310,9 +311,7 @@ def procedure_mining(
     ctx.winning_miner = winner_id
 
     block_txs: list[Transaction] = [
-        make_global_update_transaction(
-            winner_id, ctx.round_index, ctx.new_global_parameters, keystore=keystore
-        )
+        make_global_update_transaction(winner_id, ctx.round_index, ctx.new_global_parameters)
     ]
     for entry in ctx.reward_list:
         block_txs.append(
@@ -322,7 +321,6 @@ def procedure_mining(
                 f"client-{entry.client_id}",
                 entry.reward,
                 contribution_label=entry.label,
-                keystore=keystore,
             )
         )
     block = winner.build_block(
@@ -331,6 +329,10 @@ def procedure_mining(
     )
     if use_real_pow:
         winner.mine(block, difficulty=pow_difficulty)
+    if keystore is not None:
+        # One signature over the finished header; it commits to the body
+        # through the Merkle root, so the transactions carry none of their own.
+        block.sign(keystore)
     for miner in miners:
         miner.accept_block(block)
     ctx.mined_block = block

@@ -10,8 +10,8 @@ from scratch on Python integers and :mod:`hashlib`:
 * :mod:`repro.crypto.rsa` — key generation and hash-then-sign signatures;
 * :mod:`repro.crypto.hashing` — SHA-256 helpers and proof-of-work target
   arithmetic;
-* :mod:`repro.crypto.keystore` — the per-client key registry miners use to
-  verify uploads.
+* :mod:`repro.crypto.keystore` — the per-entity key registry miners use to
+  verify uploads and each other's block headers.
 
 Key sizes are configurable and intentionally small by default (simulation
 scale); this is an educational/simulation implementation, not hardened

@@ -73,7 +73,9 @@ __all__ = ["CheckpointError", "Trainer"]
 #: treat as "no usable checkpoint" (the run recomputes from scratch).
 #: 4: the pickled round simulator no longer carries per-miner-count exchange
 #: network objects (their class is gone, so a v3 FAIR-BFL blob cannot unpickle).
-CHECKPOINT_SCHEMA_VERSION = 4
+#: 5: the winning miner signs each block header and keyed chains verify it; a
+#: v4 blob's headers are unsigned, so its chains would fail their first check.
+CHECKPOINT_SCHEMA_VERSION = 5
 
 
 class CheckpointError(RuntimeError):

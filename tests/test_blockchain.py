@@ -15,6 +15,7 @@ from repro.blockchain import transaction as transaction_module
 from repro.blockchain.block import Block, GENESIS_PREVIOUS_HASH
 from repro.blockchain.chain import Blockchain, BlockValidationError
 from repro.blockchain.mempool import Mempool, pack_block_counts
+from repro.blockchain.miner import replicated_committee
 from repro.blockchain.merkle import merkle_root
 from repro.blockchain.pow import mine_block, sample_mining_time, sample_winner
 from repro.blockchain.transaction import (
@@ -75,13 +76,13 @@ class TestTransactions:
 
     def test_global_update_transaction(self, keystore):
         vec = np.ones(16)
-        tx = make_global_update_transaction("miner-0", 4, vec, keystore=keystore)
+        tx = make_global_update_transaction("miner-0", 4, vec).sign(keystore)
         assert tx.tx_type is TransactionType.GLOBAL_UPDATE
         np.testing.assert_array_equal(tx.payload, vec)
         assert tx.verify(keystore)
 
     def test_reward_transaction_metadata(self, keystore):
-        tx = make_reward_transaction("miner-0", 2, "client-1", 0.75, keystore=keystore)
+        tx = make_reward_transaction("miner-0", 2, "client-1", 0.75).sign(keystore)
         assert tx.tx_type is TransactionType.REWARD
         assert tx.metadata["client"] == "client-1"
         assert tx.metadata["reward"] == pytest.approx(0.75)
@@ -508,7 +509,7 @@ class TestLedgerIdentity:
         ids=["deepcopy", "pickle"],
     )
     def test_copies_keep_identity_and_the_contract(self, keystore, clone):
-        tx = make_reward_transaction("miner-0", 2, "client-1", 0.75, keystore=keystore)
+        tx = make_reward_transaction("miner-0", 2, "client-1", 0.75).sign(keystore)
         tx.tx_id  # sealed before cloning
         twin = clone(tx)
         assert twin == tx and twin.tx_id == tx.tx_id and twin.verify(keystore)
@@ -565,7 +566,7 @@ def verify_calls(monkeypatch):
 
 
 def _verified_reward(keystore):
-    tx = make_reward_transaction("miner-0", 2, "client-1", 0.75, keystore=keystore)
+    tx = make_reward_transaction("miner-0", 2, "client-1", 0.75).sign(keystore)
     assert tx.verify(keystore)
     return tx
 
@@ -644,17 +645,54 @@ class TestVerifyOnce:
         assert twin.verify(keystore)
         assert len(verify_calls) == 2
 
-    def test_committee_round_verifies_each_upload_once(self, verify_calls):
-        from repro import api
+    def test_committee_run_signs_each_upload_and_block_once(self, verify_calls, monkeypatch):
+        """One signature per upload and per mined block; each upload verified once.
 
-        api.run(
+        The split round mines one block per side, and the heal reorgs one side
+        onto the other's fork.  Every replica checks each header it appends
+        or reorgs onto, so blocks are verified once per check, not once.
+        """
+        from repro import api
+        from repro.core import fairbfl, procedures
+
+        signs, mined, uploads = [], [], []
+        real_sign = KeyStore.sign
+        real_mining, real_upload = fairbfl.procedure_mining, procedures.make_gradient_transaction
+
+        def counting_sign(self, entity_id, message):
+            signs.append(entity_id)
+            return real_sign(self, entity_id, message)
+
+        def counting_mining(ctx, *args, **kwargs):
+            result = real_mining(ctx, *args, **kwargs)
+            mined.append(result.mined_block)
+            return result
+
+        def counting_upload(*args, **kwargs):
+            uploads.append(1)
+            return real_upload(*args, **kwargs)
+
+        monkeypatch.setattr(KeyStore, "sign", counting_sign)
+        monkeypatch.setattr(fairbfl, "procedure_mining", counting_mining)
+        monkeypatch.setattr(procedures, "make_gradient_transaction", counting_upload)
+        history = api.run(
             "fairbfl", num_clients=48, num_samples=960, participation=1.0,
             scheme="shard", model_name="logreg", epochs=1, miners=4, topology="ring",
-            num_rounds=1,
+            partition="1-1:0,1", num_rounds=3,
         )
-        uploads = [(entity, message) for _, entity, message in verify_calls]
-        assert len(uploads) == len(set(uploads)) == 48
-        assert {entity for entity, _ in uploads} == {f"client-{i}" for i in range(48)}
+        assert [r.extras["net"]["chain_views"] for r in history.rounds] == [1, 2, 1]
+        assert history.rounds[-1].extras["net"]["total_reorgs"] > 0
+        assert len(uploads) == 3 * 48 and len(mined) == 4  # two blocks in the split round
+        assert len(signs) == len(uploads) + len(mined)
+        assert sorted(e for e in signs if e.startswith("miner-")) == sorted(
+            block.header.miner_id for block in mined
+        )
+        checked = [(entity, message) for _, entity, message in verify_calls]
+        by_clients = [(e, m) for e, m in checked if e.startswith("client-")]
+        assert len(by_clients) == len(set(by_clients)) == len(uploads)
+        assert {m for e, m in checked if e.startswith("miner-")} == {
+            block.header.serialize() for block in mined
+        }
 
 
 def _block_on(chain, transactions):
@@ -745,6 +783,99 @@ class TestMerkleMemo:
         twin = pickle.loads(pickle.dumps(block))
         assert "_merkle_memo" in block.__dict__ and "_merkle_memo" not in twin.__dict__
         assert twin.block_hash == block.block_hash and twin.validate_merkle_root()
+
+
+def _header_tampers():
+    """Ways to forge a signed block; each must be refused by a keyed chain."""
+
+    def resigned_by_another_miner(block, keystore):
+        block.header.signature = keystore.sign("miner-1", block.header.serialize())
+
+    def header_edited_after_signing(block, keystore):
+        block.header.timestamp += 1.0
+
+    def body_swapped_under_the_header(block, keystore):
+        block.transactions = [_gradient_tx("client-1", seed=9)]
+
+    def unsigned(block, keystore):
+        block.header.signature = None
+
+    def unregistered_miner(block, keystore):
+        block.header.miner_id = "miner-9"
+        block.header.signature = keystore.sign("miner-0", block.header.serialize())
+
+    def signed_by_a_client_under_its_own_id(block, keystore):
+        block.header.miner_id = "client-0"
+        block.header.signature = keystore.sign("client-0", block.header.serialize())
+
+    return [
+        resigned_by_another_miner,
+        header_edited_after_signing,
+        body_swapped_under_the_header,
+        unsigned,
+        unregistered_miner,
+        signed_by_a_client_under_its_own_id,
+    ]
+
+
+@pytest.mark.ledger
+class TestHeaderSignature:
+    @pytest.fixture()
+    def chain(self, keystore):
+        # A committee replica: its store holds the miners' keys, not the clients'.
+        [miner, _] = replicated_committee(
+            ["miner-0", "miner-1"], Block.genesis(),  # genesis is exempt: unsigned
+            enforce_pow=False, keystore=keystore, verify_signatures=True,
+        )
+        assert len(miner.chain.keystore) == 2
+        assert miner.chain.keystore.public_key("miner-0") == keystore.public_key("miner-0")
+        return miner.chain
+
+    def _signed_on(self, chain, keystore, seed=0):
+        return _block_on(chain, [_gradient_tx("client-0", seed=seed)]).sign(keystore)
+
+    def test_a_signed_block_is_accepted_on_every_path(self, chain, keystore):
+        block = self._signed_on(chain, keystore)
+        assert chain.validate_candidate(block) is None
+        honest = chain.copy()
+        assert honest.keystore is chain.keystore
+        chain.add_block(block)
+        assert chain.is_valid()
+        assert honest.reorg_to(chain.blocks) == (0, 1)
+        assert Blockchain(enforce_pow=False, keystore=keystore, blocks=chain.blocks).is_valid()
+
+    @pytest.mark.parametrize("tamper", _header_tampers(), ids=lambda f: f.__name__)
+    def test_forged_block_is_refused_on_every_path(self, chain, keystore, tamper):
+        block = self._signed_on(chain, keystore)
+        assert chain.validate_candidate(block) is None
+        tamper(block, keystore)
+        error = chain.validate_candidate(block)
+        assert error is not None and ("signature" in error or "Merkle" in error)
+        with pytest.raises(BlockValidationError):
+            chain.add_block(block)
+        assert chain.height == 1
+        forged = [*chain.blocks, block]
+        honest = chain.copy()
+        with pytest.raises(BlockValidationError, match=r"\(at height 1\)"):
+            honest.reorg_to(forged)
+        assert honest.blocks == chain.blocks
+        with pytest.raises(BlockValidationError):
+            Blockchain(enforce_pow=False, keystore=chain.keystore, blocks=forged)
+        chain.blocks.append(block)  # smuggled past add_block
+        assert not chain.is_valid()
+
+    def test_a_keyless_chain_accepts_unsigned_blocks(self):
+        chain = Blockchain(enforce_pow=False)
+        chain.add_genesis(Block.genesis())
+        block = chain.add_block(_block_on(chain, [_gradient_tx("client-0")]))
+        assert block.header.signature is None and chain.is_valid()
+
+    def test_the_signature_is_not_part_of_the_header_hash(self, chain, keystore):
+        block = _block_on(chain, [_gradient_tx("client-0")])
+        unsigned = (block.block_hash, block.header.serialize())
+        block.sign(keystore)
+        assert block.header.signature is not None
+        assert (block.block_hash, block.header.serialize()) == unsigned
 
 
 class TestPayloadDigest:

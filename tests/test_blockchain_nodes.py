@@ -56,7 +56,7 @@ class TestMiner:
 
     def test_reject_wrong_transaction_type(self, keystore):
         miner = _miner(keystore=keystore)
-        tx = make_global_update_transaction("miner-0", 0, np.ones(3), keystore=keystore)
+        tx = make_global_update_transaction("miner-0", 0, np.ones(3)).sign(keystore)
         assert not miner.receive_upload(tx)
 
     def test_duplicate_upload_ignored(self, keystore):
@@ -110,7 +110,7 @@ class TestMiner:
 
     def test_build_mine_accept_block(self, keystore):
         miner = _miner(keystore=keystore)
-        tx = make_global_update_transaction("miner-0", 0, np.ones(3), keystore=keystore)
+        tx = make_global_update_transaction("miner-0", 0, np.ones(3)).sign(keystore)
         block = miner.build_block(0, [tx], difficulty=8.0)
         miner.mine(block, difficulty=8.0)
         miner.accept_block(block)

@@ -232,7 +232,7 @@ class TestCheckpointGuards:
         def rendered(trainer) -> str:
             return json.dumps(history_to_payload(trainer.history), sort_keys=True)
 
-        assert CHECKPOINT_SCHEMA_VERSION == 4
+        assert CHECKPOINT_SCHEMA_VERSION == 5
         derive_key_pair.cache_clear()
         reference = self._trainer(small_spec())  # leaves the memo warm
         reference.run_until(6)
@@ -253,15 +253,15 @@ class TestCheckpointGuards:
     def test_a_blob_written_under_seed_keyed_derivation_resumes(self, monkeypatch):
         # Before keys became identities, a pair was derived from the experiment
         # seed as well.  Such a blob carries those pairs by value; the restored
-        # trainer keeps signing and verifying with them, so it resumes as is and
-        # the schema version stays.
+        # trainer keeps signing and verifying with them (block headers
+        # included), so it resumes as is.
         spec = small_spec()
         assert spec.seed != 0  # seed 0's keys never changed
 
         def seed_keyed(key_bits, entity_id):
             return RSAKeyPair.generate(new_rng(spec.seed, "rsa-key", entity_id), bits=key_bits)
 
-        assert CHECKPOINT_SCHEMA_VERSION == 4
+        assert CHECKPOINT_SCHEMA_VERSION == 5
         reference = self._trainer(spec)
         reference.run_until(6)
         with monkeypatch.context() as patch:
@@ -287,6 +287,48 @@ class TestCheckpointGuards:
         )
         assert upload.verify(resumed.keystore)
         assert resumed.miners[0].receive_upload(upload)
+
+    @pytest.mark.ledger
+    def test_a_version_4_blob_is_a_miss(self):
+        # Version 4 wrote chains whose headers were unsigned.  Stamped with the
+        # current version, such a blob would restore chains that fail their
+        # first validation, so its own version must make it a miss.
+        assert CHECKPOINT_SCHEMA_VERSION == 5
+        donor = self._trainer(small_spec())
+        donor.run_until(3)
+        payload = pickle.loads(donor.checkpoint_state())
+        blocks = {id(b): b for m in payload["attrs"]["miners"] for b in m.chain.blocks[1:]}
+        assert blocks
+        for block in blocks.values():
+            block.header.signature = None
+        resumed = self._trainer(small_spec())
+        with pytest.raises(CheckpointError, match="version 4"):
+            resumed.restore_state(pickle.dumps({**payload, "version": 4}))
+        resumed.restore_state(pickle.dumps(payload))  # the same chains, mislabelled
+        assert not resumed.chain.is_valid()
+
+    @pytest.mark.ledger
+    def test_a_version_5_blob_resumes_byte_identically_onto_a_valid_chain(self):
+        spec = small_spec(topology="ring", miners=4, partition="2-3:0,1")
+        reference = self._trainer(spec)
+        reference.run_until(6)
+        donor = self._trainer(spec)
+        donor.run_until(3)
+        blob = donor.checkpoint_state()
+        assert pickle.loads(blob)["version"] == 5
+        resumed = self._trainer(spec)
+        resumed.restore_state(blob)
+        resumed.run_until(6)
+        assert json.dumps(history_to_payload(resumed.history), sort_keys=True) == json.dumps(
+            history_to_payload(reference.history), sort_keys=True
+        )
+        assert [b.block_hash for b in resumed.chain.blocks] == [
+            b.block_hash for b in reference.chain.blocks
+        ]
+        for miner in resumed.miners:
+            assert miner.chain.keystore is not None
+            assert miner.chain.is_valid()
+            assert all(b.header.signature is not None for b in miner.chain.blocks[1:])
 
     def test_mixin_exclusions_documented_state_only(self):
         # The exclusion list is load-bearing: anything listed is rebuilt by

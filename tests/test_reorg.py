@@ -138,7 +138,9 @@ class TestMempoolChainDisjoint:
         """Partition -> heal -> churn, checked after every commit and every round start.
 
         ``commit_block`` expires whole rounds instead of scanning each chain
-        for included ids; this is the invariant that makes that enough.
+        for included ids; this is the invariant that makes that enough.  Every
+        online view must also stay valid, each mined header's signature
+        included.
         """
         trainer = FairBFLTrainer(
             dataset,
@@ -154,6 +156,9 @@ class TestMempoolChainDisjoint:
                 included = {tx.tx_id for b in node.chain.blocks for tx in b.transactions}
                 pending = {tx.tx_id for tx in node.mempool._queue}
                 assert not pending & included, node.node_id
+                assert node.chain.keystore is not None, node.node_id
+                assert node.chain.is_valid(), node.node_id
+                assert all(b.header.signature is not None for b in node.chain.blocks[1:])
 
         def checked(method):
             def wrapper(*args, **kwargs):
