@@ -63,13 +63,14 @@ def main() -> None:
     trainer_keep, hist_keep = run("keep", dataset)
     trainer_discard, hist_discard = run("discard", dataset)
 
-    print("Accumulated rewards after 12 rounds (discard strategy)")
-    totals = trainer_discard.reward_ledger.totals
-    clean_rewards = [totals.get(c, 0.0) for c in range(dataset.num_clients) if c not in noisy_clients]
-    noisy_rewards = [totals.get(c, 0.0) for c in noisy_clients]
-    for cid in range(dataset.num_clients):
+    print("Accumulated rewards after 12 rounds (discard strategy, read off the chain)")
+    on_chain = trainer_discard.chain.total_rewards_by_client()
+    totals = {c: on_chain.get(f"client-{c}", 0.0) for c in range(dataset.num_clients)}
+    clean_rewards = [totals[c] for c in totals if c not in noisy_clients]
+    noisy_rewards = [totals[c] for c in noisy_clients]
+    for cid, total in totals.items():
         tag = "low-quality" if cid in noisy_clients else "clean"
-        print(f"  client {cid:>2} ({tag:<11}): {totals.get(cid, 0.0):.3f}")
+        print(f"  client {cid:>2} ({tag:<11}): {total:.3f}")
     print(f"\n  mean reward, clean clients       : {np.mean(clean_rewards):.3f}")
     print(f"  mean reward, low-quality clients : {np.mean(noisy_rewards):.3f}")
 

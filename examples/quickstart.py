@@ -54,9 +54,11 @@ def main() -> None:
     print(f"  replicas in sync     : "
           f"{len({m.chain.last_block.block_hash for m in trainer.miners}) == 1}")
 
-    print("\nTop rewarded clients (contribution-based incentive)")
-    for client_id, total in trainer.reward_ledger.top_clients(5):
-        print(f"  client {client_id:>3} : {total:.3f}")
+    # The chain is the reward balance: each block records its round's reward list.
+    print("\nTop rewarded clients (contribution-based incentive, read off the chain)")
+    balances = trainer.chain.total_rewards_by_client()
+    for client, total in sorted(balances.items(), key=lambda kv: kv[1], reverse=True)[:5]:
+        print(f"  {client:>10} : {total:.3f}")
 
 
 if __name__ == "__main__":

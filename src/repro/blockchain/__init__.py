@@ -11,7 +11,7 @@ Implements the distributed-ledger machinery FAIR-BFL runs on top of:
   the stochastic mining-time model used at simulation scale;
 * :mod:`repro.blockchain.mempool` — block-size-limited transaction queue (the
   source of vanilla BFL's queueing delay, Fig. 6a);
-* :mod:`repro.blockchain.chain` — append/validate/fork-tracking ledger plus
+* :mod:`repro.blockchain.chain` — append/validate ledger plus
   the deterministic fork-choice rule (most cumulative work, seeded hash
   tie-break) and reorg handling the gossip substrate (:mod:`repro.net`) builds on;
 * :mod:`repro.blockchain.miner` — miner nodes combining the above;

@@ -4,8 +4,7 @@ Under Assumption 1 + 2, FAIR-BFL produces exactly one block per communication
 round and never forks, so every miner's :class:`Blockchain` copy stays
 identical.  The class still implements full validation (hash links, Merkle
 roots, PoW targets, non-decreasing rounds and, on a keyed chain, the winning
-miner's header signature) so that tampering is detectable, and fork
-bookkeeping so the vanilla-blockchain baseline can reuse the same type.
+miner's header signature) so that tampering is detectable.
 
 Once the gossip substrate (:mod:`repro.net`) partitions the miner committee,
 views *do* diverge: :class:`ForkChoice` is the deterministic rule every node
@@ -95,13 +94,12 @@ class Blockchain:
         The keys of the entities allowed to mine.  When set, every
         non-genesis block's header signature must verify against the key
         registered under its ``miner_id``, so an id missing from the store is
-        refused.  ``None`` (the vanilla baseline, or a run with
-        ``verify_signatures=False``) accepts unsigned blocks.
+        refused.  ``None`` (the vanilla baseline, or an unsigned FAIR-BFL
+        run) accepts unsigned blocks.
     """
 
     enforce_pow: bool = True
     blocks: list[Block] = field(default_factory=list)
-    fork_events: int = 0
     keystore: KeyStore | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -245,7 +243,7 @@ class Blockchain:
         a different ledger.  Returns
         ``(rolled_back, applied)``: how many tip blocks were discarded and how
         many candidate blocks replaced or extended them past the common
-        prefix.  A reorg that actually discards blocks counts one fork event.
+        prefix (a node counts a reorg when ``rolled_back`` is non-zero).
 
         Raises
         ------
@@ -266,15 +264,12 @@ class Blockchain:
         rolled_back = len(self.blocks) - common
         applied = len(candidate) - common
         self.blocks = candidate
-        if rolled_back:
-            self.fork_events += 1
         return rolled_back, applied
 
     def copy(self) -> "Blockchain":
         """Shallow copy sharing block objects (miners' replicated ledgers)."""
         clone = Blockchain(enforce_pow=self.enforce_pow, keystore=self.keystore)
         clone.blocks = list(self.blocks)
-        clone.fork_events = self.fork_events
         return clone
 
     def __len__(self) -> int:

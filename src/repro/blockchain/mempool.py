@@ -98,61 +98,10 @@ class Mempool:
             self._seen_ids.discard(tx.tx_id)
         return taken
 
-    def evict_included(self, included: "Iterable[str] | object") -> int:
-        """Drop queued transactions already recorded in an adopted chain.
-
-        ``included`` is either an iterable of transaction IDs or a
-        chain-shaped object exposing ``blocks`` (each with ``transactions``) —
-        duck-typed so the mempool stays import-independent of the chain layer.
-        Once a node adopts a chain (a gossiped block, or a whole reorged
-        view), anything the chain already carries must leave the pool, or the
-        node would re-mine transactions the network has settled.  Returns the
-        number of transactions evicted.
-        """
-        blocks = getattr(included, "blocks", None)
-        if blocks is not None:
-            ids = {tx.tx_id for block in blocks for tx in block.transactions}
-        else:
-            ids = {str(tx_id) for tx_id in included}
-        return self._evict(lambda tx: tx.tx_id in ids)
-
-    def evict_older_than(self, round_index: int) -> int:
-        """Expire queued transactions from rounds before ``round_index``.
-
-        Per-node mempools accumulate gossiped transactions for rounds the
-        node's adopted chain has since finalised; those can never be mined
-        again (one block settles a round).  A node that commits round ``r``'s
-        block passes ``r + 1``, so the round's own uploads go with it; a node
-        that adopts a chain whose tip is round ``r`` passes ``r``.  Returns
-        the number of transactions evicted.
-        """
-        cutoff = int(round_index)
-        return self._evict(lambda tx: tx.round_index < cutoff)
-
-    def _evict(self, should_drop) -> int:
-        """Rebuild the queue without the transactions ``should_drop`` selects."""
-        if not self._queue:
-            return 0
-        kept: deque[Transaction] = deque()
-        evicted = 0
-        for tx in self._queue:
-            if should_drop(tx):
-                evicted += 1
-                self._seen_ids.discard(tx.tx_id)
-            else:
-                kept.append(tx)
-        self._queue = kept
-        return evicted
-
     @property
     def pending_count(self) -> int:
         """Number of queued transactions."""
         return len(self._queue)
-
-    def clear(self) -> None:
-        """Drop every queued transaction."""
-        self._queue.clear()
-        self._seen_ids.clear()
 
     def __len__(self) -> int:
         return len(self._queue)

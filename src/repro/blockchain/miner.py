@@ -35,18 +35,16 @@ class Miner:
     chain:
         This miner's ledger replica.
     keystore:
-        Shared key registry used to verify incoming transaction signatures.
-    verify_signatures:
-        When True (default), gradient uploads with missing/invalid signatures
-        are rejected, as in paper Figure 2.
+        Shared key registry of the uploading clients.  A miner verifies iff
+        it holds one: with a store, uploads with missing or invalid
+        signatures are rejected, as in paper Figure 2; without one (an
+        unsigned run), every upload is accepted.
     """
 
     miner_id: str
     chain: Blockchain
     keystore: KeyStore | None = None
-    verify_signatures: bool = True
     gradient_set: dict[str, Transaction] = field(default_factory=dict)
-    rejected_transactions: int = 0
 
     def reset_round(self) -> None:
         """Clear the per-round gradient set.
@@ -62,16 +60,13 @@ class Miner:
     def receive_upload(self, tx: Transaction) -> bool:
         """Accept a client's gradient-upload transaction into the local set.
 
-        Returns True when the transaction is accepted (valid signature and not
-        a duplicate); rejected transactions are counted.
+        Returns True when the transaction is accepted: an upload, not a
+        duplicate, and — when the miner holds a key store — validly signed.
         """
         if tx.tx_type is not TransactionType.GRADIENT_UPLOAD:
-            self.rejected_transactions += 1
             return False
-        if self.verify_signatures:
-            if self.keystore is None or not tx.verify(self.keystore):
-                self.rejected_transactions += 1
-                return False
+        if self.keystore is not None and not tx.verify(self.keystore):
+            return False
         if tx.tx_id in self.gradient_set:
             return False
         self.gradient_set[tx.tx_id] = tx
@@ -91,10 +86,8 @@ class Miner:
         for tx_id, tx in other_set.items():
             if tx_id in self.gradient_set:
                 continue
-            if self.verify_signatures:
-                if self.keystore is None or not tx.verify(self.keystore):
-                    self.rejected_transactions += 1
-                    continue
+            if self.keystore is not None and not tx.verify(self.keystore):
+                continue
             self.gradient_set[tx_id] = tx
             added += 1
         return added
@@ -168,7 +161,6 @@ def replicated_committee(
     *,
     enforce_pow: bool,
     keystore: KeyStore | None,
-    verify_signatures: bool,
 ) -> list[Miner]:
     """One :class:`Miner` per id, each on its own ledger replica of ``genesis``.
 
@@ -186,12 +178,5 @@ def replicated_committee(
     for miner_id in miner_ids:
         chain = Blockchain(enforce_pow=enforce_pow, keystore=committee_keys)
         chain.add_genesis(genesis)
-        miners.append(
-            Miner(
-                miner_id=miner_id,
-                chain=chain,
-                keystore=keystore,
-                verify_signatures=verify_signatures,
-            )
-        )
+        miners.append(Miner(miner_id=miner_id, chain=chain, keystore=keystore))
     return miners

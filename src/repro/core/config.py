@@ -117,8 +117,8 @@ class FairBFLConfig:
         Committee network shape (see :data:`repro.net.topology.TOPOLOGIES`):
         ``"global"`` keeps the single committee with its constant-latency
         all-pairs exchange (bit-identical to earlier releases); ``"full"``,
-        ``"ring"`` and ``"random_k"`` give every miner its own peer set,
-        mempool and chain view over seeded flooding gossip (see
+        ``"ring"`` and ``"random_k"`` give every miner its own peer set
+        and chain view over seeded flooding gossip (see
         :mod:`repro.net`).
     peer_k:
         Seeded peers drawn per node under ``topology="random_k"``.

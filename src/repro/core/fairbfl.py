@@ -40,7 +40,6 @@ from repro.datasets.federated import FederatedDataset
 from repro.fl.history import RoundRecord
 from repro.fl.selection import ContributionBasedSelector, RandomSelector
 from repro.fl.trainer import Trainer
-from repro.incentive.rewards import RewardLedger
 from repro.incentive.strategies import make_strategy
 from repro.net.substrate import GossipSubstrate
 from repro.nn.parameters import (
@@ -93,14 +92,13 @@ class FairBFLTrainer(Trainer):
             genesis,
             enforce_pow=config.use_real_pow,
             keystore=self.keystore,
-            verify_signatures=config.verify_signatures,
         )
 
         # -- network substrate -------------------------------------------------------
         # With the default "global" topology no substrate exists and every
         # round settles over the whole replicated committee; any other
-        # topology gives every miner its own chain view, peer set, and
-        # mempool over seeded gossip, and rounds settle per component.
+        # topology gives every miner its own chain view and peer set over
+        # seeded gossip, and rounds settle per component.
         self.net: GossipSubstrate | None = None
         if config.topology != "global":
             self.net = GossipSubstrate(
@@ -121,7 +119,6 @@ class FairBFLTrainer(Trainer):
             )
         else:
             self.selector = RandomSelector(config.participation_fraction)
-        self.reward_ledger = RewardLedger()
 
         # -- attacks / defenses --------------------------------------------------------
         self.attack_scheduler: AttackScheduler | None = None
@@ -327,28 +324,6 @@ class FairBFLTrainer(Trainer):
         self._stale_buffer = []
 
     # ------------------------------------------------------------------
-    def _reconcile_rewards(self) -> None:
-        """Rebuild reward balances from the adopted canonical chain.
-
-        After a reorg, rewards granted along the discarded fork are void:
-        the canonical history is whatever the adopted chain records, so
-        client balances and the ledger totals are overwritten from it.  The
-        ledger's per-round history is left alone — it is the as-experienced
-        log, and the divergence between the two is exactly what a reorg
-        costs the affected clients.
-        """
-        totals: dict[int, float] = {}
-        for label, amount in self.chain.total_rewards_by_client().items():
-            _prefix, sep, index_text = str(label).rpartition("-")
-            if not sep or not index_text.isdigit():
-                continue
-            totals[int(index_text)] = totals.get(int(index_text), 0.0) + float(amount)
-        for cid, client in self.clients.items():
-            client.total_reward = totals.get(cid, 0.0)
-        self.reward_ledger.totals = {
-            cid: total for cid, total in sorted(totals.items())
-        }
-
     def _settle(self, ctx: RoundContext, members: list[Miner]) -> None:
         """Procedures III-V over one miner set: exchange, aggregate, mine.
 
@@ -410,8 +385,6 @@ class FairBFLTrainer(Trainer):
             # the global parameters, so a round that follows a partition
             # trains against the post-reorg canonical view.
             net_report = net.begin_round(round_index, sim_time=self.clock.now)
-            if net_report.reorged:
-                self._reconcile_rewards()
         ctx = RoundContext(
             round_index=round_index,
             global_parameters=self.current_global_parameters(),
@@ -453,8 +426,8 @@ class FairBFLTrainer(Trainer):
                 )
                 broadcast_latency = max(broadcast_latency, latency)
                 settled.append((members, child))
-            # The fork-choice-best view is the round's outcome: reward
-            # accounting and the round record follow the canonical chain.
+            # The fork-choice-best view is the round's outcome: the round
+            # record, rewards included, follows the canonical chain.
             best = net.best_chain()
             ctx = next(
                 (c for members, c in settled if any(m.chain is best for m in members)),
@@ -462,7 +435,7 @@ class FairBFLTrainer(Trainer):
             )
             resolved = {
                 **net_report.resolved,
-                **net.finish_round(round_index, sim_time=self.clock.now, latency=broadcast_latency),
+                **net.finish_round(sim_time=self.clock.now, latency=broadcast_latency),
             }
         # The round's block is committed: its gradient sets are spent.
         for miner in self.miners:
@@ -479,15 +452,10 @@ class FairBFLTrainer(Trainer):
 
         # -- incentive bookkeeping ------------------------------------------------
         discarded: list[int] = []
-        rewards: dict[int, float] = {}
         if ctx.strategy_outcome is not None:
             discarded = list(ctx.strategy_outcome.discarded_client_ids)
-        if ctx.reward_list:
-            self.reward_ledger.record_round(round_index, ctx.reward_list)
-            rewards = {entry.client_id: entry.reward for entry in ctx.reward_list}
-            for entry in ctx.reward_list:
-                if entry.client_id in self.clients:
-                    self.clients[entry.client_id].grant_reward(entry.reward)
+        # The as-experienced reward series; balances are the canonical chain's.
+        rewards = {entry.client_id: entry.reward for entry in ctx.reward_list}
         if discarded and isinstance(self.selector, ContributionBasedSelector):
             self.selector.exclude_for_next_round(discarded)
         if self.attack_scheduler is not None:

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.blockchain.block import Block
 from repro.blockchain.miner import Miner
 from repro.blockchain.pow import sample_winner
 from repro.blockchain.transaction import (
@@ -72,7 +71,6 @@ class RoundContext:
     strategy_outcome: StrategyOutcome | None = None
     reward_list: list[RewardEntry] = field(default_factory=list)
     winning_miner: str | None = None
-    mined_block: Block | None = None
     rejected_uploads: int = 0
     straggler_ids: list[int] = field(default_factory=list)
     stale_applied: int = 0
@@ -335,5 +333,4 @@ def procedure_mining(
         block.sign(keystore)
     for miner in miners:
         miner.accept_block(block)
-    ctx.mined_block = block
     return ctx

@@ -167,8 +167,6 @@ class FLClient:
             else ModelWorkspace(model_factory)
         )
         self.rng = rng
-        self.rounds_participated = 0
-        self.total_reward = 0.0
 
     # -- model management ----------------------------------------------------
     @property
@@ -221,7 +219,6 @@ class FLClient:
                 optimizer.step()
                 losses.append(loss)
 
-        self.rounds_participated += 1
         updated = get_flat_parameters(model)
         val_acc = self.evaluate(updated)
         return ClientUpdate(
@@ -237,8 +234,3 @@ class FLClient:
         return accuracy_of_parameters(
             self.model, parameters, self.dataset.val_images, self.dataset.val_labels
         )
-
-    def grant_reward(self, amount: float) -> float:
-        """Credit a reward issued by the incentive mechanism; returns the new total."""
-        self.total_reward += float(amount)
-        return self.total_reward

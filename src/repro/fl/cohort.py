@@ -20,8 +20,8 @@ to what ``FLClient.local_update`` returns on the serial path:
   path's own objects and functions run on ``(clients, ...)`` operands, and
   each yields per client the bytes of that client's 2-D call (the two NumPy
   properties this rests on are stated in :mod:`repro.nn.cohort`);
-* bookkeeping side effects (``rounds_participated``) are applied to the
-  coordinator's client objects just like on the serial path.
+* the one client state a round changes is its RNG stream, and only the
+  coordinator draws from it.
 
 Process sharding
 ----------------
@@ -34,7 +34,7 @@ lives in one of two anonymous ``MAP_SHARED`` mappings of
 reused for every chunk, so no chunk allocates or faults in a parameter
 matrix.  The helpers inherit the client map at fork; a task carries only its
 rows' permutations (drawn on the coordinator, which alone touches client RNG
-streams and ``rounds_participated``) and the global vector, and a helper
+streams) and the global vector, and a helper
 answers with its rows' losses and accuracies.  A part's bytes do not depend
 on the process that trains it.  A chunk trains into whichever mapping no kept
 :class:`CohortBlock` (or row view of one) references, and in a private array
@@ -539,8 +539,6 @@ class CohortTrainer:
             # release them, or it pins both matrices until the next chunk.
             model.release()
 
-        for client in cohort:
-            client.rounds_participated += 1
         return CohortBlock(
             client_ids=list(chunk),
             parameters=params,

@@ -34,9 +34,9 @@ objects the constructor rebuilds deterministically) — so a subclass that adds
 state (e.g. the momentum buffer of ``examples/custom_system.py``) is
 checkpointed correctly without opting in.  Clients are the one special case:
 an ``FLClient`` holds a data shard (large, rebuildable), so only its
-*evolving* state travels — the private RNG stream state, the participation
-counter, and the accumulated reward — and is restored onto the freshly-built
-client objects.
+*evolving* state travels — the private RNG stream state — and is restored
+onto the freshly-built client objects.  A client keeps no other tally: its
+rewards are on the pickled chain and its participation is in the history.
 
 Why pickling the whole graph in one blob matters: trainers share objects
 (FAIR-BFL's miners all reference the one :class:`~repro.crypto.keystore.KeyStore`;
@@ -75,7 +75,9 @@ __all__ = ["CheckpointError", "Trainer"]
 #: network objects (their class is gone, so a v3 FAIR-BFL blob cannot unpickle).
 #: 5: the winning miner signs each block header and keyed chains verify it; a
 #: v4 blob's headers are unsigned, so its chains would fail their first check.
-CHECKPOINT_SCHEMA_VERSION = 5
+#: 6: the chain is the only reward balance and a client's state is its RNG
+#: stream; a v5 blob pickles the deleted reward ledger and per-client counters.
+CHECKPOINT_SCHEMA_VERSION = 6
 
 
 class CheckpointError(RuntimeError):
@@ -259,11 +261,7 @@ class Trainer:
         client_state = None
         if self.clients is not None:
             client_state = {
-                int(cid): {
-                    "rng": client.rng.bit_generator.state,
-                    "rounds_participated": int(client.rounds_participated),
-                    "total_reward": float(client.total_reward),
-                }
+                int(cid): client.rng.bit_generator.state
                 for cid, client in self.clients.items()
             }
         payload = {
@@ -306,8 +304,5 @@ class Trainer:
         for name, value in payload["attrs"].items():
             setattr(self, name, value)
         if clients is not None:
-            for cid, state in client_state.items():
-                client = clients[cid]
-                client.rng.bit_generator.state = state["rng"]
-                client.rounds_participated = int(state["rounds_participated"])
-                client.total_reward = float(state["total_reward"])
+            for cid, rng_state in client_state.items():
+                clients[cid].rng.bit_generator.state = rng_state

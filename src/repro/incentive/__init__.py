@@ -12,7 +12,7 @@ Modules
 * :mod:`repro.incentive.clustering` — DBSCAN (the paper's default) and KMeans
   implemented from scratch;
 * :mod:`repro.incentive.contribution` — Algorithm 2 itself;
-* :mod:`repro.incentive.rewards` — reward apportioning and bookkeeping;
+* :mod:`repro.incentive.rewards` — reward apportioning;
 * :mod:`repro.incentive.strategies` — the keep / discard strategies.
 """
 
@@ -24,7 +24,7 @@ from repro.incentive.contribution import (
 )
 from repro.incentive.distance import cosine_distance_to_reference
 from repro.incentive.fairness import jains_index
-from repro.incentive.rewards import RewardEntry, RewardLedger, apportion_rewards
+from repro.incentive.rewards import RewardEntry, apportion_rewards
 from repro.incentive.strategies import Strategy, make_strategy
 
 __all__ = [
@@ -37,7 +37,6 @@ __all__ = [
     "cosine_distance_to_reference",
     "jains_index",
     "RewardEntry",
-    "RewardLedger",
     "apportion_rewards",
     "Strategy",
     "make_strategy",

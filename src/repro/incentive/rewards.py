@@ -1,23 +1,25 @@
-"""Reward apportioning and bookkeeping.
+"""Reward apportioning.
 
 A high-contribution client ``C_i`` receives ``θ_i / Σθ_k · base`` (paper
 Section 3.2): the base reward of the round is split among the high
 contributors in proportion to their cosine-distance contribution scores.  The
 ⟨client, reward⟩ pairs form the round's *reward list*, which the winning miner
-records in the new block as reward transactions; the :class:`RewardLedger`
-accumulates the per-client totals across rounds.
+records in the new block as reward transactions.  The chain is the only
+balance: a client's total is what the canonical chain's reward transactions
+sum to (:meth:`repro.blockchain.chain.Blockchain.total_rewards_by_client`), so
+rewards minted on a fork a reorg discards are void without any bookkeeping.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.fl.aggregation import contribution_weights
 from repro.utils.validation import check_non_negative
 
-__all__ = ["RewardEntry", "apportion_rewards", "RewardLedger"]
+__all__ = ["RewardEntry", "apportion_rewards"]
 
 
 @dataclass(frozen=True)
@@ -57,21 +59,3 @@ def apportion_rewards(
         for cid, w, theta in zip(ids, weights, t)
     ]
 
-
-@dataclass
-class RewardLedger:
-    """Accumulates issued rewards per client across communication rounds."""
-
-    totals: dict[int, float] = field(default_factory=dict)
-    history: list[tuple[int, RewardEntry]] = field(default_factory=list)
-
-    def record_round(self, round_index: int, entries: list[RewardEntry]) -> None:
-        """Credit every entry of a round's reward list."""
-        for entry in entries:
-            self.totals[entry.client_id] = self.totals.get(entry.client_id, 0.0) + entry.reward
-            self.history.append((int(round_index), entry))
-
-    def top_clients(self, k: int = 5) -> list[tuple[int, float]]:
-        """The ``k`` clients with the largest accumulated rewards."""
-        ranked = sorted(self.totals.items(), key=lambda kv: kv[1], reverse=True)
-        return [(int(c), float(v)) for c, v in ranked[: max(0, k)]]

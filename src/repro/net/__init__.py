@@ -2,7 +2,7 @@
 
 This package turns the committee from a lock-step replicated ledger into a
 small peer-to-peer network.  Each miner becomes a :class:`~repro.net.node.Node`
-with its own peer set, mempool, and chain view; blocks spread by seeded
+with its own peer set and chain view; blocks spread by seeded
 flooding gossip over a configurable :mod:`topology <repro.net.topology>`;
 timed partitions and churn traces (:mod:`repro.net.schedule`) fracture the
 network into reachability components that mine divergent forks; and the

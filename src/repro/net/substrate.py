@@ -11,15 +11,16 @@ protocol:
    let every component converge internally: each member adopts the
    fork-choice-best chain among its reachable peers.  This is where a healed
    partition reconciles — the losing side reorgs onto the winner (most
-   cumulative work, seeded hash tie-break), and the caller is told so it can
-   rebuild reward balances from the adopted chain.
+   cumulative work, seeded hash tie-break).  Balances need no rebuilding:
+   the adopted chain's reward transactions are the only record of them.
 2. :meth:`absorb_uploads` — uploads addressed to unreachable (offline) miners
-   are lost; the rest land in the receiving node's mempool.
+   are lost; the rest stay in the receiving miner's gradient set, the one
+   pool of pending uploads.
 3. The trainer settles Procedures III-V *per component* through the same
    method the ``global`` topology runs once over the whole committee (each
    component mines its own block on its own head), then calls
-   :meth:`commit_block` to settle the members' mempools, flood the block
-   inside the component and measure the propagation latency.
+   :meth:`commit_block` to flood the block inside the component and measure
+   the propagation latency.
 4. :meth:`finish_round` — check whether every online node now shares one
    head; rounds whose block just reached network-wide agreement get their
    consensus delay resolved (simulated seconds from block creation to global
@@ -36,7 +37,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from repro.blockchain.chain import Blockchain, ForkChoice
-from repro.blockchain.mempool import Mempool
 from repro.net.gossip import GossipNetwork
 from repro.net.node import Node
 from repro.net.schedule import NetSchedule
@@ -66,9 +66,7 @@ class BeginRoundReport:
 
     state: NetRoundState
     reorged: bool
-    synced_nodes: int
     resolved: Mapping[int, float]
-    heal_latency: float
 
 
 @dataclass
@@ -83,16 +81,12 @@ class GossipSubstrate:
     seed: int = 0
     base_latency: float = 0.05
     jitter: float = 0.25
-    block_size_bytes: int = 1 << 20
 
     nodes: dict[str, Node] = field(init=False, repr=False)
     schedule: NetSchedule = field(init=False, repr=False)
     gossip: GossipNetwork = field(init=False, repr=False)
     fork_choice: ForkChoice = field(init=False, repr=False)
     total_reorgs: int = field(default=0, init=False)
-    lost_uploads: int = field(default=0, init=False)
-    #: (round, consensus delay in simulated seconds, round it resolved at).
-    consensus_log: list[tuple[int, float, int]] = field(default_factory=list, init=False)
 
     def __post_init__(self) -> None:
         if self.topology == "global":
@@ -110,12 +104,7 @@ class GossipSubstrate:
         )
         self.fork_choice = ForkChoice(salt=self.seed)
         self.nodes = {
-            m.miner_id: Node(
-                node_id=m.miner_id,
-                chain=m.chain,
-                mempool=Mempool(self.block_size_bytes),
-                peers=peers[m.miner_id],
-            )
+            m.miner_id: Node(node_id=m.miner_id, chain=m.chain, peers=peers[m.miner_id])
             for m in self.miners
         }
         self._seed_rng = new_rng(self.seed, "net", "gossip-seeds")
@@ -147,20 +136,13 @@ class GossipSubstrate:
         """Churn + component convergence + consensus-delay resolution."""
         state = self.round_state(round_index)
         reorgs_before = self.total_reorgs
-        synced = 0
         heal_latency = 0.0
         for component in state.components:
             members = [self.nodes[m] for m in component]
             best = self.fork_choice.best(n.chain for n in members)
             origin = next(n for n in members if n.chain is best)
-            changed = False
-            for node in members:
-                if node is origin:
-                    continue
-                if node.sync_with(origin, self.fork_choice):
-                    changed = True
-                    synced += 1
-            if changed and len(members) > 1:
+            synced = [n.sync_with(origin, self.fork_choice) for n in members if n is not origin]
+            if any(synced):
                 outcome = self.gossip.propagate(
                     origin.node_id,
                     active=component,
@@ -168,13 +150,11 @@ class GossipSubstrate:
                 )
                 heal_latency = max(heal_latency, outcome.max_latency)
         self.total_reorgs = sum(n.reorgs for n in self.nodes.values())
-        resolved = self._resolve(round_index, sim_time + heal_latency)
+        resolved = self._resolve(sim_time + heal_latency)
         return BeginRoundReport(
             state=state,
             reorged=self.total_reorgs > reorgs_before,
-            synced_nodes=synced,
             resolved=resolved,
-            heal_latency=heal_latency,
         )
 
     def absorb_uploads(
@@ -183,59 +163,37 @@ class GossipSubstrate:
         client_to_miner: Mapping[int, str],
         state: NetRoundState,
     ) -> int:
-        """Route the round's upload transactions into per-node mempools.
+        """Void the uploads addressed to offline miners; return how many were lost.
 
-        Uploads addressed to an offline miner are lost (the client picked its
-        miner without knowing it left — an eclipse in miniature): the miner's
-        gradient set is cleared so the gradients cannot re-enter the round
-        through Procedure III.  Returns how many uploads were lost.
+        The client picked its miner without knowing it left (an eclipse in
+        miniature): the miner's gradient set is cleared so the gradients
+        cannot re-enter the round through Procedure III.  Uploads to online
+        miners stay where Procedure II put them, in their gradient sets.
         """
         online = set(state.online)
-        lost = 0
-        receiver_by_client = dict(client_to_miner)
-        by_sender = {}
-        for tx in transactions:
-            by_sender.setdefault(tx.sender, tx)
-        for client_id, miner_id in receiver_by_client.items():
-            tx = by_sender.get(f"client-{client_id}")
-            if tx is None:
-                continue
-            if miner_id in online:
-                self.nodes[miner_id].mempool.submit(tx)
-            else:
-                lost += 1
+        senders = {tx.sender for tx in transactions}
+        lost = sum(
+            1
+            for client_id, miner_id in client_to_miner.items()
+            if miner_id not in online and f"client-{client_id}" in senders
+        )
         for miner in self.miners:
             if miner.miner_id not in online and miner.gradient_set:
                 miner.reset_round()
-        self.lost_uploads += lost
         return lost
-
-    def note_block(self, round_index: int, *, sim_time: float) -> None:
-        """Record a block's creation time; its consensus delay resolves later."""
-        self._pending_consensus.setdefault(round_index, float(sim_time))
 
     def commit_block(
         self, round_index: int, origin: str, component: Sequence[str], *, sim_time: float
     ) -> float:
-        """Settle mempools and gossip a block just mined inside ``component``.
+        """Gossip a block just mined inside ``component``; return its max latency.
 
         Every member's chain already holds the block (Procedure V appends on
-        each replica it ran over); what remains is mempool hygiene, the
-        consensus-delay bookkeeping, and the flood that measures propagation
-        latency.  One block settles a round, so the members' mempools drop
-        the round's own uploads along with everything older — which covers
-        everything their chains include, as no block is from a later round.
-        Returns the flood's max delivery latency in simulated seconds.
+        each replica it ran over); what remains is to note the block's
+        creation time — its consensus delay resolves once the whole network
+        agrees — and to flood it, which measures the propagation latency in
+        simulated seconds.
         """
-        for member in component:
-            self.nodes[member].mempool.evict_older_than(round_index + 1)
-        self.note_block(round_index, sim_time=sim_time)
-        return self.broadcast_block(origin, component)
-
-    def broadcast_block(
-        self, origin: str, component: Sequence[str]
-    ) -> float:
-        """Flood the freshly mined block inside its component; return max latency."""
+        self._pending_consensus.setdefault(round_index, float(sim_time))
         if len(component) <= 1:
             return 0.0
         outcome = self.gossip.propagate(
@@ -245,21 +203,17 @@ class GossipSubstrate:
         )
         return outcome.max_latency
 
-    def finish_round(
-        self, round_index: int, *, sim_time: float, latency: float = 0.0
-    ) -> Mapping[int, float]:
+    def finish_round(self, *, sim_time: float, latency: float = 0.0) -> Mapping[int, float]:
         """Resolve consensus delays for rounds the network now agrees on."""
-        return self._resolve(round_index, sim_time + latency)
+        return self._resolve(sim_time + latency)
 
-    def _resolve(self, resolved_at_round: int, resolution_time: float) -> dict[int, float]:
+    def _resolve(self, resolution_time: float) -> dict[int, float]:
         if not self._pending_consensus or self.chain_views() != 1:
             return {}
         resolved = {}
         for r in sorted(self._pending_consensus):
             created = self._pending_consensus.pop(r)
-            delay = max(0.0, resolution_time - created)
-            resolved[r] = delay
-            self.consensus_log.append((r, delay, resolved_at_round))
+            resolved[r] = max(0.0, resolution_time - created)
         return resolved
 
     # -- views ----------------------------------------------------------

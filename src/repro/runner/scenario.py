@@ -196,7 +196,7 @@ class ScenarioSpec:
         flag="--topology",
         help="committee network shape: 'global' keeps the replicated "
         "single-network path, other values give each miner its own peer "
-        "set, mempool and chain view over seeded gossip (net-capable "
+        "set and chain view over seeded gossip (net-capable "
         "systems; docs/scenarios.md)",
     )
     peer_k: int = _declare(

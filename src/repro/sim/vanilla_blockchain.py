@@ -97,13 +97,11 @@ class VanillaBlockchainSimulator(Trainer):
             Block.genesis(),
             enforce_pow=False,
             keystore=None,
-            verify_signatures=False,
         )
         # The mempool size is expressed in bytes; convert the configured
         # transactions-per-block capacity using the payload size.
         tx_bytes = config.payload_elements * 8
         self.mempool = Mempool(block_size_bytes=tx_bytes * config.delay_params.transactions_per_block)
-        self.total_forks = 0
 
     # ------------------------------------------------------------------
     def _make_round_transactions(self, round_index: int) -> list:
@@ -143,7 +141,6 @@ class VanillaBlockchainSimulator(Trainer):
             num_miners=cfg.num_miners,
             on_block=build_and_commit,
         )
-        self.total_forks += timing.fork_count
         return self._emit(
             round_index,
             timing.total,

@@ -402,12 +402,21 @@ class TestMempool:
         small = [self._tx(4, i).payload_size_bytes for i in range(6)]
         assert list(pack_block_counts(small, 100)) == [3, 3]  # 32 bytes: three a block
 
-    def test_pending_count_and_clear(self):
+    def test_pending_count_drains_with_take_block(self):
         pool = Mempool(block_size_bytes=1000)
         pool.submit_many([self._tx(4, i) for i in range(3)])
-        assert pool.pending_count == 3
-        pool.clear()
-        assert pool.pending_count == 0
+        assert pool.pending_count == len(pool) == 3
+        assert len(pool.take_block()) == 3
+        assert pool.pending_count == len(pool) == 0
+
+    def test_submit_many_counts_only_new_transactions(self):
+        pool = Mempool(block_size_bytes=1000)
+        a, b = self._tx(4, 0), self._tx(4, 1)
+        assert pool.submit_many([a, b, a]) == 2
+        assert pool.submit_many([b]) == 0
+        # A taken transaction's id is released: it may be queued again.
+        assert [tx.tx_id for tx in pool.take_block()] == [a.tx_id, b.tx_id]
+        assert pool.submit_many([a]) == 1
 
     def test_invalid_block_size(self):
         with pytest.raises(ValueError):
@@ -663,9 +672,9 @@ class TestVerifyOnce:
             signs.append(entity_id)
             return real_sign(self, entity_id, message)
 
-        def counting_mining(ctx, *args, **kwargs):
-            result = real_mining(ctx, *args, **kwargs)
-            mined.append(result.mined_block)
+        def counting_mining(ctx, members, *args, **kwargs):
+            result = real_mining(ctx, members, *args, **kwargs)
+            mined.append(members[0].chain.last_block)  # every member appended it
             return result
 
         def counting_upload(*args, **kwargs):
@@ -825,7 +834,7 @@ class TestHeaderSignature:
         # A committee replica: its store holds the miners' keys, not the clients'.
         [miner, _] = replicated_committee(
             ["miner-0", "miner-1"], Block.genesis(),  # genesis is exempt: unsigned
-            enforce_pow=False, keystore=keystore, verify_signatures=True,
+            enforce_pow=False, keystore=keystore,
         )
         assert len(miner.chain.keystore) == 2
         assert miner.chain.keystore.public_key("miner-0") == keystore.public_key("miner-0")

@@ -24,10 +24,10 @@ def keystore():
     return store
 
 
-def _miner(miner_id="miner-0", keystore=None, verify=True):
+def _miner(miner_id="miner-0", keystore=None):
     chain = Blockchain(enforce_pow=False)
     chain.add_genesis(Block.genesis())
-    return Miner(miner_id=miner_id, chain=chain, keystore=keystore, verify_signatures=verify)
+    return Miner(miner_id=miner_id, chain=chain, keystore=keystore)
 
 
 def _upload(sender, keystore, value=1.0, round_index=0, client_index=0):
@@ -45,7 +45,7 @@ class TestMiner:
     def test_reject_unsigned_upload(self, keystore):
         miner = _miner(keystore=keystore)
         assert not miner.receive_upload(_upload("client-0", None))
-        assert miner.rejected_transactions == 1
+        assert not miner.gradient_set
 
     def test_reject_unknown_sender(self, keystore):
         miner = _miner(keystore=keystore)
@@ -66,9 +66,16 @@ class TestMiner:
         assert not miner.receive_upload(tx)
         assert len(miner.gradient_set) == 1
 
-    def test_unverified_mode_accepts_unsigned(self):
-        miner = _miner(keystore=None, verify=False)
+    def test_a_miner_without_a_keystore_accepts_uploads(self):
+        # A miner verifies iff it holds a key store; a bare one has nothing to
+        # verify against, so it takes unsigned uploads from clients and peers.
+        chain = Blockchain(enforce_pow=False)
+        chain.add_genesis(Block.genesis())
+        miner = Miner("miner-0", chain)
         assert miner.receive_upload(_upload("anyone", None))
+        peer_upload = _upload("other", None, value=2.0, client_index=1)
+        assert miner.merge_gradient_set({peer_upload.tx_id: peer_upload}) == 1
+        assert len(miner.gradient_set) == 2
 
     def test_merge_gradient_sets(self, keystore):
         a = _miner("miner-0", keystore)
@@ -86,7 +93,7 @@ class TestMiner:
         forged = _upload("client-0", None)  # unsigned
         added = a.merge_gradient_set({forged.tx_id: forged})
         assert added == 0
-        assert a.rejected_transactions == 1
+        assert not a.gradient_set
 
     def test_gradient_vectors_sorted_by_sender(self, keystore):
         miner = _miner(keystore=keystore)
@@ -107,6 +114,17 @@ class TestMiner:
         miner.receive_upload(_upload("client-0", keystore))
         miner.reset_round()
         assert len(miner.gradient_set) == 0
+
+    def test_reset_round_lets_an_upload_back_in(self, keystore):
+        # The gradient set is the one record of the uploads a miner holds:
+        # a duplicate is refused while it is there, and admitted once reset.
+        miner = _miner(keystore=keystore)
+        tx = _upload("client-0", keystore)
+        assert miner.receive_upload(tx)
+        assert not miner.receive_upload(tx)
+        miner.reset_round()
+        assert miner.receive_upload(tx)
+        assert list(miner.gradient_set) == [tx.tx_id]
 
     def test_build_mine_accept_block(self, keystore):
         miner = _miner(keystore=keystore)

@@ -167,6 +167,18 @@ class TestCheckpointGuards:
         with pytest.raises(CheckpointError, match="written by"):
             fairbfl.restore_state(fedavg.checkpoint_state())
 
+    def test_a_client_checkpoints_its_rng_alone(self):
+        # Rewards live on the chain and participation in the history, so a
+        # client's state in a checkpoint is its RNG stream and nothing else.
+        donor = self._trainer(small_spec())
+        donor.run_until(2)
+        blob = donor.checkpoint_state()
+        rng_states = {cid: c.rng.bit_generator.state for cid, c in donor.clients.items()}
+        assert pickle.loads(blob)["clients"] == rng_states
+        resumed = self._trainer(small_spec())
+        resumed.restore_state(blob)
+        assert {cid: c.rng.bit_generator.state for cid, c in resumed.clients.items()} == rng_states
+
     def test_population_mismatch_is_rejected(self):
         donor = self._trainer(small_spec())
         donor.run(num_rounds=1)
@@ -232,7 +244,7 @@ class TestCheckpointGuards:
         def rendered(trainer) -> str:
             return json.dumps(history_to_payload(trainer.history), sort_keys=True)
 
-        assert CHECKPOINT_SCHEMA_VERSION == 5
+        assert CHECKPOINT_SCHEMA_VERSION == 6
         derive_key_pair.cache_clear()
         reference = self._trainer(small_spec())  # leaves the memo warm
         reference.run_until(6)
@@ -261,7 +273,7 @@ class TestCheckpointGuards:
         def seed_keyed(key_bits, entity_id):
             return RSAKeyPair.generate(new_rng(spec.seed, "rsa-key", entity_id), bits=key_bits)
 
-        assert CHECKPOINT_SCHEMA_VERSION == 5
+        assert CHECKPOINT_SCHEMA_VERSION == 6
         reference = self._trainer(spec)
         reference.run_until(6)
         with monkeypatch.context() as patch:
@@ -293,7 +305,7 @@ class TestCheckpointGuards:
         # Version 4 wrote chains whose headers were unsigned.  Stamped with the
         # current version, such a blob would restore chains that fail their
         # first validation, so its own version must make it a miss.
-        assert CHECKPOINT_SCHEMA_VERSION == 5
+        assert CHECKPOINT_SCHEMA_VERSION == 6
         donor = self._trainer(small_spec())
         donor.run_until(3)
         payload = pickle.loads(donor.checkpoint_state())
@@ -308,14 +320,32 @@ class TestCheckpointGuards:
         assert not resumed.chain.is_valid()
 
     @pytest.mark.ledger
-    def test_a_version_5_blob_resumes_byte_identically_onto_a_valid_chain(self):
+    def test_a_version_5_blob_is_a_miss(self):
+        # Version 5 pickled a reward ledger beside the chain and each client's
+        # participation and reward tallies next to its RNG state.  Its own
+        # version must make it a miss, before any of that is restored.
+        assert CHECKPOINT_SCHEMA_VERSION == 6
+        donor = self._trainer(small_spec())
+        donor.run_until(3)
+        payload = pickle.loads(donor.checkpoint_state())
+        clients = {
+            cid: {"rng": rng_state, "rounds_participated": 3, "total_reward": 0.5}
+            for cid, rng_state in payload["clients"].items()
+        }
+        resumed = self._trainer(small_spec())
+        with pytest.raises(CheckpointError, match="version 5"):
+            resumed.restore_state(pickle.dumps({**payload, "version": 5, "clients": clients}))
+        assert resumed.rounds_completed() == 0
+
+    @pytest.mark.ledger
+    def test_a_version_6_blob_resumes_byte_identically_onto_a_valid_chain(self):
         spec = small_spec(topology="ring", miners=4, partition="2-3:0,1")
         reference = self._trainer(spec)
         reference.run_until(6)
         donor = self._trainer(spec)
         donor.run_until(3)
         blob = donor.checkpoint_state()
-        assert pickle.loads(blob)["version"] == 5
+        assert pickle.loads(blob)["version"] == CHECKPOINT_SCHEMA_VERSION == 6
         resumed = self._trainer(spec)
         resumed.restore_state(blob)
         resumed.run_until(6)

@@ -45,7 +45,7 @@ def setup(tiny_federated):
         keystore.register(f"miner-{k}")
         chain = Blockchain(enforce_pow=False)
         chain.add_genesis(genesis)
-        miners.append(Miner(f"miner-{k}", chain, keystore=keystore, verify_signatures=True))
+        miners.append(Miner(f"miner-{k}", chain, keystore=keystore))
     global_params = get_flat_parameters(clients[0].model)
     return clients, miners, keystore, global_params
 
@@ -115,7 +115,7 @@ class TestProcedureExchange:
         for k in range(2):
             chain = Blockchain(enforce_pow=False)
             chain.add_genesis(Block.genesis())
-            miners.append(Miner(f"miner-{k}", chain, verify_signatures=False))
+            miners.append(Miner(f"miner-{k}", chain))
         vectors = {cid: np.full(3, float(cid)) for cid in (2, 10, 1, 11, 3)}
         for i, (cid, vector) in enumerate(vectors.items()):
             miners[i % 2].receive_upload(
@@ -250,13 +250,12 @@ class TestProcedureMining:
         procedure_mining(
             ctx, miners, keystore, new_rng(0, "mining"), use_real_pow=True, pow_difficulty=4.0
         )
-        assert ctx.mined_block is not None
         assert ctx.winning_miner in {"miner-0", "miner-1"}
         assert all(m.chain.height == 2 for m in miners)
         tips = {m.chain.last_block.block_hash for m in miners}
         assert len(tips) == 1
         # The block carries exactly the global update plus the reward list (Assumption 2).
-        types = [tx.tx_type for tx in ctx.mined_block.transactions]
+        types = [tx.tx_type for tx in miners[0].chain.last_block.transactions]
         assert types.count(TransactionType.GLOBAL_UPDATE) == 1
         assert types.count(TransactionType.REWARD) == len(ctx.reward_list)
         assert types.count(TransactionType.GRADIENT_UPLOAD) == 0

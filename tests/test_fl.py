@@ -83,17 +83,6 @@ class TestFLClient:
         dist_prox = np.linalg.norm(prox.parameters - global_params)
         assert dist_prox < dist_plain
 
-    def test_rounds_participated_counter(self, client):
-        global_params = get_flat_parameters(client.model)
-        client.local_update(global_params, LocalTrainingConfig(epochs=1))
-        client.local_update(global_params, LocalTrainingConfig(epochs=1))
-        assert client.rounds_participated == 2
-
-    def test_grant_reward_accumulates(self, client):
-        client.grant_reward(0.5)
-        client.grant_reward(0.25)
-        assert client.total_reward == pytest.approx(0.75)
-
     def test_evaluate_bounds(self, client):
         acc = client.evaluate(get_flat_parameters(client.model))
         assert 0.0 <= acc <= 1.0
@@ -305,6 +294,22 @@ class TestFedAvgTrainer:
         assert all(r.delay > 0 for r in history.rounds)
         assert all(0.0 <= r.accuracy <= 1.0 for r in history.rounds)
         assert all(len(r.participants) == 3 for r in history.rounds)
+
+    def test_participants_are_the_clients_that_trained(
+        self, tiny_federated, small_config, monkeypatch
+    ):
+        # ``RoundRecord.participants`` is the one record of who took part.
+        trained = []
+        real_local_update = FLClient.local_update
+
+        def counting(client, *args, **kwargs):
+            trained.append(client.client_id)
+            return real_local_update(client, *args, **kwargs)
+
+        monkeypatch.setattr(FLClient, "local_update", counting)
+        history = FedAvgTrainer(tiny_federated, small_config).run()
+        assert trained == [cid for r in history.rounds for cid in r.participants]
+        assert len(trained) == 2 * 3
 
     def test_elapsed_time_monotonic(self, tiny_federated, small_config):
         history = FedAvgTrainer(tiny_federated, small_config).run()

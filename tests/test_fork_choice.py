@@ -1,10 +1,9 @@
-"""Fork choice, reorg validation edges, and mempool eviction.
+"""Fork choice and reorg validation edges.
 
 The most-work rule and the seeded hash tie-break that resolves equal-work
-forks identically on every node, the ``Blockchain.reorg_to`` validation
+forks identically on every node, and the ``Blockchain.reorg_to`` validation
 edges (duplicate insertion, a broken link, Merkle tampering on a reorged
-candidate), and the mempool's two eviction paths (chain-included and
-round-expired transactions).
+candidate).
 """
 
 from __future__ import annotations
@@ -14,7 +13,6 @@ import pytest
 
 from repro.blockchain.block import Block
 from repro.blockchain.chain import Blockchain, BlockValidationError, ForkChoice
-from repro.blockchain.mempool import Mempool
 from repro.blockchain.transaction import make_gradient_transaction
 from repro.net import Node
 
@@ -147,7 +145,6 @@ class TestReorgEdges:
         theirs = _chain(3, "b")
         rolled_back, applied = ours.reorg_to(list(theirs.blocks))
         assert (rolled_back, applied) == (2, 3)
-        assert ours.fork_events == 1
         assert ours.last_block.block_hash == theirs.last_block.block_hash
 
     def test_reorg_pure_extension_is_not_a_fork_event(self):
@@ -165,7 +162,40 @@ class TestReorgEdges:
         )
         rolled_back, applied = ours.reorg_to(list(extended.blocks))
         assert (rolled_back, applied) == (0, 1)
-        assert ours.fork_events == 0
+
+    def test_a_reorg_keeps_no_transaction_of_the_abandoned_fork(self):
+        # The adopted chain is the whole record: what the abandoned fork
+        # carried leaves the view, what the winner carried enters it.
+        mine, theirs = _tx(client=0), _tx(client=1)
+        ours = _chain(1, "a", transactions_for=lambda r: [mine])
+        winner = _chain(2, "b", transactions_for=lambda r: [theirs] if r == 0 else [])
+        assert ours.reorg_to(list(winner.blocks)) == (1, 2)
+        held = {tx.tx_id for block in ours.blocks for tx in block.transactions}
+        assert theirs.tx_id in held
+        assert mine.tx_id not in held
+
+    def test_a_node_counts_one_reorg_per_abandoned_fork(self):
+        # ``Node.reorgs`` is the one reorg counter: each adoption that
+        # discards local blocks adds one, a pure extension adds none.
+        fork_choice = ForkChoice(salt=0)
+        node = Node(node_id="n", chain=_chain(1, "a"))
+        for rounds, miner_id in ((2, "b"), (3, "c")):
+            donor = Node(node_id=miner_id, chain=_chain(rounds, miner_id))
+            assert node.sync_with(donor, fork_choice)
+        assert node.reorgs == 2
+        extended = Blockchain(enforce_pow=False)
+        extended.blocks = list(node.chain.blocks)
+        extended.add_block(
+            Block.create(
+                index=extended.height,
+                previous_hash=extended.last_block.block_hash,
+                round_index=3,
+                miner_id="c",
+                transactions=[],
+            )
+        )
+        assert node.sync_with(Node(node_id="d", chain=extended), fork_choice)
+        assert node.reorgs == 2
 
     def test_reorg_rejects_empty_candidate(self):
         with pytest.raises(BlockValidationError, match="empty chain"):
@@ -227,53 +257,3 @@ class TestReorgEdges:
         assert node.head_hash == donor.head_hash
         assert node.reorgs == 0
         assert node.chain.is_valid()
-
-
-class TestMempoolEviction:
-    def _pool(self):
-        return Mempool(block_size_bytes=1 << 20)
-
-    def test_evict_included_from_chain(self):
-        pool = self._pool()
-        settled, pending = _tx(client=0), _tx(client=1)
-        pool.submit(settled)
-        pool.submit(pending)
-        chain = _chain(1, transactions_for=lambda r: [settled])
-        assert pool.evict_included(chain) == 1
-        assert pool.pending_count == 1
-        assert [tx.tx_id for tx in pool.take_block()] == [pending.tx_id]
-
-    def test_evict_included_from_id_iterable(self):
-        pool = self._pool()
-        a, b = _tx(client=0), _tx(client=1)
-        pool.submit(a)
-        pool.submit(b)
-        assert pool.evict_included([a.tx_id]) == 1
-        assert pool.pending_count == 1
-
-    def test_evict_older_than_expires_stale_rounds(self):
-        pool = self._pool()
-        old = _tx(client=0, round_index=0)
-        fresh = _tx(client=1, round_index=2)
-        pool.submit(old)
-        pool.submit(fresh)
-        assert pool.evict_older_than(2) == 1
-        assert pool.pending_count == 1
-        assert pool.evict_older_than(2) == 0  # round-2 tx survives its own round
-
-    def test_eviction_restores_bookkeeping(self):
-        pool = self._pool()
-        tx = _tx(client=0)
-        pool.submit(tx)
-        assert pool.pending_count == 1
-        assert pool.evict_included([tx.tx_id]) == 1
-        assert pool.pending_count == 0
-        # The id was released: the same tx may be resubmitted (a reorg can
-        # return a discarded fork's transactions to circulation).
-        assert pool.submit(tx)
-        assert pool.pending_count == 1
-
-    def test_evict_on_empty_pool(self):
-        pool = self._pool()
-        assert pool.evict_included([]) == 0
-        assert pool.evict_older_than(5) == 0

@@ -7,6 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.blockchain.block import Block
+from repro.blockchain.chain import Blockchain
+from repro.blockchain.transaction import make_reward_transaction
 from repro.fl.aggregation import simple_average
 from repro.incentive.clustering import DBSCAN, KMeans, NOISE_LABEL, make_clusterer
 from repro.incentive.contribution import (
@@ -14,7 +17,7 @@ from repro.incentive.contribution import (
     identify_contributions,
 )
 from repro.incentive.distance import cosine_distance_to_reference
-from repro.incentive.rewards import RewardLedger, apportion_rewards
+from repro.incentive.rewards import apportion_rewards
 from repro.incentive.strategies import DiscardStrategy, KeepAllStrategy, make_strategy
 from repro.utils.rng import new_rng
 
@@ -158,13 +161,31 @@ class TestRewards:
         with pytest.raises(ValueError):
             apportion_rewards([0], np.array([0.1]), base_reward=-1.0)
 
-    def test_ledger_accumulates(self):
-        ledger = RewardLedger()
-        ledger.record_round(0, apportion_rewards([1, 2], np.array([0.5, 0.5]), base_reward=1.0))
-        ledger.record_round(1, apportion_rewards([1], np.array([1.0]), base_reward=1.0))
-        assert ledger.totals == {1: pytest.approx(1.5), 2: pytest.approx(0.5)}
-        assert sum(ledger.totals.values()) == pytest.approx(2.0)
-        assert ledger.top_clients(1) == [(1, pytest.approx(1.5))]
+    def test_chain_accumulates_apportioned_rewards(self):
+        # A balance is a replay of the chain's reward transactions: two
+        # rounds' reward lists, one block each, sum per client.
+        chain = Blockchain(enforce_pow=False)
+        chain.add_genesis(Block.genesis())
+        rounds = [
+            apportion_rewards([1, 2], np.array([0.5, 0.5]), base_reward=1.0),
+            apportion_rewards([1], np.array([1.0]), base_reward=1.0),
+        ]
+        for r, entries in enumerate(rounds):
+            chain.add_block(
+                Block.create(
+                    index=r + 1,
+                    previous_hash=chain.last_block.block_hash,
+                    round_index=r,
+                    miner_id="m",
+                    transactions=[
+                        make_reward_transaction("m", r, f"client-{e.client_id}", e.reward)
+                        for e in entries
+                    ],
+                )
+            )
+        totals = chain.total_rewards_by_client()
+        assert totals == {"client-1": pytest.approx(1.5), "client-2": pytest.approx(0.5)}
+        assert sum(totals.values()) == pytest.approx(2.0)
 
 
 class TestIdentifyContributions:

@@ -50,7 +50,7 @@ class TestJainsIndex:
         spec = tiny_spec.with_overrides(num_rounds=3)
         trainer = FairBFLTrainer(ExperimentEngine().dataset_for(spec), spec.fairbfl_config())
         trainer.run()
-        rewards = list(trainer.reward_ledger.totals.values())
+        rewards = list(trainer.chain.total_rewards_by_client().values())
         assert sum(rewards) > 0
         assert jains_index(rewards) > 1.0 / len(rewards)
         assert max(rewards) / sum(rewards) < 1.0

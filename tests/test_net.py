@@ -272,7 +272,6 @@ class TestNode:
         assert node.sync_with(Node(node_id="d", chain=donor), fork_choice)
         assert node.chain.height == 3
         assert node.reorgs == 0
-        assert node.chain.fork_events == 0
 
     def test_sync_with_a_shorter_competing_view_changes_nothing(self):
         fork_choice = ForkChoice(salt=0)
@@ -284,26 +283,6 @@ class TestNode:
         assert node.chain.height == 3
         assert node.reorgs == 0
 
-    def test_sync_settles_mempool(self):
-        fork_choice = ForkChoice(salt=0)
-        tx = make_gradient_transaction("client-0", 0, np.ones(3))
-        donor_chain = _chain_with_blocks(0, miner_id="b")
-        donor_chain.add_block(
-            Block.create(
-                index=1,
-                previous_hash=donor_chain.last_block.block_hash,
-                round_index=0,
-                miner_id="b",
-                transactions=[tx],
-            )
-        )
-        a = Node(node_id="a", chain=_chain_with_blocks(0))
-        a.mempool.submit(tx)
-        assert a.mempool.pending_count == 1
-        assert a.sync_with(Node(node_id="b", chain=donor_chain), fork_choice)
-        # The adopted chain already carries the tx: it left the mempool.
-        assert a.mempool.pending_count == 0
-
 
 class TestSubstrate:
     def _miners(self, n=4):
@@ -311,7 +290,7 @@ class TestSubstrate:
         for i in range(n):
             chain = Blockchain(enforce_pow=False)
             chain.add_genesis(Block.genesis())
-            miners.append(Miner(miner_id=f"miner-{i}", chain=chain, verify_signatures=False))
+            miners.append(Miner(miner_id=f"miner-{i}", chain=chain))
         return miners
 
     def _substrate(self, n=4, **kwargs):
@@ -349,16 +328,17 @@ class TestSubstrate:
         assert sub.chain_views() == 2
         report = sub.begin_round(1, sim_time=0.0)
         assert sub.chain_views() == 1
-        assert report.synced_nodes == 3
-        assert report.heal_latency > 0.0
+        assert not report.reorged  # the others only extended their views
         assert sub.best_chain().height == 2
 
     def test_consensus_delay_resolution(self):
         sub = self._substrate(partition="1-1:0,1")
         # Round 0, no partition: the block resolves within the round.
-        sub.begin_round(0, sim_time=0.0)
-        sub.note_block(0, sim_time=10.0)
-        resolved = sub.finish_round(0, sim_time=10.0, latency=0.5)
+        (whole,) = sub.begin_round(0, sim_time=0.0).state.components
+        for member in whole:
+            self._append(sub, member, round_index=0, miner_id="miner-0")
+        sub.commit_block(0, "miner-0", whole, sim_time=10.0)
+        resolved = sub.finish_round(sim_time=10.0, latency=0.5)
         assert resolved == {0: pytest.approx(0.5)}
         # Round 1, split: each side mines its own head -> no agreement yet.
         state = sub.round_state(1)
@@ -366,14 +346,13 @@ class TestSubstrate:
             origin = component[0]
             for member in component:
                 self._append(sub, member, round_index=1, miner_id=origin)
-        sub.note_block(1, sim_time=20.0)
-        assert sub.finish_round(1, sim_time=20.0) == {}
+            sub.commit_block(1, origin, component, sim_time=20.0)
+        assert sub.finish_round(sim_time=20.0) == {}
         # Round 2 heals: begin_round reorgs the losers and resolves round 1.
         report = sub.begin_round(2, sim_time=30.0)
         assert report.reorged
         assert set(report.resolved) == {1}
         assert report.resolved[1] >= 10.0
-        assert [entry[0] for entry in sub.consensus_log] == [0, 1]
 
     def _append(self, sub, member, *, round_index, miner_id):
         chain = sub.nodes[member].chain
@@ -394,24 +373,45 @@ class TestSubstrate:
             make_gradient_transaction(f"client-{i}", 0, np.full(3, float(i)))
             for i in range(3)
         ]
-        sub.miners[1].gradient_set["x"] = txs[1]
+        for i in range(3):
+            sub.miners[i].gradient_set[txs[i].tx_id] = txs[i]
         mapping = {0: "miner-0", 1: "miner-1", 2: "miner-2"}
         lost = sub.absorb_uploads(txs, mapping, state)
         assert lost == 1
-        assert sub.lost_uploads == 1
-        # The offline miner's gradient set was voided; online mempools filled.
+        # The offline miner's gradient set was voided; online ones kept theirs.
         assert not sub.miners[1].gradient_set
-        assert sub.nodes["miner-0"].mempool.pending_count == 1
-        assert sub.nodes["miner-2"].mempool.pending_count == 1
-        assert sub.nodes["miner-1"].mempool.pending_count == 0
+        assert list(sub.miners[0].gradient_set.values()) == [txs[0]]
+        assert list(sub.miners[2].gradient_set.values()) == [txs[2]]
 
-    def test_commit_block_settles_and_floods(self):
+    def test_absorb_uploads_counts_only_clients_that_uploaded(self):
+        # Client 1 was assigned the miner that left but sent nothing this
+        # round, so none of its uploads is lost.
+        sub = self._substrate(churn="0:-1")
+        state = sub.round_state(0)
+        tx = make_gradient_transaction("client-0", 0, np.ones(3))
+        sub.miners[0].gradient_set[tx.tx_id] = tx
+        assert sub.absorb_uploads([tx], {0: "miner-0", 1: "miner-1"}, state) == 0
+        assert list(sub.miners[0].gradient_set.values()) == [tx]
+
+    def test_total_reorgs_sums_what_each_node_counts(self):
+        sub = self._substrate(partition="1-1:0,1")
+        state = sub.round_state(1)
+        assert len(state.components) == 2
+        for component in state.components:
+            for member in component:
+                self._append(sub, member, round_index=1, miner_id=component[0])
+        assert sub.begin_round(2, sim_time=0.0).reorged
+        # Every node of the losing side left its fork once; nobody else did.
+        losers = sorted(n.node_id for n in sub.nodes.values() if n.reorgs)
+        assert losers in [sorted(c) for c in state.components]
+        assert sub.total_reorgs == sum(n.reorgs for n in sub.nodes.values()) == len(losers)
+
+    def test_commit_block_floods_and_notes_the_block(self):
         sub = self._substrate()
         state = sub.round_state(0)
         tx = make_gradient_transaction("client-0", 0, np.ones(3))
         component = state.components[0]
         for member in component:
-            sub.nodes[member].mempool.submit(tx)
             chain = sub.nodes[member].chain
             chain.add_block(
                 Block.create(
@@ -424,11 +424,20 @@ class TestSubstrate:
             )
         latency = sub.commit_block(0, "miner-0", component, sim_time=1.0)
         assert latency > 0.0
-        assert sum(n.mempool.pending_count for n in sub.nodes.values()) == 0
+        assert sub.finish_round(sim_time=1.0, latency=latency) == {0: pytest.approx(latency)}
 
-    def test_broadcast_block_singleton_component(self):
+    def test_commit_block_singleton_component(self):
         sub = self._substrate()
-        assert sub.broadcast_block("miner-0", ("miner-0",)) == 0.0
+        assert sub.commit_block(0, "miner-0", ("miner-0",), sim_time=0.0) == 0.0
+
+    def test_commit_block_notes_a_singleton_component_s_block(self):
+        # A lone component floods nothing, but its block's creation time is
+        # still noted: the round resolves once the network agrees.
+        sub = self._substrate()
+        sub.round_state(0)
+        assert sub.commit_block(0, "miner-0", ("miner-0",), sim_time=2.0) == 0.0
+        assert sub.finish_round(sim_time=5.0) == {0: pytest.approx(3.0)}
+        assert sub.finish_round(sim_time=9.0) == {}  # resolved once only
 
     def test_substrate_runs_deterministically(self):
         def trace():
@@ -442,7 +451,7 @@ class TestSubstrate:
                     for member in component:
                         self._append(sub, member, round_index=r, miner_id=origin)
                     log.append(sub.commit_block(r, origin, component, sim_time=float(r)))
-                log.append(dict(sub.finish_round(r, sim_time=float(r))))
+                log.append(dict(sub.finish_round(sim_time=float(r))))
             return log, sub.best_chain().last_block.block_hash
 
         assert trace() == trace()

@@ -3,8 +3,8 @@
 Two miner groups, split by a timed partition window, each mine their own
 fork of the ledger with their own reward history.  When the partition heals
 the fork-choice rule (most cumulative work, seeded hash tie-break) must bring every
-node onto one head, reward accounting must be rebuilt from the adopted
-chain, and the whole trajectory must be bit-deterministic across repeats.
+node onto one head, the adopted chain alone must say who earned what, and
+the whole trajectory must be bit-deterministic across repeats.
 """
 
 from __future__ import annotations
@@ -50,6 +50,15 @@ def _run(dataset, **overrides):
     return trainer, history
 
 
+def _reward_totals(blocks) -> dict[str, float]:
+    """Reward per client over ``blocks``' reward transactions."""
+    totals: dict[str, float] = {}
+    for block in blocks:
+        for record in block.reward_records():
+            totals[record["client"]] = totals.get(record["client"], 0.0) + record["reward"]
+    return totals
+
+
 @pytest.fixture(scope="module")
 def healed(dataset):
     return _run(dataset)
@@ -79,6 +88,12 @@ class TestPartitionHeal:
         assert len(tips) == 1
         assert trainer.chain.is_valid()
 
+    def test_total_reorgs_is_the_nodes_own_count(self, healed):
+        trainer, history = healed
+        counted = sum(node.reorgs for node in trainer.net.nodes.values())
+        assert counted >= 1
+        assert history.rounds[-1].extras["net"]["total_reorgs"] == counted
+
     def test_canonical_chain_has_one_block_per_round(self, healed):
         trainer, _history = healed
         chain = trainer.chain
@@ -96,19 +111,28 @@ class TestPartitionHeal:
         assert {1, 2}.issubset(resolved_at_heal)
         assert resolved_at_heal[1] > resolved_at_heal[2] > baseline
 
-    def test_reward_accounting_survives_the_reorg(self, healed):
-        trainer, _history = healed
-        on_chain: dict[int, float] = {}
-        for label, amount in trainer.chain.total_rewards_by_client().items():
-            cid = int(str(label).rpartition("-")[2])
-            on_chain[cid] = on_chain.get(cid, 0.0) + float(amount)
-        # Client balances and the ledger totals both equal the canonical
-        # chain's record — the discarded fork's rewards are void.
-        for cid, client in trainer.clients.items():
-            assert client.total_reward == pytest.approx(on_chain.get(cid, 0.0))
-        for cid, total in trainer.reward_ledger.totals.items():
-            assert total == pytest.approx(on_chain.get(cid, 0.0))
-        assert sum(on_chain.values()) > 0.0
+    def test_reward_accounting_survives_the_reorg(self, dataset):
+        # The canonical chain is the only balance, so the rewards minted on
+        # the fork the heal discards are void: every reward ever minted
+        # counts, less exactly those.
+        trainer = FairBFLTrainer(dataset, _config())
+        trainer.run(num_rounds=3)  # round 0, then the split rounds 1-2
+        forks = {node.head_hash: list(node.chain.blocks) for node in trainer.net.nodes.values()}
+        assert len(forks) == 2
+        trainer.run(num_rounds=1)  # the heal
+        canonical = trainer.chain
+        kept = {block.block_hash for block in canonical.blocks}
+        minted = {b.block_hash: b for blocks in forks.values() for b in blocks}
+        minted.update((b.block_hash, b) for b in canonical.blocks)
+        void = [b for h, b in minted.items() if h not in kept]
+        assert void and {b.round_index for b in void} <= {1, 2}
+        void_rewards = _reward_totals(void)
+        assert sum(void_rewards.values()) > 0.0
+        balances = canonical.total_rewards_by_client()
+        assert sum(balances.values()) > 0.0
+        for client, total in _reward_totals(minted.values()).items():
+            expected = total - void_rewards.get(client, 0.0)
+            assert balances.get(client, 0.0) == pytest.approx(expected, abs=1e-12)
 
     def test_deterministic_across_repeats(self, dataset, healed):
         _trainer, first_history = healed
@@ -133,14 +157,14 @@ class TestChurnTrace:
         assert trainer.chain.is_valid()
 
 
-class TestMempoolChainDisjoint:
-    def test_no_mempool_holds_a_transaction_its_chain_includes(self, dataset, monkeypatch):
+class TestPendingUploadsChainDisjoint:
+    def test_no_gradient_set_holds_an_upload_of_a_committed_round(self, dataset, monkeypatch):
         """Partition -> heal -> churn, checked after every commit and every round start.
 
-        ``commit_block`` expires whole rounds instead of scanning each chain
-        for included ids; this is the invariant that makes that enough.  Every
-        online view must also stay valid, each mined header's signature
-        included.
+        A miner's gradient set is the only pool of pending uploads: at a
+        round's start it is empty, and at a commit it holds that round's
+        uploads alone.  Every online view must also stay valid, each mined
+        header's signature included.
         """
         trainer = FairBFLTrainer(
             dataset,
@@ -149,23 +173,28 @@ class TestMempoolChainDisjoint:
         net = trainer.net
         seen = {"checks": 0, "offline": 0, "pending": 0}
 
-        def check():
+        def check(round_index):
             seen["checks"] += 1
             seen["offline"] += len(net.nodes) - len(net.online_nodes())
+            for miner in trainer.miners:
+                stale = [
+                    tx.round_index for tx in miner.gradient_set.values()
+                    if tx.round_index < round_index
+                ]
+                assert not stale, miner.miner_id
             for node in net.online_nodes():
-                included = {tx.tx_id for b in node.chain.blocks for tx in b.transactions}
-                pending = {tx.tx_id for tx in node.mempool._queue}
-                assert not pending & included, node.node_id
                 assert node.chain.keystore is not None, node.node_id
                 assert node.chain.is_valid(), node.node_id
                 assert all(b.header.signature is not None for b in node.chain.blocks[1:])
 
         def checked(method):
-            def wrapper(*args, **kwargs):
+            def wrapper(round_index, *args, **kwargs):
+                if method.__name__ == "begin_round":
+                    assert not any(m.gradient_set for m in trainer.miners)
+                result = method(round_index, *args, **kwargs)
                 if method.__name__ == "commit_block":
-                    seen["pending"] += sum(n.mempool.pending_count for n in net.nodes.values())
-                result = method(*args, **kwargs)
-                check()
+                    seen["pending"] += sum(len(m.gradient_set) for m in trainer.miners)
+                check(round_index)
                 return result
 
             return wrapper
@@ -178,4 +207,4 @@ class TestMempoolChainDisjoint:
         assert net.total_reorgs > 0 and seen["offline"] > 0  # a reorg, and churn
         assert seen["pending"] > 0  # commits had uploads to settle
         assert seen["checks"] >= 2 * 6
-        assert sum(n.mempool.pending_count for n in net.nodes.values()) == 0
+        assert not any(m.gradient_set for m in trainer.miners)

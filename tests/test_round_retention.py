@@ -1,8 +1,8 @@
 """A committed round leaves nothing of its uploads behind.
 
 One block settles a FAIR-BFL round, so once it commits the round's uploads
-are spent: every miner drops its gradient set and every node's mempool
-expires the round's ``GRADIENT_UPLOAD`` transactions.  Procedure IV consumes
+are spent: every miner drops its gradient set, the one pool of pending
+uploads (gossip nodes keep none of their own).  Procedure IV consumes
 the round's stacked matrix in place (the defense clips and compacts it), so
 a whole round — local training through the committed block — holds about
 one copy of the round's gradients besides the clients' own updates.
@@ -17,7 +17,6 @@ import tracemalloc
 
 import pytest
 
-from repro.blockchain.transaction import TransactionType
 from repro.core.fairbfl import FairBFLTrainer
 from repro.runner.engine import ExperimentEngine
 from repro.runner.scenario import ScenarioSpec
@@ -42,19 +41,13 @@ def trainer():
 
 
 def _held_uploads(trainer, up_to_round):
-    """Every upload from rounds <= ``up_to_round`` still held by a miner or a mempool."""
-    held = [
+    """Every upload from rounds <= ``up_to_round`` still held by a miner."""
+    return [
         (miner.miner_id, tx.round_index)
         for miner in trainer.miners
         for tx in miner.gradient_set.values()
+        if tx.round_index <= up_to_round
     ]
-    held += [
-        (node_id, tx.round_index)
-        for node_id, node in trainer.net.nodes.items()
-        for tx in node.mempool._queue
-        if tx.tx_type is TransactionType.GRADIENT_UPLOAD
-    ]
-    return [entry for entry in held if entry[1] <= up_to_round]
 
 
 def test_committed_rounds_leave_no_uploads_behind(trainer):
@@ -81,6 +74,6 @@ def test_whole_round_peak_is_bounded_by_the_gradient_matrix(trainer):
         f"committee round (48 clients, 4 miners, norm_clip+multi_krum): peak "
         f"{peak / MiB:.1f} MiB for a {matrix_bytes / MiB:.1f} MiB (k, d) matrix ({ratio:.2f}x)"
     )
-    # Reads 3.06x.  Keeping the previous round's uploads in the gradient sets
-    # and mempools plus the defense's per-step copies reads 4.85x.
+    # Reads 3.06x.  Keeping the previous round's uploads plus the defense's
+    # per-step copies read 4.85x.
     assert ratio <= 3.6
