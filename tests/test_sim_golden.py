@@ -2,8 +2,9 @@
 
 Each cell runs at seed 0 and must reproduce, byte for byte, the values
 recorded below: the SHA-256 of its canonical history payload, plus per round
-the first 16 hex digits of the FAIR-BFL ``event_trace_digest`` or the vanilla
-chain's ``(sim_events, blocks_mined, fork_count, chain_height)``.
+the first 16 hex digits of the FAIR-BFL ``event_trace_digest``, the vanilla
+chain's ``(sim_events, blocks_mined, fork_count, chain_height)`` or the FL
+baselines' simulated round delay.
 
 The cells cover what the stored golden replays (``tests/test_net_parity.py``)
 do not:
@@ -13,7 +14,9 @@ do not:
   ``semi_sync`` round whose deadline passes before any upload has arrived;
 * the ``blockchain`` baseline at 250 workers (three blocks a round, with
   forks) for m in {2, 4, 8};
-* one ``ring`` FAIR-BFL run with a partition that heals and a churned node.
+* one ``ring`` FAIR-BFL run with a partition that heals and a churned node;
+* ``fedavg`` behind ``norm_clip+krum`` on the serial and the cohort backend
+  (one digest), and ``fedprox`` with straggler drops and a proximal term.
 
 A failure here means simulated time, the event order or the histories built
 on them changed; a refactor of ``sim/`` must leave every value as it is.
@@ -62,6 +65,11 @@ def _cells() -> dict[str, dict]:
         partition="1-2:0|1",
         churn="2:-3",
     )
+    for backend in ("serial", "cohort"):
+        cells[f"fedavg/norm_clip+krum/{backend}"] = dict(
+            system="fedavg", defense="norm_clip+krum", backend=backend
+        )
+    cells["fedprox/drop=0.3/mu=0.1"] = dict(system="fedprox", drop_percent=0.3, proximal_mu=0.1)
     return cells
 
 
@@ -77,6 +85,9 @@ def _observe(name: str) -> tuple[str, list]:
     if spec.system == "blockchain":
         keys = ("sim_events", "blocks_mined", "fork_count", "chain_height")
         rounds = [tuple(r.extras[k] for k in keys) for r in history.rounds]
+    elif spec.system in ("fedavg", "fedprox"):
+        # The FL baselines price a round in closed form: no event trace.
+        rounds = [r.delay for r in history.rounds]
     else:
         rounds = [r.extras["event_trace_digest"][:16] for r in history.rounds]
     return digest, rounds
@@ -94,6 +105,18 @@ GOLDEN: dict[str, tuple[str, list]] = {
     "blockchain/m=8": (
         "294ba81f64d6cd9ad215ce949c6f8ff7ceb7a02c101b1c508c92e32c7bf4c0ef",
         [(276, 3, 1, 4), (276, 3, 1, 7), (277, 3, 2, 10)],
+    ),
+    "fedavg/norm_clip+krum/cohort": (
+        "de2d00a45159ca48867fff25eb52e628ee1ace0a153dcba8734ad7ddbd0b2b7a",
+        [2.983220035189591, 4.45607176718065, 3.688891711633457],
+    ),
+    "fedavg/norm_clip+krum/serial": (
+        "de2d00a45159ca48867fff25eb52e628ee1ace0a153dcba8734ad7ddbd0b2b7a",
+        [2.983220035189591, 4.45607176718065, 3.688891711633457],
+    ),
+    "fedprox/drop=0.3/mu=0.1": (
+        "14ff1cf93a57220860e5acd6b0f256924f01e0b6e6b43b35f556f6eb7312f33c",
+        [3.4210856128478486, 3.159250089663849, 4.856875997657252],
     ),
     "fairbfl-discard/bfl/async": (
         "56c47cce9b76e61a7153f589cf1f0dc454a22b19029ee8b9e77e8c6c624465c9",
