@@ -14,8 +14,9 @@ import pytest
 
 from benchmarks.conftest import emit
 from repro.core.results import ComparisonResult
+from repro.runner.scenario import ScenarioSpec
 from repro.sim.delay import DelayModel, DelayParameters
-from repro.sim.vanilla_blockchain import VanillaBlockchainConfig, VanillaBlockchainSimulator
+from repro.sim.vanilla_blockchain import VanillaBlockchainSimulator
 from repro.utils.rng import new_rng
 
 WORKER_COUNTS = (20, 60, 100, 200, 300)
@@ -27,9 +28,8 @@ def _sweep():
     for n in WORKER_COUNTS:
         # Vanilla recording: every worker's gradient is an on-chain transaction.
         sim = VanillaBlockchainSimulator(
-            VanillaBlockchainConfig(
-                num_workers=n, num_miners=2, num_rounds=4, delay_params=params, seed=0
-            )
+            ScenarioSpec(system="blockchain", num_clients=n, miners=2, num_rounds=4, seed=0),
+            delay_params=params,
         )
         vanilla_hist = sim.run()
         vanilla_blocks = float(
@@ -80,9 +80,8 @@ def test_ablation_block_scope_smoke():
     """Fast structural pass: one vanilla point vs the scoped single-block cost."""
     params = DelayParameters(transactions_per_block=100)
     sim = VanillaBlockchainSimulator(
-        VanillaBlockchainConfig(
-            num_workers=120, num_miners=2, num_rounds=2, delay_params=params, seed=0
-        )
+        ScenarioSpec(system="blockchain", num_clients=120, miners=2, num_rounds=2, seed=0),
+        delay_params=params,
     )
     hist = sim.run()
     blocks = float(np.mean([r.extras["blocks_mined"] for r in hist.rounds]))

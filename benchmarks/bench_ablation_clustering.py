@@ -12,34 +12,30 @@ import numpy as np
 import pytest
 
 from benchmarks.conftest import emit
-from repro.core.config import FairBFLConfig
 from repro.core.fairbfl import FairBFLTrainer
 from repro.datasets.federated import build_federated_dataset
 from repro.core.results import ComparisonResult
-from repro.fl.client import LocalTrainingConfig
-from repro.incentive.contribution import ContributionConfig
+from repro.runner.scenario import ScenarioSpec
 
 
 def _run_with(algorithm: str):
     dataset = build_federated_dataset(
         num_clients=10, num_samples=800, scheme="dirichlet", seed=1, noise_std=0.35
     )
-    contribution = (
-        ContributionConfig(algorithm="dbscan", eps=0.7)
-        if algorithm == "dbscan"
-        else ContributionConfig(algorithm="kmeans", num_clusters=2)
-    )
-    config = FairBFLConfig(
+    spec = ScenarioSpec(
         num_rounds=8,
-        participation_fraction=1.0,
-        local=LocalTrainingConfig(epochs=2, batch_size=10, learning_rate=0.05),
+        participation=1.0,
+        epochs=2,
+        batch_size=10,
+        learning_rate=0.05,
         model_name="logreg",
         strategy="discard",
-        enable_attacks=True,
-        contribution=contribution,
+        attacks=True,
+        clustering=algorithm,
+        dbscan_eps=0.7,
         seed=1,
-    )
-    trainer = FairBFLTrainer(dataset, config)
+    ).validate()
+    trainer = FairBFLTrainer(dataset, spec)
     trainer.run()
     logs = trainer.detection_logs()
     detection = trainer.average_detection_rate()
@@ -79,17 +75,20 @@ def test_ablation_clustering_smoke():
     dataset = build_federated_dataset(
         num_clients=6, num_samples=400, scheme="dirichlet", seed=1, noise_std=0.35
     )
-    config = FairBFLConfig(
+    spec = ScenarioSpec(
         num_rounds=2,
-        participation_fraction=1.0,
-        local=LocalTrainingConfig(epochs=1, batch_size=10, learning_rate=0.05),
+        participation=1.0,
+        epochs=1,
+        batch_size=10,
+        learning_rate=0.05,
         model_name="logreg",
         strategy="discard",
-        enable_attacks=True,
-        contribution=ContributionConfig(algorithm="dbscan", eps=0.7),
+        attacks=True,
+        clustering="dbscan",
+        dbscan_eps=0.7,
         seed=1,
-    )
-    trainer = FairBFLTrainer(dataset, config)
+    ).validate()
+    trainer = FairBFLTrainer(dataset, spec)
     trainer.run()
     assert len(trainer.detection_logs()) == 2
     assert 0.0 <= trainer.average_detection_rate() <= 1.0

@@ -21,7 +21,6 @@ perf record (``BENCH_async_modes.json``).
 
 from __future__ import annotations
 
-import dataclasses
 import time
 
 import pytest
@@ -68,11 +67,10 @@ def _run_modes():
         spec = _spec(mode)
         # Heavier jitter than the paper's calibration: the regime where the
         # round discipline matters.
-        config = dataclasses.replace(
-            spec.fairbfl_config(), delay_params=DelayParameters(**STRAGGLER_PARAMS)
-        )
         start = time.perf_counter()
-        trainer = FairBFLTrainer(engine.dataset_for(spec), config)
+        trainer = FairBFLTrainer(
+            engine.dataset_for(spec), spec, delay_params=DelayParameters(**STRAGGLER_PARAMS)
+        )
         history = trainer.run()
         wall = time.perf_counter() - start
         trainer.close()

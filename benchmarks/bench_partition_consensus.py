@@ -85,7 +85,7 @@ def _run_partition_experiment():
     spec = _spec()
     engine = ExperimentEngine()
     start = time.perf_counter()
-    trainer = FairBFLTrainer(engine.dataset_for(spec), spec.fairbfl_config())
+    trainer = FairBFLTrainer(engine.dataset_for(spec), spec)
     history = trainer.run()
     wall = time.perf_counter() - start
     trainer.close()
@@ -193,7 +193,7 @@ def test_partition_consensus_smoke():
     """Structural subset: one short split, delays stretch, heal converges."""
     spec = _spec(num_rounds=5, partition="1-2:0,1")
     engine = ExperimentEngine()
-    trainer = FairBFLTrainer(engine.dataset_for(spec), spec.fairbfl_config())
+    trainer = FairBFLTrainer(engine.dataset_for(spec), spec)
     history = trainer.run()
     trainer.close()
     net = [record.extras["net"] for record in history.rounds]

@@ -12,39 +12,36 @@ from __future__ import annotations
 import pytest
 
 from benchmarks.conftest import emit
-from repro.core.config import FairBFLConfig
 from repro.core.fairbfl import FairBFLTrainer
 from repro.datasets.federated import build_federated_dataset
 from repro.core.results import ComparisonResult
-from repro.fl.client import LocalTrainingConfig
-from repro.incentive.contribution import ContributionConfig
+from repro.runner.scenario import ScenarioSpec
 
 NUM_CLIENTS = 10
 NUM_ROUNDS = 10
 
 
 def _run_detection(scheme: str, seed: int = 0):
-    dataset = build_federated_dataset(
+    spec = ScenarioSpec(
         num_clients=NUM_CLIENTS,
         num_samples=800,
         scheme=scheme,
-        seed=seed,
         noise_std=0.35,
-    )
-    config = FairBFLConfig(
         num_rounds=NUM_ROUNDS,
-        participation_fraction=1.0,
-        local=LocalTrainingConfig(epochs=2, batch_size=10, learning_rate=0.05),
+        participation=1.0,
+        epochs=2,
+        batch_size=10,
+        learning_rate=0.05,
         model_name="logreg",
         strategy="discard",
-        enable_attacks=True,
+        attacks=True,
         attack_name="sign_flip",
         min_attackers=1,
         max_attackers=3,
-        contribution=ContributionConfig(eps=0.7),
+        dbscan_eps=0.7,
         seed=seed,
-    )
-    trainer = FairBFLTrainer(dataset, config)
+    ).validate()
+    trainer = FairBFLTrainer(build_federated_dataset(**spec.dataset_kwargs()), spec)
     trainer.run()
     return trainer.detection_logs(), trainer.average_detection_rate()
 
@@ -93,23 +90,26 @@ def test_table2_malicious_detection(benchmark):
 @pytest.mark.smoke
 def test_table2_detection_smoke():
     """Fast structural pass: the detection protocol runs at toy scale."""
-    dataset = build_federated_dataset(
-        num_clients=6, num_samples=400, scheme="iid", seed=0, noise_std=0.35
-    )
-    config = FairBFLConfig(
+    spec = ScenarioSpec(
+        num_clients=6,
+        num_samples=400,
+        scheme="iid",
+        noise_std=0.35,
         num_rounds=2,
-        participation_fraction=1.0,
-        local=LocalTrainingConfig(epochs=1, batch_size=10, learning_rate=0.05),
+        participation=1.0,
+        epochs=1,
+        batch_size=10,
+        learning_rate=0.05,
         model_name="logreg",
         strategy="discard",
-        enable_attacks=True,
+        attacks=True,
         attack_name="sign_flip",
         min_attackers=1,
         max_attackers=2,
-        contribution=ContributionConfig(eps=0.7),
+        dbscan_eps=0.7,
         seed=0,
-    )
-    trainer = FairBFLTrainer(dataset, config)
+    ).validate()
+    trainer = FairBFLTrainer(build_federated_dataset(**spec.dataset_kwargs()), spec)
     trainer.run()
     logs = trainer.detection_logs()
     assert len(logs) == 2

@@ -56,8 +56,8 @@ class MomentumFedAvgTrainer(FedAvgTrainer):
 
     label = "fedavg-momentum"
 
-    def __init__(self, dataset, config, *, momentum: float = 0.9) -> None:
-        super().__init__(dataset, config)
+    def __init__(self, dataset, spec, *, momentum: float = 0.9) -> None:
+        super().__init__(dataset, spec)
         if not (0.0 <= momentum < 1.0):
             raise ValueError(f"momentum must lie in [0, 1), got {momentum}")
         self.momentum = float(momentum)
@@ -81,14 +81,8 @@ class MomentumFedAvgSystem(System):
     capabilities = SystemCapabilities(needs_dataset=True, defenses=True)
     momentum = 0.9
 
-    def build_config(self, spec):
-        return spec.fedavg_config()
-
     def build(self, spec, dataset):
-        trainer = MomentumFedAvgTrainer(
-            dataset, self.build_config(spec), momentum=self.momentum
-        )
-        return TrainerRun(trainer)
+        return TrainerRun(MomentumFedAvgTrainer(dataset, spec, momentum=self.momentum))
 
 
 # replace=True keeps repeated imports of this file (e.g. CLI --plugins in the

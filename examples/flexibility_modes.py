@@ -34,8 +34,7 @@ def main() -> None:
 
     results = {}
     for mode in OperatingMode:
-        config = base.with_overrides(mode=mode.value).fairbfl_config()
-        trainer = FairBFLTrainer(dataset, config)
+        trainer = FairBFLTrainer(dataset, base.with_overrides(mode=mode.value))
         history = trainer.run()
         avg_breakdown = {
             key: sum(r.extras["delay_breakdown"][key] for r in history.rounds) / len(history)

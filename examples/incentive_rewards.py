@@ -20,13 +20,11 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import numpy as np  # noqa: E402
 
-from repro.core.config import FairBFLConfig  # noqa: E402
 from repro.core.fairbfl import FairBFLTrainer  # noqa: E402
 from repro.datasets.federated import inject_label_noise  # noqa: E402
 from repro.datasets.synthetic_mnist import load_synthetic_mnist  # noqa: E402
 from repro.datasets.federated import FederatedDataset  # noqa: E402
-from repro.fl.client import LocalTrainingConfig  # noqa: E402
-from repro.incentive.contribution import ContributionConfig  # noqa: E402
+from repro.runner.scenario import ScenarioSpec  # noqa: E402
 from repro.utils.rng import new_rng  # noqa: E402
 
 
@@ -43,16 +41,20 @@ def build_population(seed: int = 0):
 
 
 def run(strategy: str, dataset, seed: int = 0):
-    config = FairBFLConfig(
+    spec = ScenarioSpec(
+        num_clients=dataset.num_clients,
         num_rounds=12,
-        participation_fraction=0.6,
-        local=LocalTrainingConfig(epochs=2, batch_size=10, learning_rate=0.05),
+        participation=0.6,
+        epochs=2,
+        batch_size=10,
+        learning_rate=0.05,
         model_name="logreg",
         strategy=strategy,
-        contribution=ContributionConfig(eps=0.6, base_reward=1.0),
+        dbscan_eps=0.6,
+        base_reward=1.0,
         seed=seed,
-    )
-    trainer = FairBFLTrainer(dataset, config)
+    ).validate()
+    trainer = FairBFLTrainer(dataset, spec)
     return trainer, trainer.run()
 
 

@@ -18,32 +18,33 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from repro.core.config import FairBFLConfig  # noqa: E402
 from repro.core.fairbfl import FairBFLTrainer  # noqa: E402
 from repro.datasets.federated import build_federated_dataset  # noqa: E402
-from repro.fl.client import LocalTrainingConfig  # noqa: E402
-from repro.incentive.contribution import ContributionConfig  # noqa: E402
+from repro.runner.scenario import ScenarioSpec  # noqa: E402
 
 
 def run_scenario(scheme: str, *, strategy: str = "discard", seed: int = 0):
     """Run the Table 2 protocol on the given data distribution."""
-    dataset = build_federated_dataset(
-        num_clients=10, num_samples=800, scheme=scheme, seed=seed, noise_std=0.35
-    )
-    config = FairBFLConfig(
+    spec = ScenarioSpec(
+        num_clients=10,
+        num_samples=800,
+        scheme=scheme,
+        noise_std=0.35,
         num_rounds=10,
-        participation_fraction=1.0,
-        local=LocalTrainingConfig(epochs=2, batch_size=10, learning_rate=0.05),
+        participation=1.0,
+        epochs=2,
+        batch_size=10,
+        learning_rate=0.05,
         model_name="logreg",
         strategy=strategy,
-        enable_attacks=True,
+        attacks=True,
         attack_name="sign_flip",
         min_attackers=1,
         max_attackers=3,
-        contribution=ContributionConfig(eps=0.7),
+        dbscan_eps=0.7,
         seed=seed,
-    )
-    trainer = FairBFLTrainer(dataset, config)
+    ).validate()
+    trainer = FairBFLTrainer(build_federated_dataset(**spec.dataset_kwargs()), spec)
     return trainer, trainer.run()
 
 

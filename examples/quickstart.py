@@ -31,7 +31,7 @@ def main() -> None:
     # The trainer is driven directly (rather than through api.run) because the
     # script inspects its ledger and reward state after the run.
     print("Running FAIR-BFL for 8 communication rounds...\n")
-    trainer = FairBFLTrainer(dataset, spec.fairbfl_config())
+    trainer = FairBFLTrainer(dataset, spec)
     history = trainer.run()
 
     print(f"{'round':>5}  {'delay (s)':>10}  {'accuracy':>9}  {'participants':>12}  {'winner':>8}")

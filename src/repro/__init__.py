@@ -20,12 +20,11 @@ True
 registry in :mod:`repro.systems` (see ``docs/api.md``).
 """
 
-from repro.core.config import FairBFLConfig
 from repro.core.fairbfl import FairBFLTrainer
 from repro.core.flexibility import OperatingMode
 from repro.datasets.federated import build_federated_dataset
-from repro.fl.fedavg import FedAvgConfig, FedAvgTrainer
-from repro.fl.fedprox import FedProxConfig, FedProxTrainer
+from repro.fl.fedavg import FedAvgTrainer
+from repro.fl.fedprox import FedProxTrainer
 from repro.fl.history import TrainingHistory
 from repro.runner.engine import ExperimentEngine
 from repro.runner.scenario import ScenarioMatrix, ScenarioSpec
@@ -40,13 +39,10 @@ __all__ = [
     "SystemCapabilities",
     "register_system",
     "system_names",
-    "FairBFLConfig",
     "FairBFLTrainer",
     "OperatingMode",
     "build_federated_dataset",
-    "FedAvgConfig",
     "FedAvgTrainer",
-    "FedProxConfig",
     "FedProxTrainer",
     "TrainingHistory",
     "ExperimentEngine",

@@ -1,6 +1,5 @@
 """FAIR-BFL core: the paper's primary contribution.
 
-* :mod:`repro.core.config` — the orchestrator's configuration dataclass;
 * :mod:`repro.core.procedures` — the five procedures of Algorithm 1 as
   composable functions (the modular design behind the flexibility claim);
 * :mod:`repro.core.fairbfl` — the FAIR-BFL orchestrator tying learning,
@@ -12,7 +11,6 @@
 * :mod:`repro.core.results` — cross-system comparison containers.
 """
 
-from repro.core.config import FairBFLConfig
 from repro.core.convergence import (
     ConvergenceCriterion,
     theorem31_bound,
@@ -23,7 +21,6 @@ from repro.core.flexibility import OperatingMode, procedures_for_mode
 from repro.core.results import ComparisonResult, summarize_history
 
 __all__ = [
-    "FairBFLConfig",
     "ConvergenceCriterion",
     "theorem31_bound",
     "theorem31_constants",

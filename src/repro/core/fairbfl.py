@@ -20,7 +20,6 @@ from repro.blockchain.block import Block
 from repro.blockchain.chain import Blockchain
 from repro.blockchain.miner import Miner, replicated_committee
 from repro.blockchain.transaction import make_global_update_transaction
-from repro.core.config import FairBFLConfig
 from repro.core.flexibility import OperatingMode, Procedure, procedures_for_mode
 from repro.core.procedures import (
     RoundContext,
@@ -47,6 +46,7 @@ from repro.nn.parameters import (
     get_flat_parameters,
     set_flat_parameters,
 )
+from repro.sim.delay import DelayParameters
 from repro.sim.rounds import EventRoundSimulator, RoundTiming
 from repro.utils.rng import new_rng
 
@@ -60,20 +60,31 @@ class FairBFLTrainer(Trainer):
     ----------
     dataset:
         The partitioned dataset (paper: non-IID MNIST split over n=100 clients).
-    config:
-        The run configuration; see :class:`repro.core.config.FairBFLConfig`.
+    spec:
+        The run's :class:`~repro.runner.scenario.ScenarioSpec` (read
+        duck-typed; ``docs/scenarios.md`` describes every field).  The
+        trainer reads it as given: the ``fairbfl-discard`` system hands it a
+        copy whose ``strategy`` is ``"discard"``.
+    delay_params:
+        Calibration constants of the delay model.
     """
 
     label = "fair-bfl"
 
-    def __init__(self, dataset: FederatedDataset, config: FairBFLConfig) -> None:
-        super().__init__(config, dataset)
-        self.mode: OperatingMode = config.operating_mode
-        seed = config.seed
+    def __init__(
+        self,
+        dataset: FederatedDataset,
+        spec,
+        *,
+        delay_params: DelayParameters = DelayParameters(),
+    ) -> None:
+        super().__init__(spec, dataset)
+        self.mode: OperatingMode = OperatingMode.parse(spec.mode)
+        seed = spec.seed
 
         # -- crypto / identities ------------------------------------------------
-        self.keystore: KeyStore | None = KeyStore() if config.verify_signatures else None
-        self.miner_ids = [f"miner-{k}" for k in range(config.num_miners)]
+        self.keystore: KeyStore | None = KeyStore() if spec.verify_signatures else None
+        self.miner_ids = [f"miner-{k}" for k in range(spec.miners)]
         if self.keystore is not None:
             for cid in range(dataset.num_clients):
                 self.keystore.register(f"client-{cid}")
@@ -90,7 +101,7 @@ class FairBFLTrainer(Trainer):
         self.miners: list[Miner] = replicated_committee(
             self.miner_ids,
             genesis,
-            enforce_pow=config.use_real_pow,
+            enforce_pow=spec.use_real_pow,
             keystore=self.keystore,
         )
 
@@ -100,39 +111,35 @@ class FairBFLTrainer(Trainer):
         # topology gives every miner its own chain view and peer set over
         # seeded gossip, and rounds settle per component.
         self.net: GossipSubstrate | None = None
-        if config.topology != "global":
+        if spec.topology != "global":
             self.net = GossipSubstrate(
                 miners=self.miners,
-                topology=config.topology,
-                peer_k=config.peer_k,
-                partition=config.partition,
-                churn=config.churn,
+                topology=spec.topology,
+                peer_k=spec.peer_k,
+                partition=spec.partition,
+                churn=spec.churn,
                 seed=seed,
-                base_latency=config.delay_params.block_broadcast_per_miner,
+                base_latency=delay_params.block_broadcast_per_miner,
             )
 
         # -- incentive / selection ---------------------------------------------------
-        self.strategy = make_strategy(config.strategy)
-        if config.strategy == "discard":
-            self.selector: RandomSelector = ContributionBasedSelector(
-                config.participation_fraction
-            )
+        self.strategy = make_strategy(spec.strategy)
+        if spec.strategy == "discard":
+            self.selector: RandomSelector = ContributionBasedSelector(spec.participation)
         else:
-            self.selector = RandomSelector(config.participation_fraction)
+            self.selector = RandomSelector(spec.participation)
 
         # -- attacks / defenses --------------------------------------------------------
         self.attack_scheduler: AttackScheduler | None = None
-        if config.enable_attacks:
+        if spec.attacks:
             self.attack_scheduler = AttackScheduler(
-                attack=make_attack(config.attack_name),
-                min_attackers=config.min_attackers,
-                max_attackers=config.max_attackers,
+                attack=make_attack(spec.attack_name),
+                min_attackers=spec.min_attackers,
+                max_attackers=spec.max_attackers,
             )
         # The robust-aggregation pipeline every gradient set (fresh and stale)
         # passes through before Procedure II; None when defense == "none".
-        self.defense = make_defense(
-            config.defense, attacker_fraction=config.defense_fraction
-        )
+        self.defense = make_defense(spec.defense, attacker_fraction=spec.defense_fraction)
 
         # -- timing / rng ----------------------------------------------------------------
         # One discrete-event simulation per round owns the timing: client
@@ -140,11 +147,11 @@ class FairBFLTrainer(Trainer):
         # the round modes (semi_sync/async) read the arrival times to decide
         # which gradients make the round.
         self.round_sim = EventRoundSimulator(
-            config.delay_params,
+            delay_params,
             new_rng(seed, self.label, "delay"),
-            round_mode=config.round_mode,
-            straggler_deadline=config.straggler_deadline,
-            async_quorum=config.async_quorum,
+            round_mode=spec.round_mode,
+            straggler_deadline=spec.straggler_deadline,
+            async_quorum=spec.async_quorum,
             record_trace=True,
         )
         #: Async-mode carry-over: (parameter vector, origin round) per late update.
@@ -248,16 +255,16 @@ class FairBFLTrainer(Trainer):
         differ only when a signed upload is rejected, which the calibrated
         scenarios never produce.
         """
-        cfg = self.config
+        spec = self.spec
         batches = {
-            cid: float(np.ceil(self.clients[cid].num_samples / cfg.local.batch_size))
+            cid: float(np.ceil(self.clients[cid].num_samples / spec.batch_size))
             for cid in ctx.selected_clients
         }
         return self.round_sim.fairbfl_round(
             client_ids=list(ctx.selected_clients),
-            num_miners=cfg.num_miners,
+            num_miners=spec.miners,
             batches_per_epoch=batches,
-            epochs=cfg.local.epochs,
+            epochs=spec.epochs,
             stages=frozenset(self._PROCEDURE_STAGES[p] for p in procedures),
         )
 
@@ -318,7 +325,7 @@ class FairBFLTrainer(Trainer):
                 fresh_count,
                 stale_matrix[keep],
                 staleness,
-                decay=self.config.staleness_decay,
+                decay=self.spec.staleness_decay,
             )
             ctx.stale_applied = int(np.count_nonzero(keep))
         self._stale_buffer = []
@@ -332,7 +339,7 @@ class FairBFLTrainer(Trainer):
         settles on its own chain views — under a partition the sides mine
         divergent forks.
         """
-        cfg = self.config
+        spec = self.spec
         procedures = procedures_for_mode(self.mode)
         if Procedure.EXCHANGE in procedures:
             procedure_exchange(ctx, members)
@@ -343,13 +350,13 @@ class FairBFLTrainer(Trainer):
         if Procedure.GLOBAL_UPDATE in procedures:
             procedure_global_update(
                 ctx,
-                contribution_config=cfg.contribution,
+                contribution_config=spec.contribution_config(),
                 strategy=self.strategy,
-                use_fair_aggregation=cfg.use_fair_aggregation,
+                use_fair_aggregation=spec.use_fair_aggregation,
                 run_incentive=self.mode is not OperatingMode.FL_ONLY,
                 defense=self.defense,
             )
-        if cfg.round_mode == "async":
+        if spec.round_mode == "async":
             # Late arrivals from earlier rounds join this aggregate with
             # staleness-decayed weights.
             self._apply_stale_updates(ctx, ctx.round_index)
@@ -367,8 +374,8 @@ class FairBFLTrainer(Trainer):
                 members,
                 self.keystore,
                 self._mining_rng,
-                use_real_pow=cfg.use_real_pow,
-                pow_difficulty=cfg.pow_difficulty,
+                use_real_pow=spec.use_real_pow,
+                pow_difficulty=spec.pow_difficulty,
                 timestamp=self.clock.now,
             )
         elif ctx.new_global_parameters is not None:
@@ -377,7 +384,7 @@ class FairBFLTrainer(Trainer):
 
     def run_round(self, round_index: int) -> RoundRecord:
         """Execute one communication round under the configured operating mode."""
-        cfg = self.config
+        spec = self.spec
         procedures = procedures_for_mode(self.mode)
         net, net_report = self.net, None
         if net is not None:
@@ -394,14 +401,14 @@ class FairBFLTrainer(Trainer):
         ]
 
         if Procedure.LOCAL_UPDATE in procedures:
-            procedure_local_update(ctx, self.local_updates, cfg.local)
+            procedure_local_update(ctx, self.local_updates, spec.local_config())
             self._apply_attacks(ctx)
 
         # The event-driven simulation runs before Procedure II: the arrival
         # times it produces decide which uploads make this round's window
         # under the semi_sync/async disciplines.
         timing = self._round_timing(ctx, procedures)
-        late_updates: list[ClientUpdate] = apply_round_mode(ctx, timing, cfg.round_mode)
+        late_updates: list[ClientUpdate] = apply_round_mode(ctx, timing, spec.round_mode)
 
         if Procedure.UPLOAD in procedures:
             procedure_upload(ctx, self.miners, self.keystore, self._upload_rng)
@@ -440,7 +447,7 @@ class FairBFLTrainer(Trainer):
         # The round's block is committed: its gradient sets are spent.
         for miner in self.miners:
             miner.reset_round()
-        if cfg.round_mode == "async":
+        if spec.round_mode == "async":
             # This round's own stragglers are buffered for the next one.
             # Extending (not replacing) keeps entries alive across rounds that
             # cannot aggregate, so an update can accrue staleness > 1 before
@@ -476,11 +483,11 @@ class FairBFLTrainer(Trainer):
                 if ctx.contribution_report is not None
                 else False
             ),
-            "round_mode": cfg.round_mode,
+            "round_mode": spec.round_mode,
             "stragglers": list(ctx.straggler_ids),
             "stale_applied": ctx.stale_applied,
             "stale_rejected": ctx.stale_rejected,
-            "defense": cfg.defense,
+            "defense": spec.defense,
             "defense_rejected": list(ctx.defense_rejected_ids),
             "defense_clipped": ctx.defense_clipped,
             "sim_events": timing.events_processed,
@@ -489,7 +496,7 @@ class FairBFLTrainer(Trainer):
         if net is not None:
             # One nested key keeps the global-path extras byte-identical.
             extras["net"] = {
-                "topology": cfg.topology,
+                "topology": spec.topology,
                 "online": list(net_report.state.online),
                 "components": [list(c) for c in net_report.state.components],
                 "partition_active": net_report.state.partition_active,

@@ -26,8 +26,8 @@ from repro.fl.aggregation import contribution_weights, fair_aggregate, simple_av
 from repro.fl.client import ClientUpdate, FLClient, LocalTrainingConfig
 from repro.fl.robust import DEFENSES, RobustOutcome, make_defense
 from repro.fl.trainer import Trainer
-from repro.fl.fedavg import FedAvgConfig, FedAvgTrainer
-from repro.fl.fedprox import FedProxConfig, FedProxTrainer
+from repro.fl.fedavg import FedAvgTrainer
+from repro.fl.fedprox import FedProxTrainer
 from repro.fl.history import RoundRecord, TrainingHistory
 from repro.fl.selection import ContributionBasedSelector, RandomSelector
 from repro.fl.server import CentralServer
@@ -43,9 +43,7 @@ __all__ = [
     "RobustOutcome",
     "make_defense",
     "Trainer",
-    "FedAvgConfig",
     "FedAvgTrainer",
-    "FedProxConfig",
     "FedProxTrainer",
     "RoundRecord",
     "TrainingHistory",

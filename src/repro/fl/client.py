@@ -54,17 +54,12 @@ class LocalTrainingConfig:
         SGD step size ``η`` (paper default 0.01; swept in Figure 5).
     proximal_mu:
         FedProx proximal coefficient ``μ``; 0 recovers plain SGD / FedAvg.
-    weight_decay:
-        Optional L2 regularisation (0 by default; a small value makes the
-        logistic-regression objective strongly convex for the Theorem 3.1
-        benchmark).
     """
 
     epochs: int = 5
     batch_size: int = 10
     learning_rate: float = 0.01
     proximal_mu: float = 0.0
-    weight_decay: float = 0.0
 
     def __post_init__(self) -> None:
         if self.epochs <= 0:
@@ -73,7 +68,6 @@ class LocalTrainingConfig:
             raise ValueError(f"batch_size must be positive, got {self.batch_size}")
         check_positive("learning_rate", self.learning_rate)
         check_non_negative("proximal_mu", self.proximal_mu)
-        check_non_negative("weight_decay", self.weight_decay)
 
 
 @dataclass
@@ -194,7 +188,7 @@ class FLClient:
         model = self.model
         set_flat_parameters(model, global_parameters)
         loss_fn = SoftmaxCrossEntropyLoss()
-        optimizer = SGD(model, lr=config.learning_rate, weight_decay=config.weight_decay)
+        optimizer = SGD(model, lr=config.learning_rate)
         values, grads = model.packed
         global_ref = np.asarray(global_parameters, dtype=np.float64).ravel()
 

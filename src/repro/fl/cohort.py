@@ -82,19 +82,12 @@ from repro.fl.client import ClientUpdate, FLClient, LocalTrainingConfig
 from repro.nn.cohort import CohortModel, add_proximal_term, sgd_step
 from repro.nn.losses import SoftmaxCrossEntropyLoss
 from repro.nn.metrics import accuracy
-from repro.utils.validation import check_choice, check_positive
+from repro.utils.validation import check_positive
 
-__all__ = ["EXECUTOR_BACKENDS", "CohortTrainer", "check_executor_settings"]
+__all__ = ["EXECUTOR_BACKENDS", "CohortTrainer"]
 
 #: The supported backends of Procedure I: the per-client loop and the cohort.
 EXECUTOR_BACKENDS = ("serial", "cohort")
-
-
-def check_executor_settings(backend: str, workers: int | None) -> None:
-    """Validate a (backend, worker-count) pair: the one rule behind every config."""
-    check_choice("executor_backend", backend, EXECUTOR_BACKENDS)
-    if workers is not None:
-        check_positive("executor_workers", workers)
 
 
 def _default_workers() -> int:
@@ -224,7 +217,7 @@ def _train_rows(
                 model.backward(p, g, loss.backward(), need_input_grad=False)
                 if config.proximal_mu > 0.0:
                     add_proximal_term(g, p, global_ref, config.proximal_mu)
-                sgd_step(p, g, learning_rate=config.learning_rate, weight_decay=config.weight_decay)
+                sgd_step(p, g, learning_rate=config.learning_rate)
         # After training every client has its own parameters, so the forward
         # needs one validation operand per client; stacking copies each byte once.
         members = cohort[part]
@@ -395,7 +388,7 @@ class CohortTrainer:
             raise ValueError(f"max_cohort_size must be positive, got {max_cohort_size}")
         self.max_cohort_size = int(max_cohort_size)
         workers = _default_workers() if max_workers is None else max_workers
-        self.max_workers = int(check_positive("executor_workers", workers))
+        self.max_workers = int(check_positive("max_workers", workers))
         self._models: dict[object, CohortModel] = {}
         self._helpers: _Helpers | None = None
 

@@ -11,60 +11,30 @@ systems against the same discrete-event timing substrate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from repro.datasets.federated import FederatedDataset
 from repro.fl.client import LocalTrainingConfig
-from repro.fl.cohort import check_executor_settings
 from repro.fl.history import RoundRecord
-from repro.fl.robust import check_defense
 from repro.fl.selection import RandomSelector
 from repro.fl.server import CentralServer
 from repro.fl.trainer import Trainer
 from repro.sim.delay import DelayModel, DelayParameters
 from repro.utils.rng import new_rng
 from repro.utils.vectors import finite_rows
-from repro.utils.validation import check_fraction, check_minority, check_positive
 
-__all__ = ["FedAvgConfig", "FedAvgTrainer"]
-
-
-@dataclass(frozen=True)
-class FedAvgConfig:
-    """Configuration of a FedAvg run (defaults follow the paper's Section 5.1).
-
-    ``executor_backend`` / ``executor_workers`` select how the round's local
-    updates run (serial by default; see
-    :meth:`repro.fl.trainer.Trainer.local_updates`).  ``defense`` routes the
-    server's aggregation through a robust-aggregation pipeline
-    (:mod:`repro.fl.robust`; ``"none"`` keeps classic FedAvg) sized for a
-    ``defense_fraction`` adversary share.
-    """
-
-    num_rounds: int = 100
-    participation_fraction: float = 0.1
-    local: LocalTrainingConfig = field(default_factory=LocalTrainingConfig)
-    defense: str = "none"
-    defense_fraction: float = 0.2
-    model_name: str = "mlp"
-    hidden_sizes: tuple[int, ...] = (64,)
-    delay_params: DelayParameters = field(default_factory=DelayParameters)
-    executor_backend: str = "serial"
-    executor_workers: int | None = None
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        check_positive("num_rounds", self.num_rounds)
-        check_fraction("participation_fraction", self.participation_fraction)
-        check_executor_settings(self.executor_backend, self.executor_workers)
-        check_minority("defense_fraction", self.defense_fraction)
-        check_defense(self.defense, self.defense_fraction)
+__all__ = ["FedAvgTrainer"]
 
 
 class FedAvgTrainer(Trainer):
-    """Runs federated averaging over a :class:`~repro.datasets.federated.FederatedDataset`."""
+    """Runs federated averaging over a :class:`~repro.datasets.federated.FederatedDataset`.
+
+    ``spec`` is the run's scenario: the trainer reads its selection ratio
+    ``participation``, the local-training fields, ``defense`` /
+    ``defense_fraction`` (``"none"`` keeps classic FedAvg) and the
+    population fields of :class:`~repro.fl.trainer.Trainer`.
+    ``delay_params`` calibrates the delay model.
+    """
 
     label = "fedavg"
 
@@ -77,20 +47,26 @@ class FedAvgTrainer(Trainer):
     #: ~1e-12 (and still fully deterministic).
     STREAM_THRESHOLD = 4096
 
-    def __init__(self, dataset: FederatedDataset, config: FedAvgConfig) -> None:
-        super().__init__(config, dataset)
-        self.selector = RandomSelector(config.participation_fraction)
-        self.delay_model = DelayModel(config.delay_params, new_rng(config.seed, self.label, "delay"))
+    def __init__(
+        self,
+        dataset: FederatedDataset,
+        spec,
+        *,
+        delay_params: DelayParameters = DelayParameters(),
+    ) -> None:
+        super().__init__(spec, dataset)
+        self.selector = RandomSelector(spec.participation)
+        self.delay_model = DelayModel(delay_params, new_rng(spec.seed, self.label, "delay"))
         self.server = CentralServer(
             self._model_factory,
-            defense=config.defense,
-            defense_fraction=config.defense_fraction,
+            defense=spec.defense,
+            defense_fraction=spec.defense_fraction,
         )
 
     # ------------------------------------------------------------------
     def _local_config(self) -> LocalTrainingConfig:
         """The local-update configuration used for every client (hook for FedProx)."""
-        return self.config.local
+        return self.spec.local_config()
 
     def _post_process_updates(self, updates, rng: np.random.Generator):
         """Hook for subclasses (FedProx drops a fraction of updates here)."""

@@ -16,66 +16,36 @@ FedProx differs from FedAvg in two ways the paper's comparison relies on:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import replace
 
 import numpy as np
 
-from repro.datasets.federated import FederatedDataset
 from repro.fl.client import ClientUpdate, LocalTrainingConfig
-from repro.fl.fedavg import FedAvgConfig, FedAvgTrainer
-from repro.utils.validation import check_non_negative, check_probability
+from repro.fl.fedavg import FedAvgTrainer
 
-__all__ = ["FedProxConfig", "FedProxTrainer"]
-
-
-@dataclass(frozen=True)
-class FedProxConfig(FedAvgConfig):
-    """FedAvg configuration plus the FedProx-specific knobs."""
-
-    proximal_mu: float = 0.01
-    drop_percent: float = 0.0
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        check_non_negative("proximal_mu", self.proximal_mu)
-        check_probability("drop_percent", self.drop_percent)
-
-    @classmethod
-    def from_fedavg(
-        cls,
-        base: FedAvgConfig,
-        *,
-        proximal_mu: float = 0.01,
-        drop_percent: float = 0.0,
-    ) -> "FedProxConfig":
-        """Clone a FedAvg configuration, adding the FedProx parameters."""
-        shared = {f.name: getattr(base, f.name) for f in fields(FedAvgConfig)}
-        return cls(**shared, proximal_mu=proximal_mu, drop_percent=drop_percent)
+__all__ = ["FedProxTrainer"]
 
 
 class FedProxTrainer(FedAvgTrainer):
-    """FedProx: proximal local objective + straggler dropping."""
+    """FedProx: proximal local objective + straggler dropping.
+
+    Reads the spec's ``proximal_mu`` and ``drop_percent`` on top of FedAvg's fields.
+    """
 
     label = "fedprox"
 
-    def __init__(self, dataset: FederatedDataset, config: FedProxConfig) -> None:
-        if not isinstance(config, FedProxConfig):
-            raise TypeError(f"FedProxTrainer requires a FedProxConfig, got {type(config).__name__}")
-        super().__init__(dataset, config)
-        self.config: FedProxConfig = config
-
     def _local_config(self) -> LocalTrainingConfig:
-        return replace(self.config.local, proximal_mu=self.config.proximal_mu)
+        return replace(self.spec.local_config(), proximal_mu=self.spec.proximal_mu)
 
     def _streaming_supported(self) -> bool:
         """Straggler dropping needs the materialised update list (and an RNG draw)."""
-        return super()._streaming_supported() and self.config.drop_percent <= 0.0
+        return super()._streaming_supported() and self.spec.drop_percent <= 0.0
 
     def _post_process_updates(
         self, updates: list[ClientUpdate], rng: np.random.Generator
     ) -> list[ClientUpdate]:
         """Drop a ``drop_percent`` fraction of the round's updates (stragglers)."""
-        drop = self.config.drop_percent
+        drop = self.spec.drop_percent
         if drop <= 0.0 or not updates:
             return updates
         keep_mask = rng.random(len(updates)) >= drop

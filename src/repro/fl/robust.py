@@ -324,11 +324,12 @@ def make_defense(name: str, *, attacker_fraction: float = 0.2) -> DefensePipelin
     return DefensePipeline(stages)
 
 
-def check_defense(name: str, attacker_fraction: float = 0.2) -> str:
-    """Validate a defense name (incl. '+'-chains) and fraction; returns the name.
+def check_defense(name: str) -> str:
+    """Validate a defense name (incl. '+'-chains); returns the name.
 
-    Used by the config classes so a misconfigured defense fails at
-    construction time with the same message :func:`make_defense` would raise.
+    The scenario's ``defense`` field rule, so a misconfigured defense fails at
+    validation with the same message :func:`make_defense` would raise (the
+    ``defense_fraction`` field's own rule keeps every pipeline size valid).
     """
-    make_defense(name, attacker_fraction=attacker_fraction)
+    make_defense(name)
     return name

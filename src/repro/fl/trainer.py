@@ -89,19 +89,20 @@ class Trainer:
 
     Parameters
     ----------
-    config:
-        The run configuration; ``config.num_rounds`` is the default run length
-        and ``config.seed`` seeds every stream.
+    spec:
+        The run's scenario (a :class:`~repro.runner.scenario.ScenarioSpec`,
+        read duck-typed): ``spec.num_rounds`` is the default run length and
+        ``spec.seed`` seeds every stream.
     dataset:
         The partitioned dataset of a *federated* trainer, or ``None`` for one
         without clients (the vanilla blockchain).  With a dataset the
-        constructor builds the population from ``config.model_name`` /
-        ``hidden_sizes`` / ``executor_backend`` / ``executor_workers``.
+        constructor builds the population from ``spec.model_name`` /
+        ``hidden_sizes`` / ``backend`` / ``max_workers``.
 
     ``run_round`` must read the clock and every RNG stream from instance state
     (which is what makes partial runs resumable) and finish through
     :meth:`_emit`; attributes listed in :attr:`CHECKPOINT_EXCLUDE` must be
-    rebuilt deterministically by ``__init__`` from the same config/dataset.
+    rebuilt deterministically by ``__init__`` from the same spec/dataset.
     """
 
     label = "trainer"
@@ -114,7 +115,7 @@ class Trainer:
         "cohort",
         "_model_factory",
         "_workspace",
-        "config",
+        "spec",
     )
 
     #: ``client_id -> FLClient``; None on a trainer without federated clients.
@@ -122,22 +123,22 @@ class Trainer:
     #: The cohort engine of a ``cohort``-backend population; None otherwise.
     cohort: CohortTrainer | None = None
 
-    def __init__(self, config, dataset: FederatedDataset | None = None) -> None:
-        self.config = config
+    def __init__(self, spec, dataset: FederatedDataset | None = None) -> None:
+        self.spec = spec
         self.dataset = dataset
         if dataset is not None:
-            seed = config.seed
+            seed = spec.seed
             # A value-typed (hashable) factory: the cohort backend groups
             # clients by it.
             self._model_factory = ModelFactory(
-                model_name=config.model_name,
+                model_name=spec.model_name,
                 input_dim=int(dataset.clients[0].images.shape[1]),
                 num_classes=max(
                     10, int(max(int(c.labels.max(initial=0)) for c in dataset.clients) + 1)
                 ),
                 seed=seed,
                 label=self.label,
-                hidden_sizes=tuple(config.hidden_sizes),
+                hidden_sizes=tuple(spec.hidden_sizes),
             )
             # The scratch model of local training: one, not one per client,
             # and gone when this trainer is.
@@ -150,9 +151,9 @@ class Trainer:
                 )
                 for shard in dataset.clients
             }
-            if config.executor_backend == "cohort":
+            if spec.backend == "cohort":
                 # Cheap: nothing forks until the first multi-part chunk.
-                self.cohort = CohortTrainer(max_workers=config.executor_workers)
+                self.cohort = CohortTrainer(max_workers=spec.max_workers)
             self._selection_rng = new_rng(seed, self.label, "selection")
         self.clock = SimulatedClock()
         self.history = TrainingHistory(label=self.label)
@@ -216,11 +217,11 @@ class Trainer:
     def run(self, *, num_rounds: int | None = None) -> TrainingHistory:
         """Run ``num_rounds`` *additional* rounds and return the full history.
 
-        Defaults to the configured ``num_rounds``.  Round indices continue
+        Defaults to the spec's ``num_rounds``.  Round indices continue
         from ``len(self.history)``, so a fresh trainer, a second call and a
         restored checkpoint all step through the same loop.
         """
-        rounds = self.config.num_rounds if num_rounds is None else int(num_rounds)
+        rounds = self.spec.num_rounds if num_rounds is None else int(num_rounds)
         for r in range(len(self.history), len(self.history) + rounds):
             self.run_round(r)
         return self.history

@@ -4,9 +4,9 @@ The paper trains small MNIST models with mini-batch SGD on every federated
 client (Algorithm 1, Procedure I).  This package provides the minimal deep
 learning framework needed for that: composable modules with explicit
 forward/backward passes (``Flatten``, ``Linear``, ``ReLU`` — what the shipped
-models build), the softmax cross-entropy loss, a constant-rate SGD optimizer
-with weight decay, and flat parameter-vector access used by the incentive
-mechanism and the blockchain.
+models build), the softmax cross-entropy loss, a constant-rate SGD optimizer,
+and flat parameter-vector access used by the incentive mechanism and the
+blockchain.
 
 Design notes
 ------------

@@ -16,25 +16,17 @@ from collections.abc import Iterable
 import numpy as np
 
 from repro.nn.module import Module, Parameter
-from repro.utils.validation import check_non_negative, check_positive
+from repro.utils.validation import check_positive
 
 __all__ = ["SGD", "sgd_step", "add_proximal_term"]
 
 
-def sgd_step(
-    params: np.ndarray,
-    grads: np.ndarray,
-    *,
-    learning_rate: float,
-    weight_decay: float = 0.0,
-) -> None:
+def sgd_step(params: np.ndarray, grads: np.ndarray, *, learning_rate: float) -> None:
     """In-place SGD step on flat parameters (one plane or a cohort matrix).
 
     ``grads`` is consumed: it is turned into the applied step in place rather
     than copied, so it holds ``learning_rate * gradient`` afterwards.
     """
-    if weight_decay > 0.0:
-        grads += weight_decay * params
     grads *= learning_rate
     params -= grads
 
@@ -54,7 +46,7 @@ def add_proximal_term(
 
 
 class SGD:
-    """Mini-batch stochastic gradient descent with optional weight decay.
+    """Mini-batch stochastic gradient descent.
 
     Parameters
     ----------
@@ -66,17 +58,9 @@ class SGD:
         ``lr * gradient`` afterwards) instead of preserved.
     lr:
         The learning rate η (constant, as in the paper).
-    weight_decay:
-        L2 penalty coefficient added to the gradient before the update.
     """
 
-    def __init__(
-        self,
-        parameters: Iterable[Parameter] | Module,
-        lr: float = 0.01,
-        *,
-        weight_decay: float = 0.0,
-    ) -> None:
+    def __init__(self, parameters: Iterable[Parameter] | Module, lr: float = 0.01) -> None:
         packed = None
         if isinstance(parameters, Module):
             packed, parameters = parameters.packed, parameters.parameters()
@@ -84,7 +68,6 @@ class SGD:
         if not self.parameters:
             raise ValueError("SGD requires at least one parameter to optimise")
         self.lr = check_positive("lr", lr)
-        self.weight_decay = check_non_negative("weight_decay", weight_decay)
         self._packed = packed
 
     def zero_grad(self) -> None:
@@ -96,10 +79,7 @@ class SGD:
         """Apply one update using the accumulated gradients."""
         if self._packed is not None:
             values, grads = self._packed
-            sgd_step(values, grads, learning_rate=self.lr, weight_decay=self.weight_decay)
+            sgd_step(values, grads, learning_rate=self.lr)
             return
         for p in self.parameters:
-            grad = p.grad
-            if self.weight_decay > 0.0:
-                grad = grad + self.weight_decay * p.value
-            p.value -= self.lr * grad
+            p.value -= self.lr * p.grad

@@ -16,14 +16,17 @@ it in its own ``dataclasses.field(metadata=...)`` (see :func:`_declare`), and
 ``tools/check_docs.py`` are loops over those declarations — adding a field is
 one declaration, not an edit per consumer.
 
-Validation has three layers: the declared per-field rules (applied for every
-system), the capability-derived axis checks of the system registry
+The spec is also the *only* configuration a run has: the registered system
+hands it to its trainer, which reads the fields directly.  Validation has
+three layers: the declared per-field rules (applied for every system), the
+capability-derived axis checks of the system registry
 (:mod:`repro.systems.registry` — ``round_mode``/``attacks``/``defense`` only
 where the registered system supports them), and the registered system's own
-authoritative config (:class:`repro.core.config.FairBFLConfig` and friends),
-so a plugin-registered system validates exactly like a built-in.  All
-scenario problems are raised as :class:`ScenarioError` (a
-:class:`ValueError`) with the offending field named.
+``validate(spec)`` for the rules only it has (FAIR-BFL's proof-of-work and
+network rules, FedProx's knobs), so a plugin-registered system validates
+exactly like a built-in.  All scenario problems are raised as
+:class:`ScenarioError` (a :class:`ValueError`) with the offending field
+named.
 
 See ``docs/scenarios.md`` for the field-by-field reference and
 ``scenarios/`` for example files.
@@ -38,20 +41,16 @@ from functools import partial
 from pathlib import Path
 
 from repro.attacks.gradient_attacks import ATTACKS
-from repro.core.config import FairBFLConfig
 from repro.core.flexibility import OperatingMode
 from repro.fl.client import LocalTrainingConfig
 from repro.fl.cohort import EXECUTOR_BACKENDS
 from repro.fl.robust import DEFENSES, check_defense
-from repro.fl.fedavg import FedAvgConfig
-from repro.fl.fedprox import FedProxConfig
 from repro.incentive.clustering import CLUSTERERS
 from repro.incentive.contribution import ContributionConfig
 from repro.incentive.strategies import STRATEGIES
 from repro.net.topology import TOPOLOGIES
 from repro.nn.models import MODELS
 from repro.sim.rounds import ROUND_MODES
-from repro.sim.vanilla_blockchain import VanillaBlockchainConfig
 from repro.systems.registry import SystemRegistryError, check_spec_axes, get_system
 from repro.utils.validation import (
     check_choice,
@@ -97,7 +96,6 @@ def _check_each_positive(name: str, values: tuple) -> None:
 
 
 def _check_defense_chain(name: str, value: str) -> None:
-    # The '+'-chain grammar; sizing against defense_fraction is the configs' job.
     check_defense(value)
 
 
@@ -335,15 +333,15 @@ class ScenarioSpec:
 
     # ------------------------------------------------------------------
     def validate(self) -> "ScenarioSpec":
-        """Validate the spec against the registered system's config and axes."""
+        """Validate the spec against the field rules and the registered system."""
         try:
             system = get_system(self.system)
         except SystemRegistryError as exc:
             raise ScenarioError(str(exc)) from exc
         try:
             # The declared per-field rules, applied for *every* system — so a
-            # baseline (incl. blockchain, whose config ignores the FL axes)
-            # fails fast with a clean error, not a deferred config crash.
+            # baseline (incl. blockchain, which ignores the FL axes) fails
+            # fast with a clean error, not a deferred crash.
             for name, rule in _FIELD_RULES:
                 value = getattr(self, name)
                 if value is not None:  # only max_workers is optional
@@ -355,9 +353,8 @@ class ScenarioSpec:
                 f"distinct_shards must lie in [0, num_clients={self.num_clients}], "
                 f"got {self.distinct_shards}"
             )
-        # Checked here (not only via FairBFLConfig) so the non-net systems
-        # reject the net axes with a clean message before the capability
-        # check fires.
+        # Checked for every system, so the non-net systems reject the net
+        # axes with a clean message before the capability check fires.
         if self.topology == "global":
             for axis in ("partition", "churn"):
                 if (getattr(self, axis) or "none") != "none":
@@ -372,9 +369,7 @@ class ScenarioSpec:
         except SystemRegistryError as exc:
             raise ScenarioError(str(exc)) from exc
         try:
-            # The registered system builds its authoritative config, which
-            # carries the real validation rules — scenario validation stays in
-            # lockstep with core/config.py (and with plugin config classes).
+            # The rules only the registered system has (plugins included).
             system.validate(self)
         except ScenarioError:
             raise
@@ -382,7 +377,7 @@ class ScenarioSpec:
             raise ScenarioError(f"invalid scenario {self.name!r}: {exc}") from exc
         return self
 
-    # -- config builders ------------------------------------------------
+    # -- component configs ---------------------------------------------
     def local_config(self) -> LocalTrainingConfig:
         """The local-training hyper-parameters (``E``, ``B``, ``η``)."""
         return LocalTrainingConfig(
@@ -398,74 +393,6 @@ class ScenarioSpec:
             eps=self.dbscan_eps,
             min_samples=self.dbscan_min_samples,
             base_reward=self.base_reward,
-            seed=self.seed,
-        )
-
-    def fairbfl_config(self) -> FairBFLConfig:
-        """The :class:`FairBFLConfig` this scenario describes."""
-        strategy = "discard" if self.system == "fairbfl-discard" else self.strategy
-        return FairBFLConfig(
-            num_miners=self.miners,
-            num_rounds=self.num_rounds,
-            participation_fraction=self.participation,
-            local=self.local_config(),
-            model_name=self.model_name,
-            hidden_sizes=self.hidden_sizes,
-            contribution=self.contribution_config(),
-            strategy=strategy,
-            use_fair_aggregation=self.use_fair_aggregation,
-            mode=OperatingMode.parse(self.mode),
-            round_mode=self.round_mode,
-            straggler_deadline=self.straggler_deadline,
-            async_quorum=self.async_quorum,
-            staleness_decay=self.staleness_decay,
-            enable_attacks=self.attacks,
-            attack_name=self.attack_name,
-            min_attackers=self.min_attackers,
-            max_attackers=self.max_attackers,
-            defense=self.defense,
-            defense_fraction=self.defense_fraction,
-            verify_signatures=self.verify_signatures,
-            use_real_pow=self.use_real_pow,
-            pow_difficulty=self.pow_difficulty,
-            topology=self.topology,
-            peer_k=self.peer_k,
-            partition=self.partition,
-            churn=self.churn,
-            executor_backend=self.backend,
-            executor_workers=self.max_workers,
-            seed=self.seed,
-        )
-
-    def fedavg_config(self) -> FedAvgConfig:
-        """The :class:`FedAvgConfig` this scenario describes."""
-        return FedAvgConfig(
-            num_rounds=self.num_rounds,
-            participation_fraction=self.participation,
-            local=self.local_config(),
-            defense=self.defense,
-            defense_fraction=self.defense_fraction,
-            model_name=self.model_name,
-            hidden_sizes=self.hidden_sizes,
-            executor_backend=self.backend,
-            executor_workers=self.max_workers,
-            seed=self.seed,
-        )
-
-    def fedprox_config(self) -> FedProxConfig:
-        """The :class:`FedProxConfig` this scenario describes."""
-        return FedProxConfig.from_fedavg(
-            self.fedavg_config(),
-            proximal_mu=self.proximal_mu,
-            drop_percent=self.drop_percent,
-        )
-
-    def blockchain_config(self) -> VanillaBlockchainConfig:
-        """The :class:`VanillaBlockchainConfig` this scenario describes."""
-        return VanillaBlockchainConfig(
-            num_workers=self.num_clients,
-            num_miners=self.miners,
-            num_rounds=self.num_rounds,
             seed=self.seed,
         )
 

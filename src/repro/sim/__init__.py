@@ -23,7 +23,7 @@ package provides:
 from repro.sim.delay import DelayModel, DelayParameters, RoundDelayBreakdown
 from repro.sim.events import EventKernel
 from repro.sim.rounds import ROUND_MODES, EventRoundSimulator, RoundTiming
-from repro.sim.vanilla_blockchain import VanillaBlockchainConfig, VanillaBlockchainSimulator
+from repro.sim.vanilla_blockchain import VanillaBlockchainSimulator
 
 __all__ = [
     "DelayModel",
@@ -33,6 +33,5 @@ __all__ = [
     "ROUND_MODES",
     "EventRoundSimulator",
     "RoundTiming",
-    "VanillaBlockchainConfig",
     "VanillaBlockchainSimulator",
 ]

@@ -24,10 +24,6 @@ builds a federated dataset for it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-import numpy as np
-
 from repro.blockchain.block import Block
 from repro.blockchain.mempool import Mempool
 from repro.blockchain.miner import Miner, replicated_committee
@@ -38,77 +34,48 @@ from repro.sim.delay import DelayParameters
 from repro.sim.rounds import EventRoundSimulator
 from repro.utils.rng import new_rng
 
-__all__ = ["VanillaBlockchainConfig", "VanillaBlockchainSimulator"]
+__all__ = ["VanillaBlockchainSimulator"]
 
 
-@dataclass(frozen=True)
-class VanillaBlockchainConfig:
-    """Configuration of the vanilla-blockchain baseline run.
-
-    Attributes
-    ----------
-    num_workers:
-        Number of transaction-producing workers (the paper's n).
-    num_miners:
-        Number of miners competing for each block (the paper's m).
-    num_rounds:
-        Number of "communication rounds"; one round means every worker submits
-        one transaction and the chain drains the resulting queue.
-    payload_elements:
-        Number of float64 elements per worker transaction (a gradient-sized
-        payload; only the size matters for queueing).
-    delay_params:
-        Calibration constants for the timing model.
-    seed:
-        Experiment seed.
-    """
-
-    num_workers: int = 100
-    num_miners: int = 2
-    num_rounds: int = 20
-    payload_elements: int = 32
-    delay_params: DelayParameters = field(default_factory=DelayParameters)
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.num_workers <= 0:
-            raise ValueError(f"num_workers must be positive, got {self.num_workers}")
-        if self.num_miners <= 0:
-            raise ValueError(f"num_miners must be positive, got {self.num_miners}")
-        if self.num_rounds <= 0:
-            raise ValueError(f"num_rounds must be positive, got {self.num_rounds}")
-        if self.payload_elements <= 0:
-            raise ValueError(f"payload_elements must be positive, got {self.payload_elements}")
+#: Float64 elements per worker transaction: a gradient-sized payload (only
+#: its size matters, for queueing).
+PAYLOAD_ELEMENTS = 32
 
 
 class VanillaBlockchainSimulator(Trainer):
-    """Runs the vanilla-blockchain baseline and records per-round delays."""
+    """Runs the vanilla-blockchain baseline and records per-round delays.
+
+    Reads the spec's ``num_clients`` (the transaction-producing workers, the
+    paper's n), ``miners`` (m), ``num_rounds`` and ``seed``; one round means
+    every worker submits one transaction and the chain drains the resulting
+    queue.  ``delay_params`` calibrates the timing model.
+    """
 
     label = "blockchain"
 
-    def __init__(self, config: VanillaBlockchainConfig) -> None:
-        super().__init__(config)
-        self.rng = new_rng(config.seed, "vanilla-blockchain")
-        self.round_sim = EventRoundSimulator(config.delay_params, new_rng(config.seed, "vb-delay"))
-        self.worker_ids = [f"worker-{i}" for i in range(config.num_workers)]
+    def __init__(self, spec, *, delay_params: DelayParameters = DelayParameters()) -> None:
+        super().__init__(spec)
+        self.rng = new_rng(spec.seed, "vanilla-blockchain")
+        self.round_sim = EventRoundSimulator(delay_params, new_rng(spec.seed, "vb-delay"))
+        self.worker_ids = [f"worker-{i}" for i in range(spec.num_clients)]
 
         self.miners: list[Miner] = replicated_committee(
-            [f"miner-{k}" for k in range(config.num_miners)],
+            [f"miner-{k}" for k in range(spec.miners)],
             Block.genesis(),
             enforce_pow=False,
             keystore=None,
         )
         # The mempool size is expressed in bytes; convert the configured
         # transactions-per-block capacity using the payload size.
-        tx_bytes = config.payload_elements * 8
-        self.mempool = Mempool(block_size_bytes=tx_bytes * config.delay_params.transactions_per_block)
+        tx_bytes = PAYLOAD_ELEMENTS * 8
+        self.mempool = Mempool(block_size_bytes=tx_bytes * delay_params.transactions_per_block)
 
     # ------------------------------------------------------------------
     def _make_round_transactions(self, round_index: int) -> list:
         """Every worker submits one gradient-sized transaction."""
         txs = []
         for i, wid in enumerate(self.worker_ids):
-            payload = self.rng.normal(size=self.config.payload_elements)
+            payload = self.rng.normal(size=PAYLOAD_ELEMENTS)
             txs.append(
                 make_gradient_transaction(
                     wid,
@@ -121,7 +88,6 @@ class VanillaBlockchainSimulator(Trainer):
 
     def run_round(self, round_index: int) -> RoundRecord:
         """Execute one round on the event kernel: every block is mined at a solve event."""
-        cfg = self.config
         self.mempool.submit_many(self._make_round_transactions(round_index))
 
         def build_and_commit(batch: list, winner_index: int) -> None:
@@ -138,14 +104,14 @@ class VanillaBlockchainSimulator(Trainer):
 
         timing = self.round_sim.vanilla_round(
             mempool=self.mempool,
-            num_miners=cfg.num_miners,
+            num_miners=self.spec.miners,
             on_block=build_and_commit,
         )
         return self._emit(
             round_index,
             timing.total,
             0.0,
-            participants=list(range(cfg.num_workers)),
+            participants=list(range(self.spec.num_clients)),
             extras={
                 "delay_breakdown": timing.breakdown.as_dict(),
                 "blocks_mined": timing.blocks_mined,

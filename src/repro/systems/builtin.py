@@ -1,11 +1,12 @@
 """The five built-in systems, re-homed as registered plugins.
 
 Each class wraps one :class:`~repro.fl.trainer.Trainer` behind the
-:class:`~repro.systems.registry.System` protocol: ``build_config`` delegates to the scenario's authoritative config
-builder (``spec.fairbfl_config()`` and friends — duck-typed, so this module
-never imports the scenario layer), and ``build`` instantiates the trainer
-inside a :class:`~repro.systems.registry.TrainerRun` for the engine to
-step.  Importing this module registers all five; everything else (CLI choices,
+:class:`~repro.systems.registry.System` protocol: ``build`` hands the
+scenario spec itself to the trainer (read duck-typed, so this module never
+imports the scenario layer) inside a
+:class:`~repro.systems.registry.TrainerRun` for the engine to step, and
+``validate`` holds the rules only that system has — FAIR-BFL's proof-of-work,
+attacker and network rules, FedProx's proximal and straggler knobs.  Importing this module registers all five; everything else (CLI choices,
 scenario validation, the engine's dispatch and dataset skipping) derives from
 the registrations.
 
@@ -30,9 +31,13 @@ of per-node state.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from repro.core.fairbfl import FairBFLTrainer
+from repro.core.flexibility import OperatingMode
 from repro.fl.fedavg import FedAvgTrainer
 from repro.fl.fedprox import FedProxTrainer
+from repro.net.schedule import parse_churn, parse_partition
 from repro.sim.vanilla_blockchain import VanillaBlockchainSimulator
 from repro.systems.registry import (
     System,
@@ -40,6 +45,7 @@ from repro.systems.registry import (
     TrainerRun,
     register_system,
 )
+from repro.utils.validation import check_non_negative, check_probability
 
 __all__ = [
 ]
@@ -58,23 +64,58 @@ class FairBFLSystem(System):
         cohort=True,
         net=True,
     )
+    #: The Algorithm 2 strategy this registration runs whatever the spec
+    #: says; ``None`` runs the spec's ``strategy``.
+    forced_strategy: str | None = None
 
-    def build_config(self, spec):
-        return spec.fairbfl_config()
+    def validate(self, spec) -> None:
+        spec.local_config()  # the local update's rules: a positive learning rate
+        if spec.pow_difficulty < 1.0:
+            raise ValueError(f"pow_difficulty must be >= 1, got {spec.pow_difficulty}")
+        if spec.min_attackers < 0 or spec.max_attackers < spec.min_attackers:
+            raise ValueError(
+                "min_attackers/max_attackers must satisfy 0 <= min_attackers <= "
+                f"max_attackers, got ({spec.min_attackers}, {spec.max_attackers})"
+            )
+        if spec.topology == "global":
+            return  # the spec already rejects partition/churn without a substrate
+        if OperatingMode.parse(spec.mode) is OperatingMode.FL_ONLY:
+            raise ValueError(
+                "non-'global' topologies need the blockchain procedures; "
+                "mode='fl_only' has no miners to gossip between"
+            )
+        if spec.round_mode != "sync":
+            raise ValueError(
+                "non-'global' topologies currently require round_mode='sync' "
+                f"(got {spec.round_mode!r})"
+            )
+        if spec.topology == "random_k" and not (1 <= spec.peer_k < max(spec.miners, 2)):
+            raise ValueError(
+                f"peer_k must lie in [1, miners) for topology='random_k', "
+                f"got peer_k={spec.peer_k} with {spec.miners} miners"
+            )
+        # Parse both axis strings now so a malformed window or an
+        # all-offline churn trace fails at validation, not mid-run.
+        parse_partition(spec.partition, spec.miners)
+        parse_churn(spec.churn, spec.miners)
 
     def build(self, spec, dataset):
-        return TrainerRun(FairBFLTrainer(dataset, self.build_config(spec)))
+        if self.forced_strategy is not None:
+            # A copy: the spec the engine validated and hashed stays as written.
+            spec = replace(spec, strategy=self.forced_strategy)
+        return TrainerRun(FairBFLTrainer(dataset, spec))
 
 
 class FairBFLDiscardSystem(FairBFLSystem):
     """FAIR-BFL with the discard strategy (low-contribution updates dropped).
 
-    ``spec.fairbfl_config()`` forces ``strategy="discard"`` when the spec's
-    system is this one, so the shared build path needs no special casing.
+    The shared build hands the trainer a copy of the spec with
+    ``strategy="discard"``.
     """
 
     name = "fairbfl-discard"
     description = "FAIR-BFL with the discard strategy (Section 5.3 cost-effectiveness)"
+    forced_strategy = "discard"
 
 
 class FedAvgSystem(System):
@@ -84,25 +125,26 @@ class FedAvgSystem(System):
     description = "FedAvg baseline: central aggregation, no blockchain costs"
     capabilities = SystemCapabilities(needs_dataset=True, defenses=True, cohort=True)
 
-    def build_config(self, spec):
-        return spec.fedavg_config()
+    def validate(self, spec) -> None:
+        spec.local_config()  # the local update's rules: a positive learning rate
 
     def build(self, spec, dataset):
-        return TrainerRun(FedAvgTrainer(dataset, self.build_config(spec)))
+        return TrainerRun(FedAvgTrainer(dataset, spec))
 
 
-class FedProxSystem(System):
+class FedProxSystem(FedAvgSystem):
     """The FedProx baseline (proximal local objective, straggler drops)."""
 
     name = "fedprox"
     description = "FedProx baseline: proximal term + straggler dropping"
-    capabilities = SystemCapabilities(needs_dataset=True, defenses=True, cohort=True)
 
-    def build_config(self, spec):
-        return spec.fedprox_config()
+    def validate(self, spec) -> None:
+        super().validate(spec)
+        check_non_negative("proximal_mu", spec.proximal_mu)
+        check_probability("drop_percent", spec.drop_percent)
 
     def build(self, spec, dataset):
-        return TrainerRun(FedProxTrainer(dataset, self.build_config(spec)))
+        return TrainerRun(FedProxTrainer(dataset, spec))
 
 
 class VanillaBlockchainSystem(System):
@@ -112,11 +154,8 @@ class VanillaBlockchainSystem(System):
     description = "Vanilla blockchain baseline: per-worker transactions, real mining"
     capabilities = SystemCapabilities(needs_dataset=False)
 
-    def build_config(self, spec):
-        return spec.blockchain_config()
-
     def build(self, spec, dataset):
-        return TrainerRun(VanillaBlockchainSimulator(self.build_config(spec)))
+        return TrainerRun(VanillaBlockchainSimulator(spec))
 
 
 # Registration order defines the CLI's choice order and compare's roster;

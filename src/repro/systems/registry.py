@@ -165,24 +165,19 @@ class System:
     the convenient way to get there; duck-typed objects satisfying the same
     protocol register fine too.
 
-    ``build_config(spec)`` is the validation hook: it must construct (and
-    thereby validate) the authoritative configuration for ``spec``, raising
-    ``ValueError`` on a bad one.  ``ScenarioSpec.validate`` calls it, which
-    is what keeps scenario validation in lockstep with the system's own
-    config class instead of duplicating rules.
+    The spec *is* the run's configuration: ``build`` hands it to the
+    trainer, which reads its fields directly.  ``validate(spec)`` is the
+    hook for the rules only this system has (the per-field rules and the
+    capability checks run for every system first); ``ScenarioSpec.validate``
+    calls it and reports its ``ValueError`` as a ``ScenarioError``.
     """
 
     name: str = ""
     description: str = ""
     capabilities: SystemCapabilities = SystemCapabilities()
 
-    def build_config(self, spec) -> object:
-        """Build the authoritative config for ``spec`` (``None`` if configless)."""
-        return None
-
     def validate(self, spec) -> None:
-        """Reject specs this system cannot run (default: build the config)."""
-        self.build_config(spec)
+        """Raise ``ValueError`` for a spec this system cannot run (default: accept)."""
 
     def build(self, spec, dataset) -> "TrainerRun":
         """Return the :class:`TrainerRun` of ``spec``.

@@ -19,9 +19,10 @@ from repro.attacks.label_flip import LabelFlipAttack
 from repro.attacks.scheduler import AttackRoundLog, AttackScheduler, detection_rate
 from repro.blockchain.consensus import ForkModel
 from repro.fl.client import ClientUpdate
+from repro.runner.scenario import ScenarioError, ScenarioSpec
 from repro.sim.delay import DelayModel, DelayParameters, RoundDelayBreakdown
 from repro.sim.rounds import EventRoundSimulator
-from repro.sim.vanilla_blockchain import VanillaBlockchainConfig, VanillaBlockchainSimulator
+from repro.sim.vanilla_blockchain import VanillaBlockchainSimulator
 from repro.utils.rng import new_rng
 
 from delay_oracles import AnalyticDelayModel, kernel_vanilla_round, sample_fork_delay
@@ -206,19 +207,19 @@ class TestAttackScheduler:
 
     def test_trainer_clock_drives_activation(self, tiny_federated):
         """Attack activation keys off the kernel-simulated clock the trainer advances."""
-        from repro.core.config import FairBFLConfig
         from repro.core.fairbfl import FairBFLTrainer
-        from repro.fl.client import LocalTrainingConfig
 
-        cfg = FairBFLConfig(
+        spec = ScenarioSpec(
             num_rounds=4,
-            participation_fraction=1.0,
-            local=LocalTrainingConfig(epochs=1, batch_size=10, learning_rate=0.05),
+            participation=1.0,
+            epochs=1,
+            batch_size=10,
+            learning_rate=0.05,
             model_name="logreg",
-            enable_attacks=True,
+            attacks=True,
             seed=7,
-        )
-        with FairBFLTrainer(tiny_federated, cfg) as trainer:
+        ).validate()
+        with FairBFLTrainer(tiny_federated, spec) as trainer:
             # Round 0 starts at simulated time 0; later rounds start after the
             # kernel has advanced the clock by each round's simulated total.
             first_round_total = trainer.run(num_rounds=1).rounds[0].delay
@@ -343,8 +344,8 @@ class TestForkModel:
 
 class TestVanillaBlockchainSimulator:
     def test_run_produces_history_and_blocks(self):
-        cfg = VanillaBlockchainConfig(num_workers=12, num_miners=2, num_rounds=3, seed=0)
-        sim = VanillaBlockchainSimulator(cfg)
+        spec = ScenarioSpec(system="blockchain", num_clients=12, miners=2, num_rounds=3, seed=0)
+        sim = VanillaBlockchainSimulator(spec)
         history = sim.run()
         assert len(history) == 3
         assert all(r.delay > 0 for r in history.rounds)
@@ -356,27 +357,25 @@ class TestVanillaBlockchainSimulator:
 
     def test_block_size_limit_forces_multiple_blocks(self):
         params = DelayParameters(transactions_per_block=5)
-        cfg = VanillaBlockchainConfig(
-            num_workers=12, num_miners=2, num_rounds=1, delay_params=params, seed=0
-        )
-        sim = VanillaBlockchainSimulator(cfg)
+        spec = ScenarioSpec(system="blockchain", num_clients=12, miners=2, num_rounds=1, seed=0)
+        sim = VanillaBlockchainSimulator(spec, delay_params=params)
         history = sim.run()
         assert history.rounds[0].extras["blocks_mined"] >= 3
 
     def test_delay_grows_with_workers(self):
         def avg_delay(n):
-            cfg = VanillaBlockchainConfig(num_workers=n, num_miners=2, num_rounds=5, seed=1)
-            return VanillaBlockchainSimulator(cfg).run().average_delay()
+            spec = ScenarioSpec(system="blockchain", num_clients=n, miners=2, num_rounds=5, seed=1)
+            return VanillaBlockchainSimulator(spec).run().average_delay()
 
         assert avg_delay(150) > avg_delay(10)
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            VanillaBlockchainConfig(num_workers=0)
-        with pytest.raises(ValueError):
-            VanillaBlockchainConfig(num_rounds=0)
-        with pytest.raises(ValueError):
-            VanillaBlockchainConfig(payload_elements=0)
+        with pytest.raises(ScenarioError, match="num_clients"):
+            ScenarioSpec(system="blockchain", num_clients=0).validate()
+        with pytest.raises(ScenarioError, match="num_rounds"):
+            ScenarioSpec(system="blockchain", num_rounds=0).validate()
+        with pytest.raises(ScenarioError, match="miners"):
+            ScenarioSpec(system="blockchain", miners=0).validate()
 
 
 @given(st.integers(1, 40), st.integers(1, 8))

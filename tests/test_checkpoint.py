@@ -365,6 +365,8 @@ class TestCheckpointGuards:
         # system.build(), everything else must pickle.
         assert "dataset" in Trainer.CHECKPOINT_EXCLUDE
         assert "cohort" in Trainer.CHECKPOINT_EXCLUDE
+        # The spec is the constructor's input, not state: the blob never pickles it.
+        assert "spec" in Trainer.CHECKPOINT_EXCLUDE
 
 
 class TestStorePlumbing:

@@ -127,19 +127,16 @@ def _parts_equal_serial(monkeypatch, *, gather_rows, chunk, config, distinct, pr
     batch_size=st.sampled_from([5, 7, 64]),
     epochs=st.integers(1, 2),
     proximal_mu=st.sampled_from([0.0, 0.1]),
-    weight_decay=st.sampled_from([0.0, 0.01]),
     distinct=st.sampled_from([0, 3]),
     private=st.booleans(),
     model_name=st.sampled_from(["logreg", "mlp"]),
     workers=st.sampled_from([1, 2, 3]),
 )
 def test_chunk_trained_in_parts_equals_serial_local_update(
-    gather_rows, chunk, batch_size, epochs, proximal_mu, weight_decay, distinct, private,
-    model_name, workers,
+    gather_rows, chunk, batch_size, epochs, proximal_mu, distinct, private, model_name, workers,
 ):
     config = LocalTrainingConfig(
-        epochs=epochs, batch_size=batch_size, learning_rate=0.05,
-        proximal_mu=proximal_mu, weight_decay=weight_decay,
+        epochs=epochs, batch_size=batch_size, learning_rate=0.05, proximal_mu=proximal_mu
     )
     with pytest.MonkeyPatch.context() as monkeypatch:
         _parts_equal_serial(
@@ -151,9 +148,7 @@ def test_chunk_trained_in_parts_equals_serial_local_update(
 # Shards here hold 82 training and 20 validation rows, so with batch_size=25
 # (a short last batch of 7) a client gathers max(25, 20) = 25 rows a step:
 # GATHER_ROWS=75 trains 3 clients at a time.
-SHORT_BATCH = LocalTrainingConfig(
-    epochs=2, batch_size=25, learning_rate=0.05, proximal_mu=0.1, weight_decay=0.01
-)
+SHORT_BATCH = LocalTrainingConfig(epochs=2, batch_size=25, learning_rate=0.05, proximal_mu=0.1)
 
 
 @pytest.mark.parametrize("private", [False, True])

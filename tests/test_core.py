@@ -1,15 +1,13 @@
-"""Tests for the FAIR-BFL core: config, flexibility, convergence, procedures, results."""
+"""Tests for the FAIR-BFL core: flexibility, convergence, procedures, results."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.core.config import FairBFLConfig
 from repro.core.convergence import ConvergenceCriterion, theorem31_bound, theorem31_constants
 from repro.core.flexibility import OperatingMode, Procedure, procedures_for_mode
 from repro.core.results import ComparisonResult, summarize_history
-from repro.fl.client import LocalTrainingConfig
 from repro.fl.history import RoundRecord, TrainingHistory
 
 
@@ -41,36 +39,6 @@ class TestFlexibility:
     def test_parse_rejects_unknown(self):
         with pytest.raises(ValueError, match="unknown operating mode"):
             OperatingMode.parse("hybrid")
-
-
-class TestFairBFLConfig:
-    def test_defaults_match_paper(self):
-        cfg = FairBFLConfig()
-        assert cfg.num_miners == 2
-        assert cfg.num_rounds == 100
-        assert cfg.local.epochs == 5
-        assert cfg.local.batch_size == 10
-        assert cfg.local.learning_rate == pytest.approx(0.01)
-        assert cfg.contribution.algorithm == "dbscan"
-        assert cfg.strategy == "keep"
-        assert cfg.operating_mode is OperatingMode.BFL
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"num_miners": 0},
-            {"num_rounds": 0},
-            {"participation_fraction": 0.0},
-            {"participation_fraction": 1.5},
-            {"strategy": "median"},
-            {"pow_difficulty": 0.5},
-            {"min_attackers": 5, "max_attackers": 2},
-            {"mode": "bogus"},
-        ],
-    )
-    def test_validation(self, kwargs):
-        with pytest.raises(ValueError):
-            FairBFLConfig(**kwargs)
 
 
 class TestConvergenceCriterion:

@@ -80,7 +80,17 @@ class TestCliHelpSnapshot:
             '{"system": "blockchain", "num_clients": 6, "num_rounds": 2}'
         )
         export = tmp_path / "sweep.csv"
-        code = main(["sweep", "--scenario", str(spec_file), "--export", str(export)])
+        code = main(
+            [
+                "sweep",
+                "--scenario",
+                str(spec_file),
+                "--export",
+                str(export),
+                "--store",
+                str(tmp_path / "store"),
+            ]
+        )
         assert code == 0
         out = capsys.readouterr().out
         assert "Scenario sweep" in out and "mini" in out

@@ -7,18 +7,13 @@ replicated ledgers) at a miniature scale.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
 from repro.blockchain.transaction import TransactionType
-from repro.core.config import FairBFLConfig
 from repro.core.fairbfl import FairBFLTrainer
 from repro.core.flexibility import OperatingMode
 from repro.datasets.federated import build_federated_dataset
-from repro.fl.client import LocalTrainingConfig
-from repro.incentive.contribution import ContributionConfig
 from repro.runner.engine import ExperimentEngine
 from repro.runner.scenario import ScenarioSpec
 
@@ -33,18 +28,14 @@ def dataset(base):
     return ExperimentEngine().dataset_for(base)
 
 
-def _small_config(base, **overrides):
-    return replace(base.fairbfl_config(), **overrides)
-
-
-def _run(dataset, *, config):
-    trainer = FairBFLTrainer(dataset, config)
+def _run(dataset, spec):
+    trainer = FairBFLTrainer(dataset, spec)
     return trainer, trainer.run()
 
 
 class TestFairBFLTrainer:
     def test_run_appends_one_block_per_round(self, dataset, base):
-        trainer = FairBFLTrainer(dataset, _small_config(base))
+        trainer = FairBFLTrainer(dataset, base)
         trainer.run()
         # Genesis + one block per round (Assumption 2).
         assert trainer.chain.height == 1 + base.num_rounds
@@ -52,14 +43,14 @@ class TestFairBFLTrainer:
         assert rounds_on_chain == list(range(base.num_rounds))
 
     def test_all_miner_replicas_identical(self, dataset, base):
-        trainer = FairBFLTrainer(dataset, _small_config(base))
+        trainer = FairBFLTrainer(dataset, base)
         trainer.run()
         tips = {m.chain.last_block.block_hash for m in trainer.miners}
         assert len(tips) == 1
         assert all(m.chain.is_valid() for m in trainer.miners)
 
     def test_blocks_contain_global_update_and_rewards(self, dataset, base):
-        trainer = FairBFLTrainer(dataset, _small_config(base))
+        trainer = FairBFLTrainer(dataset, base)
         trainer.run()
         block = trainer.chain.blocks[-1]
         types = {tx.tx_type for tx in block.transactions}
@@ -68,7 +59,7 @@ class TestFairBFLTrainer:
         assert block.global_update().shape == trainer.current_global_parameters().shape
 
     def test_proof_of_work_enforced_on_chain(self, dataset, base):
-        trainer = FairBFLTrainer(dataset, _small_config(base))
+        trainer = FairBFLTrainer(dataset, base)
         trainer.run()
         from repro.crypto.hashing import difficulty_to_target, meets_target
 
@@ -77,7 +68,7 @@ class TestFairBFLTrainer:
             assert meets_target(block.block_hash, target)
 
     def test_history_records_delays_and_accuracy(self, dataset, base):
-        _, history = _run(dataset, config=_small_config(base))
+        _, history = _run(dataset, base)
         assert len(history) == base.num_rounds
         assert all(r.delay > 0 for r in history.rounds)
         assert all(0.0 <= r.accuracy <= 1.0 for r in history.rounds)
@@ -85,14 +76,14 @@ class TestFairBFLTrainer:
         assert np.all(np.diff(history.elapsed_times) > 0)
 
     def test_run_is_reproducible(self, dataset, base):
-        cfg = _small_config(base)
-        _, h1 = _run(dataset, config=cfg)
-        _, h2 = _run(dataset, config=cfg)
+        spec = base
+        _, h1 = _run(dataset, spec)
+        _, h2 = _run(dataset, spec)
         np.testing.assert_allclose(h1.accuracies, h2.accuracies)
         np.testing.assert_allclose(h1.delays, h2.delays)
 
     def test_rewards_recorded_and_credited(self, dataset, base):
-        trainer = FairBFLTrainer(dataset, _small_config(base))
+        trainer = FairBFLTrainer(dataset, base)
         trainer.run()
         on_chain = trainer.chain.total_rewards_by_client()
         assert sum(on_chain.values()) > 0.0
@@ -101,7 +92,7 @@ class TestFairBFLTrainer:
         assert on_chain == pytest.approx({f"client-{c}": v for c, v in recorded.items()})
 
     def test_each_round_s_block_carries_its_recorded_rewards(self, dataset, base):
-        trainer = FairBFLTrainer(dataset, _small_config(base))
+        trainer = FairBFLTrainer(dataset, base)
         history = trainer.run()
         blocks = trainer.chain.blocks[1:]
         assert len(blocks) == len(history.rounds)
@@ -113,58 +104,47 @@ class TestFairBFLTrainer:
             )
 
     def test_only_a_round_s_participants_earn_its_rewards(self, dataset, base):
-        trainer = FairBFLTrainer(dataset, _small_config(base))
+        trainer = FairBFLTrainer(dataset, base)
         history = trainer.run()
         for record in history.rounds:
             assert record.rewards
             assert set(record.rewards) <= set(record.participants)
 
     def test_global_test_accuracy_improves(self, dataset, base):
-        cfg = _small_config(
-            base,
-            num_rounds=6,
-            participation_fraction=1.0,
-            local=LocalTrainingConfig(epochs=2, batch_size=10, learning_rate=0.05),
-        )
-        trainer = FairBFLTrainer(dataset, cfg)
+        spec = base.with_overrides(num_rounds=6, participation=1.0)
+        trainer = FairBFLTrainer(dataset, spec)
         initial = trainer.global_test_accuracy()
         trainer.run()
         assert trainer.global_test_accuracy() > initial
 
     def test_signature_verification_rejects_unregistered(self, dataset, base):
-        trainer = FairBFLTrainer(dataset, _small_config(base))
+        trainer = FairBFLTrainer(dataset, base)
         record = trainer.run_round(0)
         assert record.extras["rejected_uploads"] == 0
 
     def test_without_signatures_and_without_pow(self, dataset, base):
-        cfg = _small_config(base, verify_signatures=False, use_real_pow=False)
-        trainer, history = _run(dataset, config=cfg)
+        spec = base.with_overrides(verify_signatures=False, use_real_pow=False)
+        trainer, history = _run(dataset, spec)
         assert len(history) == base.num_rounds
         assert trainer.chain.height == 1 + base.num_rounds
 
 
 class TestOperatingModes:
     def test_fl_only_mode_produces_no_new_blocks(self, dataset, base):
-        cfg = _small_config(base, mode="fl_only")
-        trainer, history = _run(dataset, config=cfg)
+        spec = base.with_overrides(mode="fl_only")
+        trainer, history = _run(dataset, spec)
         assert trainer.chain.height == 1  # genesis only
         assert all(r.extras["delay_breakdown"]["t_bl"] == 0.0 for r in history.rounds)
         assert all(r.accuracy > 0.0 for r in history.rounds)
 
     def test_fl_only_mode_still_learns(self, dataset, base):
-        cfg = _small_config(
-            base,
-            mode="fl_only",
-            num_rounds=5,
-            participation_fraction=1.0,
-            local=LocalTrainingConfig(epochs=2, batch_size=10, learning_rate=0.05),
-        )
-        trainer, history = _run(dataset, config=cfg)
+        spec = base.with_overrides(mode="fl_only", num_rounds=5, participation=1.0)
+        trainer, history = _run(dataset, spec)
         assert history.accuracies[-1] > history.accuracies[0]
 
     def test_chain_only_mode_mines_but_does_not_learn(self, dataset, base):
-        cfg = _small_config(base, mode="chain_only")
-        trainer, history = _run(dataset, config=cfg)
+        spec = base.with_overrides(mode="chain_only")
+        trainer, history = _run(dataset, spec)
         assert trainer.chain.height == 1 + base.num_rounds
         assert all(r.extras["delay_breakdown"]["t_local"] == 0.0 for r in history.rounds)
         assert all(r.accuracy == 0.0 for r in history.rounds)
@@ -172,17 +152,17 @@ class TestOperatingModes:
     def test_mode_delay_ordering(self, dataset, base):
         """Flexibility claim: FL-only < full BFL in delay; chain-only has no learning delay."""
         num_rounds = 4
-        _, h_bfl = _run(dataset, config=_small_config(base, num_rounds=num_rounds))
+        _, h_bfl = _run(dataset, base.with_overrides(num_rounds=num_rounds))
         _, h_fl = _run(
-            dataset, config=_small_config(base, num_rounds=num_rounds, mode="fl_only")
+            dataset, base.with_overrides(num_rounds=num_rounds, mode="fl_only")
         )
         assert h_fl.average_delay() < h_bfl.average_delay()
 
 
 class TestDiscardStrategyAndAttacks:
     def test_discard_strategy_runs_and_logs(self, dataset, base):
-        cfg = _small_config(base, strategy="discard", num_rounds=3)
-        trainer, history = _run(dataset, config=cfg)
+        spec = base.with_overrides(strategy="discard", num_rounds=3)
+        trainer, history = _run(dataset, spec)
         assert len(history) == 3
         # Discarded clients never appear among the same round's reward recipients.
         for record in history.rounds:
@@ -192,17 +172,19 @@ class TestDiscardStrategyAndAttacks:
         dataset = build_federated_dataset(
             num_clients=10, num_samples=600, scheme="dirichlet", seed=3, noise_std=0.3
         )
-        cfg = FairBFLConfig(
+        spec = ScenarioSpec(
             num_rounds=5,
-            participation_fraction=1.0,
-            local=LocalTrainingConfig(epochs=2, batch_size=10, learning_rate=0.05),
+            participation=1.0,
+            epochs=2,
+            batch_size=10,
+            learning_rate=0.05,
             model_name="logreg",
             strategy="discard",
-            enable_attacks=True,
-            contribution=ContributionConfig(eps=0.7),
+            attacks=True,
+            dbscan_eps=0.7,
             seed=5,
-        )
-        trainer, history = _run(dataset, config=cfg)
+        ).validate()
+        trainer, history = _run(dataset, spec)
         logs = trainer.detection_logs()
         assert len(logs) == 5
         assert all(1 <= len(log.attacker_ids) <= 3 for log in logs)
@@ -216,25 +198,21 @@ class TestDiscardStrategyAndAttacks:
         dataset = build_federated_dataset(
             num_clients=10, num_samples=600, scheme="dirichlet", seed=3, noise_std=0.3
         )
-        base = dict(
+        base = ScenarioSpec(
             num_rounds=5,
-            participation_fraction=1.0,
-            local=LocalTrainingConfig(epochs=2, batch_size=10, learning_rate=0.05),
+            participation=1.0,
+            epochs=2,
+            batch_size=10,
+            learning_rate=0.05,
             model_name="logreg",
             seed=5,
-        )
-        _, clean = _run(dataset, config=FairBFLConfig(**base))
+        ).validate()
+        _, clean = _run(dataset, base)
         _, attacked = _run(
-            dataset,
-            config=FairBFLConfig(
-                **base, enable_attacks=True, attack_name="scaling", strategy="keep"
-            ),
+            dataset, base.with_overrides(attacks=True, attack_name="scaling", strategy="keep")
         )
         _, defended = _run(
-            dataset,
-            config=FairBFLConfig(
-                **base, enable_attacks=True, attack_name="scaling", strategy="discard"
-            ),
+            dataset, base.with_overrides(attacks=True, attack_name="scaling", strategy="discard")
         )
         # Undefended poisoning hurts; the discard strategy recovers most of the loss.
         assert attacked.final_accuracy() < clean.final_accuracy()

@@ -14,13 +14,14 @@ from repro.fl.aggregation import (
     weighted_average,
 )
 from repro.fl.client import ClientUpdate, FLClient, LocalTrainingConfig
-from repro.fl.fedavg import FedAvgConfig, FedAvgTrainer
-from repro.fl.fedprox import FedProxConfig, FedProxTrainer
+from repro.fl.fedavg import FedAvgTrainer
+from repro.fl.fedprox import FedProxTrainer
 from repro.fl.history import RoundRecord, TrainingHistory
 from repro.fl.selection import ContributionBasedSelector, RandomSelector
 from repro.fl.server import CentralServer
 from repro.nn.models import LogisticRegressionModel
 from repro.nn.parameters import get_flat_parameters
+from repro.runner.scenario import ScenarioError, ScenarioSpec
 from repro.utils.rng import new_rng
 
 
@@ -38,7 +39,6 @@ class TestLocalTrainingConfig:
             {"batch_size": 0},
             {"learning_rate": 0.0},
             {"proximal_mu": -1.0},
-            {"weight_decay": -0.1},
         ],
     )
     def test_validation(self, kwargs):
@@ -277,17 +277,20 @@ class TestHistory:
 
 class TestFedAvgTrainer:
     @pytest.fixture(scope="class")
-    def small_config(self):
-        return FedAvgConfig(
+    def small_spec(self):
+        return ScenarioSpec(
+            system="fedavg",
             num_rounds=2,
-            participation_fraction=0.5,
-            local=LocalTrainingConfig(epochs=1, batch_size=10, learning_rate=0.05),
+            participation=0.5,
+            epochs=1,
+            batch_size=10,
+            learning_rate=0.05,
             model_name="logreg",
             seed=3,
-        )
+        ).validate()
 
-    def test_run_produces_history(self, tiny_federated, small_config):
-        trainer = FedAvgTrainer(tiny_federated, small_config)
+    def test_run_produces_history(self, tiny_federated, small_spec):
+        trainer = FedAvgTrainer(tiny_federated, small_spec)
         history = trainer.run()
         assert len(history) == 2
         assert history.label == "fedavg"
@@ -296,7 +299,7 @@ class TestFedAvgTrainer:
         assert all(len(r.participants) == 3 for r in history.rounds)
 
     def test_participants_are_the_clients_that_trained(
-        self, tiny_federated, small_config, monkeypatch
+        self, tiny_federated, small_spec, monkeypatch
     ):
         # ``RoundRecord.participants`` is the one record of who took part.
         trained = []
@@ -307,76 +310,69 @@ class TestFedAvgTrainer:
             return real_local_update(client, *args, **kwargs)
 
         monkeypatch.setattr(FLClient, "local_update", counting)
-        history = FedAvgTrainer(tiny_federated, small_config).run()
+        history = FedAvgTrainer(tiny_federated, small_spec).run()
         assert trained == [cid for r in history.rounds for cid in r.participants]
         assert len(trained) == 2 * 3
 
-    def test_elapsed_time_monotonic(self, tiny_federated, small_config):
-        history = FedAvgTrainer(tiny_federated, small_config).run()
+    def test_elapsed_time_monotonic(self, tiny_federated, small_spec):
+        history = FedAvgTrainer(tiny_federated, small_spec).run()
         times = history.elapsed_times
         assert np.all(np.diff(times) > 0)
 
     def test_accuracy_improves_over_training(self, tiny_federated):
-        cfg = FedAvgConfig(
+        spec = ScenarioSpec(
+            system="fedavg",
             num_rounds=6,
-            participation_fraction=1.0,
-            local=LocalTrainingConfig(epochs=2, batch_size=10, learning_rate=0.05),
+            participation=1.0,
+            epochs=2,
+            batch_size=10,
+            learning_rate=0.05,
             model_name="logreg",
             seed=1,
-        )
-        history = FedAvgTrainer(tiny_federated, cfg).run()
+        ).validate()
+        history = FedAvgTrainer(tiny_federated, spec).run()
         assert history.accuracies[-1] > history.accuracies[0]
         assert history.final_accuracy(window=2) > 0.5
 
-    def test_run_reproducible(self, tiny_federated, small_config):
-        h1 = FedAvgTrainer(tiny_federated, small_config).run()
-        h2 = FedAvgTrainer(tiny_federated, small_config).run()
+    def test_run_reproducible(self, tiny_federated, small_spec):
+        h1 = FedAvgTrainer(tiny_federated, small_spec).run()
+        h2 = FedAvgTrainer(tiny_federated, small_spec).run()
         np.testing.assert_allclose(h1.accuracies, h2.accuracies)
         np.testing.assert_allclose(h1.delays, h2.delays)
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            FedAvgConfig(num_rounds=0)
-        with pytest.raises(ValueError):
-            FedAvgConfig(participation_fraction=1.5)
-        # (0, 1], as FairBFLConfig: selecting nobody is not a round.
-        with pytest.raises(ValueError, match="participation_fraction"):
-            FedAvgConfig(participation_fraction=0.0)
+        with pytest.raises(ScenarioError):
+            ScenarioSpec(system="fedavg", num_rounds=0).validate()
+        with pytest.raises(ScenarioError):
+            ScenarioSpec(system="fedavg", participation=1.5).validate()
+        # (0, 1]: selecting nobody is not a round.
+        with pytest.raises(ScenarioError, match="participation"):
+            ScenarioSpec(system="fedavg", participation=0.0).validate()
 
 
 class TestFedProxTrainer:
-    def test_requires_fedprox_config(self, tiny_federated):
-        with pytest.raises(TypeError):
-            FedProxTrainer(tiny_federated, FedAvgConfig(num_rounds=1))
-
-    def test_from_fedavg_clones_fields(self):
-        base = FedAvgConfig(num_rounds=7, participation_fraction=0.2, seed=5)
-        prox = FedProxConfig.from_fedavg(base, proximal_mu=0.1, drop_percent=0.3)
-        assert prox.num_rounds == 7
-        assert prox.participation_fraction == 0.2
-        assert prox.seed == 5
-        assert prox.proximal_mu == 0.1
-        assert prox.drop_percent == 0.3
-
     def test_run_with_dropping(self, tiny_federated):
-        cfg = FedProxConfig(
+        spec = ScenarioSpec(
+            system="fedprox",
             num_rounds=2,
-            participation_fraction=1.0,
-            local=LocalTrainingConfig(epochs=1, learning_rate=0.05),
+            participation=1.0,
+            epochs=1,
+            batch_size=10,
+            learning_rate=0.05,
             model_name="logreg",
             proximal_mu=0.01,
             drop_percent=0.5,
             seed=0,
-        )
-        history = FedProxTrainer(tiny_federated, cfg).run()
+        ).validate()
+        history = FedProxTrainer(tiny_federated, spec).run()
         assert len(history) == 2
         assert all(0.0 <= r.accuracy <= 1.0 for r in history.rounds)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            FedProxConfig(proximal_mu=-1.0)
-        with pytest.raises(ValueError):
-            FedProxConfig(drop_percent=1.5)
+        with pytest.raises(ScenarioError, match="proximal_mu"):
+            ScenarioSpec(system="fedprox", proximal_mu=-1.0).validate()
+        with pytest.raises(ScenarioError, match="drop_percent"):
+            ScenarioSpec(system="fedprox", drop_percent=1.5).validate()
 
 
 @given(

@@ -48,7 +48,7 @@ class TestJainsIndex:
     def test_on_real_run(self, tiny_spec):
         """The incentive mechanism spreads rewards across clients rather than to one winner."""
         spec = tiny_spec.with_overrides(num_rounds=3)
-        trainer = FairBFLTrainer(ExperimentEngine().dataset_for(spec), spec.fairbfl_config())
+        trainer = FairBFLTrainer(ExperimentEngine().dataset_for(spec), spec)
         trainer.run()
         rewards = list(trainer.chain.total_rewards_by_client().values())
         assert sum(rewards) > 0

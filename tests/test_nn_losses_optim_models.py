@@ -89,16 +89,6 @@ class TestSGD:
         with pytest.raises(ValueError, match="lr"):
             SGD([Parameter(np.zeros(1))], lr=lr)
 
-    def test_rejects_negative_weight_decay(self):
-        with pytest.raises(ValueError, match="weight_decay"):
-            SGD([Parameter(np.zeros(1))], lr=0.1, weight_decay=-0.01)
-
-    def test_weight_decay_shrinks_weights(self):
-        p = Parameter(np.array([10.0]))
-        p.grad[:] = [0.0]
-        SGD([p], lr=0.1, weight_decay=0.5).step()
-        assert p.value[0] < 10.0
-
     def test_zero_grad(self):
         p = Parameter(np.zeros(2))
         p.grad += 3.0

@@ -13,10 +13,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.config import FairBFLConfig
 from repro.core.fairbfl import FairBFLTrainer
 from repro.fl.aggregation import AggregationError
-from repro.fl.client import ClientUpdate, LocalTrainingConfig
+from repro.fl.client import ClientUpdate
+from repro.fl.fedavg import FedAvgTrainer
 from repro.fl.cohort import EXECUTOR_BACKENDS
 from repro.fl.robust import (
     DEFENSES,
@@ -323,26 +323,28 @@ class TestCentralServerDefense:
         assert server.global_parameters.tobytes() == start.tobytes()
 
 
-def _trainer_config(**overrides) -> FairBFLConfig:
+def _trainer_spec(**overrides) -> ScenarioSpec:
     base = dict(
         num_rounds=2,
-        participation_fraction=1.0,
-        local=LocalTrainingConfig(epochs=1, batch_size=10, learning_rate=0.05),
+        participation=1.0,
+        epochs=1,
+        batch_size=10,
+        learning_rate=0.05,
         model_name="logreg",
-        enable_attacks=True,
+        attacks=True,
         attack_name="sign_flip",
         min_attackers=1,
         max_attackers=1,
         seed=7,
     )
     base.update(overrides)
-    return FairBFLConfig(**base)
+    return ScenarioSpec(**base).validate()
 
 
 class TestTrainerIntegration:
     def test_defense_rejections_feed_detection_logs(self, tiny_federated):
         with FairBFLTrainer(
-            tiny_federated, _trainer_config(defense="multi_krum", defense_fraction=0.34)
+            tiny_federated, _trainer_spec(defense="multi_krum", defense_fraction=0.34)
         ) as trainer:
             history = trainer.run()
         rejected = [r.extras["defense_rejected"] for r in history.rounds]
@@ -356,24 +358,22 @@ class TestTrainerIntegration:
         # participation 0.1 of 6 clients -> one selected client per round; the
         # whole defense pipeline must survive a (1, d) gradient matrix.
         for defense in ("krum", "median", "norm_clip+trimmed_mean"):
-            cfg = _trainer_config(
-                participation_fraction=0.1, enable_attacks=False, defense=defense
-            )
-            with FairBFLTrainer(tiny_federated, cfg) as trainer:
+            spec = _trainer_spec(participation=0.1, attacks=False, defense=defense)
+            with FairBFLTrainer(tiny_federated, spec) as trainer:
                 history = trainer.run()
             assert len(history) == 2
             assert all(len(r.participants) == 1 for r in history.rounds)
             assert all(r.extras["defense_rejected"] == [] for r in history.rounds)
 
     def test_async_round_mode_with_defense(self, tiny_federated):
-        cfg = _trainer_config(
+        spec = _trainer_spec(
             num_rounds=3,
             defense="norm_clip+multi_krum",
             round_mode="async",
             async_quorum=0.4,
             staleness_decay=0.5,
         )
-        with FairBFLTrainer(tiny_federated, cfg) as trainer:
+        with FairBFLTrainer(tiny_federated, spec) as trainer:
             history = trainer.run()
         assert len(history) == 3
         # Stale bookkeeping stays consistent: every buffered update is either
@@ -390,13 +390,13 @@ class TestTrainerIntegration:
         fingerprints = {}
         finals = {}
         for backend in EXECUTOR_BACKENDS:
-            cfg = _trainer_config(
+            spec = _trainer_spec(
                 defense="norm_clip+multi_krum",
                 defense_fraction=0.34,
-                executor_backend=backend,
-                executor_workers=2,
+                backend=backend,
+                max_workers=2,
             )
-            with FairBFLTrainer(tiny_federated, cfg) as trainer:
+            with FairBFLTrainer(tiny_federated, spec) as trainer:
                 history = trainer.run()
                 finals[backend] = trainer.current_global_parameters()
             fingerprints[backend] = [
@@ -408,11 +408,13 @@ class TestTrainerIntegration:
 
 
 class TestScenarioAndConfigValidation:
-    def test_scenario_defense_axis_validates(self):
+    def test_scenario_defense_axis_validates(self, tiny_federated):
         spec = ScenarioSpec(defense="norm_clip+krum", defense_fraction=0.3)
         assert spec.validate() is spec
-        assert spec.fairbfl_config().defense == "norm_clip+krum"
-        assert spec.fedavg_config().defense == "norm_clip+krum"
+        with FairBFLTrainer(tiny_federated, spec) as trainer:
+            assert trainer.defense.name == "norm_clip+krum"
+        with FedAvgTrainer(tiny_federated, spec) as trainer:
+            assert trainer.server.defense.name == "norm_clip+krum"
 
     def test_scenario_rejects_unknown_defense(self):
         with pytest.raises(ScenarioError, match="unknown defense"):
@@ -421,9 +423,10 @@ class TestScenarioAndConfigValidation:
             ScenarioSpec(defense="krum", defense_fraction=0.7).validate()
 
     def test_config_rejects_unknown_attack(self):
-        with pytest.raises(ValueError, match="attack_name"):
-            FairBFLConfig(attack_name="backdoor")
+        with pytest.raises(ScenarioError, match="attack_name"):
+            ScenarioSpec(attack_name="backdoor").validate()
 
-    def test_label_flip_reaches_config(self):
-        cfg = FairBFLConfig(attack_name="label_flip")
-        assert cfg.attack_name == "label_flip"
+    def test_label_flip_reaches_config(self, tiny_federated):
+        spec = _trainer_spec(attack_name="label_flip")
+        with FairBFLTrainer(tiny_federated, spec) as trainer:
+            assert trainer.attack_scheduler.attack.name == "label_flip"

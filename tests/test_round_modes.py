@@ -18,11 +18,9 @@ import numpy as np
 import pytest
 
 from repro.cli import main
-from repro.core.config import FairBFLConfig
 from repro.core.fairbfl import FairBFLTrainer
 from repro.datasets.federated import build_federated_dataset
 from repro.fl.aggregation import AggregationError, merge_stale_updates, staleness_weights
-from repro.fl.client import LocalTrainingConfig
 from repro.runner.scenario import ScenarioError, ScenarioSpec
 from repro.sim import rounds as sim_rounds
 from repro.sim.delay import DelayParameters
@@ -212,30 +210,31 @@ def small_dataset():
     return build_federated_dataset(num_clients=10, num_samples=500, scheme="dirichlet", seed=0)
 
 
-def _config(mode, **overrides) -> FairBFLConfig:
-    defaults = dict(
-        num_miners=2,
+def _spec(mode, **overrides) -> ScenarioSpec:
+    fields = dict(
+        miners=2,
         num_rounds=3,
-        participation_fraction=0.5,
-        local=LocalTrainingConfig(epochs=1, batch_size=10, learning_rate=0.05),
+        participation=0.5,
+        epochs=1,
+        batch_size=10,
+        learning_rate=0.05,
         model_name="logreg",
         round_mode=mode,
-        delay_params=DelayParameters(compute_jitter=0.8, upload_jitter=1.0),
         straggler_deadline=3.0,
         seed=0,
     )
-    defaults.update(overrides)
-    return FairBFLConfig(**defaults)
+    fields.update(overrides)
+    return ScenarioSpec(**fields).validate()
 
 
-def _run(dataset, *, config):
-    trainer = FairBFLTrainer(dataset, config)
+def _run(dataset, spec):
+    trainer = FairBFLTrainer(dataset, spec, delay_params=HEAVY_JITTER)
     return trainer, trainer.run()
 
 
 class TestTrainerRoundModes:
     def test_semi_sync_drops_stragglers_from_aggregation(self, small_dataset):
-        trainer, history = _run(small_dataset, config=_config("semi_sync"))
+        trainer, history = _run(small_dataset, _spec("semi_sync"))
         trainer.close()
         stragglers = [r.extras["stragglers"] for r in history.rounds]
         assert any(stragglers), "heavy jitter at a 3s deadline must produce stragglers"
@@ -247,7 +246,7 @@ class TestTrainerRoundModes:
                 assert cid not in record.rewards
 
     def test_async_applies_stale_updates_next_round(self, small_dataset):
-        trainer, history = _run(small_dataset, config=_config("async", async_quorum=0.5))
+        trainer, history = _run(small_dataset, _spec("async", async_quorum=0.5))
         trainer.close()
         stale = [r.extras["stale_applied"] for r in history.rounds]
         stragglers = [r.extras["stragglers"] for r in history.rounds]
@@ -267,7 +266,7 @@ class TestTrainerRoundModes:
         """
         from repro.core.procedures import RoundContext
 
-        trainer, _history = _run(small_dataset, config=_config("async", num_rounds=1))
+        trainer, _history = _run(small_dataset, _spec("async", num_rounds=1))
         previous = np.zeros(4)
         fresh = np.array([1.0, 1.0, 0.0, 0.0])  # consensus direction (1,1,0,0)
         aligned = previous + np.array([2.0, 1.5, 0.0, 0.0])
@@ -287,9 +286,9 @@ class TestTrainerRoundModes:
         np.testing.assert_allclose(ctx.new_global_parameters, expected)
 
     def test_sync_round_mode_matches_default_history(self, small_dataset):
-        _t1, h_default = _run(small_dataset, config=_config("sync"))
+        _t1, h_default = _run(small_dataset, _spec("sync"))
         _t1.close()
-        _t2, h_explicit = _run(small_dataset, config=_config("sync"))
+        _t2, h_explicit = _run(small_dataset, _spec("sync"))
         _t2.close()
         np.testing.assert_allclose(h_default.delays, h_explicit.delays)
         np.testing.assert_allclose(h_default.accuracies, h_explicit.accuracies)
@@ -300,7 +299,7 @@ class TestTrainerRoundModes:
         for backend in ("serial", "cohort"):
             trainer, history = _run(
                 small_dataset,
-                config=_config("semi_sync", executor_backend=backend, executor_workers=2),
+                _spec("semi_sync", backend=backend, max_workers=2),
             )
             trainer.close()
             digests[backend] = [r.extras["event_trace_digest"] for r in history.rounds]
@@ -310,7 +309,7 @@ class TestTrainerRoundModes:
         assert all(d is not None for d in digests["serial"])
 
     def test_round_records_expose_simulation_extras(self, small_dataset):
-        trainer, history = _run(small_dataset, config=_config("sync"))
+        trainer, history = _run(small_dataset, _spec("sync"))
         trainer.close()
         for record in history.rounds:
             assert record.extras["sim_events"] > 0
@@ -320,16 +319,16 @@ class TestTrainerRoundModes:
 
 class TestRoundModeConfiguration:
     def test_config_validation(self):
-        with pytest.raises(ValueError, match="round_mode"):
-            FairBFLConfig(round_mode="bogus")
-        with pytest.raises(ValueError, match="straggler_deadline"):
-            FairBFLConfig(round_mode="semi_sync", straggler_deadline=0.0)
-        with pytest.raises(ValueError, match="async_quorum"):
-            FairBFLConfig(round_mode="async", async_quorum=0.0)
-        with pytest.raises(ValueError, match="staleness_decay"):
-            FairBFLConfig(round_mode="async", staleness_decay=-0.1)
+        with pytest.raises(ScenarioError, match="round_mode"):
+            ScenarioSpec(round_mode="bogus").validate()
+        with pytest.raises(ScenarioError, match="straggler_deadline"):
+            ScenarioSpec(round_mode="semi_sync", straggler_deadline=0.0).validate()
+        with pytest.raises(ScenarioError, match="async_quorum"):
+            ScenarioSpec(round_mode="async", async_quorum=0.0).validate()
+        with pytest.raises(ScenarioError, match="staleness_decay"):
+            ScenarioSpec(round_mode="async", staleness_decay=-0.1).validate()
 
-    def test_scenario_threads_round_mode_into_config(self):
+    def test_scenario_threads_round_mode_into_trainer(self, small_dataset):
         spec = ScenarioSpec(
             system="fairbfl",
             round_mode="semi_sync",
@@ -337,11 +336,11 @@ class TestRoundModeConfiguration:
             async_quorum=0.25,
             staleness_decay=1.0,
         )
-        config = spec.fairbfl_config()
-        assert config.round_mode == "semi_sync"
-        assert config.straggler_deadline == 2.5
-        assert config.async_quorum == 0.25
-        assert config.staleness_decay == 1.0
+        with FairBFLTrainer(small_dataset, spec) as trainer:
+            assert trainer.round_sim.round_mode == "semi_sync"
+            assert trainer.round_sim.straggler_deadline == 2.5
+            assert trainer.round_sim.async_quorum == 0.25
+            assert trainer.spec.staleness_decay == 1.0
 
     def test_scenario_rejects_unknown_round_mode(self):
         with pytest.raises(ScenarioError, match="round_mode"):
@@ -364,11 +363,12 @@ class TestRoundModeConfiguration:
             '{"system": "fairbfl", "num_clients": 6, "num_samples": 300, '
             '"num_rounds": 2, "round_mode": "semi_sync", "model_name": "logreg"}'
         )
-        assert main(["sweep", "--scenario", str(spec_file)]) == 0
+        store = ["--store", str(tmp_path / "store")]
+        assert main(["sweep", "--scenario", str(spec_file), *store]) == 0
         out = capsys.readouterr().out
         assert "modes" in out
         # The CLI flag overrides the file's round_mode for every scenario.
-        assert main(["sweep", "--scenario", str(spec_file), "--round-mode", "async"]) == 0
+        assert main(["sweep", "--scenario", str(spec_file), "--round-mode", "async", *store]) == 0
 
     def test_run_cli_round_mode_flag(self, capsys):
         code = main(

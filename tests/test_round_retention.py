@@ -35,7 +35,7 @@ def trainer():
         attack_name="mixed", min_attackers=2, max_attackers=4,
         defense="norm_clip+multi_krum", miners=4, topology="ring", num_rounds=3, seed=0,
     ).validate()
-    trainer = FairBFLTrainer(ExperimentEngine().dataset_for(spec), spec.fairbfl_config())
+    trainer = FairBFLTrainer(ExperimentEngine().dataset_for(spec), spec)
     yield trainer
     trainer.close()
 

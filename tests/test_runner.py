@@ -24,14 +24,14 @@ import numpy as np
 import pytest
 
 from repro import api
-from repro.core.config import FairBFLConfig
 from repro.core.fairbfl import FairBFLTrainer
 from repro.datasets.federated import build_federated_dataset
 from repro.fl import cohort as cohort_module
 from repro.fl.aggregation import AggregationError, simple_average, stack_updates
-from repro.fl.client import ClientUpdate, LocalTrainingConfig
-from repro.fl.cohort import EXECUTOR_BACKENDS, CohortTrainer, check_executor_settings
-from repro.fl.fedavg import FedAvgConfig, FedAvgTrainer
+from repro.fl.client import ClientUpdate
+from repro.fl.cohort import EXECUTOR_BACKENDS, CohortTrainer
+from repro.fl.fedavg import FedAvgTrainer
+from repro.fl.selection import ContributionBasedSelector
 from repro.fl.server import CentralServer
 from repro.fl.trainer import Trainer
 from repro.runner.engine import ExperimentEngine, RunCancelled
@@ -45,6 +45,7 @@ from repro.runner.scenario import (
 from repro.store import RunStore
 from repro.systems.registry import TrainerRun, get_system
 
+from paper_spec import paper_spec
 from toy_trainer import ToyTrainer
 
 
@@ -71,31 +72,21 @@ class TestExecutorSettings:
         return str(info.value)
 
     def test_rejects_unknown_backend(self):
-        # One rule (check_executor_settings): the rule itself, config and spec
-        # reject a bad backend with the same text, up to the field's own name.
-        direct = self._message(lambda: check_executor_settings("fibers", None))
-        assert direct == "executor_backend must be one of serial, cohort, got 'fibers'"
-        assert self._message(lambda: FairBFLConfig(executor_backend="fibers")) == direct
         spec = self._message(lambda: ScenarioSpec(backend="fibers").validate())
-        assert spec == direct.replace("executor_backend", "backend")
+        assert spec == "backend must be one of serial, cohort, got 'fibers'"
 
     @pytest.mark.parametrize("removed", ["thread", "process"])
     def test_rejects_removed_backends(self, removed):
-        # The pool backends are gone, not aliased: every entry point refuses
-        # them and names the two that remain.
-        direct = self._message(lambda: check_executor_settings(removed, 2))
-        assert direct == f"executor_backend must be one of serial, cohort, got {removed!r}"
-        assert self._message(lambda: FairBFLConfig(executor_backend=removed)) == direct
-        with pytest.raises(ScenarioError, match="backend must be one of serial, cohort"):
-            ScenarioSpec(backend=removed).validate()
+        # The pool backends are gone, not aliased: the spec refuses them and
+        # names the two that remain.
+        spec = self._message(lambda: ScenarioSpec(backend=removed, max_workers=2).validate())
+        assert spec == f"backend must be one of serial, cohort, got {removed!r}"
 
     def test_rejects_bad_worker_count(self):
-        direct = self._message(lambda: check_executor_settings("cohort", 0))
-        assert direct == "executor_workers must be a positive finite number, got 0"
-        assert self._message(lambda: CohortTrainer(max_workers=0)) == direct
-        assert self._message(lambda: FairBFLConfig(executor_workers=0)) == direct
-        spec = self._message(lambda: ScenarioSpec(max_workers=0).validate())
-        assert spec == direct.replace("executor_workers", "max_workers")
+        # The engine and the spec name the one field a user sets.
+        direct = self._message(lambda: CohortTrainer(max_workers=0))
+        assert direct == "max_workers must be a positive finite number, got 0"
+        assert self._message(lambda: ScenarioSpec(max_workers=0).validate()) == direct
 
     def test_worker_count(self):
         assert CohortTrainer(max_workers=3).max_workers == 3
@@ -120,8 +111,8 @@ class TestExecutorSettings:
             monkeypatch.delenv(name, raising=False)
 
         def processes(max_workers=None):
-            cfg = FedAvgConfig(executor_backend="cohort", executor_workers=max_workers)
-            with FedAvgTrainer(iid_federated, cfg) as trainer:
+            spec = paper_spec(system="fedavg", backend="cohort", max_workers=max_workers)
+            with FedAvgTrainer(iid_federated, spec) as trainer:
                 return trainer.cohort.max_workers
 
         assert processes() == 1  # unpinned BLAS runs one thread per CPU already
@@ -134,16 +125,18 @@ class TestExecutorSettings:
     def test_context_manager_closes_pool(self, iid_federated, monkeypatch):
         # One-client parts make every chunk multi-part, so the helpers fork.
         monkeypatch.setattr(cohort_module, "GATHER_ROWS", 1)
-        cfg = FairBFLConfig(
+        spec = ScenarioSpec(
             num_rounds=1,
-            participation_fraction=0.5,
-            local=LocalTrainingConfig(epochs=1, batch_size=10, learning_rate=0.05),
+            participation=0.5,
+            epochs=1,
+            batch_size=10,
+            learning_rate=0.05,
             model_name="logreg",
-            executor_backend="cohort",
-            executor_workers=2,
+            backend="cohort",
+            max_workers=2,
             seed=7,
-        )
-        with FairBFLTrainer(iid_federated, cfg) as trainer:
+        ).validate()
+        with FairBFLTrainer(iid_federated, spec) as trainer:
             trainer.run()
             helpers = trainer.cohort._helpers
             assert helpers is not None and all(p.is_alive() for p in helpers.procs)
@@ -164,17 +157,19 @@ class TestBackendParity:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(cohort_module, "GATHER_ROWS", 1)
             for backend in EXECUTOR_BACKENDS:
-                cfg = FairBFLConfig(
+                spec = ScenarioSpec(
                     num_rounds=2,
-                    participation_fraction=0.5,
-                    local=LocalTrainingConfig(epochs=2, batch_size=10, learning_rate=0.05),
+                    participation=0.5,
+                    epochs=2,
+                    batch_size=10,
+                    learning_rate=0.05,
                     model_name="logreg",
-                    enable_attacks=True,
-                    executor_backend=backend,
-                    executor_workers=2,
+                    attacks=True,
+                    backend=backend,
+                    max_workers=2,
                     seed=7,
-                )
-                with FairBFLTrainer(iid_federated, cfg) as trainer:
+                ).validate()
+                with FairBFLTrainer(iid_federated, spec) as trainer:
                     histories[backend] = trainer.run()
                     finals[backend] = trainer.current_global_parameters()
                     if backend == "cohort":  # the helper did train rows into the buffers
@@ -269,9 +264,13 @@ class TestScenarioSpec:
     def test_scenario_error_is_value_error(self):
         assert issubclass(ScenarioError, ValueError)
 
-    def test_discard_system_forces_strategy(self):
-        cfg = ScenarioSpec(system="fairbfl-discard").fairbfl_config()
-        assert cfg.strategy == "discard"
+    def test_discard_system_forces_strategy(self, iid_federated):
+        spec = ScenarioSpec(system="fairbfl-discard").validate()
+        trainer = get_system("fairbfl-discard").build(spec, iid_federated).trainer
+        assert trainer.spec.strategy == "discard"
+        assert isinstance(trainer.selector, ContributionBasedSelector)
+        # The hashed spec is the one the caller wrote.
+        assert spec.strategy == "keep"
 
     def test_round_trip_mapping(self):
         spec = ScenarioSpec(system="fedprox", proximal_mu=0.2, hidden_sizes=(8,))
@@ -384,7 +383,7 @@ class TestExperimentEngine:
     def test_suite_run_matches_legacy_wiring(self, tiny_spec):
         """The engine path reproduces a hand-driven trainer exactly."""
         engine = ExperimentEngine()
-        legacy_trainer = FairBFLTrainer(engine.dataset_for(tiny_spec), tiny_spec.fairbfl_config())
+        legacy_trainer = FairBFLTrainer(engine.dataset_for(tiny_spec), tiny_spec)
         legacy = legacy_trainer.run()
         legacy_trainer.close()
         engine_hist = api.run(tiny_spec, engine=engine)

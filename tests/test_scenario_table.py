@@ -6,7 +6,9 @@ command-line flags are read from each field's own declaration
 never change — the literals below were recorded from the last commit that
 still wrote every flag, rule and mapping by hand — and what it must keep
 true: no hand-written spec flag beside the derived loop, every declared rule
-enforced for every system.
+enforced for every system, and every rule a system adds in its own
+``validate(spec)`` rejecting a bad spec by name while each system's default
+and fully-engaged specs validate.
 """
 
 from __future__ import annotations
@@ -213,3 +215,101 @@ def test_non_finite_floats_are_rejected(name, value):
         ScenarioSpec.from_mapping({"system": "blockchain", name: value})
     with pytest.raises(ScenarioError, match=name):
         ScenarioSpec(system="blockchain", **{name: value}).validate()
+
+
+# -- the rules each system adds --------------------------------------------
+#: One bad spec per rule a trainer's inputs must satisfy, as
+#: ``(field the error names, overrides)``.  The shared federated rules cover
+#: the local update, selection, backend and defense settings.
+FL_RULES = [
+    ("num_rounds", {"num_rounds": 0}),
+    ("participation", {"participation": 0.0}),
+    ("learning_rate", {"learning_rate": 0.0}),
+    ("backend", {"backend": "fibers"}),
+    ("max_workers", {"max_workers": 0}),
+    ("defense", {"defense": "median+krum"}),
+    ("defense_fraction", {"defense_fraction": 0.5}),
+]
+FAIRBFL_RULES = FL_RULES + [
+    ("miners", {"miners": 0}),
+    ("strategy", {"strategy": "median"}),
+    ("mode", {"mode": "hybrid"}),
+    ("pow_difficulty", {"pow_difficulty": 0.5}),
+    ("min_attackers", {"min_attackers": -1}),
+    ("max_attackers", {"min_attackers": 3, "max_attackers": 2}),
+    ("attack_name", {"attack_name": "backdoor"}),
+    ("round_mode", {"round_mode": "bogus"}),
+    ("straggler_deadline", {"straggler_deadline": 0.0}),
+    ("async_quorum", {"async_quorum": 0.0}),
+    ("staleness_decay", {"staleness_decay": -0.1}),
+    ("topology", {"topology": "mesh"}),
+    ("partition", {"partition": "1-2:0|1"}),
+    ("churn", {"churn": "1:-0"}),
+    ("mode", {"topology": "ring", "mode": "fl_only"}),
+    ("round_mode", {"topology": "ring", "round_mode": "async"}),
+    ("peer_k", {"topology": "random_k", "miners": 3, "peer_k": 3}),
+    ("partition", {"topology": "ring", "partition": "2-1:0|1"}),
+    ("churn", {"topology": "ring", "churn": "1:-0;1:-1"}),
+]
+SYSTEM_RULES = {
+    "fairbfl": FAIRBFL_RULES,
+    "fairbfl-discard": FAIRBFL_RULES,
+    "fedavg": FL_RULES,
+    "fedprox": FL_RULES
+    + [("proximal_mu", {"proximal_mu": -1.0}), ("drop_percent", {"drop_percent": 1.5})],
+    "blockchain": [
+        ("num_clients", {"num_clients": 0}),
+        ("miners", {"miners": 0}),
+        ("num_rounds", {"num_rounds": 0}),
+    ],
+}
+
+_NET_AND_THREAT = dict(
+    topology="random_k",
+    miners=4,
+    peer_k=2,
+    partition="1-2:0,1",
+    churn="3:-3",
+    attacks=True,
+    attack_name="scaling",
+    min_attackers=0,
+    max_attackers=2,
+    defense="norm_clip+multi_krum",
+    defense_fraction=0.3,
+    pow_difficulty=1.0,
+    strategy="discard",
+    clustering="kmeans",
+)
+_FL_ENGAGED = dict(
+    participation=1.0,
+    learning_rate=0.2,
+    defense="norm_clip+krum",
+    defense_fraction=0.45,
+    backend="cohort",
+    max_workers=2,
+)
+#: A spec per system with every axis it supports engaged at an edge value.
+ENGAGED = {
+    "fairbfl": {**_FL_ENGAGED, **_NET_AND_THREAT},
+    "fairbfl-discard": {**_FL_ENGAGED, **_NET_AND_THREAT},
+    "fedavg": _FL_ENGAGED,
+    "fedprox": {**_FL_ENGAGED, "proximal_mu": 0.0, "drop_percent": 1.0},
+    "blockchain": dict(num_clients=250, miners=8, learning_rate=0.0, proximal_mu=-1.0),
+}
+
+
+@pytest.mark.parametrize(
+    "system, field, overrides",
+    [(system, *rule) for system, rules in SYSTEM_RULES.items() for rule in rules],
+    ids=[f"{system}-{name}-{i}" for system, rules in SYSTEM_RULES.items()
+         for i, (name, _) in enumerate(rules)],
+)
+def test_every_system_rule_rejects_its_bad_spec(system, field, overrides):
+    with pytest.raises(ScenarioError, match=rf"\b{field}\b"):
+        ScenarioSpec(system=system, **overrides).validate()
+
+
+@pytest.mark.parametrize("system", sorted(SYSTEM_RULES))
+def test_default_and_engaged_specs_validate(system):
+    assert ScenarioSpec(system=system).validate().system == system
+    ScenarioSpec(system=system, **ENGAGED[system]).validate()

@@ -102,7 +102,7 @@ def test_one_scratch_model_dies_with_the_trainer():
         num_clients=100, num_samples=1000, num_rounds=1, seed=3, model_name="mlp",
         hidden_sizes=(8,), epochs=1, verify_signatures=False,
     )
-    trainer = FairBFLTrainer(ExperimentEngine().dataset_for(spec), spec.fairbfl_config())
+    trainer = FairBFLTrainer(ExperimentEngine().dataset_for(spec), spec)
     assert len({id(c.workspace) for c in trainer.clients.values()}) == 1
     trainer.run()
     model = trainer._workspace._model
@@ -198,7 +198,7 @@ def reference_local_update(
     ``zero_grad`` + accumulating backward, per-parameter proximal term and step."""
     set_flat_parameters(model, global_parameters)
     loss_fn = SoftmaxCrossEntropyLoss()
-    optimizer = SGD(model.parameters(), lr=config.learning_rate, weight_decay=config.weight_decay)
+    optimizer = SGD(model.parameters(), lr=config.learning_rate)
     params = list(model.parameters())
     offsets, cursor = [], 0
     for p in params:
@@ -257,18 +257,11 @@ def test_writing_gradients_equals_zeroing_then_accumulating(spec, batch, need_in
 
 @pytest.mark.cohort
 @settings(max_examples=40, deadline=None)
-@given(
-    spec=stacks,
-    weight_decay=st.sampled_from([0.0, 0.01]),
-    steps=st.integers(1, 3),
-)
-def test_the_flat_step_equals_the_per_parameter_step(spec, weight_decay, steps):
+@given(spec=stacks, steps=st.integers(1, 3))
+def test_the_flat_step_equals_the_per_parameter_step(spec, steps):
     plain, packed = build_stack(spec), pack_parameters(build_stack(spec))
     rng = np.random.default_rng(spec["seed"] + 3)
-    optimizers = [
-        SGD(plain.parameters(), lr=0.1, weight_decay=weight_decay),
-        SGD(packed, lr=0.1, weight_decay=weight_decay),
-    ]
+    optimizers = [SGD(plain.parameters(), lr=0.1), SGD(packed, lr=0.1)]
     for _ in range(steps):
         for p, q in zip(plain.parameters(), packed.parameters()):
             p.grad[...] = rng.standard_normal(p.shape)
@@ -337,15 +330,13 @@ def test_one_gather_per_epoch_yields_the_per_batch_gather(rows, batch_size, seed
     rows=st.integers(1, 23),
     batch_size=st.sampled_from([1, 4, 10]),
     epochs=st.integers(1, 2),
-    weight_decay=st.sampled_from([0.0, 0.01]),
     proximal_mu=st.sampled_from([0.0, 0.1]),
 )
 def test_local_update_on_a_shared_plane_equals_the_private_unpacked_model(
-    spec, rows, batch_size, epochs, weight_decay, proximal_mu
+    spec, rows, batch_size, epochs, proximal_mu
 ):
     config = LocalTrainingConfig(
-        epochs=epochs, batch_size=batch_size, learning_rate=0.1,
-        weight_decay=weight_decay, proximal_mu=proximal_mu,
+        epochs=epochs, batch_size=batch_size, learning_rate=0.1, proximal_mu=proximal_mu
     )
     shards = [make_shard(spec, rows, 0), make_shard({**spec, "seed": spec["seed"] + 9}, rows, 1)]
     global_parameters = get_flat_parameters(build_stack(spec)) * 0.5

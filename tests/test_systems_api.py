@@ -41,6 +41,7 @@ from repro.systems import (
 )
 from repro.systems.registry import DuplicateSystemError, UnknownSystemError, systems_supporting
 
+from paper_spec import paper_spec
 from toy_trainer import ToyTrainer
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -348,18 +349,18 @@ class TestPluginRoundTrip:
         # beta=0 must recover plain FedAvg *exactly*.  The trainer label seeds
         # the selection/delay RNG streams, so pin it to "fedavg" to put both
         # trainers on identical draws and compare the aggregation math alone.
-        from repro.fl.fedavg import FedAvgConfig, FedAvgTrainer
+        from repro.fl.fedavg import FedAvgTrainer
 
         module = load_plugins([self.PLUGIN])[0]
 
         class ZeroMomentum(module.MomentumFedAvgTrainer):
             label = "fedavg"
 
-        config = FedAvgConfig(
-            num_rounds=2, participation_fraction=0.5, model_name="logreg", seed=7
+        spec = paper_spec(
+            system="fedavg", num_rounds=2, participation=0.5, model_name="logreg", seed=7
         )
-        plain = FedAvgTrainer(tiny_federated, config).run()
-        zero = ZeroMomentum(tiny_federated, config, momentum=0.0).run()
+        plain = FedAvgTrainer(tiny_federated, spec).run()
+        zero = ZeroMomentum(tiny_federated, spec, momentum=0.0).run()
         assert [(r.accuracy, r.train_loss, r.delay, tuple(r.participants)) for r in zero.rounds] == [
             (r.accuracy, r.train_loss, r.delay, tuple(r.participants)) for r in plain.rounds
         ]
@@ -396,7 +397,7 @@ class TestPluginRoundTrip:
         assert result.returncode == 0, result.stderr
         assert "== fedavg-momentum ==" in result.stdout
 
-    def test_plugin_cli_sweep_and_compare(self, momentum_plugin, capsys):
+    def test_plugin_cli_sweep_and_compare(self, momentum_plugin, capsys, tmp_path):
         # In-process: the plugin flag resolves to the already-loaded module
         # (load_plugins caches by file path) and the registered system flows
         # into sweep validation and compare's roster without CLI edits.
@@ -404,6 +405,7 @@ class TestPluginRoundTrip:
             [
                 "--plugins", self.PLUGIN,
                 "sweep", "--scenario", str(REPO_ROOT / "examples" / "custom_sweep.toml"),
+                "--store", str(tmp_path / "store"),
             ]
         )
         assert code == 0
