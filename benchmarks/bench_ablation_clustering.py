@@ -34,7 +34,7 @@ def _run_with(algorithm: str):
         clustering=algorithm,
         dbscan_eps=0.7,
         seed=1,
-    ).validate()
+    )
     trainer = FairBFLTrainer(dataset, spec)
     trainer.run()
     logs = trainer.detection_logs()
@@ -87,7 +87,7 @@ def test_ablation_clustering_smoke():
         clustering="dbscan",
         dbscan_eps=0.7,
         seed=1,
-    ).validate()
+    )
     trainer = FairBFLTrainer(dataset, spec)
     trainer.run()
     assert len(trainer.detection_logs()) == 2

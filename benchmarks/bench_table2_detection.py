@@ -40,7 +40,7 @@ def _run_detection(scheme: str, seed: int = 0):
         max_attackers=3,
         dbscan_eps=0.7,
         seed=seed,
-    ).validate()
+    )
     trainer = FairBFLTrainer(build_federated_dataset(**spec.dataset_kwargs()), spec)
     trainer.run()
     return trainer.detection_logs(), trainer.average_detection_rate()
@@ -108,7 +108,7 @@ def test_table2_detection_smoke():
         max_attackers=2,
         dbscan_eps=0.7,
         seed=0,
-    ).validate()
+    )
     trainer = FairBFLTrainer(build_federated_dataset(**spec.dataset_kwargs()), spec)
     trainer.run()
     logs = trainer.detection_logs()

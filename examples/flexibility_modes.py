@@ -24,7 +24,7 @@ from repro.core.flexibility import OperatingMode, procedures_for_mode  # noqa: E
 
 
 def main() -> None:
-    base = api.ScenarioSpec(num_clients=12, num_samples=1000, num_rounds=6).validate()
+    base = api.ScenarioSpec(num_clients=12, num_samples=1000, num_rounds=6)
     dataset = api.ExperimentEngine().dataset_for(base)
 
     print("Procedures per operating mode")

@@ -53,7 +53,7 @@ def run(strategy: str, dataset, seed: int = 0):
         dbscan_eps=0.6,
         base_reward=1.0,
         seed=seed,
-    ).validate()
+    )
     trainer = FairBFLTrainer(dataset, spec)
     return trainer, trainer.run()
 

@@ -43,7 +43,7 @@ def run_scenario(scheme: str, *, strategy: str = "discard", seed: int = 0):
         max_attackers=3,
         dbscan_eps=0.7,
         seed=seed,
-    ).validate()
+    )
     trainer = FairBFLTrainer(build_federated_dataset(**spec.dataset_kwargs()), spec)
     return trainer, trainer.run()
 

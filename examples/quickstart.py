@@ -24,7 +24,7 @@ from repro.core.results import summarize_history  # noqa: E402
 
 def main() -> None:
     # A laptop-scale configuration: 12 clients, Dirichlet non-IID data, 8 rounds.
-    spec = api.ScenarioSpec(num_clients=12, num_samples=1000, num_rounds=8).validate()
+    spec = api.ScenarioSpec(num_clients=12, num_samples=1000, num_rounds=8)
     print("Building federated dataset (12 clients, Dirichlet non-IID)...")
     dataset = api.ExperimentEngine().dataset_for(spec)
 

@@ -62,9 +62,9 @@ class FairBFLTrainer(Trainer):
         The partitioned dataset (paper: non-IID MNIST split over n=100 clients).
     spec:
         The run's :class:`~repro.runner.scenario.ScenarioSpec` (read
-        duck-typed; ``docs/scenarios.md`` describes every field).  The
-        trainer reads it as given: the ``fairbfl-discard`` system hands it a
-        copy whose ``strategy`` is ``"discard"``.
+        duck-typed; ``docs/scenarios.md`` describes every field).  A spec
+        whose ``system`` is ``"fairbfl-discard"`` runs the discard strategy
+        whatever its ``strategy`` field says.
     delay_params:
         Calibration constants of the delay model.
     """
@@ -123,8 +123,9 @@ class FairBFLTrainer(Trainer):
             )
 
         # -- incentive / selection ---------------------------------------------------
-        self.strategy = make_strategy(spec.strategy)
-        if spec.strategy == "discard":
+        strategy = "discard" if spec.system == "fairbfl-discard" else spec.strategy
+        self.strategy = make_strategy(strategy)
+        if strategy == "discard":
             self.selector: RandomSelector = ContributionBasedSelector(spec.participation)
         else:
             self.selector = RandomSelector(spec.participation)

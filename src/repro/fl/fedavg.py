@@ -33,7 +33,6 @@ class FedAvgTrainer(Trainer):
     ``participation``, the local-training fields, ``defense`` /
     ``defense_fraction`` (``"none"`` keeps classic FedAvg) and the
     population fields of :class:`~repro.fl.trainer.Trainer`.
-    ``delay_params`` calibrates the delay model.
     """
 
     label = "fedavg"
@@ -47,16 +46,10 @@ class FedAvgTrainer(Trainer):
     #: ~1e-12 (and still fully deterministic).
     STREAM_THRESHOLD = 4096
 
-    def __init__(
-        self,
-        dataset: FederatedDataset,
-        spec,
-        *,
-        delay_params: DelayParameters = DelayParameters(),
-    ) -> None:
+    def __init__(self, dataset: FederatedDataset, spec) -> None:
         super().__init__(spec, dataset)
         self.selector = RandomSelector(spec.participation)
-        self.delay_model = DelayModel(delay_params, new_rng(spec.seed, self.label, "delay"))
+        self.delay_model = DelayModel(DelayParameters(), new_rng(spec.seed, self.label, "delay"))
         self.server = CentralServer(
             self._model_factory,
             defense=spec.defense,

@@ -91,8 +91,8 @@ class Trainer:
     ----------
     spec:
         The run's scenario (a :class:`~repro.runner.scenario.ScenarioSpec`,
-        read duck-typed): ``spec.num_rounds`` is the default run length and
-        ``spec.seed`` seeds every stream.
+        read duck-typed): the constructor validates it, ``spec.num_rounds`` is
+        the default run length and ``spec.seed`` seeds every stream.
     dataset:
         The partitioned dataset of a *federated* trainer, or ``None`` for one
         without clients (the vanilla blockchain).  With a dataset the
@@ -124,7 +124,9 @@ class Trainer:
     cohort: CohortTrainer | None = None
 
     def __init__(self, spec, dataset: FederatedDataset | None = None) -> None:
-        self.spec = spec
+        # A trainer built outside the engine is held to the same rules as one
+        # the engine builds: the spec's field rules and its system's own.
+        self.spec = spec.validate()
         self.dataset = dataset
         if dataset is not None:
             seed = spec.seed

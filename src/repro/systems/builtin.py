@@ -31,8 +31,6 @@ of per-node state.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from repro.core.fairbfl import FairBFLTrainer
 from repro.core.flexibility import OperatingMode
 from repro.fl.fedavg import FedAvgTrainer
@@ -64,9 +62,6 @@ class FairBFLSystem(System):
         cohort=True,
         net=True,
     )
-    #: The Algorithm 2 strategy this registration runs whatever the spec
-    #: says; ``None`` runs the spec's ``strategy``.
-    forced_strategy: str | None = None
 
     def validate(self, spec) -> None:
         spec.local_config()  # the local update's rules: a positive learning rate
@@ -100,22 +95,18 @@ class FairBFLSystem(System):
         parse_churn(spec.churn, spec.miners)
 
     def build(self, spec, dataset):
-        if self.forced_strategy is not None:
-            # A copy: the spec the engine validated and hashed stays as written.
-            spec = replace(spec, strategy=self.forced_strategy)
         return TrainerRun(FairBFLTrainer(dataset, spec))
 
 
 class FairBFLDiscardSystem(FairBFLSystem):
     """FAIR-BFL with the discard strategy (low-contribution updates dropped).
 
-    The shared build hands the trainer a copy of the spec with
-    ``strategy="discard"``.
+    The trainer reads ``system="fairbfl-discard"`` off the spec and runs the
+    discard strategy whatever its ``strategy`` field says.
     """
 
     name = "fairbfl-discard"
     description = "FAIR-BFL with the discard strategy (Section 5.3 cost-effectiveness)"
-    forced_strategy = "discard"
 
 
 class FedAvgSystem(System):

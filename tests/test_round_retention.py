@@ -18,6 +18,7 @@ import tracemalloc
 import pytest
 
 from repro.core.fairbfl import FairBFLTrainer
+from repro.incentive.strategies import DiscardStrategy
 from repro.runner.engine import ExperimentEngine
 from repro.runner.scenario import ScenarioSpec
 
@@ -34,8 +35,9 @@ def trainer():
         participation=1.0, scheme="shard", model_name="logreg", epochs=1, attacks=True,
         attack_name="mixed", min_attackers=2, max_attackers=4,
         defense="norm_clip+multi_krum", miners=4, topology="ring", num_rounds=3, seed=0,
-    ).validate()
+    )
     trainer = FairBFLTrainer(ExperimentEngine().dataset_for(spec), spec)
+    assert isinstance(trainer.strategy, DiscardStrategy)
     yield trainer
     trainer.close()
 

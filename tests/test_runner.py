@@ -34,6 +34,7 @@ from repro.fl.fedavg import FedAvgTrainer
 from repro.fl.selection import ContributionBasedSelector
 from repro.fl.server import CentralServer
 from repro.fl.trainer import Trainer
+from repro.incentive.strategies import DiscardStrategy
 from repro.runner.engine import ExperimentEngine, RunCancelled
 from repro.runner.scenario import (
     ScenarioError,
@@ -266,10 +267,14 @@ class TestScenarioSpec:
 
     def test_discard_system_forces_strategy(self, iid_federated):
         spec = ScenarioSpec(system="fairbfl-discard").validate()
-        trainer = get_system("fairbfl-discard").build(spec, iid_federated).trainer
-        assert trainer.spec.strategy == "discard"
-        assert isinstance(trainer.selector, ContributionBasedSelector)
-        # The hashed spec is the one the caller wrote.
+        built = get_system("fairbfl-discard").build(spec, iid_federated).trainer
+        # A trainer built directly on the same spec runs the same strategy.
+        direct = FairBFLTrainer(iid_federated, spec)
+        for trainer in (built, direct):
+            assert isinstance(trainer.strategy, DiscardStrategy)
+            assert isinstance(trainer.selector, ContributionBasedSelector)
+            # The trainer holds the spec the caller wrote (and the engine hashed).
+            assert trainer.spec is spec
         assert spec.strategy == "keep"
 
     def test_round_trip_mapping(self):

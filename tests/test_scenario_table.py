@@ -21,8 +21,12 @@ from dataclasses import fields
 import pytest
 
 from repro.cli import build_parser
+from repro.core.fairbfl import FairBFLTrainer
+from repro.fl.fedavg import FedAvgTrainer
+from repro.fl.fedprox import FedProxTrainer
 from repro.runner import scenario
 from repro.runner.scenario import ScenarioError, ScenarioSpec
+from repro.sim.vanilla_blockchain import VanillaBlockchainSimulator
 from repro.store.keys import spec_key
 from repro.utils import validation
 
@@ -313,3 +317,23 @@ def test_every_system_rule_rejects_its_bad_spec(system, field, overrides):
 def test_default_and_engaged_specs_validate(system):
     assert ScenarioSpec(system=system).validate().system == system
     ScenarioSpec(system=system, **ENGAGED[system]).validate()
+
+
+#: A spec each trainer would otherwise run on, or fail on mid-round.
+UNVALIDATED = [
+    (FairBFLTrainer, "mode", {"system": "fairbfl", "topology": "ring", "mode": "fl_only"}),
+    (FairBFLTrainer, "strategy", {"system": "fairbfl-discard", "strategy": "median"}),
+    (FedAvgTrainer, "learning_rate", {"system": "fedavg", "learning_rate": 0.0}),
+    (FedProxTrainer, "drop_percent", {"system": "fedprox", "drop_percent": 1.5}),
+    (VanillaBlockchainSimulator, "miners", {"system": "blockchain", "miners": 0}),
+]
+
+
+@pytest.mark.parametrize(
+    "trainer_cls, field, overrides", UNVALIDATED, ids=[f"{o['system']}-{f}" for _, f, o in UNVALIDATED]
+)
+def test_a_trainer_validates_the_spec_it_is_given(tiny_federated, trainer_cls, field, overrides):
+    spec = ScenarioSpec(**overrides)  # never validated by the caller
+    args = (spec,) if trainer_cls is VanillaBlockchainSimulator else (tiny_federated, spec)
+    with pytest.raises(ScenarioError, match=rf"\b{field}\b"):
+        trainer_cls(*args)
