@@ -17,6 +17,9 @@ PR 21 — to the kernel it replaced, *bit for bit*: every breakdown field ``==``
 from the sampler up to whole ``fedavg``/``fedprox`` histories.  It also pins
 the bug the closed form removes: a round above 200 000 participants used to
 exhaust the kernel's event budget.
+
+``VANILLA_GRID`` pins the vanilla round's block packing and timing on a grid
+of worker counts, block capacities and miner counts.
 """
 
 from __future__ import annotations
@@ -140,6 +143,65 @@ def test_kernel_rounds_are_seed_deterministic():
         ]
 
     assert series() == series()
+
+
+# ---------------------------------------------------------------------------
+# The vanilla round's block packing, pinned on a grid.
+# ---------------------------------------------------------------------------
+
+#: ``(n, transactions_per_block, m) -> (events_processed, blocks_mined,
+#: fork_count, t_up, t_bl)`` of one :func:`kernel_vanilla_round`, recorded
+#: while the round still drained a real mempool.  The grid spans n below the
+#: block capacity, at it, one past it and an exact multiple of it.
+VANILLA_GRID = {
+    (1, 1, 1): (3, 1, 0, 0.1, 0.050997268411071994),
+    (1, 1, 3): (5, 1, 0, 0.1, 2.2926193320085546),
+    (1, 7, 1): (3, 1, 0, 0.1, 2.060006454198668),
+    (1, 7, 3): (5, 1, 0, 0.1, 2.0717556455215416),
+    (1, 100, 1): (3, 1, 0, 0.1, 0.44687949111503467),
+    (1, 100, 3): (5, 1, 0, 0.1, 2.00019104457649),
+    (99, 1, 1): (199, 99, 0, 9.89999999999998, 170.83932617720404),
+    (99, 1, 3): (405, 99, 8, 9.89999999999998, 305.70638581998634),
+    (99, 7, 1): (115, 15, 0, 9.89999999999998, 26.01859059430001),
+    (99, 7, 3): (150, 15, 5, 9.89999999999998, 96.09484345065138),
+    (99, 100, 1): (101, 1, 0, 9.89999999999998, 0.7717390998695173),
+    (99, 100, 3): (103, 1, 0, 9.89999999999998, 0.7198873451180763),
+    (100, 1, 1): (201, 100, 0, 9.99999999999998, 199.35238957951327),
+    (100, 1, 3): (417, 100, 16, 9.99999999999998, 428.3346889070125),
+    (100, 7, 1): (116, 15, 0, 9.99999999999998, 20.375890240636004),
+    (100, 7, 3): (148, 15, 2, 9.99999999999998, 53.4416265647494),
+    (100, 100, 1): (102, 1, 0, 9.99999999999998, 3.7316054518644),
+    (100, 100, 3): (104, 1, 0, 9.99999999999998, 4.630460758175957),
+    (101, 1, 1): (203, 101, 0, 10.09999999999998, 204.66777285143564),
+    (101, 1, 3): (422, 101, 17, 10.09999999999998, 461.16906219805253),
+    (101, 7, 1): (117, 15, 0, 10.09999999999998, 14.888916176554254),
+    (101, 7, 3): (149, 15, 2, 10.09999999999998, 49.3419615433404),
+    (101, 100, 1): (104, 2, 0, 10.09999999999998, 4.733027702233182),
+    (101, 100, 3): (109, 2, 1, 10.09999999999998, 16.817625140246022),
+    (250, 1, 1): (501, 250, 0, 25.000000000000085, 522.9127119327671),
+    (250, 1, 3): (1044, 250, 43, 25.000000000000085, 1079.716821699794),
+    (250, 7, 1): (287, 36, 0, 25.000000000000085, 77.23198841209926),
+    (250, 7, 3): (368, 36, 9, 25.000000000000085, 183.570565035974),
+    (250, 100, 1): (254, 3, 0, 25.000000000000085, 4.875024231186909),
+    (250, 100, 3): (260, 3, 0, 25.000000000000085, 4.438962669137574),
+}
+
+
+@pytest.mark.parametrize("cell", sorted(VANILLA_GRID), ids=lambda c: "n{}-tpb{}-m{}".format(*c))
+def test_vanilla_round_matches_the_recorded_grid(cell):
+    n, per_block, m = cell
+    params = dataclasses.replace(DelayParameters(), transactions_per_block=per_block)
+    simulator = EventRoundSimulator(params, new_rng(0, "vanilla-grid", n, per_block, m))
+    timing = kernel_vanilla_round(simulator, num_transactions=n, num_miners=m)
+    got = (
+        timing.events_processed,
+        timing.blocks_mined,
+        timing.fork_count,
+        timing.breakdown.t_up,
+        timing.breakdown.t_bl,
+    )
+    assert got == VANILLA_GRID[cell]
+    assert timing.blocks_mined == max(1, math.ceil(n / per_block))
 
 
 # ---------------------------------------------------------------------------
