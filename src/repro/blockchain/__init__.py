@@ -9,8 +9,6 @@ Implements the distributed-ledger machinery FAIR-BFL runs on top of:
   each mined header signed by its miner;
 * :mod:`repro.blockchain.pow` — proof-of-work nonce search (paper Eq. 4) plus
   the stochastic mining-time model used at simulation scale;
-* :mod:`repro.blockchain.mempool` — block-size-limited transaction queue (the
-  source of vanilla BFL's queueing delay, Fig. 6a);
 * :mod:`repro.blockchain.chain` — append/validate ledger plus
   the deterministic fork-choice rule (most cumulative work, seeded hash
   tie-break) and reorg handling the gossip substrate (:mod:`repro.net`) builds on;
@@ -22,7 +20,6 @@ Implements the distributed-ledger machinery FAIR-BFL runs on top of:
 from repro.blockchain.block import Block, GENESIS_PREVIOUS_HASH
 from repro.blockchain.chain import Blockchain, ForkChoice
 from repro.blockchain.consensus import ForkModel
-from repro.blockchain.mempool import Mempool
 from repro.blockchain.merkle import merkle_root
 from repro.blockchain.miner import Miner
 from repro.blockchain.pow import mine_block
@@ -40,7 +37,6 @@ __all__ = [
     "Blockchain",
     "ForkChoice",
     "ForkModel",
-    "Mempool",
     "merkle_root",
     "Miner",
     "mine_block",

@@ -54,6 +54,7 @@ coordinator-side state captured here is authoritative for ``serial`` and
 
 from __future__ import annotations
 
+import io
 import pickle
 
 import numpy as np
@@ -77,11 +78,51 @@ __all__ = ["CheckpointError", "Trainer"]
 #: v4 blob's headers are unsigned, so its chains would fail their first check.
 #: 6: the chain is the only reward balance and a client's state is its RNG
 #: stream; a v5 blob pickles the deleted reward ledger and per-client counters.
-CHECKPOINT_SCHEMA_VERSION = 6
+#: 7: the vanilla chain's height is a counter; a v6 ``blockchain`` blob holds
+#: replica chains and a mempool instead, so it would resume at height 1.
+CHECKPOINT_SCHEMA_VERSION = 7
+
+#: The globals a checkpoint blob may name besides the classes of ``repro.*``
+#: and of the trainer's own module: numpy's array, scalar, dtype,
+#: bit-generator and seed-sequence reconstructors (under both names of
+#: numpy's core package), and ``deque``.
+_CHECKPOINT_GLOBALS = frozenset(
+    [(f"numpy.{core}.{mod}", name) for core in ("core", "_core") for mod, name in (
+        ("multiarray", "_reconstruct"), ("multiarray", "scalar"), ("numeric", "_frombuffer"))]
+    + [("numpy", "dtype"), ("numpy", "ndarray"), ("collections", "deque")]
+    + [("numpy.random._pickle", f"__{kind}_ctor") for kind in ("bit_generator", "generator")]
+    + [("numpy.random.bit_generator", n) for n in ("SeedSequence", "__pyx_unpickle_SeedSequence")]
+    + [("numpy.random._pcg64", "PCG64")]
+)
 
 
 class CheckpointError(RuntimeError):
     """A checkpoint blob cannot be restored onto this trainer."""
+
+
+class _CheckpointUnpickler(pickle.Unpickler):
+    """Unpickles only what a checkpoint is made of.
+
+    A store is a plain directory, so a blob is untrusted input.  Outside
+    :data:`_CHECKPOINT_GLOBALS` a blob may name only a class defined in a
+    ``repro`` module or in ``trainer_module``: an imported name, a function or
+    a dotted path (``os.system``, ``pickle.loads`` reached through a module
+    that imports it) is refused before anything is called.
+    """
+
+    def __init__(self, blob: bytes, trainer_module: str) -> None:
+        super().__init__(io.BytesIO(blob))
+        self.trainer_module = trainer_module
+
+    def find_class(self, module: str, name: str):
+        if (module, name) in _CHECKPOINT_GLOBALS:
+            return super().find_class(module, name)
+        own = module == self.trainer_module or module.split(".")[0] == "repro"
+        if own and "." not in name:
+            found = super().find_class(module, name)
+            if isinstance(found, type) and found.__module__ == module:
+                return found
+        raise CheckpointError(f"refused global {module}.{name}")
 
 
 class Trainer:
@@ -279,13 +320,15 @@ class Trainer:
     def restore_state(self, blob: bytes) -> None:
         """Restore a :meth:`checkpoint_state` blob onto this (fresh) instance.
 
-        Raises :class:`CheckpointError` on a version/trainer-class mismatch or
-        a client population that no longer matches — all signatures of a blob
-        produced by different code or a different spec, which resume paths
-        treat as a miss rather than a corruption to propagate.
+        Raises :class:`CheckpointError` on a global no checkpoint is made of
+        (:class:`_CheckpointUnpickler`), a version/trainer-class mismatch or a
+        client population that no longer matches — all signatures of a blob
+        produced by different code or a different spec, or not by
+        :meth:`checkpoint_state`, which resume paths treat as a miss rather
+        than a corruption to propagate.
         """
         try:
-            payload = pickle.loads(blob)
+            payload = _CheckpointUnpickler(blob, type(self).__module__).load()
         except Exception as exc:  # pickle raises a zoo of types
             raise CheckpointError(f"checkpoint blob cannot be unpickled: {exc}") from exc
         if not isinstance(payload, dict) or payload.get("version") != CHECKPOINT_SCHEMA_VERSION:

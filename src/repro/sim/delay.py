@@ -29,8 +29,8 @@ the *shape* conclusions are insensitive to the exact constants.
 Since the discrete-event refactor, the round *compositions* that anybody
 reads event by event run on :class:`~repro.sim.rounds.EventRoundSimulator`
 directly — FAIR-BFL acts on the per-client arrivals and pins the event trace
-in its history, the vanilla chain mines real blocks at solve events.
-:class:`DelayModel` keeps the two samplers read outside the kernel (local
+in its history, the vanilla chain counts its queued transactions into blocks
+at solve events (it builds none).  :class:`DelayModel` keeps the two samplers read outside the kernel (local
 training, mining) and one composition, ``fl_round``: the FedAvg/FedProx
 breakdown depends only on two maxima and a count, so it is priced in closed
 form *in the kernel's own floating-point order*.  ``tests/test_delay_parity.py``

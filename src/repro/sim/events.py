@@ -3,8 +3,8 @@
 All simulated time in the repository flows through one scheduler: the
 :class:`EventKernel` owns a priority queue of timestamped callbacks and a
 simulated clock that only advances when an event fires.  Domain objects
-(federated clients, miners, their gradient-set exchange, the mempool, the
-gossip flood) schedule their work on the kernel instead of sampling scalar
+(federated clients, miners, their gradient-set exchange, the vanilla chain's
+transaction queue, the gossip flood) schedule their work on the kernel instead of sampling scalar
 delays, so "what happened when" is a single, inspectable event trace rather
 than three timing models that can silently disagree.
 

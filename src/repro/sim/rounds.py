@@ -16,10 +16,11 @@ schedule their work on it —
   event wins and cancels the runners-up).
 
 The vanilla baseline has its own, shorter round
-(:meth:`EventRoundSimulator.vanilla_round`): the **mempool**'s transactions
-are handled one event each, then competitions repeat until it is empty —
-each winner drains one :meth:`~repro.blockchain.mempool.Mempool.take_block`
-batch, and the competition's forks merge as serialised reorganisation events.
+(:meth:`EventRoundSimulator.vanilla_round`): the round's transactions are
+handled one event each, then competitions repeat until none is pending —
+each winner takes one block's worth from a pending count, and the
+competition's forks merge as serialised reorganisation events.  The round
+prices the queue; it builds no transactions or blocks.
 
 The per-component distributions are exactly those of
 :class:`~repro.sim.delay.DelayParameters`, so under the synchronous round mode
@@ -46,7 +47,6 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from repro.blockchain.mempool import Mempool
 from repro.sim.delay import DelayParameters, RoundDelayBreakdown
 from repro.sim.events import EventKernel
 from repro.utils.validation import check_choice, check_fraction, check_positive
@@ -223,22 +223,15 @@ class EventRoundSimulator:
             global_duration=global_duration,
         )
 
-    def vanilla_round(
-        self,
-        *,
-        mempool: Mempool,
-        num_miners: int,
-        on_block: Callable[[list, int], None],
-    ) -> RoundTiming:
-        """One vanilla-blockchain round: drain ``mempool`` into blocks.
+    def vanilla_round(self, *, transactions: int, num_miners: int) -> RoundTiming:
+        """One vanilla-blockchain round: queue ``transactions`` into bounded blocks.
 
-        ``mempool`` already holds the round's transactions.  Each is handled as
-        one serialised ``mempool:process-tx`` event; then mining competitions
-        repeat until the mempool is empty.  Each winner drains one
-        ``take_block`` batch and ``on_block(batch, winner_index)`` builds the
-        block at event time (how
-        :class:`~repro.sim.vanilla_blockchain.VanillaBlockchainSimulator`
-        grows its chains); the competition's forks merge before the next one.
+        Each transaction is handled as one serialised ``mempool:process-tx``
+        event; then mining competitions repeat until none is pending.  Each
+        winner takes ``min(transactions_per_block, pending)`` of them (a round
+        with none still mines one block), and the competition's forks merge
+        before the next one.  Only the count matters: the baseline's cost is
+        in this timing, not in ledger bytes.
 
         Vanilla rounds are always synchronous — the baseline has no straggler
         handling; that is FAIR-BFL's advantage to demonstrate.
@@ -246,7 +239,7 @@ class EventRoundSimulator:
         params = self.params
         fork_model = params.fork_model
         kernel = self._kernel()
-        state = {"handled": 0.0, "mined": 0.0, "blocks": 0, "forks": 0}
+        state = {"handled": 0.0, "mined": 0.0, "blocks": 0, "forks": 0, "pending": transactions}
 
         def mine_next_block() -> None:
             _compete(kernel, self.rng, params, num_miners, block_won)
@@ -255,9 +248,8 @@ class EventRoundSimulator:
             state["handled"] = kernel.now
             mine_next_block()
 
-        def block_won(winner: int) -> None:
-            on_block(mempool.take_block(), winner)
-            more = mempool.pending_count > 0
+        def block_won(_winner: int) -> None:
+            state["pending"] -= min(params.transactions_per_block, state["pending"])
             state["blocks"] += 1
             collisions = fork_model.sample_collisions(self.rng, num_miners)
             state["forks"] += collisions
@@ -265,13 +257,13 @@ class EventRoundSimulator:
                 kernel,
                 fork_model.merge_schedule(collisions),
                 "fork:merge",
-                mine_next_block if more else mined,
+                mine_next_block if state["pending"] else mined,
             )
 
         def mined() -> None:
             state["mined"] = kernel.now
 
-        tx_times = [params.tx_processing_time] * mempool.pending_count
+        tx_times = [params.tx_processing_time] * transactions
         kernel.schedule(
             0.0,
             (lambda: _schedule_serial_chain(kernel, tx_times, "mempool:process-tx", handled)),

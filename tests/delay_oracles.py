@@ -15,7 +15,7 @@ None of this runs in a simulation; each piece is an oracle:
 * :func:`sample_fork_delay` — one vanilla-chain mining competition's forks
   and merge cost, as the kernel schedules them.
 * :func:`kernel_vanilla_round` — one vanilla-chain round on the kernel over
-  ``n`` equal-sized transactions in a real mempool.
+  ``n`` pending transactions.
 
 Import them as ``from delay_oracles import ...`` (``tests/`` is on the import
 path while the suite runs).
@@ -28,8 +28,6 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from repro.blockchain.consensus import ForkModel
-from repro.blockchain.mempool import Mempool
-from repro.blockchain.transaction import make_gradient_transaction
 from repro.sim.delay import DelayModel, RoundDelayBreakdown
 from repro.sim.rounds import EventRoundSimulator, RoundTiming
 
@@ -68,19 +66,12 @@ def kernel_fl_round(
 def kernel_vanilla_round(
     simulator: EventRoundSimulator, *, num_transactions: int, num_miners: int
 ) -> RoundTiming:
-    """One vanilla-chain round on the kernel, its blocks built and discarded.
+    """One vanilla-chain round on the kernel over ``num_transactions`` pending.
 
-    The mempool holds ``num_transactions`` one-element transactions and takes
-    ``transactions_per_block`` of them a block, so the round mines
+    Each block takes ``transactions_per_block`` of them, so the round mines
     ``ceil(n / transactions_per_block)`` blocks (at least one).
     """
-    mempool = Mempool(block_size_bytes=8 * simulator.params.transactions_per_block)
-    mempool.submit_many(
-        make_gradient_transaction(f"worker-{i}", 0, [float(i)]) for i in range(num_transactions)
-    )
-    return simulator.vanilla_round(
-        mempool=mempool, num_miners=num_miners, on_block=lambda _batch, _winner: None
-    )
+    return simulator.vanilla_round(transactions=num_transactions, num_miners=num_miners)
 
 
 class AnalyticDelayModel(DelayModel):

@@ -1,4 +1,4 @@
-"""Tests for the blockchain substrate: transactions, merkle, blocks, PoW, chain, mempool."""
+"""Tests for the blockchain substrate: transactions, merkle, blocks, PoW, chain."""
 
 from __future__ import annotations
 
@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from repro.blockchain import transaction as transaction_module
 from repro.blockchain.block import Block, GENESIS_PREVIOUS_HASH
 from repro.blockchain.chain import Blockchain, BlockValidationError
-from repro.blockchain.mempool import Mempool, pack_block_counts
 from repro.blockchain.miner import replicated_committee
 from repro.blockchain.merkle import merkle_root
 from repro.blockchain.pow import mine_block, sample_mining_time, sample_winner
@@ -362,81 +361,6 @@ class TestBlockchain:
     def test_last_block_on_empty_chain(self):
         with pytest.raises(IndexError):
             Blockchain().last_block
-
-
-class TestMempool:
-    def _tx(self, size_elements, idx):
-        return make_gradient_transaction(f"w-{idx}", 0, np.zeros(size_elements))
-
-    def test_submit_and_dedup(self):
-        pool = Mempool(block_size_bytes=1000)
-        tx = self._tx(4, 0)
-        assert pool.submit(tx)
-        assert not pool.submit(tx)
-        assert len(pool) == 1
-
-    def test_take_block_respects_size(self):
-        pool = Mempool(block_size_bytes=100)  # 12 elements of 8 bytes = 96 per tx
-        for i in range(5):
-            pool.submit(self._tx(12, i))
-        block = pool.take_block()
-        assert len(block) == 1
-        assert pool.pending_count == 4
-
-    def test_take_block_packs_multiple_small(self):
-        pool = Mempool(block_size_bytes=100)
-        for i in range(5):
-            pool.submit(self._tx(4, i))  # 32 bytes each
-        block = pool.take_block()
-        assert len(block) == 3  # 96 bytes fits, the 4th would exceed 100
-
-    def test_oversized_transaction_still_taken_alone(self):
-        pool = Mempool(block_size_bytes=50)
-        pool.submit(self._tx(100, 0))
-        assert len(pool.take_block()) == 1
-
-    def test_block_count_of_a_drain(self):
-        sizes = [tx.payload_size_bytes for tx in (self._tx(12, i) for i in range(5))]
-        assert list(pack_block_counts(sizes, 100)) == [1] * 5  # 96 bytes: one tx a block
-        assert list(pack_block_counts([], 100)) == []
-        small = [self._tx(4, i).payload_size_bytes for i in range(6)]
-        assert list(pack_block_counts(small, 100)) == [3, 3]  # 32 bytes: three a block
-
-    def test_pending_count_drains_with_take_block(self):
-        pool = Mempool(block_size_bytes=1000)
-        pool.submit_many([self._tx(4, i) for i in range(3)])
-        assert pool.pending_count == len(pool) == 3
-        assert len(pool.take_block()) == 3
-        assert pool.pending_count == len(pool) == 0
-
-    def test_submit_many_counts_only_new_transactions(self):
-        pool = Mempool(block_size_bytes=1000)
-        a, b = self._tx(4, 0), self._tx(4, 1)
-        assert pool.submit_many([a, b, a]) == 2
-        assert pool.submit_many([b]) == 0
-        # A taken transaction's id is released: it may be queued again.
-        assert [tx.tx_id for tx in pool.take_block()] == [a.tx_id, b.tx_id]
-        assert pool.submit_many([a]) == 1
-
-    def test_invalid_block_size(self):
-        with pytest.raises(ValueError):
-            Mempool(block_size_bytes=0)
-
-
-@given(st.integers(1, 30), st.integers(1, 12))
-@settings(max_examples=30, deadline=None)
-def test_mempool_conservation_property(num_txs, capacity_txs):
-    """Property: draining the mempool never loses or duplicates transactions."""
-    tx_bytes = 32
-    pool = Mempool(block_size_bytes=tx_bytes * capacity_txs)
-    txs = [make_gradient_transaction(f"w-{i}", 0, np.full(4, float(i))) for i in range(num_txs)]
-    pool.submit_many(txs)
-    drained = []
-    while pool.pending_count:
-        batch = pool.take_block()
-        assert len(batch) <= capacity_txs
-        drained.extend(batch)
-    assert sorted(t.tx_id for t in drained) == sorted(t.tx_id for t in txs)
 
 
 # ---------------------------------------------------------------------------

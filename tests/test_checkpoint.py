@@ -74,6 +74,16 @@ def _names_a_deleted_class(_blob: bytes) -> bytes:
     return b"\x80\x04crepro.blockchain.network\nBroadcastNetwork\n."
 
 
+class _OpensAFile:
+    """Unpickles as ``open(path, "w")``: creating ``path`` shows the blob ran."""
+
+    def __init__(self, path) -> None:
+        self.path = path
+
+    def __reduce__(self):
+        return open, (str(self.path), "w")
+
+
 class TestResumeParity:
     @pytest.mark.parametrize("backend", sorted(EXECUTOR_BACKENDS))
     def test_stop_and_resume_is_bit_identical_per_backend(self, backend, tmp_path):
@@ -203,6 +213,32 @@ class TestCheckpointGuards:
         with pytest.raises(CheckpointError):
             trainer.restore_state(b"not a pickle")
 
+    def test_a_blob_that_would_run_code_is_refused(self, tmp_path):
+        marker = tmp_path / "ran"
+        blob = pickle.dumps({"version": CHECKPOINT_SCHEMA_VERSION, "x": _OpensAFile(marker)})
+        trainer = self._trainer(small_spec())
+        with pytest.raises(CheckpointError, match=r"refused global \w+\.open"):
+            trainer.restore_state(blob)
+        assert not marker.exists()
+        assert trainer.rounds_completed() == 0
+        pickle.loads(blob)["x"].close()  # the same blob, unguarded, does run
+        assert marker.exists()
+
+    @pytest.mark.parametrize(
+        "module, name",
+        [
+            ("os", "system"),
+            ("repro.fl.trainer", "pickle.loads"),  # a dotted path through an import
+            ("repro.fl.trainer", "new_rng"),  # a function imported into a repro module
+            ("repro.fl.trainer", "pickle"),  # a module
+        ],
+    )
+    def test_only_classes_defined_in_repro_are_admitted(self, module, name):
+        blob = b"\x80\x04c" + f"{module}\n{name}\n".encode() + b"."
+        assert pickle.loads(blob) is not None
+        with pytest.raises(CheckpointError, match="refused global"):
+            self._trainer(small_spec("fedavg")).restore_state(blob)
+
     def test_engine_rejects_uncheckpointable_systems(self, register_toy_system):
         # A bare Trainer is not a TrainerRun: refused before round 0.
         register_toy_system("toy-bare", ToyTrainer)
@@ -244,7 +280,7 @@ class TestCheckpointGuards:
         def rendered(trainer) -> str:
             return json.dumps(history_to_payload(trainer.history), sort_keys=True)
 
-        assert CHECKPOINT_SCHEMA_VERSION == 6
+        assert CHECKPOINT_SCHEMA_VERSION == 7
         derive_key_pair.cache_clear()
         reference = self._trainer(small_spec())  # leaves the memo warm
         reference.run_until(6)
@@ -273,7 +309,7 @@ class TestCheckpointGuards:
         def seed_keyed(key_bits, entity_id):
             return RSAKeyPair.generate(new_rng(spec.seed, "rsa-key", entity_id), bits=key_bits)
 
-        assert CHECKPOINT_SCHEMA_VERSION == 6
+        assert CHECKPOINT_SCHEMA_VERSION == 7
         reference = self._trainer(spec)
         reference.run_until(6)
         with monkeypatch.context() as patch:
@@ -305,7 +341,7 @@ class TestCheckpointGuards:
         # Version 4 wrote chains whose headers were unsigned.  Stamped with the
         # current version, such a blob would restore chains that fail their
         # first validation, so its own version must make it a miss.
-        assert CHECKPOINT_SCHEMA_VERSION == 6
+        assert CHECKPOINT_SCHEMA_VERSION == 7
         donor = self._trainer(small_spec())
         donor.run_until(3)
         payload = pickle.loads(donor.checkpoint_state())
@@ -324,7 +360,7 @@ class TestCheckpointGuards:
         # Version 5 pickled a reward ledger beside the chain and each client's
         # participation and reward tallies next to its RNG state.  Its own
         # version must make it a miss, before any of that is restored.
-        assert CHECKPOINT_SCHEMA_VERSION == 6
+        assert CHECKPOINT_SCHEMA_VERSION == 7
         donor = self._trainer(small_spec())
         donor.run_until(3)
         payload = pickle.loads(donor.checkpoint_state())
@@ -337,15 +373,32 @@ class TestCheckpointGuards:
             resumed.restore_state(pickle.dumps({**payload, "version": 5, "clients": clients}))
         assert resumed.rounds_completed() == 0
 
+    def test_a_version_6_blob_is_a_miss(self):
+        # Version 6 pickled the vanilla chain's replicas, mempool and payload
+        # stream, and no height counter: restored, it would resume at height 1.
+        assert CHECKPOINT_SCHEMA_VERSION == 7
+        spec = ScenarioSpec(system="blockchain", name="bc", num_clients=5, num_rounds=6, seed=2)
+        donor = self._trainer(spec)
+        donor.run_until(3)
+        payload = pickle.loads(donor.checkpoint_state())
+        assert payload["attrs"]["chain_height"] > 1
+        attrs = {k: v for k, v in payload["attrs"].items() if k != "chain_height"}
+        attrs["rng"] = new_rng(spec.seed, "vanilla-blockchain")
+        resumed = self._trainer(spec)
+        with pytest.raises(CheckpointError, match="version 6"):
+            resumed.restore_state(pickle.dumps({**payload, "version": 6, "attrs": attrs}))
+        assert resumed.rounds_completed() == 0
+        assert resumed.chain_height == 1
+
     @pytest.mark.ledger
-    def test_a_version_6_blob_resumes_byte_identically_onto_a_valid_chain(self):
+    def test_a_current_version_blob_resumes_byte_identically_onto_a_valid_chain(self):
         spec = small_spec(topology="ring", miners=4, partition="2-3:0,1")
         reference = self._trainer(spec)
         reference.run_until(6)
         donor = self._trainer(spec)
         donor.run_until(3)
         blob = donor.checkpoint_state()
-        assert pickle.loads(blob)["version"] == CHECKPOINT_SCHEMA_VERSION == 6
+        assert pickle.loads(blob)["version"] == CHECKPOINT_SCHEMA_VERSION == 7
         resumed = self._trainer(spec)
         resumed.restore_state(blob)
         resumed.run_until(6)

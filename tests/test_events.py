@@ -1,9 +1,8 @@
-"""Tests for the discrete-event kernel and its blockchain-layer actors.
+"""Tests for the discrete-event kernel.
 
-Covers the kernel contract (ordering, cancellation, bounded runs, seeded
-tie-breaking, trace digests) and the
-:class:`~repro.blockchain.mempool.Mempool` oversized-transaction /
-byte-accounting edge cases.
+Covers the kernel contract: ordering, cancellation, bounded runs, seeded
+tie-breaking and trace digests.  The vanilla round's block packing is pinned
+in ``tests/test_delay_parity.py`` (``VANILLA_GRID``).
 """
 
 from __future__ import annotations
@@ -11,8 +10,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.blockchain.mempool import Mempool, pack_block_counts
-from repro.blockchain.transaction import make_gradient_transaction
 from repro.sim.events import EventKernel, EventKernelError
 
 pytestmark = pytest.mark.sim
@@ -113,60 +110,3 @@ class TestEventKernel:
 
         assert digest() == digest()
         assert len(digest()) == 64
-
-
-def _tx(sender: str, elements: int):
-    """A gradient transaction with payload_size_bytes == 8 * elements."""
-    return make_gradient_transaction(sender, 0, [0.5] * elements, keystore=None)
-
-
-class TestMempoolEdgeCases:
-    def test_pack_block_counts_examples(self):
-        assert list(pack_block_counts([10, 10, 10], 20)) == [2, 1]
-        assert list(pack_block_counts([30], 20)) == [1]  # oversized goes alone
-        assert list(pack_block_counts([10, 30, 10], 20)) == [1, 1, 1]
-        assert list(pack_block_counts([], 20)) == []
-
-    def test_oversized_transaction_occupies_block_alone(self):
-        pool = Mempool(block_size_bytes=64)
-        pool.submit(_tx("big", 100))  # 800 bytes > 64
-        pool.submit(_tx("small", 4))  # 32 bytes
-        first = pool.take_block()
-        assert [t.sender for t in first] == ["big"]
-        second = pool.take_block()
-        assert [t.sender for t in second] == ["small"]
-
-    def test_oversized_behind_small_does_not_join_their_block(self):
-        pool = Mempool(block_size_bytes=64)
-        pool.submit(_tx("s1", 3))  # 24 bytes
-        pool.submit(_tx("big", 100))
-        pool.submit(_tx("s2", 3))
-        assert [t.sender for t in pool.take_block()] == ["s1"]
-        assert [t.sender for t in pool.take_block()] == ["big"]
-        assert [t.sender for t in pool.take_block()] == ["s2"]
-
-    def test_duplicate_submission_does_not_double_count_bytes(self):
-        pool = Mempool(block_size_bytes=64)
-        tx = _tx("w", 4)
-        assert pool.submit(tx) is True
-        assert pool.submit(tx) is False
-        assert pool.pending_count == 1
-
-    def test_take_block_then_resubmit_same_id_allowed(self):
-        pool = Mempool(block_size_bytes=64)
-        tx = _tx("w", 4)
-        pool.submit(tx)
-        pool.take_block()
-        assert pool.submit(tx) is True  # mined txs leave the seen set
-        assert pool.pending_count == 1
-
-    def test_pack_block_counts_matches_take_block_drain(self):
-        pool = Mempool(block_size_bytes=80)
-        txs = [_tx(f"w{i}", 1 + (i % 7)) for i in range(40)]
-        pool.submit_many(txs)
-        predicted = len(list(pack_block_counts((tx.payload_size_bytes for tx in txs), 80)))
-        drained = 0
-        while pool.pending_count:
-            assert pool.take_block()
-            drained += 1
-        assert drained == predicted
