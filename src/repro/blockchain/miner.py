@@ -97,12 +97,19 @@ class Miner:
 
         The row order is sorted by sender ID so every miner derives the same
         matrix from the same set (needed for identical global updates across
-        miners under Assumption 1).
+        miners under Assumption 1).  Raises :class:`ValueError` naming the
+        sender of an upload whose payload Procedure III already consumed.
         """
         txs = sorted(self.gradient_set.values(), key=lambda t: t.sender)
         senders = [tx.sender for tx in txs]
         if not txs:
             return senders, np.zeros((0, 0), dtype=np.float64)
+        for tx in txs:
+            if tx.payload is None:
+                raise ValueError(
+                    f"miner {self.miner_id}: the upload from {tx.sender!r} (round "
+                    f"{tx.round_index}) was already stacked and its payload released"
+                )
         matrix = np.stack([np.asarray(tx.payload, dtype=np.float64) for tx in txs], axis=0)
         return senders, matrix
 

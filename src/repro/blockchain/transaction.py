@@ -13,7 +13,9 @@ Three transaction kinds appear in FAIR-BFL:
 Every transaction carries the sender ID, a payload digest and an optional
 payload size (bytes) used by the block-size/queueing model.  A gradient
 upload also carries its client's RSA signature over the canonical
-serialisation, which miners verify (paper Figure 2).  Global-update and
+serialisation, which miners verify (paper Figure 2).  Its vector travels with
+the transaction until Procedure III stacks it; the payload is then released
+and the digest, signature and ``client_index`` remain.  Global-update and
 reward transactions are not signed one by one: the winning miner signs the
 block header that commits to them (:meth:`repro.blockchain.block.Block.sign`).
 """
@@ -80,7 +82,9 @@ class Transaction:
         change it.
     payload:
         In-simulation payload (a gradient vector or a dict); excluded from the
-        signed canonical form, which covers only the digest.
+        signed canonical form, which covers only the digest.  An upload's
+        vector travels with the transaction until Procedure III stacks it,
+        which sets ``payload`` to ``None``.
     signature:
         RSA signature over :meth:`signing_bytes` (gradient uploads; the
         block header signature covers the transactions inside a block).

@@ -131,7 +131,9 @@ def procedure_upload(
 
     The miners start the round with empty gradient sets: the orchestrator
     clears them (:meth:`~repro.blockchain.miner.Miner.reset_round`) when the
-    previous round ends.
+    previous round ends.  Each update hands its vector to its transaction
+    (``update.parameters`` becomes ``None``), so the upload is the vector's
+    one holder until Procedure III stacks it.
     """
     ctx.rejected_uploads = 0
     for update in ctx.updates:
@@ -142,6 +144,7 @@ def procedure_upload(
             keystore=keystore,
             client_index=update.client_id,
         )
+        update.parameters = None
         ctx.transactions.append(tx)
         miner_index = int(rng.integers(0, len(miners)))
         miner = miners[miner_index]
@@ -154,7 +157,13 @@ def procedure_upload(
 
 # -- Procedure III -----------------------------------------------------------
 def procedure_exchange(ctx: RoundContext, miners: list[Miner]) -> RoundContext:
-    """Miners broadcast and merge gradient sets until all hold the same set."""
+    """Miners broadcast and merge gradient sets until all hold the same set.
+
+    The stacked matrix becomes the round's one copy of the uploads: every
+    stacked transaction releases its ``payload`` (its digest, signature and
+    ``client_index`` stay), so Procedure IV, which consumes the matrix in
+    place, runs beside no second copy.  A set stacked twice raises.
+    """
     if len(miners) > 1:
         # One all-to-all pass is sufficient in the synchronous model: every
         # miner merges every other miner's set.
@@ -167,10 +176,10 @@ def procedure_exchange(ctx: RoundContext, miners: list[Miner]) -> RoundContext:
     senders, matrix = reference.gradient_vectors()
     # Rows follow the one sender-sorted pass; each row's client id is its
     # sender's ``client_index``.
-    index_of = {
-        tx.sender: int(tx.metadata.get("client_index", -1))
-        for tx in reference.gradient_set.values()
-    }
+    index_of = {}
+    for tx in reference.gradient_set.values():
+        index_of[tx.sender] = int(tx.metadata.get("client_index", -1))
+        tx.payload = None
     ctx.gradient_client_ids = [index_of[sender] for sender in senders]
     ctx.gradient_matrix = matrix
     return ctx

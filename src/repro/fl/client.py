@@ -27,6 +27,7 @@ import numpy as np
 from repro.datasets.federated import ClientDataset
 from repro.datasets.loaders import BatchIterator
 from repro.nn.losses import SoftmaxCrossEntropyLoss
+from repro.nn.metrics import accuracy
 from repro.nn.module import Module
 from repro.nn.optim import SGD, add_proximal_term
 from repro.nn.parameters import (
@@ -79,7 +80,8 @@ class ClientUpdate:
     client_id:
         Index of the producing client.
     parameters:
-        Updated flat parameter vector ``w^i_{r+1}``.
+        Updated flat parameter vector ``w^i_{r+1}``; ``None`` once FAIR-BFL's
+        Procedure II has handed it to the client's upload transaction.
     num_samples:
         Size of the client's local training shard (the quantity vanilla BFL
         would have asked the client to self-report).
@@ -93,7 +95,7 @@ class ClientUpdate:
     """
 
     client_id: int
-    parameters: np.ndarray
+    parameters: np.ndarray | None
     num_samples: int
     train_loss: float
     val_accuracy: float
@@ -213,14 +215,16 @@ class FLClient:
                 optimizer.step()
                 losses.append(loss)
 
-        updated = get_flat_parameters(model)
-        val_acc = self.evaluate(updated)
+        # The scratch model holds the trained parameters, so the verification
+        # split is scored on it as it stands.
         return ClientUpdate(
             client_id=self.client_id,
-            parameters=updated,
+            parameters=get_flat_parameters(model),
             num_samples=self.num_samples,
             train_loss=float(np.mean(losses)) if losses else 0.0,
-            val_accuracy=val_acc,
+            val_accuracy=accuracy(
+                model.forward(self.dataset.val_images), self.dataset.val_labels
+            ),
         )
 
     def evaluate(self, parameters: np.ndarray) -> float:

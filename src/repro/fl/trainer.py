@@ -321,11 +321,12 @@ class Trainer:
         """Restore a :meth:`checkpoint_state` blob onto this (fresh) instance.
 
         Raises :class:`CheckpointError` on a global no checkpoint is made of
-        (:class:`_CheckpointUnpickler`), a version/trainer-class mismatch or a
-        client population that no longer matches — all signatures of a blob
-        produced by different code or a different spec, or not by
-        :meth:`checkpoint_state`, which resume paths treat as a miss rather
-        than a corruption to propagate.
+        (:class:`_CheckpointUnpickler`), a version/trainer-class mismatch, an
+        attribute set that misses one of this trainer's checkpointed
+        attributes, or a client population that no longer matches — all
+        signatures of a blob produced by different code or a different spec,
+        or not by :meth:`checkpoint_state`, which resume paths treat as a miss
+        rather than a corruption to propagate.
         """
         try:
             payload = _CheckpointUnpickler(blob, type(self).__module__).load()
@@ -341,13 +342,18 @@ class Trainer:
                 f"checkpoint was written by {payload.get('trainer')!r}, "
                 f"cannot restore onto {type(self).__qualname__!r}"
             )
+        attrs = payload.get("attrs")
+        expected = set(self.__dict__) - set(self.CHECKPOINT_EXCLUDE)
+        if not isinstance(attrs, dict) or not expected <= attrs.keys():
+            missing = sorted(expected - attrs.keys()) if isinstance(attrs, dict) else "all"
+            raise CheckpointError(f"checkpoint state lacks trainer attributes: {missing}")
         clients = self.clients
         client_state = payload.get("clients")
         if (clients is None) != (client_state is None):
             raise CheckpointError("checkpoint client state does not match this trainer")
         if clients is not None and set(client_state) != {int(c) for c in clients}:
             raise CheckpointError("checkpoint client population does not match this trainer")
-        for name, value in payload["attrs"].items():
+        for name, value in attrs.items():
             setattr(self, name, value)
         if clients is not None:
             for cid, rng_state in client_state.items():

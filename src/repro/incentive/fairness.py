@@ -17,7 +17,10 @@ def jains_index(rewards) -> float:
     """Jain's fairness index ``(Σx)² / (k·Σx²)`` of non-negative ``rewards``.
 
     Returns 1.0 for an all-zero allocation (no reward was issued, so nobody was
-    treated unequally).
+    treated unequally).  The index does not change when every reward is scaled
+    by one factor, so the rewards are divided by their largest first: every
+    square then lies in [0, 1] and none underflows into a subnormal (which
+    pushed two equal tiny rewards above 1) or overflows.
     """
     values = rewards if isinstance(rewards, np.ndarray) else list(rewards)
     x = np.asarray(values, dtype=np.float64).ravel()
@@ -25,7 +28,8 @@ def jains_index(rewards) -> float:
         raise ValueError("at least one reward value is required")
     if np.any(x < 0):
         raise ValueError("rewards must be non-negative")
-    sum_sq = float(np.sum(x * x))
-    if sum_sq == 0.0:
+    peak = x.max()
+    if peak == 0.0:
         return 1.0
-    return float(np.sum(x)) ** 2 / (x.size * sum_sq)
+    x = x / peak
+    return float(np.sum(x)) ** 2 / (x.size * float(np.sum(x * x)))

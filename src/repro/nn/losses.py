@@ -51,18 +51,21 @@ class SoftmaxCrossEntropyLoss:
                 f"expected integer labels of shape {logits.shape[:-1]}, got {labels.shape}"
             )
         labels = labels.astype(np.int64, copy=False)
-        if labels.min(initial=0) < 0 or labels.max(initial=0) >= logits.shape[-1]:
+        if labels.size and (labels.min() < 0 or labels.max() >= logits.shape[-1]):
             raise ValueError(
                 f"labels must lie in [0, {logits.shape[-1]}), got range "
                 f"[{labels.min()}, {labels.max()}]"
             )
-        shifted = logits - logits.max(axis=-1, keepdims=True)
-        exp = np.exp(shifted)
-        probs = exp / exp.sum(axis=-1, keepdims=True)
+        # One (..., batch, classes) buffer: shifted, exponentiated and
+        # normalised in place.
+        probs = logits - logits.max(axis=-1, keepdims=True)
+        np.exp(probs, out=probs)
+        probs /= probs.sum(axis=-1, keepdims=True)
         self._probs = probs
         self._targets = labels
         picked = probs[self._picks(labels)]
-        losses = -np.mean(np.log(np.clip(picked, 1e-12, None)), axis=-1)
+        np.maximum(picked, 1e-12, out=picked)
+        losses = -(np.add.reduce(np.log(picked, out=picked), axis=-1) / labels.shape[-1])
         return float(losses) if losses.ndim == 0 else losses
 
     def backward(self) -> np.ndarray:

@@ -213,6 +213,50 @@ class TestCheckpointGuards:
         with pytest.raises(CheckpointError):
             trainer.restore_state(b"not a pickle")
 
+    @staticmethod
+    def _doctored(blob: bytes, edit) -> bytes:
+        payload = pickle.loads(blob)
+        edit(payload)
+        return pickle.dumps(payload)
+
+    def test_a_blob_missing_an_attribute_is_a_miss(self):
+        # Applied as it stood, the blob would resume with the fresh trainer's
+        # block count: silently wrong from the next round on.
+        donor = self._trainer(small_spec("blockchain"))
+        donor.run_until(2)
+        blob = self._doctored(
+            donor.checkpoint_state(), lambda p: p["attrs"].pop("chain_height")
+        )
+        fresh = self._trainer(small_spec("blockchain"))
+        with pytest.raises(CheckpointError, match="chain_height"):
+            fresh.restore_state(blob)
+        assert fresh.chain_height == 1 and fresh.rounds_completed() == 0
+
+    @pytest.mark.parametrize("attrs", ["missing", None, ["chain_height"]])
+    def test_a_blob_without_an_attribute_dict_is_a_miss(self, attrs, tmp_path):
+        def edit(payload):
+            if attrs == "missing":
+                del payload["attrs"]
+            else:
+                payload["attrs"] = attrs
+
+        donor = self._trainer(small_spec("blockchain"))
+        donor.run_until(2)
+        with pytest.raises(CheckpointError, match="lacks trainer attributes"):
+            self._trainer(small_spec("blockchain")).restore_state(
+                self._doctored(donor.checkpoint_state(), edit)
+            )
+        # Through the engine the doctored rung costs a recompute, not a crash.
+        spec = small_spec("blockchain")
+        prior = spec.with_overrides(num_rounds=3)
+        store = RunStore(tmp_path)
+        rung = ExperimentEngine(store=store).run_partial(spec, 3)
+        store.put(prior, rung, checkpoint=self._doctored(store.get_checkpoint(prior), edit))
+        engine = ExperimentEngine(store=store, reuse_cached=True)
+        resumed = engine.run_partial(spec, 6, resume_from=(3,))
+        assert canonical(resumed) == canonical(straight_run(spec))
+        assert engine.round_evaluations == 6
+
     def test_a_blob_that_would_run_code_is_refused(self, tmp_path):
         marker = tmp_path / "ran"
         blob = pickle.dumps({"version": CHECKPOINT_SCHEMA_VERSION, "x": _OpensAFile(marker)})

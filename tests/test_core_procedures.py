@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from repro.blockchain.miner import Miner
 from repro.blockchain.transaction import TransactionType, make_gradient_transaction
 from repro.core.procedures import (
     RoundContext,
+    apply_round_mode,
     procedure_exchange,
     procedure_global_update,
     procedure_local_update,
@@ -134,6 +137,65 @@ class TestProcedureExchange:
         procedure_upload(ctx, miners[:1], keystore, new_rng(0, "upload"))
         procedure_exchange(ctx, miners[:1])
         assert ctx.gradient_matrix.shape[0] == 2
+
+
+class TestUploadsAreConsumed:
+    """Procedure III's stacked matrix is the one copy of the round's uploads."""
+
+    def _uploaded(self, setup, selected, *, late=()):
+        clients, miners, keystore, global_params = setup
+        ctx = _context(global_params, selected)
+        procedure_local_update(ctx, serial_updates(clients), LOCAL_CFG)
+        vectors = {u.client_id: u.parameters.copy() for u in ctx.updates}
+        timing = SimpleNamespace(on_time_ids=[c for c in selected if c not in late])
+        stragglers = apply_round_mode(ctx, timing, "async")
+        procedure_upload(ctx, miners, keystore, new_rng(0, "upload"))
+        return ctx, miners, keystore, vectors, stragglers
+
+    def test_stacked_uploads_release_their_vectors(self, setup):
+        ctx, miners, keystore, vectors, _ = self._uploaded(setup, [0, 1, 2, 3, 4])
+        # Procedure II hands each vector over: the transaction is its one holder.
+        assert all(u.parameters is None for u in ctx.updates)
+        assert all(tx.payload is not None for tx in ctx.transactions)
+        ids = {tx.tx_id: (tx.payload_digest, tx.signature) for tx in ctx.transactions}
+        procedure_exchange(ctx, miners)
+        for cid, row in zip(ctx.gradient_client_ids, ctx.gradient_matrix):
+            assert row.tobytes() == vectors[cid].tobytes()
+        assert all(tx.payload is None for tx in ctx.transactions)
+        # Identity, digest, signature and client index outlive the payload.
+        assert {tx.tx_id: (tx.payload_digest, tx.signature) for tx in ctx.transactions} == ids
+        assert all(tx.verify(keystore) for tx in ctx.transactions)
+        assert sorted(int(tx.metadata["client_index"]) for tx in ctx.transactions) == [
+            0, 1, 2, 3, 4,
+        ]
+
+    def test_a_consumed_set_raises_naming_the_sender(self, setup):
+        ctx, miners, _, _, _ = self._uploaded(setup, [0, 1, 2])
+        procedure_exchange(ctx, miners)
+        with pytest.raises(ValueError, match=r"'client-0'.*already stacked"):
+            miners[1].gradient_vectors()
+        with pytest.raises(ValueError, match="already stacked"):
+            procedure_exchange(ctx, miners)
+
+    def test_stragglers_and_rejected_uploads_keep_their_vectors(self, setup):
+        ctx, miners, _, vectors, stragglers = self._uploaded(
+            setup, [0, 1, 2, 3, 4, 5], late=(1, 4)
+        )
+        procedure_exchange(ctx, miners)
+        assert sorted(ctx.gradient_client_ids) == [0, 2, 3, 5]
+        assert [u.client_id for u in stragglers] == [1, 4]
+        for update in stragglers:
+            assert update.parameters.tobytes() == vectors[update.client_id].tobytes()
+        # Unsigned uploads fail the miners' check: nothing stacks them.
+        clients, _, _, global_params = setup
+        ctx = _context(global_params, [0, 1])
+        procedure_local_update(ctx, serial_updates(clients), LOCAL_CFG)
+        for miner in miners:
+            miner.reset_round()
+        procedure_upload(ctx, miners, None, new_rng(0, "upload"))
+        procedure_exchange(ctx, miners)
+        assert ctx.rejected_uploads == 2 and ctx.gradient_matrix.shape[0] == 0
+        assert all(tx.payload is not None for tx in ctx.transactions)
 
 
 class TestProcedureGlobalUpdate:

@@ -37,6 +37,16 @@ class TestJainsIndex:
         x = [0.2, 0.5, 1.3]
         assert jains_index(x) == pytest.approx(jains_index([10 * v for v in x]))
 
+    def test_tiny_equal_rewards_stay_at_one(self):
+        # Squared, these underflow into subnormals and the index read 1.0417.
+        assert jains_index([5.58e-162, 5.58e-162]) == 1.0
+        assert jains_index([5e-324, 0.0]) == 0.5
+
+    def test_huge_rewards_do_not_overflow(self):
+        # Squared, these overflow: the index raised OverflowError.
+        assert jains_index([1e200, 1e200]) == 1.0
+        assert jains_index([1.7e308, 0.0, 0.0, 0.0]) == 0.25
+
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             jains_index([-1.0, 1.0])
