@@ -28,7 +28,6 @@ if str(_SRC) not in sys.path:
 
 from repro.core.results import ComparisonResult  # noqa: E402
 from repro.runner.engine import ExperimentEngine  # noqa: E402
-from repro.runner.scenario import ScenarioSpec  # noqa: E402
 from repro.store.keys import spec_key  # noqa: E402
 from repro.store.records import write_json_record  # noqa: E402
 
@@ -148,31 +147,3 @@ def emit_json(
 def engine() -> ExperimentEngine:
     """One dataset-memoising engine shared by every bench in the session."""
     return ExperimentEngine()
-
-
-@pytest.fixture(scope="session")
-def bench_spec() -> ScenarioSpec:
-    """The shared scaled-down experimental setup used by most benches.
-
-    This *is* the :class:`ScenarioSpec` default workload (20 clients, 1500
-    samples, 10 rounds, λ=0.5, Dirichlet, logreg, E=2/B=10/η=0.05, seed 0).
-    """
-    return ScenarioSpec()
-
-
-@pytest.fixture(scope="session")
-def smoke_spec() -> ScenarioSpec:
-    """A minimal setup for the smoke tier: structural coverage in seconds."""
-    return ScenarioSpec(num_clients=8, num_samples=600, num_rounds=2, epochs=1)
-
-
-@pytest.fixture(scope="session")
-def smoke_quality_spec(smoke_spec) -> ScenarioSpec:
-    """Smoke-scale setup with low-quality clients for the discard benches."""
-    return smoke_spec.with_overrides(num_rounds=3, low_quality_fraction=0.3)
-
-
-@pytest.fixture(scope="session")
-def quality_spec(bench_spec) -> ScenarioSpec:
-    """Setup with low-quality (label-noise) clients for the Fig. 7 benches."""
-    return bench_spec.with_overrides(num_rounds=16, low_quality_fraction=0.3)

@@ -9,8 +9,8 @@ image dataset with the properties that matter to FAIR-BFL's evaluation:
 * samples of a class share a spatial structure ("digit prototype" built from a
   class-specific set of strokes) plus per-sample deformation and pixel noise,
   so non-IID partitioning by label produces genuinely skewed client gradients;
-* the generator is fully deterministic given a seed, so accuracy curves in
-  EXPERIMENTS.md are replayable.
+* the generator is fully deterministic given a seed, so every accuracy
+  curve the benches print is replayable.
 
 The public API mirrors a conventional MNIST loader: ``images`` with shape
 ``(num_samples, 784)`` scaled to ``[0, 1]`` and integer ``labels``.

@@ -323,10 +323,12 @@ class Trainer:
         Raises :class:`CheckpointError` on a global no checkpoint is made of
         (:class:`_CheckpointUnpickler`), a version/trainer-class mismatch, an
         attribute set that misses one of this trainer's checkpointed
-        attributes, or a client population that no longer matches — all
-        signatures of a blob produced by different code or a different spec,
-        or not by :meth:`checkpoint_state`, which resume paths treat as a miss
-        rather than a corruption to propagate.
+        attributes, or a client population or RNG state that does not match —
+        all signatures of a blob produced by different code or a different
+        spec, or not by :meth:`checkpoint_state`, which resume paths treat as
+        a miss rather than a corruption to propagate.  The whole blob is
+        checked before anything is assigned, so a refused blob leaves this
+        trainer as it was.
         """
         try:
             payload = _CheckpointUnpickler(blob, type(self).__module__).load()
@@ -351,10 +353,19 @@ class Trainer:
         client_state = payload.get("clients")
         if (clients is None) != (client_state is None):
             raise CheckpointError("checkpoint client state does not match this trainer")
-        if clients is not None and set(client_state) != {int(c) for c in clients}:
+        if clients is not None and (
+            not isinstance(client_state, dict) or set(client_state) != {int(c) for c in clients}
+        ):
             raise CheckpointError("checkpoint client population does not match this trainer")
-        for name, value in attrs.items():
-            setattr(self, name, value)
-        if clients is not None:
-            for cid, rng_state in client_state.items():
-                clients[cid].rng.bit_generator.state = rng_state
+        # Each RNG state is tried on a scratch generator before anything is assigned.
+        rng_states = {}
+        for cid, rng_state in (client_state or {}).items():
+            scratch = type(clients[cid].rng.bit_generator)()
+            try:
+                scratch.state = rng_state
+            except (ArithmeticError, LookupError, TypeError, ValueError) as exc:
+                raise CheckpointError(f"checkpoint RNG state of client {cid} is malformed") from exc
+            rng_states[cid] = scratch.state
+        vars(self).update(attrs)
+        for cid, rng_state in rng_states.items():
+            clients[cid].rng.bit_generator.state = rng_state

@@ -14,7 +14,7 @@ __all__ = ["jains_index"]
 
 
 def jains_index(rewards) -> float:
-    """Jain's fairness index ``(Σx)² / (k·Σx²)`` of non-negative ``rewards``.
+    """Jain's fairness index ``(Σx)² / (k·Σx²)`` of finite, non-negative ``rewards``.
 
     Returns 1.0 for an all-zero allocation (no reward was issued, so nobody was
     treated unequally).  The index does not change when every reward is scaled
@@ -26,6 +26,8 @@ def jains_index(rewards) -> float:
     x = np.asarray(values, dtype=np.float64).ravel()
     if x.size == 0:
         raise ValueError("at least one reward value is required")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("rewards must be finite")
     if np.any(x < 0):
         raise ValueError("rewards must be non-negative")
     peak = x.max()

@@ -207,120 +207,12 @@ class EventRoundSimulator:
         epochs: int,
         stages: Iterable[str] = _STAGES,
     ) -> RoundTiming:
-        """One FAIR-BFL round (any subset of Procedures I-V via ``stages``)."""
+        """One FAIR-BFL round (any subset of Procedures I-V via ``stages``).
 
-        def global_duration(on_time_count: int) -> float:
-            """Aggregation plus Algorithm 2 clustering over the on-time uploads."""
-            params = self.params
-            return params.aggregation_base + params.clustering_per_gradient * max(0, on_time_count)
-
-        return self._simulate(
-            client_ids=client_ids,
-            num_miners=num_miners,
-            batches_per_epoch=batches_per_epoch,
-            epochs=epochs,
-            stages=frozenset(stages),
-            global_duration=global_duration,
-        )
-
-    def vanilla_round(self, *, transactions: int, num_miners: int) -> RoundTiming:
-        """One vanilla-blockchain round: queue ``transactions`` into bounded blocks.
-
-        Each transaction is handled as one serialised ``mempool:process-tx``
-        event; then mining competitions repeat until none is pending.  Each
-        winner takes ``min(transactions_per_block, pending)`` of them (a round
-        with none still mines one block), and the competition's forks merge
-        before the next one.  Only the count matters: the baseline's cost is
-        in this timing, not in ledger bytes.
-
-        Vanilla rounds are always synchronous — the baseline has no straggler
-        handling; that is FAIR-BFL's advantage to demonstrate.
+        The pipeline: clients train and upload through the round mode's
+        window, then Procedures II-V run on the on-time uploads.
         """
-        params = self.params
-        fork_model = params.fork_model
-        kernel = self._kernel()
-        state = {"handled": 0.0, "mined": 0.0, "blocks": 0, "forks": 0, "pending": transactions}
-
-        def mine_next_block() -> None:
-            _compete(kernel, self.rng, params, num_miners, block_won)
-
-        def handled() -> None:
-            state["handled"] = kernel.now
-            mine_next_block()
-
-        def block_won(_winner: int) -> None:
-            state["pending"] -= min(params.transactions_per_block, state["pending"])
-            state["blocks"] += 1
-            collisions = fork_model.sample_collisions(self.rng, num_miners)
-            state["forks"] += collisions
-            _schedule_serial_chain(
-                kernel,
-                fork_model.merge_schedule(collisions),
-                "fork:merge",
-                mine_next_block if state["pending"] else mined,
-            )
-
-        def mined() -> None:
-            state["mined"] = kernel.now
-
-        tx_times = [params.tx_processing_time] * transactions
-        kernel.schedule(
-            0.0,
-            (lambda: _schedule_serial_chain(kernel, tx_times, "mempool:process-tx", handled)),
-            name="round:start",
-        )
-        kernel.run()
-        breakdown = RoundDelayBreakdown(
-            t_local=0.0,
-            t_up=state["handled"],
-            t_ex=0.0,
-            t_gl=0.0,
-            t_bl=max(0.0, state["mined"] - state["handled"]),
-        )
-        return self._timing(
-            kernel, breakdown, blocks_mined=state["blocks"], fork_count=state["forks"]
-        )
-
-    def _kernel(self) -> EventKernel:
-        """A fresh kernel for one round, seeded from the simulator stream."""
-        return EventKernel(
-            seed=int(self.rng.integers(0, 2**63)), record_trace=self.record_trace
-        )
-
-    def _timing(
-        self,
-        kernel: EventKernel,
-        breakdown: RoundDelayBreakdown,
-        *,
-        blocks_mined: int,
-        fork_count: int,
-        arrivals: tuple[ClientArrival, ...] = (),
-        on_time_ids: tuple[int, ...] = (),
-        late_ids: tuple[int, ...] = (),
-    ) -> RoundTiming:
-        return RoundTiming(
-            breakdown=breakdown,
-            arrivals=arrivals,
-            on_time_ids=on_time_ids,
-            late_ids=late_ids,
-            blocks_mined=int(blocks_mined),
-            fork_count=int(fork_count),
-            events_processed=kernel.events_processed,
-            trace_digest=kernel.trace_digest() if self.record_trace else None,
-        )
-
-    # -- the simulations ------------------------------------------------------
-    def _simulate(
-        self,
-        *,
-        client_ids: Sequence[int] | int,
-        num_miners: int,
-        batches_per_epoch: float | Mapping[int, float],
-        epochs: int,
-        stages: frozenset,
-        global_duration: Callable[[int], float],
-    ) -> RoundTiming:
-        """The FAIR-BFL / FL pipeline: clients, upload window, then Procedures II-V."""
+        stages = frozenset(stages)
         if stages - set(_STAGES) or "upload" not in stages:
             raise ValueError(
                 f"simulation stages must include 'upload' and come from {_STAGES}, "
@@ -466,7 +358,9 @@ class EventRoundSimulator:
                 state["global_end"] = kernel.now
                 start_mining()
 
-            duration = float(global_duration(len(state["on_time"])))
+            # Aggregation plus Algorithm 2 clustering over the on-time uploads.
+            on_time = len(state["on_time"])
+            duration = float(params.aggregation_base + params.clustering_per_gradient * on_time)
             kernel.schedule(duration, done, name="miner:global-update")
 
         # -- Procedure V: one block, no forks (Assumptions 1 + 2) -------------
@@ -516,3 +410,90 @@ class EventRoundSimulator:
             blocks_mined=state["blocks"],
             fork_count=0,
         )
+
+    def vanilla_round(self, *, transactions: int, num_miners: int) -> RoundTiming:
+        """One vanilla-blockchain round: queue ``transactions`` into bounded blocks.
+
+        Each transaction is handled as one serialised ``mempool:process-tx``
+        event; then mining competitions repeat until none is pending.  Each
+        winner takes ``min(transactions_per_block, pending)`` of them (a round
+        with none still mines one block), and the competition's forks merge
+        before the next one.  Only the count matters: the baseline's cost is
+        in this timing, not in ledger bytes.
+
+        Vanilla rounds are always synchronous — the baseline has no straggler
+        handling; that is FAIR-BFL's advantage to demonstrate.
+        """
+        params = self.params
+        fork_model = params.fork_model
+        kernel = self._kernel()
+        state = {"handled": 0.0, "mined": 0.0, "blocks": 0, "forks": 0, "pending": transactions}
+
+        def mine_next_block() -> None:
+            _compete(kernel, self.rng, params, num_miners, block_won)
+
+        def handled() -> None:
+            state["handled"] = kernel.now
+            mine_next_block()
+
+        def block_won(_winner: int) -> None:
+            state["pending"] -= min(params.transactions_per_block, state["pending"])
+            state["blocks"] += 1
+            collisions = fork_model.sample_collisions(self.rng, num_miners)
+            state["forks"] += collisions
+            _schedule_serial_chain(
+                kernel,
+                fork_model.merge_schedule(collisions),
+                "fork:merge",
+                mine_next_block if state["pending"] else mined,
+            )
+
+        def mined() -> None:
+            state["mined"] = kernel.now
+
+        tx_times = [params.tx_processing_time] * transactions
+        kernel.schedule(
+            0.0,
+            (lambda: _schedule_serial_chain(kernel, tx_times, "mempool:process-tx", handled)),
+            name="round:start",
+        )
+        kernel.run()
+        breakdown = RoundDelayBreakdown(
+            t_local=0.0,
+            t_up=state["handled"],
+            t_ex=0.0,
+            t_gl=0.0,
+            t_bl=max(0.0, state["mined"] - state["handled"]),
+        )
+        return self._timing(
+            kernel, breakdown, blocks_mined=state["blocks"], fork_count=state["forks"]
+        )
+
+    def _kernel(self) -> EventKernel:
+        """A fresh kernel for one round, seeded from the simulator stream."""
+        return EventKernel(
+            seed=int(self.rng.integers(0, 2**63)), record_trace=self.record_trace
+        )
+
+    def _timing(
+        self,
+        kernel: EventKernel,
+        breakdown: RoundDelayBreakdown,
+        *,
+        blocks_mined: int,
+        fork_count: int,
+        arrivals: tuple[ClientArrival, ...] = (),
+        on_time_ids: tuple[int, ...] = (),
+        late_ids: tuple[int, ...] = (),
+    ) -> RoundTiming:
+        return RoundTiming(
+            breakdown=breakdown,
+            arrivals=arrivals,
+            on_time_ids=on_time_ids,
+            late_ids=late_ids,
+            blocks_mined=int(blocks_mined),
+            fork_count=int(fork_count),
+            events_processed=kernel.events_processed,
+            trace_digest=kernel.trace_digest() if self.record_trace else None,
+        )
+

@@ -23,6 +23,8 @@ path while the suite runs).
 
 from __future__ import annotations
 
+import copy
+from dataclasses import replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -52,14 +54,24 @@ def kernel_fl_round(
     batches_per_epoch: float | Mapping[int, float],
     epochs: int,
 ) -> RoundTiming:
-    """One FedAvg/FedProx round on the kernel: local training, upload, server aggregation."""
-    return simulator._simulate(
+    """One FedAvg/FedProx round on the kernel: local training, upload, server aggregation.
+
+    The FAIR-BFL pipeline without exchange or mining, on a copy of
+    ``simulator`` (sharing its generator) whose Procedure IV costs exactly
+    ``server_aggregation_time``: a zero per-gradient clustering term adds 0.0.
+    """
+    server = copy.copy(simulator)
+    server.params = replace(
+        simulator.params,
+        aggregation_base=simulator.params.server_aggregation_time,
+        clustering_per_gradient=0.0,
+    )
+    return server.fairbfl_round(
         client_ids=client_ids,
         num_miners=0,
         batches_per_epoch=batches_per_epoch,
         epochs=epochs,
-        stages=frozenset(("local", "upload", "global")),
-        global_duration=lambda _count: simulator.params.server_aggregation_time,
+        stages=("local", "upload", "global"),
     )
 
 

@@ -232,6 +232,25 @@ class TestCheckpointGuards:
             fresh.restore_state(blob)
         assert fresh.chain_height == 1 and fresh.rounds_completed() == 0
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda p: p.update(clients=list(p["clients"])),
+            lambda p: p["clients"].update({0: {"bit_generator": "PCG64"}}),
+        ],
+        ids=["client_ids_only", "malformed_client_rng_state"],
+    )
+    def test_a_malformed_client_state_is_refused_before_the_trainer_changes(self, edit):
+        spec = small_spec("fedavg", num_rounds=2)
+        donor = self._trainer(spec)
+        donor.run_until(1)
+        blob = self._doctored(donor.checkpoint_state(), edit)
+        trainer = self._trainer(spec)
+        with pytest.raises(CheckpointError, match="client"):
+            trainer.restore_state(blob)
+        assert trainer.rounds_completed() == 0
+        assert history_to_payload(trainer.run()) == history_to_payload(self._trainer(spec).run())
+
     @pytest.mark.parametrize("attrs", ["missing", None, ["chain_height"]])
     def test_a_blob_without_an_attribute_dict_is_a_miss(self, attrs, tmp_path):
         def edit(payload):

@@ -51,6 +51,12 @@ class TestJainsIndex:
         with pytest.raises(ValueError):
             jains_index([-1.0, 1.0])
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan], ids=["inf", "nan"])
+    def test_rejects_non_finite(self, bad):
+        # Left unchecked, either one makes the index nan.
+        with pytest.raises(ValueError, match="finite"):
+            jains_index([bad, 1.0])
+
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             jains_index([])
