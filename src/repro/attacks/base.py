@@ -41,12 +41,6 @@ class Attack:
         """
         raise NotImplementedError
 
-    def _mark(self, forged: ClientUpdate) -> ClientUpdate:
-        """Tag the update as malicious and note the attack used."""
-        forged.is_malicious = True
-        forged.metadata["attack"] = self.name
-        return forged
-
 
 class NoAttack(Attack):
     """Identity attack: the client stays honest (control condition)."""

@@ -65,8 +65,7 @@ class SignFlipAttack(Attack):
         global_parameters: np.ndarray | None = None,
     ) -> ClientUpdate:
         ref, direction = _direction(update, global_parameters)
-        forged = update.copy_with_parameters(ref - self.scale * direction)
-        return self._mark(forged)
+        return update.copy_with_parameters(ref - self.scale * direction)
 
 
 class ScalingAttack(Attack):
@@ -85,8 +84,7 @@ class ScalingAttack(Attack):
         global_parameters: np.ndarray | None = None,
     ) -> ClientUpdate:
         ref, direction = _direction(update, global_parameters)
-        forged = update.copy_with_parameters(ref + self.factor * direction)
-        return self._mark(forged)
+        return update.copy_with_parameters(ref + self.factor * direction)
 
 
 class GaussianNoiseAttack(Attack):
@@ -112,8 +110,7 @@ class GaussianNoiseAttack(Attack):
         noise_norm = np.linalg.norm(noise)
         if norm > 0 and noise_norm > 0:
             noise = noise * (norm / noise_norm)
-        forged = update.copy_with_parameters(ref + noise)
-        return self._mark(forged)
+        return update.copy_with_parameters(ref + noise)
 
 
 class ZeroGradientAttack(Attack):
@@ -130,10 +127,8 @@ class ZeroGradientAttack(Attack):
     ) -> ClientUpdate:
         ref, _direction_vec = _direction(update, global_parameters)
         if global_parameters is None:
-            forged = update.copy_with_parameters(np.zeros_like(update.parameters))
-        else:
-            forged = update.copy_with_parameters(ref.copy())
-        return self._mark(forged)
+            return update.copy_with_parameters(np.zeros_like(update.parameters))
+        return update.copy_with_parameters(ref.copy())
 
 
 class MixedAttack(Attack):
@@ -167,10 +162,7 @@ class MixedAttack(Attack):
         global_parameters: np.ndarray | None = None,
     ) -> ClientUpdate:
         chosen = self.attacks[int(rng.integers(len(self.attacks)))]
-        forged = chosen.apply(update, rng, global_parameters=global_parameters)
-        # Re-mark under the mixed name but keep the primitive for diagnostics.
-        forged.metadata["attack_primitive"] = chosen.name
-        return self._mark(forged)
+        return chosen.apply(update, rng, global_parameters=global_parameters)
 
 
 def make_attack(name: str, **kwargs) -> Attack:

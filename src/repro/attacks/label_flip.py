@@ -40,12 +40,10 @@ class LabelFlipAttack(Attack):
     ) -> ClientUpdate:
         """Forge the label-flipped update (see the class docstring)."""
         if global_parameters is None:
-            forged = update.copy_with_parameters(-np.asarray(update.parameters))
-            return self._mark(forged)
+            return update.copy_with_parameters(-np.asarray(update.parameters))
         g = np.asarray(global_parameters, dtype=np.float64)
         direction = np.asarray(update.parameters, dtype=np.float64) - g
         mixed = -0.5 * direction + 0.5 * rng.normal(0.0, 1.0, size=direction.shape) * (
             np.linalg.norm(direction) / max(1.0, np.sqrt(direction.size))
         )
-        forged = update.copy_with_parameters(g + mixed)
-        return self._mark(forged)
+        return update.copy_with_parameters(g + mixed)

@@ -6,7 +6,7 @@ Two layers are provided:
   for a nonce such that ``SHA256(header) < Target``.  Used at low difficulty to
   demonstrate that the ledger machinery is real (hash links verify, tampering
   is detected) without burning CPU.
-* :func:`sample_mining_time` — the *timing* model: at realistic difficulties a
+* :func:`sample_winner` — the *timing* model: at realistic difficulties a
   PoW winner's solve time is exponentially distributed with mean
   ``difficulty / hash_rate``; the winning miner is the minimum over the
   per-miner exponential draws.  The delay figures of the paper (T_bl in
@@ -30,8 +30,6 @@ class MiningResult:
     """Outcome of a nonce search."""
 
     success: bool
-    nonce: int
-    block_hash: str
     attempts: int
 
 
@@ -40,7 +38,6 @@ def mine_block(
     *,
     difficulty: float = 1.0,
     max_attempts: int = 1_000_000,
-    start_nonce: int = 0,
 ) -> MiningResult:
     """Search for a nonce satisfying Equation (4) and write it into the header.
 
@@ -51,48 +48,19 @@ def mine_block(
     difficulty:
         Mining difficulty (>= 1).  The target is ``MAX_TARGET / difficulty``.
     max_attempts:
-        Upper bound on nonce trials; a failure result is returned if exceeded
-        (callers treat this as a programming error at the low difficulties
-        used in simulation).
-    start_nonce:
-        First nonce to try (lets different miners search disjoint ranges).
+        Upper bound on nonce trials, counted from nonce 0; a failure result
+        is returned if exceeded (callers treat this as a programming error
+        at the low difficulties used in simulation).
     """
     if max_attempts <= 0:
         raise ValueError(f"max_attempts must be positive, got {max_attempts}")
     target = difficulty_to_target(difficulty)
     block.header.difficulty = float(difficulty)
-    nonce = int(start_nonce)
-    for attempt in range(1, max_attempts + 1):
+    for nonce in range(max_attempts):
         block.header.nonce = nonce
-        digest = block.header.compute_hash()
-        if meets_target(digest, target):
-            return MiningResult(success=True, nonce=nonce, block_hash=digest, attempts=attempt)
-        nonce += 1
-    return MiningResult(
-        success=False, nonce=block.header.nonce, block_hash=block.header.compute_hash(),
-        attempts=max_attempts,
-    )
-
-
-def sample_mining_time(
-    rng: np.random.Generator,
-    *,
-    difficulty: float,
-    hash_rate: float,
-) -> float:
-    """Sample one miner's PoW solve time (seconds).
-
-    The number of hashes needed to find a block below the target is
-    geometrically distributed with success probability ``1/difficulty``; at the
-    hash counts of interest this is an exponential solve time with mean
-    ``difficulty / hash_rate``.
-    """
-    if difficulty < 1.0:
-        raise ValueError(f"difficulty must be >= 1, got {difficulty}")
-    if hash_rate <= 0.0:
-        raise ValueError(f"hash_rate must be positive, got {hash_rate}")
-    mean_time = difficulty / hash_rate
-    return float(rng.exponential(mean_time))
+        if meets_target(block.header.compute_hash(), target):
+            return MiningResult(success=True, attempts=nonce + 1)
+    return MiningResult(success=False, attempts=max_attempts)
 
 
 def sample_winner(
@@ -100,19 +68,20 @@ def sample_winner(
     miner_ids: list[str],
     *,
     difficulty: float,
-    hash_rates: dict[str, float] | None = None,
-    default_hash_rate: float = 1.0,
 ) -> tuple[str, float]:
     """Sample the mining-competition winner and the winning solve time.
 
-    Each miner draws an independent exponential solve time; the minimum wins.
-    Returns ``(winner_id, winning_time_seconds)``.
+    The number of hashes a miner needs to find a block below the target is
+    geometrically distributed with success probability ``1/difficulty``; at
+    the hash counts of interest this is an exponential solve time with mean
+    ``difficulty / hash_rate``, every miner hashing at rate 1.  Each miner
+    draws its time independently, in ``miner_ids`` order, and the minimum
+    wins.  Returns ``(winner_id, winning_time_seconds)``.
     """
     if not miner_ids:
         raise ValueError("at least one miner is required to run a mining competition")
-    times = []
-    for mid in miner_ids:
-        rate = default_hash_rate if hash_rates is None else hash_rates.get(mid, default_hash_rate)
-        times.append(sample_mining_time(rng, difficulty=difficulty, hash_rate=rate))
+    if difficulty < 1.0:
+        raise ValueError(f"difficulty must be >= 1, got {difficulty}")
+    times = [float(rng.exponential(difficulty)) for _ in miner_ids]
     best = int(np.argmin(times))
-    return miner_ids[best], float(times[best])
+    return miner_ids[best], times[best]

@@ -49,6 +49,7 @@ from repro.nn.parameters import (
 from repro.sim.delay import DelayParameters
 from repro.sim.rounds import EventRoundSimulator, RoundTiming
 from repro.utils.rng import new_rng
+from repro.utils.vectors import finite_rows
 
 __all__ = ["FairBFLTrainer"]
 
@@ -285,16 +286,19 @@ class FairBFLTrainer(Trainer):
 
         Late updates never pass through Procedure II's signature check or
         Algorithm 2's contribution filter — they arrive after the window those
-        defenses run in — so they are screened here instead: first through the
-        configured robust-aggregation defense (the same clip/filter pipeline
-        the fresh gradient set passed; an aggregate-replacing defense
-        contributes its clip/keep behaviour only, since stale rows must stay
-        individual for staleness weighting), then by direction: a stale update
-        is only blended if its update direction is positively aligned with the
-        round's fresh consensus direction (cosine distance below
-        :attr:`STALE_ALIGNMENT_CUTOFF`).  A sign-flipped or scaled-negative
-        forgery that deliberately straggles past the quorum is rejected, and
-        every rejection is reported in ``extras["stale_rejected"]``.
+        defenses run in — so they are screened here instead: first a row with
+        a NaN or ±Inf entry is dropped, as Procedure IV drops one (it would
+        turn the norm-clip median NaN and so switch clipping off for every
+        row); then through the configured robust-aggregation defense (the
+        same clip/filter pipeline the fresh gradient set passed; an
+        aggregate-replacing defense contributes its clip/keep behaviour only,
+        since stale rows must stay individual for staleness weighting); then
+        by direction: a stale update is only blended if its update direction
+        is positively aligned with the round's fresh consensus direction
+        (cosine distance below :attr:`STALE_ALIGNMENT_CUTOFF`).  A
+        sign-flipped or scaled-negative forgery that deliberately straggles
+        past the quorum is rejected, and every rejection is reported in
+        ``extras["stale_rejected"]``.
         """
         if not self._stale_buffer or ctx.new_global_parameters is None:
             return
@@ -303,7 +307,10 @@ class FairBFLTrainer(Trainer):
         fresh = np.asarray(ctx.new_global_parameters, dtype=np.float64)
         stale_matrix = np.stack([vec for vec, _origin in self._stale_buffer], axis=0)
         origins = np.array([origin for _vec, origin in self._stale_buffer])
-        if self.defense is not None:
+        finite = finite_rows(stale_matrix)
+        ctx.stale_rejected += int(np.count_nonzero(~finite))
+        stale_matrix, origins = stale_matrix[finite], origins[finite]
+        if self.defense is not None and finite.any():
             outcome = self.defense.apply(stale_matrix - previous[None, :])
             ctx.stale_rejected += stale_matrix.shape[0] - len(outcome.kept_indices)
             stale_matrix = outcome.deltas

@@ -47,8 +47,6 @@ class RSAKeyPair:
         ``e`` (coprime with Euler's totient).
     private_exponent:
         ``d = e^{-1} mod phi(n)``.
-    bits:
-        Modulus size in bits (informational).
     prime_p, prime_q:
         The factors of ``n``.
     exponent_p, exponent_q:
@@ -60,7 +58,6 @@ class RSAKeyPair:
     modulus: int
     public_exponent: int
     private_exponent: int
-    bits: int
     prime_p: int
     prime_q: int
     exponent_p: int
@@ -99,7 +96,7 @@ class RSAKeyPair:
                 continue
             d = pow(e, -1, phi)
             return cls(
-                modulus=n, public_exponent=e, private_exponent=d, bits=bits, prime_p=p, prime_q=q,
+                modulus=n, public_exponent=e, private_exponent=d, prime_p=p, prime_q=q,
                 exponent_p=d % (p - 1), exponent_q=d % (q - 1), coefficient=pow(q, -1, p),
             )
 

@@ -24,7 +24,7 @@ paper's evaluation:
 
 from repro.fl.aggregation import contribution_weights, fair_aggregate, simple_average
 from repro.fl.client import ClientUpdate, FLClient, LocalTrainingConfig
-from repro.fl.robust import DEFENSES, RobustOutcome, make_defense
+from repro.fl.robust import DEFENSES, make_defense
 from repro.fl.trainer import Trainer
 from repro.fl.fedavg import FedAvgTrainer
 from repro.fl.fedprox import FedProxTrainer
@@ -40,7 +40,6 @@ __all__ = [
     "FLClient",
     "LocalTrainingConfig",
     "DEFENSES",
-    "RobustOutcome",
     "make_defense",
     "Trainer",
     "FedAvgTrainer",

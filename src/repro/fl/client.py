@@ -19,7 +19,7 @@ model, and every vector that leaves it is a copy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -27,7 +27,6 @@ import numpy as np
 from repro.datasets.federated import ClientDataset
 from repro.datasets.loaders import BatchIterator
 from repro.nn.losses import SoftmaxCrossEntropyLoss
-from repro.nn.metrics import accuracy
 from repro.nn.module import Module
 from repro.nn.optim import SGD, add_proximal_term
 from repro.nn.parameters import (
@@ -82,33 +81,21 @@ class ClientUpdate:
     parameters:
         Updated flat parameter vector ``w^i_{r+1}``; ``None`` once FAIR-BFL's
         Procedure II has handed it to the client's upload transaction.
-    num_samples:
-        Size of the client's local training shard (the quantity vanilla BFL
-        would have asked the client to self-report).
     train_loss:
         Mean training loss over the local epochs.
-    val_accuracy:
-        Accuracy on the client's local verification split under the *updated*
-        parameters; the paper averages these into "average accuracy".
-    is_malicious:
-        Set by the attack layer when the update has been forged.
+
+    The paper's accuracy is not here: it is each client's verification
+    accuracy under the round's *new global* parameters, which the trainer
+    scores after aggregation (``Trainer.mean_accuracy``).
     """
 
     client_id: int
     parameters: np.ndarray | None
-    num_samples: int
     train_loss: float
-    val_accuracy: float
-    is_malicious: bool = False
-    metadata: dict = field(default_factory=dict)
 
     def copy_with_parameters(self, parameters: np.ndarray) -> "ClientUpdate":
         """Return a copy of this update carrying different parameters."""
-        return replace(
-            self,
-            parameters=np.asarray(parameters, dtype=np.float64),
-            metadata=dict(self.metadata),
-        )
+        return replace(self, parameters=np.asarray(parameters, dtype=np.float64))
 
 
 class ModelWorkspace:
@@ -215,16 +202,13 @@ class FLClient:
                 optimizer.step()
                 losses.append(loss)
 
-        # The scratch model holds the trained parameters, so the verification
-        # split is scored on it as it stands.
+        # Drop the last mini-batch the layers cached for a backward pass, or
+        # it stays alive into whatever uses the scratch model next.
+        model.clear_caches()
         return ClientUpdate(
             client_id=self.client_id,
             parameters=get_flat_parameters(model),
-            num_samples=self.num_samples,
             train_loss=float(np.mean(losses)) if losses else 0.0,
-            val_accuracy=accuracy(
-                model.forward(self.dataset.val_images), self.dataset.val_labels
-            ),
         )
 
     def evaluate(self, parameters: np.ndarray) -> float:

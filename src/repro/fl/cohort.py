@@ -34,12 +34,11 @@ lives in one of two anonymous ``MAP_SHARED`` mappings of
 reused for every chunk, so no chunk allocates or faults in a parameter
 matrix.  The helpers inherit the client map at fork; a task carries only its
 rows' permutations (drawn on the coordinator, which alone touches client RNG
-streams) and the global vector, and a helper
-answers with its rows' losses and accuracies.  A part's bytes do not depend
-on the process that trains it.  A chunk trains into whichever mapping no kept
-:class:`CohortBlock` (or row view of one) references, and in a private array
-on the coordinator alone when both are referenced, so a kept block is never
-overwritten.  W = 1, a one-part chunk, or a platform without ``fork`` trains
+streams) and the global vector, and a helper answers with its rows' losses.
+A part's bytes do not depend on the process that trains it.  A chunk trains
+into whichever mapping no kept :class:`CohortBlock` (or row view of one)
+references, and in a private array on the coordinator alone when both are
+referenced, so a kept block is never overwritten.  W = 1, a one-part chunk, or a platform without ``fork`` trains
 in-process.  :meth:`CohortTrainer.close` stops the helpers and unmaps the
 buffers; a helper that dies fails the chunk with :class:`RuntimeError`.
 
@@ -52,7 +51,7 @@ in parts of as many clients as keep a gathered operand within
 regardless of the population size: one ``(max_cohort_size, P)`` parameter
 mapping shared by all W processes (the second is touched only while a block
 is kept), one part's ``grads`` scratch (fully rewritten by every backward,
-never zeroed), gathered mini-batch or validation stack per process, and each
+never zeroed) and gathered mini-batch per process, and each
 *distinct* training shard once — replicated populations share archetype
 arrays, which is observed by object identity and gathered through a
 per-client shard index.  The 4 608-client ``cohort_population`` benchmark
@@ -112,10 +111,9 @@ def _default_workers() -> int:
 #: beside its ``GATHER_ROWS``-bounded operands and the distinct shards.
 DEFAULT_MAX_COHORT_SIZE = 512
 
-#: Gathered operand rows a training or validation step holds at a time: a
-#: chunk trains ``GATHER_ROWS // rows-per-client`` clients at a time, so its
-#: mini-batch, validation stack and ``grads`` scratch do not grow with
-#: ``max_cohort_size``.
+#: Gathered operand rows a training step holds at a time: a chunk trains
+#: ``GATHER_ROWS // rows-per-client`` clients at a time, so its mini-batch and
+#: ``grads`` scratch do not grow with ``max_cohort_size``.
 GATHER_ROWS = 1024
 
 
@@ -136,18 +134,13 @@ class CohortBlock:
         Updated flat parameters, shape ``(len(client_ids), P)``; row ``i``
         is byte-identical to the serial ``ClientUpdate.parameters`` of
         ``client_ids[i]``.
-    num_samples:
-        Local training-shard size shared by the whole cohort (cohorts group
-        clients of identical shard shape).
-    train_losses / val_accuracies:
-        Per-client scalars matching the serial update fields exactly.
+    train_losses:
+        Per-client mean step losses, equal to the serial ``train_loss``.
     """
 
     client_ids: list[int]
     parameters: np.ndarray
-    num_samples: int
     train_losses: list[float]
-    val_accuracies: list[float]
 
 
 def _stack_distinct(arrays: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
@@ -186,14 +179,14 @@ def _train_rows(
     global_ref: np.ndarray,
     config: LocalTrainingConfig,
     width: int,
-) -> tuple[list[float], list[float]]:
+) -> list[float]:
     """Train ``cohort`` into ``params`` (one row per client), ``width`` clients at a time.
 
     ``orders[i, epoch]`` is client ``i``'s mini-batch permutation.  Returns
-    the clients' mean step losses and validation accuracies.  Clients train
-    ``width`` at a time, so a gathered mini-batch or validation operand holds
-    at most GATHER_ROWS rows (or one client's) whatever the row count; no
-    client's bytes depend on its part, nor on the process running it.
+    the clients' mean step losses.  Clients train ``width`` at a time, so a
+    gathered mini-batch holds at most GATHER_ROWS rows (or one client's)
+    whatever the row count; no client's bytes depend on its part, nor on the
+    process running it.
     """
     images, image_of = _stack_distinct([c.dataset.images for c in cohort])
     labels, label_of = _stack_distinct([c.dataset.labels for c in cohort])
@@ -201,7 +194,6 @@ def _train_rows(
     params[...] = global_ref
     starts = range(0, num_samples, config.batch_size)
     losses = np.empty((size, config.epochs * len(starts)))
-    accuracies: list[float] = []
     loss = SoftmaxCrossEntropyLoss()
     grads = np.empty((min(width, size), params.shape[1]))  # scratch: backward rewrites every column
 
@@ -218,16 +210,11 @@ def _train_rows(
                 if config.proximal_mu > 0.0:
                     add_proximal_term(g, p, global_ref, config.proximal_mu)
                 sgd_step(p, g, learning_rate=config.learning_rate)
-        # After training every client has its own parameters, so the forward
-        # needs one validation operand per client; stacking copies each byte once.
-        members = cohort[part]
-        val_images = np.stack([c.dataset.val_images for c in members])
-        val_labels = np.stack([c.dataset.val_labels for c in members])
-        accuracies.extend(accuracy(model.forward(p, val_images), val_labels).tolist())
+        model.template.clear_caches()  # the part's last mini-batch, as in the serial loop
 
     # One contiguous last-axis reduction per client: the same pairwise sum
     # as the serial ``np.mean`` over that client's list of step losses.
-    return losses.mean(axis=1).tolist(), accuracies
+    return losses.mean(axis=1).tolist()
 
 
 def _helper_loop(conn, clients, models, buffers, parent_pid: int) -> None:
@@ -328,7 +315,7 @@ class _Helpers:
         global_ref: np.ndarray,
         config: LocalTrainingConfig,
         width: int,
-    ) -> tuple[np.ndarray, list[float], list[float]]:
+    ) -> tuple[np.ndarray, list[float]]:
         """Train ``cohort`` into buffer ``index`` across the coordinator and helpers."""
         size = len(cohort)
         params = self.buffers[index][:size]
@@ -342,21 +329,20 @@ class _Helpers:
                     conn.send((index, lo, chunk[lo:hi], orders[lo:hi], global_ref, config, width))
                     busy.append(conn)
             own = slice(0, bounds[1])
-            losses, accuracies = _train_rows(
+            losses = _train_rows(
                 model, cohort[own], orders[own], params[own], global_ref, config, width
             )
             for conn in busy:
                 result = conn.recv()
                 if isinstance(result, str):
                     raise RuntimeError(f"a cohort helper process failed:\n{result}")
-                losses += result[0]
-                accuracies += result[1]
+                losses += result
         except (EOFError, OSError) as exc:
             codes = [proc.exitcode for proc in self.procs]
             raise RuntimeError(
                 f"a cohort helper process died while training a chunk (exit codes {codes})"
             ) from exc
-        return params, losses, accuracies
+        return params, losses
 
     def close(self, *, kill: bool = False) -> None:
         """Stop the helpers and unmap the buffers (a kept view defers its mapping's unmap)."""
@@ -479,9 +465,7 @@ class CohortTrainer:
                 by_id[cid] = ClientUpdate(
                     client_id=cid,
                     parameters=block.parameters[i].copy(),
-                    num_samples=block.num_samples,
                     train_loss=block.train_losses[i],
-                    val_accuracy=block.val_accuracies[i],
                 )
             del block  # the CohortBlock contract: drop it before the next chunk trains
         return [by_id[int(cid)] for cid in selected]
@@ -496,8 +480,7 @@ class CohortTrainer:
         cohort = [clients[cid] for cid in chunk]
         model = _compiled_model(self._models, cohort[0], global_ref.shape[0])
         size = len(cohort)
-        dataset = cohort[0].dataset
-        num_samples = int(np.shape(dataset.images)[0])
+        num_samples = int(np.shape(cohort[0].dataset.images)[0])
 
         # Per-client mini-batch permutations: one draw per epoch from each
         # client's private stream, in epoch order — the exact draws
@@ -508,18 +491,16 @@ class CohortTrainer:
                 orders[i, epoch] = client.rng.permutation(num_samples)
 
         # A part gathers at most GATHER_ROWS rows (or one client's).
-        rows = max(1, min(config.batch_size, num_samples), len(dataset.val_labels))
+        rows = max(1, min(config.batch_size, num_samples))
         width = min(size, max(1, GATHER_ROWS // rows))
         helpers = self._helpers_for(clients, global_ref.shape[0]) if size > width else None
         index = None if helpers is None else helpers.free_buffer()
         try:
             if index is None:
                 params = np.empty((size, global_ref.shape[0]))
-                train_losses, accuracies = _train_rows(
-                    model, cohort, orders, params, global_ref, config, width
-                )
+                train_losses = _train_rows(model, cohort, orders, params, global_ref, config, width)
             else:
-                params, train_losses, accuracies = helpers.train(
+                params, train_losses = helpers.train(
                     index, model, chunk, cohort, orders, global_ref, config, width
                 )
         except BaseException:
@@ -532,13 +513,7 @@ class CohortTrainer:
             # release them, or it pins both matrices until the next chunk.
             model.release()
 
-        return CohortBlock(
-            client_ids=list(chunk),
-            parameters=params,
-            num_samples=num_samples,
-            train_losses=train_losses,
-            val_accuracies=accuracies,
-        )
+        return CohortBlock(client_ids=list(chunk), parameters=params, train_losses=train_losses)
 
     # -- evaluation -----------------------------------------------------
     def evaluate_population(

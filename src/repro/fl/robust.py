@@ -54,7 +54,6 @@ from repro.utils.vectors import compact_rows_in_place, row_norms
 
 __all__ = [
     "DEFENSES",
-    "RobustOutcome",
     "DefensePipeline",
     "make_defense",
     "check_defense",

@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.fl.aggregation import simple_average, stack_updates
 from repro.fl.client import ClientUpdate
-from repro.fl.robust import RobustOutcome, make_defense
+from repro.fl.robust import make_defense
 from repro.nn.module import Module
 from repro.nn.parameters import (
     accuracy_of_parameters,
@@ -51,11 +51,6 @@ class CentralServer:
     ) -> None:
         self.model = model_factory()
         self.defense = make_defense(defense, attacker_fraction=defense_fraction)
-        #: The defense's outcome for the most recent round (None when no
-        #: defense is configured or no round has run yet).  Its ``deltas``
-        #: are the surviving rows: :meth:`aggregate` adds the global
-        #: parameters back onto them in place.
-        self.last_defense_outcome: RobustOutcome | None = None
         self.global_parameters = get_flat_parameters(self.model)
 
     def aggregate(self, updates: list[ClientUpdate]) -> np.ndarray:
@@ -82,9 +77,9 @@ class CentralServer:
         # The stacked matrix is the server's own: the defense consumes it.
         matrix -= self.global_parameters
         outcome = self.defense.apply(matrix)
-        self.last_defense_outcome = outcome
         if self.defense.replaces_aggregation:
             return self.commit_global(self.global_parameters + outcome.aggregate)
+        # The surviving rows: add the global parameters back onto them in place.
         rows = outcome.deltas
         rows += self.global_parameters
         return self.commit_global(rows.mean(axis=0))

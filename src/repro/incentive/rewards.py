@@ -28,7 +28,6 @@ class RewardEntry:
 
     client_id: int
     reward: float
-    theta: float
     label: str = "high"
 
 
@@ -55,7 +54,6 @@ def apportion_rewards(
         return []
     weights = contribution_weights(t)
     return [
-        RewardEntry(client_id=cid, reward=float(w * base_reward), theta=float(theta))
-        for cid, w, theta in zip(ids, weights, t)
+        RewardEntry(client_id=cid, reward=float(w * base_reward)) for cid, w in zip(ids, weights)
     ]
 

@@ -43,14 +43,11 @@ class StrategyOutcome:
     ----------
     global_update:
         The (possibly recomputed) global vector ``w_{r+1}``.
-    kept_client_ids:
-        Clients whose gradients contribute to the final global update.
     discarded_client_ids:
         Clients whose gradients were removed (empty for the keep strategy).
     """
 
     global_update: np.ndarray
-    kept_client_ids: list[int]
     discarded_client_ids: list[int]
 
 
@@ -103,14 +100,11 @@ def _keep(
     dropped: list[int] = []
     if keep_mask is not None:
         m, t, dropped = m[keep_mask], t[keep_mask], ids[~keep_mask].tolist()
-        ids = ids[keep_mask]
     if not use_fair_aggregation or t.sum() <= 0:
         new_global = simple_average(m)
     else:
         new_global = fair_aggregate(m, t)
-    return StrategyOutcome(
-        global_update=new_global, kept_client_ids=ids.tolist(), discarded_client_ids=dropped
-    )
+    return StrategyOutcome(global_update=new_global, discarded_client_ids=dropped)
 
 
 class KeepAllStrategy(Strategy):

@@ -7,7 +7,7 @@ drawn log-normally around a base latency (calibrated from the scenario's
 :class:`~repro.sim.delay.DelayParameters`; this is the only message-latency
 model in the package), and the whole cascade
 runs as events on a :class:`~repro.sim.events.EventKernel` seeded for the
-call — so arrival times, duplicate counts, and the delivered set are
+call — so arrival times and the delivered set are
 bit-deterministic for a given seed regardless of host, dict order, or thread
 scheduling.
 
@@ -18,7 +18,7 @@ split produces divergent chain views downstream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -32,12 +32,9 @@ __all__ = ["GossipNetwork"]
 
 @dataclass(frozen=True)
 class GossipOutcome:
-    """What one flood achieved: who got the message, when, and at what cost."""
+    """What one flood achieved: who got the message, and when."""
 
-    origin: str
     arrivals: Mapping[str, float]
-    messages: int
-    duplicates: int
 
     @property
     def max_latency(self) -> float:
@@ -65,7 +62,6 @@ class GossipNetwork:
     peers: Mapping[str, tuple[str, ...]]
     base_latency: float = 0.05
     jitter: float = 0.25
-    floods: int = field(default=0, init=False)
 
     def __post_init__(self) -> None:
         if not self.peers:
@@ -89,13 +85,11 @@ class GossipNetwork:
         kernel = EventKernel(seed=int(seed))
         rng = new_rng(int(seed), "net", "gossip")
         arrivals: dict[str, float] = {origin: 0.0}
-        stats = {"messages": 0, "duplicates": 0}
 
         def forward(node: str) -> None:
             for peer in self.peers[node]:
                 if peer not in active_set or peer in arrivals:
                     continue  # offline, partitioned away, or already holds the message
-                stats["messages"] += 1
                 kernel.schedule(
                     self._latency(rng),
                     _receiver(peer),
@@ -104,23 +98,15 @@ class GossipNetwork:
 
         def _receiver(node: str):
             def receive() -> None:
-                if node in arrivals:
-                    stats["duplicates"] += 1
-                    return
-                arrivals[node] = kernel.now
-                forward(node)
+                if node not in arrivals:  # else a duplicate: the first copy was relayed
+                    arrivals[node] = kernel.now
+                    forward(node)
 
             return receive
 
         forward(origin)
         kernel.run()
-        self.floods += 1
-        return GossipOutcome(
-            origin=origin,
-            arrivals=dict(arrivals),
-            messages=stats["messages"],
-            duplicates=stats["duplicates"],
-        )
+        return GossipOutcome(arrivals=arrivals)
 
     def _latency(self, rng: np.random.Generator) -> float:
         if self.base_latency == 0.0:

@@ -65,7 +65,6 @@ class Linear(Module):
         else:
             raise ValueError(f"unknown init scheme {init!r}; expected 'xavier' or 'he'")
         self.in_features = int(in_features)
-        self.out_features = int(out_features)
         self.weight = self.register_parameter("weight", Parameter(w, "weight"))
         self.bias: Parameter | None = None
         if bias:
@@ -89,6 +88,9 @@ class Linear(Module):
             # allocator then puts things read as +10 % peak RSS on one workload.
             out = out + self.bias.value[..., None, :]
         return out
+
+    def clear_caches(self) -> None:
+        self._input_cache = None
 
     def backward(
         self,

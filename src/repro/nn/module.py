@@ -102,6 +102,15 @@ class Module:
         for p in self.parameters():
             p.zero_grad()
 
+    def clear_caches(self) -> None:
+        """Drop the inputs this module tree cached for a backward pass.
+
+        A training loop calls it after its last step, so the last mini-batch
+        is not kept alive into whatever runs next.
+        """
+        for child in self._modules.values():
+            child.clear_caches()
+
     # -- computation --------------------------------------------------------
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Compute the module output for a batch ``x`` (batch-first)."""

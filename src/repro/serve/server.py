@@ -53,7 +53,6 @@ from repro.serve.protocol import (
     validate_result_key,
 )
 from repro.serve.workers import WorkerPool
-from repro.store.records import run_record_payload
 from repro.store.runstore import RunStore, RunStoreError
 
 __all__ = ["ReproServer"]
@@ -216,26 +215,26 @@ class ReproServer:
         return 202, body
 
     def handle_result(self, key: str) -> tuple[int, bytes]:
-        """The rendered record for ``key`` (bytes, served from the hot cache)."""
+        """The record stored under ``key`` (bytes, served from the hot cache)."""
         validate_result_key(key)
         with self._cache_lock:
             cached = self._result_cache.get(key)
             if cached is not None:
                 self._result_cache.move_to_end(key)
                 return 200, cached
+        # The document as stored, once ``load`` has accepted it (an unreadable,
+        # stale-schema or unloadable record is a 404), with the sidecar's
+        # membership lists inlined so the record is self-contained on the wire.
         try:
             stored = self.store.load(key)
-        except RunStoreError as exc:
+            payload = json.loads(stored.path.read_text(encoding="utf-8"))
+        except (RunStoreError, OSError) as exc:
             raise ProtocolError(str(exc), status=404) from exc
-        # Re-render with everything inline (no .npz references) so the record
-        # is self-contained on the wire and reconstructable client-side.
-        payload = run_record_payload(
-            stored.spec,
-            stored.result,
-            key=stored.key,
-            fingerprint=stored.fingerprint,
-            offload=None,
-        )
+        payload.pop("arrays", None)
+        for row, record in zip(payload["history"]["rounds"], stored.result.history.rounds):
+            for name, value in row.items():
+                if isinstance(value, dict) and "__npz__" in value:
+                    row[name] = getattr(record, name)
         payload["protocol_version"] = PROTOCOL_VERSION
         rendered = json.dumps(payload, sort_keys=True).encode("utf-8")
         with self._cache_lock:

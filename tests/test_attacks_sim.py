@@ -30,9 +30,7 @@ from delay_oracles import AnalyticDelayModel, kernel_vanilla_round, sample_fork_
 
 def _update(direction=None, dim=8):
     params = np.ones(dim) if direction is None else np.asarray(direction, dtype=float)
-    return ClientUpdate(
-        client_id=0, parameters=params, num_samples=10, train_loss=0.1, val_accuracy=0.9
-    )
+    return ClientUpdate(client_id=0, parameters=params, train_loss=0.1)
 
 
 GLOBAL = np.zeros(8)
@@ -42,8 +40,6 @@ class TestGradientAttacks:
     def test_sign_flip_reverses_direction(self):
         forged = SignFlipAttack().apply(_update(), new_rng(0, "a"), global_parameters=GLOBAL)
         np.testing.assert_allclose(forged.parameters, -np.ones(8))
-        assert forged.is_malicious
-        assert forged.metadata["attack"] == "sign_flip"
 
     def test_sign_flip_with_scale(self):
         forged = SignFlipAttack(scale=2.0).apply(_update(), new_rng(0, "a"), global_parameters=GLOBAL)
@@ -77,7 +73,6 @@ class TestGradientAttacks:
         honest = _update()
         SignFlipAttack().apply(honest, new_rng(0, "a"), global_parameters=GLOBAL)
         np.testing.assert_allclose(honest.parameters, np.ones(8))
-        assert not honest.is_malicious
 
     def test_no_attack_is_identity(self):
         honest = _update()
@@ -104,13 +99,11 @@ class TestGradientAttacks:
 class TestLabelFlip:
     def test_direction_space_approximation(self):
         forged = LabelFlipAttack().apply(_update(), new_rng(0, "lf"), global_parameters=GLOBAL)
-        assert forged.is_malicious
         assert forged.parameters.shape == (8,)
 
     def test_without_global_parameters_negates(self):
         forged = LabelFlipAttack().apply(_update(np.arange(8.0)), new_rng(0, "lf"))
         np.testing.assert_array_equal(forged.parameters, -np.arange(8.0))
-        assert forged.metadata["attack"] == "label_flip"
 
     def test_forged_direction_opposes_the_honest_one(self):
         honest = np.linspace(-1.0, 2.0, 64)
@@ -129,7 +122,6 @@ class TestLabelFlip:
         second = LabelFlipAttack().apply(honest, new_rng(4, "lf"), global_parameters=GLOBAL)
         np.testing.assert_array_equal(first.parameters, second.parameters)
         np.testing.assert_array_equal(honest.parameters, np.arange(8.0))
-        assert not honest.is_malicious
 
 
 class TestAttackScheduler:

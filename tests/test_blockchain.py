@@ -16,7 +16,7 @@ from repro.blockchain.block import Block, GENESIS_PREVIOUS_HASH
 from repro.blockchain.chain import Blockchain, BlockValidationError
 from repro.blockchain.miner import replicated_committee
 from repro.blockchain.merkle import merkle_root
-from repro.blockchain.pow import mine_block, sample_mining_time, sample_winner
+from repro.blockchain.pow import mine_block, sample_winner
 from repro.blockchain.transaction import (
     Transaction,
     TransactionType,
@@ -167,8 +167,8 @@ class TestProofOfWork:
         block = Block.genesis()
         result = mine_block(block, difficulty=8.0, max_attempts=200_000)
         assert result.success
-        assert meets_target(result.block_hash, difficulty_to_target(8.0))
-        assert block.header.nonce == result.nonce
+        assert meets_target(block.header.compute_hash(), difficulty_to_target(8.0))
+        assert result.attempts == block.header.nonce + 1  # nonces tried from 0
 
     def test_mine_block_failure_reported(self):
         block = Block.genesis()
@@ -181,17 +181,15 @@ class TestProofOfWork:
         with pytest.raises(ValueError):
             mine_block(Block.genesis(), max_attempts=0)
 
-    def test_sample_mining_time_mean(self):
+    def test_sample_winner_time_mean(self):
+        """A lone miner's solve time is exponential with mean ``difficulty``."""
         rng = new_rng(0, "mine")
-        samples = [sample_mining_time(rng, difficulty=10.0, hash_rate=2.0) for _ in range(4000)]
-        assert np.mean(samples) == pytest.approx(5.0, rel=0.1)
+        samples = [sample_winner(rng, ["a"], difficulty=10.0)[1] for _ in range(4000)]
+        assert np.mean(samples) == pytest.approx(10.0, rel=0.1)
 
-    def test_sample_mining_time_validation(self):
-        rng = new_rng(0, "mine")
+    def test_sample_winner_validation(self):
         with pytest.raises(ValueError):
-            sample_mining_time(rng, difficulty=0.5, hash_rate=1.0)
-        with pytest.raises(ValueError):
-            sample_mining_time(rng, difficulty=2.0, hash_rate=0.0)
+            sample_winner(new_rng(0, "mine"), ["a"], difficulty=0.5)
 
     def test_sample_winner_returns_member(self):
         rng = new_rng(0, "winner")
@@ -199,15 +197,13 @@ class TestProofOfWork:
         assert winner in {"a", "b", "c"}
         assert t >= 0.0
 
-    def test_sample_winner_respects_hash_rates(self):
-        rng = new_rng(0, "winner")
-        wins = {"fast": 0, "slow": 0}
-        for _ in range(300):
-            w, _ = sample_winner(
-                rng, ["fast", "slow"], difficulty=4.0, hash_rates={"fast": 50.0, "slow": 1.0}
-            )
-            wins[w] += 1
-        assert wins["fast"] > wins["slow"]
+    def test_sample_winner_draws_one_exponential_per_miner_in_order(self):
+        """The round's RNG stream: one scalar draw per miner, in miner order."""
+        rng, twin = new_rng(3, "winner"), new_rng(3, "winner")
+        for _ in range(50):
+            winner, t = sample_winner(rng, ["a", "b", "c"], difficulty=4.0)
+            times = [float(twin.exponential(4.0)) for _ in range(3)]
+            assert (winner, t) == ("abc"[int(np.argmin(times))], min(times))
 
     def test_sample_winner_requires_miners(self):
         with pytest.raises(ValueError):

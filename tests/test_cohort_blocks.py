@@ -1,9 +1,9 @@
 """A cohort chunk trains part by part, with the serial path's bytes.
 
 ``CohortTrainer._train_chunk`` trains ``GATHER_ROWS // rows-per-client``
-clients at a time: each part gathers only its own mini-batch and validation
-rows, steps its rows of the chunk's ``(chunk, P)`` parameter matrix, and uses
-a ``grads`` scratch one part wide.  A client's bytes do not depend on the part
+clients at a time: each part gathers only its own mini-batch rows, steps its
+rows of the chunk's ``(chunk, P)`` parameter matrix, and uses a ``grads``
+scratch one part wide.  A client's bytes do not depend on the part
 it trains in, so every update must equal ``FLClient.local_update`` run alone —
 whatever the width: a last part that is cut short, a chunk narrower than one
 part, one client at a time — and whatever process trains it: with
@@ -17,8 +17,9 @@ hang it.
 ``cohort_population`` shape (512-client chunks of ``logreg``), plus the bytes
 the shared parameter buffers have had written (tracemalloc cannot see the
 mapping), by 2.0× one chunk's ``(512, P)`` parameter matrix.  Whole-chunk
-operands (the gathered mini-batch and validation stack, a full-width
-``grads``) plus a kept previous block read 5.99× on the full workload round.
+operands (the gathered mini-batch, the validation stack of a scoring pass
+since deleted, a full-width ``grads``) plus a kept previous block read 5.99×
+on the full workload round.
 """
 
 from __future__ import annotations
@@ -109,8 +110,6 @@ def _parts_equal_serial(monkeypatch, *, gather_rows, chunk, config, distinct, pr
         want = serial[update.client_id].local_update(start, config)
         assert update.parameters.tobytes() == want.parameters.tobytes()
         assert update.train_loss == want.train_loss
-        assert update.val_accuracy == want.val_accuracy
-        assert update.num_samples == want.num_samples
         assert cohort[update.client_id].rng.bit_generator.state == (
             serial[update.client_id].rng.bit_generator.state
         )
@@ -145,9 +144,8 @@ def test_chunk_trained_in_parts_equals_serial_local_update(
         )
 
 
-# Shards here hold 82 training and 20 validation rows, so with batch_size=25
-# (a short last batch of 7) a client gathers max(25, 20) = 25 rows a step:
-# GATHER_ROWS=75 trains 3 clients at a time.
+# Shards here hold 82 training rows, so with batch_size=25 (a short last batch
+# of 7) a client gathers 25 rows a step: GATHER_ROWS=75 trains 3 clients at a time.
 SHORT_BATCH = LocalTrainingConfig(epochs=2, batch_size=25, learning_rate=0.05, proximal_mu=0.1)
 
 
@@ -167,8 +165,7 @@ def test_parts_tile_the_chunk(monkeypatch, private, gather_rows, chunk, parts):
         monkeypatch, gather_rows=gather_rows, chunk=chunk, config=SHORT_BATCH, distinct=3,
         private=private,
     )
-    # Per part: 2 epochs x ceil(82 / 25) = 8 training forwards, then one validation.
-    per_part = 2 * 4 + 1
+    per_part = 2 * 4  # 2 epochs x ceil(82 / 25) training forwards, and nothing else
     assert widths[::per_part] == parts
     assert len(widths) == per_part * len(parts)
 
@@ -191,7 +188,7 @@ def test_sharded_parts_equal_serial(monkeypatch, private, gather_rows, chunk, wo
         monkeypatch, gather_rows=gather_rows, chunk=chunk, config=SHORT_BATCH, distinct=3,
         private=private, workers=workers,
     )
-    per_part = 2 * 4 + 1
+    per_part = 2 * 4
     assert widths[::per_part] == coordinator_parts
     assert len(widths) == per_part * len(coordinator_parts)
 

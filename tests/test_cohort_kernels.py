@@ -66,14 +66,15 @@ def reference_backward(model: CohortModel, params: np.ndarray, grad_output: np.n
     for layer in reversed(model.layers):
         if isinstance(layer, Linear):
             x = layer._input_cache
-            bias = layer.out_features if layer.bias is not None else 0
+            out_features = layer.weight.shape[-1]
+            bias = out_features if layer.bias is not None else 0
             mid = hi - bias
-            lo = mid - layer.in_features * layer.out_features
+            lo = mid - layer.in_features * out_features
             grad_w = np.matmul(x.transpose(0, 2, 1), g)
             grads[:, lo:mid] += grad_w.reshape(grad_w.shape[0], -1)
             if bias:
                 grads[:, mid:hi] += g.sum(axis=1)
-            weights = params[:, lo:mid].reshape(-1, layer.in_features, layer.out_features)
+            weights = params[:, lo:mid].reshape(-1, layer.in_features, out_features)
             g = np.matmul(g, weights.transpose(0, 2, 1))
             hi = lo
         else:
@@ -277,7 +278,7 @@ def _clients(dataset, *, private: bool, model_name: str = "logreg") -> dict[int,
 
 def _block_bytes(blocks):
     return [
-        (b.client_ids, b.parameters.tobytes(), b.num_samples, b.train_losses, b.val_accuracies)
+        (b.client_ids, b.parameters.tobytes(), b.train_losses)
         for b in blocks
     ]
 
@@ -325,7 +326,6 @@ def test_loss_mean_matches_serial_past_the_pairwise_block():
     for update, client in zip(updates, _clients(dataset, private=False).values()):
         serial = client.local_update(start, config)
         assert update.train_loss == serial.train_loss
-        assert update.val_accuracy == serial.val_accuracy
         assert update.parameters.tobytes() == serial.parameters.tobytes()
 
 
@@ -351,7 +351,8 @@ def test_evaluation_scores_each_distinct_shard_once(monkeypatch):
 @pytest.mark.parametrize("model_name, linears", [("logreg", 1), ("mlp", 2)])
 def test_one_training_step_does_the_minimum_work(monkeypatch, model_name, linears):
     """3L - 1 matmuls per step — forward, weight gradient, and an input gradient
-    for every ``Linear`` but the first — and each distinct shard stacked once."""
+    for every ``Linear`` but the first — and each distinct shard stacked once.
+    Nothing else: no forward scores the trained parameters."""
     dataset = build_federated_dataset(
         num_clients=12, num_samples=120, scheme="iid", seed=5, distinct_shards=3
     )
@@ -369,14 +370,42 @@ def test_one_training_step_does_the_minimum_work(monkeypatch, model_name, linear
     monkeypatch.setattr(
         np, "stack", lambda arrays, **kw: stacked.append(list(arrays)) or real_stack(arrays, **kw)
     )
-    (block,) = CohortTrainer().iter_update_blocks(clients, list(clients), start, config)
+    trainer = CohortTrainer()
+    (block,) = trainer.iter_update_blocks(clients, list(clients), start, config)
     monkeypatch.undo()
 
     assert len(block.client_ids) == 12
-    validation_forward = linears
-    assert len(matmuls) == (3 * linears - 1) + validation_forward, matmuls
+    assert len(matmuls) == 3 * linears - 1, matmuls
     train_stacks = [arrays for arrays in stacked if len(arrays[0]) == shard.num_samples]
     assert [len(arrays) for arrays in train_stacks] == [3, 3]  # images, labels
+    # The part's last mini-batch is not left cached on the template's layers.
+    (model,) = trainer._models.values()
+    assert all(layer._input_cache is None for layer in model.layers if isinstance(layer, Linear))
+
+
+@pytest.mark.parametrize("model_name", ["logreg", "mlp"])
+@pytest.mark.parametrize("epochs, batch_size", [(1, 7), (2, 10), (3, 64)])
+def test_a_serial_local_update_runs_one_forward_per_step(
+    monkeypatch, model_name, epochs, batch_size
+):
+    """The serial twin of the count above: ``E · ⌈n / B⌉`` model forwards, one
+    per mini-batch step, and no cached input left behind on the scratch model."""
+    dataset = build_federated_dataset(num_clients=2, num_samples=90, scheme="iid", seed=5)
+    client = _clients(dataset, private=False, model_name=model_name)[0]
+    n = client.dataset.num_samples
+    start = get_flat_parameters(client.model)
+    forwards = []
+    forward = Sequential.forward
+    monkeypatch.setattr(
+        Sequential, "forward", lambda self, x: forwards.append(len(x)) or forward(self, x)
+    )
+    client.local_update(start, LocalTrainingConfig(epochs=epochs, batch_size=batch_size))
+    monkeypatch.undo()
+
+    assert len(forwards) == epochs * -(-n // batch_size), forwards
+    assert sum(forwards) == epochs * n  # every step is a training mini-batch
+    linears = [layer for layer in client.model.layers if isinstance(layer, Linear)]
+    assert linears and all(layer._input_cache is None for layer in linears)
 
 
 # ---------------------------------------------------------------------------

@@ -248,9 +248,7 @@ class TestProcedureGlobalUpdate:
         )
         outcome = ctx.strategy_outcome
         assert outcome is not None
-        assert set(outcome.kept_client_ids) | set(outcome.discarded_client_ids) == set(
-            ctx.gradient_client_ids
-        )
+        assert set(outcome.discarded_client_ids) < set(ctx.gradient_client_ids)
 
 
 class TestNonFiniteScreen:

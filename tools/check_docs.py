@@ -61,10 +61,14 @@ Fails (exit code 1) when the documentation has drifted from the code:
     other public module-level function or class, and every public method or
     property of a public class, needs a read outside its own body, an
     identifier-shaped string (``getattr``'s ``"attr"``, the perf span table's
-    ``"module:Class.attr"``) included.  A read inside rejected code does not
-    count.  ``repro.api.__all__`` (the pinned facade) and those classes'
-    methods pass as is; every other exception is an ``EXPORT_ALLOWLIST``
-    entry with its reason (a class's entry covers its methods), and an entry
+    ``"module:Class.attr"``) included.  So does every public value a public
+    class stores — an annotated class-body field (a dataclass's) or a
+    ``self.<name>`` one of its methods assigns — outside the lines that store
+    it; an assignment, a keyword argument or ``+=`` is a write, not a read.
+    A read inside rejected code does not count.
+    ``repro.api.__all__`` (the pinned facade) and those classes' members
+    pass as is; every other exception is an ``EXPORT_ALLOWLIST``
+    entry with its reason (a class's entry covers its members), and an entry
     whose name is gone or now used fails.
 
 Run from the repository root:
@@ -497,6 +501,19 @@ EXPORT_ALLOWLIST: dict[str, str] = {
         "CI's streaming-round memory bound counts the helpers' shared buffers "
         "through it; tracemalloc cannot see them"
     ),
+    "repro.serve.protocol:Endpoint.description": (
+        "documentation: the endpoint table's prose, written for the reader of the source"
+    ),
+    "repro.crypto.rsa:RSAKeyPair.private_exponent": (
+        "the plain (n, d) key the rsa_sign reference signs with, which tests hold "
+        "the CRT signing to"
+    ),
+    "repro.sim.rounds:RoundTiming.late_ids": (
+        "the round-mode tests' oracle: they check the upload window against it"
+    ),
+    "repro.sim.rounds:ClientArrival.arrival": (
+        "the round-mode tests' oracle: they check the upload window against it"
+    ),
 }
 
 #: Module-level assignments that list names rather than read them.
@@ -600,13 +617,33 @@ class _Definition(NamedTuple):
         return f"{self.module}:{cls}" if cls else None
 
 
+def _stored_attributes(cls: ast.ClassDef) -> Iterator[tuple[str, range]]:
+    """Each value a class stores, with the lines that store it: its annotated
+    class-body fields (a dataclass's) and every ``self.<name>`` a method of
+    it assigns (``=``, ``: T =``, ``+=``)."""
+    for item in cls.body:
+        if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+            yield item.target.id, range(item.lineno, item.end_lineno + 1)
+        elif isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and item.args.args:
+            me = item.args.args[0].arg
+            for node in ast.walk(item):
+                if (
+                    isinstance(node, ast.Attribute)
+                    and isinstance(node.ctx, ast.Store)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == me
+                ):
+                    yield node.attr, range(node.lineno, node.end_lineno + 1)
+
+
 def _definitions(path: Path, module: str, facade: set[str]) -> Iterator[_Definition]:
     """The definitions of one ``src/repro`` module that need a read.
 
     Each ``__all__`` name (package ``__init__`` files aside); each other
-    public module-level function and class; and each public method or
-    property of a public class outside the facade (a method defined twice, a
-    property and its setter, has two spans).
+    public module-level function and class; and each public method,
+    property or stored value (:func:`_stored_attributes`) of a public class
+    outside the facade (a method defined twice, a property and its setter,
+    or a value stored in two places, has two spans).
     """
     tree = ast.parse(path.read_text(encoding="utf-8"))
     exported = [] if path.name == "__init__.py" else _module_all(tree)
@@ -620,6 +657,9 @@ def _definitions(path: Path, module: str, facade: set[str]) -> Iterator[_Definit
             for item in node.body:
                 if isinstance(item, kinds) and not item.name.startswith("_"):
                     spans.setdefault(f"{node.name}.{item.name}", []).append(_span(item))
+            for name, lines in _stored_attributes(node):
+                if not name.startswith("_"):
+                    spans.setdefault(f"{node.name}.{name}", []).append(lines)
     for name in exported:
         if name not in facade:
             yield _Definition(module, name, path, spans.get(name, []), _EXPORT_READS, False)
@@ -640,8 +680,9 @@ def check_exports() -> list[str]:
     * any other public module-level function or class needs a read of any
       kind outside its own body, an identifier-shaped string included
       (``getattr``'s ``"attr"``, the perf span table's ``"module:Class.attr"``);
-    * a public method or property of a public class needs an attribute or
-      string read outside its own body.
+    * a public method, property or stored value of a public class needs an
+      attribute or string read outside its own body (a value: outside the
+      lines that store it).
 
     A read inside a definition these rules reject is not live, so a helper
     only dead code calls is rejected with it.  ``repro.api.__all__`` is the
