@@ -7,8 +7,8 @@ Implements the distributed-ledger machinery FAIR-BFL runs on top of:
 * :mod:`repro.blockchain.merkle` — Merkle trees over transaction IDs;
 * :mod:`repro.blockchain.block` — block headers/bodies with SHA-256 linking,
   each mined header signed by its miner;
-* :mod:`repro.blockchain.pow` — proof-of-work nonce search (paper Eq. 4) plus
-  the stochastic mining-time model used at simulation scale;
+* :mod:`repro.blockchain.pow` — proof-of-work nonce search (paper Eq. 4);
+  solve times are the event kernel's (:mod:`repro.sim.rounds`);
 * :mod:`repro.blockchain.chain` — append/validate ledger plus
   the deterministic fork-choice rule (most cumulative work, seeded hash
   tie-break) and reorg handling the gossip substrate (:mod:`repro.net`) builds on;

@@ -1,28 +1,21 @@
-"""Proof of work.
+"""Proof of work: the functional layer of Equation (4).
 
-Two layers are provided:
-
-* :func:`mine_block` — the *functional* proof of work of Equation (4): search
-  for a nonce such that ``SHA256(header) < Target``.  Used at low difficulty to
-  demonstrate that the ledger machinery is real (hash links verify, tampering
-  is detected) without burning CPU.
-* :func:`sample_winner` — the *timing* model: at realistic difficulties a
-  PoW winner's solve time is exponentially distributed with mean
-  ``difficulty / hash_rate``; the winning miner is the minimum over the
-  per-miner exponential draws.  The delay figures of the paper (T_bl in
-  Section 4.5) are driven by this model.
+:func:`mine_block` searches for a nonce such that ``SHA256(header) < Target``.
+It runs at low difficulty to show that the ledger machinery is real (hash
+links verify, tampering is detected) without burning CPU.  How long a solve
+takes, and so which miner wins, is not modelled here: the event kernel's
+mining race (:mod:`repro.sim.rounds`) prices T_bl (Section 4.5) and names
+the block's signer from the same per-miner draws.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.blockchain.block import Block
 from repro.crypto.hashing import difficulty_to_target, meets_target
 
-__all__ = ["mine_block", "sample_winner"]
+__all__ = ["mine_block"]
 
 
 @dataclass(frozen=True)
@@ -62,26 +55,3 @@ def mine_block(
             return MiningResult(success=True, attempts=nonce + 1)
     return MiningResult(success=False, attempts=max_attempts)
 
-
-def sample_winner(
-    rng: np.random.Generator,
-    miner_ids: list[str],
-    *,
-    difficulty: float,
-) -> tuple[str, float]:
-    """Sample the mining-competition winner and the winning solve time.
-
-    The number of hashes a miner needs to find a block below the target is
-    geometrically distributed with success probability ``1/difficulty``; at
-    the hash counts of interest this is an exponential solve time with mean
-    ``difficulty / hash_rate``, every miner hashing at rate 1.  Each miner
-    draws its time independently, in ``miner_ids`` order, and the minimum
-    wins.  Returns ``(winner_id, winning_time_seconds)``.
-    """
-    if not miner_ids:
-        raise ValueError("at least one miner is required to run a mining competition")
-    if difficulty < 1.0:
-        raise ValueError(f"difficulty must be >= 1, got {difficulty}")
-    times = [float(rng.exponential(difficulty)) for _ in miner_ids]
-    best = int(np.argmin(times))
-    return miner_ids[best], times[best]

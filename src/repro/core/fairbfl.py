@@ -159,7 +159,6 @@ class FairBFLTrainer(Trainer):
         #: Async-mode carry-over: (parameter vector, origin round) per late update.
         self._stale_buffer: list[tuple[np.ndarray, int]] = []
         self._upload_rng = new_rng(seed, self.label, "upload")
-        self._mining_rng = new_rng(seed, self.label, "mining")
         self._attack_rng = new_rng(seed, self.label, "attack")
 
     # ------------------------------------------------------------------
@@ -339,13 +338,13 @@ class FairBFLTrainer(Trainer):
         self._stale_buffer = []
 
     # ------------------------------------------------------------------
-    def _settle(self, ctx: RoundContext, members: list[Miner]) -> None:
+    def _settle(self, ctx: RoundContext, members: list[Miner], ranking: list[str]) -> None:
         """Procedures III-V over one miner set: exchange, aggregate, mine.
 
         ``members`` is the whole committee on the ``global`` topology and one
         reachability component on the gossip substrate, where each component
         settles on its own chain views — under a partition the sides mine
-        divergent forks.
+        divergent forks.  The best-ranked member in ``ranking`` signs the block.
         """
         spec = self.spec
         procedures = procedures_for_mode(self.mode)
@@ -381,7 +380,7 @@ class FairBFLTrainer(Trainer):
                 ctx,
                 members,
                 self.keystore,
-                self._mining_rng,
+                ranking,
                 use_real_pow=spec.use_real_pow,
                 pow_difficulty=spec.pow_difficulty,
                 timestamp=self.clock.now,
@@ -420,22 +419,23 @@ class FairBFLTrainer(Trainer):
 
         if Procedure.UPLOAD in procedures:
             procedure_upload(ctx, self.miners, self.keystore, self._upload_rng)
+        ranking = [self.miner_ids[k] for k in timing.ranking]
         if net is None:
-            self._settle(ctx, self.miners)
+            self._settle(ctx, self.miners, ranking)
         else:
             lost_uploads = net.absorb_uploads(
                 ctx.transactions, ctx.client_to_miner, net_report.state
             )
             # Components settle in deterministic (sorted) order, each on its
-            # own copy of the round state, so the shared mining RNG stream
-            # stays reproducible.
+            # own copy of the round state, so the gossip floods they start
+            # stay reproducible.
             miners_by_id = {m.miner_id: m for m in self.miners}
             settled: list[tuple[list[Miner], RoundContext]] = []
             broadcast_latency = 0.0
             for component in net_report.state.components:
                 members = [miners_by_id[mid] for mid in component]
                 child = replace(ctx)
-                self._settle(child, members)
+                self._settle(child, members, ranking)
                 latency = net.commit_block(
                     round_index, child.winning_miner, component, sim_time=self.clock.now
                 )

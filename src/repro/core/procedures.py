@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.blockchain.miner import Miner
-from repro.blockchain.pow import sample_winner
 from repro.blockchain.transaction import (
     Transaction,
     make_global_update_transaction,
@@ -36,7 +35,7 @@ from repro.incentive.rewards import RewardEntry
 from repro.incentive.strategies import Strategy, StrategyOutcome
 from repro.utils.vectors import compact_rows_in_place, finite_rows
 
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.fl.robust import DefensePipeline
@@ -296,25 +295,29 @@ def procedure_mining(
     ctx: RoundContext,
     miners: list[Miner],
     keystore: KeyStore | None,
-    rng: np.random.Generator,
+    ranking: Sequence[str],
     *,
     use_real_pow: bool = True,
     pow_difficulty: float = 16.0,
     timestamp: float = 0.0,
 ) -> RoundContext:
-    """Run the mining competition and commit the round's block on every replica.
+    """Commit the round's block on every replica of ``miners``.
 
-    The block carries exactly the global update and the reward list
-    (Assumption 2), so one block finalises the round on all replicas and no
-    fork can arise.  With a ``keystore`` the winner signs the mined header
-    once, and each keyed replica checks that signature as it appends.
+    ``ranking`` is the round's one mining race as miner ids in solve order
+    (:attr:`~repro.sim.rounds.RoundTiming.ranking`); its first member of
+    ``miners`` wins.  The block carries exactly the global update and the
+    reward list (Assumption 2), so one block finalises the round on all
+    replicas and no fork can arise.  With a ``keystore`` the winner signs the
+    mined header once, and each keyed replica checks that signature as it
+    appends.
     """
     if ctx.new_global_parameters is None:
         raise RuntimeError("procedure_mining called before procedure_global_update")
-    winner_id, _solve_time = sample_winner(
-        rng, [m.miner_id for m in miners], difficulty=max(1.0, pow_difficulty)
-    )
-    winner = next(m for m in miners if m.miner_id == winner_id)
+    members = {m.miner_id: m for m in miners}
+    winner_id = next((mid for mid in ranking if mid in members), None)
+    if winner_id is None:
+        raise ValueError("the mining race ranks none of the settling miners")
+    winner = members[winner_id]
     ctx.winning_miner = winner_id
 
     block_txs: list[Transaction] = [

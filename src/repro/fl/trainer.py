@@ -80,7 +80,9 @@ __all__ = ["CheckpointError", "Trainer"]
 #: stream; a v5 blob pickles the deleted reward ledger and per-client counters.
 #: 7: the vanilla chain's height is a counter; a v6 ``blockchain`` blob holds
 #: replica chains and a mempool instead, so it would resume at height 1.
-CHECKPOINT_SCHEMA_VERSION = 7
+#: 8: the event kernel's mining race names each block's signer; a v7 FAIR-BFL
+#: blob carries the deleted winner stream and blocks its winners signed.
+CHECKPOINT_SCHEMA_VERSION = 8
 
 #: The globals a checkpoint blob may name besides the classes of ``repro.*``
 #: and of the trainer's own module: numpy's array, scalar, dtype,
@@ -322,13 +324,13 @@ class Trainer:
 
         Raises :class:`CheckpointError` on a global no checkpoint is made of
         (:class:`_CheckpointUnpickler`), a version/trainer-class mismatch, an
-        attribute set that misses one of this trainer's checkpointed
-        attributes, or a client population or RNG state that does not match —
-        all signatures of a blob produced by different code or a different
-        spec, or not by :meth:`checkpoint_state`, which resume paths treat as
-        a miss rather than a corruption to propagate.  The whole blob is
-        checked before anything is assigned, so a refused blob leaves this
-        trainer as it was.
+        attribute set other than this trainer's checkpointed attributes (an
+        extra one would outlive the code that deleted it), or a client
+        population or RNG state that does not match — all signatures of a
+        blob produced by different code or a different spec, or not by
+        :meth:`checkpoint_state`, which resume paths treat as a miss rather
+        than a corruption to propagate.  The whole blob is checked before
+        anything is assigned, so a refused blob leaves this trainer as it was.
         """
         try:
             payload = _CheckpointUnpickler(blob, type(self).__module__).load()
@@ -346,9 +348,12 @@ class Trainer:
             )
         attrs = payload.get("attrs")
         expected = set(self.__dict__) - set(self.CHECKPOINT_EXCLUDE)
-        if not isinstance(attrs, dict) or not expected <= attrs.keys():
-            missing = sorted(expected - attrs.keys()) if isinstance(attrs, dict) else "all"
-            raise CheckpointError(f"checkpoint state lacks trainer attributes: {missing}")
+        found = attrs.keys() if isinstance(attrs, dict) else set()
+        if found != expected:
+            raise CheckpointError(
+                f"checkpoint state lacks trainer attributes {sorted(expected - found)} "
+                f"or carries unknown ones {sorted(found - expected)}"
+            )
         clients = self.clients
         client_state = payload.get("clients")
         if (clients is None) != (client_state is None):

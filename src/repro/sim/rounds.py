@@ -13,7 +13,8 @@ schedule their work on it —
   one constant latency (per-link, topology-aware latencies are the gossip
   substrate's job — :class:`~repro.net.gossip.GossipNetwork`), compute the
   global update, and race to solve the proof of work (the earliest solve
-  event wins and cancels the runners-up).
+  event wins and cancels the runners-up); this one race both prices
+  ``t_bl`` and names the block's signer (:attr:`RoundTiming.ranking`).
 
 The vanilla baseline has its own, shorter round
 (:meth:`EventRoundSimulator.vanilla_round`): the round's transactions are
@@ -91,25 +92,27 @@ def _compete(
     rng: np.random.Generator,
     params: DelayParameters,
     num_miners: int,
-    on_won: Callable[[int], None],
+    on_won: Callable[[tuple[int, ...]], None],
 ) -> None:
     """One Procedure V race: ``m`` solve events, the earliest wins.
 
     The winner's solve cancels the runners-up (Algorithm 1 lines 34-38:
     miners stop on receiving a valid block), its block is broadcast to the
-    ``m - 1`` peers as serialised events, and ``on_won(winner_index)`` runs
-    once the broadcast is done.
+    ``m - 1`` peers as serialised events, and ``on_won(ranking)`` runs once
+    the broadcast is done, ``ranking`` being every miner index in solve
+    order, the winner first.
     """
     solves = rng.exponential(params.block_interval * num_miners, size=num_miners)
 
     def solved(winner: int) -> None:
         for event in events:
             event.cancel()
+        ranking = (winner, *(int(k) for k in np.argsort(solves, kind="stable") if k != winner))
         _schedule_serial_chain(
             kernel,
             [params.block_broadcast_per_miner] * (num_miners - 1),
             "block:broadcast",
-            (lambda: on_won(winner)),
+            (lambda: on_won(ranking)),
         )
 
     events = [
@@ -134,7 +137,8 @@ class RoundTiming:
 
     ``breakdown`` preserves the paper's five-component decomposition (the
     stage boundaries of the event timeline); ``arrivals`` exposes the
-    per-client upload arrivals the round modes act on.
+    per-client upload arrivals the round modes act on; ``ranking`` lists the
+    miners in mining-race solve order (empty without a mining stage).
     """
 
     breakdown: RoundDelayBreakdown
@@ -145,6 +149,7 @@ class RoundTiming:
     fork_count: int
     events_processed: int
     trace_digest: str | None
+    ranking: tuple[int, ...] = ()
 
     @property
     def total(self) -> float:
@@ -254,6 +259,7 @@ class EventRoundSimulator:
             "mining_end": 0.0,
             "blocks": 0,
             "on_time": [],
+            "ranking": (),
         }
         quorum = max(1, int(np.ceil(self.async_quorum * n)))
         held: list[Callable[[], None]] = []  # sync: uploads waiting for the window
@@ -370,9 +376,10 @@ class EventRoundSimulator:
                 return
             _compete(kernel, self.rng, params, num_miners, block_won)
 
-        def block_won(_winner: int) -> None:
+        def block_won(ranking: tuple[int, ...]) -> None:
             state["blocks"] += 1
             state["mining_end"] = kernel.now
+            state["ranking"] = ranking
 
         # -- kick off: every client starts at 0, then the window's own event --
         for index, cid in enumerate(ids):
@@ -409,6 +416,7 @@ class EventRoundSimulator:
             late_ids=tuple(cid for cid in ids if cid not in on_time_set),
             blocks_mined=state["blocks"],
             fork_count=0,
+            ranking=state["ranking"],
         )
 
     def vanilla_round(self, *, transactions: int, num_miners: int) -> RoundTiming:
@@ -436,7 +444,7 @@ class EventRoundSimulator:
             state["handled"] = kernel.now
             mine_next_block()
 
-        def block_won(_winner: int) -> None:
+        def block_won(_ranking: tuple[int, ...]) -> None:
             state["pending"] -= min(params.transactions_per_block, state["pending"])
             state["blocks"] += 1
             collisions = fork_model.sample_collisions(self.rng, num_miners)
@@ -485,6 +493,7 @@ class EventRoundSimulator:
         arrivals: tuple[ClientArrival, ...] = (),
         on_time_ids: tuple[int, ...] = (),
         late_ids: tuple[int, ...] = (),
+        ranking: tuple[int, ...] = (),
     ) -> RoundTiming:
         return RoundTiming(
             breakdown=breakdown,
@@ -495,5 +504,6 @@ class EventRoundSimulator:
             fork_count=int(fork_count),
             events_processed=kernel.events_processed,
             trace_digest=kernel.trace_digest() if self.record_trace else None,
+            ranking=ranking,
         )
 

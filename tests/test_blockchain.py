@@ -16,7 +16,7 @@ from repro.blockchain.block import Block, GENESIS_PREVIOUS_HASH
 from repro.blockchain.chain import Blockchain, BlockValidationError
 from repro.blockchain.miner import replicated_committee
 from repro.blockchain.merkle import merkle_root
-from repro.blockchain.pow import mine_block, sample_winner
+from repro.blockchain.pow import mine_block
 from repro.blockchain.transaction import (
     Transaction,
     TransactionType,
@@ -180,34 +180,6 @@ class TestProofOfWork:
     def test_mine_block_invalid_attempts(self):
         with pytest.raises(ValueError):
             mine_block(Block.genesis(), max_attempts=0)
-
-    def test_sample_winner_time_mean(self):
-        """A lone miner's solve time is exponential with mean ``difficulty``."""
-        rng = new_rng(0, "mine")
-        samples = [sample_winner(rng, ["a"], difficulty=10.0)[1] for _ in range(4000)]
-        assert np.mean(samples) == pytest.approx(10.0, rel=0.1)
-
-    def test_sample_winner_validation(self):
-        with pytest.raises(ValueError):
-            sample_winner(new_rng(0, "mine"), ["a"], difficulty=0.5)
-
-    def test_sample_winner_returns_member(self):
-        rng = new_rng(0, "winner")
-        winner, t = sample_winner(rng, ["a", "b", "c"], difficulty=4.0)
-        assert winner in {"a", "b", "c"}
-        assert t >= 0.0
-
-    def test_sample_winner_draws_one_exponential_per_miner_in_order(self):
-        """The round's RNG stream: one scalar draw per miner, in miner order."""
-        rng, twin = new_rng(3, "winner"), new_rng(3, "winner")
-        for _ in range(50):
-            winner, t = sample_winner(rng, ["a", "b", "c"], difficulty=4.0)
-            times = [float(twin.exponential(4.0)) for _ in range(3)]
-            assert (winner, t) == ("abc"[int(np.argmin(times))], min(times))
-
-    def test_sample_winner_requires_miners(self):
-        with pytest.raises(ValueError):
-            sample_winner(new_rng(0, "w"), [], difficulty=2.0)
 
 
 class TestBlockchain:

@@ -232,6 +232,22 @@ class TestCheckpointGuards:
             fresh.restore_state(blob)
         assert fresh.chain_height == 1 and fresh.rounds_completed() == 0
 
+    def test_a_blob_with_an_unknown_attribute_is_a_miss(self):
+        # Planted as it stood, the extra name would outlive the code that
+        # deleted it; the trainer must stay as it was built.
+        spec = small_spec("fedavg", num_rounds=2)
+        donor = self._trainer(spec)
+        donor.run_until(1)
+        blob = self._doctored(
+            donor.checkpoint_state(), lambda p: p["attrs"].update(_retired=new_rng(0, "x"))
+        )
+        trainer = self._trainer(spec)
+        before = set(vars(trainer))
+        with pytest.raises(CheckpointError, match=r"unknown ones \['_retired'\]"):
+            trainer.restore_state(blob)
+        assert set(vars(trainer)) == before and trainer.rounds_completed() == 0
+        assert history_to_payload(trainer.run()) == history_to_payload(self._trainer(spec).run())
+
     @pytest.mark.parametrize(
         "edit",
         [
@@ -343,7 +359,7 @@ class TestCheckpointGuards:
         def rendered(trainer) -> str:
             return json.dumps(history_to_payload(trainer.history), sort_keys=True)
 
-        assert CHECKPOINT_SCHEMA_VERSION == 7
+        assert CHECKPOINT_SCHEMA_VERSION == 8
         derive_key_pair.cache_clear()
         reference = self._trainer(small_spec())  # leaves the memo warm
         reference.run_until(6)
@@ -372,7 +388,7 @@ class TestCheckpointGuards:
         def seed_keyed(key_bits, entity_id):
             return RSAKeyPair.generate(new_rng(spec.seed, "rsa-key", entity_id), bits=key_bits)
 
-        assert CHECKPOINT_SCHEMA_VERSION == 7
+        assert CHECKPOINT_SCHEMA_VERSION == 8
         reference = self._trainer(spec)
         reference.run_until(6)
         with monkeypatch.context() as patch:
@@ -404,7 +420,7 @@ class TestCheckpointGuards:
         # Version 4 wrote chains whose headers were unsigned.  Stamped with the
         # current version, such a blob would restore chains that fail their
         # first validation, so its own version must make it a miss.
-        assert CHECKPOINT_SCHEMA_VERSION == 7
+        assert CHECKPOINT_SCHEMA_VERSION == 8
         donor = self._trainer(small_spec())
         donor.run_until(3)
         payload = pickle.loads(donor.checkpoint_state())
@@ -423,7 +439,7 @@ class TestCheckpointGuards:
         # Version 5 pickled a reward ledger beside the chain and each client's
         # participation and reward tallies next to its RNG state.  Its own
         # version must make it a miss, before any of that is restored.
-        assert CHECKPOINT_SCHEMA_VERSION == 7
+        assert CHECKPOINT_SCHEMA_VERSION == 8
         donor = self._trainer(small_spec())
         donor.run_until(3)
         payload = pickle.loads(donor.checkpoint_state())
@@ -439,7 +455,7 @@ class TestCheckpointGuards:
     def test_a_version_6_blob_is_a_miss(self):
         # Version 6 pickled the vanilla chain's replicas, mempool and payload
         # stream, and no height counter: restored, it would resume at height 1.
-        assert CHECKPOINT_SCHEMA_VERSION == 7
+        assert CHECKPOINT_SCHEMA_VERSION == 8
         spec = ScenarioSpec(system="blockchain", name="bc", num_clients=5, num_rounds=6, seed=2)
         donor = self._trainer(spec)
         donor.run_until(3)
@@ -454,6 +470,26 @@ class TestCheckpointGuards:
         assert resumed.chain_height == 1
 
     @pytest.mark.ledger
+    def test_a_version_7_blob_is_a_miss(self):
+        # Version 7 drew each block's winner from a stream of its own, so its
+        # FAIR-BFL blob carries that stream and blocks that stream's winners
+        # signed.  Its own version makes it a miss; relabelled, its extra
+        # attribute still does.
+        assert CHECKPOINT_SCHEMA_VERSION == 8
+        spec = small_spec()
+        donor = self._trainer(spec)
+        donor.run_until(3)
+        payload = pickle.loads(donor.checkpoint_state())
+        attrs = {**payload["attrs"], "_mining_rng": new_rng(spec.seed, "fair-bfl", "mining")}
+        resumed = self._trainer(spec)
+        with pytest.raises(CheckpointError, match="version 7"):
+            resumed.restore_state(pickle.dumps({**payload, "version": 7, "attrs": attrs}))
+        with pytest.raises(CheckpointError, match="_mining_rng"):
+            resumed.restore_state(pickle.dumps({**payload, "attrs": attrs}))
+        assert resumed.rounds_completed() == 0
+        assert not hasattr(resumed, "_mining_rng")
+
+    @pytest.mark.ledger
     def test_a_current_version_blob_resumes_byte_identically_onto_a_valid_chain(self):
         spec = small_spec(topology="ring", miners=4, partition="2-3:0,1")
         reference = self._trainer(spec)
@@ -461,7 +497,7 @@ class TestCheckpointGuards:
         donor = self._trainer(spec)
         donor.run_until(3)
         blob = donor.checkpoint_state()
-        assert pickle.loads(blob)["version"] == CHECKPOINT_SCHEMA_VERSION == 7
+        assert pickle.loads(blob)["version"] == CHECKPOINT_SCHEMA_VERSION == 8
         resumed = self._trainer(spec)
         resumed.restore_state(blob)
         resumed.run_until(6)

@@ -308,9 +308,11 @@ class TestProcedureMining:
             ctx, contribution_config=ContributionConfig(eps=0.8), strategy=KeepAllStrategy()
         )
         procedure_mining(
-            ctx, miners, keystore, new_rng(0, "mining"), use_real_pow=True, pow_difficulty=4.0
+            ctx, miners, keystore, ["miner-1", "miner-0"], use_real_pow=True, pow_difficulty=4.0
         )
-        assert ctx.winning_miner in {"miner-0", "miner-1"}
+        # The race's first-ranked miner builds and signs the block.
+        assert ctx.winning_miner == "miner-1"
+        assert miners[0].chain.last_block.header.miner_id == "miner-1"
         assert all(m.chain.height == 2 for m in miners)
         tips = {m.chain.last_block.block_hash for m in miners}
         assert len(tips) == 1
@@ -324,4 +326,12 @@ class TestProcedureMining:
         _, miners, keystore, global_params = setup
         ctx = _context(global_params, [])
         with pytest.raises(RuntimeError, match="before procedure_global_update"):
-            procedure_mining(ctx, miners, keystore, new_rng(0, "mining"))
+            procedure_mining(ctx, miners, keystore, ["miner-0", "miner-1"])
+
+    def test_mining_needs_a_ranked_member(self, setup):
+        _, miners, keystore, global_params = setup
+        ctx = _context(global_params, [])
+        ctx.new_global_parameters = global_params
+        with pytest.raises(ValueError, match="ranks none of the settling miners"):
+            procedure_mining(ctx, miners, keystore, ["miner-7"])
+        assert all(m.chain.height == 1 for m in miners)

@@ -327,7 +327,21 @@ class TestDerivationMemo:
             expected = derive_key_pair.__wrapped__(64, entity)
             assert all(store.register(entity) == expected for store in stores)
 
-    def test_memo_is_bounded_and_eviction_is_invisible(self):
+    @pytest.fixture
+    def cheap_keygen(self, monkeypatch):
+        """``RSAKeyPair.generate`` as a deterministic stand-in, for tests that
+        only need the memo to overflow; the memo is emptied on teardown so no
+        stand-in pair reaches a later test."""
+
+        def stand_in(rng, *, bits=256):
+            n = int(rng.integers(1, 2**62))
+            return RSAKeyPair(n, 65537, n, 1, 1, 1, 1, 1)
+
+        monkeypatch.setattr(RSAKeyPair, "generate", stand_in)
+        yield
+        derive_key_pair.cache_clear()
+
+    def test_memo_is_bounded_and_eviction_is_invisible(self, cheap_keygen):
         derive_key_pair.cache_clear()
         maxsize = derive_key_pair.cache_info().maxsize
         first = derive_key_pair(32, "entity-0")

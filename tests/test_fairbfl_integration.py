@@ -16,6 +16,7 @@ from repro.core.flexibility import OperatingMode
 from repro.datasets.federated import build_federated_dataset
 from repro.runner.engine import ExperimentEngine
 from repro.runner.scenario import ScenarioSpec
+from repro.sim.rounds import EventRoundSimulator
 
 
 @pytest.fixture(scope="module")
@@ -127,6 +128,38 @@ class TestFairBFLTrainer:
         trainer, history = _run(dataset, spec)
         assert len(history) == base.num_rounds
         assert trainer.chain.height == 1 + base.num_rounds
+
+
+@pytest.mark.ledger
+class TestOneMiningRace:
+    """One race per round: the event kernel's first solve signs the block."""
+
+    @pytest.mark.parametrize("miners", [2, 4, 8])
+    def test_the_first_solve_signs_every_block(self, dataset, base, miners, monkeypatch):
+        kernels, rankings = [], []
+        real_kernel, real_round = EventRoundSimulator._kernel, EventRoundSimulator.fairbfl_round
+
+        def spy_kernel(self):
+            kernels.append(real_kernel(self))
+            return kernels[-1]
+
+        def spy_round(self, **kwargs):
+            timing = real_round(self, **kwargs)
+            rankings.append(timing.ranking)
+            return timing
+
+        monkeypatch.setattr(EventRoundSimulator, "_kernel", spy_kernel)
+        monkeypatch.setattr(EventRoundSimulator, "fairbfl_round", spy_round)
+        rounds = 8
+        trainer, history = _run(dataset, base.with_overrides(miners=miners, num_rounds=rounds))
+        # The first solve cancels the rest, so each round's trace fires one.
+        solved = [[name for _t, name in k.trace if name.endswith(":pow-solve")] for k in kernels]
+        assert [len(names) for names in solved] == [1] * rounds
+        race = [names[0].removesuffix(":pow-solve") for names in solved]
+        assert all(sorted(ranking) == list(range(miners)) for ranking in rankings)
+        assert [f"miner-{ranking[0]}" for ranking in rankings] == race
+        assert [block.header.miner_id for block in trainer.chain.blocks[1:]] == race
+        assert [record.extras["winning_miner"] for record in history.rounds] == race
 
 
 class TestOperatingModes:

@@ -29,14 +29,14 @@ pytestmark = pytest.mark.ledger
 # (system, seed) -> (history payload SHA-256, SHA-256 of the per-block tx_id lists, head hash)
 GOLDEN = {
     ("fairbfl", 3): (
-        "9289df9c1193739a7fd763dc92b6d6c5d421ccda3f1a1ce8c680a1bc4fb06cb0",
-        "9f956758701e22bc28b734d3655028cf333312e084cb206337539bc7cb84952a",
-        "07da34b7008d66636a3e8348a2d079d1fb6cfebd478f77401f671cc482d90f27",
+        "35132a90f5cd85500e6b28db071a23dba787e0afa18345be3f5a16f488ae916b",
+        "dd84fad0060ed113a496a9d7fff21c0c28683ce78e22d0125b36a6872b0e8be6",
+        "01a8452ec2d223ef5dcbc8d29b03e9667139224021258072c1051d36ca67285e",
     ),
     ("fairbfl", 1001): (
-        "35768d8980f2d2846d21306c5e27e1f4c743623f51e17021a57a64f48187814a",
-        "5f61b38c35b03f17b3197a6b37b0ddd7ebcf05d85c663f7dfcc6da85a7d4fea4",
-        "09af622eb6fa8442579745e4fe623e7707787eb6a6bcf599bdfdba288b227911",
+        "9f6ca05562f88d020aa81dd7718d802ed2e62ebcbf89c27ba790133e3c57b6fc",
+        "28a73d078d714ba7e409ce4a2b547c78154e1a1c2dc7a77694aced3fe28d11a4",
+        "0b6b6536e4999eba1c819dfb6622fb8cc612d789fbbdd112f3bbdecf037fdb41",
     ),
     ("fairbfl-discard", 3): (
         "58c3b0ec6165402a0b674075af7b376bebc90f158981e398c2a827012a928570",
@@ -44,9 +44,9 @@ GOLDEN = {
         "07c74a044e828c89a6433f830966b5e3d35cddad4dec4436e9c5c25de888aabe",
     ),
     ("fairbfl-discard", 1001): (
-        "80a2720aa527e7eab7986600b394edf41bdb34e581a5ca7f20edf58df87580f7",
-        "f166addcd0b7158869070332a86ace58d46b566d8074b169aededfcbc72632b4",
-        "0c682f0a4955658373d7a65fcc8693cb041c2a2713196cf14addb725cb821333",
+        "6720cf3e8c2ebcd0adba041da301ffe0a089cd8a48fa2de6e9c4cc360b00f820",
+        "9c7a26ef850d16def0b848589ff523184fcbb164e43dcacae7d042eb9774502c",
+        "0c20d0afe3131ed913a47f505be58c1893ebf0edb61a5981d1ce58721a755b2f",
     ),
 }
 

@@ -13,8 +13,10 @@ import json
 
 import pytest
 
+from repro.core import fairbfl
 from repro.core.fairbfl import FairBFLTrainer
 from repro.datasets.federated import build_federated_dataset
+from repro.sim.rounds import EventRoundSimulator
 from repro.store.records import history_to_payload
 
 from paper_spec import paper_spec
@@ -156,6 +158,47 @@ class TestChurnTrace:
         # Uploads addressed to the absent miner were lost, not silently kept.
         assert sum(r["lost_uploads"] for r in net) >= 1
         assert trainer.chain.is_valid()
+
+
+class TestOneRacePerComponent:
+    def test_each_component_block_goes_to_its_best_ranked_online_member(
+        self, dataset, monkeypatch
+    ):
+        """Partition, then churn: every component's block has the race's best signer.
+
+        Seed 2 ranks the churned-out ``miner-3`` first in rounds 3 and 4, so
+        a block handed to the round's overall winner would be signed offline.
+        """
+        rankings, settled = [], []
+        real_round, real_mining = EventRoundSimulator.fairbfl_round, fairbfl.procedure_mining
+
+        def spy_round(self, **kwargs):
+            timing = real_round(self, **kwargs)
+            rankings.append([f"miner-{k}" for k in timing.ranking])
+            return timing
+
+        def spy_mining(ctx, members, *args, **kwargs):
+            result = real_mining(ctx, members, *args, **kwargs)
+            signer = members[0].chain.last_block.header.miner_id  # every member appended it
+            settled.append((ctx.round_index, [m.miner_id for m in members], signer))
+            assert ctx.winning_miner == signer
+            return result
+
+        monkeypatch.setattr(EventRoundSimulator, "fairbfl_round", spy_round)
+        monkeypatch.setattr(fairbfl, "procedure_mining", spy_mining)
+        _trainer, history = _run(
+            dataset, topology="ring", num_rounds=6, churn="3:-3;5:+3", seed=2
+        )
+        net = [record.extras["net"] for record in history.rounds]
+        assert [rankings[r][0] for r in (3, 4)] == ["miner-3", "miner-3"]
+        assert [len(n["components"]) for n in net] == [1, 2, 2, 1, 1, 1]
+        assert [(r, members) for r, members, _ in settled] == [
+            (r, component) for r, n in enumerate(net) for component in n["components"]
+        ]
+        for r, members, signer in settled:
+            assert signer == next(mid for mid in rankings[r] if mid in members)
+            assert signer in net[r]["online"]
+        assert "miner-3" not in {signer for r, _, signer in settled if r in (3, 4)}
 
 
 class TestPendingUploadsChainDisjoint:

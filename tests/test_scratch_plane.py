@@ -105,7 +105,7 @@ def test_one_scratch_model_dies_with_the_trainer():
     assert all(c.model is model for c in trainer.clients.values())
 
     payload = pickle.loads(trainer.checkpoint_state())
-    assert payload["version"] == CHECKPOINT_SCHEMA_VERSION == 7
+    assert payload["version"] == CHECKPOINT_SCHEMA_VERSION == 8
     assert "_workspace" not in payload["attrs"]
 
     ref = weakref.ref(model)

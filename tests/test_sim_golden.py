@@ -119,15 +119,15 @@ GOLDEN: dict[str, tuple[str, list]] = {
         [3.4210856128478486, 3.159250089663849, 4.856875997657252],
     ),
     "fairbfl-discard/bfl/async": (
-        "56c47cce9b76e61a7153f589cf1f0dc454a22b19029ee8b9e77e8c6c624465c9",
+        "e7c128034cb09078cc375cb51f766ca54eb2f56826dae43f50e323dca67e62a0",
         ["78e524b8ac85531a", "dab18f79860d0e5d", "07614b8d48d2a67c"],
     ),
     "fairbfl-discard/bfl/semi_sync": (
-        "4860d15f9e37a12253c5b0e9a0ab2cde3f9743e7cfe802aa5797c941db579b7a",
+        "64f9aa4b2e1b249b0e35771be9e85922c07f37a7a66f3efc5b6c4e6a96d7e27b",
         ["3cb2dfbe0f4bf072", "9fb40ea4503ccff7", "6ea18b245b9e2adc"],
     ),
     "fairbfl-discard/bfl/sync": (
-        "faa8b5468ed2d9ae6257a5916c08691a3e5a999039f2e6e68de18406a6791af1",
+        "e1f63465aabafe04bbfbd69ef2f7735b52ddd0ce073a844c9861d3efccb25368",
         ["71d92da859a67838", "214f37a7f1bb5ca1", "f55c568de1ea99ee"],
     ),
     "fairbfl-discard/chain_only/async": (
@@ -155,19 +155,19 @@ GOLDEN: dict[str, tuple[str, list]] = {
         ["abfb222475e76fcd", "bf2aebc26cce344d", "74a004a7aedabc3a"],
     ),
     "fairbfl/bfl/async": (
-        "1d3d30c6cc81030f1bf469ebac33c979e3f5e011cdea3c560b581174f85bbd95",
+        "037e93c58a09908906e426538948cc55914fd5c51e538d2ba9e71fec017eed9d",
         ["78e524b8ac85531a", "dab18f79860d0e5d", "038edbe5177c0011"],
     ),
     "fairbfl/bfl/semi_sync": (
-        "dbb05425c9dae9df20a230b0666f3c21767bf3b9b2ce01222cffb9a34a369a8d",
+        "03b0902001cd21af279c112e8aece0f2ed86c0a2a95f9778dd7902c4709bcaff",
         ["3cb2dfbe0f4bf072", "991eea533a21f5b0", "5f6ddd752eb2319c"],
     ),
     "fairbfl/bfl/semi_sync/deadline-before-any-upload": (
-        "6583fadc60b1b7be31f54a58a768a3316798207c4e4b1eb4fc7c9c3728a9e151",
+        "59d779cd86d5de4e918186d02ebd2cf5e98ecf217af4cabca5a4c5f1b8807b8a",
         ["d5a85739c491cf04", "18bf1c0ccdae1289", "ce434036b50e291c"],
     ),
     "fairbfl/bfl/sync": (
-        "480fc6cd2fc6afb6749e7b1e9714564b45595a1dc809d5eda7b63dab0c3c6d13",
+        "fe7e16b9d996bd540cf5dca89341869e128284b57ce5eeb2cd90d7151e7f1f4f",
         ["71d92da859a67838", "82442336cfe925b8", "f277eed6b5a931df"],
     ),
     "fairbfl/chain_only/async": (
@@ -195,7 +195,7 @@ GOLDEN: dict[str, tuple[str, list]] = {
         ["abfb222475e76fcd", "bf2aebc26cce344d", "74a004a7aedabc3a"],
     ),
     "fairbfl/ring/partition+churn": (
-        "0554643312acdf385e2645c9ef2ef8292ccda5b0868a56f6bccb5b060c0e44ec",
+        "b797e741149af9cdc21f38ea779fdff9d212be8ad66d10c3f0fde0e010adcd39",
         ["a5c0c83ee9859fdf", "d93fddfb9cdf74bb", "5245423dcd8654ff", "fb0c87ca65a4bdf3"],
     ),
 }
