@@ -16,7 +16,6 @@ import numpy as np
 
 from repro.attacks.base import Attack
 from repro.attacks.gradient_attacks import SignFlipAttack
-from repro.utils.validation import check_probability
 
 __all__ = ["AttackScheduler", "detection_rate"]
 
@@ -66,25 +65,13 @@ class AttackScheduler:
         flipping).
     min_attackers, max_attackers:
         Bounds of the per-round attacker count (paper: 1 to 3).
-    probability:
-        Probability that the round contains any attackers at all (1.0
-        reproduces Table 2; lower values model sporadic adversaries).
-    active_from, active_until:
-        Activation window in **kernel simulated seconds**.  Round timing is
-        event-driven (the discrete-event kernel advances the trainer's
-        ``SimulatedClock``), so attack activation keys off that same clock
-        rather than a wall-clock or a raw round index: designation outside
-        ``[active_from, active_until)`` yields no attackers.  The defaults
-        (``0.0``, ``None``) keep the adversary always active, reproducing
-        Table 2's protocol.
+
+    Every round has attackers, as in Table 2's protocol.
     """
 
     attack: Attack = field(default_factory=SignFlipAttack)
     min_attackers: int = 1
     max_attackers: int = 3
-    probability: float = 1.0
-    active_from: float = 0.0
-    active_until: float | None = None
     logs: list[AttackRoundLog] = field(default_factory=list)
 
     def __post_init__(self) -> None:
@@ -95,48 +82,15 @@ class AttackScheduler:
                 f"max_attackers ({self.max_attackers}) must be >= min_attackers "
                 f"({self.min_attackers})"
             )
-        check_probability("probability", self.probability)
-        if self.active_from < 0.0:
-            raise ValueError(f"active_from must be >= 0, got {self.active_from}")
-        if self.active_until is not None and self.active_until <= self.active_from:
-            raise ValueError(
-                f"active_until ({self.active_until}) must exceed active_from "
-                f"({self.active_from})"
-            )
-
-    def is_active(self, sim_time: float | None) -> bool:
-        """Whether the adversary is active at kernel time ``sim_time``.
-
-        ``None`` (no simulated clock available) means always active, which is
-        the pre-event-kernel behaviour.
-        """
-        if sim_time is None:
-            return True
-        if sim_time < self.active_from:
-            return False
-        return self.active_until is None or sim_time < self.active_until
 
     def designate(
-        self,
-        participants: list[int] | np.ndarray,
-        rng: np.random.Generator,
-        *,
-        sim_time: float | None = None,
+        self, participants: list[int] | np.ndarray, rng: np.random.Generator
     ) -> list[int]:
-        """Pick this round's attackers from the participating clients.
-
-        ``sim_time`` is the kernel's simulated clock at the start of the
-        round; outside the activation window no attackers are designated (and
-        no RNG draws are consumed, so enabling a window does not perturb the
-        attacker sequence of later active rounds).
-        """
+        """Pick this round's attackers from the participating clients."""
         pool = [int(c) for c in np.asarray(participants).ravel()]
         if not pool or self.max_attackers == 0:
             return []
-        if not self.is_active(sim_time):
-            return []
-        if rng.random() > self.probability:
-            return []
+        rng.random()  # one unused draw per round: the seeded attacker stream includes it
         count = int(rng.integers(self.min_attackers, self.max_attackers + 1))
         count = min(count, len(pool))
         if count == 0:

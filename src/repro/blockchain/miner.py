@@ -134,21 +134,21 @@ class Miner:
             difficulty=difficulty,
         )
 
-    def mine(self, block: Block, *, difficulty: float = 1.0, max_attempts: int = 1_000_000) -> Block:
+    def mine(self, block: Block, *, difficulty: float = 1.0) -> Block:
         """Run the actual PoW nonce search on ``block`` and return it mined.
 
         Raises
         ------
         RuntimeError
-            If no satisfying nonce is found within ``max_attempts`` (only
-            possible if the difficulty is set unrealistically high for the
-            attempt budget).
+            If no satisfying nonce is found within :func:`mine_block`'s
+            attempt budget (only possible if the difficulty is set
+            unrealistically high for it).
         """
-        result = mine_block(block, difficulty=difficulty, max_attempts=max_attempts)
+        result = mine_block(block, difficulty=difficulty)
         if not result.success:
             raise RuntimeError(
                 f"miner {self.miner_id} failed to find a nonce at difficulty "
-                f"{difficulty} within {max_attempts} attempts"
+                f"{difficulty} within {result.attempts} attempts"
             )
         return block
 

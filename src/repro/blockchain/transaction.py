@@ -232,11 +232,10 @@ def make_reward_transaction(
     round_index: int,
     client_id: str,
     reward: float,
-    *,
-    contribution_label: str = "high",
 ) -> Transaction:
-    """Build one (unsigned) reward-list entry ⟨client, reward⟩."""
-    record = {"client": client_id, "reward": float(reward), "label": contribution_label}
+    """Build one (unsigned) reward-list entry ⟨client, reward⟩; only high
+    contributors are rewarded, so every record is labelled ``"high"``."""
+    record = {"client": client_id, "reward": float(reward), "label": "high"}
     # Sorting the keys reorders them without changing the dump's length, so
     # the one encoding gives both the digest and the wire size.
     encoded = json.dumps(record, sort_keys=True)

@@ -18,8 +18,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.utils.validation import check_positive
@@ -27,26 +25,13 @@ from repro.utils.validation import check_positive
 __all__ = ["ConvergenceCriterion", "theorem31_constants", "theorem31_bound"]
 
 
-@dataclass
 class ConvergenceCriterion:
-    """The paper's accuracy-plateau convergence detector.
+    """The paper's accuracy-plateau convergence detector: an accuracy change
+    of at most :attr:`TOLERANCE` (0.5%) for :attr:`WINDOW` (5) consecutive
+    rounds."""
 
-    Attributes
-    ----------
-    tolerance:
-        Maximum absolute accuracy change counted as "no change" (paper: 0.005).
-    window:
-        Number of consecutive small-change rounds required (paper: 5).
-    """
-
-    tolerance: float = 0.005
-    window: int = 5
-
-    def __post_init__(self) -> None:
-        if self.tolerance <= 0:
-            raise ValueError(f"tolerance must be positive, got {self.tolerance}")
-        if self.window < 1:
-            raise ValueError(f"window must be >= 1, got {self.window}")
+    TOLERANCE = 0.005
+    WINDOW = 5
 
     def converged_at(self, accuracies: np.ndarray | list[float]) -> int | None:
         """Index of the first round at which the criterion is met (None if never).
@@ -54,13 +39,13 @@ class ConvergenceCriterion:
         The returned index is the last round of the qualifying window.
         """
         acc = np.asarray(accuracies, dtype=np.float64).ravel()
-        if acc.shape[0] < self.window + 1:
+        if acc.shape[0] < self.WINDOW + 1:
             return None
         diffs = np.abs(np.diff(acc))
         run = 0
         for i, d in enumerate(diffs):
-            run = run + 1 if d <= self.tolerance else 0
-            if run >= self.window:
+            run = run + 1 if d <= self.TOLERANCE else 0
+            if run >= self.WINDOW:
                 return i + 1
         return None
 

@@ -204,10 +204,8 @@ class FairBFLTrainer(Trainer):
         """Designate attackers for the round and forge their updates in place."""
         if self.attack_scheduler is None or not ctx.updates:
             return
-        # Activation is keyed off the same kernel-simulated clock that times
-        # the rounds (the clock advances by each round's event-kernel total).
         attacker_ids = self.attack_scheduler.designate(
-            [u.client_id for u in ctx.updates], self._attack_rng, sim_time=self.clock.now
+            [u.client_id for u in ctx.updates], self._attack_rng
         )
         ctx.attacker_ids = attacker_ids
         if not attacker_ids:

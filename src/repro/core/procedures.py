@@ -326,11 +326,7 @@ def procedure_mining(
     for entry in ctx.reward_list:
         block_txs.append(
             make_reward_transaction(
-                winner_id,
-                ctx.round_index,
-                f"client-{entry.client_id}",
-                entry.reward,
-                contribution_label=entry.label,
+                winner_id, ctx.round_index, f"client-{entry.client_id}", entry.reward
             )
         )
     block = winner.build_block(

@@ -21,11 +21,10 @@ __all__ = ["summarize_history", "format_cell", "ComparisonResult", "SUMMARY_COLU
 SUMMARY_COLUMNS = ("scenario", "system", "rounds", "avg_delay_s", "avg_accuracy", "final_accuracy")
 
 
-def summarize_history(history: TrainingHistory, *, convergence: ConvergenceCriterion | None = None) -> dict:
+def summarize_history(history: TrainingHistory) -> dict:
     """One-line summary of a run: delays, accuracies, convergence round/time."""
-    criterion = convergence or ConvergenceCriterion()
     acc = history.accuracies
-    converged_round = criterion.converged_at(acc) if acc.size else None
+    converged_round = ConvergenceCriterion().converged_at(acc) if acc.size else None
     converged_time = (
         float(history.elapsed_times[converged_round])
         if converged_round is not None and converged_round < len(history)

@@ -11,22 +11,23 @@ import numpy as np
 
 __all__ = ["generate_prime"]
 
+#: Miller-Rabin witness rounds: a composite passes all of them with
+#: probability below ``4**-20``.
+MILLER_RABIN_ROUNDS = 20
+
 _SMALL_PRIMES = (
     2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67,
     71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113, 127, 131, 137, 139, 149,
 )
 
 
-def is_probable_prime(n: int, *, rounds: int = 20, rng: np.random.Generator | None = None) -> bool:
-    """Miller-Rabin primality test.
+def is_probable_prime(n: int, *, rng: np.random.Generator | None = None) -> bool:
+    """Miller-Rabin primality test with :data:`MILLER_RABIN_ROUNDS` witnesses.
 
     Parameters
     ----------
     n:
         Integer to test (``n >= 0``).
-    rounds:
-        Number of random witness rounds; 20 rounds gives an error probability
-        below ``4**-20`` for composite inputs.
     rng:
         Optional generator for witness selection (falls back to a fixed set of
         deterministic witnesses plus pseudo-random ones derived from ``n``).
@@ -58,7 +59,7 @@ def is_probable_prime(n: int, *, rounds: int = 20, rng: np.random.Generator | No
                 return False
         return True
 
-    for i in range(rounds):
+    for i in range(MILLER_RABIN_ROUNDS):
         if rng is not None:
             # n can exceed the int64 range accepted by Generator.integers, so
             # build the witness from raw random bytes instead.

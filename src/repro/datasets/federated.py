@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from repro.datasets.partition import partition_dataset
-from repro.datasets.synthetic_mnist import SyntheticMNIST, load_synthetic_mnist
+from repro.datasets.synthetic_mnist import NUM_CLASSES, SyntheticMNIST, load_synthetic_mnist
 from repro.utils.rng import new_rng
 
 __all__ = [
@@ -23,10 +23,10 @@ __all__ = [
     "build_federated_dataset",
 ]
 
-
-def _check_fraction(name: str, value: float) -> None:
-    if not (0.0 < value < 1.0):
-        raise ValueError(f"{name} must lie in (0, 1), got {value}")
+#: The share of the flat dataset held out as the global test set, and of each
+#: client shard held out as its verification split.
+TEST_FRACTION = 0.15
+CLIENT_VAL_FRACTION = 0.2
 
 
 def _split_indices(
@@ -118,20 +118,16 @@ class FederatedDataset:
         scheme: str = "shard",
         shards_per_client: int = 2,
         alpha: float = 0.5,
-        test_fraction: float = 0.15,
-        client_val_fraction: float = 0.2,
     ) -> "FederatedDataset":
         """Build a federated dataset from a flat dataset.
 
-        The flat dataset is first split into a global train/test pair; the
-        training part is then partitioned across clients with the requested
+        The flat dataset is first split into a global train/test pair
+        (:data:`TEST_FRACTION` held out); the training part is then partitioned across clients with the requested
         scheme, and each client shard is further split into local train /
-        verification subsets.  Only index arrays are composed along the way:
+        verification subsets (:data:`CLIENT_VAL_FRACTION`).  Only index arrays are composed along the way:
         every array the result holds is one gather from ``dataset``.
         """
-        _check_fraction("client_val_fraction", client_val_fraction)
-        _check_fraction("test_fraction", test_fraction)
-        train_idx, test_idx = _split_indices(len(dataset), test_fraction, rng)
+        train_idx, test_idx = _split_indices(len(dataset), TEST_FRACTION, rng)
         partitions = partition_dataset(
             dataset.labels[train_idx],
             num_clients,
@@ -142,7 +138,7 @@ class FederatedDataset:
         )
         clients: list[ClientDataset] = []
         for cid, idx in enumerate(partitions):
-            kept, held = _split_indices(idx.shape[0], client_val_fraction, rng)
+            kept, held = _split_indices(idx.shape[0], CLIENT_VAL_FRACTION, rng)
             train_rows, val_rows = train_idx[idx[kept]], train_idx[idx[held]]
             clients.append(
                 ClientDataset(
@@ -167,7 +163,6 @@ def inject_label_noise(
     *,
     client_fraction: float = 0.25,
     noise_level: float = 0.6,
-    num_classes: int = 10,
 ) -> list[int]:
     """Turn a fraction of clients into low-quality contributors via label noise.
 
@@ -184,8 +179,6 @@ def inject_label_noise(
         raise ValueError(f"client_fraction must lie in [0, 1], got {client_fraction}")
     if not (0.0 <= noise_level <= 1.0):
         raise ValueError(f"noise_level must lie in [0, 1], got {noise_level}")
-    if num_classes < 2:
-        raise ValueError(f"num_classes must be >= 2, got {num_classes}")
     num_noisy = int(round(client_fraction * dataset.num_clients))
     if num_noisy == 0:
         return []
@@ -199,7 +192,7 @@ def inject_label_noise(
         if k == 0:
             continue
         idx = rng.choice(n, size=k, replace=False)
-        shard.labels[idx] = rng.integers(0, num_classes, size=k)
+        shard.labels[idx] = rng.integers(0, NUM_CLASSES, size=k)
     return noisy_ids
 
 

@@ -85,23 +85,17 @@ def dirichlet_partition(
     rng: np.random.Generator,
     *,
     alpha: float = 0.5,
-    min_samples_per_client: int = 1,
 ) -> list[np.ndarray]:
     """Label-distribution-skew partition with Dirichlet concentration ``alpha``.
 
     Smaller ``alpha`` means more skew (each client dominated by few classes);
     ``alpha -> inf`` approaches IID.  The partition is re-sampled (bounded
-    number of retries) until every client has at least
-    ``min_samples_per_client`` samples.
+    number of retries) until every client has a sample.
     """
     labels = np.asarray(labels)
     _check_args(labels.shape[0], num_clients)
     if not (math.isfinite(alpha) and alpha > 0):
         raise ValueError(f"alpha must be finite and positive, got {alpha}")
-    if min_samples_per_client < 1:
-        raise ValueError(
-            f"min_samples_per_client must be >= 1, got {min_samples_per_client}"
-        )
     classes = np.unique(labels)
     for _attempt in range(100):
         client_indices: list[list[np.ndarray]] = [[] for _ in range(num_clients)]
@@ -117,11 +111,11 @@ def dirichlet_partition(
             np.sort(np.concatenate(chunks)).astype(np.int64) if chunks else np.zeros(0, np.int64)
             for chunks in client_indices
         ]
-        if all(p.shape[0] >= min_samples_per_client for p in partitions):
+        if all(p.shape[0] for p in partitions):
             return partitions
     raise RuntimeError(
         "dirichlet_partition failed to produce a partition where every client "
-        f"has >= {min_samples_per_client} samples after 100 attempts; "
+        "has a sample after 100 attempts; "
         "increase alpha or the dataset size"
     )
 

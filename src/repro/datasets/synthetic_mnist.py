@@ -39,6 +39,9 @@ __all__ = ["SyntheticMNIST", "load_synthetic_mnist"]
 IMAGE_SIDE = 28
 IMAGE_PIXELS = IMAGE_SIDE * IMAGE_SIDE
 NUM_CLASSES = 10
+#: Scale of the per-sample prototype deformation: intra-class variability, and
+#: so gradient diversity between clients holding the same class.
+DEFORMATION = 0.6
 _BLOCK_ROWS = 512
 
 
@@ -115,8 +118,6 @@ def load_synthetic_mnist(
     *,
     seed: int = 0,
     noise_std: float = 0.25,
-    deformation: float = 0.6,
-    class_proportions: np.ndarray | None = None,
 ) -> SyntheticMNIST:
     """Generate a synthetic MNIST-like dataset.
 
@@ -128,12 +129,9 @@ def load_synthetic_mnist(
         Seed controlling prototypes, per-sample deformation and noise.
     noise_std:
         Standard deviation of the additive pixel noise (higher = harder task).
-    deformation:
-        Scale of the per-sample prototype deformation in ``[0, 1]``; controls
-        intra-class variability (and therefore gradient diversity between
-        clients holding the same class).
-    class_proportions:
-        Optional length-10 vector of class probabilities (defaults to uniform).
+
+    Classes are equally likely, and each sample mixes its class prototype with
+    a shifted copy by up to :data:`DEFORMATION`.
 
     Returns
     -------
@@ -144,8 +142,6 @@ def load_synthetic_mnist(
         raise ValueError(f"num_samples must be positive, got {num_samples}")
     if not (math.isfinite(noise_std) and noise_std >= 0):
         raise ValueError(f"noise_std must be finite and non-negative, got {noise_std}")
-    if not (0.0 <= deformation <= 1.0):
-        raise ValueError(f"deformation must lie in [0, 1], got {deformation}")
 
     proto_rng = new_rng(seed, "synthetic-mnist", "prototypes")
     sample_rng = new_rng(seed, "synthetic-mnist", "samples")
@@ -154,18 +150,7 @@ def load_synthetic_mnist(
         [_class_prototype(label, proto_rng) for label in range(NUM_CLASSES)], axis=0
     )  # (10, 28, 28)
 
-    if class_proportions is None:
-        proportions = np.full(NUM_CLASSES, 1.0 / NUM_CLASSES)
-    else:
-        proportions = np.asarray(class_proportions, dtype=np.float64)
-        if proportions.shape != (NUM_CLASSES,):
-            raise ValueError(
-                f"class_proportions must have shape ({NUM_CLASSES},), got {proportions.shape}"
-            )
-        if not np.all(np.isfinite(proportions)) or np.any(proportions < 0) or proportions.sum() <= 0:
-            raise ValueError("class_proportions must be finite, non-negative and sum to > 0")
-        proportions = proportions / proportions.sum()
-
+    proportions = np.full(NUM_CLASSES, 1.0 / NUM_CLASSES)
     labels = sample_rng.choice(NUM_CLASSES, size=num_samples, p=proportions).astype(np.int64)
 
     # Per-sample brightness/contrast jitter plus smooth deformation fields built
@@ -182,7 +167,7 @@ def load_synthetic_mnist(
     )  # (num_shifts, 10, 28, 28)
 
     shift_choice = sample_rng.integers(0, len(shifts), size=num_samples)
-    mix = deformation * sample_rng.uniform(0.2, 0.8, size=(num_samples, 1, 1))
+    mix = DEFORMATION * sample_rng.uniform(0.2, 0.8, size=(num_samples, 1, 1))
     contrast = sample_rng.uniform(0.7, 1.3, size=(num_samples, 1, 1))
     brightness = sample_rng.uniform(-0.05, 0.05, size=(num_samples, 1, 1))
 

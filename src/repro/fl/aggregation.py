@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.utils.vectors import NEAR_ZERO
+
 __all__ = [
     "AggregationError",
     "simple_average",
@@ -86,7 +88,7 @@ def weighted_average(updates: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return out
 
 
-def contribution_weights(thetas: np.ndarray, *, eps: float = 1e-12) -> np.ndarray:
+def contribution_weights(thetas: np.ndarray) -> np.ndarray:
     """Normalise cosine-distance contributions θ_i into weights p_i = θ_i / Σθ_k.
 
     A degenerate all-zero θ vector (every client identical to the global
@@ -99,7 +101,7 @@ def contribution_weights(thetas: np.ndarray, *, eps: float = 1e-12) -> np.ndarra
     if np.any(t < 0):
         raise AggregationError("contribution values (cosine distances) must be non-negative")
     total = t.sum()
-    if total < eps:
+    if total < NEAR_ZERO:
         return np.full(t.shape[0], 1.0 / t.shape[0])
     return t / total
 

@@ -33,6 +33,9 @@ CLUSTERERS = ("dbscan", "kmeans")
 
 NOISE_LABEL = -1
 
+#: Lloyd iterations :class:`KMeans` runs at most.
+KMEANS_MAX_ITERATIONS = 100
+
 
 @dataclass(frozen=True)
 class ClusteringResult:
@@ -126,9 +129,6 @@ class DBSCAN:
                     labels[point] = cluster_id
                     if is_core[point]:
                         frontier.extend(int(x) for x in neighbours[point] if labels[x] == NOISE_LABEL)
-                elif labels[point] != cluster_id and not is_core[point]:
-                    # Border point already claimed by another cluster; leave it.
-                    continue
             cluster_id += 1
         return ClusteringResult(labels=labels, num_clusters=cluster_id)
 
@@ -142,23 +142,13 @@ class KMeans:
     closeness).
     """
 
-    def __init__(
-        self,
-        num_clusters: int = 2,
-        *,
-        metric: str = "cosine",
-        max_iterations: int = 100,
-        seed: int = 0,
-    ) -> None:
+    def __init__(self, num_clusters: int = 2, *, metric: str = "cosine", seed: int = 0) -> None:
         if num_clusters < 1:
             raise ValueError(f"num_clusters must be >= 1, got {num_clusters}")
-        if max_iterations < 1:
-            raise ValueError(f"max_iterations must be >= 1, got {max_iterations}")
         if metric not in {"cosine", "euclidean"}:
             raise ValueError(f"unknown metric {metric!r}; expected 'cosine' or 'euclidean'")
         self.num_clusters = int(num_clusters)
         self.metric = metric
-        self.max_iterations = int(max_iterations)
         self.seed = int(seed)
 
     def fit(self, vectors: np.ndarray | OwnedRows) -> ClusteringResult:
@@ -185,7 +175,7 @@ class KMeans:
         centroids = np.stack(centers, axis=0)
 
         labels = np.zeros(n, dtype=np.int64)
-        for _ in range(self.max_iterations):
+        for _ in range(KMEANS_MAX_ITERATIONS):
             dists = np.sum((v[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
             new_labels = np.argmin(dists, axis=1)
             if np.array_equal(new_labels, labels) and _ > 0:
@@ -204,13 +194,13 @@ def make_clusterer(
     eps: float = 0.5,
     min_samples: int = 3,
     num_clusters: int = 2,
-    metric: str = "cosine",
     seed: int = 0,
 ):
-    """Factory resolving a clustering algorithm by name (``"dbscan"`` or ``"kmeans"``)."""
+    """Factory resolving a clustering algorithm by name (``"dbscan"`` or
+    ``"kmeans"``), clustering by cosine distance."""
     key = name.strip().lower()
     if key == "dbscan":
-        return DBSCAN(eps=eps, min_samples=min_samples, metric=metric)
+        return DBSCAN(eps=eps, min_samples=min_samples)
     if key == "kmeans":
-        return KMeans(num_clusters=num_clusters, metric=metric, seed=seed)
+        return KMeans(num_clusters=num_clusters, seed=seed)
     raise ValueError(f"unknown clustering algorithm {name!r}; expected one of {CLUSTERERS}")

@@ -50,8 +50,6 @@ class ContributionConfig:
         DBSCAN parameters (cosine-distance radius and core-point threshold).
     num_clusters:
         KMeans cluster count (ignored for DBSCAN).
-    metric:
-        Distance metric for clustering.
     base_reward:
         The per-round base reward split among high contributors.
     """
@@ -60,7 +58,6 @@ class ContributionConfig:
     eps: float = 0.7
     min_samples: int = 3
     num_clusters: int = 2
-    metric: str = "cosine"
     base_reward: float = 1.0
     seed: int = 0
 
@@ -71,7 +68,6 @@ class ContributionConfig:
             eps=self.eps,
             min_samples=self.min_samples,
             num_clusters=self.num_clusters,
-            metric=self.metric,
             seed=self.seed,
         )
 
@@ -181,11 +177,10 @@ def identify_contributions_in_place(
         else:
             # Everything is noise: treat every client as high contribution
             # (equivalent to falling back to simple averaging and equal reward).
-            global_label = NOISE_LABEL
             used_fallback = True
 
     client_labels = clustering.labels[:-1]
-    if global_label == NOISE_LABEL and used_fallback:
+    if global_label == NOISE_LABEL:
         high_mask = np.ones(len(ids), dtype=bool)
     else:
         high_mask = client_labels == global_label

@@ -9,14 +9,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.utils.vectors import row_norms
+from repro.utils.vectors import NEAR_ZERO, row_norms
 
 __all__ = ["cosine_distance_to_reference"]
 
 
-def cosine_distance_to_reference(
-    matrix: np.ndarray, reference: np.ndarray, *, eps: float = 1e-12
-) -> np.ndarray:
+def cosine_distance_to_reference(matrix: np.ndarray, reference: np.ndarray) -> np.ndarray:
     """Cosine distance of every row of ``matrix`` to ``reference``.
 
     Parameters
@@ -44,10 +42,10 @@ def cosine_distance_to_reference(
     norms = row_norms(m)
     ref_norm = np.linalg.norm(r)
     sims = np.zeros(m.shape[0], dtype=np.float64)
-    if ref_norm >= eps:
+    if ref_norm >= NEAR_ZERO:
         # One mat-vec over the full stacked matrix (no fancy-index copy);
         # near-zero rows keep similarity 0 ("orthogonal") via the mask.
-        valid = norms >= eps
+        valid = norms >= NEAR_ZERO
         dots = m @ r
         sims[valid] = np.clip(dots[valid] / (norms[valid] * ref_norm), -1.0, 1.0)
     return 1.0 - sims

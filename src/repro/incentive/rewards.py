@@ -24,11 +24,10 @@ __all__ = ["RewardEntry", "apportion_rewards"]
 
 @dataclass(frozen=True)
 class RewardEntry:
-    """One ⟨client, reward⟩ pair of a round's reward list."""
+    """One ⟨client, reward⟩ pair of a round's reward list (high contributors only)."""
 
     client_id: int
     reward: float
-    label: str = "high"
 
 
 def apportion_rewards(

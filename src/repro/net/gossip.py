@@ -29,6 +29,9 @@ from repro.utils.validation import check_non_negative
 
 __all__ = ["GossipNetwork"]
 
+#: Sigma of the log-normal multiplicative jitter on every link's latency.
+GOSSIP_JITTER = 0.25
+
 
 @dataclass(frozen=True)
 class GossipOutcome:
@@ -51,9 +54,8 @@ class GossipNetwork:
     peers:
         Node → peer tuple, as built by :func:`repro.net.topology.build_peer_sets`.
     base_latency:
-        Mean one-way per-link latency in simulated seconds.
-    jitter:
-        Sigma of the log-normal multiplicative jitter (0 disables it).
+        Mean one-way per-link latency in simulated seconds, scaled per link
+        by a log-normal draw of sigma :data:`GOSSIP_JITTER`.
 
     Every receipt is forwarded to every active peer, so the delivered set is
     exactly the origin's connected component of the active subgraph.
@@ -61,13 +63,11 @@ class GossipNetwork:
 
     peers: Mapping[str, tuple[str, ...]]
     base_latency: float = 0.05
-    jitter: float = 0.25
 
     def __post_init__(self) -> None:
         if not self.peers:
             raise ValueError("GossipNetwork requires at least one node")
         self.base_latency = check_non_negative("base_latency", self.base_latency)
-        self.jitter = check_non_negative("jitter", self.jitter)
 
     def propagate(
         self,
@@ -111,6 +111,4 @@ class GossipNetwork:
     def _latency(self, rng: np.random.Generator) -> float:
         if self.base_latency == 0.0:
             return 0.0
-        if self.jitter == 0.0:
-            return self.base_latency
-        return float(self.base_latency * rng.lognormal(mean=0.0, sigma=self.jitter))
+        return float(self.base_latency * rng.lognormal(mean=0.0, sigma=GOSSIP_JITTER))

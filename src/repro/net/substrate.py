@@ -80,7 +80,6 @@ class GossipSubstrate:
     churn: str = "none"
     seed: int = 0
     base_latency: float = 0.05
-    jitter: float = 0.25
 
     nodes: dict[str, Node] = field(init=False, repr=False)
     schedule: NetSchedule = field(init=False, repr=False)
@@ -99,9 +98,7 @@ class GossipSubstrate:
         peers = build_peer_sets(
             self.miner_ids, self.topology, peer_k=self.peer_k, seed=self.seed
         )
-        self.gossip = GossipNetwork(
-            peers, base_latency=self.base_latency, jitter=self.jitter
-        )
+        self.gossip = GossipNetwork(peers, base_latency=self.base_latency)
         self.fork_choice = ForkChoice(salt=self.seed)
         self.nodes = {
             m.miner_id: Node(node_id=m.miner_id, chain=m.chain, peers=peers[m.miner_id])

@@ -1,7 +1,7 @@
 """Weight initialisation schemes.
 
-Each initialiser takes the target ``shape`` and a ``numpy.random.Generator``
-and returns a freshly allocated ``float64`` array.  Passing the generator
+Each initialiser takes the target ``shape`` (and, when it draws, a
+``numpy.random.Generator``) and returns a freshly allocated ``float64`` array.  Passing the generator
 explicitly keeps client-model initialisation reproducible and, importantly for
 FL, lets every client start from the *same* global parameters when required
 (the FAIR-BFL orchestrator initialises one global model and broadcasts it via
@@ -15,8 +15,8 @@ import numpy as np
 __all__ = ["zeros_init", "xavier_init", "he_init"]
 
 
-def zeros_init(shape: tuple[int, ...], rng: np.random.Generator | None = None) -> np.ndarray:
-    """All-zeros initialisation (used for biases)."""
+def zeros_init(shape: tuple[int, ...]) -> np.ndarray:
+    """All-zeros initialisation (used for biases); it draws nothing."""
     return np.zeros(shape, dtype=np.float64)
 
 

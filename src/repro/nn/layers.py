@@ -39,8 +39,8 @@ class Linear(Module):
     init:
         ``"xavier"`` (default, good before tanh/softmax) or ``"he"`` (before
         ReLU).
-    bias:
-        Whether to include the additive bias term.
+
+    The bias ``b`` starts at zero.
     """
 
     def __init__(
@@ -50,7 +50,6 @@ class Linear(Module):
         rng: np.random.Generator,
         *,
         init: str = "xavier",
-        bias: bool = True,
     ) -> None:
         super().__init__()
         if in_features <= 0 or out_features <= 0:
@@ -66,11 +65,7 @@ class Linear(Module):
             raise ValueError(f"unknown init scheme {init!r}; expected 'xavier' or 'he'")
         self.in_features = int(in_features)
         self.weight = self.register_parameter("weight", Parameter(w, "weight"))
-        self.bias: Parameter | None = None
-        if bias:
-            self.bias = self.register_parameter(
-                "bias", Parameter(zeros_init((out_features,)), "bias")
-            )
+        self.bias = self.register_parameter("bias", Parameter(zeros_init((out_features,)), "bias"))
         self._input_cache: np.ndarray | None = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
@@ -82,12 +77,9 @@ class Linear(Module):
                 f"of the weight's rank ({weight.ndim}), got {x.shape}"
             )
         self._input_cache = x
-        out = np.matmul(x, weight)
-        if self.bias is not None:
-            # Out of place on purpose: ``out += b`` is the same bytes, but where the
-            # allocator then puts things read as +10 % peak RSS on one workload.
-            out = out + self.bias.value[..., None, :]
-        return out
+        # Out of place on purpose: ``out += b`` is the same bytes, but where the
+        # allocator then puts things read as +10 % peak RSS on one workload.
+        return np.matmul(x, weight) + self.bias.value[..., None, :]
 
     def clear_caches(self) -> None:
         self._input_cache = None
@@ -112,12 +104,10 @@ class Linear(Module):
         x_t = self._input_cache.swapaxes(-1, -2)
         if accumulate:
             self.weight.grad += np.matmul(x_t, grad_output)
-            if self.bias is not None:
-                self.bias.grad += grad_output.sum(axis=-2)
+            self.bias.grad += grad_output.sum(axis=-2)
         else:
             np.matmul(x_t, grad_output, out=self.weight.grad)
-            if self.bias is not None:
-                np.sum(grad_output, axis=-2, out=self.bias.grad)
+            np.sum(grad_output, axis=-2, out=self.bias.grad)
         if not need_input_grad:
             return None
         return np.matmul(grad_output, self.weight.value.swapaxes(-1, -2))

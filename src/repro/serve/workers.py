@@ -38,6 +38,9 @@ __all__ = ["ISOLATION_MODES", "WorkerPool"]
 #: How a worker executes a job: inline in its thread, or in a child process.
 ISOLATION_MODES = ("thread", "process")
 
+#: How long :meth:`WorkerPool.stop` waits for each worker thread to finish.
+STOP_JOIN_TIMEOUT_S = 10.0
+
 
 class WorkerCrash(RuntimeError):
     """A job's worker process died before reporting a result."""
@@ -114,8 +117,9 @@ class WorkerPool:
             thread.start()
             self._threads.append(thread)
 
-    def stop(self, timeout: float = 10.0) -> None:
-        """Stop accepting work and join the workers.
+    def stop(self) -> None:
+        """Stop accepting work and join the workers (up to
+        :data:`STOP_JOIN_TIMEOUT_S` each).
 
         Running jobs observe the stop flag through their cancellation check
         (thread mode) or child termination (process mode) and finish as
@@ -123,7 +127,7 @@ class WorkerPool:
         """
         self._stopping.set()
         for thread in self._threads:
-            thread.join(timeout)
+            thread.join(STOP_JOIN_TIMEOUT_S)
         self._threads.clear()
 
     def alive_workers(self) -> int:

@@ -29,6 +29,9 @@ __all__ = [
     "pairwise_euclidean_distance",
 ]
 
+#: A norm, or a sum of contributions, below this counts as zero.
+NEAR_ZERO = 1e-12
+
 #: Rows :func:`row_norms` and :func:`finite_rows` read at a time: their one
 #: temporary is this many rows, whatever the height of the matrix.
 NORM_BLOCK_ROWS = 8
@@ -128,25 +131,25 @@ def compact_rows_in_place(m: np.ndarray, rows: Sequence[int]) -> np.ndarray:
     return m[: len(rows)]
 
 
-def normalise_rows_in_place(m: np.ndarray, *, eps: float = 1e-12) -> np.ndarray:
+def normalise_rows_in_place(m: np.ndarray) -> np.ndarray:
     """Divide every row of the owned ``float64`` matrix ``m`` by its ℓ2 norm.
 
-    Rows with norm below ``eps`` are left as they are; the mask of those rows
-    is returned.
+    Rows with norm below :data:`NEAR_ZERO` are left as they are; the mask of
+    those rows is returned.
     """
     norms = row_norms(m)
-    m /= np.where(norms < eps, 1.0, norms)[:, None]
-    return norms < eps
+    m /= np.where(norms < NEAR_ZERO, 1.0, norms)[:, None]
+    return norms < NEAR_ZERO
 
 
-def pairwise_cosine_distance_in_place(m: np.ndarray, *, eps: float = 1e-12) -> np.ndarray:
+def pairwise_cosine_distance_in_place(m: np.ndarray) -> np.ndarray:
     """Pairwise cosine-distance matrix for the rows of the owned ``float64`` matrix ``m``.
 
     Normalises ``m``'s rows in place (see :func:`normalise_rows_in_place`)
     and takes their Gram matrix, so it needs no copy of ``m``.
     """
     m = _check_rows(m)
-    zero_mask = normalise_rows_in_place(m, eps=eps)
+    zero_mask = normalise_rows_in_place(m)
     sims = np.clip(m @ m.T, -1.0, 1.0)
     # Rows that were (near-)zero vectors are defined as orthogonal to everything
     # but identical to themselves.

@@ -133,10 +133,6 @@ class TestAttackScheduler:
             assert 1 <= len(attackers) <= 3
             assert all(a in range(10) for a in attackers)
 
-    def test_designate_respects_probability_zero(self):
-        sched = AttackScheduler(probability=0.0)
-        assert sched.designate(list(range(10)), new_rng(0, "s")) == []
-
     def test_designate_empty_pool(self):
         sched = AttackScheduler()
         assert sched.designate([], new_rng(0, "s")) == []
@@ -168,60 +164,6 @@ class TestAttackScheduler:
             AttackScheduler(min_attackers=-1)
         with pytest.raises(ValueError):
             AttackScheduler(min_attackers=3, max_attackers=1)
-        with pytest.raises(ValueError):
-            AttackScheduler(probability=1.5)
-        with pytest.raises(ValueError):
-            AttackScheduler(active_from=-1.0)
-        with pytest.raises(ValueError):
-            AttackScheduler(active_from=5.0, active_until=5.0)
-
-    def test_activation_window_keys_off_simulated_time(self):
-        sched = AttackScheduler(active_from=10.0, active_until=30.0)
-        rng = new_rng(0, "window")
-        assert sched.designate(list(range(10)), rng, sim_time=0.0) == []
-        assert sched.designate(list(range(10)), rng, sim_time=10.0) != []
-        assert sched.designate(list(range(10)), rng, sim_time=29.9) != []
-        assert sched.designate(list(range(10)), rng, sim_time=30.0) == []
-        # No simulated clock (legacy callers): always active.
-        assert sched.designate(list(range(10)), rng) != []
-        assert sched.is_active(None) and sched.is_active(10.0)
-        assert not sched.is_active(9.99)
-
-    def test_inactive_rounds_consume_no_rng_draws(self):
-        """Designation outside the window must not perturb later rounds' draws."""
-        windowed = AttackScheduler(active_from=100.0)
-        always = AttackScheduler()
-        rng_a, rng_b = new_rng(3, "w"), new_rng(3, "w")
-        for _ in range(5):
-            assert windowed.designate(list(range(10)), rng_a, sim_time=0.0) == []
-        first_active = windowed.designate(list(range(10)), rng_a, sim_time=200.0)
-        assert first_active == always.designate(list(range(10)), rng_b, sim_time=None)
-
-    def test_trainer_clock_drives_activation(self, tiny_federated):
-        """Attack activation keys off the kernel-simulated clock the trainer advances."""
-        from repro.core.fairbfl import FairBFLTrainer
-
-        spec = ScenarioSpec(
-            num_rounds=4,
-            participation=1.0,
-            epochs=1,
-            batch_size=10,
-            learning_rate=0.05,
-            model_name="logreg",
-            attacks=True,
-            seed=7,
-        ).validate()
-        with FairBFLTrainer(tiny_federated, spec) as trainer:
-            # Round 0 starts at simulated time 0; later rounds start after the
-            # kernel has advanced the clock by each round's simulated total.
-            first_round_total = trainer.run(num_rounds=1).rounds[0].delay
-            trainer.attack_scheduler.active_from = first_round_total + 1e-9
-            trainer.run(num_rounds=3)
-            history = trainer.history
-        assert history.rounds[0].attackers  # window [0, ...) was irrelevant yet
-        assert history.rounds[1].attackers == []  # clock at exactly one round total
-        assert history.rounds[2].attackers  # clock has passed the threshold
-        assert history.rounds[3].attackers
 
 
 class TestDelayModel:

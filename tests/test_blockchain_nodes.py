@@ -7,7 +7,9 @@ import pytest
 
 from repro.blockchain.block import Block
 from repro.blockchain.chain import Blockchain
+from repro.blockchain import miner as miner_module
 from repro.blockchain.miner import Miner
+from repro.blockchain.pow import MiningResult
 from repro.blockchain.transaction import (
     TransactionType,
     make_global_update_transaction,
@@ -135,11 +137,15 @@ class TestMiner:
         assert miner.chain.height == 2
         assert miner.chain.last_block.round_index == 0
 
-    def test_mine_failure_raises(self, keystore):
+    def test_mine_failure_raises(self, keystore, monkeypatch):
+        # A search that exhausts its budget, without spending a million hashes.
+        monkeypatch.setattr(
+            miner_module, "mine_block", lambda block, difficulty: MiningResult(False, 2)
+        )
         miner = _miner(keystore=keystore)
         block = miner.build_block(0, [], difficulty=2.0**220)
         with pytest.raises(RuntimeError, match="failed to find a nonce"):
-            miner.mine(block, difficulty=2.0**220, max_attempts=2)
+            miner.mine(block, difficulty=2.0**220)
 
 
 class TestTransactionTypesEnum:

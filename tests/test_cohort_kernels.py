@@ -67,13 +67,11 @@ def reference_backward(model: CohortModel, params: np.ndarray, grad_output: np.n
         if isinstance(layer, Linear):
             x = layer._input_cache
             out_features = layer.weight.shape[-1]
-            bias = out_features if layer.bias is not None else 0
-            mid = hi - bias
+            mid = hi - out_features
             lo = mid - layer.in_features * out_features
             grad_w = np.matmul(x.transpose(0, 2, 1), g)
             grads[:, lo:mid] += grad_w.reshape(grad_w.shape[0], -1)
-            if bias:
-                grads[:, mid:hi] += g.sum(axis=1)
+            grads[:, mid:hi] += g.sum(axis=1)
             weights = params[:, lo:mid].reshape(-1, layer.in_features, out_features)
             g = np.matmul(g, weights.transpose(0, 2, 1))
             hi = lo
@@ -88,7 +86,7 @@ def reference_sgd_step(params, grads, *, learning_rate):
 
 
 ACTIVATIONS = {"relu": ReLU}
-STACKS = ("logreg", "mlp", "bias-free", "deep-mlp", *ACTIVATIONS)
+STACKS = ("logreg", "mlp", "linear-linear", "deep-mlp", *ACTIVATIONS)
 
 
 def _stack(name: str) -> Sequential:
@@ -98,8 +96,8 @@ def _stack(name: str) -> Sequential:
         return build_model(name, 6, 4, rng, hidden_sizes=(5,))
     if name == "deep-mlp":  # two ReLUs: one sits between two hidden Linears
         return build_model("mlp", 6, 4, rng, hidden_sizes=(5, 3))
-    if name == "bias-free":
-        return Sequential(Flatten(), Linear(6, 5, rng, bias=False), Linear(5, 4, rng))
+    if name == "linear-linear":  # no activation between the two Linears
+        return Sequential(Flatten(), Linear(6, 5, rng), Linear(5, 4, rng))
     return Sequential(Flatten(), Linear(6, 5, rng), ACTIVATIONS[name](), Linear(5, 4, rng))
 
 
@@ -463,10 +461,9 @@ def _layer_pass(layer, values, x, upstream):
     widths=st.lists(st.integers(1, 6), min_size=6, max_size=6),
     clients=st.sampled_from([1, 3]),
     batch=st.integers(1, 9),
-    bias=st.booleans(),
     seed=st.integers(0, 2**16),
 )
-def test_stacked_operands_equal_their_slices(kinds, widths, clients, batch, bias, seed):
+def test_stacked_operands_equal_their_slices(kinds, widths, clients, batch, seed):
     """Each layer, the loss and ``accuracy`` on ``(clients, batch, ...)`` are,
     per client, the bytes of the same object run on that ``(batch, ...)`` slice:
     stacked ``matmul`` and last-axis reductions do not see the leading axis."""
@@ -474,7 +471,7 @@ def test_stacked_operands_equal_their_slices(kinds, widths, clients, batch, bias
     x = rng.standard_normal((clients, batch, widths[0])) * 2.0
     for kind, width in zip(kinds, widths[1:]):
         if kind == "linear":
-            layer = Linear(x.shape[-1], width, rng, bias=bias)
+            layer = Linear(x.shape[-1], width, rng)
             size = layer.num_parameters()
         else:
             layer, width, size = ACTIVATIONS[kind](), x.shape[-1], 0

@@ -39,17 +39,12 @@ B = _BLOCK_ROWS
 MiB = 2**20
 
 
-def _reference_synthesis(num_samples, *, seed=0, noise_std=0.25, deformation=0.6,
-                         class_proportions=None):
+def _reference_synthesis(num_samples, *, seed=0, noise_std=0.25):
     """The whole-array synthesis: every temporary the size of the dataset."""
     proto_rng = new_rng(seed, "synthetic-mnist", "prototypes")
     sample_rng = new_rng(seed, "synthetic-mnist", "samples")
     prototypes = np.stack([_class_prototype(label, proto_rng) for label in range(NUM_CLASSES)])
-    if class_proportions is None:
-        proportions = np.full(NUM_CLASSES, 1.0 / NUM_CLASSES)
-    else:
-        proportions = np.asarray(class_proportions, dtype=np.float64)
-        proportions = proportions / proportions.sum()
+    proportions = np.full(NUM_CLASSES, 1.0 / NUM_CLASSES)
     labels = sample_rng.choice(NUM_CLASSES, size=num_samples, p=proportions).astype(np.int64)
     shifts = [(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1)]
     shifted_protos = np.stack(
@@ -59,7 +54,7 @@ def _reference_synthesis(num_samples, *, seed=0, noise_std=0.25, deformation=0.6
         ]
     )
     shift_choice = sample_rng.integers(0, len(shifts), size=num_samples)
-    mix = deformation * sample_rng.uniform(0.2, 0.8, size=(num_samples, 1, 1))
+    mix = 0.6 * sample_rng.uniform(0.2, 0.8, size=(num_samples, 1, 1))
     images = (1.0 - mix) * prototypes[labels] + mix * shifted_protos[shift_choice, labels]
     contrast = sample_rng.uniform(0.7, 1.3, size=(num_samples, 1, 1))
     brightness = sample_rng.uniform(-0.05, 0.05, size=(num_samples, 1, 1))
@@ -69,12 +64,11 @@ def _reference_synthesis(num_samples, *, seed=0, noise_std=0.25, deformation=0.6
     return SyntheticMNIST(images.reshape(num_samples, IMAGE_PIXELS), labels)
 
 
-def _reference_from_dataset(dataset, num_clients, rng, *, scheme, test_fraction=0.15,
-                            client_val_fraction=0.2):
+def _reference_from_dataset(dataset, num_clients, rng, *, scheme):
     """The three-copy split: global subsets, then a shard copy, then the local split."""
     n = len(dataset)
     perm = rng.permutation(n)
-    n_test = max(1, int(round(n * test_fraction)))
+    n_test = max(1, int(round(n * 0.15)))
     train_idx, test_idx = perm[n_test:], perm[:n_test]
     train = SyntheticMNIST(dataset.images[train_idx].copy(), dataset.labels[train_idx].copy())
     test = SyntheticMNIST(dataset.images[test_idx].copy(), dataset.labels[test_idx].copy())
@@ -82,7 +76,7 @@ def _reference_from_dataset(dataset, num_clients, rng, *, scheme, test_fraction=
     for cid, idx in enumerate(partition_dataset(train.labels, num_clients, rng, scheme=scheme)):
         shard_images, shard_labels = train.images[idx], train.labels[idx]
         m = idx.shape[0]
-        n_val = max(1, int(round(m * client_val_fraction)))
+        n_val = max(1, int(round(m * 0.2)))
         if n_val >= m:
             n_val = max(1, m - 1)
         local = rng.permutation(m)
@@ -125,20 +119,10 @@ def _outcome(build):
     num_samples=st.sampled_from([1, B - 1, B, B + 1, 3 * B + 7]),
     seed=st.integers(0, 2**16),
     noise_std=st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
-    deformation=st.floats(0.0, 1.0),
-    class_proportions=st.one_of(
-        st.none(),
-        st.lists(st.floats(0.0, 5.0), min_size=NUM_CLASSES, max_size=NUM_CLASSES).filter(
-            lambda p: sum(p) > 0
-        ),
-    ),
 )
 @settings(max_examples=25, deadline=None)
-def test_streamed_synthesis_equals_whole_array_reference(
-    num_samples, seed, noise_std, deformation, class_proportions
-):
-    kwargs = dict(seed=seed, noise_std=noise_std, deformation=deformation,
-                  class_proportions=class_proportions)
+def test_streamed_synthesis_equals_whole_array_reference(num_samples, seed, noise_std):
+    kwargs = dict(seed=seed, noise_std=noise_std)
     got = load_synthetic_mnist(num_samples, **kwargs)
     want = _reference_synthesis(num_samples, **kwargs)
     assert got.images.tobytes() == want.images.tobytes()
@@ -150,20 +134,15 @@ def test_streamed_synthesis_equals_whole_array_reference(
     num_clients=st.integers(1, 12),
     num_samples=st.integers(20, 400),
     seed=st.integers(0, 2**16),
-    test_fraction=st.floats(0.05, 0.5),
-    client_val_fraction=st.floats(0.05, 0.95),
 )
 @settings(max_examples=40, deadline=None)
-def test_from_dataset_equals_three_copy_reference(
-    scheme, num_clients, num_samples, seed, test_fraction, client_val_fraction
-):
+def test_from_dataset_equals_three_copy_reference(scheme, num_clients, num_samples, seed):
     dataset = load_synthetic_mnist(num_samples, seed=seed)
-    kwargs = dict(
-        scheme=scheme, test_fraction=test_fraction, client_val_fraction=client_val_fraction
-    )
     rng, reference_rng = new_rng(seed, "fed"), new_rng(seed, "fed")
-    got = _outcome(lambda: FederatedDataset.from_dataset(dataset, num_clients, rng, **kwargs))
-    want = _outcome(lambda: _reference_from_dataset(dataset, num_clients, reference_rng, **kwargs))
+    got = _outcome(lambda: FederatedDataset.from_dataset(dataset, num_clients, rng, scheme=scheme))
+    want = _outcome(
+        lambda: _reference_from_dataset(dataset, num_clients, reference_rng, scheme=scheme)
+    )
     if isinstance(want, type):
         assert got is want
         return

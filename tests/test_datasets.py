@@ -69,21 +69,11 @@ class TestSyntheticMNIST:
             opt.step()
         assert accuracy(model.forward(ds.images), ds.labels) > 0.6
 
-    def test_class_proportions_respected(self):
-        props = np.zeros(10)
-        props[3] = 1.0
-        ds = load_synthetic_mnist(100, seed=0, class_proportions=props)
-        assert np.all(ds.labels == 3)
-
     def test_invalid_args(self):
         with pytest.raises(ValueError):
             load_synthetic_mnist(0)
         with pytest.raises(ValueError):
             load_synthetic_mnist(10, noise_std=-1)
-        with pytest.raises(ValueError):
-            load_synthetic_mnist(10, deformation=2.0)
-        with pytest.raises(ValueError):
-            load_synthetic_mnist(10, class_proportions=np.ones(5))
 
     def test_invalid_construction(self):
         with pytest.raises(ValueError):
@@ -141,10 +131,8 @@ class TestPartitioning:
 
     def test_min_samples_guarantee(self):
         labels = self._labels()
-        parts = dirichlet_partition(
-            labels, 10, new_rng(2, "dir"), alpha=0.3, min_samples_per_client=2
-        )
-        assert all(p.shape[0] >= 2 for p in parts)
+        parts = dirichlet_partition(labels, 10, new_rng(2, "dir"), alpha=0.3)
+        assert all(p.shape[0] >= 1 for p in parts)
 
     def test_partition_dataset_dispatch(self, tiny_dataset):
         for scheme in ("iid", "shard", "dirichlet"):
@@ -216,12 +204,6 @@ class TestFederatedDataset:
         with pytest.raises(ValueError):
             FederatedDataset(clients=[], test_images=np.zeros((1, 4)), test_labels=np.zeros(1))
 
-    def test_from_dataset_invalid_val_fraction(self, tiny_dataset):
-        with pytest.raises(ValueError):
-            FederatedDataset.from_dataset(
-                tiny_dataset, 4, new_rng(0, "fed"), client_val_fraction=0.0
-            )
-
     def test_inject_label_noise(self, tiny_dataset):
         fed = FederatedDataset.from_dataset(tiny_dataset, 6, new_rng(0, "fed"), scheme="iid")
         before = [shard.labels.copy() for shard in fed.clients]
@@ -255,12 +237,6 @@ class TestNonFiniteInputs:
     def test_noise_std(self, value):
         with pytest.raises(ValueError, match="noise_std"):
             load_synthetic_mnist(10, noise_std=value)
-
-    def test_class_proportions(self):
-        props = np.ones(10)
-        props[4] = np.nan
-        with pytest.raises(ValueError, match="class_proportions"):
-            load_synthetic_mnist(10, class_proportions=props)
 
     def test_low_quality_fraction(self):
         with pytest.raises(ValueError, match="low_quality_fraction"):

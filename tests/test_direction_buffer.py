@@ -99,7 +99,7 @@ def _parent_global_update(matrix, ids, previous, config, strategy, defense):
 
 
 def _rewards(report):
-    return [(e.client_id, e.reward, e.label) for e in report.reward_list]
+    return [(e.client_id, e.reward) for e in report.reward_list]
 
 
 # -- inputs ---------------------------------------------------------------------
@@ -231,7 +231,7 @@ def test_identify_contributions_equals_parent(m, config, reference):
     thetas = _parent_cosine_distance_to_reference(m, g)
     high = np.isin(ids, report.high_contributors)
     want_rewards = apportion_rewards(report.high_contributors, thetas[high], base_reward=config.base_reward)
-    assert _rewards(report) == [(e.client_id, e.reward, e.label) for e in want_rewards]
+    assert _rewards(report) == [(e.client_id, e.reward) for e in want_rewards]
 
 
 @settings(max_examples=40, deadline=None)

@@ -18,6 +18,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from repro.cli import build_parser, main
 from repro.runner.scenario import ScenarioSpec
 
@@ -238,6 +240,7 @@ class TestDocsFreshness:
         monkeypatch.setattr(check_docs, "REPO_ROOT", tmp_path)
         monkeypatch.setattr(check_docs, "SRC_ROOT", tmp_path / "src")
         monkeypatch.setattr(check_docs, "EXPORT_ALLOWLIST", {})
+        monkeypatch.setattr(check_docs, "SETTER_ALLOWLIST", {})
         return check_docs
 
     def test_exports_catch_a_callerless_name(self, tmp_path, monkeypatch):
@@ -351,6 +354,7 @@ class TestDocsFreshness:
         monkeypatch.setattr(
             check_docs, "EXPORT_ALLOWLIST", {"repro.pkg.mod:Reference": "kept on purpose"}
         )
+        monkeypatch.setattr(check_docs, "SETTER_ALLOWLIST", {})
         return check_docs
 
     def test_definitions_catch_an_unused_method_and_what_only_it_reads(
@@ -471,6 +475,144 @@ class TestDocsFreshness:
             "'Outcome.noted'", "'Counter.floods'"
         ]
         assert problems[0].startswith("src/repro/pkg/stored.py:6: 'Outcome.noted' is public")
+
+    def _option_tree(self, tmp_path, monkeypatch):
+        """A repo whose ``repro.pkg.mod`` declares four options no caller sets
+        (``Config(rate)``, ``Base(size)``, ``train(epochs)``, ``train(steps)``)
+        and one ``default_factory`` container (``Config(items)``); a sibling
+        module reads every definition, so only the setter rule reports.
+        ``Config.__post_init__`` normalising ``rate`` does not set it."""
+        check_docs = self._load_check_docs()
+        package = tmp_path / "src" / "repro" / "pkg"
+        package.mkdir(parents=True)
+        (tmp_path / "src" / "repro" / "api.py").write_text("__all__ = []\n", encoding="utf-8")
+        (package / "mod.py").write_text(
+            "from dataclasses import dataclass, field\n\n"
+            "@dataclass\nclass Config:\n"
+            "    rate: float = 0.1\n"
+            "    items: list = field(default_factory=list)\n\n"
+            "    def __post_init__(self):\n        self.rate = float(self.rate)\n\n"
+            "    @classmethod\n    def make(cls):\n        return cls()\n\n"
+            "class Base:\n    def __init__(self, size=1):\n        self.size = size\n\n"
+            "def train(data, epochs=1, *, steps=10):\n    return data, epochs, steps\n",
+            encoding="utf-8",
+        )
+        (package / "other.py").write_text(
+            "from repro.pkg.mod import Base, Config, train\n\n"
+            "cfg = Config.make()\nprint(train(cfg), cfg.rate, cfg.items, Base().size)\n",
+            encoding="utf-8",
+        )
+        monkeypatch.setattr(check_docs, "REPO_ROOT", tmp_path)
+        monkeypatch.setattr(check_docs, "SRC_ROOT", tmp_path / "src")
+        monkeypatch.setattr(check_docs, "EXPORT_ALLOWLIST", {})
+        monkeypatch.setattr(check_docs, "SETTER_ALLOWLIST", {})
+        return check_docs
+
+    @staticmethod
+    def _unset(problems):
+        return [p.split("option ")[1].split(" ")[0] for p in problems if " option " in p]
+
+    def test_setters_catch_an_option_no_caller_passes(self, tmp_path, monkeypatch):
+        check_docs = self._option_tree(tmp_path, monkeypatch)
+        problems = check_docs.check_exports()
+        assert self._unset(problems) == [
+            "'repro.pkg.mod:Config(rate)'", "'repro.pkg.mod:Base(size)'",
+            "'repro.pkg.mod:train(epochs)'", "'repro.pkg.mod:train(steps)'",
+        ]
+        assert problems[0] == (
+            "src/repro/pkg/mod.py:5: option 'repro.pkg.mod:Config(rate)' has a default "
+            "that nothing in src, examples, benchmarks, tools overrides (fold it into a "
+            "constant, or allow-list it with a reason)"
+        )
+
+    def test_setters_exempt_a_default_factory_container(self, tmp_path, monkeypatch):
+        check_docs = self._option_tree(tmp_path, monkeypatch)
+        assert not [p for p in check_docs.check_exports() if "items" in p]
+
+    def test_setters_count_a_call_from_benchmarks(self, tmp_path, monkeypatch):
+        check_docs = self._option_tree(tmp_path, monkeypatch)
+        (tmp_path / "benchmarks").mkdir()
+        (tmp_path / "benchmarks" / "bench_mod.py").write_text(
+            "from repro.pkg import mod\nmod.train(None, 2, steps=3)\n", encoding="utf-8"
+        )
+        assert self._unset(check_docs.check_exports()) == [
+            "'repro.pkg.mod:Config(rate)'", "'repro.pkg.mod:Base(size)'"
+        ]
+
+    def test_setters_do_not_count_a_call_from_tests(self, tmp_path, monkeypatch):
+        check_docs = self._option_tree(tmp_path, monkeypatch)
+        (tmp_path / "tests").mkdir()
+        (tmp_path / "tests" / "test_mod.py").write_text(
+            "from repro.pkg.mod import Base, Config, train\n"
+            "train(None, 2, steps=3)\nBase(size=2)\nConfig(rate=0.5)\n",
+            encoding="utf-8",
+        )
+        assert len(self._unset(check_docs.check_exports())) == 4
+
+    @pytest.mark.parametrize(
+        "code, now_set",
+        [
+            ("train(None, 2)", ["train(epochs)"]),
+            ("train(*rows)", ["train(epochs)"]),
+            ("train(None, **kwargs)", ["train(epochs)", "train(steps)"]),
+            ("benchmark(train, None, 2, steps=3)", ["train(epochs)", "train(steps)"]),
+            ("cfg.rate = 0.5", ["Config(rate)"]),
+            ("replace(cfg, rate=0.5)", ["Config(rate)"]),
+            (
+                "class Child(Base):\n    def __init__(self):\n        super().__init__(size=2)",
+                ["Base(size)"],
+            ),
+        ],
+    )
+    def test_setters_count_positions_spreads_stores_and_forwarding(
+        self, tmp_path, monkeypatch, code, now_set
+    ):
+        check_docs = self._option_tree(tmp_path, monkeypatch)
+        (tmp_path / "examples").mkdir()
+        (tmp_path / "examples" / "demo.py").write_text(code + "\n", encoding="utf-8")
+        unset = self._unset(check_docs.check_exports())
+        assert len(unset) == 4 - len(now_set)
+        assert not [u for u in unset if any(option in u for option in now_set)]
+
+    def test_setters_count_a_cls_call_inside_the_class(self, tmp_path, monkeypatch):
+        check_docs = self._option_tree(tmp_path, monkeypatch)
+        mod = tmp_path / "src" / "repro" / "pkg" / "mod.py"
+        mod.write_text(
+            mod.read_text(encoding="utf-8").replace("return cls()", "return cls(0.5)"),
+            encoding="utf-8",
+        )
+        assert "'repro.pkg.mod:Config(rate)'" not in self._unset(check_docs.check_exports())
+
+    def test_setters_pass_a_facade_name(self, tmp_path, monkeypatch):
+        check_docs = self._option_tree(tmp_path, monkeypatch)
+        (tmp_path / "src" / "repro" / "api.py").write_text(
+            "__all__ = ['Config', 'train']\n", encoding="utf-8"
+        )
+        assert self._unset(check_docs.check_exports()) == ["'repro.pkg.mod:Base(size)'"]
+
+    def test_setters_catch_a_stale_allow_list_entry(self, tmp_path, monkeypatch):
+        check_docs = self._option_tree(tmp_path, monkeypatch)
+        (tmp_path / "tools").mkdir()
+        (tmp_path / "tools" / "tool.py").write_text(
+            "from repro.pkg.mod import Base\nBase(2)\n", encoding="utf-8"
+        )
+        monkeypatch.setattr(
+            check_docs,
+            "SETTER_ALLOWLIST",
+            {
+                "repro.pkg.mod:Config(rate)": "kept on purpose",
+                "repro.pkg.mod:Base(size)": "no longer needed: tools/tool.py sets it",
+                "repro.pkg.mod:train(gone)": "deleted since",
+            },
+        )
+        problems = check_docs.check_exports()
+        assert [p for p in problems if p.startswith("setter allow-list")] == [
+            "setter allow-list entry 'repro.pkg.mod:Base(size)' is stale: a caller sets it",
+            "setter allow-list entry 'repro.pkg.mod:train(gone)' is stale: no such option",
+        ]
+        assert self._unset(problems) == [
+            "'repro.pkg.mod:train(epochs)'", "'repro.pkg.mod:train(steps)'"
+        ]
 
     def test_readme_benchmark_map_is_fresh(self):
         import re

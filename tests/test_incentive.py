@@ -126,8 +126,6 @@ class TestKMeans:
             KMeans(num_clusters=0)
         with pytest.raises(ValueError):
             KMeans(metric="hamming")
-        with pytest.raises(ValueError):
-            KMeans(max_iterations=0)
 
 
 class TestMakeClusterer:

@@ -225,8 +225,8 @@ class TestGossip:
         c = self._net("ring").propagate("miner-2", seed=78)
         assert c.arrivals != a.arrivals
 
-    def test_zero_latency_and_jitter(self):
-        net = self._net("ring", base_latency=0.0, jitter=0.0)
+    def test_zero_base_latency(self):
+        net = self._net("ring", base_latency=0.0)
         outcome = net.propagate("miner-0", seed=1)
         assert outcome.max_latency == 0.0
 
@@ -293,7 +293,6 @@ class TestSubstrate:
 
     def _substrate(self, n=4, **kwargs):
         kwargs.setdefault("topology", "full")
-        kwargs.setdefault("jitter", 0.0)
         return GossipSubstrate(miners=self._miners(n), **kwargs)
 
     def test_global_topology_rejected(self):
@@ -439,7 +438,7 @@ class TestSubstrate:
 
     def test_substrate_runs_deterministically(self):
         def trace():
-            sub = self._substrate(partition="1-1:0,1", jitter=0.25, seed=9)
+            sub = self._substrate(partition="1-1:0,1", seed=9)
             log = []
             for r in range(3):
                 report = sub.begin_round(r, sim_time=float(r))

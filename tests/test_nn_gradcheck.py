@@ -73,8 +73,8 @@ def _layer_case(name: str):
     rng = np.random.default_rng(42)
     if name == "Linear":
         return Linear(4, 3, rng), (4,)
-    if name == "Linear-he-nobias":
-        return Linear(4, 3, rng, init="he", bias=False), (4,)
+    if name == "Linear-he":
+        return Linear(4, 3, rng, init="he"), (4,)
     if name == "ReLU":
         return ReLU(), (4,)
     if name == "Flatten":
@@ -84,7 +84,7 @@ def _layer_case(name: str):
 
 LAYER_CASES = (
     "Linear",
-    "Linear-he-nobias",
+    "Linear-he",
     "ReLU",
     "Flatten",
 )
@@ -179,7 +179,7 @@ def _cohort_setup(clients: int):
             Linear(4, 3, rng),
             Linear(3, 3, rng, init="he"),
             ReLU(),
-            Linear(3, 2, rng, bias=False),
+            Linear(3, 2, rng),
         ]
     )
     model = nn_cohort.CohortModel.from_module(template)

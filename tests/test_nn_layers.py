@@ -84,11 +84,6 @@ class TestLinear:
         with pytest.raises(RuntimeError):
             Linear(2, 2, rng).backward(np.zeros((1, 2)))
 
-    def test_no_bias_option(self, rng):
-        layer = Linear(4, 2, rng, bias=False)
-        assert layer.bias is None
-        assert sum(1 for _ in layer.parameters()) == 1
-
     def test_invalid_sizes(self, rng):
         with pytest.raises(ValueError):
             Linear(0, 3, rng)

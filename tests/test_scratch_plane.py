@@ -142,7 +142,7 @@ stacks = st.fixed_dictionaries(
         "seed": st.integers(0, 2**16),
         "features": st.sampled_from([(6,), (2, 3)]),
         "hidden": st.lists(
-            st.tuples(st.integers(1, 6), st.sampled_from(sorted(ACTIVATIONS)), st.booleans()),
+            st.tuples(st.integers(1, 6), st.sampled_from(sorted(ACTIVATIONS))),
             max_size=2,
         ),
         "classes": st.integers(2, 5),
@@ -157,8 +157,8 @@ def build_stack(spec: dict) -> Sequential:
     flatten = spec["flatten"] or len(spec["features"]) > 1
     layers: list[Module] = [Flatten()] if flatten else []
     width = int(np.prod(spec["features"]))
-    for out, activation, bias in spec["hidden"]:
-        layers.append(Linear(width, out, rng, init="he", bias=bias))
+    for out, activation in spec["hidden"]:
+        layers.append(Linear(width, out, rng, init="he"))
         if ACTIVATIONS[activation] is not None:
             layers.append(ACTIVATIONS[activation]())
         width = out

@@ -69,7 +69,19 @@ Fails (exit code 1) when the documentation has drifted from the code:
     ``repro.api.__all__`` (the pinned facade) and those classes' members
     pass as is; every other exception is an ``EXPORT_ALLOWLIST``
     entry with its reason (a class's entry covers its members), and an entry
-    whose name is gone or now used fails.
+    whose name is gone or now used fails;
+16. an option in ``src/repro`` has no setter in those same roots — a
+    default-valued parameter of a public function, or of a public method or
+    ``__init__`` of a public class, or a defaulted field of a public
+    dataclass (``field(default_factory=list|dict|set)`` containers aside)
+    needs a call of its name that passes it: by keyword, at its position, or
+    through ``*args`` / ``**kwargs``.  ``cls(…)`` and ``super().__init__(…)``
+    call the class they are written in and its bases, and pytest-benchmark's
+    ``benchmark(fn, …)`` calls ``fn``; a field is also set by an attribute
+    store of its name (its own class's ``self.name = …`` outside
+    ``__post_init__``) or a ``dataclasses.replace`` that passes it.  Facade
+    names pass as in 15; every other exception is a ``SETTER_ALLOWLIST``
+    entry with its reason, and an entry whose option is gone or now set fails.
 
 Run from the repository root:
 
@@ -516,8 +528,29 @@ EXPORT_ALLOWLIST: dict[str, str] = {
     ),
 }
 
+#: ``"module:callable(option)"`` → why an option no caller sets stays (see
+#: :func:`_options`).  An entry whose option is gone or has gained a setter
+#: is stale.
+SETTER_ALLOWLIST: dict[str, str] = {
+    "repro.core.convergence:theorem31_constants(variance_bound)": (
+        "Theorem 3.1's B term, the aggregate sigma_i^2 of Assumption 5: the bound "
+        "states the theorem in full; the benchmark runs its exact-gradient case"
+    ),
+    "repro.fl.cohort:CohortTrainer(max_cohort_size)": (
+        "tests shrink it to force multi-chunk rounds at test scale"
+    ),
+    "repro.incentive.clustering:KMeans(metric)": (
+        "Euclidean k-means on unit rows is the reference tests hold the cosine "
+        "path to, byte for byte"
+    ),
+    "repro.incentive.contribution:ContributionConfig(num_clusters)": (
+        "k of Algorithm 2's kmeans variant: tests hold the in-place round to the "
+        "whole-array kernels at several k"
+    ),
+}
+
 #: Module-level assignments that list names rather than read them.
-_DECLARATIONS = ("__all__", "EXPORT_ALLOWLIST")
+_DECLARATIONS = ("__all__", "EXPORT_ALLOWLIST", "SETTER_ALLOWLIST")
 
 #: A string constant that names code: ``getattr``'s ``"attr"``, a dotted
 #: module, or the perf span table's ``"module:Class.attr"``.
@@ -554,13 +587,57 @@ _DEFINITION_READS = _EXPORT_READS | {"string"}
 _METHOD_READS = frozenset({"attribute", "string"})
 
 
-def _reads(tree: ast.Module, *, package_init: bool) -> Reads:
-    """Every read in a module: an ``ast.Name`` or ``ast.Attribute`` load, an
-    import, or each part of an identifier-shaped string constant.
+#: A callee name → the ``(positional, keywords)`` of each call of it in one
+#: file: how many arguments it passes by position (a ``*args`` passes them
+#: all) and the names it passes by keyword (``"**"``: a ``**kwargs``
+#: pass-through).
+Calls = dict[str, list[tuple[int, frozenset[str]]]]
 
-    Bindings (a definition, an assignment target) are not reads, nor are the
-    entries of :data:`_DECLARATIONS`, and a package ``__init__``'s imports
-    are re-exports, not uses.
+
+class _Uses(NamedTuple):
+    """What one file does with the names it mentions."""
+
+    reads: Reads
+    calls: Calls
+    stores: frozenset[str]  # attributes it assigns: ``name``; ``Class.name`` for ``self.name``
+
+
+def _callees(call: ast.Call, owner: ast.ClassDef | None) -> Iterator[tuple[str, list[ast.expr]]]:
+    """Each name a call reaches, with the arguments it passes by position.
+
+    ``name(…)`` and ``x.name(…)`` reach ``name``; inside a class, ``cls(…)``
+    reaches the class and ``super().__init__(…)`` its bases; and
+    pytest-benchmark's ``benchmark(fn, *args, **kwargs)`` reaches ``fn``.
+    """
+    func, args = call.func, call.args
+    if isinstance(func, ast.Name) and func.id == "benchmark" and args:
+        func, args = args[0], args[1:]
+    if isinstance(func, ast.Name):
+        yield (owner.name if func.id == "cls" and owner else func.id), args
+    elif not isinstance(func, ast.Attribute):
+        return
+    elif (
+        func.attr == "__init__"
+        and isinstance(func.value, ast.Call)
+        and isinstance(func.value.func, ast.Name)
+        and func.value.func.id == "super"
+        and owner
+    ):
+        for base in owner.bases:
+            if isinstance(base, (ast.Name, ast.Attribute)):
+                yield (base.id if isinstance(base, ast.Name) else base.attr), args
+    else:
+        yield func.attr, args
+
+
+def _uses(tree: ast.Module, *, package_init: bool) -> _Uses:
+    """Every read, call and attribute store in a module.
+
+    A read is an ``ast.Name`` or ``ast.Attribute`` load, an import, or each
+    part of an identifier-shaped string constant.  Bindings (a definition, an
+    assignment target) are not reads, nor are the entries of
+    :data:`_DECLARATIONS`, and a package ``__init__``'s imports are
+    re-exports, not uses.
     """
     declared = {
         id(const)
@@ -568,12 +645,39 @@ def _reads(tree: ast.Module, *, package_init: bool) -> Reads:
         if _declaration(node) in _DECLARATIONS
         for const in ast.walk(node.value)
     }
+    owners = {  # ast.walk is breadth-first: an inner class overwrites its outer one
+        id(node): cls
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for node in ast.walk(cls)
+    }
+    post_init = {  # a dataclass normalising its own field there sets no option
+        id(node)
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef) and fn.name == "__post_init__"
+        for node in ast.walk(fn)
+    }
     reads: Reads = {}
+    calls: Calls = {}
+    stores: set[str] = set()
     for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            keywords = frozenset(k.arg or "**" for k in node.keywords)
+            for name, args in _callees(node, owners.get(id(node))):
+                starred = any(isinstance(arg, ast.Starred) for arg in args)
+                positional = sys.maxsize if starred else len(args)
+                calls.setdefault(name, []).append((positional, keywords))
+            continue
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             names, kind = [node.id], "name"
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
             names, kind = [node.attr], "attribute"
+        elif isinstance(node, ast.Attribute):
+            mine = isinstance(node.value, ast.Name) and node.value.id == "self"
+            owner = owners.get(id(node))
+            if not (mine and id(node) in post_init):
+                stores.add(f"{owner.name}.{node.attr}" if mine and owner else node.attr)
+            continue
         elif isinstance(node, ast.ImportFrom) and not package_init:
             names, kind = [alias.name for alias in node.names], "import"
         elif (
@@ -587,7 +691,7 @@ def _reads(tree: ast.Module, *, package_init: bool) -> Reads:
             continue
         for name in names:
             reads.setdefault(name, []).append((node.lineno, kind))
-    return reads
+    return _Uses(reads, calls, frozenset(stores))
 
 
 def _span(node: ast.stmt) -> range:
@@ -669,6 +773,152 @@ def _definitions(path: Path, module: str, facade: set[str]) -> Iterator[_Definit
             yield _Definition(module, qualname, path, lines, reads, True)
 
 
+class _Option(NamedTuple):
+    """One default-valued parameter or dataclass field the setter rule checks."""
+
+    key: str  # ``module:callable(name)``; a method's callable is ``Class.method``
+    callee: str  # the name its callers call: the function, method or class
+    name: str
+    position: int | None  # its index among the positional arguments; None: keyword-only
+    field: bool  # a dataclass field, which an attribute store sets too
+    where: str  # ``path:line``
+
+
+#: ``field(default_factory=…)`` factories of state containers, not options.
+_CONTAINERS = frozenset({"list", "dict", "set"})
+
+
+def _parameters(
+    fn: ast.FunctionDef | ast.AsyncFunctionDef, *, bound: bool
+) -> Iterator[tuple[str, int | None, int]]:
+    """Each default-valued parameter of ``fn`` as ``(name, position, line)``;
+    ``bound`` drops the ``self``/``cls`` a method's callers do not pass."""
+    positional = fn.args.posonlyargs + fn.args.args
+    if bound and not any(_named(d) == "staticmethod" for d in fn.decorator_list):
+        positional = positional[1:]
+    first = len(positional) - len(fn.args.defaults)
+    for position, arg in enumerate(positional[first:], first):
+        yield arg.arg, position, arg.lineno
+    for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+        if default is not None:
+            yield arg.arg, None, arg.lineno
+
+
+def _named(node: ast.expr) -> str | None:
+    """The name a decorator, base or callee expression ends in."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    if isinstance(node, ast.Name):
+        return node.id
+    return node.attr if isinstance(node, ast.Attribute) else None
+
+
+def _fields(cls: ast.ClassDef) -> Iterator[tuple[str, int, int]]:
+    """Each defaulted field of a dataclass as ``(name, position, line)``,
+    ``field(default_factory=list|dict|set)`` containers aside."""
+    position = 0
+    for item in cls.body:
+        if not isinstance(item, ast.AnnAssign) or not isinstance(item.target, ast.Name):
+            continue
+        if "ClassVar" in ast.unparse(item.annotation):
+            continue
+        value = item.value
+        if isinstance(value, ast.Call) and _named(value) == "field":
+            options = {k.arg: k.value for k in value.keywords}
+            init = options.get("init")
+            if isinstance(init, ast.Constant) and init.value is False:
+                continue
+            factory = options.get("default_factory")
+            if "default" not in options and (factory is None or _named(factory) in _CONTAINERS):
+                value = None
+        if value is not None:
+            yield item.target.id, position, item.lineno
+        position += 1
+
+
+def _options(path: Path, module: str, facade: set[str]) -> Iterator[_Option]:
+    """The options of one ``src/repro`` module: each default-valued parameter
+    of a public function, or of a public method or ``__init__`` of a public
+    class, and each defaulted field of a public dataclass; facade names aside."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    where = path.relative_to(REPO_ROOT)
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for node in tree.body:
+        if not isinstance(node, (*functions, ast.ClassDef)) or node.name.startswith("_"):
+            continue
+        if node.name in facade:
+            continue
+        # (qualname, entries, field): ``__init__``'s parameters are the class's.
+        if isinstance(node, functions):
+            groups = [(node.name, _parameters(node, bound=False), False)]
+        elif any(_named(d) == "dataclass" for d in node.decorator_list):
+            groups = [(node.name, _fields(node), True)]
+        else:
+            groups = []
+        if isinstance(node, ast.ClassDef):
+            groups += [
+                (
+                    node.name if item.name == "__init__" else f"{node.name}.{item.name}",
+                    _parameters(item, bound=True),
+                    False,
+                )
+                for item in node.body
+                if isinstance(item, functions)
+                and (item.name == "__init__" or not item.name.startswith("_"))
+            ]
+        for qualname, entries, field in groups:
+            callee = qualname.rpartition(".")[2]
+            for name, position, line in entries:
+                key = f"{module}:{qualname}({name})"
+                yield _Option(key, callee, name, position, field, f"{where}:{line}")
+
+
+def _unset_options(uses: dict[Path, _Uses], facade: set[str]) -> list[str]:
+    """The setter rule: an option needs a call that passes it.
+
+    A call of the same name (see :func:`_callees`) sets an option it passes
+    by keyword or at its position, or through ``*args`` / ``**kwargs``.  A
+    dataclass field is set too by an attribute store of its name (a
+    ``self.name = …`` only inside the dataclass itself, ``__post_init__``
+    aside) and by a ``dataclasses.replace`` call that passes it.
+    """
+    options = [
+        option
+        for path in sorted(SRC_ROOT.glob("repro/**/*.py"))
+        for option in _options(
+            path, ".".join(path.relative_to(SRC_ROOT).with_suffix("").parts), facade
+        )
+    ]
+
+    def set_(o: _Option) -> bool:
+        return any(
+            (o.field and not use.stores.isdisjoint({o.name, f"{o.callee}.{o.name}"}))
+            or (o.field and any(o.name in kw for _, kw in use.calls.get("replace", ())))
+            or any(
+                o.name in keywords
+                or "**" in keywords
+                or (o.position is not None and positional > o.position)
+                for positional, keywords in use.calls.get(o.callee, ())
+            )
+            for use in uses.values()
+        )
+
+    problems = []
+    for o in options:
+        if o.key in SETTER_ALLOWLIST:
+            if set_(o):
+                problems.append(f"setter allow-list entry {o.key!r} is stale: a caller sets it")
+        elif not set_(o):
+            problems.append(
+                f"{o.where}: option {o.key!r} has a default that nothing in "
+                f"{', '.join(USE_ROOTS)} overrides (fold it into a constant, or "
+                "allow-list it with a reason)"
+            )
+    for key in sorted(SETTER_ALLOWLIST.keys() - {o.key for o in options}):
+        problems.append(f"setter allow-list entry {key!r} is stale: no such option")
+    return problems
+
+
 def check_exports() -> list[str]:
     """Every public definition in ``src/repro`` needs a live read outside its own body.
 
@@ -692,11 +942,11 @@ def check_exports() -> list[str]:
     """
     api = SRC_ROOT / "repro" / "api.py"
     facade = set(_module_all(ast.parse(api.read_text(encoding="utf-8"))))
-    uses: dict[Path, Reads] = {}
+    uses: dict[Path, _Uses] = {}
     for root in USE_ROOTS:
         for path in sorted((REPO_ROOT / root).glob("**/*.py")):
             tree = ast.parse(path.read_text(encoding="utf-8"))
-            uses[path] = _reads(tree, package_init=path.name == "__init__.py")
+            uses[path] = _uses(tree, package_init=path.name == "__init__.py")
     definitions = [
         definition
         for path in sorted(SRC_ROOT.glob("repro/**/*.py"))
@@ -714,8 +964,8 @@ def check_exports() -> list[str]:
             kind in d.kinds
             and (other != d.path or (d.own_file and not any(line in s for s in d.spans)))
             and not any(line in s for s in dead.get(other, ()))
-            for other, reads in uses.items()
-            for line, kind in reads.get(name, ())
+            for other, use in uses.items()
+            for line, kind in use.reads.get(name, ())
         )
 
     # Dead code does not keep what it reads alive: iterate to a fixed point.
@@ -752,7 +1002,7 @@ def check_exports() -> list[str]:
             )
     for key in sorted(EXPORT_ALLOWLIST.keys() - {d.key for d in definitions}):
         problems.append(f"export allow-list entry {key!r} is stale: no module exports that name")
-    return problems
+    return problems + _unset_options(uses, facade)
 
 
 def main() -> int:
