@@ -11,19 +11,3 @@ the global model".  This package provides:
 * :mod:`repro.attacks.scheduler` — per-round random attacker designation
   reproducing Table 2's protocol, plus detection-rate accounting.
 """
-
-from repro.attacks.base import Attack, NoAttack
-from repro.attacks.gradient_attacks import ATTACKS, SignFlipAttack, make_attack
-from repro.attacks.label_flip import LabelFlipAttack
-from repro.attacks.scheduler import AttackScheduler, detection_rate
-
-__all__ = [
-    "ATTACKS",
-    "Attack",
-    "NoAttack",
-    "SignFlipAttack",
-    "make_attack",
-    "LabelFlipAttack",
-    "AttackScheduler",
-    "detection_rate",
-]

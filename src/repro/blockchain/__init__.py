@@ -16,33 +16,3 @@ Implements the distributed-ledger machinery FAIR-BFL runs on top of:
 * :mod:`repro.blockchain.consensus` — the fork-probability model that drives
   Fig. 6b.
 """
-
-from repro.blockchain.block import Block, GENESIS_PREVIOUS_HASH
-from repro.blockchain.chain import Blockchain, ForkChoice
-from repro.blockchain.consensus import ForkModel
-from repro.blockchain.merkle import merkle_root
-from repro.blockchain.miner import Miner
-from repro.blockchain.pow import mine_block
-from repro.blockchain.transaction import (
-    Transaction,
-    TransactionType,
-    make_global_update_transaction,
-    make_gradient_transaction,
-    make_reward_transaction,
-)
-
-__all__ = [
-    "Block",
-    "GENESIS_PREVIOUS_HASH",
-    "Blockchain",
-    "ForkChoice",
-    "ForkModel",
-    "merkle_root",
-    "Miner",
-    "mine_block",
-    "Transaction",
-    "TransactionType",
-    "make_global_update_transaction",
-    "make_gradient_transaction",
-    "make_reward_transaction",
-]

@@ -11,22 +11,6 @@
 * :mod:`repro.core.results` — cross-system comparison containers.
 """
 
-from repro.core.convergence import (
-    ConvergenceCriterion,
-    theorem31_bound,
-    theorem31_constants,
-)
 from repro.core.fairbfl import FairBFLTrainer
-from repro.core.flexibility import OperatingMode, procedures_for_mode
-from repro.core.results import ComparisonResult, summarize_history
 
-__all__ = [
-    "ConvergenceCriterion",
-    "theorem31_bound",
-    "theorem31_constants",
-    "FairBFLTrainer",
-    "OperatingMode",
-    "procedures_for_mode",
-    "ComparisonResult",
-    "summarize_history",
-]
+__all__ = ["FairBFLTrainer"]

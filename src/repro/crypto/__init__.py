@@ -17,19 +17,3 @@ Key sizes are configurable and intentionally small by default (simulation
 scale); this is an educational/simulation implementation, not hardened
 production cryptography.
 """
-
-from repro.crypto.hashing import difficulty_to_target, meets_target, sha256_hex
-from repro.crypto.keystore import KeyStore
-from repro.crypto.primes import generate_prime
-from repro.crypto.rsa import RSAKeyPair, rsa_sign, rsa_verify
-
-__all__ = [
-    "difficulty_to_target",
-    "meets_target",
-    "sha256_hex",
-    "KeyStore",
-    "generate_prime",
-    "RSAKeyPair",
-    "rsa_sign",
-    "rsa_verify",
-]

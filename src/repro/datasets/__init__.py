@@ -8,24 +8,3 @@ default.  No dataset download is possible in this environment, so
 Dirichlet non-IID) and the per-client dataset/batching machinery are identical
 to what a real MNIST pipeline would use.
 """
-
-from repro.datasets.federated import (
-    ClientDataset,
-    FederatedDataset,
-    build_federated_dataset,
-    inject_label_noise,
-)
-from repro.datasets.loaders import BatchIterator
-from repro.datasets.partition import partition_dataset
-from repro.datasets.synthetic_mnist import SyntheticMNIST, load_synthetic_mnist
-
-__all__ = [
-    "ClientDataset",
-    "FederatedDataset",
-    "build_federated_dataset",
-    "inject_label_noise",
-    "BatchIterator",
-    "partition_dataset",
-    "SyntheticMNIST",
-    "load_synthetic_mnist",
-]

@@ -15,38 +15,9 @@ paper's evaluation:
 * :mod:`repro.fl.server` — the centralised parameter server used by the
   FedAvg / FedProx baselines;
 * :mod:`repro.fl.cohort` — the vectorized cohort engine of Procedure I;
-* :mod:`repro.fl.trainer` — the one round-based :class:`Trainer` every system
+* :mod:`repro.fl.trainer` — the one round-based ``Trainer`` every system
   subclasses (population, Procedure I on the serial or cohort backend,
   lifecycle, evaluation, emission, checkpoints);
 * :mod:`repro.fl.fedavg`, :mod:`repro.fl.fedprox` — the baseline trainers;
 * :mod:`repro.fl.history` — per-round records shared by all trainers.
 """
-
-from repro.fl.aggregation import contribution_weights, fair_aggregate, simple_average
-from repro.fl.client import ClientUpdate, FLClient, LocalTrainingConfig
-from repro.fl.robust import DEFENSES, make_defense
-from repro.fl.trainer import Trainer
-from repro.fl.fedavg import FedAvgTrainer
-from repro.fl.fedprox import FedProxTrainer
-from repro.fl.history import RoundRecord, TrainingHistory
-from repro.fl.selection import ContributionBasedSelector, RandomSelector
-from repro.fl.server import CentralServer
-
-__all__ = [
-    "contribution_weights",
-    "fair_aggregate",
-    "simple_average",
-    "ClientUpdate",
-    "FLClient",
-    "LocalTrainingConfig",
-    "DEFENSES",
-    "make_defense",
-    "Trainer",
-    "FedAvgTrainer",
-    "FedProxTrainer",
-    "RoundRecord",
-    "TrainingHistory",
-    "ContributionBasedSelector",
-    "RandomSelector",
-    "CentralServer",
-]

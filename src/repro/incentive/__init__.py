@@ -15,29 +15,3 @@ Modules
 * :mod:`repro.incentive.rewards` — reward apportioning;
 * :mod:`repro.incentive.strategies` — the keep / discard strategies.
 """
-
-from repro.incentive.clustering import ClusteringResult, DBSCAN, make_clusterer
-from repro.incentive.contribution import (
-    ContributionConfig,
-    ContributionReport,
-    identify_contributions,
-)
-from repro.incentive.distance import cosine_distance_to_reference
-from repro.incentive.fairness import jains_index
-from repro.incentive.rewards import RewardEntry, apportion_rewards
-from repro.incentive.strategies import Strategy, make_strategy
-
-__all__ = [
-    "ClusteringResult",
-    "DBSCAN",
-    "make_clusterer",
-    "ContributionConfig",
-    "ContributionReport",
-    "identify_contributions",
-    "cosine_distance_to_reference",
-    "jains_index",
-    "RewardEntry",
-    "apportion_rewards",
-    "Strategy",
-    "make_strategy",
-]

@@ -1,8 +1,9 @@
-"""A network node: one participant's chain view and peer set.
+"""A network node: one participant's chain view and liveness.
 
 In the gossip substrate every miner is a :class:`Node`: it holds its *own*
 :class:`~repro.blockchain.chain.Blockchain` view (no more lock-step
-replication), its peer set, and an online flag driven by the churn trace.
+replication) and an online flag driven by the churn trace; its peer set is
+the :class:`~repro.net.gossip.GossipNetwork`'s.
 Gossip moves whole chains: :meth:`Node.sync_with` resolves competing views
 with the shared :class:`~repro.blockchain.chain.ForkChoice` rule.  A node
 keeps no pool of pending uploads: its miner's gradient set is that pool, and
@@ -20,11 +21,10 @@ __all__ = ["Node"]
 
 @dataclass
 class Node:
-    """One gossip participant: chain view + peers + liveness."""
+    """One gossip participant: chain view + liveness."""
 
     node_id: str
     chain: Blockchain
-    peers: tuple[str, ...] = ()
     online: bool = True
     reorgs: int = 0
 

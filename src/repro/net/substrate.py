@@ -101,8 +101,7 @@ class GossipSubstrate:
         self.gossip = GossipNetwork(peers, base_latency=self.base_latency)
         self.fork_choice = ForkChoice(salt=self.seed)
         self.nodes = {
-            m.miner_id: Node(node_id=m.miner_id, chain=m.chain, peers=peers[m.miner_id])
-            for m in self.miners
+            m.miner_id: Node(node_id=m.miner_id, chain=m.chain) for m in self.miners
         }
         self._seed_rng = new_rng(self.seed, "net", "gossip-seeds")
         self._pending_consensus: dict[int, float] = {}

@@ -18,35 +18,3 @@ Design notes
   view of a model used throughout FAIR-BFL (clients upload it, Algorithm 2
   clusters it, Equation (1) averages it).
 """
-
-from repro.nn.initializers import he_init, xavier_init, zeros_init
-from repro.nn.layers import Flatten, Linear, ReLU
-from repro.nn.losses import SoftmaxCrossEntropyLoss
-from repro.nn.metrics import accuracy
-from repro.nn.models import LogisticRegressionModel
-from repro.nn.module import Module, Parameter, Sequential
-from repro.nn.optim import SGD
-from repro.nn.parameters import (
-    accuracy_of_parameters,
-    get_flat_parameters,
-    set_flat_parameters,
-)
-
-__all__ = [
-    "he_init",
-    "xavier_init",
-    "zeros_init",
-    "Flatten",
-    "Linear",
-    "ReLU",
-    "SoftmaxCrossEntropyLoss",
-    "accuracy",
-    "LogisticRegressionModel",
-    "Module",
-    "Parameter",
-    "Sequential",
-    "SGD",
-    "accuracy_of_parameters",
-    "get_flat_parameters",
-    "set_flat_parameters",
-]

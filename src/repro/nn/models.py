@@ -37,8 +37,6 @@ class LogisticRegressionModel(Sequential):
                 f"({input_dim}, {num_classes})"
             )
         super().__init__(Flatten(), Linear(input_dim, num_classes, rng, init="xavier"))
-        self.input_dim = int(input_dim)
-        self.num_classes = int(num_classes)
 
 
 class MLPClassifier(Sequential):
@@ -67,9 +65,6 @@ class MLPClassifier(Sequential):
             prev = int(h)
         layers.append(Linear(prev, int(num_classes), rng, init="xavier"))
         super().__init__(*layers)
-        self.input_dim = int(input_dim)
-        self.num_classes = int(num_classes)
-        self.hidden_sizes = tuple(int(h) for h in hidden_sizes)
 
 
 def build_model(

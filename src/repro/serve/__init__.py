@@ -12,23 +12,3 @@ Layout: ``protocol`` (wire contract), ``jobs`` (queue + lifecycle),
 ``client`` (thin stdlib client the CLI's ``--server`` flag uses).
 See ``docs/serve.md``.
 """
-
-from repro.serve.client import ServeClient, ServeClientError
-from repro.serve.jobs import Job, JobQueue
-from repro.serve.protocol import ENDPOINTS, JOB_STATES, PROTOCOL_VERSION, ProtocolError
-from repro.serve.server import ReproServer
-from repro.serve.workers import ISOLATION_MODES, WorkerPool
-
-__all__ = [
-    "ENDPOINTS",
-    "ISOLATION_MODES",
-    "JOB_STATES",
-    "PROTOCOL_VERSION",
-    "Job",
-    "JobQueue",
-    "ProtocolError",
-    "ReproServer",
-    "ServeClient",
-    "ServeClientError",
-    "WorkerPool",
-]

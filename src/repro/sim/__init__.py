@@ -19,19 +19,3 @@ package provides:
   transaction queued into fixed-size blocks, and rounds only finish when all
   of them are mined.  Its cost is in the timing model, not in ledger bytes.
 """
-
-from repro.sim.delay import DelayModel, DelayParameters, RoundDelayBreakdown
-from repro.sim.events import EventKernel
-from repro.sim.rounds import ROUND_MODES, EventRoundSimulator, RoundTiming
-from repro.sim.vanilla_blockchain import VanillaBlockchainSimulator
-
-__all__ = [
-    "DelayModel",
-    "DelayParameters",
-    "RoundDelayBreakdown",
-    "EventKernel",
-    "ROUND_MODES",
-    "EventRoundSimulator",
-    "RoundTiming",
-    "VanillaBlockchainSimulator",
-]

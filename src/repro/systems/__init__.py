@@ -21,8 +21,6 @@ from repro.systems.registry import (
     SystemCapabilities,
     SystemRegistryError,
     TrainerRun,
-    capability_fingerprint,
-    check_spec_axes,
     filter_unsupported_axes,
     get_system,
     register_system,
@@ -37,8 +35,6 @@ __all__ = [
     "SystemCapabilities",
     "SystemRegistryError",
     "TrainerRun",
-    "capability_fingerprint",
-    "check_spec_axes",
     "filter_unsupported_axes",
     "get_system",
     "load_plugins",

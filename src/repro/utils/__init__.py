@@ -12,22 +12,3 @@ every other subsystem:
   error messages.
 * :mod:`repro.utils.timer` -- the simulated clock.
 """
-
-from repro.utils.rng import new_rng
-from repro.utils.timer import SimulatedClock
-from repro.utils.validation import (
-    check_non_negative,
-    check_positive,
-    check_probability,
-)
-from repro.utils.vectors import flatten_arrays, unflatten_array
-
-__all__ = [
-    "new_rng",
-    "SimulatedClock",
-    "check_non_negative",
-    "check_positive",
-    "check_probability",
-    "flatten_arrays",
-    "unflatten_array",
-]

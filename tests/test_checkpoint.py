@@ -32,7 +32,7 @@ from repro.fl.cohort import EXECUTOR_BACKENDS
 from repro.fl.trainer import CHECKPOINT_SCHEMA_VERSION, CheckpointError, Trainer
 from repro.runner.engine import ExperimentEngine
 from repro.runner.scenario import ScenarioError, ScenarioSpec
-from repro.store import RunStore
+from repro.store.runstore import RunStore
 from repro.store.records import history_to_payload
 from repro.systems.registry import get_system
 from repro.utils.rng import new_rng

@@ -163,6 +163,23 @@ class TestDocsFreshness:
         assert "'repro.blockchain.network.BroadcastNetwork'" in problems[0]
         assert "'repro.net.gossip.GossipNetwork.teleport'" in problems[1]
 
+    def test_cross_references_catch_a_plain_backticked_path(self, tmp_path, monkeypatch):
+        check_docs = self._load_check_docs()
+        (tmp_path / "docs").mkdir()
+        (tmp_path / "src").mkdir()
+        (tmp_path / "docs" / "guide.md").write_text(
+            "Keys come from `repro.store.keys.spec_key()`, names from "
+            "`repro.attacks.gradient_attacks.ATTACKS`, and specs once from\n"
+            "`repro.runner.ScenarioSpec`; `python -m repro.cli run` is a command.\n",
+            encoding="utf-8",
+        )
+        (tmp_path / "README.md").write_text("See `repro.api`.\n", encoding="utf-8")
+        monkeypatch.setattr(check_docs, "REPO_ROOT", tmp_path)
+        monkeypatch.setattr(check_docs, "SRC_ROOT", tmp_path / "src")
+        assert check_docs.check_cross_references() == [
+            "docs/guide.md: cross-reference target 'repro.runner.ScenarioSpec' does not resolve"
+        ]
+
     def test_layering_catches_an_upward_import(self, tmp_path, monkeypatch):
         check_docs = self._load_check_docs()
         assert check_docs.check_layering() == []
@@ -180,7 +197,9 @@ class TestDocsFreshness:
         )
         runner = tmp_path / "src" / "repro" / "runner"
         runner.mkdir()
-        (runner / "fine.py").write_text("from repro.store import RunStore\n", encoding="utf-8")
+        (runner / "fine.py").write_text(
+            "from repro.store.runstore import RunStore\n", encoding="utf-8"
+        )
         monkeypatch.setattr(check_docs, "REPO_ROOT", tmp_path)
         monkeypatch.setattr(check_docs, "SRC_ROOT", tmp_path / "src")
         problems = check_docs.check_layering()
@@ -222,15 +241,13 @@ class TestDocsFreshness:
 
     def _export_tree(self, tmp_path, monkeypatch):
         """A repo whose ``repro.pkg.mod`` exports ``used`` (imported by a
-        sibling module) and ``unused`` (re-exported by the package only)."""
+        sibling module) and ``unused`` (read only inside its own module); the
+        package re-exports nothing."""
         check_docs = self._load_check_docs()
         package = tmp_path / "src" / "repro" / "pkg"
         package.mkdir(parents=True)
         (tmp_path / "src" / "repro" / "api.py").write_text("__all__ = []\n", encoding="utf-8")
-        (package / "__init__.py").write_text(
-            "from repro.pkg.mod import unused, used\n__all__ = ['unused', 'used']\n",
-            encoding="utf-8",
-        )
+        (package / "__init__.py").write_text('"""The package."""\n', encoding="utf-8")
         (package / "mod.py").write_text(
             '__all__ = ["used", "unused"]\n\ndef used():\n    return unused()\n\n'
             "def unused():\n    return 0\n",
@@ -323,6 +340,82 @@ class TestDocsFreshness:
             "export allow-list entry 'repro.pkg.mod:used' is stale: the name is used",
             "export allow-list entry 'repro.pkg.mod:gone' is stale: no module exports that name",
         ]
+
+    def _reexport_tree(self, tmp_path, monkeypatch):
+        """:meth:`_export_tree` whose package re-exports ``used`` and whose
+        top-level ``repro`` package re-exports ``unused``; nothing imports
+        either through its package."""
+        check_docs = self._export_tree(tmp_path, monkeypatch)
+        (tmp_path / "src" / "repro" / "pkg" / "__init__.py").write_text(
+            "from repro.pkg.mod import used\n__all__ = ['used']\n", encoding="utf-8"
+        )
+        (tmp_path / "src" / "repro" / "__init__.py").write_text(
+            "from repro.pkg.mod import unused\n__all__ = ['unused']\n", encoding="utf-8"
+        )
+        return check_docs
+
+    def test_reexports_catch_one_nothing_imports_through_the_package(
+        self, tmp_path, monkeypatch
+    ):
+        check_docs = self._reexport_tree(tmp_path, monkeypatch)
+        reexport, unused = check_docs.check_exports()
+        assert reexport == (
+            "src/repro/pkg/__init__.py: 'used' is re-exported in __all__ but nothing in "
+            "src, examples, benchmarks, tools imports it through repro.pkg (import it from "
+            "its defining module and delete the re-export, or allow-list it with a reason)"
+        )
+        # The re-export is no use of the name, and the top-level package is exempt.
+        assert unused.startswith("src/repro/pkg/mod.py: 'unused' is in __all__")
+
+    @pytest.mark.parametrize(
+        "code",
+        [
+            "from repro.pkg import used\n",
+            "from repro.pkg import used as u\n",
+            "import repro.pkg\nprint(repro.pkg.used())\n",
+        ],
+    )
+    def test_reexports_count_an_import_or_a_read_through_the_package(
+        self, tmp_path, monkeypatch, code
+    ):
+        check_docs = self._reexport_tree(tmp_path, monkeypatch)
+        (tmp_path / "examples").mkdir()
+        (tmp_path / "examples" / "demo.py").write_text(code, encoding="utf-8")
+        assert not [p for p in check_docs.check_exports() if "re-exported" in p]
+
+    @pytest.mark.parametrize(
+        "code",
+        [
+            "from repro.pkg.mod import used\n",  # its defining module, not the package
+            "from repro.other import used\n",  # another package's name
+            "import repro.pkg as pkg\nprint(pkg.used())\n",  # no qualified path
+        ],
+    )
+    def test_reexports_do_not_count_a_read_around_the_package(
+        self, tmp_path, monkeypatch, code
+    ):
+        check_docs = self._reexport_tree(tmp_path, monkeypatch)
+        (tmp_path / "examples").mkdir()
+        (tmp_path / "examples" / "demo.py").write_text(code, encoding="utf-8")
+        assert len([p for p in check_docs.check_exports() if "re-exported" in p]) == 1
+
+    def test_reexports_do_not_count_an_import_in_another_package_init(
+        self, tmp_path, monkeypatch
+    ):
+        check_docs = self._reexport_tree(tmp_path, monkeypatch)
+        (tmp_path / "src" / "repro" / "__init__.py").write_text(
+            "from repro.pkg import used\n", encoding="utf-8"
+        )
+        other = tmp_path / "src" / "repro" / "other"
+        other.mkdir()
+        (other / "__init__.py").write_text("from repro.pkg import used\n", encoding="utf-8")
+        problems = [p for p in check_docs.check_exports() if "re-exported" in p]
+        assert [p.split(":")[0] for p in problems] == ["src/repro/pkg/__init__.py"]
+
+    def test_reexports_pass_an_allow_listed_name(self, tmp_path, monkeypatch):
+        check_docs = self._reexport_tree(tmp_path, monkeypatch)
+        monkeypatch.setattr(check_docs, "EXPORT_ALLOWLIST", {"repro.pkg:used": "kept"})
+        assert not [p for p in check_docs.check_exports() if "re-exported" in p]
 
     def _definition_tree(self, tmp_path, monkeypatch):
         """A repo whose ``repro.pkg.mod`` exports ``Store`` (used by a sibling

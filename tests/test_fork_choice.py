@@ -14,7 +14,7 @@ import pytest
 from repro.blockchain.block import Block
 from repro.blockchain.chain import Blockchain, BlockValidationError, ForkChoice
 from repro.blockchain.transaction import make_gradient_transaction
-from repro.net import Node
+from repro.net.node import Node
 
 pytestmark = pytest.mark.net
 

@@ -16,18 +16,17 @@ from repro.blockchain.block import Block
 from repro.blockchain.chain import Blockchain, ForkChoice
 from repro.blockchain.miner import Miner
 from repro.blockchain.transaction import make_gradient_transaction
-from repro.net import (
-    TOPOLOGIES,
-    GossipNetwork,
-    GossipSubstrate,
+from repro.net.gossip import GossipNetwork
+from repro.net.node import Node
+from repro.net.schedule import (
+    ChurnEvent,
     NetSchedule,
-    Node,
-    build_peer_sets,
-    connected_components,
+    PartitionWindow,
     parse_churn,
     parse_partition,
 )
-from repro.net.schedule import ChurnEvent, PartitionWindow
+from repro.net.substrate import GossipSubstrate
+from repro.net.topology import TOPOLOGIES, build_peer_sets, connected_components
 
 pytestmark = pytest.mark.net
 

@@ -43,7 +43,7 @@ from repro.runner.scenario import (
     load_scenario_file,
     scenarios_from_mapping,
 )
-from repro.store import RunStore
+from repro.store.runstore import RunStore
 from repro.systems.registry import TrainerRun, get_system
 
 from paper_spec import paper_spec

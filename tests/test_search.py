@@ -33,7 +33,7 @@ from repro.runner.engine import ExperimentEngine
 from repro.runner.scenario import ScenarioError, ScenarioSpec
 from repro.search import PROMOTION_METRICS, run_search
 from repro.search.asha import check_metric_supported, resolve_metric, rung_schedule
-from repro.store import RunStore
+from repro.store.runstore import RunStore
 
 SMALL = dict(system="fairbfl", num_clients=6, num_samples=240, num_rounds=6, seed=3)
 

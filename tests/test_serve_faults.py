@@ -41,8 +41,9 @@ from repro.serve.client import ServeClient, ServeClientError
 from repro.serve.protocol import ENDPOINTS, error_payload
 from repro.serve import server as serve_server
 from repro.serve.server import MAX_BODY_BYTES
-from repro.store import RunStore, history_to_payload
 from repro.store import records as store_records
+from repro.store.records import history_to_payload
+from repro.store.runstore import RunStore
 
 pytestmark = pytest.mark.serve
 

@@ -40,24 +40,24 @@ from repro.cli import main
 from repro.fl.history import RoundRecord, TrainingHistory
 from repro.runner.engine import ExperimentEngine
 from repro.runner.scenario import ScenarioMatrix, ScenarioSpec
-from repro.store import (
-    RunStore,
-    RunStoreError,
+from repro.store.keys import spec_key
+from repro.store.records import (
+    STORE_SCHEMA_VERSION,
     history_from_payload,
     history_to_payload,
-    spec_key,
+    json_sanitize,
     write_json_record,
 )
-from repro.store.records import STORE_SCHEMA_VERSION, json_sanitize
 from repro.store.report import to_markdown
+from repro.store.runstore import RunStore, RunStoreError
 from repro.systems import (
     System,
     SystemCapabilities,
     TrainerRun,
-    capability_fingerprint,
     register_system,
     unregister_system,
 )
+from repro.systems.registry import capability_fingerprint
 
 from toy_trainer import ToyTrainer
 
@@ -135,7 +135,7 @@ class TestSpecKey:
         spec = _blockchain_spec()
         script = (
             "from repro.runner.scenario import ScenarioSpec\n"
-            "from repro.store import spec_key\n"
+            "from repro.store.keys import spec_key\n"
             f"print(spec_key(ScenarioSpec.from_mapping({spec.to_mapping()!r})))\n"
         )
         env = dict(os.environ)
@@ -432,7 +432,7 @@ class TestRunStore:
         script = (
             "from repro.runner.engine import ExperimentEngine\n"
             "from repro.runner.scenario import ScenarioSpec\n"
-            "from repro.store import RunStore\n"
+            "from repro.store.runstore import RunStore\n"
             f"spec = ScenarioSpec.from_mapping({other.to_mapping()!r})\n"
             f"RunStore({str(tmp_path)!r}).put(spec, ExperimentEngine().run_result(spec))\n"
         )

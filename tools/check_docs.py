@@ -38,7 +38,8 @@ Fails (exit code 1) when the documentation has drifted from the code:
     its method and path fails this check;
 12. a Sphinx cross-reference role (``:class:``, ``:mod:``, ``:func:``,
     ``:meth:``, ``:attr:``, ``:data:``, ``:exc:``) in a ``src/`` docstring,
-    ``docs/*.md`` or ``README.md`` names a ``repro.…`` target that no longer
+    ``docs/*.md`` or ``README.md``, or a plain-backticked dotted ``repro.…``
+    name in ``docs/*.md`` or ``README.md``, names a target that no longer
     resolves by import + ``getattr`` — deleting or moving a module, class or
     method without rewriting the prose that points at it fails this check;
 13. a module of a *lower* layer (``utils nn datasets crypto sim blockchain net
@@ -56,8 +57,12 @@ Fails (exit code 1) when the documentation has drifted from the code:
 15. a public definition in ``src/repro`` has no read in ``src/``,
     ``examples/``, ``benchmarks/`` or ``tools/`` — a package ``__init__``'s
     re-export and anything under ``tests/`` do not count.  A name in a
-    module's ``__all__`` (package ``__init__`` files aside) needs an
-    ``ast.Name``, ``ast.Attribute`` or import of it outside that module; any
+    module's ``__all__`` needs an ``ast.Name``, ``ast.Attribute`` or import
+    of it outside that module; a name in a subpackage ``__init__``'s
+    ``__all__`` (a re-export) needs a read *through the package* —
+    ``from repro.<pkg> import name`` or ``repro.<pkg>.name`` — outside
+    package ``__init__`` files (the top-level ``repro`` package, the
+    documented library surface, aside); any
     other public module-level function or class, and every public method or
     property of a public class, needs a read outside its own body, an
     identifier-shaped string (``getattr``'s ``"attr"``, the perf span table's
@@ -395,6 +400,8 @@ def check_serve_endpoint_docs() -> list[str]:
 
 
 _ROLE_TARGET = re.compile(r":(?:class|mod|func|meth|attr|data|exc):`~?(repro(?:\.\w+)*)`")
+#: A plain-backticked dotted name in Markdown: ```repro.store.keys.spec_key``` (``()`` aside).
+_DOC_PATH = re.compile(r"`(repro(?:\.\w+)+)(?:\(\))?`")
 
 
 def _resolves(target: str) -> bool:
@@ -416,17 +423,23 @@ def _prose_sources() -> list[Path]:
 
 
 def check_cross_references() -> list[str]:
-    """Every ``:role:`repro.…``` target in src docstrings and the docs must resolve.
+    """Every ``:role:`repro.…``` target in src docstrings and the docs, and
+    every plain-backticked ```repro.…``` name in ``docs/*.md`` and the README,
+    must resolve.
 
     The targets are resolved the way Sphinx would — import the longest module
     prefix, then ``getattr`` the rest — so prose that still points at a
-    deleted class, a moved function or a renamed method is caught here
-    instead of rotting silently (nothing else in the repo renders the roles).
+    deleted class, a moved function, a renamed method or a deleted package
+    re-export is caught here instead of rotting silently (nothing else in the
+    repo renders the roles).
     """
     _ensure_importable()
     problems = []
     for path in _prose_sources():
-        targets = set(_ROLE_TARGET.findall(path.read_text(encoding="utf-8")))
+        text = path.read_text(encoding="utf-8")
+        targets = set(_ROLE_TARGET.findall(text))
+        if path.suffix == ".md":
+            targets |= set(_DOC_PATH.findall(text))
         for target in sorted(targets):
             if not _resolves(target):
                 problems.append(
@@ -585,6 +598,7 @@ Reads = dict[str, list[tuple[int, str]]]
 _EXPORT_READS = frozenset({"name", "attribute", "import"})
 _DEFINITION_READS = _EXPORT_READS | {"string"}
 _METHOD_READS = frozenset({"attribute", "string"})
+_REEXPORT_READS = frozenset({"qualified"})  # read by its qualified name: through the package
 
 
 #: A callee name → the ``(positional, keywords)`` of each call of it in one
@@ -634,10 +648,11 @@ def _uses(tree: ast.Module, *, package_init: bool) -> _Uses:
     """Every read, call and attribute store in a module.
 
     A read is an ``ast.Name`` or ``ast.Attribute`` load, an import, or each
-    part of an identifier-shaped string constant.  Bindings (a definition, an
-    assignment target) are not reads, nor are the entries of
-    :data:`_DECLARATIONS`, and a package ``__init__``'s imports are
-    re-exports, not uses.
+    part of an identifier-shaped string constant.  ``from m import x`` and
+    ``repro.pkg.x`` are also reads of the qualified ``"m.x"`` /
+    ``"repro.pkg.x"``, which is how a package re-export is reached.  Bindings (a definition, an assignment target) are
+    not reads, nor are the entries of :data:`_DECLARATIONS`, and a package
+    ``__init__``'s imports are re-exports, not uses.
     """
     declared = {
         id(const)
@@ -671,6 +686,10 @@ def _uses(tree: ast.Module, *, package_init: bool) -> _Uses:
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             names, kind = [node.id], "name"
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            package = node.value
+            if isinstance(package, ast.Attribute) and ast.unparse(package.value) == "repro":
+                qualified = f"repro.{package.attr}.{node.attr}"
+                reads.setdefault(qualified, []).append((node.lineno, "qualified"))
             names, kind = [node.attr], "attribute"
         elif isinstance(node, ast.Attribute):
             mine = isinstance(node.value, ast.Name) and node.value.id == "self"
@@ -680,6 +699,10 @@ def _uses(tree: ast.Module, *, package_init: bool) -> _Uses:
             continue
         elif isinstance(node, ast.ImportFrom) and not package_init:
             names, kind = [alias.name for alias in node.names], "import"
+            for alias in node.names if node.level == 0 else ():
+                reads.setdefault(f"{node.module}.{alias.name}", []).append(
+                    (node.lineno, "qualified")
+                )
         elif (
             isinstance(node, ast.Constant)
             and isinstance(node.value, str)
@@ -692,6 +715,12 @@ def _uses(tree: ast.Module, *, package_init: bool) -> _Uses:
         for name in names:
             reads.setdefault(name, []).append((node.lineno, kind))
     return _Uses(reads, calls, frozenset(stores))
+
+
+def _module_name(path: Path) -> str:
+    """The dotted module a ``src/`` file defines (a package for an ``__init__``)."""
+    parts = path.relative_to(SRC_ROOT).with_suffix("").parts
+    return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
 
 
 def _span(node: ast.stmt) -> range:
@@ -713,6 +742,13 @@ class _Definition(NamedTuple):
     @property
     def key(self) -> str:
         return f"{self.module}:{self.qualname}"
+
+    @property
+    def read_as(self) -> str:
+        """The name its reads are indexed under (see :func:`_uses`)."""
+        if self.kinds == _REEXPORT_READS:
+            return f"{self.module}.{self.qualname}"
+        return self.qualname.rpartition(".")[2]
 
     @property
     def owner(self) -> str | None:
@@ -743,14 +779,16 @@ def _stored_attributes(cls: ast.ClassDef) -> Iterator[tuple[str, range]]:
 def _definitions(path: Path, module: str, facade: set[str]) -> Iterator[_Definition]:
     """The definitions of one ``src/repro`` module that need a read.
 
-    Each ``__all__`` name (package ``__init__`` files aside); each other
-    public module-level function and class; and each public method,
-    property or stored value (:func:`_stored_attributes`) of a public class
-    outside the facade (a method defined twice, a property and its setter,
-    or a value stored in two places, has two spans).
+    Each ``__all__`` name (a subpackage ``__init__``'s read through the
+    package; the top-level ``repro`` package's none); each other public
+    module-level function and class; and each public method, property or
+    stored value (:func:`_stored_attributes`) of a public class outside the
+    facade (a method defined twice, a property and its setter, or a value
+    stored in two places, has two spans).
     """
     tree = ast.parse(path.read_text(encoding="utf-8"))
-    exported = [] if path.name == "__init__.py" else _module_all(tree)
+    package = path.name == "__init__.py"
+    exported = [] if module == "repro" else _module_all(tree)
     kinds = (ast.FunctionDef, ast.AsyncFunctionDef)
     spans: dict[str, list[range]] = {}
     for node in tree.body:
@@ -765,7 +803,9 @@ def _definitions(path: Path, module: str, facade: set[str]) -> Iterator[_Definit
                 if not name.startswith("_"):
                     spans.setdefault(f"{node.name}.{name}", []).append(lines)
     for name in exported:
-        if name not in facade:
+        if package:  # the facade is repro.api, not a second path through a package
+            yield _Definition(module, name, path, spans.get(name, []), _REEXPORT_READS, False)
+        elif name not in facade:
             yield _Definition(module, name, path, spans.get(name, []), _EXPORT_READS, False)
     for qualname, lines in spans.items():
         if qualname not in exported and qualname not in facade:
@@ -885,9 +925,7 @@ def _unset_options(uses: dict[Path, _Uses], facade: set[str]) -> list[str]:
     options = [
         option
         for path in sorted(SRC_ROOT.glob("repro/**/*.py"))
-        for option in _options(
-            path, ".".join(path.relative_to(SRC_ROOT).with_suffix("").parts), facade
-        )
+        for option in _options(path, _module_name(path), facade)
     ]
 
     def set_(o: _Option) -> bool:
@@ -925,8 +963,11 @@ def check_exports() -> list[str]:
     Reads come from ``src/``, ``examples/``, ``benchmarks/`` and ``tools/``
     (see :data:`USE_ROOTS`), one index for three rules:
 
-    * an ``__all__`` name (package ``__init__`` files aside) needs a read by
-      name, attribute or import in a file other than its module;
+    * an ``__all__`` name needs a read by name, attribute or import in a
+      file other than its module; in a subpackage ``__init__`` (a re-export)
+      that read must go through the package, ``from repro.<pkg> import
+      name`` or ``repro.<pkg>.name`` (the top-level ``repro`` package is the
+      documented library surface and is not checked);
     * any other public module-level function or class needs a read of any
       kind outside its own body, an identifier-shaped string included
       (``getattr``'s ``"attr"``, the perf span table's ``"module:Class.attr"``);
@@ -950,22 +991,19 @@ def check_exports() -> list[str]:
     definitions = [
         definition
         for path in sorted(SRC_ROOT.glob("repro/**/*.py"))
-        for definition in _definitions(
-            path, ".".join(path.relative_to(SRC_ROOT).with_suffix("").parts), facade
-        )
+        for definition in _definitions(path, _module_name(path), facade)
     ]
 
     def allowed(d: _Definition) -> bool:
         return d.key in EXPORT_ALLOWLIST or d.owner in EXPORT_ALLOWLIST
 
     def used(d: _Definition, dead: dict[Path, list[range]]) -> bool:
-        name = d.qualname.rpartition(".")[2]
         return any(
             kind in d.kinds
             and (other != d.path or (d.own_file and not any(line in s for s in d.spans)))
             and not any(line in s for s in dead.get(other, ()))
             for other, use in uses.items()
-            for line, kind in use.reads.get(name, ())
+            for line, kind in use.reads.get(d.read_as, ())
         )
 
     # Dead code does not keep what it reads alive: iterate to a fixed point.
@@ -988,6 +1026,12 @@ def check_exports() -> list[str]:
                 problems.append(f"export allow-list entry {d.key!r} is stale: the name is used")
         elif d.key not in unused or d.owner in unused:
             continue  # a method of an unused class goes with it
+        elif d.kinds == _REEXPORT_READS:
+            problems.append(
+                f"{where}: {d.qualname!r} is re-exported in __all__ but nothing in "
+                f"{', '.join(USE_ROOTS)} imports it through {d.module} (import it from "
+                "its defining module and delete the re-export, or allow-list it with a reason)"
+            )
         elif not d.own_file:
             problems.append(
                 f"{where}: {d.qualname!r} is in __all__ but nothing in "
