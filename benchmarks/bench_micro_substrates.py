@@ -17,7 +17,7 @@ from repro.crypto.keystore import KeyStore
 from repro.fl.aggregation import fair_aggregate
 from repro.fl.client import FLClient, LocalTrainingConfig
 from repro.incentive.clustering import DBSCAN
-from repro.incentive.contribution import ContributionConfig, identify_contributions
+from repro.incentive.contribution import identify_contributions
 from repro.nn.models import LogisticRegressionModel
 from repro.nn.parameters import get_flat_parameters
 from repro.utils.rng import new_rng
@@ -66,9 +66,9 @@ def test_micro_contribution_identification(benchmark, gradient_set):
     """Full Algorithm 2 (clustering + distances + reward list)."""
     ids = list(range(gradient_set.shape[0]))
     global_update = gradient_set.mean(axis=0)
-    config = ContributionConfig(eps=0.5)
+    clusterer = DBSCAN(eps=0.5)
 
-    report = benchmark(identify_contributions, gradient_set, ids, global_update, config)
+    report = benchmark(identify_contributions, gradient_set, ids, global_update, clusterer, 1.0)
     assert len(report.high_contributors) + len(report.low_contributors) == len(ids)
 
 

@@ -1,13 +1,24 @@
-"""Setuptools shim.
+"""Package metadata: ``pip install -e .`` installs the ``repro`` package from ``src/``.
 
-The execution environment is offline and lacks the ``wheel`` package, so the
-PEP 517 editable-install path (which builds a wheel) is unavailable.  Keeping
-this ``setup.py`` and omitting the ``[build-system]`` table from
-``pyproject.toml`` lets ``pip install -e .`` fall back to the legacy
-``setup.py develop`` route, which works with the stdlib-only toolchain.
-All project metadata lives in ``pyproject.toml``.
+NumPy is the one runtime requirement; the version is the one
+``repro.__version__`` declares.  There is no ``pyproject.toml``, so pip takes
+the legacy ``setup.py develop`` route for an editable install, which needs no
+``wheel`` package (the offline toolchain this project is developed with has
+none).
 """
 
-from setuptools import setup
+import re
+from pathlib import Path
 
-setup()
+from setuptools import find_packages, setup
+
+_INIT = Path(__file__).resolve().parent / "src" / "repro" / "__init__.py"
+
+setup(
+    name="repro",
+    version=re.search(r'^__version__ = "([^"]+)"', _INIT.read_text(encoding="utf-8"), re.M)[1],
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+    python_requires=">=3.10",
+    install_requires=["numpy"],
+)

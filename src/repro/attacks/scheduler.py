@@ -64,7 +64,9 @@ class AttackScheduler:
         The gradient-forging attack malicious clients apply (default: sign
         flipping).
     min_attackers, max_attackers:
-        Bounds of the per-round attacker count (paper: 1 to 3).
+        Bounds of the per-round attacker count (paper: 1 to 3), as a
+        validated scenario gives them (``0 <= min_attackers <=
+        max_attackers``); not checked again here.
 
     Every round has attackers, as in Table 2's protocol.
     """
@@ -73,15 +75,6 @@ class AttackScheduler:
     min_attackers: int = 1
     max_attackers: int = 3
     logs: list[AttackRoundLog] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        if self.min_attackers < 0:
-            raise ValueError(f"min_attackers must be >= 0, got {self.min_attackers}")
-        if self.max_attackers < self.min_attackers:
-            raise ValueError(
-                f"max_attackers ({self.max_attackers}) must be >= min_attackers "
-                f"({self.min_attackers})"
-            )
 
     def designate(
         self, participants: list[int] | np.ndarray, rng: np.random.Generator

@@ -33,6 +33,7 @@ from repro.core.procedures import (
 from repro.fl.aggregation import merge_stale_updates
 from repro.fl.client import ClientUpdate
 from repro.fl.robust import make_defense
+from repro.incentive.clustering import make_clusterer
 from repro.incentive.distance import cosine_distance_to_reference
 from repro.crypto.keystore import KeyStore
 from repro.datasets.federated import FederatedDataset
@@ -355,7 +356,13 @@ class FairBFLTrainer(Trainer):
         if Procedure.GLOBAL_UPDATE in procedures:
             procedure_global_update(
                 ctx,
-                contribution_config=spec.contribution_config(),
+                clusterer=make_clusterer(
+                    spec.clustering,
+                    eps=spec.dbscan_eps,
+                    min_samples=spec.dbscan_min_samples,
+                    seed=spec.seed,
+                ),
+                base_reward=spec.base_reward,
                 strategy=self.strategy,
                 use_fair_aggregation=spec.use_fair_aggregation,
                 run_incentive=self.mode is not OperatingMode.FL_ONLY,

@@ -24,7 +24,8 @@ from repro.blockchain.transaction import (
 from repro.crypto.keystore import KeyStore
 from repro.fl.aggregation import simple_average
 from repro.fl.client import ClientUpdate, LocalTrainingConfig
-from repro.incentive.contribution import ContributionConfig, ContributionReport
+from repro.incentive.clustering import DBSCAN, KMeans
+from repro.incentive.contribution import ContributionReport
 from repro.incentive.contribution import (
     # Procedure IV's Algorithm 2 step takes the round's own direction buffer;
     # the repo benchmark times it under this name.
@@ -194,7 +195,8 @@ def _keep_global(ctx: RoundContext) -> RoundContext:
 def procedure_global_update(
     ctx: RoundContext,
     *,
-    contribution_config: ContributionConfig | None,
+    clusterer: DBSCAN | KMeans | None,
+    base_reward: float,
     strategy: Strategy | None,
     use_fair_aggregation: bool = True,
     run_incentive: bool = True,
@@ -204,6 +206,8 @@ def procedure_global_update(
 
     Mirrors Algorithm 1 lines 23-27: first the simple average (line 24), then
     Algorithm 2 (line 26), then fair aggregation / the strategy (line 27).
+    ``clusterer`` and ``base_reward`` are Algorithm 2's; the trainer builds
+    them from its scenario each round.
 
     The round's stacked matrix ``ctx.gradient_matrix`` is owned by the round
     and consumed in place; afterwards it holds the surviving rows.  First a
@@ -250,7 +254,7 @@ def procedure_global_update(
     if defense is None:
         base_global = simple_average(matrix)
 
-    if not run_incentive or contribution_config is None or strategy is None:
+    if not run_incentive or clusterer is None or strategy is None:
         ctx.new_global_parameters = base_global
         return ctx
 
@@ -264,7 +268,7 @@ def procedure_global_update(
     directions = np.empty((matrix.shape[0] + 1, matrix.shape[1]))
     np.subtract(matrix, previous[None, :], out=directions[:-1])
     np.subtract(base_global, previous, out=directions[-1])
-    report = identify_contributions(directions, client_ids, contribution_config)
+    report = identify_contributions(directions, client_ids, clusterer, base_reward)
     del directions
     # Equation (1) weights use θ computed on the uploaded vectors themselves
     # (the literal W^k_{r+1} of Algorithm 2); those distances are small and

@@ -12,7 +12,7 @@ from collections.abc import Iterator
 
 import numpy as np
 
-__all__ = ["BatchIterator"]
+__all__ = ["minibatches"]
 
 
 def minibatches(
@@ -44,47 +44,3 @@ def minibatches(
     images, labels = images[order], labels[order]
     for start in range(0, n, batch_size):
         yield images[start : start + batch_size], labels[start : start + batch_size]
-
-
-class BatchIterator:
-    """Reusable epoch iterator over a fixed dataset.
-
-    Unlike the one-shot :func:`minibatches` generator, a ``BatchIterator`` is
-    constructed once per client and re-used every epoch/round, keeping the
-    shuffling stream attached to the client's own RNG.
-    """
-
-    def __init__(
-        self,
-        images: np.ndarray,
-        labels: np.ndarray,
-        batch_size: int,
-        rng: np.random.Generator | None = None,
-        *,
-        shuffle: bool = True,
-    ) -> None:
-        self.images = np.asarray(images)
-        self.labels = np.asarray(labels)
-        if self.images.shape[0] != self.labels.shape[0]:
-            raise ValueError("images and labels must have the same number of rows")
-        if batch_size <= 0:
-            raise ValueError(f"batch_size must be positive, got {batch_size}")
-        self.batch_size = int(batch_size)
-        self.rng = rng
-        self.shuffle = bool(shuffle) and rng is not None
-
-    @property
-    def num_samples(self) -> int:
-        return int(self.images.shape[0])
-
-    def epoch(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """Iterate once over the data in (possibly shuffled) batches."""
-        return minibatches(
-            self.images,
-            self.labels,
-            self.batch_size,
-            self.rng if self.shuffle else None,
-        )
-
-    def __iter__(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        return self.epoch()

@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from repro.datasets.federated import ClientDataset
-from repro.datasets.loaders import BatchIterator
+from repro.datasets.loaders import minibatches
 from repro.nn.losses import SoftmaxCrossEntropyLoss
 from repro.nn.module import Module
 from repro.nn.optim import SGD, add_proximal_term
@@ -35,7 +35,6 @@ from repro.nn.parameters import (
     pack_parameters,
     set_flat_parameters,
 )
-from repro.utils.validation import check_non_negative, check_positive
 
 __all__ = ["LocalTrainingConfig", "ClientUpdate", "ModelWorkspace", "FLClient"]
 
@@ -54,20 +53,16 @@ class LocalTrainingConfig:
         SGD step size ``η`` (paper default 0.01; swept in Figure 5).
     proximal_mu:
         FedProx proximal coefficient ``μ``; 0 recovers plain SGD / FedAvg.
+
+    Not checked here: a run builds it from a validated scenario
+    (:meth:`~repro.runner.scenario.ScenarioSpec.local_config`), whose fields
+    carry the rules.
     """
 
     epochs: int = 5
     batch_size: int = 10
     learning_rate: float = 0.01
     proximal_mu: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.epochs <= 0:
-            raise ValueError(f"epochs must be positive, got {self.epochs}")
-        if self.batch_size <= 0:
-            raise ValueError(f"batch_size must be positive, got {self.batch_size}")
-        check_positive("learning_rate", self.learning_rate)
-        check_non_negative("proximal_mu", self.proximal_mu)
 
 
 @dataclass
@@ -180,20 +175,13 @@ class FLClient:
         optimizer = SGD(model, lr=config.learning_rate)
         values, grads = model.packed
         global_ref = np.asarray(global_parameters, dtype=np.float64).ravel()
-
-        batches = BatchIterator(
-            self.dataset.images,
-            self.dataset.labels,
-            config.batch_size,
-            rng=self.rng,
-            shuffle=True,
-        )
+        images, labels = self.dataset.images, self.dataset.labels
 
         # One step per backward: the gradients are written, never accumulated
         # (no zero_grad), and the step consumes them in place.
         losses: list[float] = []
         for _epoch in range(config.epochs):
-            for x_batch, y_batch in batches.epoch():
+            for x_batch, y_batch in minibatches(images, labels, config.batch_size, self.rng):
                 logits = model.forward(x_batch)
                 loss = loss_fn.forward(logits, y_batch)
                 model.backward(loss_fn.backward(), need_input_grad=False, accumulate=False)

@@ -13,8 +13,9 @@ to what ``FLClient.local_update`` returns on the serial path:
 
 * the per-client RNG streams are preserved — each client's mini-batch
   permutations are drawn from *its own* ``client.rng``, one per epoch, in
-  epoch order, exactly as ``BatchIterator`` would (streams are private per
-  client, so drawing them up front cannot change any value);
+  epoch order, exactly as ``FLClient.local_update``'s ``minibatches`` calls
+  draw them (streams are private per client, so drawing them up front cannot
+  change any value);
 * there is no second set of numeric kernels to keep in parity: the layers,
   the loss, ``accuracy``, the SGD step and the FedProx term are the serial
   path's own objects and functions run on ``(clients, ...)`` operands, and
@@ -78,7 +79,8 @@ from typing import Iterator, Mapping
 import numpy as np
 
 from repro.fl.client import ClientUpdate, FLClient, LocalTrainingConfig
-from repro.nn.cohort import CohortModel, add_proximal_term, sgd_step
+from repro.nn.cohort import CohortModel
+from repro.nn.optim import add_proximal_term, sgd_step
 from repro.nn.losses import SoftmaxCrossEntropyLoss
 from repro.nn.metrics import accuracy
 from repro.utils.validation import check_positive
@@ -484,7 +486,7 @@ class CohortTrainer:
 
         # Per-client mini-batch permutations: one draw per epoch from each
         # client's private stream, in epoch order — the exact draws
-        # BatchIterator performs on the serial path.
+        # minibatches performs on the serial path.
         orders = np.empty((size, config.epochs, num_samples), dtype=np.int64)
         for i, client in enumerate(cohort):
             for epoch in range(config.epochs):

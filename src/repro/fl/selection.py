@@ -11,20 +11,18 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.utils.validation import check_probability
-
 __all__ = ["RandomSelector", "ContributionBasedSelector"]
 
 
 class RandomSelector:
-    """Uniform random selection of ``ceil(λ·n)`` clients per round."""
+    """Uniform random selection of ``ceil(λ·n)`` clients per round.
+
+    ``participation_fraction`` is a validated scenario's ``participation``,
+    in ``(0, 1]``; it is not checked again here.
+    """
 
     def __init__(self, participation_fraction: float = 1.0) -> None:
-        self.participation_fraction = check_probability(
-            "participation_fraction", participation_fraction
-        )
-        if self.participation_fraction == 0.0:
-            raise ValueError("participation_fraction must be > 0")
+        self.participation_fraction = float(participation_fraction)
 
     def num_selected(self, num_clients: int) -> int:
         """Number of clients selected from a population of ``num_clients``."""

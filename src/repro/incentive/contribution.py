@@ -26,50 +26,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.incentive.clustering import ClusteringResult, NOISE_LABEL, OwnedRows, make_clusterer
+from repro.incentive.clustering import DBSCAN, ClusteringResult, KMeans, NOISE_LABEL, OwnedRows
 from repro.incentive.distance import cosine_distance_to_reference
 from repro.incentive.rewards import RewardEntry, apportion_rewards
 
 __all__ = [
-    "ContributionConfig",
     "ContributionReport",
     "identify_contributions",
     "identify_contributions_in_place",
 ]
-
-
-@dataclass(frozen=True)
-class ContributionConfig:
-    """Configuration of Algorithm 2.
-
-    Attributes
-    ----------
-    algorithm:
-        ``"dbscan"`` (paper default) or ``"kmeans"``.
-    eps, min_samples:
-        DBSCAN parameters (cosine-distance radius and core-point threshold).
-    num_clusters:
-        KMeans cluster count (ignored for DBSCAN).
-    base_reward:
-        The per-round base reward split among high contributors.
-    """
-
-    algorithm: str = "dbscan"
-    eps: float = 0.7
-    min_samples: int = 3
-    num_clusters: int = 2
-    base_reward: float = 1.0
-    seed: int = 0
-
-    def make_clusterer(self):
-        """Instantiate the configured clustering algorithm."""
-        return make_clusterer(
-            self.algorithm,
-            eps=self.eps,
-            min_samples=self.min_samples,
-            num_clusters=self.num_clusters,
-            seed=self.seed,
-        )
 
 
 @dataclass
@@ -101,7 +66,8 @@ def identify_contributions(
     updates: np.ndarray,
     client_ids: list[int] | np.ndarray,
     global_update: np.ndarray,
-    config: ContributionConfig | None = None,
+    clusterer: DBSCAN | KMeans,
+    base_reward: float,
 ) -> ContributionReport:
     """Run Algorithm 2 on one round's uploaded vectors.
 
@@ -114,9 +80,10 @@ def identify_contributions(
     global_update:
         The aggregated global vector ``w_{r+1}`` (computed with simple
         averaging before this call, per Algorithm 1 line 24).
-    config:
-        Clustering / reward configuration (defaults to the paper's DBSCAN
-        setup).
+    clusterer:
+        The clustering algorithm (:func:`~repro.incentive.clustering.make_clusterer`).
+    base_reward:
+        The round's base reward, split among the high contributors.
 
     Returns
     -------
@@ -135,13 +102,14 @@ def identify_contributions(
     stacked = np.empty((m.shape[0] + 1, m.shape[1]))
     stacked[:-1] = m
     stacked[-1] = g
-    return identify_contributions_in_place(stacked, client_ids, config)
+    return identify_contributions_in_place(stacked, client_ids, clusterer, base_reward)
 
 
 def identify_contributions_in_place(
     stacked: np.ndarray,
     client_ids: list[int] | np.ndarray,
-    config: ContributionConfig | None = None,
+    clusterer: DBSCAN | KMeans,
+    base_reward: float,
 ) -> ContributionReport:
     """:func:`identify_contributions` on an owned ``W ∪ {w_{r+1}}`` buffer.
 
@@ -150,7 +118,6 @@ def identify_contributions_in_place(
     first; it is then handed over to the clusterer (the cosine metric
     normalises its rows in place), so the round needs no copy of it.
     """
-    cfg = config or ContributionConfig()
     ids = [int(c) for c in np.asarray(client_ids).ravel()]
     if stacked.ndim != 2 or stacked.shape[0] < 2:
         raise ValueError(f"expected a (k + 1, d) matrix with k >= 1, got shape {stacked.shape}")
@@ -161,7 +128,7 @@ def identify_contributions_in_place(
         )
 
     thetas_all = cosine_distance_to_reference(stacked[:-1], stacked[-1])
-    clustering = cfg.make_clusterer().fit(OwnedRows(stacked))
+    clustering = clusterer.fit(OwnedRows(stacked))
     global_label = clustering.cluster_of(stacked.shape[0] - 1)
 
     used_fallback = False
@@ -191,7 +158,7 @@ def identify_contributions_in_place(
     high_ids = [int(c) for c in ids_arr[high_mask]]
     low_ids = [int(c) for c in ids_arr[~high_mask]]
 
-    reward_list = apportion_rewards(high_ids, thetas_all[high_mask], base_reward=cfg.base_reward)
+    reward_list = apportion_rewards(high_ids, thetas_all[high_mask], base_reward=base_reward)
 
     return ContributionReport(
         high_contributors=high_ids,

@@ -28,10 +28,9 @@ import numpy as np
 
 from repro.nn.layers import Flatten, Linear
 from repro.nn.module import Module
-from repro.nn.optim import add_proximal_term, sgd_step  # one definition; re-exported here
 from repro.nn.parameters import bind_parameters, pack_parameters
 
-__all__ = ["CohortModel", "sgd_step", "add_proximal_term"]
+__all__ = ["CohortModel"]
 
 
 class CohortModel:

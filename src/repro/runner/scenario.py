@@ -22,11 +22,13 @@ three layers: the declared per-field rules (applied for every system), the
 capability-derived axis checks of the system registry
 (:mod:`repro.systems.registry` — ``round_mode``/``attacks``/``defense`` only
 where the registered system supports them), and the registered system's own
-``validate(spec)`` for the rules only it has (FAIR-BFL's proof-of-work and
-network rules, FedProx's knobs), so a plugin-registered system validates
-exactly like a built-in.  All scenario problems are raised as
-:class:`ScenarioError` (a :class:`ValueError`) with the offending field
-named.
+``validate(spec)``, so a plugin-registered system validates exactly like a
+built-in.  A rule that reads one field lives on that field and nowhere else
+(the components a trainer builds from a validated spec do not check it
+again); a system's ``validate`` holds only the rules that read several
+fields (FAIR-BFL's attacker bounds and network rules).  All scenario
+problems are raised as :class:`ScenarioError` (a :class:`ValueError`) with
+the offending field named.
 
 See ``docs/scenarios.md`` for the field-by-field reference and
 ``scenarios/`` for example files.
@@ -46,7 +48,6 @@ from repro.fl.client import LocalTrainingConfig
 from repro.fl.cohort import EXECUTOR_BACKENDS
 from repro.fl.robust import DEFENSES, check_defense
 from repro.incentive.clustering import CLUSTERERS
-from repro.incentive.contribution import ContributionConfig
 from repro.incentive.strategies import STRATEGIES
 from repro.net.topology import TOPOLOGIES
 from repro.nn.models import MODELS
@@ -99,6 +100,11 @@ def _check_defense_chain(name: str, value: str) -> None:
     check_defense(value)
 
 
+def _check_difficulty(name: str, value: float) -> None:
+    if not 1.0 <= check_finite(name, value):
+        raise ValueError(f"{name} must be >= 1, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ScenarioSpec:
     """One fully-specified experiment (see ``docs/scenarios.md``).
@@ -139,7 +145,7 @@ class ScenarioSpec:
         flag="--scheme",
         help="how the dataset is partitioned across clients",
     )
-    noise_std: float = 0.4
+    noise_std: float = _declare(0.4, check=check_non_negative)
     low_quality_fraction: float = _declare(0.0, check=check_probability)
     #: Number of *distinct* client shards to synthesise; the remaining clients
     #: share them cyclically (array views, no copies), which is how 100k+-client
@@ -152,9 +158,11 @@ class ScenarioSpec:
     batch_size: int = _declare(
         10, check=check_positive, flag="--batch-size", help="local batch size B"
     )
-    learning_rate: float = _declare(0.05, flag="--lr", help="local learning rate eta")
-    proximal_mu: float = 0.01
-    drop_percent: float = 0.0
+    learning_rate: float = _declare(
+        0.05, check=check_positive, flag="--lr", help="local learning rate eta"
+    )
+    proximal_mu: float = _declare(0.01, check=check_non_negative)
+    drop_percent: float = _declare(0.0, check=check_probability)
     # -- blockchain / flexibility --------------------------------------
     miners: int = _declare(2, check=check_positive, flag="--miners", help="number of miners (m)")
     mode: str = _declare("bfl", choices=tuple(m.value for m in OperatingMode))
@@ -186,7 +194,7 @@ class ScenarioSpec:
     )
     verify_signatures: bool = True
     use_real_pow: bool = True
-    pow_difficulty: float = 16.0
+    pow_difficulty: float = _declare(16.0, check=_check_difficulty)
     # -- network substrate (see repro.net) ------------------------------
     topology: str = _declare(
         "global",
@@ -216,9 +224,9 @@ class ScenarioSpec:
     strategy: str = _declare("keep", choices=STRATEGIES)
     use_fair_aggregation: bool = True
     clustering: str = _declare("dbscan", choices=CLUSTERERS)
-    dbscan_eps: float = 0.7
-    dbscan_min_samples: int = 3
-    base_reward: float = 1.0
+    dbscan_eps: float = _declare(0.7, check=check_positive)
+    dbscan_min_samples: int = _declare(3, check=check_positive)
+    base_reward: float = _declare(1.0, check=check_non_negative)
     # -- attacks --------------------------------------------------------
     attacks: bool = _declare(
         False, flag="--attacks", help="enable 1-3 malicious clients per round"
@@ -229,7 +237,7 @@ class ScenarioSpec:
         flag="--attack-name",
         help="forgery the malicious clients apply (with --attacks)",
     )
-    min_attackers: int = 1
+    min_attackers: int = _declare(1, check=check_non_negative)
     max_attackers: int = 3
     # -- defenses -------------------------------------------------------
     defense: str = _declare(
@@ -369,7 +377,7 @@ class ScenarioSpec:
         except SystemRegistryError as exc:
             raise ScenarioError(str(exc)) from exc
         try:
-            # The rules only the registered system has (plugins included).
+            # The registered system's rules that read several fields (plugins included).
             system.validate(self)
         except ScenarioError:
             raise
@@ -384,16 +392,6 @@ class ScenarioSpec:
             epochs=self.epochs,
             batch_size=self.batch_size,
             learning_rate=self.learning_rate,
-        )
-
-    def contribution_config(self) -> ContributionConfig:
-        """Algorithm 2 configuration derived from the incentive fields."""
-        return ContributionConfig(
-            algorithm=self.clustering,
-            eps=self.dbscan_eps,
-            min_samples=self.dbscan_min_samples,
-            base_reward=self.base_reward,
-            seed=self.seed,
         )
 
     def dataset_kwargs(self) -> dict:

@@ -50,7 +50,6 @@ import numpy as np
 
 from repro.sim.delay import DelayParameters, RoundDelayBreakdown
 from repro.sim.events import EventKernel
-from repro.utils.validation import check_choice, check_fraction, check_positive
 
 __all__ = [
     "ROUND_MODES",
@@ -180,6 +179,9 @@ class EventRoundSimulator:
     record_trace:
         Record the fired-event trace and report its SHA-256 digest in
         :attr:`RoundTiming.trace_digest` (used by determinism tests).
+
+    The round-mode values are a validated scenario's fields, whose rules
+    live on the field; they are not checked again here.
     """
 
     def __init__(
@@ -192,9 +194,6 @@ class EventRoundSimulator:
         async_quorum: float = 0.5,
         record_trace: bool = False,
     ) -> None:
-        check_choice("round_mode", round_mode, ROUND_MODES)
-        check_positive("straggler_deadline", straggler_deadline)
-        check_fraction("async_quorum", async_quorum)
         self.params = params
         self.rng = rng
         self.round_mode = round_mode

@@ -4,9 +4,11 @@ Each class wraps one :class:`~repro.fl.trainer.Trainer` behind the
 :class:`~repro.systems.registry.System` protocol: ``build`` hands the
 scenario spec itself to the trainer (read duck-typed, so this module never
 imports the scenario layer) inside a
-:class:`~repro.systems.registry.TrainerRun` for the engine to step, and
-``validate`` holds the rules only that system has — FAIR-BFL's proof-of-work,
-attacker and network rules, FedProx's proximal and straggler knobs.  Importing this module registers all five; everything else (CLI choices,
+:class:`~repro.systems.registry.TrainerRun` for the engine to step.  A rule
+that reads one field is declared on that field of the scenario spec and
+applies to every system; ``validate`` holds only the rules that read several
+fields, which only FAIR-BFL has (its attacker bounds and network rules).
+Importing this module registers all five; everything else (CLI choices,
 scenario validation, the engine's dispatch and dataset skipping) derives from
 the registrations.
 
@@ -43,7 +45,6 @@ from repro.systems.registry import (
     TrainerRun,
     register_system,
 )
-from repro.utils.validation import check_non_negative, check_probability
 
 __all__ = [
 ]
@@ -64,12 +65,9 @@ class FairBFLSystem(System):
     )
 
     def validate(self, spec) -> None:
-        spec.local_config()  # the local update's rules: a positive learning rate
-        if spec.pow_difficulty < 1.0:
-            raise ValueError(f"pow_difficulty must be >= 1, got {spec.pow_difficulty}")
-        if spec.min_attackers < 0 or spec.max_attackers < spec.min_attackers:
+        if spec.max_attackers < spec.min_attackers:
             raise ValueError(
-                "min_attackers/max_attackers must satisfy 0 <= min_attackers <= "
+                "min_attackers/max_attackers must satisfy min_attackers <= "
                 f"max_attackers, got ({spec.min_attackers}, {spec.max_attackers})"
             )
         if spec.topology == "global":
@@ -116,9 +114,6 @@ class FedAvgSystem(System):
     description = "FedAvg baseline: central aggregation, no blockchain costs"
     capabilities = SystemCapabilities(needs_dataset=True, defenses=True, cohort=True)
 
-    def validate(self, spec) -> None:
-        spec.local_config()  # the local update's rules: a positive learning rate
-
     def build(self, spec, dataset):
         return TrainerRun(FedAvgTrainer(dataset, spec))
 
@@ -128,11 +123,6 @@ class FedProxSystem(FedAvgSystem):
 
     name = "fedprox"
     description = "FedProx baseline: proximal term + straggler dropping"
-
-    def validate(self, spec) -> None:
-        super().validate(spec)
-        check_non_negative("proximal_mu", spec.proximal_mu)
-        check_probability("drop_percent", spec.drop_percent)
 
     def build(self, spec, dataset):
         return TrainerRun(FedProxTrainer(dataset, spec))

@@ -167,7 +167,8 @@ class System:
 
     The spec *is* the run's configuration: ``build`` hands it to the
     trainer, which reads its fields directly.  ``validate(spec)`` is the
-    hook for the rules only this system has (the per-field rules and the
+    hook for this system's rules that read several fields (a rule that reads
+    one field is declared on that field; the per-field rules and the
     capability checks run for every system first); ``ScenarioSpec.validate``
     calls it and reports its ``ValueError`` as a ``ScenarioError``.
     """

@@ -159,12 +159,6 @@ class TestAttackScheduler:
         assert detection_rate([]) == 1.0
         assert AttackRoundLog(0, [], []).detection_rate == 1.0
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            AttackScheduler(min_attackers=-1)
-        with pytest.raises(ValueError):
-            AttackScheduler(min_attackers=3, max_attackers=1)
-
 
 class TestDelayModel:
     @pytest.fixture()

@@ -46,6 +46,7 @@ from repro.nn.losses import SoftmaxCrossEntropyLoss
 from repro.nn.metrics import accuracy
 from repro.nn.models import ModelFactory, build_model
 from repro.nn.module import Sequential
+from repro.nn.optim import add_proximal_term, sgd_step
 from repro.nn.parameters import bind_parameters, get_flat_parameters
 from repro.utils.rng import new_rng
 
@@ -141,14 +142,14 @@ def test_training_steps_match_the_accumulating_reference(clients, proximal_mu):
         model.forward(want_params, x)
         _, want = reference_backward(model, want_params, upstream)
         if proximal_mu:
-            nn_cohort.add_proximal_term(want, want_params, global_ref, proximal_mu)
+            add_proximal_term(want, want_params, global_ref, proximal_mu)
         reference_sgd_step(want_params, want, learning_rate=0.05)
 
         model.forward(params, x)
         model.backward(params, grads, upstream, need_input_grad=False)
         if proximal_mu:
-            nn_cohort.add_proximal_term(grads, params, global_ref, proximal_mu)
-        nn_cohort.sgd_step(params, grads, learning_rate=0.05)
+            add_proximal_term(grads, params, global_ref, proximal_mu)
+        sgd_step(params, grads, learning_rate=0.05)
 
         assert params.tobytes() == want_params.tobytes()
 
@@ -412,7 +413,7 @@ def test_a_serial_local_update_runs_one_forward_per_step(
 
 def test_the_cohort_module_exports_no_math():
     """A batched twin of a layer, loss or metric cannot quietly come back."""
-    assert nn_cohort.__all__ == ["CohortModel", "sgd_step", "add_proximal_term"]
+    assert nn_cohort.__all__ == ["CohortModel"]
 
 
 @pytest.mark.parametrize("name", STACKS)

@@ -23,7 +23,7 @@ from repro.core.procedures import (
 from repro.crypto.keystore import KeyStore
 from repro.fl.client import FLClient, LocalTrainingConfig
 from repro.fl.robust import make_defense
-from repro.incentive.contribution import ContributionConfig
+from repro.incentive.clustering import DBSCAN
 from repro.incentive.strategies import DiscardStrategy, KeepAllStrategy
 from repro.nn.models import LogisticRegressionModel
 from repro.nn.parameters import get_flat_parameters
@@ -210,7 +210,7 @@ class TestProcedureGlobalUpdate:
     def test_simple_average_without_incentive(self, setup):
         ctx = self._prepared_ctx(setup, [0, 1, 2])
         procedure_global_update(
-            ctx, contribution_config=None, strategy=None, run_incentive=False
+            ctx, clusterer=None, base_reward=1.0, strategy=None, run_incentive=False
         )
         np.testing.assert_allclose(
             ctx.new_global_parameters, ctx.gradient_matrix.mean(axis=0), atol=1e-12
@@ -221,7 +221,8 @@ class TestProcedureGlobalUpdate:
         ctx = self._prepared_ctx(setup, [0, 1, 2, 3])
         procedure_global_update(
             ctx,
-            contribution_config=ContributionConfig(eps=0.8),
+            clusterer=DBSCAN(eps=0.8),
+            base_reward=1.0,
             strategy=KeepAllStrategy(),
         )
         assert ctx.contribution_report is not None
@@ -235,7 +236,7 @@ class TestProcedureGlobalUpdate:
         ctx = _context(global_params, [])
         ctx.gradient_matrix = np.zeros((0, 0))
         procedure_global_update(
-            ctx, contribution_config=ContributionConfig(), strategy=KeepAllStrategy()
+            ctx, clusterer=DBSCAN(eps=0.7), base_reward=1.0, strategy=KeepAllStrategy()
         )
         np.testing.assert_allclose(ctx.new_global_parameters, global_params)
 
@@ -243,7 +244,8 @@ class TestProcedureGlobalUpdate:
         ctx = self._prepared_ctx(setup, [0, 1, 2, 3, 4, 5])
         procedure_global_update(
             ctx,
-            contribution_config=ContributionConfig(eps=0.5),
+            clusterer=DBSCAN(eps=0.5),
+            base_reward=1.0,
             strategy=DiscardStrategy(),
         )
         outcome = ctx.strategy_outcome
@@ -261,7 +263,8 @@ class TestNonFiniteScreen:
         )
         return procedure_global_update(
             ctx,
-            contribution_config=ContributionConfig(eps=0.8),
+            clusterer=DBSCAN(eps=0.8),
+            base_reward=1.0,
             strategy=KeepAllStrategy(),
             defense=None if defense is None else make_defense(defense),
         )
@@ -305,7 +308,7 @@ class TestProcedureMining:
         procedure_upload(ctx, miners, keystore, new_rng(0, "upload"))
         procedure_exchange(ctx, miners)
         procedure_global_update(
-            ctx, contribution_config=ContributionConfig(eps=0.8), strategy=KeepAllStrategy()
+            ctx, clusterer=DBSCAN(eps=0.8), base_reward=1.0, strategy=KeepAllStrategy()
         )
         procedure_mining(
             ctx, miners, keystore, ["miner-1", "miner-0"], use_real_pow=True, pow_difficulty=4.0

@@ -16,7 +16,7 @@ from repro.datasets.federated import (
     build_federated_dataset,
     inject_label_noise,
 )
-from repro.datasets.loaders import BatchIterator, minibatches
+from repro.datasets.loaders import minibatches
 from repro.datasets.partition import (
     dirichlet_partition,
     iid_partition,
@@ -276,18 +276,18 @@ class TestLoaders:
         with pytest.raises(ValueError):
             list(minibatches(np.zeros((3, 1)), np.zeros(3), 0))
 
-    def test_batch_iterator_properties(self):
-        it = BatchIterator(np.zeros((23, 2)), np.zeros(23), batch_size=5)
-        assert it.num_samples == 23
-        batches = list(it.epoch())
-        assert len(batches) == 5
-        assert sum(b[0].shape[0] for b in batches) == 23
+    def test_minibatches_keep_the_short_batch(self):
+        batches = list(minibatches(np.zeros((23, 2)), np.zeros(23), 5))
+        assert [b[0].shape[0] for b in batches] == [5, 5, 5, 5, 3]
 
-    def test_batch_iterator_reusable(self):
-        it = BatchIterator(np.zeros((10, 2)), np.arange(10), batch_size=3, rng=new_rng(0, "b"))
-        first = [b[1] for b in it]
-        second = [b[1] for b in it]
-        assert sum(len(b) for b in first) == sum(len(b) for b in second) == 10
+    def test_minibatches_epochs_draw_successive_permutations(self):
+        """One call per epoch on the client's stream: epoch e's order is the
+        stream's e-th permutation, which the cohort backend draws up front."""
+        rng, reference = new_rng(0, "b"), new_rng(0, "b")
+        for _epoch in range(2):
+            batches = minibatches(np.zeros((10, 2)), np.arange(10), 3, rng)
+            order = np.concatenate([labels for _, labels in batches])
+            np.testing.assert_array_equal(order, reference.permutation(10))
 
 
 @given(st.integers(2, 12), st.integers(30, 120))

@@ -34,8 +34,8 @@ from repro.fl.aggregation import (
     weighted_average,
 )
 from repro.fl.robust import clip_rows, make_defense
-from repro.incentive.clustering import DBSCAN, KMeans, OwnedRows
-from repro.incentive.contribution import ContributionConfig, identify_contributions
+from repro.incentive.clustering import DBSCAN, KMeans, OwnedRows, make_clusterer
+from repro.incentive.contribution import identify_contributions
 from repro.incentive.distance import cosine_distance_to_reference
 from repro.incentive.rewards import apportion_rewards
 from repro.incentive.strategies import DiscardStrategy, KeepAllStrategy
@@ -80,7 +80,7 @@ def _parent_cosine_distance_to_reference(m, r):
     return 1.0 - sims
 
 
-def _parent_global_update(matrix, ids, previous, config, strategy, defense):
+def _parent_global_update(matrix, ids, previous, clusterer, strategy, defense):
     """Procedure IV as the parent wrote it: one fresh array per step."""
     if defense is not None:
         outcome = defense.apply(matrix - previous[None, :])
@@ -89,7 +89,9 @@ def _parent_global_update(matrix, ids, previous, config, strategy, defense):
         base = previous + outcome.aggregate
     else:
         base = simple_average(matrix)
-    report = identify_contributions(matrix - previous[None, :], ids, base - previous, config)
+    report = identify_contributions(
+        matrix - previous[None, :], ids, base - previous, clusterer, 1.0
+    )
     outcome = strategy.apply(
         matrix, ids, report, _parent_cosine_distance_to_reference(matrix, base)
     )
@@ -205,9 +207,9 @@ def test_norm_clip_equals_parent(m):
     assert m.tobytes() == before
 
 
-configs = st.builds(
-    ContributionConfig,
-    algorithm=st.sampled_from(("dbscan", "kmeans")),
+clusterers = st.builds(
+    make_clusterer,
+    st.sampled_from(("dbscan", "kmeans")),
     eps=st.sampled_from((0.3, 0.7, 1.2)),
     min_samples=st.sampled_from((1, 3)),
     num_clusters=st.sampled_from((1, 2, 3)),
@@ -215,22 +217,22 @@ configs = st.builds(
 
 
 @settings(max_examples=60, deadline=None)
-@given(m=matrices(), config=configs, reference=st.sampled_from(("mean", "zero", "row")))
-def test_identify_contributions_equals_parent(m, config, reference):
+@given(m=matrices(), clusterer=clusterers, reference=st.sampled_from(("mean", "zero", "row")))
+def test_identify_contributions_equals_parent(m, clusterer, reference):
     k = m.shape[0]
     ids = list(range(100, 100 + 3 * k, 3))
     g = {"mean": m.mean(axis=0), "zero": np.zeros(m.shape[1]), "row": m[0].copy()}[reference]
     before = (m.tobytes(), g.tobytes())
-    report = identify_contributions(m, ids, g, config)
+    report = identify_contributions(m, ids, g, clusterer, 1.0)
     assert (m.tobytes(), g.tobytes()) == before
     # The parent clustered a vstack copy and read θ from the input itself.
     stacked = np.vstack([m, g[None, :]])
-    want = config.make_clusterer().fit(stacked)
+    want = clusterer.fit(stacked)
     assert report.clustering.labels.tobytes() == want.labels.tobytes()
     assert sorted(report.high_contributors + report.low_contributors) == ids
     thetas = _parent_cosine_distance_to_reference(m, g)
     high = np.isin(ids, report.high_contributors)
-    want_rewards = apportion_rewards(report.high_contributors, thetas[high], base_reward=config.base_reward)
+    want_rewards = apportion_rewards(report.high_contributors, thetas[high], base_reward=1.0)
     assert _rewards(report) == [(e.client_id, e.reward) for e in want_rewards]
 
 
@@ -239,19 +241,21 @@ def test_identify_contributions_equals_parent(m, config, reference):
     m=matrices(widths=(3, B + 1)),
     strategy=st.sampled_from((KeepAllStrategy(), DiscardStrategy())),
     defense=st.sampled_from((None, "norm_clip+multi_krum", "krum", "median")),
-    config=configs,
+    clusterer=clusterers,
 )
-def test_round_path_equals_parent_procedure(m, strategy, defense, config):
+def test_round_path_equals_parent_procedure(m, strategy, defense, clusterer):
     previous = np.random.default_rng(7).normal(size=m.shape[1])
     matrix = previous[None, :] + m
     ids = list(range(m.shape[0]))
     pipeline = None if defense is None else make_defense(defense)
-    want_report, want_global = _parent_global_update(matrix, ids, previous, config, strategy, pipeline)
+    want_report, want_global = _parent_global_update(matrix, ids, previous, clusterer, strategy, pipeline)
     ctx = RoundContext(
         round_index=0, global_parameters=previous, gradient_matrix=matrix.copy(),
         gradient_client_ids=list(ids),
     )
-    procedure_global_update(ctx, contribution_config=config, strategy=strategy, defense=pipeline)
+    procedure_global_update(
+        ctx, clusterer=clusterer, base_reward=1.0, strategy=strategy, defense=pipeline
+    )
     assert ctx.new_global_parameters.tobytes() == want_global.tobytes()
     assert ctx.contribution_report.clustering.labels.tobytes() == want_report.clustering.labels.tobytes()
     assert _rewards(ctx.contribution_report) == _rewards(want_report)
@@ -287,7 +291,11 @@ class TestRoundMemory:
         tracemalloc.start()
         try:
             procedure_global_update(
-                ctx, contribution_config=ContributionConfig(), strategy=strategy_, defense=pipeline
+                ctx,
+                clusterer=DBSCAN(eps=0.7),
+                base_reward=1.0,
+                strategy=strategy_,
+                defense=pipeline,
             )
             _, peak = tracemalloc.get_traced_memory()
         finally:

@@ -12,10 +12,7 @@ from repro.blockchain.chain import Blockchain
 from repro.blockchain.transaction import make_reward_transaction
 from repro.fl.aggregation import simple_average
 from repro.incentive.clustering import DBSCAN, KMeans, NOISE_LABEL, make_clusterer
-from repro.incentive.contribution import (
-    ContributionConfig,
-    identify_contributions,
-)
+from repro.incentive.contribution import identify_contributions
 from repro.incentive.distance import cosine_distance_to_reference
 from repro.incentive.rewards import apportion_rewards
 from repro.incentive.strategies import DiscardStrategy, KeepAllStrategy, make_strategy
@@ -198,33 +195,33 @@ class TestIdentifyContributions:
 
     def test_honest_majority_labelled_high(self):
         updates, ids, g, malicious_ids = self._setup()
-        report = identify_contributions(updates, ids, g, ContributionConfig(eps=0.5))
+        report = identify_contributions(updates, ids, g, DBSCAN(eps=0.5), 1.0)
         assert set(malicious_ids).issubset(set(report.low_contributors))
         assert set(range(8)).issubset(set(report.high_contributors))
 
     def test_reward_list_covers_high_only(self):
         updates, ids, g, _ = self._setup()
-        report = identify_contributions(updates, ids, g, ContributionConfig(eps=0.5, base_reward=3.0))
+        report = identify_contributions(updates, ids, g, DBSCAN(eps=0.5), 3.0)
         rewarded = {e.client_id for e in report.reward_list}
         assert rewarded == set(report.high_contributors)
         assert sum(e.reward for e in report.reward_list) == pytest.approx(3.0)
 
     def test_thetas_only_for_high(self):
         updates, ids, g, _ = self._setup()
-        report = identify_contributions(updates, ids, g, ContributionConfig(eps=0.5))
+        report = identify_contributions(updates, ids, g, DBSCAN(eps=0.5), 1.0)
         assert [e.client_id for e in report.reward_list] == report.high_contributors
 
     def test_all_identical_updates(self):
         updates = np.tile(np.ones(8), (5, 1))
         g = np.ones(8)
-        report = identify_contributions(updates, list(range(5)), g, ContributionConfig(eps=0.5))
+        report = identify_contributions(updates, list(range(5)), g, DBSCAN(eps=0.5), 1.0)
         assert set(report.high_contributors) == set(range(5))
         assert report.low_contributors == []
 
     def test_kmeans_variant(self):
         updates, ids, g, malicious_ids = self._setup()
         report = identify_contributions(
-            updates, ids, g, ContributionConfig(algorithm="kmeans", num_clusters=2)
+            updates, ids, g, KMeans(num_clusters=2), 1.0
         )
         assert set(report.high_contributors) | set(report.low_contributors) == set(ids)
 
@@ -232,23 +229,23 @@ class TestIdentifyContributions:
         # Global update orthogonal to two tight but opposite client groups can be noise;
         # force the situation with a tiny eps so nothing clusters with the global row.
         updates, ids, g, _ = self._setup()
-        report = identify_contributions(updates, ids, g, ContributionConfig(eps=1e-6, min_samples=2))
+        report = identify_contributions(updates, ids, g, DBSCAN(eps=1e-6, min_samples=2), 1.0)
         assert report.used_fallback
         assert set(report.high_contributors) | set(report.low_contributors) == set(ids)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            identify_contributions(np.zeros((0, 3)), [], np.zeros(3))
+            identify_contributions(np.zeros((0, 3)), [], np.zeros(3), DBSCAN(), 1.0)
         with pytest.raises(ValueError):
-            identify_contributions(np.zeros((2, 3)), [0], np.zeros(3))
+            identify_contributions(np.zeros((2, 3)), [0], np.zeros(3), DBSCAN(), 1.0)
         with pytest.raises(ValueError):
-            identify_contributions(np.zeros((2, 3)), [0, 1], np.zeros(4))
+            identify_contributions(np.zeros((2, 3)), [0, 1], np.zeros(4), DBSCAN(), 1.0)
 
 
 @pytest.mark.aggregation
 class TestStrategies:
     def _report(self, updates, ids, g, eps=0.5):
-        return identify_contributions(updates, ids, g, ContributionConfig(eps=eps))
+        return identify_contributions(updates, ids, g, DBSCAN(eps=eps), 1.0)
 
     @staticmethod
     def _thetas(updates, g):
@@ -283,7 +280,7 @@ class TestStrategies:
         updates = np.vstack([np.ones((2, 4)), -np.ones((2, 4))])
         ids = [0, 1, 2, 3]
         g = np.array([1.0, 1.0, -1.0, -1.0])  # orthogonal-ish to both groups
-        report = identify_contributions(updates, ids, g, ContributionConfig(eps=0.05, min_samples=2))
+        report = identify_contributions(updates, ids, g, DBSCAN(eps=0.05, min_samples=2), 1.0)
         outcome = DiscardStrategy().apply(updates, ids, report, self._thetas(updates, g))
         assert set(outcome.discarded_client_ids) < set(ids)  # never every client
         assert outcome.global_update.shape == (4,)
@@ -334,7 +331,7 @@ def test_contribution_partition_property(num_clients):
     updates = rng.normal(size=(num_clients, 10))
     ids = list(range(num_clients))
     g = simple_average(updates)
-    report = identify_contributions(updates, ids, g, ContributionConfig(eps=0.6))
+    report = identify_contributions(updates, ids, g, DBSCAN(eps=0.6), 1.0)
     high, low = set(report.high_contributors), set(report.low_contributors)
     assert high | low == set(ids)
     assert high & low == set()

@@ -25,6 +25,7 @@ from repro.nn import losses as nn_losses
 from repro.nn.layers import Flatten, Linear, ReLU
 from repro.nn.losses import SoftmaxCrossEntropyLoss
 from repro.nn.module import Module
+from repro.nn.optim import add_proximal_term
 
 EPS = 1e-6
 RTOL = 1e-5
@@ -224,7 +225,7 @@ def test_proximal_term_gradient():
         return float(0.5 * mu * np.sum((params - global_ref[None, :]) ** 2))
 
     grads = np.zeros_like(params)
-    nn_cohort.add_proximal_term(grads, params, global_ref, mu)
+    add_proximal_term(grads, params, global_ref, mu)
     np.testing.assert_allclose(
         grads, numerical_grad(objective, params), rtol=RTOL, atol=ATOL
     )

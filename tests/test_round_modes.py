@@ -119,14 +119,6 @@ class TestSimulatorRoundModes:
             assert timing.total == pytest.approx(b.t_local + b.t_up + b.t_ex + b.t_gl + b.t_bl)
             assert all(part >= 0 for part in (b.t_local, b.t_up, b.t_ex, b.t_gl, b.t_bl))
 
-    def test_simulator_validation(self):
-        with pytest.raises(ValueError, match="round_mode"):
-            EventRoundSimulator(HEAVY_JITTER, new_rng(0, "x"), round_mode="bogus")
-        with pytest.raises(ValueError, match="straggler_deadline"):
-            EventRoundSimulator(HEAVY_JITTER, new_rng(0, "x"), straggler_deadline=0.0)
-        with pytest.raises(ValueError, match="async_quorum"):
-            EventRoundSimulator(HEAVY_JITTER, new_rng(0, "x"), async_quorum=1.5)
-
     @pytest.mark.parametrize("stages", [("local", "global"), ("upload", "bogus")])
     def test_stage_set_needs_upload_and_known_names(self, stages):
         # Every operating mode runs Procedure II, so a round without it is a caller bug.

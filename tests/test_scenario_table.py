@@ -9,6 +9,10 @@ true: no hand-written spec flag beside the derived loop, every declared rule
 enforced for every system, and every rule a system adds in its own
 ``validate(spec)`` rejecting a bad spec by name while each system's default
 and fully-engaged specs validate.
+
+A rule that reads one field is declared on that field, so it is enforced for
+every system and needs only a :data:`BAD_VALUE` entry for its check; a
+system's ``validate`` holds only the rules that read several fields.
 """
 
 from __future__ import annotations
@@ -24,7 +28,8 @@ from repro.cli import build_parser
 from repro.core.fairbfl import FairBFLTrainer
 from repro.fl.fedavg import FedAvgTrainer
 from repro.fl.fedprox import FedProxTrainer
-from repro.runner import scenario
+from repro import api
+from repro.runner import engine, scenario
 from repro.runner.scenario import ScenarioError, ScenarioSpec
 from repro.sim.vanilla_blockchain import VanillaBlockchainSimulator
 from repro.store.keys import spec_key
@@ -144,6 +149,7 @@ BAD_VALUE = {
     validation.check_probability: 2.0,
     scenario._check_each_positive: (0,),
     scenario._check_defense_chain: "bogus",
+    scenario._check_difficulty: 0.5,
 }
 
 SPEC_SUBCOMMANDS = ("run", "compare", "sweep", "search")
@@ -206,6 +212,32 @@ def test_every_declared_rule_is_enforced_for_every_system(field, system):
     bad = "__bogus__" if "choices" in field.metadata else BAD_VALUE[field.metadata["check"]]
     with pytest.raises(ScenarioError, match=field.name):
         ScenarioSpec(system=system, **{field.name: bad}).validate()
+
+
+#: Values whose rule only the component that reads them had: each passed
+#: validation and failed mid-run, after the dataset was built.
+COMPONENT_ONLY = [
+    ("dbscan_eps", -1.0),
+    ("dbscan_min_samples", 0),
+    ("base_reward", -5.0),
+    ("noise_std", -1.0),
+]
+
+
+@pytest.mark.parametrize("name, bad", COMPONENT_ONLY)
+def test_a_component_value_is_refused_before_any_dataset_is_built(
+    name, bad, monkeypatch, tmp_path
+):
+    def unbuilt(**kwargs):
+        raise AssertionError("a dataset was built for an invalid scenario")
+
+    monkeypatch.setattr(engine, "build_federated_dataset", unbuilt)
+    with pytest.raises(ScenarioError, match=name):
+        api.run("fairbfl", **{name: bad})
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"system": "fairbfl", name: bad}), encoding="utf-8")
+    with pytest.raises(ScenarioError, match=name):
+        scenario.load_scenario_file(path)
 
 
 FLOAT_FIELDS = [f.name for f in fields(ScenarioSpec) if f.type == "float"]
@@ -298,7 +330,7 @@ ENGAGED = {
     "fairbfl-discard": {**_FL_ENGAGED, **_NET_AND_THREAT},
     "fedavg": _FL_ENGAGED,
     "fedprox": {**_FL_ENGAGED, "proximal_mu": 0.0, "drop_percent": 1.0},
-    "blockchain": dict(num_clients=250, miners=8, learning_rate=0.0, proximal_mu=-1.0),
+    "blockchain": dict(num_clients=250, miners=8, learning_rate=1e-9, proximal_mu=0.0),
 }
 
 

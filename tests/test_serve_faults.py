@@ -195,14 +195,19 @@ class TestBadInput:
             (b'{"system": "blockchain", "noise_std": NaN}', "noise_std"),
             (b'{"system": "fedavg", "model_name": "resnet"}', "model_name"),
             (b'{"system": "fedavg", "participation": 0}', "participation"),
+            (b'{"system": "fairbfl", "dbscan_eps": -1}', "dbscan_eps"),
         ],
     )
     def test_invalid_scenario_is_refused_422_not_accepted_or_crashed(self, server, body, named):
         """Each of these answered 500 (raw exception) or 202 (accepted, then
-        failed inside the worker) before the rules were declared per field."""
+        failed inside the worker) before the rules were declared per field;
+        ``dbscan_eps`` had its rule only in ``DBSCAN`` until it got one."""
         status, payload = _post_raw(server.url + "/v1/runs", body)
         assert status == 422
         assert named in payload["error"]
+        health = ServeClient(server.url).health()
+        assert health["queue_depth"] == 0
+        assert set(health["jobs"].values()) == {0}
 
     @pytest.mark.parametrize("declared", ["-1", "abc", "1e3", "+5", "\u00b2"])
     def test_a_content_length_that_is_no_byte_count_answers_400_at_once(self, server, declared):

@@ -556,7 +556,7 @@ SETTER_ALLOWLIST: dict[str, str] = {
         "Euclidean k-means on unit rows is the reference tests hold the cosine "
         "path to, byte for byte"
     ),
-    "repro.incentive.contribution:ContributionConfig(num_clusters)": (
+    "repro.incentive.clustering:make_clusterer(num_clusters)": (
         "k of Algorithm 2's kmeans variant: tests hold the in-place round to the "
         "whole-array kernels at several k"
     ),
