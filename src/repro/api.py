@@ -171,7 +171,7 @@ def load_scenario(source) -> list[ScenarioSpec]:
 def _as_spec(target, fields: dict) -> ScenarioSpec:
     """Normalise run()'s flexible target argument into one validated spec."""
     if isinstance(target, ScenarioSpec):
-        return target.with_overrides(**fields) if fields else target.validate()
+        return target.with_overrides(**fields) if fields else target
     if isinstance(target, Mapping):
         return ScenarioSpec.from_mapping({**dict(target), **fields})
     if isinstance(target, str):
@@ -216,7 +216,7 @@ def _expand_sources(
     specs: list[ScenarioSpec] = []
     for source in sources:
         if isinstance(source, ScenarioSpec):
-            specs.append(source.validate())
+            specs.append(source)
         elif isinstance(source, Mapping):
             specs.extend(scenarios_from_mapping(dict(source)))
         elif isinstance(source, Iterable) and not isinstance(source, (str, Path)):
@@ -226,7 +226,7 @@ def _expand_sources(
                         f"{verb}() iterables must contain ScenarioSpec objects, got "
                         f"{type(spec).__name__}"
                     )
-                specs.append(spec.validate())
+                specs.append(spec)
         else:
             specs.extend(load_scenario_file(source))
     if overrides:

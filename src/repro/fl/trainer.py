@@ -39,10 +39,9 @@ onto the freshly-built client objects.  A client keeps no other tally: its
 rewards are on the pickled chain and its participation is in the history.
 
 Why pickling the whole graph in one blob matters: trainers share objects
-(FAIR-BFL's miners all reference the one :class:`~repro.crypto.keystore.KeyStore`;
-a :class:`~repro.sim.delay.DelayModel` and its kernel-backed round simulator
-draw from one generator).  A single ``pickle.dumps`` preserves that aliasing,
-so the restored graph has exactly the sharing structure of the live one.
+(FAIR-BFL's miners all reference the one :class:`~repro.crypto.keystore.KeyStore`).
+A single ``pickle.dumps`` preserves that aliasing, so the restored graph has
+exactly the sharing structure of the live one.
 
 Determinism across backends comes for free: every stochastic draw in
 a round is made either from a trainer-owned RNG stream or from the owning
@@ -134,8 +133,8 @@ class Trainer:
     ----------
     spec:
         The run's scenario (a :class:`~repro.runner.scenario.ScenarioSpec`,
-        read duck-typed): the constructor validates it, ``spec.num_rounds`` is
-        the default run length and ``spec.seed`` seeds every stream.
+        checked when it was built): ``spec.num_rounds`` is the default run
+        length and ``spec.seed`` seeds every stream.
     dataset:
         The partitioned dataset of a *federated* trainer, or ``None`` for one
         without clients (the vanilla blockchain).  With a dataset the
@@ -167,9 +166,7 @@ class Trainer:
     cohort: CohortTrainer | None = None
 
     def __init__(self, spec, dataset: FederatedDataset | None = None) -> None:
-        # A trainer built outside the engine is held to the same rules as one
-        # the engine builds: the spec's field rules and its system's own.
-        self.spec = spec.validate()
+        self.spec = spec
         self.dataset = dataset
         if dataset is not None:
             seed = spec.seed
@@ -183,7 +180,7 @@ class Trainer:
                 ),
                 seed=seed,
                 label=self.label,
-                hidden_sizes=tuple(spec.hidden_sizes),
+                hidden_sizes=spec.hidden_sizes,
             )
             # The scratch model of local training: one, not one per client,
             # and gone when this trainer is.

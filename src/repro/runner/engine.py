@@ -146,7 +146,7 @@ class ExperimentEngine:
         record for the spec's content key exists (and ``reuse_cached`` is
         True), and persisted after computation otherwise.
         """
-        return self._execute(spec, spec.validate())
+        return self._execute(spec, spec)
 
     def run_partial(
         self,
@@ -172,11 +172,10 @@ class ExperimentEngine:
         With ``checkpoint=True`` (default, store attached) the finished run's
         own resumable state is persisted for the next promotion.
         """
-        spec.validate()
         target = (
             spec
-            if rounds is None or int(rounds) == spec.num_rounds
-            else spec.with_overrides(num_rounds=int(rounds))
+            if rounds is None or rounds == spec.num_rounds
+            else spec.with_overrides(num_rounds=rounds)
         )
         return self._execute(spec, target, resume_from=resume_from, checkpoint=checkpoint)
 
@@ -203,9 +202,7 @@ class ExperimentEngine:
         resulting history is bit-identical to an uninterrupted
         :meth:`run_result` of the same spec.
         """
-        return self._execute(
-            spec, spec.validate(), progress=progress, should_stop=should_stop
-        )
+        return self._execute(spec, spec, progress=progress, should_stop=should_stop)
 
     def _execute(
         self,
@@ -229,7 +226,7 @@ class ExperimentEngine:
         when ``build()`` returns anything but a ``TrainerRun`` whose
         ``.trainer`` is a :class:`~repro.fl.trainer.Trainer`.
         """
-        total = int(target.num_rounds)
+        total = target.num_rounds
         read_through = self.store is not None and self.reuse_cached
         if read_through:
             cached = self.store.get(target)

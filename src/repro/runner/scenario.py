@@ -17,18 +17,24 @@ it in its own ``dataclasses.field(metadata=...)`` (see :func:`_declare`), and
 one declaration, not an edit per consumer.
 
 The spec is also the *only* configuration a run has: the registered system
-hands it to its trainer, which reads the fields directly.  Validation has
-three layers: the declared per-field rules (applied for every system), the
-capability-derived axis checks of the system registry
+hands it to its trainer, which reads the fields directly.  A spec is checked
+once, when it is built: ``__post_init__`` coerces every field to its
+declared type (an integral number to ``int``, a real one to ``float``, a
+list to a tuple) and then runs :meth:`ScenarioSpec.validate`, so the
+constructor, ``with_overrides``/``dataclasses.replace``, ``from_mapping``
+and matrix expansion all apply the same rules, and no consumer checks a spec
+again (``validate()`` on a built spec is a re-check that returns it).
+Validation has three layers: the declared per-field rules (applied for every
+system), the capability-derived axis checks of the system registry
 (:mod:`repro.systems.registry` — ``round_mode``/``attacks``/``defense`` only
 where the registered system supports them), and the registered system's own
 ``validate(spec)``, so a plugin-registered system validates exactly like a
 built-in.  A rule that reads one field lives on that field and nowhere else
-(the components a trainer builds from a validated spec do not check it
-again); a system's ``validate`` holds only the rules that read several
-fields (FAIR-BFL's attacker bounds and network rules).  All scenario
-problems are raised as :class:`ScenarioError` (a :class:`ValueError`) with
-the offending field named.
+(the components a trainer builds from a spec do not check it again); a
+system's ``validate`` holds only the rules that read several fields
+(FAIR-BFL's attacker bounds and network rules).  All scenario problems are
+raised as :class:`ScenarioError` (a :class:`ValueError`) with the offending
+field named.
 
 See ``docs/scenarios.md`` for the field-by-field reference and
 ``scenarios/`` for example files.
@@ -40,6 +46,7 @@ import itertools
 import json
 from dataclasses import dataclass, field, fields, replace
 from functools import partial
+from numbers import Integral, Real
 from pathlib import Path
 
 from repro.attacks.gradient_attacks import ATTACKS
@@ -270,6 +277,11 @@ class ScenarioSpec:
         "CPUs per BLAS thread count)",
     )
 
+    def __post_init__(self) -> None:
+        for name, annotation in _FIELD_TYPES:
+            object.__setattr__(self, name, _coerce(name, getattr(self, name), annotation))
+        self.validate()
+
     # ------------------------------------------------------------------
     @classmethod
     def field_names(cls) -> tuple[str, ...]:
@@ -278,39 +290,27 @@ class ScenarioSpec:
 
     @classmethod
     def from_mapping(cls, mapping: dict) -> "ScenarioSpec":
-        """Build and validate a spec from a plain mapping (JSON/TOML payload).
+        """Build a spec from a plain mapping (JSON/TOML payload).
 
         Unknown keys are rejected (with the misspelt key named) rather than
-        silently ignored, and scalar values are coerced to the field types.
+        silently ignored; the constructor coerces and checks the values.
         """
         if not isinstance(mapping, dict):
             raise ScenarioError(
                 f"a scenario must be a mapping of fields, got {type(mapping).__name__}"
             )
-        known = {f.name: f for f in fields(cls)}
-        values: dict[str, object] = {}
-        for key, raw in mapping.items():
+        known = cls.field_names()
+        for key in mapping:
             if key not in known:
                 raise ScenarioError(
                     f"unknown scenario field {key!r}; valid fields: "
                     + ", ".join(sorted(known))
                 )
-            values[key] = _coerce(key, raw, cls.__dataclass_fields__[key].type)
-        spec = cls(**values)
-        spec.validate()
-        return spec
+        return cls(**mapping)
 
     def to_mapping(self) -> dict:
-        """The spec as a JSON/TOML-serialisable mapping."""
-        out: dict[str, object] = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, tuple):
-                value = list(value)
-            if value is None:
-                continue
-            out[f.name] = value
-        return out
+        """The spec as a JSON/TOML-serialisable mapping (``None`` values dropped)."""
+        return {k: v for k, v in self.canonical_mapping().items() if v is not None}
 
     def canonical_mapping(self) -> dict:
         """The *complete* field mapping in canonical form, for content hashing.
@@ -318,30 +318,31 @@ class ScenarioSpec:
         Unlike :meth:`to_mapping` (a round-trippable document that drops
         ``None`` values), this mapping lists **every** field — so adding a
         field to :class:`ScenarioSpec` changes the canonical form, and any
-        run cached under the old form is correctly invalidated — with values
-        normalised through the same coercion the file loader applies
-        (``participation=1`` and ``participation=1.0`` hash identically) and
-        tuples rendered as lists.  :func:`repro.store.keys.spec_key` hashes
-        this mapping (minus the presentation-only ``name``) into the run
-        store's content address.
+        run cached under the old form is correctly invalidated — with tuples
+        rendered as lists.  The fields already hold their declared types, so
+        ``participation=1`` and ``participation=1.0`` hash identically.
+        :func:`repro.store.keys.spec_key` hashes this mapping (minus the
+        presentation-only ``name``) into the run store's content address.
         """
         out: dict[str, object] = {}
         for f in fields(self):
-            value = _coerce(f.name, getattr(self, f.name), f.type)
+            value = getattr(self, f.name)
             if isinstance(value, tuple):
                 value = list(value)
             out[f.name] = value
         return out
 
     def with_overrides(self, **overrides) -> "ScenarioSpec":
-        """A copy of this spec with ``overrides`` applied (and re-validated)."""
-        spec = replace(self, **overrides)
-        spec.validate()
-        return spec
+        """A copy of this spec with ``overrides`` applied (and checked)."""
+        return replace(self, **overrides)
 
     # ------------------------------------------------------------------
     def validate(self) -> "ScenarioSpec":
-        """Validate the spec against the field rules and the registered system."""
+        """Check the spec against the field rules and the registered system.
+
+        The constructor runs this, so on a built spec it is a re-check that
+        returns the same spec.
+        """
         try:
             system = get_system(self.system)
         except SystemRegistryError as exc:
@@ -356,7 +357,7 @@ class ScenarioSpec:
                     rule(name, value)
         except (ValueError, TypeError) as exc:
             raise ScenarioError(str(exc)) from exc
-        if not (0 <= int(self.distinct_shards) <= int(self.num_clients)):
+        if not (0 <= self.distinct_shards <= self.num_clients):
             raise ScenarioError(
                 f"distinct_shards must lie in [0, num_clients={self.num_clients}], "
                 f"got {self.distinct_shards}"
@@ -416,16 +417,9 @@ _DATASET_FIELDS = (
 
 
 def _field_rules() -> tuple:
-    """Every declared ``(field name, rule)`` pair, resolved once at import.
-
-    A ``float`` field without a range check gets the finiteness rule (every
-    range helper already rejects NaN/inf): a non-finite value cannot be
-    content-hashed, so it must not validate.
-    """
+    """Every declared ``(field name, rule)`` pair, resolved once at import."""
     rules = []
     for f in fields(ScenarioSpec):
-        if f.type == "float" and "check" not in f.metadata:
-            rules.append((f.name, check_finite))
         if "choices" in f.metadata:
             rules.append((f.name, partial(check_choice, choices=f.metadata["choices"])))
         if "check" in f.metadata:
@@ -434,23 +428,27 @@ def _field_rules() -> tuple:
 
 
 _FIELD_RULES = _field_rules()
+_FIELD_TYPES = tuple((f.name, f.type) for f in fields(ScenarioSpec))
 
 
 def _integer(value: object) -> int:
-    """The one integrality rule: an int or an integral float, never a bool or a string."""
-    integral = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    """The one integrality rule: an integer (numpy's too) or an integral float, never a bool."""
+    # The builtin type first: it spares the common case the slower ABC check.
+    integral = isinstance(value, (int, Integral)) or (
+        isinstance(value, float) and value.is_integer()
+    )
     if isinstance(value, bool) or not integral:
         raise TypeError(f"expected an integer, got {value!r}")
     return int(value)
 
 
 def _coerce(key: str, value: object, annotation: str) -> object:
-    """Coerce a JSON/TOML scalar to the annotated field type."""
+    """Coerce a field value to its annotated type; a non-finite float cannot be hashed."""
     try:
         if annotation == "int":
             return _integer(value)
         if annotation == "float":
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
+            if isinstance(value, bool) or not isinstance(value, (float, Real)):
                 raise TypeError(f"expected a number, got {value!r}")
             return check_finite(key, value)
         if annotation == "bool":
@@ -504,7 +502,7 @@ class ScenarioMatrix:
                 )
             axes.append((key, list(values)))
         if not axes:
-            return [self.base.validate()]
+            return [self.base]
         specs: list[ScenarioSpec] = []
         base_map = self.base.to_mapping()
         for combo in itertools.product(*(values for _, values in axes)):

@@ -213,7 +213,7 @@ def run_search(
     interruptible — without one the schedule still produces identical
     rankings, but every rung recomputes from round zero.
     """
-    trials = [spec.validate() for spec in specs]
+    trials = list(specs)
     if not trials:
         raise ScenarioError("search needs at least one scenario")
     names = [spec.name for spec in trials]

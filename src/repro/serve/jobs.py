@@ -119,7 +119,7 @@ class JobQueue:
             id=f"job-{self._seq:06d}",
             spec=spec,
             key=key,
-            total_rounds=int(spec.num_rounds),
+            total_rounds=spec.num_rounds,
         )
         self._jobs[job.id] = job
         return job

@@ -12,18 +12,6 @@ Importing this module registers all five; everything else (CLI choices,
 scenario validation, the engine's dispatch and dataset skipping) derives from
 the registrations.
 
-Capability summary:
-
-============== ============== =========== ======= ======== ====== ===
-system         needs_dataset  round_modes attacks defenses cohort net
-============== ============== =========== ======= ======== ====== ===
-fairbfl        yes            yes         yes     yes      yes    yes
-fairbfl-discard yes           yes         yes     yes      yes    yes
-fedavg         yes            no          no      yes      yes    no
-fedprox        yes            no          no      yes      yes    no
-blockchain     no             no          no      no       no     no
-============== ============== =========== ======= ======== ====== ===
-
 The ``net`` capability (``topology``/``peer_k``/``partition``/``churn``) is
 FAIR-BFL-only: the gossip substrate needs per-miner chain views to diverge
 and reconcile, while the vanilla blockchain baseline models fork costs with

@@ -6,9 +6,11 @@ command-line flags are read from each field's own declaration
 never change — the literals below were recorded from the last commit that
 still wrote every flag, rule and mapping by hand — and what it must keep
 true: no hand-written spec flag beside the derived loop, every declared rule
-enforced for every system, and every rule a system adds in its own
-``validate(spec)`` rejecting a bad spec by name while each system's default
-and fully-engaged specs validate.
+and every field type enforced for every system on every path that builds a
+spec (the constructor, ``with_overrides``, ``dataclasses.replace``,
+``from_mapping`` and a ``matrix`` document), and every rule a system adds in
+its own ``validate(spec)`` rejecting a bad spec by name while each system's
+default and fully-engaged specs validate.
 
 A rule that reads one field is declared on that field, so it is enforced for
 every system and needs only a :data:`BAD_VALUE` entry for its check; a
@@ -18,20 +20,18 @@ system's ``validate`` holds only the rules that read several fields.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 from dataclasses import fields
 
+import numpy as np
 import pytest
 
 from repro.cli import build_parser
-from repro.core.fairbfl import FairBFLTrainer
-from repro.fl.fedavg import FedAvgTrainer
-from repro.fl.fedprox import FedProxTrainer
 from repro import api
 from repro.runner import engine, scenario
 from repro.runner.scenario import ScenarioError, ScenarioSpec
-from repro.sim.vanilla_blockchain import VanillaBlockchainSimulator
 from repro.store.keys import spec_key
 from repro.utils import validation
 
@@ -206,12 +206,74 @@ def test_default_spec_keys_unchanged(system):
     assert spec_key(ScenarioSpec(system=system)) == DEFAULT_SPEC_KEYS[system]
 
 
+def _from_matrix(system: str, overrides: dict) -> list[ScenarioSpec]:
+    document = {"base": {"system": system}, "matrix": {k: [v] for k, v in overrides.items()}}
+    return scenario.scenarios_from_mapping(document)
+
+
+#: Every way a spec is built, as ``build(system, overrides)``; each applies
+#: the field types and rules once, in ``ScenarioSpec.__post_init__``.
+BUILD_PATHS = {
+    "constructor": lambda system, f: ScenarioSpec(**{"system": system, **f}),
+    "with_overrides": lambda system, f: ScenarioSpec(system=system).with_overrides(**f),
+    "replace": lambda system, f: dataclasses.replace(ScenarioSpec(system=system), **f),
+    "from_mapping": lambda system, f: ScenarioSpec.from_mapping({"system": system, **f}),
+    "matrix": _from_matrix,
+}
+
+
+@pytest.mark.parametrize("path", sorted(BUILD_PATHS))
 @pytest.mark.parametrize("system", ["fairbfl", "fedavg", "blockchain"])
 @pytest.mark.parametrize("field", RULED, ids=lambda f: f.name)
-def test_every_declared_rule_is_enforced_for_every_system(field, system):
+def test_every_declared_rule_is_enforced_for_every_system(field, system, path):
     bad = "__bogus__" if "choices" in field.metadata else BAD_VALUE[field.metadata["check"]]
     with pytest.raises(ScenarioError, match=field.name):
-        ScenarioSpec(system=system, **{field.name: bad}).validate()
+        BUILD_PATHS[path](system, {field.name: bad})
+
+
+#: One value of the wrong type per annotation.
+WRONG_TYPE = {
+    "str": 5,
+    "int": 1.5,
+    "float": "0.5",
+    "bool": 1,
+    "tuple[int, ...]": (1.5,),
+    "int | None": True,
+}
+
+
+@pytest.mark.parametrize(
+    "field, path",
+    # A matrix names each grid point itself, so it never carries a ``name``.
+    [(f, path) for f in fields(ScenarioSpec) for path in sorted(BUILD_PATHS)
+     if (f.name, path) != ("name", "matrix")],
+    ids=lambda v: v if isinstance(v, str) else v.name,
+)
+def test_every_field_type_is_enforced_on_every_build_path(field, path):
+    with pytest.raises(ScenarioError, match=rf"\b{field.name}\b"):
+        BUILD_PATHS[path]("fairbfl", {field.name: WRONG_TYPE[field.type]})
+
+
+@pytest.mark.parametrize(
+    "name, bad",
+    [("num_clients", 4.5), ("dbscan_min_samples", 1.5), ("seed", True), ("max_workers", True)],
+)
+def test_a_non_integer_is_refused_at_construction(name, bad):
+    """Each of these once validated, and none of them could be keyed."""
+    with pytest.raises(ScenarioError, match=name):
+        ScenarioSpec(**{name: bad})
+
+
+@pytest.mark.parametrize("value", [np.int64(4), 4.0], ids=["numpy", "float"])
+def test_an_integral_value_is_held_as_an_int_and_keys_like_one(value):
+    spec = ScenarioSpec(num_clients=value)
+    assert type(spec.num_clients) is int and spec.num_clients == 4
+    assert spec_key(spec) == spec_key(ScenarioSpec(num_clients=4))
+
+
+def test_validate_is_a_recheck_that_returns_the_spec():
+    spec = ScenarioSpec()
+    assert spec.validate() is spec
 
 
 #: Values whose rule only the component that reads them had: each passed
@@ -334,38 +396,19 @@ ENGAGED = {
 }
 
 
+@pytest.mark.parametrize("path", sorted(BUILD_PATHS))
 @pytest.mark.parametrize(
     "system, field, overrides",
     [(system, *rule) for system, rules in SYSTEM_RULES.items() for rule in rules],
     ids=[f"{system}-{name}-{i}" for system, rules in SYSTEM_RULES.items()
          for i, (name, _) in enumerate(rules)],
 )
-def test_every_system_rule_rejects_its_bad_spec(system, field, overrides):
+def test_every_system_rule_rejects_its_bad_spec(system, field, overrides, path):
     with pytest.raises(ScenarioError, match=rf"\b{field}\b"):
-        ScenarioSpec(system=system, **overrides).validate()
+        BUILD_PATHS[path](system, overrides)
 
 
 @pytest.mark.parametrize("system", sorted(SYSTEM_RULES))
 def test_default_and_engaged_specs_validate(system):
     assert ScenarioSpec(system=system).validate().system == system
     ScenarioSpec(system=system, **ENGAGED[system]).validate()
-
-
-#: A spec each trainer would otherwise run on, or fail on mid-round.
-UNVALIDATED = [
-    (FairBFLTrainer, "mode", {"system": "fairbfl", "topology": "ring", "mode": "fl_only"}),
-    (FairBFLTrainer, "strategy", {"system": "fairbfl-discard", "strategy": "median"}),
-    (FedAvgTrainer, "learning_rate", {"system": "fedavg", "learning_rate": 0.0}),
-    (FedProxTrainer, "drop_percent", {"system": "fedprox", "drop_percent": 1.5}),
-    (VanillaBlockchainSimulator, "miners", {"system": "blockchain", "miners": 0}),
-]
-
-
-@pytest.mark.parametrize(
-    "trainer_cls, field, overrides", UNVALIDATED, ids=[f"{o['system']}-{f}" for _, f, o in UNVALIDATED]
-)
-def test_a_trainer_validates_the_spec_it_is_given(tiny_federated, trainer_cls, field, overrides):
-    spec = ScenarioSpec(**overrides)  # never validated by the caller
-    args = (spec,) if trainer_cls is VanillaBlockchainSimulator else (tiny_federated, spec)
-    with pytest.raises(ScenarioError, match=rf"\b{field}\b"):
-        trainer_cls(*args)
