@@ -43,6 +43,13 @@ referenced, so a kept block is never overwritten.  W = 1, a one-part chunk, or a
 in-process.  :meth:`CohortTrainer.close` stops the helpers and unmaps the
 buffers; a helper that dies fails the chunk with :class:`RuntimeError`.
 
+The same helpers and buffers shard a ``serial`` round
+(:meth:`CohortTrainer.shard_local_updates`): a task is a function and its
+arguments, so a helper runs a chunk's rows or a group of clients'
+``FLClient.local_update`` alike, and the fork, teardown and death handling
+are shared.  A serial row is copied into its client's own update and then
+released from both processes' resident sets (the bytes stay in the mapping).
+
 Memory contract
 ---------------
 Cohorts are chunked to at most ``max_cohort_size`` clients, and a chunk trains
@@ -220,7 +227,12 @@ def _train_rows(
 
 
 def _helper_loop(conn, clients, models, buffers, parent_pid: int) -> None:
-    """A helper process: train the row groups it is sent until told to stop."""
+    """A helper process: run the tasks it is sent until told to stop.
+
+    A task is a function and its arguments; the function gets the inherited
+    client map, compiled models and shared buffers first, and its return
+    value is the answer.
+    """
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the coordinator's to handle
     while True:
         if not conn.poll(1.0):
@@ -233,18 +245,53 @@ def _helper_loop(conn, clients, models, buffers, parent_pid: int) -> None:
             return
         if task is None:
             return
-        index, lo, chunk, orders, global_ref, config, width = task
+        function, args = task
         try:
-            cohort = [clients[cid] for cid in chunk]
-            model = _compiled_model(models, cohort[0], global_ref.shape[0])
-            try:
-                params = buffers[index][lo : lo + len(chunk)]
-                result = _train_rows(model, cohort, orders, params, global_ref, config, width)
-            finally:
-                model.release()
+            result = function(clients, models, buffers, *args)
         except Exception:  # noqa: BLE001 - reported to the coordinator, which raises it
             result = traceback.format_exc()
         conn.send(result)
+
+
+def _train_task(clients, models, buffers, index, lo, chunk, orders, global_ref, config, width):
+    """A helper's share of a cohort chunk: train ``chunk`` into rows ``lo:`` of buffer ``index``."""
+    cohort = [clients[cid] for cid in chunk]
+    model = _compiled_model(models, cohort[0], global_ref.shape[0])
+    try:
+        params = buffers[index][lo : lo + len(chunk)]
+        return _train_rows(model, cohort, orders, params, global_ref, config, width)
+    finally:
+        model.release()
+
+
+def _local_update_task(clients, models, buffers, index, lo, chunk, states, global_ref, config):
+    """A helper's share of a serial round: ``FLClient.local_update`` into rows ``lo:``.
+
+    Each client's stream starts from the coordinator's ``states`` entry, and
+    the answer is the clients' losses and the states their streams end in.
+    """
+    rows = buffers[index]
+    losses, ends = [], []
+    for row, (cid, state) in enumerate(zip(chunk, states), lo):
+        client = clients[cid]
+        client.rng.bit_generator.state = state
+        update = client.local_update(global_ref, config)
+        rows[row] = update.parameters
+        _release_row(rows, row)
+        losses.append(update.train_loss)
+        ends.append(client.rng.bit_generator.state)
+    return losses, ends
+
+
+def _release_row(buffer: np.ndarray, row: int) -> None:
+    """Drop ``buffer[row]`` of a shared buffer from this process's resident set.
+
+    ``MADV_DONTNEED`` on a ``MAP_SHARED`` mapping keeps the bytes: only this
+    process's page tables let go, and the next touch maps the pages back.
+    """
+    row_bytes = buffer.shape[1] * buffer.itemsize
+    start = row * row_bytes - row * row_bytes % mmap.PAGESIZE
+    buffer.base.madvise(mmap.MADV_DONTNEED, start, (row + 1) * row_bytes - start)
 
 
 def _stop_helpers(procs: list, conns: list) -> None:
@@ -307,44 +354,27 @@ class _Helpers:
                 return index
         return None
 
-    def train(
-        self,
-        index: int,
-        model: CohortModel,
-        chunk: list[int],
-        cohort: list[FLClient],
-        orders: np.ndarray,
-        global_ref: np.ndarray,
-        config: LocalTrainingConfig,
-        width: int,
-    ) -> tuple[np.ndarray, list[float]]:
-        """Train ``cohort`` into buffer ``index`` across the coordinator and helpers."""
-        size = len(cohort)
-        params = self.buffers[index][:size]
-        self.touched[index] = max(self.touched[index], size)
-        parts, processes = -(-size // width), len(self.conns) + 1
-        bounds = [min(size, -(-g * parts // processes) * width) for g in range(processes + 1)]
+    def run(self, tasks: list[tuple], own):
+        """Send ``tasks[i]`` (a function and its arguments) to helper ``i``, call ``own()`` here.
+
+        Returns ``own()``'s result and the helpers' answers in task order.
+        """
         busy = []
         try:
-            for conn, lo, hi in zip(self.conns, bounds[1:], bounds[2:]):
-                if lo < hi:
-                    conn.send((index, lo, chunk[lo:hi], orders[lo:hi], global_ref, config, width))
-                    busy.append(conn)
-            own = slice(0, bounds[1])
-            losses = _train_rows(
-                model, cohort[own], orders[own], params[own], global_ref, config, width
-            )
-            for conn in busy:
-                result = conn.recv()
-                if isinstance(result, str):
-                    raise RuntimeError(f"a cohort helper process failed:\n{result}")
-                losses += result
+            for conn, task in zip(self.conns, tasks):
+                conn.send(task)
+                busy.append(conn)
+            mine = own()
+            answers = [conn.recv() for conn in busy]
         except (EOFError, OSError) as exc:
             codes = [proc.exitcode for proc in self.procs]
             raise RuntimeError(
-                f"a cohort helper process died while training a chunk (exit codes {codes})"
+                f"a cohort helper process died while training (exit codes {codes})"
             ) from exc
-        return params, losses
+        for answer in answers:
+            if isinstance(answer, str):
+                raise RuntimeError(f"a cohort helper process failed:\n{answer}")
+        return mine, answers
 
     def close(self, *, kill: bool = False) -> None:
         """Stop the helpers and unmap the buffers (a kept view defers its mapping's unmap)."""
@@ -363,9 +393,10 @@ class _Helpers:
 class CohortTrainer:
     """Runs Procedure I for many clients at once with stacked numpy kernels.
 
-    ``max_workers`` is the process count W a multi-part chunk is sharded
-    over (the coordinator plus ``W - 1`` helpers, forked on first use);
-    call :meth:`close` to stop them.  ``None`` picks the CPUs this process
+    ``max_workers`` is the process count W a multi-part chunk, or a serial
+    round's clients (:meth:`shard_local_updates`), is sharded over (the
+    coordinator plus ``W - 1`` helpers, forked on first use); call
+    :meth:`close` to stop them.  ``None`` picks the CPUs this process
     may run on divided by the threads each BLAS call may use.
     """
 
@@ -423,6 +454,18 @@ class CohortTrainer:
             )
         return helpers
 
+    def _run_on(self, helpers: _Helpers, tasks: list[tuple], own):
+        """``helpers.run(tasks, own)``; any failure kills the pool.
+
+        The helpers may be mid-task, so no answer may reach the next round.
+        """
+        try:
+            return helpers.run(tasks, own)
+        except BaseException:
+            self._helpers = None
+            helpers.close(kill=True)
+            raise
+
     @property
     def shared_bytes(self) -> int:
         """Bytes of the shared parameter buffers that chunks have written so far."""
@@ -472,6 +515,63 @@ class CohortTrainer:
             del block  # the CohortBlock contract: drop it before the next chunk trains
         return [by_id[int(cid)] for cid in selected]
 
+    def shard_local_updates(
+        self,
+        clients: Mapping[int, FLClient],
+        selected: list[int],
+        global_parameters: np.ndarray,
+        config: LocalTrainingConfig,
+    ) -> list[ClientUpdate] | None:
+        """``FLClient.local_update`` for every selected client, sharded over the helpers.
+
+        ``selected`` goes in chunks of up to ``max_cohort_size`` clients (a
+        buffer's rows), each split into W contiguous groups: the coordinator
+        runs the first in-process and the helpers the others, into their rows
+        of a shared buffer, which are copied into each client's own
+        :class:`ClientUpdate`.  A client's stream travels as its bit-generator
+        state and the state it ends in is assigned back, so only the
+        coordinator's streams count.  Returns the updates in selection order,
+        or ``None`` when there are no helpers (train in-process).
+        """
+        global_ref = np.asarray(global_parameters, dtype=np.float64)
+        helpers = self._helpers_for(clients, global_ref.shape[0])
+        index = None if helpers is None else helpers.free_buffer()
+        if index is None:
+            return None
+        rows = helpers.buffers[index]
+        updates: list[ClientUpdate] = []
+        for start in range(0, len(selected), self.max_cohort_size):
+            chunk = [int(cid) for cid in selected[start : start + self.max_cohort_size]]
+            bounds = [g * len(chunk) // self.max_workers for g in range(self.max_workers + 1)]
+            groups = [(lo, chunk[lo:hi]) for lo, hi in zip(bounds[1:], bounds[2:]) if lo < hi]
+            tasks = [
+                (
+                    _local_update_task,
+                    (
+                        index,
+                        lo,
+                        group,
+                        [clients[cid].rng.bit_generator.state for cid in group],
+                        global_ref,
+                        config,
+                    ),
+                )
+                for lo, group in groups
+            ]
+            own = chunk[: bounds[1]]
+            mine, answers = self._run_on(
+                helpers, tasks, lambda: [clients[cid].local_update(global_ref, config) for cid in own]
+            )
+            updates += mine
+            for (lo, group), (losses, states) in zip(groups, answers):
+                for row, (cid, loss, state) in enumerate(zip(group, losses, states), lo):
+                    clients[cid].rng.bit_generator.state = state
+                    updates.append(
+                        ClientUpdate(client_id=cid, parameters=rows[row].copy(), train_loss=loss)
+                    )
+                    _release_row(rows, row)
+        return updates
+
     def _train_chunk(
         self,
         clients: Mapping[int, FLClient],
@@ -502,14 +602,28 @@ class CohortTrainer:
                 params = np.empty((size, global_ref.shape[0]))
                 train_losses = _train_rows(model, cohort, orders, params, global_ref, config, width)
             else:
-                params, train_losses = helpers.train(
-                    index, model, chunk, cohort, orders, global_ref, config, width
+                params = helpers.buffers[index][:size]
+                helpers.touched[index] = max(helpers.touched[index], size)
+                # W contiguous groups of whole parts; the coordinator trains the first.
+                parts, processes = -(-size // width), self.max_workers
+                bounds = [
+                    min(size, -(-g * parts // processes) * width) for g in range(processes + 1)
+                ]
+                tasks = [
+                    (_train_task, (index, lo, chunk[lo:hi], orders[lo:hi], global_ref, config, width))
+                    for lo, hi in zip(bounds[1:], bounds[2:])
+                    if lo < hi
+                ]
+                own = slice(0, bounds[1])
+                train_losses, answers = self._run_on(
+                    helpers,
+                    tasks,
+                    lambda: _train_rows(
+                        model, cohort[own], orders[own], params[own], global_ref, config, width
+                    ),
                 )
-        except BaseException:
-            if index is not None:  # helpers may be mid-task: no answer may reach the next chunk
-                self._helpers = None
-                helpers.close(kill=True)
-            raise
+                for losses in answers:
+                    train_losses += losses
         finally:
             # The template's parameters are views of ``params`` / ``grads`` by now:
             # release them, or it pins both matrices until the next chunk.

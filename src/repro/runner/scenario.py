@@ -273,8 +273,8 @@ class ScenarioSpec:
         None,
         check=check_positive,
         flag="--workers",
-        help="processes a cohort chunk is sharded over (default: the usable "
-        "CPUs per BLAS thread count)",
+        help="processes local updates are sharded over, on either backend "
+        "(default: the usable CPUs per BLAS thread count)",
     )
 
     def __post_init__(self) -> None:
