@@ -195,14 +195,19 @@ def make_gradient_transaction(
     *,
     keystore: KeyStore | None = None,
     client_index: int | None = None,
+    digest: str | None = None,
 ) -> Transaction:
-    """Build (and optionally sign) a gradient-upload transaction."""
+    """Build (and optionally sign) a gradient-upload transaction.
+
+    ``digest`` is the gradient's :func:`_digest_vector` when the process that
+    trained it took it already; the gradient is hashed here otherwise.
+    """
     gradient = np.asarray(gradient, dtype=np.float64)
     tx = Transaction(
         tx_type=TransactionType.GRADIENT_UPLOAD,
         sender=sender,
         round_index=int(round_index),
-        payload_digest=_digest_vector(gradient),
+        payload_digest=_digest_vector(gradient) if digest is None else digest,
         payload_size_bytes=int(gradient.size) * _BYTES_PER_ELEMENT,
         metadata={} if client_index is None else {"client_index": int(client_index)},
         payload=gradient,

@@ -72,6 +72,7 @@ class FairBFLTrainer(Trainer):
     """
 
     label = "fair-bfl"
+    uploads_updates = True
 
     def __init__(
         self,

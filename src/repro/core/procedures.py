@@ -34,7 +34,12 @@ from repro.incentive.contribution import (
 from repro.incentive.distance import cosine_distance_to_reference
 from repro.incentive.rewards import RewardEntry
 from repro.incentive.strategies import Strategy, StrategyOutcome
-from repro.utils.vectors import compact_rows_in_place, finite_rows
+from repro.utils.vectors import (
+    compact_rows_in_place,
+    finite_rows,
+    finite_rows_of_norms,
+    row_norms,
+)
 
 from typing import TYPE_CHECKING, Callable, Sequence
 
@@ -133,7 +138,8 @@ def procedure_upload(
     clears them (:meth:`~repro.blockchain.miner.Miner.reset_round`) when the
     previous round ends.  Each update hands its vector to its transaction
     (``update.parameters`` becomes ``None``), so the upload is the vector's
-    one holder until Procedure III stacks it.
+    one holder until Procedure III stacks it.  An update that carries its
+    digest (hashed where a sharded round trained it) is not hashed again.
     """
     ctx.rejected_uploads = 0
     for update in ctx.updates:
@@ -143,6 +149,7 @@ def procedure_upload(
             update.parameters,
             keystore=keystore,
             client_index=update.client_id,
+            digest=update.digest,
         )
         update.parameters = None
         ctx.transactions.append(tx)
@@ -228,8 +235,17 @@ def procedure_global_update(
         return _keep_global(ctx)
     previous = np.asarray(ctx.global_parameters, dtype=np.float64)
     # Survivors move up to the leading rows, so the round keeps one copy of
-    # its gradients; ``rows`` is each survivor's input row.
-    rows = np.flatnonzero(finite_rows(matrix))
+    # its gradients; ``rows`` is each survivor's input row.  Without a
+    # defense the matrix reaches Equation (1)'s θ unchanged, so its row norms
+    # are computed once: they screen the rows and then score them.
+    scored = run_incentive and clusterer is not None and strategy is not None
+    norms = None
+    if defense is None and scored:
+        norms = row_norms(matrix)
+        rows = np.flatnonzero(finite_rows_of_norms(matrix, norms))
+        norms = norms[rows]
+    else:
+        rows = np.flatnonzero(finite_rows(matrix))
     matrix = compact_rows_in_place(matrix, rows)
     if defense is not None and rows.size:
         np.subtract(matrix, previous, out=matrix)
@@ -254,7 +270,7 @@ def procedure_global_update(
     if defense is None:
         base_global = simple_average(matrix)
 
-    if not run_incentive or clusterer is None or strategy is None:
+    if not scored:
         ctx.new_global_parameters = base_global
         return ctx
 
@@ -279,7 +295,7 @@ def procedure_global_update(
         matrix,
         client_ids,
         report,
-        cosine_distance_to_reference(matrix, base_global),
+        cosine_distance_to_reference(matrix, base_global, norms),
         use_fair_aggregation=use_fair_aggregation,
     )
     ctx.contribution_report = report

@@ -27,10 +27,10 @@ import numpy as np
 from repro.datasets.federated import ClientDataset
 from repro.datasets.loaders import minibatches
 from repro.nn.losses import SoftmaxCrossEntropyLoss
+from repro.nn.metrics import accuracy
 from repro.nn.module import Module
 from repro.nn.optim import SGD, add_proximal_term
 from repro.nn.parameters import (
-    accuracy_of_parameters,
     get_flat_parameters,
     pack_parameters,
     set_flat_parameters,
@@ -78,6 +78,12 @@ class ClientUpdate:
         Procedure II has handed it to the client's upload transaction.
     train_loss:
         Mean training loss over the local epochs.
+    digest:
+        SHA-256 hex digest of ``parameters`` when the process that trained
+        them took it (a sharded round of a trainer that uploads its updates,
+        ``CohortTrainer.shard_local_updates``), else ``None``: Procedure II
+        then hashes the vector itself.  :meth:`copy_with_parameters` drops
+        it, so a forged vector is hashed as what it is.
 
     The paper's accuracy is not here: it is each client's verification
     accuracy under the round's *new global* parameters, which the trainer
@@ -87,10 +93,11 @@ class ClientUpdate:
     client_id: int
     parameters: np.ndarray | None
     train_loss: float
+    digest: str | None = None
 
     def copy_with_parameters(self, parameters: np.ndarray) -> "ClientUpdate":
-        """Return a copy of this update carrying different parameters."""
-        return replace(self, parameters=np.asarray(parameters, dtype=np.float64))
+        """Return a copy of this update carrying different parameters (and no digest)."""
+        return replace(self, parameters=np.asarray(parameters, dtype=np.float64), digest=None)
 
 
 class ModelWorkspace:
@@ -199,8 +206,13 @@ class FLClient:
             train_loss=float(np.mean(losses)) if losses else 0.0,
         )
 
-    def evaluate(self, parameters: np.ndarray) -> float:
-        """Accuracy of ``parameters`` on the client's local verification split."""
-        return accuracy_of_parameters(
-            self.model, parameters, self.dataset.val_images, self.dataset.val_labels
-        )
+    def evaluate(self, parameters: np.ndarray, *, loaded: bool = False) -> float:
+        """Accuracy of ``parameters`` on the client's local verification split.
+
+        ``loaded`` says the scratch model holds ``parameters`` already: the
+        clients of one trainer share that model, so scoring one vector on many
+        of them loads it once (``Trainer.mean_accuracy``).
+        """
+        if not loaded:
+            set_flat_parameters(self.model, parameters)
+        return accuracy(self.model.forward(self.dataset.val_images), self.dataset.val_labels)

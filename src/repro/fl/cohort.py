@@ -49,6 +49,9 @@ arguments, so a helper runs a chunk's rows or a group of clients'
 ``FLClient.local_update`` alike, and the fork, teardown and death handling
 are shared.  A serial row is copied into its client's own update and then
 released from both processes' resident sets (the bytes stay in the mapping).
+When the trainer uploads its updates, each is hashed by the process that
+trained it: a helper's answer carries its rows' SHA-256 digests beside their
+losses and stream states, so Procedure II does not hash them serially.
 
 Memory contract
 ---------------
@@ -85,6 +88,7 @@ from typing import Iterator, Mapping
 
 import numpy as np
 
+from repro.blockchain.transaction import _digest_vector
 from repro.fl.client import ClientUpdate, FLClient, LocalTrainingConfig
 from repro.nn.cohort import CohortModel
 from repro.nn.optim import add_proximal_term, sgd_step
@@ -264,14 +268,18 @@ def _train_task(clients, models, buffers, index, lo, chunk, orders, global_ref, 
         model.release()
 
 
-def _local_update_task(clients, models, buffers, index, lo, chunk, states, global_ref, config):
+def _local_update_task(
+    clients, models, buffers, index, lo, chunk, states, global_ref, config, digests
+):
     """A helper's share of a serial round: ``FLClient.local_update`` into rows ``lo:``.
 
     Each client's stream starts from the coordinator's ``states`` entry, and
-    the answer is the clients' losses and the states their streams end in.
+    the answer is the clients' losses, the states their streams end in, and,
+    when ``digests`` is set, the SHA-256 of each row it wrote (``None``
+    otherwise), so the coordinator's upload need not hash it again.
     """
     rows = buffers[index]
-    losses, ends = [], []
+    losses, ends, hashes = [], [], []
     for row, (cid, state) in enumerate(zip(chunk, states), lo):
         client = clients[cid]
         client.rng.bit_generator.state = state
@@ -280,7 +288,8 @@ def _local_update_task(clients, models, buffers, index, lo, chunk, states, globa
         _release_row(rows, row)
         losses.append(update.train_loss)
         ends.append(client.rng.bit_generator.state)
-    return losses, ends
+        hashes.append(_digest_vector(update.parameters) if digests else None)
+    return losses, ends, hashes
 
 
 def _release_row(buffer: np.ndarray, row: int) -> None:
@@ -521,6 +530,7 @@ class CohortTrainer:
         selected: list[int],
         global_parameters: np.ndarray,
         config: LocalTrainingConfig,
+        digests: bool,
     ) -> list[ClientUpdate] | None:
         """``FLClient.local_update`` for every selected client, sharded over the helpers.
 
@@ -530,8 +540,11 @@ class CohortTrainer:
         of a shared buffer, which are copied into each client's own
         :class:`ClientUpdate`.  A client's stream travels as its bit-generator
         state and the state it ends in is assigned back, so only the
-        coordinator's streams count.  Returns the updates in selection order,
-        or ``None`` when there are no helpers (train in-process).
+        coordinator's streams count.  With ``digests`` every update also
+        carries the SHA-256 of its parameters (``ClientUpdate.digest``), taken
+        by the process that trained it: the coordinator hashes its own group
+        while the helpers train theirs.  Returns the updates in selection
+        order, or ``None`` when there are no helpers (train in-process).
         """
         global_ref = np.asarray(global_parameters, dtype=np.float64)
         helpers = self._helpers_for(clients, global_ref.shape[0])
@@ -554,20 +567,30 @@ class CohortTrainer:
                         [clients[cid].rng.bit_generator.state for cid in group],
                         global_ref,
                         config,
+                        digests,
                     ),
                 )
                 for lo, group in groups
             ]
             own = chunk[: bounds[1]]
-            mine, answers = self._run_on(
-                helpers, tasks, lambda: [clients[cid].local_update(global_ref, config) for cid in own]
-            )
+
+            def train_own():
+                mine = [clients[cid].local_update(global_ref, config) for cid in own]
+                if digests:
+                    for update in mine:
+                        update.digest = _digest_vector(update.parameters)
+                return mine
+
+            mine, answers = self._run_on(helpers, tasks, train_own)
             updates += mine
-            for (lo, group), (losses, states) in zip(groups, answers):
-                for row, (cid, loss, state) in enumerate(zip(group, losses, states), lo):
+            for (lo, group), answer in zip(groups, answers):
+                for row, (cid, loss, state, digest) in enumerate(zip(group, *answer), lo):
                     clients[cid].rng.bit_generator.state = state
                     updates.append(
-                        ClientUpdate(client_id=cid, parameters=rows[row].copy(), train_loss=loss)
+                        ClientUpdate(
+                            client_id=cid, parameters=rows[row].copy(), train_loss=loss,
+                            digest=digest,
+                        )
                     )
                     _release_row(rows, row)
         return updates

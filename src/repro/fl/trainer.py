@@ -66,6 +66,7 @@ from repro.fl.client import ClientUpdate, FLClient, LocalTrainingConfig, ModelWo
 from repro.fl.cohort import CohortTrainer
 from repro.fl.history import RoundRecord, TrainingHistory
 from repro.nn.models import ModelFactory
+from repro.nn.parameters import set_flat_parameters
 from repro.utils.rng import new_rng
 from repro.utils.timer import SimulatedClock
 
@@ -160,6 +161,11 @@ class Trainer:
 
     label = "trainer"
 
+    #: Whether Procedure II uploads every update as a transaction carrying
+    #: its SHA-256 digest; a sharded round then hashes each update in the
+    #: process that trained it.  Trainers that upload nothing pay no hash.
+    uploads_updates = False
+
     #: Attributes rebuilt by the constructor (or unpicklable) and therefore
     #: excluded from the state blob.  Subclasses may extend it.
     CHECKPOINT_EXCLUDE: tuple[str, ...] = (
@@ -231,14 +237,16 @@ class Trainer:
 
         The one place that chooses the backend; both yield the same bytes.  A
         ``serial`` round of at least :data:`SHARD_WORK` is sharded over the
-        pool's ``max_workers`` processes (``CohortTrainer.shard_local_updates``).
+        pool's ``max_workers`` processes (``CohortTrainer.shard_local_updates``);
+        with :attr:`uploads_updates` set, each process also hashes the updates
+        it trained.
         """
         if self.cohort is not None:
             return self.cohort.run_local_updates(self.clients, selected, global_parameters, config)
         samples = sum(self.clients[cid].num_samples for cid in selected)
         if samples * config.epochs * np.size(global_parameters) >= SHARD_WORK:
             updates = self._pool.shard_local_updates(
-                self.clients, selected, global_parameters, config
+                self.clients, selected, global_parameters, config, self.uploads_updates
             )
             if updates is not None:
                 return updates
@@ -255,12 +263,16 @@ class Trainer:
         systems.  The cohort backend scores the population batched — one
         stacked forward per distinct validation shard instead of one forward
         per participant through the caller's scratch model; the floats are
-        bit-identical either way.
+        bit-identical either way.  The serial loop loads ``parameters`` into
+        the clients' shared scratch model once, not once per participant.
         """
         if self.cohort is not None:
             accuracies = self.cohort.evaluate_population(self.clients, client_ids, parameters)
         else:
-            accuracies = [self.clients[cid].evaluate(parameters) for cid in client_ids]
+            set_flat_parameters(self._workspace.model(), parameters)
+            accuracies = [
+                self.clients[cid].evaluate(parameters, loaded=True) for cid in client_ids
+            ]
         return float(np.mean(accuracies))
 
     def _emit(self, round_index: int, delay: float, accuracy: float, **fields) -> RoundRecord:

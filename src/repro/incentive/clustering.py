@@ -24,6 +24,7 @@ from repro.utils.vectors import (
     normalise_rows_in_place,
     pairwise_cosine_distance_in_place,
     pairwise_euclidean_distance,
+    row_norms,
 )
 
 __all__ = ["CLUSTERERS", "ClusteringResult", "DBSCAN", "OwnedRows", "make_clusterer"]
@@ -63,25 +64,36 @@ class OwnedRows:
 
     ``fit`` copies any other input first.  Algorithm 2 hands over its
     ``W ∪ {w_{r+1}}`` buffer this way once it has read θ from it, so the
-    cosine metric normalises that buffer instead of a copy of it.
+    cosine metric normalises that buffer instead of a copy of it.  ``norms``
+    are the rows' :func:`~repro.utils.vectors.row_norms` when the caller
+    has them already (Algorithm 2 read θ from them); the cosine metric
+    computes them otherwise.
     """
 
     rows: np.ndarray
+    norms: np.ndarray | None = None
 
 
-def _owned_vectors(vectors) -> np.ndarray:
+def _owned_vectors(vectors) -> OwnedRows:
     """The matrix ``fit`` may overwrite: the handed-over rows, else a copy."""
-    v = vectors.rows if isinstance(vectors, OwnedRows) else np.array(vectors, dtype=np.float64)
-    if v.ndim != 2 or v.shape[0] == 0:
-        raise ValueError(f"expected a non-empty (k, d) matrix, got shape {v.shape}")
-    return v
+    if not isinstance(vectors, OwnedRows):
+        vectors = OwnedRows(np.array(vectors, dtype=np.float64))
+    shape = vectors.rows.shape
+    if len(shape) != 2 or shape[0] == 0:
+        raise ValueError(f"expected a non-empty (k, d) matrix, got shape {shape}")
+    return vectors
 
 
-def _distance_matrix(v: np.ndarray, metric: str) -> np.ndarray:
+def _norms(owned: OwnedRows) -> np.ndarray:
+    """The handed-over rows' norms, computed if the caller had none."""
+    return row_norms(owned.rows) if owned.norms is None else owned.norms
+
+
+def _distance_matrix(owned: OwnedRows, metric: str) -> np.ndarray:
     if metric == "cosine":
-        return pairwise_cosine_distance_in_place(v)
+        return pairwise_cosine_distance_in_place(owned.rows, _norms(owned))
     if metric == "euclidean":
-        return pairwise_euclidean_distance(v)
+        return pairwise_euclidean_distance(owned.rows)
     raise ValueError(f"unknown metric {metric!r}; expected 'cosine' or 'euclidean'")
 
 
@@ -153,9 +165,10 @@ class KMeans:
 
     def fit(self, vectors: np.ndarray | OwnedRows) -> ClusteringResult:
         """Cluster the rows of ``vectors`` and return the labelling."""
-        v = _owned_vectors(vectors)
+        owned = _owned_vectors(vectors)
+        v = owned.rows
         if self.metric == "cosine":
-            normalise_rows_in_place(v)
+            normalise_rows_in_place(v, _norms(owned))
         n = v.shape[0]
         k = min(self.num_clusters, n)
         rng = np.random.default_rng(self.seed)

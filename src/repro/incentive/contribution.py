@@ -29,6 +29,7 @@ import numpy as np
 from repro.incentive.clustering import DBSCAN, ClusteringResult, KMeans, NOISE_LABEL, OwnedRows
 from repro.incentive.distance import cosine_distance_to_reference
 from repro.incentive.rewards import RewardEntry, apportion_rewards
+from repro.utils.vectors import row_norms
 
 __all__ = [
     "ContributionReport",
@@ -114,9 +115,11 @@ def identify_contributions_in_place(
     """:func:`identify_contributions` on an owned ``W ∪ {w_{r+1}}`` buffer.
 
     ``stacked`` is the ``(k + 1, d)`` ``float64`` matrix of the ``k`` uploaded
-    vectors with the global update as its last row.  The θ_i are read from it
-    first; it is then handed over to the clusterer (the cosine metric
-    normalises its rows in place), so the round needs no copy of it.
+    vectors with the global update as its last row.  Its row norms are
+    computed once and serve twice: the θ_i are read from the buffer and the
+    norms first, then both are handed over to the clusterer, whose cosine
+    metric normalises the rows in place by those norms.  So the round needs
+    no copy of the buffer and no second norm pass.
     """
     ids = [int(c) for c in np.asarray(client_ids).ravel()]
     if stacked.ndim != 2 or stacked.shape[0] < 2:
@@ -127,8 +130,9 @@ def identify_contributions_in_place(
             f"{stacked.shape[0] - 1} rows"
         )
 
-    thetas_all = cosine_distance_to_reference(stacked[:-1], stacked[-1])
-    clustering = clusterer.fit(OwnedRows(stacked))
+    norms = row_norms(stacked)
+    thetas_all = cosine_distance_to_reference(stacked[:-1], stacked[-1], norms[:-1])
+    clustering = clusterer.fit(OwnedRows(stacked, norms))
     global_label = clustering.cluster_of(stacked.shape[0] - 1)
 
     used_fallback = False

@@ -14,7 +14,9 @@ from repro.utils.vectors import NEAR_ZERO, row_norms
 __all__ = ["cosine_distance_to_reference"]
 
 
-def cosine_distance_to_reference(matrix: np.ndarray, reference: np.ndarray) -> np.ndarray:
+def cosine_distance_to_reference(
+    matrix: np.ndarray, reference: np.ndarray, norms: np.ndarray | None = None
+) -> np.ndarray:
     """Cosine distance of every row of ``matrix`` to ``reference``.
 
     Parameters
@@ -23,6 +25,9 @@ def cosine_distance_to_reference(matrix: np.ndarray, reference: np.ndarray) -> n
         ``(k, d)`` matrix of uploaded vectors.
     reference:
         ``(d,)`` reference vector (the global update ``w_{r+1}``).
+    norms:
+        :func:`~repro.utils.vectors.row_norms` of ``matrix``, when the caller
+        has them already; computed here otherwise.
 
     Returns
     -------
@@ -39,7 +44,8 @@ def cosine_distance_to_reference(matrix: np.ndarray, reference: np.ndarray) -> n
             f"dimension mismatch: matrix has {m.shape[1]} columns, reference has "
             f"{r.shape[0]} elements"
         )
-    norms = row_norms(m)
+    if norms is None:
+        norms = row_norms(m)
     ref_norm = np.linalg.norm(r)
     sims = np.zeros(m.shape[0], dtype=np.float64)
     if ref_norm >= NEAR_ZERO:

@@ -25,6 +25,7 @@ __all__ = [
     "unflatten_array",
     "row_norms",
     "finite_rows",
+    "finite_rows_of_norms",
     "pairwise_cosine_distance_in_place",
     "pairwise_euclidean_distance",
 ]
@@ -118,6 +119,18 @@ def finite_rows(matrix: np.ndarray) -> np.ndarray:
     return finite
 
 
+def finite_rows_of_norms(matrix: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """:func:`finite_rows` of ``matrix``, read from its :func:`row_norms` ``norms``.
+
+    A finite norm proves a finite row: a NaN entry makes the sum of squares
+    NaN and an infinite one makes it +Inf.  Not every finite row has a finite
+    norm (entries of ±1e200 overflow their squares), so the entries are
+    scanned only when some norm is NaN or ±Inf.
+    """
+    finite = np.isfinite(norms)
+    return finite if finite.all() else finite_rows(matrix)
+
+
 def compact_rows_in_place(m: np.ndarray, rows: Sequence[int]) -> np.ndarray:
     """Move the rows ``rows`` (ascending, distinct) of the owned matrix ``m`` to its top.
 
@@ -131,25 +144,27 @@ def compact_rows_in_place(m: np.ndarray, rows: Sequence[int]) -> np.ndarray:
     return m[: len(rows)]
 
 
-def normalise_rows_in_place(m: np.ndarray) -> np.ndarray:
+def normalise_rows_in_place(m: np.ndarray, norms: np.ndarray) -> np.ndarray:
     """Divide every row of the owned ``float64`` matrix ``m`` by its ℓ2 norm.
 
-    Rows with norm below :data:`NEAR_ZERO` are left as they are; the mask of
-    those rows is returned.
+    ``norms`` is :func:`row_norms` of ``m`` as handed over; the caller
+    computes it once and may read it elsewhere too.  Rows with norm below
+    :data:`NEAR_ZERO` are left as they are; the mask of those rows is
+    returned.
     """
-    norms = row_norms(m)
     m /= np.where(norms < NEAR_ZERO, 1.0, norms)[:, None]
     return norms < NEAR_ZERO
 
 
-def pairwise_cosine_distance_in_place(m: np.ndarray) -> np.ndarray:
+def pairwise_cosine_distance_in_place(m: np.ndarray, norms: np.ndarray) -> np.ndarray:
     """Pairwise cosine-distance matrix for the rows of the owned ``float64`` matrix ``m``.
 
-    Normalises ``m``'s rows in place (see :func:`normalise_rows_in_place`)
-    and takes their Gram matrix, so it needs no copy of ``m``.
+    Normalises ``m``'s rows in place by their ``norms`` (see
+    :func:`normalise_rows_in_place`) and takes their Gram matrix, so it needs
+    no copy of ``m``.
     """
     m = _check_rows(m)
-    zero_mask = normalise_rows_in_place(m)
+    zero_mask = normalise_rows_in_place(m, norms)
     sims = np.clip(m @ m.T, -1.0, 1.0)
     # Rows that were (near-)zero vectors are defined as orthogonal to everything
     # but identical to themselves.

@@ -14,10 +14,16 @@ matrix in place.  ``TestRoundMemory`` bounds the tracemalloc peak of a
 (directions, their ``vstack`` with the global direction, the unit rows) read
 3.08× the gradient matrix, and the defense's copies (``matrix − previous``,
 the clipped copy, Krum's survivors, ``previous + deltas``) 4.16×.
+Without a defense the non-finite screen reads the gradient matrix's norms,
+which Equation (1)'s θ reuse: the screen keeps exactly ``finite_rows``'s rows
+(NaN, ±Inf and overflowing ±1e200 rows included), the screened round equals
+the parent's, and ``TestRoundNormPasses`` counts two norm passes and no
+separate scan where the parent took three and one.
 """
 
 from __future__ import annotations
 
+import sys
 import tracemalloc
 
 import numpy as np
@@ -39,7 +45,14 @@ from repro.incentive.contribution import identify_contributions
 from repro.incentive.distance import cosine_distance_to_reference
 from repro.incentive.rewards import apportion_rewards
 from repro.incentive.strategies import DiscardStrategy, KeepAllStrategy
-from repro.utils.vectors import NORM_BLOCK_ROWS, pairwise_cosine_distance_in_place, row_norms
+from repro.utils import vectors
+from repro.utils.vectors import (
+    NORM_BLOCK_ROWS,
+    finite_rows,
+    finite_rows_of_norms,
+    pairwise_cosine_distance_in_place,
+    row_norms,
+)
 
 pytestmark = pytest.mark.aggregation
 
@@ -100,6 +113,16 @@ def _parent_global_update(matrix, ids, previous, clusterer, strategy, defense):
     return report, outcome.global_update
 
 
+def _parent_screened_global_update(matrix, ids, previous, clusterer, strategy):
+    """Procedure IV without a defense as the parent screened it: ``finite_rows``
+    on the matrix, the survivors copied out, and every norm recomputed below."""
+    rows = np.flatnonzero(finite_rows(matrix))
+    kept = [ids[i] for i in rows]
+    if not kept:
+        return kept, None, previous
+    return kept, *_parent_global_update(matrix[rows], kept, previous, clusterer, strategy, None)
+
+
 def _rewards(report):
     return [(e.client_id, e.reward) for e in report.reward_list]
 
@@ -149,7 +172,7 @@ def test_weighted_average_and_fair_aggregate_equal_parent(m, data):
 @given(m=matrices())
 def test_pairwise_cosine_distance_equals_parent(m):
     before = m.tobytes()
-    got = pairwise_cosine_distance_in_place(m.copy())
+    got = pairwise_cosine_distance_in_place(m.copy(), row_norms(m))
     assert got.tobytes() == _parent_pairwise_cosine_distance(m).tobytes()
     labels = DBSCAN(eps=0.7, min_samples=2).fit(m).labels
     assert m.tobytes() == before
@@ -261,6 +284,68 @@ def test_round_path_equals_parent_procedure(m, strategy, defense, clusterer):
     assert _rewards(ctx.contribution_report) == _rewards(want_report)
 
 
+# -- the norm-based screen -------------------------------------------------------
+@st.composite
+def screened_matrices(draw):
+    """:func:`matrices` with some rows poisoned: a NaN or ±Inf entry, or finite
+    entries of ±1e200 whose squares overflow (a finite row of infinite norm)."""
+    m = draw(matrices(widths=(1, 3, B + 1)))
+    for row in draw(st.lists(st.integers(0, m.shape[0] - 1), max_size=4)):
+        kind = draw(st.sampled_from(("nan", "inf", "-inf", "huge")))
+        if kind == "huge":
+            signs = np.where(np.arange(m.shape[1]) % 2, -1.0, 1.0)
+            m[row] = 1e200 * signs
+        else:
+            m[row, draw(st.integers(0, m.shape[1] - 1))] = float(kind)
+    return m
+
+
+@settings(max_examples=80, deadline=None)
+@given(m=screened_matrices())
+def test_norm_screen_keeps_the_rows_finite_rows_keeps(m):
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = row_norms(m)
+    got = finite_rows_of_norms(m, norms)
+    assert got.tobytes() == finite_rows(m).tobytes()
+
+
+class _Recording(KeepAllStrategy):
+    """Keep-all, remembering the ids and Equation (1)'s θ it was given."""
+
+    def apply(self, updates, client_ids, report, thetas, *, use_fair_aggregation=True):
+        self.seen = (list(client_ids), np.array(thetas))
+        return super().apply(
+            updates, client_ids, report, thetas, use_fair_aggregation=use_fair_aggregation
+        )
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=screened_matrices(), clusterer=clusterers)
+def test_screened_round_equals_parent_procedure(m, clusterer):
+    previous = np.random.default_rng(7).normal(size=m.shape[1])
+    ids = list(range(10, 10 + m.shape[0]))
+    matrix = previous[None, :] + m
+    want, got = _Recording(), _Recording()
+    ctx = RoundContext(
+        round_index=0, global_parameters=previous, gradient_matrix=matrix.copy(),
+        gradient_client_ids=list(ids),
+    )
+    with np.errstate(all="ignore"):
+        kept, want_report, want_global = _parent_screened_global_update(
+            matrix, ids, previous, clusterer, want
+        )
+        procedure_global_update(ctx, clusterer=clusterer, base_reward=1.0, strategy=got)
+    assert ctx.gradient_client_ids == kept
+    assert ctx.defense_rejected_ids == [cid for cid in ids if cid not in kept]
+    assert ctx.new_global_parameters.tobytes() == want_global.tobytes()
+    if kept:
+        assert got.seen[0] == want.seen[0] == kept
+        assert got.seen[1].tobytes() == want.seen[1].tobytes()
+        # Bytes, not ==: an overflowing row's reward is NaN on both sides.
+        want_rewards = np.array(_rewards(want_report), dtype=np.float64)
+        assert np.array(_rewards(ctx.contribution_report)).tobytes() == want_rewards.tobytes()
+
+
 # -- round memory ---------------------------------------------------------------
 def _fig4_sync_round(seed=0, k=50, d=50_890, flipped=10):
     """A 50-client round over the mlp's 50 890 parameters: most clients share a
@@ -308,3 +393,45 @@ class TestRoundMemory:
             f"for a {matrix.nbytes / MiB:.1f} MiB matrix ({ratio:.2f}x, bound {bound}x)"
         )
         assert ratio <= bound
+
+
+class TestRoundNormPasses:
+    """How often a fig4_sync-sized round reads its buffers for norms or a screen."""
+
+    @staticmethod
+    def _counting(monkeypatch, name):
+        """Count calls of ``repro.utils.vectors.<name>`` through every module bound to it."""
+        original, calls = getattr(vectors, name), []
+
+        def counted(*args, **kwargs):
+            calls.append(np.shape(args[0]))
+            return original(*args, **kwargs)
+
+        for module in list(sys.modules.values()):
+            if module is not None and module.__name__.startswith("repro") and (
+                getattr(module, name, None) is original
+            ):
+                monkeypatch.setattr(module, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("strategy", ["keep", "discard"])
+    def test_a_round_without_a_defense_takes_two_norm_passes_and_no_screen(
+        self, monkeypatch, strategy
+    ):
+        previous, matrix = _fig4_sync_round()
+        norms = self._counting(monkeypatch, "row_norms")
+        screens = self._counting(monkeypatch, "finite_rows")
+        ctx = RoundContext(
+            round_index=0, global_parameters=previous, gradient_matrix=matrix,
+            gradient_client_ids=list(range(matrix.shape[0])),
+        )
+        procedure_global_update(
+            ctx,
+            clusterer=DBSCAN(eps=0.7),
+            base_reward=1.0,
+            strategy=KeepAllStrategy() if strategy == "keep" else DiscardStrategy(),
+        )
+        # The gradient matrix once (screen and Equation (1)'s θ), and the
+        # direction buffer W ∪ {w_{r+1}} once (Algorithm 2's θ and DBSCAN).
+        assert norms == [(50, 50_890), (51, 50_890)]
+        assert screens == []

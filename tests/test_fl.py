@@ -15,6 +15,7 @@ from repro.fl.aggregation import (
 )
 from repro.fl.client import ClientUpdate, FLClient, LocalTrainingConfig
 from repro.fl.fedavg import FedAvgTrainer
+from repro.fl import trainer as trainer_module
 from repro.fl.fedprox import FedProxTrainer
 from repro.fl.history import RoundRecord, TrainingHistory
 from repro.fl.selection import ContributionBasedSelector, RandomSelector
@@ -71,6 +72,35 @@ class TestFLClient:
     def test_evaluate_bounds(self, client):
         acc = client.evaluate(get_flat_parameters(client.model))
         assert 0.0 <= acc <= 1.0
+
+    @pytest.mark.parametrize("model_name", ["logreg", "mlp"])
+    def test_mean_accuracy_loads_once_to_per_client_floats(
+        self, tiny_federated, model_name, monkeypatch
+    ):
+        spec = ScenarioSpec(num_clients=6, num_samples=400, model_name=model_name, seed=7)
+        trainer = FedAvgTrainer(tiny_federated, spec)
+        ids = [4, 0, 5, 2]
+        vector = new_rng(3, "vector").normal(size=trainer._workspace.model().num_parameters())
+        loads, scores = [], []
+        load, evaluate = trainer_module.set_flat_parameters, FLClient.evaluate
+
+        def count_load(*args):
+            loads.append(args)
+            return load(*args)
+
+        def keep_score(*args, **kwargs):
+            scores.append(evaluate(*args, **kwargs))
+            return scores[-1]
+
+        monkeypatch.setattr(trainer_module, "set_flat_parameters", count_load)
+        monkeypatch.setattr(FLClient, "evaluate", keep_score)
+        got = trainer.mean_accuracy(ids, vector)
+        monkeypatch.undo()
+        assert len(loads) == 1
+        per_client = [trainer.clients[cid].evaluate(vector) for cid in ids]
+        assert np.array(scores).tobytes() == np.array(per_client).tobytes()
+        assert got == float(np.mean(per_client))
+        assert len(set(per_client)) > 1  # distinct splits, not one score repeated
 
     def test_copy_with_parameters(self):
         upd = ClientUpdate(client_id=3, parameters=np.zeros(4), train_loss=0.5)

@@ -18,9 +18,12 @@ import json
 import multiprocessing
 import os
 import signal
+import time
 
 import pytest
 
+from repro.blockchain.miner import Miner
+from repro.blockchain.transaction import TransactionType, _digest_vector
 from repro.fl import trainer as fl_trainer
 from repro.fl.client import FLClient
 from repro.fl.cohort import CohortTrainer
@@ -105,6 +108,49 @@ class TestParity:
         assert _rounds(sharded, 2) == reference
 
 
+@pytest.mark.ledger
+class TestUploadDigests:
+    """A sharded round hashes each upload where it was trained, to the same bytes."""
+
+    @staticmethod
+    def _uploads(workers, run) -> list:
+        """Run ``run``; return the digest each update left Procedure I with."""
+        trainer = _trainer(workers, **RUNS[run])
+        trained, local_updates = [], trainer.local_updates
+
+        def keep_digests(*args):
+            updates = local_updates(*args)
+            trained.extend(update.digest for update in updates)
+            return updates
+
+        trainer.local_updates = keep_digests
+        with trainer:
+            trainer.run_until(SMALL["num_rounds"])
+        return trained
+
+    @pytest.mark.parametrize("run", sorted(RUNS))
+    def test_every_upload_digest_is_its_payloads(self, shard_every_round, monkeypatch, run):
+        received, receive = [], Miner.receive_upload
+
+        def check_upload(miner, tx):
+            if tx.tx_type is TransactionType.GRADIENT_UPLOAD:
+                assert tx.payload_digest == _digest_vector(tx.payload)
+                received.append((tx.round_index, tx.sender, tx.payload_digest))
+            return receive(miner, tx)
+
+        monkeypatch.setattr(Miner, "receive_upload", check_upload)
+        in_process = self._uploads(1, run)
+        reference, received[:] = list(received), []
+        sharded = self._uploads(2, run)
+        assert received == reference
+        assert not any(in_process)
+        # FAIR-BFL uploads every update, so its sharded rounds hash them where
+        # they were trained; FedAvg and FedProx upload nothing and hash nothing.
+        uploads = RUNS[run]["system"].startswith("fairbfl")
+        assert bool(reference) == uploads
+        assert sharded and all((digest is not None) == uploads for digest in sharded)
+
+
 class TestCheckpoint:
     @pytest.mark.parametrize("writer, reader", [(2, 1), (1, 2)])
     def test_a_checkpoint_resumes_under_the_other_worker_count(
@@ -143,16 +189,22 @@ class TestLifecycle:
     ):
         trainer = _trainer(2, system="fedavg")
         coordinator, local_update = os.getpid(), FLClient.local_update
+        armed = []
 
-        def kill_helpers_then_train(self, *args, **kwargs):
-            if os.getpid() == coordinator:  # the helper is holding its task by now
+        def slow_helpers(self, *args, **kwargs):
+            # A helper's group takes ~0.1 s, so its answer cannot be in the
+            # pipe before the coordinator's first client kills it.
+            if os.getpid() != coordinator:
+                time.sleep(0.02)
+            elif armed:  # the helper is holding its task by now
                 for helper in _helpers_alive():
                     os.kill(helper.pid, signal.SIGKILL)
             return local_update(self, *args, **kwargs)
 
+        monkeypatch.setattr(FLClient, "local_update", slow_helpers)
         with trainer:
-            trainer.run_round(0)  # fork the helper before the patch, so it trains for real
-            monkeypatch.setattr(FLClient, "local_update", kill_helpers_then_train)
+            trainer.run_round(0)  # the helper forks here and trains for real
+            armed.append(True)
             with pytest.raises(RuntimeError, match="helper process died"):
                 trainer.run_round(1)
             assert _helpers_alive() == []

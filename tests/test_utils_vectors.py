@@ -12,13 +12,15 @@ from repro.utils.vectors import (
     flatten_arrays,
     pairwise_cosine_distance_in_place,
     pairwise_euclidean_distance,
+    row_norms,
     unflatten_array,
 )
 
 
 def pairwise_cosine_distance(m):
     """The pairwise cosine distances of a private copy of ``m``."""
-    return pairwise_cosine_distance_in_place(np.array(m, dtype=np.float64))
+    own = np.array(m, dtype=np.float64)
+    return pairwise_cosine_distance_in_place(own, row_norms(own))
 
 
 class TestFlattenUnflatten:
