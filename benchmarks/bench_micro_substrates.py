@@ -15,7 +15,7 @@ from repro.blockchain.block import Block
 from repro.blockchain.pow import mine_block
 from repro.crypto.keystore import KeyStore
 from repro.fl.aggregation import fair_aggregate
-from repro.fl.client import FLClient, LocalTrainingConfig
+from repro.fl.client import FLClient, LocalTrainingConfig, ModelWorkspace
 from repro.incentive.clustering import DBSCAN
 from repro.incentive.contribution import identify_contributions
 from repro.nn.models import LogisticRegressionModel
@@ -85,9 +85,8 @@ def test_micro_local_sgd_epoch(benchmark, tiny_federated=None):
 
     dataset = build_federated_dataset(num_clients=4, num_samples=300, seed=0)
     shard = dataset.client(0)
-    client = FLClient(
-        shard, lambda: LogisticRegressionModel(784, 10, new_rng(0, "m")), new_rng(0, "c")
-    )
+    workspace = ModelWorkspace(lambda: LogisticRegressionModel(784, 10, new_rng(0, "m")))
+    client = FLClient(shard, workspace, new_rng(0, "c"))
     global_params = get_flat_parameters(client.model)
     config = LocalTrainingConfig(epochs=1, batch_size=10, learning_rate=0.05)
 

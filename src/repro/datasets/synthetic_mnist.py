@@ -104,14 +104,6 @@ class SyntheticMNIST:
     def __len__(self) -> int:
         return int(self.images.shape[0])
 
-    @property
-    def num_classes(self) -> int:
-        return NUM_CLASSES
-
-    @property
-    def input_dim(self) -> int:
-        return IMAGE_PIXELS
-
 
 def load_synthetic_mnist(
     num_samples: int = 6000,

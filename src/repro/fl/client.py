@@ -128,12 +128,11 @@ class FLClient:
     ----------
     dataset:
         The client's :class:`~repro.datasets.federated.ClientDataset`.
-    model_factory:
+    workspace:
         The :class:`ModelWorkspace` this client trains in (a trainer hands the
-        same one to all of its clients), or a zero-argument callable building
-        a model, which gets a workspace of its own.  Either way the model is
-        built lazily and is scratch: every local update and evaluation loads
-        the parameters it is given first.
+        same one to all of its clients).  Its model is built lazily and is
+        scratch: every local update and evaluation loads the parameters it is
+        given first.
     rng:
         The client's private generator (mini-batch shuffling).
     """
@@ -141,16 +140,12 @@ class FLClient:
     def __init__(
         self,
         dataset: ClientDataset,
-        model_factory: Callable[[], Module] | ModelWorkspace,
+        workspace: ModelWorkspace,
         rng: np.random.Generator,
     ) -> None:
         self.dataset = dataset
         self.client_id = int(dataset.client_id)
-        self.workspace = (
-            model_factory
-            if isinstance(model_factory, ModelWorkspace)
-            else ModelWorkspace(model_factory)
-        )
+        self.workspace = workspace
         self.rng = rng
 
     # -- model management ----------------------------------------------------
@@ -184,14 +179,14 @@ class FLClient:
         global_ref = np.asarray(global_parameters, dtype=np.float64).ravel()
         images, labels = self.dataset.images, self.dataset.labels
 
-        # One step per backward: the gradients are written, never accumulated
-        # (no zero_grad), and the step consumes them in place.
+        # One step per backward: the backward writes the gradients and the
+        # step consumes them in place.
         losses: list[float] = []
         for _epoch in range(config.epochs):
             for x_batch, y_batch in minibatches(images, labels, config.batch_size, self.rng):
                 logits = model.forward(x_batch)
                 loss = loss_fn.forward(logits, y_batch)
-                model.backward(loss_fn.backward(), need_input_grad=False, accumulate=False)
+                model.backward(loss_fn.backward())
                 if config.proximal_mu > 0.0:
                     add_proximal_term(grads, values, global_ref, config.proximal_mu)
                 optimizer.step()

@@ -219,7 +219,7 @@ def _train_rows(
                 sel = orders[part, epoch, start : start + config.batch_size]
                 logits = model.forward(p, images[image_of[part, None], sel])
                 losses[part, step] = loss.forward(logits, labels[label_of[part, None], sel])
-                model.backward(p, g, loss.backward(), need_input_grad=False)
+                model.backward(p, g, loss.backward())
                 if config.proximal_mu > 0.0:
                     add_proximal_term(g, p, global_ref, config.proximal_mu)
                 sgd_step(p, g, learning_rate=config.learning_rate)

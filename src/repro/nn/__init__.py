@@ -12,8 +12,10 @@ Design notes
 ------------
 * All math is vectorised NumPy on ``float64`` (batch dimension first).
 * Modules own their parameters as :class:`repro.nn.module.Parameter` objects
-  holding both the value and the accumulated gradient; ``zero_grad`` resets
-  the gradients in place (no reallocation in the training loop).
+  holding both the value and a gradient buffer.  ``backward`` writes every
+  gradient (nothing accumulates, so nothing is zeroed) and a model's backward
+  returns no input gradient: Procedure I steps after every backward and reads
+  only the parameter gradients.
 * ``get_flat_parameters`` / ``set_flat_parameters`` give the single-vector
   view of a model used throughout FAIR-BFL (clients upload it, Algorithm 2
   clusters it, Equation (1) averages it).

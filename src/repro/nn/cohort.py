@@ -47,7 +47,6 @@ class CohortModel:
         self.layers = layers
         self._own = pack_parameters(template).packed
         self.num_parameters = int(self._own[0].shape[0])
-        self._input_shape: tuple[int, ...] | None = None
 
     @classmethod
     def from_module(cls, model: Module) -> "CohortModel":
@@ -79,28 +78,17 @@ class CohortModel:
             )
         bind_parameters(self.template, params)
         out = np.asarray(x, dtype=np.float64)
-        self._input_shape = out.shape
         out = out.reshape(out.shape[0], out.shape[1], -1)
         for layer in self.layers:
             out = layer.forward(out)
         return out
 
-    def backward(
-        self,
-        params: np.ndarray,
-        grads: np.ndarray,
-        grad_output: np.ndarray,
-        *,
-        need_input_grad: bool = True,
-    ) -> np.ndarray | None:
+    def backward(self, params: np.ndarray, grads: np.ndarray, grad_output: np.ndarray) -> None:
         """Stacked backward pass; overwrites the flat ``grads`` matrix.
 
         ``grads`` is scratch: every column is written exactly once (it need
-        not be zeroed, and nothing accumulates across calls).  Returns the
-        gradient w.r.t. the input — unless ``need_input_grad=False`` says the
-        caller will not read it and the first layer is a ``Linear``, which
-        then skips the product and the result is ``None``.  Parameter
-        gradients are the same bytes either way.
+        not be zeroed, and nothing accumulates across calls).  Nobody reads
+        the gradient w.r.t. the input, so a first ``Linear`` skips it.
         """
         if grads.shape != params.shape or not grads.flags.c_contiguous:
             raise ValueError(
@@ -111,8 +99,6 @@ class CohortModel:
         g = np.asarray(grad_output, dtype=np.float64)
         for layer in reversed(self.layers):
             if isinstance(layer, Linear):
-                wanted = need_input_grad or layer is not self.layers[0]
-                g = layer.backward(g, need_input_grad=wanted, accumulate=False)
+                g = layer.backward(g, need_input_grad=layer is not self.layers[0])
             else:
                 g = layer.backward(g)
-        return None if g is None else g.reshape(self._input_shape)

@@ -85,29 +85,18 @@ class Linear(Module):
         self._input_cache = None
 
     def backward(
-        self,
-        grad_output: np.ndarray,
-        *,
-        need_input_grad: bool = True,
-        accumulate: bool = True,
+        self, grad_output: np.ndarray, *, need_input_grad: bool = True
     ) -> np.ndarray | None:
-        """Accumulate the parameter gradients; return ``dL/dx``.
+        """Write the parameter gradients into their buffers; return ``dL/dx``.
 
-        ``need_input_grad=False`` (the caller will not read the result) skips
-        the ``grad_output @ W.T`` product and returns ``None``.
-        ``accumulate=False`` writes the products straight into the gradient
-        buffers instead of adding them through a weight-sized temporary.
+        ``need_input_grad=False`` (the container will not read the result)
+        skips the ``grad_output @ W.T`` product and returns ``None``.
         """
         if self._input_cache is None:
             raise RuntimeError("backward called before forward on Linear layer")
         grad_output = np.asarray(grad_output, dtype=np.float64)
-        x_t = self._input_cache.swapaxes(-1, -2)
-        if accumulate:
-            self.weight.grad += np.matmul(x_t, grad_output)
-            self.bias.grad += grad_output.sum(axis=-2)
-        else:
-            np.matmul(x_t, grad_output, out=self.weight.grad)
-            np.sum(grad_output, axis=-2, out=self.bias.grad)
+        np.matmul(self._input_cache.swapaxes(-1, -2), grad_output, out=self.weight.grad)
+        np.sum(grad_output, axis=-2, out=self.bias.grad)
         if not need_input_grad:
             return None
         return np.matmul(grad_output, self.weight.value.swapaxes(-1, -2))

@@ -23,7 +23,7 @@ from repro.utils.rng import new_rng
 
 __all__ = ["MODELS", "LogisticRegressionModel", "ModelFactory"]
 
-#: Canonical architecture names accepted by :func:`build_model`.
+#: The architecture names :func:`build_model` accepts (the scenario's ``model_name`` choices).
 MODELS = ("logreg", "mlp")
 
 
@@ -88,10 +88,9 @@ def build_model(
     hidden_sizes:
         Hidden layer widths (MLP only).
     """
-    key = name.strip().lower()
-    if key in {"logreg", "logistic", "logistic_regression"}:
+    if name == "logreg":
         return LogisticRegressionModel(input_dim, num_classes, rng)
-    if key in {"mlp", "mlp_classifier"}:
+    if name == "mlp":
         return MLPClassifier(input_dim, num_classes, rng, hidden_sizes=hidden_sizes)
     raise ValueError(f"unknown model name {name!r}; expected one of {MODELS}")
 

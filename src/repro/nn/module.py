@@ -1,18 +1,18 @@
 """Module system: parameters, base module, and sequential containers.
 
-The design mirrors the familiar ``torch.nn.Module`` contract at the small
-scale this reproduction needs:
+The design follows the familiar ``torch.nn.Module`` shape at the small scale
+this reproduction needs:
 
-* a :class:`Parameter` couples a value array with its gradient accumulator;
+* a :class:`Parameter` couples a value array with its gradient buffer;
 * a :class:`Module` exposes ``forward``/``backward`` and enumerates its
   parameters (recursively through registered sub-modules);
 * a :class:`Sequential` chains modules and propagates gradients in reverse.
 
-``backward`` takes the gradient of the loss with respect to the module output
-and returns the gradient with respect to the module input, accumulating
-parameter gradients as a side effect; the per-client SGD loop of Algorithm 1,
-which takes one step per backward, asks it to *write* them instead
-(``accumulate=False``) and so never zeroes them.
+There is one gradient contract, the one the per-client SGD loop of
+Algorithm 1 needs, which takes one step per backward: ``backward`` *writes*
+every parameter gradient (nothing accumulates, so nothing is ever zeroed),
+and a whole model's backward returns nothing — a training step reads the
+parameter gradients, never the gradient with respect to the model input.
 """
 
 from __future__ import annotations
@@ -25,7 +25,10 @@ __all__ = ["Parameter", "Module", "Sequential"]
 
 
 class Parameter:
-    """A trainable tensor together with its gradient accumulator."""
+    """A trainable tensor together with its gradient buffer.
+
+    ``grad`` holds what the last ``backward`` wrote, not a running sum.
+    """
 
     __slots__ = ("name", "value", "grad")
 
@@ -41,10 +44,6 @@ class Parameter:
     @property
     def size(self) -> int:
         return int(self.value.size)
-
-    def zero_grad(self) -> None:
-        """Reset the gradient accumulator in place."""
-        self.grad.fill(0.0)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Parameter(name={self.name!r}, shape={self.shape})"
@@ -92,16 +91,6 @@ class Module:
         for child in self._modules.values():
             yield from child.parameters()
 
-    def num_parameters(self) -> int:
-        """Total number of scalar parameters."""
-        return sum(p.size for p in self.parameters())
-
-    # -- gradient management ------------------------------------------------
-    def zero_grad(self) -> None:
-        """Reset every parameter gradient of this module tree."""
-        for p in self.parameters():
-            p.zero_grad()
-
     def clear_caches(self) -> None:
         """Drop the inputs this module tree cached for a backward pass.
 
@@ -119,20 +108,12 @@ class Module:
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         """Back-propagate ``grad_output`` and return the gradient w.r.t. the input.
 
-        A module that serves as a whole *model* (``Sequential``, ``Linear``)
-        also takes ``need_input_grad=False``, by which a training loop says it
-        will not read that gradient; layers inside a container never see it.
-
-        A module that holds parameters (its own or its children's) also takes
-        ``accumulate=False``: every parameter gradient is then *overwritten*
-        with this call's gradient — the same bytes as ``zero_grad()`` followed
-        by an accumulating backward — so a loop that steps after every
-        backward need not zero anything.  The default accumulates.
+        Every parameter gradient is *written* with this call's gradient, so a
+        loop that steps after every backward zeroes nothing.  A layer that
+        holds parameters also takes ``need_input_grad=False``, by which its
+        container says nobody will read the input gradient.
         """
         raise NotImplementedError
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return self.forward(x)
 
 
 class Sequential(Module):
@@ -145,33 +126,15 @@ class Sequential(Module):
 
     def __init__(self, *layers: Module) -> None:
         super().__init__()
-        self.layers: list[Module] = []
-        for i, layer in enumerate(layers):
-            self.layers.append(self.register_module(f"layer{i}", layer))
-        self._resolve()
-
-    def append(self, layer: Module) -> "Sequential":
-        """Append one more layer to the chain."""
-        self.layers.append(self.register_module(f"layer{len(self.layers)}", layer))
-        self._resolve()
-        return self
-
-    def _resolve(self) -> None:
-        """Work out, once per chain, what ``backward`` asks of which layer."""
-        from repro.nn.layers import Flatten, Linear  # layers imports this module
-
-        #: The layers that hold parameters, i.e. take ``accumulate``.
-        self._parametrised = {
-            layer for layer in self.layers if next(layer.parameters(), None) is not None
-        }
-        #: The first ``Linear`` if only ``Flatten`` layers precede it, else ``None``:
-        #: the one layer whose input gradient nobody inside the chain reads.
-        self._input: Module | None = None
-        for layer in self.layers:
-            if isinstance(layer, Linear):
-                self._input = layer
-            if not isinstance(layer, Flatten):
-                break
+        self.layers: list[Module] = [
+            self.register_module(f"layer{i}", layer) for i, layer in enumerate(layers)
+        ]
+        #: The first layer that holds parameters: every layer ahead of it holds
+        #: none, so nobody reads the input gradient it would return.
+        self._input: Module | None = next(
+            (layer for layer in self.layers if next(layer.parameters(), None) is not None),
+            None,
+        )
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         out = np.asarray(x, dtype=np.float64)
@@ -179,37 +142,16 @@ class Sequential(Module):
             out = layer.forward(out)
         return out
 
-    def backward(
-        self,
-        grad_output: np.ndarray,
-        *,
-        need_input_grad: bool = True,
-        accumulate: bool = True,
-    ) -> np.ndarray | None:
-        """Back-propagate through the chain in reverse.
+    def backward(self, grad_output: np.ndarray) -> None:
+        """Back-propagate through the chain in reverse, writing every parameter gradient.
 
-        ``need_input_grad=False`` says the caller will not read the returned
-        gradient (a training step only reads the parameter gradients).  The
-        first parametrised layer then skips its input gradient — when only
-        ``Flatten`` precedes it, so that nothing else would have read it —
-        and the result is ``None``; parameter gradients are the same bytes.
-
-        ``accumulate=False`` reaches every layer that holds parameters, which
-        then overwrites its gradients instead of adding to them.
+        A training step reads only the parameter gradients, so the walk stops
+        at the first layer that holds parameters, which skips its own input
+        gradient; the layers ahead of it have nothing to write.
         """
         grad = np.asarray(grad_output, dtype=np.float64)
-        skip = None if need_input_grad else self._input
-        write = {} if accumulate else {"accumulate": False}
         for layer in reversed(self.layers):
-            kwargs = write if layer in self._parametrised else {}
-            if layer is skip:
-                layer.backward(grad, need_input_grad=False, **kwargs)
-                return None
-            grad = layer.backward(grad, **kwargs)
-        return grad
-
-    def __len__(self) -> int:
-        return len(self.layers)
-
-    def __getitem__(self, index: int) -> Module:
-        return self.layers[index]
+            if layer is self._input:
+                layer.backward(grad, need_input_grad=False)
+                return
+            grad = layer.backward(grad)

@@ -11,12 +11,9 @@ applies them to a packed model's ``(P,)`` plane, the cohort engine to its
 
 from __future__ import annotations
 
-from collections.abc import Iterable
-
 import numpy as np
 
-from repro.nn.module import Module, Parameter
-from repro.utils.validation import check_positive
+from repro.nn.module import Module
 
 __all__ = ["SGD", "sgd_step", "add_proximal_term"]
 
@@ -46,40 +43,25 @@ def add_proximal_term(
 
 
 class SGD:
-    """Mini-batch stochastic gradient descent.
+    """Mini-batch stochastic gradient descent on one packed model.
 
     Parameters
     ----------
-    parameters:
-        The parameters to update: ``model.parameters()``, or the model itself.
-        Given a *packed* model (:func:`repro.nn.parameters.pack_parameters`),
-        :meth:`step` is one :func:`sgd_step` over the two flat buffers — the
-        same bytes in the values, with the gradients consumed (they hold
-        ``lr * gradient`` afterwards) instead of preserved.
+    model:
+        A model packed by :func:`repro.nn.parameters.pack_parameters`:
+        :meth:`step` is one :func:`sgd_step` over its two flat buffers, so the
+        gradients are consumed (they hold ``lr * gradient`` afterwards).
     lr:
-        The learning rate η (constant, as in the paper).
+        The learning rate η (constant, as in the paper; the scenario field
+        that sets it checks it).
     """
 
-    def __init__(self, parameters: Iterable[Parameter] | Module, lr: float = 0.01) -> None:
-        packed = None
-        if isinstance(parameters, Module):
-            packed, parameters = parameters.packed, parameters.parameters()
-        self.parameters: list[Parameter] = list(parameters)
-        if not self.parameters:
-            raise ValueError("SGD requires at least one parameter to optimise")
-        self.lr = check_positive("lr", lr)
-        self._packed = packed
-
-    def zero_grad(self) -> None:
-        """Reset all parameter gradients."""
-        for p in self.parameters:
-            p.zero_grad()
+    def __init__(self, model: Module, lr: float) -> None:
+        if model.packed is None or model.packed[1] is None:
+            raise ValueError("SGD steps a packed model (see pack_parameters)")
+        self._values, self._grads = model.packed
+        self.lr = lr
 
     def step(self) -> None:
-        """Apply one update using the accumulated gradients."""
-        if self._packed is not None:
-            values, grads = self._packed
-            sgd_step(values, grads, learning_rate=self.lr)
-            return
-        for p in self.parameters:
-            p.value -= self.lr * p.grad
+        """Apply one update using the gradients the last backward wrote."""
+        sgd_step(self._values, self._grads, learning_rate=self.lr)

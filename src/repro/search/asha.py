@@ -72,10 +72,6 @@ class PromotionMetric:
         """The trial's scalar score from its one-line run summary."""
         return float(summary[self.summary_key])
 
-    def better(self, a: float, b: float) -> bool:
-        """Whether score ``a`` strictly beats score ``b`` under this metric."""
-        return a > b if self.mode == "max" else a < b
-
 
 #: The pluggable promotion metrics, by public name.
 PROMOTION_METRICS: dict[str, PromotionMetric] = {

@@ -37,10 +37,11 @@ from hypothesis import strategies as st
 
 from repro.datasets.federated import ClientDataset, build_federated_dataset
 from repro.fl import cohort as fl_cohort
-from repro.fl.client import FLClient, LocalTrainingConfig
+from repro.fl.client import FLClient, LocalTrainingConfig, ModelWorkspace
 from repro.fl.cohort import DEFAULT_MAX_COHORT_SIZE, CohortTrainer
 from repro.nn.cohort import CohortModel
 from repro.nn.models import ModelFactory
+from repro.nn.parameters import get_flat_parameters
 from repro.runner.engine import ExperimentEngine
 from repro.runner.scenario import ScenarioSpec
 from repro.systems import get_system
@@ -58,7 +59,9 @@ def _helpers_alive() -> list:
 
 def _population(dataset, *, private: bool, model_name: str) -> dict[int, FLClient]:
     """Fresh clients (fresh RNG streams) over ``dataset``; ``private`` copies each shard."""
-    factory = ModelFactory(model_name, 784, 10, seed=7, label="blocks", hidden_sizes=(6,))
+    workspace = ModelWorkspace(
+        ModelFactory(model_name, 784, 10, seed=7, label="blocks", hidden_sizes=(6,))
+    )
     clients = {}
     for shard in dataset.clients:
         if private:
@@ -69,7 +72,8 @@ def _population(dataset, *, private: bool, model_name: str) -> dict[int, FLClien
                 shard.val_images.copy(),
                 shard.val_labels.copy(),
             )
-        clients[shard.client_id] = FLClient(shard, factory, new_rng(7, "blocks", shard.client_id))
+        rng = new_rng(7, "blocks", shard.client_id)
+        clients[shard.client_id] = FLClient(shard, workspace, rng)
     return clients
 
 
@@ -86,7 +90,7 @@ def _parts_equal_serial(monkeypatch, *, gather_rows, chunk, config, distinct, pr
     cohort = _population(dataset, private=private, model_name=model_name)
     serial = _population(dataset, private=private, model_name=model_name)
     selected = [shard.client_id for shard in dataset.clients][::-1]
-    start = new_rng(7, "global").standard_normal(cohort[0].workspace.model().num_parameters())
+    start = new_rng(7, "global").standard_normal(get_flat_parameters(cohort[0].model).size)
     start *= 0.01
 
     widths = []
@@ -202,7 +206,7 @@ def _sharded_population(monkeypatch):
     dataset = build_federated_dataset(num_clients=9, num_samples=360, scheme="iid", seed=7)
     cohort = _population(dataset, private=True, model_name="logreg")
     serial = _population(dataset, private=True, model_name="logreg")
-    start = new_rng(7, "global").standard_normal(cohort[0].workspace.model().num_parameters())
+    start = new_rng(7, "global").standard_normal(get_flat_parameters(cohort[0].model).size)
     start *= 0.01
     want = {cid: client.local_update(start, SHORT_BATCH) for cid, client in serial.items()}
     monkeypatch.setattr(fl_cohort, "GATHER_ROWS", 25)  # 25 rows a client: one client a part

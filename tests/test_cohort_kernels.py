@@ -15,8 +15,9 @@ garbage:
   ``grads`` scratch instead of adding into zeros, so an unwritten column would
   be uninitialised memory.  The scratch is poisoned with ``NaN`` and the
   result held against the accumulate-into-zeros reference kept below;
-* **the unread input gradient** — ``need_input_grad=False`` must change
-  nothing but the return value, on the batched and on the serial stack;
+* **the unread input gradient** — a first ``Linear`` that skips its input
+  gradient must change nothing but its return value, and a chain that stops
+  there no parameter gradient;
 * **each distinct shard stacked once** — a replicated population and its
   private-copy twin must yield byte-identical blocks, and the work counts
   (``np.matmul`` calls per step, arrays handed to ``np.stack``) must stay at
@@ -37,7 +38,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.datasets.federated import ClientDataset, build_federated_dataset
-from repro.fl.client import FLClient, LocalTrainingConfig
+from repro.fl.client import FLClient, LocalTrainingConfig, ModelWorkspace
 from repro.fl.cohort import CohortTrainer
 from repro.nn import cohort as nn_cohort
 from repro.nn.cohort import CohortModel
@@ -47,7 +48,12 @@ from repro.nn.metrics import accuracy
 from repro.nn.models import ModelFactory, build_model
 from repro.nn.module import Sequential
 from repro.nn.optim import add_proximal_term, sgd_step
-from repro.nn.parameters import bind_parameters, get_flat_parameters
+from repro.nn.parameters import (
+    bind_parameters,
+    get_flat_parameters,
+    pack_parameters,
+    set_flat_parameters,
+)
 from repro.utils.rng import new_rng
 
 pytestmark = pytest.mark.cohort
@@ -58,9 +64,12 @@ pytestmark = pytest.mark.cohort
 # these kernels replaced, kept as the oracle.
 # ---------------------------------------------------------------------------
 
-def reference_backward(model: CohortModel, params: np.ndarray, grad_output: np.ndarray):
-    """Accumulate into zeros, reading the bound layers' caches but slicing
-    ``params`` / ``grads`` by its own column count, not through their views."""
+def reference_backward(
+    model: CohortModel, params: np.ndarray, grad_output: np.ndarray
+) -> np.ndarray:
+    """The ``(clients, P)`` parameter gradients, accumulated into zeros,
+    reading the bound layers' caches but slicing ``params`` / ``grads`` by its
+    own column count, not through their views."""
     grads = np.zeros_like(params)
     g = np.asarray(grad_output, dtype=np.float64)
     hi = model.num_parameters
@@ -79,7 +88,7 @@ def reference_backward(model: CohortModel, params: np.ndarray, grad_output: np.n
         else:
             g = layer.backward(g)
     assert hi == 0
-    return g.reshape(model._input_shape), grads
+    return grads
 
 
 def reference_sgd_step(params, grads, *, learning_rate):
@@ -121,13 +130,12 @@ def _cohort(name: str, clients: int):
 def test_backward_overwrites_every_column(name, clients):
     model, params, x, upstream = _cohort(name, clients)
     model.forward(params, x)
-    want_input, want = reference_backward(model, params, upstream)
+    want = reference_backward(model, params, upstream)
 
     grads = np.full_like(params, np.nan)
-    got_input = model.backward(params, grads, upstream)
+    assert model.backward(params, grads, upstream) is None
 
     np.testing.assert_array_equal(grads, want)
-    np.testing.assert_array_equal(got_input, want_input)
 
 
 @pytest.mark.parametrize("clients", (1, 3))
@@ -140,13 +148,13 @@ def test_training_steps_match_the_accumulating_reference(clients, proximal_mu):
     grads = np.full_like(params, np.nan)
     for _ in range(2):
         model.forward(want_params, x)
-        _, want = reference_backward(model, want_params, upstream)
+        want = reference_backward(model, want_params, upstream)
         if proximal_mu:
             add_proximal_term(want, want_params, global_ref, proximal_mu)
         reference_sgd_step(want_params, want, learning_rate=0.05)
 
         model.forward(params, x)
-        model.backward(params, grads, upstream, need_input_grad=False)
+        model.backward(params, grads, upstream)
         if proximal_mu:
             add_proximal_term(grads, params, global_ref, proximal_mu)
         sgd_step(params, grads, learning_rate=0.05)
@@ -169,7 +177,7 @@ def test_bind_rejects_a_buffer_of_the_wrong_width(lead, off_by):
     """The columns tile ``[0, P)`` by construction, so the one way left to get
     an unwritten or twice-written column is a buffer that is not ``P`` wide."""
     model = _stack("mlp")
-    total = model.num_parameters()
+    total = get_flat_parameters(model).size
     good, bad = np.zeros((*lead, total)), np.zeros((*lead, total + off_by))
     with pytest.raises(ValueError, match=f"model of {total} parameters"):
         bind_parameters(model, bad, good)
@@ -182,40 +190,6 @@ def test_bind_rejects_a_buffer_of_the_wrong_width(lead, off_by):
 # (d), (e) the unread input gradient
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("clients", (1, 3))
-@pytest.mark.parametrize("name", STACKS)
-def test_cohort_skip_changes_only_the_return_value(name, clients):
-    model, params, x, upstream = _cohort(name, clients)
-    model.forward(params, x)
-    full = np.full_like(params, np.nan)
-    skipped = np.full_like(params, np.nan)
-
-    assert model.backward(params, full, upstream) is not None
-    assert model.backward(params, skipped, upstream, need_input_grad=False) is None
-    assert skipped.tobytes() == full.tobytes()
-
-
-def _serial_grads(model: Sequential, x, upstream, **kwargs):
-    model.zero_grad()
-    model.forward(x)
-    returned = model.backward(upstream, **kwargs)
-    return returned, b"".join(p.grad.tobytes() for p in model.parameters())
-
-
-@pytest.mark.parametrize("name", STACKS)
-def test_sequential_skip_changes_only_the_return_value(name):
-    rng = np.random.default_rng(14)
-    model = _stack(name)
-    x, upstream = rng.standard_normal((3, 2, 3)), rng.standard_normal((3, 4))
-
-    full_input, full = _serial_grads(model, x, upstream)
-    skipped_input, skipped = _serial_grads(model, x, upstream, need_input_grad=False)
-
-    assert full_input.shape == x.shape
-    assert skipped_input is None
-    assert skipped == full
-
-
 def test_linear_skip_changes_only_the_return_value():
     rng = np.random.default_rng(15)
     layer = Linear(4, 3, rng)
@@ -223,35 +197,89 @@ def test_linear_skip_changes_only_the_return_value():
     layer.forward(x)
     assert layer.backward(upstream).shape == x.shape
     want = (layer.weight.grad.copy(), layer.bias.grad.copy())
-    layer.zero_grad()
+    layer.weight.grad.fill(np.nan)
+    layer.bias.grad.fill(np.nan)
     assert layer.backward(upstream, need_input_grad=False) is None
     np.testing.assert_array_equal(layer.weight.grad, want[0])
     np.testing.assert_array_equal(layer.bias.grad, want[1])
 
 
-def test_skip_applies_to_the_input_layer_only():
-    """An activation ahead of the first ``Linear`` reads that layer's input
-    gradient, so nothing is skipped: both stacks still propagate all the way
-    and every parameter gradient — the first layer's included — is unchanged."""
-    rng = np.random.default_rng(16)
-    layers = (ReLU(), Linear(6, 5, rng), ReLU(), Linear(5, 4, rng))
-    x, upstream = rng.standard_normal((3, 6)), rng.standard_normal((3, 4))
+def test_an_activation_ahead_of_the_first_linear_changes_no_gradient():
+    """With a ``ReLU`` ahead of the first ``Linear`` the serial chain still
+    stops at that layer, which skips its input gradient, and the cohort walk
+    goes on to the input; every parameter gradient of both — the first
+    layer's included — is the reference's."""
 
-    serial = Sequential(*layers)
-    full_input, full = _serial_grads(serial, x, upstream)
-    kept_input, kept = _serial_grads(serial, x, upstream, need_input_grad=False)
-    assert kept == full
-    np.testing.assert_array_equal(kept_input, full_input)
+    def stack() -> Sequential:
+        rng = np.random.default_rng(16)
+        return Sequential(ReLU(), Linear(6, 5, rng), ReLU(), Linear(5, 4, rng))
 
-    model = CohortModel.from_module(serial)
-    params = rng.standard_normal((2, model.num_parameters))
-    xs, ups = rng.standard_normal((2, 3, 6)), rng.standard_normal((2, 3, 4))
-    model.forward(params, xs)
-    want_input, want = reference_backward(model, params, ups)
+    data = np.random.default_rng(17)
+    x, upstream = data.standard_normal((2, 3, 6)), data.standard_normal((2, 3, 4))
+    model = CohortModel.from_module(stack())
+    params = data.standard_normal((2, model.num_parameters))
+    model.forward(params, x)
+    want = reference_backward(model, params, upstream)
     grads = np.full_like(params, np.nan)
-    got_input = model.backward(params, grads, ups, need_input_grad=False)
+    model.backward(params, grads, upstream)
     np.testing.assert_array_equal(grads, want)
-    np.testing.assert_array_equal(got_input, want_input)
+
+    serial = pack_parameters(stack())
+    for i in range(2):
+        set_flat_parameters(serial, params[i])
+        serial.packed[1].fill(np.nan)
+        serial.forward(x[i])
+        assert serial.backward(upstream[i]) is None
+        np.testing.assert_array_equal(serial.packed[1], want[i])
+
+
+@pytest.mark.parametrize("clients", (1, 3))
+@pytest.mark.parametrize("name", STACKS)
+def test_a_second_cohort_backward_writes_the_same_gradients(name, clients):
+    """A backward reads the forward's caches without consuming them and writes
+    over the buffer: run twice on one forward, the second finds the first's
+    gradients in ``grads`` and leaves exactly them (an accumulating write would
+    double them, a cache mutated in place would change them)."""
+    model, params, x, upstream = _cohort(name, clients)
+    model.forward(params, x)
+    grads = np.full_like(params, np.nan)
+    assert model.backward(params, grads, upstream) is None
+    first = grads.copy()
+    assert model.backward(params, grads, upstream) is None
+    assert grads.tobytes() == first.tobytes()
+
+
+def _serial_rows(name: str, params: np.ndarray, x: np.ndarray, upstream: np.ndarray):
+    """Each client's gradients from the packed serial stack, one row at a time,
+    the buffer poisoned with ``NaN`` before every backward."""
+    serial = pack_parameters(_stack(name))
+    rows = np.empty_like(params)
+    for i in range(params.shape[0]):
+        set_flat_parameters(serial, params[i])
+        serial.packed[1].fill(np.nan)
+        serial.forward(x[i])
+        assert serial.backward(upstream[i]) is None
+        rows[i] = serial.packed[1]
+    return serial, rows
+
+
+@pytest.mark.parametrize("name", STACKS)
+def test_sequential_backward_equals_each_cohort_row(name):
+    """The serial chain, which stops at its first ``Linear``, writes the same
+    bytes as the cohort walk, which goes on to the input, client by client."""
+    model, params, x, upstream = _cohort(name, 3)
+    model.forward(params, x)
+    want = reference_backward(model, params, upstream)
+    _, rows = _serial_rows(name, params, x, upstream)
+    assert rows.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name", STACKS)
+def test_a_second_sequential_backward_writes_the_same_gradients(name):
+    _, params, x, upstream = _cohort(name, 1)
+    serial, rows = _serial_rows(name, params, x, upstream)
+    assert serial.backward(upstream[0]) is None  # the forward of row 0 is still cached
+    assert serial.packed[1].tobytes() == rows[0].tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +288,9 @@ def test_skip_applies_to_the_input_layer_only():
 
 def _clients(dataset, *, private: bool, model_name: str = "logreg") -> dict[int, FLClient]:
     """One ``FLClient`` per shard; ``private`` hands each its own array copies."""
-    factory = ModelFactory(model_name, 784, 10, seed=5, label="kernels", hidden_sizes=(8,))
+    workspace = ModelWorkspace(
+        ModelFactory(model_name, 784, 10, seed=5, label="kernels", hidden_sizes=(8,))
+    )
     clients = {}
     for shard in dataset.clients:
         if private:
@@ -271,7 +301,8 @@ def _clients(dataset, *, private: bool, model_name: str = "logreg") -> dict[int,
                 shard.val_images.copy(),
                 shard.val_labels.copy(),
             )
-        clients[shard.client_id] = FLClient(shard, factory, new_rng(5, "kernels", shard.client_id))
+        rng = new_rng(5, "kernels", shard.client_id)
+        clients[shard.client_id] = FLClient(shard, workspace, rng)
     return clients
 
 
@@ -443,16 +474,15 @@ def _bound(layer, values, grads):
 
 
 def _layer_pass(layer, values, x, upstream):
-    """Forward, the writing backward, then the accumulating one into zeros."""
-    written, summed = np.full_like(values, np.nan), np.zeros_like(values)
-    params = isinstance(layer, Linear)
-    out = _bound(layer, values, written).forward(x)
-    first = layer.backward(upstream, accumulate=False) if params else layer.backward(upstream)
-    skipped = layer.backward(upstream, need_input_grad=False) if params else None
-    _bound(layer, values, summed)
-    second = layer.backward(upstream) if params else first
-    assert skipped is None
-    return [out, first, second, written, summed]
+    """Forward, then the backward with and without the input gradient."""
+    grads = np.full_like(values, np.nan)
+    out = _bound(layer, values, grads).forward(x)
+    first = layer.backward(upstream)
+    if isinstance(layer, Linear):
+        written = grads.copy()
+        assert layer.backward(upstream, need_input_grad=False) is None
+        assert grads.tobytes() == written.tobytes()
+    return [out, first, grads]
 
 
 @pytest.mark.cohort
@@ -473,7 +503,7 @@ def test_stacked_operands_equal_their_slices(kinds, widths, clients, batch, seed
     for kind, width in zip(kinds, widths[1:]):
         if kind == "linear":
             layer = Linear(x.shape[-1], width, rng)
-            size = layer.num_parameters()
+            size = layer.weight.size + layer.bias.size
         else:
             layer, width, size = ACTIVATIONS[kind](), x.shape[-1], 0
         values = rng.standard_normal((clients, size))
@@ -510,7 +540,7 @@ def test_bound_parameters_are_views_of_the_buffers(carve):
     """Writes through a bound ``value`` / ``grad`` land in the buffer — also for
     a non-contiguous one, where a careless ``reshape`` would silently copy."""
     model = _stack("mlp")
-    total = model.num_parameters()
+    total = get_flat_parameters(model).size
     shapes = [p.shape for p in model.parameters()]
     big_values, big_grads = np.zeros((3, 2 * total + 9)), np.zeros((3, 2 * total + 9))
     values, grads = carve(big_values, total), carve(big_grads, total)

@@ -21,7 +21,7 @@ from repro.core.procedures import (
     procedure_upload,
 )
 from repro.crypto.keystore import KeyStore
-from repro.fl.client import FLClient, LocalTrainingConfig
+from repro.fl.client import FLClient, LocalTrainingConfig, ModelWorkspace
 from repro.fl.robust import make_defense
 from repro.incentive.clustering import DBSCAN
 from repro.incentive.strategies import DiscardStrategy, KeepAllStrategy
@@ -34,13 +34,12 @@ from repro.utils.rng import new_rng
 def setup(tiny_federated):
     """Clients, miners, key store, and a starting global parameter vector."""
     keystore = KeyStore(key_bits=128)
+    workspace = ModelWorkspace(lambda: LogisticRegressionModel(784, 10, new_rng(0, "proc-model")))
     clients = {}
     for shard in tiny_federated.clients:
         keystore.register(f"client-{shard.client_id}")
         clients[shard.client_id] = FLClient(
-            shard,
-            lambda: LogisticRegressionModel(784, 10, new_rng(0, "proc-model")),
-            new_rng(0, "proc-client", shard.client_id),
+            shard, workspace, new_rng(0, "proc-client", shard.client_id)
         )
     miners = []
     genesis = Block.genesis()

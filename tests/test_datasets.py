@@ -57,13 +57,13 @@ class TestSyntheticMNIST:
         from repro.nn.metrics import accuracy
         from repro.nn.models import LogisticRegressionModel
         from repro.nn.optim import SGD
+        from repro.nn.parameters import pack_parameters
 
         ds = load_synthetic_mnist(600, seed=1, noise_std=0.3)
-        model = LogisticRegressionModel(IMAGE_PIXELS, 10, new_rng(0, "probe"))
+        model = pack_parameters(LogisticRegressionModel(IMAGE_PIXELS, 10, new_rng(0, "probe")))
         loss_fn = SoftmaxCrossEntropyLoss()
-        opt = SGD(model.parameters(), lr=0.1)
+        opt = SGD(model, lr=0.1)
         for _ in range(40):
-            opt.zero_grad()
             loss_fn.forward(model.forward(ds.images), ds.labels)
             model.backward(loss_fn.backward())
             opt.step()

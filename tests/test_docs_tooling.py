@@ -462,6 +462,21 @@ class TestDocsFreshness:
         ]
         assert problems[0].startswith("src/repro/pkg/mod.py:14: 'Store.unused' is public")
 
+    def test_definitions_catch_methods_that_only_read_each_other(self, tmp_path, monkeypatch):
+        """Two public methods that call only each other keep neither alive: the
+        fixed point starts from everything unused, not from nothing."""
+        check_docs = self._definition_tree(tmp_path, monkeypatch)
+        (tmp_path / "src" / "repro" / "pkg" / "cycle.py").write_text(
+            "class Ring:\n"
+            "    def ping(self):\n        return self.pong()\n\n"
+            "    def pong(self):\n        return self.ping()\n\n"
+            "    def run(self):\n        return 0\n\n"
+            "print(Ring().run())\n",
+            encoding="utf-8",
+        )
+        problems = [p for p in check_docs.check_exports() if "cycle.py" in p]
+        assert [p.split(": ")[1].split(" ")[0] for p in problems] == ["'Ring.ping'", "'Ring.pong'"]
+
     def test_definitions_do_not_count_a_read_from_tests(self, tmp_path, monkeypatch):
         check_docs = self._definition_tree(tmp_path, monkeypatch)
         (tmp_path / "tests").mkdir()

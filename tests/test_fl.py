@@ -13,7 +13,7 @@ from repro.fl.aggregation import (
     simple_average,
     weighted_average,
 )
-from repro.fl.client import ClientUpdate, FLClient, LocalTrainingConfig
+from repro.fl.client import ClientUpdate, FLClient, LocalTrainingConfig, ModelWorkspace
 from repro.fl.fedavg import FedAvgTrainer
 from repro.fl import trainer as trainer_module
 from repro.fl.fedprox import FedProxTrainer
@@ -39,7 +39,7 @@ class TestFLClient:
     def client(self, tiny_federated):
         shard = tiny_federated.client(0)
         factory = lambda: LogisticRegressionModel(784, 10, new_rng(0, "client-model"))
-        return FLClient(shard, factory, new_rng(0, "client-rng"))
+        return FLClient(shard, ModelWorkspace(factory), new_rng(0, "client-rng"))
 
     def test_local_update_returns_new_parameters(self, client):
         global_params = get_flat_parameters(client.model)
@@ -80,7 +80,8 @@ class TestFLClient:
         spec = ScenarioSpec(num_clients=6, num_samples=400, model_name=model_name, seed=7)
         trainer = FedAvgTrainer(tiny_federated, spec)
         ids = [4, 0, 5, 2]
-        vector = new_rng(3, "vector").normal(size=trainer._workspace.model().num_parameters())
+        size = get_flat_parameters(trainer._workspace.model()).size
+        vector = new_rng(3, "vector").normal(size=size)
         loads, scores = [], []
         load, evaluate = trainer_module.set_flat_parameters, FLClient.evaluate
 

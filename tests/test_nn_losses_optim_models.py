@@ -9,9 +9,10 @@ from repro.nn.initializers import he_init, xavier_init, zeros_init
 from repro.nn.layers import Linear
 from repro.nn.losses import SoftmaxCrossEntropyLoss
 from repro.nn.metrics import accuracy
-from repro.nn.models import LogisticRegressionModel, MLPClassifier, build_model
-from repro.nn.module import Parameter, Sequential
+from repro.nn.models import MODELS, LogisticRegressionModel, MLPClassifier, build_model
+from repro.nn.module import Sequential
 from repro.nn.optim import SGD
+from repro.nn.parameters import bind_parameters, get_flat_parameters, pack_parameters
 from repro.utils.rng import new_rng
 
 
@@ -53,14 +54,13 @@ class TestSoftmaxCrossEntropy:
             SoftmaxCrossEntropyLoss().forward(np.zeros((2, 3)), np.array([0]))
 
     def test_loss_decreases_under_gradient_descent(self, rng):
-        model = Sequential(Linear(5, 3, rng))
+        model = pack_parameters(Sequential(Linear(5, 3, rng)))
         loss_fn = SoftmaxCrossEntropyLoss()
         x = rng.normal(size=(30, 5))
         y = rng.integers(0, 3, size=30)
-        opt = SGD(model.parameters(), lr=0.5)
+        opt = SGD(model, lr=0.5)
         first = loss_fn.forward(model.forward(x), y)
         for _ in range(30):
-            opt.zero_grad()
             loss_fn.forward(model.forward(x), y)
             model.backward(loss_fn.backward())
             opt.step()
@@ -69,31 +69,29 @@ class TestSoftmaxCrossEntropy:
 
 
 class TestSGD:
-    def test_basic_step(self):
-        p = Parameter(np.array([1.0, 2.0]))
-        p.grad[:] = [1.0, 1.0]
-        opt = SGD([p], lr=0.1)
-        opt.step()
-        np.testing.assert_allclose(p.value, [0.9, 1.9])
+    def test_basic_step(self, rng):
+        model = pack_parameters(Sequential(Linear(1, 2, rng)))
+        values, grads = model.packed
+        values[:] = [1.0, 2.0, 3.0, 4.0]
+        grads[:] = [1.0, 1.0, 2.0, 0.0]
+        SGD(model, lr=0.1).step()
+        np.testing.assert_allclose(get_flat_parameters(model), [0.9, 1.9, 2.8, 4.0])
 
-    def test_requires_parameters(self):
-        with pytest.raises(ValueError):
-            SGD([], lr=0.1)
+    @pytest.mark.parametrize("binding", ["unpacked", "forward-only"])
+    def test_requires_a_packed_model(self, rng, binding):
+        model = Sequential(Linear(2, 2, rng))
+        if binding == "forward-only":  # values re-homed, no gradient buffer
+            bind_parameters(model, get_flat_parameters(model))
+        with pytest.raises(ValueError, match="packed"):
+            SGD(model, lr=0.1)
 
-    def test_rejects_nonpositive_lr(self):
-        with pytest.raises(ValueError):
-            SGD([Parameter(np.zeros(1))], lr=0.0)
-
-    @pytest.mark.parametrize("lr", [-0.1, float("nan"), float("inf")])
-    def test_rejects_invalid_lr(self, lr):
-        with pytest.raises(ValueError, match="lr"):
-            SGD([Parameter(np.zeros(1))], lr=lr)
-
-    def test_zero_grad(self):
-        p = Parameter(np.zeros(2))
-        p.grad += 3.0
-        SGD([p]).zero_grad()
-        assert np.all(p.grad == 0.0)
+    def test_step_consumes_the_gradients(self, rng):
+        """The step is taken in the gradient buffer: it holds ``lr * gradient``
+        afterwards, and the next backward writes over it."""
+        model = pack_parameters(Sequential(Linear(1, 2, rng)))
+        model.packed[1][:] = [1.0, -2.0, 4.0, 0.5]
+        SGD(model, lr=0.25).step()
+        np.testing.assert_array_equal(model.packed[1], [0.25, -0.5, 1.0, 0.125])
 
 
 class TestInitializers:
@@ -124,13 +122,22 @@ class TestModels:
         model = MLPClassifier(784, 10, rng, hidden_sizes=(32, 16))
         out = model.forward(np.zeros((2, 784)))
         assert out.shape == (2, 10)
-        assert model.num_parameters() == 784 * 32 + 32 + 32 * 16 + 16 + 16 * 10 + 10
+        assert get_flat_parameters(model).size == 784 * 32 + 32 + 32 * 16 + 16 + 16 * 10 + 10
+
+    @pytest.mark.parametrize("name", MODELS)
+    def test_backward_writes_every_gradient_and_returns_nothing(self, rng, name):
+        model = pack_parameters(build_model(name, 6, 3, rng, hidden_sizes=(4,)))
+        model.packed[1].fill(np.nan)
+        model.forward(rng.normal(size=(5, 6)))
+        assert model.backward(rng.normal(size=(5, 3))) is None
+        assert np.isfinite(model.packed[1]).all()
 
     def test_build_model_factory(self, rng):
         assert isinstance(build_model("logreg", 10, 3, rng), LogisticRegressionModel)
         assert isinstance(build_model("mlp", 10, 3, rng), MLPClassifier)
-        with pytest.raises(ValueError):
-            build_model("transformer", 10, 3, rng)
+        for name in ("transformer", "logistic", " MLP"):  # MODELS, spelled exactly
+            with pytest.raises(ValueError):
+                build_model(name, 10, 3, rng)
 
     def test_invalid_dimensions(self, rng):
         with pytest.raises(ValueError):

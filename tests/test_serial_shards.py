@@ -28,6 +28,7 @@ from repro.fl import trainer as fl_trainer
 from repro.fl.client import FLClient
 from repro.fl.cohort import CohortTrainer
 from repro.fl.trainer import CHECKPOINT_SCHEMA_VERSION
+from repro.nn.parameters import get_flat_parameters
 from repro.runner.engine import ExperimentEngine
 from repro.runner.scenario import ScenarioSpec
 from repro.store.records import history_to_payload
@@ -218,7 +219,7 @@ class TestLifecycle:
     def test_a_round_below_the_threshold_forks_nothing(self):
         trainer = _trainer(2, system="fairbfl")
         selected, config = list(trainer.clients), trainer.spec.local_config()
-        parameters = trainer._workspace.model().num_parameters()
+        parameters = get_flat_parameters(trainer._workspace.model()).size
         work = sum(trainer.clients[c].num_samples for c in selected) * config.epochs * parameters
         assert work < fl_trainer.SHARD_WORK
         with trainer:

@@ -976,7 +976,8 @@ def check_exports() -> list[str]:
       lines that store it).
 
     A read inside a definition these rules reject is not live, so a helper
-    only dead code calls is rejected with it.  ``repro.api.__all__`` is the
+    only dead code calls is rejected with it, and definitions that read only
+    each other are rejected together.  ``repro.api.__all__`` is the
     pinned facade: those names, and the methods of those classes, pass as is.
     Any other exception is an :data:`EXPORT_ALLOWLIST` entry with its reason;
     an allow-listed class's methods pass too.
@@ -1006,8 +1007,9 @@ def check_exports() -> list[str]:
             for line, kind in use.reads.get(d.read_as, ())
         )
 
-    # Dead code does not keep what it reads alive: iterate to a fixed point.
-    unused: set[str] = set()
+    # Dead code does not keep what it reads alive: start with every definition
+    # unused and shrink to a fixed point, so a cycle of reads keeps nothing alive.
+    unused = {d.key for d in definitions if not allowed(d)}
     while True:
         dead: dict[Path, list[range]] = {}
         for d in definitions:
