@@ -90,7 +90,8 @@ def test_micro_local_sgd_epoch(benchmark, tiny_federated=None):
     global_params = get_flat_parameters(client.model)
     config = LocalTrainingConfig(epochs=1, batch_size=10, learning_rate=0.05)
 
-    update = benchmark(client.local_update, global_params, config)
+    orders = client.draw_orders(config.epochs)
+    update = benchmark(client.local_update, global_params, config, orders)
     assert update.parameters.shape == global_params.shape
 
 

@@ -6,7 +6,7 @@ with one 64-unit hidden layer) at 10 / 50 / 200 clients three ways: the
 at the default process count, and the ``cohort`` backend at the default
 process count.  The default is the usable CPUs divided by the BLAS thread pin;
 a serial round is sharded over it only once its work reaches
-``repro.fl.trainer.SHARD_WORK`` (here the 200-client round).  It verifies the
+``repro.fl.cohort.SHARD_WORK`` (here the 200-client round).  It verifies the
 engine's central determinism claim: **per-round histories are bit-identical
 across the three** (every stochastic draw comes from the owning client's
 private RNG stream, and only the coordinator's streams count).  Because the
@@ -26,8 +26,7 @@ import pytest
 from benchmarks.conftest import emit, emit_json, visible_cpus
 from repro import api
 from repro.core.results import ComparisonResult
-from repro.fl.cohort import CohortTrainer
-from repro.fl.trainer import SHARD_WORK
+from repro.fl.cohort import SHARD_WORK, CohortTrainer
 from repro.runner.scenario import ScenarioSpec
 
 CLIENT_COUNTS = (10, 50, 200)

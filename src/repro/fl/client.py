@@ -25,7 +25,6 @@ from typing import Callable
 import numpy as np
 
 from repro.datasets.federated import ClientDataset
-from repro.datasets.loaders import minibatches
 from repro.nn.losses import SoftmaxCrossEntropyLoss
 from repro.nn.metrics import accuracy
 from repro.nn.module import Module
@@ -134,7 +133,7 @@ class FLClient:
         scratch: every local update and evaluation loads the parameters it is
         given first.
     rng:
-        The client's private generator (mini-batch shuffling).
+        The client's private generator, drawn only by :meth:`draw_orders`.
     """
 
     def __init__(
@@ -160,16 +159,29 @@ class FLClient:
         return self.dataset.num_samples
 
     # -- Procedure I: local learning and update -------------------------------
+    def draw_orders(self, epochs: int) -> list[np.ndarray]:
+        """The sample orders of ``epochs`` local epochs: one permutation of
+        ``range(|D_i|)`` per epoch, in epoch order, from the client's stream.
+
+        The only draw a round makes from it, on whichever backend or process
+        trains the client: streams are private, so drawing every order up
+        front changes no value.
+        """
+        return [self.rng.permutation(self.num_samples) for _ in range(epochs)]
+
     def local_update(
         self,
         global_parameters: np.ndarray,
         config: LocalTrainingConfig,
+        orders: list[np.ndarray],
     ) -> ClientUpdate:
-        """Run ``E`` epochs of mini-batch SGD starting from ``global_parameters``.
+        """Run mini-batch SGD from ``global_parameters``, one epoch per order.
 
         Implements Algorithm 1 lines 6-11 (and, when ``config.proximal_mu > 0``,
-        the FedProx local objective).  Returns the client's
-        :class:`ClientUpdate`.
+        the FedProx local objective) over ``orders``, the epochs' sample
+        orders (:meth:`draw_orders`): an epoch is its shard in that order, cut
+        into batches of ``B`` with the short last batch kept (the ``D_i / B``
+        accounting of Section 4.1).  Returns the client's :class:`ClientUpdate`.
         """
         model = self.model
         set_flat_parameters(model, global_parameters)
@@ -177,15 +189,18 @@ class FLClient:
         optimizer = SGD(model, lr=config.learning_rate)
         values, grads = model.packed
         global_ref = np.asarray(global_parameters, dtype=np.float64).ravel()
-        images, labels = self.dataset.images, self.dataset.labels
+        batch = config.batch_size
 
         # One step per backward: the backward writes the gradients and the
         # step consumes them in place.
         losses: list[float] = []
-        for _epoch in range(config.epochs):
-            for x_batch, y_batch in minibatches(images, labels, config.batch_size, self.rng):
-                logits = model.forward(x_batch)
-                loss = loss_fn.forward(logits, y_batch)
+        for order in orders:
+            # One gather per epoch, then contiguous slices of it: copies, never
+            # views of the shard.
+            images, labels = self.dataset.images[order], self.dataset.labels[order]
+            for start in range(0, len(order), batch):
+                logits = model.forward(images[start : start + batch])
+                loss = loss_fn.forward(logits, labels[start : start + batch])
                 model.backward(loss_fn.backward())
                 if config.proximal_mu > 0.0:
                     add_proximal_term(grads, values, global_ref, config.proximal_mu)

@@ -11,47 +11,47 @@ Bit-exactness contract
 The produced :class:`~repro.fl.client.ClientUpdate` objects are byte-identical
 to what ``FLClient.local_update`` returns on the serial path:
 
-* the per-client RNG streams are preserved — each client's mini-batch
-  permutations are drawn from *its own* ``client.rng``, one per epoch, in
-  epoch order, exactly as ``FLClient.local_update``'s ``minibatches`` calls
-  draw them (streams are private per client, so drawing them up front cannot
-  change any value);
+* the per-client RNG streams are preserved — a chunk's sample orders are
+  each client's ``FLClient.draw_orders``, the one draw every backend makes
+  from a client's stream, on the coordinator;
 * there is no second set of numeric kernels to keep in parity: the layers,
   the loss, ``accuracy``, the SGD step and the FedProx term are the serial
   path's own objects and functions run on ``(clients, ...)`` operands, and
   each yields per client the bytes of that client's 2-D call (the two NumPy
   properties this rests on are stated in :mod:`repro.nn.cohort`);
 * the one client state a round changes is its RNG stream, and only the
-  coordinator draws from it.
+  coordinator draws from it: a helper receives orders, never a stream.
 
 Process sharding
 ----------------
 With ``max_workers`` W > 1, a chunk of two or more parts (see below) is split
-into W contiguous groups of parts.  The coordinator trains the first group
-and W − 1 forked helper processes train the others concurrently, each writing
-its rows of the chunk's ``(chunk, P)`` parameter matrix in place.  That matrix
-lives in one of two anonymous ``MAP_SHARED`` mappings of
-``max_cohort_size × P`` float64s, mapped once before the helpers fork and
-reused for every chunk, so no chunk allocates or faults in a parameter
-matrix.  The helpers inherit the client map at fork; a task carries only its
-rows' permutations (drawn on the coordinator, which alone touches client RNG
-streams) and the global vector, and a helper answers with its rows' losses.
-A part's bytes do not depend on the process that trains it.  A chunk trains
-into whichever mapping no kept :class:`CohortBlock` (or row view of one)
-references, and in a private array on the coordinator alone when both are
-referenced, so a kept block is never overwritten.  W = 1, a one-part chunk, or a platform without ``fork`` trains
-in-process.  :meth:`CohortTrainer.close` stops the helpers and unmaps the
+into W contiguous groups of whole parts (:func:`_split`).  The coordinator
+trains the first group and W − 1 forked helper processes train the others
+concurrently, each writing its rows of the chunk's ``(chunk, P)`` parameter
+matrix in place.  That matrix lives in one of two anonymous ``MAP_SHARED``
+mappings of ``max_cohort_size × P`` float64s, mapped once before the helpers
+fork and reused for every chunk, so no chunk allocates or faults in a
+parameter matrix.  The helpers inherit the client map at fork; a task carries
+only its rows' orders (drawn on the coordinator, which alone touches client
+RNG streams) and the global vector, and a helper answers with its rows'
+losses.  A part's bytes do not depend on the process that trains it.  A chunk
+trains into whichever mapping no kept :class:`CohortBlock` (or row view of
+one) references, and in a private array on the coordinator alone when both
+are referenced, so a kept block is never overwritten.  W = 1, a one-part
+chunk, or a platform without ``fork`` trains in-process.  :meth:`CohortTrainer.close` stops the helpers and unmaps the
 buffers; a helper that dies fails the chunk with :class:`RuntimeError`.
 
-The same helpers and buffers shard a ``serial`` round
-(:meth:`CohortTrainer.shard_local_updates`): a task is a function and its
-arguments, so a helper runs a chunk's rows or a group of clients'
-``FLClient.local_update`` alike, and the fork, teardown and death handling
-are shared.  A serial row is copied into its client's own update and then
-released from both processes' resident sets (the bytes stay in the mapping).
-When the trainer uploads its updates, each is hashed by the process that
-trained it: a helper's answer carries its rows' SHA-256 digests beside their
-losses and stream states, so Procedure II does not hash them serially.
+The same helpers and buffers shard a ``serial`` round whose work reaches
+:data:`SHARD_WORK` (:meth:`CohortTrainer.shard_local_updates`): a task is a
+function and its arguments, so a helper runs a chunk's rows or a group of
+clients' ``FLClient.local_update`` alike, and the split, fork, teardown and
+death handling are shared — a serial part is one client.  Either way the
+coordinator draws every client's orders and a helper receives them.  A
+serial row is copied into its client's own update and then released from
+both processes' resident sets (the bytes stay in the mapping).  When the
+trainer uploads its updates, each is hashed by the process that trained it:
+a helper's answer carries its rows' SHA-256 digests beside their losses, so
+Procedure II does not hash them serially.
 
 Memory contract
 ---------------
@@ -124,6 +124,14 @@ def _default_workers() -> int:
 #: beside its ``GATHER_ROWS``-bounded operands and the distinct shards.
 DEFAULT_MAX_COHORT_SIZE = 512
 
+#: Procedure-I work (the selected clients' local samples × epochs × parameters)
+#: from which a ``serial`` round is sharded over the helper pool.  Measured on
+#: a 2-CPU box: 240 logistic-regression clients (26 M) are per-client Python
+#: overhead and train no faster on two processes, 100 Figure-4 MLP clients
+#: (692 M) train in ~0.55× the time, and forking and reaping a helper costs
+#: 11-14 ms, which a 12-client sweep cell (1.6 M) must not pay.
+SHARD_WORK = 64_000_000
+
 #: Gathered operand rows a training step holds at a time: a chunk trains
 #: ``GATHER_ROWS // rows-per-client`` clients at a time, so its mini-batch and
 #: ``grads`` scratch do not grow with ``max_cohort_size``.
@@ -154,6 +162,17 @@ class CohortBlock:
     client_ids: list[int]
     parameters: np.ndarray
     train_losses: list[float]
+
+
+def _split(size: int, width: int, processes: int) -> tuple[int, list[tuple[int, int]]]:
+    """Cut ``size`` rows into ``processes`` contiguous groups of whole ``width``-row parts.
+
+    Returns the coordinator's end row (it trains rows ``0:end``) and the
+    helpers' non-empty ``(lo, hi)`` row ranges, in helper order.
+    """
+    parts = -(-size // width)
+    bounds = [min(size, -(-g * parts // processes) * width) for g in range(processes + 1)]
+    return bounds[1], [(lo, hi) for lo, hi in zip(bounds[1:], bounds[2:]) if lo < hi]
 
 
 def _stack_distinct(arrays: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
@@ -269,27 +288,24 @@ def _train_task(clients, models, buffers, index, lo, chunk, orders, global_ref, 
 
 
 def _local_update_task(
-    clients, models, buffers, index, lo, chunk, states, global_ref, config, digests
+    clients, models, buffers, index, lo, chunk, orders, global_ref, config, digests
 ):
     """A helper's share of a serial round: ``FLClient.local_update`` into rows ``lo:``.
 
-    Each client's stream starts from the coordinator's ``states`` entry, and
-    the answer is the clients' losses, the states their streams end in, and,
-    when ``digests`` is set, the SHA-256 of each row it wrote (``None``
-    otherwise), so the coordinator's upload need not hash it again.
+    Each client trains on its ``orders`` entry, drawn by the coordinator.  The
+    answer is the clients' losses and, when ``digests`` is set, the SHA-256 of
+    each row it wrote (``None`` otherwise), so the coordinator's upload need
+    not hash it again.
     """
     rows = buffers[index]
-    losses, ends, hashes = [], [], []
-    for row, (cid, state) in enumerate(zip(chunk, states), lo):
-        client = clients[cid]
-        client.rng.bit_generator.state = state
-        update = client.local_update(global_ref, config)
+    losses, hashes = [], []
+    for row, (cid, client_orders) in enumerate(zip(chunk, orders), lo):
+        update = clients[cid].local_update(global_ref, config, client_orders)
         rows[row] = update.parameters
         _release_row(rows, row)
         losses.append(update.train_loss)
-        ends.append(client.rng.bit_generator.state)
         hashes.append(_digest_vector(update.parameters) if digests else None)
-    return losses, ends, hashes
+    return losses, hashes
 
 
 def _release_row(buffer: np.ndarray, row: int) -> None:
@@ -531,51 +547,50 @@ class CohortTrainer:
         global_parameters: np.ndarray,
         config: LocalTrainingConfig,
         digests: bool,
-    ) -> list[ClientUpdate] | None:
-        """``FLClient.local_update`` for every selected client, sharded over the helpers.
+    ) -> list[ClientUpdate]:
+        """``FLClient.local_update`` for every selected client, in selection order.
 
-        ``selected`` goes in chunks of up to ``max_cohort_size`` clients (a
-        buffer's rows), each split into W contiguous groups: the coordinator
-        runs the first in-process and the helpers the others, into their rows
+        The coordinator draws every client's orders (``FLClient.draw_orders``).
+        A round whose work (samples × epochs × parameters) is below
+        :data:`SHARD_WORK`, or that has no helpers or free buffer, trains
+        in-process.  Otherwise ``selected`` goes in chunks of up to
+        ``max_cohort_size`` clients (a buffer's rows), each split into W
+        contiguous groups (:func:`_split`, a part is one client): the
+        coordinator runs the first and the helpers the others, into their rows
         of a shared buffer, which are copied into each client's own
-        :class:`ClientUpdate`.  A client's stream travels as its bit-generator
-        state and the state it ends in is assigned back, so only the
-        coordinator's streams count.  With ``digests`` every update also
+        :class:`ClientUpdate`.  With ``digests`` every sharded update also
         carries the SHA-256 of its parameters (``ClientUpdate.digest``), taken
         by the process that trained it: the coordinator hashes its own group
-        while the helpers train theirs.  Returns the updates in selection
-        order, or ``None`` when there are no helpers (train in-process).
+        while the helpers train theirs.
         """
         global_ref = np.asarray(global_parameters, dtype=np.float64)
-        helpers = self._helpers_for(clients, global_ref.shape[0])
+        work = sum(clients[cid].num_samples for cid in selected) * config.epochs * global_ref.size
+        helpers = self._helpers_for(clients, global_ref.shape[0]) if work >= SHARD_WORK else None
         index = None if helpers is None else helpers.free_buffer()
         if index is None:
-            return None
+            return [
+                client.local_update(global_ref, config, client.draw_orders(config.epochs))
+                for client in (clients[cid] for cid in selected)
+            ]
         rows = helpers.buffers[index]
         updates: list[ClientUpdate] = []
         for start in range(0, len(selected), self.max_cohort_size):
             chunk = [int(cid) for cid in selected[start : start + self.max_cohort_size]]
-            bounds = [g * len(chunk) // self.max_workers for g in range(self.max_workers + 1)]
-            groups = [(lo, chunk[lo:hi]) for lo, hi in zip(bounds[1:], bounds[2:]) if lo < hi]
+            orders = [clients[cid].draw_orders(config.epochs) for cid in chunk]
+            own, groups = _split(len(chunk), 1, self.max_workers)
             tasks = [
                 (
                     _local_update_task,
-                    (
-                        index,
-                        lo,
-                        group,
-                        [clients[cid].rng.bit_generator.state for cid in group],
-                        global_ref,
-                        config,
-                        digests,
-                    ),
+                    (index, lo, chunk[lo:hi], orders[lo:hi], global_ref, config, digests),
                 )
-                for lo, group in groups
+                for lo, hi in groups
             ]
-            own = chunk[: bounds[1]]
 
             def train_own():
-                mine = [clients[cid].local_update(global_ref, config) for cid in own]
+                mine = [
+                    clients[cid].local_update(global_ref, config, client_orders)
+                    for cid, client_orders in zip(chunk[:own], orders[:own])
+                ]
                 if digests:
                     for update in mine:
                         update.digest = _digest_vector(update.parameters)
@@ -583,9 +598,8 @@ class CohortTrainer:
 
             mine, answers = self._run_on(helpers, tasks, train_own)
             updates += mine
-            for (lo, group), answer in zip(groups, answers):
-                for row, (cid, loss, state, digest) in enumerate(zip(group, *answer), lo):
-                    clients[cid].rng.bit_generator.state = state
+            for (lo, hi), (losses, hashes) in zip(groups, answers):
+                for row, cid, loss, digest in zip(range(lo, hi), chunk[lo:hi], losses, hashes):
                     updates.append(
                         ClientUpdate(
                             client_id=cid, parameters=rows[row].copy(), train_loss=loss,
@@ -605,15 +619,13 @@ class CohortTrainer:
         cohort = [clients[cid] for cid in chunk]
         model = _compiled_model(self._models, cohort[0], global_ref.shape[0])
         size = len(cohort)
-        num_samples = int(np.shape(cohort[0].dataset.images)[0])
+        num_samples = cohort[0].num_samples
 
-        # Per-client mini-batch permutations: one draw per epoch from each
-        # client's private stream, in epoch order — the exact draws
-        # minibatches performs on the serial path.
+        # Per-client sample orders, drawn here for every process that trains a part.
         orders = np.empty((size, config.epochs, num_samples), dtype=np.int64)
         for i, client in enumerate(cohort):
-            for epoch in range(config.epochs):
-                orders[i, epoch] = client.rng.permutation(num_samples)
+            for epoch, order in enumerate(client.draw_orders(config.epochs)):
+                orders[i, epoch] = order
 
         # A part gathers at most GATHER_ROWS rows (or one client's).
         rows = max(1, min(config.batch_size, num_samples))
@@ -627,22 +639,16 @@ class CohortTrainer:
             else:
                 params = helpers.buffers[index][:size]
                 helpers.touched[index] = max(helpers.touched[index], size)
-                # W contiguous groups of whole parts; the coordinator trains the first.
-                parts, processes = -(-size // width), self.max_workers
-                bounds = [
-                    min(size, -(-g * parts // processes) * width) for g in range(processes + 1)
-                ]
+                own, groups = _split(size, width, self.max_workers)
                 tasks = [
                     (_train_task, (index, lo, chunk[lo:hi], orders[lo:hi], global_ref, config, width))
-                    for lo, hi in zip(bounds[1:], bounds[2:])
-                    if lo < hi
+                    for lo, hi in groups
                 ]
-                own = slice(0, bounds[1])
                 train_losses, answers = self._run_on(
                     helpers,
                     tasks,
                     lambda: _train_rows(
-                        model, cohort[own], orders[own], params[own], global_ref, config, width
+                        model, cohort[:own], orders[:own], params[:own], global_ref, config, width
                     ),
                 )
                 for losses in answers:

@@ -46,9 +46,9 @@ exactly the sharing structure of the live one.
 
 Determinism across backends comes for free: every stochastic draw in
 a round is made either from a trainer-owned RNG stream or from the owning
-client's private stream, and only the coordinator's streams count (the
-cohort backend's helper processes receive their permutations, a sharded serial
-round's helpers their clients' stream states, which come back) — so the
+client's private stream, and only the coordinator draws from them (a client's
+stream once per round, in ``FLClient.draw_orders``; helper processes of
+either backend receive the drawn orders, never a stream) — so the
 coordinator-side state captured here is authoritative for ``serial`` and
 ``cohort`` alike, on any process count (see ``tests/test_checkpoint.py`` and
 ``tests/test_serial_shards.py``).
@@ -86,14 +86,6 @@ __all__ = ["CheckpointError", "Trainer"]
 #: 8: the event kernel's mining race names each block's signer; a v7 FAIR-BFL
 #: blob carries the deleted winner stream and blocks its winners signed.
 CHECKPOINT_SCHEMA_VERSION = 8
-
-#: Procedure-I work (the selected clients' local samples × epochs × parameters)
-#: from which a ``serial`` round is sharded over the helper pool.  Measured on
-#: a 2-CPU box: 240 logistic-regression clients (26 M) are per-client Python
-#: overhead and train no faster on two processes, 100 Figure-4 MLP clients
-#: (692 M) train in ~0.55× the time, and forking and reaping a helper costs
-#: 11-14 ms, which a 12-client sweep cell (1.6 M) must not pay.
-SHARD_WORK = 64_000_000
 
 #: The globals a checkpoint blob may name besides the classes of ``repro.*``
 #: and of the trainer's own module: numpy's array, scalar, dtype,
@@ -235,22 +227,17 @@ class Trainer:
     ) -> list[ClientUpdate]:
         """Run Procedure I for ``selected`` and return their updates in that order.
 
-        The one place that chooses the backend; both yield the same bytes.  A
-        ``serial`` round of at least :data:`SHARD_WORK` is sharded over the
-        pool's ``max_workers`` processes (``CohortTrainer.shard_local_updates``);
-        with :attr:`uploads_updates` set, each process also hashes the updates
-        it trained.
+        The one place that chooses the backend; both yield the same bytes.  The
+        ``serial`` loop is ``CohortTrainer.shard_local_updates``, which shards
+        a large round over the pool's ``max_workers`` processes; with
+        :attr:`uploads_updates` set, each process also hashes the updates it
+        trained.
         """
         if self.cohort is not None:
             return self.cohort.run_local_updates(self.clients, selected, global_parameters, config)
-        samples = sum(self.clients[cid].num_samples for cid in selected)
-        if samples * config.epochs * np.size(global_parameters) >= SHARD_WORK:
-            updates = self._pool.shard_local_updates(
-                self.clients, selected, global_parameters, config, self.uploads_updates
-            )
-            if updates is not None:
-                return updates
-        return [self.clients[cid].local_update(global_parameters, config) for cid in selected]
+        return self._pool.shard_local_updates(
+            self.clients, selected, global_parameters, config, self.uploads_updates
+        )
 
     def mean_accuracy(self, client_ids: list[int], parameters: np.ndarray) -> float:
         """Mean verification accuracy of ``parameters`` across ``client_ids``.

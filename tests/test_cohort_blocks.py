@@ -111,7 +111,8 @@ def _parts_equal_serial(monkeypatch, *, gather_rows, chunk, config, distinct, pr
 
     assert [u.client_id for u in updates] == selected
     for update in updates:
-        want = serial[update.client_id].local_update(start, config)
+        client = serial[update.client_id]
+        want = client.local_update(start, config, client.draw_orders(config.epochs))
         assert update.parameters.tobytes() == want.parameters.tobytes()
         assert update.train_loss == want.train_loss
         assert cohort[update.client_id].rng.bit_generator.state == (
@@ -208,7 +209,10 @@ def _sharded_population(monkeypatch):
     serial = _population(dataset, private=True, model_name="logreg")
     start = new_rng(7, "global").standard_normal(get_flat_parameters(cohort[0].model).size)
     start *= 0.01
-    want = {cid: client.local_update(start, SHORT_BATCH) for cid, client in serial.items()}
+    want = {
+        cid: client.local_update(start, SHORT_BATCH, client.draw_orders(SHORT_BATCH.epochs))
+        for cid, client in serial.items()
+    }
     monkeypatch.setattr(fl_cohort, "GATHER_ROWS", 25)  # 25 rows a client: one client a part
     return cohort, start, want
 

@@ -354,7 +354,7 @@ def test_loss_mean_matches_serial_past_the_pairwise_block():
         _clients(dataset, private=False), [0, 1, 2], start, config
     )
     for update, client in zip(updates, _clients(dataset, private=False).values()):
-        serial = client.local_update(start, config)
+        serial = client.local_update(start, config, client.draw_orders(config.epochs))
         assert update.train_loss == serial.train_loss
         assert update.parameters.tobytes() == serial.parameters.tobytes()
 
@@ -429,7 +429,8 @@ def test_a_serial_local_update_runs_one_forward_per_step(
     monkeypatch.setattr(
         Sequential, "forward", lambda self, x: forwards.append(len(x)) or forward(self, x)
     )
-    client.local_update(start, LocalTrainingConfig(epochs=epochs, batch_size=batch_size))
+    config = LocalTrainingConfig(epochs=epochs, batch_size=batch_size)
+    client.local_update(start, config, client.draw_orders(epochs))
     monkeypatch.undo()
 
     assert len(forwards) == epochs * -(-n // batch_size), forwards

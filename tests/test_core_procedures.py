@@ -62,7 +62,8 @@ LOCAL_CFG = LocalTrainingConfig(epochs=1, batch_size=10, learning_rate=0.05)
 def serial_updates(clients):
     """``Trainer.local_updates`` on the serial backend, over a bare client map."""
     return lambda selected, global_params, config: [
-        clients[cid].local_update(global_params, config) for cid in selected
+        clients[cid].local_update(global_params, config, clients[cid].draw_orders(config.epochs))
+        for cid in selected
     ]
 
 

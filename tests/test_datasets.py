@@ -1,4 +1,7 @@
-"""Tests for the dataset substrate: synthesis, partitioning, federated containers, loaders."""
+"""Tests for the dataset substrate: synthesis, partitioning, federated containers.
+
+How Procedure I batches a shard is ``tests/test_sample_orders.py``'s.
+"""
 
 from __future__ import annotations
 
@@ -16,7 +19,6 @@ from repro.datasets.federated import (
     build_federated_dataset,
     inject_label_noise,
 )
-from repro.datasets.loaders import minibatches
 from repro.datasets.partition import (
     dirichlet_partition,
     iid_partition,
@@ -200,6 +202,12 @@ class TestFederatedDataset:
         with pytest.raises(ValueError):
             ClientDataset(0, np.zeros((0, 4)), np.zeros(0), np.zeros((1, 4)), np.zeros(1))
 
+    def test_mismatched_rows_rejected(self):
+        with pytest.raises(ValueError, match="images and labels"):
+            ClientDataset(0, np.zeros((3, 4)), np.zeros(4), np.zeros((1, 4)), np.zeros(1))
+        with pytest.raises(ValueError, match="val_images and val_labels"):
+            ClientDataset(0, np.zeros((3, 4)), np.zeros(3), np.zeros((2, 4)), np.zeros(1))
+
     def test_requires_clients(self):
         with pytest.raises(ValueError):
             FederatedDataset(clients=[], test_images=np.zeros((1, 4)), test_labels=np.zeros(1))
@@ -251,43 +259,6 @@ class TestNonFiniteInputs:
                 build_federated_dataset(
                     num_clients=4, num_samples=100, scheme="dirichlet", alpha=value
                 )
-
-
-class TestLoaders:
-    def test_minibatches_cover_everything(self):
-        x = np.arange(25, dtype=float).reshape(25, 1)
-        y = np.arange(25)
-        batches = list(minibatches(x, y, 10))
-        assert [b[0].shape[0] for b in batches] == [10, 10, 5]
-        collected = np.sort(np.concatenate([b[1] for b in batches]))
-        np.testing.assert_array_equal(collected, y)
-
-    def test_minibatches_shuffle(self):
-        x = np.arange(50, dtype=float).reshape(50, 1)
-        y = np.arange(50)
-        ordered = np.concatenate([b[1] for b in minibatches(x, y, 10)])
-        shuffled = np.concatenate([b[1] for b in minibatches(x, y, 10, new_rng(0, "s"))])
-        assert not np.array_equal(ordered, shuffled)
-        np.testing.assert_array_equal(np.sort(shuffled), y)
-
-    def test_minibatches_validation(self):
-        with pytest.raises(ValueError):
-            list(minibatches(np.zeros((3, 1)), np.zeros(4), 2))
-        with pytest.raises(ValueError):
-            list(minibatches(np.zeros((3, 1)), np.zeros(3), 0))
-
-    def test_minibatches_keep_the_short_batch(self):
-        batches = list(minibatches(np.zeros((23, 2)), np.zeros(23), 5))
-        assert [b[0].shape[0] for b in batches] == [5, 5, 5, 5, 3]
-
-    def test_minibatches_epochs_draw_successive_permutations(self):
-        """One call per epoch on the client's stream: epoch e's order is the
-        stream's e-th permutation, which the cohort backend draws up front."""
-        rng, reference = new_rng(0, "b"), new_rng(0, "b")
-        for _epoch in range(2):
-            batches = minibatches(np.zeros((10, 2)), np.arange(10), 3, rng)
-            order = np.concatenate([labels for _, labels in batches])
-            np.testing.assert_array_equal(order, reference.permutation(10))
 
 
 @given(st.integers(2, 12), st.integers(30, 120))

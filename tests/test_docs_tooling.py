@@ -531,6 +531,19 @@ class TestDocsFreshness:
         (problem,) = check_docs.check_exports()
         assert "'stray' is public" in problem
 
+    def test_definitions_do_not_count_a_key(self, tmp_path, monkeypatch):
+        """``d["unused"]`` and ``{"unused": 1}`` name an entry, not the method."""
+        check_docs = self._definition_tree(tmp_path, monkeypatch)
+        (tmp_path / "tools").mkdir()
+        (tmp_path / "tools" / "probe.py").write_text(
+            'kind = {"unused": 1, "stray": 2}\nprint(kind["unused"], kind["stray"])\n',
+            encoding="utf-8",
+        )
+        problems = check_docs.check_exports()
+        assert [p.split(": ")[1].split(" ")[0] for p in problems] == [
+            "'Store.unused'", "'Store.only_dead_code_calls'", "'stray'"
+        ]
+
     def test_definitions_count_a_read_in_the_defining_module(self, tmp_path, monkeypatch):
         check_docs = self._definition_tree(tmp_path, monkeypatch)
         mod = tmp_path / "src" / "repro" / "pkg" / "mod.py"

@@ -43,7 +43,9 @@ class TestFLClient:
 
     def test_local_update_returns_new_parameters(self, client):
         global_params = get_flat_parameters(client.model)
-        update = client.local_update(global_params, LocalTrainingConfig(epochs=1, learning_rate=0.05))
+        update = client.local_update(
+            global_params, LocalTrainingConfig(epochs=1, learning_rate=0.05), client.draw_orders(1)
+        )
         assert update.parameters.shape == global_params.shape
         assert not np.allclose(update.parameters, global_params)
         assert update.client_id == 0
@@ -53,17 +55,19 @@ class TestFLClient:
         global_params = get_flat_parameters(client.model)
         cfg1 = LocalTrainingConfig(epochs=1, learning_rate=0.05)
         cfg5 = LocalTrainingConfig(epochs=5, learning_rate=0.05)
-        loss_short = client.local_update(global_params, cfg1).train_loss
-        loss_long = client.local_update(global_params, cfg5).train_loss
+        loss_short = client.local_update(global_params, cfg1, client.draw_orders(1)).train_loss
+        loss_long = client.local_update(global_params, cfg5, client.draw_orders(5)).train_loss
         assert loss_long < loss_short
 
     def test_proximal_term_keeps_update_closer(self, client):
         global_params = get_flat_parameters(client.model)
         plain = client.local_update(
-            global_params, LocalTrainingConfig(epochs=3, learning_rate=0.1)
+            global_params, LocalTrainingConfig(epochs=3, learning_rate=0.1), client.draw_orders(3)
         )
         prox = client.local_update(
-            global_params, LocalTrainingConfig(epochs=3, learning_rate=0.1, proximal_mu=1.0)
+            global_params,
+            LocalTrainingConfig(epochs=3, learning_rate=0.1, proximal_mu=1.0),
+            client.draw_orders(3),
         )
         dist_plain = np.linalg.norm(plain.parameters - global_params)
         dist_prox = np.linalg.norm(prox.parameters - global_params)

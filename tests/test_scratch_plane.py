@@ -30,7 +30,6 @@ from hypothesis import strategies as st
 
 from repro.core.fairbfl import FairBFLTrainer
 from repro.datasets.federated import ClientDataset
-from repro.datasets.loaders import minibatches
 from repro.fl.client import ClientUpdate, FLClient, LocalTrainingConfig, ModelWorkspace
 from repro.fl.trainer import CHECKPOINT_SCHEMA_VERSION
 from repro.nn.layers import Flatten, Linear, ReLU
@@ -63,9 +62,9 @@ def test_no_vector_that_leaves_the_plane_aliases_it(tiny_federated):
     second = FLClient(tiny_federated.client(1), workspace, new_rng(3, "plane", 1))
     assert first.model is second.model
 
-    update_a = first.local_update(_global_vector(), CONFIG)
+    update_a = first.local_update(_global_vector(), CONFIG, first.draw_orders(CONFIG.epochs))
     uploaded = update_a.parameters.copy()
-    update_b = second.local_update(_global_vector(), CONFIG)
+    update_b = second.local_update(_global_vector(), CONFIG, second.draw_orders(CONFIG.epochs))
     second.evaluate(_global_vector(4))
 
     np.testing.assert_array_equal(update_a.parameters, uploaded)
@@ -82,14 +81,13 @@ def test_a_shared_workspace_changes_no_update(tiny_federated):
     model leaks into the second's update."""
     shard = tiny_federated.client(0)
     alone = FLClient(shard, ModelWorkspace(FACTORY), new_rng(3, "plane", 0))
-    want = alone.local_update(_global_vector(), CONFIG)
+    want = alone.local_update(_global_vector(), CONFIG, alone.draw_orders(CONFIG.epochs))
 
     workspace = ModelWorkspace(FACTORY)
-    FLClient(tiny_federated.client(1), workspace, new_rng(3, "plane", 1)).local_update(
-        _global_vector(5), CONFIG
-    )
+    other = FLClient(tiny_federated.client(1), workspace, new_rng(3, "plane", 1))
+    other.local_update(_global_vector(5), CONFIG, other.draw_orders(CONFIG.epochs))
     shared = FLClient(shard, workspace, new_rng(3, "plane", 0))
-    got = shared.local_update(_global_vector(), CONFIG)
+    got = shared.local_update(_global_vector(), CONFIG, shared.draw_orders(CONFIG.epochs))
     assert shared.model is not alone.model
     assert got.parameters.tobytes() == want.parameters.tobytes()
     assert got.train_loss == want.train_loss
@@ -187,7 +185,7 @@ def make_shard(spec: dict, rows: int, client_id: int = 0) -> ClientDataset:
 
 
 def reference_minibatches(images, labels, batch_size, rng):
-    """The per-batch fancy index ``minibatches`` used to do."""
+    """One draw per epoch and a fancy index per batch, as Procedure I once did."""
     order = rng.permutation(images.shape[0])
     for start in range(0, images.shape[0], batch_size):
         sel = order[start : start + batch_size]
@@ -311,29 +309,6 @@ def test_flat_access_on_a_packed_model_equals_the_unpacked_path(spec):
 @pytest.mark.cohort
 @settings(max_examples=40, deadline=None)
 @given(
-    rows=st.integers(0, 40),
-    batch_size=st.integers(1, 12),
-    seed=st.integers(0, 2**16),
-    epochs=st.integers(1, 3),
-)
-def test_one_gather_per_epoch_yields_the_per_batch_gather(rows, batch_size, seed, epochs):
-    data = np.random.default_rng(seed)
-    images, labels = data.standard_normal((rows, 2, 3)), data.integers(0, 9, rows)
-    want_rng, got_rng = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
-    for _ in range(epochs):
-        want = list(reference_minibatches(images, labels, batch_size, want_rng))
-        got = list(minibatches(images, labels, batch_size, got_rng))
-        assert len(got) == len(want)
-        for (gx, gy), (wx, wy) in zip(got, want):
-            assert gx.shape == wx.shape and gx.flags.c_contiguous
-            assert gx.tobytes() == wx.tobytes() and gy.tobytes() == wy.tobytes()
-            assert not np.shares_memory(gx, images) and not np.shares_memory(gy, labels)
-        assert got_rng.bit_generator.state == want_rng.bit_generator.state
-
-
-@pytest.mark.cohort
-@settings(max_examples=40, deadline=None)
-@given(
     spec=stacks,
     rows=st.integers(1, 23),
     batch_size=st.sampled_from([1, 4, 10]),
@@ -353,7 +328,7 @@ def test_local_update_on_a_shared_plane_equals_the_private_unpacked_model(
         client = FLClient(shard, workspace, np.random.default_rng(spec["seed"] + 5))
         want_rng = np.random.default_rng(spec["seed"] + 5)
         want = reference_local_update(build_stack(spec), shard, want_rng, global_parameters, config)
-        got = client.local_update(global_parameters, config)
+        got = client.local_update(global_parameters, config, client.draw_orders(epochs))
         assert got.parameters.tobytes() == want.parameters.tobytes()
         assert (got.client_id, got.train_loss) == (want.client_id, want.train_loss)
         assert client.rng.bit_generator.state == want_rng.bit_generator.state

@@ -1,10 +1,10 @@
 """A serial round sharded over the helper pool, with the in-process bytes.
 
-``Trainer.local_updates`` splits a ``serial`` round's clients into W
-contiguous groups once its work reaches ``SHARD_WORK``: the coordinator runs
-the first with ``FLClient.local_update`` and the cohort engine's forked
-helpers the others, each client's stream travelling as its bit-generator
-state.  A sharded run must equal the in-process run byte for byte — history
+``CohortTrainer.shard_local_updates`` splits a ``serial`` round's clients
+into W contiguous groups once its work reaches ``SHARD_WORK``: the coordinator
+draws every client's orders, runs the first group with
+``FLClient.local_update`` and hands the others, with their orders, to the
+cohort engine's forked helpers.  A sharded run must equal the in-process run byte for byte — history
 and every client's stream after every round — whatever W, whether W divides
 the selection, and whatever the system, topology or round mode.  A
 checkpoint does not know which W wrote it, the helpers are reaped on
@@ -24,7 +24,7 @@ import pytest
 
 from repro.blockchain.miner import Miner
 from repro.blockchain.transaction import TransactionType, _digest_vector
-from repro.fl import trainer as fl_trainer
+from repro.fl import cohort as fl_cohort
 from repro.fl.client import FLClient
 from repro.fl.cohort import CohortTrainer
 from repro.fl.trainer import CHECKPOINT_SCHEMA_VERSION
@@ -84,7 +84,7 @@ def _rounds(trainer, rounds: int) -> list[tuple[str, dict]]:
 @pytest.fixture
 def shard_every_round(monkeypatch):
     """Every round is worth a fork, however small."""
-    monkeypatch.setattr(fl_trainer, "SHARD_WORK", 0)
+    monkeypatch.setattr(fl_cohort, "SHARD_WORK", 0)
 
 
 class TestParity:
@@ -210,7 +210,7 @@ class TestLifecycle:
                 trainer.run_round(1)
             assert _helpers_alive() == []
             monkeypatch.undo()
-            monkeypatch.setattr(fl_trainer, "SHARD_WORK", 0)
+            monkeypatch.setattr(fl_cohort, "SHARD_WORK", 0)
             record = trainer.run_round(1)
             assert record.participants == list(range(SMALL["num_clients"]))
             assert len(_helpers_alive()) == 1
@@ -221,7 +221,7 @@ class TestLifecycle:
         selected, config = list(trainer.clients), trainer.spec.local_config()
         parameters = get_flat_parameters(trainer._workspace.model()).size
         work = sum(trainer.clients[c].num_samples for c in selected) * config.epochs * parameters
-        assert work < fl_trainer.SHARD_WORK
+        assert work < fl_cohort.SHARD_WORK
         with trainer:
             trainer.run_until(2)
             assert trainer._pool._helpers is None

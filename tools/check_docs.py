@@ -648,11 +648,13 @@ def _uses(tree: ast.Module, *, package_init: bool) -> _Uses:
     """Every read, call and attribute store in a module.
 
     A read is an ``ast.Name`` or ``ast.Attribute`` load, an import, or each
-    part of an identifier-shaped string constant.  ``from m import x`` and
-    ``repro.pkg.x`` are also reads of the qualified ``"m.x"`` /
-    ``"repro.pkg.x"``, which is how a package re-export is reached.  Bindings (a definition, an assignment target) are
-    not reads, nor are the entries of :data:`_DECLARATIONS`, and a package
-    ``__init__``'s imports are re-exports, not uses.
+    part of an identifier-shaped string constant that is not a key (of a dict
+    literal or a subscript: ``d["name"]`` reads an entry, not an attribute).
+    ``from m import x`` and ``repro.pkg.x`` are also reads of the qualified
+    ``"m.x"`` / ``"repro.pkg.x"``, which is how a package re-export is
+    reached.  Bindings (a definition, an assignment target) are not reads, nor
+    are the entries of :data:`_DECLARATIONS`, and a package ``__init__``'s
+    imports are re-exports, not uses.
     """
     declared = {
         id(const)
@@ -660,6 +662,14 @@ def _uses(tree: ast.Module, *, package_init: bool) -> _Uses:
         if _declaration(node) in _DECLARATIONS
         for const in ast.walk(node.value)
     }
+    declared.update(  # a key names an entry, not an attribute
+        id(key)
+        for node in ast.walk(tree)
+        for key in (
+            node.keys if isinstance(node, ast.Dict)
+            else [node.slice] if isinstance(node, ast.Subscript) else []
+        )
+    )
     owners = {  # ast.walk is breadth-first: an inner class overwrites its outer one
         id(node): cls
         for cls in ast.walk(tree)
